@@ -312,9 +312,13 @@ fn main() {
     // worker dies at superstep 1 and the fleet rolls back — timed against
     // each other, with bit-identity to the in-process run asserted in-bench.
     let rmat_assignment = LdgPartitioner::new(8).partition(&rmat);
+    // Sequential: bit-identity with a distributed run is promised against
+    // the sequential in-process walk, not a rayon-fanned one (which
+    // interleaves fragment ids across partitions on a multi-core host).
     let in_proc_reference = EulerPipeline::builder()
         .graph(&rmat)
         .assignment(rmat_assignment.clone())
+        .config(EulerConfig::default().sequential())
         .build()
         .unwrap()
         .run()

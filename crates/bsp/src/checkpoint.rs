@@ -18,6 +18,7 @@
 //! trusting it. The payload layout is the caller's business; this module
 //! only guarantees "either the exact words written, or a typed refusal".
 
+use crate::wire::{WordFold, WordReader, WordWriter};
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
@@ -72,88 +73,99 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Word-folded FNV-1a (the same fold the CSR file format uses).
-fn fnv1a_words(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        h ^= w;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Canonical checkpoint file name for `worker` at `superstep` — the state
 /// *entering* that superstep.
 pub fn checkpoint_file(dir: &Path, worker: u32, superstep: u32) -> PathBuf {
     dir.join(format!("ckpt-w{worker}-s{superstep}.bin"))
 }
 
-/// Atomically writes `words` to `path` (temp file in the same directory,
-/// then rename). Returns the total Longs written including the container
-/// header.
-pub fn write_checkpoint(path: &Path, words: &[u64]) -> Result<u64, CheckpointError> {
+/// Atomically writes the payload `parts` (word payloads, concatenated) to
+/// `path` (temp file in the same directory, then rename). Returns the total
+/// Longs written including the container header.
+pub fn write_checkpoint(path: &Path, parts: &[&[u8]]) -> Result<u64, CheckpointError> {
+    let bytes: usize = parts.iter().map(|p| p.len()).sum();
+    if !bytes.is_multiple_of(8) {
+        return Err(CheckpointError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("checkpoint payload of {bytes} bytes is not word-aligned"),
+        )));
+    }
+    let len = (bytes / 8) as u64;
+    let mut fold = WordFold::new();
+    for part in parts {
+        fold.bytes(part);
+    }
+    let header =
+        WordWriter::from_words(&[CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len, fold.finish()]);
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;
-        let mut buf = Vec::with_capacity(8 * (4 + words.len()));
-        for w in
-            [CHECKPOINT_MAGIC, CHECKPOINT_VERSION, words.len() as u64, fnv1a_words(words)]
-        {
-            buf.extend_from_slice(&w.to_le_bytes());
+        f.write_all(header.as_bytes())?;
+        for part in parts {
+            f.write_all(part)?;
         }
-        for w in words {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
-        f.write_all(&buf)?;
         f.sync_all().ok();
     }
     fs::rename(&tmp, path)?;
-    Ok(4 + words.len() as u64)
+    Ok(4 + len)
 }
 
-/// Reads and fully validates a checkpoint, returning its payload words.
-pub fn read_checkpoint(path: &Path) -> Result<Vec<u64>, CheckpointError> {
+/// Reads and fully validates a checkpoint, returning its payload (a word
+/// payload for [`WordReader`]).
+pub fn read_checkpoint(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+    const HEADER_BYTES: usize = 32;
     let mut bytes = Vec::new();
     fs::File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 32 {
-        return Err(CheckpointError::Truncated);
-    }
     // A torn write from a killed worker must surface as a typed error, so
-    // every word read is bounds-checked rather than indexed.
-    let word = |i: usize| {
-        bytes
-            .get(8 * i..8 * i + 8)
-            .and_then(|s| s.try_into().ok())
-            .map(u64::from_le_bytes)
-            .ok_or(CheckpointError::Truncated)
-    };
-    if word(0)? != CHECKPOINT_MAGIC {
+    // every read is bounds-checked rather than indexed.
+    let [magic, version, len, check] = bytes
+        .get(..HEADER_BYTES)
+        .and_then(|h| WordReader::new(h).ok()?.array().ok())
+        .ok_or(CheckpointError::Truncated)?;
+    if magic != CHECKPOINT_MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    if word(1)? != CHECKPOINT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion(word(1)?));
+    if version != CHECKPOINT_VERSION {
+        return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let len = word(2)? as usize;
     // Checked arithmetic: a corrupt length word must not overflow the
     // size computation (a debug-build panic is still a panic).
-    let need =
-        len.checked_add(4).and_then(|n| n.checked_mul(8)).ok_or(CheckpointError::Truncated)?;
+    let need = usize::try_from(len)
+        .ok()
+        .and_then(|n| n.checked_mul(8))
+        .and_then(|n| n.checked_add(HEADER_BYTES))
+        .ok_or(CheckpointError::Truncated)?;
     if bytes.len() < need {
         return Err(CheckpointError::Truncated);
     }
-    let words: Vec<u64> = (0..len).map(|i| word(4 + i)).collect::<Result<_, _>>()?;
-    if fnv1a_words(&words) != word(3)? {
+    bytes.truncate(need);
+    bytes.drain(..HEADER_BYTES);
+    let mut fold = WordFold::new();
+    fold.bytes(&bytes);
+    if fold.finish() != check {
         return Err(CheckpointError::ChecksumMismatch);
     }
-    Ok(words)
+    Ok(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Writes `words` as two parts split off a word boundary, so every test
+    /// also exercises the chained checksum.
+    fn write_words(path: &Path, words: &[u64]) -> Result<u64, CheckpointError> {
+        let payload = WordWriter::from_words(words);
+        let (a, b) = payload.as_bytes().split_at(payload.as_bytes().len() / 3);
+        write_checkpoint(path, &[a, b])
+    }
+
+    fn read_words(path: &Path) -> Result<Vec<u64>, CheckpointError> {
+        read_checkpoint(path).map(|bytes| WordReader::new(&bytes).unwrap().rest())
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("euler-ckpt-test-{}-{tag}", std::process::id()));
@@ -166,9 +178,9 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let path = checkpoint_file(&dir, 3, 7);
         let words: Vec<u64> = (0..1000).map(|i| i * 31 + 7).collect();
-        let longs = write_checkpoint(&path, &words).unwrap();
+        let longs = write_words(&path, &words).unwrap();
         assert_eq!(longs, 4 + 1000);
-        assert_eq!(read_checkpoint(&path).unwrap(), words);
+        assert_eq!(read_words(&path).unwrap(), words);
         assert!(path.file_name().unwrap().to_str().unwrap().contains("w3-s7"));
         fs::remove_dir_all(&dir).ok();
     }
@@ -177,8 +189,8 @@ mod tests {
     fn empty_payload_roundtrip() {
         let dir = temp_dir("empty");
         let path = checkpoint_file(&dir, 0, 0);
-        write_checkpoint(&path, &[]).unwrap();
-        assert!(read_checkpoint(&path).unwrap().is_empty());
+        write_words(&path, &[]).unwrap();
+        assert!(read_words(&path).unwrap().is_empty());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -196,7 +208,7 @@ mod tests {
     fn torn_write_is_detected_and_refused() {
         let dir = temp_dir("torn");
         let path = checkpoint_file(&dir, 1, 1);
-        write_checkpoint(&path, &[1, 2, 3, 4, 5]).unwrap();
+        write_words(&path, &[1, 2, 3, 4, 5]).unwrap();
         // Simulate a torn write: chop the file mid-payload.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 12]).unwrap();
@@ -208,7 +220,7 @@ mod tests {
     fn wrong_version_tag_is_refused() {
         let dir = temp_dir("version");
         let path = checkpoint_file(&dir, 1, 2);
-        write_checkpoint(&path, &[9, 9, 9]).unwrap();
+        write_words(&path, &[9, 9, 9]).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..16].copy_from_slice(&99u64.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
@@ -223,7 +235,7 @@ mod tests {
     fn flipped_payload_bit_is_refused() {
         let dir = temp_dir("corrupt");
         let path = checkpoint_file(&dir, 1, 3);
-        write_checkpoint(&path, &[10, 20, 30]).unwrap();
+        write_words(&path, &[10, 20, 30]).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 1] ^= 0x80;
@@ -247,9 +259,9 @@ mod tests {
     fn overwrite_is_atomic_replacement() {
         let dir = temp_dir("atomic");
         let path = checkpoint_file(&dir, 0, 1);
-        write_checkpoint(&path, &[1]).unwrap();
-        write_checkpoint(&path, &[2, 3]).unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), vec![2, 3]);
+        write_words(&path, &[1]).unwrap();
+        write_words(&path, &[2, 3]).unwrap();
+        assert_eq!(read_words(&path).unwrap(), vec![2, 3]);
         assert!(!path.with_extension("tmp").exists(), "temp file must not linger");
         fs::remove_dir_all(&dir).ok();
     }

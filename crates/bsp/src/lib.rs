@@ -42,6 +42,7 @@ pub mod stats;
 pub mod superstep;
 pub mod transport;
 pub mod vertex;
+pub mod wire;
 pub mod worker;
 
 pub use checkpoint::{checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError};

@@ -68,30 +68,25 @@ impl Envelope {
 /// vertices, remote edges) is fundamentally a sequence of Longs; encoding them
 /// explicitly keeps the byte counts interpretable in the paper's units.
 pub mod codec {
-    use bytes::{Buf, BufMut, Bytes, BytesMut};
+    use crate::wire::{WordReader, WordWriter};
+    use bytes::Bytes;
 
     /// Encodes a slice of u64 values (little endian) into a payload.
     pub fn encode_u64s(values: &[u64]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(values.len() * 8);
-        for &v in values {
-            buf.put_u64_le(v);
-        }
-        buf.freeze()
+        WordWriter::from_words(values).into_bytes().into()
     }
 
-    /// Decodes a payload written by [`encode_u64s`].
+    /// Decodes a payload written by [`encode_u64s`]; trailing bytes short of
+    /// a word are ignored.
     pub fn decode_u64s(payload: &Bytes) -> Vec<u64> {
-        let mut buf = payload.clone();
-        let mut out = Vec::with_capacity(buf.remaining() / 8);
-        while buf.remaining() >= 8 {
-            out.push(buf.get_u64_le());
-        }
-        out
+        let bytes = payload.as_slice();
+        let whole = bytes.len() - bytes.len() % 8;
+        WordReader::new(&bytes[..whole]).map(|mut r| r.rest()).unwrap_or_default()
     }
 
     /// Number of Longs a payload of `bytes` bytes represents (rounded up).
     pub fn longs_in(bytes: usize) -> u64 {
-        (bytes as u64).div_ceil(8)
+        crate::wire::words_for(bytes) as u64
     }
 }
 

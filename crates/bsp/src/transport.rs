@@ -15,22 +15,39 @@
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION
+//! version u16  FRAME_VERSION (2)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
-//! check   u64  FNV-1a over kind, len and payload
+//! check   u64  word-folded FNV-1a over kind, len and payload
 //! payload [u8; len]
 //! ```
+//!
+//! The checksum is [`WordFold`] — the fold `.ecsr` files and checkpoints
+//! use — over the word `kind`, the word `len`, then the payload as
+//! little-endian `u64` words, a trailing partial word zero-padded. (Frame
+//! version 1 ran byte-serial FNV-1a over the same fields, eight dependent
+//! multiplies per word; a v1 frame is rejected as `UnsupportedVersion`.)
+//!
+//! A payload may be sent as a *list of parts*
+//! ([`Connection::send_parts`]): the checksum is chained across the parts
+//! and a socket transport writes them with one vectored write, so a sender
+//! that assembles a message from buffers it already holds — the coordinator
+//! relaying partition states it received — never concatenates them. A
+//! socket receive folds the checksum over each chunk as it arrives, and
+//! keeps a partially received frame across a [`FrameError::Timeout`], so a
+//! polling receiver can never lose the bytes it already consumed.
 //!
 //! Decoding garbage yields a typed [`FrameError`] — bad magic, foreign
 //! version, truncated header/payload, oversized length (rejected **before**
 //! any allocation), checksum mismatch — never a panic and never an
 //! over-allocation. The in-memory transport carries the same frames through
-//! the same codec, so both impls share one hardening test surface.
+//! the same codec, so both impls share one hardening test surface. Payloads
+//! are word sequences; [`crate::wire`] is their codec.
 
+use crate::wire::{WordFold, WordWriter};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +58,7 @@ use std::time::{Duration, Instant};
 /// Frame magic: `"EULR"` as a big-endian u32.
 pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version.
-pub const FRAME_VERSION: u16 = 1;
+pub const FRAME_VERSION: u16 = 2;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -115,43 +132,57 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// FNV-1a over a byte slice — the frame payload checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_with(0xcbf2_9ce4_8422_2325, bytes)
+/// The frame checksum: the word fold chained over the kind, the declared
+/// length and the payload parts, so a flipped bit anywhere past the version
+/// field is caught (a corrupted `kind` would otherwise decode fine and
+/// misroute the frame).
+fn checksum_start(kind: u16, len: u32) -> WordFold {
+    let mut fold = WordFold::new();
+    fold.word(u64::from(kind));
+    fold.word(u64::from(len));
+    fold
 }
 
-/// FNV-1a continued from a prior digest, for chaining over several slices.
-fn fnv1a_with(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// The 20-byte header of a frame carrying `parts` as its payload.
+fn frame_header(kind: u16, parts: &[&[u8]]) -> Result<[u8; FRAME_HEADER_BYTES], FrameError> {
+    let total: u64 = parts.iter().map(|p| p.len() as u64).sum();
+    if total > u64::from(MAX_FRAME_BYTES) {
+        return Err(FrameError::LengthOverflow { declared: total });
     }
-    h
+    let len = total as u32;
+    let mut fold = checksum_start(kind, len);
+    for part in parts {
+        fold.bytes(part);
+    }
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    let fields = FRAME_MAGIC
+        .to_le_bytes()
+        .into_iter()
+        .chain(FRAME_VERSION.to_le_bytes())
+        .chain(kind.to_le_bytes())
+        .chain(len.to_le_bytes())
+        .chain(fold.finish().to_le_bytes());
+    for (dst, src) in header.iter_mut().zip(fields) {
+        *dst = src;
+    }
+    Ok(header)
 }
 
-/// The frame checksum: FNV-1a chained over the kind, the declared length and
-/// the payload, so a flipped bit anywhere past the version field is caught
-/// (a corrupted `kind` would otherwise decode fine and misroute the frame).
-fn frame_checksum(kind: u16, len: u32, payload: &[u8]) -> u64 {
-    let mut h = fnv1a_with(0xcbf2_9ce4_8422_2325, &kind.to_le_bytes());
-    h = fnv1a_with(h, &len.to_le_bytes());
-    fnv1a_with(h, payload)
+/// Encodes one frame (header + payload parts) into a byte vector.
+fn encode_parts(kind: u16, parts: &[&[u8]]) -> Result<Vec<u8>, FrameError> {
+    let header = frame_header(kind, parts)?;
+    let mut out =
+        Vec::with_capacity(FRAME_HEADER_BYTES + parts.iter().map(|p| p.len()).sum::<usize>());
+    out.extend_from_slice(&header);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    Ok(out)
 }
 
 /// Encodes one frame (header + payload) into a byte vector.
 pub fn encode_frame(kind: u16, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-    if payload.len() as u64 > MAX_FRAME_BYTES as u64 {
-        return Err(FrameError::LengthOverflow { declared: payload.len() as u64 });
-    }
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_checksum(kind, payload.len() as u32, payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    encode_parts(kind, &[payload])
 }
 
 /// Reads a fixed-size little-endian field at byte offset `at`, surfacing a
@@ -164,9 +195,17 @@ fn le_field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], FrameErr
         .ok_or(FrameError::Truncated { expected: at.saturating_add(N), got: bytes.len() })
 }
 
-/// Decodes one frame from the front of `bytes`, returning
-/// `(kind, payload, consumed)`.
-pub fn decode_frame(bytes: &[u8]) -> Result<(u16, Vec<u8>, usize), FrameError> {
+/// The validated fields of a frame header.
+#[derive(Clone, Copy)]
+struct Header {
+    kind: u16,
+    len: u32,
+    check: u64,
+}
+
+/// Parses a frame header from the front of `bytes`: magic, version and the
+/// length cap are checked here, before anything is allocated.
+fn parse_header(bytes: &[u8]) -> Result<Header, FrameError> {
     if bytes.len() < FRAME_HEADER_BYTES {
         return Err(FrameError::Truncated { expected: FRAME_HEADER_BYTES, got: bytes.len() });
     }
@@ -183,61 +222,96 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u16, Vec<u8>, usize), FrameError> {
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::LengthOverflow { declared: len as u64 });
     }
-    let check = u64::from_le_bytes(le_field(bytes, 12)?);
-    let total = FRAME_HEADER_BYTES + len as usize;
+    Ok(Header { kind, len, check: u64::from_le_bytes(le_field(bytes, 12)?) })
+}
+
+/// Decodes one frame from the front of `bytes`, returning
+/// `(kind, payload, consumed)`.
+pub fn decode_frame(bytes: &[u8]) -> Result<(u16, Vec<u8>, usize), FrameError> {
+    let header = parse_header(bytes)?;
+    let total = FRAME_HEADER_BYTES + header.len as usize;
     let payload = bytes
         .get(FRAME_HEADER_BYTES..total)
-        .ok_or(FrameError::Truncated { expected: total, got: bytes.len() })?
-        .to_vec();
-    if frame_checksum(kind, len, &payload) != check {
+        .ok_or(FrameError::Truncated { expected: total, got: bytes.len() })?;
+    let mut fold = checksum_start(header.kind, header.len);
+    fold.bytes(payload);
+    if fold.finish() != header.check {
         return Err(FrameError::ChecksumMismatch);
     }
-    Ok((kind, payload, total))
+    Ok((header.kind, payload.to_vec(), total))
 }
 
-/// Reads one frame from a blocking stream. Returns [`FrameError::Closed`]
-/// when the peer hangs up exactly at a frame boundary, `Truncated` when it
-/// hangs up mid-frame, and `Timeout` when the stream's read timeout fires.
-fn read_frame_stream(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    read_exact_or(r, &mut header, true)?;
-    let magic = u32::from_le_bytes(le_field(&header, 0)?);
-    if magic != FRAME_MAGIC {
-        return Err(FrameError::BadMagic { found: magic });
-    }
-    let version = u16::from_le_bytes(le_field(&header, 4)?);
-    if version != FRAME_VERSION {
-        return Err(FrameError::UnsupportedVersion { found: version });
-    }
-    let kind = u16::from_le_bytes(le_field(&header, 6)?);
-    let len = u32::from_le_bytes(le_field(&header, 8)?);
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::LengthOverflow { declared: len as u64 });
-    }
-    let check = u64::from_le_bytes(le_field(&header, 12)?);
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(r, &mut payload, false)?;
-    if frame_checksum(kind, len, &payload) != check {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    Ok((kind, payload))
+/// A frame being received from a blocking stream: first its header, then
+/// its payload, into `buf`. The state outlives a [`FrameError::Timeout`] — a
+/// read timeout that fires mid-frame leaves the bytes already consumed
+/// here, and the next call resumes where it stopped.
+#[derive(Default)]
+struct FrameAssembler {
+    buf: Vec<u8>,
+    filled: usize,
+    /// Set once the header is complete and valid, with the checksum over
+    /// the payload bytes received so far (folded chunk by chunk, while each
+    /// is still in cache).
+    header: Option<(Header, WordFold)>,
 }
 
-/// `read_exact` with typed errors: EOF at offset 0 of the header is a clean
-/// close; EOF anywhere else is a truncation; `WouldBlock`/`TimedOut` is a
-/// timeout.
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], eof_is_close: bool) -> Result<(), FrameError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(buf.get_mut(filled..).unwrap_or(&mut [])) {
-            Ok(0) => {
-                return if eof_is_close && filled == 0 {
-                    Err(FrameError::Closed)
-                } else {
-                    Err(FrameError::Truncated { expected: buf.len(), got: filled })
-                };
+impl FrameAssembler {
+    /// Reads until one frame is complete. Returns [`FrameError::Closed`]
+    /// when the peer hangs up exactly at a frame boundary, `Truncated` when
+    /// it hangs up mid-frame, and `Timeout` when the stream's read timeout
+    /// fires (the partial frame is kept). Any other error leaves the stream
+    /// desynchronised; the assembler resets and the caller drops the
+    /// connection.
+    fn read_frame(&mut self, r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
+        let result = self.advance(r);
+        if !matches!(result, Err(FrameError::Timeout)) {
+            *self = FrameAssembler::default();
+        }
+        result
+    }
+
+    fn advance(&mut self, r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
+        if self.header.is_none() && self.buf.is_empty() {
+            self.buf = vec![0u8; FRAME_HEADER_BYTES];
+        }
+        loop {
+            while self.filled < self.buf.len() {
+                let spare = self.buf.get_mut(self.filled..).unwrap_or_default();
+                let n = read_some(r, spare)?;
+                if n == 0 {
+                    return Err(if self.header.is_none() && self.filled == 0 {
+                        FrameError::Closed
+                    } else {
+                        FrameError::Truncated { expected: self.buf.len(), got: self.filled }
+                    });
+                }
+                if let Some((_, fold)) = &mut self.header {
+                    fold.bytes(spare.get(..n).unwrap_or_default());
+                }
+                self.filled += n;
             }
-            Ok(n) => filled += n,
+            match self.header.take() {
+                None => {
+                    let header = parse_header(&self.buf)?;
+                    self.header = Some((header, checksum_start(header.kind, header.len)));
+                    self.buf = vec![0u8; header.len as usize];
+                    self.filled = 0;
+                }
+                Some((header, fold)) if fold.finish() == header.check => {
+                    return Ok((header.kind, std::mem::take(&mut self.buf)));
+                }
+                Some(_) => return Err(FrameError::ChecksumMismatch),
+            }
+        }
+    }
+}
+
+/// One `read` with typed errors: `Ok(0)` is end of stream,
+/// `WouldBlock`/`TimedOut` is a timeout, `Interrupted` retries.
+fn read_some(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameError> {
+    loop {
+        match r.read(buf) {
+            Ok(n) => return Ok(n),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -248,7 +322,6 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], eof_is_close: bool) -> Resul
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(())
 }
 
 /// Locks a mutex, tolerating poisoning. A panic on some other thread must
@@ -264,8 +337,18 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// lock independent halves, so a heartbeat thread can transmit while the
 /// main loop blocks on receive.
 pub trait Connection: Send + Sync {
+    /// Sends one frame whose payload is the concatenation of `parts`. The
+    /// checksum is chained across the parts; nothing is concatenated on the
+    /// socket transports.
+    fn send_parts(&self, kind: u16, parts: &[&[u8]]) -> Result<(), FrameError>;
     /// Sends one frame.
-    fn send(&self, kind: u16, payload: &[u8]) -> Result<(), FrameError>;
+    fn send(&self, kind: u16, payload: &[u8]) -> Result<(), FrameError> {
+        self.send_parts(kind, &[payload])
+    }
+    /// Sends one frame of a few words.
+    fn send_words(&self, kind: u16, words: &[u64]) -> Result<(), FrameError> {
+        self.send(kind, WordWriter::from_words(words).as_bytes())
+    }
     /// Receives one frame, blocking at most `timeout` (`None` blocks
     /// indefinitely). A quiet timeout returns [`FrameError::Timeout`].
     fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError>;
@@ -402,8 +485,8 @@ struct MemConnection {
 }
 
 impl Connection for MemConnection {
-    fn send(&self, kind: u16, payload: &[u8]) -> Result<(), FrameError> {
-        let frame = encode_frame(kind, payload)?;
+    fn send_parts(&self, kind: u16, parts: &[&[u8]]) -> Result<(), FrameError> {
+        let frame = encode_parts(kind, parts)?;
         let guard = lock_unpoisoned(&self.tx);
         match guard.as_ref() {
             Some(tx) => tx.send(frame).map_err(|_| FrameError::Closed),
@@ -482,7 +565,8 @@ impl Transport for MemTransport {
 /// OS-socket seam (`set_read_timeout`/`set_write_timeout` closures captured
 /// at construction), and both surface expiry as [`FrameError::Timeout`].
 struct StreamConnection<R: Read + Send, W: Write + Send> {
-    reader: Mutex<R>,
+    /// The read half and the frame it is in the middle of receiving.
+    reader: Mutex<(R, FrameAssembler)>,
     writer: Mutex<W>,
     set_timeout: Box<dyn Fn(Option<Duration>) -> std::io::Result<()> + Send + Sync>,
     set_write_timeout: Box<dyn Fn(Option<Duration>) -> std::io::Result<()> + Send + Sync>,
@@ -492,12 +576,15 @@ struct StreamConnection<R: Read + Send, W: Write + Send> {
 }
 
 impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
-    fn send(&self, kind: u16, payload: &[u8]) -> Result<(), FrameError> {
-        let frame = encode_frame(kind, payload)?;
+    fn send_parts(&self, kind: u16, parts: &[&[u8]]) -> Result<(), FrameError> {
+        let header = frame_header(kind, parts)?;
+        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(1 + parts.len());
+        slices.push(IoSlice::new(&header));
+        slices.extend(parts.iter().map(|p| IoSlice::new(p)));
         let timeout = *lock_unpoisoned(&self.send_timeout);
         let mut w = lock_unpoisoned(&self.writer);
         (self.set_write_timeout)(timeout)?;
-        write_all_or(&mut *w, &frame)?;
+        write_all_or(&mut *w, &mut slices)?;
         match w.flush() {
             Ok(()) => Ok(()),
             Err(e)
@@ -511,9 +598,10 @@ impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
     }
 
     fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
-        let mut r = lock_unpoisoned(&self.reader);
+        let mut guard = lock_unpoisoned(&self.reader);
         (self.set_timeout)(timeout)?;
-        read_frame_stream(&mut *r)
+        let (r, assembler) = &mut *guard;
+        assembler.read_frame(r)
     }
 
     fn set_send_timeout(&self, timeout: Option<Duration>) {
@@ -521,16 +609,18 @@ impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
     }
 }
 
-/// `write_all` with typed errors: `WouldBlock`/`TimedOut` from an armed send
-/// timeout surfaces as [`FrameError::Timeout`] (a stalled peer can no longer
-/// block a coordinator send past every `FaultPolicy` deadline); a peer that
-/// vanished mid-write surfaces as `Closed`/`Io`.
-fn write_all_or(w: &mut impl Write, buf: &[u8]) -> Result<(), FrameError> {
-    let mut written = 0usize;
-    while written < buf.len() {
-        match w.write(buf.get(written..).unwrap_or(&[])) {
+/// Vectored `write_all` with typed errors: `WouldBlock`/`TimedOut` from an
+/// armed send timeout surfaces as [`FrameError::Timeout`] (a stalled peer
+/// can no longer block a coordinator send past every `FaultPolicy`
+/// deadline); a peer that vanished mid-write surfaces as `Closed`/`Io`.
+fn write_all_or(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> Result<(), FrameError> {
+    // Skip leading empty slices so an all-empty list is not mistaken for a
+    // zero-length write.
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
             Ok(0) => return Err(FrameError::Closed),
-            Ok(n) => written += n,
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -544,13 +634,34 @@ fn write_all_or(w: &mut impl Write, buf: &[u8]) -> Result<(), FrameError> {
     Ok(())
 }
 
+/// `accept` with a timeout: `std` sockets have none, so poll the listener
+/// in non-blocking mode (restored before returning).
+fn accept_polling<S, A>(
+    set_nonblocking: impl Fn(bool) -> std::io::Result<()>,
+    accept: impl Fn() -> std::io::Result<(S, A)>,
+    timeout: Duration,
+) -> Result<S, FrameError> {
+    set_nonblocking(true)?;
+    let deadline = Instant::now() + timeout;
+    let accepted = loop {
+        match accept() {
+            Ok((stream, _)) => break Ok(stream),
+            Err(e) if e.kind() != std::io::ErrorKind::WouldBlock => break Err(e.into()),
+            Err(_) if Instant::now() >= deadline => break Err(FrameError::Timeout),
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        }
+    };
+    set_nonblocking(false)?;
+    accepted
+}
+
 fn tcp_connection(stream: TcpStream) -> Result<Box<dyn Connection>, FrameError> {
     stream.set_nodelay(true).ok();
     let reader = stream.try_clone()?;
     let read_handle = stream.try_clone()?;
     let write_handle = stream.try_clone()?;
     Ok(Box::new(StreamConnection {
-        reader: Mutex::new(reader),
+        reader: Mutex::new((reader, FrameAssembler::default())),
         writer: Mutex::new(stream),
         set_timeout: Box::new(move |t| read_handle.set_read_timeout(t)),
         set_write_timeout: Box::new(move |t| write_handle.set_write_timeout(t)),
@@ -575,29 +686,10 @@ impl Listener for TcpListenerWrap {
     }
 
     fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
-        // `std::net` has no accept timeout; poll in non-blocking mode.
-        self.listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.listener.set_nonblocking(false)?;
-                    stream.set_nonblocking(false)?;
-                    return tcp_connection(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        self.listener.set_nonblocking(false)?;
-                        return Err(FrameError::Timeout);
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    self.listener.set_nonblocking(false)?;
-                    return Err(e.into());
-                }
-            }
-        }
+        let l = &self.listener;
+        let stream = accept_polling(|nb| l.set_nonblocking(nb), || l.accept(), timeout)?;
+        stream.set_nonblocking(false)?;
+        tcp_connection(stream)
     }
 }
 
@@ -654,7 +746,7 @@ fn unix_connection(stream: UnixStream) -> Result<Box<dyn Connection>, FrameError
     let read_handle = stream.try_clone()?;
     let write_handle = stream.try_clone()?;
     Ok(Box::new(StreamConnection {
-        reader: Mutex::new(reader),
+        reader: Mutex::new((reader, FrameAssembler::default())),
         writer: Mutex::new(stream),
         set_timeout: Box::new(move |t| read_handle.set_read_timeout(t)),
         set_write_timeout: Box::new(move |t| write_handle.set_write_timeout(t)),
@@ -668,28 +760,10 @@ impl Listener for UnixListenerWrap {
     }
 
     fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
-        self.listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.listener.set_nonblocking(false)?;
-                    stream.set_nonblocking(false)?;
-                    return unix_connection(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        self.listener.set_nonblocking(false)?;
-                        return Err(FrameError::Timeout);
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    self.listener.set_nonblocking(false)?;
-                    return Err(e.into());
-                }
-            }
-        }
+        let l = &self.listener;
+        let stream = accept_polling(|nb| l.set_nonblocking(nb), || l.accept(), timeout)?;
+        stream.set_nonblocking(false)?;
+        unix_connection(stream)
     }
 }
 
@@ -762,6 +836,33 @@ mod tests {
             decode_frame(&frame),
             Err(FrameError::UnsupportedVersion { found: 0xEEEE })
         ));
+    }
+
+    /// A frame as version 1 of the format wrote it: byte-serial FNV-1a over
+    /// kind, length and payload. The checksum changed meaning in version 2,
+    /// so the version gate — not a checksum mismatch — must refuse it.
+    #[test]
+    fn v1_frame_is_rejected_as_unsupported_version() {
+        let payload = b"a version 1 payload";
+        let mut check = 0xcbf2_9ce4_8422_2325u64;
+        for &b in 7u16
+            .to_le_bytes()
+            .iter()
+            .chain(&(payload.len() as u32).to_le_bytes())
+            .chain(payload.iter())
+        {
+            check = (check ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        let mut frame = FRAME_MAGIC.to_le_bytes().to_vec();
+        frame.extend_from_slice(&1u16.to_le_bytes());
+        frame.extend_from_slice(&7u16.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&check.to_le_bytes());
+        frame.extend_from_slice(payload);
+        assert_eq!(decode_frame(&frame), Err(FrameError::UnsupportedVersion { found: 1 }));
+        // Stamped as version 2 it is a checksum mismatch: the folds differ.
+        frame[4..6].copy_from_slice(&FRAME_VERSION.to_le_bytes());
+        assert_eq!(decode_frame(&frame), Err(FrameError::ChecksumMismatch));
     }
 
     #[test]
@@ -842,6 +943,48 @@ mod tests {
             FrameError::Timeout
         );
         assert!(t0.elapsed() >= Duration::from_millis(25));
+    }
+
+    /// A read timeout that fires mid-frame must not lose the bytes already
+    /// consumed: the receiver sees `Timeout`, then the intact frame.
+    #[test]
+    fn timeout_mid_frame_is_resumable() {
+        let payload: Vec<u8> = (0..100_003u32).map(|i| (i % 251) as u8).collect();
+        let frame = encode_frame(9, &payload).unwrap();
+        // Stall once inside the header and once inside the payload.
+        for cut in [FRAME_HEADER_BYTES / 2, FRAME_HEADER_BYTES + payload.len() / 2] {
+            let listener = TcpTransport.listen().unwrap();
+            let addr = listener.endpoint().strip_prefix("tcp:").unwrap().to_string();
+            let (stalled_tx, stalled_rx) = mpsc::channel();
+            let (resume_tx, resume_rx) = mpsc::channel::<()>();
+            let frame2 = frame.clone();
+            let writer = std::thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.set_nodelay(true).unwrap();
+                s.write_all(&frame2[..cut]).unwrap();
+                stalled_tx.send(()).unwrap();
+                resume_rx.recv().unwrap();
+                s.write_all(&frame2[cut..]).unwrap();
+                // A second frame right behind proves the stream stayed in sync.
+                s.write_all(&encode_frame(10, b"next").unwrap()).unwrap();
+            });
+            let conn = listener.accept(Duration::from_secs(5)).unwrap();
+            stalled_rx.recv().unwrap();
+            for _ in 0..2 {
+                assert_eq!(
+                    conn.recv_timeout(Some(Duration::from_millis(40))).unwrap_err(),
+                    FrameError::Timeout,
+                    "cut at {cut}"
+                );
+            }
+            resume_tx.send(()).unwrap();
+            let (kind, got) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(kind, 9);
+            assert!(got == payload, "payload corrupted after a mid-frame timeout (cut {cut})");
+            let (kind, got) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!((kind, got.as_slice()), (10, b"next".as_slice()));
+            writer.join().unwrap();
+        }
     }
 
     #[test]
@@ -964,7 +1107,10 @@ mod tests {
             /// Flipping any byte of an encoded frame yields a typed error —
             /// never a panic and never a silently different frame. (The
             /// checksum covers kind, length and payload; magic and version
-            /// have their own typed rejections.)
+            /// have their own typed rejections. Payload lengths run through
+            /// every residue mod 8, so the zero-padded tail word is covered:
+            /// each xor-multiply step of the word fold is a bijection, so a
+            /// changed word always changes the digest.)
             #[test]
             fn any_single_byte_corruption_is_detected(
                 kind in 0u16..u16::MAX,
@@ -977,6 +1123,40 @@ mod tests {
                 let pos = (pos_seed as usize) % frame.len();
                 frame[pos] ^= flip as u8;
                 prop_assert!(decode_frame(&frame).is_err(), "corruption at byte {} went undetected", pos);
+            }
+
+            /// A payload sent as a list of parts arrives, on every
+            /// transport, as the frame a single-buffer send produces —
+            /// wherever the cuts fall (word-aligned or not).
+            #[test]
+            fn part_list_send_equals_single_buffer_send(
+                payload in prop::collection::vec(0u64..256, 0..300),
+                cuts in prop::collection::vec(0u64..300, 0..5),
+            ) {
+                let payload: Vec<u8> = payload.iter().map(|&b| b as u8).collect();
+                let mut cuts: Vec<usize> =
+                    cuts.iter().map(|&c| c as usize % (payload.len() + 1)).collect();
+                cuts.sort_unstable();
+                let mut parts: Vec<&[u8]> = Vec::new();
+                let mut from = 0;
+                for cut in cuts {
+                    parts.push(&payload[from..cut]);
+                    from = cut;
+                }
+                parts.push(&payload[from..]);
+                prop_assert_eq!(encode_parts(5, &parts).unwrap(), encode_frame(5, &payload).unwrap());
+                for t in [&MemTransport as &dyn Transport, &TcpTransport, &UnixTransport::new()] {
+                    let listener = t.listen().unwrap();
+                    let dialer = t.connect(&listener.endpoint()).unwrap();
+                    let conn = listener.accept(Duration::from_secs(5)).unwrap();
+                    dialer.send_parts(5, &parts).unwrap();
+                    dialer.send(5, &payload).unwrap();
+                    for _ in 0..2 {
+                        let (kind, got) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+                        prop_assert_eq!(kind, 5, "{}", t.name());
+                        prop_assert_eq!(&got, &payload, "{}", t.name());
+                    }
+                }
             }
 
             /// Any prefix truncation of a valid frame is a typed error.

@@ -51,13 +51,16 @@
 //! falls back to a full deterministic replay from the level-0 seed.
 
 use crate::error::EulerError;
-use crate::fragment::{decode_fragment, encode_fragment, Fragment, FragmentId, FragmentStore};
+use crate::fragment::{
+    decode_fragment, encode_fragment, fragment_record_words, Fragment, FragmentId, FragmentStore,
+    TourEdge,
+};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
 use crate::phase1::{Parallelism, Phase1Executor};
 use crate::phase2::merge_partitions;
 use crate::pipeline::{
-    active_memory_longs, remote_needed_now, transfer_longs, wire, LevelOutcome,
+    active_memory_longs, level_threads, remote_needed_now, transfer_longs, wire, LevelOutcome,
     LevelPartitionReport,
 };
 use crate::state::{EdgeRef, WorkingPartition};
@@ -66,10 +69,12 @@ use euler_bsp::checkpoint::{
 };
 use euler_bsp::fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
 use euler_bsp::transport::{connect_endpoint, Connection, FrameError, Listener, Transport};
+use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{EngineStats, SuperstepStats};
 use euler_graph::PartitionId;
 use euler_metrics::TimeBreakdown;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -104,7 +109,13 @@ fn remap(id: FragmentId, superstep: u32, slot: u32) -> FragmentId {
 }
 
 // ---------------------------------------------------------------------------
-// Word-level protocol codec.
+// Protocol messages over the shared word codec (`euler_bsp::wire`).
+//
+// Partition states and fragments are the bulk of every message. Both sides
+// encode them straight into the outgoing payload and decode them straight
+// out of the received one; the coordinator, which only routes them, does
+// neither — it parses a Done into counters plus byte ranges (`Blob`) and
+// sends those ranges on as parts of the next Start.
 // ---------------------------------------------------------------------------
 
 mod kind {
@@ -121,115 +132,29 @@ mod kind {
     pub const BYE: u16 = 11;
 }
 
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * words.len());
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u64>, String> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(format!("payload length {} is not word-aligned", bytes.len()));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .filter_map(|c| c.try_into().ok().map(u64::from_le_bytes))
-        .collect())
-}
-
-/// Bounded sequential reader over a word payload with typed failures —
-/// malformed protocol payloads surface as errors, never as panics.
-struct Cursor<'a> {
-    words: &'a [u64],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        Cursor { words, at: 0 }
-    }
-
-    fn u(&mut self) -> Result<u64, String> {
-        let v = self
-            .words
-            .get(self.at)
-            .copied()
-            .ok_or_else(|| format!("protocol payload truncated at word {}", self.at))?;
-        self.at += 1;
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u64], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.words.len())
-            .ok_or_else(|| format!("protocol payload truncated: need {n} words at {}", self.at))?;
-        let s = self
-            .words
-            .get(self.at..end)
-            .ok_or_else(|| format!("protocol payload truncated: need {n} words at {}", self.at))?;
-        self.at = end;
-        Ok(s)
-    }
-
-    /// Clamps a wire-declared element count to what the remaining payload
-    /// could possibly hold, so `Vec::with_capacity` on garbage input cannot
-    /// over-allocate or overflow — decoding then fails with a typed
-    /// truncation error instead.
-    fn cap(&self, n: usize) -> usize {
-        n.min(self.words.len().saturating_sub(self.at))
-    }
-}
-
-fn push_str(out: &mut Vec<u64>, s: &str) {
-    let bytes = s.as_bytes();
-    out.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        out.push(u64::from_le_bytes(w));
-    }
-}
-
-fn read_str(c: &mut Cursor<'_>) -> Result<String, String> {
-    let n = c.u()? as usize;
-    let words = c.take(n.div_ceil(8))?;
-    let mut bytes = Vec::with_capacity(n);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes.truncate(n);
-    String::from_utf8(bytes).map_err(|e| format!("bad utf8 in protocol string: {e}"))
-}
-
-fn encode_tree(out: &mut Vec<u64>, tree: &MergeTree) {
-    out.push(tree.levels.len() as u64);
+fn encode_tree(out: &mut WordWriter, tree: &MergeTree) {
+    out.u(tree.levels.len() as u64);
     for level in &tree.levels {
-        out.push(level.len() as u64);
+        out.u(level.len() as u64);
         for p in level {
-            out.extend_from_slice(&[p.parent.0 as u64, p.child.0 as u64, p.weight]);
+            out.words(&[p.parent.0 as u64, p.child.0 as u64, p.weight]);
         }
     }
-    out.push(tree.root.0 as u64);
-    out.push(tree.leaves.len() as u64);
+    out.u(tree.root.0 as u64);
+    out.u(tree.leaves.len() as u64);
     for l in &tree.leaves {
-        out.push(l.0 as u64);
+        out.u(l.0 as u64);
     }
 }
 
-fn decode_tree(c: &mut Cursor<'_>) -> Result<MergeTree, String> {
-    let n_levels = c.u()? as usize;
-    let mut levels = Vec::with_capacity(c.cap(n_levels));
+fn decode_tree(r: &mut WordReader<'_>) -> Result<MergeTree, WireError> {
+    let n_levels = r.count()?;
+    let mut levels = Vec::with_capacity(r.cap(n_levels, 1));
     for _ in 0..n_levels {
-        let n_pairs = c.u()? as usize;
-        let mut pairs = Vec::with_capacity(c.cap(n_pairs));
+        let n_pairs = r.count()?;
+        let mut pairs = Vec::with_capacity(r.cap(n_pairs, 3));
         for _ in 0..n_pairs {
-            let &[parent, child, weight] = c.take(3)? else {
-                return Err("merge pair: expected 3 words".into());
-            };
+            let [parent, child, weight] = r.array()?;
             pairs.push(MergePair {
                 parent: PartitionId(parent as u32),
                 child: PartitionId(child as u32),
@@ -238,14 +163,57 @@ fn decode_tree(c: &mut Cursor<'_>) -> Result<MergeTree, String> {
         }
         levels.push(pairs);
     }
-    let root = PartitionId(c.u()? as u32);
-    let n_leaves = c.u()? as usize;
-    let leaves = c.take(n_leaves)?.iter().map(|&l| PartitionId(l as u32)).collect();
+    let root = PartitionId(r.u()? as u32);
+    let n_leaves = r.count()?;
+    let mut leaves = Vec::with_capacity(r.cap(n_leaves, 1));
+    for _ in 0..n_leaves {
+        leaves.push(PartitionId(r.u()? as u32));
+    }
     Ok(MergeTree { levels, root, leaves })
 }
 
-/// Everything a worker needs to run, carried by the Init message.
-struct InitMsg {
+/// Appends a state list — `[n, n × (len, state record)]` — the body of
+/// Init seeds, Start inboxes and checkpointed slots alike.
+fn encode_states<'a>(
+    out: &mut WordWriter,
+    states: impl ExactSizeIterator<Item = &'a WorkingPartition>,
+) {
+    out.u(states.len() as u64);
+    for wp in states {
+        encode_state(out, wp);
+    }
+}
+
+/// Appends one length-prefixed state record.
+fn encode_state(out: &mut WordWriter, wp: &WorkingPartition) {
+    out.u(wire::record_words(wp) as u64);
+    wire::encode(wp, out);
+}
+
+fn decode_states(r: &mut WordReader<'_>) -> Result<Vec<WorkingPartition>, WireError> {
+    let n = r.count()?;
+    let mut states = Vec::with_capacity(r.cap(n, 1));
+    for _ in 0..n {
+        states.push(wire::decode(&mut r.record()?)?);
+    }
+    Ok(states)
+}
+
+/// Walks a fragment list — `[n, n × (id, len, fragment record)]` — handing
+/// each record to `each` as a reader bounded to that record.
+fn for_each_fragment<'a>(
+    r: &mut WordReader<'a>,
+    mut each: impl FnMut(u64, WordReader<'a>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    for _ in 0..r.u()? {
+        each(r.u()?, r.record()?)?;
+    }
+    Ok(())
+}
+
+/// Everything a worker needs to run besides its partition states: the head
+/// of the Init message, which the seed state list follows.
+struct InitHead {
     worker_id: u32,
     num_workers: u32,
     strategy: MergeStrategy,
@@ -256,141 +224,128 @@ struct InitMsg {
     kill: Option<(u32, u32)>,
     kill_mode: KillMode,
     checkpoint_dir: Option<PathBuf>,
-    tree: MergeTree,
-    /// Wire-encoded level-0 states of the slots this worker owns.
-    seeds: Vec<Vec<u64>>,
+    tree: Arc<MergeTree>,
 }
 
-fn encode_init(m: &InitMsg) -> Vec<u64> {
-    let mut out = vec![m.worker_id as u64, m.num_workers as u64];
-    out.push(match m.strategy {
-        MergeStrategy::Duplicated => 0,
-        MergeStrategy::Deduplicated => 1,
-        MergeStrategy::Deferred => 2,
-    });
-    out.push(match m.par_mode {
-        Parallelism::PerPartition => 0,
-        Parallelism::IntraPartition => 1,
-        Parallelism::Auto => 2,
-    });
-    out.push(m.phase1_threads as u64);
-    out.push(m.worker_threads as u64);
-    out.push(m.heartbeat_interval.as_nanos() as u64);
+fn encode_init_head(m: &InitHead) -> WordWriter {
+    let mut out = WordWriter::new();
+    out.words(&[
+        m.worker_id as u64,
+        m.num_workers as u64,
+        match m.strategy {
+            MergeStrategy::Duplicated => 0,
+            MergeStrategy::Deduplicated => 1,
+            MergeStrategy::Deferred => 2,
+        },
+        match m.par_mode {
+            Parallelism::PerPartition => 0,
+            Parallelism::IntraPartition => 1,
+            Parallelism::Auto => 2,
+        },
+        m.phase1_threads as u64,
+        m.worker_threads as u64,
+        m.heartbeat_interval.as_nanos() as u64,
+    ]);
     match m.kill {
-        Some((w, s)) => out.extend_from_slice(&[1, w as u64, s as u64]),
-        None => out.extend_from_slice(&[0, 0, 0]),
+        Some((w, s)) => out.words(&[1, w as u64, s as u64]),
+        None => out.words(&[0, 0, 0]),
     }
-    out.push(match m.kill_mode {
+    out.u(match m.kill_mode {
         KillMode::Exit => 0,
         KillMode::Stall => 1,
     });
     match &m.checkpoint_dir {
         Some(d) => {
-            out.push(1);
-            push_str(&mut out, &d.to_string_lossy());
+            out.u(1);
+            out.str(&d.to_string_lossy());
         }
-        None => out.push(0),
+        None => out.u(0),
     }
     encode_tree(&mut out, &m.tree);
-    out.push(m.seeds.len() as u64);
-    for s in &m.seeds {
-        out.push(s.len() as u64);
-        out.extend_from_slice(s);
-    }
     out
 }
 
-fn decode_init(words: &[u64]) -> Result<InitMsg, String> {
-    let mut c = Cursor::new(words);
-    let worker_id = c.u()? as u32;
-    let num_workers = c.u()? as u32;
-    let strategy = match c.u()? {
+fn decode_init(payload: &[u8]) -> Result<(InitHead, Vec<WorkingPartition>), WireError> {
+    let mut r = WordReader::new(payload)?;
+    let [worker_id, num_workers, strategy, par_mode, phase1_threads, worker_threads, heartbeat_ns, kill_flag, kill_w, kill_s, kill_mode, has_dir] =
+        r.array()?;
+    let strategy = match strategy {
         0 => MergeStrategy::Duplicated,
         1 => MergeStrategy::Deduplicated,
         2 => MergeStrategy::Deferred,
-        t => return Err(format!("unknown merge strategy tag {t}")),
+        t => return Err(WireError::Invalid(format!("unknown merge strategy tag {t}"))),
     };
-    let par_mode = match c.u()? {
+    let par_mode = match par_mode {
         0 => Parallelism::PerPartition,
         1 => Parallelism::IntraPartition,
         2 => Parallelism::Auto,
-        t => return Err(format!("unknown parallelism tag {t}")),
+        t => return Err(WireError::Invalid(format!("unknown parallelism tag {t}"))),
     };
-    let phase1_threads = c.u()? as usize;
-    let worker_threads = c.u()? as usize;
-    let heartbeat_interval = Duration::from_nanos(c.u()?);
-    let kill_flag = c.u()?;
-    let kill_w = c.u()? as u32;
-    let kill_s = c.u()? as u32;
-    let kill = (kill_flag != 0).then_some((kill_w, kill_s));
-    let kill_mode = if c.u()? == 0 { KillMode::Exit } else { KillMode::Stall };
-    let checkpoint_dir =
-        if c.u()? != 0 { Some(PathBuf::from(read_str(&mut c)?)) } else { None };
-    let tree = decode_tree(&mut c)?;
-    let n_seeds = c.u()? as usize;
-    let mut seeds = Vec::with_capacity(c.cap(n_seeds));
-    for _ in 0..n_seeds {
-        let len = c.u()? as usize;
-        seeds.push(c.take(len)?.to_vec());
-    }
-    Ok(InitMsg {
-        worker_id,
-        num_workers,
+    let checkpoint_dir = if has_dir != 0 { Some(PathBuf::from(r.str()?)) } else { None };
+    let head = InitHead {
+        worker_id: worker_id as u32,
+        num_workers: num_workers as u32,
         strategy,
         par_mode,
-        phase1_threads,
-        worker_threads,
-        heartbeat_interval,
-        kill,
-        kill_mode,
+        phase1_threads: phase1_threads as usize,
+        worker_threads: worker_threads as usize,
+        heartbeat_interval: Duration::from_nanos(heartbeat_ns),
+        kill: (kill_flag != 0).then_some((kill_w as u32, kill_s as u32)),
+        kill_mode: if kill_mode == 0 { KillMode::Exit } else { KillMode::Stall },
         checkpoint_dir,
-        tree,
-        seeds,
-    })
+        tree: Arc::new(decode_tree(&mut r)?),
+    };
+    Ok((head, decode_states(&mut r)?))
 }
 
-fn encode_start(superstep: u32, msgs: &[Vec<u64>]) -> Vec<u64> {
-    let mut out = vec![superstep as u64, msgs.len() as u64];
-    for m in msgs {
-        out.push(m.len() as u64);
-        out.extend_from_slice(m);
-    }
-    out
+fn decode_start(payload: &[u8]) -> Result<(u32, Vec<WorkingPartition>), WireError> {
+    let mut r = WordReader::new(payload)?;
+    Ok((r.u()? as u32, decode_states(&mut r)?))
 }
 
-fn decode_start(words: &[u64]) -> Result<(u32, Vec<Vec<u64>>), String> {
-    let mut c = Cursor::new(words);
-    let superstep = c.u()? as u32;
-    let n = c.u()? as usize;
-    let mut msgs = Vec::with_capacity(c.cap(n));
-    for _ in 0..n {
-        let len = c.u()? as usize;
-        msgs.push(c.take(len)?.to_vec());
-    }
-    Ok((superstep, msgs))
-}
-
-/// One worker's answer to a Start — its slice of the level outcome plus
-/// everything the coordinator must retain (shipped states, fragments,
-/// checkpoint accounting).
-#[derive(Default)]
-struct DoneMsg {
-    superstep: u32,
-    reports: Vec<LevelPartitionReport>,
-    /// Post-Phase-1 `memory_longs` per report partition, for engine stats.
-    post_memory: Vec<u64>,
-    /// `(destination partition, wire-encoded state)` ships.
-    outgoing: Vec<(u32, Vec<u64>)>,
-    /// `(provisional id, spill-codec record)` fragments found this level.
-    fragments: Vec<(u64, Vec<u64>)>,
+/// A worker's answer to a Start, built section by section while the
+/// superstep runs — its slice of the level outcome plus everything the
+/// coordinator must route or retain (shipped states, fragments, checkpoint
+/// accounting) — and sent as a part list, never concatenated. Each section
+/// leads with its element count, kept current as elements are appended:
+///
+/// ```text
+/// reports    [superstep, n_reports, n_reports × 19 report words]
+/// outgoing   [n_out, n_out × (destination, len, state record)]
+/// fragments  [n_frags, n_frags × (provisional id, len, fragment record)]
+/// tail       [transfer_longs, checkpoint_longs]
+/// ```
+struct DoneWriter {
+    reports: WordWriter,
+    outgoing: WordWriter,
+    fragments: WordWriter,
+    n_reports: u64,
+    n_out: u64,
+    n_frags: u64,
     transfer_longs: u64,
     checkpoint_longs: u64,
 }
 
-fn encode_done(m: &DoneMsg) -> Vec<u64> {
-    let mut out = vec![m.superstep as u64, m.reports.len() as u64];
-    for (r, post) in m.reports.iter().zip(&m.post_memory) {
-        out.extend_from_slice(&[
+impl DoneWriter {
+    fn new(superstep: u32) -> Self {
+        DoneWriter {
+            reports: WordWriter::from_words(&[superstep as u64, 0]),
+            outgoing: WordWriter::from_words(&[0]),
+            fragments: WordWriter::from_words(&[0]),
+            n_reports: 0,
+            n_out: 0,
+            n_frags: 0,
+            transfer_longs: 0,
+            checkpoint_longs: 0,
+        }
+    }
+
+    /// One partition's report; `post_memory` is its post-Phase-1
+    /// `memory_longs`, for engine stats.
+    fn report(&mut self, r: &LevelPartitionReport, post_memory: u64) {
+        self.n_reports += 1;
+        self.reports.set(1, self.n_reports);
+        self.reports.words(&[
             r.partition.0 as u64,
             r.counts.even_internal,
             r.counts.even_boundary,
@@ -409,38 +364,80 @@ fn encode_done(m: &DoneMsg) -> Vec<u64> {
             r.splice_pivot_lookups,
             r.splice_linked_splices,
             r.splice_materialization_longs,
-            *post,
+            post_memory,
         ]);
     }
-    out.push(m.outgoing.len() as u64);
-    for (to, words) in &m.outgoing {
-        out.push(*to as u64);
-        out.push(words.len() as u64);
-        out.extend_from_slice(words);
+
+    /// Ships `wp` to the owner of partition `to`.
+    fn ship(&mut self, to: u32, wp: &WorkingPartition) {
+        self.n_out += 1;
+        self.outgoing.set(0, self.n_out);
+        self.outgoing.u(to as u64);
+        encode_state(&mut self.outgoing, wp);
     }
-    out.push(m.fragments.len() as u64);
-    for (id, words) in &m.fragments {
-        out.push(*id);
-        out.push(words.len() as u64);
-        out.extend_from_slice(words);
+
+    /// Records a fragment found this level under its provisional `id`,
+    /// rewriting its virtual references through `remap` on the way out.
+    fn fragment(&mut self, id: FragmentId, f: &Fragment, remap: impl Fn(FragmentId) -> FragmentId) {
+        self.n_frags += 1;
+        self.fragments.set(0, self.n_frags);
+        self.fragments.words(&[id.0, fragment_record_words(f.edges.len()) as u64]);
+        encode_fragment(f, &mut self.fragments, remap);
     }
-    out.push(m.transfer_longs);
-    out.push(m.checkpoint_longs);
-    out
+
+    /// Sends the message as its part list.
+    fn send(&self, conn: &dyn Connection) -> Result<(), FrameError> {
+        let tail = WordWriter::from_words(&[self.transfer_longs, self.checkpoint_longs]);
+        let sections = [&self.reports, &self.outgoing, &self.fragments, &tail];
+        conn.send_parts(kind::DONE, &sections.map(WordWriter::as_bytes))
+    }
 }
 
-fn decode_done(words: &[u64]) -> Result<DoneMsg, String> {
-    let mut c = Cursor::new(words);
-    let superstep = c.u()? as u32;
-    let n_reports = c.u()? as usize;
-    let mut reports = Vec::with_capacity(c.cap(n_reports));
-    let mut post_memory = Vec::with_capacity(c.cap(n_reports));
+/// A byte range of a received payload: relayed, or decoded later, without
+/// being copied out of the buffer it arrived in.
+#[derive(Clone)]
+struct Blob {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl Blob {
+    fn bytes(&self) -> &[u8] {
+        self.buf.get(self.range.clone()).unwrap_or_default()
+    }
+}
+
+/// What the coordinator reads out of a Done: the reports and counters,
+/// decoded, and where the shipped states and the fragment list lie in the
+/// payload — those it routes and retains as bytes.
+struct DoneMsg {
+    superstep: u32,
+    reports: Vec<LevelPartitionReport>,
+    /// Post-Phase-1 `memory_longs` per report partition, for engine stats.
+    post_memory: Vec<u64>,
+    /// `(destination partition, its `(len, state record)` entry)` ships —
+    /// each range is a ready-made entry of the next Start's state list.
+    outgoing: Vec<(u32, Blob)>,
+    /// The fragment list, structurally checked; decoded at
+    /// [`DistRun::flush_fragments`].
+    fragments: Blob,
+    transfer_longs: u64,
+    checkpoint_longs: u64,
+}
+
+fn decode_done(payload: Arc<Vec<u8>>) -> Result<DoneMsg, WireError> {
+    let mut r = WordReader::new(&payload)?;
+    let blob = |words: Range<usize>| Blob {
+        buf: Arc::clone(&payload),
+        range: 8 * words.start..8 * words.end,
+    };
+    let superstep = r.u()? as u32;
+    let n_reports = r.count()?;
+    let mut reports = Vec::with_capacity(r.cap(n_reports, 19));
+    let mut post_memory = Vec::with_capacity(r.cap(n_reports, 19));
     for _ in 0..n_reports {
-        let &[partition, even_internal, even_boundary, odd_boundary, remote_edges, local_edges, complexity, phase1_ns, merge_ns, memory_longs, remote_needed_now, transfer_in_longs, paths_found, cycles_found, internal_cycles_merged, splice_pivot_lookups, splice_linked_splices, splice_materialization_longs, post_mem] =
-            c.take(19)?
-        else {
-            return Err("partition report: expected 19 words".into());
-        };
+        let [partition, even_internal, even_boundary, odd_boundary, remote_edges, local_edges, complexity, phase1_ns, merge_ns, memory_longs, remote_needed_now, transfer_in_longs, paths_found, cycles_found, internal_cycles_merged, splice_pivot_lookups, splice_linked_splices, splice_materialization_longs, post_mem] =
+            r.array()?;
         reports.push(LevelPartitionReport {
             level: superstep,
             partition: PartitionId(partition as u32),
@@ -466,22 +463,18 @@ fn decode_done(words: &[u64]) -> Result<DoneMsg, String> {
         });
         post_memory.push(post_mem);
     }
-    let n_out = c.u()? as usize;
-    let mut outgoing = Vec::with_capacity(c.cap(n_out));
+    let n_out = r.count()?;
+    let mut outgoing = Vec::with_capacity(r.cap(n_out, 2));
     for _ in 0..n_out {
-        let to = c.u()? as u32;
-        let len = c.u()? as usize;
-        outgoing.push((to, c.take(len)?.to_vec()));
+        let to = r.u()? as u32;
+        let entry = r.position();
+        r.record()?;
+        outgoing.push((to, blob(entry..r.position())));
     }
-    let n_frags = c.u()? as usize;
-    let mut fragments = Vec::with_capacity(c.cap(n_frags));
-    for _ in 0..n_frags {
-        let id = c.u()?;
-        let len = c.u()? as usize;
-        fragments.push((id, c.take(len)?.to_vec()));
-    }
-    let transfer_longs = c.u()?;
-    let checkpoint_longs = c.u()?;
+    let list = r.position();
+    for_each_fragment(&mut r, |_, _| Ok(()))?;
+    let fragments = blob(list..r.position());
+    let [transfer_longs, checkpoint_longs] = r.array()?;
     Ok(DoneMsg {
         superstep,
         reports,
@@ -491,6 +484,41 @@ fn decode_done(words: &[u64]) -> Result<DoneMsg, String> {
         transfer_longs,
         checkpoint_longs,
     })
+}
+
+/// Decodes committed fragment lists into fragments in deterministic order:
+/// sorted by provisional id (= the sequential push order), densely
+/// renumbered, every virtual reference rewritten.
+fn decode_committed(lists: &[Blob]) -> Result<Vec<Fragment>, EulerError> {
+    let bad = |e: WireError| EulerError::Distributed(format!("committed fragment list: {e}"));
+    let mut all: Vec<(u64, WordReader<'_>)> = Vec::new();
+    for list in lists {
+        let mut r = WordReader::new(list.bytes()).map_err(bad)?;
+        for_each_fragment(&mut r, |id, record| {
+            all.push((id, record));
+            Ok(())
+        })
+        .map_err(bad)?;
+    }
+    all.sort_by_key(|(id, _)| *id);
+    let dense: HashMap<u64, u64> =
+        all.iter().enumerate().map(|(i, (id, _))| (*id, i as u64)).collect();
+    let mut fragments = Vec::with_capacity(all.len());
+    for (i, (id, mut record)) in all.into_iter().enumerate() {
+        let mut f = decode_fragment(FragmentId(i as u64), &mut record).map_err(bad)?;
+        for e in &mut f.edges {
+            if let TourEdge::Virtual { fragment, .. } = e {
+                *fragment = FragmentId(*dense.get(&fragment.0).ok_or_else(|| {
+                    EulerError::Distributed(format!(
+                        "fragment {id:#x} references unknown fragment {:#x}",
+                        fragment.0
+                    ))
+                })?);
+            }
+        }
+        fragments.push(f);
+    }
+    Ok(fragments)
 }
 
 // ---------------------------------------------------------------------------
@@ -507,8 +535,7 @@ struct RestoreRefusal {
 
 /// The worker's live state between supersteps.
 struct WorkerState {
-    init: InitMsg,
-    tree: Arc<MergeTree>,
+    init: InitHead,
     /// Active partition states, keyed by slot (= partition id).
     slots: BTreeMap<u32, WorkingPartition>,
     executor: Phase1Executor,
@@ -516,42 +543,22 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn build(init: InitMsg) -> Result<Self, String> {
-        let mut slots = BTreeMap::new();
-        for words in &init.seeds {
-            let wp = wire::decode(words);
-            slots.insert(wp.id.0, wp);
-        }
+    fn build(init: InitHead, seeds: Vec<WorkingPartition>) -> Self {
+        let slots = seeds.into_iter().map(|wp| (wp.id.0, wp)).collect();
         let executor =
             Phase1Executor::new(init.par_mode).with_threads(init.phase1_threads);
-        let tree = Arc::new(init.tree.clone());
-        Ok(WorkerState { init, tree, slots, executor, kill_consumed: false })
+        WorkerState { init, slots, executor, kill_consumed: false }
     }
 
-    /// Serialises the state entering `superstep` (plus the fragments found
-    /// at `superstep - 1`) into checkpoint payload words.
-    fn checkpoint_words(&self, fragments: &[(u64, Vec<u64>)]) -> Vec<u64> {
-        let mut out = vec![self.slots.len() as u64];
-        for wp in self.slots.values() {
-            let words = wire::encode(wp);
-            out.push(words.len() as u64);
-            out.extend_from_slice(&words);
-        }
-        out.push(fragments.len() as u64);
-        for (id, words) in fragments {
-            out.push(*id);
-            out.push(words.len() as u64);
-            out.extend_from_slice(words);
-        }
-        out
-    }
-
-    /// Writes the checkpoint entering `superstep`. Returns Longs written
-    /// (0 when checkpointing is off).
-    fn write_ckpt(&self, superstep: u32, fragments: &[(u64, Vec<u64>)]) -> u64 {
+    /// Writes the checkpoint entering `superstep`: the slot states, then
+    /// the fragment list found at `superstep - 1` (`[0]`, the empty list, at
+    /// superstep 0). Returns Longs written (0 when checkpointing is off).
+    fn write_ckpt(&self, superstep: u32, fragments: &WordWriter) -> u64 {
         let Some(dir) = &self.init.checkpoint_dir else { return 0 };
         let path = checkpoint_file(dir, self.init.worker_id, superstep);
-        write_checkpoint(&path, &self.checkpoint_words(fragments)).unwrap_or_default()
+        let mut states = WordWriter::new();
+        encode_states(&mut states, self.slots.values());
+        write_checkpoint(&path, &[states.as_bytes(), fragments.as_bytes()]).unwrap_or_default()
     }
 
     /// Restores the state entering `superstep` from this worker's
@@ -563,36 +570,27 @@ impl WorkerState {
             return Err(RestoreRefusal { ignored: false });
         };
         let path = checkpoint_file(dir, self.init.worker_id, superstep);
-        let words = match read_checkpoint(&path) {
-            Ok(w) => w,
+        let payload = match read_checkpoint(&path) {
+            Ok(p) => p,
             Err(CheckpointError::Missing) => {
                 return Err(RestoreRefusal { ignored: false })
             }
             Err(_) => return Err(RestoreRefusal { ignored: true }),
         };
-        let decode = |words: &[u64]| -> Result<BTreeMap<u32, WorkingPartition>, String> {
-            let mut c = Cursor::new(words);
-            let n_slots = c.u()? as usize;
-            let mut slots = BTreeMap::new();
-            for _ in 0..n_slots {
-                let len = c.u()? as usize;
-                let wp = wire::decode(c.take(len)?);
-                slots.insert(wp.id.0, wp);
-            }
-            // Validate (and drop) the fragment section: the coordinator
+        let decode = || -> Result<Vec<WorkingPartition>, WireError> {
+            let mut r = WordReader::new(&payload)?;
+            let slots = decode_states(&mut r)?;
+            // Validate (and drop) the fragment list: the coordinator
             // already holds every fragment committed at a barrier.
-            let n_frags = c.u()? as usize;
-            for _ in 0..n_frags {
-                let id = c.u()?;
-                let len = c.u()? as usize;
-                let _ = decode_fragment(FragmentId(id), c.take(len)?);
-            }
+            for_each_fragment(&mut r, |id, mut record| {
+                decode_fragment(FragmentId(id), &mut record).map(drop)
+            })?;
             Ok(slots)
         };
-        match decode(&words) {
+        match decode() {
             Ok(slots) => {
-                self.slots = slots;
-                Ok(words.len() as u64)
+                self.slots = slots.into_iter().map(|wp| (wp.id.0, wp)).collect();
+                Ok(payload.len() as u64 / 8)
             }
             Err(_) => Err(RestoreRefusal { ignored: true }),
         }
@@ -600,65 +598,56 @@ impl WorkerState {
 
     /// Runs one superstep: merge inbound child states, Phase 1 per owned
     /// slot (ascending), ship retiring states, checkpoint.
-    fn superstep(&mut self, superstep: u32, inbox: Vec<Vec<u64>>) -> DoneMsg {
+    fn superstep(&mut self, superstep: u32, inbound: Vec<WorkingPartition>) -> DoneWriter {
         let level = superstep;
-        let tree = &self.tree;
+        let tree = Arc::clone(&self.init.tree);
         let strategy = self.init.strategy;
         let height = tree.height();
 
-        // Decode inbound child states and order them exactly as the
-        // in-process backend merges: by position in the previous level's
-        // pair list.
+        // Group inbound child states by merge parent, each group ordered
+        // exactly as the in-process backend merges: by position in the
+        // previous level's pair list.
         let prev_pairs: &[MergePair] =
             if level > 0 { tree.pairs_at(level - 1) } else { &[] };
-        let mut inbound: Vec<WorkingPartition> =
-            inbox.iter().map(|w| wire::decode(w)).collect();
-        inbound.sort_by_key(|child| {
-            prev_pairs.iter().position(|p| p.child == child.id).unwrap_or(usize::MAX)
-        });
+        let mut inbound: Vec<(usize, u32, WorkingPartition)> = inbound
+            .into_iter()
+            .filter_map(|child| {
+                let pos = prev_pairs.iter().position(|p| p.child == child.id)?;
+                Some((pos, prev_pairs.get(pos)?.parent.0, child))
+            })
+            .collect();
+        inbound.sort_by_key(|(pos, ..)| *pos);
+        let mut children: BTreeMap<u32, Vec<WorkingPartition>> = BTreeMap::new();
+        for (_, parent, child) in inbound {
+            children.entry(parent).or_default().push(child);
+        }
 
-        let mut done = DoneMsg { superstep, ..Default::default() };
-        let mut new_fragments: Vec<(u64, Vec<u64>)> = Vec::new();
+        let mut done = DoneWriter::new(superstep);
         let slot_ids: Vec<u32> = self.slots.keys().copied().collect();
         for slot in slot_ids {
             let mut wp = self.slots.remove(&slot).expect("slot present");
             // --- Phase 2: merge child states addressed to this slot. -----
             let mut merge_time = Duration::ZERO;
             let mut transfer_in = 0u64;
-            for child in inbound.iter().filter(|c| {
-                prev_pairs.iter().any(|p| p.child == c.id && p.parent.0 == slot)
-            }) {
+            for child in children.remove(&slot).unwrap_or_default() {
                 transfer_in +=
-                    transfer_longs(child, tree, level.saturating_sub(1), strategy);
+                    transfer_longs(&child, &tree, level.saturating_sub(1), strategy);
                 let t0 = Instant::now();
                 let (merged, _stats) =
-                    merge_partitions(wp, child.clone(), tree, level.saturating_sub(1));
+                    merge_partitions(wp, child, &tree, level.saturating_sub(1));
                 merge_time += t0.elapsed();
                 wp = merged;
             }
 
             // --- Phase 1 on a fresh scratch store. -----------------------
-            let memory = active_memory_longs(&wp, tree, level, strategy);
-            let needed_now = remote_needed_now(&wp, tree, level);
+            let memory = active_memory_longs(&wp, &tree, level, strategy);
+            let needed_now = remote_needed_now(&wp, &tree, level);
             let budget = if self.init.worker_threads > 0 {
                 self.init.worker_threads
             } else {
                 self.executor.resolved_threads()
             };
-            let threads = match self.executor.mode() {
-                Parallelism::PerPartition => 1,
-                Parallelism::IntraPartition => budget,
-                Parallelism::Auto => {
-                    let merged_below: usize =
-                        (0..level).map(|l| tree.pairs_at(l).len()).sum();
-                    let live = tree.leaves.len() - merged_below;
-                    if live < budget {
-                        budget
-                    } else {
-                        1
-                    }
-                }
-            };
+            let threads = level_threads(&self.executor, budget, &tree, level);
             let scratch = FragmentStore::new();
             let t1 = Instant::now();
             let out = self.executor.run_with_threads(&mut wp, &scratch, threads);
@@ -668,46 +657,40 @@ impl WorkerState {
             // New fragments were pushed with dense scratch ids 0..n; give
             // them their (superstep, slot, seq) identity, and rewrite every
             // reference to them (their own edges splice in same-batch ids,
-            // the partition's residual virtual edges point at them too).
-            let mut rec = Vec::new();
+            // the partition's residual virtual edges point at them too) —
+            // the fragments' on their way into the Done payload.
+            let prov = |id| remap(id, level, slot);
             scratch.with_all(|frags| {
                 for f in frags {
-                    let mut f = f.clone();
-                    f.id = remap(f.id, level, slot);
-                    for e in &mut f.edges {
-                        if let crate::fragment::TourEdge::Virtual { fragment, .. } = e {
-                            *fragment = remap(*fragment, level, slot);
-                        }
-                    }
-                    encode_fragment(&f, &mut rec);
-                    new_fragments.push((f.id.0, rec.clone()));
+                    done.fragment(prov(f.id), f, prov);
                 }
             });
             for e in &mut wp.local_edges {
                 if let EdgeRef::Virtual(id) = &mut e.edge {
-                    *id = remap(*id, level, slot);
+                    *id = prov(*id);
                 }
             }
 
-            let post_memory = wp.memory_longs();
-            done.reports.push(LevelPartitionReport {
-                level,
-                partition: wp.id,
-                counts: out.counts_before,
-                complexity: out.complexity,
-                phase1_time,
-                merge_time,
-                memory_longs: memory,
-                remote_needed_now: needed_now,
-                transfer_in_longs: transfer_in,
-                paths_found: out.path_map.num_paths() as u64,
-                cycles_found: out.path_map.num_cycles() as u64,
-                internal_cycles_merged: out.path_map.internal_cycles_merged,
-                splice_pivot_lookups: out.splice.pivot_lookups,
-                splice_linked_splices: out.splice.linked_splices,
-                splice_materialization_longs: out.splice.materialization_longs,
-            });
-            done.post_memory.push(post_memory);
+            done.report(
+                &LevelPartitionReport {
+                    level,
+                    partition: wp.id,
+                    counts: out.counts_before,
+                    complexity: out.complexity,
+                    phase1_time,
+                    merge_time,
+                    memory_longs: memory,
+                    remote_needed_now: needed_now,
+                    transfer_in_longs: transfer_in,
+                    paths_found: out.path_map.num_paths() as u64,
+                    cycles_found: out.path_map.num_cycles() as u64,
+                    internal_cycles_merged: out.path_map.internal_cycles_merged,
+                    splice_pivot_lookups: out.splice.pivot_lookups,
+                    splice_linked_splices: out.splice.linked_splices,
+                    splice_materialization_longs: out.splice.materialization_longs,
+                },
+                wp.memory_longs(),
+            );
 
             // --- Ship to the merge parent if this slot retires here. -----
             let retires = if level < height {
@@ -716,16 +699,15 @@ impl WorkerState {
                 None
             };
             if let Some(parent) = retires {
-                done.transfer_longs += transfer_longs(&wp, tree, level, strategy);
-                done.outgoing.push((parent, wire::encode(&wp)));
+                done.transfer_longs += transfer_longs(&wp, &tree, level, strategy);
+                done.ship(parent, &wp);
                 // Retired: the slot does not come back.
             } else {
                 self.slots.insert(slot, wp);
             }
         }
 
-        done.checkpoint_longs = self.write_ckpt(superstep + 1, &new_fragments);
-        done.fragments = new_fragments;
+        done.checkpoint_longs = self.write_ckpt(superstep + 1, &done.fragments);
         done
     }
 }
@@ -734,7 +716,7 @@ impl WorkerState {
 /// when told to shut down, or exits early on an injected kill / protocol
 /// failure (the coordinator sees the connection drop and recovers).
 pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<(), String> {
-    conn.send(kind::HELLO, &words_to_bytes(&[worker_id as u64]))
+    conn.send_words(kind::HELLO, &[worker_id as u64])
         .map_err(|e| format!("hello failed: {e}"))?;
 
     let mut state: Option<WorkerState> = None;
@@ -752,85 +734,88 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
             Err(FrameError::Closed) => break Ok(()),
             Err(e) => break Err(format!("worker recv failed: {e}")),
         };
-        let words = bytes_to_words(&payload)?;
-        match k {
-            kind::INIT => {
-                let init = decode_init(&words)?;
-                if heartbeat.is_none() {
-                    let interval = init.heartbeat_interval;
-                    let conn2 = Arc::clone(&conn);
-                    let busy2 = Arc::clone(&busy);
-                    let stop2 = Arc::clone(&stop);
-                    heartbeat = Some(std::thread::spawn(move || loop {
-                        std::thread::sleep(interval);
-                        if stop2.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        if busy2.load(Ordering::Relaxed)
-                            && conn2.send(kind::HEARTBEAT, &[]).is_err()
-                        {
-                            return;
-                        }
-                    }));
+        // A payload that does not decode ends the worker with a typed
+        // error; the coordinator sees the connection drop and recovers.
+        let step = (|| -> Result<bool, String> {
+            match k {
+                kind::INIT => {
+                    let (init, seeds) = decode_init(&payload)?;
+                    drop(payload);
+                    if heartbeat.is_none() {
+                        let interval = init.heartbeat_interval;
+                        let conn2 = Arc::clone(&conn);
+                        let busy2 = Arc::clone(&busy);
+                        let stop2 = Arc::clone(&stop);
+                        heartbeat = Some(std::thread::spawn(move || loop {
+                            std::thread::sleep(interval);
+                            if stop2.load(Ordering::Relaxed) {
+                                return;
+                            }
+                            if busy2.load(Ordering::Relaxed)
+                                && conn2.send(kind::HEARTBEAT, &[]).is_err()
+                            {
+                                return;
+                            }
+                        }));
+                    }
+                    let st = WorkerState::build(init, seeds);
+                    let ckpt0 = st.write_ckpt(0, &WordWriter::from_words(&[0]));
+                    state = Some(st);
+                    conn.send_words(kind::READY, &[ckpt0])
+                        .map_err(|e| format!("ready failed: {e}"))?;
                 }
-                let st = WorkerState::build(init)?;
-                let ckpt0 = st.write_ckpt(0, &[]);
-                state = Some(st);
-                conn.send(kind::READY, &words_to_bytes(&[ckpt0]))
-                    .map_err(|e| format!("ready failed: {e}"))?;
-            }
-            kind::START => {
-                let st = state.as_mut().ok_or("Start before Init")?;
-                let (superstep, inbox) = decode_start(&words)?;
-                busy.store(true, Ordering::Relaxed);
-                if let Some((kw, ks)) = st.init.kill {
-                    if kw == st.init.worker_id && ks == superstep && !st.kill_consumed {
-                        st.kill_consumed = true;
-                        match st.init.kill_mode {
-                            // Thread workers can't be SIGKILLed individually:
-                            // dying is dropping the connection mid-superstep.
-                            KillMode::Exit => break Ok(()),
-                            // Process workers stall so the coordinator's
-                            // SIGKILL lands mid-superstep, before any Done.
-                            KillMode::Stall => {
-                                std::thread::sleep(Duration::from_millis(600))
+                kind::START => {
+                    let st = state.as_mut().ok_or("Start before Init")?;
+                    let (superstep, inbox) = decode_start(&payload)?;
+                    drop(payload);
+                    busy.store(true, Ordering::Relaxed);
+                    if let Some((kw, ks)) = st.init.kill {
+                        if kw == st.init.worker_id && ks == superstep && !st.kill_consumed {
+                            st.kill_consumed = true;
+                            match st.init.kill_mode {
+                                // Thread workers can't be SIGKILLed individually:
+                                // dying is dropping the connection mid-superstep.
+                                KillMode::Exit => return Ok(false),
+                                // Process workers stall so the coordinator's
+                                // SIGKILL lands mid-superstep, before any Done.
+                                KillMode::Stall => {
+                                    std::thread::sleep(Duration::from_millis(600))
+                                }
                             }
                         }
                     }
+                    let done = st.superstep(superstep, inbox);
+                    let send = done.send(conn.as_ref());
+                    busy.store(false, Ordering::Relaxed);
+                    send.map_err(|e| format!("done failed: {e}"))?;
                 }
-                let done = st.superstep(superstep, inbox);
-                let send = conn.send(kind::DONE, &words_to_bytes(&encode_done(&done)));
-                busy.store(false, Ordering::Relaxed);
-                send.map_err(|e| format!("done failed: {e}"))?;
-            }
-            kind::RESTORE => {
-                let st = state.as_mut().ok_or("Restore before Init")?;
-                let mut c = Cursor::new(&words);
-                let superstep = c.u()? as u32;
-                match st.restore(superstep) {
-                    Ok(longs) => conn
-                        .send(
-                            kind::RESTORE_ACK,
-                            &words_to_bytes(&[superstep as u64, longs]),
-                        )
-                        .map_err(|e| format!("restore ack failed: {e}"))?,
-                    Err(refusal) => {
-                        conn.send(
+                kind::RESTORE => {
+                    let st = state.as_mut().ok_or("Restore before Init")?;
+                    let superstep = WordReader::new(&payload)?.u()? as u32;
+                    match st.restore(superstep) {
+                        Ok(longs) => {
+                            conn.send_words(kind::RESTORE_ACK, &[superstep as u64, longs])
+                                .map_err(|e| format!("restore ack failed: {e}"))?
+                        }
+                        Err(refusal) => conn.send_words(
                             kind::RESTORE_FAILED,
-                            &words_to_bytes(&[
-                                superstep as u64,
-                                u64::from(refusal.ignored),
-                            ]),
+                            &[superstep as u64, u64::from(refusal.ignored)],
                         )
-                        .map_err(|e| format!("restore nack failed: {e}"))?;
+                        .map_err(|e| format!("restore nack failed: {e}"))?,
                     }
                 }
+                kind::SHUTDOWN => {
+                    conn.send(kind::BYE, &[]).ok();
+                    return Ok(false);
+                }
+                other => return Err(format!("unexpected frame kind {other} at worker")),
             }
-            kind::SHUTDOWN => {
-                conn.send(kind::BYE, &[]).ok();
-                break Ok(());
-            }
-            other => break Err(format!("unexpected frame kind {other} at worker")),
+            Ok(true)
+        })();
+        match step {
+            Ok(true) => {}
+            Ok(false) => break Ok(()),
+            Err(e) => break Err(e),
         }
     };
     stop.store(true, Ordering::Relaxed);
@@ -911,17 +896,20 @@ pub(crate) struct DistRun {
     cfg: DistConfig,
     tree: Arc<MergeTree>,
     strategy: MergeStrategy,
-    /// Wire-encoded level-0 seeds per worker, retained for re-Init.
-    seeds_by_worker: Vec<Vec<Vec<u64>>>,
+    /// Each worker's level-0 seed state list, encoded once: the tail part
+    /// of its Init, retained for re-Init.
+    seeds_by_worker: Vec<WordWriter>,
     listener: Box<dyn Listener>,
     workers: Vec<WorkerHandle>,
     events_tx: mpsc::Sender<Event>,
     events_rx: mpsc::Receiver<Event>,
-    /// Current superstep's Start payloads per worker, retained until the
-    /// barrier commits so they can be re-delivered after a rollback.
-    inbox: Vec<Vec<Vec<u64>>>,
-    /// Fragments committed per superstep (barrier-complete only).
-    committed_frags: BTreeMap<u32, Vec<(u64, Vec<u64>)>>,
+    /// Current superstep's Start state-list entries per worker — ranges of
+    /// the Done payloads they arrived in — retained until the barrier
+    /// commits so they can be re-delivered after a rollback.
+    inbox: Vec<Vec<Blob>>,
+    /// Fragment lists committed per superstep (barrier-complete only), one
+    /// per worker, still inside the Done payloads they arrived in.
+    committed_frags: BTreeMap<u32, Vec<Blob>>,
     /// Dones collected by the in-flight barrier (filled by `wait_barrier`,
     /// consumed by `run_superstep`).
     pending_dones: Vec<(u32, DoneMsg)>,
@@ -945,10 +933,15 @@ impl DistRun {
     ) -> Result<Self, EulerError> {
         let t_start = Instant::now();
         let num_workers = cfg.num_workers;
-        let mut seeds_by_worker: Vec<Vec<Vec<u64>>> = vec![Vec::new(); num_workers];
-        for wp in seed {
-            seeds_by_worker[owner(wp.id.0, num_workers)].push(wire::encode(wp));
-        }
+        let seeds_by_worker = (0..num_workers)
+            .map(|w| {
+                let mine: Vec<&WorkingPartition> =
+                    seed.iter().filter(|wp| owner(wp.id.0, num_workers) == w).collect();
+                let mut out = WordWriter::new();
+                encode_states(&mut out, mine.into_iter());
+                out
+            })
+            .collect();
         let listener = cfg
             .transport
             .listen()
@@ -975,9 +968,9 @@ impl DistRun {
             finished: false,
             cfg,
         };
-        for w in 0..num_workers as u32 {
-            run.spawn_worker(w)?;
-            run.init_worker(w)?;
+        let all: Vec<u32> = (0..num_workers as u32).collect();
+        run.bring_up(&all)?;
+        for w in all {
             run.start_receiver(w);
         }
         Ok(run)
@@ -990,27 +983,12 @@ impl DistRun {
             .map(|o| o.expect("recorded superstep returns an outcome"))
     }
 
-    /// Moves every committed fragment into `store` in deterministic order:
-    /// sorted by provisional id (= the sequential push order), densely
-    /// renumbered, every virtual reference rewritten.
+    /// Moves every committed fragment into `store` in deterministic order
+    /// (see [`decode_committed`]).
     pub fn flush_fragments(&mut self, store: &FragmentStore) -> Result<(), EulerError> {
-        let mut all: Vec<(u64, Vec<u64>)> =
+        let lists: Vec<Blob> =
             std::mem::take(&mut self.committed_frags).into_values().flatten().collect();
-        all.sort_by_key(|(id, _)| *id);
-        let dense: HashMap<u64, u64> =
-            all.iter().enumerate().map(|(i, (id, _))| (*id, i as u64)).collect();
-        for (i, (id, words)) in all.iter().enumerate() {
-            let mut f: Fragment = decode_fragment(FragmentId(i as u64), words);
-            for e in &mut f.edges {
-                if let crate::fragment::TourEdge::Virtual { fragment, .. } = e {
-                    *fragment = FragmentId(*dense.get(&fragment.0).ok_or_else(|| {
-                        EulerError::Distributed(format!(
-                            "fragment {id:#x} references unknown fragment {:#x}",
-                            fragment.0
-                        ))
-                    })?);
-                }
-            }
+        for (i, f) in decode_committed(&lists)?.into_iter().enumerate() {
             let assigned = store.push(f);
             debug_assert_eq!(assigned.0, i as u64);
         }
@@ -1071,9 +1049,55 @@ impl DistRun {
 
     // -- internals ----------------------------------------------------------
 
-    fn spawn_worker(&mut self, w: u32) -> Result<(), EulerError> {
+    /// Brings workers `ws` up pipelined: launch all, accept all, Init all,
+    /// then await every Ready — so the workers decode their seeds and write
+    /// checkpoint 0 side by side, not one after the other. Their receiver
+    /// threads are the caller's to start.
+    fn bring_up(&mut self, ws: &[u32]) -> Result<(), EulerError> {
+        let mut children = Vec::with_capacity(ws.len());
+        let conns = ws
+            .iter()
+            .try_for_each(|&w| self.launch(w).map(|child| children.push(child)))
+            .and_then(|()| self.accept_hellos(ws));
+        let mut conns = match conns {
+            Ok(conns) => conns,
+            Err(e) => {
+                for mut child in children.into_iter().flatten() {
+                    child.kill().ok();
+                    child.wait().ok();
+                }
+                return Err(e);
+            }
+        };
+        for (&w, child) in ws.iter().zip(children) {
+            let handle = WorkerHandle {
+                conn: conns.remove(&w).expect("accept_hellos returns every expected worker"),
+                child,
+                epoch: 0,
+                restarts: 0,
+                last_heard: Instant::now(),
+                stop_rx: Arc::new(AtomicBool::new(false)),
+                recv_handle: None,
+            };
+            if let Some(existing) = self.workers.get_mut(w as usize) {
+                // A respawn: the old receiver thread and connection wind
+                // down via the stop flag.
+                let old = std::mem::replace(existing, handle);
+                existing.epoch = old.epoch + 1;
+                existing.restarts = old.restarts;
+            } else {
+                debug_assert_eq!(self.workers.len(), w as usize);
+                self.workers.push(handle);
+            }
+        }
+        self.init_all(ws)
+    }
+
+    /// Starts worker `w` — a thread, or an `euler-worker` process — dialling
+    /// the coordinator's endpoint.
+    fn launch(&self, w: u32) -> Result<Option<std::process::Child>, EulerError> {
         let endpoint = self.listener.endpoint();
-        let child = match &self.cfg.spawn {
+        match &self.cfg.spawn {
             WorkerSpawn::Threads => {
                 let attempts = self.cfg.policy.connect_attempts;
                 let backoff = self.cfg.policy.connect_backoff;
@@ -1093,31 +1117,39 @@ impl DistRun {
                     // connection, so the error itself needs no channel.
                     run_worker(Arc::from(conn), w).ok();
                 });
-                None
+                Ok(None)
             }
-            WorkerSpawn::Processes { worker_bin } => Some(
-                std::process::Command::new(worker_bin)
-                    .arg("--endpoint")
-                    .arg(&endpoint)
-                    .arg("--worker-id")
-                    .arg(w.to_string())
-                    .stdout(std::process::Stdio::null())
-                    .spawn()
-                    .map_err(|e| {
-                        EulerError::Distributed(format!(
-                            "spawning worker process {} failed: {e}",
-                            worker_bin.display()
-                        ))
-                    })?,
-            ),
-        };
-        // Accept until the expected worker's Hello arrives (spawn order and
-        // connect order may differ when several workers start at once).
+            WorkerSpawn::Processes { worker_bin } => std::process::Command::new(worker_bin)
+                .arg("--endpoint")
+                .arg(&endpoint)
+                .arg("--worker-id")
+                .arg(w.to_string())
+                .stdout(std::process::Stdio::null())
+                .spawn()
+                .map(Some)
+                .map_err(|e| {
+                    EulerError::Distributed(format!(
+                        "spawning worker process {} failed: {e}",
+                        worker_bin.display()
+                    ))
+                }),
+        }
+    }
+
+    /// Accepts connections until every worker of `ws` has said Hello (they
+    /// connect in any order).
+    fn accept_hellos(
+        &self,
+        ws: &[u32],
+    ) -> Result<BTreeMap<u32, Arc<dyn Connection>>, EulerError> {
         let deadline = Instant::now() + Duration::from_secs(30);
-        let conn: Arc<dyn Connection> = loop {
+        let mut conns: BTreeMap<u32, Arc<dyn Connection>> = BTreeMap::new();
+        while conns.len() < ws.len() {
             if Instant::now() > deadline {
+                let missing: Vec<u32> =
+                    ws.iter().copied().filter(|w| !conns.contains_key(w)).collect();
                 return Err(EulerError::Distributed(format!(
-                    "worker {w} never connected"
+                    "worker(s) {missing:?} never connected"
                 )));
             }
             let conn = self
@@ -1127,44 +1159,36 @@ impl DistRun {
             let (k, payload) = conn
                 .recv_timeout(Some(Duration::from_secs(10)))
                 .map_err(|e| EulerError::Distributed(format!("handshake failed: {e}")))?;
-            let words = bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-            if k == kind::HELLO && words.first() == Some(&(w as u64)) {
+            let hello = WordReader::new(&payload)
+                .and_then(|mut r| r.u())
+                .map_err(|e| EulerError::Distributed(format!("handshake failed: {e}")))?;
+            let expected =
+                ws.iter().copied().find(|&w| u64::from(w) == hello && !conns.contains_key(&w));
+            if let (kind::HELLO, Some(w)) = (k, expected) {
                 // A stalled worker must not block a coordinator send past the
                 // fault deadlines: bound every send by the heartbeat timeout
                 // so a full socket buffer surfaces as FrameError::Timeout and
                 // flows into the existing send-retry / dead-worker path.
                 conn.set_send_timeout(Some(self.cfg.policy.heartbeat_timeout));
-                break Arc::from(conn);
+                conns.insert(w, Arc::from(conn));
             }
             // A Hello from some other (late, stale) worker: drop it; its
             // connection closing sends it back through spawn recovery.
-        };
-        let handle = WorkerHandle {
-            conn,
-            child,
-            epoch: 0,
-            restarts: 0,
-            last_heard: Instant::now(),
-            stop_rx: Arc::new(AtomicBool::new(false)),
-            recv_handle: None,
-        };
-        if let Some(existing) = self.workers.get_mut(w as usize) {
-            let old = std::mem::replace(existing, handle);
-            existing.epoch = old.epoch + 1;
-            existing.restarts = old.restarts;
-            // Old receiver thread and connection wind down via stop flag.
-        } else {
-            debug_assert_eq!(self.workers.len(), w as usize);
-            self.workers.push(handle);
         }
-        Ok(())
+        Ok(conns)
     }
 
-    /// Sends Init (with this worker's retained seeds) and waits for Ready.
+    /// Sends Init to every worker of `ws`, then waits for every Ready.
+    fn init_all(&mut self, ws: &[u32]) -> Result<(), EulerError> {
+        ws.iter().try_for_each(|&w| self.send_init(w))?;
+        ws.iter().try_for_each(|&w| self.await_ready(w))
+    }
+
+    /// Sends Init: the head, then this worker's retained seed state list.
     /// The injected kill plan is delivered only while unconsumed.
-    fn init_worker(&mut self, w: u32) -> Result<(), EulerError> {
+    fn send_init(&mut self, w: u32) -> Result<(), EulerError> {
         let kill = self.cfg.plan.kill.filter(|_| !self.kill_consumed);
-        let init = InitMsg {
+        let head = encode_init_head(&InitHead {
             worker_id: w,
             num_workers: self.cfg.num_workers as u32,
             strategy: self.strategy,
@@ -1178,13 +1202,19 @@ impl DistRun {
                 WorkerSpawn::Processes { .. } => KillMode::Stall,
             },
             checkpoint_dir: self.cfg.checkpoint_dir.clone(),
-            tree: self.tree.as_ref().clone(),
-            seeds: self.seeds_by_worker[w as usize].clone(),
-        };
-        let conn = Arc::clone(&self.workers[w as usize].conn);
-        conn.send(kind::INIT, &words_to_bytes(&encode_init(&init)))
-            .map_err(|e| EulerError::Distributed(format!("init of worker {w} failed: {e}")))?;
-        let (k, payload) = conn
+            tree: Arc::clone(&self.tree),
+        });
+        self.workers[w as usize]
+            .conn
+            .send_parts(kind::INIT, &[head.as_bytes(), self.seeds_by_worker[w as usize].as_bytes()])
+            .map_err(|e| EulerError::Distributed(format!("init of worker {w} failed: {e}")))
+    }
+
+    /// Waits for the Ready that answers an Init, read directly off the
+    /// connection (the worker's receiver thread is not running).
+    fn await_ready(&mut self, w: u32) -> Result<(), EulerError> {
+        let (k, payload) = self.workers[w as usize]
+            .conn
             .recv_timeout(Some(Duration::from_secs(30)))
             .map_err(|e| EulerError::Distributed(format!("worker {w} not ready: {e}")))?;
         if k != kind::READY {
@@ -1192,8 +1222,7 @@ impl DistRun {
                 "worker {w} answered Init with frame kind {k}"
             )));
         }
-        let words = bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-        let ckpt0 = words.first().copied().unwrap_or(0);
+        let ckpt0 = WordReader::new(&payload).and_then(|mut r| r.u()).unwrap_or(0);
         if ckpt0 > 0 {
             self.recovery.checkpoints_written += 1;
             self.recovery.checkpoint_longs_written += ckpt0;
@@ -1229,7 +1258,7 @@ impl DistRun {
 
     /// Coordinator→worker send with bounded retry, plus the scripted
     /// drop/delay injection (counted over Start frames).
-    fn send_start(&mut self, w: u32, payload: &[u8]) -> Result<(), FrameError> {
+    fn send_start(&mut self, w: u32, parts: &[&[u8]]) -> Result<(), FrameError> {
         let seq = self.start_seq;
         self.start_seq += 1;
         if self.cfg.plan.drop_nth_send == Some(seq) {
@@ -1243,7 +1272,7 @@ impl DistRun {
         let conn = Arc::clone(&self.workers[w as usize].conn);
         let mut last = FrameError::Closed;
         for attempt in 0..=self.cfg.policy.send_retries {
-            match conn.send(kind::START, payload) {
+            match conn.send_parts(kind::START, parts) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     last = e;
@@ -1268,9 +1297,15 @@ impl DistRun {
             let t_level = Instant::now();
             let mut deaths: Vec<u32> = Vec::new();
             for w in 0..self.cfg.num_workers as u32 {
-                let payload = words_to_bytes(&encode_start(level, &self.inbox[w as usize]));
+                // Start = [superstep, n] + the retained state-list entries,
+                // sent from the buffers they arrived in.
+                let inbox = self.inbox[w as usize].clone();
+                let head = WordWriter::from_words(&[level as u64, inbox.len() as u64]);
+                let parts: Vec<&[u8]> = std::iter::once(head.as_bytes())
+                    .chain(inbox.iter().map(Blob::bytes))
+                    .collect();
                 self.workers[w as usize].last_heard = Instant::now();
-                if self.send_start(w, &payload).is_err() {
+                if self.send_start(w, &parts).is_err() {
                     deaths.push(w);
                 }
             }
@@ -1315,9 +1350,11 @@ impl DistRun {
                     self.workers[worker as usize].last_heard = Instant::now();
                     match k {
                         kind::DONE => {
-                            let words =
-                                bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                            let done = decode_done(&words).map_err(EulerError::Distributed)?;
+                            let done = decode_done(Arc::new(payload)).map_err(|e| {
+                                EulerError::Distributed(format!(
+                                    "malformed Done from worker {worker}: {e}"
+                                ))
+                            })?;
                             if done.superstep == level && pending[worker as usize] {
                                 pending[worker as usize] = false;
                                 self.pending_dones.push((worker, done));
@@ -1382,13 +1419,14 @@ impl DistRun {
         dones.sort_by_key(|(w, _)| *w);
         let mut stats = SuperstepStats::new(level);
         stats.wall_time = wall;
-        let mut next_inbox: Vec<Vec<Vec<u64>>> = vec![Vec::new(); self.cfg.num_workers];
-        let mut frags: Vec<(u64, Vec<u64>)> = Vec::new();
+        let mut next_inbox: Vec<Vec<Blob>> = vec![Vec::new(); self.cfg.num_workers];
+        let mut frags: Vec<Blob> = Vec::new();
         let mut outcome = LevelOutcome::default();
         for (w, done) in &mut dones {
-            for (to, words) in std::mem::take(&mut done.outgoing) {
+            for (to, entry) in std::mem::take(&mut done.outgoing) {
                 let dst = owner(to, self.cfg.num_workers);
-                let bytes = 8 * words.len() as u64;
+                // The state record alone, without its length word.
+                let bytes = entry.range.len().saturating_sub(8) as u64;
                 if dst == *w as usize {
                     stats.local_messages += 1;
                     stats.local_bytes += bytes;
@@ -1396,9 +1434,9 @@ impl DistRun {
                     stats.remote_messages += 1;
                     stats.remote_bytes += bytes;
                 }
-                next_inbox[dst].push(words);
+                next_inbox[dst].push(entry);
             }
-            frags.append(&mut done.fragments);
+            frags.push(done.fragments.clone());
             if done.checkpoint_longs > 0 {
                 self.recovery.checkpoints_written += 1;
                 self.recovery.checkpoint_longs_written += done.checkpoint_longs;
@@ -1482,21 +1520,22 @@ impl DistRun {
                 continue;
             }
             let conn = Arc::clone(&self.workers[w as usize].conn);
-            if conn.send(kind::RESTORE, &words_to_bytes(&[level as u64])).is_err() {
+            if conn.send_words(kind::RESTORE, &[level as u64]).is_err() {
                 ok = false;
                 continue;
             }
             ok &= self.await_restore_ack(w, level)?;
         }
+        self.bring_up(deaths)?;
         for &w in deaths {
-            self.spawn_worker(w)?;
-            self.init_worker(w)?;
             let conn = Arc::clone(&self.workers[w as usize].conn);
-            if conn.send(kind::RESTORE, &words_to_bytes(&[level as u64])).is_err() {
-                ok = false;
-            } else {
-                ok &= self.await_restore_ack_direct(w, level)?;
-            }
+            // The ack is read directly off the fresh connection; the
+            // respawned worker's receiver thread starts only afterwards.
+            ok &= conn.send_words(kind::RESTORE, &[level as u64]).is_ok()
+                && match conn.recv_timeout(Some(self.cfg.policy.heartbeat_timeout)) {
+                    Ok((k, payload)) => self.restore_reply(k, &payload, level) == Some(true),
+                    Err(_) => false,
+                };
             self.start_receiver(w);
         }
         Ok(ok)
@@ -1511,24 +1550,10 @@ impl DistRun {
                 Ok(Event::Frame { worker, epoch, kind: k, payload })
                     if worker == w && self.workers[w as usize].epoch == epoch =>
                 {
-                    match k {
-                        kind::RESTORE_ACK => {
-                            let words =
-                                bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                            if words.first() == Some(&(level as u64)) {
-                                self.recovery.checkpoint_longs_restored +=
-                                    words.get(1).copied().unwrap_or(0);
-                                return Ok(true);
-                            }
-                        }
-                        kind::RESTORE_FAILED => {
-                            let words =
-                                bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                            self.recovery.checkpoints_ignored +=
-                                words.get(1).copied().unwrap_or(0);
-                            return Ok(false);
-                        }
-                        _ => {} // stale Done/heartbeat from the broken barrier
+                    // Anything else is a stale Done/heartbeat from the
+                    // broken barrier.
+                    if let Some(restored) = self.restore_reply(k, &payload, level) {
+                        return Ok(restored);
                     }
                 }
                 Ok(Event::Dead { worker, epoch })
@@ -1548,26 +1573,23 @@ impl DistRun {
         Ok(false)
     }
 
-    /// Restore acknowledgement read directly off a fresh connection (the
-    /// respawned worker's receiver thread starts only afterwards).
-    fn await_restore_ack_direct(&mut self, w: u32, level: u32) -> Result<bool, EulerError> {
-        let conn = Arc::clone(&self.workers[w as usize].conn);
-        match conn.recv_timeout(Some(self.cfg.policy.heartbeat_timeout)) {
-            Ok((kind::RESTORE_ACK, payload)) => {
-                let words = bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                if words.first() == Some(&(level as u64)) {
-                    self.recovery.checkpoint_longs_restored +=
-                        words.get(1).copied().unwrap_or(0);
-                    return Ok(true);
-                }
-                Ok(false)
+    /// Accounts a worker's answer to Restore{`level`}: `Some(true)` for the
+    /// matching ack, `Some(false)` for a refusal or a mismatched ack, `None`
+    /// for any other frame.
+    fn restore_reply(&mut self, k: u16, payload: &[u8], level: u32) -> Option<bool> {
+        let mut words = WordReader::new(payload).ok()?;
+        let (first, second) = (words.u().ok(), words.u().unwrap_or(0));
+        match k {
+            kind::RESTORE_ACK if first == Some(level as u64) => {
+                self.recovery.checkpoint_longs_restored += second;
+                Some(true)
             }
-            Ok((kind::RESTORE_FAILED, payload)) => {
-                let words = bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                self.recovery.checkpoints_ignored += words.get(1).copied().unwrap_or(0);
-                Ok(false)
+            kind::RESTORE_ACK => Some(false),
+            kind::RESTORE_FAILED => {
+                self.recovery.checkpoints_ignored += second;
+                Some(false)
             }
-            _ => Ok(false),
+            _ => None,
         }
     }
 
@@ -1577,15 +1599,10 @@ impl DistRun {
     /// consumed them).
     fn full_restart(&mut self, level: u32, deaths: &[u32]) -> Result<(), EulerError> {
         self.recovery.full_restarts += 1;
-        for &w in deaths {
-            self.spawn_worker(w)?;
-            self.init_worker(w)?;
-            self.start_receiver(w);
-        }
-        for w in 0..self.cfg.num_workers as u32 {
-            if deaths.contains(&w) {
-                continue;
-            }
+        self.bring_up(deaths)?;
+        let survivors: Vec<u32> =
+            (0..self.cfg.num_workers as u32).filter(|w| !deaths.contains(w)).collect();
+        for &w in &survivors {
             // Restart the receiver under a new epoch so frames of the
             // abandoned barrier cannot leak into the replay. The old
             // receiver is *joined* (it exits within one poll interval)
@@ -1598,7 +1615,9 @@ impl DistRun {
             }
             h.epoch += 1;
             h.stop_rx = Arc::new(AtomicBool::new(false));
-            self.init_worker(w)?;
+        }
+        self.init_all(&survivors)?;
+        for w in 0..self.cfg.num_workers as u32 {
             self.start_receiver(w);
         }
         self.inbox = vec![Vec::new(); self.cfg.num_workers];
@@ -1623,6 +1642,10 @@ fn owner(slot: u32, num_workers: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragment::FragmentKind;
+    use crate::state::{LocalEdge, RemoteRef};
+    use euler_bsp::MemTransport;
+    use euler_graph::{EdgeId, VertexId};
     use proptest::prelude::*;
 
     fn tiny_tree() -> MergeTree {
@@ -1637,8 +1660,8 @@ mod tests {
         }
     }
 
-    fn test_init(dir: Option<PathBuf>) -> InitMsg {
-        InitMsg {
+    fn test_init(dir: Option<PathBuf>) -> InitHead {
+        InitHead {
             worker_id: 0,
             num_workers: 1,
             strategy: MergeStrategy::Deferred,
@@ -1649,9 +1672,120 @@ mod tests {
             kill: None,
             kill_mode: KillMode::Exit,
             checkpoint_dir: dir,
-            tree: tiny_tree(),
-            seeds: Vec::new(),
+            tree: Arc::new(tiny_tree()),
         }
+    }
+
+    /// A partition state whose every field derives from `seed`.
+    fn state(id: u32, seed: &[u64]) -> WorkingPartition {
+        let v = |i: usize| VertexId(seed.get(i).copied().unwrap_or(7));
+        WorkingPartition {
+            id: PartitionId(id),
+            leaves: seed.iter().take(3).map(|&l| PartitionId(l as u32)).collect(),
+            level: seed.len() as u32,
+            local_edges: (0..seed.len())
+                .map(|i| LocalEdge {
+                    edge: if i % 2 == 0 {
+                        EdgeRef::Real(EdgeId(seed[i]))
+                    } else {
+                        EdgeRef::Virtual(FragmentId(seed[i]))
+                    },
+                    u: v(i),
+                    v: v(i + 1),
+                })
+                .collect(),
+            remote_edges: (0..seed.len() / 2)
+                .map(|i| RemoteRef {
+                    edge: EdgeId(seed[i]),
+                    local: v(i),
+                    remote: v(i + 2),
+                    local_leaf: PartitionId(id),
+                    remote_leaf: PartitionId(seed[i] as u32),
+                })
+                .collect(),
+            isolated_vertices: seed.iter().sum(),
+        }
+    }
+
+    fn fragment(seed: &[u64]) -> Fragment {
+        Fragment {
+            id: FragmentId(0),
+            kind: if seed.len().is_multiple_of(2) { FragmentKind::Path } else { FragmentKind::Cycle },
+            level: 1,
+            partition: PartitionId(2),
+            edges: seed
+                .iter()
+                .map(|&x| {
+                    let (from, to) = (VertexId(x), VertexId(x + 1));
+                    if x % 3 == 0 {
+                        TourEdge::Virtual { fragment: FragmentId(x), from, to }
+                    } else {
+                        TourEdge::Real { edge: EdgeId(x), from, to }
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    fn report(partition: u32, x: u64) -> LevelPartitionReport {
+        LevelPartitionReport {
+            level: 3,
+            partition: PartitionId(partition),
+            counts: crate::state::VertexTypeCounts {
+                even_internal: x,
+                even_boundary: x + 1,
+                odd_boundary: x + 2,
+                remote_edges: x + 3,
+                local_edges: x + 4,
+            },
+            complexity: x + 5,
+            phase1_time: Duration::from_nanos(x + 6),
+            merge_time: Duration::from_nanos(x + 7),
+            memory_longs: x + 8,
+            remote_needed_now: x + 9,
+            transfer_in_longs: x + 10,
+            paths_found: x + 11,
+            cycles_found: x + 12,
+            internal_cycles_merged: x + 13,
+            splice_pivot_lookups: x + 14,
+            splice_linked_splices: x + 15,
+            splice_materialization_longs: x + 16,
+        }
+    }
+
+    fn init_payload(head: &InitHead, seeds: &[WorkingPartition]) -> Vec<u8> {
+        let mut out = encode_init_head(head);
+        encode_states(&mut out, seeds.iter());
+        out.into_bytes()
+    }
+
+    fn start_payload(superstep: u32, states: &[WorkingPartition]) -> Vec<u8> {
+        let mut out = WordWriter::from_words(&[superstep as u64]);
+        encode_states(&mut out, states.iter());
+        out.into_bytes()
+    }
+
+    /// The Done as the coordinator receives it: sent as parts over the
+    /// in-memory transport.
+    fn done_payload(done: &DoneWriter) -> Vec<u8> {
+        let listener = MemTransport.listen().unwrap();
+        let dial = MemTransport.connect(&listener.endpoint()).unwrap();
+        done.send(dial.as_ref()).unwrap();
+        let conn = listener.accept(Duration::from_secs(5)).unwrap();
+        let (k, payload) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(k, kind::DONE);
+        payload
+    }
+
+    fn sample_done(seeds: &[Vec<u64>]) -> DoneWriter {
+        let mut done = DoneWriter::new(3);
+        (done.transfer_longs, done.checkpoint_longs) = (77, 88);
+        for (i, seed) in seeds.iter().enumerate() {
+            done.report(&report(i as u32, seed.len() as u64), 1000 + i as u64);
+            done.ship(i as u32 + 10, &state(i as u32, seed));
+            done.fragment(FragmentId(prov_id(3, i as u32, 0)), &fragment(seed), |id| id);
+        }
+        done
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1666,24 +1800,137 @@ mod tests {
         let dir = Some(PathBuf::from("/tmp/ckpts"));
         let mut m = test_init(dir.clone());
         m.kill = Some((3, 2));
-        m.seeds = vec![vec![1, 2, 3], vec![], vec![u64::MAX]];
-        let got = decode_init(&encode_init(&m)).unwrap();
+        let seeds = vec![state(0, &[1, 2, 3]), state(1, &[]), state(2, &[u64::MAX])];
+        let (got, got_seeds) = decode_init(&init_payload(&m, &seeds)).unwrap();
         assert_eq!(got.worker_id, m.worker_id);
         assert_eq!(got.kill, m.kill);
         assert_eq!(got.checkpoint_dir, dir);
-        assert_eq!(got.seeds, m.seeds);
+        assert_eq!(got_seeds, seeds);
         assert_eq!(got.tree.leaves, m.tree.leaves);
         assert_eq!(got.tree.levels, m.tree.levels);
+    }
+
+    #[test]
+    fn done_message_roundtrips_and_its_ranges_relay_as_a_start() {
+        let seeds = vec![vec![1, 2, 3, 4], vec![], vec![9]];
+        let done = decode_done(Arc::new(done_payload(&sample_done(&seeds)))).unwrap();
+        assert_eq!((done.superstep, done.transfer_longs, done.checkpoint_longs), (3, 77, 88));
+        assert_eq!(done.post_memory, vec![1000, 1001, 1002]);
+        for (i, r) in done.reports.iter().enumerate() {
+            assert_eq!(*r, report(i as u32, seeds[i].len() as u64));
+        }
+        // The shipped entries, sent on as parts behind a Start head, are
+        // the Start a worker decodes — no re-encode in between.
+        assert_eq!(done.outgoing.iter().map(|(to, _)| *to).collect::<Vec<_>>(), vec![10, 11, 12]);
+        let head = WordWriter::from_words(&[4, done.outgoing.len() as u64]);
+        let relayed: Vec<u8> = std::iter::once(head.as_bytes())
+            .chain(done.outgoing.iter().map(|(_, entry)| entry.bytes()))
+            .collect::<Vec<_>>()
+            .concat();
+        let states: Vec<WorkingPartition> =
+            seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
+        assert_eq!(relayed, start_payload(4, &states));
+        assert_eq!(decode_start(&relayed).unwrap(), (4, states));
+        // The fragment list decodes at flush time: provisional order,
+        // dense ids. (Virtual references here point nowhere: typed error.)
+        let lone = sample_done(&[vec![1, 2, 4]]);
+        let lone = decode_done(Arc::new(done_payload(&lone))).unwrap();
+        let flushed = decode_committed(&[lone.fragments]).unwrap();
+        assert_eq!(flushed, vec![fragment(&[1, 2, 4])]);
+        assert!(matches!(
+            decode_committed(&[done.fragments]),
+            Err(EulerError::Distributed(m)) if m.contains("unknown fragment")
+        ));
+    }
+
+    /// Every strict word-prefix of a valid Init / Start / Done is a typed
+    /// error on the side that decodes it, as is garbage in place of a state
+    /// or fragment record inside an otherwise well-formed message.
+    #[test]
+    fn truncated_or_garbage_records_inside_valid_messages_are_typed_errors() {
+        let seeds = vec![state(0, &[1, 2, 3]), state(1, &[5])];
+        let init = init_payload(&test_init(None), &seeds);
+        let start = start_payload(2, &seeds);
+        let done = done_payload(&sample_done(&[vec![1, 2, 4], vec![5]]));
+        for cut in (0..init.len()).step_by(8) {
+            assert!(decode_init(&init[..cut]).is_err(), "init cut at {cut}");
+        }
+        for cut in (0..start.len()).step_by(8) {
+            assert!(decode_start(&start[..cut]).is_err(), "start cut at {cut}");
+        }
+        for cut in (0..done.len()).step_by(8) {
+            assert!(decode_done(Arc::new(done[..cut].to_vec())).is_err(), "done cut at {cut}");
+        }
+        // A state record whose declared edge counts overrun its length
+        // prefix, and one with an unknown edge tag.
+        let overrun = |payload: &[u8], word: usize| {
+            let mut bad = payload.to_vec();
+            bad[8 * word..8 * word + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            bad
+        };
+        // Start: [superstep, n, len, id, level, isolated, n_local, …].
+        assert!(matches!(decode_start(&overrun(&start, 6)), Err(WireError::Truncated { .. })));
+        assert!(matches!(decode_start(&overrun(&start, 2)), Err(WireError::Truncated { .. })));
+        // First local edge's tag: 3 head words + 6 + 3 leaves.
+        assert!(matches!(decode_start(&overrun(&start, 12)), Err(WireError::Invalid(_))));
+        // A record shorter than its length prefix says.
+        let mut short = start.clone();
+        short[16..24].copy_from_slice(&(wire::record_words(&seeds[0]) as u64 + 1).to_le_bytes());
+        assert!(decode_start(&short).is_err());
+        // The coordinator relays states unread but walks the fragment list,
+        // and decodes its records at flush: a garbage record is typed there.
+        let parsed = decode_done(Arc::new(done.clone())).unwrap();
+        let list = parsed.fragments.range.clone();
+        // Fragment list: [n, id, len, kind, level, partition, n_edges, …].
+        for (word, expect_at_parse) in [(2, true), (3, false), (6, false)] {
+            let bad = overrun(&done, list.start / 8 + word);
+            match decode_done(Arc::new(bad)) {
+                Err(_) => assert!(expect_at_parse, "word {word}"),
+                Ok(parsed) => {
+                    assert!(!expect_at_parse, "word {word}");
+                    assert!(matches!(
+                        decode_committed(&[parsed.fragments]),
+                        Err(EulerError::Distributed(_))
+                    ));
+                }
+            }
+        }
+    }
+
+    /// A worker handed a checksummed-but-hostile Init or Start ends with a
+    /// typed error instead of panicking.
+    #[test]
+    fn worker_rejects_hostile_payloads_with_a_typed_error() {
+        let mut garbage_seed = encode_init_head(&test_init(None));
+        garbage_seed.words(&[1, 4, u64::MAX, u64::MAX, u64::MAX, u64::MAX]);
+        let mut garbage_inbox = WordWriter::from_words(&[0, 1, 7]);
+        garbage_inbox.words(&[1, 0, 0, u64::MAX, 0, 0, 0]);
+        let good_init = init_payload(&test_init(None), &[state(0, &[])]);
+        for frames in [
+            vec![(kind::INIT, garbage_seed.into_bytes())],
+            vec![(kind::INIT, good_init), (kind::START, garbage_inbox.into_bytes())],
+        ] {
+            let listener = MemTransport.listen().unwrap();
+            let dial = MemTransport.connect(&listener.endpoint()).unwrap();
+            let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
+            let conn = listener.accept(Duration::from_secs(5)).unwrap();
+            assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
+            for (k, payload) in &frames {
+                conn.send(*k, payload).unwrap();
+            }
+            let err = worker.join().expect("worker must not panic").unwrap_err();
+            assert!(err.contains("payload"), "unexpected error: {err}");
+        }
     }
 
     #[test]
     fn missing_checkpoint_refusal_is_not_ignored() {
         // Checkpointing disabled → refusal without "ignored" (nothing was
         // found and discarded); same for an enabled dir with no file yet.
-        let mut s = WorkerState::build(test_init(None)).unwrap();
+        let mut s = WorkerState::build(test_init(None), Vec::new());
         assert!(!s.restore(0).unwrap_err().ignored);
         let dir = scratch("missing");
-        let mut s = WorkerState::build(test_init(Some(dir.clone()))).unwrap();
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), Vec::new());
         assert!(!s.restore(0).unwrap_err().ignored);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1691,11 +1938,15 @@ mod tests {
     #[test]
     fn torn_checkpoint_is_detected_and_ignored_at_restore() {
         let dir = scratch("torn");
-        let mut s = WorkerState::build(test_init(Some(dir.clone()))).unwrap();
-        assert!(s.write_ckpt(0, &[]) > 0);
+        let seeds = vec![state(0, &[4, 5, 6])];
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), seeds.clone());
+        assert!(s.write_ckpt(0, &sample_done(&[vec![1, 2]]).fragments) > 0);
+        s.slots.clear();
         assert!(s.restore(0).is_ok(), "pristine checkpoint must restore");
+        assert_eq!(s.slots.into_values().collect::<Vec<_>>(), seeds);
         // Tear the file mid-payload, as a crash during a (non-atomic) write
         // or a truncated copy would.
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), Vec::new());
         let path = checkpoint_file(&dir, 0, 0);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
@@ -1706,8 +1957,8 @@ mod tests {
     #[test]
     fn foreign_version_checkpoint_is_detected_and_ignored_at_restore() {
         let dir = scratch("version");
-        let mut s = WorkerState::build(test_init(Some(dir.clone()))).unwrap();
-        assert!(s.write_ckpt(1, &[]) > 0);
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), Vec::new());
+        assert!(s.write_ckpt(1, &WordWriter::from_words(&[0])) > 0);
         // Word 1 of the container is the format version; stamp a future one.
         let path = checkpoint_file(&dir, 0, 1);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1720,8 +1971,8 @@ mod tests {
     #[test]
     fn corrupted_checkpoint_payload_is_detected_and_ignored_at_restore() {
         let dir = scratch("corrupt");
-        let mut s = WorkerState::build(test_init(Some(dir.clone()))).unwrap();
-        assert!(s.write_ckpt(2, &[]) > 0);
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), Vec::new());
+        assert!(s.write_ckpt(2, &WordWriter::from_words(&[0])) > 0);
         let path = checkpoint_file(&dir, 0, 2);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
@@ -1734,16 +1985,60 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Start messages round-trip for any superstep and payload set.
+        /// Start messages round-trip for any superstep and state set.
         #[test]
         fn start_message_roundtrips(
             superstep in 0u64..1000,
-            msgs in prop::collection::vec(prop::collection::vec(0u64..1_000_000, 0..12), 0..6),
+            seeds in prop::collection::vec(prop::collection::vec(0u64..1_000_000, 0..12), 0..6),
         ) {
-            let words = encode_start(superstep as u32, &msgs);
-            let (ss, got) = decode_start(&words).unwrap();
+            let states: Vec<WorkingPartition> =
+                seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
+            let (ss, got) = decode_start(&start_payload(superstep as u32, &states)).unwrap();
             prop_assert_eq!(ss, superstep as u32);
-            prop_assert_eq!(got, msgs);
+            prop_assert_eq!(got, states);
+        }
+
+        /// Init and Done round-trip for any state / fragment set: the
+        /// states through the worker's decoder, the fragments through the
+        /// coordinator's flush.
+        #[test]
+        fn init_and_done_messages_roundtrip(
+            seeds in prop::collection::vec(prop::collection::vec(1u64..1_000_000, 0..12), 0..6),
+        ) {
+            let states: Vec<WorkingPartition> =
+                seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
+            let (_, got) = decode_init(&init_payload(&test_init(None), &states)).unwrap();
+            prop_assert_eq!(&got, &states);
+
+            // Fragments whose virtual edges point at the previous fragment
+            // (or, for the first, nowhere — made real).
+            let ids: Vec<u64> = (0..seeds.len()).map(|i| prov_id(3, i as u32, 0)).collect();
+            let mut done = sample_done(&[]);
+            let mut expected = Vec::new();
+            for (i, seed) in seeds.iter().enumerate() {
+                let mut f = fragment(seed);
+                for e in &mut f.edges {
+                    if let TourEdge::Virtual { from, to, .. } = *e {
+                        *e = if i == 0 {
+                            TourEdge::Real { edge: EdgeId(0), from, to }
+                        } else {
+                            TourEdge::Virtual { fragment: FragmentId(i as u64 - 1), from, to }
+                        };
+                    }
+                }
+                done.ship(i as u32, &states[i]);
+                done.fragment(FragmentId(ids[i]), &f, |dense| FragmentId(ids[dense.0 as usize]));
+                f.id = FragmentId(i as u64);
+                expected.push(f);
+            }
+            let parsed = decode_done(Arc::new(done_payload(&done))).unwrap();
+            prop_assert_eq!(parsed.outgoing.len(), states.len());
+            for ((to, entry), wp) in parsed.outgoing.iter().zip(&states) {
+                prop_assert_eq!(*to, wp.id.0);
+                let mut r = WordReader::new(entry.bytes()).unwrap();
+                prop_assert_eq!(&wire::decode(&mut r.record().unwrap()).unwrap(), wp);
+            }
+            prop_assert_eq!(decode_committed(&[parsed.fragments]).unwrap(), expected);
         }
 
         /// Decoding random garbage words returns a typed error or a
@@ -1752,9 +2047,15 @@ mod tests {
         fn protocol_decoders_never_panic_on_garbage(
             words in prop::collection::vec(0u64..u64::MAX, 0..40),
         ) {
-            let _ = decode_init(&words);
-            let _ = decode_start(&words);
-            let _ = decode_done(&words);
+            let payload = WordWriter::from_words(&words).into_bytes();
+            let _ = decode_init(&payload);
+            let _ = decode_start(&payload);
+            if let Ok(done) = decode_done(Arc::new(payload.clone())) {
+                let _ = decode_committed(&[done.fragments]);
+            }
+            let mut r = WordReader::new(&payload).unwrap();
+            let _ = wire::decode(&mut r);
+            let _ = decode_fragment(FragmentId(0), &mut WordReader::new(&payload).unwrap());
         }
     }
 }

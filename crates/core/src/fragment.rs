@@ -20,6 +20,7 @@
 //! bit-identical circuits; the spill backing additionally reports its real
 //! traffic in [`FragmentStoreStats`].
 
+use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -110,7 +111,7 @@ pub enum FragmentKind {
 }
 
 /// A path or cycle found by Phase 1.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Fragment {
     /// Identifier in the store.
     pub id: FragmentId,
@@ -491,46 +492,64 @@ impl PartialOrd for EvictEntry {
     }
 }
 
+/// Words in the record [`encode_fragment`] writes for a fragment of `edges`
+/// tour edges.
+pub(crate) fn fragment_record_words(edges: usize) -> usize {
+    4 + 4 * edges
+}
+
 /// Flat `u64` record of one fragment in the spill file:
 /// `[kind, level, partition, n]` then `n` tour edges of
 /// `[tag, id, from, to]` (tag 0 = real, 1 = virtual). The id is not stored —
 /// the index knows it. The distributed worker reuses this record as its
-/// checkpoint/shipping format for fragments, hence the crate visibility.
-pub(crate) fn encode_fragment(f: &Fragment, out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(4 + 4 * f.edges.len());
-    out.push(match f.kind {
+/// checkpoint/shipping format for fragments, hence the crate visibility;
+/// `remap` rewrites every virtual reference on the way out (the identity
+/// for the spill file).
+pub(crate) fn encode_fragment(
+    f: &Fragment,
+    out: &mut WordWriter,
+    remap: impl Fn(FragmentId) -> FragmentId,
+) {
+    out.reserve(fragment_record_words(f.edges.len()));
+    let kind = match f.kind {
         FragmentKind::Path => 0,
         FragmentKind::Cycle => 1,
-    });
-    out.push(f.level as u64);
-    out.push(f.partition.0 as u64);
-    out.push(f.edges.len() as u64);
+    };
+    out.words(&[kind, f.level as u64, f.partition.0 as u64, f.edges.len() as u64]);
     for e in &f.edges {
         match *e {
-            TourEdge::Real { edge, from, to } => {
-                out.extend_from_slice(&[0, edge.0, from.0, to.0]);
-            }
+            TourEdge::Real { edge, from, to } => out.words(&[0, edge.0, from.0, to.0]),
             TourEdge::Virtual { fragment, from, to } => {
-                out.extend_from_slice(&[1, fragment.0, from.0, to.0]);
+                out.words(&[1, remap(fragment).0, from.0, to.0])
             }
         }
     }
 }
 
-pub(crate) fn decode_fragment(id: FragmentId, words: &[u64]) -> Fragment {
-    let kind = if words[0] == 0 { FragmentKind::Path } else { FragmentKind::Cycle };
-    let n = words[3] as usize;
-    let mut edges = Vec::with_capacity(n);
-    for rec in words[4..4 + 4 * n].chunks_exact(4) {
-        let (from, to) = (VertexId(rec[2]), VertexId(rec[3]));
-        edges.push(if rec[0] == 0 {
-            TourEdge::Real { edge: EdgeId(rec[1]), from, to }
-        } else {
-            TourEdge::Virtual { fragment: FragmentId(rec[1]), from, to }
+/// Decodes one [`encode_fragment`] record, which must fill `r` exactly.
+pub(crate) fn decode_fragment(
+    id: FragmentId,
+    r: &mut WordReader<'_>,
+) -> Result<Fragment, WireError> {
+    let [kind, level, partition] = r.array()?;
+    let kind = match kind {
+        0 => FragmentKind::Path,
+        1 => FragmentKind::Cycle,
+        t => return Err(WireError::Invalid(format!("unknown fragment kind tag {t}"))),
+    };
+    let n = r.count()?;
+    let mut edges = Vec::with_capacity(r.cap(n, 4));
+    for _ in 0..n {
+        let [tag, id, from, to] = r.array()?;
+        let (from, to) = (VertexId(from), VertexId(to));
+        edges.push(match tag {
+            0 => TourEdge::Real { edge: EdgeId(id), from, to },
+            1 => TourEdge::Virtual { fragment: FragmentId(id), from, to },
+            t => return Err(WireError::Invalid(format!("unknown tour edge tag {t}"))),
         });
     }
-    Fragment { id, kind, level: words[1] as u32, partition: PartitionId(words[2] as u32), edges }
+    r.finish()?;
+    Ok(Fragment { id, kind, level: level as u32, partition: PartitionId(partition as u32), edges })
 }
 
 /// Distinguishes concurrently-live spill files of one process.
@@ -605,7 +624,9 @@ struct SpillBacking {
     accounting: Accounting,
     stats: FragmentStoreStats,
     /// Reusable encode/IO scratch.
-    words: Vec<u64>,
+    /// Scratch buffers of `write_record` / `read_record`, kept for their
+    /// allocations.
+    record: WordWriter,
     bytes: Vec<u8>,
 }
 
@@ -631,7 +652,7 @@ impl SpillBacking {
             broken: false,
             accounting: Accounting::default(),
             stats: FragmentStoreStats::default(),
-            words: Vec::new(),
+            record: WordWriter::new(),
             bytes: Vec::new(),
         }
     }
@@ -699,21 +720,17 @@ impl SpillBacking {
     /// extent when one fits, else appended at the end — returning its
     /// location.
     fn write_record(&mut self, fragment: &Fragment) -> std::io::Result<Loc> {
-        let mut words = std::mem::take(&mut self.words);
-        encode_fragment(fragment, &mut words);
-        let mut bytes = std::mem::take(&mut self.bytes);
-        bytes.clear();
-        bytes.reserve(8 * words.len());
-        for w in &words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let need = words.len() as u64;
+        let mut record = std::mem::take(&mut self.record);
+        record.clear();
+        encode_fragment(fragment, &mut record, |id| id);
+        let bytes = record.as_bytes();
+        let need = record.len() as u64;
         let reused = self.alloc_extent(need);
         let offset = reused.unwrap_or(self.file_end);
         let out = (|| {
             let file = self.file()?;
             file.seek(SeekFrom::Start(offset))?;
-            file.write_all(&bytes)?;
+            file.write_all(bytes)?;
             Ok(Loc::Spilled { offset, words: need })
         })();
         match (&out, reused) {
@@ -727,8 +744,7 @@ impl SpillBacking {
             (Err(_), Some(o)) => self.free_record(o, need),
             (Err(_), None) => {}
         }
-        self.words = words;
-        self.bytes = bytes;
+        self.record = record;
         out
     }
 
@@ -741,11 +757,9 @@ impl SpillBacking {
             file.seek(SeekFrom::Start(offset)).expect("spill file seek");
             file.read_exact(&mut bytes).expect("spill file read");
         }
-        let mut ws = std::mem::take(&mut self.words);
-        ws.clear();
-        ws.extend(bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())));
-        let fragment = decode_fragment(id, &ws);
-        self.words = ws;
+        let fragment = WordReader::new(&bytes)
+            .and_then(|mut r| decode_fragment(id, &mut r))
+            .expect("spill record written by this store");
         self.bytes = bytes;
         fragment
     }

@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 // ---------------------------------------------------------------------------
 
 /// Per-partition, per-level record of one Phase-1 execution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LevelPartitionReport {
     /// Merge level (0 = leaf partitions).
     pub level: u32,
@@ -504,77 +504,109 @@ pub(crate) mod wire {
     use super::*;
     use crate::fragment::FragmentId;
     use crate::state::{EdgeRef, LocalEdge, RemoteRef};
+    use euler_bsp::wire::{WireError, WordReader, WordWriter};
     use euler_graph::{EdgeId, VertexId};
 
-    pub fn encode(wp: &WorkingPartition) -> Vec<u64> {
-        let mut out = Vec::with_capacity(6 + wp.leaves.len() + 4 * wp.local_edges.len() + 5 * wp.remote_edges.len());
-        out.push(wp.id.0 as u64);
-        out.push(wp.level as u64);
-        out.push(wp.isolated_vertices);
-        out.push(wp.local_edges.len() as u64);
-        out.push(wp.remote_edges.len() as u64);
-        out.push(wp.leaves.len() as u64);
-        for l in &wp.leaves {
-            out.push(l.0 as u64);
-        }
-        for e in &wp.local_edges {
-            match e.edge {
-                EdgeRef::Real(id) => {
-                    out.push(0);
-                    out.push(id.0);
-                }
-                EdgeRef::Virtual(id) => {
-                    out.push(1);
-                    out.push(id.0);
-                }
-            }
-            out.push(e.u.0);
-            out.push(e.v.0);
-        }
-        for r in &wp.remote_edges {
-            out.push(r.edge.0);
-            out.push(r.local.0);
-            out.push(r.remote.0);
-            out.push(r.local_leaf.0 as u64);
-            out.push(r.remote_leaf.0 as u64);
-        }
-        out
+    /// Words in the record [`encode`] writes for `wp`.
+    pub fn record_words(wp: &WorkingPartition) -> usize {
+        6 + wp.leaves.len() + 4 * wp.local_edges.len() + 5 * wp.remote_edges.len()
     }
 
-    pub fn decode(data: &[u64]) -> WorkingPartition {
-        let mut i = 0usize;
-        let mut next = || {
-            let v = data[i];
-            i += 1;
-            v
-        };
-        let id = PartitionId(next() as u32);
-        let level = next() as u32;
-        let isolated_vertices = next();
-        let n_local = next() as usize;
-        let n_remote = next() as usize;
-        let n_leaves = next() as usize;
-        let leaves = (0..n_leaves).map(|_| PartitionId(next() as u32)).collect();
-        let mut local_edges = Vec::with_capacity(n_local);
-        for _ in 0..n_local {
-            let tag = next();
-            let idv = next();
-            let u = VertexId(next());
-            let v = VertexId(next());
-            let edge = if tag == 0 { EdgeRef::Real(EdgeId(idv)) } else { EdgeRef::Virtual(FragmentId(idv)) };
-            local_edges.push(LocalEdge { edge, u, v });
+    pub fn encode(wp: &WorkingPartition, out: &mut WordWriter) {
+        out.reserve(record_words(wp));
+        out.words(&[
+            wp.id.0 as u64,
+            wp.level as u64,
+            wp.isolated_vertices,
+            wp.local_edges.len() as u64,
+            wp.remote_edges.len() as u64,
+            wp.leaves.len() as u64,
+        ]);
+        for l in &wp.leaves {
+            out.u(l.0 as u64);
         }
-        let mut remote_edges = Vec::with_capacity(n_remote);
+        for e in &wp.local_edges {
+            let (tag, id) = match e.edge {
+                EdgeRef::Real(id) => (0, id.0),
+                EdgeRef::Virtual(id) => (1, id.0),
+            };
+            out.words(&[tag, id, e.u.0, e.v.0]);
+        }
+        for r in &wp.remote_edges {
+            out.words(&[
+                r.edge.0,
+                r.local.0,
+                r.remote.0,
+                r.local_leaf.0 as u64,
+                r.remote_leaf.0 as u64,
+            ]);
+        }
+    }
+
+    /// Decodes one [`encode`] record, which must fill `r` exactly. The
+    /// record comes off the wire or out of a checkpoint file: truncated or
+    /// garbage words are a typed error, never a panic or an over-allocation.
+    pub fn decode(r: &mut WordReader<'_>) -> Result<WorkingPartition, WireError> {
+        let [id, level, isolated_vertices] = r.array()?;
+        let (n_local, n_remote, n_leaves) = (r.count()?, r.count()?, r.count()?);
+        let mut leaves = Vec::with_capacity(r.cap(n_leaves, 1));
+        for _ in 0..n_leaves {
+            leaves.push(PartitionId(r.u()? as u32));
+        }
+        let mut local_edges = Vec::with_capacity(r.cap(n_local, 4));
+        for _ in 0..n_local {
+            let [tag, idv, u, v] = r.array()?;
+            let edge = match tag {
+                0 => EdgeRef::Real(EdgeId(idv)),
+                1 => EdgeRef::Virtual(FragmentId(idv)),
+                t => return Err(WireError::Invalid(format!("unknown local edge tag {t}"))),
+            };
+            local_edges.push(LocalEdge { edge, u: VertexId(u), v: VertexId(v) });
+        }
+        let mut remote_edges = Vec::with_capacity(r.cap(n_remote, 5));
         for _ in 0..n_remote {
+            let [edge, local, remote, local_leaf, remote_leaf] = r.array()?;
             remote_edges.push(RemoteRef {
-                edge: EdgeId(next()),
-                local: VertexId(next()),
-                remote: VertexId(next()),
-                local_leaf: PartitionId(next() as u32),
-                remote_leaf: PartitionId(next() as u32),
+                edge: EdgeId(edge),
+                local: VertexId(local),
+                remote: VertexId(remote),
+                local_leaf: PartitionId(local_leaf as u32),
+                remote_leaf: PartitionId(remote_leaf as u32),
             });
         }
-        WorkingPartition { id, leaves, level, local_edges, remote_edges, isolated_vertices }
+        r.finish()?;
+        Ok(WorkingPartition {
+            id: PartitionId(id as u32),
+            leaves,
+            level: level as u32,
+            local_edges,
+            remote_edges,
+            isolated_vertices,
+        })
+    }
+}
+
+/// Wave-walker threads a BSP worker gives one partition at `level`, out of
+/// its compute budget: `Auto` walks sequentially while the level still has
+/// at least `budget` live partitions (they run spread across the workers)
+/// and in waves on the narrow top levels.
+pub(crate) fn level_threads(
+    executor: &Phase1Executor,
+    budget: usize,
+    tree: &MergeTree,
+    level: u32,
+) -> usize {
+    match executor.mode() {
+        Parallelism::PerPartition => 1,
+        Parallelism::IntraPartition => budget,
+        Parallelism::Auto => {
+            let merged_below: usize = (0..level).map(|l| tree.pairs_at(l).len()).sum();
+            if tree.leaves.len() - merged_below < budget {
+                budget
+            } else {
+                1
+            }
+        }
     }
 }
 
@@ -628,7 +660,9 @@ impl euler_bsp::PartitionProgram for DistProgram {
         let mut transfer_in = 0u64;
         for m in &messages {
             let decoded = ctx.time("create_partition_object", || {
-                wire::decode(&euler_bsp::message::codec::decode_u64s(&m.payload))
+                euler_bsp::wire::WordReader::new(m.payload.as_slice())
+                    .and_then(|mut r| wire::decode(&mut r))
+                    .expect("partition state encoded by a worker of this engine")
             });
             transfer_in +=
                 transfer_longs(&decoded, &self.tree, level.saturating_sub(1), self.strategy);
@@ -654,20 +688,7 @@ impl euler_bsp::PartitionProgram for DistProgram {
             .worker_threads
             .map(std::num::NonZeroUsize::get)
             .unwrap_or_else(|| self.executor.resolved_threads());
-        let threads = match self.executor.mode() {
-            Parallelism::PerPartition => 1,
-            Parallelism::IntraPartition => budget,
-            Parallelism::Auto => {
-                let merged_below: usize =
-                    (0..level).map(|l| self.tree.pairs_at(l).len()).sum();
-                let live = self.tree.leaves.len() - merged_below;
-                if live < budget {
-                    budget
-                } else {
-                    1
-                }
-            }
-        };
+        let threads = level_threads(&self.executor, budget, &self.tree, level);
         let t1 = Instant::now();
         let out =
             ctx.time("phase1_tour", || self.executor.run_with_threads(wp, &self.store, threads));
@@ -698,7 +719,9 @@ impl euler_bsp::PartitionProgram for DistProgram {
                 self.ledger.lock().transfer_longs += shipped;
                 let parent = pair.parent;
                 let payload = ctx.time("copy_source_partition", || {
-                    euler_bsp::message::codec::encode_u64s(&wire::encode(wp))
+                    let mut out = euler_bsp::wire::WordWriter::new();
+                    wire::encode(wp, &mut out);
+                    out.into_bytes()
                 });
                 let from = ctx.partition;
                 *state = DistState::Retired;

@@ -28,9 +28,11 @@
 //!
 //! ## Wire protocol
 //!
-//! The service speaks the PR 6 frame codec (`euler_bsp::transport` — magic,
-//! version, kind, length, FNV-1a checksum) over TCP; the payload of every
-//! frame is a little-endian `u64` word array. Frame kinds are documented in
+//! The service speaks the frame codec of `euler_bsp::transport` (magic,
+//! version, kind, length, word-folded FNV-1a checksum) over TCP; the payload
+//! of every frame is a little-endian `u64` word array, written and read
+//! through the shared word codec (`euler_bsp::wire`: bounded reader, typed
+//! failures, never a panic on wire input). Frame kinds are documented in
 //! [`frame_kind`]; the request lifecycle is
 //! `REGISTER → REGISTERED`, then per run
 //! `RUN → ACCEPTED → PROGRESS* → REPORT? → CHUNK* → DONE`
@@ -52,6 +54,7 @@ use crate::phase1::Parallelism;
 use crate::phase3::{CircuitResult, CircuitStep};
 use crate::pipeline::{run_on_partitioned_cancellable, InProcessBackend, RunReport};
 use euler_bsp::transport::Connection;
+use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
 use euler_graph::{CsrFileEdgeStream, EdgeId, GraphRegistry, RegisteredGraph, VertexId};
 use euler_partition::{HashPartitioner, LdgPartitioner, StreamingPartitioner};
@@ -110,93 +113,6 @@ pub mod error_code {
 }
 
 // ---------------------------------------------------------------------------
-// Word-payload codec (mirrors the distributed-run protocol's idiom:
-// bounded cursor, typed failures, never a panic on wire input).
-// ---------------------------------------------------------------------------
-
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * words.len());
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u64>, String> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(format!("payload length {} is not word-aligned", bytes.len()));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .filter_map(|c| c.try_into().ok().map(u64::from_le_bytes))
-        .collect())
-}
-
-/// Bounded sequential reader over a word payload with typed failures.
-struct Cursor<'a> {
-    words: &'a [u64],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        Cursor { words, at: 0 }
-    }
-
-    fn u(&mut self) -> Result<u64, String> {
-        let v = self
-            .words
-            .get(self.at)
-            .copied()
-            .ok_or_else(|| format!("service payload truncated at word {}", self.at))?;
-        self.at += 1;
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u64], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.words.len())
-            .ok_or_else(|| format!("service payload truncated: need {n} words at {}", self.at))?;
-        let s = self
-            .words
-            .get(self.at..end)
-            .ok_or_else(|| format!("service payload truncated: need {n} words at {}", self.at))?;
-        self.at = end;
-        Ok(s)
-    }
-
-    /// Clamps a wire-declared element count to what the remaining payload
-    /// could hold, so `Vec::with_capacity` on garbage input cannot
-    /// over-allocate — decoding then fails with a truncation error instead.
-    fn cap(&self, n: usize) -> usize {
-        n.min(self.words.len().saturating_sub(self.at))
-    }
-}
-
-fn push_str(out: &mut Vec<u64>, s: &str) {
-    let bytes = s.as_bytes();
-    out.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        out.push(u64::from_le_bytes(w));
-    }
-}
-
-fn read_str(c: &mut Cursor<'_>) -> Result<String, String> {
-    let n = c.u()? as usize;
-    let words = c.take(n.div_ceil(8))?;
-    let mut bytes = Vec::with_capacity(n);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes.truncate(n);
-    String::from_utf8(bytes).map_err(|e| format!("bad utf8 in service string: {e}"))
-}
-
-// ---------------------------------------------------------------------------
 // Run options.
 // ---------------------------------------------------------------------------
 
@@ -241,12 +157,12 @@ fn strategy_code(s: MergeStrategy) -> u64 {
     }
 }
 
-fn decode_strategy(code: u64) -> Result<MergeStrategy, String> {
+fn decode_strategy(code: u64) -> Result<MergeStrategy, WireError> {
     match code {
         0 => Ok(MergeStrategy::Duplicated),
         1 => Ok(MergeStrategy::Deduplicated),
         2 => Ok(MergeStrategy::Deferred),
-        other => Err(format!("unknown merge strategy code {other}")),
+        other => Err(WireError::Invalid(format!("unknown merge strategy code {other}"))),
     }
 }
 
@@ -257,16 +173,16 @@ fn partitioner_code(p: PartitionerKind) -> u64 {
     }
 }
 
-fn decode_partitioner(code: u64) -> Result<PartitionerKind, String> {
+fn decode_partitioner(code: u64) -> Result<PartitionerKind, WireError> {
     match code {
         0 => Ok(PartitionerKind::Hash),
         1 => Ok(PartitionerKind::Ldg),
-        other => Err(format!("unknown partitioner code {other}")),
+        other => Err(WireError::Invalid(format!("unknown partitioner code {other}"))),
     }
 }
 
-fn encode_run(checksum: u64, opts: &RunOptions) -> Vec<u64> {
-    vec![
+fn encode_run(checksum: u64, opts: &RunOptions) -> [u64; 4] {
+    [
         checksum,
         u64::from(opts.partitions),
         strategy_code(opts.strategy),
@@ -274,15 +190,14 @@ fn encode_run(checksum: u64, opts: &RunOptions) -> Vec<u64> {
     ]
 }
 
-fn decode_run(words: &[u64]) -> Result<(u64, RunOptions), String> {
-    let mut c = Cursor::new(words);
-    let checksum = c.u()?;
-    let partitions = u32::try_from(c.u()?).map_err(|_| "partition count overflows u32")?;
-    if partitions == 0 {
-        return Err("partition count must be at least 1".into());
-    }
-    let strategy = decode_strategy(c.u()?)?;
-    let partitioner = decode_partitioner(c.u()?)?;
+fn decode_run(payload: &[u8]) -> Result<(u64, RunOptions), WireError> {
+    let [checksum, partitions, strategy, partitioner] = WordReader::new(payload)?.array()?;
+    let partitions = u32::try_from(partitions)
+        .ok()
+        .filter(|&p| p > 0)
+        .ok_or_else(|| WireError::Invalid(format!("partition count {partitions} out of range")))?;
+    let strategy = decode_strategy(strategy)?;
+    let partitioner = decode_partitioner(partitioner)?;
     Ok((checksum, RunOptions { partitions, strategy, partitioner }))
 }
 
@@ -478,8 +393,8 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    fn encode(&self) -> Vec<u64> {
-        vec![
+    fn encode(&self) -> [u64; 7] {
+        [
             self.memory_cap_longs,
             self.admitted_longs,
             self.peak_admitted_longs,
@@ -490,16 +405,17 @@ impl ServiceStats {
         ]
     }
 
-    fn decode(words: &[u64]) -> Result<Self, String> {
-        let mut c = Cursor::new(words);
+    fn decode(c: &mut WordReader<'_>) -> Result<Self, WireError> {
+        let [memory_cap_longs, admitted_longs, peak_admitted_longs, runs_executed, runs_cached, runs_cancelled, graphs_registered] =
+            c.array()?;
         Ok(ServiceStats {
-            memory_cap_longs: c.u()?,
-            admitted_longs: c.u()?,
-            peak_admitted_longs: c.u()?,
-            runs_executed: c.u()?,
-            runs_cached: c.u()?,
-            runs_cancelled: c.u()?,
-            graphs_registered: c.u()?,
+            memory_cap_longs,
+            admitted_longs,
+            peak_admitted_longs,
+            runs_executed,
+            runs_cached,
+            runs_cancelled,
+            graphs_registered,
         })
     }
 }
@@ -522,8 +438,8 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    fn encode(&self) -> Vec<u64> {
-        vec![
+    fn encode(&self) -> [u64; 5] {
+        [
             u64::from(self.supersteps),
             self.transfer_longs,
             self.peak_resident_longs,
@@ -532,13 +448,15 @@ impl RunSummary {
         ]
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<Self, String> {
+    fn decode(c: &mut WordReader<'_>) -> Result<Self, WireError> {
+        let [supersteps, transfer_longs, peak_resident_longs, estimated_longs, measured_longs] =
+            c.array()?;
         Ok(RunSummary {
-            supersteps: c.u()? as u32,
-            transfer_longs: c.u()?,
-            peak_resident_longs: c.u()?,
-            estimated_longs: c.u()?,
-            measured_longs: c.u()?,
+            supersteps: supersteps as u32,
+            transfer_longs,
+            peak_resident_longs,
+            estimated_longs,
+            measured_longs,
         })
     }
 }
@@ -743,9 +661,9 @@ impl Drop for EulerService {
 // ---------------------------------------------------------------------------
 
 fn send_error(conn: &dyn Connection, code: u64, message: &str) -> Result<(), FrameError> {
-    let mut words = vec![code];
-    push_str(&mut words, message);
-    conn.send(frame_kind::ERROR, &words_to_bytes(&words))
+    let mut words = WordWriter::from_words(&[code]);
+    words.str(message);
+    conn.send(frame_kind::ERROR, words.as_bytes())
 }
 
 /// Serves one client connection to completion. Payload-level failures are
@@ -765,7 +683,7 @@ fn serve_connection(inner: &Arc<ServiceInner>, conn: &dyn Connection) {
             frame_kind::REGISTER => handle_register(inner, conn, &payload),
             frame_kind::RUN => handle_run(inner, conn, &payload),
             frame_kind::STATS => {
-                conn.send(frame_kind::STATS_REPLY, &words_to_bytes(&inner.stats().encode()))
+                conn.send_words(frame_kind::STATS_REPLY, &inner.stats().encode())
             }
             // CANCEL with no run in flight is an idempotent no-op.
             frame_kind::CANCEL => conn.send(frame_kind::CANCELLED, &[]),
@@ -784,14 +702,14 @@ fn handle_register(
     conn: &dyn Connection,
     payload: &[u8],
 ) -> Result<(), FrameError> {
-    let path = match bytes_to_words(payload).and_then(|w| read_str(&mut Cursor::new(&w))) {
+    let path = match WordReader::new(payload).and_then(|mut r| r.str()) {
         Ok(path) => path,
-        Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e),
+        Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e.to_string()),
     };
     match inner.registry.register(&path) {
-        Ok(graph) => conn.send(
+        Ok(graph) => conn.send_words(
             frame_kind::REGISTERED,
-            &words_to_bytes(&[graph.checksum, graph.num_vertices(), graph.num_edges()]),
+            &[graph.checksum, graph.num_vertices(), graph.num_edges()],
         ),
         Err(e) => send_error(conn, error_code::REGISTER_FAILED, &e.to_string()),
     }
@@ -807,9 +725,9 @@ fn handle_run(
     conn: &dyn Connection,
     payload: &[u8],
 ) -> Result<(), FrameError> {
-    let (checksum, opts) = match bytes_to_words(payload).and_then(|w| decode_run(&w)) {
+    let (checksum, opts) = match decode_run(payload) {
         Ok(req) => req,
-        Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e),
+        Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e.to_string()),
     };
     let Some(graph) = inner.registry.get(checksum) else {
         return send_error(
@@ -821,7 +739,7 @@ fn handle_run(
     let key: CacheKey = (checksum, opts);
     if let Some(circuit) = inner.cached(&key) {
         inner.runs_cached.fetch_add(1, Ordering::Relaxed);
-        conn.send(frame_kind::ACCEPTED, &words_to_bytes(&[0, 1]))?;
+        conn.send_words(frame_kind::ACCEPTED, &[0, 1])?;
         return stream_result(conn, &circuit, inner.config.chunk_steps);
     }
 
@@ -847,7 +765,7 @@ fn handle_run(
         match rx.recv_timeout(Duration::from_millis(2)) {
             Ok(ComputeEvent::Admitted { longs }) => {
                 if !client_gone
-                    && conn.send(frame_kind::ACCEPTED, &words_to_bytes(&[longs, 0])).is_err()
+                    && conn.send_words(frame_kind::ACCEPTED, &[longs, 0]).is_err()
                 {
                     client_gone = true;
                 }
@@ -862,7 +780,7 @@ fn handle_run(
         if !client_gone && progress != last_progress && progress.1 > 0 {
             last_progress = progress;
             let words = [u64::from(progress.0), u64::from(progress.1)];
-            if conn.send(frame_kind::PROGRESS, &words_to_bytes(&words)).is_err() {
+            if conn.send_words(frame_kind::PROGRESS, &words).is_err() {
                 client_gone = true;
             }
         }
@@ -884,7 +802,7 @@ fn handle_run(
     }
     match finished {
         Ok((circuit, summary)) => {
-            conn.send(frame_kind::REPORT, &words_to_bytes(&summary.encode()))?;
+            conn.send_words(frame_kind::REPORT, &summary.encode())?;
             stream_result(conn, &circuit, inner.config.chunk_steps)
         }
         Err(EulerError::Cancelled) => conn.send(frame_kind::CANCELLED, &[]),
@@ -979,22 +897,19 @@ fn stream_result(
     chunk_steps: usize,
 ) -> Result<(), FrameError> {
     let chunk_steps = chunk_steps.max(1);
+    // One payload buffer for every chunk of the stream.
+    let mut words = WordWriter::with_capacity(3 + 3 * chunk_steps);
     for (circuit_idx, circuit) in result.circuits.iter().enumerate() {
         for (chunk_idx, chunk) in circuit.chunks(chunk_steps).enumerate() {
-            let mut words = Vec::with_capacity(3 + 3 * chunk.len());
-            words.push(circuit_idx as u64);
-            words.push((chunk_idx * chunk_steps) as u64);
-            words.push(chunk.len() as u64);
+            words.clear();
+            words.words(&[circuit_idx as u64, (chunk_idx * chunk_steps) as u64, chunk.len() as u64]);
             for step in chunk {
-                words.extend_from_slice(&[step.edge.0, step.from.0, step.to.0]);
+                words.words(&[step.edge.0, step.from.0, step.to.0]);
             }
-            conn.send(frame_kind::CHUNK, &words_to_bytes(&words))?;
+            conn.send(frame_kind::CHUNK, words.as_bytes())?;
         }
     }
-    conn.send(
-        frame_kind::DONE,
-        &words_to_bytes(&[result.circuits.len() as u64, result.total_edges()]),
-    )
+    conn.send_words(frame_kind::DONE, &[result.circuits.len() as u64, result.total_edges()])
 }
 
 // ---------------------------------------------------------------------------
@@ -1107,8 +1022,8 @@ pub struct RunOutcome {
     pub summary: Option<RunSummary>,
 }
 
-fn decode_event(kind: u16, words: &[u64]) -> Result<RunEvent, ServiceError> {
-    let mut c = Cursor::new(words);
+fn decode_event(kind: u16, payload: &[u8]) -> Result<RunEvent, ServiceError> {
+    let mut c = WordReader::new(payload)?;
     let event = match kind {
         frame_kind::ACCEPTED => {
             RunEvent::Accepted { admitted_longs: c.u()?, cached: c.u()? != 0 }
@@ -1118,14 +1033,12 @@ fn decode_event(kind: u16, words: &[u64]) -> Result<RunEvent, ServiceError> {
         }
         frame_kind::REPORT => RunEvent::Report(RunSummary::decode(&mut c)?),
         frame_kind::CHUNK => {
-            let circuit = c.u()? as usize;
-            let base = c.u()?;
-            let count = c.u()? as usize;
-            let mut steps = Vec::with_capacity(c.cap(count.saturating_mul(3)) / 3);
+            let [circuit, base] = c.array()?;
+            let circuit = circuit as usize;
+            let count = c.count()?;
+            let mut steps = Vec::with_capacity(c.cap(count, 3));
             for _ in 0..count {
-                let &[edge, from, to] = c.take(3)? else {
-                    return Err(ServiceError::Protocol("chunk step: expected 3 words".into()));
-                };
+                let [edge, from, to] = c.array()?;
                 steps.push(CircuitStep {
                     edge: EdgeId(edge),
                     from: VertexId(from),
@@ -1144,15 +1057,15 @@ fn decode_event(kind: u16, words: &[u64]) -> Result<RunEvent, ServiceError> {
     Ok(event)
 }
 
-fn decode_remote_error(c: &mut Cursor<'_>) -> ServiceError {
+fn decode_remote_error(c: &mut WordReader<'_>) -> ServiceError {
     let code = c.u().unwrap_or(0);
-    let message = read_str(c).unwrap_or_else(|_| "<unreadable error message>".into());
+    let message = c.str().unwrap_or_else(|_| "<unreadable error message>".into());
     ServiceError::Remote { code, message }
 }
 
-impl From<String> for ServiceError {
-    fn from(msg: String) -> Self {
-        ServiceError::Protocol(msg)
+impl From<WireError> for ServiceError {
+    fn from(e: WireError) -> Self {
+        ServiceError::Protocol(e.to_string())
     }
 }
 
@@ -1182,9 +1095,8 @@ impl ServiceClient {
         self
     }
 
-    fn recv(&self) -> Result<(u16, Vec<u64>), ServiceError> {
-        let (kind, bytes) = self.conn.recv_timeout(Some(self.recv_timeout))?;
-        Ok((kind, bytes_to_words(&bytes)?))
+    fn recv(&self) -> Result<(u16, Vec<u8>), ServiceError> {
+        Ok(self.conn.recv_timeout(Some(self.recv_timeout))?)
     }
 
     /// Registers the `.ecsr` file at `path` (a path on the *server's*
@@ -1194,17 +1106,16 @@ impl ServiceClient {
     /// [`ServiceError::Remote`] with [`error_code::REGISTER_FAILED`] when
     /// the server cannot open or verify the file.
     pub fn register(&self, path: &str) -> Result<GraphInfo, ServiceError> {
-        let mut words = Vec::new();
-        push_str(&mut words, path);
-        self.conn.send(frame_kind::REGISTER, &words_to_bytes(&words))?;
-        let (kind, words) = self.recv()?;
-        let mut c = Cursor::new(&words);
+        let mut words = WordWriter::new();
+        words.str(path);
+        self.conn.send(frame_kind::REGISTER, words.as_bytes())?;
+        let (kind, payload) = self.recv()?;
+        let mut c = WordReader::new(&payload)?;
         match kind {
-            frame_kind::REGISTERED => Ok(GraphInfo {
-                checksum: c.u()?,
-                num_vertices: c.u()?,
-                num_edges: c.u()?,
-            }),
+            frame_kind::REGISTERED => {
+                let [checksum, num_vertices, num_edges] = c.array()?;
+                Ok(GraphInfo { checksum, num_vertices, num_edges })
+            }
             frame_kind::ERROR => Err(decode_remote_error(&mut c)),
             other => Err(ServiceError::Protocol(format!(
                 "expected REGISTERED, got frame kind {other:#x}"
@@ -1219,7 +1130,7 @@ impl ServiceClient {
     /// # Errors
     /// [`ServiceError::Transport`] when the request cannot be sent.
     pub fn start_run(&self, checksum: u64, opts: RunOptions) -> Result<(), ServiceError> {
-        self.conn.send(frame_kind::RUN, &words_to_bytes(&encode_run(checksum, &opts)))?;
+        self.conn.send_words(frame_kind::RUN, &encode_run(checksum, &opts))?;
         Ok(())
     }
 
@@ -1229,8 +1140,8 @@ impl ServiceClient {
     /// [`ServiceError::Remote`] for typed server failures,
     /// [`ServiceError::Transport`] for transport failures/timeouts.
     pub fn next_event(&self) -> Result<RunEvent, ServiceError> {
-        let (kind, words) = self.recv()?;
-        decode_event(kind, &words)
+        let (kind, payload) = self.recv()?;
+        decode_event(kind, &payload)
     }
 
     /// Asks the server to cancel the in-flight run. The stream then ends
@@ -1285,10 +1196,11 @@ impl ServiceClient {
     /// reply cannot be obtained or decoded.
     pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
         self.conn.send(frame_kind::STATS, &[])?;
-        let (kind, words) = self.recv()?;
+        let (kind, payload) = self.recv()?;
+        let mut c = WordReader::new(&payload)?;
         match kind {
-            frame_kind::STATS_REPLY => Ok(ServiceStats::decode(&words)?),
-            frame_kind::ERROR => Err(decode_remote_error(&mut Cursor::new(&words))),
+            frame_kind::STATS_REPLY => Ok(ServiceStats::decode(&mut c)?),
+            frame_kind::ERROR => Err(decode_remote_error(&mut c)),
             other => Err(ServiceError::Protocol(format!(
                 "expected STATS_REPLY, got frame kind {other:#x}"
             ))),
@@ -1307,8 +1219,8 @@ mod tests {
             RunOptions { partitions: 32, strategy: MergeStrategy::Deferred, partitioner: PartitionerKind::Ldg },
             RunOptions { partitions: 1, strategy: MergeStrategy::Deduplicated, partitioner: PartitionerKind::Hash },
         ] {
-            let words = encode_run(0xDEAD_BEEF, &opts);
-            let (checksum, back) = decode_run(&words).unwrap();
+            let words = WordWriter::from_words(&encode_run(0xDEAD_BEEF, &opts));
+            let (checksum, back) = decode_run(words.as_bytes()).unwrap();
             assert_eq!(checksum, 0xDEAD_BEEF);
             assert_eq!(back, opts);
         }
@@ -1316,12 +1228,14 @@ mod tests {
 
     #[test]
     fn malformed_run_payloads_yield_typed_errors_not_panics() {
-        assert!(decode_run(&[]).is_err());
-        assert!(decode_run(&[1, 2]).is_err());
-        assert!(decode_run(&[9, 0, 0, 0]).is_err(), "zero partitions rejected");
-        assert!(decode_run(&[9, 4, 99, 0]).is_err(), "unknown strategy rejected");
-        assert!(decode_run(&[9, 4, 0, 99]).is_err(), "unknown partitioner rejected");
-        assert!(decode_run(&[9, u64::MAX, 0, 0]).is_err(), "partition overflow rejected");
+        let run = |words: &[u64]| decode_run(WordWriter::from_words(words).as_bytes());
+        assert!(run(&[]).is_err());
+        assert!(run(&[1, 2]).is_err());
+        assert!(run(&[9, 0, 0, 0]).is_err(), "zero partitions rejected");
+        assert!(run(&[9, 4, 99, 0]).is_err(), "unknown strategy rejected");
+        assert!(run(&[9, 4, 0, 99]).is_err(), "unknown partitioner rejected");
+        assert!(run(&[9, u64::MAX, 0, 0]).is_err(), "partition overflow rejected");
+        assert!(run(&[9, 4, 0, 0]).is_ok());
     }
 
     #[test]
@@ -1347,22 +1261,35 @@ mod tests {
         ] {
             for len in 0..16 {
                 let words: Vec<u64> = (0..len).map(|_| rand()).collect();
-                let _ = decode_event(kinds, &words);
+                let _ = decode_event(kinds, WordWriter::from_words(&words).as_bytes());
             }
         }
         // Odd byte payloads fail word alignment with a typed error.
-        assert!(bytes_to_words(&[1, 2, 3]).is_err());
+        assert!(matches!(
+            decode_event(frame_kind::DONE, &[1, 2, 3]),
+            Err(ServiceError::Protocol(_))
+        ));
     }
 
     #[test]
     fn strings_roundtrip_and_reject_truncation() {
-        let mut words = Vec::new();
-        push_str(&mut words, "graphs/torus.ecsr");
-        let back = read_str(&mut Cursor::new(&words)).unwrap();
-        assert_eq!(back, "graphs/torus.ecsr");
-        // Declared length beyond the payload is a typed error.
-        let truncated = [100u64, 0x6162_6364];
-        assert!(read_str(&mut Cursor::new(&truncated)).is_err());
+        // The protocol's strings are ERROR messages and REGISTER paths.
+        let mut words = WordWriter::from_words(&[error_code::RUN_FAILED]);
+        words.str("graphs/torus.ecsr is not Eulerian");
+        let Err(ServiceError::Remote { code, message }) =
+            decode_event(frame_kind::ERROR, words.as_bytes())
+        else {
+            panic!("an ERROR frame decodes to a remote error");
+        };
+        assert_eq!((code, message.as_str()), (error_code::RUN_FAILED, "graphs/torus.ecsr is not Eulerian"));
+        // Declared length beyond the payload degrades to a placeholder.
+        let truncated = WordWriter::from_words(&[error_code::RUN_FAILED, 100, 0x6162_6364]);
+        let Err(ServiceError::Remote { message, .. }) =
+            decode_event(frame_kind::ERROR, truncated.as_bytes())
+        else {
+            panic!("an ERROR frame decodes to a remote error");
+        };
+        assert_eq!(message, "<unreadable error message>");
     }
 
     #[test]
@@ -1430,8 +1357,11 @@ mod tests {
             runs_cancelled: 6,
             graphs_registered: 7,
         };
-        assert_eq!(ServiceStats::decode(&stats.encode()).unwrap(), stats);
-        assert!(ServiceStats::decode(&[1, 2]).is_err());
+        let words = WordWriter::from_words(&stats.encode());
+        let mut c = WordReader::new(words.as_bytes()).unwrap();
+        assert_eq!(ServiceStats::decode(&mut c).unwrap(), stats);
+        let short = WordWriter::from_words(&[1, 2]);
+        assert!(ServiceStats::decode(&mut WordReader::new(short.as_bytes()).unwrap()).is_err());
         let summary = RunSummary {
             supersteps: 3,
             transfer_longs: 10,
@@ -1439,6 +1369,8 @@ mod tests {
             estimated_longs: 30,
             measured_longs: 40,
         };
-        assert_eq!(RunSummary::decode(&mut Cursor::new(&summary.encode())).unwrap(), summary);
+        let words = WordWriter::from_words(&summary.encode());
+        let mut c = WordReader::new(words.as_bytes()).unwrap();
+        assert_eq!(RunSummary::decode(&mut c).unwrap(), summary);
     }
 }

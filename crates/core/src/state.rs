@@ -81,7 +81,7 @@ impl VertexTypeCounts {
 }
 
 /// The in-memory state of one (possibly merged) partition at one level.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkingPartition {
     /// Current partition id (the id of the merge-tree parent representing it).
     pub id: PartitionId,
