@@ -6,18 +6,11 @@
 //!    (`euler_core::phase1::reference::run_phase1_reference`, the "before")
 //!    against the dense CSR-arena kernel (`euler_core::phase1::run_phase1`,
 //!    the "after") over single partitions up to 1M+ local edges.
-//! 2. **Intra-partition parallel** — the sequential dense kernel on a
-//!    reused [`Phase1Arena`] against the deterministic wave-speculation
-//!    walker (`run_phase1_parallel`, 8 threads) on the same workloads, plus
-//!    the allocation-churn saving of arena reuse itself (fresh-allocation
-//!    `run_phase1` vs `run_phase1_with_arena`). The walker's output must be
-//!    bit-identical to sequential, and an untimed full-content pass asserts
-//!    exactly that (ids, kinds, edges, residual coarse edges) on every
-//!    workload. **Note:** the parallel speedup is only
-//!    observable on a multi-core host — `host_available_parallelism` is
-//!    recorded alongside the numbers.
+//! 2. **Splice storm** — the same two kernels on star-of-cycles workloads,
+//!    where ~k internal cycles splice into one pending fragment.
 //!
-//! Everything goes to `BENCH_phase1.json`.
+//! Both are single-threaded kernel rows; the host's parallelism is recorded
+//! for the record only. Everything goes to `BENCH_phase1.json`.
 //!
 //! Usage: `cargo run --release -p euler-bench --bin bench_phase1 [reps]`
 //! (default 5 repetitions; the minimum over reps is reported).
@@ -25,17 +18,13 @@
 use euler_bench::{round_robin_working_partitions, single_working_partition};
 use euler_core::fragment::FragmentStore;
 use euler_core::phase1::reference::run_phase1_reference;
-use euler_core::phase1::{run_phase1, run_phase1_parallel, run_phase1_with_arena};
-use euler_core::{Phase1Arena, WorkingPartition};
+use euler_core::phase1::run_phase1;
+use euler_core::WorkingPartition;
 use euler_gen::eulerize::eulerize;
 use euler_gen::rmat::RmatGenerator;
 use euler_gen::synthetic;
 use euler_metrics::json::Value;
 use std::time::Instant;
-
-/// Threads the parallel experiment requests (speedup requires the host to
-/// actually have them; the JSON records the host's parallelism).
-const PARALLEL_THREADS: usize = 8;
 
 /// Minimum wall time over `reps` runs of `kernel` across all partitions of
 /// the workload, and the fragment count of the last run (sanity check that
@@ -155,87 +144,6 @@ fn main() {
         ]));
     }
 
-    // --- Experiment 2: arena reuse + intra-partition parallel walker. -------
-    // The 1M-edge R-MAT configs are the headline: the 4-way round-robin
-    // split is boundary-heavy (many short OB-path walks — the shape the
-    // wave walker accelerates), the single partition is one giant spliced
-    // cycle (inherently sequential walk; the walker must degrade gracefully,
-    // never diverge).
-    let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let par_workloads: Vec<(&str, Vec<WorkingPartition>)> = vec![
-        ("rmat18_eulerized_4_partitions", round_robin_working_partitions(&rmat_1m, 4)),
-        ("rmat18_eulerized_1_partition", single_working_partition(&rmat_1m)),
-        ("torus_708x708_4_partitions", round_robin_working_partitions(&torus_1m, 4)),
-    ];
-    let mut par_rows = Vec::new();
-    for (name, template) in &par_workloads {
-        let local_edges: u64 = template.iter().map(|wp| wp.local_edges.len() as u64).sum();
-        let (alloc_s, alloc_frags) = time_kernel(template, reps, |wp, store| {
-            run_phase1(wp, store);
-        });
-        let mut seq_arena = Phase1Arena::new();
-        let (seq_s, seq_frags) = time_kernel(template, reps, |wp, store| {
-            run_phase1_with_arena(wp, store, &mut seq_arena);
-        });
-        let mut par_arena = Phase1Arena::new();
-        let (par_s, par_frags) = time_kernel(template, reps, |wp, store| {
-            run_phase1_parallel(wp, store, &mut par_arena, PARALLEL_THREADS);
-        });
-        assert_eq!(seq_frags, alloc_frags, "arena reuse must not change the fragment count");
-        assert_eq!(par_frags, seq_frags, "the wave walker must match the fragment count");
-        // Untimed full content check behind the JSON's bit-identity claim:
-        // every fragment of a parallel run equals the sequential one.
-        {
-            let mut seq_wps = template.to_vec();
-            let mut par_wps = template.to_vec();
-            let seq_store = FragmentStore::new();
-            let par_store = FragmentStore::new();
-            for wp in &mut seq_wps {
-                run_phase1_with_arena(wp, &seq_store, &mut seq_arena);
-            }
-            for wp in &mut par_wps {
-                run_phase1_parallel(wp, &par_store, &mut par_arena, PARALLEL_THREADS);
-            }
-            // Zero-copy comparison through `with_all` — `snapshot` would
-            // deep-clone both stores just to diff them.
-            seq_store.with_all(|seq_frags| {
-                par_store.with_all(|par_frags| {
-                    assert_eq!(par_frags.len(), seq_frags.len());
-                    for (p, s) in par_frags.iter().zip(seq_frags) {
-                        assert_eq!(p.id, s.id, "{name}: fragment ids diverged");
-                        assert_eq!(p.kind, s.kind, "{name}: fragment kinds diverged");
-                        assert_eq!(
-                            p.edges, s.edges,
-                            "{name}: the wave walker must match bit for bit"
-                        );
-                    }
-                })
-            });
-            assert_eq!(
-                seq_wps.iter().map(|w| w.local_edges.clone()).collect::<Vec<_>>(),
-                par_wps.iter().map(|w| w.local_edges.clone()).collect::<Vec<_>>(),
-                "{name}: residual coarse edges diverged"
-            );
-        }
-        let arena_speedup = alloc_s / seq_s;
-        let parallel_speedup = seq_s / par_s;
-        println!(
-            "{name}: {local_edges} local edges | fresh-alloc {alloc_s:.3}s | arena {seq_s:.3}s \
-             ({arena_speedup:.2}x) | parallel[{PARALLEL_THREADS}t] {par_s:.3}s ({parallel_speedup:.2}x)"
-        );
-        par_rows.push(Value::obj(vec![
-            ("workload", Value::str(*name)),
-            ("partitions", Value::Num(template.len() as f64)),
-            ("local_edges", Value::Num(local_edges as f64)),
-            ("fragments", Value::Num(par_frags as f64)),
-            ("fresh_alloc_seconds", Value::Num(alloc_s)),
-            ("sequential_arena_seconds", Value::Num(seq_s)),
-            ("parallel_seconds", Value::Num(par_s)),
-            ("arena_reuse_speedup", Value::Num(arena_speedup)),
-            ("parallel_speedup", Value::Num(parallel_speedup)),
-        ]));
-    }
-
     let doc = Value::obj(vec![
         ("experiment", Value::str("phase1_dense_vs_reference")),
         (
@@ -246,6 +154,10 @@ fn main() {
             ),
         ),
         ("repetitions", Value::Num(reps as f64)),
+        (
+            "host_available_parallelism",
+            Value::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+        ),
         ("results", Value::Arr(rows)),
         (
             "splice_storm",
@@ -262,26 +174,6 @@ fn main() {
                 ),
                 ("repetitions", Value::Num(reps as f64)),
                 ("results", Value::Arr(storm_rows)),
-            ]),
-        ),
-        (
-            "parallel",
-            Value::obj(vec![
-                ("experiment", Value::str("phase1_intra_partition_parallel")),
-                (
-                    "description",
-                    Value::str(
-                        "Sequential dense kernel on a reused Phase1Arena vs the deterministic \
-                         wave-speculation walker (run_phase1_parallel) at the requested thread \
-                         count, plus the arena-reuse saving over fresh allocation; minimum over \
-                         repetitions. Outputs are asserted bit-identical. Parallel speedup \
-                         requires host_available_parallelism >= requested threads.",
-                    ),
-                ),
-                ("requested_threads", Value::Num(PARALLEL_THREADS as f64)),
-                ("host_available_parallelism", Value::Num(host_threads as f64)),
-                ("repetitions", Value::Num(reps as f64)),
-                ("results", Value::Arr(par_rows)),
             ]),
         ),
     ]);

@@ -30,7 +30,6 @@
 
 use euler_core::{
     run_on_partitioned, run_with_backend, EulerConfig, EulerPipeline, InProcessBackend,
-    Parallelism,
 };
 use euler_gen::eulerize::eulerize;
 use euler_gen::rmat::RmatGenerator;
@@ -77,31 +76,16 @@ fn bench_workload(name: &str, g: &Graph, assignment: &PartitionAssignment, reps:
     let (builder_s, builder_edges) = time_runs(reps, || {
         pipeline.run().unwrap().circuit.result.total_edges()
     });
-    // The deterministic intra-partition walker through the same builder: its
-    // win lives on the narrow top levels (and multi-core hosts); here it is
-    // recorded so regressions in the mode's plumbing overhead show up.
-    let intra_pipeline = EulerPipeline::builder()
-        .graph(g)
-        .assignment(assignment.clone())
-        .config(config.clone())
-        .backend(InProcessBackend::new().with_parallelism(Parallelism::IntraPartition).with_threads(8))
-        .build()
-        .unwrap();
-    let (intra_s, intra_edges) = time_runs(reps, || {
-        intra_pipeline.run().unwrap().circuit.result.total_edges()
-    });
 
     assert_eq!(direct_edges, mid_edges, "paths must cover the same edges");
     assert_eq!(direct_edges, builder_edges, "paths must cover the same edges");
-    assert_eq!(direct_edges, intra_edges, "paths must cover the same edges");
     // The builder and run_with_backend do the same work (Eulerian check +
     // partition-view build + walk); run_on_partitioned is the floor that
     // skips both graph-side steps.
     let overhead = builder_s / mid_s - 1.0;
     println!(
         "{name}: {} edges, {} parts | run_on_partitioned {direct_s:.3}s | \
-         run_with_backend {mid_s:.3}s | builder {builder_s:.3}s | builder overhead {:+.1}% | \
-         intra-parallel[8t] {intra_s:.3}s",
+         run_with_backend {mid_s:.3}s | builder {builder_s:.3}s | builder overhead {:+.1}%",
         g.num_edges(),
         assignment.num_partitions(),
         overhead * 100.0
@@ -114,7 +98,6 @@ fn bench_workload(name: &str, g: &Graph, assignment: &PartitionAssignment, reps:
         ("run_with_backend_seconds", Value::Num(mid_s)),
         ("pipeline_builder_seconds", Value::Num(builder_s)),
         ("builder_overhead_fraction", Value::Num(overhead)),
-        ("intra_parallel_8t_seconds", Value::Num(intra_s)),
     ])
 }
 
@@ -312,13 +295,11 @@ fn main() {
     // worker dies at superstep 1 and the fleet rolls back — timed against
     // each other, with bit-identity to the in-process run asserted in-bench.
     let rmat_assignment = LdgPartitioner::new(8).partition(&rmat);
-    // Sequential: bit-identity with a distributed run is promised against
-    // the sequential in-process walk, not a rayon-fanned one (which
-    // interleaves fragment ids across partitions on a multi-core host).
+    // The default in-process run — rayon fan-out — is the reference: the
+    // result does not depend on the schedule or the backend.
     let in_proc_reference = EulerPipeline::builder()
         .graph(&rmat)
         .assignment(rmat_assignment.clone())
-        .config(EulerConfig::default().sequential())
         .build()
         .unwrap()
         .run()
@@ -414,6 +395,10 @@ fn main() {
             ),
         ),
         ("repetitions", Value::Num(reps as f64)),
+        (
+            "host_available_parallelism",
+            Value::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+        ),
         ("results", Value::Arr(rows)),
         ("out_of_core", out_of_core),
         ("w_streaming", w_streaming),

@@ -38,13 +38,6 @@ pub struct BspConfig {
     pub cost_model: PlatformCostModel,
     /// Safety bound on the number of supersteps.
     pub max_supersteps: u32,
-    /// Compute threads each worker (simulated machine) may spend on one
-    /// partition's program, surfaced to programs as
-    /// [`crate::PartitionContext::worker_threads`]. `None` (default) leaves
-    /// the budget unspecified — programs fall back to their own policy;
-    /// `Some(1)` explicitly models single-core executors (programs must not
-    /// parallelise internally); larger values model multi-core executors.
-    pub worker_threads: Option<std::num::NonZeroUsize>,
 }
 
 impl Default for BspConfig {
@@ -53,7 +46,6 @@ impl Default for BspConfig {
             workers: WorkerCount::Fixed(std::num::NonZeroUsize::new(4).expect("non-zero")),
             cost_model: PlatformCostModel::zero(),
             max_supersteps: 10_000,
-            worker_threads: None,
         }
     }
 }
@@ -97,14 +89,6 @@ impl BspConfig {
     /// Sets the superstep bound.
     pub fn with_max_supersteps(mut self, n: u32) -> Self {
         self.max_supersteps = n;
-        self
-    }
-
-    /// Sets the per-worker compute-thread budget (see
-    /// [`BspConfig::worker_threads`]). `0` restores the unspecified
-    /// default.
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.worker_threads = std::num::NonZeroUsize::new(threads);
         self
     }
 }
@@ -243,7 +227,6 @@ impl<P: PartitionProgram> StepRun<P> {
             &mut self.inboxes,
             &self.halted,
             &self.placement,
-            self.config.worker_threads,
         );
         self.halted = outcome.halted;
         let num_partitions = self.states.len();
@@ -395,29 +378,6 @@ mod tests {
         let outcome = engine.run(&HaltNow, vec![(); 3]);
         assert_eq!(outcome.stats.num_workers, 3);
         assert_eq!(outcome.stats.num_supersteps(), 1);
-    }
-
-    #[test]
-    fn worker_threads_budget_reaches_the_context() {
-        /// Program that records the thread budget its context advertises.
-        struct SeeThreads;
-        impl PartitionProgram for SeeThreads {
-            type State = usize;
-            fn superstep(&self, ctx: &mut PartitionContext, state: &mut usize, _m: Vec<Envelope>) -> Vec<Envelope> {
-                *state = ctx.worker_threads.map(|n| n.get()).unwrap_or(0);
-                ctx.vote_to_halt();
-                vec![]
-            }
-        }
-        let engine = BspEngine::new(BspConfig::with_workers(2).with_worker_threads(4));
-        let outcome = engine.run(&SeeThreads, vec![0usize; 3]);
-        assert_eq!(outcome.states, vec![4, 4, 4]);
-        // An explicit 1 is distinguishable from the unspecified default
-        // (programs must honour "this machine is single-core").
-        let engine = BspEngine::new(BspConfig::with_workers(2).with_worker_threads(1));
-        assert_eq!(engine.run(&SeeThreads, vec![0usize; 2]).states, vec![1, 1]);
-        assert_eq!(BspConfig::default().worker_threads, None);
-        assert_eq!(BspConfig::with_workers(1).with_worker_threads(0).worker_threads, None);
     }
 
     #[test]

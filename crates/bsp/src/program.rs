@@ -19,13 +19,6 @@ pub struct PartitionContext {
     pub partition: u32,
     /// Worker hosting this partition.
     pub worker: WorkerId,
-    /// Compute threads this worker may spend on the partition's program
-    /// ([`crate::BspConfig::worker_threads`]). `None` means the engine
-    /// config left the budget unspecified (programs fall back to their own
-    /// policy); `Some(1)` explicitly models a single-core executor, which
-    /// programs with an internal parallel mode must honour by not
-    /// parallelising.
-    pub worker_threads: Option<std::num::NonZeroUsize>,
     halted: bool,
     timer: PhaseTimer,
     memory_longs: Option<u64>,
@@ -33,17 +26,11 @@ pub struct PartitionContext {
 
 impl PartitionContext {
     /// Creates a context (engine-internal).
-    pub(crate) fn new(
-        superstep: u32,
-        partition: u32,
-        worker: WorkerId,
-        worker_threads: Option<std::num::NonZeroUsize>,
-    ) -> Self {
+    pub(crate) fn new(superstep: u32, partition: u32, worker: WorkerId) -> Self {
         PartitionContext {
             superstep,
             partition,
             worker,
-            worker_threads,
             halted: false,
             timer: PhaseTimer::new(),
             memory_longs: None,
@@ -165,9 +152,8 @@ mod tests {
 
     #[test]
     fn partition_context_halt_and_memory() {
-        let mut ctx = PartitionContext::new(3, 1, WorkerId(0), std::num::NonZeroUsize::new(2));
+        let mut ctx = PartitionContext::new(3, 1, WorkerId(0));
         assert_eq!(ctx.superstep, 3);
-        assert_eq!(ctx.worker_threads, std::num::NonZeroUsize::new(2));
         assert!(!ctx.voted_to_halt());
         ctx.report_memory_longs(123);
         let out = ctx.time("phase1_tour", || 5);

@@ -54,7 +54,6 @@ pub(crate) fn execute_superstep<P: PartitionProgram>(
     inboxes: &mut [Vec<Envelope>],
     halted: &[bool],
     placement: &PartitionPlacement,
-    worker_threads: Option<std::num::NonZeroUsize>,
 ) -> SuperstepOutcome {
     let num_partitions = states.len();
     debug_assert_eq!(inboxes.len(), num_partitions);
@@ -91,8 +90,7 @@ pub(crate) fn execute_superstep<P: PartitionProgram>(
                 let mut out = Vec::with_capacity(tasks.len());
                 for task in tasks {
                     let mut state = task.state;
-                    let mut ctx =
-                        PartitionContext::new(superstep, task.partition, worker, worker_threads);
+                    let mut ctx = PartitionContext::new(superstep, task.partition, worker);
                     let t0 = Instant::now();
                     let outgoing = program.superstep(&mut ctx, &mut state, task.inbox);
                     let compute = t0.elapsed();
@@ -183,7 +181,7 @@ mod tests {
         let mut inboxes: Vec<Vec<Envelope>> = vec![vec![]; 4];
         let halted = vec![false; 4];
 
-        let outcome = execute_superstep(&program, 0, &mut states, &mut inboxes, &halted, &placement, None);
+        let outcome = execute_superstep(&program, 0, &mut states, &mut inboxes, &halted, &placement);
         assert_eq!(outcome.stats.active_partitions, 4);
         assert_eq!(outcome.outgoing.len(), 3);
         // Partition 2 is colocated with 0 (worker 0); partitions 1 and 3 are not.
@@ -203,7 +201,7 @@ mod tests {
         let mut states: Vec<Option<u64>> = vec![Some(0), Some(0)];
         let mut inboxes: Vec<Vec<Envelope>> = vec![vec![], vec![]];
         let halted = vec![true, true];
-        let outcome = execute_superstep(&program, 1, &mut states, &mut inboxes, &halted, &placement, None);
+        let outcome = execute_superstep(&program, 1, &mut states, &mut inboxes, &halted, &placement);
         assert_eq!(outcome.stats.active_partitions, 0);
         assert!(outcome.outgoing.is_empty());
     }
@@ -215,7 +213,7 @@ mod tests {
         let mut states: Vec<Option<u64>> = vec![Some(0), Some(0)];
         let mut inboxes: Vec<Vec<Envelope>> = vec![vec![Envelope::new(1, 0, 1, vec![1u8; 8])], vec![]];
         let halted = vec![true, true];
-        let outcome = execute_superstep(&program, 1, &mut states, &mut inboxes, &halted, &placement, None);
+        let outcome = execute_superstep(&program, 1, &mut states, &mut inboxes, &halted, &placement);
         assert_eq!(outcome.stats.active_partitions, 1);
         assert_eq!(states[0], Some(1)); // consumed one message
     }

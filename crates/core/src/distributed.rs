@@ -32,14 +32,13 @@
 //!
 //! ## Determinism & recovery invariant
 //!
-//! Fragments found by a worker carry **provisional ids** — bit 63 set, then
-//! `(superstep, slot, sequence)` — so their identity is independent of
-//! worker count, scheduling, and recovery history. At the last level the
-//! coordinator sorts all shipped fragments by provisional id (which equals
-//! the sequential in-process push order), densely renumbers them, and
-//! replays them into the pipeline's fragment store: a distributed run's
-//! circuit is bit-identical to the sequential in-process run, killed or
-//! not.
+//! A fragment's id is `(superstep, slot, sequence)` wherever it is found
+//! (see [`FragmentId`]), so its identity is independent of worker count,
+//! scheduling, and recovery history. At each committed barrier the
+//! coordinator moves the level's shipped fragments into the pipeline's
+//! fragment store under the ids they were found with, where they read
+//! exactly as an in-process level's do. A distributed run's circuit is
+//! bit-identical to the sequential in-process run, killed or not.
 //!
 //! After each superstep a worker persists its partition states (the wire
 //! codec) and that superstep's fragments (the spill record codec) to a
@@ -53,17 +52,13 @@
 use crate::error::EulerError;
 use crate::fragment::{
     decode_fragment, encode_fragment, fragment_record_words, Fragment, FragmentId, FragmentStore,
-    TourEdge,
 };
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
-use crate::phase1::{Parallelism, Phase1Executor};
+use crate::phase1::ArenaPool;
 use crate::phase2::merge_partitions;
-use crate::pipeline::{
-    active_memory_longs, level_threads, remote_needed_now, transfer_longs, wire, LevelOutcome,
-    LevelPartitionReport,
-};
-use crate::state::{EdgeRef, WorkingPartition};
+use crate::pipeline::{phase1_record, transfer_longs, wire, LevelOutcome, LevelPartitionReport};
+use crate::state::WorkingPartition;
 use euler_bsp::checkpoint::{
     checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError,
 };
@@ -73,40 +68,12 @@ use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{EngineStats, SuperstepStats};
 use euler_graph::PartitionId;
 use euler_metrics::TimeBreakdown;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------------
-// Provisional fragment identity.
-// ---------------------------------------------------------------------------
-
-/// Bit 63 marks a provisional (distributed) fragment id.
-const PROV_BIT: u64 = 1 << 63;
-const PROV_SS_SHIFT: u32 = 47; // 16 bits of superstep
-const PROV_SLOT_SHIFT: u32 = 27; // 20 bits of slot (partition id)
-const PROV_SEQ_MASK: u64 = (1 << PROV_SLOT_SHIFT) - 1; // 27 bits of sequence
-
-/// Provisional id of the `seq`-th fragment pushed by `slot` at `superstep`.
-/// Numeric order over provisional ids equals `(superstep, slot, seq)`
-/// lexicographic order — the sequential in-process push order.
-fn prov_id(superstep: u32, slot: u32, seq: u64) -> u64 {
-    debug_assert!(superstep < 1 << 16 && slot < 1 << 20 && seq <= PROV_SEQ_MASK);
-    PROV_BIT | ((superstep as u64) << PROV_SS_SHIFT) | ((slot as u64) << PROV_SLOT_SHIFT) | seq
-}
-
-/// Remaps a scratch-store id (dense, bit 63 clear) to its provisional id;
-/// ids that are already provisional (earlier supersteps) pass through.
-fn remap(id: FragmentId, superstep: u32, slot: u32) -> FragmentId {
-    if id.0 & PROV_BIT != 0 {
-        id
-    } else {
-        FragmentId(prov_id(superstep, slot, id.0))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Protocol messages over the shared word codec (`euler_bsp::wire`).
@@ -169,7 +136,21 @@ fn decode_tree(r: &mut WordReader<'_>) -> Result<MergeTree, WireError> {
     for _ in 0..n_leaves {
         leaves.push(PartitionId(r.u()? as u32));
     }
+    // Every (level, leaf) of the tree must be nameable by a fragment id.
+    if levels.len() as u64 >= FragmentId::MAX_LEVELS as u64
+        || leaves.iter().any(|l| l.0 >= FragmentId::MAX_PARTITIONS)
+    {
+        return Err(WireError::Invalid("merge tree exceeds the fragment id layout".into()));
+    }
     Ok(MergeTree { levels, root, leaves })
+}
+
+/// Refuses partition states the worker's merge tree has no slot for.
+fn check_slots(tree: &MergeTree, states: &[WorkingPartition]) -> Result<(), WireError> {
+    match states.iter().find(|wp| !tree.leaves.contains(&wp.id)) {
+        Some(wp) => Err(WireError::Invalid(format!("state of unknown partition {}", wp.id.0))),
+        None => Ok(()),
+    }
 }
 
 /// Appends a state list — `[n, n × (len, state record)]` — the body of
@@ -217,9 +198,6 @@ struct InitHead {
     worker_id: u32,
     num_workers: u32,
     strategy: MergeStrategy,
-    par_mode: Parallelism,
-    phase1_threads: usize,
-    worker_threads: usize, // 0 = unset
     heartbeat_interval: Duration,
     kill: Option<(u32, u32)>,
     kill_mode: KillMode,
@@ -237,13 +215,6 @@ fn encode_init_head(m: &InitHead) -> WordWriter {
             MergeStrategy::Deduplicated => 1,
             MergeStrategy::Deferred => 2,
         },
-        match m.par_mode {
-            Parallelism::PerPartition => 0,
-            Parallelism::IntraPartition => 1,
-            Parallelism::Auto => 2,
-        },
-        m.phase1_threads as u64,
-        m.worker_threads as u64,
         m.heartbeat_interval.as_nanos() as u64,
     ]);
     match m.kill {
@@ -267,7 +238,7 @@ fn encode_init_head(m: &InitHead) -> WordWriter {
 
 fn decode_init(payload: &[u8]) -> Result<(InitHead, Vec<WorkingPartition>), WireError> {
     let mut r = WordReader::new(payload)?;
-    let [worker_id, num_workers, strategy, par_mode, phase1_threads, worker_threads, heartbeat_ns, kill_flag, kill_w, kill_s, kill_mode, has_dir] =
+    let [worker_id, num_workers, strategy, heartbeat_ns, kill_flag, kill_w, kill_s, kill_mode, has_dir] =
         r.array()?;
     let strategy = match strategy {
         0 => MergeStrategy::Duplicated,
@@ -275,27 +246,20 @@ fn decode_init(payload: &[u8]) -> Result<(InitHead, Vec<WorkingPartition>), Wire
         2 => MergeStrategy::Deferred,
         t => return Err(WireError::Invalid(format!("unknown merge strategy tag {t}"))),
     };
-    let par_mode = match par_mode {
-        0 => Parallelism::PerPartition,
-        1 => Parallelism::IntraPartition,
-        2 => Parallelism::Auto,
-        t => return Err(WireError::Invalid(format!("unknown parallelism tag {t}"))),
-    };
     let checkpoint_dir = if has_dir != 0 { Some(PathBuf::from(r.str()?)) } else { None };
     let head = InitHead {
         worker_id: worker_id as u32,
         num_workers: num_workers as u32,
         strategy,
-        par_mode,
-        phase1_threads: phase1_threads as usize,
-        worker_threads: worker_threads as usize,
         heartbeat_interval: Duration::from_nanos(heartbeat_ns),
         kill: (kill_flag != 0).then_some((kill_w as u32, kill_s as u32)),
         kill_mode: if kill_mode == 0 { KillMode::Exit } else { KillMode::Stall },
         checkpoint_dir,
         tree: Arc::new(decode_tree(&mut r)?),
     };
-    Ok((head, decode_states(&mut r)?))
+    let seeds = decode_states(&mut r)?;
+    check_slots(&head.tree, &seeds)?;
+    Ok((head, seeds))
 }
 
 fn decode_start(payload: &[u8]) -> Result<(u32, Vec<WorkingPartition>), WireError> {
@@ -312,7 +276,7 @@ fn decode_start(payload: &[u8]) -> Result<(u32, Vec<WorkingPartition>), WireErro
 /// ```text
 /// reports    [superstep, n_reports, n_reports × 19 report words]
 /// outgoing   [n_out, n_out × (destination, len, state record)]
-/// fragments  [n_frags, n_frags × (provisional id, len, fragment record)]
+/// fragments  [n_frags, n_frags × (id, len, fragment record)]
 /// tail       [transfer_longs, checkpoint_longs]
 /// ```
 struct DoneWriter {
@@ -376,13 +340,12 @@ impl DoneWriter {
         encode_state(&mut self.outgoing, wp);
     }
 
-    /// Records a fragment found this level under its provisional `id`,
-    /// rewriting its virtual references through `remap` on the way out.
-    fn fragment(&mut self, id: FragmentId, f: &Fragment, remap: impl Fn(FragmentId) -> FragmentId) {
+    /// Records a fragment found this level.
+    fn fragment(&mut self, f: &Fragment) {
         self.n_frags += 1;
         self.fragments.set(0, self.n_frags);
-        self.fragments.words(&[id.0, fragment_record_words(f.edges.len()) as u64]);
-        encode_fragment(f, &mut self.fragments, remap);
+        self.fragments.words(&[f.id.0, fragment_record_words(f.edges.len()) as u64]);
+        encode_fragment(f, &mut self.fragments);
     }
 
     /// Sends the message as its part list.
@@ -418,8 +381,8 @@ struct DoneMsg {
     /// `(destination partition, its `(len, state record)` entry)` ships —
     /// each range is a ready-made entry of the next Start's state list.
     outgoing: Vec<(u32, Blob)>,
-    /// The fragment list, structurally checked; decoded at
-    /// [`DistRun::flush_fragments`].
+    /// The fragment list, structurally checked; decoded when the barrier
+    /// commits ([`adopt_fragments`]).
     fragments: Blob,
     transfer_longs: u64,
     checkpoint_longs: u64,
@@ -486,39 +449,16 @@ fn decode_done(payload: Arc<Vec<u8>>) -> Result<DoneMsg, WireError> {
     })
 }
 
-/// Decodes committed fragment lists into fragments in deterministic order:
-/// sorted by provisional id (= the sequential push order), densely
-/// renumbered, every virtual reference rewritten.
-fn decode_committed(lists: &[Blob]) -> Result<Vec<Fragment>, EulerError> {
+/// Moves a committed fragment list into `store` under the ids the fragments
+/// were found with. The store refuses an id that is not the next of its
+/// `(level, partition)` and a virtual edge that references nothing.
+fn adopt_fragments(list: &Blob, store: &FragmentStore) -> Result<(), EulerError> {
     let bad = |e: WireError| EulerError::Distributed(format!("committed fragment list: {e}"));
-    let mut all: Vec<(u64, WordReader<'_>)> = Vec::new();
-    for list in lists {
-        let mut r = WordReader::new(list.bytes()).map_err(bad)?;
-        for_each_fragment(&mut r, |id, record| {
-            all.push((id, record));
-            Ok(())
-        })
-        .map_err(bad)?;
-    }
-    all.sort_by_key(|(id, _)| *id);
-    let dense: HashMap<u64, u64> =
-        all.iter().enumerate().map(|(i, (id, _))| (*id, i as u64)).collect();
-    let mut fragments = Vec::with_capacity(all.len());
-    for (i, (id, mut record)) in all.into_iter().enumerate() {
-        let mut f = decode_fragment(FragmentId(i as u64), &mut record).map_err(bad)?;
-        for e in &mut f.edges {
-            if let TourEdge::Virtual { fragment, .. } = e {
-                *fragment = FragmentId(*dense.get(&fragment.0).ok_or_else(|| {
-                    EulerError::Distributed(format!(
-                        "fragment {id:#x} references unknown fragment {:#x}",
-                        fragment.0
-                    ))
-                })?);
-            }
-        }
-        fragments.push(f);
-    }
-    Ok(fragments)
+    let mut r = WordReader::new(list.bytes()).map_err(bad)?;
+    for_each_fragment(&mut r, |id, mut record| {
+        store.adopt(decode_fragment(FragmentId(id), &mut record)?).map_err(WireError::Invalid)
+    })
+    .map_err(bad)
 }
 
 // ---------------------------------------------------------------------------
@@ -538,16 +478,14 @@ struct WorkerState {
     init: InitHead,
     /// Active partition states, keyed by slot (= partition id).
     slots: BTreeMap<u32, WorkingPartition>,
-    executor: Phase1Executor,
+    pool: ArenaPool,
     kill_consumed: bool,
 }
 
 impl WorkerState {
     fn build(init: InitHead, seeds: Vec<WorkingPartition>) -> Self {
         let slots = seeds.into_iter().map(|wp| (wp.id.0, wp)).collect();
-        let executor =
-            Phase1Executor::new(init.par_mode).with_threads(init.phase1_threads);
-        WorkerState { init, slots, executor, kill_consumed: false }
+        WorkerState { init, slots, pool: ArenaPool::new(), kill_consumed: false }
     }
 
     /// Writes the checkpoint entering `superstep`: the slot states, then
@@ -639,58 +577,16 @@ impl WorkerState {
                 wp = merged;
             }
 
-            // --- Phase 1 on a fresh scratch store. -----------------------
-            let memory = active_memory_longs(&wp, &tree, level, strategy);
-            let needed_now = remote_needed_now(&wp, &tree, level);
-            let budget = if self.init.worker_threads > 0 {
-                self.init.worker_threads
-            } else {
-                self.executor.resolved_threads()
-            };
-            let threads = level_threads(&self.executor, budget, &tree, level);
-            let scratch = FragmentStore::new();
-            let t1 = Instant::now();
-            let out = self.executor.run_with_threads(&mut wp, &scratch, threads);
-            let phase1_time = t1.elapsed();
-
-            // --- Remap scratch ids to provisional ids. -------------------
-            // New fragments were pushed with dense scratch ids 0..n; give
-            // them their (superstep, slot, seq) identity, and rewrite every
-            // reference to them (their own edges splice in same-batch ids,
-            // the partition's residual virtual edges point at them too) —
-            // the fragments' on their way into the Done payload.
-            let prov = |id| remap(id, level, slot);
-            scratch.with_all(|frags| {
-                for f in frags {
-                    done.fragment(prov(f.id), f, prov);
-                }
+            // --- Phase 1, its fragments straight into the Done payload. ---
+            // The slot's store hands out the same `(level, slot, seq)` ids a
+            // shared store would, so nothing is renumbered on the way out.
+            let store = FragmentStore::new();
+            let mut report = phase1_record(&mut wp, &tree, level, strategy, |wp| {
+                self.pool.run_phase1(wp, &store)
             });
-            for e in &mut wp.local_edges {
-                if let EdgeRef::Virtual(id) = &mut e.edge {
-                    *id = prov(*id);
-                }
-            }
-
-            done.report(
-                &LevelPartitionReport {
-                    level,
-                    partition: wp.id,
-                    counts: out.counts_before,
-                    complexity: out.complexity,
-                    phase1_time,
-                    merge_time,
-                    memory_longs: memory,
-                    remote_needed_now: needed_now,
-                    transfer_in_longs: transfer_in,
-                    paths_found: out.path_map.num_paths() as u64,
-                    cycles_found: out.path_map.num_cycles() as u64,
-                    internal_cycles_merged: out.path_map.internal_cycles_merged,
-                    splice_pivot_lookups: out.splice.pivot_lookups,
-                    splice_linked_splices: out.splice.linked_splices,
-                    splice_materialization_longs: out.splice.materialization_longs,
-                },
-                wp.memory_longs(),
-            );
+            (report.merge_time, report.transfer_in_longs) = (merge_time, transfer_in);
+            store.for_each(|f| done.fragment(f));
+            done.report(&report, wp.memory_longs());
 
             // --- Ship to the merge parent if this slot retires here. -----
             let retires = if level < height {
@@ -768,6 +664,10 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                     let st = state.as_mut().ok_or("Start before Init")?;
                     let (superstep, inbox) = decode_start(&payload)?;
                     drop(payload);
+                    if superstep > st.init.tree.height() {
+                        return Err(format!("Start of superstep {superstep} beyond the tree"));
+                    }
+                    check_slots(&st.init.tree, &inbox)?;
                     busy.store(true, Ordering::Relaxed);
                     if let Some((kw, ks)) = st.init.kill {
                         if kw == st.init.worker_id && ks == superstep && !st.kill_consumed {
@@ -870,9 +770,6 @@ pub(crate) struct DistConfig {
     pub checkpoint_dir: Option<PathBuf>,
     pub policy: FaultPolicy,
     pub plan: FaultPlan,
-    pub par_mode: Parallelism,
-    pub phase1_threads: usize,
-    pub worker_threads: usize,
 }
 
 enum Event {
@@ -907,9 +804,6 @@ pub(crate) struct DistRun {
     /// the Done payloads they arrived in — retained until the barrier
     /// commits so they can be re-delivered after a rollback.
     inbox: Vec<Vec<Blob>>,
-    /// Fragment lists committed per superstep (barrier-complete only), one
-    /// per worker, still inside the Done payloads they arrived in.
-    committed_frags: BTreeMap<u32, Vec<Blob>>,
     /// Dones collected by the in-flight barrier (filled by `wait_barrier`,
     /// consumed by `run_superstep`).
     pending_dones: Vec<(u32, DoneMsg)>,
@@ -956,7 +850,6 @@ impl DistRun {
             events_tx,
             events_rx,
             inbox: vec![Vec::new(); num_workers],
-            committed_frags: BTreeMap::new(),
             pending_dones: Vec::new(),
             superstep_stats: Vec::new(),
             recovery: RecoveryStats::default(),
@@ -976,23 +869,11 @@ impl DistRun {
         Ok(run)
     }
 
-    /// Runs one merge level to completion (recovering as needed) and
-    /// returns its outcome.
-    pub fn step(&mut self, level: u32) -> Result<LevelOutcome, EulerError> {
-        self.run_superstep(level, true)
+    /// Runs one merge level to completion (recovering as needed), moves
+    /// its fragments into `store` and returns its outcome.
+    pub fn step(&mut self, level: u32, store: &FragmentStore) -> Result<LevelOutcome, EulerError> {
+        self.run_superstep(level, Some(store))
             .map(|o| o.expect("recorded superstep returns an outcome"))
-    }
-
-    /// Moves every committed fragment into `store` in deterministic order
-    /// (see [`decode_committed`]).
-    pub fn flush_fragments(&mut self, store: &FragmentStore) -> Result<(), EulerError> {
-        let lists: Vec<Blob> =
-            std::mem::take(&mut self.committed_frags).into_values().flatten().collect();
-        for (i, f) in decode_committed(&lists)?.into_iter().enumerate() {
-            let assigned = store.push(f);
-            debug_assert_eq!(assigned.0, i as u64);
-        }
-        Ok(())
     }
 
     /// Shuts the fleet down (Shutdown/Bye), reaps workers, removes the
@@ -1192,9 +1073,6 @@ impl DistRun {
             worker_id: w,
             num_workers: self.cfg.num_workers as u32,
             strategy: self.strategy,
-            par_mode: self.cfg.par_mode,
-            phase1_threads: self.cfg.phase1_threads,
-            worker_threads: self.cfg.worker_threads,
             heartbeat_interval: self.cfg.policy.heartbeat_interval,
             kill,
             kill_mode: match self.cfg.spawn {
@@ -1286,12 +1164,13 @@ impl DistRun {
         Err(last)
     }
 
-    /// Drives superstep `level` to a committed barrier. `record` is false
-    /// during full-restart replay (the walk already consumed those levels).
+    /// Drives superstep `level` to a committed barrier. `record` is the
+    /// walk's store, or `None` during full-restart replay (the walk already
+    /// consumed those levels, fragments included).
     fn run_superstep(
         &mut self,
         level: u32,
-        record: bool,
+        record: Option<&FragmentStore>,
     ) -> Result<Option<LevelOutcome>, EulerError> {
         loop {
             let t_level = Instant::now();
@@ -1327,7 +1206,7 @@ impl DistRun {
                     // Barrier complete: re-collect the Done set (stored by
                     // wait_barrier) and commit.
                     let dones = std::mem::take(&mut self.pending_dones);
-                    return Ok(self.commit(level, dones, record, t_level.elapsed()));
+                    return self.commit(level, dones, record, t_level.elapsed());
                 }
             }
             self.recover(level, &deaths)?;
@@ -1407,20 +1286,19 @@ impl DistRun {
     }
 
     /// Commits a completed barrier: routes shipped states into the next
-    /// superstep's inboxes, stores fragments, accounts stats, and (when
-    /// `record`) assembles the level outcome.
+    /// superstep's inboxes, accounts stats, and (when `record`ing) stores
+    /// the level's fragments and assembles the level outcome.
     fn commit(
         &mut self,
         level: u32,
         mut dones: Vec<(u32, DoneMsg)>,
-        record: bool,
+        record: Option<&FragmentStore>,
         wall: Duration,
-    ) -> Option<LevelOutcome> {
+    ) -> Result<Option<LevelOutcome>, EulerError> {
         dones.sort_by_key(|(w, _)| *w);
         let mut stats = SuperstepStats::new(level);
         stats.wall_time = wall;
         let mut next_inbox: Vec<Vec<Blob>> = vec![Vec::new(); self.cfg.num_workers];
-        let mut frags: Vec<Blob> = Vec::new();
         let mut outcome = LevelOutcome::default();
         for (w, done) in &mut dones {
             for (to, entry) in std::mem::take(&mut done.outgoing) {
@@ -1436,7 +1314,9 @@ impl DistRun {
                 }
                 next_inbox[dst].push(entry);
             }
-            frags.push(done.fragments.clone());
+            if let Some(store) = record {
+                adopt_fragments(&done.fragments, store)?;
+            }
             if done.checkpoint_longs > 0 {
                 self.recovery.checkpoints_written += 1;
                 self.recovery.checkpoint_longs_written += done.checkpoint_longs;
@@ -1455,14 +1335,11 @@ impl DistRun {
         outcome.reports.sort_by_key(|r| r.partition);
         stats.active_partitions = outcome.reports.len();
         stats.per_partition_compute.sort_by_key(|(p, _)| *p);
-        self.committed_frags.insert(level, frags);
         self.inbox = next_inbox;
-        if record {
+        Ok(record.map(|_| {
             self.superstep_stats.push(stats);
-            Some(outcome)
-        } else {
-            None
-        }
+            outcome
+        }))
     }
 
     /// Recovers from worker deaths detected during `level`: rollback +
@@ -1622,7 +1499,7 @@ impl DistRun {
         }
         self.inbox = vec![Vec::new(); self.cfg.num_workers];
         for ss in 0..level {
-            self.run_superstep(ss, false)?;
+            self.run_superstep(ss, None)?;
         }
         Ok(())
     }
@@ -1642,8 +1519,8 @@ fn owner(slot: u32, num_workers: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::FragmentKind;
-    use crate::state::{LocalEdge, RemoteRef};
+    use crate::fragment::{FragmentKind, TourEdge};
+    use crate::state::{EdgeRef, LocalEdge, RemoteRef};
     use euler_bsp::MemTransport;
     use euler_graph::{EdgeId, VertexId};
     use proptest::prelude::*;
@@ -1656,7 +1533,7 @@ mod tests {
                 weight: 3,
             }]],
             root: PartitionId(0),
-            leaves: vec![PartitionId(0), PartitionId(1)],
+            leaves: (0..8).map(PartitionId).collect(),
         }
     }
 
@@ -1665,9 +1542,6 @@ mod tests {
             worker_id: 0,
             num_workers: 1,
             strategy: MergeStrategy::Deferred,
-            par_mode: Parallelism::PerPartition,
-            phase1_threads: 1,
-            worker_threads: 0,
             heartbeat_interval: Duration::from_millis(50),
             kill: None,
             kill_mode: KillMode::Exit,
@@ -1707,12 +1581,13 @@ mod tests {
         }
     }
 
-    fn fragment(seed: &[u64]) -> Fragment {
+    /// The first fragment `slot` finds at superstep 3.
+    fn fragment(slot: u32, seed: &[u64]) -> Fragment {
         Fragment {
-            id: FragmentId(0),
+            id: FragmentId::new(3, PartitionId(slot), 0),
             kind: if seed.len().is_multiple_of(2) { FragmentKind::Path } else { FragmentKind::Cycle },
-            level: 1,
-            partition: PartitionId(2),
+            level: 3,
+            partition: PartitionId(slot),
             edges: seed
                 .iter()
                 .map(|&x| {
@@ -1783,9 +1658,16 @@ mod tests {
         for (i, seed) in seeds.iter().enumerate() {
             done.report(&report(i as u32, seed.len() as u64), 1000 + i as u64);
             done.ship(i as u32 + 10, &state(i as u32, seed));
-            done.fragment(FragmentId(prov_id(3, i as u32, 0)), &fragment(seed), |id| id);
+            done.fragment(&fragment(i as u32, seed));
         }
         done
+    }
+
+    /// What the walk's store holds after adopting `list`.
+    fn adopted(list: &Blob) -> Result<Vec<Fragment>, EulerError> {
+        let store = FragmentStore::new();
+        adopt_fragments(list, &store)?;
+        Ok(store.snapshot())
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1808,6 +1690,14 @@ mod tests {
         assert_eq!(got_seeds, seeds);
         assert_eq!(got.tree.leaves, m.tree.leaves);
         assert_eq!(got.tree.levels, m.tree.levels);
+        // A seed for a partition the tree does not have, and a tree whose
+        // partitions no fragment id could name, are refused.
+        let stray = decode_init(&init_payload(&m, &[state(8, &[1])]));
+        assert!(matches!(stray, Err(WireError::Invalid(m)) if m.contains("unknown partition")));
+        let mut wide = tiny_tree();
+        wide.leaves.push(PartitionId(FragmentId::MAX_PARTITIONS));
+        m.tree = Arc::new(wide);
+        assert!(matches!(decode_init(&init_payload(&m, &[])), Err(WireError::Invalid(_))));
     }
 
     #[test]
@@ -1831,15 +1721,22 @@ mod tests {
             seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
         assert_eq!(relayed, start_payload(4, &states));
         assert_eq!(decode_start(&relayed).unwrap(), (4, states));
-        // The fragment list decodes at flush time: provisional order,
-        // dense ids. (Virtual references here point nowhere: typed error.)
+        // The fragment list is adopted at commit, ids as found. (Virtual
+        // references here point nowhere: typed error.)
         let lone = sample_done(&[vec![1, 2, 4]]);
         let lone = decode_done(Arc::new(done_payload(&lone))).unwrap();
-        let flushed = decode_committed(&[lone.fragments]).unwrap();
-        assert_eq!(flushed, vec![fragment(&[1, 2, 4])]);
+        assert_eq!(adopted(&lone.fragments).unwrap(), vec![fragment(0, &[1, 2, 4])]);
         assert!(matches!(
-            decode_committed(&[done.fragments]),
+            adopted(&done.fragments),
             Err(EulerError::Distributed(m)) if m.contains("unknown fragment")
+        ));
+        // A fragment that is not the next of its (level, partition) — here
+        // the same list a second time — is refused too.
+        let store = FragmentStore::new();
+        adopt_fragments(&lone.fragments, &store).unwrap();
+        assert!(matches!(
+            adopt_fragments(&lone.fragments, &store),
+            Err(EulerError::Distributed(m)) if m.contains("not the next")
         ));
     }
 
@@ -1878,20 +1775,19 @@ mod tests {
         short[16..24].copy_from_slice(&(wire::record_words(&seeds[0]) as u64 + 1).to_le_bytes());
         assert!(decode_start(&short).is_err());
         // The coordinator relays states unread but walks the fragment list,
-        // and decodes its records at flush: a garbage record is typed there.
+        // and decodes its records at commit: a garbage record is typed there.
         let parsed = decode_done(Arc::new(done.clone())).unwrap();
         let list = parsed.fragments.range.clone();
         // Fragment list: [n, id, len, kind, level, partition, n_edges, …].
-        for (word, expect_at_parse) in [(2, true), (3, false), (6, false)] {
+        for (word, expect_at_parse) in
+            [(1, false), (2, true), (3, false), (4, false), (5, false), (6, false)]
+        {
             let bad = overrun(&done, list.start / 8 + word);
             match decode_done(Arc::new(bad)) {
                 Err(_) => assert!(expect_at_parse, "word {word}"),
                 Ok(parsed) => {
                     assert!(!expect_at_parse, "word {word}");
-                    assert!(matches!(
-                        decode_committed(&[parsed.fragments]),
-                        Err(EulerError::Distributed(_))
-                    ));
+                    assert!(matches!(adopted(&parsed.fragments), Err(EulerError::Distributed(_))));
                 }
             }
         }
@@ -2000,7 +1896,7 @@ mod tests {
 
         /// Init and Done round-trip for any state / fragment set: the
         /// states through the worker's decoder, the fragments through the
-        /// coordinator's flush.
+        /// coordinator's commit.
         #[test]
         fn init_and_done_messages_roundtrip(
             seeds in prop::collection::vec(prop::collection::vec(1u64..1_000_000, 0..12), 0..6),
@@ -2012,23 +1908,22 @@ mod tests {
 
             // Fragments whose virtual edges point at the previous fragment
             // (or, for the first, nowhere — made real).
-            let ids: Vec<u64> = (0..seeds.len()).map(|i| prov_id(3, i as u32, 0)).collect();
             let mut done = sample_done(&[]);
             let mut expected = Vec::new();
             for (i, seed) in seeds.iter().enumerate() {
-                let mut f = fragment(seed);
+                let mut f = fragment(i as u32, seed);
                 for e in &mut f.edges {
                     if let TourEdge::Virtual { from, to, .. } = *e {
                         *e = if i == 0 {
                             TourEdge::Real { edge: EdgeId(0), from, to }
                         } else {
-                            TourEdge::Virtual { fragment: FragmentId(i as u64 - 1), from, to }
+                            let fragment = FragmentId::new(3, PartitionId(i as u32 - 1), 0);
+                            TourEdge::Virtual { fragment, from, to }
                         };
                     }
                 }
                 done.ship(i as u32, &states[i]);
-                done.fragment(FragmentId(ids[i]), &f, |dense| FragmentId(ids[dense.0 as usize]));
-                f.id = FragmentId(i as u64);
+                done.fragment(&f);
                 expected.push(f);
             }
             let parsed = decode_done(Arc::new(done_payload(&done))).unwrap();
@@ -2038,7 +1933,7 @@ mod tests {
                 let mut r = WordReader::new(entry.bytes()).unwrap();
                 prop_assert_eq!(&wire::decode(&mut r.record().unwrap()).unwrap(), wp);
             }
-            prop_assert_eq!(decode_committed(&[parsed.fragments]).unwrap(), expected);
+            prop_assert_eq!(adopted(&parsed.fragments).unwrap(), expected);
         }
 
         /// Decoding random garbage words returns a typed error or a
@@ -2051,7 +1946,7 @@ mod tests {
             let _ = decode_init(&payload);
             let _ = decode_start(&payload);
             if let Ok(done) = decode_done(Arc::new(payload.clone())) {
-                let _ = decode_committed(&[done.fragments]);
+                let _ = adopted(&done.fragments);
             }
             let mut r = WordReader::new(&payload).unwrap();
             let _ = wire::decode(&mut r);

@@ -10,6 +10,12 @@
 //! write, only read back in Phase 3), with the same effect on the partitions'
 //! *in-memory* Long accounting.
 //!
+//! A fragment is named by where it was found — [`FragmentId`] packs `(merge
+//! level, partition, push sequence)` — never by when it arrived, and the
+//! store is addressed and walked by that name. So the partitions of a level
+//! can push concurrently without their interleaving showing in any id, in
+//! the order the store is walked, or in the circuit.
+//!
 //! Where the fragments physically live is a seam (`FragmentBacking`) behind
 //! the store: the default backing keeps every fragment in an in-memory slab;
 //! [`FragmentStore::spilling`] bounds resident fragment memory by a
@@ -24,27 +30,73 @@ use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Identifier of a fragment in the [`FragmentStore`].
+/// Identifier of a fragment in the [`FragmentStore`]: *where* it was found,
+/// packed as `(merge level, partition, push sequence within that partition's
+/// Phase 1 at that level)`.
+///
+/// The id is a pure function of the algorithm's own coordinates, so it is
+/// the same whichever thread, worker or process found the fragment and
+/// however the pushes of concurrently running partitions interleaved — the
+/// root of the pipeline's bit-identity across thread and worker counts.
+/// Numeric order over ids is `(level, partition, sequence)` lexicographic
+/// order: the push order of a fully sequential run, and the order every
+/// store iterates in.
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FragmentId(pub u64);
 
+const ID_SEQ_BITS: u32 = 32;
+const ID_PARTITION_BITS: u32 = 24;
+const ID_LEVEL_BITS: u32 = 64 - ID_SEQ_BITS - ID_PARTITION_BITS;
+
 impl FragmentId {
-    /// Returns the identifier as a `usize` index.
-    pub fn index(self) -> usize {
-        self.0 as usize
+    /// Merge levels an id can name (a tree over 2²⁴ partitions has 25).
+    pub const MAX_LEVELS: u32 = 1 << ID_LEVEL_BITS;
+    /// Partition ids an id can name.
+    pub const MAX_PARTITIONS: u32 = 1 << ID_PARTITION_BITS;
+
+    /// The id of the `seq`-th fragment `partition` pushed at `level`.
+    ///
+    /// # Panics
+    /// When a coordinate does not fit its field (8 bits of level, 24 of
+    /// partition, 32 of sequence).
+    pub fn new(level: u32, partition: PartitionId, seq: u64) -> Self {
+        assert!(
+            level < Self::MAX_LEVELS && partition.0 < Self::MAX_PARTITIONS && seq < 1 << ID_SEQ_BITS,
+            "fragment coordinates ({level}, {partition:?}, {seq}) overflow the id layout"
+        );
+        FragmentId(
+            (level as u64) << (ID_PARTITION_BITS + ID_SEQ_BITS)
+                | (partition.0 as u64) << ID_SEQ_BITS
+                | seq,
+        )
+    }
+
+    /// Merge level the fragment was found at.
+    pub fn level(self) -> u32 {
+        (self.0 >> (ID_PARTITION_BITS + ID_SEQ_BITS)) as u32
+    }
+
+    /// Partition (merged id at that level) that found the fragment.
+    pub fn partition(self) -> PartitionId {
+        PartitionId((self.0 >> ID_SEQ_BITS) as u32 & ((1 << ID_PARTITION_BITS) - 1))
+    }
+
+    /// Position in that partition's push sequence at that level.
+    pub fn seq(self) -> u64 {
+        self.0 & ((1 << ID_SEQ_BITS) - 1)
     }
 }
 
 impl std::fmt::Debug for FragmentId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "f{}", self.0)
+        write!(f, "f{}.{}.{}", self.level(), self.partition().0, self.seq())
     }
 }
 
@@ -303,14 +355,19 @@ impl SpillConfig {
 /// live. Implementations own the accounting so the store can answer
 /// [`disk_longs`](FragmentStore::disk_longs) /
 /// [`total_real_edges`](FragmentStore::total_real_edges) without touching
-/// the fragments.
+/// the fragments, and keep their fragments in a [`SegmentMap`], which is
+/// what assigns ids and fixes the iteration order.
 trait FragmentBacking: Send {
+    /// Stores `fragment` under the next id of its `(level, partition)`.
     fn push(&mut self, fragment: Fragment) -> FragmentId;
+    /// Fragments pushed at `(level, partition)` so far.
+    fn pushed(&self, level: u32, partition: PartitionId) -> u64;
     fn get(&mut self, id: FragmentId) -> Fragment;
     fn replace(&mut self, id: FragmentId, fragment: Fragment);
     fn len(&self) -> usize;
-    /// The contiguous slab, when the backing has one (memory backing only) —
-    /// what makes [`FragmentStore::with_all`] zero-copy there.
+    /// Every fragment as one contiguous slab, when the backing has that
+    /// (the memory backing while all fragments share one `(level,
+    /// partition)`) — what makes [`FragmentStore::with_all`] zero-copy there.
     fn as_slice(&self) -> Option<&[Fragment]>;
     /// Visits every fragment in id order. Spilled fragments are decoded into
     /// a scratch buffer one at a time; nothing is retained.
@@ -354,59 +411,135 @@ impl Accounting {
     }
 }
 
-/// The default backing: every fragment lives in one in-memory slab.
+/// Append-only table addressed by [`FragmentId`]: one run of entries per
+/// `(level, partition)` segment, in push-sequence order. This is the one
+/// place an id is resolved to storage.
+///
+/// Pushes may arrive in any interleaving of partitions. An entry's id and
+/// position depend on its own segment's pushes alone, and iteration is in
+/// ascending id order — the push order of a sequential run — whatever the
+/// arrival order was.
+#[derive(Debug)]
+struct SegmentMap<T> {
+    segments: BTreeMap<(u32, u32), Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for SegmentMap<T> {
+    fn default() -> Self {
+        SegmentMap { segments: BTreeMap::new(), len: 0 }
+    }
+}
+
+impl<T> SegmentMap<T> {
+    /// Entries pushed at `(level, partition)` so far — the sequence number
+    /// the next one receives.
+    fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
+        self.segments.get(&(level, partition.0)).map_or(0, |s| s.len() as u64)
+    }
+
+    /// Appends the entry `make` builds for the next id of `(level,
+    /// partition)`.
+    fn push(
+        &mut self,
+        level: u32,
+        partition: PartitionId,
+        make: impl FnOnce(FragmentId) -> T,
+    ) -> FragmentId {
+        let id = FragmentId::new(level, partition, self.pushed(level, partition));
+        self.segments.entry((level, partition.0)).or_default().push(make(id));
+        self.len += 1;
+        id
+    }
+
+    fn get(&self, id: FragmentId) -> Option<&T> {
+        self.segments.get(&(id.level(), id.partition().0))?.get(id.seq() as usize)
+    }
+
+    /// The entry of a fragment that was pushed.
+    fn at(&self, id: FragmentId) -> &T {
+        self.get(id).unwrap_or_else(|| panic!("no fragment {id:?} in the store"))
+    }
+
+    fn at_mut(&mut self, id: FragmentId) -> &mut T {
+        self.segments
+            .get_mut(&(id.level(), id.partition().0))
+            .and_then(|s| s.get_mut(id.seq() as usize))
+            .unwrap_or_else(|| panic!("no fragment {id:?} in the store"))
+    }
+
+    /// Every entry, in ascending id order.
+    fn values(&self) -> impl Iterator<Item = &T> {
+        self.segments.values().flatten()
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.segments.values_mut().flatten()
+    }
+}
+
+/// The default backing: every fragment lives in memory.
 #[derive(Debug, Default)]
 struct MemoryBacking {
-    frags: Vec<Fragment>,
+    frags: SegmentMap<Fragment>,
     accounting: Accounting,
     peak_longs: u64,
 }
 
 impl FragmentBacking for MemoryBacking {
     fn push(&mut self, mut fragment: Fragment) -> FragmentId {
-        let id = FragmentId(self.frags.len() as u64);
-        fragment.id = id;
         self.accounting.add(&fragment);
         self.peak_longs = self.peak_longs.max(self.accounting.disk_longs);
-        self.frags.push(fragment);
-        id
+        self.frags.push(fragment.level, fragment.partition, |id| {
+            fragment.id = id;
+            fragment
+        })
+    }
+
+    fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
+        self.frags.pushed(level, partition)
     }
 
     fn get(&mut self, id: FragmentId) -> Fragment {
-        self.frags[id.index()].clone()
+        self.frags.at(id).clone()
     }
 
     fn replace(&mut self, id: FragmentId, mut fragment: Fragment) {
         fragment.id = id;
-        self.accounting.remove(&self.frags[id.index()]);
+        let slot = self.frags.at_mut(id);
+        self.accounting.remove(slot);
         self.accounting.add(&fragment);
         self.peak_longs = self.peak_longs.max(self.accounting.disk_longs);
-        self.frags[id.index()] = fragment;
+        *slot = fragment;
     }
 
     fn len(&self) -> usize {
-        self.frags.len()
+        self.frags.len
     }
 
     fn as_slice(&self) -> Option<&[Fragment]> {
-        Some(&self.frags)
+        match self.frags.segments.len() {
+            0 => Some(&[]),
+            1 => self.frags.segments.values().next().map(Vec::as_slice),
+            _ => None,
+        }
     }
 
     fn for_each(&mut self, f: &mut dyn FnMut(&Fragment)) {
-        for frag in &self.frags {
+        for frag in self.frags.values() {
             f(frag);
         }
     }
 
     fn cycle_ids(&self) -> Vec<FragmentId> {
-        self.frags.iter().filter(|f| f.kind == FragmentKind::Cycle).map(|f| f.id).collect()
+        self.frags.values().filter(|f| f.kind == FragmentKind::Cycle).map(|f| f.id).collect()
     }
 
     fn cycle_vertex_pairs(&self) -> Vec<(VertexId, FragmentId)> {
         // Everything is resident, so the pairs are computed straight off the
-        // slab; no captured lists needed.
+        // fragments; no captured lists needed.
         let mut pairs = Vec::new();
-        for f in &self.frags {
+        for f in self.frags.values() {
             if f.kind == FragmentKind::Cycle {
                 for v in f.visible_vertices() {
                     pairs.push((v, f.id));
@@ -443,11 +576,11 @@ enum Loc {
     },
 }
 
-/// Per-fragment index entry of the spill backing: enough to answer kind,
-/// size and accounting queries without touching the payload.
+/// Per-fragment index entry of the spill backing: enough to answer size
+/// and accounting queries without touching the payload.
 #[derive(Clone, Copy, Debug)]
 struct SlotMeta {
-    kind: FragmentKind,
+    id: FragmentId,
     longs: u64,
     reals: u64,
     loc: Loc,
@@ -502,14 +635,8 @@ pub(crate) fn fragment_record_words(edges: usize) -> usize {
 /// `[kind, level, partition, n]` then `n` tour edges of
 /// `[tag, id, from, to]` (tag 0 = real, 1 = virtual). The id is not stored —
 /// the index knows it. The distributed worker reuses this record as its
-/// checkpoint/shipping format for fragments, hence the crate visibility;
-/// `remap` rewrites every virtual reference on the way out (the identity
-/// for the spill file).
-pub(crate) fn encode_fragment(
-    f: &Fragment,
-    out: &mut WordWriter,
-    remap: impl Fn(FragmentId) -> FragmentId,
-) {
+/// checkpoint/shipping format for fragments, hence the crate visibility.
+pub(crate) fn encode_fragment(f: &Fragment, out: &mut WordWriter) {
     out.reserve(fragment_record_words(f.edges.len()));
     let kind = match f.kind {
         FragmentKind::Path => 0,
@@ -519,9 +646,7 @@ pub(crate) fn encode_fragment(
     for e in &f.edges {
         match *e {
             TourEdge::Real { edge, from, to } => out.words(&[0, edge.0, from.0, to.0]),
-            TourEdge::Virtual { fragment, from, to } => {
-                out.words(&[1, remap(fragment).0, from.0, to.0])
-            }
+            TourEdge::Virtual { fragment, from, to } => out.words(&[1, fragment.0, from.0, to.0]),
         }
     }
 }
@@ -587,11 +712,12 @@ struct FreeExtent {
 struct SpillBacking {
     budget_longs: u64,
     directory: PathBuf,
-    index: Vec<SlotMeta>,
-    /// Visible-vertex lists of cycle fragments (empty for paths), captured
-    /// while the fragment was resident — the Phase-3 splice index, answered
-    /// without re-reading spilled payloads.
-    cycle_vis: Vec<Vec<VertexId>>,
+    index: SegmentMap<SlotMeta>,
+    /// Visible-vertex lists of the cycle fragments, captured while each was
+    /// resident — the Phase-3 splice index, answered without re-reading
+    /// spilled payloads.
+    cycle_vis: BTreeMap<FragmentId, Vec<VertexId>>,
+    /// Resident fragments by id.
     resident: HashMap<u64, Fragment>,
     /// Resident ids, oldest first — the eviction order of the FIFO mode.
     fifo: VecDeque<u64>,
@@ -635,8 +761,8 @@ impl SpillBacking {
         SpillBacking {
             budget_longs: config.memory_budget_longs,
             directory: config.directory.unwrap_or_else(std::env::temp_dir),
-            index: Vec::new(),
-            cycle_vis: Vec::new(),
+            index: SegmentMap::default(),
+            cycle_vis: BTreeMap::new(),
             resident: HashMap::new(),
             fifo: VecDeque::new(),
             schedule: None,
@@ -722,7 +848,7 @@ impl SpillBacking {
     fn write_record(&mut self, fragment: &Fragment) -> std::io::Result<Loc> {
         let mut record = std::mem::take(&mut self.record);
         record.clear();
-        encode_fragment(fragment, &mut record, |id| id);
+        encode_fragment(fragment, &mut record);
         let bytes = record.as_bytes();
         let need = record.len() as u64;
         let reused = self.alloc_extent(need);
@@ -770,7 +896,7 @@ impl SpillBacking {
         let longs = fragment.disk_longs();
         self.resident.insert(id, fragment);
         if self.schedule.is_some() {
-            let m = self.index[id as usize];
+            let m = self.index.at(FragmentId(id));
             self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id });
         } else {
             self.fifo.push_back(id);
@@ -800,7 +926,7 @@ impl SpillBacking {
             match self.write_record(&fragment) {
                 Ok(loc) => {
                     let longs = fragment.disk_longs();
-                    self.index[id as usize].loc = loc;
+                    self.index.at_mut(FragmentId(id)).loc = loc;
                     self.stats.resident_longs -= longs;
                     self.stats.spilled_fragments += 1;
                     self.stats.spill_write_longs += longs;
@@ -821,7 +947,7 @@ impl SpillBacking {
     /// True when a heap entry still describes the current state of its
     /// fragment: resident, and `(key, seq)` matching the slot meta.
     fn entry_is_live(&self, e: &EvictEntry) -> bool {
-        let m = &self.index[e.id as usize];
+        let m = self.index.at(FragmentId(e.id));
         matches!(m.loc, Loc::Resident) && m.evict_key == e.key && m.seq == e.seq
     }
 
@@ -856,7 +982,7 @@ impl SpillBacking {
             match self.write_record(&fragment) {
                 Ok(loc) => {
                     let longs = fragment.disk_longs();
-                    self.index[entry.id as usize].loc = loc;
+                    self.index.at_mut(FragmentId(entry.id)).loc = loc;
                     self.stats.resident_longs -= longs;
                     self.stats.spilled_fragments += 1;
                     self.stats.spill_write_longs += longs;
@@ -913,27 +1039,46 @@ impl SpillBacking {
 
     /// The slot's `(next_read, evict_key)` under the current schedule.
     fn schedule_keys(&self, level: u32, partition: u32) -> (u64, u64) {
-        match &self.schedule {
-            Some(s) => {
-                let nr = s.step_for(level, PartitionId(partition));
-                let key = if nr < self.current_step { u64::MAX } else { nr };
-                (nr, key)
-            }
-            None => (0, 0),
+        schedule_keys(self.schedule.as_ref(), self.current_step, level, partition)
+    }
+
+    /// Records (or forgets) the visible vertices of `fragment` for the
+    /// Phase-3 splice index.
+    fn capture_cycle(&mut self, fragment: &Fragment) {
+        if fragment.kind == FragmentKind::Cycle {
+            self.cycle_vis.insert(fragment.id, fragment.visible_vertices());
+        } else {
+            self.cycle_vis.remove(&fragment.id);
         }
+    }
+}
+
+/// `(next_read, evict_key)` of a fragment pushed at `(level, partition)`
+/// under `schedule`, with the clock at `current_step`.
+fn schedule_keys(
+    schedule: Option<&ReadSchedule>,
+    current_step: u64,
+    level: u32,
+    partition: u32,
+) -> (u64, u64) {
+    match schedule {
+        Some(s) => {
+            let nr = s.step_for(level, PartitionId(partition));
+            let key = if nr < current_step { u64::MAX } else { nr };
+            (nr, key)
+        }
+        None => (0, 0),
     }
 }
 
 impl FragmentBacking for SpillBacking {
     fn push(&mut self, mut fragment: Fragment) -> FragmentId {
-        let id = FragmentId(self.index.len() as u64);
-        fragment.id = id;
         self.accounting.add(&fragment);
         let (next_read, evict_key) = self.schedule_keys(fragment.level, fragment.partition.0);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.index.push(SlotMeta {
-            kind: fragment.kind,
+        let id = self.index.push(fragment.level, fragment.partition, |id| SlotMeta {
+            id,
             longs: fragment.disk_longs(),
             reals: fragment.edges.iter().filter(|e| e.is_real()).count() as u64,
             loc: Loc::Resident,
@@ -943,17 +1088,18 @@ impl FragmentBacking for SpillBacking {
             evict_key,
             seq,
         });
-        self.cycle_vis.push(if fragment.kind == FragmentKind::Cycle {
-            fragment.visible_vertices()
-        } else {
-            Vec::new()
-        });
+        fragment.id = id;
+        self.capture_cycle(&fragment);
         self.insert_resident(fragment);
         id
     }
 
+    fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
+        self.index.pushed(level, partition)
+    }
+
     fn get(&mut self, id: FragmentId) -> Fragment {
-        let meta = self.index[id.index()];
+        let meta = *self.index.at(id);
         match meta.loc {
             Loc::Resident => {
                 self.note_resident_read(id.0, meta.longs);
@@ -968,14 +1114,13 @@ impl FragmentBacking for SpillBacking {
 
     fn replace(&mut self, id: FragmentId, mut fragment: Fragment) {
         fragment.id = id;
-        let meta = self.index[id.index()];
+        let meta = *self.index.at(id);
         self.accounting.disk_longs -= meta.longs;
         self.accounting.real_edges -= meta.reals;
         self.accounting.add(&fragment);
         let (next_read, evict_key) = self.schedule_keys(fragment.level, fragment.partition.0);
         let new_longs = fragment.disk_longs();
-        let slot = &mut self.index[id.index()];
-        slot.kind = fragment.kind;
+        let slot = self.index.at_mut(id);
         slot.longs = new_longs;
         slot.reals = fragment.edges.iter().filter(|e| e.is_real()).count() as u64;
         slot.level = fragment.level;
@@ -985,11 +1130,7 @@ impl FragmentBacking for SpillBacking {
         // `seq` is deliberately kept: a replace does not move the fragment
         // in the FIFO tie-break order, matching the FIFO mode (and shadow).
         let seq = slot.seq;
-        self.cycle_vis[id.index()] = if fragment.kind == FragmentKind::Cycle {
-            fragment.visible_vertices()
-        } else {
-            Vec::new()
-        };
+        self.capture_cycle(&fragment);
         // Shadow FIFO: a replace never changes residency there (resident
         // stays resident, spilled stays spilled), only the resident size.
         if let Some(l) = self.shadow_resident.get_mut(&id.0) {
@@ -1020,8 +1161,8 @@ impl FragmentBacking for SpillBacking {
                 // not corrupt the still-current version.)
                 if !self.broken {
                     if let Ok(loc) = self.write_record(&fragment) {
-                        self.index[id.index()].loc = loc;
-                        self.stats.spill_write_longs += self.index[id.index()].longs;
+                        self.index.at_mut(id).loc = loc;
+                        self.stats.spill_write_longs += new_longs;
                         self.free_record(offset, words);
                         return;
                     }
@@ -1032,14 +1173,14 @@ impl FragmentBacking for SpillBacking {
                 // The old on-disk record is dead either way.
                 self.free_record(offset, words);
                 self.stats.spilled_fragments -= 1;
-                self.index[id.index()].loc = Loc::Resident;
+                self.index.at_mut(id).loc = Loc::Resident;
                 self.insert_resident(fragment);
             }
         }
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     fn as_slice(&self) -> Option<&[Fragment]> {
@@ -1047,17 +1188,16 @@ impl FragmentBacking for SpillBacking {
     }
 
     fn for_each(&mut self, f: &mut dyn FnMut(&Fragment)) {
-        for i in 0..self.index.len() {
-            let id = FragmentId(i as u64);
-            match self.index[i].loc {
+        let metas: Vec<SlotMeta> = self.index.values().copied().collect();
+        for meta in metas {
+            match meta.loc {
                 Loc::Resident => {
-                    let longs = self.index[i].longs;
-                    self.note_resident_read(id.0, longs);
-                    f(&self.resident[&id.0]);
+                    self.note_resident_read(meta.id.0, meta.longs);
+                    f(&self.resident[&meta.id.0]);
                 }
                 Loc::Spilled { offset, words } => {
-                    self.stats.spill_read_longs += self.index[i].longs;
-                    let fragment = self.read_record(id, offset, words);
+                    self.stats.spill_read_longs += meta.longs;
+                    let fragment = self.read_record(meta.id, offset, words);
                     f(&fragment);
                 }
             }
@@ -1065,20 +1205,13 @@ impl FragmentBacking for SpillBacking {
     }
 
     fn cycle_ids(&self) -> Vec<FragmentId> {
-        self.index
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.kind == FragmentKind::Cycle)
-            .map(|(i, _)| FragmentId(i as u64))
-            .collect()
+        self.cycle_vis.keys().copied().collect()
     }
 
     fn cycle_vertex_pairs(&self) -> Vec<(VertexId, FragmentId)> {
         let mut pairs = Vec::new();
-        for (i, vis) in self.cycle_vis.iter().enumerate() {
-            for &v in vis {
-                pairs.push((v, FragmentId(i as u64)));
-            }
+        for (&id, vis) in &self.cycle_vis {
+            pairs.extend(vis.iter().map(|&v| (v, id)));
         }
         pairs
     }
@@ -1102,14 +1235,12 @@ impl FragmentBacking for SpillBacking {
         // queue's order is preserved among equal keys). The shadow FIFO
         // starts from the same resident set in the same order: before this
         // point both policies behaved identically.
-        for i in 0..self.index.len() {
-            let m = self.index[i];
-            let (next_read, evict_key) = self.schedule_keys(m.level, m.partition);
-            self.index[i].next_read = next_read;
-            self.index[i].evict_key = evict_key;
+        for m in self.index.values_mut() {
+            (m.next_read, m.evict_key) =
+                schedule_keys(self.schedule.as_ref(), self.current_step, m.level, m.partition);
         }
         while let Some(id) = self.fifo.pop_front() {
-            let m = self.index[id as usize];
+            let m = *self.index.at(FragmentId(id));
             self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id });
             self.shadow_resident.insert(id, m.longs);
             self.shadow_fifo.push_back(id);
@@ -1127,11 +1258,10 @@ impl FragmentBacking for SpillBacking {
         // Resident fragments whose scheduled read has now passed will not
         // be read again: re-key them to "never needed" so they are the
         // first victims from here on.
-        for i in 0..self.index.len() {
-            let m = self.index[i];
+        for m in self.index.values_mut() {
             if matches!(m.loc, Loc::Resident) && m.next_read < step && m.evict_key != u64::MAX {
-                self.index[i].evict_key = u64::MAX;
-                self.heap.push(EvictEntry { key: u64::MAX, seq: m.seq, id: i as u64 });
+                m.evict_key = u64::MAX;
+                self.heap.push(EvictEntry { key: u64::MAX, seq: m.seq, id: m.id.0 });
             }
         }
     }
@@ -1147,6 +1277,14 @@ impl FragmentBacking for SpillBacking {
 /// [`SpillConfig`]). Either way the modelled accounting
 /// ([`disk_longs`](Self::disk_longs), [`total_real_edges`](Self::total_real_edges))
 /// is exact and identical.
+///
+/// Ids come from the fragment's own coordinates (see [`FragmentId`]), so
+/// concurrent pushes from different partitions never influence each other's
+/// ids, and every reader that walks the store ([`for_each`](Self::for_each),
+/// [`snapshot`](Self::snapshot),
+/// [`cycle_vertex_pairs`](Self::cycle_vertex_pairs)) sees ascending id
+/// order — the push order of a one-thread run — however the pushes
+/// interleaved.
 #[derive(Clone)]
 pub struct FragmentStore {
     inner: Arc<Mutex<Box<dyn FragmentBacking>>>,
@@ -1183,21 +1321,55 @@ impl FragmentStore {
         FragmentStore { inner: Arc::new(Mutex::new(backing)) }
     }
 
-    /// Appends a fragment, assigning and returning its id. The `id` field of
-    /// the passed fragment is overwritten.
+    /// Appends a fragment, assigning and returning its id: the next
+    /// sequence number of its `(level, partition)`. The `id` field of the
+    /// passed fragment is overwritten.
     pub fn push(&self, fragment: Fragment) -> FragmentId {
         self.inner.lock().push(fragment)
     }
 
+    /// Appends a fragment found elsewhere (a worker process) under the id it
+    /// was found with. The id must be the one [`push`](Self::push) would
+    /// assign — the next of the fragment's `(level, partition)` — and every
+    /// virtual edge must reference a fragment already in the store.
+    pub(crate) fn adopt(&self, fragment: Fragment) -> Result<(), String> {
+        let mut inner = self.inner.lock();
+        let stored = |id: FragmentId| id.seq() < inner.pushed(id.level(), id.partition());
+        for e in &fragment.edges {
+            if let TourEdge::Virtual { fragment: target, .. } = *e {
+                if !stored(target) {
+                    return Err(format!(
+                        "fragment {:?} references unknown fragment {target:?}",
+                        fragment.id
+                    ));
+                }
+            }
+        }
+        let id = fragment.id;
+        if (id.level(), id.partition()) != (fragment.level, fragment.partition)
+            || id.seq() != inner.pushed(fragment.level, fragment.partition)
+        {
+            return Err(format!(
+                "fragment {id:?} is not the next of level {} partition {}",
+                fragment.level, fragment.partition.0
+            ));
+        }
+        inner.push(fragment);
+        Ok(())
+    }
+
     /// Returns a clone of the fragment with the given id (reloaded from the
     /// spill file if it was paged out).
+    ///
+    /// # Panics
+    /// When no fragment with that id was pushed.
     pub fn get(&self, id: FragmentId) -> Fragment {
         self.inner.lock().get(id)
     }
 
     /// Replaces an existing fragment (used by `mergeInto` when an internal
     /// cycle is spliced into a fragment created earlier in the same Phase-1
-    /// invocation).
+    /// invocation). The fragment keeps `id` whatever its new coordinates.
     pub fn replace(&self, id: FragmentId, fragment: Fragment) {
         self.inner.lock().replace(id, fragment)
     }
@@ -1212,9 +1384,9 @@ impl FragmentStore {
         self.len() == 0
     }
 
-    /// Snapshot of every fragment. **Tests and diagnostics only**: this
-    /// deep-clones the whole store (and reloads everything spilled), so hot
-    /// paths must use [`with_all`](Self::with_all) or
+    /// Snapshot of every fragment, in id order. **Tests and diagnostics
+    /// only**: this deep-clones the whole store (and reloads everything
+    /// spilled), so hot paths must use [`with_all`](Self::with_all) or
     /// [`for_each`](Self::for_each) instead.
     pub fn snapshot(&self) -> Vec<Fragment> {
         let mut all = Vec::with_capacity(self.len());
@@ -1222,9 +1394,11 @@ impl FragmentStore {
         all
     }
 
-    /// Runs `f` over all fragments under the lock. Zero-copy on the
-    /// in-memory backing; a spill-backed store must materialise the slab
-    /// first, so streaming readers prefer [`for_each`](Self::for_each).
+    /// Runs `f` over all fragments, in id order, under the lock. Zero-copy
+    /// on the in-memory backing while every fragment shares one `(level,
+    /// partition)` (a stand-alone kernel run); otherwise the slab is
+    /// materialised first, so streaming readers prefer
+    /// [`for_each`](Self::for_each).
     pub fn with_all<R>(&self, f: impl FnOnce(&[Fragment]) -> R) -> R {
         let mut inner = self.inner.lock();
         if inner.as_slice().is_some() {
@@ -1242,8 +1416,8 @@ impl FragmentStore {
         self.inner.lock().for_each(&mut f)
     }
 
-    /// Ids of all cycle fragments (the ones Phase 3 must splice). Answered
-    /// from the index; spilled payloads are not touched.
+    /// Ids of all cycle fragments (the ones Phase 3 must splice), ascending.
+    /// Answered from the index; spilled payloads are not touched.
     pub fn cycle_ids(&self) -> Vec<FragmentId> {
         self.inner.lock().cycle_ids()
     }
@@ -1356,12 +1530,90 @@ mod tests {
             edges: vec![real(0, 0, 1)],
         };
         let id0 = store.push(f.clone());
-        let id1 = store.push(f);
+        let id1 = store.push(f.clone());
         assert_eq!(id0, FragmentId(0));
         assert_eq!(id1, FragmentId(1));
         assert_eq!(store.len(), 2);
         assert_eq!(store.get(id1).id, id1);
         assert_eq!(store.total_real_edges(), 2);
+        // Sequences are per (level, partition): another partition, or the
+        // same one a level up, starts from its own zero.
+        let other = store.push(Fragment { partition: PartitionId(7), ..f.clone() });
+        let above = store.push(Fragment { level: 2, ..f });
+        assert_eq!(other, FragmentId::new(0, PartitionId(7), 0));
+        assert_eq!(above, FragmentId::new(2, PartitionId(0), 0));
+        assert_eq!((above.level(), above.partition(), above.seq()), (2, PartitionId(0), 0));
+        assert!(id1 < other && other < above, "id order is (level, partition, seq) order");
+    }
+
+    #[test]
+    fn ids_and_iteration_order_do_not_depend_on_push_interleaving() {
+        // Two partitions of two levels: one store takes the pushes in id
+        // order (a sequential run), the other interleaved and with the
+        // partitions swapped (a concurrent one). Same ids, same walk.
+        let frag = |level: u32, pid: u32, n: u64| Fragment {
+            id: FragmentId(0),
+            kind: if n.is_multiple_of(2) { FragmentKind::Cycle } else { FragmentKind::Path },
+            level,
+            partition: PartitionId(pid),
+            edges: vec![real(100 * pid as u64 + n, n, n + 1), real(100 * pid as u64 + n + 50, n + 1, n)],
+        };
+        for spill in [false, true] {
+            let new_store = || match spill {
+                false => FragmentStore::new(),
+                true => FragmentStore::spilling(SpillConfig::with_budget(10)),
+            };
+            let (ordered, interleaved) = (new_store(), new_store());
+            for level in 0..2 {
+                let mut a = Vec::new();
+                for pid in [0, 1] {
+                    for n in 0..3 {
+                        a.push(ordered.push(frag(level, pid, n)));
+                    }
+                }
+                let mut b = vec![FragmentId(0); 6];
+                for n in 0..3 {
+                    for pid in [1, 0] {
+                        b[3 * pid as usize + n as usize] = interleaved.push(frag(level, pid, n));
+                    }
+                }
+                assert_eq!(a, b, "ids are a function of (level, partition, seq)");
+            }
+            assert_eq!(ordered.snapshot(), interleaved.snapshot());
+            assert_eq!(ordered.cycle_ids(), interleaved.cycle_ids());
+            assert_eq!(ordered.cycle_vertex_pairs(), interleaved.cycle_vertex_pairs());
+            let ids: Vec<FragmentId> = ordered.snapshot().iter().map(|f| f.id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "the walk is in ascending id order");
+            for id in ids {
+                assert_eq!(ordered.get(id), interleaved.get(id));
+            }
+            // Several segments: `with_all` materialises the same slab.
+            ordered.with_all(|x| interleaved.with_all(|y| assert_eq!(x, y)));
+        }
+    }
+
+    #[test]
+    fn adoption_checks_the_id_and_the_references() {
+        let store = FragmentStore::new();
+        let found = |seq: u64, edges: Vec<TourEdge>| Fragment {
+            id: FragmentId::new(1, PartitionId(3), seq),
+            kind: FragmentKind::Path,
+            level: 1,
+            partition: PartitionId(3),
+            edges,
+        };
+        store.adopt(found(0, vec![real(0, 0, 1)])).unwrap();
+        // Not the next of (1, 3): a gap, a repeat, foreign coordinates.
+        assert!(store.adopt(found(2, vec![real(1, 1, 2)])).unwrap_err().contains("not the next"));
+        assert!(store.adopt(found(0, vec![real(1, 1, 2)])).unwrap_err().contains("not the next"));
+        let foreign = Fragment { id: FragmentId::new(0, PartitionId(3), 0), ..found(1, vec![real(1, 1, 2)]) };
+        assert!(store.adopt(foreign).unwrap_err().contains("not the next"));
+        // A virtual edge must point at something already stored.
+        let virt = |fragment| TourEdge::Virtual { fragment, from: VertexId(1), to: VertexId(2) };
+        let dangling = store.adopt(found(1, vec![virt(FragmentId::new(0, PartitionId(9), 0))]));
+        assert!(dangling.unwrap_err().contains("unknown fragment"));
+        store.adopt(found(1, vec![virt(FragmentId::new(1, PartitionId(3), 0))])).unwrap();
+        assert_eq!(store.len(), 2);
     }
 
     #[test]
@@ -1469,22 +1721,15 @@ mod tests {
         assert_eq!(mem.disk_longs(), spill.disk_longs());
         assert_eq!(mem.total_real_edges(), spill.total_real_edges());
         assert_eq!(mem.cycle_ids(), spill.cycle_ids());
-        for i in 0..mem.len() {
-            let id = FragmentId(i as u64);
-            let (a, b) = (mem.get(id), spill.get(id));
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.level, b.level);
-            assert_eq!(a.partition, b.partition);
-            assert_eq!(a.edges, b.edges);
-        }
         let mut mem_all = Vec::new();
         mem.for_each(|f| mem_all.push(f.clone()));
         let mut spill_all = Vec::new();
         spill.for_each(|f| spill_all.push(f.clone()));
-        assert_eq!(mem_all.len(), spill_all.len());
-        for (a, b) in mem_all.iter().zip(&spill_all) {
-            assert_eq!(a.edges, b.edges);
+        assert_eq!(mem_all, spill_all);
+        assert_eq!(mem_all.len(), mem.len());
+        for f in &mem_all {
+            assert_eq!(mem.get(f.id), *f);
+            assert_eq!(spill.get(f.id), *f);
         }
         // with_all materialises the same slab either way.
         let a = mem.with_all(|f| f.len());
@@ -1525,15 +1770,13 @@ mod tests {
     fn zero_budget_spills_everything_and_replace_supersedes_records() {
         let store = FragmentStore::spilling(SpillConfig::with_budget(0));
         let fs = workload(12);
-        for f in &fs {
-            store.push(f.clone());
-        }
+        let ids: Vec<FragmentId> = fs.iter().map(|f| store.push(f.clone())).collect();
         assert_eq!(store.stats().spilled_fragments, 12);
         assert_eq!(store.stats().resident_longs, 0);
         // Replace a spilled fragment with a longer version; reads see it.
         let longer = Fragment { edges: vec![real(7, 3, 4), real(8, 4, 3)], ..fs[5].clone() };
-        store.replace(FragmentId(5), longer.clone());
-        let back = store.get(FragmentId(5));
+        store.replace(ids[5], longer.clone());
+        let back = store.get(ids[5]);
         assert_eq!(back.edges, longer.edges);
         // Accounting followed the replacement exactly.
         let expected: u64 = fs
@@ -1676,6 +1919,11 @@ mod tests {
     /// A 2-edge path at `(level 0, partition pid)` — 10 modelled disk Longs,
     /// 12 spill-record words. Uniform sizes keep the traces easy to reason
     /// about: a 20-Long budget holds exactly two fragments.
+    /// Id of the one fragment the traces below push for partition `pid`.
+    fn id_at(pid: u32) -> FragmentId {
+        FragmentId::new(0, PartitionId(pid), 0)
+    }
+
     fn frag_at(pid: u32, base: u64) -> Fragment {
         Fragment {
             id: FragmentId(0),
@@ -1700,21 +1948,21 @@ mod tests {
             store.push(frag_at(pid, 10 * pid as u64));
         }
         store.begin_read_step(1);
-        store.get(FragmentId(0)); // A
-        store.get(FragmentId(3)); // D
+        store.get(id_at(0)); // A
+        store.get(id_at(3)); // D
         // Step 2: E (read at 3) and F (read at 5) arrive; A and D are now
         // overdue and the scheduled store pages exactly them out.
         store.begin_read_step(2);
         store.push(frag_at(4, 40));
         store.push(frag_at(5, 50));
         store.begin_read_step(3);
-        store.get(FragmentId(4)); // E
+        store.get(id_at(4)); // E
         // Step 4: G (read at 5) arrives.
         store.begin_read_step(4);
         store.push(frag_at(6, 60));
         store.begin_read_step(5);
-        for pid in [1u64, 2, 5, 6] {
-            store.get(FragmentId(pid)); // B, C, F, G
+        for pid in [1, 2, 5, 6] {
+            store.get(id_at(pid)); // B, C, F, G
         }
     }
 
@@ -1753,10 +2001,7 @@ mod tests {
         assert_eq!(f.reload_longs_avoided, 0, "no schedule, no counterfactual");
         // Both stores serve identical fragments regardless of policy.
         for pid in 0..7 {
-            assert_eq!(
-                fifo.get(FragmentId(pid)).edges,
-                scheduled.get(FragmentId(pid)).edges
-            );
+            assert_eq!(fifo.get(id_at(pid)).edges, scheduled.get(id_at(pid)).edges);
         }
         // Exact-accounting invariants hold in scheduled mode: every spill
         // file word is a live record or counted dead, and the peak resident
@@ -1791,11 +2036,11 @@ mod tests {
         store.push(frag_at(2, 20)); // Z -> over budget
         let before = store.stats();
         assert_eq!(before.evictions_scheduled, 1);
-        store.get(FragmentId(0));
-        store.get(FragmentId(2));
+        store.get(id_at(0));
+        store.get(id_at(2));
         let after = store.stats();
         assert_eq!(after.spill_read_longs, 0, "pinned X and Z stayed resident");
-        store.get(FragmentId(1));
+        store.get(id_at(1));
         assert_eq!(store.stats().spill_read_longs, 10, "Y was the victim");
     }
 
@@ -1835,13 +2080,13 @@ mod tests {
         store.set_read_schedule(s);
         store.push(frag_at(2, 20)); // read at 100 (default) -> the victim
         store.begin_read_step(1);
-        store.get(FragmentId(0));
-        store.get(FragmentId(1));
+        store.get(id_at(0));
+        store.get(id_at(1));
         let stats = store.stats();
         // FIFO would have paged out fragment 0; the schedule paged out 2.
         assert_eq!(stats.spill_read_longs, 0);
         assert_eq!(stats.evictions_scheduled, 1);
-        store.get(FragmentId(2));
+        store.get(id_at(2));
         assert_eq!(store.stats().spill_read_longs, 10);
     }
 

@@ -72,7 +72,7 @@ pub use merge_strategy::MergeStrategy;
 pub use merge_tree::{MergePair, MergeTree, MergeTreeNode};
 pub use pathmap::PathMap;
 pub use phase1::wstream::{default_chunk_edges, stream_phase1, WStreamOutcome, WStreamStats};
-pub use phase1::{ArenaPool, Parallelism, Phase1Arena, Phase1Executor};
+pub use phase1::{ArenaPool, Phase1Arena};
 pub use phase3::{CircuitResult, CircuitStep};
 pub use pipeline::{
     run_on_partitioned, run_on_partitioned_cancellable, run_with_backend, BspBackend,

@@ -4,9 +4,9 @@
 //! traversal state (interning table, CSR incidence arena, cursors, bitset,
 //! walk buffers) from scratch every time dominates the cost of small levels
 //! and fragments the heap on large ones. A [`Phase1Arena`] owns every buffer
-//! one Phase-1 execution needs — kernel state, host-side walk scratch, and
-//! the wave-speculation scratch of the parallel walker — and is reloaded in
-//! place for each run: lengths are rewritten, capacities only ever grow.
+//! one Phase-1 execution needs — kernel state and walk scratch — and is
+//! reloaded in place for each run: lengths are rewritten, capacities only
+//! ever grow.
 //!
 //! Workers check arenas out of an [`ArenaPool`] (one arena per concurrently
 //! executing partition) and return them afterwards, so the same buffers are
@@ -15,24 +15,16 @@
 //! re-initialises every array it reads, so a dirty arena can never leak
 //! state between checkouts — `arena::tests` pins that with a deliberately
 //! poisoned arena.
-//!
-//! The committed traversal state (`KernelState`: cursors, remaining
-//! degrees, visited bitset) lives in relaxed atomics. Sequentially that
-//! compiles to the same plain loads and stores as before; in the parallel
-//! walker it lets speculation workers read the committed snapshot while the
-//! committing thread stays the only writer (waves are separated by barriers,
-//! which provide the cross-thread ordering).
 
-use super::parallel::WaveScratch;
 use super::splice::SpliceIndex;
-use crate::fragment::TourEdge;
-use crate::state::LocalEdge;
+use super::Phase1Output;
+use crate::fragment::{FragmentStore, TourEdge};
+use crate::state::{LocalEdge, WorkingPartition};
 use euler_graph::{LocalIndex, LocalIndexBufs};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Committed dense traversal state over interned vertex slots — the arrays
+/// Dense traversal state over interned vertex slots — the arrays
 /// behind [`super::Traversal`]. Rebuilt in place by [`KernelState::load`]
 /// for every Phase-1 run; all capacities are retained.
 #[derive(Default)]
@@ -50,14 +42,14 @@ pub(crate) struct KernelState {
     /// (a self-loop appears twice under its vertex, as in the reference).
     pub incidence: Vec<u32>,
     /// Per-vertex absolute cursor into `incidence` (consumed prefix).
-    pub cursor: Vec<AtomicU32>,
+    pub cursor: Vec<u32>,
     /// Remaining (unvisited) local degree per vertex slot.
-    pub remaining: Vec<AtomicU32>,
+    pub remaining: Vec<u32>,
     /// One bit per edge slot.
-    pub visited: Vec<AtomicU64>,
+    pub visited: Vec<u64>,
     /// Monotone scan cursor for "first unvisited edge" (step 3); visited
     /// bits are never cleared, so this never moves backwards.
-    pub unvisited_scan: AtomicUsize,
+    pub unvisited_scan: usize,
 }
 
 impl KernelState {
@@ -100,32 +92,28 @@ impl KernelState {
         // Fill positions start at the row offsets; after the fill pass the
         // same values (row starts) seed the cursors.
         self.cursor.clear();
-        self.cursor.extend(self.offsets[..n].iter().map(|&o| AtomicU32::new(o)));
+        self.cursor.extend_from_slice(&self.offsets[..n]);
         self.incidence.clear();
         self.incidence.resize(incidences, 0);
         for (i, &[u, v]) in self.ends.iter().enumerate() {
             for s in [u, v] {
-                let fill = self.cursor[s as usize].get_mut();
+                let fill = &mut self.cursor[s as usize];
                 self.incidence[*fill as usize] = i as u32;
                 *fill += 1;
             }
         }
-        for (s, c) in self.cursor.iter_mut().enumerate() {
-            *c.get_mut() = self.offsets[s];
-        }
+        self.cursor.copy_from_slice(&self.offsets[..n]);
 
         // The unvisited degree starts as the full CSR row width.
         self.remaining.clear();
-        self.remaining.extend(
-            self.offsets.windows(2).map(|w| AtomicU32::new(w[1] - w[0])),
-        );
+        self.remaining.extend(self.offsets.windows(2).map(|w| w[1] - w[0]));
         self.visited.clear();
-        self.visited.resize_with(edges.len().div_ceil(64), AtomicU64::default);
-        self.unvisited_scan.store(0, Relaxed);
+        self.visited.resize(edges.len().div_ceil(64), 0);
+        self.unvisited_scan = 0;
     }
 }
 
-/// Host-side (committing-thread-only) walk scratch.
+/// Walk and splice scratch of the Phase-1 orchestration.
 #[derive(Default)]
 pub(crate) struct HostScratch {
     /// First pending fragment each vertex slot is visible in (`mergeInto`
@@ -151,7 +139,6 @@ pub(crate) struct HostScratch {
 pub struct Phase1Arena {
     pub(crate) kernel: KernelState,
     pub(crate) host: HostScratch,
-    pub(crate) wave: WaveScratch,
 }
 
 /// Capacity snapshot of an arena's buffers, for asserting that reuse across
@@ -210,7 +197,7 @@ impl Phase1Arena {
                 .vertex_capacity()
                 // The recycle bin holds the rest of the capacity between runs.
                 .max(self.kernel.index_bufs.vertex_capacity()),
-            tour: self.host.tour.capacity().max(self.wave.max_tour_capacity()),
+            tour: self.host.tour.capacity(),
             splice_nodes: self.host.splice.node_capacity(),
             splice_slots: self.host.splice.slot_capacity(),
         }
@@ -222,25 +209,16 @@ impl Phase1Arena {
     /// re-initialises the arena and no state leaks between checkouts.
     #[cfg(test)]
     pub(crate) fn poison(&mut self) {
-        for w in &mut self.kernel.visited {
-            *w.get_mut() = u64::MAX;
-        }
-        for c in &mut self.kernel.cursor {
-            *c.get_mut() = u32::MAX / 2;
-        }
-        for r in &mut self.kernel.remaining {
-            *r.get_mut() = 7;
-        }
-        self.kernel.unvisited_scan.store(usize::MAX / 2, Relaxed);
-        for x in &mut self.kernel.incidence {
-            *x = u32::MAX / 3;
-        }
+        self.kernel.visited.fill(u64::MAX);
+        self.kernel.cursor.fill(u32::MAX / 2);
+        self.kernel.remaining.fill(7);
+        self.kernel.unvisited_scan = usize::MAX / 2;
+        self.kernel.incidence.fill(u32::MAX / 3);
         self.host.visible.fill(3);
         self.host.vslots.fill(u32::MAX / 5);
         self.host.odd_slots.fill(1);
         self.host.boundary_slots.fill(2);
         self.host.splice.poison();
-        self.wave.poison();
     }
 }
 
@@ -278,14 +256,21 @@ impl ArenaPool {
     pub fn idle(&self) -> usize {
         self.inner.lock().len()
     }
+
+    /// [`run_phase1_with_arena`](super::run_phase1_with_arena) on an arena
+    /// checked out for the duration of the run.
+    pub fn run_phase1(&self, wp: &mut WorkingPartition, store: &FragmentStore) -> Phase1Output {
+        let mut arena = self.checkout();
+        let out = super::run_phase1_with_arena(wp, store, &mut arena);
+        self.restore(arena);
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::FragmentStore;
-    use crate::phase1::{run_phase1, run_phase1_parallel, run_phase1_with_arena};
-    use crate::state::WorkingPartition;
+    use crate::phase1::{run_phase1, run_phase1_with_arena};
     use euler_gen::synthetic;
     use euler_graph::{PartitionAssignment, PartitionedGraph};
 
@@ -305,15 +290,11 @@ mod tests {
         (out, store.snapshot())
     }
 
-    fn assert_matches_oracle(wp: &WorkingPartition, arena: &mut Phase1Arena, threads: usize) {
+    fn assert_matches_oracle(wp: &WorkingPartition, arena: &mut Phase1Arena) {
         let (out_ref, frags_ref) = oracle(wp);
         let mut wp = wp.clone();
         let store = FragmentStore::new();
-        let out = if threads > 1 {
-            run_phase1_parallel(&mut wp, &store, arena, threads)
-        } else {
-            run_phase1_with_arena(&mut wp, &store, arena)
-        };
+        let out = run_phase1_with_arena(&mut wp, &store, arena);
         assert_eq!(out.path_map, out_ref.path_map);
         assert_eq!(out.counts_before, out_ref.counts_before);
         let frags = store.snapshot();
@@ -332,7 +313,7 @@ mod tests {
         let mut caps = arena.capacities();
         for (i, &(n, extra)) in sizes.iter().enumerate() {
             for wp in &working_partitions(n, extra, i as u64, 2) {
-                assert_matches_oracle(wp, &mut arena, 1);
+                assert_matches_oracle(wp, &mut arena);
                 let grown = arena.capacities();
                 assert!(grown.covers(&caps), "capacity shrank: {grown:?} < {caps:?}");
                 caps = grown;
@@ -347,26 +328,18 @@ mod tests {
 
     #[test]
     fn deliberately_dirty_arena_leaks_no_state() {
-        // A poisoned arena (stale visited bits, bogus cursors/degrees, wave
-        // stamps ahead of the serial, garbage specs) must behave exactly like
-        // a fresh one — sequentially and under the wave walker.
-        for threads in [1usize, 4] {
-            let mut arena = Phase1Arena::new();
-            for wp in &working_partitions(80, 8, 42, 3) {
-                // Dirty the arena with a real run on a different partition
-                // shape first, then poison everything poisonable.
-                for other in &working_partitions(50, 5, 7, 2) {
-                    let store = FragmentStore::new();
-                    let mut other = other.clone();
-                    if threads > 1 {
-                        run_phase1_parallel(&mut other, &store, &mut arena, threads);
-                    } else {
-                        run_phase1_with_arena(&mut other, &store, &mut arena);
-                    }
-                }
-                arena.poison();
-                assert_matches_oracle(wp, &mut arena, threads);
+        // A poisoned arena (stale visited bits, bogus cursors/degrees,
+        // garbage walk buffers) must behave exactly like a fresh one.
+        let mut arena = Phase1Arena::new();
+        for wp in &working_partitions(80, 8, 42, 3) {
+            // Dirty the arena with a real run on a different partition
+            // shape first, then poison everything poisonable.
+            for other in &working_partitions(50, 5, 7, 2) {
+                let store = FragmentStore::new();
+                run_phase1_with_arena(&mut other.clone(), &store, &mut arena);
             }
+            arena.poison();
+            assert_matches_oracle(wp, &mut arena);
         }
     }
 
@@ -376,7 +349,7 @@ mod tests {
         assert_eq!(pool.idle(), 0);
         let mut arena = pool.checkout();
         for wp in &working_partitions(150, 12, 3, 2) {
-            assert_matches_oracle(wp, &mut arena, 2);
+            assert_matches_oracle(wp, &mut arena);
         }
         let caps = arena.capacities();
         pool.restore(arena);
@@ -390,5 +363,18 @@ mod tests {
         pool.restore(again);
         pool.restore(extra);
         assert_eq!(pool.idle(), 2);
+    }
+
+    #[test]
+    fn pooled_runs_share_one_arena() {
+        let pool = ArenaPool::new();
+        for wp in &working_partitions(60, 6, 9, 2) {
+            let (out_ref, frags_ref) = oracle(wp);
+            let store = FragmentStore::new();
+            let out = pool.run_phase1(&mut wp.clone(), &store);
+            assert_eq!(out.path_map, out_ref.path_map);
+            assert_eq!(store.snapshot(), frags_ref);
+            assert_eq!(pool.idle(), 1, "the arena came back, and was not duplicated");
+        }
     }
 }

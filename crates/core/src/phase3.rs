@@ -77,13 +77,13 @@ impl CircuitResult {
 
 /// Index of pending (not yet spliced) cycles, keyed by every visible vertex.
 ///
-/// Dense layout: visible vertices are interned through a [`LocalIndex`] and
-/// the per-vertex cycle lists live in one flat CSR-style arena (`buckets`
-/// sliced by `bucket_lo`/`bucket_end`). Fragment ids are store indices, so
-/// the spliced set is a plain `Vec<bool>`. All orders match the previous
-/// hash-map implementation: buckets hold ids ascending and are popped from
-/// the back; `pop_any` yields the minimum unspliced cycle id via a monotone
-/// scan (spliced flags are never cleared).
+/// Dense layout: cycles are ranked in the store's id order, visible
+/// vertices are interned through a [`LocalIndex`], and the per-vertex cycle
+/// lists live in one flat CSR-style arena (`buckets` sliced by
+/// `bucket_lo`/`bucket_end`), so the spliced set is a plain `Vec<bool>` over
+/// ranks. Buckets hold ranks ascending and are popped from the back;
+/// `pop_any` yields the minimum unspliced cycle via a monotone scan
+/// (spliced flags are never cleared).
 struct PendingCycles {
     /// Interning table over every visible vertex of every cycle fragment.
     index: LocalIndex,
@@ -91,11 +91,12 @@ struct PendingCycles {
     bucket_lo: Vec<u32>,
     /// Current live end of each bucket (consumed from the back).
     bucket_end: Vec<u32>,
-    /// Flattened buckets: cycle ids visible at each vertex, id-ascending.
-    buckets: Vec<FragmentId>,
-    /// Whether fragment id `i` is a cycle (paths are never pending).
-    is_cycle: Vec<bool>,
-    /// Whether cycle id `i` has been spliced into the walk already.
+    /// Flattened buckets: ranks of the cycles visible at each vertex,
+    /// ascending.
+    buckets: Vec<u32>,
+    /// The cycle fragments, ascending by id; a cycle's rank is its position.
+    cycles: Vec<FragmentId>,
+    /// Whether the cycle of rank `i` has been spliced into the walk already.
     spliced: Vec<bool>,
     /// Monotone cursor for [`PendingCycles::pop_any`].
     scan: usize,
@@ -107,27 +108,33 @@ impl PendingCycles {
         // (while each fragment is still resident), so building the pending
         // set costs no spill I/O: a spilled fragment is read back exactly
         // once, by the unroll walk itself.
-        let num_fragments = store.len();
-        let pairs = store.cycle_vertex_pairs();
-        let mut is_cycle = vec![false; num_fragments];
-        for &(_, id) in &pairs {
-            // Fragments are never empty, so every cycle contributes pairs.
-            is_cycle[id.index()] = true;
-        }
-        let index = LocalIndex::from_vertices(pairs.iter().map(|&(v, _)| v));
+        // Pairs arrive grouped by cycle in id order (fragments are never
+        // empty, so every cycle contributes pairs): rank them as they come.
+        let mut cycles: Vec<FragmentId> = Vec::new();
+        let ranked: Vec<(VertexId, u32)> = store
+            .cycle_vertex_pairs()
+            .into_iter()
+            .map(|(v, id)| {
+                if cycles.last() != Some(&id) {
+                    cycles.push(id);
+                }
+                (v, cycles.len() as u32 - 1)
+            })
+            .collect();
+        let index = LocalIndex::from_vertices(ranked.iter().map(|&(v, _)| v));
         let n = index.len();
         // Counting-sort the (vertex, cycle) pairs into per-slot buckets,
-        // preserving id-ascending insertion order within each slot.
+        // preserving rank-ascending insertion order within each slot.
         let (offsets, buckets) = bucket_by_slot(n, || {
-            pairs.iter().map(|&(v, id)| (index.slot(v).expect("interned"), id))
+            ranked.iter().map(|&(v, rank)| (index.slot(v).expect("interned"), rank))
         });
         PendingCycles {
             bucket_lo: offsets[..n].to_vec(),
             bucket_end: offsets[1..].to_vec(),
             index,
             buckets,
-            is_cycle,
-            spliced: vec![false; num_fragments],
+            spliced: vec![false; cycles.len()],
+            cycles,
             scan: 0,
         }
     }
@@ -137,24 +144,24 @@ impl PendingCycles {
         let s = self.index.slot(v)? as usize;
         while self.bucket_end[s] > self.bucket_lo[s] {
             self.bucket_end[s] -= 1;
-            let id = self.buckets[self.bucket_end[s] as usize];
-            if !self.spliced[id.index()] {
-                self.spliced[id.index()] = true;
-                return Some(id);
+            let rank = self.buckets[self.bucket_end[s] as usize] as usize;
+            if !self.spliced[rank] {
+                self.spliced[rank] = true;
+                return Some(self.cycles[rank]);
             }
         }
         None
     }
 
     /// Any not-yet-spliced cycle (used to seed a new circuit / detect
-    /// disconnected components). Yields ids ascending, like the previous
-    /// `min`-scan, but amortised O(1) per call.
+    /// disconnected components). Yields ids ascending, amortised O(1) per
+    /// call.
     fn pop_any(&mut self) -> Option<FragmentId> {
         while self.scan < self.spliced.len() {
-            let id = self.scan;
-            if self.is_cycle[id] && !self.spliced[id] {
-                self.spliced[id] = true;
-                return Some(FragmentId(id as u64));
+            let rank = self.scan;
+            if !self.spliced[rank] {
+                self.spliced[rank] = true;
+                return Some(self.cycles[rank]);
             }
             self.scan += 1;
         }

@@ -50,7 +50,6 @@ use crate::config::EulerConfig;
 use crate::error::EulerError;
 use crate::memory_model::{model_series, LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
-use crate::phase1::Parallelism;
 use crate::phase3::{CircuitResult, CircuitStep};
 use crate::pipeline::{run_on_partitioned_cancellable, InProcessBackend, RunReport};
 use euler_bsp::transport::Connection;
@@ -666,22 +665,74 @@ fn send_error(conn: &dyn Connection, code: u64, message: &str) -> Result<(), Fra
     conn.send(frame_kind::ERROR, words.as_bytes())
 }
 
+/// What a connection's handler thread waits on. Client frames and the
+/// compute thread's events arrive on one queue, so the handler blocks on it
+/// and is woken by whichever comes first: neither side is polled for, and no
+/// timer granularity shows up in a request's latency.
+enum ConnEvent {
+    /// A frame the client sent.
+    Frame(u16, Vec<u8>),
+    /// The client hung up, or its byte stream is desynchronized.
+    ClientGone,
+    Compute(ComputeEvent),
+}
+
+/// Frames the reader may queue ahead of the handler; beyond this the client
+/// is held back by the socket, as it was when the handler read it directly.
+const EVENT_QUEUE: usize = 8;
+
 /// Serves one client connection to completion. Payload-level failures are
 /// answered with [`frame_kind::ERROR`] and the connection keeps serving;
 /// frame-level failures (the byte stream is desynchronized) close it.
 fn serve_connection(inner: &Arc<ServiceInner>, conn: &dyn Connection) {
+    let closing = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let (tx, events) = mpsc::sync_channel(EVENT_QUEUE);
+        let reader_tx = tx.clone();
+        let closing = &closing;
+        scope.spawn(move || read_frames(conn, &reader_tx, closing));
+        dispatch(inner, conn, &tx, &events);
+        // Dropping `events` at the end of this closure fails a reader blocked
+        // on a full queue; the flag stops one blocked on the socket.
+        closing.store(true, Ordering::Relaxed);
+    });
+}
+
+/// The connection's reader thread: forwards every client frame to the
+/// handler's queue until the client is gone or the handler is done.
+fn read_frames(conn: &dyn Connection, tx: &mpsc::SyncSender<ConnEvent>, closing: &AtomicBool) {
+    while !closing.load(Ordering::Relaxed) {
+        let event = match conn.recv_timeout(Some(Duration::from_millis(50))) {
+            Ok((kind, payload)) => ConnEvent::Frame(kind, payload),
+            Err(FrameError::Timeout) => continue,
+            Err(_) => ConnEvent::ClientGone,
+        };
+        let gone = matches!(event, ConnEvent::ClientGone);
+        if tx.send(event).is_err() || gone {
+            return;
+        }
+    }
+}
+
+fn dispatch(
+    inner: &Arc<ServiceInner>,
+    conn: &dyn Connection,
+    tx: &mpsc::SyncSender<ConnEvent>,
+    events: &mpsc::Receiver<ConnEvent>,
+) {
     loop {
         if inner.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        let (kind, payload) = match conn.recv_timeout(Some(Duration::from_millis(50))) {
-            Ok(frame) => frame,
-            Err(FrameError::Timeout) => continue,
-            Err(_) => return,
+        let (kind, payload) = match events.recv_timeout(Duration::from_millis(50)) {
+            Ok(ConnEvent::Frame(kind, payload)) => (kind, payload),
+            // A run's events end with its `Finished`, which `handle_run` waits for.
+            Ok(ConnEvent::Compute(_)) | Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Ok(ConnEvent::ClientGone) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
         };
         let outcome = match kind {
             frame_kind::REGISTER => handle_register(inner, conn, &payload),
-            frame_kind::RUN => handle_run(inner, conn, &payload),
+            frame_kind::RUN => handle_run(inner, conn, &payload, tx, events),
             frame_kind::STATS => {
                 conn.send_words(frame_kind::STATS_REPLY, &inner.stats().encode())
             }
@@ -715,15 +766,24 @@ fn handle_register(
     }
 }
 
+type Computed = Result<(Arc<CircuitResult>, RunSummary), EulerError>;
+
 enum ComputeEvent {
     Admitted { longs: u64 },
-    Finished(Box<Result<(Arc<CircuitResult>, RunSummary), EulerError>>),
+    /// Always the compute thread's last event.
+    Finished(Box<Computed>),
 }
+
+/// How often a waiting run handler looks at the shutdown flag and the run's
+/// progress counter. Nothing on a request's path waits for this tick.
+const SUPERVISE_TICK: Duration = Duration::from_millis(5);
 
 fn handle_run(
     inner: &Arc<ServiceInner>,
     conn: &dyn Connection,
     payload: &[u8],
+    tx: &mpsc::SyncSender<ConnEvent>,
+    events: &mpsc::Receiver<ConnEvent>,
 ) -> Result<(), FrameError> {
     let (checksum, opts) = match decode_run(payload) {
         Ok(req) => req,
@@ -744,37 +804,44 @@ fn handle_run(
     }
 
     let token = CancelToken::new();
-    let (tx, rx) = mpsc::channel();
     {
         let inner = Arc::clone(inner);
         let token = token.clone();
-        std::thread::spawn(move || compute_run(&inner, &graph, opts, key, &token, &tx));
+        let tx = tx.clone();
+        std::thread::spawn(move || {
+            // A panicking run still reports, so the handler never waits for
+            // a result that cannot come.
+            let run = || compute_run(&inner, &graph, opts, key, &token, &tx);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .unwrap_or_else(|_| Err(EulerError::Distributed("the compute thread panicked".into())));
+            let _ = tx.send(ConnEvent::Compute(ComputeEvent::Finished(Box::new(result))));
+        });
     }
 
-    // Supervise: relay admission/progress to the client, watch for CANCEL
+    // Supervise: relay admission/progress to the client, act on CANCEL
     // frames and disconnects, and cancel on service shutdown. A dead client
-    // cancels the run but the loop still drains the compute thread so the
+    // cancels the run but the loop still waits for the compute thread so the
     // permit's release is observed before this handler returns.
     let mut client_gone = false;
-    let mut note_client_gone = false;
     let mut last_progress = (0u32, 0u32);
     let finished = loop {
         if inner.shutdown.load(Ordering::Relaxed) {
             token.cancel();
         }
-        match rx.recv_timeout(Duration::from_millis(2)) {
-            Ok(ComputeEvent::Admitted { longs }) => {
+        match events.recv_timeout(SUPERVISE_TICK) {
+            Ok(ConnEvent::Compute(ComputeEvent::Admitted { longs })) => {
                 if !client_gone
                     && conn.send_words(frame_kind::ACCEPTED, &[longs, 0]).is_err()
                 {
                     client_gone = true;
                 }
             }
-            Ok(ComputeEvent::Finished(result)) => break *result,
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(EulerError::Distributed("compute thread exited without a result".into()))
-            }
+            Ok(ConnEvent::Compute(ComputeEvent::Finished(result))) => break *result,
+            Ok(ConnEvent::Frame(frame_kind::CANCEL, _)) => token.cancel(),
+            // A connection does nothing else while its run lasts: other
+            // frames are dropped. `tx` is alive, so an error is the tick.
+            Ok(ConnEvent::Frame(..)) | Err(_) => {}
+            Ok(ConnEvent::ClientGone) => client_gone = true,
         }
         let progress = token.progress();
         if !client_gone && progress != last_progress && progress.1 > 0 {
@@ -784,16 +851,7 @@ fn handle_run(
                 client_gone = true;
             }
         }
-        if !client_gone {
-            match conn.recv_timeout(Some(Duration::from_millis(1))) {
-                Ok((frame_kind::CANCEL, _)) => token.cancel(),
-                Ok(_) => {}
-                Err(FrameError::Timeout) => {}
-                Err(_) => client_gone = true,
-            }
-        }
-        if client_gone && !note_client_gone {
-            note_client_gone = true;
+        if client_gone {
             token.cancel();
         }
     };
@@ -819,20 +877,16 @@ fn compute_run(
     opts: RunOptions,
     key: CacheKey,
     token: &CancelToken,
-    tx: &mpsc::Sender<ComputeEvent>,
-) {
+    tx: &mpsc::SyncSender<ConnEvent>,
+) -> Computed {
     let raw = estimate_run_longs(graph.num_vertices(), graph.num_edges(), opts.partitions, opts.strategy);
     let estimate = inner.calibrated(raw);
-    let permit = match inner.admission.admit(estimate, token) {
-        Ok(permit) => permit,
-        Err(_) => {
-            inner.runs_cancelled.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(ComputeEvent::Finished(Box::new(Err(EulerError::Cancelled))));
-            return;
-        }
+    let Ok(permit) = inner.admission.admit(estimate, token) else {
+        inner.runs_cancelled.fetch_add(1, Ordering::Relaxed);
+        return Err(EulerError::Cancelled);
     };
-    let _ = tx.send(ComputeEvent::Admitted { longs: permit.longs() });
-    let result = match compute_circuit(graph, &opts, inner.config.fragment_budget_longs, token) {
+    let _ = tx.send(ConnEvent::Compute(ComputeEvent::Admitted { longs: permit.longs() }));
+    match compute_circuit(graph, &opts, inner.config.fragment_budget_longs, token) {
         Ok((circuit, report)) => {
             let measured = report.cumulative_memory_by_level().into_iter().max().unwrap_or(0)
                 + report.fragment_stats.peak_resident_longs;
@@ -854,9 +908,7 @@ fn compute_run(
             Err(EulerError::Cancelled)
         }
         Err(e) => Err(e),
-    };
-    drop(permit);
-    let _ = tx.send(ComputeEvent::Finished(Box::new(result)));
+    }
 }
 
 /// One pipeline run over a registered graph: streaming-partition the mapped
@@ -884,11 +936,10 @@ fn compute_circuit(
         fragment_memory_budget: Some(fragment_budget_longs),
         ..EulerConfig::default()
     };
-    // IntraPartition keeps the circuit composition bit-identical to a
-    // sequential run at any thread count, so a cached circuit and a fresh
-    // recomputation of the same (graph, options) key are the same bytes.
-    let backend = InProcessBackend::new().with_parallelism(Parallelism::IntraPartition);
-    run_on_partitioned_cancellable(&pg, &config, &backend, token)
+    // Fragment ids do not depend on the thread schedule, so a cached circuit
+    // and a fresh recomputation of the same (graph, options) key are the
+    // same bytes at any thread count.
+    run_on_partitioned_cancellable(&pg, &config, &InProcessBackend::new(), token)
 }
 
 fn stream_result(

@@ -27,7 +27,8 @@ const CAP_LONGS: u64 = 1 << 22;
 const FRAGMENT_BUDGET_LONGS: u64 = 1 << 16;
 
 /// The library path the service must match bit for bit: same source file,
-/// same partitioner, same merge strategy, same deterministic backend.
+/// same partitioner, same merge strategy, the default backend (whose result
+/// does not depend on the thread count).
 fn reference(path: &std::path::Path, opts: RunOptions) -> CircuitResult {
     let builder = EulerPipeline::builder()
         .source(MmapCsrSource::open(path).expect("reference source opens"))
@@ -35,8 +36,7 @@ fn reference(path: &std::path::Path, opts: RunOptions) -> CircuitResult {
             merge_strategy: opts.strategy,
             fragment_memory_budget: Some(FRAGMENT_BUDGET_LONGS),
             ..EulerConfig::default()
-        })
-        .backend(InProcessBackend::new().with_parallelism(Parallelism::IntraPartition));
+        });
     let builder = match opts.partitioner {
         PartitionerKind::Hash => builder.partitioner(HashPartitioner::new(opts.partitions)),
         PartitionerKind::Ldg => builder.partitioner(LdgPartitioner::new(opts.partitions)),

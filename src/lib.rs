@@ -182,62 +182,44 @@
 //!
 //! ## Parallelism model
 //!
-//! How Phase 1 is scheduled onto threads is a backend option,
-//! [`Parallelism`](algo::Parallelism):
+//! There is one schedule and no knob. The unit of parallelism is the
+//! paper's: the *partition*. A merge level's partitions run concurrently —
+//! on rayon threads in-process, on the engine's workers under
+//! [`BspBackend`](algo::BspBackend), in worker threads or processes over a
+//! transport — each executing the sequential Phase-1 kernel on an arena
+//! from a reusable pool ([`Phase1Arena`](algo::Phase1Arena)), and the level
+//! ends in a barrier.
 //!
-//! * **`PerPartition`** (default) — a merge level's partitions fan out
-//!   across threads, each running the sequential Phase-1 kernel. Fastest at
-//!   wide levels; concurrent partitions interleave their fragment-store
-//!   appends, so circuit *composition* can differ between runs (transfer
-//!   and memory accounting are always deterministic).
-//! * **`IntraPartition`** — partitions run one at a time (ascending id) and
-//!   the *inside* of each Phase 1 is parallelised by the wave-speculation
-//!   walker: workers speculate maximal walks against the committed state
-//!   and the main thread commits them in exact sequential order. Output is
-//!   **bit-identical to a fully sequential run for every thread count** —
-//!   circuits, per-level reports, transfer Longs — which is what the
-//!   narrow top levels of the merge tree (one big merged partition) need.
-//! * **`Auto`** — per level: `PerPartition` while at least as many live
-//!   partitions as threads remain, `IntraPartition` above that.
+//! The result does not depend on how those partitions were interleaved. A
+//! fragment's id ([`FragmentId`](algo::FragmentId)) is a function of
+//! `(merge level, partition id, push sequence within that partition)` and
+//! of nothing else, so no partition can influence another's ids; and the
+//! fragment store ([`FragmentStore`](algo::FragmentStore)) is addressed and
+//! walked by id, which is the order a one-thread run pushes in. Circuits,
+//! per-level reports and transfer Longs are therefore **bit-identical for
+//! every thread count, worker count and backend**, and equal to
+//! `.sequential()`:
 //!
 //! ```
 //! use euler_circuit::prelude::*;
 //!
 //! let graph = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]);
-//! let deterministic = |threads: usize| {
-//!     EulerPipeline::builder()
-//!         .graph(&graph)
-//!         .partitioner(LdgPartitioner::new(2))
-//!         .backend(
-//!             InProcessBackend::new()
-//!                 .with_parallelism(Parallelism::IntraPartition)
-//!                 .with_threads(threads),
-//!         )
-//!         .build()
-//!         .unwrap()
-//!         .run()
-//!         .unwrap()
+//! let run = |builder: euler_circuit::algo::EulerPipelineBuilder| {
+//!     builder.graph(&graph).partitioner(LdgPartitioner::new(2)).build().unwrap().run().unwrap()
 //! };
-//! // Any thread count produces the same circuits, edge for edge.
-//! let single = deterministic(1);
-//! let eight = deterministic(8);
-//! assert_eq!(single.circuit.result.circuits, eight.circuit.result.circuits);
-//! assert_eq!(single.merge.total_transfer_longs, eight.merge.total_transfer_longs);
+//! let one_thread = run(EulerPipeline::builder().sequential());
+//! let fan_out = run(EulerPipeline::builder());
+//! let two_workers = run(EulerPipeline::builder()
+//!     .backend(BspBackend::with_engine(BspConfig::with_workers(2))));
+//! // The same circuits, edge for edge.
+//! assert_eq!(fan_out.circuit.result.circuits, one_thread.circuit.result.circuits);
+//! assert_eq!(two_workers.circuit.result.circuits, one_thread.circuit.result.circuits);
+//! assert_eq!(two_workers.merge.total_transfer_longs, one_thread.merge.total_transfer_longs);
 //! ```
 //!
-//! On the BSP backend the same option rides the worker loop:
-//! `BspBackend::with_engine(BspConfig::with_workers(1).with_worker_threads(8))
-//! .with_parallelism(Parallelism::IntraPartition)` gives each simulated
-//! executor an 8-thread budget for the wave walker. Bit-identical circuit
-//! *composition* additionally needs the partitions to execute serially —
-//! always true in-process; on BSP it needs a single-worker engine, since a
-//! multi-worker engine runs its workers' partitions concurrently and their
-//! fragment-store appends interleave (each partition's own walks stay
-//! deterministic either way, as do transfers and reports). Phase-1 scratch
-//! (interning table, CSR incidence arena, cursors, bitsets, speculation
-//! overlays) lives in reusable [`Phase1Arena`](algo::Phase1Arena)s drawn
-//! from a per-backend pool, so repeated levels stop allocating once the
-//! buffers reach the working-set size.
+//! The rayon pool size is `RAYON_NUM_THREADS`, else the host's available
+//! parallelism; `tests/parallel_equivalence.rs` holds the promise under an
+//! oversubscribed pool, with and without a fragment memory budget.
 //!
 //! ## Distributed: wire transports, process workers, kill-and-resume
 //!
@@ -396,7 +378,7 @@ pub mod prelude {
         run_on_partitioned, run_on_partitioned_cancellable, run_with_backend, stream_phase1,
         verify::verify_circuit, BspBackend, CancelToken, CircuitResult, CircuitStep, EulerConfig,
         EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo,
-        InProcessBackend, LevelPartitionReport, MergeStrategy, Parallelism, PartitionerKind,
+        InProcessBackend, LevelPartitionReport, MergeStrategy, PartitionerKind,
         PipelineRun, RunEvent, RunOptions, RunOutcome, RunReport, ServiceClient, ServiceConfig,
         ServiceError, ServiceHandle, ServiceStats, SpillConfig, WStreamStats,
     };

@@ -1,27 +1,93 @@
-//! Differential harness for the parallel Phase-1 walker: on random
-//! Eulerized multigraphs, intra-partition parallel execution — any thread
-//! count, either backend — must be **bit-identical** to the sequential
-//! path: same circuits edge for edge, same per-level `RunReport` records,
-//! same transfer accounting.
+//! Differential harness for the one parallel schedule: a merge level's
+//! partitions run concurrently, and the result must be **bit-identical** to
+//! the `.sequential()` run — same circuits edge for edge, same per-level
+//! `RunReport` records, same transfer accounting, same fragment store down
+//! to the ids — on every backend, for any thread or worker count, with or
+//! without a fragment memory budget.
 //!
-//! This is the load-bearing invariant of the wave-speculation design (see
-//! `euler_core::phase1::parallel`): parallelism may only change wall-clock,
-//! never output. The sequential oracle is a `.sequential()` in-process run;
-//! the BSP side runs on a single engine worker (the configuration whose
-//! fragment-store append order is pinned, as in the PR-2 backend
-//! equivalence proptest) with the wave walker enabled through the worker
-//! loop's thread budget.
+//! That holds because a fragment's id is a function of `(level, partition,
+//! push sequence)` alone and the store is addressed and walked by id (see
+//! `euler_core::fragment`): concurrency may only change wall-clock, never
+//! output. Every test here forces a 4-thread
+//! rayon pool — oversubscribed on small CI runners — and repeats each
+//! concurrent run, so the pushes of a level really do interleave
+//! differently from run to run.
 
 use euler_circuit::algo::verify::verify_result;
+use euler_circuit::algo::{EulerError, Fragment, FragmentStore, LevelOutcome, LevelWork};
 use euler_circuit::bsp::BspConfig;
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::{Arc, Once};
 
-/// Thread counts the differential grid exercises.
-const THREADS: [usize; 3] = [1, 2, 8];
+/// Forces the rayon pool to 4 threads, whatever the environment says. The
+/// pool size is read once, at first use, so every test calls this first.
+fn force_four_threads() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
+}
 
-/// The measurement-free projection of one per-level record (timings vary
-/// run to run; everything else must be bit-stable).
+/// Decorates a backend to keep a handle on the walk's fragment store, which
+/// a `PipelineRun` does not expose.
+struct KeepStore<B> {
+    inner: B,
+    store: Rc<RefCell<Option<FragmentStore>>>,
+}
+
+impl<B: ExecutionBackend> ExecutionBackend for KeepStore<B> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
+        *self.store.borrow_mut() = Some(work.store.clone());
+        self.inner.run_level(work)
+    }
+
+    fn engine_stats(&self) -> Option<euler_circuit::bsp::EngineStats> {
+        self.inner.engine_stats()
+    }
+
+    fn warnings(&self) -> Vec<String> {
+        self.inner.warnings()
+    }
+}
+
+/// Everything a run produced that must not depend on the schedule.
+struct Observed {
+    circuits: Vec<Vec<CircuitStep>>,
+    supersteps: u32,
+    transfer_longs: u64,
+    fragment_disk_longs: u64,
+    /// The measurement-free projection of the per-level records (timings
+    /// vary run to run; everything else must be bit-stable).
+    records: Vec<RecordFacts>,
+    /// The fragment store after the run, in its own order, ids included.
+    fragments: Vec<Fragment>,
+    /// Not compared: the spill traffic of a budgeted run depends on which
+    /// fragments happened to be resident.
+    stats: FragmentStoreStats,
+}
+
+impl Observed {
+    /// Asserts bit-identity with `oracle`, naming what diverged (the values
+    /// themselves run to megabytes).
+    fn assert_matches(&self, oracle: &Observed, what: &str) {
+        assert!(self.circuits == oracle.circuits, "{what}: circuits diverged");
+        assert_eq!(self.supersteps, oracle.supersteps, "{what}: supersteps");
+        assert_eq!(self.transfer_longs, oracle.transfer_longs, "{what}: transfer longs");
+        assert_eq!(self.fragment_disk_longs, oracle.fragment_disk_longs, "{what}: fragment longs");
+        assert_eq!(self.records, oracle.records, "{what}: per-level records");
+        assert_eq!(self.fragments.len(), oracle.fragments.len(), "{what}: fragment count");
+        for (f, o) in self.fragments.iter().zip(&oracle.fragments) {
+            assert_eq!(f.id, o.id, "{what}: store order");
+            assert!(f == o, "{what}: fragment {:?} diverged", f.id);
+        }
+    }
+}
+
 #[derive(Debug, PartialEq)]
 struct RecordFacts {
     level: u32,
@@ -31,87 +97,139 @@ struct RecordFacts {
     memory_longs: u64,
     remote_needed_now: u64,
     transfer_in_longs: u64,
-    paths: u64,
-    cycles: u64,
-    merged: u64,
+    found: [u64; 3],
+    splice: [u64; 3],
 }
 
-fn facts(run: &PipelineRun) -> Vec<RecordFacts> {
-    run.merge
-        .per_partition
-        .iter()
-        .map(|r| RecordFacts {
-            level: r.level,
-            partition: r.partition,
-            counts: r.counts,
-            complexity: r.complexity,
-            memory_longs: r.memory_longs,
-            remote_needed_now: r.remote_needed_now,
-            transfer_in_longs: r.transfer_in_longs,
-            paths: r.paths_found,
-            cycles: r.cycles_found,
-            merged: r.internal_cycles_merged,
-        })
-        .collect()
-}
-
-/// Runs the sequential oracle, then the full (backend × thread-count) grid
-/// of intra-partition parallel runs, asserting each equals the oracle.
-fn assert_grid_matches_sequential(g: &Graph, assignment: &PartitionAssignment) {
-    let sequential = EulerPipeline::builder()
+fn observe(
+    g: &Graph,
+    assignment: &PartitionAssignment,
+    config: &EulerConfig,
+    backend: impl ExecutionBackend + 'static,
+) -> Observed {
+    let store = Rc::new(RefCell::new(None));
+    let run = EulerPipeline::builder()
         .graph(g)
         .assignment(assignment.clone())
-        .config(EulerConfig::default().sequential())
+        .config(config.clone())
+        .backend(KeepStore { inner: backend, store: Rc::clone(&store) })
         .build()
         .unwrap()
         .run()
         .unwrap();
-    verify_result(g, &sequential.circuit.result).unwrap();
-    let oracle_facts = facts(&sequential);
+    let store = store.borrow_mut().take().expect("at least one level ran");
+    Observed {
+        circuits: run.circuit.result.circuits,
+        supersteps: run.merge.supersteps,
+        transfer_longs: run.merge.total_transfer_longs,
+        fragment_disk_longs: run.circuit.fragment_disk_longs,
+        records: run
+            .merge
+            .per_partition
+            .iter()
+            .map(|r| RecordFacts {
+                level: r.level,
+                partition: r.partition,
+                counts: r.counts,
+                complexity: r.complexity,
+                memory_longs: r.memory_longs,
+                remote_needed_now: r.remote_needed_now,
+                transfer_in_longs: r.transfer_in_longs,
+                found: [r.paths_found, r.cycles_found, r.internal_cycles_merged],
+                splice: [
+                    r.splice_pivot_lookups,
+                    r.splice_linked_splices,
+                    r.splice_materialization_longs,
+                ],
+            })
+            .collect(),
+        fragments: store.snapshot(),
+        stats: run.circuit.fragment_stats,
+    }
+}
 
-    for threads in THREADS {
-        let in_proc = EulerPipeline::builder()
-            .graph(g)
-            .assignment(assignment.clone())
-            .backend(
-                InProcessBackend::new()
-                    .with_parallelism(Parallelism::IntraPartition)
-                    .with_threads(threads),
-            )
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let bsp = EulerPipeline::builder()
-            .graph(g)
-            .assignment(assignment.clone())
-            .backend(
-                BspBackend::with_engine(BspConfig::with_workers(1).with_worker_threads(threads))
-                    .with_parallelism(Parallelism::IntraPartition),
-            )
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
+/// The `.sequential()` oracle, then every concurrent way of running the same
+/// walk — rayon fan-out in-process, the in-process BSP engine with 2 workers
+/// and with one per partition, 2 thread workers over the in-memory
+/// transport — each `repeats` times, unbounded and under a fragment budget
+/// of an eighth of the fragment bytes. All must equal the oracle.
+fn assert_every_schedule_matches_sequential(
+    g: &Graph,
+    assignment: &PartitionAssignment,
+    repeats: usize,
+) {
+    let unbounded = EulerConfig::default();
+    let oracle = observe(g, assignment, &unbounded.clone().sequential(), InProcessBackend::new());
+    verify_result(g, &CircuitResult { circuits: oracle.circuits.clone() }).unwrap();
+    assert!(
+        oracle.fragments.windows(2).all(|w| w[0].id < w[1].id),
+        "the store walks in ascending id order"
+    );
+    let budgeted = unbounded.clone().with_fragment_memory_budget(oracle.fragment_disk_longs / 8);
 
-        for (name, run) in [("in-process", &in_proc), ("bsp", &bsp)] {
-            assert_eq!(
-                run.circuit.result.circuits, sequential.circuit.result.circuits,
-                "{name} circuits diverged at {threads} threads"
+    for config in [&unbounded, &budgeted] {
+        if config.fragment_memory_budget.is_some() {
+            // The budget changes where fragments live, not what they are.
+            let seq = observe(g, assignment, &config.clone().sequential(), InProcessBackend::new());
+            seq.assert_matches(&oracle, "sequential run under a budget");
+        }
+        for rep in 0..repeats {
+            let tag = |name: &str| {
+                format!("{name}, budget {:?}, repeat {rep}", config.fragment_memory_budget)
+            };
+            let fan_out = observe(g, assignment, config, InProcessBackend::new());
+            fan_out.assert_matches(&oracle, &tag("in-process fan-out"));
+            for engine in [BspConfig::with_workers(2), BspConfig::one_worker_per_partition()] {
+                let bsp = observe(g, assignment, config, BspBackend::with_engine(engine));
+                bsp.assert_matches(&oracle, &tag(&format!("bsp engine {:?}", engine.workers)));
+            }
+            let wire = BspBackend::with_engine(BspConfig::with_workers(2))
+                .with_transport(Arc::new(MemTransport));
+            observe(g, assignment, config, wire).assert_matches(&oracle, &tag("2 wire workers"));
+        }
+    }
+}
+
+/// The headline: partitions big enough that their pushes interleave, every
+/// backend, twenty times over.
+#[test]
+fn every_backend_is_bit_identical_to_sequential_twenty_times_over() {
+    force_four_threads();
+    let g = synthetic::random_eulerian_connected(3_000, 600, 8, 2024);
+    let assignment = LdgPartitioner::new(8).partition(&g);
+    assert_every_schedule_matches_sequential(&g, &assignment, 20);
+}
+
+/// The memory promise under concurrency: with a level's partitions pushing
+/// at once, the resident fragment set still never exceeds the budget by
+/// more than the one fragment being pushed, and nothing falls back to
+/// resident.
+#[test]
+fn fragment_budget_envelope_holds_under_concurrent_fan_out() {
+    force_four_threads();
+    let torus = synthetic::torus_grid(96, 96);
+    let rmat = eulerize(&RmatGenerator::new(12).with_avg_degree(8.0).with_seed(5).generate()).0;
+    for (name, g) in [("torus", &torus), ("rmat", &rmat)] {
+        let assignment = LdgPartitioner::new(8).partition(g);
+        let config = EulerConfig::default();
+        let unbounded = observe(g, &assignment, &config, InProcessBackend::new());
+        let budget = unbounded.fragment_disk_longs / 8;
+        let largest = unbounded.fragments.iter().map(Fragment::disk_longs).max().unwrap();
+        for _ in 0..5 {
+            let bounded = observe(
+                g,
+                &assignment,
+                &config.clone().with_fragment_memory_budget(budget),
+                InProcessBackend::new(),
             );
-            assert_eq!(
-                run.merge.total_transfer_longs, sequential.merge.total_transfer_longs,
-                "{name} transfer longs diverged at {threads} threads"
-            );
-            assert_eq!(run.merge.supersteps, sequential.merge.supersteps);
-            assert_eq!(
-                facts(run),
-                oracle_facts,
-                "{name} per-level records diverged at {threads} threads"
-            );
-            assert_eq!(
-                run.circuit.fragment_disk_longs, sequential.circuit.fragment_disk_longs,
-                "{name} fragment accounting diverged at {threads} threads"
+            bounded.assert_matches(&unbounded, &format!("{name} under a budget"));
+            let stats = bounded.stats;
+            assert!(stats.spilled_fragments > 0, "{name}: budget {budget} must spill: {stats:?}");
+            assert_eq!(stats.spill_errors, 0, "{name}");
+            assert!(
+                stats.peak_resident_longs <= budget + largest,
+                "{name}: peak {} over budget {budget} + largest fragment {largest}",
+                stats.peak_resident_longs
             );
         }
     }
@@ -121,13 +239,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random Eulerized multigraphs (parallel edges and self-loops from the
-    /// eulerizer) through the whole grid.
+    /// eulerizer) through every schedule.
     #[test]
     fn eulerized_multigraphs_are_thread_count_invariant(
         edges in prop::collection::vec((0u64..36, 0u64..36), 1..140),
         parts in 1u32..6,
         use_hash in any::<bool>(),
     ) {
+        force_four_threads();
         let mut b = GraphBuilder::with_vertices(36);
         b.extend_edges(edges.iter().copied());
         let (g, _) = eulerize(&b.build().unwrap());
@@ -136,7 +255,7 @@ proptest! {
         } else {
             LdgPartitioner::new(parts).partition(&g)
         };
-        assert_grid_matches_sequential(&g, &assignment);
+        assert_every_schedule_matches_sequential(&g, &assignment, 2);
     }
 
     /// Connected random Eulerian graphs — denser walks, more merge levels.
@@ -147,8 +266,9 @@ proptest! {
         extra in 0usize..12,
         parts in 1u32..7,
     ) {
+        force_four_threads();
         let g = synthetic::random_eulerian_connected(n.max(4), extra, 5, seed);
         let assignment = LdgPartitioner::new(parts).partition(&g);
-        assert_grid_matches_sequential(&g, &assignment);
+        assert_every_schedule_matches_sequential(&g, &assignment, 2);
     }
 }

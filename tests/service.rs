@@ -61,8 +61,7 @@ fn reference(path: &std::path::Path, opts: RunOptions) -> CircuitResult {
             merge_strategy: opts.strategy,
             fragment_memory_budget: Some(ServiceConfig::default().fragment_budget_longs),
             ..EulerConfig::default()
-        })
-        .backend(InProcessBackend::new().with_parallelism(Parallelism::IntraPartition));
+        });
     let builder = match opts.partitioner {
         PartitionerKind::Hash => builder.partitioner(HashPartitioner::new(opts.partitions)),
         PartitionerKind::Ldg => builder.partitioner(LdgPartitioner::new(opts.partitions)),
@@ -151,6 +150,7 @@ fn repeated_requests_hit_the_cache_without_recomputing() {
     assert_eq!(repeat.admitted_longs, 0, "cache hits hold no budget");
     assert!(repeat.summary.is_none(), "no fresh accounting for a cached result");
     assert_eq!(repeat.circuits, fresh.circuits, "cached bytes are the computed bytes");
+    assert_eq!(fresh.circuits, reference(&path, opts).circuits, "and the library's, by default");
     assert_eq!(after.runs_executed, before.runs_executed, "no pipeline re-run");
     assert_eq!(after.runs_cached, before.runs_cached + 1);
 
