@@ -142,7 +142,9 @@ fn decode_tree(r: &mut WordReader<'_>) -> Result<MergeTree, WireError> {
     {
         return Err(WireError::Invalid("merge tree exceeds the fragment id layout".into()));
     }
-    Ok(MergeTree { levels, root, leaves })
+    // Indexed by what was decoded, not by id: one table entry per (distinct
+    // id read above, level + 1), and the same answers as the level scan.
+    Ok(MergeTree::from_parts(levels, root, leaves))
 }
 
 /// Refuses partition states the worker's merge tree has no slot for.
@@ -581,12 +583,13 @@ impl WorkerState {
             // The slot's store hands out the same `(level, slot, seq)` ids a
             // shared store would, so nothing is renumbered on the way out.
             let store = FragmentStore::new();
-            let mut report = phase1_record(&mut wp, &tree, level, strategy, |wp| {
-                self.pool.run_phase1(wp, &store)
-            });
+            let (mut report, memory_after) =
+                phase1_record(&mut wp, &tree, level, strategy, |wp| {
+                    self.pool.run_phase1(wp, &store)
+                });
             (report.merge_time, report.transfer_in_longs) = (merge_time, transfer_in);
             store.for_each(|f| done.fragment(f));
-            done.report(&report, wp.memory_longs());
+            done.report(&report, memory_after);
 
             // --- Ship to the merge parent if this slot retires here. -----
             let retires = if level < height {
@@ -1526,15 +1529,8 @@ mod tests {
     use proptest::prelude::*;
 
     fn tiny_tree() -> MergeTree {
-        MergeTree {
-            levels: vec![vec![MergePair {
-                parent: PartitionId(0),
-                child: PartitionId(1),
-                weight: 3,
-            }]],
-            root: PartitionId(0),
-            leaves: (0..8).map(PartitionId).collect(),
-        }
+        let pair = MergePair { parent: PartitionId(0), child: PartitionId(1), weight: 3 };
+        MergeTree::from_parts(vec![vec![pair]], PartitionId(0), (0..8).map(PartitionId).collect())
     }
 
     fn test_init(dir: Option<PathBuf>) -> InitHead {
@@ -1698,6 +1694,59 @@ mod tests {
         wide.leaves.push(PartitionId(FragmentId::MAX_PARTITIONS));
         m.tree = Arc::new(wide);
         assert!(matches!(decode_init(&init_payload(&m, &[])), Err(WireError::Invalid(_))));
+    }
+
+    #[test]
+    fn hostile_trees_decode_to_the_scan_answers_in_a_table_sized_by_the_payload() {
+        use crate::merge_tree::tests::{assert_table_matches_scan, table_len};
+        let pair = |parent: u32, child: u32| MergePair {
+            parent: PartitionId(parent),
+            child: PartitionId(child),
+            weight: 1,
+        };
+        // The decoder sees whatever words arrive; build them from a tree
+        // whose public parts were edited after indexing.
+        let decode = |levels: Vec<Vec<MergePair>>, leaves: Vec<u32>| {
+            let mut tree = tiny_tree();
+            tree.levels = levels;
+            tree.leaves = leaves.into_iter().map(PartitionId).collect();
+            let mut out = WordWriter::new();
+            encode_tree(&mut out, &tree);
+            let bytes = out.into_bytes();
+            decode_tree(&mut WordReader::new(&bytes).unwrap())
+        };
+        // The largest nameable leaf id under 200 levels, most of them empty:
+        // the table is sized by the 3 ids and 201 columns the payload holds,
+        // never by the id.
+        let top = FragmentId::MAX_PARTITIONS - 1;
+        let mut levels = vec![Vec::new(); 200];
+        levels[0] = vec![pair(5, 0)];
+        levels[199] = vec![pair(top, 5)];
+        let tall = decode(levels, vec![top, 5, 0]).unwrap();
+        assert_eq!(table_len(&tall), 3 * 201);
+        assert_eq!(tall.merge_level_of(PartitionId(0), PartitionId(top)), Some(199));
+        assert_table_matches_scan(&tall, &[PartitionId(1), PartitionId(top + 1)]);
+
+        // Duplicate leaves collapse to one table row each.
+        let mut repeated = vec![2, 1, 1, 0];
+        repeated.resize(500, 2);
+        let dup = decode(vec![vec![pair(1, 0)], vec![pair(2, 1)]], repeated).unwrap();
+        assert_eq!(table_len(&dup), 3 * 3);
+        assert_table_matches_scan(&dup, &[PartitionId(3)]);
+
+        // Pairs whose child or parent is no leaf, and a level that moves a
+        // partition twice: the scan still has an answer, and it is the
+        // table's (one more row per stray id).
+        let stray = decode(vec![vec![pair(1, 7), pair(9, 1)], vec![pair(0, 9)]], vec![0, 1]).unwrap();
+        assert_eq!(table_len(&stray), 4 * 3);
+        assert_table_matches_scan(&stray, &[PartitionId(7), PartitionId(9), PartitionId(8)]);
+        let chained = decode(vec![vec![pair(1, 0), pair(2, 1)]], vec![0, 1, 2]).unwrap();
+        assert_eq!(chained.representative_after(PartitionId(0), 0), PartitionId(2));
+        assert_table_matches_scan(&chained, &[]);
+
+        // More levels than a fragment id can name: refused before indexing.
+        let tall = decode(vec![Vec::new(); 256], vec![0]);
+        assert!(matches!(&tall, Err(WireError::Invalid(m)) if m.contains("fragment id layout")));
     }
 
     #[test]

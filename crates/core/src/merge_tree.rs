@@ -38,6 +38,12 @@ pub struct MergeTreeNode {
 }
 
 /// The merge tree: for every level, which partition pairs merge.
+///
+/// [`MergeTree::build`] and [`MergeTree::from_parts`] index the tree once,
+/// so the two questions the walk asks per remote edge per level
+/// ([`representative_after`](Self::representative_after),
+/// [`merge_level_of`](Self::merge_level_of)) are table reads. The public
+/// fields are for reading: the table describes the tree as constructed.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MergeTree {
     /// Pairs merged at each level, level 0 first.
@@ -46,6 +52,23 @@ pub struct MergeTree {
     pub root: PartitionId,
     /// Leaf partitions the tree was built from.
     pub leaves: Vec<PartitionId>,
+    /// `height + 1` columns of `ranked` entries: `reps[c * ranked + r]` is
+    /// the partition that the `r`-th smallest id the tree names belongs to
+    /// entering level `c`. Column 0 is those ids themselves, ascending — the
+    /// rank lookup. Indexed by rank only, never by a partition id.
+    reps: Vec<PartitionId>,
+    /// Distinct ids the tree names: the length of one column.
+    ranked: usize,
+}
+
+/// Position of `id` in `sorted` (ascending, distinct). Partition ids are
+/// `0..P` on every pipeline path, where an id is its own rank; any other
+/// id set falls back to a binary search.
+pub(crate) fn rank_in(sorted: &[PartitionId], id: PartitionId) -> Option<usize> {
+    match sorted.get(id.0 as usize) {
+        Some(&at) if at == id => Some(id.0 as usize),
+        _ => sorted.binary_search(&id).ok(),
+    }
 }
 
 /// Greedy maximal weighted matching: sort meta-edges by descending weight and
@@ -74,8 +97,7 @@ impl MergeTree {
     /// weight 0 when more than one of them remains; this keeps the tree
     /// height at `⌈log2 n⌉` even for disconnected or star-shaped meta-graphs.
     pub fn build(meta: &MetaGraph) -> MergeTree {
-        let leaves = meta.vertices.clone();
-        let mut tree = MergeTree { levels: Vec::new(), root: PartitionId(0), leaves };
+        let mut levels = Vec::new();
         let mut current = meta.clone();
         while current.num_vertices() > 1 {
             let picked = greedy_maximal_matching(&current.edges);
@@ -107,10 +129,46 @@ impl MergeTree {
                 parent_of.insert(p.child, p.parent);
             }
             current = current.contract(&parent_of);
-            tree.levels.push(pairs);
+            levels.push(pairs);
         }
-        tree.root = current.vertices.first().copied().unwrap_or(PartitionId(0));
-        tree
+        let root = current.vertices.first().copied().unwrap_or(PartitionId(0));
+        MergeTree::from_parts(levels, root, meta.vertices.clone())
+    }
+
+    /// Assembles a tree from its parts — any parts: a forest, repeated
+    /// leaves, pairs naming partitions that are no leaves — and indexes it.
+    /// The table has one row per distinct id among the leaves and pairs and
+    /// one column per level plus one, so its size is bounded by the
+    /// caller's input; that is what lets a wire decoder call this.
+    pub fn from_parts(
+        levels: Vec<Vec<MergePair>>,
+        root: PartitionId,
+        leaves: Vec<PartitionId>,
+    ) -> MergeTree {
+        let named = levels.iter().flatten().flat_map(|p| [p.child, p.parent]);
+        let mut reps: Vec<PartitionId> = leaves.iter().copied().chain(named).collect();
+        reps.sort_unstable();
+        reps.dedup();
+        let ranked = reps.len();
+        reps.reserve_exact(ranked * levels.len());
+        // By rank: each id's representative entering the level, and where
+        // the level sends each partition.
+        let mut entering: Vec<usize> = (0..ranked).collect();
+        let mut goes_to = entering.clone();
+        for pairs in &levels {
+            goes_to.iter_mut().enumerate().for_each(|(rank, to)| *to = rank);
+            let rank = |id| rank_in(&reps[..ranked], id).expect("interned above");
+            // A level applies its pairs in order (child -> parent); composed
+            // back to front, each partition's destination is one read.
+            for pair in pairs.iter().rev() {
+                goes_to[rank(pair.child)] = goes_to[rank(pair.parent)];
+            }
+            for rep in &mut entering {
+                *rep = goes_to[*rep];
+                reps.push(reps[*rep]);
+            }
+        }
+        MergeTree { levels, root, leaves, reps, ranked }
     }
 
     /// Number of merge levels (tree height). The coordination cost of the
@@ -132,25 +190,26 @@ impl MergeTree {
 
     /// The partition a leaf belongs to after all merges up to and including
     /// `level` (i.e. its representative at level `level + 1`).
+    /// A partition the tree does not name is its own representative, and
+    /// levels past the last change nothing.
     pub fn representative_after(&self, leaf: PartitionId, level: u32) -> PartitionId {
-        let mut current = leaf;
-        for l in 0..=level {
-            for pair in self.pairs_at(l) {
-                if pair.child == current {
-                    current = pair.parent;
-                }
-            }
-        }
-        current
+        let Some(rank) = rank_in(&self.reps[..self.ranked], leaf) else { return leaf };
+        let column = (level as usize + 1).min(self.reps.len() / self.ranked - 1);
+        self.reps[column * self.ranked + rank]
     }
 
     /// The first level at which two leaves end up in the same merged
-    /// partition, or `None` if they never do (single-leaf trees).
+    /// partition, or `None` if they never do (single-leaf trees, or a
+    /// partition the tree does not name).
     pub fn merge_level_of(&self, a: PartitionId, b: PartitionId) -> Option<u32> {
         if a == b {
             return Some(0);
         }
-        (0..self.height()).find(|&l| self.representative_after(a, l) == self.representative_after(b, l))
+        let ids = &self.reps[..self.ranked];
+        let (ra, rb) = (rank_in(ids, a)?, rank_in(ids, b)?);
+        // Two table rows, read until they agree (they agree from then on).
+        let mut columns = self.reps.chunks_exact(self.ranked).skip(1);
+        columns.position(|column| column[ra] == column[rb]).map(|l| l as u32)
     }
 
     /// Flattens the tree into displayable nodes, level by level (Fig. 2).
@@ -217,7 +276,7 @@ impl MergeTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use euler_gen::synthetic::paper_fig1;
     use euler_graph::PartitionedGraph;
@@ -312,6 +371,127 @@ mod tests {
         assert_eq!(tree.merge_level_of(PartitionId(2), PartitionId(3)), Some(0));
         assert_eq!(tree.merge_level_of(PartitionId(0), PartitionId(3)), Some(1));
         assert_eq!(tree.merge_level_of(PartitionId(1), PartitionId(1)), Some(0));
+    }
+
+    /// The definition the table must reproduce: walk the levels, following
+    /// every pair whose child is the current representative.
+    fn scan_representative(tree: &MergeTree, leaf: PartitionId, level: u32) -> PartitionId {
+        let mut current = leaf;
+        for l in 0..=level {
+            for pair in tree.pairs_at(l) {
+                if pair.child == current {
+                    current = pair.parent;
+                }
+            }
+        }
+        current
+    }
+
+    fn scan_merge_level(tree: &MergeTree, a: PartitionId, b: PartitionId) -> Option<u32> {
+        if a == b {
+            return Some(0);
+        }
+        (0..tree.height())
+            .find(|&l| scan_representative(tree, a, l) == scan_representative(tree, b, l))
+    }
+
+    /// Entries of the representative table.
+    pub(crate) fn table_len(tree: &MergeTree) -> usize {
+        tree.reps.len()
+    }
+
+    /// Asserts table == scan for every leaf plus `strangers`, at every level
+    /// up to two past the root, and for every pair of them.
+    pub(crate) fn assert_table_matches_scan(tree: &MergeTree, strangers: &[PartitionId]) {
+        let ids: Vec<PartitionId> = tree.leaves.iter().chain(strangers).copied().collect();
+        for &a in &ids {
+            for level in 0..tree.height() + 2 {
+                assert_eq!(
+                    tree.representative_after(a, level),
+                    scan_representative(tree, a, level),
+                    "representative_after({a}, {level})"
+                );
+            }
+            for &b in &ids {
+                assert_eq!(tree.merge_level_of(a, b), scan_merge_level(tree, a, b), "({a}, {b})");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Built trees over random meta-graphs whose leaf ids are spread out
+        /// (`stride` > 1: ids are not their own ranks) and shuffled.
+        #[test]
+        fn table_matches_the_level_scan_on_random_trees(
+            n in 1u32..24,
+            stride in 1u32..1000,
+            offset in 0u32..50,
+            edges in proptest::collection::vec((0u32..24, 0u32..24, 1u64..9), 0..60),
+            descending in proptest::any::<bool>(),
+        ) {
+            let id = |i: u32| PartitionId(offset + (i % n) * stride);
+            let mut vertices: Vec<PartitionId> = (0..n).map(id).collect();
+            if descending {
+                vertices.reverse();
+            }
+            let pairs: Vec<_> = edges
+                .iter()
+                .filter(|(a, b, _)| a % n != b % n)
+                .map(|&(a, b, w)| (id(a), id(b), w))
+                .collect();
+            let tree = MergeTree::build(&MetaGraph::from_weights(vertices, &pairs));
+            // Ids between, below and above the leaves, none of them a leaf.
+            let strangers: Vec<PartitionId> = [offset + 1, offset + n * stride, u32::MAX, 0]
+                .into_iter()
+                .map(PartitionId)
+                .filter(|s| !tree.leaves.contains(s))
+                .collect();
+            assert_table_matches_scan(&tree, &strangers);
+        }
+    }
+
+    #[test]
+    fn from_parts_indexes_any_tree_like_the_scan() {
+        let pair = |parent: u32, child: u32| MergePair {
+            parent: PartitionId(parent),
+            child: PartitionId(child),
+            weight: 1,
+        };
+        let leaves = |ids: &[u32]| ids.iter().copied().map(PartitionId).collect::<Vec<_>>();
+        // A forest (two roots), a carried-over leaf, duplicate and unsorted
+        // leaves, an empty level, a retired id reused as a parent later.
+        let tree = MergeTree::from_parts(
+            vec![vec![pair(9, 2), pair(40, 7)], vec![], vec![pair(2, 9)]],
+            PartitionId(2),
+            leaves(&[40, 2, 9, 7, 9, 1000, 2]),
+        );
+        assert_eq!(table_len(&tree), 5 * 4, "distinct ids x (height + 1)");
+        assert_eq!(tree.representative_after(PartitionId(2), 5), PartitionId(2));
+        assert_eq!(tree.merge_level_of(PartitionId(7), PartitionId(2)), None);
+        assert_table_matches_scan(&tree, &leaves(&[0, 8, 41, u32::MAX]));
+        // The empty tree names nobody.
+        assert_table_matches_scan(&MergeTree::default(), &leaves(&[0, 3]));
+
+        // Levels no matching would produce, where the scan's answer depends
+        // on pair order: a chain inside one level (in both orders), a child
+        // paired twice, a self-pair, pairs naming partitions that are no
+        // leaves (which the scan moves all the same).
+        for odd in [
+            vec![pair(2, 1), pair(3, 2)],
+            vec![pair(3, 2), pair(2, 1)],
+            vec![pair(2, 1), pair(3, 1), pair(1, 3)],
+            vec![pair(1, 1), pair(2, 1)],
+            vec![pair(2, 8), pair(8, 3), pair(9, 8)],
+        ] {
+            let tree = MergeTree::from_parts(
+                vec![odd.clone(), vec![pair(3, 2)]],
+                PartitionId(3),
+                leaves(&[1, 2, 3]),
+            );
+            assert_table_matches_scan(&tree, &leaves(&[0, 8, 9, 10]));
+        }
     }
 
     #[test]

@@ -81,6 +81,10 @@ pub struct Phase1Output {
     /// The complexity measure `|B| + |I| + |L|` at the start of the run
     /// (Fig. 7's x axis).
     pub complexity: u64,
+    /// Vertices the partition retains after the run — its boundary vertices
+    /// plus any path endpoint that is not one — i.e. the vertex term of the
+    /// post-run [`WorkingPartition::memory_longs`].
+    pub vertices_after: u64,
     /// Splice-order-index work counters for this run.
     pub splice: SpliceStats,
 }
@@ -216,19 +220,21 @@ impl Traversal<'_> {
 /// The Fig.-9 vertex classification, computed from the traverser's pre-walk
 /// arrays by merging two sorted sequences (interned local-endpoint vertices
 /// and boundary vertices) — equal to `WorkingPartition::vertex_type_counts`
-/// without building a second index.
+/// without building a second index. Also returns
+/// [`Phase1Output::vertices_after`]: every odd vertex ends exactly one path.
 fn counts_from_traverser(
     tr: &Traversal<'_>,
     boundary: &[VertexId],
     remote_edges: u64,
     isolated: u64,
-) -> VertexTypeCounts {
+) -> (VertexTypeCounts, u64) {
     let mut counts = VertexTypeCounts {
         remote_edges,
         local_edges: tr.edges.len() as u64,
         even_internal: isolated,
         ..Default::default()
     };
+    let mut vertices_after = boundary.len() as u64;
     let mut bi = 0;
     for (s, &v) in tr.k.index.vertices().iter().enumerate() {
         // Boundary vertices below `v` touch no local edge: even (degree 0).
@@ -243,11 +249,14 @@ fn counts_from_traverser(
         match (is_boundary, tr.remaining(s as u32) % 2 == 1) {
             (true, true) => counts.odd_boundary += 1,
             (true, false) => counts.even_boundary += 1,
-            (false, _) => counts.even_internal += 1,
+            (false, odd) => {
+                counts.even_internal += 1;
+                vertices_after += odd as u64;
+            }
         }
     }
     counts.even_boundary += (boundary.len() - bi) as u64;
-    counts
+    (counts, vertices_after)
 }
 
 /// Runs Phase 1 on `wp`, persisting fragments into `store` and replacing the
@@ -281,7 +290,7 @@ pub fn run_phase1_with_arena(
     let Phase1Arena { kernel, host } = arena;
     kernel.load(&local_edges);
     let mut tr = Traversal { edges: &local_edges, k: kernel };
-    let counts_before =
+    let (counts_before, vertices_after) =
         counts_from_traverser(&tr, &boundary, wp.remote_edges.len() as u64, wp.isolated_vertices);
     let complexity = counts_before.phase1_complexity();
     let n = tr.k.index.len();
@@ -399,7 +408,7 @@ pub fn run_phase1_with_arena(
         linked_splices: internal_cycles_merged,
         materialization_longs,
     };
-    Phase1Output { path_map, counts_before, complexity, splice: splice_stats }
+    Phase1Output { path_map, counts_before, complexity, vertices_after, splice: splice_stats }
 }
 
 #[cfg(test)]
@@ -623,6 +632,7 @@ mod tests {
         assert_eq!(out_dense.path_map, out_ref.path_map, "path maps must match");
         assert_eq!(out_dense.complexity, out_ref.complexity);
         assert_eq!(out_dense.counts_before, out_ref.counts_before);
+        assert_eq!(out_dense.vertices_after, out_ref.vertices_after);
         assert_eq!(wp_dense.local_edges, wp_ref.local_edges, "residual coarse edges must match");
         assert_eq!(wp_dense.remote_edges, wp_ref.remote_edges);
         let frags_dense = store_dense.snapshot();

@@ -225,5 +225,7 @@ pub fn run_phase1_reference(wp: &mut WorkingPartition, store: &FragmentStore) ->
         linked_splices: internal_cycles_merged,
         materialization_longs,
     };
-    Phase1Output { path_map, counts_before, complexity, splice }
+    // By definition: classify the state the run left behind.
+    let vertices_after = wp.vertex_type_counts().total_vertices();
+    Phase1Output { path_map, counts_before, complexity, vertices_after, splice }
 }

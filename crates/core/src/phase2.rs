@@ -12,14 +12,13 @@
 //! lighter of the two eventual merge partners keeps each remote edge (the
 //! heavier drops its copy), halving the remote-edge memory footprint.
 
-use crate::merge_tree::MergeTree;
+use crate::merge_tree::{rank_in, MergeTree};
 use crate::state::{EdgeRef, LocalEdge, RemoteRef, WorkingPartition};
 use euler_graph::PartitionId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Statistics of one pair merge.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MergeStats {
     /// Longs shipped from the child to the parent machine.
     pub transferred_longs: u64,
@@ -34,16 +33,20 @@ pub struct MergeStats {
 /// "heavier" one) drops its copies of the edges between them; the lighter one
 /// retains them. Returns the number of remote-edge records removed.
 pub fn apply_remote_edge_dedup(states: &mut [WorkingPartition]) -> u64 {
-    // Total remote edges per leaf partition (the "weight" used to pick sides).
-    let weight: HashMap<PartitionId, u64> =
+    // Total remote edges per leaf partition (the "weight" used to pick
+    // sides), looked up by the leaf's rank among the ids.
+    let mut by_id: Vec<(PartitionId, u64)> =
         states.iter().map(|s| (s.id, s.remote_edges.len() as u64)).collect();
+    by_id.sort_unstable();
+    let (ids, weights): (Vec<PartitionId>, Vec<u64>) = by_id.into_iter().unzip();
+    let weight = |id: PartitionId| rank_in(&ids, id).map_or(0, |rank| weights[rank]);
     let mut dropped = 0u64;
     for state in states.iter_mut() {
         let my_id = state.id;
-        let my_weight = weight.get(&my_id).copied().unwrap_or(0);
+        let my_weight = weight(my_id);
         let before = state.remote_edges.len();
         state.remote_edges.retain(|r| {
-            let other_weight = weight.get(&r.remote_leaf).copied().unwrap_or(0);
+            let other_weight = weight(r.remote_leaf);
             // Keep the copy if this partition is the lighter of the pair
             // (ties broken toward the smaller partition id).
             my_weight < other_weight || (my_weight == other_weight && my_id < r.remote_leaf)
@@ -58,50 +61,78 @@ pub fn apply_remote_edge_dedup(states: &mut [WorkingPartition]) -> u64 {
 ///
 /// Remote edges whose other endpoint now belongs to the same merged partition
 /// are converted into local edges; with the duplicated representation each
-/// such edge appears once per side, so conversion is de-duplicated by edge id.
+/// such edge appears once per side, so conversion is de-duplicated by edge id
+/// (the first copy wins, the parent's refs before the child's).
+///
+/// The parent's vectors are kept and grown once to their final size, and
+/// every ref is looked at twice: counted, then moved.
 pub fn merge_partitions(
-    parent: WorkingPartition,
+    mut parent: WorkingPartition,
     child: WorkingPartition,
     tree: &MergeTree,
     level: u32,
 ) -> (WorkingPartition, MergeStats) {
-    let mut stats = MergeStats {
-        transferred_longs: child.transfer_longs(),
-        ..Default::default()
-    };
+    let transferred_longs = child.transfer_longs();
     let merged_id = parent.id;
-    let mut merged = WorkingPartition {
-        id: merged_id,
-        leaves: {
-            let mut l = parent.leaves.clone();
-            l.extend(child.leaves.iter().copied());
-            l.sort_unstable();
-            l.dedup();
-            l
-        },
-        level: level + 1,
-        local_edges: Vec::with_capacity(parent.local_edges.len() + child.local_edges.len()),
-        remote_edges: Vec::new(),
-        isolated_vertices: parent.isolated_vertices + child.isolated_vertices,
+    let converts = |r: &RemoteRef| tree.representative_after(r.remote_leaf, level) == merged_id;
+    // How many refs convert, and the span of their edge ids.
+    let span = |refs: &[RemoteRef]| {
+        refs.iter().filter(|r| converts(r)).fold((0, u64::MAX, 0), |(n, lo, hi), r| {
+            (n + 1, lo.min(r.edge.0), hi.max(r.edge.0))
+        })
     };
-    merged.local_edges.extend(parent.local_edges.iter().copied());
-    merged.local_edges.extend(child.local_edges.iter().copied());
+    let ((in_parent, lo, hi), (in_child, child_lo, child_hi)) =
+        (span(&parent.remote_edges), span(&child.remote_edges));
+    let mut first_copy = first_occurrences(in_parent + in_child, lo.min(child_lo), hi.max(child_hi));
 
-    let mut converted: HashSet<euler_graph::EdgeId> = HashSet::new();
-    for r in parent.remote_edges.into_iter().chain(child.remote_edges) {
-        let other_now = tree.representative_after(r.remote_leaf, level);
-        if other_now == merged_id {
-            // Becomes a local edge of the merged partition (once per edge id).
-            if converted.insert(r.edge) {
-                merged.local_edges.push(LocalEdge { edge: EdgeRef::Real(r.edge), u: r.local, v: r.remote });
-            }
-        } else {
-            merged.remote_edges.push(r);
+    parent.leaves.extend(child.leaves);
+    parent.leaves.sort_unstable();
+    parent.leaves.dedup();
+    parent.level = level + 1;
+    parent.isolated_vertices += child.isolated_vertices;
+
+    let WorkingPartition { local_edges: local, remote_edges: remote, .. } = &mut parent;
+    local.reserve(child.local_edges.len() + in_parent + in_child);
+    local.extend(child.local_edges);
+    let unconverted = local.len();
+    let mut survives = |r: &RemoteRef| {
+        let converted = converts(r);
+        if converted && first_copy(r.edge.0) {
+            local.push(LocalEdge { edge: EdgeRef::Real(r.edge), u: r.local, v: r.remote });
         }
+        !converted
+    };
+    remote.retain(&mut survives);
+    remote.reserve(child.remote_edges.len() - in_child);
+    remote.extend(child.remote_edges.into_iter().filter(&mut survives));
+
+    let stats = MergeStats {
+        transferred_longs,
+        converted_edges: (parent.local_edges.len() - unconverted) as u64,
+        surviving_remote_edges: parent.remote_edges.len() as u64,
+    };
+    (parent, stats)
+}
+
+/// A filter over `n` edge ids within `lo..=hi` that passes each id the
+/// first time it sees it, without hashing. Edge ids are positions in the
+/// input's edge array, so what two merging partitions share is usually
+/// dense in its span: one bit per id while that costs at most a word per
+/// edge, an ordered set for a few ids spread wide.
+fn first_occurrences(n: usize, lo: u64, hi: u64) -> Box<dyn FnMut(u64) -> bool> {
+    let words = hi.saturating_sub(lo) / 64 + 1;
+    if words > n as u64 + 1 {
+        let mut seen = std::collections::BTreeSet::new();
+        return Box::new(move |id| seen.insert(id));
     }
-    stats.converted_edges = converted.len() as u64;
-    stats.surviving_remote_edges = merged.remote_edges.len() as u64;
-    (merged, stats)
+    let mut seen = vec![0u64; words as usize];
+    Box::new(move |id| {
+        let at = id - lo;
+        let (word, bit) = (&mut seen[(at / 64) as usize], 1u64 << (at % 64));
+        let first = *word & bit == 0;
+        *word |= bit;
+        first
+    })
 }
 
 /// The merge level at which a remote edge becomes local, given the merge

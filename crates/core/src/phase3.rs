@@ -169,28 +169,43 @@ impl PendingCycles {
     }
 }
 
-/// An expansion frame: a fragment being walked, possibly reversed, with the
-/// tour edges to process. Cycles spliced mid-walk are rotated before pushing.
+/// An expansion frame: a fragment being walked. The frame owns the one copy
+/// of the edges [`FragmentStore::get`] hands out and reads it by index —
+/// forward, backward (each edge reversed), or forward from a rotation point
+/// and around — so no re-ordered second copy is built.
 struct Frame {
     edges: Vec<TourEdge>,
-    pos: usize,
+    /// Index of the next edge to walk, and how many are left.
+    at: usize,
+    left: usize,
+    reversed: bool,
 }
 
 impl Frame {
-    fn forward(f: &Fragment) -> Frame {
-        Frame { edges: f.edges.clone(), pos: 0 }
+    fn forward(f: Fragment) -> Frame {
+        Frame { at: 0, left: f.edges.len(), reversed: false, edges: f.edges }
     }
 
-    fn reversed(f: &Fragment) -> Frame {
-        Frame { edges: f.edges.iter().rev().map(|e| e.reversed()).collect(), pos: 0 }
+    fn reversed(f: Fragment) -> Frame {
+        Frame { at: f.edges.len().wrapping_sub(1), reversed: true, ..Frame::forward(f) }
     }
 
-    fn rotated(f: &Fragment, start: VertexId) -> Frame {
-        let rot = f.edges.iter().position(|e| e.from() == start).unwrap_or(0);
-        let mut edges = Vec::with_capacity(f.edges.len());
-        edges.extend_from_slice(&f.edges[rot..]);
-        edges.extend_from_slice(&f.edges[..rot]);
-        Frame { edges, pos: 0 }
+    /// A cycle walked from its first edge leaving `start`.
+    fn rotated(f: Fragment, start: VertexId) -> Frame {
+        let at = f.edges.iter().position(|e| e.from() == start).unwrap_or(0);
+        Frame { at, ..Frame::forward(f) }
+    }
+
+    /// The next tour edge in walk order and direction.
+    fn next(&mut self) -> Option<TourEdge> {
+        self.left = self.left.checked_sub(1)?;
+        let te = self.edges[self.at];
+        if self.reversed {
+            self.at = self.at.wrapping_sub(1);
+            return Some(te.reversed());
+        }
+        self.at = if self.at + 1 == self.edges.len() { 0 } else { self.at + 1 };
+        Some(te)
     }
 }
 
@@ -202,48 +217,51 @@ impl Frame {
 pub fn unroll(store: &FragmentStore) -> CircuitResult {
     let mut pending = PendingCycles::new(store);
     let mut result = CircuitResult::default();
+    // Every real edge is walked once: the first circuit is sized for all of
+    // them (a connected input has no other), later ones for what is left.
+    let mut unwalked = store.total_real_edges() as usize;
 
     while let Some(seed) = pending.pop_any() {
-        let mut circuit: Vec<CircuitStep> = Vec::new();
+        let mut circuit: Vec<CircuitStep> = Vec::with_capacity(unwalked);
         let seed_fragment = store.get(seed);
-        let mut stack: Vec<Frame> = vec![Frame::forward(&seed_fragment)];
         // Splice anything already pending at the seed's start vertex.
         let mut splice_here = seed_fragment.start();
+        let mut stack: Vec<Frame> = vec![Frame::forward(seed_fragment)];
         while let Some(extra) = pending.pop_at(splice_here) {
-            let f = store.get(extra);
-            stack.push(Frame::rotated(&f, splice_here));
+            stack.push(Frame::rotated(store.get(extra), splice_here));
         }
 
         while let Some(frame) = stack.last_mut() {
-            if frame.pos >= frame.edges.len() {
+            let Some(te) = frame.next() else {
                 stack.pop();
                 continue;
-            }
-            let te = frame.edges[frame.pos];
-            frame.pos += 1;
+            };
             match te {
                 TourEdge::Real { edge, from, to } => {
                     circuit.push(CircuitStep { edge, from, to });
                     splice_here = to;
                     while let Some(extra) = pending.pop_at(splice_here) {
-                        let f = store.get(extra);
-                        stack.push(Frame::rotated(&f, splice_here));
+                        stack.push(Frame::rotated(store.get(extra), splice_here));
                     }
                 }
                 TourEdge::Virtual { fragment, from, to } => {
                     let f = store.get(fragment);
                     let frame = if f.start() == from && f.end() == to {
-                        Frame::forward(&f)
+                        Frame::forward(f)
                     } else {
                         debug_assert!(
                             f.start() == to && f.end() == from,
                             "virtual edge endpoints must match the fragment"
                         );
-                        Frame::reversed(&f)
+                        Frame::reversed(f)
                     };
                     stack.push(frame);
                 }
             }
+        }
+        unwalked = unwalked.saturating_sub(circuit.len());
+        if unwalked > 0 {
+            circuit.shrink_to_fit(); // more circuits follow: give the rest back
         }
         if !circuit.is_empty() {
             result.circuits.push(circuit);
@@ -531,6 +549,86 @@ mod tests {
             assert_eq!(w[0].to, w[1].from);
         }
         assert_eq!(steps.first().unwrap().from, steps.last().unwrap().to);
+    }
+
+    fn virt(fragment: FragmentId, from: u64, to: u64) -> TourEdge {
+        TourEdge::Virtual { fragment, from: VertexId(from), to: VertexId(to) }
+    }
+
+    /// `(edge, from, to)` of every step of the single circuit.
+    fn steps(store: &FragmentStore) -> Vec<(u64, u64, u64)> {
+        let result = unroll(store);
+        assert_eq!(result.num_circuits(), 1);
+        result.circuits[0].iter().map(|s| (s.edge.0, s.from.0, s.to.0)).collect()
+    }
+
+    #[test]
+    fn reversed_path_inside_a_reversed_path_is_walked_backwards_twice() {
+        let store = FragmentStore::new();
+        // A: 1 -> 2 -> 3, used forward by B: 0 -> 1 ~A~> 3 -> 4; the root
+        // cycle walks B from 4 to 0, which in turn walks A from 3 to 1.
+        let a = path(&store, 0, vec![real(0, 1, 2), real(1, 2, 3)]);
+        let b = path(&store, 1, vec![real(2, 0, 1), virt(a, 1, 3), real(3, 3, 4)]);
+        cycle(&store, 2, vec![real(4, 5, 4), virt(b, 4, 0), real(5, 0, 5)]);
+        assert_eq!(
+            steps(&store),
+            vec![(4, 5, 4), (3, 4, 3), (1, 3, 2), (0, 2, 1), (2, 1, 0), (5, 0, 5)]
+        );
+    }
+
+    #[test]
+    fn cycle_is_rotated_to_the_vertex_it_is_spliced_at() {
+        let store = FragmentStore::new();
+        // The second cycle is anchored at 5 but first met at 2, mid-list:
+        // the walk enters it at its edge leaving 2 and wraps around.
+        cycle(&store, 0, vec![real(0, 0, 1), real(1, 1, 2), real(2, 2, 0)]);
+        cycle(&store, 0, vec![real(3, 5, 2), real(4, 2, 6), real(5, 6, 5)]);
+        assert_eq!(
+            steps(&store),
+            vec![(0, 0, 1), (1, 1, 2), (4, 2, 6), (5, 6, 5), (3, 5, 2), (2, 2, 0)]
+        );
+    }
+
+    #[test]
+    fn self_loop_cycles_and_one_edge_paths_unroll() {
+        let store = FragmentStore::new();
+        let p = path(&store, 0, vec![real(0, 1, 2)]);
+        cycle(&store, 0, vec![real(1, 7, 7)]);
+        // The self-loop (lowest id) seeds the walk and the other cycle is
+        // spliced in front of it at 7; the one-edge path is used against
+        // its direction.
+        cycle(&store, 1, vec![real(2, 7, 2), virt(p, 2, 1), real(3, 1, 7)]);
+        assert_eq!(steps(&store), vec![(2, 7, 2), (0, 2, 1), (3, 1, 7), (1, 7, 7)]);
+
+        let alone = FragmentStore::new();
+        cycle(&alone, 0, vec![real(9, 4, 4)]);
+        assert_eq!(steps(&alone), vec![(9, 4, 4)]);
+    }
+
+    #[test]
+    fn spill_backing_under_a_one_fragment_budget_unrolls_like_memory() {
+        // Every frame shape at once: nested reversed paths, a rotated cycle,
+        // a self-loop, a one-edge path.
+        let build = |store: &FragmentStore| {
+            let a = path(store, 0, vec![real(0, 1, 2), real(1, 2, 3)]);
+            let one = path(store, 0, vec![real(6, 8, 5)]);
+            cycle(store, 0, vec![real(7, 9, 2), real(8, 2, 9)]);
+            cycle(store, 0, vec![real(9, 3, 3)]);
+            let b = path(store, 1, vec![real(2, 0, 1), virt(a, 1, 3), real(3, 3, 4)]);
+            cycle(store, 2, vec![real(4, 5, 4), virt(b, 4, 0), real(5, 0, 8), virt(one, 8, 5)]);
+        };
+        let memory = FragmentStore::new();
+        build(&memory);
+        // 3 Longs per edge plus a header: the largest fragment just fits.
+        let spill = FragmentStore::spilling(crate::fragment::SpillConfig::with_budget(16));
+        build(&spill);
+        assert_eq!(memory.disk_longs(), spill.disk_longs());
+        let (from_memory, from_spill) = (steps(&memory), steps(&spill));
+        assert_eq!(from_memory, from_spill);
+        assert_eq!(from_memory.len(), 10);
+        let stats = spill.stats();
+        assert!(stats.spilled_fragments > 0 && stats.spill_read_longs > 0, "{stats:?}");
+        assert_eq!(stats.spill_errors, 0);
     }
 
     #[test]

@@ -208,24 +208,17 @@ impl RunReport {
 // Shared accounting helpers (used by both backends).
 // ---------------------------------------------------------------------------
 
-/// Accounts the active in-memory Longs of a partition under a merge strategy.
-pub(crate) fn active_memory_longs(
-    wp: &WorkingPartition,
-    tree: &MergeTree,
-    level: u32,
-    strategy: MergeStrategy,
-) -> u64 {
-    let counts = wp.vertex_type_counts();
-    let base = counts.total_vertices() + 3 * counts.local_edges;
-    let remote = match strategy {
-        MergeStrategy::Duplicated | MergeStrategy::Deduplicated => counts.remote_edges,
-        MergeStrategy::Deferred => wp
-            .remote_edges
-            .iter()
-            .filter(|r| remote_edge_needed_level(tree, r) <= level)
-            .count() as u64,
-    };
-    base + 4 * remote
+/// One pass over a partition's remote refs at `level`: how many become local
+/// exactly at this level's merge, and how many the merges up to and
+/// including it need — all the Deferred strategy keeps resident or ships.
+fn remote_needed(wp: &WorkingPartition, tree: &MergeTree, level: u32) -> (u64, u64) {
+    let (mut now, mut by_now) = (0u64, 0u64);
+    for r in &wp.remote_edges {
+        let needed = remote_edge_needed_level(tree, r);
+        now += (needed == level) as u64;
+        by_now += (needed <= level) as u64;
+    }
+    (now, by_now)
 }
 
 /// Longs shipped when this partition's state is sent to its merge parent.
@@ -235,49 +228,50 @@ pub(crate) fn transfer_longs(
     level: u32,
     strategy: MergeStrategy,
 ) -> u64 {
-    let remote = match strategy {
-        MergeStrategy::Duplicated | MergeStrategy::Deduplicated => wp.remote_edges.len() as u64,
-        MergeStrategy::Deferred => wp
-            .remote_edges
-            .iter()
-            .filter(|r| remote_edge_needed_level(tree, r) <= level)
-            .count() as u64,
+    let remote = if strategy.defers_transfer() {
+        remote_needed(wp, tree, level).1
+    } else {
+        wp.remote_edges.len() as u64
     };
     3 * wp.local_edges.len() as u64 + 4 * remote + 4
-}
-
-/// Remote edges that become local exactly at `level`'s merge.
-pub(crate) fn remote_needed_now(wp: &WorkingPartition, tree: &MergeTree, level: u32) -> u64 {
-    wp.remote_edges.iter().filter(|r| remote_edge_needed_level(tree, r) == level).count() as u64
 }
 
 /// One partition's Phase 1 at `level`, as every backend reports it: the
 /// pre-run accounting, the timed kernel run (`phase1`, which persists the
 /// partition's fragments), and the resulting record. `merge_time` and
 /// `transfer_in_longs` describe the merges that built `wp`; they are left
-/// zero for the caller to fill in.
+/// zero for the caller to fill in. Also returns the state's
+/// [`WorkingPartition::memory_longs`] after the run (the BSP supersteps
+/// report it to their engine). Both memories come from the kernel's one
+/// classification of the partition ([`Phase1Output`]).
 pub(crate) fn phase1_record(
     wp: &mut WorkingPartition,
     tree: &MergeTree,
     level: u32,
     strategy: MergeStrategy,
     phase1: impl FnOnce(&mut WorkingPartition) -> Phase1Output,
-) -> LevelPartitionReport {
+) -> (LevelPartitionReport, u64) {
     // A partition no merge touched since the previous level is carried over
     // as it was; its fragments are this level's all the same.
     wp.level = level;
-    let memory_longs = active_memory_longs(wp, tree, level, strategy);
-    let remote_needed_now = remote_needed_now(wp, tree, level);
+    // Phase 1 leaves the remote refs alone: counted here, outside its time.
+    let (remote_needed_now, needed_by_now) = remote_needed(wp, tree, level);
     let t0 = Instant::now();
     let out = phase1(wp);
-    LevelPartitionReport {
+    let phase1_time = t0.elapsed();
+    let counts = out.counts_before;
+    let resident_remote =
+        if strategy.defers_transfer() { needed_by_now } else { counts.remote_edges };
+    let memory_after =
+        out.vertices_after + 3 * wp.local_edges.len() as u64 + 4 * wp.remote_edges.len() as u64;
+    let report = LevelPartitionReport {
         level,
         partition: wp.id,
-        counts: out.counts_before,
+        counts,
         complexity: out.complexity,
-        phase1_time: t0.elapsed(),
+        phase1_time,
         merge_time: Duration::ZERO,
-        memory_longs,
+        memory_longs: counts.total_vertices() + 3 * counts.local_edges + 4 * resident_remote,
         remote_needed_now,
         transfer_in_longs: 0,
         paths_found: out.path_map.num_paths() as u64,
@@ -286,7 +280,8 @@ pub(crate) fn phase1_record(
         splice_pivot_lookups: out.splice.pivot_lookups,
         splice_linked_splices: out.splice.linked_splices,
         splice_materialization_longs: out.splice.materialization_longs,
-    }
+    };
+    (report, memory_after)
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +422,7 @@ impl ExecutionBackend for InProcessBackend {
 
         // --- Phase 1 on all active partitions of this level. ---------------
         let run_one = |wp: &mut WorkingPartition| {
-            phase1_record(wp, tree, level, strategy, |wp| pool.run_phase1(wp, store))
+            phase1_record(wp, tree, level, strategy, |wp| pool.run_phase1(wp, store)).0
         };
         let mut reports: Vec<LevelPartitionReport> = if work.config.parallel_within_level {
             st.states.par_iter_mut().map(run_one).collect()
@@ -625,11 +620,12 @@ impl euler_bsp::PartitionProgram for DistProgram {
         }
 
         // Phase 1 for this level.
-        let mut report = phase1_record(wp, &self.tree, level, self.strategy, |wp| {
-            ctx.time("phase1_tour", || self.pool.run_phase1(wp, &self.store))
-        });
+        let (mut report, memory_after) =
+            phase1_record(wp, &self.tree, level, self.strategy, |wp| {
+                ctx.time("phase1_tour", || self.pool.run_phase1(wp, &self.store))
+            });
         (report.merge_time, report.transfer_in_longs) = (merge_time, transfer_in);
-        ctx.report_memory_longs(wp.memory_longs());
+        ctx.report_memory_longs(memory_after);
         self.ledger.lock().reports.push(report);
 
         // Am I a child at this level? Then ship my state to the parent.
@@ -956,17 +952,21 @@ pub fn run_on_partitioned_cancellable(
     run_on_partitioned_inner(pg, config, backend, Some(cancel))
 }
 
-fn run_on_partitioned_inner(
-    pg: &PartitionedGraph,
+/// The dense path behind every partition-view entry point. The walk reads
+/// nothing of the view beyond the meta-graph and the level-0 states, so a
+/// caller that hands its view over by value has it released here, before
+/// level 0, instead of keeping it resident through Phase 3.
+pub(crate) fn run_on_partitioned_inner(
+    pg: impl std::borrow::Borrow<PartitionedGraph>,
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
     cancel: Option<&CancelToken>,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    let meta = MetaGraph::from_partitioned(pg);
-    let store = fragment_store_for(config);
-    let states: Vec<WorkingPartition> =
-        pg.partitions().iter().map(WorkingPartition::from_partition).collect();
-    run_merge_walk(&meta, states, store, config, backend, None, cancel)
+    let view: &PartitionedGraph = pg.borrow();
+    let meta = MetaGraph::from_partitioned(view);
+    let states = view.partitions().iter().map(WorkingPartition::from_partition).collect();
+    drop(pg);
+    run_merge_walk(&meta, states, fragment_store_for(config), config, backend, None, cancel)
 }
 
 /// Builds the run's fragment store from its configuration: an explicit
@@ -1397,7 +1397,8 @@ impl EulerPipeline {
         let t_part = Instant::now();
         let pg = csr.partitioned(&assignment)?;
         let partition_time = partition_time + t_part.elapsed();
-        let (result, report) = run_on_partitioned(&pg, &self.config, self.backend.as_ref())?;
+        let (result, report) =
+            run_on_partitioned_inner(pg, &self.config, self.backend.as_ref(), None)?;
         let provenance = Provenance {
             source: self.source.name(),
             // Nothing is loaded up front; pages fault in as the partition

@@ -51,7 +51,7 @@ use crate::error::EulerError;
 use crate::memory_model::{model_series, LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::phase3::{CircuitResult, CircuitStep};
-use crate::pipeline::{run_on_partitioned_cancellable, InProcessBackend, RunReport};
+use crate::pipeline::{run_on_partitioned_inner, InProcessBackend, RunReport};
 use euler_bsp::transport::Connection;
 use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
@@ -939,7 +939,7 @@ fn compute_circuit(
     // Fragment ids do not depend on the thread schedule, so a cached circuit
     // and a fresh recomputation of the same (graph, options) key are the
     // same bytes at any thread count.
-    run_on_partitioned_cancellable(&pg, &config, &InProcessBackend::new(), token)
+    run_on_partitioned_inner(pg, &config, &InProcessBackend::new(), Some(token))
 }
 
 fn stream_result(

@@ -167,12 +167,13 @@ impl WorkingPartition {
         boundary
     }
 
-    /// A dense index over every vertex this partition currently retains
-    /// (endpoints of local edges plus local endpoints of remote edges), with
-    /// per-slot local degrees and boundary flags — the flat-array form of the
-    /// edge/boundary bookkeeping used by the vertex classification below and
-    /// by the Phase-1 kernel.
-    pub fn degree_index(&self) -> (LocalIndex, Vec<u32>, Vec<bool>) {
+    /// Classifies the partition's vertices and edges (Fig.-9 composition),
+    /// from a dense index over every vertex the partition retains
+    /// (endpoints of local edges plus local endpoints of remote edges). The
+    /// Phase-1 kernel reports the same numbers off its own arrays
+    /// (`Phase1Output::counts_before`); this is the definition they are
+    /// tested against.
+    pub fn vertex_type_counts(&self) -> VertexTypeCounts {
         let index = LocalIndex::from_vertices(
             self.local_edges
                 .iter()
@@ -188,12 +189,6 @@ impl WorkingPartition {
         for r in &self.remote_edges {
             is_boundary[index.slot(r.local).expect("interned") as usize] = true;
         }
-        (index, local_deg, is_boundary)
-    }
-
-    /// Classifies the partition's vertices and edges (Fig.-9 composition).
-    pub fn vertex_type_counts(&self) -> VertexTypeCounts {
-        let (index, local_deg, is_boundary) = self.degree_index();
         let mut counts = VertexTypeCounts {
             remote_edges: self.remote_edges.len() as u64,
             local_edges: self.local_edges.len() as u64,
@@ -208,11 +203,6 @@ impl WorkingPartition {
             }
         }
         counts
-    }
-
-    /// The Phase-1 complexity measure `O(|B| + |I| + |L|)` for this state.
-    pub fn phase1_complexity(&self) -> u64 {
-        self.vertex_type_counts().phase1_complexity()
     }
 
     /// In-memory state size in Longs, using the paper's accounting: one Long

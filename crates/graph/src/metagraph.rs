@@ -33,22 +33,27 @@ pub struct MetaGraph {
 }
 
 impl MetaGraph {
-    /// Builds the meta-graph of a partitioned graph.
+    /// Builds the meta-graph of a partitioned graph: one indexed add per
+    /// remote edge into a dense `P × P` matrix (the view numbers its `P`
+    /// partitions `0..P`), no hashing.
     pub fn from_partitioned(pg: &PartitionedGraph) -> Self {
         let vertices: Vec<PartitionId> = pg.partitions().iter().map(|p| p.id).collect();
-        let mut weights: HashMap<(PartitionId, PartitionId), u64> = HashMap::new();
+        let n = vertices.len();
+        let mut counts = vec![0u64; n * n];
         for p in pg.partitions() {
             for r in &p.remote_edges {
                 let (a, b) = order(p.id, r.remote_partition);
-                *weights.entry((a, b)).or_insert(0) += 1;
+                assert!(b.index() < n, "partition {b} of a {n}-partition graph");
+                counts[a.index() * n + b.index()] += 1;
             }
         }
-        // Every cut edge was counted twice (once from each incident partition).
-        let mut edges: Vec<MetaEdge> = weights
-            .into_iter()
-            .map(|((a, b), w)| MetaEdge { a, b, weight: w / 2 })
-            .collect();
-        edges.sort_by_key(|e| (e.a, e.b));
+        // Every cut edge was counted twice (once from each incident
+        // partition); row-major order is `(a, b)` order.
+        let mut edges = Vec::new();
+        for (at, &count) in counts.iter().enumerate().filter(|(_, &count)| count > 0) {
+            let (a, b) = (PartitionId((at / n) as u32), PartitionId((at % n) as u32));
+            edges.push(MetaEdge { a, b, weight: count / 2 });
+        }
         MetaGraph { vertices, edges }
     }
 

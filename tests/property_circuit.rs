@@ -228,6 +228,7 @@ proptest! {
             let out_ref = run_phase1_reference(&mut wp_ref, &store_ref);
             prop_assert_eq!(out_dense.path_map, out_ref.path_map);
             prop_assert_eq!(out_dense.complexity, out_ref.complexity);
+            prop_assert_eq!(out_dense.vertices_after, out_ref.vertices_after);
             // The splice-order index's counters are semantic, not
             // implementation detail: both kernels must report the same
             // pivot lookups, linked splices and materialised Longs.
