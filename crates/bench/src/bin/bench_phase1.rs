@@ -10,7 +10,10 @@
 //!    where ~k internal cycles splice into one pending fragment.
 //!
 //! Both are single-threaded kernel rows; the host's parallelism is recorded
-//! for the record only. Everything goes to `BENCH_phase1.json`.
+//! for the record only. Everything goes to `BENCH_phase1.json`. Outside the
+//! timed regions every row also compares the two kernels' fragments (whole
+//! fragments, in id order), so a run is a dense ≡ reference differential at
+//! sizes the property tests never reach.
 //!
 //! Usage: `cargo run --release -p euler-bench --bin bench_phase1 [reps]`
 //! (default 5 repetitions; the minimum over reps is reported).
@@ -27,15 +30,15 @@ use euler_metrics::json::Value;
 use std::time::Instant;
 
 /// Minimum wall time over `reps` runs of `kernel` across all partitions of
-/// the workload, and the fragment count of the last run (sanity check that
+/// the workload, and the fragment store of the last run (for the check that
 /// the kernels do the same work).
 fn time_kernel(
     template: &[WorkingPartition],
     reps: u32,
     mut kernel: impl FnMut(&mut WorkingPartition, &FragmentStore),
-) -> (f64, usize) {
+) -> (f64, FragmentStore) {
     let mut best = f64::INFINITY;
-    let mut fragments = 0;
+    let mut last = FragmentStore::new();
     for _ in 0..reps {
         let mut wps: Vec<WorkingPartition> = template.to_vec();
         let store = FragmentStore::new();
@@ -45,9 +48,22 @@ fn time_kernel(
         }
         let elapsed = start.elapsed().as_secs_f64();
         best = best.min(elapsed);
-        fragments = store.len();
+        last = store;
     }
-    (best, fragments)
+    (best, last)
+}
+
+/// Asserts both kernels left the same fragments, in id order, and returns
+/// how many.
+fn assert_same_fragments(name: &str, reference: &FragmentStore, dense: &FragmentStore) -> usize {
+    let expect = reference.snapshot();
+    let mut i = 0;
+    dense.for_each(|f| {
+        assert!(expect.get(i) == Some(f), "{name}: dense fragment {i} ({:?}) differs", f.id);
+        i += 1;
+    });
+    assert_eq!(i, expect.len(), "{name}: kernels must produce identical fragment counts");
+    i
 }
 
 fn main() {
@@ -70,14 +86,14 @@ fn main() {
     let mut rows = Vec::new();
     for (name, template) in &workloads {
         let local_edges: u64 = template.iter().map(|wp| wp.local_edges.len() as u64).sum();
-        let (ref_s, ref_frags) =
+        let (ref_s, ref_store) =
             time_kernel(template, reps, |wp, store| {
                 run_phase1_reference(wp, store);
             });
-        let (dense_s, dense_frags) = time_kernel(template, reps, |wp, store| {
+        let (dense_s, dense_store) = time_kernel(template, reps, |wp, store| {
             run_phase1(wp, store);
         });
-        assert_eq!(ref_frags, dense_frags, "kernels must produce identical fragment counts");
+        let dense_frags = assert_same_fragments(name, &ref_store, &dense_store);
         let speedup = ref_s / dense_s;
         println!(
             "{name}: {local_edges} local edges | reference {ref_s:.3}s | dense {dense_s:.3}s | {speedup:.2}x"
@@ -103,13 +119,14 @@ fn main() {
         let g = synthetic::star_of_cycles(k);
         let template = single_working_partition(&g);
         let local_edges: u64 = template.iter().map(|wp| wp.local_edges.len() as u64).sum();
-        let (ref_s, ref_frags) = time_kernel(&template, reps, |wp, store| {
+        let (ref_s, ref_store) = time_kernel(&template, reps, |wp, store| {
             run_phase1_reference(wp, store);
         });
-        let (dense_s, dense_frags) = time_kernel(&template, reps, |wp, store| {
+        let (dense_s, dense_store) = time_kernel(&template, reps, |wp, store| {
             run_phase1(wp, store);
         });
-        assert_eq!(ref_frags, dense_frags, "kernels must produce identical fragment counts");
+        let dense_frags =
+            assert_same_fragments(&format!("star_of_cycles_{k}"), &ref_store, &dense_store);
         // One untimed run for the splice-index counters (identical for both
         // kernels by construction; the dense one is cheaper to rerun).
         let splice = {

@@ -358,8 +358,10 @@ impl SpillConfig {
 /// the fragments, and keep their fragments in a [`SegmentMap`], which is
 /// what assigns ids and fixes the iteration order.
 trait FragmentBacking: Send {
-    /// Stores `fragment` under the next id of its `(level, partition)`.
-    fn push(&mut self, fragment: Fragment) -> FragmentId;
+    /// Stores `fragment`, which has `reals` real edges (counted by the
+    /// caller, outside the store's lock), under the next id of its `(level,
+    /// partition)`.
+    fn push(&mut self, fragment: Fragment, reals: u64) -> FragmentId;
     /// Fragments pushed at `(level, partition)` so far.
     fn pushed(&self, level: u32, partition: PartitionId) -> u64;
     fn get(&mut self, id: FragmentId) -> Fragment;
@@ -400,15 +402,20 @@ struct Accounting {
 }
 
 impl Accounting {
-    fn add(&mut self, f: &Fragment) {
+    fn add(&mut self, f: &Fragment, reals: u64) {
         self.disk_longs += f.disk_longs();
-        self.real_edges += f.edges.iter().filter(|e| e.is_real()).count() as u64;
+        self.real_edges += reals;
     }
 
     fn remove(&mut self, f: &Fragment) {
         self.disk_longs -= f.disk_longs();
-        self.real_edges -= f.edges.iter().filter(|e| e.is_real()).count() as u64;
+        self.real_edges -= real_edges(f);
     }
+}
+
+/// Real (non-virtual) edges of `f`: one scan of its tour.
+fn real_edges(f: &Fragment) -> u64 {
+    f.edges.iter().filter(|e| e.is_real()).count() as u64
 }
 
 /// Append-only table addressed by [`FragmentId`]: one run of entries per
@@ -487,8 +494,8 @@ struct MemoryBacking {
 }
 
 impl FragmentBacking for MemoryBacking {
-    fn push(&mut self, mut fragment: Fragment) -> FragmentId {
-        self.accounting.add(&fragment);
+    fn push(&mut self, mut fragment: Fragment, reals: u64) -> FragmentId {
+        self.accounting.add(&fragment, reals);
         self.peak_longs = self.peak_longs.max(self.accounting.disk_longs);
         self.frags.push(fragment.level, fragment.partition, |id| {
             fragment.id = id;
@@ -508,7 +515,7 @@ impl FragmentBacking for MemoryBacking {
         fragment.id = id;
         let slot = self.frags.at_mut(id);
         self.accounting.remove(slot);
-        self.accounting.add(&fragment);
+        self.accounting.add(&fragment, real_edges(&fragment));
         self.peak_longs = self.peak_longs.max(self.accounting.disk_longs);
         *slot = fragment;
     }
@@ -1072,15 +1079,15 @@ fn schedule_keys(
 }
 
 impl FragmentBacking for SpillBacking {
-    fn push(&mut self, mut fragment: Fragment) -> FragmentId {
-        self.accounting.add(&fragment);
+    fn push(&mut self, mut fragment: Fragment, reals: u64) -> FragmentId {
+        self.accounting.add(&fragment, reals);
         let (next_read, evict_key) = self.schedule_keys(fragment.level, fragment.partition.0);
         let seq = self.next_seq;
         self.next_seq += 1;
         let id = self.index.push(fragment.level, fragment.partition, |id| SlotMeta {
             id,
             longs: fragment.disk_longs(),
-            reals: fragment.edges.iter().filter(|e| e.is_real()).count() as u64,
+            reals,
             loc: Loc::Resident,
             level: fragment.level,
             partition: fragment.partition.0,
@@ -1117,12 +1124,13 @@ impl FragmentBacking for SpillBacking {
         let meta = *self.index.at(id);
         self.accounting.disk_longs -= meta.longs;
         self.accounting.real_edges -= meta.reals;
-        self.accounting.add(&fragment);
+        let reals = real_edges(&fragment);
+        self.accounting.add(&fragment, reals);
         let (next_read, evict_key) = self.schedule_keys(fragment.level, fragment.partition.0);
         let new_longs = fragment.disk_longs();
         let slot = self.index.at_mut(id);
         slot.longs = new_longs;
-        slot.reals = fragment.edges.iter().filter(|e| e.is_real()).count() as u64;
+        slot.reals = reals;
         slot.level = fragment.level;
         slot.partition = fragment.partition.0;
         slot.next_read = next_read;
@@ -1325,7 +1333,8 @@ impl FragmentStore {
     /// sequence number of its `(level, partition)`. The `id` field of the
     /// passed fragment is overwritten.
     pub fn push(&self, fragment: Fragment) -> FragmentId {
-        self.inner.lock().push(fragment)
+        let reals = real_edges(&fragment);
+        self.inner.lock().push(fragment, reals)
     }
 
     /// Appends a fragment found elsewhere (a worker process) under the id it
@@ -1333,6 +1342,7 @@ impl FragmentStore {
     /// assign — the next of the fragment's `(level, partition)` — and every
     /// virtual edge must reference a fragment already in the store.
     pub(crate) fn adopt(&self, fragment: Fragment) -> Result<(), String> {
+        let reals = real_edges(&fragment);
         let mut inner = self.inner.lock();
         let stored = |id: FragmentId| id.seq() < inner.pushed(id.level(), id.partition());
         for e in &fragment.edges {
@@ -1354,7 +1364,7 @@ impl FragmentStore {
                 fragment.level, fragment.partition.0
             ));
         }
-        inner.push(fragment);
+        inner.push(fragment, reals);
         Ok(())
     }
 

@@ -28,10 +28,15 @@
 //!
 //! * a [`euler_graph::LocalIndex`] assigns each distinct endpoint a dense
 //!   `u32` slot in ascending `VertexId` order;
-//! * adjacency is a CSR pair (`offsets` + `incidence` of edge slots), built
+//! * adjacency is a fused CSR: one `[cursor, end]` row per vertex over an
+//!   `incidence` arena of `(edge slot, far endpoint slot)` entries, built
 //!   with two counting passes, preserving edge insertion order per vertex;
-//! * per-vertex cursors and remaining degrees are flat arrays indexed by
-//!   slot; visited edges are one bit each in a bitset;
+//! * visited edges are one bit each in a bitset, and so is the parity of
+//!   each vertex's unvisited degree: only the two ends of a maximal walk
+//!   change parity, so no degree array is kept;
+//! * every walk appends its tour edges straight to the slab of the
+//!   splice-order index (`phase1/splice.rs`), where they stay until the
+//!   fragment is persisted;
 //! * step-1/step-3 start vertices come from ascending slot scans (slot order
 //!   *is* ascending vertex order), replacing the reference `BTreeSet`.
 //!
@@ -66,6 +71,7 @@ use crate::fragment::{Fragment, FragmentId, FragmentKind, FragmentStore, TourEdg
 use crate::pathmap::{CycleEntry, PathEntry, PathMap};
 use crate::state::{EdgeRef, LocalEdge, VertexTypeCounts, WorkingPartition};
 use arena::{HostScratch, KernelState};
+use splice::SpliceIndex;
 use euler_graph::VertexId;
 use std::collections::HashMap;
 
@@ -147,62 +153,52 @@ pub(crate) struct Traversal<'a> {
 }
 
 impl Traversal<'_> {
-    /// Remaining (unvisited) local degree of vertex slot `s`.
-    #[inline]
-    pub fn remaining(&self, s: u32) -> u32 {
-        self.k.remaining[s as usize]
-    }
-
     #[inline]
     fn is_visited(&self, e: u32) -> bool {
         self.k.visited[(e >> 6) as usize] & (1u64 << (e & 63)) != 0
     }
 
-    /// Next unvisited incident edge slot of vertex slot `s`, if any. The
-    /// cursor parks on the returned edge (it is consumed by the caller) and
-    /// never re-scans the consumed prefix.
-    #[inline]
-    fn next_edge(&mut self, s: u32) -> Option<u32> {
-        let end = self.k.offsets[s as usize + 1];
-        let mut cur = self.k.cursor[s as usize];
-        while cur < end {
-            let e = self.k.incidence[cur as usize];
-            if !self.is_visited(e) {
-                self.k.cursor[s as usize] = cur;
-                return Some(e);
-            }
-            cur += 1;
-        }
-        self.k.cursor[s as usize] = cur;
-        None
-    }
-
     /// Maximal traversal from vertex slot `start`, consuming unvisited local
-    /// edges. Appends tour edges to `tour` and the visited vertex-slot
-    /// sequence (`tour.len() + 1` entries) to `vslots`.
-    pub fn walk(&mut self, start: u32, tour: &mut Vec<TourEdge>, vslots: &mut Vec<u32>) {
-        tour.clear();
-        vslots.clear();
-        vslots.push(start);
+    /// edges: appends each tour edge and the slot it leaves to `out`'s slab
+    /// and returns the slot the walk ends on (`start` itself when the walk
+    /// is a cycle, or empty because nothing is left at `start`).
+    pub fn walk(&mut self, start: u32, out: &mut SpliceIndex) -> u32 {
         let mut current = start;
         let mut current_v = self.k.index.vertex(current);
-        while let Some(e) = self.next_edge(current) {
+        loop {
+            // Next unvisited incidence of `current`: the cursor moves past
+            // it (consumed here) and never re-scans the consumed prefix.
+            let [mut cursor, end] = self.k.rows[current as usize];
+            let mut found = None;
+            while cursor < end && found.is_none() {
+                let [e, far] = self.k.incidence[cursor as usize];
+                cursor += 1;
+                if !self.is_visited(e) {
+                    found = Some((e, far));
+                }
+            }
+            self.k.rows[current as usize][0] = cursor;
+            let Some((e, next)) = found else { break };
             self.k.visited[(e >> 6) as usize] |= 1u64 << (e & 63);
-            let [su, sv] = self.k.ends[e as usize];
-            let next = if su == current { sv } else { su };
-            self.k.remaining[su as usize] -= 1;
-            self.k.remaining[sv as usize] -= 1;
             let next_v = self.k.index.vertex(next);
-            tour.push(match self.edges[e as usize].edge {
+            let edge = match self.edges[e as usize].edge {
                 EdgeRef::Real(edge) => TourEdge::Real { edge, from: current_v, to: next_v },
                 EdgeRef::Virtual(fragment) => {
                     TourEdge::Virtual { fragment, from: current_v, to: next_v }
                 }
-            });
-            vslots.push(next);
+            };
+            out.push(edge, current);
             current = next;
             current_v = next_v;
         }
+        // Interior visits consume two incidences and a closed walk an even
+        // number at its start: only the ends of an open walk change parity.
+        if current != start {
+            for s in [start, current] {
+                self.k.odd[(s >> 6) as usize] ^= 1u64 << (s & 63);
+            }
+        }
+        current
     }
 
     /// First unvisited edge slot, if any (monotone linear scan overall).
@@ -246,7 +242,7 @@ fn counts_from_traverser(
         if is_boundary {
             bi += 1;
         }
-        match (is_boundary, tr.remaining(s as u32) % 2 == 1) {
+        match (is_boundary, tr.k.is_odd(s as u32)) {
             (true, true) => counts.odd_boundary += 1,
             (true, false) => counts.even_boundary += 1,
             (false, odd) => {
@@ -264,10 +260,10 @@ fn counts_from_traverser(
 ///
 /// Deterministic and bit-identical to [`reference::run_phase1_reference`]:
 /// ascending-slot scans visit vertices in ascending global order (the
-/// `BTreeSet` order of the reference), parity of the remaining degree tracks
-/// membership in the shrinking odd set (interior visits consume two
-/// incidences, endpoints one), and CSR incidence preserves per-vertex edge
-/// insertion order.
+/// `BTreeSet` order of the reference), the parity bit of the remaining
+/// degree tracks membership in the shrinking odd set (interior visits
+/// consume two incidences, endpoints one), and CSR incidence preserves
+/// per-vertex edge insertion order.
 ///
 /// Allocates a throwaway [`Phase1Arena`]; repeated callers should hold an
 /// arena (or an [`ArenaPool`]) and use [`run_phase1_with_arena`] instead.
@@ -295,75 +291,64 @@ pub fn run_phase1_with_arena(
     let complexity = counts_before.phase1_complexity();
     let n = tr.k.index.len();
 
-    let HostScratch { visible, tour, vslots, odd_slots, boundary_slots, splice } = host;
+    let HostScratch { visible, splice } = host;
     // First pending fragment each vertex slot is visible in (mergeInto pivot
     // lookup), NOT_VISIBLE when none.
     visible.clear();
     visible.resize(n, NOT_VISIBLE);
-    // Pending fragments live in the splice-order index as linked tours;
-    // `Vec<TourEdge>` is only materialized once, at persist time.
-    splice.reset(n);
+    // Pending fragments live in the splice-order index, whose slab the walks
+    // append to; `Vec<TourEdge>` is only materialized once, at persist time.
+    splice.reset();
 
     // --- Step 1: OB paths. -------------------------------------------------
-    // The odd set is fixed at the start of the step: every walk turns exactly
-    // its two endpoints even and leaves all other parities unchanged, so
-    // "still has odd remaining degree" is equivalent to membership in the
-    // reference implementation's shrinking BTreeSet.
-    odd_slots.clear();
-    odd_slots.extend((0..n as u32).filter(|&s| tr.remaining(s) % 2 == 1));
-    for &s in odd_slots.iter() {
-        if tr.remaining(s).is_multiple_of(2) {
-            continue; // consumed as the far endpoint of an earlier walk
+    // A walk turns exactly its two ends even and changes no other parity,
+    // and its far end lies above its start (everything below is already
+    // even), so "the parity bit is still set when the ascending scan
+    // arrives" is membership in the reference's shrinking BTreeSet.
+    for s in 0..n as u32 {
+        if !tr.k.is_odd(s) {
+            continue; // even, or consumed as the far endpoint of an earlier walk
         }
-        tr.walk(s, tour, vslots);
-        debug_assert!(!tour.is_empty(), "odd-degree vertex must have an unvisited edge");
-        debug_assert_ne!(
-            vslots.first(),
-            vslots.last(),
-            "a maximal walk from an odd vertex ends elsewhere (Lemma 1)"
-        );
-        splice.create_fragment(FragmentKind::Path, tour, vslots, visible, NOT_VISIBLE);
+        let base = splice.len();
+        let end = tr.walk(s, splice);
+        debug_assert!(splice.len() > base, "odd-degree vertex must have an unvisited edge");
+        debug_assert_ne!(end, s, "a maximal walk from an odd vertex ends elsewhere (Lemma 1)");
+        splice.create_fragment(FragmentKind::Path, base, end, visible);
     }
 
     // --- Step 2: cycles at boundary vertices. -------------------------------
-    boundary_slots.clear();
-    boundary_slots.extend(boundary.iter().filter_map(|&b| tr.k.index.slot(b)));
-    for &s in boundary_slots.iter() {
-        if tr.remaining(s) == 0 {
+    for &b in &boundary {
+        let Some(s) = tr.k.index.slot(b) else { continue };
+        let base = splice.len();
+        let end = tr.walk(s, splice);
+        if splice.len() == base {
             continue; // trivial singleton: nothing to record
         }
-        tr.walk(s, tour, vslots);
-        debug_assert_eq!(vslots.last(), Some(&s), "even-degree traversal closes (Lemma 2)");
-        splice.create_fragment(FragmentKind::Cycle, tour, vslots, visible, NOT_VISIBLE);
+        debug_assert_eq!(end, s, "even-degree traversal closes (Lemma 2)");
+        splice.create_fragment(FragmentKind::Cycle, base, end, visible);
     }
 
     // --- Step 3: cycles at internal vertices, spliced at pivots. ------------
     let mut internal_cycles_merged = 0u64;
     let mut pivot_lookups = 0u64;
     while let Some(e) = tr.any_unvisited() {
-        let start = tr.k.ends[e as usize][0];
-        tr.walk(start, tour, vslots);
-        debug_assert_eq!(vslots.last(), Some(&start), "internal traversal closes (Lemma 2)");
+        let start = tr.k.index.slot(local_edges[e as usize].u).expect("endpoint interned");
+        let base = splice.len();
+        let end = tr.walk(start, splice);
+        debug_assert_eq!(end, start, "internal traversal closes (Lemma 2)");
         // mergeInto: find a pivot vertex shared with an existing fragment.
-        // Only the `tour.len()` from-slots are candidates (the final slot
-        // closes the cycle and duplicates the first), as in the reference.
         pivot_lookups += 1;
-        let pivot = vslots[..tour.len()]
-            .iter()
-            .enumerate()
-            .find(|(_, &s)| visible[s as usize] != NOT_VISIBLE)
-            .map(|(rot, &s)| (rot, visible[s as usize]));
-        match pivot {
+        match splice.pivot(base, visible) {
             Some((rot, at)) => {
                 // Rotate the cycle to start at the pivot and link it in at
                 // the pivot's first occurrence: O(1) position lookup via the
                 // first-occurrence handle, O(|cycle|) link-in.
-                splice.merge_into(at, rot, tour, vslots, visible, NOT_VISIBLE);
+                splice.merge_into(at, rot, base, visible);
                 internal_cycles_merged += 1;
             }
             None => {
                 // Disconnected local subgraph: keep as a standalone cycle.
-                splice.create_fragment(FragmentKind::Cycle, tour, vslots, visible, NOT_VISIBLE);
+                splice.create_fragment(FragmentKind::Cycle, base, end, visible);
             }
         }
     }
@@ -374,21 +359,12 @@ pub fn run_phase1_with_arena(
     path_map.local_edges_consumed = local_edges.len() as u64;
     let mut new_local = Vec::new();
     let mut materialization_longs = 0u64;
-    for i in 0..splice.num_fragments() {
-        let mut edges = Vec::new();
-        splice.materialize(i, &mut edges);
-        let fragment = Fragment {
-            id: FragmentId(0),
-            kind: splice.fragment_kind(i),
-            level: wp.level,
-            partition: wp.id,
-            edges,
-        };
+    for (kind, edges) in splice.fragments() {
+        let fragment = Fragment { id: FragmentId(0), kind, level: wp.level, partition: wp.id, edges };
         debug_assert!(fragment.is_well_formed(), "phase 1 produced a malformed fragment");
         materialization_longs += fragment.disk_longs();
         let start = fragment.start();
         let end = fragment.end();
-        let kind = fragment.kind;
         let id = store.push(fragment);
         match kind {
             FragmentKind::Path => {
@@ -633,6 +609,7 @@ mod tests {
         assert_eq!(out_dense.complexity, out_ref.complexity);
         assert_eq!(out_dense.counts_before, out_ref.counts_before);
         assert_eq!(out_dense.vertices_after, out_ref.vertices_after);
+        assert_eq!(out_dense.splice, out_ref.splice);
         assert_eq!(wp_dense.local_edges, wp_ref.local_edges, "residual coarse edges must match");
         assert_eq!(wp_dense.remote_edges, wp_ref.remote_edges);
         let frags_dense = store_dense.snapshot();
@@ -695,6 +672,74 @@ mod tests {
             isolated_vertices: 0,
         };
         assert_equivalent(&wp);
+    }
+
+    /// A level-0 partition over `local` edges whose boundary vertices (one
+    /// remote edge each) are `boundary`.
+    fn partition_of(local: &[(u64, u64)], boundary: &[u64]) -> WorkingPartition {
+        WorkingPartition {
+            id: PartitionId(0),
+            leaves: vec![PartitionId(0)],
+            local_edges: local
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, v))| LocalEdge {
+                    edge: EdgeRef::Real(euler_graph::EdgeId(i as u64)),
+                    u: VertexId(u),
+                    v: VertexId(v),
+                })
+                .collect(),
+            remote_edges: boundary
+                .iter()
+                .map(|&b| crate::state::RemoteRef {
+                    edge: euler_graph::EdgeId(1000 + b),
+                    local: VertexId(b),
+                    remote: VertexId(9000 + b),
+                    local_leaf: PartitionId(0),
+                    remote_leaf: PartitionId(1),
+                })
+                .collect(),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn dense_matches_reference_on_parity_set_and_empty_walk_degenerates() {
+        // A self-loop on a boundary vertex, with and without other edges.
+        assert_equivalent(&partition_of(&[(0, 0), (0, 1), (1, 2), (2, 0)], &[0]));
+        assert_equivalent(&partition_of(&[(5, 5)], &[5]));
+        assert_equivalent(&partition_of(&[(5, 5), (5, 6)], &[5, 6]));
+        // Boundary vertices with no local edge: below, between and above the
+        // interned ids, and as the whole partition (step 2 walks nothing).
+        assert_equivalent(&partition_of(&[(3, 4), (4, 6), (6, 3)], &[1, 3, 5, 9]));
+        assert_equivalent(&partition_of(&[], &[2, 4]));
+        // Parallel edges between two odd vertices: one path 0→1→0→1.
+        assert_equivalent(&partition_of(&[(0, 1), (0, 1), (0, 1)], &[0, 1]));
+        assert_equivalent(&partition_of(&[(0, 1), (1, 0), (0, 1), (1, 2), (2, 1), (1, 2)], &[0, 2]));
+        // Odd vertices consumed as an earlier walk's far end: the scan must
+        // skip 2 (ended the walk from 0) and 7 (ended the walk from 3); the
+        // wide case puts start and far end in different words of the set.
+        assert_equivalent(&partition_of(&[(0, 1), (1, 2), (3, 4), (4, 7)], &[0, 2, 3, 7]));
+        let wide: Vec<(u64, u64)> = (0..100).map(|i| (i, i + 100)).collect();
+        let ends: Vec<u64> = (0..200).collect();
+        assert_equivalent(&partition_of(&wide, &ends));
+    }
+
+    #[test]
+    fn dense_matches_reference_on_a_giant_cycle_whose_pivot_is_its_last_vertex() {
+        // Step 2 walks 0→1→0 from the boundary vertex and strands the ring
+        // 2→3→…→k→1→2. Step 3 starts it at vertex 2 (the `u` of its first
+        // edge), so the pivot 1 is the last vertex the walk leaves: the
+        // rotation is `len - 1`.
+        let k = 3000u64;
+        let mut local = vec![(0, 1), (1, 0)];
+        local.extend((2..k).map(|i| (i, i + 1)));
+        local.extend([(k, 1), (1, 2)]);
+        let wp = partition_of(&local, &[0]);
+        assert_equivalent(&wp);
+        let out = run_phase1(&mut wp.clone(), &FragmentStore::new());
+        assert_eq!(out.splice.linked_splices, 1);
+        assert_eq!(out.path_map.num_cycles(), 1);
     }
 
     #[test]

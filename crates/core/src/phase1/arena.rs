@@ -1,10 +1,10 @@
 //! Reusable Phase-1 scratch: the [`Phase1Arena`] and its checkout pool.
 //!
 //! Phase 1 runs once per partition per merge level; allocating its dense
-//! traversal state (interning table, CSR incidence arena, cursors, bitset,
-//! walk buffers) from scratch every time dominates the cost of small levels
+//! traversal state (interning table, CSR rows and incidence arena, bitsets,
+//! the splice slab) from scratch every time dominates the cost of small levels
 //! and fragments the heap on large ones. A [`Phase1Arena`] owns every buffer
-//! one Phase-1 execution needs — kernel state and walk scratch — and is
+//! one Phase-1 execution needs — kernel state and splice scratch — and is
 //! reloaded in place for each run: lengths are rewritten, capacities only
 //! ever grow.
 //!
@@ -18,7 +18,7 @@
 
 use super::splice::SpliceIndex;
 use super::Phase1Output;
-use crate::fragment::{FragmentStore, TourEdge};
+use crate::fragment::FragmentStore;
 use crate::state::{LocalEdge, WorkingPartition};
 use euler_graph::{LocalIndex, LocalIndexBufs};
 use parking_lot::Mutex;
@@ -33,20 +33,22 @@ pub(crate) struct KernelState {
     pub index: LocalIndex,
     /// Recycle bin for the previous index's allocations.
     index_bufs: LocalIndexBufs,
-    /// Interned endpoints `[u, v]` of each edge slot.
-    pub ends: Vec<[u32; 2]>,
-    /// CSR offsets into `incidence`: vertex slot `s` owns
-    /// `incidence[offsets[s] .. offsets[s + 1]]`.
-    pub offsets: Vec<u32>,
-    /// Incident edge slots, grouped by vertex, in edge insertion order
-    /// (a self-loop appears twice under its vertex, as in the reference).
-    pub incidence: Vec<u32>,
-    /// Per-vertex absolute cursor into `incidence` (consumed prefix).
-    pub cursor: Vec<u32>,
-    /// Remaining (unvisited) local degree per vertex slot.
-    pub remaining: Vec<u32>,
+    /// Load scratch: interned endpoints `[u, v]` of each edge slot, kept
+    /// between the degree-count and fill passes only.
+    ends_scratch: Vec<[u32; 2]>,
+    /// Per-vertex CSR row `[cursor, end]` into `incidence`: the unconsumed
+    /// suffix of the vertex's incidence list.
+    pub rows: Vec<[u32; 2]>,
+    /// `[edge slot, far endpoint slot]` incidences, grouped by vertex, in
+    /// edge insertion order (a self-loop appears twice under its vertex, as
+    /// in the reference).
+    pub incidence: Vec<[u32; 2]>,
     /// One bit per edge slot.
     pub visited: Vec<u64>,
+    /// One bit per vertex slot: parity of its unvisited local degree. Only
+    /// the two ends of a maximal walk change parity, so the walker toggles
+    /// at most two bits per walk.
+    pub odd: Vec<u64>,
     /// Monotone scan cursor for "first unvisited edge" (step 3); visited
     /// bits are never cleared, so this never moves backwards.
     pub unvisited_scan: usize,
@@ -62,73 +64,70 @@ impl KernelState {
             &mut self.index_bufs,
         );
         let n = self.index.len();
-
-        self.ends.clear();
-        self.ends.extend(edges.iter().map(|e| {
-            [
-                self.index.slot(e.u).expect("endpoint interned"),
-                self.index.slot(e.v).expect("endpoint interned"),
-            ]
-        }));
-
-        // Counting-sort CSR build (the `bucket_by_slot` idiom, inlined so the
-        // offsets/incidence arenas are reused instead of reallocated).
-        // Filling in edge order means each vertex sees its incident edges in
-        // insertion order, and a self-loop contributes two entries.
         let incidences = edges.len() * 2;
         assert!(
             incidences < u32::MAX as usize,
             "CSR arena overflow: {incidences} incidences do not fit u32 indices"
         );
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        for &[u, v] in &self.ends {
-            self.offsets[u as usize + 1] += 1;
-            self.offsets[v as usize + 1] += 1;
+
+        // Counting-sort CSR build (the `bucket_by_slot` idiom, inlined so the
+        // arenas are reused instead of reallocated). One pass over the
+        // endpoints the index build just collected interns them and counts
+        // degrees (in `rows[s][1]`).
+        self.rows.clear();
+        self.rows.resize(n, [0, 0]);
+        self.ends_scratch.clear();
+        for uv in self.index_bufs.collected().chunks_exact(2) {
+            let ends = [uv[0], uv[1]].map(|v| self.index.slot(v).expect("endpoint interned"));
+            self.rows[ends[0] as usize][1] += 1;
+            self.rows[ends[1] as usize][1] += 1;
+            self.ends_scratch.push(ends);
         }
-        for s in 0..n {
-            self.offsets[s + 1] += self.offsets[s];
+        // Degrees become empty rows `[start, start]`; the parity set keeps
+        // the one bit of the degree the walker needs.
+        self.odd.clear();
+        self.odd.resize(n.div_ceil(64), 0);
+        let mut start = 0u32;
+        for (s, row) in self.rows.iter_mut().enumerate() {
+            let degree = row[1];
+            self.odd[s >> 6] |= u64::from(degree & 1) << (s & 63);
+            *row = [start, start];
+            start += degree;
         }
-        // Fill positions start at the row offsets; after the fill pass the
-        // same values (row starts) seed the cursors.
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.offsets[..n]);
+        // Filling in edge order grows each row's end to its full width,
+        // means each vertex sees its incident edges in insertion order, and
+        // gives a self-loop two entries.
         self.incidence.clear();
-        self.incidence.resize(incidences, 0);
-        for (i, &[u, v]) in self.ends.iter().enumerate() {
-            for s in [u, v] {
-                let fill = &mut self.cursor[s as usize];
-                self.incidence[*fill as usize] = i as u32;
+        self.incidence.resize(incidences, [0, 0]);
+        for (i, &[u, v]) in self.ends_scratch.iter().enumerate() {
+            for (s, far) in [(u, v), (v, u)] {
+                let fill = &mut self.rows[s as usize][1];
+                self.incidence[*fill as usize] = [i as u32, far];
                 *fill += 1;
             }
         }
-        self.cursor.copy_from_slice(&self.offsets[..n]);
 
-        // The unvisited degree starts as the full CSR row width.
-        self.remaining.clear();
-        self.remaining.extend(self.offsets.windows(2).map(|w| w[1] - w[0]));
         self.visited.clear();
         self.visited.resize(edges.len().div_ceil(64), 0);
         self.unvisited_scan = 0;
     }
+
+    /// True when vertex slot `s` has odd unvisited local degree.
+    #[inline]
+    pub fn is_odd(&self, s: u32) -> bool {
+        self.odd[(s >> 6) as usize] & (1u64 << (s & 63)) != 0
+    }
 }
 
-/// Walk and splice scratch of the Phase-1 orchestration.
+/// Splice scratch of the Phase-1 orchestration.
 #[derive(Default)]
 pub(crate) struct HostScratch {
     /// First pending fragment each vertex slot is visible in (`mergeInto`
     /// pivot lookup), [`super::NOT_VISIBLE`] when none.
     pub visible: Vec<u32>,
-    /// Tour edges of the walk in progress.
-    pub tour: Vec<TourEdge>,
-    /// Visited vertex-slot sequence of the walk in progress.
-    pub vslots: Vec<u32>,
-    /// Step-1 start queue: slots with odd initial remaining degree.
-    pub odd_slots: Vec<u32>,
-    /// Step-2 start queue: boundary vertices' slots, ascending.
-    pub boundary_slots: Vec<u32>,
-    /// Splice-order index holding the pending fragments as linked tours
-    /// (node arena + first-occurrence handles); reset per run.
+    /// Splice-order index holding the pending fragments: the slab the walks
+    /// append to, plus links and first-occurrence handles where a splice
+    /// landed; reset per run.
     pub splice: SpliceIndex,
 }
 
@@ -146,9 +145,9 @@ pub struct Phase1Arena {
 /// working-set size.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaCapacities {
-    /// Capacity of the per-vertex arrays (cursor/remaining), in slots.
+    /// Capacity of the per-vertex CSR rows, in slots.
     pub vertex_slots: usize,
-    /// Capacity of the per-edge arrays (`ends`), in edge slots.
+    /// Capacity of the per-edge load scratch, in edge slots.
     pub edge_slots: usize,
     /// Capacity of the CSR incidence arena, in entries.
     pub incidence: usize,
@@ -156,8 +155,6 @@ pub struct ArenaCapacities {
     pub visited_words: usize,
     /// Capacity of the interning table's vertex buffers, in entries.
     pub index_vertices: usize,
-    /// Capacity of the walk tour buffer, in tour edges.
-    pub tour: usize,
     /// Capacity of the splice-order index's tour-node arena, in nodes.
     pub splice_nodes: usize,
     /// Size of the splice-order index's per-slot handle arrays, in slots.
@@ -172,7 +169,6 @@ impl ArenaCapacities {
             && self.incidence >= other.incidence
             && self.visited_words >= other.visited_words
             && self.index_vertices >= other.index_vertices
-            && self.tour >= other.tour
             && self.splice_nodes >= other.splice_nodes
             && self.splice_slots >= other.splice_slots
     }
@@ -187,8 +183,8 @@ impl Phase1Arena {
     /// Current buffer capacities (never shrink across runs).
     pub fn capacities(&self) -> ArenaCapacities {
         ArenaCapacities {
-            vertex_slots: self.kernel.cursor.capacity().min(self.kernel.remaining.capacity()),
-            edge_slots: self.kernel.ends.capacity(),
+            vertex_slots: self.kernel.rows.capacity(),
+            edge_slots: self.kernel.ends_scratch.capacity(),
             incidence: self.kernel.incidence.capacity(),
             visited_words: self.kernel.visited.capacity(),
             index_vertices: self
@@ -197,27 +193,24 @@ impl Phase1Arena {
                 .vertex_capacity()
                 // The recycle bin holds the rest of the capacity between runs.
                 .max(self.kernel.index_bufs.vertex_capacity()),
-            tour: self.host.tour.capacity(),
             splice_nodes: self.host.splice.node_capacity(),
             splice_slots: self.host.splice.slot_capacity(),
         }
     }
 
     /// Deliberately corrupts every buffer the next run could read — stale
-    /// visited bits, bogus cursors and degrees, garbage walk buffers — while
-    /// keeping lengths plausible. Test-only: proves a reload fully
-    /// re-initialises the arena and no state leaks between checkouts.
+    /// visited and parity bits, bogus rows and incidences, a garbage splice
+    /// index — while keeping lengths plausible. Test-only: proves a reload
+    /// fully re-initialises the arena and no state leaks between checkouts.
     #[cfg(test)]
     pub(crate) fn poison(&mut self) {
         self.kernel.visited.fill(u64::MAX);
-        self.kernel.cursor.fill(u32::MAX / 2);
-        self.kernel.remaining.fill(7);
+        self.kernel.odd.fill(u64::MAX);
+        self.kernel.rows.fill([u32::MAX / 2, 7]);
+        self.kernel.ends_scratch.fill([u32::MAX / 5; 2]);
         self.kernel.unvisited_scan = usize::MAX / 2;
-        self.kernel.incidence.fill(u32::MAX / 3);
+        self.kernel.incidence.fill([u32::MAX / 3; 2]);
         self.host.visible.fill(3);
-        self.host.vslots.fill(u32::MAX / 5);
-        self.host.odd_slots.fill(1);
-        self.host.boundary_slots.fill(2);
         self.host.splice.poison();
     }
 }
@@ -328,8 +321,9 @@ mod tests {
 
     #[test]
     fn deliberately_dirty_arena_leaks_no_state() {
-        // A poisoned arena (stale visited bits, bogus cursors/degrees,
-        // garbage walk buffers) must behave exactly like a fresh one.
+        // A poisoned arena (stale visited and parity bits, bogus rows and
+        // incidences, garbage splice index) must behave exactly like a
+        // fresh one.
         let mut arena = Phase1Arena::new();
         for wp in &working_partitions(80, 8, 42, 3) {
             // Dirty the arena with a real run on a different partition
@@ -341,6 +335,28 @@ mod tests {
             arena.poison();
             assert_matches_oracle(wp, &mut arena);
         }
+    }
+
+    #[test]
+    fn a_run_that_splices_nothing_never_writes_the_handle_arrays() {
+        let mut arena = Phase1Arena::new();
+        // Grow and dirty the per-slot handle arrays with runs that splice.
+        let mut spliced = 0;
+        for wp in &working_partitions(80, 8, 42, 1) {
+            let out = run_phase1_with_arena(&mut wp.clone(), &FragmentStore::new(), &mut arena);
+            spliced += out.splice.linked_splices;
+        }
+        assert!(spliced > 0, "the warm-up must size the handle arrays");
+        let mut checked = 0;
+        for wp in &working_partitions(80, 8, 42, 3) {
+            if oracle(wp).0.splice.linked_splices == 0 {
+                arena.poison();
+                assert_matches_oracle(wp, &mut arena);
+                assert!(arena.host.splice.handles_hold_poison(), "handle arrays were written");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no splice-free partition among the inputs");
     }
 
     #[test]

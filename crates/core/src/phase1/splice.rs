@@ -7,13 +7,18 @@
 //! quadratic on hub-centric graphs where thousands of cycles merge into one
 //! fragment. This module replaces that representation with:
 //!
-//! * **Linked tour.** Every walked edge becomes a node in one shared arena
-//!   (`nodes` + `nxt` next-links). A pending fragment is a `(head, tail,
-//!   len)` view over that arena; splicing a rotated cycle is O(|cycle|)
-//!   link-in, and the `Vec<TourEdge>` the store expects is produced by a
-//!   single O(total) walk per fragment at persist time.
-//! * **First-occurrence handles.** For every vertex slot visible in a
-//!   pending fragment (the `visible` array the kernel already keeps), the
+//! * **One slab.** The kernel's walks append their tour edges (`nodes`) and
+//!   the vertex slot each edge leaves (`nslot`) straight to one shared
+//!   arena; a pending fragment is a `(head, tail, len)` view over it, the
+//!   contiguous run `head..=tail` until a splice lands in it.
+//! * **Linked tour, built on demand.** The first `mergeInto` that lands in
+//!   a fragment *indexes* it: next-links (`nxt`) over its run, plus the
+//!   handles below. A spliced cycle is never copied: its walked run is
+//!   closed into a ring by its links and opened at the pivot, O(|cycle|).
+//!   The `Vec<TourEdge>` the store expects is one slice copy, or a single
+//!   O(total) walk over the links, per fragment at persist time.
+//! * **First-occurrence handles.** For every vertex slot an indexed
+//!   fragment owns (the `visible` array the kernel already keeps), the
 //!   index records `first_pred[slot]`: the arena node *preceding* the
 //!   slot's first from-occurrence in tour order (`PRED_HEAD` when the first
 //!   occurrence is the fragment head, `PRED_END` when the vertex appears
@@ -24,12 +29,23 @@
 //!   at-or-after the pivot's. Deciding that needs an order query between two
 //!   handles of the same fragment, so handles are kept on a per-fragment
 //!   doubly-linked list ordered by first occurrence, each carrying a u64
-//!   tag; `pos(a) < pos(b)` ⟺ `tag(a) < tag(b)`. Tags are spread evenly on
-//!   creation and maintained under insertion with Bender-style local
-//!   relabelling (grow aligned power-of-two tag windows around the
-//!   insertion point until the window is sparse enough, then re-spread) —
-//!   amortised O(log n) per insert instead of the quadratic full-list
-//!   relabel a fixed stride would degrade to under hub storms.
+//!   tag; `pos(a) < pos(b)` ⟺ `tag(a) < tag(b)`. Tags are spread evenly when
+//!   the fragment is indexed and maintained under insertion with
+//!   Bender-style local relabelling (grow aligned power-of-two tag windows
+//!   around the insertion point until the window is sparse enough, then
+//!   re-spread) — amortised O(log n) per insert instead of the quadratic
+//!   full-list relabel a fixed stride would degrade to under hub storms.
+//!
+//! Why indexing can wait for the first splice: creating a fragment claims
+//! its slots in `visible` first-wins, and a claim is never rewritten. A
+//! fragment's handles are "the slots whose `visible` entry is this
+//! fragment, in first-occurrence order over its walk, the end slot as
+//! `PRED_END` when it has no from-occurrence" — and until a splice lands in
+//! it both that set and the walk are what they were at creation (later
+//! fragments only claim slots still free; only a `mergeInto` *into this
+//! fragment* adds claims for it, after indexing it). Most fragments are
+//! never spliced into and never pay for links or handles, and a run that
+//! splices nothing never touches the per-slot arrays.
 //!
 //! Why `first_pred` (and not the first node itself) is stable: a splice at
 //! pivot `v` links the rotated cycle right after `first_pred[v]`, so `v`'s
@@ -44,6 +60,7 @@
 //! for every run, so arena reuse across merge levels stays poison-safe and
 //! bit-identical (see the arena's dirty-arena differential test).
 
+use super::NOT_VISIBLE;
 use crate::fragment::{FragmentKind, TourEdge};
 
 /// Absent link / absent list entry.
@@ -56,8 +73,8 @@ const PRED_END: u32 = u32::MAX;
 /// Exclusive upper bound of the tag space; live tags are in `(0, TAG_LIMIT)`.
 const TAG_LIMIT: u64 = 1 << 62;
 
-/// One pending fragment: a linked slice of the node arena plus the head and
-/// tail of its first-occurrence handle list.
+/// One pending fragment: a view over the node arena and, once a splice has
+/// landed in it, the head and tail of its first-occurrence handle list.
 #[derive(Clone, Copy, Debug)]
 struct Frag {
     kind: FragmentKind,
@@ -65,6 +82,11 @@ struct Frag {
     head: u32,
     tail: u32,
     len: u32,
+    /// Vertex slot the creating walk ended on (the start again for a cycle).
+    end_slot: u32,
+    /// False until the first `mergeInto` lands here: the tour is the
+    /// contiguous arena run `head..=tail`, with no links or handles yet.
+    indexed: bool,
     /// Head / tail slot of the per-fragment handle list (`NONE` when empty).
     h_head: u32,
     h_tail: u32,
@@ -73,14 +95,17 @@ struct Frag {
 /// The splice-order index. One per [`HostScratch`]; `reset` before each run.
 #[derive(Default)]
 pub(crate) struct SpliceIndex {
-    /// Tour-node arena: every walked edge, in append order.
+    /// Tour-node arena: every walked edge, in walk order.
     nodes: Vec<TourEdge>,
-    /// Next-links over `nodes` (`NONE` terminates a fragment's tour).
+    /// Vertex slot each arena node leaves (its `from()`), parallel to `nodes`.
+    nslot: Vec<u32>,
+    /// Next-links over `nodes` (`NONE` terminates a fragment's tour). Only
+    /// meaningful for the nodes of indexed fragments.
     nxt: Vec<u32>,
     frags: Vec<Frag>,
     /// Per vertex slot: arena node preceding the slot's first
     /// from-occurrence in its fragment (`PRED_HEAD` / `PRED_END` sentinels).
-    /// Only meaningful for slots marked visible this run.
+    /// Only meaningful for slots owned by an indexed fragment this run.
     first_pred: Vec<u32>,
     /// Per vertex slot: handle-list links and order tag. Only meaningful for
     /// slots with a node-valued `first_pred` this run.
@@ -88,34 +113,43 @@ pub(crate) struct SpliceIndex {
     h_next: Vec<u32>,
     h_tag: Vec<u64>,
     /// Per vertex slot: generation stamp deduplicating repeated occurrences
-    /// of a vertex within one spliced cycle.
+    /// of a vertex within one indexed walk or spliced cycle. Empty until the
+    /// run's first `mergeInto` sizes the per-slot arrays.
     mark: Vec<u32>,
     generation: u32,
-    /// Scratch: handle block assembled during one create/merge call.
+    /// Scratch: handle block assembled during one index/merge call.
     block: Vec<u32>,
     /// Scratch: window entries collected during a relabel.
     window: Vec<u32>,
 }
 
 impl SpliceIndex {
-    /// Prepares the index for a run over `n` vertex slots. Reuses every
-    /// allocation; per-slot arrays are grown but never shrunk (arena
-    /// discipline), and only `mark` needs a deterministic fill — the other
-    /// per-slot entries are always written before they are read, gated by
-    /// the kernel's freshly-reset `visible` array.
-    pub(crate) fn reset(&mut self, n: usize) {
+    /// Prepares the index for a run. Reuses every allocation and writes no
+    /// per-slot array: those are sized by the run's first `mergeInto`, if
+    /// there is one.
+    pub(crate) fn reset(&mut self) {
         self.nodes.clear();
+        self.nslot.clear();
         self.nxt.clear();
         self.frags.clear();
-        self.block.clear();
-        self.window.clear();
+        self.mark.clear();
+    }
+
+    /// Sizes the per-slot arrays for this run's `n` vertex slots, once. They
+    /// are grown but never shrunk (arena discipline), and only `mark` needs
+    /// a deterministic fill — the other per-slot entries are always written
+    /// before they are read, gated by the kernel's freshly-reset `visible`
+    /// array.
+    fn prepare_handles(&mut self, n: usize) {
+        if !self.mark.is_empty() {
+            return;
+        }
         if self.first_pred.len() < n {
             self.first_pred.resize(n, PRED_END);
             self.h_prev.resize(n, NONE);
             self.h_next.resize(n, NONE);
             self.h_tag.resize(n, 0);
         }
-        self.mark.clear();
         self.mark.resize(n, u32::MAX);
         self.generation = 0;
     }
@@ -124,31 +158,28 @@ impl SpliceIndex {
     #[cfg(test)]
     pub(crate) fn poison(&mut self) {
         self.nodes.clear();
+        self.nslot.clear();
         self.nxt.clear();
         self.frags.clear();
-        self.block.clear();
-        self.window.clear();
-        for p in &mut self.first_pred {
-            *p = 7;
-        }
-        for p in &mut self.h_prev {
-            *p = 7;
-        }
-        for p in &mut self.h_next {
-            *p = 7;
-        }
-        for t in &mut self.h_tag {
-            *t = 7;
-        }
-        for m in &mut self.mark {
-            *m = 7;
-        }
+        self.first_pred.fill(7);
+        self.h_prev.fill(7);
+        self.h_next.fill(7);
+        self.h_tag.fill(7);
+        self.mark.fill(7);
         self.generation = u32::MAX - 3;
+    }
+
+    /// True when every per-slot array still holds exactly what
+    /// [`poison`](Self::poison) left there: nothing wrote them since.
+    #[cfg(test)]
+    pub(crate) fn handles_hold_poison(&self) -> bool {
+        let words = [&self.first_pred, &self.h_prev, &self.h_next, &self.mark];
+        words.iter().all(|a| a.iter().all(|&x| x == 7)) && self.h_tag.iter().all(|&t| t == 7)
     }
 
     /// Capacity of the node arena (for [`ArenaCapacities`] monotonicity).
     pub(crate) fn node_capacity(&self) -> usize {
-        self.nodes.capacity().min(self.nxt.capacity())
+        self.nodes.capacity().min(self.nslot.capacity())
     }
 
     /// Capacity of the per-slot arrays (for [`ArenaCapacities`]).
@@ -156,99 +187,135 @@ impl SpliceIndex {
         self.first_pred.len()
     }
 
-    pub(crate) fn num_fragments(&self) -> usize {
-        self.frags.len()
+    /// Arena nodes so far: where the next walk's run starts.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
     }
 
-    pub(crate) fn fragment_kind(&self, i: usize) -> FragmentKind {
-        self.frags[i].kind
+    /// Appends one walked edge, leaving vertex slot `from_slot`.
+    #[inline]
+    pub(crate) fn push(&mut self, edge: TourEdge, from_slot: u32) {
+        self.nodes.push(edge);
+        self.nslot.push(from_slot);
     }
 
-    /// Creates a new pending fragment from a freshly-walked tour, marking
-    /// its fresh vertex slots visible (first-wins, exactly like the old
-    /// `register_visible`) and building its handle list with evenly-spread
-    /// tags. Returns the fragment's index.
+    /// `mergeInto` pivot lookup for the cycle walked since `base`: its first
+    /// vertex visible in a pending fragment, as `(rotation, fragment)`. Only
+    /// the from-slots are candidates (the closing slot duplicates the
+    /// first), as in the reference.
+    pub(crate) fn pivot(&self, base: usize, visible: &[u32]) -> Option<(usize, u32)> {
+        let owners = self.nslot[base..].iter().map(|&s| visible[s as usize]);
+        owners.enumerate().find(|&(_, at)| at != NOT_VISIBLE)
+    }
+
+    /// Turns the walk appended since `base`, which ended on `end_slot`, into
+    /// a new pending fragment: claims its still-free vertex slots in
+    /// `visible` (first-wins, exactly like the old `register_visible`) and
+    /// nothing else. Returns the fragment's index.
     pub(crate) fn create_fragment(
         &mut self,
         kind: FragmentKind,
-        tour: &[TourEdge],
-        vslots: &[u32],
+        base: usize,
+        end_slot: u32,
         visible: &mut [u32],
-        not_visible: u32,
     ) -> u32 {
-        debug_assert!(!tour.is_empty());
-        let base = self.nodes.len() as u32;
-        let len = tour.len() as u32;
+        debug_assert!(base < self.nodes.len());
         let idx = self.frags.len() as u32;
-        for (i, &e) in tour.iter().enumerate() {
-            self.nodes.push(e);
-            self.nxt.push(if i as u32 + 1 == len { NONE } else { base + i as u32 + 1 });
-        }
-        // Handles, in first-occurrence (walk) order.
-        self.block.clear();
-        for (i, &s) in vslots[..tour.len()].iter().enumerate() {
-            if visible[s as usize] != not_visible {
-                continue;
+        for &s in self.nslot[base..].iter().chain([&end_slot]) {
+            let owner = &mut visible[s as usize];
+            if *owner == NOT_VISIBLE {
+                *owner = idx;
             }
-            visible[s as usize] = idx;
-            self.first_pred[s as usize] =
-                if i == 0 { PRED_HEAD } else { base + i as u32 - 1 };
-            self.block.push(s);
+        }
+        let (head, tail) = (base as u32, self.nodes.len() as u32 - 1);
+        self.frags.push(Frag {
+            kind,
+            head,
+            tail,
+            len: tail - head + 1,
+            end_slot,
+            indexed: false,
+            h_head: NONE,
+            h_tail: NONE,
+        });
+        idx
+    }
+
+    /// Starts a fresh `mark` generation.
+    fn next_generation(&mut self) -> u32 {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == u32::MAX || self.generation == 0 {
+            // Never collide with the fill (u32::MAX) even if a run somehow
+            // wraps the counter.
+            self.mark.fill(u32::MAX);
+            self.generation = 1;
+        }
+        self.generation
+    }
+
+    /// Links the never-spliced fragment `at` and builds its handle list with
+    /// evenly-spread tags: the slots `visible` says it owns, in
+    /// first-occurrence order (see the module docs for why this equals
+    /// doing it at creation).
+    fn index_fragment(&mut self, at: u32, visible: &[u32]) {
+        let Frag { head, tail, end_slot, .. } = self.frags[at as usize];
+        for i in head..tail {
+            self.nxt[i as usize] = i + 1;
+        }
+        self.nxt[tail as usize] = NONE;
+        let gen = self.next_generation();
+        let mut block = std::mem::take(&mut self.block);
+        block.clear();
+        for i in head..=tail {
+            let s = self.nslot[i as usize];
+            let su = s as usize;
+            if visible[su] == at && self.mark[su] != gen {
+                self.mark[su] = gen;
+                self.first_pred[su] = if i == head { PRED_HEAD } else { i - 1 };
+                block.push(s);
+            }
         }
         // The closing slot duplicates the start for cycles; for paths it can
         // be a vertex with no from-occurrence — an END handle, kept out of
         // the tag list (there is nothing to order it against until a splice
         // turns it into a real occurrence).
-        let s_end = vslots[tour.len()];
-        if visible[s_end as usize] == not_visible {
-            visible[s_end as usize] = idx;
-            self.first_pred[s_end as usize] = PRED_END;
+        if visible[end_slot as usize] == at && self.mark[end_slot as usize] != gen {
+            self.first_pred[end_slot as usize] = PRED_END;
         }
-        let h = self.block.len() as u64;
-        let stride = TAG_LIMIT / (h + 1);
+        let stride = TAG_LIMIT / (block.len() as u64 + 1);
         let mut prev = NONE;
-        for (i, &s) in self.block.iter().enumerate() {
-            let s = s as usize;
-            self.h_tag[s] = (i as u64 + 1) * stride;
-            self.h_prev[s] = prev;
-            self.h_next[s] = NONE;
-            if prev != NONE {
-                self.h_next[prev as usize] = s as u32;
-            }
-            prev = s as u32;
+        for (i, &s) in block.iter().enumerate() {
+            self.link_handle_after(at, prev, s, (i as u64 + 1) * stride);
+            prev = s;
         }
-        let h_head = self.block.first().copied().unwrap_or(NONE);
-        let h_tail = prev;
-        self.frags.push(Frag { kind, head: base, tail: base + len - 1, len, h_head, h_tail });
-        self.block.clear();
-        idx
+        self.frags[at as usize].indexed = true;
+        self.block = block;
     }
 
-    /// `mergeInto`: splices the cycle `tour` (rotated to start at
-    /// `vslots[rot]`, the pivot) into pending fragment `at` at the pivot's
-    /// first occurrence, reproducing the reference semantics exactly:
-    /// the rotated cycle lands immediately before the pivot's first
+    /// `mergeInto`: splices the cycle walked since `base` (rotated to start
+    /// at its `rot`-th vertex, the pivot) into pending fragment `at` at the
+    /// pivot's first occurrence, reproducing the reference semantics
+    /// exactly: the rotated cycle lands immediately before the pivot's first
     /// from-occurrence (at the tail when the pivot appears only as a final
     /// `to`), and every cycle vertex's handle moves to its occurrence
     /// inside the cycle iff its old first occurrence sat at-or-after the
     /// pivot's.
-    pub(crate) fn merge_into(
-        &mut self,
-        at: u32,
-        rot: usize,
-        tour: &[TourEdge],
-        vslots: &[u32],
-        visible: &mut [u32],
-        not_visible: u32,
-    ) {
-        let len = tour.len();
-        let base = self.nodes.len() as u32;
-        for j in 0..len {
-            self.nodes.push(tour[(rot + j) % len]);
-            self.nxt.push(if j + 1 == len { NONE } else { base + j as u32 + 1 });
+    pub(crate) fn merge_into(&mut self, at: u32, rot: usize, base: usize, visible: &mut [u32]) {
+        self.prepare_handles(visible.len());
+        self.nxt.resize(self.nodes.len(), NONE);
+        if !self.frags[at as usize].indexed {
+            self.index_fragment(at, visible);
         }
-        let v = vslots[rot] as usize;
-        let c_tail = base + len as u32 - 1;
+        // Rotate in place: close the walked run into a ring by its links;
+        // the rotated cycle's `j`-th node is then `node(j)`.
+        let len = self.nodes.len() - base;
+        let node = |j: usize| (base + if rot + j < len { rot + j } else { rot + j - len }) as u32;
+        for j in 0..len {
+            self.nxt[node(j) as usize] = node(j + 1);
+        }
+        let (c_head, c_tail) = (node(0), node(len - 1));
+        self.nxt[c_tail as usize] = NONE;
+        let v = self.nslot[c_head as usize] as usize;
 
         // --- Link the rotated cycle into the fragment's tour. ---------------
         let was_end = self.first_pred[v] == PRED_END;
@@ -257,19 +324,19 @@ impl SpliceIndex {
             match self.first_pred[v] {
                 PRED_END => {
                     // Pivot visible only as the final `to`: append.
-                    self.nxt[f.tail as usize] = base;
+                    self.nxt[f.tail as usize] = c_head;
                     self.first_pred[v] = f.tail;
                     f.tail = c_tail;
                 }
                 PRED_HEAD => {
                     self.nxt[c_tail as usize] = f.head;
-                    f.head = base;
+                    f.head = c_head;
                 }
                 p => {
                     // `p` precedes the pivot's first occurrence, so it has a
                     // successor and is never the tail.
                     self.nxt[c_tail as usize] = self.nxt[p as usize];
-                    self.nxt[p as usize] = base;
+                    self.nxt[p as usize] = c_head;
                 }
             }
             f.len += len as u32;
@@ -281,31 +348,22 @@ impl SpliceIndex {
         // rank (same predecessor node, see module docs); the cycle's fresh
         // and moved handles follow the pivot as one contiguous block in
         // cycle order; surviving later handles shift after the block.
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == u32::MAX || self.generation == 0 {
-            // Never collide with the reset fill (u32::MAX) even if a run
-            // somehow wraps the counter.
-            for m in &mut self.mark {
-                *m = u32::MAX;
-            }
-            self.generation = 1;
-        }
-        let gen = self.generation;
+        let gen = self.next_generation();
         self.mark[v] = gen;
         let pivot_tag = if was_end { u64::MAX } else { self.h_tag[v] };
         let mut block = std::mem::take(&mut self.block);
         block.clear();
         for j in 1..len {
-            let s = vslots[(rot + j) % len];
+            let s = self.nslot[node(j) as usize];
             let su = s as usize;
             if self.mark[su] == gen {
                 continue; // later occurrence of a vertex already placed
             }
             self.mark[su] = gen;
             let vis = visible[su];
-            if vis == not_visible {
+            if vis == NOT_VISIBLE {
                 visible[su] = at;
-                self.first_pred[su] = base + j as u32 - 1;
+                self.first_pred[su] = node(j - 1);
                 block.push(s);
             } else if vis == at {
                 // An END handle sits past every from-occurrence, so it
@@ -323,7 +381,7 @@ impl SpliceIndex {
                     if self.first_pred[su] != PRED_END {
                         self.unlink_handle(at, s);
                     }
-                    self.first_pred[su] = base + j as u32 - 1;
+                    self.first_pred[su] = node(j - 1);
                     block.push(s);
                 }
             }
@@ -455,18 +513,27 @@ impl SpliceIndex {
         unreachable!("tag space exhausted: more than 2^31 handles in one fragment")
     }
 
-    /// Walks fragment `i`'s linked tour into `out` — the single O(len)
-    /// materialization back to the `Vec<TourEdge>` the store persists.
-    pub(crate) fn materialize(&self, i: usize, out: &mut Vec<TourEdge>) {
-        let f = &self.frags[i];
-        out.clear();
-        out.reserve(f.len as usize);
+
+    /// Every pending fragment in creation order: its kind and its tour as
+    /// the `Vec<TourEdge>` the store persists — one slice copy when no
+    /// splice ever landed in it, otherwise the single O(len) walk over its
+    /// links.
+    pub(crate) fn fragments(&self) -> impl Iterator<Item = (FragmentKind, Vec<TourEdge>)> + '_ {
+        self.frags.iter().map(|f| (f.kind, self.materialize(f)))
+    }
+
+    fn materialize(&self, f: &Frag) -> Vec<TourEdge> {
+        if !f.indexed {
+            return self.nodes[f.head as usize..=f.tail as usize].to_vec();
+        }
+        let mut out = Vec::with_capacity(f.len as usize);
         let mut cur = f.head;
         while cur != NONE {
             out.push(self.nodes[cur as usize]);
             cur = self.nxt[cur as usize];
         }
         debug_assert_eq!(out.len(), f.len as usize, "linked tour length drifted");
+        out
     }
 }
 
@@ -475,8 +542,6 @@ mod tests {
     use super::*;
     use crate::fragment::TourEdge;
     use euler_graph::{EdgeId, VertexId};
-
-    const NOT_VISIBLE: u32 = u32::MAX;
 
     fn e(from: u64, to: u64, id: u64) -> TourEdge {
         TourEdge::Real { edge: EdgeId(id), from: VertexId(from), to: VertexId(to) }
@@ -492,7 +557,9 @@ mod tests {
     }
 
     /// Differential driver: feed the same walk sequence through the index
-    /// and the vector model; every fragment must materialize identically.
+    /// (appended to its slab as the kernel's walks are, then created or
+    /// merged in place) and the vector model; every fragment must
+    /// materialize identically.
     struct Model {
         idx: SpliceIndex,
         visible: Vec<u32>,
@@ -502,54 +569,52 @@ mod tests {
     impl Model {
         fn new(n: usize) -> Self {
             let mut idx = SpliceIndex::default();
-            idx.reset(n);
+            idx.reset();
             Model { idx, visible: vec![NOT_VISIBLE; n], frags: Vec::new() }
         }
 
-        /// Slots are vertex ids here (identity interning keeps tests terse).
-        fn vslots(tour: &[TourEdge]) -> Vec<u32> {
-            let mut v: Vec<u32> = tour.iter().map(|e| e.from().0 as u32).collect();
-            v.push(tour.last().unwrap().to().0 as u32);
-            v
+        /// Appends `tour` to the slab the way `Traversal::walk` does and
+        /// returns `(base, end slot)`. Slots are vertex ids here (identity
+        /// interning keeps tests terse).
+        fn append(idx: &mut SpliceIndex, tour: &[TourEdge]) -> (usize, u32) {
+            let base = idx.len();
+            for t in tour {
+                idx.push(*t, t.from().0 as u32);
+            }
+            (base, tour.last().unwrap().to().0 as u32)
         }
 
         fn walk(&mut self, kind: FragmentKind, tour: &[TourEdge]) {
-            let vslots = Self::vslots(tour);
+            let (base, end) = Self::append(&mut self.idx, tour);
             if kind == FragmentKind::Cycle {
-                let pivot = vslots[..tour.len()]
-                    .iter()
-                    .enumerate()
-                    .find(|(_, &s)| self.visible[s as usize] != NOT_VISIBLE)
-                    .map(|(rot, &s)| (rot, self.visible[s as usize]));
-                if let Some((rot, at)) = pivot {
-                    self.idx.merge_into(at, rot, tour, &vslots, &mut self.visible, NOT_VISIBLE);
+                if let Some((rot, at)) = self.idx.pivot(base, &self.visible) {
                     let mut shadow = self.visible.clone();
-                    for &s in &vslots {
-                        if shadow[s as usize] == NOT_VISIBLE {
-                            shadow[s as usize] = at;
+                    self.idx.merge_into(at, rot, base, &mut self.visible);
+                    for t in tour {
+                        let s = &mut shadow[t.from().0 as usize];
+                        if *s == NOT_VISIBLE {
+                            *s = at;
                         }
                     }
                     assert_eq!(shadow, self.visible, "visibility must be first-wins");
-                    vec_merge(
-                        &mut self.frags[at as usize],
-                        tour,
-                        rot,
-                        VertexId(vslots[rot] as u64),
-                    );
+                    vec_merge(&mut self.frags[at as usize], tour, rot, tour[rot].from());
                     return;
                 }
             }
-            self.idx.create_fragment(kind, tour, &vslots, &mut self.visible, NOT_VISIBLE);
+            self.idx.create_fragment(kind, base, end, &mut self.visible);
             self.frags.push(tour.to_vec());
         }
 
         fn check(&self) {
-            assert_eq!(self.idx.num_fragments(), self.frags.len());
-            let mut out = Vec::new();
-            for (i, expect) in self.frags.iter().enumerate() {
-                self.idx.materialize(i, &mut out);
-                assert_eq!(&out, expect, "fragment {i} diverged from the vector model");
+            let tours: Vec<Vec<TourEdge>> = self.idx.fragments().map(|(_, tour)| tour).collect();
+            assert_eq!(tours.len(), self.frags.len());
+            for (i, (tour, expect)) in tours.iter().zip(&self.frags).enumerate() {
+                assert_eq!(tour, expect, "fragment {i} diverged from the vector model");
             }
+        }
+
+        fn indexed(&self, i: usize) -> bool {
+            self.idx.frags[i].indexed
         }
     }
 
@@ -558,6 +623,8 @@ mod tests {
         let mut m = Model::new(8);
         m.walk(FragmentKind::Cycle, &[e(0, 1, 0), e(1, 2, 1), e(2, 0, 2)]);
         m.check();
+        assert!(!m.indexed(0), "a fragment nothing spliced into is never indexed");
+        assert!(m.idx.first_pred.is_empty(), "no splice: per-slot arrays never sized");
     }
 
     #[test]
@@ -573,11 +640,78 @@ mod tests {
     #[test]
     fn end_handle_pivot_appends_at_tail() {
         let mut m = Model::new(8);
-        // Path 0→1→2: vertex 2 is visible only as the final `to`.
+        // Path 0→1→2: vertex 2 is visible only as the final `to`, so the
+        // fragment's first splice lands at a `PRED_END` pivot.
         m.walk(FragmentKind::Path, &[e(0, 1, 0), e(1, 2, 1)]);
         m.walk(FragmentKind::Cycle, &[e(2, 3, 2), e(3, 2, 3)]);
+        m.check();
         // And a second cycle at 2 — now a real from-occurrence exists.
         m.walk(FragmentKind::Cycle, &[e(2, 4, 4), e(4, 2, 5)]);
+        m.check();
+    }
+
+    #[test]
+    fn first_splice_at_the_head_pivot() {
+        // The pivot is the fragment's very first vertex (`PRED_HEAD`), met
+        // mid-cycle so the ring is opened at a non-zero rotation.
+        let mut m = Model::new(8);
+        m.walk(FragmentKind::Cycle, &[e(0, 1, 0), e(1, 2, 1), e(2, 0, 2)]);
+        m.walk(FragmentKind::Cycle, &[e(5, 6, 3), e(6, 0, 4), e(0, 5, 5)]);
+        m.check();
+        m.walk(FragmentKind::Cycle, &[e(0, 7, 6), e(7, 0, 7)]);
+        m.check();
+    }
+
+    #[test]
+    fn first_splice_after_later_fragments_claimed_some_of_its_vertices() {
+        // F0 = 0→1→2→3, then F1 = 4→5→1→6 passes through F0's vertex 1 and
+        // claims 4, 5, 6 only, then F2 = 7→6→3→8 claims 7 and 8 only — all
+        // before anything splices. Deferred indexing of F0 and F1 must see
+        // exactly the slots each claimed at creation.
+        let mut m = Model::new(16);
+        m.walk(FragmentKind::Path, &[e(0, 1, 0), e(1, 2, 1), e(2, 3, 2)]);
+        m.walk(FragmentKind::Path, &[e(4, 5, 3), e(5, 1, 4), e(1, 6, 5)]);
+        m.walk(FragmentKind::Path, &[e(7, 6, 6), e(6, 3, 7), e(3, 8, 8)]);
+        // Cycle at 1: owned by F0 although F1 walks through it too.
+        m.walk(FragmentKind::Cycle, &[e(9, 1, 9), e(1, 9, 10)]);
+        assert!(m.indexed(0) && !m.indexed(1) && !m.indexed(2));
+        // Cycle meeting 6 (F1's end slot, also walked by F2) then 5 (F1).
+        m.walk(FragmentKind::Cycle, &[e(10, 6, 11), e(6, 5, 12), e(5, 10, 13)]);
+        assert!(m.indexed(1) && !m.indexed(2));
+        m.check();
+        // Cycle through 5 and 6 again: both handles moved or stayed as the
+        // vector model says.
+        m.walk(FragmentKind::Cycle, &[e(5, 11, 14), e(11, 6, 15), e(6, 5, 16)]);
+        m.check();
+    }
+
+    #[test]
+    fn splice_into_a_path_whose_end_slot_another_fragment_owns() {
+        // F1 = 4→5→2 ends on vertex 2, which F0 owns: F1 has no END handle,
+        // and a cycle at 2 must land in F0, one at 5 in F1.
+        let mut m = Model::new(16);
+        m.walk(FragmentKind::Path, &[e(0, 1, 0), e(1, 2, 1), e(2, 3, 2)]);
+        m.walk(FragmentKind::Path, &[e(4, 5, 3), e(5, 2, 4)]);
+        m.walk(FragmentKind::Cycle, &[e(5, 6, 5), e(6, 2, 6), e(2, 5, 7)]);
+        assert!(m.indexed(1) && !m.indexed(0));
+        m.check();
+        m.walk(FragmentKind::Cycle, &[e(7, 2, 8), e(2, 7, 9)]);
+        assert!(m.indexed(0));
+        m.check();
+    }
+
+    #[test]
+    fn two_fragments_indexed_in_turn() {
+        let mut m = Model::new(32);
+        m.walk(FragmentKind::Cycle, &[e(0, 1, 0), e(1, 2, 1), e(2, 0, 2)]);
+        m.walk(FragmentKind::Cycle, &[e(10, 11, 3), e(11, 12, 4), e(12, 10, 5)]);
+        // Index the later fragment first, then the earlier, then alternate.
+        m.walk(FragmentKind::Cycle, &[e(11, 13, 6), e(13, 11, 7)]);
+        assert!(!m.indexed(0) && m.indexed(1));
+        m.walk(FragmentKind::Cycle, &[e(14, 2, 8), e(2, 1, 9), e(1, 14, 10)]);
+        assert!(m.indexed(0));
+        m.walk(FragmentKind::Cycle, &[e(12, 13, 11), e(13, 12, 12)]);
+        m.walk(FragmentKind::Cycle, &[e(1, 15, 13), e(15, 1, 14)]);
         m.check();
     }
 
@@ -585,15 +719,20 @@ mod tests {
     fn moved_handle_counterexample_from_module_docs() {
         // Splicing C=[b→v, v→b] into F=[a→b, b→v, v→a] at b moves v's first
         // from-occurrence into C — the naive first-wins handle gets this
-        // wrong; the order tags must not.
+        // wrong; the order tags must not. F is indexed by that very splice
+        // (after two unrelated fragments were created), not at creation.
         let (a, b, v) = (0, 1, 2);
-        let mut m = Model::new(8);
+        let mut m = Model::new(16);
         m.walk(FragmentKind::Cycle, &[e(a, b, 0), e(b, v, 1), e(v, a, 2)]);
+        m.walk(FragmentKind::Path, &[e(8, 9, 10), e(9, v, 11)]);
+        m.walk(FragmentKind::Cycle, &[e(12, 13, 12), e(13, 12, 13)]);
+        assert!(!m.indexed(0));
         m.walk(FragmentKind::Cycle, &[e(b, v, 3), e(v, b, 4)]);
         // Now splice a cycle at v: it must land before the *moved* first
         // occurrence (inside the previous cycle), as the vector model does.
         m.walk(FragmentKind::Cycle, &[e(v, 3, 5), e(3, v, 6)]);
         m.check();
+        assert!(m.indexed(0) && !m.indexed(1) && !m.indexed(2));
     }
 
     #[test]
@@ -637,6 +776,39 @@ mod tests {
     }
 
     #[test]
+    fn random_walk_sequences_match_vector_model() {
+        // Random paths and cycles over a small vertex set (so walks keep
+        // crossing each other's vertices), first splices arriving at random
+        // points of the sequence.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rnd = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for _ in 0..40 {
+            let mut m = Model::new(24);
+            let mut id = 0;
+            for _ in 0..30 {
+                let len = 1 + rnd(5) as usize;
+                let mut vs: Vec<u64> = (0..len).map(|_| rnd(24)).collect();
+                let kind = if rnd(3) == 0 { FragmentKind::Path } else { FragmentKind::Cycle };
+                vs.push(if kind == FragmentKind::Cycle { vs[0] } else { rnd(24) });
+                let tour: Vec<TourEdge> = vs
+                    .windows(2)
+                    .map(|w| {
+                        id += 1;
+                        e(w[0], w[1], id)
+                    })
+                    .collect();
+                m.walk(kind, &tour);
+                m.check();
+            }
+        }
+    }
+
+    #[test]
     fn disjoint_fragments_stay_independent() {
         let mut m = Model::new(32);
         m.walk(FragmentKind::Cycle, &[e(0, 1, 0), e(1, 0, 1)]);
@@ -649,22 +821,45 @@ mod tests {
     #[test]
     fn reset_recovers_from_poison() {
         let run = |idx: &mut SpliceIndex| {
-            idx.reset(16);
+            idx.reset();
             let mut visible = vec![NOT_VISIBLE; 16];
-            let tour = [e(0, 1, 0), e(1, 2, 1), e(2, 0, 2)];
-            let vslots = Model::vslots(&tour);
-            idx.create_fragment(FragmentKind::Cycle, &tour, &vslots, &mut visible, NOT_VISIBLE);
-            let cyc = [e(1, 3, 3), e(3, 1, 4)];
-            let vs2 = Model::vslots(&cyc);
-            idx.merge_into(0, 0, &cyc, &vs2, &mut visible, NOT_VISIBLE);
-            let mut out = Vec::new();
-            idx.materialize(0, &mut out);
-            out
+            let (base, end) = Model::append(idx, &[e(0, 1, 0), e(1, 2, 1), e(2, 0, 2)]);
+            idx.create_fragment(FragmentKind::Cycle, base, end, &mut visible);
+            let (base, _) = Model::append(idx, &[e(3, 1, 3), e(1, 3, 4)]);
+            assert_eq!(idx.pivot(base, &visible), Some((1, 0)));
+            idx.merge_into(0, 1, base, &mut visible);
+            idx.fragments().collect::<Vec<_>>()
         };
         let mut idx = SpliceIndex::default();
         let clean = run(&mut idx);
         idx.poison();
         let dirty = run(&mut idx);
         assert_eq!(clean, dirty, "poisoned index must reset to bit-identical output");
+        assert!(!idx.handles_hold_poison());
+    }
+
+    #[test]
+    fn a_run_without_splices_never_writes_the_handle_arrays() {
+        let mut idx = SpliceIndex::default();
+        idx.reset();
+        let mut visible = vec![NOT_VISIBLE; 16];
+        let (base, end) = Model::append(&mut idx, &[e(0, 1, 0), e(1, 0, 1)]);
+        idx.create_fragment(FragmentKind::Cycle, base, end, &mut visible);
+        let (base, _) = Model::append(&mut idx, &[e(1, 2, 2), e(2, 1, 3)]);
+        idx.merge_into(0, 0, base, &mut visible);
+        idx.poison();
+        idx.reset();
+        visible.fill(NOT_VISIBLE);
+        let (base, end) = Model::append(&mut idx, &[e(0, 1, 0), e(1, 2, 1)]);
+        idx.create_fragment(FragmentKind::Path, base, end, &mut visible);
+        let (base, end) = Model::append(&mut idx, &[e(3, 4, 2), e(4, 3, 3)]);
+        assert_eq!(idx.pivot(base, &visible), None);
+        idx.create_fragment(FragmentKind::Cycle, base, end, &mut visible);
+        let expect = vec![
+            (FragmentKind::Path, vec![e(0, 1, 0), e(1, 2, 1)]),
+            (FragmentKind::Cycle, vec![e(3, 4, 2), e(4, 3, 3)]),
+        ];
+        assert_eq!(idx.fragments().collect::<Vec<_>>(), expect);
+        assert!(idx.handles_hold_poison(), "no splice landed: handle arrays must be untouched");
     }
 }

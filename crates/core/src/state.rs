@@ -160,10 +160,34 @@ impl WorkingPartition {
     /// ascending and de-duplicated. Computed without hashing — this is the
     /// start-vertex list for Phase 1's step 2, whose order is part of the
     /// algorithm's determinism contract.
+    ///
+    /// Linear when the ids are compact (the [`LocalIndex`] policy: a span
+    /// under 4 ids per remote edge, or under 1024): one bit per id, scanned
+    /// ascending. Sparse id sets fall back to sort + dedup.
     pub fn boundary_vertices_sorted(&self) -> Vec<VertexId> {
-        let mut boundary: Vec<VertexId> = self.remote_edges.iter().map(|r| r.local).collect();
-        boundary.sort_unstable();
-        boundary.dedup();
+        let locals = || self.remote_edges.iter().map(|r| r.local.0);
+        if self.remote_edges.is_empty() {
+            return Vec::new();
+        }
+        let (min, max) = locals().fold((u64::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        let span = max - min; // one less than the id count: cannot overflow
+        if span >= (self.remote_edges.len() as u64).saturating_mul(4).max(1024) {
+            let mut boundary: Vec<VertexId> = locals().map(VertexId).collect();
+            boundary.sort_unstable();
+            boundary.dedup();
+            return boundary;
+        }
+        let mut present = vec![0u64; span as usize / 64 + 1];
+        for off in locals().map(|v| v - min) {
+            present[(off >> 6) as usize] |= 1 << (off & 63);
+        }
+        let mut boundary = Vec::new();
+        for (w, mut bits) in present.into_iter().enumerate() {
+            while bits != 0 {
+                boundary.push(VertexId(min + w as u64 * 64 + u64::from(bits.trailing_zeros())));
+                bits &= bits - 1;
+            }
+        }
         boundary
     }
 
@@ -286,6 +310,65 @@ mod tests {
                 let total = local.get(&v).copied().unwrap_or(0) + remote.get(&v).copied().unwrap_or(0);
                 assert_eq!(total % 2, 0, "vertex {v} has odd total degree");
             }
+        }
+    }
+
+    #[test]
+    fn boundary_vertices_sorted_equals_sort_dedup_on_any_id_span() {
+        let with_locals = |ids: &[u64]| WorkingPartition {
+            remote_edges: ids
+                .iter()
+                .map(|&v| RemoteRef {
+                    edge: EdgeId(v ^ 1),
+                    local: VertexId(v),
+                    remote: VertexId(v.wrapping_add(1)),
+                    local_leaf: PartitionId(0),
+                    remote_leaf: PartitionId(1),
+                })
+                .collect(),
+            ..Default::default()
+        };
+        let check = |ids: &[u64]| {
+            let mut expect: Vec<VertexId> = ids.iter().map(|&v| VertexId(v)).collect();
+            expect.sort_unstable();
+            expect.dedup();
+            assert_eq!(with_locals(ids).boundary_vertices_sorted(), expect, "ids {ids:?}");
+        };
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        check(&[]);
+        check(&[0]);
+        check(&[u64::MAX]);
+        check(&[1 << 40]);
+        check(&[7; 50]);
+        check(&[u64::MAX; 3]);
+        check(&[0, u64::MAX]);
+        check(&[0, 1 << 40, u64::MAX, 1 << 40, 0]);
+        check(&[u64::MAX - 70, u64::MAX, u64::MAX - 64, u64::MAX - 63]);
+        // Either side of the compact/sparse threshold (span 1024 ids).
+        for top in [1022u64, 1023, 1024, 1025, 5000] {
+            check(&[10, 10 + top, 11, 10 + top / 2]);
+        }
+        for round in 0..60u64 {
+            let len = (rnd() % 400) as usize + 1;
+            let base = [0, 1 << 40, u64::MAX - 5000, rnd()][round as usize % 4];
+            // Compact: a window about as wide as the list is long.
+            let compact: Vec<u64> =
+                (0..len).map(|_| base.saturating_add(rnd() % (2 * len as u64 + 1))).collect();
+            check(&compact);
+            // Sparse: ids all over the id space.
+            let sparse: Vec<u64> = (0..len).map(|_| rnd()).collect();
+            check(&sparse);
+            // Mixed: the compact cluster plus far outliers.
+            let mut mixed = compact.clone();
+            mixed.extend([0, 1 << 40, u64::MAX]);
+            mixed.extend(sparse.iter().take(3));
+            check(&mixed);
         }
     }
 

@@ -55,6 +55,12 @@ impl LocalIndexBufs {
         self.raw.capacity().max(self.verts.capacity())
     }
 
+    /// The vertices the last [`LocalIndex::from_vertices_reusing`] build over
+    /// these buffers consumed, duplicates included, in input order.
+    pub fn collected(&self) -> &[VertexId] {
+        &self.raw
+    }
+
     /// Capacity (in entries) of the recycled direct-map table.
     pub fn table_capacity(&self) -> usize {
         self.table.capacity()
