@@ -1,6 +1,6 @@
 //! Reproduces Fig. 5: total time versus user compute time for each graph of
-//! the G-family, run on the distributed BSP engine with the Spark-like
-//! platform cost model. The paper's observation — weak scaling is inefficient
+//! the G-family, run on BSP workers (one per partition, stepped in place)
+//! under the Spark-like platform cost model. The paper's observation — weak scaling is inefficient
 //! and platform overhead is a large fraction of total time — is judged on the
 //! shape of the two series.
 

@@ -1,11 +1,11 @@
-//! Platform cost model: turns engine statistics into modelled platform time.
+//! Platform cost model: turns run statistics into modelled platform time.
 //!
 //! The paper's Fig. 5 shows that on Spark only about half of the total job
 //! time is user compute; the rest is the platform's shuffle (serialisation,
 //! network, disk), task scheduling and barrier synchronisation, and Java
 //! object construction — overheads that grow with data volume and task count.
 //! Running in-process in Rust we do not pay those costs, so to reproduce the
-//! *shape* of Fig. 5/6 the engine pairs its measured statistics with a
+//! *shape* of Fig. 5/6 a run pairs its measured statistics with a
 //! [`PlatformCostModel`] whose constants are calibrated to the behaviour the
 //! paper reports. The modelled overhead is always reported separately from
 //! measured time, never mixed into it.

@@ -1,33 +1,30 @@
 //! # euler-bsp
 //!
-//! A Bulk Synchronous Parallel (BSP) execution engine used as the distributed
-//! substrate for the partition-centric Euler circuit algorithm — the
-//! workspace's stand-in for the Apache Spark cluster of the paper's
-//! evaluation.
+//! The Bulk Synchronous Parallel (BSP) substrate of the partition-centric
+//! Euler circuit algorithm — what stands in for the Apache Spark cluster of
+//! the paper's evaluation. The BSP loop itself (one superstep per merge
+//! level, a barrier, shipped partition states) is driven by
+//! `euler_core::BspBackend`; this crate holds what it runs on and reports
+//! with:
 //!
-//! The engine models a commodity cluster:
-//!
-//! * Each **worker** is an OS thread standing in for one machine/executor,
-//!   with its own private state store (no shared mutable state between
-//!   workers).
-//! * Computation proceeds in **supersteps**: in each superstep every worker
-//!   runs user code on the partitions it hosts, may emit messages to other
-//!   workers, and then waits at a **barrier**. Messages are delivered in bulk
-//!   after the barrier, exactly like Pregel/Giraph/Spark-stage semantics.
-//! * All inter-worker traffic is **byte-serialised** through
-//!   [`message::Envelope`]s over crossbeam channels, so the engine can report
-//!   real serialisation and transfer costs the way the paper separates
-//!   user-compute time from platform overhead (Fig. 5/6).
-//! * A pluggable [`cost_model::PlatformCostModel`] adds *modelled* per-task
-//!   scheduling and shuffle overheads calibrated to the Spark behaviour the
-//!   paper reports, so the "Total time vs. Compute time" split of Fig. 5 can
-//!   be reproduced on a single host. The measured compute times are always
-//!   kept separate from modelled platform time.
-//!
-//! The two programming models of the paper's related-work discussion are both
-//! provided: a partition-centric API ([`program::PartitionProgram`]) used by
-//! the main algorithm, and a vertex-centric API ([`program::VertexProgram`])
-//! used by the Makki baseline.
+//! * [`BspConfig`] — how many **workers** the partitions are spread over
+//!   (the paper deploys one executor per partition) and under which
+//!   [`cost_model::PlatformCostModel`] the run is priced. The model adds
+//!   *modelled* per-task scheduling and shuffle overheads calibrated to the
+//!   Spark behaviour the paper reports, so the "Total time vs. Compute time"
+//!   split of Fig. 5 can be reproduced on a single host; measured compute
+//!   times are always kept separate from modelled platform time.
+//! * [`stats`] — what a run reports per superstep: user compute time per
+//!   partition split into labelled phases (Fig. 6), messages and bytes that
+//!   stayed on a worker versus crossed workers (the shuffle), per-partition
+//!   memory state.
+//! * [`wire`] — the one words↔bytes codec: everything a worker ships is
+//!   **byte-serialised** through it, so transfer volumes are real.
+//! * [`transport`], [`checkpoint`], [`fault`] — framed, checksummed
+//!   connections to workers in other threads or processes, superstep
+//!   checkpoints, and the fault policy / injection plan of such a fleet.
+//! * [`vertex`] / [`program`] — the vertex-centric (Pregel) model of the
+//!   paper's related-work discussion, used by the Makki baseline.
 
 #![warn(missing_docs)]
 
@@ -35,27 +32,20 @@ pub mod checkpoint;
 pub mod cost_model;
 pub mod engine;
 pub mod fault;
-pub mod memory;
-pub mod message;
 pub mod program;
 pub mod stats;
-pub mod superstep;
 pub mod transport;
 pub mod vertex;
 pub mod wire;
-pub mod worker;
 
 pub use checkpoint::{checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError};
 pub use cost_model::PlatformCostModel;
-pub use engine::{BspConfig, BspEngine, RunOutcome, StepRun, WorkerCount};
+pub use engine::{BspConfig, WorkerCount};
 pub use fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
-pub use memory::{MemoryTimeline, MemoryTracker};
-pub use message::{Envelope, WorkerId};
-pub use program::{PartitionContext, PartitionProgram, VertexContext, VertexProgram};
+pub use program::{VertexContext, VertexProgram};
 pub use stats::{EngineStats, SuperstepStats};
 pub use transport::{
     connect_endpoint, connect_with_retry, FrameError, MemTransport, TcpTransport, Transport,
     UnixTransport,
 };
 pub use vertex::{run_vertex_program, VertexEngineConfig, VertexEngineStats};
-pub use worker::PartitionPlacement;

@@ -1,4 +1,4 @@
-//! Execution statistics collected by the BSP engine.
+//! Execution statistics of a BSP run.
 //!
 //! These mirror the quantities the paper extracts from its Spark runs: user
 //! compute time per partition (split into labelled phases, Fig. 6), bytes
@@ -19,9 +19,10 @@ pub struct SuperstepStats {
     pub active_partitions: usize,
     /// Wall-clock time of the whole superstep (parallel execution + barrier).
     pub wall_time: Duration,
-    /// Sum of per-partition compute time (the paper's "user compute time").
+    /// Sum of per-partition compute time (the paper's "user compute time"):
+    /// Phase 1 plus merging.
     pub compute_time: Duration,
-    /// Per-partition compute-time breakdown, keyed by engine partition index.
+    /// Per-partition compute-time breakdown, keyed by partition id.
     pub per_partition_compute: Vec<(u32, TimeBreakdown)>,
     /// Messages whose source and destination live on the same worker.
     pub local_messages: u64,
@@ -52,7 +53,7 @@ impl SuperstepStats {
     }
 }
 
-/// Aggregated statistics of a whole engine run.
+/// Aggregated statistics of a whole run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Per-superstep statistics in order.
@@ -65,8 +66,8 @@ pub struct EngineStats {
     /// serialisation, shuffle, barriers). Kept separate from measured time.
     pub modelled_platform_overhead: Duration,
     /// Fault-tolerance counters (worker restarts, heartbeat misses,
-    /// checkpoint traffic). All zero for in-process engine runs; populated
-    /// by the distributed coordinator.
+    /// checkpoint traffic). All zero for workers stepped in place; populated
+    /// by the coordinator of a fleet behind a transport.
     pub recovery: RecoveryStats,
 }
 

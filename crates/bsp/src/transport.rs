@@ -1,9 +1,9 @@
 //! The wire-transport seam: framed, checksummed connections between the
 //! coordinator and its workers.
 //!
-//! The engine's original deployment simulates every worker inside one
-//! process; this module is what makes "distributed" real. A [`Transport`]
-//! hands out [`Listener`]s and [`Connection`]s over one of three substrates:
+//! Workers stepped in place share a process with their driver; this module
+//! is what puts them in other threads or processes. A [`Transport`] hands
+//! out [`Listener`]s and [`Connection`]s over one of three substrates:
 //!
 //! * [`MemTransport`] — the in-memory channel path (worker threads in this
 //!   process, frames over `std::sync::mpsc`).
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION (3)
+//! version u16  FRAME_VERSION (4)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
 //! check   u64  word-folded FNV-1a over kind, len and payload
@@ -26,9 +26,10 @@
 //! use — over the word `kind`, the word `len`, then the payload as
 //! little-endian `u64` words, a trailing partial word zero-padded. (Frame
 //! version 1 ran byte-serial FNV-1a over the same fields, eight dependent
-//! multiplies per word; version 2 framed like version 3 but carried an Init
-//! message with three more words and fragment ids of another layout. Either
-//! is rejected as `UnsupportedVersion`.)
+//! multiplies per word; versions 2 and 3 framed like version 4 but carried
+//! other messages — an Init with three more words and fragment ids of
+//! another layout, then a Done whose reports lacked the two codec times.
+//! All are rejected as `UnsupportedVersion`.)
 //!
 //! A payload may be sent as a *list of parts*
 //! ([`Connection::send_parts`]): the checksum is chained across the parts
@@ -62,7 +63,7 @@ pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version. Bumped whenever the layout of the frame or
 /// of any message carried in it changes, so peers of different builds refuse
 /// each other at the first frame instead of misreading a payload.
-pub const FRAME_VERSION: u16 = 3;
+pub const FRAME_VERSION: u16 = 4;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -845,8 +846,9 @@ mod tests {
     /// A frame as version 1 of the format wrote it: byte-serial FNV-1a over
     /// kind, length and payload. The checksum changed meaning in version 2,
     /// so the version gate — not a checksum mismatch — must refuse it. A
-    /// version 2 frame differs from a current one only in its version field
-    /// (what changed is the messages inside), and is refused all the same.
+    /// version 2 or 3 frame differs from a current one only in its version
+    /// field (what changed is the messages inside), and is refused all the
+    /// same.
     #[test]
     fn v1_frame_is_rejected_as_unsupported_version() {
         let payload = b"a version 1 payload";
@@ -871,10 +873,15 @@ mod tests {
         frame[4..6].copy_from_slice(&FRAME_VERSION.to_le_bytes());
         assert_eq!(decode_frame(&frame), Err(FrameError::ChecksumMismatch));
 
-        let mut v2 = encode_frame(7, payload).unwrap();
-        assert!(decode_frame(&v2).is_ok());
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert_eq!(decode_frame(&v2), Err(FrameError::UnsupportedVersion { found: 2 }));
+        let mut earlier = encode_frame(7, payload).unwrap();
+        assert!(decode_frame(&earlier).is_ok());
+        for version in [2u16, 3] {
+            earlier[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_frame(&earlier),
+                Err(FrameError::UnsupportedVersion { found: version })
+            );
+        }
     }
 
     #[test]

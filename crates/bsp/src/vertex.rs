@@ -3,8 +3,8 @@
 //! Used by the Makki baseline: the algorithm keeps a single active vertex per
 //! superstep, which is exactly the behaviour the paper criticises (superstep
 //! count proportional to the number of edges, all but one machine idle). The
-//! runner here executes faithfully superstep-by-superstep and reports the
-//! same statistics as the partition engine, so the coordination-cost
+//! runner here executes faithfully superstep-by-superstep and counts
+//! supersteps as a partition-centric run does, so the coordination-cost
 //! comparison of the `supersteps_vs_makki` harness is apples-to-apples.
 
 use crate::program::{VertexContext, VertexProgram};

@@ -1,15 +1,23 @@
-//! Process-per-worker distributed execution of the merge-tree walk, with
-//! superstep checkpointing and kill-and-resume recovery.
+//! The BSP workers of the merge-tree walk — stepped in place or behind a
+//! wire transport — with superstep checkpointing and kill-and-resume
+//! recovery for the latter.
 //!
-//! The BSP engine in `euler_bsp` simulates workers as threads of one
-//! process; this module makes "distributed" real and survivable. A
-//! **coordinator** (driven by [`crate::pipeline::BspBackend`] once a
-//! transport is configured) owns the merge-tree walk; **workers** — OS
-//! threads over the in-memory transport, or genuine OS *processes* spawned
-//! via `std::process::Command` running the `euler-worker` binary over a
-//! TCP/Unix socket transport — hold the partition states and execute
-//! Phase 1/2, exchanging typed messages through the framed, checksummed
-//! codec of [`euler_bsp::transport`].
+//! [`crate::pipeline::BspBackend`] spreads the partitions over a set of
+//! **workers** (`partition id % workers`) and drives one barrier per merge
+//! level. A worker holds its partitions' states between levels (a `SlotSet`)
+//! and runs each through the shared level step (`crate::level`); what it
+//! ships to a merge parent it *encodes*, and what arrives it decodes, so the
+//! shuffle is measured in bytes. One fold turns a barrier's results into the
+//! superstep's statistics, the next level's inboxes and the walk's outcome.
+//!
+//! Where the workers live is all that varies. Without a transport they are
+//! slot sets of this process, stepped **in place**: one scoped thread per
+//! worker per level, fragments pushed straight into the walk's store. With
+//! one, a **coordinator** owns the walk and the workers are OS threads over
+//! the in-memory transport, or genuine OS *processes* spawned via
+//! `std::process::Command` running the `euler-worker` binary over a TCP/Unix
+//! socket transport, exchanging typed messages through the framed,
+//! checksummed codec of [`euler_bsp::transport`] — the rest of this page.
 //!
 //! ## Protocol
 //!
@@ -53,26 +61,27 @@ use crate::error::EulerError;
 use crate::fragment::{
     decode_fragment, encode_fragment, fragment_record_words, Fragment, FragmentId, FragmentStore,
 };
+use crate::level::{group_inbound, step_slot};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
 use crate::phase1::ArenaPool;
-use crate::phase2::merge_partitions;
-use crate::pipeline::{phase1_record, transfer_longs, wire, LevelOutcome, LevelPartitionReport};
-use crate::state::WorkingPartition;
+use crate::pipeline::{wire, LevelOutcome, LevelPartitionReport};
+use crate::state::{VertexTypeCounts, WorkingPartition};
 use euler_bsp::checkpoint::{
     checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError,
 };
 use euler_bsp::fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
 use euler_bsp::transport::{connect_endpoint, Connection, FrameError, Listener, Transport};
 use euler_bsp::wire::{WireError, WordReader, WordWriter};
-use euler_bsp::{EngineStats, SuperstepStats};
+use euler_bsp::{BspConfig, EngineStats, PlatformCostModel, SuperstepStats};
 use euler_graph::PartitionId;
 use euler_metrics::TimeBreakdown;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -173,13 +182,19 @@ fn encode_state(out: &mut WordWriter, wp: &WorkingPartition) {
     wire::encode(wp, out);
 }
 
-fn decode_states(r: &mut WordReader<'_>) -> Result<Vec<WorkingPartition>, WireError> {
+/// Reads a state list as far as its framing: the records, each bounded to
+/// its length prefix and still encoded.
+fn state_records<'a>(r: &mut WordReader<'a>) -> Result<Vec<WordReader<'a>>, WireError> {
     let n = r.count()?;
-    let mut states = Vec::with_capacity(r.cap(n, 1));
+    let mut records = Vec::with_capacity(r.cap(n, 1));
     for _ in 0..n {
-        states.push(wire::decode(&mut r.record()?)?);
+        records.push(r.record()?);
     }
-    Ok(states)
+    Ok(records)
+}
+
+fn decode_states(r: &mut WordReader<'_>) -> Result<Vec<WorkingPartition>, WireError> {
+    state_records(r)?.into_iter().map(|mut record| wire::decode(&mut record)).collect()
 }
 
 /// Walks a fragment list — `[n, n × (id, len, fragment record)]` — handing
@@ -264,54 +279,33 @@ fn decode_init(payload: &[u8]) -> Result<(InitHead, Vec<WorkingPartition>), Wire
     Ok((head, seeds))
 }
 
-fn decode_start(payload: &[u8]) -> Result<(u32, Vec<WorkingPartition>), WireError> {
+/// Reads a Start as far as its framing: the superstep and the inbound state
+/// records, which the slot set decodes ([`SlotSet::unpack`]).
+fn decode_start(payload: &[u8]) -> Result<(u32, Vec<WordReader<'_>>), WireError> {
     let mut r = WordReader::new(payload)?;
-    Ok((r.u()? as u32, decode_states(&mut r)?))
+    Ok((r.u()? as u32, state_records(&mut r)?))
 }
 
-/// A worker's answer to a Start, built section by section while the
-/// superstep runs — its slice of the level outcome plus everything the
-/// coordinator must route or retain (shipped states, fragments, checkpoint
-/// accounting) — and sent as a part list, never concatenated. Each section
-/// leads with its element count, kept current as elements are appended:
-///
-/// ```text
-/// reports    [superstep, n_reports, n_reports × 19 report words]
-/// outgoing   [n_out, n_out × (destination, len, state record)]
-/// fragments  [n_frags, n_frags × (id, len, fragment record)]
-/// tail       [transfer_longs, checkpoint_longs]
-/// ```
-struct DoneWriter {
-    reports: WordWriter,
-    outgoing: WordWriter,
-    fragments: WordWriter,
-    n_reports: u64,
-    n_out: u64,
-    n_frags: u64,
-    transfer_longs: u64,
-    checkpoint_longs: u64,
+/// One slot's line of a worker's share of a level: its record, the state's
+/// `memory_longs` after Phase 1, and the two codec buckets of Fig. 6 (merge
+/// and tour time are in the record).
+#[derive(Debug, PartialEq)]
+struct SlotReport {
+    report: LevelPartitionReport,
+    post_memory: u64,
+    /// Decoding the child states merged into this slot.
+    unpack: Duration,
+    /// Encoding the state for its merge parent; zero if it stayed.
+    ship: Duration,
 }
 
-impl DoneWriter {
-    fn new(superstep: u32) -> Self {
-        DoneWriter {
-            reports: WordWriter::from_words(&[superstep as u64, 0]),
-            outgoing: WordWriter::from_words(&[0]),
-            fragments: WordWriter::from_words(&[0]),
-            n_reports: 0,
-            n_out: 0,
-            n_frags: 0,
-            transfer_longs: 0,
-            checkpoint_longs: 0,
-        }
-    }
+impl SlotReport {
+    /// Words of one report in a Done (the level is the message's).
+    const WORDS: usize = 21;
 
-    /// One partition's report; `post_memory` is its post-Phase-1
-    /// `memory_longs`, for engine stats.
-    fn report(&mut self, r: &LevelPartitionReport, post_memory: u64) {
-        self.n_reports += 1;
-        self.reports.set(1, self.n_reports);
-        self.reports.words(&[
+    fn encode(&self, out: &mut WordWriter) {
+        let r = &self.report;
+        out.words(&[
             r.partition.0 as u64,
             r.counts.even_internal,
             r.counts.even_boundary,
@@ -330,36 +324,144 @@ impl DoneWriter {
             r.splice_pivot_lookups,
             r.splice_linked_splices,
             r.splice_materialization_longs,
-            post_memory,
+            self.post_memory,
+            self.unpack.as_nanos() as u64,
+            self.ship.as_nanos() as u64,
         ]);
+    }
+
+    fn decode(level: u32, r: &mut WordReader<'_>) -> Result<Self, WireError> {
+        let [partition, even_internal, even_boundary, odd_boundary, remote_edges, local_edges, complexity, phase1_ns, merge_ns, memory_longs, remote_needed_now, transfer_in_longs, paths_found, cycles_found, internal_cycles_merged, splice_pivot_lookups, splice_linked_splices, splice_materialization_longs, post_memory, unpack_ns, ship_ns] =
+            r.array::<{ Self::WORDS }>()?;
+        Ok(SlotReport {
+            report: LevelPartitionReport {
+                level,
+                partition: PartitionId(partition as u32),
+                counts: VertexTypeCounts {
+                    even_internal,
+                    even_boundary,
+                    odd_boundary,
+                    remote_edges,
+                    local_edges,
+                },
+                complexity,
+                phase1_time: Duration::from_nanos(phase1_ns),
+                merge_time: Duration::from_nanos(merge_ns),
+                memory_longs,
+                remote_needed_now,
+                transfer_in_longs,
+                paths_found,
+                cycles_found,
+                internal_cycles_merged,
+                splice_pivot_lookups,
+                splice_linked_splices,
+                splice_materialization_longs,
+            },
+            post_memory,
+            unpack: Duration::from_nanos(unpack_ns),
+            ship: Duration::from_nanos(ship_ns),
+        })
+    }
+}
+
+/// A counted list under construction — `[n, n × entry]` — with the count
+/// at word 0 kept current as entries are appended.
+struct WordList {
+    words: WordWriter,
+    n: u64,
+}
+
+impl WordList {
+    fn new() -> Self {
+        WordList { words: WordWriter::from_words(&[0]), n: 0 }
+    }
+
+    /// Counts one more entry and hands out the writer to append it to.
+    fn entry(&mut self) -> &mut WordWriter {
+        self.n += 1;
+        self.words.set(0, self.n);
+        &mut self.words
+    }
+
+    /// Appends a fragment as an `(id, len, fragment record)` entry.
+    fn fragment(&mut self, f: &Fragment) {
+        let out = self.entry();
+        out.words(&[f.id.0, fragment_record_words(f.edges.len()) as u64]);
+        encode_fragment(f, out);
+    }
+}
+
+/// A worker's share of one level, built while it steps its slots: a line
+/// per slot and the states it shipped, encoded once, where they will be
+/// read from — `(destination, len, state record)` entries, the `outgoing`
+/// section of a Done.
+struct LevelShare {
+    reports: Vec<SlotReport>,
+    outgoing: WordList,
+    transfer_longs: u64,
+}
+
+impl LevelShare {
+    fn new() -> Self {
+        LevelShare { reports: Vec::new(), outgoing: WordList::new(), transfer_longs: 0 }
     }
 
     /// Ships `wp` to the owner of partition `to`.
     fn ship(&mut self, to: u32, wp: &WorkingPartition) {
-        self.n_out += 1;
-        self.outgoing.set(0, self.n_out);
-        self.outgoing.u(to as u64);
-        encode_state(&mut self.outgoing, wp);
+        let out = self.outgoing.entry();
+        out.u(to as u64);
+        encode_state(out, wp);
     }
 
-    /// Records a fragment found this level.
-    fn fragment(&mut self, f: &Fragment) {
-        self.n_frags += 1;
-        self.fragments.set(0, self.n_frags);
-        self.fragments.words(&[f.id.0, fragment_record_words(f.edges.len()) as u64]);
-        encode_fragment(f, &mut self.fragments);
+    /// The share as the barrier fold reads it, with nothing framed: the
+    /// shipped entries are ranges of the buffer they were encoded into, and
+    /// the fragments are wherever the worker pushed them.
+    fn into_done(self, superstep: u32) -> Result<DoneMsg, WireError> {
+        let buf = Arc::new(self.outgoing.words.into_bytes());
+        let outgoing = read_outgoing(&mut WordReader::new(&buf)?, &buf)?;
+        Ok(DoneMsg {
+            superstep,
+            reports: self.reports,
+            outgoing,
+            fragments: None,
+            transfer_longs: self.transfer_longs,
+            checkpoint_longs: 0,
+        })
     }
+}
 
+/// A wire worker's answer to a Start — its share of the level plus what only
+/// a remote worker has to send (the fragments it found, its checkpoint
+/// accounting) — sent as a part list, never concatenated:
+///
+/// ```text
+/// reports    [superstep, n_reports, n_reports × 21 report words]
+/// outgoing   [n_out, n_out × (destination, len, state record)]
+/// fragments  [n_frags, n_frags × (id, len, fragment record)]
+/// tail       [transfer_longs, checkpoint_longs]
+/// ```
+struct DoneWriter {
+    superstep: u32,
+    share: LevelShare,
+    fragments: WordList,
+    checkpoint_longs: u64,
+}
+
+impl DoneWriter {
     /// Sends the message as its part list.
     fn send(&self, conn: &dyn Connection) -> Result<(), FrameError> {
-        let tail = WordWriter::from_words(&[self.transfer_longs, self.checkpoint_longs]);
-        let sections = [&self.reports, &self.outgoing, &self.fragments, &tail];
+        let lines = &self.share.reports;
+        let mut reports = WordWriter::with_capacity(2 + SlotReport::WORDS * lines.len());
+        reports.words(&[self.superstep as u64, lines.len() as u64]);
+        lines.iter().for_each(|line| line.encode(&mut reports));
+        let tail = WordWriter::from_words(&[self.share.transfer_longs, self.checkpoint_longs]);
+        let sections = [&reports, &self.share.outgoing.words, &self.fragments.words, &tail];
         conn.send_parts(kind::DONE, &sections.map(WordWriter::as_bytes))
     }
 }
 
-/// A byte range of a received payload: relayed, or decoded later, without
-/// being copied out of the buffer it arrived in.
+/// A byte range of a buffer of encoded words: relayed, or decoded later,
+/// without being copied out of the buffer it was received or encoded in.
 #[derive(Clone)]
 struct Blob {
     buf: Arc<Vec<u8>>,
@@ -367,88 +469,67 @@ struct Blob {
 }
 
 impl Blob {
+    fn words(buf: &Arc<Vec<u8>>, words: Range<usize>) -> Self {
+        Blob { buf: Arc::clone(buf), range: 8 * words.start..8 * words.end }
+    }
+
     fn bytes(&self) -> &[u8] {
         self.buf.get(self.range.clone()).unwrap_or_default()
     }
 }
 
-/// What the coordinator reads out of a Done: the reports and counters,
-/// decoded, and where the shipped states and the fragment list lie in the
-/// payload — those it routes and retains as bytes.
+/// A worker's share of a level as the barrier fold reads it: the reports
+/// and counters, decoded, and where the shipped states (and, from a wire
+/// worker, the fragment list) lie in the buffer that holds them — those are
+/// routed and retained as bytes.
 struct DoneMsg {
     superstep: u32,
-    reports: Vec<LevelPartitionReport>,
-    /// Post-Phase-1 `memory_longs` per report partition, for engine stats.
-    post_memory: Vec<u64>,
+    reports: Vec<SlotReport>,
     /// `(destination partition, its `(len, state record)` entry)` ships —
     /// each range is a ready-made entry of the next Start's state list.
     outgoing: Vec<(u32, Blob)>,
-    /// The fragment list, structurally checked; decoded when the barrier
-    /// commits ([`adopt_fragments`]).
-    fragments: Blob,
+    /// A wire worker's fragment list, structurally checked; decoded when the
+    /// barrier commits ([`adopt_fragments`]). `None` from a worker stepped
+    /// in place, whose fragments are in the walk's store already.
+    fragments: Option<Blob>,
     transfer_longs: u64,
     checkpoint_longs: u64,
 }
 
-fn decode_done(payload: Arc<Vec<u8>>) -> Result<DoneMsg, WireError> {
-    let mut r = WordReader::new(&payload)?;
-    let blob = |words: Range<usize>| Blob {
-        buf: Arc::clone(&payload),
-        range: 8 * words.start..8 * words.end,
-    };
-    let superstep = r.u()? as u32;
-    let n_reports = r.count()?;
-    let mut reports = Vec::with_capacity(r.cap(n_reports, 19));
-    let mut post_memory = Vec::with_capacity(r.cap(n_reports, 19));
-    for _ in 0..n_reports {
-        let [partition, even_internal, even_boundary, odd_boundary, remote_edges, local_edges, complexity, phase1_ns, merge_ns, memory_longs, remote_needed_now, transfer_in_longs, paths_found, cycles_found, internal_cycles_merged, splice_pivot_lookups, splice_linked_splices, splice_materialization_longs, post_mem] =
-            r.array()?;
-        reports.push(LevelPartitionReport {
-            level: superstep,
-            partition: PartitionId(partition as u32),
-            counts: crate::state::VertexTypeCounts {
-                even_internal,
-                even_boundary,
-                odd_boundary,
-                remote_edges,
-                local_edges,
-            },
-            complexity,
-            phase1_time: Duration::from_nanos(phase1_ns),
-            merge_time: Duration::from_nanos(merge_ns),
-            memory_longs,
-            remote_needed_now,
-            transfer_in_longs,
-            paths_found,
-            cycles_found,
-            internal_cycles_merged,
-            splice_pivot_lookups,
-            splice_linked_splices,
-            splice_materialization_longs,
-        });
-        post_memory.push(post_mem);
-    }
+/// Every worker's share of one level, tagged with the worker.
+type Dones = Vec<(u32, DoneMsg)>;
+
+/// Reads an `outgoing` section into `(destination, entry)` ranges of `buf`,
+/// the buffer `r` reads.
+fn read_outgoing(
+    r: &mut WordReader<'_>,
+    buf: &Arc<Vec<u8>>,
+) -> Result<Vec<(u32, Blob)>, WireError> {
     let n_out = r.count()?;
     let mut outgoing = Vec::with_capacity(r.cap(n_out, 2));
     for _ in 0..n_out {
         let to = r.u()? as u32;
         let entry = r.position();
         r.record()?;
-        outgoing.push((to, blob(entry..r.position())));
+        outgoing.push((to, Blob::words(buf, entry..r.position())));
     }
+    Ok(outgoing)
+}
+
+fn decode_done(payload: Arc<Vec<u8>>) -> Result<DoneMsg, WireError> {
+    let mut r = WordReader::new(&payload)?;
+    let superstep = r.u()? as u32;
+    let n_reports = r.count()?;
+    let mut reports = Vec::with_capacity(r.cap(n_reports, SlotReport::WORDS));
+    for _ in 0..n_reports {
+        reports.push(SlotReport::decode(superstep, &mut r)?);
+    }
+    let outgoing = read_outgoing(&mut r, &payload)?;
     let list = r.position();
     for_each_fragment(&mut r, |_, _| Ok(()))?;
-    let fragments = blob(list..r.position());
+    let fragments = Some(Blob::words(&payload, list..r.position()));
     let [transfer_longs, checkpoint_longs] = r.array()?;
-    Ok(DoneMsg {
-        superstep,
-        reports,
-        post_memory,
-        outgoing,
-        fragments,
-        transfer_longs,
-        checkpoint_longs,
-    })
+    Ok(DoneMsg { superstep, reports, outgoing, fragments, transfer_longs, checkpoint_longs })
 }
 
 /// Moves a committed fragment list into `store` under the ids the fragments
@@ -475,19 +556,96 @@ struct RestoreRefusal {
     ignored: bool,
 }
 
-/// The worker's live state between supersteps.
+/// The states arriving at a level, decoded, grouped by the slot they merge
+/// into, in merge order — each with the time its decode took.
+type Inbound = BTreeMap<PartitionId, Vec<(WorkingPartition, Duration)>>;
+
+/// The partition states one worker holds between levels, keyed by slot
+/// (= partition id), with the tree they walk and the Phase-1 arenas reused
+/// across them. The same object whether the worker is stepped in place or
+/// serves a connection.
+struct SlotSet {
+    tree: Arc<MergeTree>,
+    strategy: MergeStrategy,
+    slots: BTreeMap<PartitionId, WorkingPartition>,
+    pool: ArenaPool,
+}
+
+impl SlotSet {
+    fn new(tree: Arc<MergeTree>, strategy: MergeStrategy, states: Vec<WorkingPartition>) -> Self {
+        let slots = states.into_iter().map(|wp| (wp.id, wp)).collect();
+        SlotSet { tree, strategy, slots, pool: ArenaPool::new() }
+    }
+
+    /// Decodes the state records arriving at a level and groups them for
+    /// its merges. A record that does not decode, a state the previous level
+    /// did not ship, and one for a slot this worker does not hold are typed
+    /// errors.
+    fn unpack(&self, level: u32, records: Vec<WordReader<'_>>) -> Result<Inbound, EulerError> {
+        let mut states = Vec::with_capacity(records.len());
+        for mut record in records {
+            let t0 = Instant::now();
+            let wp = wire::decode(&mut record)
+                .map_err(|e| EulerError::Distributed(format!("inbound partition state: {e}")))?;
+            states.push((wp, t0.elapsed()));
+        }
+        let held = |p: PartitionId| self.slots.contains_key(&p);
+        group_inbound(&self.tree, level, states, |(wp, _)| wp.id, held)
+    }
+
+    /// Steps every slot through the level, ascending: Phase 1 into the store
+    /// `store_for_slot` hands out, which `stepped` sees once the slot is
+    /// through; a state the tree retires is encoded into the share and
+    /// leaves the set.
+    fn step_level(
+        &mut self,
+        level: u32,
+        mut inbound: Inbound,
+        mut store_for_slot: impl FnMut() -> FragmentStore,
+        mut stepped: impl FnMut(&FragmentStore),
+    ) -> LevelShare {
+        let mut share = LevelShare::new();
+        for (slot, wp) in std::mem::take(&mut self.slots) {
+            let (children, unpack): (Vec<_>, Vec<_>) =
+                inbound.remove(&slot).unwrap_or_default().into_iter().unzip();
+            let store = store_for_slot();
+            let step =
+                step_slot(wp, children, &self.tree, level, self.strategy, &self.pool, &store);
+            stepped(&store);
+            let t0 = Instant::now();
+            let ship = match step.ship {
+                Some((parent, longs)) => {
+                    share.transfer_longs += longs;
+                    share.ship(parent.0, &step.state);
+                    t0.elapsed()
+                }
+                None => {
+                    self.slots.insert(slot, step.state);
+                    Duration::ZERO
+                }
+            };
+            share.reports.push(SlotReport {
+                report: step.report,
+                post_memory: step.memory_after,
+                unpack: unpack.into_iter().sum(),
+                ship,
+            });
+        }
+        share
+    }
+}
+
+/// A wire worker's live state between supersteps.
 struct WorkerState {
     init: InitHead,
-    /// Active partition states, keyed by slot (= partition id).
-    slots: BTreeMap<u32, WorkingPartition>,
-    pool: ArenaPool,
+    set: SlotSet,
     kill_consumed: bool,
 }
 
 impl WorkerState {
     fn build(init: InitHead, seeds: Vec<WorkingPartition>) -> Self {
-        let slots = seeds.into_iter().map(|wp| (wp.id.0, wp)).collect();
-        WorkerState { init, slots, pool: ArenaPool::new(), kill_consumed: false }
+        let set = SlotSet::new(Arc::clone(&init.tree), init.strategy, seeds);
+        WorkerState { init, set, kill_consumed: false }
     }
 
     /// Writes the checkpoint entering `superstep`: the slot states, then
@@ -497,7 +655,7 @@ impl WorkerState {
         let Some(dir) = &self.init.checkpoint_dir else { return 0 };
         let path = checkpoint_file(dir, self.init.worker_id, superstep);
         let mut states = WordWriter::new();
-        encode_states(&mut states, self.slots.values());
+        encode_states(&mut states, self.set.slots.values());
         write_checkpoint(&path, &[states.as_bytes(), fragments.as_bytes()]).unwrap_or_default()
     }
 
@@ -529,85 +687,24 @@ impl WorkerState {
         };
         match decode() {
             Ok(slots) => {
-                self.slots = slots.into_iter().map(|wp| (wp.id.0, wp)).collect();
+                self.set.slots = slots.into_iter().map(|wp| (wp.id, wp)).collect();
                 Ok(payload.len() as u64 / 8)
             }
             Err(_) => Err(RestoreRefusal { ignored: true }),
         }
     }
 
-    /// Runs one superstep: merge inbound child states, Phase 1 per owned
-    /// slot (ascending), ship retiring states, checkpoint.
-    fn superstep(&mut self, superstep: u32, inbound: Vec<WorkingPartition>) -> DoneWriter {
-        let level = superstep;
-        let tree = Arc::clone(&self.init.tree);
-        let strategy = self.init.strategy;
-        let height = tree.height();
-
-        // Group inbound child states by merge parent, each group ordered
-        // exactly as the in-process backend merges: by position in the
-        // previous level's pair list.
-        let prev_pairs: &[MergePair] =
-            if level > 0 { tree.pairs_at(level - 1) } else { &[] };
-        let mut inbound: Vec<(usize, u32, WorkingPartition)> = inbound
-            .into_iter()
-            .filter_map(|child| {
-                let pos = prev_pairs.iter().position(|p| p.child == child.id)?;
-                Some((pos, prev_pairs.get(pos)?.parent.0, child))
-            })
-            .collect();
-        inbound.sort_by_key(|(pos, ..)| *pos);
-        let mut children: BTreeMap<u32, Vec<WorkingPartition>> = BTreeMap::new();
-        for (_, parent, child) in inbound {
-            children.entry(parent).or_default().push(child);
-        }
-
-        let mut done = DoneWriter::new(superstep);
-        let slot_ids: Vec<u32> = self.slots.keys().copied().collect();
-        for slot in slot_ids {
-            let mut wp = self.slots.remove(&slot).expect("slot present");
-            // --- Phase 2: merge child states addressed to this slot. -----
-            let mut merge_time = Duration::ZERO;
-            let mut transfer_in = 0u64;
-            for child in children.remove(&slot).unwrap_or_default() {
-                transfer_in +=
-                    transfer_longs(&child, &tree, level.saturating_sub(1), strategy);
-                let t0 = Instant::now();
-                let (merged, _stats) =
-                    merge_partitions(wp, child, &tree, level.saturating_sub(1));
-                merge_time += t0.elapsed();
-                wp = merged;
-            }
-
-            // --- Phase 1, its fragments straight into the Done payload. ---
-            // The slot's store hands out the same `(level, slot, seq)` ids a
-            // shared store would, so nothing is renumbered on the way out.
-            let store = FragmentStore::new();
-            let (mut report, memory_after) =
-                phase1_record(&mut wp, &tree, level, strategy, |wp| {
-                    self.pool.run_phase1(wp, &store)
-                });
-            (report.merge_time, report.transfer_in_longs) = (merge_time, transfer_in);
-            store.for_each(|f| done.fragment(f));
-            done.report(&report, memory_after);
-
-            // --- Ship to the merge parent if this slot retires here. -----
-            let retires = if level < height {
-                tree.pairs_at(level).iter().find(|p| p.child.0 == slot).map(|p| p.parent.0)
-            } else {
-                None
-            };
-            if let Some(parent) = retires {
-                done.transfer_longs += transfer_longs(&wp, &tree, level, strategy);
-                done.ship(parent, &wp);
-                // Retired: the slot does not come back.
-            } else {
-                self.slots.insert(slot, wp);
-            }
-        }
-
-        done.checkpoint_longs = self.write_ckpt(superstep + 1, &done.fragments);
-        done
+    /// Runs one superstep: steps the slots, each slot's fragments going
+    /// through a store of its own — which hands out the same `(level, slot,
+    /// seq)` ids a shared store would, so nothing is renumbered on the way
+    /// out — straight into the Done; then checkpoints.
+    fn superstep(&mut self, superstep: u32, inbound: Inbound) -> DoneWriter {
+        let mut fragments = WordList::new();
+        let share = self.set.step_level(superstep, inbound, FragmentStore::new, |store| {
+            store.for_each(|f| fragments.fragment(f))
+        });
+        let checkpoint_longs = self.write_ckpt(superstep + 1, &fragments.words);
+        DoneWriter { superstep, share, fragments, checkpoint_longs }
     }
 }
 
@@ -624,7 +721,10 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
     // frame) is indistinguishable from a dead one — by design, the
     // coordinator's timeout recovers both the same way.
     let busy = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
+    // The heartbeat thread waits on this channel between beats; dropping the
+    // sender wakes it at once, so ending the worker never waits out a beat.
+    let (stop, stopped) = mpsc::channel::<()>();
+    let mut stopped = Some(stopped);
     let mut heartbeat: Option<std::thread::JoinHandle<()>> = None;
 
     let result = loop {
@@ -640,15 +740,14 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                 kind::INIT => {
                     let (init, seeds) = decode_init(&payload)?;
                     drop(payload);
-                    if heartbeat.is_none() {
+                    if let Some(stopped) = stopped.take() {
                         let interval = init.heartbeat_interval;
                         let conn2 = Arc::clone(&conn);
                         let busy2 = Arc::clone(&busy);
-                        let stop2 = Arc::clone(&stop);
                         heartbeat = Some(std::thread::spawn(move || loop {
-                            std::thread::sleep(interval);
-                            if stop2.load(Ordering::Relaxed) {
-                                return;
+                            match stopped.recv_timeout(interval) {
+                                Err(RecvTimeoutError::Timeout) => {}
+                                _ => return,
                             }
                             if busy2.load(Ordering::Relaxed)
                                 && conn2.send(kind::HEARTBEAT, &[]).is_err()
@@ -665,12 +764,10 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                 }
                 kind::START => {
                     let st = state.as_mut().ok_or("Start before Init")?;
-                    let (superstep, inbox) = decode_start(&payload)?;
-                    drop(payload);
+                    let (superstep, records) = decode_start(&payload)?;
                     if superstep > st.init.tree.height() {
                         return Err(format!("Start of superstep {superstep} beyond the tree"));
                     }
-                    check_slots(&st.init.tree, &inbox)?;
                     busy.store(true, Ordering::Relaxed);
                     if let Some((kw, ks)) = st.init.kill {
                         if kw == st.init.worker_id && ks == superstep && !st.kill_consumed {
@@ -687,7 +784,9 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                             }
                         }
                     }
-                    let done = st.superstep(superstep, inbox);
+                    let inbound = st.set.unpack(superstep, records).map_err(|e| e.to_string())?;
+                    drop(payload);
+                    let done = st.superstep(superstep, inbound);
                     let send = done.send(conn.as_ref());
                     busy.store(false, Ordering::Relaxed);
                     send.map_err(|e| format!("done failed: {e}"))?;
@@ -721,7 +820,7 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
             Err(e) => break Err(e),
         }
     };
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     if let Some(h) = heartbeat {
         h.join().ok();
     }
@@ -765,11 +864,10 @@ pub(crate) enum WorkerSpawn {
     Processes { worker_bin: PathBuf },
 }
 
-/// Static configuration of a distributed run.
-pub(crate) struct DistConfig {
+/// How a run's workers are brought up and kept alive behind a transport.
+pub(crate) struct FleetConfig {
     pub transport: Arc<dyn Transport>,
     pub spawn: WorkerSpawn,
-    pub num_workers: usize,
     pub checkpoint_dir: Option<PathBuf>,
     pub policy: FaultPolicy,
     pub plan: FaultPlan,
@@ -790,10 +888,11 @@ struct WorkerHandle {
     recv_handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// The coordinator of one distributed run: spawns workers, drives one
-/// barrier per merge level, detects deaths, and recovers.
-pub(crate) struct DistRun {
-    cfg: DistConfig,
+/// The coordinator's side of a fleet of wire workers: spawns them, drives
+/// one barrier of frames per merge level, detects deaths, and recovers.
+struct Fleet {
+    cfg: FleetConfig,
+    num_workers: usize,
     tree: Arc<MergeTree>,
     strategy: MergeStrategy,
     /// Each worker's level-0 seed state list, encoded once: the tail part
@@ -803,33 +902,22 @@ pub(crate) struct DistRun {
     workers: Vec<WorkerHandle>,
     events_tx: mpsc::Sender<Event>,
     events_rx: mpsc::Receiver<Event>,
-    /// Current superstep's Start state-list entries per worker — ranges of
-    /// the Done payloads they arrived in — retained until the barrier
-    /// commits so they can be re-delivered after a rollback.
-    inbox: Vec<Vec<Blob>>,
-    /// Dones collected by the in-flight barrier (filled by `wait_barrier`,
-    /// consumed by `run_superstep`).
-    pending_dones: Vec<(u32, DoneMsg)>,
-    superstep_stats: Vec<SuperstepStats>,
     recovery: RecoveryStats,
     warnings: Vec<String>,
     kill_consumed: bool,
     start_seq: u64,
-    t_start: Instant,
-    total_wall: Duration,
-    finished: bool,
+    shut_down: bool,
 }
 
-impl DistRun {
+impl Fleet {
     /// Spawns and initialises the worker fleet over the level-0 seed.
-    pub fn new(
-        cfg: DistConfig,
+    fn new(
+        cfg: FleetConfig,
+        num_workers: usize,
         tree: Arc<MergeTree>,
         strategy: MergeStrategy,
         seed: &[WorkingPartition],
     ) -> Result<Self, EulerError> {
-        let t_start = Instant::now();
-        let num_workers = cfg.num_workers;
         let seeds_by_worker = (0..num_workers)
             .map(|w| {
                 let mine: Vec<&WorkingPartition> =
@@ -844,7 +932,9 @@ impl DistRun {
             .listen()
             .map_err(|e| EulerError::Distributed(format!("listen failed: {e}")))?;
         let (events_tx, events_rx) = mpsc::channel();
-        let mut run = DistRun {
+        let mut fleet = Fleet {
+            cfg,
+            num_workers,
             tree,
             strategy,
             seeds_by_worker,
@@ -852,40 +942,27 @@ impl DistRun {
             workers: Vec::new(),
             events_tx,
             events_rx,
-            inbox: vec![Vec::new(); num_workers],
-            pending_dones: Vec::new(),
-            superstep_stats: Vec::new(),
             recovery: RecoveryStats::default(),
             warnings: Vec::new(),
             kill_consumed: false,
             start_seq: 0,
-            t_start,
-            total_wall: Duration::ZERO,
-            finished: false,
-            cfg,
+            shut_down: false,
         };
         let all: Vec<u32> = (0..num_workers as u32).collect();
-        run.bring_up(&all)?;
+        fleet.bring_up(&all)?;
         for w in all {
-            run.start_receiver(w);
+            fleet.start_receiver(w);
         }
-        Ok(run)
-    }
-
-    /// Runs one merge level to completion (recovering as needed), moves
-    /// its fragments into `store` and returns its outcome.
-    pub fn step(&mut self, level: u32, store: &FragmentStore) -> Result<LevelOutcome, EulerError> {
-        self.run_superstep(level, Some(store))
-            .map(|o| o.expect("recorded superstep returns an outcome"))
+        Ok(fleet)
     }
 
     /// Shuts the fleet down (Shutdown/Bye), reaps workers, removes the
     /// checkpoint directory of a cleanly completed run.
-    pub fn finish(&mut self) {
-        if self.finished {
+    fn shut_down(&mut self) {
+        if self.shut_down {
             return;
         }
-        self.finished = true;
+        self.shut_down = true;
         for h in &self.workers {
             h.conn.send(kind::SHUTDOWN, &[]).ok();
         }
@@ -912,23 +989,6 @@ impl DistRun {
         if let Some(dir) = &self.cfg.checkpoint_dir {
             std::fs::remove_dir_all(dir).ok();
         }
-        self.total_wall = self.t_start.elapsed();
-    }
-
-    /// Engine-statistics view of the run so far.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            supersteps: self.superstep_stats.clone(),
-            num_workers: self.cfg.num_workers,
-            total_wall_time: if self.finished { self.total_wall } else { self.t_start.elapsed() },
-            modelled_platform_overhead: Duration::ZERO,
-            recovery: self.recovery,
-        }
-    }
-
-    /// Human-readable recovery notes for `RunReport::warnings`.
-    pub fn warnings(&self) -> Vec<String> {
-        self.warnings.clone()
     }
 
     // -- internals ----------------------------------------------------------
@@ -1074,7 +1134,7 @@ impl DistRun {
         let kill = self.cfg.plan.kill.filter(|_| !self.kill_consumed);
         let head = encode_init_head(&InitHead {
             worker_id: w,
-            num_workers: self.cfg.num_workers as u32,
+            num_workers: self.num_workers as u32,
             strategy: self.strategy,
             heartbeat_interval: self.cfg.policy.heartbeat_interval,
             kill,
@@ -1123,7 +1183,10 @@ impl DistRun {
             }
             match conn.recv_timeout(Some(Duration::from_millis(100))) {
                 Ok((kind, payload)) => {
-                    if tx.send(Event::Frame { worker: w, epoch, kind, payload }).is_err() {
+                    // A Bye is the last frame a worker sends.
+                    if tx.send(Event::Frame { worker: w, epoch, kind, payload }).is_err()
+                        || kind == kind::BYE
+                    {
                         return;
                     }
                 }
@@ -1167,28 +1230,30 @@ impl DistRun {
         Err(last)
     }
 
-    /// Drives superstep `level` to a committed barrier. `record` is the
-    /// walk's store, or `None` during full-restart replay (the walk already
-    /// consumed those levels, fragments included).
+    /// Drives superstep `level` to a completed barrier over `inbox` — each
+    /// worker's Start state-list entries, re-delivered after a rollback and
+    /// rebuilt by a replay — and returns every worker's Done, by worker.
+    /// `record` is the walk's store, which adopts the level's fragments, or
+    /// `None` during full-restart replay (the walk already consumed those
+    /// levels, fragments included).
     fn run_superstep(
         &mut self,
         level: u32,
+        inbox: &mut Vec<Vec<Blob>>,
         record: Option<&FragmentStore>,
-    ) -> Result<Option<LevelOutcome>, EulerError> {
+    ) -> Result<Dones, EulerError> {
         loop {
-            let t_level = Instant::now();
             let mut deaths: Vec<u32> = Vec::new();
-            for w in 0..self.cfg.num_workers as u32 {
+            for (w, entries) in inbox.iter().enumerate() {
                 // Start = [superstep, n] + the retained state-list entries,
                 // sent from the buffers they arrived in.
-                let inbox = self.inbox[w as usize].clone();
-                let head = WordWriter::from_words(&[level as u64, inbox.len() as u64]);
+                let head = WordWriter::from_words(&[level as u64, entries.len() as u64]);
                 let parts: Vec<&[u8]> = std::iter::once(head.as_bytes())
-                    .chain(inbox.iter().map(Blob::bytes))
+                    .chain(entries.iter().map(Blob::bytes))
                     .collect();
-                self.workers[w as usize].last_heard = Instant::now();
-                if self.send_start(w, &parts).is_err() {
-                    deaths.push(w);
+                self.workers[w].last_heard = Instant::now();
+                if self.send_start(w as u32, &parts).is_err() {
+                    deaths.push(w as u32);
                 }
             }
             // Injected SIGKILL for process workers: the target stalls at
@@ -1204,25 +1269,33 @@ impl DistRun {
                 }
             }
             if deaths.is_empty() {
-                deaths = self.wait_barrier(level)?.err().unwrap_or_default();
-                if deaths.is_empty() {
-                    // Barrier complete: re-collect the Done set (stored by
-                    // wait_barrier) and commit.
-                    let dones = std::mem::take(&mut self.pending_dones);
-                    return self.commit(level, dones, record, t_level.elapsed());
+                match self.wait_barrier(level)? {
+                    Ok(mut dones) => {
+                        dones.sort_by_key(|(w, _)| *w);
+                        for (_, done) in &dones {
+                            if let (Some(store), Some(list)) = (record, &done.fragments) {
+                                adopt_fragments(list, store)?;
+                            }
+                            if done.checkpoint_longs > 0 {
+                                self.recovery.checkpoints_written += 1;
+                                self.recovery.checkpoint_longs_written += done.checkpoint_longs;
+                            }
+                        }
+                        return Ok(dones);
+                    }
+                    Err(dead) => deaths = dead,
                 }
             }
-            self.recover(level, &deaths)?;
+            self.recover(level, &deaths, inbox)?;
         }
     }
 
-    /// Waits until every worker answered Done for `level` or died.
-    /// `Ok(Ok(()))` leaves the Done set in `pending_dones`; `Ok(Err(dead))`
-    /// lists the deceased.
-    fn wait_barrier(&mut self, level: u32) -> Result<Result<(), Vec<u32>>, EulerError> {
-        let mut pending: Vec<bool> = vec![true; self.cfg.num_workers];
+    /// Waits until every worker answered Done for `level` or died:
+    /// `Ok(Ok(dones))` when all answered, `Ok(Err(dead))` lists the deceased.
+    fn wait_barrier(&mut self, level: u32) -> Result<Result<Dones, Vec<u32>>, EulerError> {
+        let mut pending: Vec<bool> = vec![true; self.num_workers];
         let mut deaths: Vec<u32> = Vec::new();
-        self.pending_dones.clear();
+        let mut dones = Vec::with_capacity(self.num_workers);
         while pending.iter().any(|&p| p) {
             match self.events_rx.recv_timeout(Duration::from_millis(25)) {
                 Ok(Event::Frame { worker, epoch, kind: k, payload }) => {
@@ -1239,7 +1312,7 @@ impl DistRun {
                             })?;
                             if done.superstep == level && pending[worker as usize] {
                                 pending[worker as usize] = false;
-                                self.pending_dones.push((worker, done));
+                                dones.push((worker, done));
                             }
                         }
                         kind::HEARTBEAT | kind::BYE | kind::RESTORE_ACK
@@ -1285,70 +1358,18 @@ impl DistRun {
                 }
             }
         }
-        Ok(if deaths.is_empty() { Ok(()) } else { Err(deaths) })
-    }
-
-    /// Commits a completed barrier: routes shipped states into the next
-    /// superstep's inboxes, accounts stats, and (when `record`ing) stores
-    /// the level's fragments and assembles the level outcome.
-    fn commit(
-        &mut self,
-        level: u32,
-        mut dones: Vec<(u32, DoneMsg)>,
-        record: Option<&FragmentStore>,
-        wall: Duration,
-    ) -> Result<Option<LevelOutcome>, EulerError> {
-        dones.sort_by_key(|(w, _)| *w);
-        let mut stats = SuperstepStats::new(level);
-        stats.wall_time = wall;
-        let mut next_inbox: Vec<Vec<Blob>> = vec![Vec::new(); self.cfg.num_workers];
-        let mut outcome = LevelOutcome::default();
-        for (w, done) in &mut dones {
-            for (to, entry) in std::mem::take(&mut done.outgoing) {
-                let dst = owner(to, self.cfg.num_workers);
-                // The state record alone, without its length word.
-                let bytes = entry.range.len().saturating_sub(8) as u64;
-                if dst == *w as usize {
-                    stats.local_messages += 1;
-                    stats.local_bytes += bytes;
-                } else {
-                    stats.remote_messages += 1;
-                    stats.remote_bytes += bytes;
-                }
-                next_inbox[dst].push(entry);
-            }
-            if let Some(store) = record {
-                adopt_fragments(&done.fragments, store)?;
-            }
-            if done.checkpoint_longs > 0 {
-                self.recovery.checkpoints_written += 1;
-                self.recovery.checkpoint_longs_written += done.checkpoint_longs;
-            }
-            for (r, post) in done.reports.iter().zip(&done.post_memory) {
-                stats.compute_time += r.phase1_time + r.merge_time;
-                let mut bd = TimeBreakdown::new();
-                bd.add("phase1_tour", r.phase1_time);
-                bd.add("create_partition_object", r.merge_time);
-                stats.per_partition_compute.push((r.partition.0, bd));
-                stats.memory.record(format!("P{}", r.partition.0), *post);
-            }
-            outcome.transfer_longs += done.transfer_longs;
-            outcome.reports.append(&mut done.reports);
-        }
-        outcome.reports.sort_by_key(|r| r.partition);
-        stats.active_partitions = outcome.reports.len();
-        stats.per_partition_compute.sort_by_key(|(p, _)| *p);
-        self.inbox = next_inbox;
-        Ok(record.map(|_| {
-            self.superstep_stats.push(stats);
-            outcome
-        }))
+        Ok(if deaths.is_empty() { Ok(dones) } else { Err(deaths) })
     }
 
     /// Recovers from worker deaths detected during `level`: rollback +
     /// respawn + restore when checkpoints exist, full deterministic replay
     /// otherwise.
-    fn recover(&mut self, level: u32, deaths: &[u32]) -> Result<(), EulerError> {
+    fn recover(
+        &mut self,
+        level: u32,
+        deaths: &[u32],
+        inbox: &mut Vec<Vec<Blob>>,
+    ) -> Result<(), EulerError> {
         for &w in deaths {
             let h = &mut self.workers[w as usize];
             h.restarts += 1;
@@ -1382,7 +1403,7 @@ impl DistRun {
                 "worker(s) {deaths:?} died at superstep {level} with checkpointing disabled; replaying the run from the seed"
             ));
         }
-        self.full_restart(level, deaths)
+        self.full_restart(level, deaths, inbox)
     }
 
     /// Rollback path: survivors reload checkpoint `level`, the dead are
@@ -1395,7 +1416,7 @@ impl DistRun {
     ) -> Result<bool, EulerError> {
         let mut ok = true;
         // Survivors first: they are idle after the broken barrier.
-        for w in 0..self.cfg.num_workers as u32 {
+        for w in 0..self.num_workers as u32 {
             if deaths.contains(&w) {
                 continue;
             }
@@ -1475,13 +1496,18 @@ impl DistRun {
 
     /// Full-restart path: the dead are respawned fresh, survivors are
     /// re-initialised in place, and supersteps `0..level` replay
-    /// deterministically with their outcomes suppressed (the walk already
-    /// consumed them).
-    fn full_restart(&mut self, level: u32, deaths: &[u32]) -> Result<(), EulerError> {
+    /// deterministically, only to rebuild `inbox` (the walk already consumed
+    /// their outcomes).
+    fn full_restart(
+        &mut self,
+        level: u32,
+        deaths: &[u32],
+        inbox: &mut Vec<Vec<Blob>>,
+    ) -> Result<(), EulerError> {
         self.recovery.full_restarts += 1;
         self.bring_up(deaths)?;
         let survivors: Vec<u32> =
-            (0..self.cfg.num_workers as u32).filter(|w| !deaths.contains(w)).collect();
+            (0..self.num_workers as u32).filter(|w| !deaths.contains(w)).collect();
         for &w in &survivors {
             // Restart the receiver under a new epoch so frames of the
             // abandoned barrier cannot leak into the replay. The old
@@ -1497,20 +1523,222 @@ impl DistRun {
             h.stop_rx = Arc::new(AtomicBool::new(false));
         }
         self.init_all(&survivors)?;
-        for w in 0..self.cfg.num_workers as u32 {
+        for w in 0..self.num_workers as u32 {
             self.start_receiver(w);
         }
-        self.inbox = vec![Vec::new(); self.cfg.num_workers];
+        *inbox = vec![Vec::new(); self.num_workers];
         for ss in 0..level {
-            self.run_superstep(ss, None)?;
+            let dones = self.run_superstep(ss, inbox, None)?;
+            *inbox = fold_barrier(ss, dones, self.num_workers, Duration::ZERO).1;
         }
         Ok(())
     }
 }
 
-impl Drop for DistRun {
+impl Drop for Fleet {
     fn drop(&mut self) {
-        self.finish();
+        self.shut_down();
+    }
+}
+
+/// The barrier fold: every worker's share of `level` into the superstep's
+/// statistics, the next level's inboxes and the walk's outcome — the same
+/// fold wherever the shares were computed.
+///
+/// A shipped state is routed to the owner of its destination slot as the
+/// byte range it was encoded into, and counted local or remote (the
+/// shuffle) by whether that worker is its sender. The four compute buckets
+/// are the paper's Fig. 6 split: `create_partition_object` (decoding the
+/// inbound states), `copy_sink_partition` (merging them in), `phase1_tour`,
+/// and `copy_source_partition` (encoding the state for its parent);
+/// `compute_time` is merge plus tour, the record's own two times.
+fn fold_barrier(
+    level: u32,
+    mut dones: Dones,
+    num_workers: usize,
+    wall: Duration,
+) -> (SuperstepStats, Vec<Vec<Blob>>, LevelOutcome) {
+    dones.sort_by_key(|(w, _)| *w);
+    let mut stats = SuperstepStats::new(level);
+    stats.wall_time = wall;
+    let mut next_inbox: Vec<Vec<Blob>> = vec![Vec::new(); num_workers];
+    let mut outcome = LevelOutcome::default();
+    for (w, done) in dones {
+        for (to, entry) in done.outgoing {
+            let dst = owner(to, num_workers);
+            // The state record alone, without its length word.
+            let bytes = entry.range.len().saturating_sub(8) as u64;
+            if dst == w as usize {
+                stats.local_messages += 1;
+                stats.local_bytes += bytes;
+            } else {
+                stats.remote_messages += 1;
+                stats.remote_bytes += bytes;
+            }
+            next_inbox[dst].push(entry);
+        }
+        outcome.transfer_longs += done.transfer_longs;
+        for line in done.reports {
+            let r = line.report;
+            stats.compute_time += r.phase1_time + r.merge_time;
+            let mut split = TimeBreakdown::new();
+            split.add("create_partition_object", line.unpack);
+            split.add("copy_sink_partition", r.merge_time);
+            split.add("phase1_tour", r.phase1_time);
+            split.add("copy_source_partition", line.ship);
+            stats.per_partition_compute.push((r.partition.0, split));
+            stats.memory.record(format!("P{}", r.partition.0), line.post_memory);
+            outcome.reports.push(r);
+        }
+    }
+    outcome.reports.sort_by_key(|r| r.partition);
+    stats.active_partitions = outcome.reports.len();
+    stats.per_partition_compute.sort_by_key(|(p, _)| *p);
+    (stats, next_inbox, outcome)
+}
+
+/// One level on workers stepped in place: one scoped thread per worker with
+/// anything to do, each decoding its inbox, stepping its slots with their
+/// fragments pushed straight into the walk's `store`, and handing back its
+/// share with the shipped states encoded.
+fn step_in_place(
+    sets: &mut [SlotSet],
+    level: u32,
+    inbox: &[Vec<Blob>],
+    store: &FragmentStore,
+) -> Result<Dones, EulerError> {
+    let bad = |e: WireError| EulerError::Distributed(format!("shipped partition state: {e}"));
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = sets
+            .iter_mut()
+            .zip(inbox)
+            .enumerate()
+            .filter(|(_, (set, entries))| !(set.slots.is_empty() && entries.is_empty()))
+            .map(|(w, (set, entries))| {
+                scope.spawn(move || {
+                    let records = entries
+                        .iter()
+                        .map(|entry| WordReader::new(entry.bytes())?.record())
+                        .collect::<Result<Vec<_>, _>>()
+                        .map_err(bad)?;
+                    let inbound = set.unpack(level, records)?;
+                    let share = set.step_level(level, inbound, || store.clone(), |_| ());
+                    Ok((w as u32, share.into_done(level).map_err(bad)?))
+                })
+            })
+            .collect();
+        let panicked = |_| Err(EulerError::Distributed("a worker stepped in place panicked".into()));
+        workers.into_iter().map(|h| h.join().unwrap_or_else(panicked)).collect()
+    })
+}
+
+/// Where a run's workers live.
+enum Workers {
+    /// Slot sets of this process, stepped in place.
+    InPlace(Vec<SlotSet>),
+    /// Threads or processes behind a transport.
+    Framed(Box<Fleet>),
+}
+
+/// One BSP run of the merge-tree walk: the workers, the inboxes between
+/// their levels, and the statistics the barriers fold into.
+pub(crate) struct DistRun {
+    num_workers: usize,
+    cost_model: PlatformCostModel,
+    workers: Workers,
+    /// The next level's inbound state-list entries per worker — ranges of
+    /// the buffers they were encoded into or arrived in — kept as they are
+    /// through the level, so a fleet can re-deliver them after a rollback.
+    inbox: Vec<Vec<Blob>>,
+    superstep_stats: Vec<SuperstepStats>,
+    t_start: Instant,
+    /// Wall time of the finished run.
+    total_wall: Option<Duration>,
+}
+
+impl DistRun {
+    /// Places the level-0 seed on `engine`'s workers: in place, or — given
+    /// a `fleet` configuration — spawned and initialised over its transport.
+    pub fn new(
+        engine: BspConfig,
+        fleet: Option<FleetConfig>,
+        tree: Arc<MergeTree>,
+        strategy: MergeStrategy,
+        seed: Vec<WorkingPartition>,
+    ) -> Result<Self, EulerError> {
+        let t_start = Instant::now();
+        let num_workers = engine.resolved_workers(seed.len());
+        let workers = match fleet {
+            Some(cfg) => {
+                Workers::Framed(Box::new(Fleet::new(cfg, num_workers, tree, strategy, &seed)?))
+            }
+            None => {
+                let mut seeds: Vec<Vec<WorkingPartition>> = vec![Vec::new(); num_workers];
+                for wp in seed {
+                    seeds[owner(wp.id.0, num_workers)].push(wp);
+                }
+                let set = |mine| SlotSet::new(Arc::clone(&tree), strategy, mine);
+                Workers::InPlace(seeds.into_iter().map(set).collect())
+            }
+        };
+        Ok(DistRun {
+            num_workers,
+            cost_model: engine.cost_model,
+            workers,
+            inbox: vec![Vec::new(); num_workers],
+            superstep_stats: Vec::new(),
+            t_start,
+            total_wall: None,
+        })
+    }
+
+    /// Runs one merge level to its barrier (a fleet recovering as needed),
+    /// with its fragments in `store`, and returns its outcome.
+    pub fn step(&mut self, level: u32, store: &FragmentStore) -> Result<LevelOutcome, EulerError> {
+        let t_level = Instant::now();
+        let dones = match &mut self.workers {
+            Workers::InPlace(sets) => step_in_place(sets, level, &self.inbox, store)?,
+            Workers::Framed(fleet) => fleet.run_superstep(level, &mut self.inbox, Some(store))?,
+        };
+        let (stats, inbox, outcome) =
+            fold_barrier(level, dones, self.num_workers, t_level.elapsed());
+        self.superstep_stats.push(stats);
+        self.inbox = inbox;
+        Ok(outcome)
+    }
+
+    /// Ends the run: retires a fleet and stops the run's clock.
+    pub fn finish(&mut self) {
+        if self.total_wall.is_none() {
+            if let Workers::Framed(fleet) = &mut self.workers {
+                fleet.shut_down();
+            }
+            self.total_wall = Some(self.t_start.elapsed());
+        }
+    }
+
+    /// Statistics of the run so far, under the configured cost model.
+    pub fn stats(&self) -> EngineStats {
+        let mut stats = EngineStats {
+            supersteps: self.superstep_stats.clone(),
+            num_workers: self.num_workers,
+            total_wall_time: self.total_wall.unwrap_or_else(|| self.t_start.elapsed()),
+            modelled_platform_overhead: Duration::ZERO,
+            recovery: match &self.workers {
+                Workers::InPlace(_) => RecoveryStats::default(),
+                Workers::Framed(fleet) => fleet.recovery,
+            },
+        };
+        stats.modelled_platform_overhead = self.cost_model.overhead(&stats);
+        stats
+    }
+
+    /// Human-readable recovery notes for `RunReport::warnings`.
+    pub fn warnings(&self) -> Vec<String> {
+        match &self.workers {
+            Workers::InPlace(_) => Vec::new(),
+            Workers::Framed(fleet) => fleet.warnings.clone(),
+        }
     }
 }
 
@@ -1598,8 +1826,8 @@ mod tests {
         }
     }
 
-    fn report(partition: u32, x: u64) -> LevelPartitionReport {
-        LevelPartitionReport {
+    fn report(partition: u32, x: u64) -> SlotReport {
+        let report = LevelPartitionReport {
             level: 3,
             partition: PartitionId(partition),
             counts: crate::state::VertexTypeCounts {
@@ -1621,6 +1849,12 @@ mod tests {
             splice_pivot_lookups: x + 14,
             splice_linked_splices: x + 15,
             splice_materialization_longs: x + 16,
+        };
+        SlotReport {
+            report,
+            post_memory: 1000 + partition as u64,
+            unpack: Duration::from_nanos(x + 17),
+            ship: Duration::from_nanos(x + 18),
         }
     }
 
@@ -1649,14 +1883,30 @@ mod tests {
     }
 
     fn sample_done(seeds: &[Vec<u64>]) -> DoneWriter {
-        let mut done = DoneWriter::new(3);
-        (done.transfer_longs, done.checkpoint_longs) = (77, 88);
+        let mut done = DoneWriter {
+            superstep: 3,
+            share: LevelShare::new(),
+            fragments: WordList::new(),
+            checkpoint_longs: 88,
+        };
+        done.share.transfer_longs = 77;
         for (i, seed) in seeds.iter().enumerate() {
-            done.report(&report(i as u32, seed.len() as u64), 1000 + i as u64);
-            done.ship(i as u32 + 10, &state(i as u32, seed));
-            done.fragment(&fragment(i as u32, seed));
+            done.share.reports.push(report(i as u32, seed.len() as u64));
+            done.share.ship(i as u32 + 10, &state(i as u32, seed));
+            done.fragments.fragment(&fragment(i as u32, seed));
         }
         done
+    }
+
+    /// A Start decoded all the way: framing, then every state record.
+    fn start_states(payload: &[u8]) -> Result<(u32, Vec<WorkingPartition>), WireError> {
+        let (superstep, records) = decode_start(payload)?;
+        let states = records.into_iter().map(|mut r| wire::decode(&mut r)).collect::<Result<_, _>>()?;
+        Ok((superstep, states))
+    }
+
+    fn fragments_of(done: &DoneMsg) -> &Blob {
+        done.fragments.as_ref().expect("a Done off the wire carries its fragment list")
     }
 
     /// What the walk's store holds after adopting `list`.
@@ -1754,7 +2004,6 @@ mod tests {
         let seeds = vec![vec![1, 2, 3, 4], vec![], vec![9]];
         let done = decode_done(Arc::new(done_payload(&sample_done(&seeds)))).unwrap();
         assert_eq!((done.superstep, done.transfer_longs, done.checkpoint_longs), (3, 77, 88));
-        assert_eq!(done.post_memory, vec![1000, 1001, 1002]);
         for (i, r) in done.reports.iter().enumerate() {
             assert_eq!(*r, report(i as u32, seeds[i].len() as u64));
         }
@@ -1769,22 +2018,22 @@ mod tests {
         let states: Vec<WorkingPartition> =
             seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
         assert_eq!(relayed, start_payload(4, &states));
-        assert_eq!(decode_start(&relayed).unwrap(), (4, states));
+        assert_eq!(start_states(&relayed).unwrap(), (4, states));
         // The fragment list is adopted at commit, ids as found. (Virtual
         // references here point nowhere: typed error.)
         let lone = sample_done(&[vec![1, 2, 4]]);
         let lone = decode_done(Arc::new(done_payload(&lone))).unwrap();
-        assert_eq!(adopted(&lone.fragments).unwrap(), vec![fragment(0, &[1, 2, 4])]);
+        assert_eq!(adopted(fragments_of(&lone)).unwrap(), vec![fragment(0, &[1, 2, 4])]);
         assert!(matches!(
-            adopted(&done.fragments),
+            adopted(fragments_of(&done)),
             Err(EulerError::Distributed(m)) if m.contains("unknown fragment")
         ));
         // A fragment that is not the next of its (level, partition) — here
         // the same list a second time — is refused too.
         let store = FragmentStore::new();
-        adopt_fragments(&lone.fragments, &store).unwrap();
+        adopt_fragments(fragments_of(&lone), &store).unwrap();
         assert!(matches!(
-            adopt_fragments(&lone.fragments, &store),
+            adopt_fragments(fragments_of(&lone), &store),
             Err(EulerError::Distributed(m)) if m.contains("not the next")
         ));
     }
@@ -1802,7 +2051,7 @@ mod tests {
             assert!(decode_init(&init[..cut]).is_err(), "init cut at {cut}");
         }
         for cut in (0..start.len()).step_by(8) {
-            assert!(decode_start(&start[..cut]).is_err(), "start cut at {cut}");
+            assert!(start_states(&start[..cut]).is_err(), "start cut at {cut}");
         }
         for cut in (0..done.len()).step_by(8) {
             assert!(decode_done(Arc::new(done[..cut].to_vec())).is_err(), "done cut at {cut}");
@@ -1815,18 +2064,18 @@ mod tests {
             bad
         };
         // Start: [superstep, n, len, id, level, isolated, n_local, …].
-        assert!(matches!(decode_start(&overrun(&start, 6)), Err(WireError::Truncated { .. })));
-        assert!(matches!(decode_start(&overrun(&start, 2)), Err(WireError::Truncated { .. })));
+        assert!(matches!(start_states(&overrun(&start, 6)), Err(WireError::Truncated { .. })));
+        assert!(matches!(start_states(&overrun(&start, 2)), Err(WireError::Truncated { .. })));
         // First local edge's tag: 3 head words + 6 + 3 leaves.
-        assert!(matches!(decode_start(&overrun(&start, 12)), Err(WireError::Invalid(_))));
+        assert!(matches!(start_states(&overrun(&start, 12)), Err(WireError::Invalid(_))));
         // A record shorter than its length prefix says.
         let mut short = start.clone();
         short[16..24].copy_from_slice(&(wire::record_words(&seeds[0]) as u64 + 1).to_le_bytes());
-        assert!(decode_start(&short).is_err());
+        assert!(start_states(&short).is_err());
         // The coordinator relays states unread but walks the fragment list,
         // and decodes its records at commit: a garbage record is typed there.
         let parsed = decode_done(Arc::new(done.clone())).unwrap();
-        let list = parsed.fragments.range.clone();
+        let list = fragments_of(&parsed).range.clone();
         // Fragment list: [n, id, len, kind, level, partition, n_edges, …].
         for (word, expect_at_parse) in
             [(1, false), (2, true), (3, false), (4, false), (5, false), (6, false)]
@@ -1836,24 +2085,31 @@ mod tests {
                 Err(_) => assert!(expect_at_parse, "word {word}"),
                 Ok(parsed) => {
                     assert!(!expect_at_parse, "word {word}");
-                    assert!(matches!(adopted(&parsed.fragments), Err(EulerError::Distributed(_))));
+                    assert!(matches!(
+                        adopted(fragments_of(&parsed)),
+                        Err(EulerError::Distributed(_))
+                    ));
                 }
             }
         }
     }
 
     /// A worker handed a checksummed-but-hostile Init or Start ends with a
-    /// typed error instead of panicking.
+    /// typed error instead of panicking — garbage words, and equally a
+    /// well-formed state that the previous level never shipped.
     #[test]
     fn worker_rejects_hostile_payloads_with_a_typed_error() {
         let mut garbage_seed = encode_init_head(&test_init(None));
         garbage_seed.words(&[1, 4, u64::MAX, u64::MAX, u64::MAX, u64::MAX]);
         let mut garbage_inbox = WordWriter::from_words(&[0, 1, 7]);
         garbage_inbox.words(&[1, 0, 0, u64::MAX, 0, 0, 0]);
-        let good_init = init_payload(&test_init(None), &[state(0, &[])]);
-        for frames in [
-            vec![(kind::INIT, garbage_seed.into_bytes())],
-            vec![(kind::INIT, good_init), (kind::START, garbage_inbox.into_bytes())],
+        // The tiny tree ships partition 1 into level 1, nothing else.
+        let stray_inbox = start_payload(1, &[state(5, &[])]);
+        let good_init = || init_payload(&test_init(None), &[state(0, &[])]);
+        for (frames, what) in [
+            (vec![(kind::INIT, garbage_seed.into_bytes())], "payload"),
+            (vec![(kind::INIT, good_init()), (kind::START, garbage_inbox.into_bytes())], "payload"),
+            (vec![(kind::INIT, good_init()), (kind::START, stray_inbox)], "ships no such child"),
         ] {
             let listener = MemTransport.listen().unwrap();
             let dial = MemTransport.connect(&listener.endpoint()).unwrap();
@@ -1864,7 +2120,35 @@ mod tests {
                 conn.send(*k, payload).unwrap();
             }
             let err = worker.join().expect("worker must not panic").unwrap_err();
-            assert!(err.contains("payload"), "unexpected error: {err}");
+            assert!(err.contains(what), "unexpected error: {err}");
+        }
+    }
+
+    /// Workers stepped in place answer the same inbound states with the
+    /// same typed error (where the simulated engine `.expect`ed on decode).
+    #[test]
+    fn in_place_workers_refuse_hostile_inbound_states_with_the_same_typed_error() {
+        let entry = |words: WordWriter| {
+            let buf = Arc::new(words.into_bytes());
+            Blob::words(&buf, 0..buf.len() / 8)
+        };
+        let mut stray = WordWriter::new();
+        encode_state(&mut stray, &state(5, &[]));
+        let garbage = WordWriter::from_words(&[7, 1, 0, 0, u64::MAX, 0, 0, 0]);
+        for (inbound, what) in [(stray, "ships no such child"), (garbage, "payload")] {
+            let mut run = DistRun::new(
+                BspConfig::with_workers(2),
+                None,
+                Arc::new(tiny_tree()),
+                MergeStrategy::Deferred,
+                vec![state(0, &[])],
+            )
+            .unwrap();
+            run.inbox[0].push(entry(inbound));
+            match run.step(1, &FragmentStore::new()) {
+                Err(EulerError::Distributed(m)) => assert!(m.contains(what), "{m}"),
+                other => panic!("expected a typed error, got {:?}", other.map(|o| o.reports.len())),
+            }
         }
     }
 
@@ -1885,10 +2169,10 @@ mod tests {
         let dir = scratch("torn");
         let seeds = vec![state(0, &[4, 5, 6])];
         let mut s = WorkerState::build(test_init(Some(dir.clone())), seeds.clone());
-        assert!(s.write_ckpt(0, &sample_done(&[vec![1, 2]]).fragments) > 0);
-        s.slots.clear();
+        assert!(s.write_ckpt(0, &sample_done(&[vec![1, 2]]).fragments.words) > 0);
+        s.set.slots.clear();
         assert!(s.restore(0).is_ok(), "pristine checkpoint must restore");
-        assert_eq!(s.slots.into_values().collect::<Vec<_>>(), seeds);
+        assert_eq!(s.set.slots.into_values().collect::<Vec<_>>(), seeds);
         // Tear the file mid-payload, as a crash during a (non-atomic) write
         // or a truncated copy would.
         let mut s = WorkerState::build(test_init(Some(dir.clone())), Vec::new());
@@ -1938,7 +2222,7 @@ mod tests {
         ) {
             let states: Vec<WorkingPartition> =
                 seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
-            let (ss, got) = decode_start(&start_payload(superstep as u32, &states)).unwrap();
+            let (ss, got) = start_states(&start_payload(superstep as u32, &states)).unwrap();
             prop_assert_eq!(ss, superstep as u32);
             prop_assert_eq!(got, states);
         }
@@ -1971,8 +2255,8 @@ mod tests {
                         };
                     }
                 }
-                done.ship(i as u32, &states[i]);
-                done.fragment(&f);
+                done.share.ship(i as u32, &states[i]);
+                done.fragments.fragment(&f);
                 expected.push(f);
             }
             let parsed = decode_done(Arc::new(done_payload(&done))).unwrap();
@@ -1982,7 +2266,7 @@ mod tests {
                 let mut r = WordReader::new(entry.bytes()).unwrap();
                 prop_assert_eq!(&wire::decode(&mut r.record().unwrap()).unwrap(), wp);
             }
-            prop_assert_eq!(adopted(&parsed.fragments).unwrap(), expected);
+            prop_assert_eq!(adopted(fragments_of(&parsed)).unwrap(), expected);
         }
 
         /// Decoding random garbage words returns a typed error or a
@@ -1993,9 +2277,9 @@ mod tests {
         ) {
             let payload = WordWriter::from_words(&words).into_bytes();
             let _ = decode_init(&payload);
-            let _ = decode_start(&payload);
+            let _ = start_states(&payload);
             if let Ok(done) = decode_done(Arc::new(payload.clone())) {
-                let _ = adopted(&done.fragments);
+                let _ = adopted(fragments_of(&done));
             }
             let mut r = WordReader::new(&payload).unwrap();
             let _ = wire::decode(&mut r);

@@ -32,13 +32,15 @@
 //! The top-level entry point is the [`pipeline`] module's [`EulerPipeline`]:
 //! a builder over a graph source, a partitioner, a merge strategy and an
 //! [`ExecutionBackend`] — [`InProcessBackend`] (rayon-parallel across the
-//! partitions of a level) or [`BspBackend`] (the same phases on the
-//! `euler-bsp` engine with per-worker state, serialised transfers and
-//! superstep statistics). Both backends execute through one shared
-//! merge-tree walk ([`pipeline::run_with_backend`], whose `Graph`-free core
-//! [`pipeline::run_on_partitioned`] also accepts partition views sliced
-//! straight from memory-mapped `.ecsr` files) and produce one unified
-//! [`RunReport`]. The pre-pipeline drivers (`find_euler_circuit`,
+//! partitions of a level, shipped states handed over by value) or
+//! [`BspBackend`] (the same level step on a set of workers with per-worker
+//! state, serialised transfers and superstep statistics — stepped in place,
+//! or behind a wire transport, see [`distributed`]). Both backends execute
+//! through one shared merge-tree walk ([`pipeline::run_with_backend`], whose
+//! `Graph`-free core [`pipeline::run_on_partitioned`] also accepts partition
+//! views sliced straight from memory-mapped `.ecsr` files), run one
+//! partition's share of a level through one function, and produce one
+//! unified [`RunReport`]. The pre-pipeline drivers (`find_euler_circuit`,
 //! `run_partitioned`, `DistributedRunner`) went through a deprecation
 //! release and are now removed; see the facade crate's migration table.
 
@@ -49,6 +51,7 @@ pub mod config;
 pub mod distributed;
 pub mod error;
 pub mod fragment;
+mod level;
 pub mod memory_model;
 pub mod merge_strategy;
 pub mod merge_tree;

@@ -13,14 +13,17 @@
 //!   their slice of the unified [`RunReport`].
 //! * [`ExecutionBackend`] is the substrate seam. The merge-tree walk lives
 //!   *here*, in [`run_with_backend`]; a backend only executes one level at a
-//!   time ([`ExecutionBackend::run_level`]). [`InProcessBackend`] fans the
-//!   level's partitions out on rayon threads; [`BspBackend`] executes the
-//!   level as one superstep of the `euler-bsp` engine (serialised transfers,
-//!   shuffle accounting, per-partition time splits), stepping the engine via
-//!   [`euler_bsp::StepRun`]. Whatever the backend runs concurrently,
-//!   fragments are named and walked by `(level, partition, push sequence)`
-//!   ([`crate::FragmentId`]), so every backend, thread count and worker
-//!   count produces the same bytes.
+//!   time ([`ExecutionBackend::run_level`]), and every backend runs a
+//!   partition's share of a level through the same step (`crate::level`):
+//!   merge the children shipped at the previous level, Phase 1, keep or
+//!   ship. [`InProcessBackend`] fans the level's partitions out on rayon
+//!   threads and hands shipped states over by value; [`BspBackend`] runs the
+//!   level as one superstep of a set of workers that serialise what they
+//!   ship (shuffle accounting, per-partition time splits) — stepped in place,
+//!   or over a wire transport ([`crate::distributed`]). Whatever the backend
+//!   runs concurrently, fragments are named and walked by `(level,
+//!   partition, push sequence)` ([`crate::FragmentId`]), so every backend,
+//!   thread count and worker count produces the same bytes.
 //! * [`euler_graph::GraphSource`] is the input seam (see
 //!   [`EulerPipelineBuilder::source`]): in-memory graphs, chunked edge-list
 //!   files, and memory-mapped binary CSR files
@@ -41,11 +44,12 @@ use crate::config::EulerConfig;
 use crate::error::EulerError;
 use crate::fragment::{FragmentStore, FragmentStoreStats, ReadSchedule, SpillConfig};
 use crate::memory_model::{LevelTrace, PartitionLevelState};
+use crate::level::{group_inbound, step_slot};
 use crate::merge_strategy::MergeStrategy;
-use crate::merge_tree::{MergePair, MergeTree};
+use crate::merge_tree::MergeTree;
 use crate::phase1::wstream::{stream_phase1, WStreamStats};
-use crate::phase1::{ArenaPool, Phase1Output};
-use crate::phase2::{apply_remote_edge_dedup, merge_partitions, remote_edge_needed_level};
+use crate::phase1::ArenaPool;
+use crate::phase2::apply_remote_edge_dedup;
 use crate::phase3::{unroll, CircuitResult};
 use crate::state::{VertexTypeCounts, WorkingPartition};
 use crate::verify::verify_result;
@@ -54,11 +58,9 @@ use euler_graph::{
     PartitionedGraph, VertexId,
 };
 use euler_partition::Partitioner;
-use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,9 +110,9 @@ pub struct LevelPartitionReport {
 /// Full report of one pipeline run — the same record for every backend.
 ///
 /// The in-process and BSP drivers used to produce disjoint reports (a
-/// `RunReport` vs. bare engine statistics); the shared merge-tree walk now
+/// `RunReport` vs. bare superstep statistics); the shared merge-tree walk now
 /// assembles this unified report for both, and a BSP run additionally carries
-/// its engine statistics in [`RunReport::engine`].
+/// its superstep statistics in [`RunReport::engine`].
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RunReport {
     /// Number of leaf partitions.
@@ -137,7 +139,7 @@ pub struct RunReport {
     pub merge_tree: MergeTree,
     /// Name of the execution backend that ran the merge-tree walk.
     pub backend: String,
-    /// BSP engine statistics (superstep wall/compute splits, shuffle bytes,
+    /// BSP superstep statistics (wall/compute splits, shuffle bytes,
     /// modelled platform overhead) when the run executed on [`BspBackend`];
     /// `None` for in-process runs.
     pub engine: Option<euler_bsp::EngineStats>,
@@ -205,105 +207,23 @@ impl RunReport {
 }
 
 // ---------------------------------------------------------------------------
-// Shared accounting helpers (used by both backends).
-// ---------------------------------------------------------------------------
-
-/// One pass over a partition's remote refs at `level`: how many become local
-/// exactly at this level's merge, and how many the merges up to and
-/// including it need — all the Deferred strategy keeps resident or ships.
-fn remote_needed(wp: &WorkingPartition, tree: &MergeTree, level: u32) -> (u64, u64) {
-    let (mut now, mut by_now) = (0u64, 0u64);
-    for r in &wp.remote_edges {
-        let needed = remote_edge_needed_level(tree, r);
-        now += (needed == level) as u64;
-        by_now += (needed <= level) as u64;
-    }
-    (now, by_now)
-}
-
-/// Longs shipped when this partition's state is sent to its merge parent.
-pub(crate) fn transfer_longs(
-    wp: &WorkingPartition,
-    tree: &MergeTree,
-    level: u32,
-    strategy: MergeStrategy,
-) -> u64 {
-    let remote = if strategy.defers_transfer() {
-        remote_needed(wp, tree, level).1
-    } else {
-        wp.remote_edges.len() as u64
-    };
-    3 * wp.local_edges.len() as u64 + 4 * remote + 4
-}
-
-/// One partition's Phase 1 at `level`, as every backend reports it: the
-/// pre-run accounting, the timed kernel run (`phase1`, which persists the
-/// partition's fragments), and the resulting record. `merge_time` and
-/// `transfer_in_longs` describe the merges that built `wp`; they are left
-/// zero for the caller to fill in. Also returns the state's
-/// [`WorkingPartition::memory_longs`] after the run (the BSP supersteps
-/// report it to their engine). Both memories come from the kernel's one
-/// classification of the partition ([`Phase1Output`]).
-pub(crate) fn phase1_record(
-    wp: &mut WorkingPartition,
-    tree: &MergeTree,
-    level: u32,
-    strategy: MergeStrategy,
-    phase1: impl FnOnce(&mut WorkingPartition) -> Phase1Output,
-) -> (LevelPartitionReport, u64) {
-    // A partition no merge touched since the previous level is carried over
-    // as it was; its fragments are this level's all the same.
-    wp.level = level;
-    // Phase 1 leaves the remote refs alone: counted here, outside its time.
-    let (remote_needed_now, needed_by_now) = remote_needed(wp, tree, level);
-    let t0 = Instant::now();
-    let out = phase1(wp);
-    let phase1_time = t0.elapsed();
-    let counts = out.counts_before;
-    let resident_remote =
-        if strategy.defers_transfer() { needed_by_now } else { counts.remote_edges };
-    let memory_after =
-        out.vertices_after + 3 * wp.local_edges.len() as u64 + 4 * wp.remote_edges.len() as u64;
-    let report = LevelPartitionReport {
-        level,
-        partition: wp.id,
-        counts,
-        complexity: out.complexity,
-        phase1_time,
-        merge_time: Duration::ZERO,
-        memory_longs: counts.total_vertices() + 3 * counts.local_edges + 4 * resident_remote,
-        remote_needed_now,
-        transfer_in_longs: 0,
-        paths_found: out.path_map.num_paths() as u64,
-        cycles_found: out.path_map.num_cycles() as u64,
-        internal_cycles_merged: out.path_map.internal_cycles_merged,
-        splice_pivot_lookups: out.splice.pivot_lookups,
-        splice_linked_splices: out.splice.linked_splices,
-        splice_materialization_longs: out.splice.materialization_longs,
-    };
-    (report, memory_after)
-}
-
-// ---------------------------------------------------------------------------
 // The execution-backend seam.
 // ---------------------------------------------------------------------------
 
 /// One level of the merge-tree walk, handed to a backend for execution.
 ///
-/// A level consists of a Phase-1 run on every live partition followed by the
-/// Phase-2 merges in [`LevelWork::pairs`] (empty at the root level). The
-/// partition states live *inside* the backend between levels — like executors
-/// holding partition state on a cluster — and are seeded exactly once, at
-/// level 0, through [`LevelWork::seed`].
+/// A level is, for every live partition: merge the child states shipped to
+/// it at the previous level, run Phase 1, and ship the state to its merge
+/// parent if `tree.pairs_at(level)` retires it (nothing ships at the root
+/// level). The partition states live *inside* the backend between levels —
+/// like executors holding partition state on a cluster — and are seeded
+/// exactly once, at level 0, through [`LevelWork::seed`].
 pub struct LevelWork<'a> {
     /// Merge level to execute (0 = leaf partitions). The walk runs levels
     /// `0..tree.num_supersteps()`.
     pub level: u32,
-    /// Merges planned for this level (empty at the last level).
-    pub pairs: &'a [MergePair],
     /// The merge tree being walked, shared behind an [`Arc`] so backends
-    /// that keep it across levels (the BSP program lives on worker threads
-    /// for the whole run) clone a pointer instead of the tree.
+    /// that keep it across levels clone a pointer instead of the tree.
     pub tree: &'a Arc<MergeTree>,
     /// Fragment store Phase 1 persists into.
     pub store: &'a FragmentStore,
@@ -330,17 +250,18 @@ pub struct LevelOutcome {
 /// The walk itself ([`run_with_backend`]) is backend-independent: it plans
 /// the levels, seeds the backend once, calls
 /// [`run_level`](ExecutionBackend::run_level) per level and assembles the
-/// unified [`RunReport`]. Implementations decide *how* a level's Phase-1 runs
-/// and Phase-2 merges execute: on rayon threads in this process
-/// ([`InProcessBackend`]) or as supersteps of the BSP engine
+/// unified [`RunReport`]. Implementations decide *where* a level's partitions
+/// step and how shipped states reach their parents: on rayon threads in this
+/// process, by value ([`InProcessBackend`]), or on BSP workers, serialised
 /// ([`BspBackend`]). The trait is object-safe; pipelines hold
 /// `Box<dyn ExecutionBackend>`.
 pub trait ExecutionBackend {
     /// Short backend name, recorded in [`RunReport::backend`].
     fn name(&self) -> &'static str;
 
-    /// Executes one level: Phase 1 on every live partition, then the level's
-    /// merges, keeping the resulting states for the next call.
+    /// Executes one level: the merges shipped at the previous level, Phase 1
+    /// on every live partition, then this level's ships, keeping the
+    /// resulting states for the next call.
     ///
     /// # Errors
     /// [`EulerError::Distributed`] when a distributed backend loses workers
@@ -348,9 +269,9 @@ pub trait ExecutionBackend {
     /// In-process execution is infallible.
     fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError>;
 
-    /// Engine statistics accumulated over the walk, for backends that run on
-    /// an engine that collects them (the BSP backend). Called by the walk
-    /// after the last level.
+    /// Superstep statistics accumulated over the walk, for backends that
+    /// collect them (the BSP backend). Called by the walk after the last
+    /// level.
     fn engine_stats(&self) -> Option<euler_bsp::EngineStats> {
         None
     }
@@ -370,15 +291,16 @@ pub trait ExecutionBackend {
 /// State the in-process backend keeps between levels.
 #[derive(Default)]
 struct InProcessState {
+    /// Live partition states, ascending by id.
     states: Vec<WorkingPartition>,
-    /// Merge time and shipped Longs awaiting attribution to the merged
-    /// partition's record at the next level.
-    pending: HashMap<PartitionId, (Duration, u64)>,
+    /// States shipped at the previous level, merged as the next one starts.
+    inbound: Vec<WorkingPartition>,
 }
 
 /// Executes levels in this process: a level's partitions fan out on rayon
-/// threads, each running the sequential Phase-1 kernel on an arena from the
-/// backend's pool (reused across merge levels); merges run sequentially.
+/// threads, each merging the children shipped to it and running the
+/// sequential Phase-1 kernel on an arena from the backend's pool (reused
+/// across merge levels); shipped states reach their parent by value.
 /// [`EulerConfig::parallel_within_level`] off
 /// ([`EulerPipelineBuilder::sequential`]) runs the partitions one at a time
 /// instead — same bytes, one thread.
@@ -407,68 +329,57 @@ impl ExecutionBackend for InProcessBackend {
 
     fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
         let mut inner = self.inner.borrow_mut();
-        if let Some(seed) = work.seed {
-            *inner = InProcessState { states: seed, pending: HashMap::new() };
+        if let Some(mut seed) = work.seed {
+            seed.sort_by_key(|s| s.id);
+            *inner = InProcessState { states: seed, inbound: Vec::new() };
         }
         let st = &mut *inner;
-        // Records are reported in ascending partition id.
-        st.states.sort_by_key(|s| s.id);
-
         let level = work.level;
         let strategy = work.config.merge_strategy;
         let tree: &MergeTree = work.tree;
-        let store = work.store;
-        let pool = &self.pool;
+        let (store, pool) = (work.store, &self.pool);
 
-        // --- Phase 1 on all active partitions of this level. ---------------
-        let run_one = |wp: &mut WorkingPartition| {
-            phase1_record(wp, tree, level, strategy, |wp| pool.run_phase1(wp, store)).0
-        };
-        let mut reports: Vec<LevelPartitionReport> = if work.config.parallel_within_level {
-            st.states.par_iter_mut().map(run_one).collect()
+        let held = |p| st.states.binary_search_by_key(&p, |s| s.id).is_ok();
+        let mut children =
+            group_inbound(tree, level, std::mem::take(&mut st.inbound), |wp| wp.id, held)?;
+        let slots: Vec<_> = std::mem::take(&mut st.states)
+            .into_iter()
+            .map(|wp| {
+                let children = children.remove(&wp.id).unwrap_or_default();
+                (wp, children)
+            })
+            .collect();
+        let step = |(wp, children)| step_slot(wp, children, tree, level, strategy, pool, store);
+        let steps: Vec<_> = if work.config.parallel_within_level {
+            slots.into_par_iter().map(step).collect()
         } else {
-            st.states.iter_mut().map(run_one).collect()
+            slots.into_iter().map(step).collect()
         };
-        for report in &mut reports {
-            (report.merge_time, report.transfer_in_longs) =
-                st.pending.remove(&report.partition).unwrap_or_default();
-        }
 
-        // --- Phase 2: merge the pairs planned for this level. ---------------
-        let mut shipped_total = 0u64;
-        for pair in work.pairs {
-            let child_idx = st.states.iter().position(|s| s.id == pair.child);
-            let has_parent = st.states.iter().any(|s| s.id == pair.parent);
-            let Some(child_idx) = child_idx.filter(|_| has_parent) else {
-                continue;
-            };
-            let child = st.states.swap_remove(child_idx);
-            // Locate the parent after the swap_remove above.
-            let parent_idx =
-                st.states.iter().position(|s| s.id == pair.parent).expect("parent present");
-            let parent = st.states.swap_remove(parent_idx);
-            let shipped = transfer_longs(&child, tree, level, strategy);
-            shipped_total += shipped;
-            let t0 = Instant::now();
-            let (merged, _stats) = merge_partitions(parent, child, tree, level);
-            let merge_elapsed = t0.elapsed();
-            let entry = st.pending.entry(merged.id).or_default();
-            entry.0 += merge_elapsed;
-            entry.1 += shipped;
-            st.states.push(merged);
+        // Records come out in ascending partition id, and the kept states
+        // stay in it.
+        let mut outcome = LevelOutcome::default();
+        for step in steps {
+            outcome.reports.push(step.report);
+            match step.ship {
+                Some((_, longs)) => {
+                    outcome.transfer_longs += longs;
+                    st.inbound.push(step.state);
+                }
+                None => st.states.push(step.state),
+            }
         }
-
-        Ok(LevelOutcome { reports, transfer_longs: shipped_total })
+        Ok(outcome)
     }
 }
 
 // ---------------------------------------------------------------------------
-// BSP backend (euler-bsp engine).
+// BSP backend (serialised ships, superstep statistics).
 // ---------------------------------------------------------------------------
 
-/// Wire encoding of a [`WorkingPartition`] as a flat u64 sequence, used for
-/// the byte-accounted transfers of the BSP backend and the distributed
-/// coordinator/worker protocol ([`crate::distributed`]).
+/// Wire encoding of a [`WorkingPartition`] as a flat u64 sequence: what a
+/// BSP worker ships to a merge parent (in place or in a frame), seeds and
+/// checkpoints ([`crate::distributed`]).
 pub(crate) mod wire {
     use super::*;
     use crate::fragment::FragmentId;
@@ -555,158 +466,61 @@ pub(crate) mod wire {
     }
 }
 
-/// Per-engine-partition state of the BSP program.
-enum DistState {
-    Active(Box<WorkingPartition>),
-    Retired,
-}
-
-/// Per-level records collected by the program across its worker threads.
-#[derive(Default)]
-struct Ledger {
-    reports: Vec<LevelPartitionReport>,
-    transfer_longs: u64,
-}
-
-/// The partition program executing the walk on the engine: superstep `L`
-/// merges child states received from level `L-1`, runs Phase 1 for level
-/// `L`, and ships this partition's state to its merge parent when the tree
-/// retires it at `L`.
-struct DistProgram {
-    /// Shared with the pipeline walk (and between worker threads): cloning
-    /// the `Arc` replaced the per-run deep clone of the tree.
-    tree: Arc<MergeTree>,
-    store: FragmentStore,
-    strategy: MergeStrategy,
-    height: u32,
-    /// Phase-1 arenas, shared across this run's workers and merge levels.
-    pool: ArenaPool,
-    ledger: Mutex<Ledger>,
-}
-
-impl euler_bsp::PartitionProgram for DistProgram {
-    type State = DistState;
-
-    fn superstep(
-        &self,
-        ctx: &mut euler_bsp::PartitionContext,
-        state: &mut DistState,
-        messages: Vec<euler_bsp::Envelope>,
-    ) -> Vec<euler_bsp::Envelope> {
-        let level = ctx.superstep;
-        let DistState::Active(wp) = state else {
-            ctx.vote_to_halt();
-            return vec![];
-        };
-
-        // Merge any child states received at the end of the previous level.
-        let mut merge_time = Duration::ZERO;
-        let mut transfer_in = 0u64;
-        for m in &messages {
-            let decoded = ctx.time("create_partition_object", || {
-                euler_bsp::wire::WordReader::new(m.payload.as_slice())
-                    .and_then(|mut r| wire::decode(&mut r))
-                    .expect("partition state encoded by a worker of this engine")
-            });
-            transfer_in +=
-                transfer_longs(&decoded, &self.tree, level.saturating_sub(1), self.strategy);
-            let current = std::mem::take(wp.as_mut());
-            let t0 = Instant::now();
-            let merged = ctx.time("copy_sink_partition", || {
-                merge_partitions(current, decoded, &self.tree, level.saturating_sub(1)).0
-            });
-            merge_time += t0.elapsed();
-            **wp = merged;
-        }
-
-        // Phase 1 for this level.
-        let (mut report, memory_after) =
-            phase1_record(wp, &self.tree, level, self.strategy, |wp| {
-                ctx.time("phase1_tour", || self.pool.run_phase1(wp, &self.store))
-            });
-        (report.merge_time, report.transfer_in_longs) = (merge_time, transfer_in);
-        ctx.report_memory_longs(memory_after);
-        self.ledger.lock().reports.push(report);
-
-        // Am I a child at this level? Then ship my state to the parent.
-        if level < self.height {
-            if let Some(pair) = self.tree.pairs_at(level).iter().find(|p| p.child == wp.id) {
-                let shipped = transfer_longs(wp, &self.tree, level, self.strategy);
-                self.ledger.lock().transfer_longs += shipped;
-                let parent = pair.parent;
-                let payload = ctx.time("copy_source_partition", || {
-                    let mut out = euler_bsp::wire::WordWriter::new();
-                    wire::encode(wp, &mut out);
-                    out.into_bytes()
-                });
-                let from = ctx.partition;
-                *state = DistState::Retired;
-                ctx.vote_to_halt();
-                return vec![euler_bsp::Envelope::new(from, parent.0, 0, payload)];
-            }
-            // Parent or carried-over partition: stay active for the next level.
-            return vec![];
-        }
-        // Root level reached: done.
-        ctx.vote_to_halt();
-        vec![]
-    }
-}
-
-/// Executes levels on the `euler-bsp` engine: one engine partition per graph
-/// partition, one superstep per merge level, children shipping their
-/// serialised state to their parent after each level.
+/// Executes levels as BSP supersteps: the partitions are spread over a set
+/// of workers (`partition id % workers`), one superstep per merge level,
+/// children shipping their *serialised* state to their parent's worker after
+/// each level.
 ///
 /// This backend absorbs the pre-redesign `DistributedRunner`. On top of the
-/// unified [`RunReport`] it contributes the engine's superstep statistics
-/// (shuffle bytes, per-partition time splits, modelled platform overhead) via
+/// unified [`RunReport`] it contributes superstep statistics (shuffle bytes,
+/// per-partition time splits, modelled platform overhead) via
 /// [`RunReport::engine`], which is what the Fig.-5/6 harnesses consume. The
-/// default engine configuration is one worker per partition — the paper's
-/// one-executor-per-partition deployment. Workers run their partitions
-/// concurrently; circuits, records and transfers are nevertheless the same
-/// bytes for every worker count (and equal to [`InProcessBackend`]'s),
-/// because fragment ids do not depend on the schedule — see
-/// [`crate::FragmentId`].
+/// default configuration is one worker per partition — the paper's
+/// one-executor-per-partition deployment. Without a transport the workers
+/// are slot sets of this process, stepped in place on one thread each; with
+/// one ([`with_transport`](Self::with_transport)) they are threads or
+/// processes behind frames. Either way they run the same step and the same
+/// barrier fold, and circuits, records and transfers are the same bytes for
+/// every worker count (and equal to [`InProcessBackend`]'s), because
+/// fragment ids do not depend on the schedule — see [`crate::FragmentId`].
 pub struct BspBackend {
     engine: euler_bsp::BspConfig,
-    run: RefCell<Option<euler_bsp::StepRun<DistProgram>>>,
     transport: Option<Arc<dyn euler_bsp::Transport>>,
     process_workers: bool,
     checkpoint_dir: Option<std::path::PathBuf>,
     fault_policy: euler_bsp::FaultPolicy,
     fault_plan: euler_bsp::FaultPlan,
-    dist: RefCell<Option<crate::distributed::DistRun>>,
+    run: RefCell<Option<crate::distributed::DistRun>>,
 }
 
 impl BspBackend {
-    /// Backend over a one-worker-per-partition engine.
+    /// Backend with one worker per partition.
     pub fn new() -> Self {
         Self::with_engine(euler_bsp::BspConfig::one_worker_per_partition())
     }
 
-    /// Backend over an explicitly configured engine (worker count, cost
-    /// model, superstep bound).
+    /// Backend with an explicit configuration (worker count, cost model).
     pub fn with_engine(engine: euler_bsp::BspConfig) -> Self {
         BspBackend {
             engine,
-            run: RefCell::new(None),
             transport: None,
             process_workers: false,
             checkpoint_dir: None,
             fault_policy: euler_bsp::FaultPolicy::default(),
             fault_plan: euler_bsp::FaultPlan::none(),
-            dist: RefCell::new(None),
+            run: RefCell::new(None),
         }
     }
 
     /// Runs the walk on real workers connected over `transport` instead of
-    /// the in-process engine: the backend becomes a *coordinator* that
-    /// spawns one worker per engine slot (threads by default, OS processes
-    /// under [`process_workers`](Self::process_workers)), exchanges
-    /// length-prefixed checksummed frames with them, and recovers from
-    /// worker deaths (see [`checkpoint_dir`](Self::checkpoint_dir) /
-    /// [`fault_policy`](Self::fault_policy)). Circuits, per-level records
-    /// and transfer accounting are bit-identical to the in-process engine.
+    /// stepping them in place: the backend becomes a *coordinator* that
+    /// spawns one worker per configured slot (threads by default, OS
+    /// processes under [`process_workers`](Self::process_workers)),
+    /// exchanges length-prefixed checksummed frames with them, and recovers
+    /// from worker deaths (see [`checkpoint_dir`](Self::checkpoint_dir) /
+    /// [`fault_policy`](Self::fault_policy)). Circuits, per-level records,
+    /// transfer accounting and shuffle statistics are identical to the
+    /// in-place workers'.
     pub fn with_transport(mut self, transport: Arc<dyn euler_bsp::Transport>) -> Self {
         self.transport = Some(transport);
         self
@@ -752,6 +566,38 @@ impl BspBackend {
     pub fn engine(&self) -> &euler_bsp::BspConfig {
         &self.engine
     }
+
+    /// How a run over `transport` brings its workers up.
+    fn fleet_config(
+        &self,
+        transport: &Arc<dyn euler_bsp::Transport>,
+    ) -> Result<crate::distributed::FleetConfig, EulerError> {
+        let spawn = if self.process_workers {
+            if !transport.supports_processes() {
+                return Err(EulerError::InvalidConfig(format!(
+                    "process workers need a socket transport; `{}` is in-process only",
+                    transport.name()
+                )));
+            }
+            let worker_bin = crate::distributed::default_worker_bin().ok_or_else(|| {
+                EulerError::InvalidConfig(
+                    "no `euler-worker` binary found (set $EULER_WORKER_BIN or install it \
+                     next to the current executable)"
+                        .into(),
+                )
+            })?;
+            crate::distributed::WorkerSpawn::Processes { worker_bin }
+        } else {
+            crate::distributed::WorkerSpawn::Threads
+        };
+        Ok(crate::distributed::FleetConfig {
+            transport: Arc::clone(transport),
+            spawn,
+            checkpoint_dir: self.checkpoint_dir.clone(),
+            policy: self.fault_policy,
+            plan: self.fault_plan,
+        })
+    }
 }
 
 impl Default for BspBackend {
@@ -765,112 +611,37 @@ impl ExecutionBackend for BspBackend {
         "bsp"
     }
 
+    /// Seed → bring the workers up (in place, or a fleet over the
+    /// transport); per level → one barrier whose fragments land in the
+    /// walk's store; last level → retire the workers.
     fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
-        if self.transport.is_some() {
-            return self.run_level_distributed(work);
-        }
         let mut slot = self.run.borrow_mut();
         if let Some(seed) = work.seed {
-            // Engine partition index i hosts graph partition i (leaf ids are
-            // contiguous; any gap is padded with a retired slot).
-            let slots = seed.iter().map(|s| s.id.0 as usize + 1).max().unwrap_or(0);
-            let mut initial: Vec<DistState> = (0..slots).map(|_| DistState::Retired).collect();
-            for wp in seed {
-                let slot = wp.id.0 as usize;
-                initial[slot] = DistState::Active(Box::new(wp));
-            }
-            let program = DistProgram {
-                // Pointer clones: the tree is shared with the walk, the
-                // store is already `Arc`-backed.
-                tree: Arc::clone(work.tree),
-                store: work.store.clone(),
-                strategy: work.config.merge_strategy,
-                height: work.tree.height(),
-                pool: ArenaPool::new(),
-                ledger: Mutex::new(Ledger::default()),
-            };
-            *slot = Some(euler_bsp::StepRun::new(self.engine, program, initial));
-        }
-        let run = slot.as_mut().expect("the pipeline seeds the backend at level 0");
-        let ran = run.step();
-        // An empty partition set legitimately has nothing to step; otherwise
-        // a refused step means the engine's superstep bound cut the walk
-        // short — surface that instead of silently skipping the level.
-        assert!(
-            ran || run.num_partitions() == 0,
-            "BSP engine stopped (superstep bound {} reached?) before merge level {} ran",
-            self.engine.max_supersteps,
-            work.level
-        );
-        let mut ledger = std::mem::take(&mut *run.program().ledger.lock());
-        // Worker threads race on the ledger; restore engine-slot order.
-        ledger.reports.sort_by_key(|r| r.partition);
-        debug_assert!(ledger.reports.iter().all(|r| r.level == work.level));
-        Ok(LevelOutcome { reports: ledger.reports, transfer_longs: ledger.transfer_longs })
-    }
-
-    fn engine_stats(&self) -> Option<euler_bsp::EngineStats> {
-        if let Some(dist) = self.dist.borrow().as_ref() {
-            return Some(dist.stats());
-        }
-        self.run.borrow().as_ref().map(|r| r.stats())
-    }
-
-    fn warnings(&self) -> Vec<String> {
-        self.dist.borrow().as_ref().map(|d| d.warnings()).unwrap_or_default()
-    }
-}
-
-impl BspBackend {
-    /// The distributed (coordinator) path of [`ExecutionBackend::run_level`]:
-    /// seed → spawn and initialise the worker fleet, per level → one wire
-    /// barrier whose fragments land in the walk's store, last level → shut
-    /// the fleet down.
-    fn run_level_distributed(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
-        let transport = self.transport.as_ref().expect("checked by caller");
-        let mut dist = self.dist.borrow_mut();
-        if let Some(seed) = work.seed {
-            let spawn = if self.process_workers {
-                if !transport.supports_processes() {
-                    return Err(EulerError::InvalidConfig(format!(
-                        "process workers need a socket transport; `{}` is in-process only",
-                        transport.name()
-                    )));
-                }
-                let worker_bin = crate::distributed::default_worker_bin().ok_or_else(|| {
-                    EulerError::InvalidConfig(
-                        "no `euler-worker` binary found (set $EULER_WORKER_BIN or install it \
-                         next to the current executable)"
-                            .into(),
-                    )
-                })?;
-                crate::distributed::WorkerSpawn::Processes { worker_bin }
-            } else {
-                crate::distributed::WorkerSpawn::Threads
-            };
-            let cfg = crate::distributed::DistConfig {
-                transport: Arc::clone(transport),
-                spawn,
-                num_workers: self.engine.resolved_workers(seed.len()),
-                checkpoint_dir: self.checkpoint_dir.clone(),
-                policy: self.fault_policy,
-                plan: self.fault_plan,
-            };
-            *dist = Some(crate::distributed::DistRun::new(
-                cfg,
+            let fleet = self.transport.as_ref().map(|t| self.fleet_config(t)).transpose()?;
+            *slot = Some(crate::distributed::DistRun::new(
+                self.engine,
+                fleet,
                 Arc::clone(work.tree),
                 work.config.merge_strategy,
-                &seed,
+                seed,
             )?);
         }
-        let run = dist.as_mut().expect("the pipeline seeds the backend at level 0");
+        let run = slot.as_mut().expect("the pipeline seeds the backend at level 0");
         let outcome = run.step(work.level, work.store)?;
         if work.level + 1 == work.tree.num_supersteps() {
-            // Root level done: retire the fleet. The engine-stats snapshot
-            // the walk takes right after sees the finished wall time.
+            // Root level done. The statistics snapshot the walk takes right
+            // after sees the finished wall time.
             run.finish();
         }
         Ok(outcome)
+    }
+
+    fn engine_stats(&self) -> Option<euler_bsp::EngineStats> {
+        self.run.borrow().as_ref().map(|run| run.stats())
+    }
+
+    fn warnings(&self) -> Vec<String> {
+        self.run.borrow().as_ref().map(|run| run.warnings()).unwrap_or_default()
     }
 }
 
@@ -1068,7 +839,6 @@ fn run_merge_walk(
         }
         let outcome = backend.run_level(LevelWork {
             level,
-            pairs: tree.pairs_at(level),
             tree: &tree,
             store: &store,
             config,
@@ -1081,8 +851,8 @@ fn run_merge_walk(
         }
     }
     report.phase12_time = t_run.elapsed();
-    // Snapshot engine statistics now, before Phase 3, so the engine's wall
-    // time covers only the superstep walk (as the free-running engine's did).
+    // Snapshot the superstep statistics now, before Phase 3, so their wall
+    // time covers only the superstep walk.
     report.engine = backend.engine_stats();
     report.warnings = backend.warnings();
 
@@ -1603,7 +1373,7 @@ pub struct MergeStage {
     pub total_transfer_longs: u64,
     /// The merge tree walked.
     pub merge_tree: MergeTree,
-    /// BSP engine statistics (present for [`BspBackend`] runs).
+    /// BSP superstep statistics (present for [`BspBackend`] runs).
     pub engine: Option<euler_bsp::EngineStats>,
     /// W-streaming Phase-1 resident-state accounting (present when the run
     /// executed with [`EulerPipelineBuilder::streaming_phase1`]).
@@ -1723,7 +1493,7 @@ mod tests {
         let run = builder_for(&g, 4).backend(BspBackend::new()).verify(true).build().unwrap().run().unwrap();
         assert_eq!(run.merge.backend, "bsp");
         let engine = run.merge.engine.as_ref().expect("bsp runs report engine stats");
-        // One engine superstep per merge level.
+        // One superstep per merge level.
         assert_eq!(engine.num_supersteps(), run.merge.supersteps);
         assert!(engine.total_remote_bytes() > 0, "children ship state across workers");
         assert_eq!(run.circuit.result.total_edges(), g.num_edges());
@@ -1787,9 +1557,9 @@ mod tests {
     fn fan_out_and_multi_worker_engines_match_the_sequential_run_bit_for_bit() {
         // The determinism headline: fragment ids are a function of (level,
         // partition, push sequence), so however a level's partitions are
-        // scheduled — rayon fan-out, several engine workers — the run
-        // equals the fully sequential one: circuits, per-level records,
-        // transfers.
+        // scheduled — rayon fan-out, several BSP workers stepped in place
+        // or behind the in-memory transport — the run equals the fully
+        // sequential one: circuits, per-level records, transfers.
         let g = synthetic::random_eulerian_connected(140, 18, 6, 77);
         let a = LdgPartitioner::new(4).partition(&g);
         let run = |builder: EulerPipelineBuilder| {
@@ -1801,15 +1571,18 @@ mod tests {
             let engine = euler_bsp::BspConfig::with_workers(workers);
             let bsp = run(EulerPipeline::builder().backend(BspBackend::with_engine(engine)));
             assert_same_run(&bsp, &sequential);
+            let wire = BspBackend::with_engine(engine)
+                .with_transport(Arc::new(euler_bsp::MemTransport));
+            assert_same_run(&run(EulerPipeline::builder().backend(wire)), &sequential);
         }
     }
 
     #[test]
     fn bsp_tree_sharing_preserves_behaviour() {
-        // The BSP program now shares the merge tree behind an `Arc` instead
-        // of deep-cloning it at seed time; a 1-worker BSP run must remain
-        // observably identical to the sequential in-process run — including
-        // across two runs of the same reused backend object.
+        // The BSP workers share the walk's merge tree behind an `Arc`; a
+        // 1-worker BSP run must be observably identical to the sequential
+        // in-process run — including across two runs of the same reused
+        // backend object.
         let g = synthetic::random_eulerian_connected(90, 10, 5, 31);
         let a = LdgPartitioner::new(4).partition(&g);
         let config = EulerConfig::default().sequential();
@@ -1834,21 +1607,6 @@ mod tests {
             assert_eq!(bsp.merge.merge_tree, reference.merge.merge_tree);
             assert!(bsp.merge.engine.is_some());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "superstep bound")]
-    fn bsp_backend_surfaces_an_exhausted_superstep_bound() {
-        // 4 partitions need 3 merge levels; a 1-superstep engine bound must
-        // fail loudly instead of silently skipping levels.
-        let g = synthetic::torus_grid(8, 8);
-        let _ = builder_for(&g, 4)
-            .backend(BspBackend::with_engine(
-                euler_bsp::BspConfig::one_worker_per_partition().with_max_supersteps(1),
-            ))
-            .build()
-            .unwrap()
-            .run();
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   families, paper graph configs).
 //! * [`partition`] — graph partitioners (including one-pass streaming
 //!   hash/LDG over chunked edge batches) and partition-quality statistics.
-//! * [`bsp`] — the Bulk Synchronous Parallel execution engine used as the
-//!   distributed substrate (Apache Spark substitute).
+//! * [`bsp`] — what the Bulk Synchronous Parallel backend runs on and
+//!   reports with (Apache Spark substitute): worker configuration and
+//!   platform cost model, superstep statistics, the word codec, wire
+//!   transports, checkpoints, fault policy.
 //! * [`algo`] — the partition-centric Euler circuit algorithm itself:
 //!   the [`EulerPipeline`](algo::EulerPipeline) builder, the pluggable
 //!   [`ExecutionBackend`](algo::ExecutionBackend)s, Phases 1–3, merge
@@ -51,7 +53,7 @@
 //!     .graph(&graph)                       // or .source(EdgeListFileSource::new("g.el"))
 //!     .partitioner(LdgPartitioner::new(2)) // or .assignment(precomputed)
 //!     .strategy(MergeStrategy::Deferred)   // §5 memory heuristic
-//!     .backend(InProcessBackend::new())    // or BspBackend::new() for the BSP engine
+//!     .backend(InProcessBackend::new())    // or BspBackend::new() for BSP workers
 //!     .verify(true)
 //!     .build()
 //!     .unwrap()
@@ -70,8 +72,9 @@
 //! assert_eq!(report.level(0).len(), 2);
 //! ```
 //!
-//! To execute on the BSP engine (serialised transfers, shuffle accounting,
-//! modelled Spark-like overhead) swap the backend — nothing else changes:
+//! To execute as BSP supersteps over a set of workers (serialised transfers,
+//! shuffle accounting, modelled Spark-like overhead) swap the backend —
+//! nothing else changes:
 //!
 //! ```
 //! use euler_circuit::prelude::*;
@@ -184,7 +187,7 @@
 //!
 //! There is one schedule and no knob. The unit of parallelism is the
 //! paper's: the *partition*. A merge level's partitions run concurrently —
-//! on rayon threads in-process, on the engine's workers under
+//! on rayon threads in-process, on workers stepped in place under
 //! [`BspBackend`](algo::BspBackend), in worker threads or processes over a
 //! transport — each executing the sequential Phase-1 kernel on an arena
 //! from a reusable pool ([`Phase1Arena`](algo::Phase1Arena)), and the level
@@ -341,12 +344,15 @@
 //! | `run_partitioned(&g, &a, &cfg)?` → `(result, report)` | `let run = …run()?;` then `run.circuit.result` / `run.report()` |
 //! | `DistributedRunner::new(cfg).with_engine(e).run(&g, &a)?` | `…builder()….backend(BspBackend::with_engine(e))….run()?`; engine stats in `run.merge.engine` |
 //! | mid-level, no builder | `algo::pipeline::run_with_backend(&g, &a, &cfg, &backend)` → `(result, RunReport)` |
+//! | `euler_bsp::{BspEngine, StepRun, PartitionProgram, PartitionContext, Envelope, PartitionPlacement, …}` (the generic simulated engine) | removed: `BspBackend` steps its workers itself — in place, or over `.with_transport(..)` — through one level step; vertex-centric programs keep `bsp::run_vertex_program` |
+//! | `BspConfig::with_max_supersteps(n)` | removed: the walk runs exactly `merge_tree.num_supersteps()` levels |
 //! | mid-level, no `Graph` at hand | `algo::pipeline::run_on_partitioned(&pg, &cfg, &backend)` over any [`PartitionedGraph`](graph::PartitionedGraph) (e.g. sliced from a mapped `.ecsr` via [`CsrFile::partitioned`](graph::CsrFile::partitioned)) |
 //!
 //! The reports also unified: the BSP path fills the same per-level
 //! [`RunReport`](algo::RunReport) the in-process path always produced, with
-//! the engine's superstep statistics attached as
-//! [`RunReport::engine`](algo::RunReport::engine).
+//! the BSP run's superstep statistics attached as
+//! [`RunReport::engine`](algo::RunReport::engine) — the same statistics
+//! whether the workers were stepped in place or sat behind a transport.
 
 /// How the crates map onto the paper (docs/ARCHITECTURE.md), rendered here
 /// so it versions and link-checks with the code.

@@ -9,9 +9,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use euler_circuit::algo::verify::verify_result;
+use euler_circuit::bsp::transport::{Connection, Listener};
+use euler_circuit::bsp::FrameError;
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
 
@@ -129,6 +131,84 @@ fn mem_transport_thread_workers_match_in_process_run() {
         // No checkpoint dir configured -> nothing written.
         assert_eq!(engine.recovery.checkpoints_written, 0);
     }
+}
+
+/// The in-memory transport, counting the worker-side connections that are
+/// still open.
+struct CountingMem {
+    open: Arc<AtomicUsize>,
+}
+
+struct CountedConnection {
+    inner: Box<dyn Connection>,
+    open: Arc<AtomicUsize>,
+}
+
+impl Drop for CountedConnection {
+    fn drop(&mut self) {
+        self.open.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl Connection for CountedConnection {
+    fn send_parts(&self, kind: u16, parts: &[&[u8]]) -> Result<(), FrameError> {
+        self.inner.send_parts(kind, parts)
+    }
+
+    fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
+        self.inner.recv_timeout(timeout)
+    }
+}
+
+impl Transport for CountingMem {
+    fn name(&self) -> &'static str {
+        "mem"
+    }
+
+    fn listen(&self) -> Result<Box<dyn Listener>, FrameError> {
+        MemTransport.listen()
+    }
+
+    fn connect(&self, endpoint: &str) -> Result<Box<dyn Connection>, FrameError> {
+        let inner = MemTransport.connect(endpoint)?;
+        self.open.fetch_add(1, Ordering::Relaxed);
+        Ok(Box::new(CountedConnection { inner, open: Arc::clone(&self.open) }))
+    }
+}
+
+/// Ending a clean run must not wait out a heartbeat interval: a worker's
+/// heartbeat thread is woken when the worker ends, and the coordinator's
+/// receiver leaves with the worker's Bye. The run itself takes milliseconds,
+/// so at a 2 s interval a teardown that sleeps out a beat shows — in the
+/// run's wall time, or in worker threads that outlive it holding their
+/// connection open.
+#[test]
+fn clean_thread_worker_teardown_does_not_wait_out_a_heartbeat() {
+    let g = graph_from(5, 80, 8);
+    let a = LdgPartitioner::new(4).partition(&g);
+    let config = EulerConfig::default();
+    let reference = reference_run(&g, &a, &config);
+    let patient = FaultPolicy::default()
+        .with_heartbeat_interval(Duration::from_secs(2))
+        .with_heartbeat_timeout(Duration::from_secs(10));
+    let open = Arc::new(AtomicUsize::new(0));
+    let started = Instant::now();
+    let run = distributed_run(
+        &g,
+        &a,
+        &config,
+        BspBackend::with_engine(BspConfig::with_workers(2))
+            .with_transport(Arc::new(CountingMem { open: Arc::clone(&open) }))
+            .fault_policy(patient),
+    );
+    let took = started.elapsed();
+    assert_same_run(&reference, &run);
+    assert!(took < Duration::from_secs(1), "clean 2-worker run took {took:?}");
+    // The workers said Bye before the run returned; they are gone, or going.
+    while open.load(Ordering::Relaxed) > 0 && started.elapsed() < Duration::from_secs(1) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(open.load(Ordering::Relaxed), 0, "worker threads outlived the run");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! * the `vertex_type_counts()`-based memory formulas, evaluated on a replay
 //!   of the walk built from the public kernels.
 //!
-//! Every backend's records (and the BSP engines' post-run memory) must
+//! Every backend's records (and the BSP workers' post-run memory) must
 //! equal the replay, for all three merge strategies.
 
 use euler_circuit::algo::phase1::run_phase1;
@@ -158,10 +158,18 @@ fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
     let pg = PartitionedGraph::from_assignment(g, assignment).unwrap();
     for strategy in MergeStrategy::all() {
         let expected = replay(&pg, strategy);
-        for name in ["in-process", "bsp engine", "2 thread workers over MemTransport"] {
+        for name in [
+            "in-process",
+            "1 worker in place",
+            "2 workers in place",
+            "a worker per partition in place",
+            "2 thread workers over MemTransport",
+        ] {
             let backend: Box<dyn ExecutionBackend> = match name {
                 "in-process" => Box::new(InProcessBackend::new()),
-                "bsp engine" => Box::new(BspBackend::new()),
+                "1 worker in place" => Box::new(BspBackend::with_engine(BspConfig::with_workers(1))),
+                "2 workers in place" => Box::new(BspBackend::with_engine(BspConfig::with_workers(2))),
+                "a worker per partition in place" => Box::new(BspBackend::new()),
                 _ => Box::new(
                     BspBackend::with_engine(BspConfig::with_workers(2))
                         .with_transport(Arc::new(MemTransport)),

@@ -15,7 +15,7 @@
 
 use euler_circuit::algo::verify::verify_result;
 use euler_circuit::algo::{EulerError, Fragment, FragmentStore, LevelOutcome, LevelWork};
-use euler_circuit::bsp::BspConfig;
+use euler_circuit::bsp::{BspConfig, PlatformCostModel};
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -149,10 +149,10 @@ fn observe(
 }
 
 /// The `.sequential()` oracle, then every concurrent way of running the same
-/// walk — rayon fan-out in-process, the in-process BSP engine with 2 workers
-/// and with one per partition, 2 thread workers over the in-memory
-/// transport — each `repeats` times, unbounded and under a fragment budget
-/// of an eighth of the fragment bytes. All must equal the oracle.
+/// walk — rayon fan-out in-process, BSP workers stepped in place (1, 2 and
+/// one per partition), 2 thread workers over the in-memory transport — each
+/// `repeats` times, unbounded and under a fragment budget of an eighth of
+/// the fragment bytes. All must equal the oracle.
 fn assert_every_schedule_matches_sequential(
     g: &Graph,
     assignment: &PartitionAssignment,
@@ -179,9 +179,13 @@ fn assert_every_schedule_matches_sequential(
             };
             let fan_out = observe(g, assignment, config, InProcessBackend::new());
             fan_out.assert_matches(&oracle, &tag("in-process fan-out"));
-            for engine in [BspConfig::with_workers(2), BspConfig::one_worker_per_partition()] {
+            for engine in [
+                BspConfig::with_workers(1),
+                BspConfig::with_workers(2),
+                BspConfig::one_worker_per_partition(),
+            ] {
                 let bsp = observe(g, assignment, config, BspBackend::with_engine(engine));
-                bsp.assert_matches(&oracle, &tag(&format!("bsp engine {:?}", engine.workers)));
+                bsp.assert_matches(&oracle, &tag(&format!("in-place workers {:?}", engine.workers)));
             }
             let wire = BspBackend::with_engine(BspConfig::with_workers(2))
                 .with_transport(Arc::new(MemTransport));
@@ -198,6 +202,79 @@ fn every_backend_is_bit_identical_to_sequential_twenty_times_over() {
     let g = synthetic::random_eulerian_connected(3_000, 600, 8, 2024);
     let assignment = LdgPartitioner::new(8).partition(&g);
     assert_every_schedule_matches_sequential(&g, &assignment, 20);
+}
+
+/// The two BSP substrates run one step and one barrier fold: for every
+/// worker count the workers stepped in place and thread workers behind the
+/// in-memory transport report the same superstep statistics in every field
+/// that is not a clock reading, and price the same under a cost model.
+#[test]
+fn in_place_and_wire_workers_report_the_same_engine_stats() {
+    force_four_threads();
+    let g = eulerize(&RmatGenerator::new(10).with_avg_degree(8.0).with_seed(3).generate()).0;
+    let parts = 6;
+    let assignment = LdgPartitioner::new(parts).partition(&g);
+    for workers in [1, 2, 3, parts as usize] {
+        let engine = BspConfig::with_workers(workers).with_cost_model(PlatformCostModel::spark_like());
+        let mut merges = 0;
+        let mut stats = |backend: BspBackend| {
+            let run = EulerPipeline::builder()
+                .graph(&g)
+                .assignment(assignment.clone())
+                .backend(backend)
+                .build()
+                .unwrap()
+                .run()
+                .unwrap();
+            merges = run.merge.merge_tree.levels.iter().map(Vec::len).sum::<usize>() as u64;
+            run.merge.engine.expect("bsp runs report engine stats")
+        };
+        let in_place = stats(BspBackend::with_engine(engine));
+        let wire = stats(BspBackend::with_engine(engine).with_transport(Arc::new(MemTransport)));
+
+        let tag = format!("{workers} workers");
+        assert_eq!(in_place.num_workers, workers, "{tag}");
+        assert_eq!(wire.num_workers, workers, "{tag}");
+        assert_eq!(in_place.recovery, RecoveryStats::default(), "{tag}: nothing to recover in place");
+        assert!(in_place.modelled_platform_overhead > std::time::Duration::ZERO, "{tag}");
+        assert_eq!(in_place.modelled_platform_overhead, wire.modelled_platform_overhead, "{tag}");
+        assert_eq!(in_place.supersteps.len(), wire.supersteps.len(), "{tag}");
+        let mut shipped = 0;
+        for (a, b) in in_place.supersteps.iter().zip(&wire.supersteps) {
+            let tag = format!("{tag}, superstep {}", a.superstep);
+            assert_eq!(a.superstep, b.superstep, "{tag}");
+            assert_eq!(a.active_partitions, b.active_partitions, "{tag}");
+            assert_eq!(
+                (a.local_messages, a.local_bytes, a.remote_messages, a.remote_bytes),
+                (b.local_messages, b.local_bytes, b.remote_messages, b.remote_bytes),
+                "{tag}: shuffle"
+            );
+            assert_eq!(a.memory.level, b.memory.level, "{tag}");
+            assert_eq!(a.memory.per_partition, b.memory.per_partition, "{tag}: memory");
+            let buckets = |s: &euler_circuit::bsp::SuperstepStats| -> Vec<(u32, Vec<String>)> {
+                s.per_partition_compute
+                    .iter()
+                    .map(|(p, split)| (*p, split.phases().into_iter().map(String::from).collect()))
+                    .collect()
+            };
+            assert_eq!(buckets(a), buckets(b), "{tag}: compute buckets");
+            assert_eq!(a.per_partition_compute.len(), a.active_partitions, "{tag}");
+            for (_, split) in &a.per_partition_compute {
+                assert_eq!(
+                    split.phases(),
+                    ["copy_sink_partition", "copy_source_partition", "create_partition_object", "phase1_tour"],
+                    "{tag}: the paper's four categories, nothing else"
+                );
+            }
+            shipped += a.total_messages();
+        }
+        // One message per merge of the tree; with one worker none is remote.
+        assert!(merges > 0, "{tag}");
+        assert_eq!(shipped, merges, "{tag}");
+        if workers == 1 {
+            assert_eq!(in_place.total_remote_bytes(), 0, "{tag}");
+        }
+    }
 }
 
 /// The memory promise under concurrency: with a level's partitions pushing

@@ -4,6 +4,7 @@
 
 use euler_circuit::algo::verify::verify_result;
 use euler_circuit::prelude::*;
+use std::sync::Arc;
 
 /// Runs the partition-centric pipeline and checks it covers exactly the same
 /// edge set as the Hierholzer oracle, with valid closed circuits.
@@ -132,21 +133,31 @@ fn bsp_backend_agrees_with_in_process_backend() {
         .unwrap()
         .run()
         .unwrap();
-    let bsp = EulerPipeline::builder()
-        .graph(&g)
-        .assignment(assignment)
-        .backend(BspBackend::new())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    verify_result(&g, &bsp.circuit.result).unwrap();
-    assert_eq!(in_process.circuit.result.total_edges(), bsp.circuit.result.total_edges());
-    // The unified report has the same shape on both backends; the BSP engine
-    // executed exactly one superstep per merge level.
-    assert_eq!(in_process.merge.supersteps, bsp.merge.supersteps);
-    let engine = bsp.merge.engine.as_ref().expect("engine stats present");
-    assert_eq!(engine.num_supersteps(), bsp.merge.supersteps);
+    // BSP workers stepped in place (1, 2, one per partition) and behind the
+    // in-memory transport.
+    let in_place = |workers| BspBackend::with_engine(BspConfig::with_workers(workers));
+    for backend in [
+        in_place(1),
+        in_place(2),
+        BspBackend::new(),
+        in_place(2).with_transport(Arc::new(MemTransport)),
+    ] {
+        let bsp = EulerPipeline::builder()
+            .graph(&g)
+            .assignment(assignment.clone())
+            .backend(backend)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        verify_result(&g, &bsp.circuit.result).unwrap();
+        assert_eq!(in_process.circuit.result.total_edges(), bsp.circuit.result.total_edges());
+        // The unified report has the same shape on both backends; the BSP
+        // workers ran exactly one superstep per merge level.
+        assert_eq!(in_process.merge.supersteps, bsp.merge.supersteps);
+        let engine = bsp.merge.engine.as_ref().expect("engine stats present");
+        assert_eq!(engine.num_supersteps(), bsp.merge.supersteps);
+    }
 }
 
 /// The mid-level entry points agree with the builder API — `run_with_backend`

@@ -7,6 +7,7 @@ use euler_circuit::algo::verify::verify_result;
 use euler_circuit::bsp::BspConfig;
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Builds a connected Eulerian graph from a seed: a shuffled Hamiltonian
 /// backbone plus extra random cycles.
@@ -127,11 +128,12 @@ proptest! {
     /// Backend equivalence for the API redesign: `EulerPipeline` over
     /// `InProcessBackend` and over `BspBackend` must produce *identical*
     /// circuits and identical `total_transfer_longs` on any generated
-    /// Eulerian graph. Sequential in-process execution and a single-worker
-    /// engine pin the partition execution order (ascending id on both), so
+    /// Eulerian graph. Sequential in-process execution and a single BSP
+    /// worker stepped in place run the partitions in ascending id order, and
     /// fragment ids — and therefore the unrolled circuits — match exactly;
-    /// the transfer accounting is order-independent and must also match the
-    /// default parallel engine.
+    /// the transfer accounting must also match on the default BSP workers
+    /// (one per partition, in place) and on thread workers behind the
+    /// in-memory transport.
     #[test]
     fn pipeline_backends_produce_identical_circuits(
         seed in 0u64..500,
@@ -182,19 +184,24 @@ proptest! {
             prop_assert_eq!(a.internal_cycles_merged, b.internal_cycles_merged);
         }
 
-        // Transfer accounting is order-independent: the default engine
-        // (one worker per partition, parallel workers) must ship the same
-        // number of Longs even though fragment ids may differ.
-        let parallel_bsp = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(assignment)
-            .backend(BspBackend::new())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        prop_assert_eq!(parallel_bsp.merge.total_transfer_longs, in_proc.merge.total_transfer_longs);
-        prop_assert!(verify_result(&g, &parallel_bsp.circuit.result).is_ok());
+        // Transfer accounting is schedule-independent: concurrent workers —
+        // one per partition stepped in place, two behind the in-memory
+        // transport — must ship the same number of Longs.
+        for backend in [
+            BspBackend::new(),
+            BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(MemTransport)),
+        ] {
+            let parallel_bsp = EulerPipeline::builder()
+                .graph(&g)
+                .assignment(assignment.clone())
+                .backend(backend)
+                .build()
+                .unwrap()
+                .run()
+                .unwrap();
+            prop_assert_eq!(parallel_bsp.merge.total_transfer_longs, in_proc.merge.total_transfer_longs);
+            prop_assert!(verify_result(&g, &parallel_bsp.circuit.result).is_ok());
+        }
     }
 
     /// Determinism regression for the dense Phase-1 rewrite: on every

@@ -1,6 +1,7 @@
 //! Differential conformance suite for the W-streaming Phase-1 pass: for
 //! every `EdgeStream` producer (in-memory adjacency, memory-mapped `.ecsr`,
-//! chunked edge-list file) × every backend (in-process, 1-worker BSP), the
+//! chunked edge-list file) × every backend that shares the walk's store
+//! (in-process; BSP workers stepped in place: 1, 2, one per partition), the
 //! streaming pipeline must produce valid Euler circuits covering the
 //! *identical edge multiset* as the dense-arena kernel — on random Eulerized
 //! multigraphs and on every degenerate shape (empty partition, single cycle,
@@ -53,7 +54,7 @@ fn assert_wstream_matches_dense(g: &Graph, assignment: &PartitionAssignment, tag
     let list_path = temp_path(&format!("{tag}.txt"));
     euler_circuit::graph::io::write_edge_list_file(g, &list_path).unwrap();
 
-    for backend_name in ["in-process", "bsp-1-worker"] {
+    for backend_name in ["in-process", "bsp-1-in-place", "bsp-2-in-place", "bsp-per-partition"] {
         for producer_name in ["in-memory", "mmap-csr", "edge-list"] {
             let builder = EulerPipeline::builder()
                 .assignment(assignment.clone())
@@ -66,7 +67,9 @@ fn assert_wstream_matches_dense(g: &Graph, assignment: &PartitionAssignment, tag
             };
             let builder = match backend_name {
                 "in-process" => builder.backend(InProcessBackend::new()),
-                _ => builder.backend(BspBackend::with_engine(BspConfig::with_workers(1))),
+                "bsp-1-in-place" => builder.backend(BspBackend::with_engine(BspConfig::with_workers(1))),
+                "bsp-2-in-place" => builder.backend(BspBackend::with_engine(BspConfig::with_workers(2))),
+                _ => builder.backend(BspBackend::new()),
             };
             let run = builder
                 .build()
