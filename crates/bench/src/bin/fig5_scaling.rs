@@ -22,7 +22,16 @@ fn main() {
     let mut compute_series = Series::new("compute_time_s");
     let mut table = Table::new(
         "Fig. 5: total vs compute time per graph",
-        &["Graph", "Parts", "Supersteps", "Compute (s)", "Wall (s)", "Modelled total (s)", "Shuffle bytes"],
+        &[
+            "Graph",
+            "Parts",
+            "Supersteps",
+            "Compute (s)",
+            "Wall (s)",
+            "Modelled total (s)",
+            "Shuffle bytes",
+            "Local bytes",
+        ],
     );
     for (i, config) in PAPER_CONFIGS.iter().enumerate() {
         let input = prepared_input(*config, shift);
@@ -42,6 +51,7 @@ fn main() {
             secs(stats.total_wall_time),
             secs(total),
             stats.total_remote_bytes().to_string(),
+            stats.supersteps.iter().map(|s| s.local_bytes).sum::<u64>().to_string(),
         ]);
         total_series.push(config.name, i as f64, total.as_secs_f64());
         compute_series.push(config.name, i as f64, compute.as_secs_f64());

@@ -26,8 +26,11 @@ use std::path::{Path, PathBuf};
 
 /// Container magic ("ECKPT01A" squeezed into a u64).
 pub const CHECKPOINT_MAGIC: u64 = 0x4543_4B50_5430_3141;
-/// Current container version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Current container version. The container itself has not changed since
+/// version 1; the version also pins the one payload layout written into it
+/// (a BSP worker's, which gained its list of kept states at version 2), so a
+/// file of another build is refused rather than misread.
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Typed reasons a checkpoint file cannot be restored.
 #[derive(Debug)]
@@ -228,6 +231,11 @@ mod tests {
             read_checkpoint(&path),
             Err(CheckpointError::UnsupportedVersion(99))
         ));
+        // A version 1 file — the same container around a payload without the
+        // kept-state list — is refused the same way.
+        bytes[8..16].copy_from_slice(&1u64.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_checkpoint(&path), Err(CheckpointError::UnsupportedVersion(1))));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,14 +24,19 @@ pub struct SuperstepStats {
     pub compute_time: Duration,
     /// Per-partition compute-time breakdown, keyed by partition id.
     pub per_partition_compute: Vec<(u32, TimeBreakdown)>,
-    /// Messages whose source and destination live on the same worker.
+    /// Partition states handed to a merge parent held by the same worker: by
+    /// value, never encoded.
     pub local_messages: u64,
-    /// Bytes of those local messages.
+    /// Bytes those states would have encoded to (8 × their record words).
     pub local_bytes: u64,
     /// Messages crossing worker boundaries (the "shuffle").
     pub remote_messages: u64,
     /// Bytes crossing worker boundaries.
     pub remote_bytes: u64,
+    /// Bytes of the fragment lists wire workers sent the coordinator with
+    /// this superstep's results. Zero for workers stepped in place, whose
+    /// fragments go straight into the walk's store.
+    pub fragment_bytes: u64,
     /// Memory state reported by the partitions this superstep.
     pub memory: MemoryState,
 }
@@ -60,6 +65,12 @@ pub struct EngineStats {
     pub supersteps: Vec<SuperstepStats>,
     /// Number of workers used.
     pub num_workers: usize,
+    /// The worker holding each partition's slot, in ascending partition id.
+    pub placement: Vec<usize>,
+    /// Payload bytes of every Init frame sent to wire workers: the merge
+    /// tree and each worker's level-0 states (sent again where recovery
+    /// re-initialises a worker). Zero for workers stepped in place.
+    pub init_bytes: u64,
     /// Total wall-clock time of the run.
     pub total_wall_time: Duration,
     /// Modelled platform overhead added by the cost model (scheduling,

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION (4)
+//! version u16  FRAME_VERSION (5)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
 //! check   u64  word-folded FNV-1a over kind, len and payload
@@ -26,10 +26,11 @@
 //! use — over the word `kind`, the word `len`, then the payload as
 //! little-endian `u64` words, a trailing partial word zero-padded. (Frame
 //! version 1 ran byte-serial FNV-1a over the same fields, eight dependent
-//! multiplies per word; versions 2 and 3 framed like version 4 but carried
+//! multiplies per word; versions 2 to 4 framed like version 5 but carried
 //! other messages — an Init with three more words and fragment ids of
-//! another layout, then a Done whose reports lacked the two codec times.
-//! All are rejected as `UnsupportedVersion`.)
+//! another layout, then a Done whose reports lacked the two codec times,
+//! then one whose tail lacked the two by-value hand-off counters. All are
+//! rejected as `UnsupportedVersion`.)
 //!
 //! A payload may be sent as a *list of parts*
 //! ([`Connection::send_parts`]): the checksum is chained across the parts
@@ -63,7 +64,7 @@ pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version. Bumped whenever the layout of the frame or
 /// of any message carried in it changes, so peers of different builds refuse
 /// each other at the first frame instead of misreading a payload.
-pub const FRAME_VERSION: u16 = 4;
+pub const FRAME_VERSION: u16 = 5;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -846,7 +847,7 @@ mod tests {
     /// A frame as version 1 of the format wrote it: byte-serial FNV-1a over
     /// kind, length and payload. The checksum changed meaning in version 2,
     /// so the version gate — not a checksum mismatch — must refuse it. A
-    /// version 2 or 3 frame differs from a current one only in its version
+    /// version 2, 3 or 4 frame differs from a current one only in its version
     /// field (what changed is the messages inside), and is refused all the
     /// same.
     #[test]
@@ -875,7 +876,7 @@ mod tests {
 
         let mut earlier = encode_frame(7, payload).unwrap();
         assert!(decode_frame(&earlier).is_ok());
-        for version in [2u16, 3] {
+        for version in [2u16, 3, 4] {
             earlier[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 decode_frame(&earlier),

@@ -2,11 +2,13 @@
 //! wire transport — with superstep checkpointing and kill-and-resume
 //! recovery for the latter.
 //!
-//! [`crate::pipeline::BspBackend`] spreads the partitions over a set of
-//! **workers** (`partition id % workers`) and drives one barrier per merge
-//! level. A worker holds its partitions' states between levels (a `SlotSet`)
-//! and runs each through the shared level step (`crate::level`); what it
-//! ships to a merge parent it *encodes*, and what arrives it decodes, so the
+//! [`crate::pipeline::BspBackend`] deals the partitions to a set of
+//! **workers** — whole merge subtrees together where the balance allows it
+//! (`crate::placement`) — and drives one barrier per merge level. A worker
+//! holds its partitions' states between levels (a `SlotSet`) and runs each
+//! through the shared level step (`crate::level`). A state retiring into a
+//! parent the same worker holds is handed over by value; what goes to a
+//! parent on another worker it *encodes*, and what arrives it decodes, so the
 //! shuffle is measured in bytes. One fold turns a barrier's results into the
 //! superstep's statistics, the next level's inboxes and the walk's outcome.
 //!
@@ -48,8 +50,9 @@
 //! exactly as an in-process level's do. A distributed run's circuit is
 //! bit-identical to the sequential in-process run, killed or not.
 //!
-//! After each superstep a worker persists its partition states (the wire
-//! codec) and that superstep's fragments (the spill record codec) to a
+//! After each superstep a worker persists its partition states — the slots
+//! and the states kept for the next level's merges, two lists in the wire
+//! codec — and that superstep's fragments (the spill record codec) to a
 //! versioned checkpoint file: `ckpt-w{W}-s{K}` holds the state *entering*
 //! superstep `K`. When the coordinator detects a death during superstep
 //! `s` it rolls every survivor back to checkpoint `s`, respawns the dead
@@ -66,6 +69,7 @@ use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
 use crate::phase1::ArenaPool;
 use crate::pipeline::{wire, LevelOutcome, LevelPartitionReport};
+use crate::placement::Placement;
 use crate::state::{VertexTypeCounts, WorkingPartition};
 use euler_bsp::checkpoint::{
     checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError,
@@ -392,21 +396,32 @@ impl WordList {
 }
 
 /// A worker's share of one level, built while it steps its slots: a line
-/// per slot and the states it shipped, encoded once, where they will be
-/// read from — `(destination, len, state record)` entries, the `outgoing`
-/// section of a Done.
+/// per slot, the states it shipped to other workers, encoded once, where
+/// they will be read from — `(destination, len, state record)` entries, the
+/// `outgoing` section of a Done — and the count of those it kept for a
+/// parent of its own.
 struct LevelShare {
     reports: Vec<SlotReport>,
     outgoing: WordList,
     transfer_longs: u64,
+    /// States handed over by value, and the bytes their records would have
+    /// encoded to.
+    local_messages: u64,
+    local_bytes: u64,
 }
 
 impl LevelShare {
     fn new() -> Self {
-        LevelShare { reports: Vec::new(), outgoing: WordList::new(), transfer_longs: 0 }
+        LevelShare {
+            reports: Vec::new(),
+            outgoing: WordList::new(),
+            transfer_longs: 0,
+            local_messages: 0,
+            local_bytes: 0,
+        }
     }
 
-    /// Ships `wp` to the owner of partition `to`.
+    /// Ships `wp` to the worker holding partition `to`.
     fn ship(&mut self, to: u32, wp: &WorkingPartition) {
         let out = self.outgoing.entry();
         out.u(to as u64);
@@ -426,6 +441,8 @@ impl LevelShare {
             fragments: None,
             transfer_longs: self.transfer_longs,
             checkpoint_longs: 0,
+            local_messages: self.local_messages,
+            local_bytes: self.local_bytes,
         })
     }
 }
@@ -438,7 +455,7 @@ impl LevelShare {
 /// reports    [superstep, n_reports, n_reports × 21 report words]
 /// outgoing   [n_out, n_out × (destination, len, state record)]
 /// fragments  [n_frags, n_frags × (id, len, fragment record)]
-/// tail       [transfer_longs, checkpoint_longs]
+/// tail       [transfer_longs, checkpoint_longs, local_messages, local_bytes]
 /// ```
 struct DoneWriter {
     superstep: u32,
@@ -454,7 +471,12 @@ impl DoneWriter {
         let mut reports = WordWriter::with_capacity(2 + SlotReport::WORDS * lines.len());
         reports.words(&[self.superstep as u64, lines.len() as u64]);
         lines.iter().for_each(|line| line.encode(&mut reports));
-        let tail = WordWriter::from_words(&[self.share.transfer_longs, self.checkpoint_longs]);
+        let tail = WordWriter::from_words(&[
+            self.share.transfer_longs,
+            self.checkpoint_longs,
+            self.share.local_messages,
+            self.share.local_bytes,
+        ]);
         let sections = [&reports, &self.share.outgoing.words, &self.fragments.words, &tail];
         conn.send_parts(kind::DONE, &sections.map(WordWriter::as_bytes))
     }
@@ -494,6 +516,10 @@ struct DoneMsg {
     fragments: Option<Blob>,
     transfer_longs: u64,
     checkpoint_longs: u64,
+    /// States the worker handed a parent of its own by value, and the bytes
+    /// their records would have encoded to.
+    local_messages: u64,
+    local_bytes: u64,
 }
 
 /// Every worker's share of one level, tagged with the worker.
@@ -528,8 +554,17 @@ fn decode_done(payload: Arc<Vec<u8>>) -> Result<DoneMsg, WireError> {
     let list = r.position();
     for_each_fragment(&mut r, |_, _| Ok(()))?;
     let fragments = Some(Blob::words(&payload, list..r.position()));
-    let [transfer_longs, checkpoint_longs] = r.array()?;
-    Ok(DoneMsg { superstep, reports, outgoing, fragments, transfer_longs, checkpoint_longs })
+    let [transfer_longs, checkpoint_longs, local_messages, local_bytes] = r.array()?;
+    Ok(DoneMsg {
+        superstep,
+        reports,
+        outgoing,
+        fragments,
+        transfer_longs,
+        checkpoint_longs,
+        local_messages,
+        local_bytes,
+    })
 }
 
 /// Moves a committed fragment list into `store` under the ids the fragments
@@ -568,21 +603,27 @@ struct SlotSet {
     tree: Arc<MergeTree>,
     strategy: MergeStrategy,
     slots: BTreeMap<PartitionId, WorkingPartition>,
+    /// The states the last level retired into slots of this set, waiting to
+    /// be merged at the next: handed over by value, never encoded.
+    kept: Vec<WorkingPartition>,
     pool: ArenaPool,
 }
 
 impl SlotSet {
     fn new(tree: Arc<MergeTree>, strategy: MergeStrategy, states: Vec<WorkingPartition>) -> Self {
         let slots = states.into_iter().map(|wp| (wp.id, wp)).collect();
-        SlotSet { tree, strategy, slots, pool: ArenaPool::new() }
+        SlotSet { tree, strategy, slots, kept: Vec::new(), pool: ArenaPool::new() }
     }
 
-    /// Decodes the state records arriving at a level and groups them for
-    /// its merges. A record that does not decode, a state the previous level
-    /// did not ship, and one for a slot this worker does not hold are typed
-    /// errors.
-    fn unpack(&self, level: u32, records: Vec<WordReader<'_>>) -> Result<Inbound, EulerError> {
-        let mut states = Vec::with_capacity(records.len());
+    /// Decodes the state records arriving at a level and groups them, with
+    /// the states kept here (decode time zero), for its merges. A record
+    /// that does not decode, a state the previous level did not ship, a
+    /// second state of one child, and one for a slot this worker does not
+    /// hold are typed errors.
+    fn unpack(&mut self, level: u32, records: Vec<WordReader<'_>>) -> Result<Inbound, EulerError> {
+        let kept = std::mem::take(&mut self.kept);
+        let mut states: Vec<_> = kept.into_iter().map(|wp| (wp, Duration::ZERO)).collect();
+        states.reserve(records.len());
         for mut record in records {
             let t0 = Instant::now();
             let wp = wire::decode(&mut record)
@@ -595,8 +636,9 @@ impl SlotSet {
 
     /// Steps every slot through the level, ascending: Phase 1 into the store
     /// `store_for_slot` hands out, which `stepped` sees once the slot is
-    /// through; a state the tree retires is encoded into the share and
-    /// leaves the set.
+    /// through; a state the tree retires leaves its slot — kept, by value,
+    /// if its merge parent is a slot of this set, encoded into the share
+    /// otherwise.
     fn step_level(
         &mut self,
         level: u32,
@@ -605,6 +647,7 @@ impl SlotSet {
         mut stepped: impl FnMut(&FragmentStore),
     ) -> LevelShare {
         let mut share = LevelShare::new();
+        let held: Vec<PartitionId> = self.slots.keys().copied().collect();
         for (slot, wp) in std::mem::take(&mut self.slots) {
             let (children, unpack): (Vec<_>, Vec<_>) =
                 inbound.remove(&slot).unwrap_or_default().into_iter().unzip();
@@ -616,8 +659,15 @@ impl SlotSet {
             let ship = match step.ship {
                 Some((parent, longs)) => {
                     share.transfer_longs += longs;
-                    share.ship(parent.0, &step.state);
-                    t0.elapsed()
+                    if held.binary_search(&parent).is_ok() {
+                        share.local_messages += 1;
+                        share.local_bytes += 8 * wire::record_words(&step.state) as u64;
+                        self.kept.push(step.state);
+                        Duration::ZERO
+                    } else {
+                        share.ship(parent.0, &step.state);
+                        t0.elapsed()
+                    }
                 }
                 None => {
                     self.slots.insert(slot, step.state);
@@ -648,14 +698,16 @@ impl WorkerState {
         WorkerState { init, set, kill_consumed: false }
     }
 
-    /// Writes the checkpoint entering `superstep`: the slot states, then
-    /// the fragment list found at `superstep - 1` (`[0]`, the empty list, at
-    /// superstep 0). Returns Longs written (0 when checkpointing is off).
+    /// Writes the checkpoint entering `superstep`: the slot states, the
+    /// states kept for that superstep's merges, then the fragment list found
+    /// at `superstep - 1` (`[0]`, the empty list, at superstep 0). Returns
+    /// Longs written (0 when checkpointing is off).
     fn write_ckpt(&self, superstep: u32, fragments: &WordWriter) -> u64 {
         let Some(dir) = &self.init.checkpoint_dir else { return 0 };
         let path = checkpoint_file(dir, self.init.worker_id, superstep);
         let mut states = WordWriter::new();
         encode_states(&mut states, self.set.slots.values());
+        encode_states(&mut states, self.set.kept.iter());
         write_checkpoint(&path, &[states.as_bytes(), fragments.as_bytes()]).unwrap_or_default()
     }
 
@@ -675,19 +727,20 @@ impl WorkerState {
             }
             Err(_) => return Err(RestoreRefusal { ignored: true }),
         };
-        let decode = || -> Result<Vec<WorkingPartition>, WireError> {
+        let decode = || -> Result<[Vec<WorkingPartition>; 2], WireError> {
             let mut r = WordReader::new(&payload)?;
-            let slots = decode_states(&mut r)?;
+            let states = [decode_states(&mut r)?, decode_states(&mut r)?];
             // Validate (and drop) the fragment list: the coordinator
             // already holds every fragment committed at a barrier.
             for_each_fragment(&mut r, |id, mut record| {
                 decode_fragment(FragmentId(id), &mut record).map(drop)
             })?;
-            Ok(slots)
+            Ok(states)
         };
         match decode() {
-            Ok(slots) => {
+            Ok([slots, kept]) => {
                 self.set.slots = slots.into_iter().map(|wp| (wp.id, wp)).collect();
+                self.set.kept = kept;
                 Ok(payload.len() as u64 / 8)
             }
             Err(_) => Err(RestoreRefusal { ignored: true }),
@@ -892,7 +945,7 @@ struct WorkerHandle {
 /// one barrier of frames per merge level, detects deaths, and recovers.
 struct Fleet {
     cfg: FleetConfig,
-    num_workers: usize,
+    placement: Arc<Placement>,
     tree: Arc<MergeTree>,
     strategy: MergeStrategy,
     /// Each worker's level-0 seed state list, encoded once: the tail part
@@ -904,56 +957,65 @@ struct Fleet {
     events_rx: mpsc::Receiver<Event>,
     recovery: RecoveryStats,
     warnings: Vec<String>,
+    /// Payload bytes of every Init sent.
+    init_bytes: u64,
     kill_consumed: bool,
     start_seq: u64,
     shut_down: bool,
 }
 
 impl Fleet {
-    /// Spawns and initialises the worker fleet over the level-0 seed.
+    /// Spawns and initialises the worker fleet over the level-0 seed, split
+    /// by worker. The workers are launched first, so a process starts while
+    /// its seed is being encoded, and each worker's states are dropped as
+    /// soon as they are: the coordinator never holds the whole seed twice.
     fn new(
         cfg: FleetConfig,
-        num_workers: usize,
+        placement: Arc<Placement>,
         tree: Arc<MergeTree>,
         strategy: MergeStrategy,
-        seed: &[WorkingPartition],
+        seeds: Vec<Vec<WorkingPartition>>,
     ) -> Result<Self, EulerError> {
-        let seeds_by_worker = (0..num_workers)
-            .map(|w| {
-                let mine: Vec<&WorkingPartition> =
-                    seed.iter().filter(|wp| owner(wp.id.0, num_workers) == w).collect();
-                let mut out = WordWriter::new();
-                encode_states(&mut out, mine.into_iter());
-                out
-            })
-            .collect();
         let listener = cfg
             .transport
             .listen()
             .map_err(|e| EulerError::Distributed(format!("listen failed: {e}")))?;
         let (events_tx, events_rx) = mpsc::channel();
+        let num_workers = placement.num_workers();
         let mut fleet = Fleet {
             cfg,
-            num_workers,
+            placement,
             tree,
             strategy,
-            seeds_by_worker,
+            seeds_by_worker: Vec::with_capacity(num_workers),
             listener,
             workers: Vec::new(),
             events_tx,
             events_rx,
             recovery: RecoveryStats::default(),
             warnings: Vec::new(),
+            init_bytes: 0,
             kill_consumed: false,
             start_seq: 0,
             shut_down: false,
         };
         let all: Vec<u32> = (0..num_workers as u32).collect();
-        fleet.bring_up(&all)?;
+        let children = fleet.launch_all(&all)?;
+        for mine in seeds {
+            let words: usize = mine.iter().map(|wp| 1 + wire::record_words(wp)).sum();
+            let mut out = WordWriter::with_capacity(1 + words);
+            encode_states(&mut out, mine.iter());
+            fleet.seeds_by_worker.push(out);
+        }
+        fleet.bring_up(&all, children)?;
         for w in all {
             fleet.start_receiver(w);
         }
         Ok(fleet)
+    }
+
+    fn num_workers(&self) -> usize {
+        self.placement.num_workers()
     }
 
     /// Shuts the fleet down (Shutdown/Bye), reaps workers, removes the
@@ -993,23 +1055,38 @@ impl Fleet {
 
     // -- internals ----------------------------------------------------------
 
-    /// Brings workers `ws` up pipelined: launch all, accept all, Init all,
+    /// Launches workers `ws`, all or none: if one fails to start, those
+    /// already started are reaped.
+    fn launch_all(&self, ws: &[u32]) -> Result<Vec<Option<std::process::Child>>, EulerError> {
+        let mut children = Vec::with_capacity(ws.len());
+        match ws.iter().try_for_each(|&w| self.launch(w).map(|child| children.push(child))) {
+            Ok(()) => Ok(children),
+            Err(e) => {
+                reap(children);
+                Err(e)
+            }
+        }
+    }
+
+    /// Launches workers `ws` and brings them up.
+    fn respawn(&mut self, ws: &[u32]) -> Result<(), EulerError> {
+        let children = self.launch_all(ws)?;
+        self.bring_up(ws, children)
+    }
+
+    /// Brings the launched workers `ws` up pipelined: accept all, Init all,
     /// then await every Ready — so the workers decode their seeds and write
     /// checkpoint 0 side by side, not one after the other. Their receiver
     /// threads are the caller's to start.
-    fn bring_up(&mut self, ws: &[u32]) -> Result<(), EulerError> {
-        let mut children = Vec::with_capacity(ws.len());
-        let conns = ws
-            .iter()
-            .try_for_each(|&w| self.launch(w).map(|child| children.push(child)))
-            .and_then(|()| self.accept_hellos(ws));
-        let mut conns = match conns {
+    fn bring_up(
+        &mut self,
+        ws: &[u32],
+        children: Vec<Option<std::process::Child>>,
+    ) -> Result<(), EulerError> {
+        let mut conns = match self.accept_hellos(ws) {
             Ok(conns) => conns,
             Err(e) => {
-                for mut child in children.into_iter().flatten() {
-                    child.kill().ok();
-                    child.wait().ok();
-                }
+                reap(children);
                 return Err(e);
             }
         };
@@ -1134,7 +1211,7 @@ impl Fleet {
         let kill = self.cfg.plan.kill.filter(|_| !self.kill_consumed);
         let head = encode_init_head(&InitHead {
             worker_id: w,
-            num_workers: self.num_workers as u32,
+            num_workers: self.num_workers() as u32,
             strategy: self.strategy,
             heartbeat_interval: self.cfg.policy.heartbeat_interval,
             kill,
@@ -1145,9 +1222,11 @@ impl Fleet {
             checkpoint_dir: self.cfg.checkpoint_dir.clone(),
             tree: Arc::clone(&self.tree),
         });
+        let parts = [head.as_bytes(), self.seeds_by_worker[w as usize].as_bytes()];
+        self.init_bytes += parts.iter().map(|part| part.len() as u64).sum::<u64>();
         self.workers[w as usize]
             .conn
-            .send_parts(kind::INIT, &[head.as_bytes(), self.seeds_by_worker[w as usize].as_bytes()])
+            .send_parts(kind::INIT, &parts)
             .map_err(|e| EulerError::Distributed(format!("init of worker {w} failed: {e}")))
     }
 
@@ -1293,9 +1372,9 @@ impl Fleet {
     /// Waits until every worker answered Done for `level` or died:
     /// `Ok(Ok(dones))` when all answered, `Ok(Err(dead))` lists the deceased.
     fn wait_barrier(&mut self, level: u32) -> Result<Result<Dones, Vec<u32>>, EulerError> {
-        let mut pending: Vec<bool> = vec![true; self.num_workers];
+        let mut pending: Vec<bool> = vec![true; self.num_workers()];
         let mut deaths: Vec<u32> = Vec::new();
-        let mut dones = Vec::with_capacity(self.num_workers);
+        let mut dones = Vec::with_capacity(self.num_workers());
         while pending.iter().any(|&p| p) {
             match self.events_rx.recv_timeout(Duration::from_millis(25)) {
                 Ok(Event::Frame { worker, epoch, kind: k, payload }) => {
@@ -1416,7 +1495,7 @@ impl Fleet {
     ) -> Result<bool, EulerError> {
         let mut ok = true;
         // Survivors first: they are idle after the broken barrier.
-        for w in 0..self.num_workers as u32 {
+        for w in 0..self.num_workers() as u32 {
             if deaths.contains(&w) {
                 continue;
             }
@@ -1427,7 +1506,7 @@ impl Fleet {
             }
             ok &= self.await_restore_ack(w, level)?;
         }
-        self.bring_up(deaths)?;
+        self.respawn(deaths)?;
         for &w in deaths {
             let conn = Arc::clone(&self.workers[w as usize].conn);
             // The ack is read directly off the fresh connection; the
@@ -1505,9 +1584,9 @@ impl Fleet {
         inbox: &mut Vec<Vec<Blob>>,
     ) -> Result<(), EulerError> {
         self.recovery.full_restarts += 1;
-        self.bring_up(deaths)?;
+        self.respawn(deaths)?;
         let survivors: Vec<u32> =
-            (0..self.num_workers as u32).filter(|w| !deaths.contains(w)).collect();
+            (0..self.num_workers() as u32).filter(|w| !deaths.contains(w)).collect();
         for &w in &survivors {
             // Restart the receiver under a new epoch so frames of the
             // abandoned barrier cannot leak into the replay. The old
@@ -1523,13 +1602,13 @@ impl Fleet {
             h.stop_rx = Arc::new(AtomicBool::new(false));
         }
         self.init_all(&survivors)?;
-        for w in 0..self.num_workers as u32 {
+        for w in 0..self.num_workers() as u32 {
             self.start_receiver(w);
         }
-        *inbox = vec![Vec::new(); self.num_workers];
+        *inbox = vec![Vec::new(); self.num_workers()];
         for ss in 0..level {
             let dones = self.run_superstep(ss, inbox, None)?;
-            *inbox = fold_barrier(ss, dones, self.num_workers, Duration::ZERO).1;
+            *inbox = fold_barrier(ss, dones, &self.placement, Duration::ZERO)?.1;
         }
         Ok(())
     }
@@ -1541,42 +1620,57 @@ impl Drop for Fleet {
     }
 }
 
+/// Kills and waits for launched worker processes that will not be used.
+fn reap(children: Vec<Option<std::process::Child>>) {
+    for mut child in children.into_iter().flatten() {
+        child.kill().ok();
+        child.wait().ok();
+    }
+}
+
 /// The barrier fold: every worker's share of `level` into the superstep's
 /// statistics, the next level's inboxes and the walk's outcome — the same
 /// fold wherever the shares were computed.
 ///
-/// A shipped state is routed to the owner of its destination slot as the
-/// byte range it was encoded into, and counted local or remote (the
-/// shuffle) by whether that worker is its sender. The four compute buckets
-/// are the paper's Fig. 6 split: `create_partition_object` (decoding the
-/// inbound states), `copy_sink_partition` (merging them in), `phase1_tour`,
-/// and `copy_source_partition` (encoding the state for its parent);
-/// `compute_time` is merge plus tour, the record's own two times.
+/// A shipped state is routed to the worker `placement` gives its destination
+/// slot, as the byte range it was encoded into, and is the shuffle: remote.
+/// What a worker handed a parent of its own by value it counted itself:
+/// local. The four compute buckets are the paper's Fig. 6 split:
+/// `create_partition_object` (decoding the inbound states),
+/// `copy_sink_partition` (merging them in), `phase1_tour`, and
+/// `copy_source_partition` (encoding the state for its parent) — the two
+/// codec buckets zero where the hand-off was by value; `compute_time` is
+/// merge plus tour, the record's own two times.
+///
+/// # Errors
+/// [`EulerError::Distributed`] for a state shipped to a partition no worker
+/// holds.
 fn fold_barrier(
     level: u32,
     mut dones: Dones,
-    num_workers: usize,
+    placement: &Placement,
     wall: Duration,
-) -> (SuperstepStats, Vec<Vec<Blob>>, LevelOutcome) {
+) -> Result<(SuperstepStats, Vec<Vec<Blob>>, LevelOutcome), EulerError> {
     dones.sort_by_key(|(w, _)| *w);
     let mut stats = SuperstepStats::new(level);
     stats.wall_time = wall;
-    let mut next_inbox: Vec<Vec<Blob>> = vec![Vec::new(); num_workers];
+    let mut next_inbox: Vec<Vec<Blob>> = vec![Vec::new(); placement.num_workers()];
     let mut outcome = LevelOutcome::default();
     for (w, done) in dones {
         for (to, entry) in done.outgoing {
-            let dst = owner(to, num_workers);
+            let dst = placement.owner(PartitionId(to)).ok_or_else(|| {
+                EulerError::Distributed(format!(
+                    "worker {w} shipped a state to partition {to}, which no worker holds"
+                ))
+            })?;
+            stats.remote_messages += 1;
             // The state record alone, without its length word.
-            let bytes = entry.range.len().saturating_sub(8) as u64;
-            if dst == w as usize {
-                stats.local_messages += 1;
-                stats.local_bytes += bytes;
-            } else {
-                stats.remote_messages += 1;
-                stats.remote_bytes += bytes;
-            }
+            stats.remote_bytes += entry.range.len().saturating_sub(8) as u64;
             next_inbox[dst].push(entry);
         }
+        stats.local_messages += done.local_messages;
+        stats.local_bytes += done.local_bytes;
+        stats.fragment_bytes += done.fragments.map_or(0, |list| list.range.len() as u64);
         outcome.transfer_longs += done.transfer_longs;
         for line in done.reports {
             let r = line.report;
@@ -1594,13 +1688,13 @@ fn fold_barrier(
     outcome.reports.sort_by_key(|r| r.partition);
     stats.active_partitions = outcome.reports.len();
     stats.per_partition_compute.sort_by_key(|(p, _)| *p);
-    (stats, next_inbox, outcome)
+    Ok((stats, next_inbox, outcome))
 }
 
 /// One level on workers stepped in place: one scoped thread per worker with
 /// anything to do, each decoding its inbox, stepping its slots with their
 /// fragments pushed straight into the walk's `store`, and handing back its
-/// share with the shipped states encoded.
+/// share with the states shipped to other workers encoded.
 fn step_in_place(
     sets: &mut [SlotSet],
     level: u32,
@@ -1643,7 +1737,7 @@ enum Workers {
 /// One BSP run of the merge-tree walk: the workers, the inboxes between
 /// their levels, and the statistics the barriers fold into.
 pub(crate) struct DistRun {
-    num_workers: usize,
+    placement: Arc<Placement>,
     cost_model: PlatformCostModel,
     workers: Workers,
     /// The next level's inbound state-list entries per worker — ranges of
@@ -1657,8 +1751,9 @@ pub(crate) struct DistRun {
 }
 
 impl DistRun {
-    /// Places the level-0 seed on `engine`'s workers: in place, or — given
-    /// a `fleet` configuration — spawned and initialised over its transport.
+    /// Places the level-0 seed on `engine`'s workers — by the merge tree and
+    /// the states' encoded sizes, see [`Placement`] — in place, or, given a
+    /// `fleet` configuration, spawned and initialised over its transport.
     pub fn new(
         engine: BspConfig,
         fleet: Option<FleetConfig>,
@@ -1668,21 +1763,28 @@ impl DistRun {
     ) -> Result<Self, EulerError> {
         let t_start = Instant::now();
         let num_workers = engine.resolved_workers(seed.len());
+        let weights = seed.iter().map(|wp| (wp.id, wire::record_words(wp) as u64)).collect();
+        let placement = Arc::new(Placement::new(&tree, weights, num_workers));
+        let mut seeds: Vec<Vec<WorkingPartition>> = vec![Vec::new(); num_workers];
+        for wp in seed {
+            let w = placement.owner(wp.id).expect("every seed partition was placed above");
+            seeds[w].push(wp);
+        }
         let workers = match fleet {
-            Some(cfg) => {
-                Workers::Framed(Box::new(Fleet::new(cfg, num_workers, tree, strategy, &seed)?))
-            }
+            Some(cfg) => Workers::Framed(Box::new(Fleet::new(
+                cfg,
+                Arc::clone(&placement),
+                tree,
+                strategy,
+                seeds,
+            )?)),
             None => {
-                let mut seeds: Vec<Vec<WorkingPartition>> = vec![Vec::new(); num_workers];
-                for wp in seed {
-                    seeds[owner(wp.id.0, num_workers)].push(wp);
-                }
                 let set = |mine| SlotSet::new(Arc::clone(&tree), strategy, mine);
                 Workers::InPlace(seeds.into_iter().map(set).collect())
             }
         };
         Ok(DistRun {
-            num_workers,
+            placement,
             cost_model: engine.cost_model,
             workers,
             inbox: vec![Vec::new(); num_workers],
@@ -1701,7 +1803,7 @@ impl DistRun {
             Workers::Framed(fleet) => fleet.run_superstep(level, &mut self.inbox, Some(store))?,
         };
         let (stats, inbox, outcome) =
-            fold_barrier(level, dones, self.num_workers, t_level.elapsed());
+            fold_barrier(level, dones, &self.placement, t_level.elapsed())?;
         self.superstep_stats.push(stats);
         self.inbox = inbox;
         Ok(outcome)
@@ -1719,15 +1821,18 @@ impl DistRun {
 
     /// Statistics of the run so far, under the configured cost model.
     pub fn stats(&self) -> EngineStats {
+        let (init_bytes, recovery) = match &self.workers {
+            Workers::InPlace(_) => (0, RecoveryStats::default()),
+            Workers::Framed(fleet) => (fleet.init_bytes, fleet.recovery),
+        };
         let mut stats = EngineStats {
             supersteps: self.superstep_stats.clone(),
-            num_workers: self.num_workers,
+            num_workers: self.placement.num_workers(),
+            placement: self.placement.owners().to_vec(),
+            init_bytes,
             total_wall_time: self.total_wall.unwrap_or_else(|| self.t_start.elapsed()),
             modelled_platform_overhead: Duration::ZERO,
-            recovery: match &self.workers {
-                Workers::InPlace(_) => RecoveryStats::default(),
-                Workers::Framed(fleet) => fleet.recovery,
-            },
+            recovery,
         };
         stats.modelled_platform_overhead = self.cost_model.overhead(&stats);
         stats
@@ -1740,11 +1845,6 @@ impl DistRun {
             Workers::Framed(fleet) => fleet.warnings.clone(),
         }
     }
-}
-
-/// Owner worker of a partition slot: round-robin by partition id.
-fn owner(slot: u32, num_workers: usize) -> usize {
-    (slot as usize) % num_workers.max(1)
 }
 
 #[cfg(test)]
@@ -1890,6 +1990,7 @@ mod tests {
             checkpoint_longs: 88,
         };
         done.share.transfer_longs = 77;
+        (done.share.local_messages, done.share.local_bytes) = (5, 66);
         for (i, seed) in seeds.iter().enumerate() {
             done.share.reports.push(report(i as u32, seed.len() as u64));
             done.share.ship(i as u32 + 10, &state(i as u32, seed));
@@ -2004,6 +2105,7 @@ mod tests {
         let seeds = vec![vec![1, 2, 3, 4], vec![], vec![9]];
         let done = decode_done(Arc::new(done_payload(&sample_done(&seeds)))).unwrap();
         assert_eq!((done.superstep, done.transfer_longs, done.checkpoint_longs), (3, 77, 88));
+        assert_eq!((done.local_messages, done.local_bytes), (5, 66));
         for (i, r) in done.reports.iter().enumerate() {
             assert_eq!(*r, report(i as u32, seeds[i].len() as u64));
         }
@@ -2106,10 +2208,20 @@ mod tests {
         // The tiny tree ships partition 1 into level 1, nothing else.
         let stray_inbox = start_payload(1, &[state(5, &[])]);
         let good_init = || init_payload(&test_init(None), &[state(0, &[])]);
+        // A worker holding both ends of the tiny tree's one merge keeps
+        // partition 1 at superstep 0; a Start that delivers it again would
+        // merge it twice.
+        let both_ends = init_payload(&test_init(None), &[state(0, &[]), state(1, &[])]);
+        let kept_again = vec![
+            (kind::INIT, both_ends),
+            (kind::START, start_payload(0, &[])),
+            (kind::START, start_payload(1, &[state(1, &[])])),
+        ];
         for (frames, what) in [
             (vec![(kind::INIT, garbage_seed.into_bytes())], "payload"),
             (vec![(kind::INIT, good_init()), (kind::START, garbage_inbox.into_bytes())], "payload"),
             (vec![(kind::INIT, good_init()), (kind::START, stray_inbox)], "ships no such child"),
+            (kept_again, "partition 1 arrived twice"),
         ] {
             let listener = MemTransport.listen().unwrap();
             let dial = MemTransport.connect(&listener.endpoint()).unwrap();
@@ -2152,6 +2264,135 @@ mod tests {
         }
     }
 
+    /// The records of a share's shipped states, as the next Start (or the
+    /// next in-place level) hands them to `unpack`.
+    fn shipped_records(done: &DoneMsg) -> Vec<WordReader<'_>> {
+        done.outgoing
+            .iter()
+            .map(|(_, entry)| WordReader::new(entry.bytes())?.record())
+            .collect::<Result<_, WireError>>()
+            .unwrap()
+    }
+
+    #[test]
+    fn kept_and_decoded_children_of_one_parent_merge_in_pair_order() {
+        use crate::level::tests::{leaves, tree};
+        // Partitions 0 and 1 both retire into 2 at level 0, 0 before 1.
+        let star = Arc::new(tree(vec![vec![(2, 0), (2, 1)]]));
+        let set = |ids: &[usize]| {
+            let mine = ids.iter().map(|&i| leaves().swap_remove(i)).collect();
+            SlotSet::new(Arc::clone(&star), MergeStrategy::Duplicated, mine)
+        };
+        // One worker holds everything: both children are kept.
+        let oracle_store = FragmentStore::new();
+        let mut oracle = set(&[0, 1, 2]);
+        let share = oracle.step_level(0, Inbound::new(), || oracle_store.clone(), |_| ());
+        assert_eq!((share.local_messages, share.outgoing.n), (2, 0));
+        let inbound = oracle.unpack(1, Vec::new()).unwrap();
+        oracle.step_level(1, inbound, || oracle_store.clone(), |_| ());
+
+        // The parent's worker holds one child and is sent the other —
+        // either one: the kept state is listed before the decoded one, the
+        // merges run 0 then 1 all the same.
+        for (with_parent, elsewhere) in [(0, 1), (1, 0)] {
+            let store = FragmentStore::new();
+            let (mut here, mut there) = (set(&[with_parent, 2]), set(&[elsewhere]));
+            let kept = here.step_level(0, Inbound::new(), || store.clone(), |_| ());
+            let sent = there.step_level(0, Inbound::new(), || store.clone(), |_| ());
+            assert_eq!((kept.local_messages, kept.outgoing.n), (1, 0));
+            assert_eq!((sent.local_messages, sent.outgoing.n), (0, 1));
+            let child = &here.kept[0];
+            assert_eq!(child.id.0 as usize, with_parent);
+            assert_eq!(kept.local_bytes, 8 * wire::record_words(child) as u64);
+            // By value means no codec time on either side of the hand-off.
+            assert_eq!(kept.reports[0].ship, Duration::ZERO);
+            assert!(there.slots.is_empty() && there.kept.is_empty());
+
+            let sent = sent.into_done(0).unwrap();
+            assert_eq!(sent.outgoing[0].0, 2);
+            let inbound = here.unpack(1, shipped_records(&sent)).unwrap();
+            assert!(here.kept.is_empty(), "unpack consumes the kept states");
+            let order: Vec<u32> = inbound[&PartitionId(2)].iter().map(|(wp, _)| wp.id.0).collect();
+            assert_eq!(order, [0, 1]);
+            let unpack: Vec<bool> =
+                inbound[&PartitionId(2)].iter().map(|(_, t)| *t == Duration::ZERO).collect();
+            assert!(unpack[with_parent], "the kept child was not decoded");
+            let root = here.step_level(1, inbound, || store.clone(), |_| ());
+            assert_eq!((root.local_messages, root.outgoing.n), (0, 0));
+            assert_eq!(here.slots, oracle.slots);
+            assert_eq!(store.snapshot(), oracle_store.snapshot());
+
+            // Delivered again, the kept child is refused.
+            let (mut here, _) = (set(&[with_parent, 2]), ());
+            here.step_level(0, Inbound::new(), || store.clone(), |_| ());
+            let mut again = LevelShare::new();
+            again.ship(2, &leaves()[with_parent]);
+            let again = again.into_done(0).unwrap();
+            assert!(matches!(
+                here.unpack(1, shipped_records(&again)),
+                Err(EulerError::Distributed(m)) if m.contains("arrived twice")
+            ));
+        }
+    }
+
+    #[test]
+    fn a_carried_over_slot_merges_a_kept_child() {
+        use crate::level::tests::{leaves, tree};
+        // 0 retires into 1 at level 0, 1 into 2 at level 1: slot 2 is carried
+        // over twice before its only child arrives — by value, the one
+        // worker holding everything.
+        let chain = Arc::new(tree(vec![vec![(1, 0)], vec![(2, 1)]]));
+        let store = FragmentStore::new();
+        let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, leaves());
+        let mut local = Vec::new();
+        for level in 0..3 {
+            let inbound = set.unpack(level, Vec::new()).unwrap();
+            let share = set.step_level(level, inbound, || store.clone(), |_| ());
+            assert_eq!(share.outgoing.n, 0);
+            local.push(share.local_messages);
+        }
+        assert_eq!(local, [1, 1, 0]);
+
+        // The same walk, the states handed on by hand.
+        let by_hand = FragmentStore::new();
+        let step = |wp, children, level| {
+            let pool = ArenaPool::new();
+            step_slot(wp, children, &chain, level, MergeStrategy::Duplicated, &pool, &by_hand).state
+        };
+        let [p0, p1, p2]: [WorkingPartition; 3] = leaves().try_into().unwrap();
+        let (p0, p1, p2) = (step(p0, vec![], 0), step(p1, vec![], 0), step(p2, vec![], 0));
+        let (p1, p2) = (step(p1, vec![p0], 1), step(p2, vec![], 1));
+        let root = step(p2, vec![p1], 2);
+        assert_eq!(set.slots.into_values().collect::<Vec<_>>(), [root]);
+        assert_eq!(store.snapshot(), by_hand.snapshot());
+    }
+
+    #[test]
+    fn a_checkpoint_round_trips_the_slots_and_the_kept_states() {
+        use crate::level::tests::{leaves, tree};
+        let dir = scratch("kept");
+        let chain = Arc::new(tree(vec![vec![(1, 0)], vec![(2, 1)]]));
+        let init = InitHead { tree: chain, ..test_init(Some(dir.clone())) };
+        let mut s = WorkerState::build(init, leaves());
+        // Superstep 0 keeps partition 0 for slot 1 and writes checkpoint 1.
+        let done = s.superstep(0, Inbound::new());
+        assert!(done.checkpoint_longs > 0);
+        assert_eq!((done.share.local_messages, s.set.kept.len()), (1, 1));
+        let (slots, kept) = (s.set.slots.clone(), s.set.kept.clone());
+        // Superstep 1 consumes it; rolling back to checkpoint 1 reinstates
+        // it, and the superstep replays to the same share.
+        let replay = |s: &mut WorkerState| {
+            let inbound = s.set.unpack(1, Vec::new()).unwrap();
+            let done = s.superstep(1, inbound);
+            (done.share.reports.iter().map(|r| r.report.counts).collect::<Vec<_>>(), s.set.slots.clone())
+        };
+        let first = replay(&mut s);
+        assert!(s.restore(1).is_ok());
+        assert_eq!((&s.set.slots, &s.set.kept), (&slots, &kept));
+        assert_eq!(replay(&mut s), first);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
     #[test]
     fn missing_checkpoint_refusal_is_not_ignored() {
         // Checkpointing disabled → refusal without "ignored" (nothing was
@@ -2168,11 +2409,15 @@ mod tests {
     fn torn_checkpoint_is_detected_and_ignored_at_restore() {
         let dir = scratch("torn");
         let seeds = vec![state(0, &[4, 5, 6])];
+        let kept = vec![state(1, &[7]), state(3, &[])];
         let mut s = WorkerState::build(test_init(Some(dir.clone())), seeds.clone());
+        s.set.kept = kept.clone();
         assert!(s.write_ckpt(0, &sample_done(&[vec![1, 2]]).fragments.words) > 0);
         s.set.slots.clear();
+        s.set.kept.clear();
         assert!(s.restore(0).is_ok(), "pristine checkpoint must restore");
         assert_eq!(s.set.slots.into_values().collect::<Vec<_>>(), seeds);
+        assert_eq!(s.set.kept, kept, "the kept states are part of the state entering a superstep");
         // Tear the file mid-payload, as a crash during a (non-atomic) write
         // or a truncated copy would.
         let mut s = WorkerState::build(test_init(Some(dir.clone())), Vec::new());
@@ -2192,6 +2437,10 @@ mod tests {
         let path = checkpoint_file(&dir, 0, 1);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(s.restore(1).unwrap_err().ignored);
+        // So is the version before this one, whose payload had no kept list.
+        bytes[8..16].copy_from_slice(&1u64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(s.restore(1).unwrap_err().ignored);
         std::fs::remove_dir_all(dir).ok();

@@ -112,9 +112,10 @@ fn phase1_record(
 ///
 /// # Errors
 /// [`EulerError::Distributed`] for a state the previous level did not ship
-/// here: its partition is no child in that level's pair list, or its parent
-/// is no slot of the caller's. States come off the wire on some paths — a
-/// hostile one is refused here, before any merge.
+/// here — its partition is no child in that level's pair list, or its parent
+/// is no slot of the caller's — and for a second state of one child. States
+/// come off the wire on some paths — a hostile one is refused here, before
+/// any merge.
 pub(crate) fn group_inbound<T>(
     tree: &MergeTree,
     level: u32,
@@ -138,7 +139,15 @@ pub(crate) fn group_inbound<T>(
     }
     placed.sort_by_key(|(at, ..)| *at);
     let mut children: BTreeMap<PartitionId, Vec<T>> = BTreeMap::new();
-    for (_, parent, item) in placed {
+    let mut previous = None;
+    for (at, parent, item) in placed {
+        // Two states of one child found the same pair and sorted together.
+        if previous.replace(at) == Some(at) {
+            return Err(EulerError::Distributed(format!(
+                "state of partition {} arrived twice at level {level}",
+                child_of(&item).0
+            )));
+        }
         children.entry(parent).or_default().push(item);
     }
     Ok(children)
@@ -189,7 +198,7 @@ pub(crate) fn step_slot(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::merge_tree::MergePair;
     use euler_graph::builder::graph_from_edges;
@@ -198,7 +207,7 @@ mod tests {
     /// Two triangles hanging off a doubled edge: vertices 0, 1 are
     /// partition 0, vertices 2, 3 partition 1, vertices 4, 5 partition 2.
     /// Partitions 0 and 1 touch partition 2 only.
-    fn leaves() -> Vec<WorkingPartition> {
+    pub(crate) fn leaves() -> Vec<WorkingPartition> {
         let g = graph_from_edges(&[
             (0, 1),
             (1, 4),
@@ -214,7 +223,7 @@ mod tests {
         pg.partitions().iter().map(WorkingPartition::from_partition).collect()
     }
 
-    fn tree(levels: Vec<Vec<(u32, u32)>>) -> MergeTree {
+    pub(crate) fn tree(levels: Vec<Vec<(u32, u32)>>) -> MergeTree {
         let levels = levels
             .into_iter()
             .map(|pairs| {
@@ -332,5 +341,20 @@ mod tests {
         assert!(matches!(elsewhere, Err(EulerError::Distributed(m)) if m.contains("held here")));
         // No inbound, no groups — at any level.
         assert!(group(&chain, 0, Vec::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_child_that_arrives_twice_is_refused() {
+        // Both copies match the one pair that ships partition 0; merging both
+        // would double its edges into the parent.
+        let star = tree(vec![vec![(2, 0), (2, 1)]]);
+        let state = |id: usize| leaves().swap_remove(id);
+        match group(&star, 1, vec![state(0), state(1), state(0)]) {
+            Err(EulerError::Distributed(m)) => {
+                assert!(m.contains("partition 0 arrived twice at level 1"), "{m}")
+            }
+            other => panic!("expected a typed refusal, got {:?}", other.map(|m| m.len())),
+        }
+        assert_eq!(group(&star, 1, vec![state(1), state(0)]).unwrap()[&PartitionId(2)].len(), 2);
     }
 }

@@ -60,6 +60,7 @@ pub mod phase1;
 pub mod phase2;
 pub mod phase3;
 pub mod pipeline;
+mod placement;
 pub mod service;
 pub mod state;
 pub mod verify;

@@ -466,10 +466,12 @@ pub(crate) mod wire {
     }
 }
 
-/// Executes levels as BSP supersteps: the partitions are spread over a set
-/// of workers (`partition id % workers`), one superstep per merge level,
-/// children shipping their *serialised* state to their parent's worker after
-/// each level.
+/// Executes levels as BSP supersteps: the partitions are dealt to a set of
+/// workers — whole merge subtrees together where the balance allows it, so
+/// merges stay on the worker that holds the parent; the table is
+/// [`euler_bsp::EngineStats::placement`] — one superstep per merge level. A
+/// child retiring into a parent on its own worker is handed over by value;
+/// one whose parent is on another worker ships its *serialised* state there.
 ///
 /// This backend absorbs the pre-redesign `DistributedRunner`. On top of the
 /// unified [`RunReport`] it contributes superstep statistics (shuffle bytes,

@@ -52,13 +52,26 @@ fn main() -> ExitCode {
             .process_workers(true),
     );
     let engine = clean.merge.engine.as_ref().expect("BSP runs carry engine stats");
+    println!("  placement (worker per partition): {:?}", engine.placement);
     for s in &engine.supersteps {
         println!(
-            "  superstep {}: {} partitions, {} local + {} remote msgs, {} shuffle bytes",
-            s.superstep, s.active_partitions, s.local_messages, s.remote_messages, s.remote_bytes
+            "  superstep {}: {} partitions, {} msgs / {} bytes kept on their worker, \
+             {} msgs / {} bytes shuffled",
+            s.superstep,
+            s.active_partitions,
+            s.local_messages,
+            s.local_bytes,
+            s.remote_messages,
+            s.remote_bytes
         );
     }
     println!("  circuit edges: {}", clean.circuit.result.total_edges());
+    // Two partitions per worker: the level-0 merges have child and parent on
+    // one worker, and such a state is handed over by value.
+    if engine.supersteps.iter().all(|s| s.local_messages == 0) {
+        eprintln!("FAIL: the clean run handed no state over by value");
+        return ExitCode::FAILURE;
+    }
 
     println!("\n=== SIGKILL worker 1 at superstep 1, checkpointed recovery ===");
     let ckpt = std::env::temp_dir().join(format!("euler-pw-ckpt-{}", std::process::id()));

@@ -451,6 +451,51 @@ fn sigkilled_process_worker_is_respawned_and_restored_bit_identically() {
     assert!(!ckpt.exists());
 }
 
+/// With two partitions per worker the level-0 merges stay on their workers,
+/// so superstep 1 is fed by kept states alone: nothing in its Start, nothing
+/// for the coordinator to re-deliver. Killing a worker there must bring the
+/// kept states back — from the checkpoint, or by replaying superstep 0 from
+/// the seed — on thread and on process workers alike.
+#[test]
+fn kill_at_a_superstep_fed_only_by_kept_states_recovers_bit_identically() {
+    let g = graph_from(77, 130, 14);
+    let a = LdgPartitioner::new(4).partition(&g);
+    let config = EulerConfig::default();
+    let reference = reference_run(&g, &a, &config);
+    for (processes, checkpointed) in [(false, true), (false, false), (true, true), (true, false)] {
+        let tag = format!("process workers: {processes}, checkpoints: {checkpointed}");
+        let ckpt = checkpointed.then(|| scratch_dir("kept-only"));
+        let mut backend = BspBackend::with_engine(BspConfig::with_workers(2))
+            .fault_policy(fast_policy())
+            .with_fault_plan(FaultPlan::kill_at(1, 1));
+        backend = if processes {
+            backend.with_transport(Arc::new(TcpTransport)).process_workers(true)
+        } else {
+            backend.with_transport(Arc::new(MemTransport))
+        };
+        if let Some(dir) = &ckpt {
+            backend = backend.checkpoint_dir(dir);
+        }
+        let run = distributed_run(&g, &a, &config, backend);
+        assert!(verify_result(&g, &run.circuit.result).is_ok(), "{tag}");
+        assert_same_run(&reference, &run);
+        let engine = run.merge.engine.as_ref().unwrap();
+        let before = &engine.supersteps[0];
+        assert!(before.local_messages > 0, "{tag}: superstep 0 handed nothing over by value");
+        assert_eq!(before.remote_messages, 0, "{tag}: superstep 1 was to be fed by kept states only");
+        assert!(engine.recovery.restarts >= 1, "{tag}: the kill was not observed");
+        if checkpointed {
+            assert!(engine.recovery.checkpoint_longs_restored > 0, "{tag}");
+            assert_eq!(engine.recovery.full_restarts, 0, "{tag}");
+        } else {
+            assert!(engine.recovery.full_restarts >= 1, "{tag}");
+        }
+        if let Some(dir) = &ckpt {
+            assert!(!dir.exists(), "{tag}");
+        }
+    }
+}
+
 #[test]
 fn process_workers_on_mem_transport_are_rejected_up_front() {
     let g = graph_from(3, 40, 4);

@@ -90,6 +90,10 @@ struct Expected {
     remote_needed_now: u64,
     /// `memory_longs()` of the state Phase 1 left behind.
     memory_after: u64,
+    /// Bytes of that state's record — 6 header words, a word per leaf, 4 per
+    /// local edge, 5 per remote ref — if this level retires it into its
+    /// merge parent; 0 if it stays.
+    shipped_bytes: u64,
 }
 
 /// Replays the merge-tree walk from the public kernels, evaluating the
@@ -118,6 +122,9 @@ fn replay(pg: &PartitionedGraph, strategy: MergeStrategy) -> Vec<Expected> {
                 counts.remote_edges
             };
             run_phase1(wp, &store);
+            let retires = tree.pairs_at(level).iter().any(|p| p.child == wp.id);
+            let record_words =
+                6 + wp.leaves.len() + 4 * wp.local_edges.len() + 5 * wp.remote_edges.len();
             expected.push(Expected {
                 level,
                 partition: wp.id,
@@ -125,6 +132,7 @@ fn replay(pg: &PartitionedGraph, strategy: MergeStrategy) -> Vec<Expected> {
                 memory_longs: counts.total_vertices() + 3 * counts.local_edges + 4 * resident_remote,
                 remote_needed_now: needed.iter().filter(|&&l| l == level).count() as u64,
                 memory_after: wp.memory_longs(),
+                shipped_bytes: if retires { 8 * record_words as u64 } else { 0 },
             });
         }
         for pair in tree.pairs_at(level) {
@@ -162,6 +170,7 @@ fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
             "in-process",
             "1 worker in place",
             "2 workers in place",
+            "3 workers in place",
             "a worker per partition in place",
             "2 thread workers over MemTransport",
         ] {
@@ -169,6 +178,7 @@ fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
                 "in-process" => Box::new(InProcessBackend::new()),
                 "1 worker in place" => Box::new(BspBackend::with_engine(BspConfig::with_workers(1))),
                 "2 workers in place" => Box::new(BspBackend::with_engine(BspConfig::with_workers(2))),
+                "3 workers in place" => Box::new(BspBackend::with_engine(BspConfig::with_workers(3))),
                 "a worker per partition in place" => Box::new(BspBackend::new()),
                 _ => Box::new(
                     BspBackend::with_engine(BspConfig::with_workers(2))
@@ -193,6 +203,17 @@ fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
                         memory.per_partition.get(&format!("P{}", want.partition.0)),
                         Some(&want.memory_after),
                         "{tag}: post-run memory of {want:?}"
+                    );
+                }
+                // Handed over by value or shuffled, every retiring state is
+                // accounted at its record's size, wherever its parent is.
+                for step in &engine.supersteps {
+                    let at_level = expected.iter().filter(|e| e.level == step.superstep);
+                    assert_eq!(
+                        step.total_bytes(),
+                        at_level.map(|e| e.shipped_bytes).sum::<u64>(),
+                        "{tag}: local + remote bytes of superstep {}",
+                        step.superstep
                     );
                 }
             } else {

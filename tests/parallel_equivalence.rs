@@ -214,9 +214,12 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
     let g = eulerize(&RmatGenerator::new(10).with_avg_degree(8.0).with_seed(3).generate()).0;
     let parts = 6;
     let assignment = LdgPartitioner::new(parts).partition(&g);
+    // Local + remote bytes per superstep, by worker count: every retiring
+    // state is counted at its record's size, wherever its parent is.
+    let mut bytes_by_workers: Vec<Vec<u64>> = Vec::new();
     for workers in [1, 2, 3, parts as usize] {
         let engine = BspConfig::with_workers(workers).with_cost_model(PlatformCostModel::spark_like());
-        let mut merges = 0;
+        let mut tree = None;
         let mut stats = |backend: BspBackend| {
             let run = EulerPipeline::builder()
                 .graph(&g)
@@ -226,15 +229,29 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
                 .unwrap()
                 .run()
                 .unwrap();
-            merges = run.merge.merge_tree.levels.iter().map(Vec::len).sum::<usize>() as u64;
+            tree = Some(run.merge.merge_tree);
             run.merge.engine.expect("bsp runs report engine stats")
         };
         let in_place = stats(BspBackend::with_engine(engine));
         let wire = stats(BspBackend::with_engine(engine).with_transport(Arc::new(MemTransport)));
 
+        let tree = tree.expect("both runs planned the same tree");
+        let merges = tree.levels.iter().map(Vec::len).sum::<usize>() as u64;
         let tag = format!("{workers} workers");
         assert_eq!(in_place.num_workers, workers, "{tag}");
         assert_eq!(wire.num_workers, workers, "{tag}");
+        assert_eq!(in_place.placement, wire.placement, "{tag}: one placement rule");
+        assert_eq!(in_place.placement.len(), parts as usize, "{tag}");
+        assert!(in_place.placement.iter().all(|&w| w < workers), "{tag}");
+        if workers == parts as usize {
+            assert_eq!(in_place.placement, (0..workers).collect::<Vec<_>>(), "{tag}");
+        }
+        // Nothing crosses a wire in place; over one, the seed and every
+        // level's fragments do.
+        assert_eq!(in_place.init_bytes, 0, "{tag}");
+        assert!(wire.init_bytes > 0, "{tag}");
+        assert!(in_place.supersteps.iter().all(|s| s.fragment_bytes == 0), "{tag}");
+        assert!(wire.supersteps.iter().all(|s| s.fragment_bytes > 0), "{tag}");
         assert_eq!(in_place.recovery, RecoveryStats::default(), "{tag}: nothing to recover in place");
         assert!(in_place.modelled_platform_overhead > std::time::Duration::ZERO, "{tag}");
         assert_eq!(in_place.modelled_platform_overhead, wire.modelled_platform_overhead, "{tag}");
@@ -274,7 +291,22 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
         if workers == 1 {
             assert_eq!(in_place.total_remote_bytes(), 0, "{tag}");
         }
+        // A merge between two partitions of one worker is a hand-off.
+        let held_together = |p: &&euler_circuit::algo::MergePair| {
+            in_place.placement[p.child.0 as usize] == in_place.placement[p.parent.0 as usize]
+        };
+        for (pairs, step) in tree.levels.iter().zip(&in_place.supersteps) {
+            let local = pairs.iter().filter(held_together).count() as u64;
+            assert_eq!(
+                (step.local_messages, step.remote_messages),
+                (local, pairs.len() as u64 - local),
+                "{tag}, superstep {}",
+                step.superstep
+            );
+        }
+        bytes_by_workers.push(in_place.supersteps.iter().map(|s| s.total_bytes()).collect());
     }
+    assert!(bytes_by_workers.windows(2).all(|w| w[0] == w[1]), "{bytes_by_workers:?}");
 }
 
 /// The memory promise under concurrency: with a level's partitions pushing
