@@ -31,6 +31,7 @@ fn main() {
             "Modelled total (s)",
             "Shuffle bytes",
             "Local bytes",
+            "Init bytes",
         ],
     );
     for (i, config) in PAPER_CONFIGS.iter().enumerate() {
@@ -52,6 +53,9 @@ fn main() {
             secs(total),
             stats.total_remote_bytes().to_string(),
             stats.supersteps.iter().map(|s| s.local_bytes).sum::<u64>().to_string(),
+            // What seeding the workers moved: nothing while they are stepped
+            // in place, the Init payloads behind a transport.
+            stats.init_bytes.to_string(),
         ]);
         total_series.push(config.name, i as f64, total.as_secs_f64());
         compute_series.push(config.name, i as f64, compute.as_secs_f64());

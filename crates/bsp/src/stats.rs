@@ -68,9 +68,16 @@ pub struct EngineStats {
     /// The worker holding each partition's slot, in ascending partition id.
     pub placement: Vec<usize>,
     /// Payload bytes of every Init frame sent to wire workers: the merge
-    /// tree and each worker's level-0 states (sent again where recovery
-    /// re-initialises a worker). Zero for workers stepped in place.
+    /// tree and each worker's level-0 seed — its partition states, or, when
+    /// level 0 is a mapped `.ecsr`, a reference to the file with the
+    /// assignment (sent again where recovery re-initialises a worker). Zero
+    /// for workers stepped in place.
     pub init_bytes: u64,
+    /// The longest a wire worker took to turn an Init into its level-0
+    /// partition states — decoding them, or building them from the file it
+    /// was pointed at — as reported in its Ready. Zero for workers stepped
+    /// in place, which are handed theirs.
+    pub seed_build_time: Duration,
     /// Total wall-clock time of the run.
     pub total_wall_time: Duration,
     /// Modelled platform overhead added by the cost model (scheduling,

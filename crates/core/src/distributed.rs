@@ -26,8 +26,10 @@
 //! ```text
 //! worker                         coordinator
 //!   | -- Hello{worker} ------------> |      (handshake, after connect)
-//!   | <-- Init{tree,seeds,plan} ---- |
-//!   | -- Ready{ckpt0 longs} -------> |
+//!   | <-- Init{plan, tree,           |
+//!   |          seeds | file} ------- |
+//!   | -- Ready{ckpt0 longs,          |
+//!   |          seed build ns} -----> |
 //!   |                                |      per merge level L:
 //!   | <-- Start{L, child states} --- |
 //!   |  …compute, heartbeats…         |
@@ -39,6 +41,20 @@
 //!   | <-- Shutdown ----------------- |
 //!   | -- Bye ----------------------> |
 //! ```
+//!
+//! An Init ends in the worker's level-0 seed, tagged: `0` its partition
+//! states, encoded — what a run whose level 0 is resident ships — or `1` a
+//! *reference* to the `.ecsr` the coordinator mapped: path, header identity
+//! (checksum, n, m), partition count, a mask of the partitions the worker
+//! owns, and the assignment's labels packed two per word. Given a reference
+//! the worker opens the file frame-checked only ([`CsrFile::open_trusted`]),
+//! refuses it unless the three identity words are the ones it was sent — the
+//! coordinator's open validated a file with that checksum — and builds its
+//! own partitions with the level-0 loader (`crate::level0`): its own scan,
+//! so no count in the payload sizes an allocation, then a fill of the
+//! partitions the mask names. The loader looks every endpoint up checked, so
+//! a file that changed under the same header ends the worker with a typed
+//! error. Ready reports what that took.
 //!
 //! ## Determinism & recovery invariant
 //!
@@ -58,17 +74,19 @@
 //! `s` it rolls every survivor back to checkpoint `s`, respawns the dead
 //! worker, restores it from the same checkpoint, re-delivers the superstep
 //! `s` inputs it retained, and resumes. Without usable checkpoints it
-//! falls back to a full deterministic replay from the level-0 seed.
+//! falls back to a full deterministic replay from the level-0 seed — the
+//! Init tails it retained, states or reference, sent again.
 
 use crate::error::EulerError;
 use crate::fragment::{
     decode_fragment, encode_fragment, fragment_record_words, Fragment, FragmentId, FragmentStore,
 };
 use crate::level::{group_inbound, step_slot};
+use crate::level0::{self, FileLevel0};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
 use crate::phase1::ArenaPool;
-use crate::pipeline::{wire, LevelOutcome, LevelPartitionReport};
+use crate::pipeline::{wire, LevelOutcome, LevelPartitionReport, Seed, SeedKind};
 use crate::placement::Placement;
 use crate::state::{VertexTypeCounts, WorkingPartition};
 use euler_bsp::checkpoint::{
@@ -78,7 +96,7 @@ use euler_bsp::fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
 use euler_bsp::transport::{connect_endpoint, Connection, FrameError, Listener, Transport};
 use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{BspConfig, EngineStats, PlatformCostModel, SuperstepStats};
-use euler_graph::PartitionId;
+use euler_graph::{CsrFile, PartitionAssignment, PartitionId};
 use euler_metrics::TimeBreakdown;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -214,7 +232,7 @@ fn for_each_fragment<'a>(
 }
 
 /// Everything a worker needs to run besides its partition states: the head
-/// of the Init message, which the seed state list follows.
+/// of the Init message, which the tagged seed ([`SeedTail`]) follows.
 struct InitHead {
     worker_id: u32,
     num_workers: u32,
@@ -257,7 +275,7 @@ fn encode_init_head(m: &InitHead) -> WordWriter {
     out
 }
 
-fn decode_init(payload: &[u8]) -> Result<(InitHead, Vec<WorkingPartition>), WireError> {
+fn decode_init(payload: &[u8]) -> Result<(InitHead, SeedTail), WireError> {
     let mut r = WordReader::new(payload)?;
     let [worker_id, num_workers, strategy, heartbeat_ns, kill_flag, kill_w, kill_s, kill_mode, has_dir] =
         r.array()?;
@@ -278,9 +296,138 @@ fn decode_init(payload: &[u8]) -> Result<(InitHead, Vec<WorkingPartition>), Wire
         checkpoint_dir,
         tree: Arc::new(decode_tree(&mut r)?),
     };
-    let seeds = decode_states(&mut r)?;
-    check_slots(&head.tree, &seeds)?;
-    Ok((head, seeds))
+    let seed = decode_seed(&mut r, &head.tree)?;
+    Ok((head, seed))
+}
+
+/// The tail of an Init: where the worker's level-0 states come from.
+enum SeedTail {
+    /// The states, shipped.
+    States(Vec<WorkingPartition>),
+    /// The `.ecsr` they are to be built from.
+    File(FileRef),
+}
+
+mod seed_tag {
+    pub const STATES: u64 = 0;
+    pub const FILE: u64 = 1;
+}
+
+/// A reference to the level 0 the coordinator holds mapped.
+struct FileRef {
+    path: PathBuf,
+    /// Checksum, vertex count and edge count of the file's header.
+    identity: [u64; 3],
+    /// Bit `p` set: partition `p` is this worker's.
+    owned: Vec<u64>,
+    assignment: PartitionAssignment,
+}
+
+/// Encodes the part of a file-reference tail that differs by worker:
+/// `[1, path, checksum, n, m, P, ⌈P/64⌉ mask words]`. The labels follow,
+/// the same for every worker ([`encode_labels`]).
+fn encode_file_ref(csr: &CsrFile, num_partitions: u32, owned: &[u64]) -> WordWriter {
+    let mut out = WordWriter::from_words(&[seed_tag::FILE]);
+    out.str(&csr.path().to_string_lossy());
+    out.words(&[csr.checksum(), csr.num_vertices(), csr.num_edges(), u64::from(num_partitions)]);
+    out.words(owned);
+    out
+}
+
+/// The assignment's labels, two per word, the earlier vertex in the low half.
+fn encode_labels(assignment: &PartitionAssignment) -> WordWriter {
+    let labels = assignment.labels();
+    let mut out = WordWriter::with_capacity(labels.len().div_ceil(2));
+    for pair in labels.chunks(2) {
+        let half = |at: usize| pair.get(at).map_or(0, |p| u64::from(p.0));
+        out.u(half(0) | half(1) << 32);
+    }
+    out
+}
+
+/// Decodes an Init's tail. Every length it reads is bounded by the payload
+/// before anything is allocated for it: the partition count must be the
+/// tree's leaf count, the mask and the labels must be there in full.
+fn decode_seed(r: &mut WordReader<'_>, tree: &MergeTree) -> Result<SeedTail, WireError> {
+    match r.u()? {
+        seed_tag::STATES => {
+            let seeds = decode_states(r)?;
+            check_slots(tree, &seeds)?;
+            Ok(SeedTail::States(seeds))
+        }
+        seed_tag::FILE => {
+            let path = PathBuf::from(r.str()?);
+            let [checksum, n, m, parts] = r.array()?;
+            let num_partitions = u32::try_from(parts)
+                .ok()
+                .filter(|&p| p as usize == tree.leaves.len())
+                .ok_or_else(|| {
+                    WireError::Invalid(format!(
+                        "level-0 reference names {parts} partitions, the tree has {}",
+                        tree.leaves.len()
+                    ))
+                })?;
+            let mask_words = (num_partitions as usize).div_ceil(64);
+            let mut owned = Vec::with_capacity(r.cap(mask_words, 1));
+            for _ in 0..mask_words {
+                owned.push(r.u()?);
+            }
+            let num_labels = usize::try_from(n).unwrap_or(usize::MAX);
+            let mut labels =
+                Vec::with_capacity(r.cap(num_labels.div_ceil(2), 1).saturating_mul(2));
+            while labels.len() < num_labels {
+                let word = r.u()?;
+                // The high half of the last word of an odd count is padding.
+                for label in [word as u32, (word >> 32) as u32] {
+                    if labels.len() < num_labels {
+                        labels.push(PartitionId(label));
+                    }
+                }
+            }
+            r.finish()?;
+            let assignment = PartitionAssignment::new(labels, num_partitions)
+                .map_err(|e| WireError::Invalid(format!("level-0 reference: {e}")))?;
+            Ok(SeedTail::File(FileRef { path, identity: [checksum, n, m], owned, assignment }))
+        }
+        tag => Err(WireError::Invalid(format!("unknown level-0 seed tag {tag}"))),
+    }
+}
+
+/// Builds the worker's level-0 states from the file the coordinator named:
+/// opened frame-checked, refused unless its header identity is the Init's,
+/// then the loader's two passes — the worker's own scan, and a fill of the
+/// partitions it owns.
+fn build_from_file(
+    file: &FileRef,
+    tree: &MergeTree,
+    strategy: MergeStrategy,
+) -> Result<Vec<WorkingPartition>, String> {
+    let at = file.path.display();
+    let bad = |e: euler_graph::GraphError| format!("level-0 file {at}: {e}");
+    let csr = CsrFile::open_trusted(&file.path).map_err(bad)?;
+    let found = [csr.checksum(), csr.num_vertices(), csr.num_edges()];
+    if found != file.identity {
+        return Err(format!(
+            "level-0 file {at} is not the one the coordinator mapped: its header (checksum, \
+             vertices, edges) reads {found:x?}, the Init names {:x?}",
+            file.identity
+        ));
+    }
+    let assignment = &file.assignment;
+    if !level0::cut_matrix_fits(&csr, assignment.num_partitions()) {
+        return Err(format!(
+            "level-0 file {at}: {} partitions make a cut matrix larger than the file",
+            assignment.num_partitions()
+        ));
+    }
+    let scan = level0::scan_file(&csr, assignment).map_err(bad)?;
+    let level0 = FileLevel0 { csr: &csr, assignment, scan, dedup: strategy.deduplicates() };
+    let owned = |p: PartitionId| {
+        file.owned.get(p.index() / 64).is_some_and(|word| word >> (p.index() % 64) & 1 == 1)
+    };
+    let states = level0.fill(owned).map_err(bad)?;
+    check_slots(tree, &states)?;
+    Ok(states)
 }
 
 /// Reads a Start as far as its framing: the superstep and the inbound state
@@ -791,8 +938,14 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
         let step = (|| -> Result<bool, String> {
             match k {
                 kind::INIT => {
-                    let (init, seeds) = decode_init(&payload)?;
+                    let t_seed = Instant::now();
+                    let (init, seed) = decode_init(&payload)?;
                     drop(payload);
+                    let seeds = match seed {
+                        SeedTail::States(seeds) => seeds,
+                        SeedTail::File(file) => build_from_file(&file, &init.tree, init.strategy)?,
+                    };
+                    let seed_ns = t_seed.elapsed().as_nanos() as u64;
                     if let Some(stopped) = stopped.take() {
                         let interval = init.heartbeat_interval;
                         let conn2 = Arc::clone(&conn);
@@ -812,7 +965,7 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                     let st = WorkerState::build(init, seeds);
                     let ckpt0 = st.write_ckpt(0, &WordWriter::from_words(&[0]));
                     state = Some(st);
-                    conn.send_words(kind::READY, &[ckpt0])
+                    conn.send_words(kind::READY, &[ckpt0, seed_ns])
                         .map_err(|e| format!("ready failed: {e}"))?;
                 }
                 kind::START => {
@@ -948,9 +1101,12 @@ struct Fleet {
     placement: Arc<Placement>,
     tree: Arc<MergeTree>,
     strategy: MergeStrategy,
-    /// Each worker's level-0 seed state list, encoded once: the tail part
-    /// of its Init, retained for re-Init.
+    /// Each worker's Init tail ([`SeedTail`]), encoded once and retained for
+    /// re-Init: its level-0 states, or its reference to the file.
     seeds_by_worker: Vec<WordWriter>,
+    /// What follows every worker's tail: a file reference's labels, else
+    /// nothing.
+    seed_labels: WordWriter,
     listener: Box<dyn Listener>,
     workers: Vec<WorkerHandle>,
     events_tx: mpsc::Sender<Event>,
@@ -959,22 +1115,23 @@ struct Fleet {
     warnings: Vec<String>,
     /// Payload bytes of every Init sent.
     init_bytes: u64,
+    /// The longest a worker took from its Init to its level-0 states.
+    seed_build: Duration,
     kill_consumed: bool,
     start_seq: u64,
     shut_down: bool,
 }
 
 impl Fleet {
-    /// Spawns and initialises the worker fleet over the level-0 seed, split
-    /// by worker. The workers are launched first, so a process starts while
-    /// its seed is being encoded, and each worker's states are dropped as
-    /// soon as they are: the coordinator never holds the whole seed twice.
+    /// Spawns and initialises the worker fleet over the level-0 seed. The
+    /// workers are launched first, so a process starts while the Init tails
+    /// are being encoded ([`init_tails`]).
     fn new(
         cfg: FleetConfig,
         placement: Arc<Placement>,
         tree: Arc<MergeTree>,
         strategy: MergeStrategy,
-        seeds: Vec<Vec<WorkingPartition>>,
+        seed: Seed<'_>,
     ) -> Result<Self, EulerError> {
         let listener = cfg
             .transport
@@ -987,7 +1144,8 @@ impl Fleet {
             placement,
             tree,
             strategy,
-            seeds_by_worker: Vec::with_capacity(num_workers),
+            seeds_by_worker: Vec::new(),
+            seed_labels: WordWriter::new(),
             listener,
             workers: Vec::new(),
             events_tx,
@@ -995,17 +1153,19 @@ impl Fleet {
             recovery: RecoveryStats::default(),
             warnings: Vec::new(),
             init_bytes: 0,
+            seed_build: Duration::ZERO,
             kill_consumed: false,
             start_seq: 0,
             shut_down: false,
         };
         let all: Vec<u32> = (0..num_workers as u32).collect();
         let children = fleet.launch_all(&all)?;
-        for mine in seeds {
-            let words: usize = mine.iter().map(|wp| 1 + wire::record_words(wp)).sum();
-            let mut out = WordWriter::with_capacity(1 + words);
-            encode_states(&mut out, mine.iter());
-            fleet.seeds_by_worker.push(out);
+        match init_tails(seed, &fleet.placement) {
+            Ok((tails, labels)) => (fleet.seeds_by_worker, fleet.seed_labels) = (tails, labels),
+            Err(e) => {
+                reap(children);
+                return Err(e);
+            }
         }
         fleet.bring_up(&all, children)?;
         for w in all {
@@ -1205,8 +1365,8 @@ impl Fleet {
         ws.iter().try_for_each(|&w| self.await_ready(w))
     }
 
-    /// Sends Init: the head, then this worker's retained seed state list.
-    /// The injected kill plan is delivered only while unconsumed.
+    /// Sends Init: the head, then this worker's retained tail. The injected
+    /// kill plan is delivered only while unconsumed.
     fn send_init(&mut self, w: u32) -> Result<(), EulerError> {
         let kill = self.cfg.plan.kill.filter(|_| !self.kill_consumed);
         let head = encode_init_head(&InitHead {
@@ -1222,7 +1382,11 @@ impl Fleet {
             checkpoint_dir: self.cfg.checkpoint_dir.clone(),
             tree: Arc::clone(&self.tree),
         });
-        let parts = [head.as_bytes(), self.seeds_by_worker[w as usize].as_bytes()];
+        let parts = [
+            head.as_bytes(),
+            self.seeds_by_worker[w as usize].as_bytes(),
+            self.seed_labels.as_bytes(),
+        ];
         self.init_bytes += parts.iter().map(|part| part.len() as u64).sum::<u64>();
         self.workers[w as usize]
             .conn
@@ -1242,7 +1406,8 @@ impl Fleet {
                 "worker {w} answered Init with frame kind {k}"
             )));
         }
-        let ckpt0 = WordReader::new(&payload).and_then(|mut r| r.u()).unwrap_or(0);
+        let [ckpt0, seed_ns] = WordReader::new(&payload).and_then(|mut r| r.array()).unwrap_or([0; 2]);
+        self.seed_build = self.seed_build.max(Duration::from_nanos(seed_ns));
         if ckpt0 > 0 {
             self.recovery.checkpoints_written += 1;
             self.recovery.checkpoint_longs_written += ckpt0;
@@ -1620,6 +1785,49 @@ impl Drop for Fleet {
     }
 }
 
+/// The level-0 states dealt to their owners.
+fn deal(states: Vec<WorkingPartition>, placement: &Placement) -> Vec<Vec<WorkingPartition>> {
+    let mut seeds: Vec<Vec<WorkingPartition>> = vec![Vec::new(); placement.num_workers()];
+    for wp in states {
+        let w = placement.owner(wp.id).expect("the run placed every seed partition");
+        seeds[w].push(wp);
+    }
+    seeds
+}
+
+/// Every worker's Init tail, and what follows each of them on the wire. A
+/// level 0 still in its file goes out as a reference — the workers build
+/// their own partitions — unless they would refuse its cut matrix
+/// ([`level0::cut_matrix_fits`]); any other seed is filled here and
+/// shipped as states, each worker's dropped as soon as they are encoded.
+fn init_tails(
+    seed: Seed<'_>,
+    placement: &Placement,
+) -> Result<(Vec<WordWriter>, WordWriter), EulerError> {
+    let workers = 0..placement.num_workers();
+    if let SeedKind::File(level0) = &seed.0 {
+        let num_partitions = level0.assignment.num_partitions();
+        if level0::cut_matrix_fits(level0.csr, num_partitions) {
+            let tail = |w: usize| {
+                let mut owned = vec![0u64; (num_partitions as usize).div_ceil(64)];
+                for p in (0..num_partitions).filter(|&p| placement.owner(PartitionId(p)) == Some(w)) {
+                    owned[p as usize / 64] |= 1 << (p % 64);
+                }
+                encode_file_ref(level0.csr, num_partitions, &owned)
+            };
+            return Ok((workers.map(tail).collect(), encode_labels(level0.assignment)));
+        }
+    }
+    let tails = deal(seed.into_states()?, placement).into_iter().map(|mine| {
+        let words: usize = mine.iter().map(|wp| 1 + wire::record_words(wp)).sum();
+        let mut out = WordWriter::with_capacity(2 + words);
+        out.u(seed_tag::STATES);
+        encode_states(&mut out, mine.iter());
+        out
+    });
+    Ok((tails.collect(), WordWriter::new()))
+}
+
 /// Kills and waits for launched worker processes that will not be used.
 fn reap(children: Vec<Option<std::process::Child>>) {
     for mut child in children.into_iter().flatten() {
@@ -1752,35 +1960,40 @@ pub(crate) struct DistRun {
 
 impl DistRun {
     /// Places the level-0 seed on `engine`'s workers — by the merge tree and
-    /// the states' encoded sizes, see [`Placement`] — in place, or, given a
-    /// `fleet` configuration, spawned and initialised over its transport.
+    /// the states' encoded sizes, see [`Placement`]; a level 0 still in its
+    /// file is sized from its scan, which counts what the states will hold —
+    /// in place, or, given a `fleet` configuration, spawned and initialised
+    /// over its transport.
     pub fn new(
         engine: BspConfig,
         fleet: Option<FleetConfig>,
         tree: Arc<MergeTree>,
         strategy: MergeStrategy,
-        seed: Vec<WorkingPartition>,
+        seed: Seed<'_>,
     ) -> Result<Self, EulerError> {
         let t_start = Instant::now();
-        let num_workers = engine.resolved_workers(seed.len());
-        let weights = seed.iter().map(|wp| (wp.id, wire::record_words(wp) as u64)).collect();
+        let weights: Vec<(PartitionId, u64)> = match &seed.0 {
+            SeedKind::States(states) => {
+                states.iter().map(|wp| (wp.id, wire::record_words(wp) as u64)).collect()
+            }
+            SeedKind::File(level0) => (0..level0.assignment.num_partitions())
+                .map(PartitionId)
+                .map(|p| (p, level0.scan.record_words(p, level0.dedup)))
+                .collect(),
+        };
+        let num_workers = engine.resolved_workers(weights.len());
         let placement = Arc::new(Placement::new(&tree, weights, num_workers));
-        let mut seeds: Vec<Vec<WorkingPartition>> = vec![Vec::new(); num_workers];
-        for wp in seed {
-            let w = placement.owner(wp.id).expect("every seed partition was placed above");
-            seeds[w].push(wp);
-        }
         let workers = match fleet {
             Some(cfg) => Workers::Framed(Box::new(Fleet::new(
                 cfg,
                 Arc::clone(&placement),
                 tree,
                 strategy,
-                seeds,
+                seed,
             )?)),
             None => {
                 let set = |mine| SlotSet::new(Arc::clone(&tree), strategy, mine);
-                Workers::InPlace(seeds.into_iter().map(set).collect())
+                Workers::InPlace(deal(seed.into_states()?, &placement).into_iter().map(set).collect())
             }
         };
         Ok(DistRun {
@@ -1821,15 +2034,16 @@ impl DistRun {
 
     /// Statistics of the run so far, under the configured cost model.
     pub fn stats(&self) -> EngineStats {
-        let (init_bytes, recovery) = match &self.workers {
-            Workers::InPlace(_) => (0, RecoveryStats::default()),
-            Workers::Framed(fleet) => (fleet.init_bytes, fleet.recovery),
+        let (init_bytes, seed_build_time, recovery) = match &self.workers {
+            Workers::InPlace(_) => (0, Duration::ZERO, RecoveryStats::default()),
+            Workers::Framed(fleet) => (fleet.init_bytes, fleet.seed_build, fleet.recovery),
         };
         let mut stats = EngineStats {
             supersteps: self.superstep_stats.clone(),
             num_workers: self.placement.num_workers(),
             placement: self.placement.owners().to_vec(),
             init_bytes,
+            seed_build_time,
             total_wall_time: self.total_wall.unwrap_or_else(|| self.t_start.elapsed()),
             modelled_platform_overhead: Duration::ZERO,
             recovery,
@@ -1960,8 +2174,40 @@ mod tests {
 
     fn init_payload(head: &InitHead, seeds: &[WorkingPartition]) -> Vec<u8> {
         let mut out = encode_init_head(head);
+        out.u(seed_tag::STATES);
         encode_states(&mut out, seeds.iter());
         out.into_bytes()
+    }
+
+    /// The states an Init shipped.
+    fn shipped(seed: SeedTail) -> Vec<WorkingPartition> {
+        match seed {
+            SeedTail::States(states) => states,
+            SeedTail::File(file) => panic!("expected shipped states, got a reference to {:?}", file.path),
+        }
+    }
+
+    /// A 16-ring over the tiny tree's 8 partitions (two vertices each, so
+    /// every partition holds one local edge and two cut edges), packed to a
+    /// scratch `.ecsr`: the file, and the level-0 states the oracle slices
+    /// from the graph under `strategy`.
+    fn ring_file(dir: &std::path::Path, strategy: MergeStrategy) -> (CsrFile, PartitionAssignment, Vec<WorkingPartition>) {
+        let edges: Vec<(u64, u64)> = (0..16).map(|v| (v, (v + 1) % 16)).collect();
+        let g = euler_graph::builder::graph_from_edges(&edges);
+        let a = PartitionAssignment::from_labels((0..16).map(|v| v / 2).collect(), 8).unwrap();
+        let path = dir.join("ring.ecsr");
+        euler_graph::write_csr_file(&g, &path).unwrap();
+        let csr = CsrFile::open(&path).unwrap();
+        let (_, states) = crate::level0::tests::oracle(&csr, &a, strategy.deduplicates());
+        (csr, a, states)
+    }
+
+    /// An Init whose tail refers worker 0 to `csr`, owning the partitions of
+    /// `owned`'s set bits.
+    fn file_init(csr: &CsrFile, a: &PartitionAssignment, owned: u64) -> Vec<u8> {
+        let head = encode_init_head(&test_init(None));
+        let tail = encode_file_ref(csr, a.num_partitions(), &[owned]);
+        [head.as_bytes(), tail.as_bytes(), encode_labels(a).as_bytes()].concat()
     }
 
     fn start_payload(superstep: u32, states: &[WorkingPartition]) -> Vec<u8> {
@@ -2034,17 +2280,46 @@ mod tests {
         assert_eq!(got.worker_id, m.worker_id);
         assert_eq!(got.kill, m.kill);
         assert_eq!(got.checkpoint_dir, dir);
-        assert_eq!(got_seeds, seeds);
+        assert_eq!(shipped(got_seeds), seeds);
         assert_eq!(got.tree.leaves, m.tree.leaves);
         assert_eq!(got.tree.levels, m.tree.levels);
         // A seed for a partition the tree does not have, and a tree whose
         // partitions no fragment id could name, are refused.
-        let stray = decode_init(&init_payload(&m, &[state(8, &[1])]));
+        let stray = decode_init(&init_payload(&m, &[state(8, &[1])])).map(drop);
         assert!(matches!(stray, Err(WireError::Invalid(m)) if m.contains("unknown partition")));
         let mut wide = tiny_tree();
         wide.leaves.push(PartitionId(FragmentId::MAX_PARTITIONS));
         m.tree = Arc::new(wide);
-        assert!(matches!(decode_init(&init_payload(&m, &[])), Err(WireError::Invalid(_))));
+        assert!(matches!(decode_init(&init_payload(&m, &[])).map(drop), Err(WireError::Invalid(_))));
+    }
+
+    #[test]
+    fn a_file_reference_roundtrips_and_builds_the_owned_partitions_of_the_oracle() {
+        let dir = scratch("fileref");
+        for strategy in MergeStrategy::all() {
+            let (csr, a, oracle) = ring_file(&dir, strategy);
+            // Partitions 1, 4 and 7 are this worker's.
+            let owned = 0b1001_0010;
+            let (head, seed) = decode_init(&file_init(&csr, &a, owned)).unwrap();
+            let SeedTail::File(file) = seed else { panic!("expected a file reference") };
+            assert_eq!(file.path, csr.path());
+            assert_eq!(file.identity, [csr.checksum(), 16, 16]);
+            assert_eq!(file.owned, [owned]);
+            assert_eq!(file.assignment.labels(), a.labels());
+            let built = build_from_file(&file, &head.tree, strategy).unwrap();
+            let expected: Vec<_> =
+                oracle.iter().filter(|wp| owned >> wp.id.0 & 1 == 1).cloned().collect();
+            assert_eq!(built, expected, "{strategy}");
+            // Nothing owned, nothing built; everything owned, the oracle.
+            let none = FileRef { owned: vec![0], ..file };
+            assert!(build_from_file(&none, &head.tree, strategy).unwrap().is_empty());
+            let all = FileRef { owned: vec![u64::MAX], ..none };
+            assert_eq!(build_from_file(&all, &head.tree, strategy).unwrap(), oracle);
+        }
+        // An odd label count pads the last word's high half.
+        let odd = PartitionAssignment::from_labels(vec![7, 0, 3], 8).unwrap();
+        assert_eq!(encode_labels(&odd), WordWriter::from_words(&[7, 3]));
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -2152,6 +2427,14 @@ mod tests {
         for cut in (0..init.len()).step_by(8) {
             assert!(decode_init(&init[..cut]).is_err(), "init cut at {cut}");
         }
+        let dir = scratch("cut");
+        let (csr, a, _) = ring_file(&dir, MergeStrategy::Deferred);
+        let by_file = file_init(&csr, &a, 0b11);
+        assert!(decode_init(&by_file).is_ok());
+        for cut in (0..by_file.len()).step_by(8) {
+            assert!(decode_init(&by_file[..cut]).is_err(), "file init cut at {cut}");
+        }
+        std::fs::remove_dir_all(dir).ok();
         for cut in (0..start.len()).step_by(8) {
             assert!(start_states(&start[..cut]).is_err(), "start cut at {cut}");
         }
@@ -2202,7 +2485,67 @@ mod tests {
     #[test]
     fn worker_rejects_hostile_payloads_with_a_typed_error() {
         let mut garbage_seed = encode_init_head(&test_init(None));
-        garbage_seed.words(&[1, 4, u64::MAX, u64::MAX, u64::MAX, u64::MAX]);
+        garbage_seed.words(&[seed_tag::STATES, 1, 4, u64::MAX, u64::MAX, u64::MAX, u64::MAX]);
+        let mut unknown_tag = encode_init_head(&test_init(None));
+        unknown_tag.words(&[2, 0]);
+
+        // Hostile references to a level-0 file. Tail words after the head:
+        // [1, path len, path…, checksum, n, m, P, mask, labels…].
+        let dir = scratch("hostile-ref");
+        let (csr, a, _) = ring_file(&dir, MergeStrategy::Deferred);
+        let good_ref = file_init(&csr, &a, 0b11);
+        let head_words = encode_init_head(&test_init(None)).len();
+        let identity = head_words + 2 + euler_bsp::wire::words_for(csr.path().to_string_lossy().len());
+        let with_word = |at: usize, word: u64| {
+            let mut bad = good_ref.clone();
+            bad[8 * at..8 * at + 8].copy_from_slice(&word.to_le_bytes());
+            bad
+        };
+        let mut missing = encode_init_head(&test_init(None));
+        missing.u(seed_tag::FILE);
+        missing.str(&dir.join("no-such.ecsr").to_string_lossy());
+        missing.words(&[csr.checksum(), 16, 16, 8, 0b11]);
+        missing.words(&[0; 8]);
+        // More labels claimed than the payload holds, and a payload that ends
+        // where the mask should start.
+        let short_labels = with_word(identity + 1, 1 << 40);
+        let no_mask = good_ref[..8 * (identity + 4)].to_vec();
+        // Label 9 of an 8-partition assignment, in the low and the high half.
+        let labels_at = identity + 5;
+        let big_label = [with_word(labels_at, 9), with_word(labels_at, 9 << 32)];
+        // The endpoints section names vertex 16 of 16: only the checked
+        // lookups of the loader stand between a trusted open and a panic.
+        let corrupt = dir.join("corrupt.ecsr");
+        let mut bytes = std::fs::read(csr.path()).unwrap();
+        let last = bytes.len() - 8;
+        bytes[last..].copy_from_slice(&16u64.to_le_bytes());
+        std::fs::write(&corrupt, &bytes).unwrap();
+        let mut corrupt_ref = encode_init_head(&test_init(None));
+        corrupt_ref.u(seed_tag::FILE);
+        corrupt_ref.str(&corrupt.to_string_lossy());
+        corrupt_ref.words(&[csr.checksum(), 16, 16, 8, 0b11]);
+        let corrupt_ref = [corrupt_ref.as_bytes(), encode_labels(&a).as_bytes()].concat();
+        // A triangle's file holds 32 words: 8 partitions' 64 cut cells are
+        // more than the worker will allocate on its word.
+        let g = euler_graph::builder::graph_from_edges(&[(0, 1), (1, 2), (2, 0)]);
+        euler_graph::write_csr_file(&g, dir.join("triangle.ecsr")).unwrap();
+        let triangle = CsrFile::open(dir.join("triangle.ecsr")).unwrap();
+        let spread = PartitionAssignment::from_labels(vec![0, 3, 7], 8).unwrap();
+        let wide_ref = file_init(&triangle, &spread, 0b11);
+        let hostile_refs = vec![
+            (wide_ref, "cut matrix larger than the file"),
+            (unknown_tag.into_bytes(), "unknown level-0 seed tag 2"),
+            (missing.into_bytes(), "no-such.ecsr"),
+            (with_word(identity, csr.checksum() ^ 1), "not the one the coordinator mapped"),
+            (with_word(identity + 1, 15), "not the one the coordinator mapped"),
+            (with_word(identity + 2, 17), "not the one the coordinator mapped"),
+            (with_word(identity + 3, 9), "names 9 partitions, the tree has 8"),
+            (short_labels, "truncated"),
+            (no_mask, "truncated"),
+            (big_label[0].clone(), "partition P9 out of range"),
+            (big_label[1].clone(), "partition P9 out of range"),
+            (corrupt_ref, "vertex v16 out of range"),
+        ];
         let mut garbage_inbox = WordWriter::from_words(&[0, 1, 7]);
         garbage_inbox.words(&[1, 0, 0, u64::MAX, 0, 0, 0]);
         // The tiny tree ships partition 1 into level 1, nothing else.
@@ -2217,12 +2560,14 @@ mod tests {
             (kind::START, start_payload(0, &[])),
             (kind::START, start_payload(1, &[state(1, &[])])),
         ];
-        for (frames, what) in [
+        let mut cases = vec![
             (vec![(kind::INIT, garbage_seed.into_bytes())], "payload"),
             (vec![(kind::INIT, good_init()), (kind::START, garbage_inbox.into_bytes())], "payload"),
             (vec![(kind::INIT, good_init()), (kind::START, stray_inbox)], "ships no such child"),
             (kept_again, "partition 1 arrived twice"),
-        ] {
+        ];
+        cases.extend(hostile_refs.into_iter().map(|(init, what)| (vec![(kind::INIT, init)], what)));
+        for (frames, what) in cases {
             let listener = MemTransport.listen().unwrap();
             let dial = MemTransport.connect(&listener.endpoint()).unwrap();
             let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
@@ -2232,8 +2577,29 @@ mod tests {
                 conn.send(*k, payload).unwrap();
             }
             let err = worker.join().expect("worker must not panic").unwrap_err();
-            assert!(err.contains(what), "unexpected error: {err}");
+            assert!(err.contains(what), "expected `{what}`, got: {err}");
         }
+        // The same corrupt bytes do not get past the validated open.
+        assert!(matches!(
+            CsrFile::open(&corrupt),
+            Err(euler_graph::GraphError::CsrFormat(_))
+        ));
+
+        // The good reference brings the worker up: Ready carries the
+        // checkpoint Longs and the time the level-0 build took.
+        let listener = MemTransport.listen().unwrap();
+        let dial = MemTransport.connect(&listener.endpoint()).unwrap();
+        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
+        let conn = listener.accept(Duration::from_secs(5)).unwrap();
+        assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
+        conn.send(kind::INIT, &good_ref).unwrap();
+        let (k, ready) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+        let [ckpt0, seed_ns] = WordReader::new(&ready).unwrap().array().unwrap();
+        assert_eq!((k, ckpt0), (kind::READY, 0));
+        assert!(seed_ns > 0, "the worker reports its level-0 build");
+        conn.send(kind::SHUTDOWN, &[]).unwrap();
+        worker.join().unwrap().unwrap();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     /// Workers stepped in place answer the same inbound states with the
@@ -2253,7 +2619,7 @@ mod tests {
                 None,
                 Arc::new(tiny_tree()),
                 MergeStrategy::Deferred,
-                vec![state(0, &[])],
+                vec![state(0, &[])].into(),
             )
             .unwrap();
             run.inbox[0].push(entry(inbound));
@@ -2486,7 +2852,7 @@ mod tests {
             let states: Vec<WorkingPartition> =
                 seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
             let (_, got) = decode_init(&init_payload(&test_init(None), &states)).unwrap();
-            prop_assert_eq!(&got, &states);
+            prop_assert_eq!(&shipped(got), &states);
 
             // Fragments whose virtual edges point at the previous fragment
             // (or, for the first, nowhere — made real).
@@ -2526,6 +2892,16 @@ mod tests {
         ) {
             let payload = WordWriter::from_words(&words).into_bytes();
             let _ = decode_init(&payload);
+            // Garbage behind a well-formed head and either seed tag; a
+            // reference that happens to decode names no file to build from.
+            for tag in [seed_tag::STATES, seed_tag::FILE] {
+                let mut init = encode_init_head(&test_init(None));
+                init.u(tag);
+                init.words(&words);
+                if let Ok((head, SeedTail::File(file))) = decode_init(init.as_bytes()) {
+                    prop_assert!(build_from_file(&file, &head.tree, head.strategy).is_err());
+                }
+            }
             let _ = start_states(&payload);
             if let Ok(done) = decode_done(Arc::new(payload.clone())) {
                 let _ = adopted(fragments_of(&done));

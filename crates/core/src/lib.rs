@@ -36,11 +36,12 @@
 //! [`BspBackend`] (the same level step on a set of workers with per-worker
 //! state, serialised transfers and superstep statistics — stepped in place,
 //! or behind a wire transport, see [`distributed`]). Both backends execute
-//! through one shared merge-tree walk ([`pipeline::run_with_backend`], whose
-//! `Graph`-free core [`pipeline::run_on_partitioned`] also accepts partition
-//! views sliced straight from memory-mapped `.ecsr` files), run one
-//! partition's share of a level through one function, and produce one
-//! unified [`RunReport`]. The pre-pipeline drivers (`find_euler_circuit`,
+//! through one shared merge-tree walk ([`pipeline::run_with_backend`]; its
+//! level-0 partition states are built in two passes over the edge list, from
+//! a memory-mapped `.ecsr` by whoever will run them, and
+//! [`pipeline::run_on_partitioned`] over a prebuilt partition view is the
+//! oracle for that), run one partition's share of a level through one
+//! function, and produce one unified [`RunReport`]. The pre-pipeline drivers (`find_euler_circuit`,
 //! `run_partitioned`, `DistributedRunner`) went through a deprecation
 //! release and are now removed; see the facade crate's migration table.
 
@@ -52,6 +53,7 @@ pub mod distributed;
 pub mod error;
 pub mod fragment;
 mod level;
+mod level0;
 pub mod memory_model;
 pub mod merge_strategy;
 pub mod merge_tree;
@@ -82,7 +84,7 @@ pub use pipeline::{
     run_on_partitioned, run_on_partitioned_cancellable, run_with_backend, BspBackend,
     CircuitStage, EulerPipeline, EulerPipelineBuilder, ExecutionBackend, InProcessBackend,
     LevelOutcome, LevelPartitionReport, LevelWork, MergeStage, PartitionStage, PipelineRun,
-    RunReport,
+    RunReport, Seed,
 };
 pub use service::{
     estimate_run_longs, AdmissionController, AdmissionPermit, EulerService, GraphInfo,

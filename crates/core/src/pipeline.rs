@@ -28,11 +28,12 @@
 //!   [`EulerPipelineBuilder::source`]): in-memory graphs, chunked edge-list
 //!   files, and memory-mapped binary CSR files
 //!   ([`euler_graph::MmapCsrSource`]). A CSR-backed source combined with a
-//!   precomputed assignment takes the *direct slicing path*: the
-//!   partition-centric view is cut straight from the mapped sections
-//!   ([`euler_graph::CsrFile::partitioned`]) and handed to
-//!   [`run_on_partitioned`], so no full [`Graph`] is ever materialised —
-//!   the multi-GB loading mode the paper's scale targets require.
+//!   precomputed assignment takes the *direct slicing path*: one pass over
+//!   the mapped endpoints section counts level 0 (`crate::level0`), and the
+//!   backend fills the partition states from that section where they will
+//!   run — a [`Seed`] — so no full [`Graph`] and no partition view is ever
+//!   materialised — the multi-GB loading mode the paper's scale targets
+//!   require.
 //!
 //! The pre-redesign entry points (`find_euler_circuit`, `run_partitioned`,
 //! `DistributedRunner`) were deprecated wrappers over this module for one
@@ -43,8 +44,9 @@ use crate::cancel::CancelToken;
 use crate::config::EulerConfig;
 use crate::error::EulerError;
 use crate::fragment::{FragmentStore, FragmentStoreStats, ReadSchedule, SpillConfig};
-use crate::memory_model::{LevelTrace, PartitionLevelState};
 use crate::level::{group_inbound, step_slot};
+use crate::level0::{self, FileLevel0};
+use crate::memory_model::{LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::MergeTree;
 use crate::phase1::wstream::{stream_phase1, WStreamStats};
@@ -229,10 +231,46 @@ pub struct LevelWork<'a> {
     pub store: &'a FragmentStore,
     /// Algorithm configuration.
     pub config: &'a EulerConfig,
-    /// Level-0 partition states, sorted by ascending partition id. `Some` on
-    /// the first level of a run, `None` afterwards; receiving a new seed
-    /// resets any state the backend kept from a previous run.
-    pub seed: Option<Vec<WorkingPartition>>,
+    /// The level-0 partition states. `Some` on the first level of a run,
+    /// `None` afterwards; receiving a new seed resets any state the backend
+    /// kept from a previous run.
+    pub seed: Option<Seed<'a>>,
+}
+
+/// What a run starts from: the level-0 partition states, built already (a
+/// resident graph, the W-streaming residuals) or still in their file (a
+/// mapped `.ecsr`, the assignment and one counting pass over it), to be
+/// filled by the backend where its partitions live — all of them in this
+/// process ([`into_states`](Self::into_states)), or each wire worker its own
+/// share.
+pub struct Seed<'a>(pub(crate) SeedKind<'a>);
+
+pub(crate) enum SeedKind<'a> {
+    States(Vec<WorkingPartition>),
+    File(FileLevel0<'a>),
+}
+
+impl Seed<'_> {
+    /// The level-0 state of every partition, ascending by id.
+    ///
+    /// # Errors
+    /// [`EulerError::Graph`] when the seed is still in its file and the file
+    /// names a vertex the assignment does not cover.
+    pub fn into_states(self) -> Result<Vec<WorkingPartition>, EulerError> {
+        match self.0 {
+            SeedKind::States(mut states) => {
+                states.sort_by_key(|s| s.id);
+                Ok(states)
+            }
+            SeedKind::File(level0) => Ok(level0.fill(|_| true)?),
+        }
+    }
+}
+
+impl From<Vec<WorkingPartition>> for Seed<'_> {
+    fn from(states: Vec<WorkingPartition>) -> Self {
+        Seed(SeedKind::States(states))
+    }
 }
 
 /// What a backend reports back from one level.
@@ -329,9 +367,8 @@ impl ExecutionBackend for InProcessBackend {
 
     fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
         let mut inner = self.inner.borrow_mut();
-        if let Some(mut seed) = work.seed {
-            seed.sort_by_key(|s| s.id);
-            *inner = InProcessState { states: seed, inbound: Vec::new() };
+        if let Some(seed) = work.seed {
+            *inner = InProcessState { states: seed.into_states()?, inbound: Vec::new() };
         }
         let st = &mut *inner;
         let level = work.level;
@@ -389,7 +426,14 @@ pub(crate) mod wire {
 
     /// Words in the record [`encode`] writes for `wp`.
     pub fn record_words(wp: &WorkingPartition) -> usize {
-        6 + wp.leaves.len() + 4 * wp.local_edges.len() + 5 * wp.remote_edges.len()
+        let (local, remote) = (wp.local_edges.len() as u64, wp.remote_edges.len() as u64);
+        record_words_of(wp.leaves.len() as u64, local, remote) as usize
+    }
+
+    /// Words in the record of a state with these many leaves, local edges
+    /// and remote refs.
+    pub fn record_words_of(leaves: u64, local: u64, remote: u64) -> u64 {
+        6 + leaves + 4 * local + 5 * remote
     }
 
     pub fn encode(wp: &WorkingPartition, out: &mut WordWriter) {
@@ -683,8 +727,11 @@ pub fn run_with_backend(
     if config.require_eulerian {
         require_even_degrees(properties::first_odd_vertex(g))?;
     }
-    let pg = PartitionedGraph::from_assignment(g, assignment)?;
-    let (result, report) = run_on_partitioned(&pg, config, backend)?;
+    let dedup = config.merge_strategy.deduplicates();
+    let (meta, states) = level0::graph_level0(g, assignment, dedup)?;
+    let store = fragment_store_for(config);
+    let (result, report) =
+        run_merge_walk(&meta, states.into(), store, config, backend, None, None)?;
     if config.verify {
         verify_result(g, &result)?;
     }
@@ -692,22 +739,23 @@ pub fn run_with_backend(
 }
 
 /// Runs the Phase-1/2 merge-tree walk and the Phase-3 unroll over an
-/// already-built partition-centric view — the `Graph`-free core of
-/// [`run_with_backend`].
+/// already-built partition-centric view.
 ///
-/// This is the entry point for inputs that never materialise a [`Graph`]:
-/// [`euler_graph::CsrFile::partitioned`] slices a [`PartitionedGraph`]
-/// straight from a memory-mapped `.ecsr` file and hands it here. Because no
-/// graph is available, [`EulerConfig::require_eulerian`] and
-/// [`EulerConfig::verify`] are **not** applied at this level — callers with
-/// graph access use [`run_with_backend`], and the CSR fast path runs its
-/// degree pre-check off the mapped offsets section instead.
+/// This is the differential oracle of the level-0 loader: the pipeline's own
+/// entry points build their level-0 states in two passes over the edge list
+/// (`crate::level0`), this one converts the view partition by partition
+/// ([`WorkingPartition::from_partition`], [`MetaGraph::from_partitioned`]),
+/// and the two are tested to produce the same bytes. It also serves callers
+/// that hold a [`PartitionedGraph`] and no graph. Because no graph is
+/// available, [`EulerConfig::require_eulerian`] and [`EulerConfig::verify`]
+/// are **not** applied at this level — callers with graph access use
+/// [`run_with_backend`].
 pub fn run_on_partitioned(
     pg: &PartitionedGraph,
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    run_on_partitioned_inner(pg, config, backend, None)
+    run_on_view(pg, config, backend, None)
 }
 
 /// [`run_on_partitioned`] with cooperative cancellation: the walk checks
@@ -722,24 +770,40 @@ pub fn run_on_partitioned_cancellable(
     backend: &dyn ExecutionBackend,
     cancel: &CancelToken,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    run_on_partitioned_inner(pg, config, backend, Some(cancel))
+    run_on_view(pg, config, backend, Some(cancel))
 }
 
-/// The dense path behind every partition-view entry point. The walk reads
-/// nothing of the view beyond the meta-graph and the level-0 states, so a
-/// caller that hands its view over by value has it released here, before
-/// level 0, instead of keeping it resident through Phase 3.
-pub(crate) fn run_on_partitioned_inner(
-    pg: impl std::borrow::Borrow<PartitionedGraph>,
+/// The body of [`run_on_partitioned`].
+fn run_on_view(
+    pg: &PartitionedGraph,
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
     cancel: Option<&CancelToken>,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    let view: &PartitionedGraph = pg.borrow();
-    let meta = MetaGraph::from_partitioned(view);
-    let states = view.partitions().iter().map(WorkingPartition::from_partition).collect();
-    drop(pg);
-    run_merge_walk(&meta, states, fragment_store_for(config), config, backend, None, cancel)
+    let meta = MetaGraph::from_partitioned(pg);
+    let mut states: Vec<_> =
+        pg.partitions().iter().map(WorkingPartition::from_partition).collect();
+    if config.merge_strategy.deduplicates() {
+        apply_remote_edge_dedup(&mut states);
+    }
+    run_merge_walk(&meta, states.into(), fragment_store_for(config), config, backend, None, cancel)
+}
+
+/// The dense path over a mapped `.ecsr`: the walk starts from a level 0
+/// still in its file — `scan` is [`level0::scan_file`] of `csr` under
+/// `assignment` — and the backend fills the partition states where they run.
+pub(crate) fn run_from_file(
+    csr: &CsrFile,
+    assignment: &PartitionAssignment,
+    scan: level0::Scan,
+    config: &EulerConfig,
+    backend: &dyn ExecutionBackend,
+    cancel: Option<&CancelToken>,
+) -> Result<(CircuitResult, RunReport), EulerError> {
+    let meta = scan.meta();
+    let dedup = config.merge_strategy.deduplicates();
+    let seed = Seed(SeedKind::File(FileLevel0 { csr, assignment, scan, dedup }));
+    run_merge_walk(&meta, seed, fragment_store_for(config), config, backend, None, cancel)
 }
 
 /// Builds the run's fragment store from its configuration: an explicit
@@ -793,14 +857,15 @@ fn phase3_read_schedule(tree: &MergeTree, num_partitions: u32) -> ReadSchedule {
     schedule
 }
 
-/// The merge-tree walk + Phase-3 unroll over prebuilt level-0 state: the
-/// common tail of the dense path ([`run_on_partitioned`], states from a
-/// [`PartitionedGraph`]) and the W-streaming path (states and `wstream`
-/// accounting from [`stream_phase1`], with partial tours already in
-/// `store`).
+/// The merge-tree walk + Phase-3 unroll from a level-0 seed: the common
+/// tail of the dense paths (states built from a graph or a partition view, or
+/// a level 0 still in its file) and the W-streaming path (states and
+/// `wstream` accounting from [`stream_phase1`], with partial tours already
+/// in `store`). A strategy that drops duplicate remote refs has dropped them
+/// from the seed.
 fn run_merge_walk(
     meta: &MetaGraph,
-    mut states: Vec<WorkingPartition>,
+    seed: Seed<'_>,
     store: FragmentStore,
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
@@ -812,11 +877,6 @@ fn run_merge_walk(
         // Supersteps plus the Phase-3 unroll — the checkpoints below.
         token.set_total(tree.num_supersteps() + 1);
     }
-    if config.merge_strategy.deduplicates() {
-        apply_remote_edge_dedup(&mut states);
-    }
-    states.sort_by_key(|s| s.id);
-
     let mut report = RunReport {
         num_partitions: meta.num_vertices() as u32,
         supersteps: tree.num_supersteps(),
@@ -833,7 +893,7 @@ fn run_merge_walk(
     store.set_read_schedule(phase3_read_schedule(&tree, meta.num_vertices() as u32));
 
     let t_run = Instant::now();
-    let mut seed = Some(states);
+    let mut seed = Some(seed);
     for level in 0..tree.num_supersteps() {
         store.begin_read_step(level as u64);
         if let Some(token) = cancel {
@@ -1080,8 +1140,16 @@ impl EulerPipeline {
     /// [`partitioner`](EulerPipelineBuilder::partitioner) with a streaming
     /// view ([`euler_partition::StreamingPartitioner`] — hash and LDG) takes
     /// the direct slicing path: the assignment is computed from chunked edge
-    /// batches off the mapped sections, partitions are cut straight from
-    /// those sections, and no [`Graph`] is ever materialised. Configuring
+    /// batches off the mapped sections, one more pass over the endpoints
+    /// section counts level 0 under it (local edges, cut cells — the
+    /// meta-graph — and isolated vertices per partition; both passes are
+    /// [`PartitionStage::partition_time`]), and the walk is seeded with the
+    /// level 0 *still in its file* ([`Seed`]): the backend fills the
+    /// partition states from the mapped section where they will run —
+    /// [`InProcessBackend`] and workers stepped in place all of them, once,
+    /// inside level 0; wire workers each their own share, from the file, on
+    /// their side of the transport. No [`Graph`] and no partition view is
+    /// ever materialised. Configuring
     /// [`verify`](EulerPipelineBuilder::verify), or a partitioner without a
     /// suitable streaming view (BFS placement, custom whole-graph
     /// partitioners), needs the whole graph and falls back to the load path.
@@ -1152,10 +1220,11 @@ impl EulerPipeline {
     }
 
     /// The direct CSR slicing path: degree pre-check off the mapped offsets
-    /// section, partitions cut from the mapped arrays, no [`Graph`] ever
-    /// materialised. `partitioner` names how the assignment came to be
-    /// (pre-assigned, or a streaming partitioner whose pass took
-    /// `partition_time` so far).
+    /// section, level 0 counted here and filled by the backend from the
+    /// mapped arrays, no [`Graph`] ever materialised. `partitioner` names how
+    /// the assignment came to be (pre-assigned, or a streaming partitioner
+    /// whose pass took `partition_time` so far); the counting pass is
+    /// partitioning time too.
     fn run_from_csr(
         &self,
         csr: &CsrFile,
@@ -1167,14 +1236,14 @@ impl EulerPipeline {
             require_even_degrees(csr.first_odd_vertex())?;
         }
         let t_part = Instant::now();
-        let pg = csr.partitioned(&assignment)?;
+        let scan = level0::scan_file(csr, &assignment)?;
         let partition_time = partition_time + t_part.elapsed();
         let (result, report) =
-            run_on_partitioned_inner(pg, &self.config, self.backend.as_ref(), None)?;
+            run_from_file(csr, &assignment, scan, &self.config, self.backend.as_ref(), None)?;
         let provenance = Provenance {
             source: self.source.name(),
             // Nothing is loaded up front; pages fault in as the partition
-            // stream and partition slicing touch them, which the partition
+            // stream and the level-0 scan touch them, which the partition
             // stage times.
             load_time: Duration::ZERO,
             partitioner,
@@ -1188,7 +1257,7 @@ impl EulerPipeline {
 
     /// The W-streaming path ([`EulerConfig::streaming_phase1`]): level-0
     /// tours are built by one pass of [`stream_phase1`] over the source's
-    /// edge stream — no dense incidence arena, no [`PartitionedGraph`] — and
+    /// edge stream — no dense incidence arena, no level-0 fill — and
     /// the residual coarse state rides the ordinary merge-tree walk.
     ///
     /// The assignment comes from the builder verbatim, from a streaming
@@ -1243,9 +1312,13 @@ impl EulerPipeline {
         if self.config.require_eulerian {
             require_even_degrees(outcome.first_odd)?;
         }
+        let mut states = outcome.states;
+        if self.config.merge_strategy.deduplicates() {
+            apply_remote_edge_dedup(&mut states);
+        }
         let (result, mut report) = run_merge_walk(
             &outcome.meta,
-            outcome.states,
+            states.into(),
             store,
             &self.config,
             self.backend.as_ref(),
@@ -1345,7 +1418,9 @@ pub struct PartitionStage {
     pub load_time: Duration,
     /// Name of the partitioner, or `"pre-assigned"` for a fixed assignment.
     pub partitioner: String,
-    /// Time spent partitioning.
+    /// Time spent partitioning: computing the assignment and, on the direct
+    /// CSR path, the one pass over the file that counts level 0 under it
+    /// (filling the partition states is the backend's, inside level 0).
     pub partition_time: Duration,
     /// Vertices in the loaded graph.
     pub num_vertices: u64,

@@ -51,7 +51,7 @@ use crate::error::EulerError;
 use crate::memory_model::{model_series, LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::phase3::{CircuitResult, CircuitStep};
-use crate::pipeline::{run_on_partitioned_inner, InProcessBackend, RunReport};
+use crate::pipeline::{run_from_file, InProcessBackend, RunReport};
 use euler_bsp::transport::Connection;
 use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
@@ -912,7 +912,7 @@ fn compute_run(
 }
 
 /// One pipeline run over a registered graph: streaming-partition the mapped
-/// CSR, slice the partition view, walk the merge tree cancellably. The
+/// CSR, count level 0 off it, walk the merge tree cancellably. The
 /// streaming partitioners produce the same assignment as their in-memory
 /// counterparts by construction, and the merge-tree walk is deterministic
 /// for every thread count, so the result is bit-identical to the library
@@ -930,7 +930,7 @@ fn compute_circuit(
         }
         PartitionerKind::Ldg => LdgPartitioner::new(opts.partitions).partition_stream(&mut stream)?,
     };
-    let pg = graph.csr.partitioned(&assignment)?;
+    let scan = crate::level0::scan_file(&graph.csr, &assignment)?;
     let config = EulerConfig {
         merge_strategy: opts.strategy,
         fragment_memory_budget: Some(fragment_budget_longs),
@@ -939,7 +939,7 @@ fn compute_circuit(
     // Fragment ids do not depend on the thread schedule, so a cached circuit
     // and a fresh recomputation of the same (graph, options) key are the
     // same bytes at any thread count.
-    run_on_partitioned_inner(pg, &config, &InProcessBackend::new(), Some(token))
+    run_from_file(&graph.csr, &assignment, scan, &config, &InProcessBackend::new(), Some(token))
 }
 
 fn stream_result(

@@ -21,8 +21,8 @@
 //!   (adjacency order and edge endpoint order included, so downstream runs
 //!   are bit-identical to in-memory ones).
 //! * [`CsrFile::partitioned`] slices the mapped arrays straight into a
-//!   [`PartitionedGraph`] for a given assignment — the multi-GB path that
-//!   never materialises a `Graph` at all.
+//!   [`PartitionedGraph`] for a given assignment, without a `Graph` — the
+//!   oracle the pipeline's own level-0 loader is tested against.
 //!
 //! Corrupt or foreign files fail with a typed [`CsrFileError`] wrapped in
 //! [`GraphError::CsrFormat`].
@@ -36,7 +36,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic: `ECSR` followed by the PNG-style `\r\n\x1a\n` guard that
 /// detects text-mode line-ending mangling and truncation-by-EOF-char.
@@ -263,6 +263,7 @@ pub fn write_csr_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphErr
 /// `edge_ids()` in parallel), with a self-loop appearing twice.
 #[derive(Debug)]
 pub struct CsrFile {
+    path: PathBuf,
     map: Mmap,
     num_vertices: u64,
     num_edges: u64,
@@ -299,13 +300,19 @@ impl CsrFile {
     ///
     /// Use this for very large files from a trusted local producer; the
     /// zero-copy accessors then fault pages in lazily as partitions touch
-    /// them. A corrupt section will surface as wrong results or an
-    /// out-of-range panic downstream rather than a typed error here.
+    /// them. A corrupt section will surface downstream rather than as a typed
+    /// error here: as wrong results, as an out-of-range panic in
+    /// [`degree`](Self::degree), [`first_odd_vertex`](Self::first_odd_vertex)
+    /// or [`to_graph`](Self::to_graph) — or, from
+    /// [`partitioned`](Self::partitioned) and the pipeline's level-0 loader,
+    /// which look every endpoint up checked, as
+    /// [`GraphError::VertexOutOfRange`].
     ///
     /// # Errors
     /// Same as [`open`](Self::open) minus the checksum/structure cases.
     pub fn open_trusted<P: AsRef<Path>>(path: P) -> Result<CsrFile, GraphError> {
-        let file = File::open(path)?;
+        let path = path.as_ref().to_path_buf();
+        let file = File::open(&path)?;
         let map = Mmap::map(&file)?;
         let len = map.len() as u64;
         // Every header read below is bounds-checked: the bytes come straight
@@ -375,7 +382,7 @@ impl CsrFile {
         let edge_ids = section("edge_ids", le_u64(48)?, half_edges)?;
         let endpoints = section("endpoints", le_u64(56)?, half_edges)?;
 
-        Ok(CsrFile { map, num_vertices, num_edges, offsets, targets, edge_ids, endpoints })
+        Ok(CsrFile { path, map, num_vertices, num_edges, offsets, targets, edge_ids, endpoints })
     }
 
     /// Recomputes the section checksum and compares it to the header's.
@@ -454,6 +461,11 @@ impl CsrFile {
             }
         }
         Ok(())
+    }
+
+    /// The path the file was opened at.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Number of vertices.
@@ -553,9 +565,16 @@ impl CsrFile {
     /// [`PartitionedGraph::from_assignment`] over the original graph, without
     /// ever materialising the graph.
     ///
+    /// This is the oracle; the pipeline no longer calls it. A run builds its
+    /// level-0 partition states from the same section in two passes of its
+    /// own (`euler-core`'s level-0 loader) and is tested to equal this view
+    /// converted state by state.
+    ///
     /// # Errors
     /// [`GraphError::IncompleteAssignment`] when the assignment does not
-    /// cover every vertex of the file.
+    /// cover every vertex of the file; [`GraphError::VertexOutOfRange`] for
+    /// an endpoint beyond it (possible only in a file opened with
+    /// [`open_trusted`](Self::open_trusted)).
     pub fn partitioned(&self, assignment: &PartitionAssignment) -> Result<PartitionedGraph, GraphError> {
         // The mapped endpoints section iterates in ascending edge id — the
         // same order as `Graph::edges` — and both paths share the one

@@ -48,6 +48,15 @@ impl PartitionAssignment {
         self.assignment[v.index()]
     }
 
+    /// The label of every vertex, in vertex order; each is below
+    /// [`num_partitions`](Self::num_partitions). The checked way to look a
+    /// vertex up (`labels().get(..)`) for ids that come from unvalidated
+    /// bytes.
+    #[inline]
+    pub fn labels(&self) -> &[PartitionId] {
+        &self.assignment
+    }
+
     /// Number of partitions.
     #[inline]
     pub fn num_partitions(&self) -> u32 {
@@ -279,7 +288,9 @@ impl PartitionedGraph {
 ///
 /// # Errors
 /// [`GraphError::IncompleteAssignment`] when the assignment does not cover
-/// `num_vertices`.
+/// `num_vertices`; [`GraphError::VertexOutOfRange`] for an edge endpoint
+/// beyond it (the edges of a [`crate::CsrFile::open_trusted`] file are
+/// unvalidated).
 pub(crate) fn build_partition_view(
     num_vertices: u64,
     num_edges: u64,
@@ -297,9 +308,12 @@ pub(crate) fn build_partition_view(
     let mut is_boundary = vec![false; num_vertices as usize];
     let mut cut_edges = 0u64;
 
+    let part = |v: VertexId| {
+        let label = usize::try_from(v.0).ok().and_then(|at| assignment.labels().get(at));
+        label.copied().ok_or(GraphError::VertexOutOfRange { vertex: v, num_vertices })
+    };
     for (e, u, v) in edges {
-        let pu = assignment.partition_of(u);
-        let pv = assignment.partition_of(v);
+        let (pu, pv) = (part(u)?, part(v)?);
         if pu == pv {
             partitions[pu.index()].local_edges.push((e, u, v));
         } else {

@@ -55,9 +55,9 @@ pub trait GraphSource {
     }
 
     /// The source's memory-mapped CSR view, if it has one. The pipeline uses
-    /// it to run degree checks and slice the partition-centric view directly
-    /// from the mapped sections ([`CsrFile::partitioned`]) instead of loading
-    /// a [`Graph`] first. Default: `None`.
+    /// it to run degree checks and build the level-0 partition states
+    /// directly from the mapped sections instead of loading a [`Graph`]
+    /// first. Default: `None`.
     fn csr(&self) -> Option<&CsrFile> {
         None
     }
@@ -331,7 +331,6 @@ impl GraphSource for EdgeListFileSource {
 /// ```
 #[derive(Debug)]
 pub struct MmapCsrSource {
-    path: PathBuf,
     csr: CsrFile,
 }
 
@@ -343,9 +342,7 @@ impl MmapCsrSource {
     /// [`GraphError::Io`] on filesystem failures, [`GraphError::CsrFormat`]
     /// on malformed files.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, GraphError> {
-        let path = path.into();
-        let csr = CsrFile::open(&path)?;
-        Ok(MmapCsrSource { path, csr })
+        Ok(MmapCsrSource { csr: CsrFile::open(path.into())? })
     }
 
     /// Opens the file with framing checks only — no checksum pass, nothing
@@ -355,14 +352,12 @@ impl MmapCsrSource {
     /// # Errors
     /// Same as [`open`](Self::open) minus the checksum/structure cases.
     pub fn open_trusted(path: impl Into<PathBuf>) -> Result<Self, GraphError> {
-        let path = path.into();
-        let csr = CsrFile::open_trusted(&path)?;
-        Ok(MmapCsrSource { path, csr })
+        Ok(MmapCsrSource { csr: CsrFile::open_trusted(path.into())? })
     }
 
     /// The file path this source maps.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.csr.path()
     }
 
     /// The mapped CSR view.
@@ -375,7 +370,7 @@ impl GraphSource for MmapCsrSource {
     fn name(&self) -> String {
         format!(
             "mmap csr file {} ({} vertices, {} edges)",
-            self.path.display(),
+            self.csr.path().display(),
             self.csr.num_vertices(),
             self.csr.num_edges()
         )

@@ -10,7 +10,10 @@
 //!    respawned, the fleet rolls back to the superstep checkpoint and the
 //!    run completes anyway.
 //!
-//! The final circuits must be bit-identical. This is the CI smoke for the
+//! The final circuits must be bit-identical. Both runs are then repeated
+//! with the graph packed to a temporary `.ecsr`: the coordinator ships no
+//! partition states, each worker is pointed at the file and builds its own —
+//! same circuit, a fraction of the Init bytes. This is the CI smoke for the
 //! distributed path (the `euler-worker` binary must be built first, which
 //! `cargo build` / `cargo test` do as a matter of course).
 //!
@@ -21,15 +24,26 @@ use std::sync::Arc;
 
 use euler_circuit::prelude::*;
 
-fn run(g: &Graph, a: &PartitionAssignment, backend: BspBackend) -> PipelineRun {
+fn run(source: impl GraphSource + 'static, a: &PartitionAssignment, backend: BspBackend) -> PipelineRun {
     EulerPipeline::builder()
-        .graph(g)
+        .source(source)
         .assignment(a.clone())
         .backend(backend)
         .build()
         .expect("pipeline builds")
         .run()
         .expect("pipeline runs")
+}
+
+fn process_workers() -> BspBackend {
+    BspBackend::with_engine(BspConfig::with_workers(2))
+        .with_transport(Arc::new(TcpTransport))
+        .process_workers(true)
+}
+
+fn same_circuit(a: &PipelineRun, b: &PipelineRun) -> bool {
+    a.circuit.result.circuits == b.circuit.result.circuits
+        && a.merge.total_transfer_longs == b.merge.total_transfer_longs
 }
 
 fn main() -> ExitCode {
@@ -44,15 +58,13 @@ fn main() -> ExitCode {
     );
 
     println!("\n=== clean run ===");
-    let clean = run(
-        &g,
-        &a,
-        BspBackend::with_engine(BspConfig::with_workers(2))
-            .with_transport(Arc::new(TcpTransport))
-            .process_workers(true),
-    );
+    let clean = run(InMemorySource::new(g.clone()), &a, process_workers());
     let engine = clean.merge.engine.as_ref().expect("BSP runs carry engine stats");
     println!("  placement (worker per partition): {:?}", engine.placement);
+    println!(
+        "  Init: {} bytes of partition states, level-0 build {:?} on the slowest worker",
+        engine.init_bytes, engine.seed_build_time
+    );
     for s in &engine.supersteps {
         println!(
             "  superstep {}: {} partitions, {} msgs / {} bytes kept on their worker, \
@@ -75,15 +87,8 @@ fn main() -> ExitCode {
 
     println!("\n=== SIGKILL worker 1 at superstep 1, checkpointed recovery ===");
     let ckpt = std::env::temp_dir().join(format!("euler-pw-ckpt-{}", std::process::id()));
-    let killed = run(
-        &g,
-        &a,
-        BspBackend::with_engine(BspConfig::with_workers(2))
-            .with_transport(Arc::new(TcpTransport))
-            .process_workers(true)
-            .checkpoint_dir(&ckpt)
-            .with_fault_plan(FaultPlan::kill_at(1, 1)),
-    );
+    let sabotaged = || process_workers().checkpoint_dir(&ckpt).with_fault_plan(FaultPlan::kill_at(1, 1));
+    let killed = run(InMemorySource::new(g.clone()), &a, sabotaged());
     let recovery = killed.merge.engine.as_ref().unwrap().recovery;
     println!(
         "  restarts: {}, full restarts: {}, heartbeat misses: {}",
@@ -103,9 +108,7 @@ fn main() -> ExitCode {
         eprintln!("FAIL: the kill was never observed");
         return ExitCode::FAILURE;
     }
-    if clean.circuit.result.circuits != killed.circuit.result.circuits
-        || clean.merge.total_transfer_longs != killed.merge.total_transfer_longs
-    {
+    if !same_circuit(&clean, &killed) {
         eprintln!("FAIL: recovered run differs from the clean run");
         return ExitCode::FAILURE;
     }
@@ -114,5 +117,33 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("\nrecovered run is bit-identical to the clean run");
+
+    println!("\n=== the same two runs from a packed .ecsr: workers read their own partitions ===");
+    let ecsr = std::env::temp_dir().join(format!("euler-pw-{}.ecsr", std::process::id()));
+    write_csr_file(&g, &ecsr).expect("pack the graph");
+    let open = || MmapCsrSource::open(&ecsr).expect("open the packed graph");
+    let from_file = run(open(), &a, process_workers());
+    let killed_from_file = run(open(), &a, sabotaged());
+    std::fs::remove_file(&ecsr).ok();
+    let by_reference = from_file.merge.engine.as_ref().expect("BSP runs carry engine stats");
+    let recovery = killed_from_file.merge.engine.as_ref().unwrap().recovery;
+    println!(
+        "  Init: {} bytes by reference ({} with the states shipped), level-0 build {:?} on the \
+         slowest worker; sabotaged run: {} restart(s)",
+        by_reference.init_bytes, engine.init_bytes, by_reference.seed_build_time, recovery.restarts
+    );
+    if !same_circuit(&clean, &from_file) || !same_circuit(&clean, &killed_from_file) {
+        eprintln!("FAIL: a run from the .ecsr differs from the run from the graph");
+        return ExitCode::FAILURE;
+    }
+    if by_reference.placement != engine.placement || by_reference.init_bytes >= engine.init_bytes {
+        eprintln!("FAIL: the .ecsr run did not place alike or did not send less than the states");
+        return ExitCode::FAILURE;
+    }
+    if recovery.restarts == 0 || ckpt.exists() {
+        eprintln!("FAIL: the kill of the .ecsr run was not observed, or its checkpoints survived");
+        return ExitCode::FAILURE;
+    }
+    println!("\nruns from the .ecsr are bit-identical to the runs from the graph");
     ExitCode::SUCCESS
 }

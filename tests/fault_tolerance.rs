@@ -496,6 +496,83 @@ fn kill_at_a_superstep_fed_only_by_kept_states_recovers_bit_identically() {
     }
 }
 
+/// Workers fed from a mapped `.ecsr` hold a reference, not states: a
+/// respawned worker and a fully restarted fleet are re-initialised with the
+/// same reference and rebuild their own partitions from the file. Killed at
+/// superstep 0 and at the superstep fed by kept states alone, with and
+/// without checkpoints, the run stays bit-identical and no re-Init falls back
+/// to shipping states.
+#[test]
+fn process_workers_fed_from_a_file_recover_by_reference_bit_identically() {
+    let g = graph_from(77, 130, 14);
+    let a = LdgPartitioner::new(4).partition(&g);
+    let config = EulerConfig::default();
+    let reference = reference_run(&g, &a, &config);
+    let dir = scratch_dir("file-seed");
+    let ecsr = dir.join("graph.ecsr");
+    write_csr_file(&g, &ecsr).unwrap();
+    let processes = || {
+        BspBackend::with_engine(BspConfig::with_workers(2))
+            .with_transport(Arc::new(TcpTransport))
+            .process_workers(true)
+            .fault_policy(fast_policy())
+    };
+    let from_file = |backend: BspBackend| {
+        EulerPipeline::builder()
+            .source(MmapCsrSource::open(&ecsr).unwrap())
+            .assignment(a.clone())
+            .config(config.clone())
+            .backend(backend)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+    };
+    let shipped = distributed_run(&g, &a, &config, processes());
+    let clean = from_file(processes());
+    assert_same_run(&reference, &clean);
+    let init_of = |run: &PipelineRun| run.merge.engine.as_ref().unwrap().init_bytes;
+    assert!(
+        init_of(&clean) < init_of(&shipped),
+        "a reference ({} B) is smaller than the states ({} B)",
+        init_of(&clean),
+        init_of(&shipped)
+    );
+
+    for (kill_superstep, checkpointed) in [(0, true), (0, false), (1, true), (1, false)] {
+        let tag = format!("kill at superstep {kill_superstep}, checkpoints: {checkpointed}");
+        let ckpt = checkpointed.then(|| dir.join(format!("ckpt-{kill_superstep}")));
+        let mut backend = processes().with_fault_plan(FaultPlan::kill_at(1, kill_superstep));
+        if let Some(ckpt) = &ckpt {
+            backend = backend.checkpoint_dir(ckpt);
+        }
+        let run = from_file(backend);
+        assert!(verify_result(&g, &run.circuit.result).is_ok(), "{tag}");
+        assert_same_run(&reference, &run);
+        let engine = run.merge.engine.as_ref().unwrap();
+        assert_eq!(engine.supersteps[0].remote_messages, 0, "{tag}: superstep 1 is fed by kept states only");
+        assert!(engine.recovery.restarts >= 1, "{tag}: the kill was not observed");
+        if checkpointed {
+            assert!(engine.recovery.checkpoint_longs_restored > 0, "{tag}");
+            assert_eq!(engine.recovery.full_restarts, 0, "{tag}");
+        } else {
+            assert!(engine.recovery.full_restarts >= 1, "{tag}");
+        }
+        // The dead worker — after a full restart, every worker — was sent
+        // its Init again: the same reference, never the states.
+        assert!(
+            init_of(&clean) < engine.init_bytes && engine.init_bytes <= 2 * init_of(&clean),
+            "{tag}: {} Init bytes against {} of the clean run",
+            engine.init_bytes,
+            init_of(&clean)
+        );
+        if let Some(ckpt) = &ckpt {
+            assert!(!ckpt.exists(), "{tag}");
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn process_workers_on_mem_transport_are_rejected_up_front() {
     let g = graph_from(3, 40, 4);

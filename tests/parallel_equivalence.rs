@@ -69,6 +69,8 @@ struct Observed {
     /// Not compared: the spill traffic of a budgeted run depends on which
     /// fragments happened to be resident.
     stats: FragmentStoreStats,
+    /// Not compared either: a BSP run's superstep statistics.
+    engine: Option<euler_circuit::bsp::EngineStats>,
 }
 
 impl Observed {
@@ -107,9 +109,18 @@ fn observe(
     config: &EulerConfig,
     backend: impl ExecutionBackend + 'static,
 ) -> Observed {
+    observe_source(InMemorySource::new(g.clone()), assignment, config, backend)
+}
+
+fn observe_source(
+    source: impl GraphSource + 'static,
+    assignment: &PartitionAssignment,
+    config: &EulerConfig,
+    backend: impl ExecutionBackend + 'static,
+) -> Observed {
     let store = Rc::new(RefCell::new(None));
     let run = EulerPipeline::builder()
-        .graph(g)
+        .source(source)
         .assignment(assignment.clone())
         .config(config.clone())
         .backend(KeepStore { inner: backend, store: Rc::clone(&store) })
@@ -145,6 +156,7 @@ fn observe(
             .collect(),
         fragments: store.snapshot(),
         stats: run.circuit.fragment_stats,
+        engine: run.merge.engine,
     }
 }
 
@@ -204,6 +216,31 @@ fn every_backend_is_bit_identical_to_sequential_twenty_times_over() {
     assert_every_schedule_matches_sequential(&g, &assignment, 20);
 }
 
+/// The facts of two BSP runs' supersteps that no clock reads and that do not
+/// depend on where the workers live or how they were seeded: which partitions
+/// ran, what was handed over and what was shuffled, the memory after.
+fn assert_same_superstep_facts(
+    a: &euler_circuit::bsp::EngineStats,
+    b: &euler_circuit::bsp::EngineStats,
+    tag: &str,
+) {
+    assert_eq!(a.num_workers, b.num_workers, "{tag}");
+    assert_eq!(a.placement, b.placement, "{tag}: one placement rule");
+    assert_eq!(a.supersteps.len(), b.supersteps.len(), "{tag}");
+    for (a, b) in a.supersteps.iter().zip(&b.supersteps) {
+        let tag = format!("{tag}, superstep {}", a.superstep);
+        assert_eq!(a.superstep, b.superstep, "{tag}");
+        assert_eq!(a.active_partitions, b.active_partitions, "{tag}");
+        assert_eq!(
+            (a.local_messages, a.local_bytes, a.remote_messages, a.remote_bytes),
+            (b.local_messages, b.local_bytes, b.remote_messages, b.remote_bytes),
+            "{tag}: shuffle"
+        );
+        assert_eq!(a.memory.level, b.memory.level, "{tag}");
+        assert_eq!(a.memory.per_partition, b.memory.per_partition, "{tag}: memory");
+    }
+}
+
 /// The two BSP substrates run one step and one barrier fold: for every
 /// worker count the workers stepped in place and thread workers behind the
 /// in-memory transport report the same superstep statistics in every field
@@ -239,8 +276,7 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
         let merges = tree.levels.iter().map(Vec::len).sum::<usize>() as u64;
         let tag = format!("{workers} workers");
         assert_eq!(in_place.num_workers, workers, "{tag}");
-        assert_eq!(wire.num_workers, workers, "{tag}");
-        assert_eq!(in_place.placement, wire.placement, "{tag}: one placement rule");
+        assert_same_superstep_facts(&in_place, &wire, &tag);
         assert_eq!(in_place.placement.len(), parts as usize, "{tag}");
         assert!(in_place.placement.iter().all(|&w| w < workers), "{tag}");
         if workers == parts as usize {
@@ -255,19 +291,9 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
         assert_eq!(in_place.recovery, RecoveryStats::default(), "{tag}: nothing to recover in place");
         assert!(in_place.modelled_platform_overhead > std::time::Duration::ZERO, "{tag}");
         assert_eq!(in_place.modelled_platform_overhead, wire.modelled_platform_overhead, "{tag}");
-        assert_eq!(in_place.supersteps.len(), wire.supersteps.len(), "{tag}");
         let mut shipped = 0;
         for (a, b) in in_place.supersteps.iter().zip(&wire.supersteps) {
             let tag = format!("{tag}, superstep {}", a.superstep);
-            assert_eq!(a.superstep, b.superstep, "{tag}");
-            assert_eq!(a.active_partitions, b.active_partitions, "{tag}");
-            assert_eq!(
-                (a.local_messages, a.local_bytes, a.remote_messages, a.remote_bytes),
-                (b.local_messages, b.local_bytes, b.remote_messages, b.remote_bytes),
-                "{tag}: shuffle"
-            );
-            assert_eq!(a.memory.level, b.memory.level, "{tag}");
-            assert_eq!(a.memory.per_partition, b.memory.per_partition, "{tag}: memory");
             let buckets = |s: &euler_circuit::bsp::SuperstepStats| -> Vec<(u32, Vec<String>)> {
                 s.per_partition_compute
                     .iter()
@@ -307,6 +333,78 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
         bytes_by_workers.push(in_place.supersteps.iter().map(|s| s.total_bytes()).collect());
     }
     assert!(bytes_by_workers.windows(2).all(|w| w[0] == w[1]), "{bytes_by_workers:?}");
+}
+
+/// Level 0 straight off a mapped `.ecsr`: the in-process backend and workers
+/// stepped in place fill every partition from the file, wire workers — threads
+/// over the in-memory transport, processes over TCP — are pointed at it and
+/// build their own. Every one of them must equal the `.graph(g)` run down to
+/// the fragment ids, under each merge strategy, and the BSP substrates must
+/// report the same statistics whether their level 0 was built in place, shipped
+/// as states or read by the workers.
+#[test]
+fn workers_fed_from_a_mapped_file_match_the_graph_run_down_to_the_fragment_ids() {
+    force_four_threads();
+    let g = eulerize(&RmatGenerator::new(10).with_avg_degree(8.0).with_seed(7).generate()).0;
+    let parts = 6usize;
+    let assignment = LdgPartitioner::new(parts as u32).partition(&g);
+    let path = std::env::temp_dir().join(format!("euler-pe-{}.ecsr", std::process::id()));
+    write_csr_file(&g, &path).unwrap();
+    let from_file = |config: &EulerConfig, backend: BspBackend| {
+        observe_source(MmapCsrSource::open(&path).unwrap(), &assignment, config, backend)
+    };
+    let mem_wire = || {
+        BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(MemTransport))
+    };
+    let processes = || {
+        BspBackend::with_engine(BspConfig::with_workers(2))
+            .with_transport(Arc::new(TcpTransport))
+            .process_workers(true)
+    };
+
+    for strategy in MergeStrategy::all() {
+        let config = EulerConfig::default().with_merge_strategy(strategy);
+        let oracle = observe(&g, &assignment, &config.clone().sequential(), InProcessBackend::new());
+        let tag = |what: &str| format!("{what} off the file, {strategy}");
+        let in_process =
+            observe_source(MmapCsrSource::open(&path).unwrap(), &assignment, &config, InProcessBackend::new());
+        in_process.assert_matches(&oracle, &tag("in-process fan-out"));
+        for workers in [1, parts] {
+            let engine = BspConfig::with_workers(workers);
+            from_file(&config, BspBackend::with_engine(engine))
+                .assert_matches(&oracle, &tag(&format!("{workers} in-place worker(s)")));
+        }
+        let in_place = from_file(&config, BspBackend::with_engine(BspConfig::with_workers(2)));
+        let threads = from_file(&config, mem_wire());
+        let procs = from_file(&config, processes());
+        let shipped = observe(&g, &assignment, &config, mem_wire());
+        in_place.assert_matches(&oracle, &tag("2 in-place workers"));
+        threads.assert_matches(&oracle, &tag("2 Mem-wire thread workers"));
+        procs.assert_matches(&oracle, &tag("2 process workers"));
+        shipped.assert_matches(&oracle, &tag("2 Mem-wire thread workers, states shipped, not"));
+
+        // One placement and one set of shuffle and memory statistics; only
+        // what seeding the workers moved differs.
+        let stats = |o: &Observed| o.engine.clone().expect("bsp runs report engine stats");
+        let (in_place, threads, procs, shipped) =
+            (stats(&in_place), stats(&threads), stats(&procs), stats(&shipped));
+        for (other, what) in [(&threads, "threads"), (&procs, "processes"), (&shipped, "shipped")] {
+            let tag = tag(what);
+            assert_same_superstep_facts(&in_place, other, &tag);
+            assert_eq!(in_place.recovery, other.recovery, "{tag}: nothing to recover");
+            assert!(other.supersteps.iter().all(|s| s.fragment_bytes > 0), "{tag}");
+        }
+        assert_eq!(threads.init_bytes, procs.init_bytes, "{strategy}: one reference, either wire");
+        assert_eq!((in_place.init_bytes, in_place.seed_build_time), (0, std::time::Duration::ZERO));
+        assert!(
+            0 < threads.init_bytes && threads.init_bytes < shipped.init_bytes,
+            "{strategy}: a reference ({} B) is smaller than the states ({} B)",
+            threads.init_bytes,
+            shipped.init_bytes
+        );
+        assert!(procs.seed_build_time > std::time::Duration::ZERO, "{strategy}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// The memory promise under concurrency: with a level's partitions pushing
