@@ -32,6 +32,7 @@ fn main() {
             "Shuffle bytes",
             "Local bytes",
             "Init bytes",
+            "Fragment bytes",
         ],
     );
     for (i, config) in PAPER_CONFIGS.iter().enumerate() {
@@ -56,6 +57,9 @@ fn main() {
             // What seeding the workers moved: nothing while they are stepped
             // in place, the Init payloads behind a transport.
             stats.init_bytes.to_string(),
+            // Likewise the fragments the Dones carry back: 8 bytes per disk
+            // Long and five framing words per segment, behind a transport.
+            stats.supersteps.iter().map(|s| s.fragment_bytes).sum::<u64>().to_string(),
         ]);
         total_series.push(config.name, i as f64, total.as_secs_f64());
         compute_series.push(config.name, i as f64, compute.as_secs_f64());

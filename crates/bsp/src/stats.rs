@@ -33,9 +33,10 @@ pub struct SuperstepStats {
     pub remote_messages: u64,
     /// Bytes crossing worker boundaries.
     pub remote_bytes: u64,
-    /// Bytes of the fragment lists wire workers sent the coordinator with
-    /// this superstep's results. Zero for workers stepped in place, whose
-    /// fragments go straight into the walk's store.
+    /// Bytes of the fragment segments wire workers sent the coordinator with
+    /// this superstep's results: 8 per modelled disk Long plus five framing
+    /// words per segment. Zero for workers stepped in place, whose fragments
+    /// go straight into the walk's store.
     pub fragment_bytes: u64,
     /// Memory state reported by the partitions this superstep.
     pub memory: MemoryState,

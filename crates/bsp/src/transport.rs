@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION (6)
+//! version u16  FRAME_VERSION (7)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
 //! check   u64  word-folded FNV-1a over kind, len and payload
@@ -26,12 +26,13 @@
 //! use — over the word `kind`, the word `len`, then the payload as
 //! little-endian `u64` words, a trailing partial word zero-padded. (Frame
 //! version 1 ran byte-serial FNV-1a over the same fields, eight dependent
-//! multiplies per word; versions 2 to 5 framed like version 6 but carried
+//! multiplies per word; versions 2 to 6 framed like version 7 but carried
 //! other messages — an Init with three more words and fragment ids of
 //! another layout, then a Done whose reports lacked the two codec times,
 //! then one whose tail lacked the two by-value hand-off counters, then an
-//! Init whose seed was an untagged state list and a one-word Ready. All are
-//! rejected as `UnsupportedVersion`.)
+//! Init whose seed was an untagged state list and a one-word Ready, then a
+//! Done whose fragments were a list of four-words-per-edge records, each
+//! behind its id. All are rejected as `UnsupportedVersion`.)
 //!
 //! A payload may be sent as a *list of parts*
 //! ([`Connection::send_parts`]): the checksum is chained across the parts
@@ -65,7 +66,7 @@ pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version. Bumped whenever the layout of the frame or
 /// of any message carried in it changes, so peers of different builds refuse
 /// each other at the first frame instead of misreading a payload.
-pub const FRAME_VERSION: u16 = 6;
+pub const FRAME_VERSION: u16 = 7;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;

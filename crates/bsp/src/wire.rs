@@ -142,6 +142,27 @@ pub fn words_for(bytes: usize) -> usize {
     bytes.div_ceil(8)
 }
 
+/// The `N` words at word offset `at` of `bytes`, read in place; zeros when
+/// they are not all there. For a reader that walks a payload [`WordReader`]
+/// already validated and must not panic on it all the same.
+pub fn words_at<const N: usize>(bytes: &[u8], at: usize) -> [u64; N] {
+    let end = at.saturating_add(N).saturating_mul(8);
+    let (words, _) = bytes.get(end - 8 * N..end).unwrap_or_default().as_chunks::<8>();
+    let mut out = [0u64; N];
+    for (o, w) in out.iter_mut().zip(words) {
+        *o = u64::from_le_bytes(*w);
+    }
+    out
+}
+
+/// Appends `words` to `buf` as the little-endian bytes they travel as.
+pub fn extend_words(buf: &mut Vec<u8>, words: &[u64]) {
+    buf.reserve(8 * words.len());
+    for w in words {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
 /// An append-only word payload, kept as the bytes that go on the wire.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WordWriter {
@@ -183,10 +204,7 @@ impl WordWriter {
 
     /// Appends a run of words.
     pub fn words(&mut self, words: &[u64]) {
-        self.buf.reserve(8 * words.len());
-        for w in words {
-            self.buf.extend_from_slice(&w.to_le_bytes());
-        }
+        extend_words(&mut self.buf, words);
     }
 
     /// Overwrites word `at` — a count written ahead of the elements it
@@ -281,6 +299,23 @@ impl<'a> WordReader<'a> {
             *o = u64::from_le_bytes(*w);
         }
         Ok(out)
+    }
+
+    /// Reads `count` consecutive `N`-word elements in one bounded take — the
+    /// tight loop for the bulk of a record. A count the payload cannot hold
+    /// is a truncation error before anything is read.
+    pub fn arrays<const N: usize>(
+        &mut self,
+        count: usize,
+    ) -> Result<impl Iterator<Item = [u64; N]> + 'a, WireError> {
+        let (words, _) = self.take(count.saturating_mul(N))?.as_chunks::<8>();
+        Ok(words.chunks_exact(N.max(1)).map(|element| {
+            let mut out = [0u64; N];
+            for (o, w) in out.iter_mut().zip(element) {
+                *o = u64::from_le_bytes(*w);
+            }
+            out
+        }))
     }
 
     /// Reads a string written by [`WordWriter::str`].
@@ -395,8 +430,16 @@ mod tests {
         assert_eq!(r.array::<2>().unwrap_err(), WireError::Truncated { at: 2, need: 2 });
         assert_eq!(r.take(usize::MAX).unwrap_err(), WireError::Truncated { at: 2, need: usize::MAX });
         assert!(r.finish().is_err());
+        // Bulk reads are one bounded take: all of the elements or none.
+        assert!(matches!(r.arrays::<3>(1).err(), Some(WireError::Truncated { at: 2, need: 3 })));
+        assert!(matches!(r.arrays::<3>(usize::MAX).err(), Some(WireError::Truncated { .. })));
+        assert_eq!(r.clone().arrays::<1>(1).unwrap().collect::<Vec<_>>(), vec![[20]]);
         assert_eq!(r.rest(), vec![20]);
         r.finish().unwrap();
+        // In-place reads never reach past the payload.
+        assert_eq!(words_at::<2>(w.as_bytes(), 1), [10, 20]);
+        assert_eq!(words_at::<2>(w.as_bytes(), 2), [0, 0]);
+        assert_eq!(words_at::<1>(w.as_bytes(), usize::MAX), [0]);
     }
 
     proptest! {

@@ -16,23 +16,51 @@
 //! can push concurrently without their interleaving showing in any id, in
 //! the order the store is walked, or in the circuit.
 //!
-//! Where the fragments physically live is a seam (`FragmentBacking`) behind
-//! the store: the default backing keeps every fragment in an in-memory slab;
+//! # One stored form: the record
+//!
+//! A fragment is stored, spilled, checkpointed and sent as one *record* of
+//! little-endian `u64` words — the [`Fragment::disk_longs`] Longs the paper's
+//! model charges for it:
+//!
+//! ```text
+//! [kind, level, partition, n]        kind 0 = path, 1 = cycle; n ≥ 1
+//! n × [id, from, to]                 bit 63 of `id` clear: a real edge id
+//!                                    bit 63 of `id` set:   a fragment id
+//! ```
+//!
+//! The real/virtual tag is bit 63 of the id word: a [`FragmentId`] keeps it
+//! clear (7 bits of level), and an [`EdgeId`] that has it set is refused when
+//! the record is written. A record does not hold its own id; its position
+//! does. The records of one `(level, partition)` lie back to back in one
+//! buffer — a `Segment` — beside an index of where each starts, built while
+//! the segment is written or validated. Phase 1 hands the store a whole
+//! segment in one call, a wire worker sends its segments as they are, the
+//! coordinator validates a received byte range once (`Segment::validated`) and
+//! adopts it where it lies, and Phase 3 walks records in place.
+//! [`Fragment`] / [`TourEdge`] are the typed view of a record behind
+//! [`push`](FragmentStore::push), [`get`](FragmentStore::get),
+//! [`snapshot`](FragmentStore::snapshot) and
+//! [`for_each`](FragmentStore::for_each). `docs/ARCHITECTURE.md` says who
+//! validates what, and where.
+//!
+//! Where records physically live is a seam (`FragmentBacking`) behind the
+//! store: the default backing keeps every segment in memory;
 //! [`FragmentStore::spilling`] bounds resident fragment memory by a
-//! [`SpillConfig::memory_budget_longs`] and pages the coldest fragments out
-//! to a temp file, reloading them on demand during Phase 3 — the out-of-core
-//! mode for circuits larger than memory. Both backings keep the modelled
-//! [`disk_longs`](FragmentStore::disk_longs) accounting exact and produce
-//! bit-identical circuits; the spill backing additionally reports its real
-//! traffic in [`FragmentStoreStats`].
+//! [`SpillConfig::memory_budget_longs`], holds records one by one and pages
+//! the coldest out to a temp file as the bytes they are, reloading them on
+//! demand during Phase 3 — the out-of-core mode. Both keep the modelled
+//! [`disk_longs`](FragmentStore::disk_longs) exact and produce bit-identical
+//! circuits; the spill backing also reports its real traffic in
+//! [`FragmentStoreStats`].
 
-use euler_bsp::wire::{WireError, WordReader, WordWriter};
+use euler_bsp::wire::{extend_words, words_at, WireError, WordReader};
 use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,7 +81,9 @@ pub struct FragmentId(pub u64);
 
 const ID_SEQ_BITS: u32 = 32;
 const ID_PARTITION_BITS: u32 = 24;
-const ID_LEVEL_BITS: u32 = 64 - ID_SEQ_BITS - ID_PARTITION_BITS;
+/// One bit short of the word: bit 63 of a stored id word is the record's
+/// real/virtual tag.
+const ID_LEVEL_BITS: u32 = 7;
 
 impl FragmentId {
     /// Merge levels an id can name (a tree over 2²⁴ partitions has 25).
@@ -64,7 +94,7 @@ impl FragmentId {
     /// The id of the `seq`-th fragment `partition` pushed at `level`.
     ///
     /// # Panics
-    /// When a coordinate does not fit its field (8 bits of level, 24 of
+    /// When a coordinate does not fit its field (7 bits of level, 24 of
     /// partition, 32 of sequence).
     pub fn new(level: u32, partition: PartitionId, seq: u64) -> Self {
         assert!(
@@ -153,17 +183,19 @@ impl TourEdge {
     }
 }
 
-/// Whether a fragment is an open path (OB-pair) or a closed cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Whether a fragment is an open path (OB-pair) or a closed cycle. The
+/// discriminant is the kind word of a stored record.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FragmentKind {
     /// Maximal local path between two odd-degree boundary vertices.
-    Path,
+    #[default]
+    Path = 0,
     /// Local cycle anchored at (starting and ending at) one vertex.
-    Cycle,
+    Cycle = 1,
 }
 
-/// A path or cycle found by Phase 1.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A path or cycle found by Phase 1 — the typed view of a stored record.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Fragment {
     /// Identifier in the store.
     pub id: FragmentId,
@@ -177,6 +209,22 @@ pub struct Fragment {
     /// vertex and `edges.last().to()` the end vertex; for a cycle both equal
     /// the anchor.
     pub edges: Vec<TourEdge>,
+}
+
+/// The distinct vertices of `endpoints`, in first-seen order. De-duplication
+/// runs over an interned slot bitmap rather than a hash set.
+fn first_seen(endpoints: impl Iterator<Item = VertexId> + Clone) -> Vec<VertexId> {
+    let index = LocalIndex::from_vertices(endpoints.clone());
+    let mut seen: Vec<bool> = index.zeroed();
+    let mut out = Vec::with_capacity(index.len());
+    for v in endpoints {
+        let s = index.slot(v).expect("endpoint interned") as usize;
+        if !seen[s] {
+            seen[s] = true;
+            out.push(v);
+        }
+    }
+    out
 }
 
 impl Fragment {
@@ -204,23 +252,8 @@ impl Fragment {
     /// All distinct vertices that appear as tour-edge endpoints, in first-seen
     /// order. These are the "visible" vertices at this fragment's granularity
     /// (vertices interior to nested virtual edges are not included).
-    /// De-duplication runs over an interned slot bitmap rather than a hash
-    /// set.
     pub fn visible_vertices(&self) -> Vec<VertexId> {
-        let index =
-            LocalIndex::from_vertices(self.edges.iter().flat_map(|e| [e.from(), e.to()]));
-        let mut seen: Vec<bool> = index.zeroed();
-        let mut out = Vec::with_capacity(index.len());
-        for e in &self.edges {
-            for v in [e.from(), e.to()] {
-                let s = index.slot(v).expect("endpoint interned") as usize;
-                if !seen[s] {
-                    seen[s] = true;
-                    out.push(v);
-                }
-            }
-        }
-        out
+        first_seen(self.edges.iter().flat_map(|e| [e.from(), e.to()]))
     }
 
     /// Checks the internal chaining invariant: consecutive tour edges share a
@@ -241,9 +274,301 @@ impl Fragment {
     }
 
     /// Number of Longs the fragment occupies *on disk* (not in partition
-    /// memory): kind/level/partition header plus 3 per tour edge.
+    /// memory): kind/level/partition header plus 3 per tour edge — the words
+    /// of its record.
     pub fn disk_longs(&self) -> u64 {
-        4 + 3 * self.edges.len() as u64
+        (HEADER_WORDS + EDGE_WORDS * self.edges.len()) as u64
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The record: the one stored form of a fragment.
+// ---------------------------------------------------------------------------
+
+/// Words of a record's `[kind, level, partition, n]` header.
+const HEADER_WORDS: usize = 4;
+/// Words of one tour edge in a record: `[id, from, to]`.
+const EDGE_WORDS: usize = 3;
+/// Bit 63 of a tour edge's id word: set when the id is a [`FragmentId`].
+const VIRTUAL_TAG: u64 = 1 << 63;
+
+/// The three record words of a tour edge.
+///
+/// # Panics
+/// When the id has bit 63 set — the tag bit: an [`EdgeId`] ≥ 2⁶³, or a
+/// [`FragmentId`] no [`FragmentId::new`] returns.
+pub(crate) fn edge_words(e: &TourEdge) -> [u64; EDGE_WORDS] {
+    let (id, tag, from, to) = match *e {
+        TourEdge::Real { edge, from, to } => (edge.0, 0, from, to),
+        TourEdge::Virtual { fragment, from, to } => (fragment.0, VIRTUAL_TAG, from, to),
+    };
+    assert!(id & VIRTUAL_TAG == 0, "id {id:#x} of {e:?} does not leave the record's tag bit clear");
+    [id | tag, from.0, to.0]
+}
+
+/// The tour edge three record words stand for.
+fn tour_edge([id, from, to]: [u64; EDGE_WORDS]) -> TourEdge {
+    let (from, to) = (VertexId(from), VertexId(to));
+    if id & VIRTUAL_TAG == 0 {
+        TourEdge::Real { edge: EdgeId(id), from, to }
+    } else {
+        TourEdge::Virtual { fragment: FragmentId(id ^ VIRTUAL_TAG), from, to }
+    }
+}
+
+/// One record, read in place: the bytes of its header and tour edges. Reads
+/// are bounded, never indexed: the store only holds records this process
+/// wrote or `Segment::validated` accepted, but the bytes may be off the wire.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RecordView<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> RecordView<'a> {
+    /// Path or cycle.
+    pub(crate) fn kind(&self) -> FragmentKind {
+        match words_at(self.bytes, 0) {
+            [0] => FragmentKind::Path,
+            _ => FragmentKind::Cycle,
+        }
+    }
+
+    /// Number of tour edges.
+    pub(crate) fn len(&self) -> usize {
+        (self.bytes.len() / 8).saturating_sub(HEADER_WORDS) / EDGE_WORDS
+    }
+
+    /// The `i`-th tour edge.
+    pub(crate) fn edge(&self, i: usize) -> TourEdge {
+        tour_edge(words_at(self.bytes, HEADER_WORDS + EDGE_WORDS * i))
+    }
+
+    /// The tour edges, in order.
+    pub(crate) fn edges(self) -> impl Iterator<Item = TourEdge> + Clone + 'a {
+        (0..self.len()).map(move |i| self.edge(i))
+    }
+
+    /// Start vertex: the first tour edge's source.
+    pub(crate) fn start(&self) -> VertexId {
+        self.edge(0).from()
+    }
+
+    /// The vertices the tour passes, in order: every edge's source, then the
+    /// last edge's target. A stored tour chains, so the distinct ones in
+    /// first-seen order are the fragment's [`Fragment::visible_vertices`].
+    fn tour_vertices(self) -> impl Iterator<Item = VertexId> + Clone + 'a {
+        let last = self.len().checked_sub(1).map(|i| self.edge(i).to());
+        self.edges().map(|e| e.from()).chain(last)
+    }
+
+    /// Decodes the record into `out`, reusing its edge allocation.
+    fn read_into(&self, id: FragmentId, out: &mut Fragment) {
+        let [_, level, partition] = words_at(self.bytes, 0);
+        out.id = id;
+        out.kind = self.kind();
+        out.level = level as u32;
+        out.partition = PartitionId(partition as u32);
+        out.edges.clear();
+        out.edges.extend(self.edges());
+    }
+}
+
+/// One stored record, shared with the store that holds it (or, reloaded from
+/// the spill file, owned): what Phase 3 walks instead of a copy.
+#[derive(Clone, Debug)]
+pub(crate) struct Record {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl Record {
+    /// The record, read in place.
+    pub(crate) fn view(&self) -> RecordView<'_> {
+        RecordView { bytes: self.buf.get(self.range.clone()).unwrap_or_default() }
+    }
+}
+
+/// The coordinates a run of records is sent with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SegmentHead {
+    pub level: u32,
+    pub partition: PartitionId,
+    pub first_seq: u64,
+    pub records: u64,
+}
+
+/// Bytes a run of records is grown to before the next starts. Phase 1 hands
+/// fragments over in runs this size, not a buffer per partition: a spilling
+/// store then holds at most a run beyond its budget, and the allocator
+/// recycles buffers this small where a large one is fresh pages every time.
+pub(crate) const RUN_BYTES: usize = 1 << 16;
+
+/// A run of consecutive records of one `(level, partition)`, back to back in
+/// one shared buffer, with the index of where each starts, built as the run
+/// is written or validated: what Phase 1 hands the store, what a worker
+/// sends, what the coordinator adopts out of a received payload, and what
+/// the in-memory backing keeps.
+#[derive(Clone, Debug)]
+pub(crate) struct Segment {
+    pub level: u32,
+    pub partition: PartitionId,
+    buf: Arc<Vec<u8>>,
+    /// Byte offset in `buf` of every record, then of the end of the last.
+    starts: Vec<usize>,
+    /// Positions in the run of the cycle records, ascending.
+    cycles: Vec<u32>,
+    /// Real (non-virtual) tour edges over the run.
+    reals: u64,
+}
+
+impl Segment {
+    /// An empty run for `(level, partition)` with room for `records` records
+    /// of `edges` tour edges in all.
+    pub(crate) fn with_capacity(
+        level: u32,
+        partition: PartitionId,
+        records: usize,
+        edges: usize,
+    ) -> Self {
+        let mut starts = Vec::with_capacity(records + 1);
+        starts.push(0);
+        let buf = Vec::with_capacity(8 * (HEADER_WORDS * records + EDGE_WORDS * edges));
+        Segment { level, partition, buf: Arc::new(buf), starts, cycles: Vec::new(), reals: 0 }
+    }
+
+    /// Records in the run.
+    pub(crate) fn records(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn byte_range(&self) -> Range<usize> {
+        self.starts[0]..self.starts[self.records()]
+    }
+
+    /// The records' bytes, as they are stored and sent.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.buf[self.byte_range()]
+    }
+
+    fn record_view(&self, i: usize) -> RecordView<'_> {
+        RecordView { bytes: &self.buf[self.starts[i]..self.starts[i + 1]] }
+    }
+
+    fn record(&self, i: usize) -> Record {
+        Record { buf: Arc::clone(&self.buf), range: self.starts[i]..self.starts[i + 1] }
+    }
+
+    /// Appends one record: a `kind` fragment of the tour `edges`, given as
+    /// record words (see [`edge_words`]). For the run's writer: its buffer is
+    /// not shared yet.
+    pub(crate) fn push_record(&mut self, kind: FragmentKind, edges: &[[u64; EDGE_WORDS]]) {
+        if kind == FragmentKind::Cycle {
+            self.cycles.push(self.records() as u32);
+        }
+        self.reals += edges.iter().filter(|e| e[0] & VIRTUAL_TAG == 0).count() as u64;
+        let header = [kind as u64, self.level as u64, self.partition.0 as u64, edges.len() as u64];
+        let buf = Arc::get_mut(&mut self.buf).expect("a run being written is not shared");
+        extend_words(buf, &header);
+        extend_words(buf, edges.as_flattened());
+        let end = buf.len();
+        self.starts.push(end);
+    }
+
+    /// Appends `other`'s records after this run's, in place — if the two
+    /// together stay within [`RUN_BYTES`] and this run is the only user of a
+    /// buffer that ends where it does. Says whether it did.
+    fn try_extend(&mut self, other: &Segment) -> bool {
+        let (range, records) = (self.byte_range(), self.records() as u32);
+        if range != (0..self.buf.len()) || range.len() + other.bytes().len() > RUN_BYTES {
+            return false;
+        }
+        let Some(buf) = Arc::get_mut(&mut self.buf) else { return false };
+        buf.extend_from_slice(other.bytes());
+        self.starts.extend(other.starts[1..].iter().map(|s| s - other.starts[0] + range.end));
+        self.cycles.extend(other.cycles.iter().map(|c| c + records));
+        self.reals += other.reals;
+        true
+    }
+
+    /// The one record validator: checks that `range` of `buf` holds exactly
+    /// the `head.records` records of `head`'s `(level, partition)` and
+    /// indexes them where they lie. Every record must carry a known kind tag
+    /// and its segment's coordinates (its id is its position: the next of
+    /// the segment), hold at least one tour edge and no more than the payload
+    /// does, chain from edge to edge and — a cycle — close; every virtual
+    /// edge must name a fragment `stored` knows or an earlier record of the
+    /// run. Nothing is allocated beyond what the payload bounds
+    /// ([`WordReader::cap`]).
+    pub(crate) fn validated(
+        head: &SegmentHead,
+        buf: &Arc<Vec<u8>>,
+        range: Range<usize>,
+        stored: impl Fn(FragmentId) -> bool,
+    ) -> Result<Segment, WireError> {
+        let invalid = |what: String| Err(WireError::Invalid(what));
+        let (level, partition) = (head.level, head.partition);
+        let whose = || format!("level {level} partition {}", partition.0);
+        if level >= FragmentId::MAX_LEVELS
+            || partition.0 >= FragmentId::MAX_PARTITIONS
+            || head.first_seq.saturating_add(head.records) > 1 << ID_SEQ_BITS
+        {
+            return invalid(format!("segment {head:?} exceeds the fragment id layout"));
+        }
+        let truncated = WireError::Truncated { at: 0, need: range.end / 8 };
+        let r = &mut WordReader::new(buf.get(range.clone()).ok_or(truncated)?)?;
+        let records = usize::try_from(head.records).unwrap_or(usize::MAX);
+        let mut starts = Vec::with_capacity(r.cap(records, HEADER_WORDS + EDGE_WORDS) + 1);
+        let mut cycles = Vec::new();
+        let mut reals = 0u64;
+        for i in 0..head.records {
+            starts.push(range.start + 8 * r.position());
+            let [kind, at_level, at_partition, n] = r.array()?;
+            if kind > 1 {
+                return invalid(format!("unknown fragment kind tag {kind}"));
+            }
+            if (at_level, at_partition) != (level as u64, partition.0 as u64) {
+                return invalid(format!(
+                    "record of level {at_level} partition {at_partition} is not the next of {}",
+                    whose()
+                ));
+            }
+            if n == 0 {
+                return invalid(format!("fragment {i} of {} is empty", whose()));
+            }
+            let mut ends: Option<(u64, u64)> = None;
+            for [id, from, to] in r.arrays(usize::try_from(n).unwrap_or(usize::MAX))? {
+                let first = match ends {
+                    Some((_, at)) if at != from => {
+                        return invalid(format!("tour breaks between vertices {at} and {from}"));
+                    }
+                    Some((first, _)) => first,
+                    None => from,
+                };
+                ends = Some((first, to));
+                if id & VIRTUAL_TAG == 0 {
+                    reals += 1;
+                    continue;
+                }
+                let target = FragmentId(id ^ VIRTUAL_TAG);
+                let earlier = (target.level(), target.partition()) == (level, partition)
+                    && target.seq() < head.first_seq + i;
+                if !earlier && !stored(target) {
+                    return invalid(format!(
+                        "fragment {i} of {} references unknown fragment {target:?}",
+                        whose()
+                    ));
+                }
+            }
+            if kind == 1 {
+                if ends.is_some_and(|(first, last)| first != last) {
+                    return invalid(format!("cycle {i} of {} does not close", whose()));
+                }
+                cycles.push(i as u32);
+            }
+        }
+        starts.push(range.start + 8 * r.position());
+        r.finish()?;
+        Ok(Segment { level, partition, buf: Arc::clone(buf), starts, cycles, reals })
     }
 }
 
@@ -255,22 +580,17 @@ pub struct FragmentStoreStats {
     pub resident_longs: u64,
     /// High-water mark of `resident_longs` over the store's lifetime.
     pub peak_resident_longs: u64,
-    /// Fragments whose current version lives in the spill file.
+    /// Fragments that live in the spill file.
     pub spilled_fragments: u64,
-    /// Longs written to the spill file (superseded versions included).
+    /// Longs written to the spill file.
     pub spill_write_longs: u64,
     /// Longs read back from the spill file (Phase-3 reload traffic).
     pub spill_read_longs: u64,
     /// Spill I/O failures absorbed by keeping the fragment resident.
     pub spill_errors: u64,
-    /// Longs of superseded `replace` records currently dead in the spill
-    /// file — exactly the free extents awaiting reuse. Every file Long is
-    /// either part of a live record or counted here, so
-    /// `spill_file_longs == live record Longs + dead_longs` at all times.
-    pub dead_longs: u64,
-    /// Current spill-file extent in Longs (file bytes / 8). Bounded under
-    /// replace-heavy traffic because superseded records are reused through
-    /// the free list instead of growing the file monotonically.
+    /// Current spill-file extent in Longs (file bytes / 8). Records are
+    /// written once, as the Longs they are, so this equals
+    /// `spill_write_longs`.
     pub spill_file_longs: u64,
     /// Evictions decided by push order (no [`ReadSchedule`] supplied).
     pub evictions_fifo: u64,
@@ -279,9 +599,9 @@ pub struct FragmentStoreStats {
     pub evictions_scheduled: u64,
     /// Longs of reload traffic the schedule saved versus plain FIFO: reads
     /// that hit a resident fragment which a FIFO store with the same budget
-    /// and push/replace history would already have paged out. Maintained by
-    /// an exact shadow simulation of the FIFO policy; only meaningful (and
-    /// only nonzero) when a schedule is set.
+    /// and push history would already have paged out. Maintained by an exact
+    /// shadow simulation of the FIFO policy; only meaningful (and only
+    /// nonzero) when a schedule is set.
     pub reload_longs_avoided: u64,
 }
 
@@ -351,259 +671,127 @@ impl SpillConfig {
     }
 }
 
-/// The storage seam behind [`FragmentStore`]: where fragments physically
-/// live. Implementations own the accounting so the store can answer
-/// [`disk_longs`](FragmentStore::disk_longs) /
-/// [`total_real_edges`](FragmentStore::total_real_edges) without touching
-/// the fragments, and keep their fragments in a [`SegmentMap`], which is
-/// what assigns ids and fixes the iteration order.
+/// The storage seam behind [`FragmentStore`]: where records physically live.
+/// A record's id is its `(level, partition)` and its position among the
+/// records appended for them; every walk is in ascending id order.
 trait FragmentBacking: Send {
-    /// Stores `fragment`, which has `reals` real edges (counted by the
-    /// caller, outside the store's lock), under the next id of its `(level,
-    /// partition)`.
-    fn push(&mut self, fragment: Fragment, reals: u64) -> FragmentId;
-    /// Fragments pushed at `(level, partition)` so far.
+    /// Records appended for `(level, partition)` so far — the sequence
+    /// number the next one receives.
     fn pushed(&self, level: u32, partition: PartitionId) -> u64;
-    fn get(&mut self, id: FragmentId) -> Fragment;
-    fn replace(&mut self, id: FragmentId, fragment: Fragment);
-    fn len(&self) -> usize;
-    /// Every fragment as one contiguous slab, when the backing has that
-    /// (the memory backing while all fragments share one `(level,
-    /// partition)`) — what makes [`FragmentStore::with_all`] zero-copy there.
-    fn as_slice(&self) -> Option<&[Fragment]>;
-    /// Visits every fragment in id order. Spilled fragments are decoded into
-    /// a scratch buffer one at a time; nothing is retained.
-    fn for_each(&mut self, f: &mut dyn FnMut(&Fragment));
-    fn cycle_ids(&self) -> Vec<FragmentId>;
-    /// `(visible vertex, cycle id)` pairs over every cycle fragment, cycles
-    /// in id order and vertices in first-seen order within each — the
-    /// Phase-3 splice index. Answered without touching spilled payloads:
-    /// backings capture the vertex lists at `push`/`replace` time, while the
-    /// fragment is still resident.
-    fn cycle_vertex_pairs(&self) -> Vec<(VertexId, FragmentId)>;
-    fn disk_longs(&self) -> u64;
-    fn total_real_edges(&self) -> u64;
+    /// Stores `segment`'s records after those already held for its `(level,
+    /// partition)` and returns the sequence number of the first.
+    fn append(&mut self, segment: Segment) -> u64;
+    /// The record of a fragment that was pushed, reloaded if it was paged
+    /// out.
+    fn record(&mut self, id: FragmentId) -> Record;
+    /// Visits every record in id order, spilled ones reloaded one at a time.
+    fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>));
+    /// Everything stored, one [`Segment`] per `(level, partition)`, in id
+    /// order.
+    fn segments(&mut self) -> Vec<Segment>;
+    /// Every cycle fragment, in id order, with the vertices along its tour.
+    /// A vertex may repeat; the distinct ones in first-seen order are the
+    /// cycle's visible vertices. Answered without touching spilled payloads:
+    /// the spill backing captures the lists at append time, while the record
+    /// is still resident.
+    fn cycle_vertices(&self) -> Vec<(FragmentId, Vec<VertexId>)>;
     fn stats(&self) -> FragmentStoreStats;
     /// Installs a next-reader schedule. Backings without an eviction policy
-    /// (the in-memory slab) ignore it.
+    /// (the in-memory one) ignore it.
     fn set_read_schedule(&mut self, _schedule: ReadSchedule) {}
     /// Announces the current read step of the schedule's clock; fragments
     /// scheduled for this step become pinned. Ignored without a schedule.
     fn begin_read_step(&mut self, _step: u64) {}
 }
 
-/// Shared bookkeeping of both backings: the modelled "persisted to disk"
-/// Long count and the real-edge tally, maintained exactly across
-/// `push`/`replace`.
-#[derive(Debug, Default)]
-struct Accounting {
-    disk_longs: u64,
-    real_edges: u64,
-}
-
-impl Accounting {
-    fn add(&mut self, f: &Fragment, reals: u64) {
-        self.disk_longs += f.disk_longs();
-        self.real_edges += reals;
-    }
-
-    fn remove(&mut self, f: &Fragment) {
-        self.disk_longs -= f.disk_longs();
-        self.real_edges -= real_edges(f);
-    }
-}
-
-/// Real (non-virtual) edges of `f`: one scan of its tour.
-fn real_edges(f: &Fragment) -> u64 {
-    f.edges.iter().filter(|e| e.is_real()).count() as u64
-}
-
-/// Append-only table addressed by [`FragmentId`]: one run of entries per
-/// `(level, partition)` segment, in push-sequence order. This is the one
-/// place an id is resolved to storage.
-///
-/// Pushes may arrive in any interleaving of partitions. An entry's id and
-/// position depend on its own segment's pushes alone, and iteration is in
-/// ascending id order — the push order of a sequential run — whatever the
-/// arrival order was.
-#[derive(Debug)]
-struct SegmentMap<T> {
-    segments: BTreeMap<(u32, u32), Vec<T>>,
-    len: usize,
-}
-
-impl<T> Default for SegmentMap<T> {
-    fn default() -> Self {
-        SegmentMap { segments: BTreeMap::new(), len: 0 }
-    }
-}
-
-impl<T> SegmentMap<T> {
-    /// Entries pushed at `(level, partition)` so far — the sequence number
-    /// the next one receives.
-    fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
-        self.segments.get(&(level, partition.0)).map_or(0, |s| s.len() as u64)
-    }
-
-    /// Appends the entry `make` builds for the next id of `(level,
-    /// partition)`.
-    fn push(
-        &mut self,
-        level: u32,
-        partition: PartitionId,
-        make: impl FnOnce(FragmentId) -> T,
-    ) -> FragmentId {
-        let id = FragmentId::new(level, partition, self.pushed(level, partition));
-        self.segments.entry((level, partition.0)).or_default().push(make(id));
-        self.len += 1;
-        id
-    }
-
-    fn get(&self, id: FragmentId) -> Option<&T> {
-        self.segments.get(&(id.level(), id.partition().0))?.get(id.seq() as usize)
-    }
-
-    /// The entry of a fragment that was pushed.
-    fn at(&self, id: FragmentId) -> &T {
-        self.get(id).unwrap_or_else(|| panic!("no fragment {id:?} in the store"))
-    }
-
-    fn at_mut(&mut self, id: FragmentId) -> &mut T {
-        self.segments
-            .get_mut(&(id.level(), id.partition().0))
-            .and_then(|s| s.get_mut(id.seq() as usize))
-            .unwrap_or_else(|| panic!("no fragment {id:?} in the store"))
-    }
-
-    /// Every entry, in ascending id order.
-    fn values(&self) -> impl Iterator<Item = &T> {
-        self.segments.values().flatten()
-    }
-
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.segments.values_mut().flatten()
-    }
-}
-
-/// The default backing: every fragment lives in memory.
+/// The default backing: every segment lives in memory, as one buffer.
 #[derive(Debug, Default)]
 struct MemoryBacking {
-    frags: SegmentMap<Fragment>,
-    accounting: Accounting,
-    peak_longs: u64,
+    /// Runs by `(level, partition, sequence number of the run's first
+    /// record)`: key order is id order.
+    runs: BTreeMap<(u32, u32, u64), Segment>,
+}
+
+impl MemoryBacking {
+    /// The run of `(level, partition)` that starts at or before `seq`, and
+    /// the sequence number it starts at.
+    fn run_at(&self, level: u32, partition: PartitionId, seq: u64) -> Option<(u64, &Segment)> {
+        let (&(l, p, first), run) = self.runs.range(..=(level, partition.0, seq)).next_back()?;
+        ((l, p) == (level, partition.0)).then_some((first, run))
+    }
 }
 
 impl FragmentBacking for MemoryBacking {
-    fn push(&mut self, mut fragment: Fragment, reals: u64) -> FragmentId {
-        self.accounting.add(&fragment, reals);
-        self.peak_longs = self.peak_longs.max(self.accounting.disk_longs);
-        self.frags.push(fragment.level, fragment.partition, |id| {
-            fragment.id = id;
-            fragment
-        })
-    }
-
     fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
-        self.frags.pushed(level, partition)
+        self.run_at(level, partition, u64::MAX).map_or(0, |(first, run)| first + run.records() as u64)
     }
 
-    fn get(&mut self, id: FragmentId) -> Fragment {
-        self.frags.at(id).clone()
+    fn append(&mut self, segment: Segment) -> u64 {
+        let (level, partition) = (segment.level, segment.partition);
+        let next = self.pushed(level, partition);
+        // A small run joins the one before it (single pushes share a buffer);
+        // anything else is kept as the buffer it came in.
+        let last = self.runs.range_mut(..(level, partition.0, next)).next_back();
+        if !last.is_some_and(|(&(l, p, _), run)| (l, p) == (level, partition.0) && run.try_extend(&segment)) {
+            self.runs.insert((level, partition.0, next), segment);
+        }
+        next
     }
 
-    fn replace(&mut self, id: FragmentId, mut fragment: Fragment) {
-        fragment.id = id;
-        let slot = self.frags.at_mut(id);
-        self.accounting.remove(slot);
-        self.accounting.add(&fragment, real_edges(&fragment));
-        self.peak_longs = self.peak_longs.max(self.accounting.disk_longs);
-        *slot = fragment;
-    }
-
-    fn len(&self) -> usize {
-        self.frags.len
-    }
-
-    fn as_slice(&self) -> Option<&[Fragment]> {
-        match self.frags.segments.len() {
-            0 => Some(&[]),
-            1 => self.frags.segments.values().next().map(Vec::as_slice),
-            _ => None,
+    fn record(&mut self, id: FragmentId) -> Record {
+        match self.run_at(id.level(), id.partition(), id.seq()) {
+            Some((first, run)) if id.seq() - first < run.records() as u64 => {
+                run.record((id.seq() - first) as usize)
+            }
+            _ => panic!("no fragment {id:?} in the store"),
         }
     }
 
-    fn for_each(&mut self, f: &mut dyn FnMut(&Fragment)) {
-        for frag in self.frags.values() {
-            f(frag);
-        }
-    }
-
-    fn cycle_ids(&self) -> Vec<FragmentId> {
-        self.frags.values().filter(|f| f.kind == FragmentKind::Cycle).map(|f| f.id).collect()
-    }
-
-    fn cycle_vertex_pairs(&self) -> Vec<(VertexId, FragmentId)> {
-        // Everything is resident, so the pairs are computed straight off the
-        // fragments; no captured lists needed.
-        let mut pairs = Vec::new();
-        for f in self.frags.values() {
-            if f.kind == FragmentKind::Cycle {
-                for v in f.visible_vertices() {
-                    pairs.push((v, f.id));
-                }
+    fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) {
+        for (&(_, _, first), run) in &self.runs {
+            for i in 0..run.records() {
+                f(FragmentId::new(run.level, run.partition, first + i as u64), run.record_view(i));
             }
         }
-        pairs
     }
 
-    fn disk_longs(&self) -> u64 {
-        self.accounting.disk_longs
+    fn segments(&mut self) -> Vec<Segment> {
+        self.runs.values().cloned().collect()
     }
 
-    fn total_real_edges(&self) -> u64 {
-        self.accounting.real_edges
+    fn cycle_vertices(&self) -> Vec<(FragmentId, Vec<VertexId>)> {
+        let mut cycles = Vec::new();
+        for (&(_, _, first), run) in &self.runs {
+            for &i in &run.cycles {
+                let id = FragmentId::new(run.level, run.partition, first + i as u64);
+                cycles.push((id, run.record_view(i as usize).tour_vertices().collect()));
+            }
+        }
+        cycles
     }
 
     fn stats(&self) -> FragmentStoreStats {
-        FragmentStoreStats {
-            resident_longs: self.accounting.disk_longs,
-            peak_resident_longs: self.peak_longs,
-            ..Default::default()
-        }
+        let longs = self.runs.values().map(|s| s.bytes().len() as u64 / 8).sum();
+        FragmentStoreStats { resident_longs: longs, peak_resident_longs: longs, ..Default::default() }
     }
 }
 
-/// Where a spill-backed fragment's current version lives.
-#[derive(Clone, Copy, Debug)]
-enum Loc {
-    Resident,
-    Spilled {
-        offset: u64,
-        words: u64,
-    },
-}
-
-/// Per-fragment index entry of the spill backing: enough to answer size
-/// and accounting queries without touching the payload.
+/// Per-record index entry of the spill backing: enough to answer size and
+/// eviction queries without touching the payload.
 #[derive(Clone, Copy, Debug)]
 struct SlotMeta {
     id: FragmentId,
     longs: u64,
-    reals: u64,
-    loc: Loc,
-    /// Merge level the current version was pushed/replaced under — the
-    /// schedule key, kept so a late [`ReadSchedule`] can still be applied.
-    level: u32,
-    /// Partition id the current version was pushed/replaced under.
-    partition: u32,
-    /// Scheduled read step of the current version (0 without a schedule).
+    /// Byte offset of the record in the spill file; `None` while resident.
+    spilled_at: Option<u64>,
+    /// Scheduled read step (0 without a schedule).
     next_read: u64,
     /// Current eviction key: `next_read`, or `u64::MAX` once the scheduled
     /// read has passed (an overdue fragment will not be read again, so it is
     /// the best possible victim). Heap entries carry the key they were
     /// pushed with; a mismatch marks them stale (lazy deletion).
     evict_key: u64,
-    /// Push sequence number — the FIFO tie-break among equal eviction keys.
+    /// Arrival number — the FIFO tie-break among equal eviction keys.
     seq: u64,
 }
 
@@ -632,62 +820,12 @@ impl PartialOrd for EvictEntry {
     }
 }
 
-/// Words in the record [`encode_fragment`] writes for a fragment of `edges`
-/// tour edges.
-pub(crate) fn fragment_record_words(edges: usize) -> usize {
-    4 + 4 * edges
-}
-
-/// Flat `u64` record of one fragment in the spill file:
-/// `[kind, level, partition, n]` then `n` tour edges of
-/// `[tag, id, from, to]` (tag 0 = real, 1 = virtual). The id is not stored —
-/// the index knows it. The distributed worker reuses this record as its
-/// checkpoint/shipping format for fragments, hence the crate visibility.
-pub(crate) fn encode_fragment(f: &Fragment, out: &mut WordWriter) {
-    out.reserve(fragment_record_words(f.edges.len()));
-    let kind = match f.kind {
-        FragmentKind::Path => 0,
-        FragmentKind::Cycle => 1,
-    };
-    out.words(&[kind, f.level as u64, f.partition.0 as u64, f.edges.len() as u64]);
-    for e in &f.edges {
-        match *e {
-            TourEdge::Real { edge, from, to } => out.words(&[0, edge.0, from.0, to.0]),
-            TourEdge::Virtual { fragment, from, to } => out.words(&[1, fragment.0, from.0, to.0]),
-        }
-    }
-}
-
-/// Decodes one [`encode_fragment`] record, which must fill `r` exactly.
-pub(crate) fn decode_fragment(
-    id: FragmentId,
-    r: &mut WordReader<'_>,
-) -> Result<Fragment, WireError> {
-    let [kind, level, partition] = r.array()?;
-    let kind = match kind {
-        0 => FragmentKind::Path,
-        1 => FragmentKind::Cycle,
-        t => return Err(WireError::Invalid(format!("unknown fragment kind tag {t}"))),
-    };
-    let n = r.count()?;
-    let mut edges = Vec::with_capacity(r.cap(n, 4));
-    for _ in 0..n {
-        let [tag, id, from, to] = r.array()?;
-        let (from, to) = (VertexId(from), VertexId(to));
-        edges.push(match tag {
-            0 => TourEdge::Real { edge: EdgeId(id), from, to },
-            1 => TourEdge::Virtual { fragment: FragmentId(id), from, to },
-            t => return Err(WireError::Invalid(format!("unknown tour edge tag {t}"))),
-        });
-    }
-    r.finish()?;
-    Ok(Fragment { id, kind, level: level as u32, partition: PartitionId(partition as u32), edges })
-}
-
 /// Distinguishes concurrently-live spill files of one process.
 static SPILL_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// The out-of-core backing: a bounded resident set plus a spill file.
+/// The out-of-core backing: a bounded resident set of records, held one by
+/// one, plus a spill file they are paged out to as the bytes they are. What
+/// it reads back it wrote itself, so reloads are not re-validated.
 ///
 /// Eviction runs in one of two modes. Without a [`ReadSchedule`] it is
 /// oldest-first (push order): low-level fragments are the ones Phase 3
@@ -706,61 +844,43 @@ static SPILL_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// [`FragmentStoreStats::spill_errors`] and no further spilling is
 /// attempted, so an interrupted spill degrades to the in-memory backing
 /// with identical results.
-/// One reusable extent of the spill file: a superseded record's former
-/// location.
-#[derive(Clone, Copy, Debug)]
-struct FreeExtent {
-    /// Byte offset into the spill file.
-    offset: u64,
-    /// Extent length in words (Longs).
-    words: u64,
-}
-
+#[derive(Default)]
 struct SpillBacking {
     budget_longs: u64,
     directory: PathBuf,
-    index: SegmentMap<SlotMeta>,
+    /// Index entries by `(level, partition)`, in sequence order.
+    index: BTreeMap<(u32, u32), Vec<SlotMeta>>,
     /// Visible-vertex lists of the cycle fragments, captured while each was
     /// resident — the Phase-3 splice index, answered without re-reading
     /// spilled payloads.
     cycle_vis: BTreeMap<FragmentId, Vec<VertexId>>,
-    /// Resident fragments by id.
-    resident: HashMap<u64, Fragment>,
+    /// Resident records by id.
+    resident: HashMap<u64, Arc<Vec<u8>>>,
     /// Resident ids, oldest first — the eviction order of the FIFO mode.
     fifo: VecDeque<u64>,
     /// Merge-tree read schedule; `None` means FIFO mode.
     schedule: Option<ReadSchedule>,
     /// The schedule clock's current read step.
     current_step: u64,
-    /// Next push sequence number (FIFO tie-break in scheduled mode).
+    /// Next arrival number (FIFO tie-break in scheduled mode).
     next_seq: u64,
     /// Scheduled-mode eviction candidates, farthest next reader on top.
     /// Entries whose `(key, seq)` no longer match the slot's meta, or whose
     /// fragment is not resident, are stale and skipped on pop.
     heap: BinaryHeap<EvictEntry>,
     /// Shadow FIFO simulation (scheduled mode only): which fragments a
-    /// plain FIFO store with the same budget and push/replace history would
-    /// still have resident. A read that hits resident here but shadow-
-    /// spilled is a reload the schedule avoided.
+    /// plain FIFO store with the same budget and push history would still
+    /// have resident. A read that hits resident here but shadow-spilled is a
+    /// reload the schedule avoided.
     shadow_fifo: VecDeque<u64>,
     shadow_resident: HashMap<u64, u64>,
     shadow_longs: u64,
     /// Created lazily on first eviction; unlinked right after creation.
     file: Option<File>,
     file_end: u64,
-    /// Extents of superseded (`replace`d) records, available for reuse —
-    /// what keeps the spill file from growing monotonically under heavy
-    /// replace traffic. Word-granular; adjacent extents are coalesced.
-    free: Vec<FreeExtent>,
     /// Set after a spill I/O failure: stop spilling, stay resident.
     broken: bool,
-    accounting: Accounting,
     stats: FragmentStoreStats,
-    /// Reusable encode/IO scratch.
-    /// Scratch buffers of `write_record` / `read_record`, kept for their
-    /// allocations.
-    record: WordWriter,
-    bytes: Vec<u8>,
 }
 
 impl SpillBacking {
@@ -768,26 +888,16 @@ impl SpillBacking {
         SpillBacking {
             budget_longs: config.memory_budget_longs,
             directory: config.directory.unwrap_or_else(std::env::temp_dir),
-            index: SegmentMap::default(),
-            cycle_vis: BTreeMap::new(),
-            resident: HashMap::new(),
-            fifo: VecDeque::new(),
-            schedule: None,
-            current_step: 0,
-            next_seq: 0,
-            heap: BinaryHeap::new(),
-            shadow_fifo: VecDeque::new(),
-            shadow_resident: HashMap::new(),
-            shadow_longs: 0,
-            file: None,
-            file_end: 0,
-            free: Vec::new(),
-            broken: false,
-            accounting: Accounting::default(),
-            stats: FragmentStoreStats::default(),
-            record: WordWriter::new(),
-            bytes: Vec::new(),
+            ..Default::default()
         }
+    }
+
+    /// The index entry of a fragment that was pushed.
+    fn meta(&mut self, id: FragmentId) -> &mut SlotMeta {
+        self.index
+            .get_mut(&(id.level(), id.partition().0))
+            .and_then(|s| s.get_mut(id.seq() as usize))
+            .unwrap_or_else(|| panic!("no fragment {id:?} in the store"))
     }
 
     /// Opens the spill file on first use. The path is unlinked immediately
@@ -806,224 +916,116 @@ impl SpillBacking {
         Ok(self.file.as_mut().expect("just created"))
     }
 
-    /// Returns a superseded record's extent to the free list, coalescing
-    /// with adjacent free extents. The space stays in the file (and in
-    /// [`FragmentStoreStats::dead_longs`]) until a later record reuses it.
-    fn free_record(&mut self, mut offset: u64, mut words: u64) {
-        self.stats.dead_longs += words;
-        loop {
-            if let Some(i) = self.free.iter().position(|e| e.offset + 8 * e.words == offset) {
-                let e = self.free.swap_remove(i);
-                offset = e.offset;
-                words += e.words;
-            } else if let Some(i) = self.free.iter().position(|e| e.offset == offset + 8 * words) {
-                let e = self.free.swap_remove(i);
-                words += e.words;
-            } else {
-                break;
-            }
-        }
-        self.free.push(FreeExtent { offset, words });
+    /// Appends `record` to the spill file, returning the offset it lies at.
+    fn write_record(&mut self, record: &[u8]) -> std::io::Result<u64> {
+        let offset = self.file_end;
+        let file = self.file()?;
+        file.seek(SeekFrom::Start(offset))?;
+        file.write_all(record)?;
+        self.file_end += record.len() as u64;
+        self.stats.spill_file_longs = self.file_end / 8;
+        Ok(offset)
     }
 
-    /// Best-fit allocation from the free list: the smallest free extent that
-    /// holds `words`, shrunk or consumed. `None` means the record appends at
-    /// the end of the file instead.
-    fn alloc_extent(&mut self, words: u64) -> Option<u64> {
-        let i = self
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.words >= words)
-            .min_by_key(|(_, e)| e.words)
-            .map(|(i, _)| i)?;
-        let e = &mut self.free[i];
-        let offset = e.offset;
-        if e.words == words {
-            self.free.swap_remove(i);
-        } else {
-            e.offset += 8 * words;
-            e.words -= words;
-        }
-        self.stats.dead_longs -= words;
-        Some(offset)
+    /// Reads the `longs`-word record at `offset` back.
+    fn read_record(&mut self, offset: u64, longs: u64) -> Vec<u8> {
+        let mut bytes = vec![0; 8 * longs as usize];
+        let file = self.file.as_mut().expect("spilled records imply an open file");
+        file.seek(SeekFrom::Start(offset)).expect("spill file seek");
+        file.read_exact(&mut bytes).expect("spill file read");
+        bytes
     }
 
-    /// Writes `fragment`'s record into the spill file — into a reused free
-    /// extent when one fits, else appended at the end — returning its
-    /// location.
-    fn write_record(&mut self, fragment: &Fragment) -> std::io::Result<Loc> {
-        let mut record = std::mem::take(&mut self.record);
-        record.clear();
-        encode_fragment(fragment, &mut record);
-        let bytes = record.as_bytes();
-        let need = record.len() as u64;
-        let reused = self.alloc_extent(need);
-        let offset = reused.unwrap_or(self.file_end);
-        let out = (|| {
-            let file = self.file()?;
-            file.seek(SeekFrom::Start(offset))?;
-            file.write_all(bytes)?;
-            Ok(Loc::Spilled { offset, words: need })
-        })();
-        match (&out, reused) {
-            (Ok(_), None) => {
-                self.file_end += bytes.len() as u64;
-                self.stats.spill_file_longs = self.file_end / 8;
-            }
-            (Ok(_), Some(_)) => {}
-            // A failed write into a reused extent leaves no valid record
-            // there; the extent goes back on the free list.
-            (Err(_), Some(o)) => self.free_record(o, need),
-            (Err(_), None) => {}
-        }
-        self.record = record;
-        out
-    }
-
-    /// Reads the record at `loc` back into a fragment.
-    fn read_record(&mut self, id: FragmentId, offset: u64, words: u64) -> Fragment {
-        let mut bytes = std::mem::take(&mut self.bytes);
-        bytes.resize(8 * words as usize, 0);
-        {
-            let file = self.file.as_mut().expect("spilled records imply an open file");
-            file.seek(SeekFrom::Start(offset)).expect("spill file seek");
-            file.read_exact(&mut bytes).expect("spill file read");
-        }
-        let fragment = WordReader::new(&bytes)
-            .and_then(|mut r| decode_fragment(id, &mut r))
-            .expect("spill record written by this store");
-        self.bytes = bytes;
-        fragment
-    }
-
-    /// Makes `fragment` resident (newest) and re-balances under the budget.
-    fn insert_resident(&mut self, fragment: Fragment) {
-        let id = fragment.id.0;
-        let longs = fragment.disk_longs();
-        self.resident.insert(id, fragment);
+    /// Makes the record of `id` resident (newest) and re-balances under the
+    /// budget. In scheduled mode the shadow FIFO simulation mirrors the
+    /// insertion: it assumes healthy spill I/O — it tracks policy, not
+    /// failures.
+    fn insert_resident(&mut self, id: FragmentId, record: Arc<Vec<u8>>) {
+        let m = *self.meta(id);
+        self.resident.insert(id.0, record);
         if self.schedule.is_some() {
-            let m = self.index.at(FragmentId(id));
-            self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id });
+            self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id: id.0 });
+            self.shadow_resident.insert(id.0, m.longs);
+            self.shadow_fifo.push_back(id.0);
+            self.shadow_longs += m.longs;
+            self.shadow_evict();
         } else {
-            self.fifo.push_back(id);
+            self.fifo.push_back(id.0);
         }
-        self.stats.resident_longs += longs;
+        self.stats.resident_longs += m.longs;
         self.stats.peak_resident_longs =
             self.stats.peak_resident_longs.max(self.stats.resident_longs);
-        self.shadow_insert(id, longs);
         self.evict();
     }
 
-    /// Pages fragments out until the resident set fits the budget, by push
+    /// Pages records out until the resident set fits the budget, by push
     /// order (FIFO mode) or farthest next reader (scheduled mode).
     fn evict(&mut self) {
-        if self.schedule.is_some() {
-            self.evict_scheduled();
-        } else {
-            self.evict_fifo();
-        }
-    }
-
-    /// FIFO mode: spills oldest-first.
-    fn evict_fifo(&mut self) {
-        while self.stats.resident_longs > self.budget_longs && !self.broken {
-            let Some(id) = self.fifo.pop_front() else { break };
-            let fragment = self.resident.remove(&id).expect("fifo ids are resident");
-            match self.write_record(&fragment) {
-                Ok(loc) => {
-                    let longs = fragment.disk_longs();
-                    self.index.at_mut(FragmentId(id)).loc = loc;
-                    self.stats.resident_longs -= longs;
-                    self.stats.spilled_fragments += 1;
-                    self.stats.spill_write_longs += longs;
-                    self.stats.evictions_fifo += 1;
-                }
-                Err(_) => {
-                    // Interrupted spill: keep the fragment resident, record
-                    // the failure, and stop trying — results are unaffected.
-                    self.resident.insert(id, fragment);
-                    self.fifo.push_front(id);
-                    self.stats.spill_errors += 1;
-                    self.broken = true;
-                }
-            }
-        }
-    }
-
-    /// True when a heap entry still describes the current state of its
-    /// fragment: resident, and `(key, seq)` matching the slot meta.
-    fn entry_is_live(&self, e: &EvictEntry) -> bool {
-        let m = self.index.at(FragmentId(e.id));
-        matches!(m.loc, Loc::Resident) && m.evict_key == e.key && m.seq == e.seq
-    }
-
-    /// Scheduled mode: spills the fragment whose next reader is farthest
-    /// away (overdue fragments first of all), FIFO among equals. Fragments
-    /// scheduled for the current read step are pinned — deferred until
-    /// nothing else can satisfy the budget, at which point the budget
-    /// invariant wins and the oldest pinned fragment goes anyway.
-    fn evict_scheduled(&mut self) {
         let mut pinned: Vec<EvictEntry> = Vec::new();
         while self.stats.resident_longs > self.budget_longs && !self.broken {
-            let top = loop {
-                match self.heap.pop() {
-                    Some(e) if self.entry_is_live(&e) => break Some(e),
-                    Some(_) => continue, // stale (lazy deletion)
-                    None => break None,
-                }
+            let victim = match self.schedule {
+                Some(_) => self.next_scheduled_victim(&mut pinned).map(|e| e.id),
+                None => self.fifo.pop_front(),
             };
-            let entry = match top {
-                Some(e) if e.key == self.current_step => {
-                    pinned.push(e);
-                    continue;
-                }
-                Some(e) => e,
-                // Only pinned fragments remain over budget: evict the
-                // oldest of them (they popped in FIFO order).
-                None if !pinned.is_empty() => pinned.remove(0),
-                None => break,
-            };
-            let fragment =
-                self.resident.remove(&entry.id).expect("live heap entries are resident");
-            match self.write_record(&fragment) {
-                Ok(loc) => {
-                    let longs = fragment.disk_longs();
-                    self.index.at_mut(FragmentId(entry.id)).loc = loc;
+            let Some(id) = victim else { break };
+            let record = self.resident.remove(&id).expect("eviction candidates are resident");
+            match self.write_record(&record) {
+                Ok(offset) => {
+                    let m = self.meta(FragmentId(id));
+                    m.spilled_at = Some(offset);
+                    let longs = m.longs;
                     self.stats.resident_longs -= longs;
                     self.stats.spilled_fragments += 1;
                     self.stats.spill_write_longs += longs;
-                    self.stats.evictions_scheduled += 1;
+                    if self.schedule.is_some() {
+                        self.stats.evictions_scheduled += 1;
+                    } else {
+                        self.stats.evictions_fifo += 1;
+                    }
                 }
                 Err(_) => {
-                    self.resident.insert(entry.id, fragment);
-                    self.heap.push(entry);
+                    // Interrupted spill: keep the record resident, count the
+                    // failure, and stop trying — results are unaffected.
+                    self.resident.insert(id, record);
+                    if self.schedule.is_some() {
+                        let m = *self.meta(FragmentId(id));
+                        self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id });
+                    } else {
+                        self.fifo.push_front(id);
+                    }
                     self.stats.spill_errors += 1;
                     self.broken = true;
                 }
             }
         }
         // Deferred pinned fragments stay candidates for later steps.
-        for e in pinned {
-            self.heap.push(e);
+        self.heap.extend(pinned);
+    }
+
+    /// Scheduled mode's next victim: the live heap entry whose next reader
+    /// is farthest away (overdue fragments first of all), FIFO among equals.
+    /// Fragments scheduled for the current read step are pinned — set aside
+    /// in `pinned` until nothing else can satisfy the budget, at which point
+    /// the budget invariant wins and the oldest pinned fragment goes anyway.
+    fn next_scheduled_victim(&mut self, pinned: &mut Vec<EvictEntry>) -> Option<EvictEntry> {
+        loop {
+            match self.heap.pop() {
+                Some(e) if !self.entry_is_live(&e) => continue, // stale (lazy deletion)
+                Some(e) if e.key == self.current_step => pinned.push(e),
+                Some(e) => return Some(e),
+                // Only pinned fragments remain over budget: they popped in
+                // FIFO order.
+                None if !pinned.is_empty() => return Some(pinned.remove(0)),
+                None => return None,
+            }
         }
     }
 
-    /// Mirrors a resident insertion in the shadow FIFO simulation
-    /// (scheduled mode only). The shadow assumes healthy spill I/O — it
-    /// tracks policy, not failures.
-    fn shadow_insert(&mut self, id: u64, longs: u64) {
-        if self.schedule.is_none() {
-            return;
-        }
-        if let Some(old) = self.shadow_resident.insert(id, longs) {
-            // Re-residency (replace fallback): size changes, position kept.
-            self.shadow_longs -= old;
-        } else {
-            self.shadow_fifo.push_back(id);
-        }
-        self.shadow_longs += longs;
-        self.shadow_evict();
+    /// True when a heap entry still describes the current state of its
+    /// fragment: resident, and `(key, seq)` matching the slot meta.
+    fn entry_is_live(&mut self, e: &EvictEntry) -> bool {
+        let m = self.meta(FragmentId(e.id));
+        m.spilled_at.is_none() && m.evict_key == e.key && m.seq == e.seq
     }
 
     /// Runs the shadow FIFO's eviction loop.
@@ -1035,42 +1037,14 @@ impl SpillBacking {
             }
         }
     }
-
-    /// Counts a read of a resident fragment that plain FIFO would have had
-    /// to reload from disk (scheduled mode only).
-    fn note_resident_read(&mut self, id: u64, longs: u64) {
-        if self.schedule.is_some() && !self.shadow_resident.contains_key(&id) {
-            self.stats.reload_longs_avoided += longs;
-        }
-    }
-
-    /// The slot's `(next_read, evict_key)` under the current schedule.
-    fn schedule_keys(&self, level: u32, partition: u32) -> (u64, u64) {
-        schedule_keys(self.schedule.as_ref(), self.current_step, level, partition)
-    }
-
-    /// Records (or forgets) the visible vertices of `fragment` for the
-    /// Phase-3 splice index.
-    fn capture_cycle(&mut self, fragment: &Fragment) {
-        if fragment.kind == FragmentKind::Cycle {
-            self.cycle_vis.insert(fragment.id, fragment.visible_vertices());
-        } else {
-            self.cycle_vis.remove(&fragment.id);
-        }
-    }
 }
 
 /// `(next_read, evict_key)` of a fragment pushed at `(level, partition)`
 /// under `schedule`, with the clock at `current_step`.
-fn schedule_keys(
-    schedule: Option<&ReadSchedule>,
-    current_step: u64,
-    level: u32,
-    partition: u32,
-) -> (u64, u64) {
+fn schedule_keys(schedule: Option<&ReadSchedule>, current_step: u64, id: FragmentId) -> (u64, u64) {
     match schedule {
         Some(s) => {
-            let nr = s.step_for(level, PartitionId(partition));
+            let nr = s.step_for(id.level(), id.partition());
             let key = if nr < current_step { u64::MAX } else { nr };
             (nr, key)
         }
@@ -1079,157 +1053,76 @@ fn schedule_keys(
 }
 
 impl FragmentBacking for SpillBacking {
-    fn push(&mut self, mut fragment: Fragment, reals: u64) -> FragmentId {
-        self.accounting.add(&fragment, reals);
-        let (next_read, evict_key) = self.schedule_keys(fragment.level, fragment.partition.0);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let id = self.index.push(fragment.level, fragment.partition, |id| SlotMeta {
-            id,
-            longs: fragment.disk_longs(),
-            reals,
-            loc: Loc::Resident,
-            level: fragment.level,
-            partition: fragment.partition.0,
-            next_read,
-            evict_key,
-            seq,
-        });
-        fragment.id = id;
-        self.capture_cycle(&fragment);
-        self.insert_resident(fragment);
-        id
-    }
-
     fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
-        self.index.pushed(level, partition)
+        self.index.get(&(level, partition.0)).map_or(0, |s| s.len() as u64)
     }
 
-    fn get(&mut self, id: FragmentId) -> Fragment {
-        let meta = *self.index.at(id);
-        match meta.loc {
-            Loc::Resident => {
-                self.note_resident_read(id.0, meta.longs);
-                self.resident[&id.0].clone()
+    fn append(&mut self, segment: Segment) -> u64 {
+        let first = self.pushed(segment.level, segment.partition);
+        let mut cycles = segment.cycles.iter().peekable();
+        // One by one, each made resident and the budget re-balanced before
+        // the next: the peak stays within budget + one fragment.
+        for i in 0..segment.records() {
+            let id = FragmentId::new(segment.level, segment.partition, first + i as u64);
+            let (next_read, evict_key) =
+                schedule_keys(self.schedule.as_ref(), self.current_step, id);
+            let view = segment.record_view(i);
+            let meta = SlotMeta {
+                id,
+                longs: view.bytes.len() as u64 / 8,
+                spilled_at: None,
+                next_read,
+                evict_key,
+                seq: self.next_seq,
+            };
+            self.next_seq += 1;
+            self.index.entry((segment.level, segment.partition.0)).or_default().push(meta);
+            if cycles.next_if_eq(&&(i as u32)).is_some() {
+                self.cycle_vis.insert(id, first_seen(view.tour_vertices()));
             }
-            Loc::Spilled { offset, words } => {
+            self.insert_resident(id, Arc::new(view.bytes.to_vec()));
+        }
+        first
+    }
+
+    fn record(&mut self, id: FragmentId) -> Record {
+        let meta = *self.meta(id);
+        let buf = match meta.spilled_at {
+            None => {
+                // A read plain FIFO would have had to reload from disk.
+                if self.schedule.is_some() && !self.shadow_resident.contains_key(&id.0) {
+                    self.stats.reload_longs_avoided += meta.longs;
+                }
+                Arc::clone(&self.resident[&id.0])
+            }
+            Some(offset) => {
                 self.stats.spill_read_longs += meta.longs;
-                self.read_record(id, offset, words)
+                Arc::new(self.read_record(offset, meta.longs))
             }
+        };
+        Record { range: 0..buf.len(), buf }
+    }
+
+    fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) {
+        let ids: Vec<FragmentId> = self.index.values().flatten().map(|m| m.id).collect();
+        for id in ids {
+            f(id, self.record(id).view());
         }
     }
 
-    fn replace(&mut self, id: FragmentId, mut fragment: Fragment) {
-        fragment.id = id;
-        let meta = *self.index.at(id);
-        self.accounting.disk_longs -= meta.longs;
-        self.accounting.real_edges -= meta.reals;
-        let reals = real_edges(&fragment);
-        self.accounting.add(&fragment, reals);
-        let (next_read, evict_key) = self.schedule_keys(fragment.level, fragment.partition.0);
-        let new_longs = fragment.disk_longs();
-        let slot = self.index.at_mut(id);
-        slot.longs = new_longs;
-        slot.reals = reals;
-        slot.level = fragment.level;
-        slot.partition = fragment.partition.0;
-        slot.next_read = next_read;
-        slot.evict_key = evict_key;
-        // `seq` is deliberately kept: a replace does not move the fragment
-        // in the FIFO tie-break order, matching the FIFO mode (and shadow).
-        let seq = slot.seq;
-        self.capture_cycle(&fragment);
-        // Shadow FIFO: a replace never changes residency there (resident
-        // stays resident, spilled stays spilled), only the resident size.
-        if let Some(l) = self.shadow_resident.get_mut(&id.0) {
-            self.shadow_longs = self.shadow_longs - *l + new_longs;
-            *l = new_longs;
-            self.shadow_evict();
-        }
-        match meta.loc {
-            Loc::Resident => {
-                let old = self.resident.insert(id.0, fragment).expect("resident");
-                self.stats.resident_longs -= old.disk_longs();
-                self.stats.resident_longs += new_longs;
-                self.stats.peak_resident_longs =
-                    self.stats.peak_resident_longs.max(self.stats.resident_longs);
-                if self.schedule.is_some() {
-                    // The old heap entry is stale iff the key changed; a
-                    // fresh one keeps the slot evictable either way.
-                    self.heap.push(EvictEntry { key: evict_key, seq, id: id.0 });
-                }
-                self.evict();
-            }
-            Loc::Spilled { offset, words } => {
-                // Supersede the spilled record with a fresh one; the old
-                // record's extent joins the free list for reuse, so heavy
-                // replace traffic cannot grow the spill file without bound.
-                // (The new record never lands on the old extent — it is not
-                // free until the write has succeeded — so a torn write can
-                // not corrupt the still-current version.)
-                if !self.broken {
-                    if let Ok(loc) = self.write_record(&fragment) {
-                        self.index.at_mut(id).loc = loc;
-                        self.stats.spill_write_longs += new_longs;
-                        self.free_record(offset, words);
-                        return;
-                    }
-                    self.stats.spill_errors += 1;
-                    self.broken = true;
-                }
-                // Spill unavailable: bring the new version back resident.
-                // The old on-disk record is dead either way.
-                self.free_record(offset, words);
-                self.stats.spilled_fragments -= 1;
-                self.index.at_mut(id).loc = Loc::Resident;
-                self.insert_resident(fragment);
-            }
-        }
+    fn segments(&mut self) -> Vec<Segment> {
+        // Records are held one by one here: each is a run of its own.
+        let mut runs = Vec::new();
+        self.for_each_record(&mut |id, view| {
+            let mut run = Segment::with_capacity(id.level(), id.partition(), 1, view.len());
+            run.push_record(view.kind(), &view.edges().map(|e| edge_words(&e)).collect::<Vec<_>>());
+            runs.push(run);
+        });
+        runs
     }
 
-    fn len(&self) -> usize {
-        self.index.len
-    }
-
-    fn as_slice(&self) -> Option<&[Fragment]> {
-        None
-    }
-
-    fn for_each(&mut self, f: &mut dyn FnMut(&Fragment)) {
-        let metas: Vec<SlotMeta> = self.index.values().copied().collect();
-        for meta in metas {
-            match meta.loc {
-                Loc::Resident => {
-                    self.note_resident_read(meta.id.0, meta.longs);
-                    f(&self.resident[&meta.id.0]);
-                }
-                Loc::Spilled { offset, words } => {
-                    self.stats.spill_read_longs += meta.longs;
-                    let fragment = self.read_record(meta.id, offset, words);
-                    f(&fragment);
-                }
-            }
-        }
-    }
-
-    fn cycle_ids(&self) -> Vec<FragmentId> {
-        self.cycle_vis.keys().copied().collect()
-    }
-
-    fn cycle_vertex_pairs(&self) -> Vec<(VertexId, FragmentId)> {
-        let mut pairs = Vec::new();
-        for (&id, vis) in &self.cycle_vis {
-            pairs.extend(vis.iter().map(|&v| (v, id)));
-        }
-        pairs
-    }
-
-    fn disk_longs(&self) -> u64 {
-        self.accounting.disk_longs
-    }
-
-    fn total_real_edges(&self) -> u64 {
-        self.accounting.real_edges
+    fn cycle_vertices(&self) -> Vec<(FragmentId, Vec<VertexId>)> {
+        self.cycle_vis.iter().map(|(&id, visible)| (id, visible.clone())).collect()
     }
 
     fn stats(&self) -> FragmentStoreStats {
@@ -1243,12 +1136,12 @@ impl FragmentBacking for SpillBacking {
         // queue's order is preserved among equal keys). The shadow FIFO
         // starts from the same resident set in the same order: before this
         // point both policies behaved identically.
-        for m in self.index.values_mut() {
+        for m in self.index.values_mut().flatten() {
             (m.next_read, m.evict_key) =
-                schedule_keys(self.schedule.as_ref(), self.current_step, m.level, m.partition);
+                schedule_keys(self.schedule.as_ref(), self.current_step, m.id);
         }
         while let Some(id) = self.fifo.pop_front() {
-            let m = *self.index.at(FragmentId(id));
+            let m = *self.meta(FragmentId(id));
             self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id });
             self.shadow_resident.insert(id, m.longs);
             self.shadow_fifo.push_back(id);
@@ -1266,13 +1159,24 @@ impl FragmentBacking for SpillBacking {
         // Resident fragments whose scheduled read has now passed will not
         // be read again: re-key them to "never needed" so they are the
         // first victims from here on.
-        for m in self.index.values_mut() {
-            if matches!(m.loc, Loc::Resident) && m.next_read < step && m.evict_key != u64::MAX {
+        for m in self.index.values_mut().flatten() {
+            if m.spilled_at.is_none() && m.next_read < step && m.evict_key != u64::MAX {
                 m.evict_key = u64::MAX;
                 self.heap.push(EvictEntry { key: u64::MAX, seq: m.seq, id: m.id.0 });
             }
         }
     }
+}
+
+/// The Phase-3 splice index as the store hands it over: every visible vertex
+/// of every cycle fragment interned in one table, and the `(vertex slot,
+/// cycle rank)` pairs — cycles ranked in id order, vertices in first-seen
+/// order within each.
+pub(crate) struct CycleIndex {
+    pub index: LocalIndex,
+    /// The cycle fragments, ascending by id; a cycle's rank is its position.
+    pub cycles: Vec<FragmentId>,
+    pub pairs: Vec<(u32, u32)>,
 }
 
 /// Append-only store of fragments, shared across partitions and workers.
@@ -1289,19 +1193,35 @@ impl FragmentBacking for SpillBacking {
 /// Ids come from the fragment's own coordinates (see [`FragmentId`]), so
 /// concurrent pushes from different partitions never influence each other's
 /// ids, and every reader that walks the store ([`for_each`](Self::for_each),
-/// [`snapshot`](Self::snapshot),
-/// [`cycle_vertex_pairs`](Self::cycle_vertex_pairs)) sees ascending id
+/// [`snapshot`](Self::snapshot), Phase 3's splice index) sees ascending id
 /// order — the push order of a one-thread run — however the pushes
 /// interleaved.
 #[derive(Clone)]
 pub struct FragmentStore {
-    inner: Arc<Mutex<Box<dyn FragmentBacking>>>,
+    inner: Arc<Mutex<Inner>>,
+}
+
+/// What the store's lock guards: the backing and the totals appended to it.
+struct Inner {
+    backing: Box<dyn FragmentBacking>,
+    fragments: usize,
+    /// The modelled "persisted to disk" Longs: the words of the records.
+    disk_longs: u64,
+    real_edges: u64,
+}
+
+impl Inner {
+    fn append(&mut self, segment: Segment) -> u64 {
+        self.fragments += segment.records();
+        self.disk_longs += segment.bytes().len() as u64 / 8;
+        self.real_edges += segment.reals;
+        self.backing.append(segment)
+    }
 }
 
 impl Default for FragmentStore {
     fn default() -> Self {
-        let backing: Box<dyn FragmentBacking> = Box::<MemoryBacking>::default();
-        FragmentStore { inner: Arc::new(Mutex::new(backing)) }
+        Self::over(Box::<MemoryBacking>::default())
     }
 }
 
@@ -1309,13 +1229,18 @@ impl std::fmt::Debug for FragmentStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("FragmentStore")
-            .field("len", &inner.len())
-            .field("stats", &inner.stats())
+            .field("len", &inner.fragments)
+            .field("stats", &inner.backing.stats())
             .finish()
     }
 }
 
 impl FragmentStore {
+    fn over(backing: Box<dyn FragmentBacking>) -> Self {
+        let inner = Inner { backing, fragments: 0, disk_longs: 0, real_edges: 0 };
+        FragmentStore { inner: Arc::new(Mutex::new(inner)) }
+    }
+
     /// Creates an empty store with the in-memory backing.
     pub fn new() -> Self {
         Self::default()
@@ -1325,68 +1250,90 @@ impl FragmentStore {
     /// `config.memory_budget_longs`; overflow pages to a temp file and is
     /// reloaded on demand (the out-of-core mode).
     pub fn spilling(config: SpillConfig) -> Self {
-        let backing: Box<dyn FragmentBacking> = Box::new(SpillBacking::new(config));
-        FragmentStore { inner: Arc::new(Mutex::new(backing)) }
+        Self::over(Box::new(SpillBacking::new(config)))
     }
 
-    /// Appends a fragment, assigning and returning its id: the next
-    /// sequence number of its `(level, partition)`. The `id` field of the
-    /// passed fragment is overwritten.
+    /// Appends a fragment — one record after those of its `(level,
+    /// partition)` — assigning and returning its id: the next sequence
+    /// number there. The `id` field of the passed fragment is ignored.
+    ///
+    /// # Panics
+    /// When an edge id or referenced fragment id has bit 63 set (see the
+    /// module docs), or — debug builds — the fragment is empty, does not
+    /// chain or, a cycle, does not close.
     pub fn push(&self, fragment: Fragment) -> FragmentId {
-        let reals = real_edges(&fragment);
-        self.inner.lock().push(fragment, reals)
+        let Fragment { kind, level, partition, edges, .. } = fragment;
+        let mut segment = Segment::with_capacity(level, partition, 1, edges.len());
+        segment.push_record(kind, &edges.iter().map(edge_words).collect::<Vec<_>>());
+        FragmentId::new(level, partition, self.push_segment(segment))
     }
 
-    /// Appends a fragment found elsewhere (a worker process) under the id it
-    /// was found with. The id must be the one [`push`](Self::push) would
-    /// assign — the next of the fragment's `(level, partition)` — and every
-    /// virtual edge must reference a fragment already in the store.
-    pub(crate) fn adopt(&self, fragment: Fragment) -> Result<(), String> {
-        let reals = real_edges(&fragment);
-        let mut inner = self.inner.lock();
-        let stored = |id: FragmentId| id.seq() < inner.pushed(id.level(), id.partition());
-        for e in &fragment.edges {
-            if let TourEdge::Virtual { fragment: target, .. } = *e {
-                if !stored(target) {
-                    return Err(format!(
-                        "fragment {:?} references unknown fragment {target:?}",
-                        fragment.id
-                    ));
-                }
-            }
-        }
-        let id = fragment.id;
-        if (id.level(), id.partition()) != (fragment.level, fragment.partition)
-            || id.seq() != inner.pushed(fragment.level, fragment.partition)
+    /// Appends a run of records this process wrote, after those already
+    /// stored for their `(level, partition)`; returns the sequence number of
+    /// the first, which with its position gives each record its id.
+    pub(crate) fn push_segment(&self, segment: Segment) -> u64 {
+        #[cfg(debug_assertions)]
         {
-            return Err(format!(
-                "fragment {id:?} is not the next of level {} partition {}",
-                fragment.level, fragment.partition.0
-            ));
+            let Segment { level, partition, ref buf, .. } = segment;
+            let head = SegmentHead { level, partition, first_seq: 0, records: segment.records() as u64 };
+            let checked = Segment::validated(&head, buf, segment.byte_range(), |_| true);
+            assert!(checked.is_ok(), "malformed fragment pushed: {checked:?}");
         }
-        inner.push(fragment, reals);
+        self.inner.lock().append(segment)
+    }
+
+    /// Appends the records of `head` found elsewhere (a worker process), read
+    /// in place from `range` of `buf` — which the store keeps sharing, not a
+    /// copy of it — once they pass [`Segment::validated`]: among its checks,
+    /// the first record must be the next of its `(level, partition)` and
+    /// every virtual edge must reference a fragment already in the store or
+    /// earlier in the run.
+    pub(crate) fn adopt(
+        &self,
+        head: &SegmentHead,
+        buf: &Arc<Vec<u8>>,
+        range: Range<usize>,
+    ) -> Result<(), WireError> {
+        let mut inner = self.inner.lock();
+        let SegmentHead { level, partition, first_seq, .. } = *head;
+        if first_seq != inner.backing.pushed(level, partition) {
+            return Err(WireError::Invalid(format!(
+                "fragment {first_seq} is not the next of level {level} partition {}",
+                partition.0
+            )));
+        }
+        let stored = |id: FragmentId| id.seq() < inner.backing.pushed(id.level(), id.partition());
+        let segment = Segment::validated(head, buf, range, stored)?;
+        inner.append(segment);
         Ok(())
     }
 
-    /// Returns a clone of the fragment with the given id (reloaded from the
-    /// spill file if it was paged out).
+    /// Returns the fragment with the given id, decoded from its record
+    /// (reloaded from the spill file if it was paged out).
     ///
     /// # Panics
     /// When no fragment with that id was pushed.
     pub fn get(&self, id: FragmentId) -> Fragment {
-        self.inner.lock().get(id)
+        let mut fragment = Fragment::default();
+        self.record(id).view().read_into(id, &mut fragment);
+        fragment
     }
 
-    /// Replaces an existing fragment (used by `mergeInto` when an internal
-    /// cycle is spliced into a fragment created earlier in the same Phase-1
-    /// invocation). The fragment keeps `id` whatever its new coordinates.
-    pub fn replace(&self, id: FragmentId, fragment: Fragment) {
-        self.inner.lock().replace(id, fragment)
+    /// The stored record of the fragment with the given id, shared rather
+    /// than copied (reloaded from the spill file if it was paged out).
+    pub(crate) fn record(&self, id: FragmentId) -> Record {
+        self.inner.lock().backing.record(id)
+    }
+
+    /// Everything stored, one run of records per `(level, partition)`, in id
+    /// order: what a wire worker sends and checkpoints, as it is.
+    pub(crate) fn segments(&self) -> Vec<Segment> {
+        self.inner.lock().backing.segments()
     }
 
     /// Number of fragments stored.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().fragments
     }
 
     /// True when no fragments are stored.
@@ -1395,77 +1342,70 @@ impl FragmentStore {
     }
 
     /// Snapshot of every fragment, in id order. **Tests and diagnostics
-    /// only**: this deep-clones the whole store (and reloads everything
-    /// spilled), so hot paths must use [`with_all`](Self::with_all) or
-    /// [`for_each`](Self::for_each) instead.
+    /// only**: this decodes the whole store (and reloads everything
+    /// spilled), so hot paths use [`for_each`](Self::for_each) instead.
     pub fn snapshot(&self) -> Vec<Fragment> {
         let mut all = Vec::with_capacity(self.len());
         self.for_each(|f| all.push(f.clone()));
         all
     }
 
-    /// Runs `f` over all fragments, in id order, under the lock. Zero-copy
-    /// on the in-memory backing while every fragment shares one `(level,
-    /// partition)` (a stand-alone kernel run); otherwise the slab is
-    /// materialised first, so streaming readers prefer
-    /// [`for_each`](Self::for_each).
-    pub fn with_all<R>(&self, f: impl FnOnce(&[Fragment]) -> R) -> R {
-        let mut inner = self.inner.lock();
-        if inner.as_slice().is_some() {
-            return f(inner.as_slice().expect("just checked"));
-        }
-        let mut all = Vec::with_capacity(inner.len());
-        inner.for_each(&mut |frag| all.push(frag.clone()));
-        f(&all)
-    }
-
-    /// Visits every fragment in id order under the lock, one at a time —
-    /// the bounded-memory read path (Phase 3 builds its splice index here);
-    /// spilled fragments are decoded into a scratch one by one.
+    /// Visits every fragment in id order under the lock, one at a time,
+    /// each decoded into the same scratch — the bounded-memory read path.
     pub fn for_each(&self, mut f: impl FnMut(&Fragment)) {
-        self.inner.lock().for_each(&mut f)
+        let mut scratch = Fragment::default();
+        self.inner.lock().backing.for_each_record(&mut |id, record| {
+            record.read_into(id, &mut scratch);
+            f(&scratch);
+        })
     }
 
-    /// Ids of all cycle fragments (the ones Phase 3 must splice), ascending.
-    /// Answered from the index; spilled payloads are not touched.
-    pub fn cycle_ids(&self) -> Vec<FragmentId> {
-        self.inner.lock().cycle_ids()
-    }
-
-    /// `(visible vertex, cycle id)` pairs over every cycle fragment — the
-    /// Phase-3 splice index: cycles in id order, vertices in first-seen
-    /// order within each fragment. The lists are captured at
-    /// [`push`](Self::push)/[`replace`](Self::replace) time while the
-    /// fragment is resident, so this costs **no spill I/O** — which is what
-    /// lets Phase 3 read each spilled fragment exactly once (during the
-    /// unroll walk) instead of twice.
-    pub fn cycle_vertex_pairs(&self) -> Vec<(VertexId, FragmentId)> {
-        self.inner.lock().cycle_vertex_pairs()
+    /// The Phase-3 splice index. Built off the cycle records (or, on the
+    /// spill backing, the vertex lists captured while they were resident —
+    /// **no spill I/O**, which is what lets Phase 3 read each spilled
+    /// fragment exactly once, during the unroll walk) with one interning
+    /// table for all of them.
+    pub(crate) fn cycle_index(&self) -> CycleIndex {
+        let cycles = self.inner.lock().backing.cycle_vertices();
+        let index = LocalIndex::from_vertices(cycles.iter().flat_map(|(_, tour)| tour.iter().copied()));
+        // First-seen within each cycle: one stamp per slot, the rank of the
+        // last cycle that claimed it.
+        let mut claimed = vec![u32::MAX; index.len()];
+        let mut pairs = Vec::new();
+        for (rank, (_, tour)) in cycles.iter().enumerate() {
+            for &v in tour {
+                let slot = index.slot(v).expect("endpoint interned");
+                if std::mem::replace(&mut claimed[slot as usize], rank as u32) != rank as u32 {
+                    pairs.push((slot, rank as u32));
+                }
+            }
+        }
+        CycleIndex { index, cycles: cycles.into_iter().map(|(id, _)| id).collect(), pairs }
     }
 
     /// Total Longs written to "disk" — the paper's modelled persistence
-    /// accounting, maintained exactly across `push`/`replace` on every
+    /// accounting, which is the words of the stored records on every
     /// backing.
     pub fn disk_longs(&self) -> u64 {
-        self.inner.lock().disk_longs()
+        self.inner.lock().disk_longs
     }
 
     /// Total number of *real* edges recorded across all fragments. When the
     /// run is complete this must equal the number of graph edges.
     pub fn total_real_edges(&self) -> u64 {
-        self.inner.lock().total_real_edges()
+        self.inner.lock().real_edges
     }
 
     /// Real memory/spill statistics of the backing.
     pub fn stats(&self) -> FragmentStoreStats {
-        self.inner.lock().stats()
+        self.inner.lock().backing.stats()
     }
 
     /// Installs a merge-tree-derived next-reader schedule: spill-backed
     /// stores switch from FIFO to farthest-next-use eviction (see
     /// [`ReadSchedule`]); the in-memory backing ignores it.
     pub fn set_read_schedule(&self, schedule: ReadSchedule) {
-        self.inner.lock().set_read_schedule(schedule)
+        self.inner.lock().backing.set_read_schedule(schedule)
     }
 
     /// Announces the current read step of the schedule's clock. Fragments
@@ -1473,13 +1413,25 @@ impl FragmentStore {
     /// the budget invariant); fragments whose step has passed become
     /// preferred victims. A no-op without a schedule.
     pub fn begin_read_step(&self, step: u64) {
-        self.inner.lock().begin_read_step(step)
+        self.inner.lock().backing.begin_read_step(step)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Ids of the cycle fragments, ascending.
+    fn cycle_ids(store: &FragmentStore) -> Vec<FragmentId> {
+        store.cycle_index().cycles
+    }
+
+    /// The splice index read as `(visible vertex, cycle id)` pairs.
+    fn cycle_vertex_pairs(store: &FragmentStore) -> Vec<(VertexId, FragmentId)> {
+        let CycleIndex { index, cycles, pairs } = store.cycle_index();
+        pairs.iter().map(|&(slot, rank)| (index.vertex(slot), cycles[rank as usize])).collect()
+    }
 
     fn real(edge: u64, from: u64, to: u64) -> TourEdge {
         TourEdge::Real { edge: EdgeId(edge), from: VertexId(from), to: VertexId(to) }
@@ -1590,57 +1542,184 @@ mod tests {
                 assert_eq!(a, b, "ids are a function of (level, partition, seq)");
             }
             assert_eq!(ordered.snapshot(), interleaved.snapshot());
-            assert_eq!(ordered.cycle_ids(), interleaved.cycle_ids());
-            assert_eq!(ordered.cycle_vertex_pairs(), interleaved.cycle_vertex_pairs());
+            assert_eq!(cycle_ids(&ordered), cycle_ids(&interleaved));
+            assert_eq!(cycle_vertex_pairs(&ordered), cycle_vertex_pairs(&interleaved));
             let ids: Vec<FragmentId> = ordered.snapshot().iter().map(|f| f.id).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "the walk is in ascending id order");
             for id in ids {
                 assert_eq!(ordered.get(id), interleaved.get(id));
             }
-            // Several segments: `with_all` materialises the same slab.
-            ordered.with_all(|x| interleaved.with_all(|y| assert_eq!(x, y)));
+        }
+    }
+
+    /// `fragments` — all of one `(level, partition)` — as the bytes a worker
+    /// sends them as, with the head that names them `first_seq..`.
+    fn wire(first_seq: u64, fragments: &[Fragment]) -> (SegmentHead, Arc<Vec<u8>>) {
+        let (level, partition) = (fragments[0].level, fragments[0].partition);
+        let mut segment = Segment::with_capacity(level, partition, 0, 0);
+        for f in fragments {
+            segment.push_record(f.kind, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
+        }
+        let head = SegmentHead { level, partition, first_seq, records: fragments.len() as u64 };
+        (head, Arc::new(segment.bytes().to_vec()))
+    }
+
+    /// A store fed with `store`'s runs of records as bytes off the wire.
+    pub(crate) fn readopted(store: &FragmentStore) -> FragmentStore {
+        let adopted = FragmentStore::new();
+        for s in store.segments() {
+            let (level, partition) = (s.level, s.partition);
+            let first_seq = adopted.inner.lock().backing.pushed(level, partition);
+            let head = SegmentHead { level, partition, first_seq, records: s.records() as u64 };
+            let bytes = Arc::new(s.bytes().to_vec());
+            adopted.adopt(&head, &bytes, 0..bytes.len()).unwrap();
+        }
+        adopted
+    }
+
+    #[test]
+    fn a_segment_grown_past_a_run_is_kept_as_several_buffers() {
+        // Single pushes share a buffer up to a run's size, then start the
+        // next; a run handed over whole stays the buffer it came in. Ids,
+        // reads and walks do not see the seams.
+        let path = |i: u64| Fragment {
+            id: FragmentId::new(1, PartitionId(2), i),
+            kind: if i.is_multiple_of(5) { FragmentKind::Cycle } else { FragmentKind::Path },
+            level: 1,
+            partition: PartitionId(2),
+            edges: vec![real(2 * i, i, i + 1), real(2 * i + 1, i + 1, if i.is_multiple_of(5) { i } else { i + 2 })],
+        };
+        let fragments: Vec<Fragment> = (0..3 * RUN_BYTES as u64 / 80).map(path).collect();
+        let (singles, whole) = (FragmentStore::new(), FragmentStore::new());
+        let mut run = Segment::with_capacity(1, PartitionId(2), 0, 0);
+        for f in &fragments {
+            assert_eq!(singles.push(f.clone()), f.id);
+            run.push_record(f.kind, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
+            if run.bytes().len() >= RUN_BYTES {
+                whole.push_segment(std::mem::replace(&mut run, Segment::with_capacity(1, PartitionId(2), 0, 0)));
+            }
+        }
+        whole.push_segment(run);
+        // A neighbour on either side of the segment's keys.
+        for store in [&singles, &whole] {
+            store.push(Fragment { partition: PartitionId(1), ..path(1) });
+            store.push(Fragment { partition: PartitionId(3), ..path(1) });
+        }
+        for store in [&singles, &whole, &readopted(&singles)] {
+            let runs = store.segments();
+            assert!(runs.len() >= 5, "{} runs", runs.len());
+            assert!(runs.iter().all(|r| r.bytes().len() < RUN_BYTES + 80));
+            assert_eq!(store.len(), fragments.len() + 2);
+            assert_eq!(store.snapshot()[1..=fragments.len()], fragments[..]);
+            for f in fragments.iter().step_by(97) {
+                assert_eq!(store.get(f.id), *f);
+            }
+            assert_eq!(cycle_ids(store).len(), fragments.len().div_ceil(5));
+        }
+    }
+
+    fn adopt(store: &FragmentStore, first_seq: u64, fragments: &[Fragment]) -> Result<(), WireError> {
+        let (head, bytes) = wire(first_seq, fragments);
+        store.adopt(&head, &bytes, 0..bytes.len())
+    }
+
+    fn invalid(result: Result<(), WireError>, what: &str) {
+        match result {
+            Err(WireError::Invalid(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("expected an invalid-payload error naming {what:?}, got {other:?}"),
         }
     }
 
     #[test]
     fn adoption_checks_the_id_and_the_references() {
         let store = FragmentStore::new();
-        let found = |seq: u64, edges: Vec<TourEdge>| Fragment {
-            id: FragmentId::new(1, PartitionId(3), seq),
+        let found = |edges: Vec<TourEdge>| Fragment {
+            id: FragmentId(0),
             kind: FragmentKind::Path,
             level: 1,
             partition: PartitionId(3),
             edges,
         };
-        store.adopt(found(0, vec![real(0, 0, 1)])).unwrap();
-        // Not the next of (1, 3): a gap, a repeat, foreign coordinates.
-        assert!(store.adopt(found(2, vec![real(1, 1, 2)])).unwrap_err().contains("not the next"));
-        assert!(store.adopt(found(0, vec![real(1, 1, 2)])).unwrap_err().contains("not the next"));
-        let foreign = Fragment { id: FragmentId::new(0, PartitionId(3), 0), ..found(1, vec![real(1, 1, 2)]) };
-        assert!(store.adopt(foreign).unwrap_err().contains("not the next"));
-        // A virtual edge must point at something already stored.
+        adopt(&store, 0, &[found(vec![real(0, 0, 1)])]).unwrap();
+        // Not the next of (1, 3): a gap, a repeat, records of other
+        // coordinates than the head's.
+        invalid(adopt(&store, 2, &[found(vec![real(1, 1, 2)])]), "not the next");
+        invalid(adopt(&store, 0, &[found(vec![real(1, 1, 2)])]), "not the next");
+        let (head, bytes) = wire(1, &[Fragment { level: 0, ..found(vec![real(1, 1, 2)]) }]);
+        invalid(store.adopt(&SegmentHead { level: 1, ..head }, &bytes, 0..bytes.len()), "not the next");
+        // A virtual edge must point at something already stored — or found
+        // earlier in the same run.
         let virt = |fragment| TourEdge::Virtual { fragment, from: VertexId(1), to: VertexId(2) };
-        let dangling = store.adopt(found(1, vec![virt(FragmentId::new(0, PartitionId(9), 0))]));
-        assert!(dangling.unwrap_err().contains("unknown fragment"));
-        store.adopt(found(1, vec![virt(FragmentId::new(1, PartitionId(3), 0))])).unwrap();
-        assert_eq!(store.len(), 2);
+        let dangling = found(vec![virt(FragmentId::new(0, PartitionId(9), 0))]);
+        invalid(adopt(&store, 1, &[dangling]), "unknown fragment");
+        let ahead = found(vec![virt(FragmentId::new(1, PartitionId(3), 2))]);
+        invalid(adopt(&store, 1, &[ahead, found(vec![real(2, 2, 3)])]), "unknown fragment");
+        let back = |seq| found(vec![virt(FragmentId::new(1, PartitionId(3), seq))]);
+        adopt(&store, 1, &[back(0), back(1)]).unwrap();
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.get(FragmentId::new(1, PartitionId(3), 2)), Fragment {
+            id: FragmentId::new(1, PartitionId(3), 2),
+            ..back(1)
+        });
+        // Nothing of a refused run is kept.
+        assert_eq!(store.disk_longs(), 3 * 7);
     }
 
     #[test]
-    fn store_replace_overwrites() {
-        let store = FragmentStore::new();
-        let f = Fragment {
+    fn hostile_records_are_refused_with_a_typed_error() {
+        let path = Fragment {
             id: FragmentId(0),
-            kind: FragmentKind::Cycle,
-            level: 0,
+            kind: FragmentKind::Path,
+            level: 2,
             partition: PartitionId(1),
-            edges: vec![real(0, 1, 1)],
+            edges: vec![real(0, 5, 6), real(1, 6, 7)],
         };
-        let id = store.push(f.clone());
-        let longer = Fragment { edges: vec![real(0, 1, 2), real(1, 2, 1)], ..f };
-        store.replace(id, longer);
-        assert_eq!(store.get(id).len(), 2);
-        assert_eq!(store.cycle_ids(), vec![id]);
+        let store = FragmentStore::new();
+        // Empty, unchained, unclosed: what `Fragment::is_well_formed` refuses.
+        invalid(adopt(&store, 0, &[Fragment { edges: Vec::new(), ..path.clone() }]), "is empty");
+        let broken = Fragment { edges: vec![real(0, 5, 6), real(1, 7, 8)], ..path.clone() };
+        invalid(adopt(&store, 0, &[broken]), "tour breaks");
+        invalid(adopt(&store, 0, &[Fragment { kind: FragmentKind::Cycle, ..path.clone() }]), "does not close");
+        // Tags: an unknown kind, and a real edge flipped to a virtual one.
+        let (head, bytes) = wire(0, std::slice::from_ref(&path));
+        let patched = |word: usize, value: u64| {
+            let mut bytes = bytes.to_vec();
+            bytes[8 * word..8 * word + 8].copy_from_slice(&value.to_le_bytes());
+            let bytes = Arc::new(bytes);
+            store.adopt(&head, &bytes, 0..bytes.len())
+        };
+        invalid(patched(0, 2), "unknown fragment kind");
+        invalid(patched(4, VIRTUAL_TAG), "unknown fragment");
+        // A count beyond the payload, with nothing allocated for it; a run
+        // with fewer records than its head says, or more bytes.
+        assert!(matches!(patched(3, u64::MAX / 2), Err(WireError::Truncated { .. })));
+        assert!(matches!(patched(3, 3), Err(WireError::Truncated { .. })));
+        let two = SegmentHead { records: 2, ..head };
+        assert!(matches!(store.adopt(&two, &bytes, 0..bytes.len()), Err(WireError::Truncated { .. })));
+        invalid(store.adopt(&SegmentHead { records: 0, ..head }, &bytes, 0..bytes.len()), "unread word");
+        // Coordinates no id can name.
+        let far = SegmentHead { first_seq: (1 << ID_SEQ_BITS) - 1, records: 2, ..head };
+        invalid(Segment::validated(&far, &bytes, 0..bytes.len(), |_| true).map(drop), "id layout");
+        // Truncation at every word.
+        for cut in 0..bytes.len() / 8 {
+            assert!(store.adopt(&head, &bytes, 0..8 * cut).is_err(), "cut at word {cut}");
+        }
+        assert!(matches!(store.adopt(&head, &bytes, 0..bytes.len() + 8), Err(WireError::Truncated { .. })));
+        assert!(store.is_empty(), "nothing of a refused run is kept");
+        store.adopt(&head, &bytes, 0..bytes.len()).unwrap();
+        assert_eq!(store.snapshot(), vec![Fragment { id: FragmentId::new(2, PartitionId(1), 0), ..path }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag bit")]
+    fn an_edge_id_with_the_tag_bit_set_is_refused_at_push() {
+        FragmentStore::new().push(Fragment {
+            id: FragmentId(0),
+            kind: FragmentKind::Path,
+            level: 0,
+            partition: PartitionId(0),
+            edges: vec![real(VIRTUAL_TAG, 0, 1)],
+        });
     }
 
     #[test]
@@ -1678,25 +1757,6 @@ mod tests {
         assert_eq!(store.disk_longs(), 4 + 6);
     }
 
-    #[test]
-    fn replace_keeps_accounting_exact() {
-        let store = FragmentStore::new();
-        let f = Fragment {
-            id: FragmentId(0),
-            kind: FragmentKind::Cycle,
-            level: 0,
-            partition: PartitionId(0),
-            edges: vec![real(0, 1, 1)],
-        };
-        let id = store.push(f.clone());
-        assert_eq!(store.disk_longs(), 7);
-        assert_eq!(store.total_real_edges(), 1);
-        let longer = Fragment { edges: vec![real(0, 1, 2), real(1, 2, 1)], ..f };
-        store.replace(id, longer);
-        assert_eq!(store.disk_longs(), 10);
-        assert_eq!(store.total_real_edges(), 2);
-    }
-
     // --- The spill backing. -------------------------------------------------
 
     /// A mix of paths, cycles and virtual edges large enough to overflow a
@@ -1710,14 +1770,19 @@ mod tests {
                 partition: PartitionId((i % 5) as u32),
                 edges: (0..=(i % 7))
                     .map(|j| {
-                        if j % 2 == 0 {
-                            real(10 * i + j, j, j + 1)
+                        // The last edge of a cycle leads back to vertex 0.
+                        let to = if i % 3 == 0 && j == i % 7 { 0 } else { j + 1 };
+                        // Virtual edges name the fragment before, which is
+                        // one level down.
+                        if j % 2 == 0 || i % 4 == 0 {
+                            real(10 * i + j, j, to)
                         } else {
-                            TourEdge::Virtual {
-                                fragment: FragmentId(i),
-                                from: VertexId(j),
-                                to: VertexId(j + 1),
-                            }
+                            let below = FragmentId::new(
+                                ((i - 1) % 4) as u32,
+                                PartitionId(((i - 1) % 5) as u32),
+                                (i - 1) / 20,
+                            );
+                            TourEdge::Virtual { fragment: below, from: VertexId(j), to: VertexId(to) }
                         }
                     })
                     .collect(),
@@ -1730,7 +1795,7 @@ mod tests {
         assert_eq!(mem.len(), spill.len());
         assert_eq!(mem.disk_longs(), spill.disk_longs());
         assert_eq!(mem.total_real_edges(), spill.total_real_edges());
-        assert_eq!(mem.cycle_ids(), spill.cycle_ids());
+        assert_eq!(cycle_ids(mem), cycle_ids(spill));
         let mut mem_all = Vec::new();
         mem.for_each(|f| mem_all.push(f.clone()));
         let mut spill_all = Vec::new();
@@ -1741,10 +1806,18 @@ mod tests {
             assert_eq!(mem.get(f.id), *f);
             assert_eq!(spill.get(f.id), *f);
         }
-        // with_all materialises the same slab either way.
-        let a = mem.with_all(|f| f.len());
-        let b = spill.with_all(|f| f.len());
-        assert_eq!(a, b);
+        // However each backing cuts them into runs, the segments are the
+        // same bytes, and a store that adopts them is the same store.
+        let bytes_by_segment = |store: &FragmentStore| {
+            let mut segments: BTreeMap<(u32, u32), Vec<u8>> = BTreeMap::new();
+            for run in store.segments() {
+                segments.entry((run.level, run.partition.0)).or_default().extend(run.bytes());
+            }
+            segments
+        };
+        assert_eq!(bytes_by_segment(mem), bytes_by_segment(spill));
+        let adopted = readopted(spill);
+        assert_eq!(adopted.snapshot(), mem_all);
     }
 
     #[test]
@@ -1777,91 +1850,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_spills_everything_and_replace_supersedes_records() {
+    fn zero_budget_spills_everything_as_the_records_it_holds() {
         let store = FragmentStore::spilling(SpillConfig::with_budget(0));
         let fs = workload(12);
         let ids: Vec<FragmentId> = fs.iter().map(|f| store.push(f.clone())).collect();
-        assert_eq!(store.stats().spilled_fragments, 12);
-        assert_eq!(store.stats().resident_longs, 0);
-        // Replace a spilled fragment with a longer version; reads see it.
-        let longer = Fragment { edges: vec![real(7, 3, 4), real(8, 4, 3)], ..fs[5].clone() };
-        store.replace(ids[5], longer.clone());
-        let back = store.get(ids[5]);
-        assert_eq!(back.edges, longer.edges);
-        // Accounting followed the replacement exactly.
-        let expected: u64 = fs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| if i == 5 { longer.disk_longs() } else { f.disk_longs() })
-            .sum();
+        let stats = store.stats();
+        assert_eq!((stats.spilled_fragments, stats.resident_longs), (12, 0));
+        // The file holds each record once, at the Longs the model charges.
+        let expected: u64 = fs.iter().map(Fragment::disk_longs).sum();
         assert_eq!(store.disk_longs(), expected);
-    }
-
-    #[test]
-    fn replace_heavy_traffic_keeps_the_spill_file_bounded() {
-        let store = FragmentStore::spilling(SpillConfig::with_budget(0));
-        let n = 8u64;
-        let two_edges = |a: u64, b: u64, v: u64| Fragment {
-            id: FragmentId(0),
-            kind: FragmentKind::Path,
-            level: 0,
-            partition: PartitionId(0),
-            edges: vec![real(a, v, v + 1), real(b, v + 1, v + 2)],
-        };
-        for i in 0..n {
-            store.push(two_edges(i, 100 + i, i));
+        assert_eq!((stats.spill_write_longs, stats.spill_file_longs), (expected, expected));
+        for (id, f) in ids.iter().zip(&fs) {
+            assert_eq!(store.get(*id).edges, f.edges);
         }
-        let baseline = store.stats().spill_file_longs;
-        assert!(baseline > 0, "a zero budget spills every push");
-        // Every round supersedes every record with a same-size version.
-        // Without extent reuse the file would gain `baseline` words per
-        // round; with the free list it reaches a small steady state.
-        let rounds = 50u64;
-        for round in 1..=rounds {
-            for i in 0..n {
-                store.replace(FragmentId(i), two_edges(1000 * round + i, 2000 * round + i, i));
-            }
-        }
-        let stats = store.stats();
-        assert!(
-            stats.spill_file_longs <= 3 * baseline,
-            "{rounds} replace rounds must not grow the file {rounds}x: \
-             baseline={baseline} stats={stats:?}"
-        );
-        // A varied-size round: shrinking replaces split free extents
-        // (best-fit leaves a dead remainder), growing ones append.
-        for i in 0..n {
-            let f = if i % 2 == 0 {
-                Fragment { edges: vec![real(9000 + i, i, i + 1)], ..two_edges(0, 0, i) }
-            } else {
-                Fragment {
-                    edges: vec![
-                        real(9100 + i, i, i + 1),
-                        real(9200 + i, i + 1, i + 2),
-                        real(9300 + i, i + 2, i + 3),
-                    ],
-                    ..two_edges(0, 0, i)
-                }
-            };
-            store.replace(FragmentId(i), f);
-        }
-        // `dead_longs` is exact: the file extent is live records + dead
-        // space, to the word.
-        let stats = store.stats();
-        let live: u64 =
-            (0..n).map(|i| 4 + 4 * store.get(FragmentId(i)).edges.len() as u64).sum();
-        assert_eq!(
-            stats.spill_file_longs,
-            live + stats.dead_longs,
-            "file words must equal live record words plus dead words: {stats:?}"
-        );
-        // Reads still serve the latest version of every fragment.
-        for i in 0..n {
-            let f = store.get(FragmentId(i));
-            let expect = if i % 2 == 0 { 1 } else { 3 };
-            assert_eq!(f.edges.len(), expect, "fragment {i} lost its last replace");
-        }
-        assert_eq!(store.len(), n as usize);
+        assert_eq!(store.stats().spill_read_longs, expected);
     }
 
     #[test]
@@ -1892,42 +1894,20 @@ mod tests {
             mem.push(f.clone());
             spill.push(f);
         }
-        // Replace one spilled cycle with a different cycle and one with a
-        // path: the captured lists must follow.
-        let cycle_id = mem.cycle_ids()[1];
-        let as_cycle = Fragment {
-            id: FragmentId(0),
-            kind: FragmentKind::Cycle,
-            level: 2,
-            partition: PartitionId(0),
-            edges: vec![real(90, 40, 41), real(91, 41, 40)],
-        };
-        mem.replace(cycle_id, as_cycle.clone());
-        spill.replace(cycle_id, as_cycle);
-        let path_id = mem.cycle_ids()[2];
-        let as_path = Fragment {
-            id: FragmentId(0),
-            kind: FragmentKind::Path,
-            level: 2,
-            partition: PartitionId(0),
-            edges: vec![real(92, 50, 51)],
-        };
-        mem.replace(path_id, as_path.clone());
-        spill.replace(path_id, as_path);
         let reads_before = spill.stats().spill_read_longs;
-        assert_eq!(mem.cycle_vertex_pairs(), spill.cycle_vertex_pairs());
+        assert_eq!(cycle_vertex_pairs(&mem), cycle_vertex_pairs(&spill));
         assert_eq!(
             spill.stats().spill_read_longs,
             reads_before,
             "the splice index must not touch spilled payloads"
         );
-        assert!(!mem.cycle_vertex_pairs().is_empty());
+        assert!(!cycle_vertex_pairs(&mem).is_empty());
     }
 
     // --- Merge-tree-aware (scheduled) eviction. -----------------------------
 
-    /// A 2-edge path at `(level 0, partition pid)` — 10 modelled disk Longs,
-    /// 12 spill-record words. Uniform sizes keep the traces easy to reason
+    /// A 2-edge path at `(level 0, partition pid)` — a 10-Long record.
+    /// Uniform sizes keep the traces easy to reason
     /// about: a 20-Long budget holds exactly two fragments.
     /// Id of the one fragment the traces below push for partition `pid`.
     fn id_at(pid: u32) -> FragmentId {
@@ -2013,21 +1993,16 @@ mod tests {
         for pid in 0..7 {
             assert_eq!(fifo.get(id_at(pid)).edges, scheduled.get(id_at(pid)).edges);
         }
-        // Exact-accounting invariants hold in scheduled mode: every spill
-        // file word is a live record or counted dead, and the peak resident
-        // set never exceeded budget + one fragment.
+        // Exact-accounting invariants hold in scheduled mode: the peak
+        // resident set never exceeded budget + one fragment.
         for st in [&f, &s] {
             assert_eq!(st.spill_errors, 0);
             assert!(st.peak_resident_longs <= budget + 10, "peak {}", st.peak_resident_longs);
         }
-        // Nothing on this trace is reloaded-then-respilled, so every live
-        // file record is one 12-word eviction record.
+        // Every evicted record is in the file once, as its 10 Longs.
         let s_after = scheduled.stats();
-        assert_eq!(
-            s_after.spill_file_longs,
-            s_after.spilled_fragments * 12 + s_after.dead_longs,
-            "file words = live records + dead words: {s_after:?}"
-        );
+        assert_eq!(s_after.spill_file_longs, s_after.spilled_fragments * 10, "{s_after:?}");
+        assert_eq!(s_after.spill_file_longs, s_after.spill_write_longs);
     }
 
     #[test]
@@ -2131,5 +2106,85 @@ mod tests {
         });
         assert_eq!(store.len(), 4);
         assert_eq!(store.total_real_edges(), 4);
+    }
+
+    /// The coordinates the round-trip below spreads its fragments over, the
+    /// largest an id can name among them, in id order.
+    const CORNERS: [(u32, u32); 4] = [
+        (0, 0),
+        (0, FragmentId::MAX_PARTITIONS - 1),
+        (1, 7),
+        (FragmentId::MAX_LEVELS - 1, FragmentId::MAX_PARTITIONS - 1),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Record form against the typed oracle: whatever well-formed
+        /// fragments go in — real and virtual edges, one-edge paths,
+        /// self-loop cycles, the largest ids the layout has room for — come
+        /// back from `get` and `snapshot` as they went in, on the memory
+        /// backing, the spill backing at a one-fragment budget, and a store
+        /// fed by `adopt` from the bytes a worker would send.
+        #[test]
+        fn records_round_trip_every_fragment_on_every_backing(
+            tours in prop::collection::vec(
+                (0usize..4, any::<bool>(), prop::collection::vec((0u64..u64::MAX, 0u64..4), 1..9)),
+                1..24,
+            ),
+        ) {
+            // Turn each (corner, closed?, [(vertex, edge choice)]) into a
+            // fragment whose virtual edges name fragments of a lower corner.
+            let mut expected: Vec<Fragment> = Vec::new();
+            let mut pushed = [0u64; 4];
+            for (corner, closed, stops) in &tours {
+                let (level, partition) = CORNERS[*corner];
+                let last = if *closed { stops[0].0 } else { stops[stops.len() - 1].0 ^ 1 };
+                let tos = stops.iter().skip(1).map(|s| s.0).chain([last]);
+                let below = expected.iter().filter(|f| f.level < level).map(|f| f.id).next_back();
+                let edges = stops.iter().zip(tos).map(|(&(from, pick), to)| {
+                    let (from, to) = (VertexId(from), VertexId(to));
+                    match (pick, below) {
+                        (0, Some(fragment)) => TourEdge::Virtual { fragment, from, to },
+                        (1, _) => TourEdge::Real { edge: EdgeId(VIRTUAL_TAG - 1), from, to },
+                        _ => TourEdge::Real { edge: EdgeId(from.0 >> 1), from, to },
+                    }
+                });
+                expected.push(Fragment {
+                    id: FragmentId::new(level, PartitionId(partition), pushed[*corner]),
+                    kind: if *closed { FragmentKind::Cycle } else { FragmentKind::Path },
+                    level,
+                    partition: PartitionId(partition),
+                    edges: edges.collect(),
+                });
+                pushed[*corner] += 1;
+            }
+            let one_fragment = expected.iter().map(Fragment::disk_longs).max().unwrap();
+            let memory = FragmentStore::new();
+            let spill = FragmentStore::spilling(SpillConfig::with_budget(one_fragment));
+            for f in &expected {
+                prop_assert_eq!(memory.push(Fragment { id: FragmentId(0), ..f.clone() }), f.id);
+                prop_assert_eq!(spill.push(Fragment { id: FragmentId(0), ..f.clone() }), f.id);
+            }
+            let adopted = readopted(&memory);
+            let stats = spill.stats();
+            prop_assert!(stats.peak_resident_longs <= 2 * one_fragment, "{:?}", stats);
+            expected.sort_by_key(|f| f.id);
+            for store in [&memory, &spill, &adopted] {
+                prop_assert_eq!(&store.snapshot(), &expected);
+                for f in &expected {
+                    prop_assert_eq!(&store.get(f.id), f);
+                }
+                prop_assert_eq!(store.disk_longs(), expected.iter().map(Fragment::disk_longs).sum::<u64>());
+                let reals = expected.iter().flat_map(|f| &f.edges).filter(|e| e.is_real()).count();
+                prop_assert_eq!(store.total_real_edges(), reals as u64);
+                // The splice index is the typed fragments' visible vertices.
+                let cycles = expected.iter().filter(|f| f.kind == FragmentKind::Cycle);
+                prop_assert_eq!(cycle_ids(store), cycles.clone().map(|f| f.id).collect::<Vec<_>>());
+                let visible: Vec<(VertexId, FragmentId)> =
+                    cycles.flat_map(|f| f.visible_vertices().into_iter().map(|v| (v, f.id))).collect();
+                prop_assert_eq!(cycle_vertex_pairs(store), visible);
+            }
+        }
     }
 }

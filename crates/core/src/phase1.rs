@@ -67,7 +67,7 @@ pub mod reference;
 mod splice;
 pub mod wstream;
 
-use crate::fragment::{Fragment, FragmentId, FragmentKind, FragmentStore, TourEdge};
+use crate::fragment::{FragmentId, FragmentKind, FragmentStore, TourEdge};
 use crate::pathmap::{CycleEntry, PathEntry, PathMap};
 use crate::state::{EdgeRef, LocalEdge, VertexTypeCounts, WorkingPartition};
 use arena::{HostScratch, KernelState};
@@ -297,7 +297,7 @@ pub fn run_phase1_with_arena(
     visible.clear();
     visible.resize(n, NOT_VISIBLE);
     // Pending fragments live in the splice-order index, whose slab the walks
-    // append to; `Vec<TourEdge>` is only materialized once, at persist time.
+    // append to, as the record words they are persisted as.
     splice.reset();
 
     // --- Step 1: OB paths. -------------------------------------------------
@@ -354,18 +354,20 @@ pub fn run_phase1_with_arena(
     }
 
     // --- Persist fragments and rebuild the in-memory state. -----------------
+    // The slab runs go straight into the buffers the store takes whole, a run
+    // of records at a time; ids follow from where the store put the first.
+    let (mut materialization_longs, mut first_seq) = (0u64, None);
+    splice.persist(wp.level, wp.id, |run| {
+        materialization_longs += run.bytes().len() as u64 / 8;
+        first_seq.get_or_insert(store.push_segment(run));
+    });
+    let first_seq = first_seq.expect("the last run is handed over even when it is empty");
     let mut path_map = PathMap::new(wp.id, wp.level);
     path_map.internal_cycles_merged = internal_cycles_merged;
     path_map.local_edges_consumed = local_edges.len() as u64;
     let mut new_local = Vec::new();
-    let mut materialization_longs = 0u64;
-    for (kind, edges) in splice.fragments() {
-        let fragment = Fragment { id: FragmentId(0), kind, level: wp.level, partition: wp.id, edges };
-        debug_assert!(fragment.is_well_formed(), "phase 1 produced a malformed fragment");
-        materialization_longs += fragment.disk_longs();
-        let start = fragment.start();
-        let end = fragment.end();
-        let id = store.push(fragment);
+    for (seq, (kind, start, end)) in (first_seq..).zip(splice.ends()) {
+        let id = FragmentId::new(wp.level, wp.id, seq);
         match kind {
             FragmentKind::Path => {
                 path_map.paths.push(PathEntry { fragment: id, from: start, to: end });

@@ -15,8 +15,9 @@
 //!   a fragment *indexes* it: next-links (`nxt`) over its run, plus the
 //!   handles below. A spliced cycle is never copied: its walked run is
 //!   closed into a ring by its links and opened at the pivot, O(|cycle|).
-//!   The `Vec<TourEdge>` the store expects is one slice copy, or a single
-//!   O(total) walk over the links, per fragment at persist time.
+//!   Nodes are kept as the three words a tour edge has in a stored record,
+//!   so persisting a fragment is one copy of its run into the segment buffer
+//!   the store takes whole, or a single O(total) walk over the links.
 //! * **First-occurrence handles.** For every vertex slot an indexed
 //!   fragment owns (the `visible` array the kernel already keeps), the
 //!   index records `first_pred[slot]`: the arena node *preceding* the
@@ -61,7 +62,8 @@
 //! bit-identical (see the arena's dirty-arena differential test).
 
 use super::NOT_VISIBLE;
-use crate::fragment::{FragmentKind, TourEdge};
+use crate::fragment::{edge_words, FragmentKind, Segment, TourEdge, RUN_BYTES};
+use euler_graph::{PartitionId, VertexId};
 
 /// Absent link / absent list entry.
 const NONE: u32 = u32::MAX;
@@ -95,8 +97,9 @@ struct Frag {
 /// The splice-order index. One per [`HostScratch`]; `reset` before each run.
 #[derive(Default)]
 pub(crate) struct SpliceIndex {
-    /// Tour-node arena: every walked edge, in walk order.
-    nodes: Vec<TourEdge>,
+    /// Tour-node arena: every walked edge, in walk order, as its record
+    /// words `[id, from, to]`.
+    nodes: Vec<[u64; 3]>,
     /// Vertex slot each arena node leaves (its `from()`), parallel to `nodes`.
     nslot: Vec<u32>,
     /// Next-links over `nodes` (`NONE` terminates a fragment's tour). Only
@@ -195,7 +198,7 @@ impl SpliceIndex {
     /// Appends one walked edge, leaving vertex slot `from_slot`.
     #[inline]
     pub(crate) fn push(&mut self, edge: TourEdge, from_slot: u32) {
-        self.nodes.push(edge);
+        self.nodes.push(edge_words(&edge));
         self.nslot.push(from_slot);
     }
 
@@ -514,34 +517,62 @@ impl SpliceIndex {
     }
 
 
-    /// Every pending fragment in creation order: its kind and its tour as
-    /// the `Vec<TourEdge>` the store persists — one slice copy when no
-    /// splice ever landed in it, otherwise the single O(len) walk over its
-    /// links.
-    pub(crate) fn fragments(&self) -> impl Iterator<Item = (FragmentKind, Vec<TourEdge>)> + '_ {
-        self.frags.iter().map(|f| (f.kind, self.materialize(f)))
+    /// Writes every pending fragment of `(level, partition)`, in creation
+    /// order, as a record — its arena run as it is when no splice ever landed
+    /// in it, otherwise gathered by the single O(len) walk over its links —
+    /// handing the records over a run ([`RUN_BYTES`]) at a time.
+    pub(crate) fn persist(&self, level: u32, partition: PartitionId, mut hand_over: impl FnMut(Segment)) {
+        let fresh = || Segment::with_capacity(level, partition, RUN_BYTES / 256, RUN_BYTES / 24);
+        let (mut out, mut linked) = (fresh(), Vec::new());
+        for f in &self.frags {
+            if f.indexed {
+                linked.clear();
+                let links = std::iter::successors(Some(f.head), |&cur| {
+                    Some(self.nxt[cur as usize]).filter(|&next| next != NONE)
+                });
+                linked.extend(links.map(|cur| self.nodes[cur as usize]));
+                debug_assert_eq!(linked.len(), f.len as usize, "linked tour length drifted");
+                out.push_record(f.kind, &linked);
+            } else {
+                out.push_record(f.kind, &self.nodes[f.head as usize..=f.tail as usize]);
+            }
+            if out.bytes().len() >= RUN_BYTES {
+                hand_over(std::mem::replace(&mut out, fresh()));
+            }
+        }
+        hand_over(out);
     }
 
-    fn materialize(&self, f: &Frag) -> Vec<TourEdge> {
-        if !f.indexed {
-            return self.nodes[f.head as usize..=f.tail as usize].to_vec();
-        }
-        let mut out = Vec::with_capacity(f.len as usize);
-        let mut cur = f.head;
-        while cur != NONE {
-            out.push(self.nodes[cur as usize]);
-            cur = self.nxt[cur as usize];
-        }
-        debug_assert_eq!(out.len(), f.len as usize, "linked tour length drifted");
-        out
+    /// Every pending fragment's kind and end vertices, in creation order.
+    pub(crate) fn ends(&self) -> impl Iterator<Item = (FragmentKind, VertexId, VertexId)> + '_ {
+        self.frags.iter().map(|f| {
+            let (first, last) = (self.nodes[f.head as usize], self.nodes[f.tail as usize]);
+            (f.kind, VertexId(first[1]), VertexId(last[2]))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::TourEdge;
-    use euler_graph::{EdgeId, VertexId};
+    use crate::fragment::{FragmentStore, TourEdge};
+    use euler_graph::EdgeId;
+
+    /// Every pending fragment as the store reads it back: persisted into a
+    /// segment, pushed, decoded — with `ends` checked against the tours.
+    fn persisted(idx: &SpliceIndex) -> Vec<(FragmentKind, Vec<TourEdge>)> {
+        let store = FragmentStore::new();
+        idx.persist(0, PartitionId(0), |run| {
+            store.push_segment(run);
+        });
+        let tours: Vec<_> = store.snapshot().into_iter().map(|f| (f.kind, f.edges)).collect();
+        let ends: Vec<_> = tours
+            .iter()
+            .map(|(kind, tour)| (*kind, tour[0].from(), tour[tour.len() - 1].to()))
+            .collect();
+        assert_eq!(idx.ends().collect::<Vec<_>>(), ends);
+        tours
+    }
 
     fn e(from: u64, to: u64, id: u64) -> TourEdge {
         TourEdge::Real { edge: EdgeId(id), from: VertexId(from), to: VertexId(to) }
@@ -606,7 +637,7 @@ mod tests {
         }
 
         fn check(&self) {
-            let tours: Vec<Vec<TourEdge>> = self.idx.fragments().map(|(_, tour)| tour).collect();
+            let tours: Vec<Vec<TourEdge>> = persisted(&self.idx).into_iter().map(|(_, tour)| tour).collect();
             assert_eq!(tours.len(), self.frags.len());
             for (i, (tour, expect)) in tours.iter().zip(&self.frags).enumerate() {
                 assert_eq!(tour, expect, "fragment {i} diverged from the vector model");
@@ -828,7 +859,7 @@ mod tests {
             let (base, _) = Model::append(idx, &[e(3, 1, 3), e(1, 3, 4)]);
             assert_eq!(idx.pivot(base, &visible), Some((1, 0)));
             idx.merge_into(0, 1, base, &mut visible);
-            idx.fragments().collect::<Vec<_>>()
+            persisted(idx)
         };
         let mut idx = SpliceIndex::default();
         let clean = run(&mut idx);
@@ -859,7 +890,7 @@ mod tests {
             (FragmentKind::Path, vec![e(0, 1, 0), e(1, 2, 1)]),
             (FragmentKind::Cycle, vec![e(3, 4, 2), e(4, 3, 3)]),
         ];
-        assert_eq!(idx.fragments().collect::<Vec<_>>(), expect);
+        assert_eq!(persisted(&idx), expect);
         assert!(idx.handles_hold_poison(), "no splice landed: handle arrays must be untouched");
     }
 }

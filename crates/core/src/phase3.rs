@@ -18,7 +18,7 @@
 //! local subgraph is disconnected.
 
 use crate::error::EulerError;
-use crate::fragment::{Fragment, FragmentId, FragmentStore, TourEdge};
+use crate::fragment::{CycleIndex, FragmentId, FragmentStore, Record, TourEdge};
 use euler_graph::{bucket_by_slot, EdgeId, LocalIndex, VertexId};
 use serde::{Deserialize, Serialize};
 
@@ -104,30 +104,15 @@ struct PendingCycles {
 
 impl PendingCycles {
     fn new(store: &FragmentStore) -> Self {
-        // The splice index is captured by the store at push/replace time
-        // (while each fragment is still resident), so building the pending
-        // set costs no spill I/O: a spilled fragment is read back exactly
-        // once, by the unroll walk itself.
-        // Pairs arrive grouped by cycle in id order (fragments are never
-        // empty, so every cycle contributes pairs): rank them as they come.
-        let mut cycles: Vec<FragmentId> = Vec::new();
-        let ranked: Vec<(VertexId, u32)> = store
-            .cycle_vertex_pairs()
-            .into_iter()
-            .map(|(v, id)| {
-                if cycles.last() != Some(&id) {
-                    cycles.push(id);
-                }
-                (v, cycles.len() as u32 - 1)
-            })
-            .collect();
-        let index = LocalIndex::from_vertices(ranked.iter().map(|&(v, _)| v));
+        // The store interns every visible vertex of every cycle once and
+        // hands over the (slot, rank) pairs, cycles in id order; on the spill
+        // backing that costs no I/O, so a spilled fragment is read back
+        // exactly once, by the unroll walk itself.
+        let CycleIndex { index, cycles, pairs } = store.cycle_index();
         let n = index.len();
-        // Counting-sort the (vertex, cycle) pairs into per-slot buckets,
-        // preserving rank-ascending insertion order within each slot.
-        let (offsets, buckets) = bucket_by_slot(n, || {
-            ranked.iter().map(|&(v, rank)| (index.slot(v).expect("interned"), rank))
-        });
+        // Counting-sort the pairs into per-slot buckets, preserving
+        // rank-ascending insertion order within each slot.
+        let (offsets, buckets) = bucket_by_slot(n, || pairs.iter().copied());
         PendingCycles {
             bucket_lo: offsets[..n].to_vec(),
             bucket_end: offsets[1..].to_vec(),
@@ -169,12 +154,14 @@ impl PendingCycles {
     }
 }
 
-/// An expansion frame: a fragment being walked. The frame owns the one copy
-/// of the edges [`FragmentStore::get`] hands out and reads it by index —
+/// An expansion frame: a fragment being walked. The frame shares the stored
+/// record with the store and reads its tour edges in place, by index —
 /// forward, backward (each edge reversed), or forward from a rotation point
-/// and around — so no re-ordered second copy is built.
+/// and around — so neither a copy nor a re-ordered second copy is built.
 struct Frame {
-    edges: Vec<TourEdge>,
+    record: Record,
+    /// Tour edges of the record.
+    len: usize,
     /// Index of the next edge to walk, and how many are left.
     at: usize,
     left: usize,
@@ -182,29 +169,31 @@ struct Frame {
 }
 
 impl Frame {
-    fn forward(f: Fragment) -> Frame {
-        Frame { at: 0, left: f.edges.len(), reversed: false, edges: f.edges }
+    fn forward(record: Record) -> Frame {
+        let len = record.view().len();
+        Frame { record, len, at: 0, left: len, reversed: false }
     }
 
-    fn reversed(f: Fragment) -> Frame {
-        Frame { at: f.edges.len().wrapping_sub(1), reversed: true, ..Frame::forward(f) }
+    fn reversed(record: Record) -> Frame {
+        let forward = Frame::forward(record);
+        Frame { at: forward.len.wrapping_sub(1), reversed: true, ..forward }
     }
 
     /// A cycle walked from its first edge leaving `start`.
-    fn rotated(f: Fragment, start: VertexId) -> Frame {
-        let at = f.edges.iter().position(|e| e.from() == start).unwrap_or(0);
-        Frame { at, ..Frame::forward(f) }
+    fn rotated(record: Record, start: VertexId) -> Frame {
+        let at = record.view().edges().position(|e| e.from() == start).unwrap_or(0);
+        Frame { at, ..Frame::forward(record) }
     }
 
     /// The next tour edge in walk order and direction.
     fn next(&mut self) -> Option<TourEdge> {
         self.left = self.left.checked_sub(1)?;
-        let te = self.edges[self.at];
+        let te = self.record.view().edge(self.at);
         if self.reversed {
             self.at = self.at.wrapping_sub(1);
             return Some(te.reversed());
         }
-        self.at = if self.at + 1 == self.edges.len() { 0 } else { self.at + 1 };
+        self.at = if self.at + 1 == self.len { 0 } else { self.at + 1 };
         Some(te)
     }
 }
@@ -223,12 +212,12 @@ pub fn unroll(store: &FragmentStore) -> CircuitResult {
 
     while let Some(seed) = pending.pop_any() {
         let mut circuit: Vec<CircuitStep> = Vec::with_capacity(unwalked);
-        let seed_fragment = store.get(seed);
+        let seed_record = store.record(seed);
         // Splice anything already pending at the seed's start vertex.
-        let mut splice_here = seed_fragment.start();
-        let mut stack: Vec<Frame> = vec![Frame::forward(seed_fragment)];
+        let mut splice_here = seed_record.view().start();
+        let mut stack: Vec<Frame> = vec![Frame::forward(seed_record)];
         while let Some(extra) = pending.pop_at(splice_here) {
-            stack.push(Frame::rotated(store.get(extra), splice_here));
+            stack.push(Frame::rotated(store.record(extra), splice_here));
         }
 
         while let Some(frame) = stack.last_mut() {
@@ -241,20 +230,21 @@ pub fn unroll(store: &FragmentStore) -> CircuitResult {
                     circuit.push(CircuitStep { edge, from, to });
                     splice_here = to;
                     while let Some(extra) = pending.pop_at(splice_here) {
-                        stack.push(Frame::rotated(store.get(extra), splice_here));
+                        stack.push(Frame::rotated(store.record(extra), splice_here));
                     }
                 }
                 TourEdge::Virtual { fragment, from, to } => {
-                    let f = store.get(fragment);
-                    let frame = if f.start() == from && f.end() == to {
-                        Frame::forward(f)
-                    } else {
-                        debug_assert!(
-                            f.start() == to && f.end() == from,
-                            "virtual edge endpoints must match the fragment"
-                        );
-                        Frame::reversed(f)
-                    };
+                    let record = store.record(fragment);
+                    // A path's ends differ, so the vertex it starts at tells
+                    // the direction; its far end is left for the walk to
+                    // reach.
+                    let start = record.view().start();
+                    debug_assert!(
+                        start == from || start == to,
+                        "virtual edge endpoints must match the fragment"
+                    );
+                    let frame =
+                        if start == from { Frame::forward(record) } else { Frame::reversed(record) };
                     stack.push(frame);
                 }
             }
@@ -622,9 +612,13 @@ mod tests {
         // 3 Longs per edge plus a header: the largest fragment just fits.
         let spill = FragmentStore::spilling(crate::fragment::SpillConfig::with_budget(16));
         build(&spill);
+        // And a store holding the same records as bytes off the wire.
+        let adopted = crate::fragment::tests::readopted(&memory);
         assert_eq!(memory.disk_longs(), spill.disk_longs());
-        let (from_memory, from_spill) = (steps(&memory), steps(&spill));
+        assert_eq!(memory.disk_longs(), adopted.disk_longs());
+        let (from_memory, from_spill, from_wire) = (steps(&memory), steps(&spill), steps(&adopted));
         assert_eq!(from_memory, from_spill);
+        assert_eq!(from_memory, from_wire);
         assert_eq!(from_memory.len(), 10);
         let stats = spill.stats();
         assert!(stats.spilled_fragments > 0 && stats.spill_read_longs > 0, "{stats:?}");

@@ -78,6 +78,18 @@ fn main() -> ExitCode {
         );
     }
     println!("  circuit edges: {}", clean.circuit.result.total_edges());
+    // Fragments cross the wire as the records they are stored as: 8 bytes per
+    // modelled disk Long, plus five framing words for each partition stepped.
+    let fragment_bytes: u64 = engine.supersteps.iter().map(|s| s.fragment_bytes).sum();
+    let segments: u64 = engine.supersteps.iter().map(|s| s.active_partitions as u64).sum();
+    let disk_longs = clean.circuit.fragment_disk_longs;
+    println!(
+        "  fragments: {fragment_bytes} bytes in the Dones for {disk_longs} disk Longs in {segments} segments"
+    );
+    if fragment_bytes != 8 * (disk_longs + 5 * segments) {
+        eprintln!("FAIL: fragment bytes are not 8 x (disk Longs + 5 framing words per segment)");
+        return ExitCode::FAILURE;
+    }
     // Two partitions per worker: the level-0 merges have child and parent on
     // one worker, and such a state is handed over by value.
     if engine.supersteps.iter().all(|s| s.local_messages == 0) {

@@ -113,7 +113,6 @@ fn write_run(out: &mut String, name: &str, run: &PipelineRun, sequential: bool) 
             ("spill_write_longs", s.spill_write_longs),
             ("spill_read_longs", s.spill_read_longs),
             ("spill_errors", s.spill_errors),
-            ("dead_longs", s.dead_longs),
             ("spill_file_longs", s.spill_file_longs),
             ("evictions_fifo", s.evictions_fifo),
             ("evictions_scheduled", s.evictions_scheduled),

@@ -242,17 +242,7 @@ proptest! {
             prop_assert_eq!(out_dense.splice, out_ref.splice);
             prop_assert_eq!(wp_dense.local_edges, wp_ref.local_edges);
             prop_assert_eq!(wp_dense.remote_edges, wp_ref.remote_edges);
-            // Zero-copy diff through `with_all` (snapshot would clone both).
-            store_dense.with_all(|frags_dense| {
-                store_ref.with_all(|frags_ref| {
-                    assert_eq!(frags_dense.len(), frags_ref.len());
-                    for (d, r) in frags_dense.iter().zip(frags_ref) {
-                        assert_eq!(d.id, r.id);
-                        assert_eq!(d.kind, r.kind);
-                        assert_eq!(&d.edges, &r.edges);
-                    }
-                })
-            });
+            prop_assert_eq!(store_dense.snapshot(), store_ref.snapshot());
         }
     }
 
@@ -284,15 +274,7 @@ proptest! {
             prop_assert_eq!(&out_dense.path_map, &out_ref.path_map);
             prop_assert_eq!(out_dense.splice, out_ref.splice);
             prop_assert_eq!(wp_dense.local_edges, wp_ref.local_edges);
-            store_dense.with_all(|frags_dense| {
-                store_ref.with_all(|frags_ref| {
-                    assert_eq!(frags_dense.len(), frags_ref.len());
-                    for (d, r) in frags_dense.iter().zip(frags_ref) {
-                        assert_eq!(d.kind, r.kind);
-                        assert_eq!(&d.edges, &r.edges, "splice order diverged");
-                    }
-                })
-            });
+            prop_assert_eq!(store_dense.snapshot(), store_ref.snapshot(), "splice order diverged");
         }
         // End to end: the hub storm still unrolls into one valid circuit.
         let (result, _) = run_pipeline(&g, &assignment, &EulerConfig::default());
