@@ -223,12 +223,7 @@ fn main() {
         ("spill_write_longs", Value::Num(stats.spill_write_longs as f64)),
         ("spill_read_longs", Value::Num(stats.spill_read_longs as f64)),
         ("spill_errors", Value::Num(stats.spill_errors as f64)),
-        // Merge-tree-aware eviction: the pipeline installs a read schedule,
-        // so every eviction is scheduled (FIFO counts zero) and the shadow
-        // simulation reports the reload Longs saved over plain FIFO.
         ("evictions_scheduled", Value::Num(stats.evictions_scheduled as f64)),
-        ("evictions_fifo", Value::Num(stats.evictions_fifo as f64)),
-        ("reload_longs_avoided", Value::Num(stats.reload_longs_avoided as f64)),
     ]);
 
     // --- W-streaming section: same mmap'd .ecsr + streaming-LDG workload,

@@ -21,8 +21,8 @@ pub struct EulerConfig {
     /// Bound on resident fragment memory in Longs. `None` (default) keeps
     /// every circuit fragment in memory; `Some(budget)` backs the fragment
     /// store with the out-of-core spill backing
-    /// ([`crate::FragmentStore::spilling`]), which pages the coldest
-    /// fragments to a temp file once the resident set exceeds the budget —
+    /// ([`crate::FragmentStore::spilling`]), which pages fragments out to a
+    /// temp file, lowest level first, once the resident set exceeds the budget —
     /// circuits are bit-identical either way.
     pub fragment_memory_budget: Option<u64>,
     /// Directory the fragment spill file is created in when a

@@ -47,8 +47,9 @@
 //! store: the default backing keeps every segment in memory;
 //! [`FragmentStore::spilling`] bounds resident fragment memory by a
 //! [`SpillConfig::memory_budget_longs`], holds records one by one and pages
-//! the coldest out to a temp file as the bytes they are, reloading them on
-//! demand during Phase 3 — the out-of-core mode. Both keep the modelled
+//! them out to a temp file as the bytes they are — lowest level first, in an
+//! order read off the [`FragmentId`] alone — reloading them on demand during
+//! Phase 3: the out-of-core mode. Both keep the modelled
 //! [`disk_longs`](FragmentStore::disk_longs) exact and produce bit-identical
 //! circuits; the spill backing also reports its real traffic in
 //! [`FragmentStoreStats`].
@@ -57,7 +58,8 @@ use euler_bsp::wire::{extend_words, words_at, WireError, WordReader};
 use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -588,58 +590,15 @@ pub struct FragmentStoreStats {
     pub spill_read_longs: u64,
     /// Spill I/O failures absorbed by keeping the fragment resident.
     pub spill_errors: u64,
-    /// Current spill-file extent in Longs (file bytes / 8). Records are
-    /// written once, as the Longs they are, so this equals
-    /// `spill_write_longs`.
-    pub spill_file_longs: u64,
-    /// Evictions decided by push order (no [`ReadSchedule`] supplied).
+    /// Always 0: the spill backing has one eviction order. Kept because the
+    /// end-to-end benchmark package reads the field.
     pub evictions_fifo: u64,
-    /// Evictions decided by the merge-tree read schedule (farthest next
-    /// reader first).
+    /// Records paged out to the spill file — every eviction, so this equals
+    /// `spilled_fragments`.
     pub evictions_scheduled: u64,
-    /// Longs of reload traffic the schedule saved versus plain FIFO: reads
-    /// that hit a resident fragment which a FIFO store with the same budget
-    /// and push history would already have paged out. Maintained by an exact
-    /// shadow simulation of the FIFO policy; only meaningful (and only
-    /// nonzero) when a schedule is set.
+    /// Always 0: nothing simulates another eviction order to compare with.
+    /// Kept because the end-to-end benchmark package reads the field.
     pub reload_longs_avoided: u64,
-}
-
-/// When each fragment will next be read back, keyed by the `(level,
-/// partition)` it was pushed under — both are known at push time, and the
-/// merge tree statically determines the consuming side. The pipeline derives
-/// one from the [`MergeTree`](crate::merge_tree::MergeTree) and hands it to
-/// spill-backed stores ([`FragmentStore::set_read_schedule`]) so eviction can
-/// page out the fragment whose reader is *farthest* in the future
-/// (Belady-style) instead of the oldest one.
-///
-/// "Read steps" are an arbitrary monotone clock: the pipeline announces the
-/// current step with [`FragmentStore::begin_read_step`], and fragments whose
-/// scheduled step equals the current one are pinned (evicted only when the
-/// budget cannot be met any other way, preserving the peak-resident bound).
-#[derive(Clone, Debug, Default)]
-pub struct ReadSchedule {
-    steps: HashMap<(u32, u32), u64>,
-    default_step: u64,
-}
-
-impl ReadSchedule {
-    /// A schedule where unmapped `(level, partition)` keys read at
-    /// `default_step`.
-    pub fn new(default_step: u64) -> Self {
-        ReadSchedule { steps: HashMap::new(), default_step }
-    }
-
-    /// Declares that fragments pushed at `(level, partition)` are next read
-    /// at `step`.
-    pub fn set(&mut self, level: u32, partition: PartitionId, step: u64) {
-        self.steps.insert((level, partition.0), step);
-    }
-
-    /// The read step for fragments pushed at `(level, partition)`.
-    pub fn step_for(&self, level: u32, partition: PartitionId) -> u64 {
-        self.steps.get(&(level, partition.0)).copied().unwrap_or(self.default_step)
-    }
 }
 
 /// Configuration of the out-of-core spill backing
@@ -648,8 +607,8 @@ impl ReadSchedule {
 pub struct SpillConfig {
     /// Resident fragment budget in Longs (a fragment occupies
     /// [`Fragment::disk_longs`] Longs). When the resident set exceeds the
-    /// budget, the coldest (oldest) fragments are paged out to the spill
-    /// file until it fits again.
+    /// budget, fragments are paged out to the spill file — lowest level
+    /// first, see [`FragmentStore::spilling`] — until it fits again.
     pub memory_budget_longs: u64,
     /// Directory the spill file is created in (default:
     /// [`std::env::temp_dir`]). The file is unlinked immediately after
@@ -696,12 +655,6 @@ trait FragmentBacking: Send {
     /// is still resident.
     fn cycle_vertices(&self) -> Vec<(FragmentId, Vec<VertexId>)>;
     fn stats(&self) -> FragmentStoreStats;
-    /// Installs a next-reader schedule. Backings without an eviction policy
-    /// (the in-memory one) ignore it.
-    fn set_read_schedule(&mut self, _schedule: ReadSchedule) {}
-    /// Announces the current read step of the schedule's clock; fragments
-    /// scheduled for this step become pinned. Ignored without a schedule.
-    fn begin_read_step(&mut self, _step: u64) {}
 }
 
 /// The default backing: every segment lives in memory, as one buffer.
@@ -776,48 +729,22 @@ impl FragmentBacking for MemoryBacking {
     }
 }
 
-/// Per-record index entry of the spill backing: enough to answer size and
-/// eviction queries without touching the payload.
+/// Per-record index entry of the spill backing: enough to answer size
+/// queries without touching the payload.
 #[derive(Clone, Copy, Debug)]
 struct SlotMeta {
     id: FragmentId,
     longs: u64,
     /// Byte offset of the record in the spill file; `None` while resident.
     spilled_at: Option<u64>,
-    /// Scheduled read step (0 without a schedule).
-    next_read: u64,
-    /// Current eviction key: `next_read`, or `u64::MAX` once the scheduled
-    /// read has passed (an overdue fragment will not be read again, so it is
-    /// the best possible victim). Heap entries carry the key they were
-    /// pushed with; a mismatch marks them stale (lazy deletion).
-    evict_key: u64,
-    /// Arrival number — the FIFO tie-break among equal eviction keys.
-    seq: u64,
 }
 
-/// An eviction candidate in the scheduled-mode max-heap: farthest
-/// `key` first, oldest `seq` first among equals (FIFO tie-break).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct EvictEntry {
-    key: u64,
-    seq: u64,
-    id: u64,
-}
+/// A fragment's place in the eviction order, first victim first: lowest
+/// level, then highest partition, then lowest sequence number.
+type EvictionKey = (u32, Reverse<u32>, u64);
 
-impl Ord for EvictEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, std::cmp::Reverse(self.seq), self.id).cmp(&(
-            other.key,
-            std::cmp::Reverse(other.seq),
-            other.id,
-        ))
-    }
-}
-
-impl PartialOrd for EvictEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+fn eviction_key(id: FragmentId) -> EvictionKey {
+    (id.level(), Reverse(id.partition().0), id.seq())
 }
 
 /// Distinguishes concurrently-live spill files of one process.
@@ -827,17 +754,14 @@ static SPILL_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// one, plus a spill file they are paged out to as the bytes they are. What
 /// it reads back it wrote itself, so reloads are not re-validated.
 ///
-/// Eviction runs in one of two modes. Without a [`ReadSchedule`] it is
-/// oldest-first (push order): low-level fragments are the ones Phase 3
-/// reaches last, so they go cold first. With a schedule installed it is
-/// Belady-style: the victim is the resident fragment whose scheduled next
-/// reader is *farthest* in the future (overdue fragments — scheduled step
-/// already passed — rank as "never read again" and go first), with push
-/// order as the tie-break; fragments whose reader is the *current* step are
-/// pinned and only evicted when nothing else can satisfy the budget, so the
-/// peak-resident bound (budget + one fragment) holds unconditionally. A
-/// shadow simulation of the FIFO policy runs alongside the scheduled mode
-/// to account [`FragmentStoreStats::reload_longs_avoided`] exactly.
+/// Eviction follows one order read off the [`FragmentId`] alone
+/// ([`eviction_key`]): lowest level first — Phase 3 unrolls top-down and
+/// reaches level 0 last — then highest partition, then oldest within a
+/// partition. In a pipeline run nothing reads the store before Phase 3, and
+/// Phase 3 reads each record once and re-admits nothing, so the spill reads
+/// equal the spill writes whichever records the order picks. Records are made
+/// resident and the budget re-balanced one at a time, so the peak stays
+/// within budget + one fragment.
 ///
 /// A spill I/O failure is absorbed, not propagated — the fragment stays
 /// resident, the failure is counted in
@@ -854,27 +778,8 @@ struct SpillBacking {
     /// resident — the Phase-3 splice index, answered without re-reading
     /// spilled payloads.
     cycle_vis: BTreeMap<FragmentId, Vec<VertexId>>,
-    /// Resident records by id.
-    resident: HashMap<u64, Arc<Vec<u8>>>,
-    /// Resident ids, oldest first — the eviction order of the FIFO mode.
-    fifo: VecDeque<u64>,
-    /// Merge-tree read schedule; `None` means FIFO mode.
-    schedule: Option<ReadSchedule>,
-    /// The schedule clock's current read step.
-    current_step: u64,
-    /// Next arrival number (FIFO tie-break in scheduled mode).
-    next_seq: u64,
-    /// Scheduled-mode eviction candidates, farthest next reader on top.
-    /// Entries whose `(key, seq)` no longer match the slot's meta, or whose
-    /// fragment is not resident, are stale and skipped on pop.
-    heap: BinaryHeap<EvictEntry>,
-    /// Shadow FIFO simulation (scheduled mode only): which fragments a
-    /// plain FIFO store with the same budget and push history would still
-    /// have resident. A read that hits resident here but shadow-spilled is a
-    /// reload the schedule avoided.
-    shadow_fifo: VecDeque<u64>,
-    shadow_resident: HashMap<u64, u64>,
-    shadow_longs: u64,
+    /// Resident records in eviction order: the first is the next victim.
+    resident: BTreeMap<EvictionKey, Arc<Vec<u8>>>,
     /// Created lazily on first eviction; unlinked right after creation.
     file: Option<File>,
     file_end: u64,
@@ -923,7 +828,6 @@ impl SpillBacking {
         file.seek(SeekFrom::Start(offset))?;
         file.write_all(record)?;
         self.file_end += record.len() as u64;
-        self.stats.spill_file_longs = self.file_end / 8;
         Ok(offset)
     }
 
@@ -936,119 +840,31 @@ impl SpillBacking {
         bytes
     }
 
-    /// Makes the record of `id` resident (newest) and re-balances under the
-    /// budget. In scheduled mode the shadow FIFO simulation mirrors the
-    /// insertion: it assumes healthy spill I/O — it tracks policy, not
-    /// failures.
-    fn insert_resident(&mut self, id: FragmentId, record: Arc<Vec<u8>>) {
-        let m = *self.meta(id);
-        self.resident.insert(id.0, record);
-        if self.schedule.is_some() {
-            self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id: id.0 });
-            self.shadow_resident.insert(id.0, m.longs);
-            self.shadow_fifo.push_back(id.0);
-            self.shadow_longs += m.longs;
-            self.shadow_evict();
-        } else {
-            self.fifo.push_back(id.0);
-        }
-        self.stats.resident_longs += m.longs;
-        self.stats.peak_resident_longs =
-            self.stats.peak_resident_longs.max(self.stats.resident_longs);
-        self.evict();
-    }
-
-    /// Pages records out until the resident set fits the budget, by push
-    /// order (FIFO mode) or farthest next reader (scheduled mode).
+    /// Pages records out, first in the eviction order first, until the
+    /// resident set fits the budget.
     fn evict(&mut self) {
-        let mut pinned: Vec<EvictEntry> = Vec::new();
         while self.stats.resident_longs > self.budget_longs && !self.broken {
-            let victim = match self.schedule {
-                Some(_) => self.next_scheduled_victim(&mut pinned).map(|e| e.id),
-                None => self.fifo.pop_front(),
-            };
-            let Some(id) = victim else { break };
-            let record = self.resident.remove(&id).expect("eviction candidates are resident");
+            let Some((key, record)) = self.resident.pop_first() else { break };
             match self.write_record(&record) {
                 Ok(offset) => {
-                    let m = self.meta(FragmentId(id));
+                    let (level, Reverse(partition), seq) = key;
+                    let m = self.meta(FragmentId::new(level, PartitionId(partition), seq));
                     m.spilled_at = Some(offset);
                     let longs = m.longs;
                     self.stats.resident_longs -= longs;
                     self.stats.spilled_fragments += 1;
                     self.stats.spill_write_longs += longs;
-                    if self.schedule.is_some() {
-                        self.stats.evictions_scheduled += 1;
-                    } else {
-                        self.stats.evictions_fifo += 1;
-                    }
+                    self.stats.evictions_scheduled += 1;
                 }
                 Err(_) => {
                     // Interrupted spill: keep the record resident, count the
                     // failure, and stop trying — results are unaffected.
-                    self.resident.insert(id, record);
-                    if self.schedule.is_some() {
-                        let m = *self.meta(FragmentId(id));
-                        self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id });
-                    } else {
-                        self.fifo.push_front(id);
-                    }
+                    self.resident.insert(key, record);
                     self.stats.spill_errors += 1;
                     self.broken = true;
                 }
             }
         }
-        // Deferred pinned fragments stay candidates for later steps.
-        self.heap.extend(pinned);
-    }
-
-    /// Scheduled mode's next victim: the live heap entry whose next reader
-    /// is farthest away (overdue fragments first of all), FIFO among equals.
-    /// Fragments scheduled for the current read step are pinned — set aside
-    /// in `pinned` until nothing else can satisfy the budget, at which point
-    /// the budget invariant wins and the oldest pinned fragment goes anyway.
-    fn next_scheduled_victim(&mut self, pinned: &mut Vec<EvictEntry>) -> Option<EvictEntry> {
-        loop {
-            match self.heap.pop() {
-                Some(e) if !self.entry_is_live(&e) => continue, // stale (lazy deletion)
-                Some(e) if e.key == self.current_step => pinned.push(e),
-                Some(e) => return Some(e),
-                // Only pinned fragments remain over budget: they popped in
-                // FIFO order.
-                None if !pinned.is_empty() => return Some(pinned.remove(0)),
-                None => return None,
-            }
-        }
-    }
-
-    /// True when a heap entry still describes the current state of its
-    /// fragment: resident, and `(key, seq)` matching the slot meta.
-    fn entry_is_live(&mut self, e: &EvictEntry) -> bool {
-        let m = self.meta(FragmentId(e.id));
-        m.spilled_at.is_none() && m.evict_key == e.key && m.seq == e.seq
-    }
-
-    /// Runs the shadow FIFO's eviction loop.
-    fn shadow_evict(&mut self) {
-        while self.shadow_longs > self.budget_longs {
-            let Some(v) = self.shadow_fifo.pop_front() else { break };
-            if let Some(l) = self.shadow_resident.remove(&v) {
-                self.shadow_longs -= l;
-            }
-        }
-    }
-}
-
-/// `(next_read, evict_key)` of a fragment pushed at `(level, partition)`
-/// under `schedule`, with the clock at `current_step`.
-fn schedule_keys(schedule: Option<&ReadSchedule>, current_step: u64, id: FragmentId) -> (u64, u64) {
-    match schedule {
-        Some(s) => {
-            let nr = s.step_for(id.level(), id.partition());
-            let key = if nr < current_step { u64::MAX } else { nr };
-            (nr, key)
-        }
-        None => (0, 0),
     }
 }
 
@@ -1064,23 +880,18 @@ impl FragmentBacking for SpillBacking {
         // the next: the peak stays within budget + one fragment.
         for i in 0..segment.records() {
             let id = FragmentId::new(segment.level, segment.partition, first + i as u64);
-            let (next_read, evict_key) =
-                schedule_keys(self.schedule.as_ref(), self.current_step, id);
             let view = segment.record_view(i);
-            let meta = SlotMeta {
-                id,
-                longs: view.bytes.len() as u64 / 8,
-                spilled_at: None,
-                next_read,
-                evict_key,
-                seq: self.next_seq,
-            };
-            self.next_seq += 1;
+            let longs = view.bytes.len() as u64 / 8;
+            let meta = SlotMeta { id, longs, spilled_at: None };
             self.index.entry((segment.level, segment.partition.0)).or_default().push(meta);
             if cycles.next_if_eq(&&(i as u32)).is_some() {
                 self.cycle_vis.insert(id, first_seen(view.tour_vertices()));
             }
-            self.insert_resident(id, Arc::new(view.bytes.to_vec()));
+            self.resident.insert(eviction_key(id), Arc::new(view.bytes.to_vec()));
+            self.stats.resident_longs += longs;
+            self.stats.peak_resident_longs =
+                self.stats.peak_resident_longs.max(self.stats.resident_longs);
+            self.evict();
         }
         first
     }
@@ -1088,13 +899,7 @@ impl FragmentBacking for SpillBacking {
     fn record(&mut self, id: FragmentId) -> Record {
         let meta = *self.meta(id);
         let buf = match meta.spilled_at {
-            None => {
-                // A read plain FIFO would have had to reload from disk.
-                if self.schedule.is_some() && !self.shadow_resident.contains_key(&id.0) {
-                    self.stats.reload_longs_avoided += meta.longs;
-                }
-                Arc::clone(&self.resident[&id.0])
-            }
+            None => Arc::clone(&self.resident[&eviction_key(id)]),
             Some(offset) => {
                 self.stats.spill_read_longs += meta.longs;
                 Arc::new(self.read_record(offset, meta.longs))
@@ -1128,44 +933,6 @@ impl FragmentBacking for SpillBacking {
     fn stats(&self) -> FragmentStoreStats {
         self.stats
     }
-
-    fn set_read_schedule(&mut self, schedule: ReadSchedule) {
-        self.schedule = Some(schedule);
-        // Re-key every slot under the new schedule and migrate the FIFO
-        // queue into the heap (push order becomes the tie-break, so the
-        // queue's order is preserved among equal keys). The shadow FIFO
-        // starts from the same resident set in the same order: before this
-        // point both policies behaved identically.
-        for m in self.index.values_mut().flatten() {
-            (m.next_read, m.evict_key) =
-                schedule_keys(self.schedule.as_ref(), self.current_step, m.id);
-        }
-        while let Some(id) = self.fifo.pop_front() {
-            let m = *self.meta(FragmentId(id));
-            self.heap.push(EvictEntry { key: m.evict_key, seq: m.seq, id });
-            self.shadow_resident.insert(id, m.longs);
-            self.shadow_fifo.push_back(id);
-            self.shadow_longs += m.longs;
-        }
-        self.shadow_evict();
-        self.evict();
-    }
-
-    fn begin_read_step(&mut self, step: u64) {
-        self.current_step = step;
-        if self.schedule.is_none() {
-            return;
-        }
-        // Resident fragments whose scheduled read has now passed will not
-        // be read again: re-key them to "never needed" so they are the
-        // first victims from here on.
-        for m in self.index.values_mut().flatten() {
-            if m.spilled_at.is_none() && m.next_read < step && m.evict_key != u64::MAX {
-                m.evict_key = u64::MAX;
-                self.heap.push(EvictEntry { key: u64::MAX, seq: m.seq, id: m.id.0 });
-            }
-        }
-    }
 }
 
 /// The Phase-3 splice index as the store hands it over: every visible vertex
@@ -1185,7 +952,7 @@ pub(crate) struct CycleIndex {
 /// cheap and do not count toward partition memory; Phase 3 reads everything
 /// back once. Storage is pluggable behind the store: [`FragmentStore::new`]
 /// keeps every fragment in memory, [`FragmentStore::spilling`] bounds
-/// resident fragment memory and pages cold fragments to a temp file (see
+/// resident fragment memory and pages fragments out to a temp file (see
 /// [`SpillConfig`]). Either way the modelled accounting
 /// ([`disk_longs`](Self::disk_longs), [`total_real_edges`](Self::total_real_edges))
 /// is exact and identical.
@@ -1248,7 +1015,9 @@ impl FragmentStore {
 
     /// Creates an empty store whose resident fragment memory is bounded by
     /// `config.memory_budget_longs`; overflow pages to a temp file and is
-    /// reloaded on demand (the out-of-core mode).
+    /// reloaded on demand (the out-of-core mode). Records are paged out
+    /// lowest level first, then highest partition, then oldest within a
+    /// partition: an order read off their ids alone.
     pub fn spilling(config: SpillConfig) -> Self {
         Self::over(Box::new(SpillBacking::new(config)))
     }
@@ -1399,21 +1168,6 @@ impl FragmentStore {
     /// Real memory/spill statistics of the backing.
     pub fn stats(&self) -> FragmentStoreStats {
         self.inner.lock().backing.stats()
-    }
-
-    /// Installs a merge-tree-derived next-reader schedule: spill-backed
-    /// stores switch from FIFO to farthest-next-use eviction (see
-    /// [`ReadSchedule`]); the in-memory backing ignores it.
-    pub fn set_read_schedule(&self, schedule: ReadSchedule) {
-        self.inner.lock().backing.set_read_schedule(schedule)
-    }
-
-    /// Announces the current read step of the schedule's clock. Fragments
-    /// scheduled to be read at this step are pinned against eviction (up to
-    /// the budget invariant); fragments whose step has passed become
-    /// preferred victims. A no-op without a schedule.
-    pub fn begin_read_step(&self, step: u64) {
-        self.inner.lock().backing.begin_read_step(step)
     }
 }
 
@@ -1859,7 +1613,7 @@ pub(crate) mod tests {
         // The file holds each record once, at the Longs the model charges.
         let expected: u64 = fs.iter().map(Fragment::disk_longs).sum();
         assert_eq!(store.disk_longs(), expected);
-        assert_eq!((stats.spill_write_longs, stats.spill_file_longs), (expected, expected));
+        assert_eq!(stats.spill_write_longs, expected);
         for (id, f) in ids.iter().zip(&fs) {
             assert_eq!(store.get(*id).edges, f.edges);
         }
@@ -1902,189 +1656,6 @@ pub(crate) mod tests {
             "the splice index must not touch spilled payloads"
         );
         assert!(!cycle_vertex_pairs(&mem).is_empty());
-    }
-
-    // --- Merge-tree-aware (scheduled) eviction. -----------------------------
-
-    /// A 2-edge path at `(level 0, partition pid)` — a 10-Long record.
-    /// Uniform sizes keep the traces easy to reason
-    /// about: a 20-Long budget holds exactly two fragments.
-    /// Id of the one fragment the traces below push for partition `pid`.
-    fn id_at(pid: u32) -> FragmentId {
-        FragmentId::new(0, PartitionId(pid), 0)
-    }
-
-    fn frag_at(pid: u32, base: u64) -> Fragment {
-        Fragment {
-            id: FragmentId(0),
-            kind: FragmentKind::Path,
-            level: 0,
-            partition: PartitionId(pid),
-            edges: vec![real(base, base, base + 1), real(base + 1, base + 1, base + 2)],
-        }
-    }
-
-    /// The crafted multi-level merge trace of the regression test: pushes
-    /// interleaved with read steps and reads, driven identically against a
-    /// scheduled and a FIFO store. Partition id doubles as fragment number.
-    fn run_crafted_trace(store: &FragmentStore, schedule: Option<ReadSchedule>) {
-        if let Some(s) = schedule {
-            store.set_read_schedule(s);
-        }
-        // Step 0: A..D arrive. A and D are read at step 1, B and C not
-        // until step 5 — FIFO keeps the wrong two.
-        store.begin_read_step(0);
-        for pid in 0..4 {
-            store.push(frag_at(pid, 10 * pid as u64));
-        }
-        store.begin_read_step(1);
-        store.get(id_at(0)); // A
-        store.get(id_at(3)); // D
-        // Step 2: E (read at 3) and F (read at 5) arrive; A and D are now
-        // overdue and the scheduled store pages exactly them out.
-        store.begin_read_step(2);
-        store.push(frag_at(4, 40));
-        store.push(frag_at(5, 50));
-        store.begin_read_step(3);
-        store.get(id_at(4)); // E
-        // Step 4: G (read at 5) arrives.
-        store.begin_read_step(4);
-        store.push(frag_at(6, 60));
-        store.begin_read_step(5);
-        for pid in [1, 2, 5, 6] {
-            store.get(id_at(pid)); // B, C, F, G
-        }
-    }
-
-    fn crafted_schedule() -> ReadSchedule {
-        let mut s = ReadSchedule::new(100);
-        for (pid, step) in [(0, 1), (1, 5), (2, 5), (3, 1), (4, 3), (5, 5), (6, 5)] {
-            s.set(0, PartitionId(pid), step);
-        }
-        s
-    }
-
-    #[test]
-    fn scheduled_eviction_strictly_beats_fifo_on_the_crafted_trace() {
-        let budget = 20; // two of the uniform 10-Long fragments
-        let fifo = FragmentStore::spilling(SpillConfig::with_budget(budget));
-        run_crafted_trace(&fifo, None);
-        let scheduled = FragmentStore::spilling(SpillConfig::with_budget(budget));
-        run_crafted_trace(&scheduled, Some(crafted_schedule()));
-
-        let f = fifo.stats();
-        let s = scheduled.stats();
-        // The headline: strictly fewer Longs reloaded from the spill file.
-        assert!(
-            s.spill_read_longs < f.spill_read_longs,
-            "scheduled must read strictly less: scheduled={s:?} fifo={f:?}"
-        );
-        // The shadow simulation accounts the saving exactly: every Long the
-        // schedule avoided is one FIFO actually paid on the same trace.
-        assert_eq!(s.spill_read_longs + s.reload_longs_avoided, f.spill_read_longs);
-        assert!(s.reload_longs_avoided > 0);
-        // Policy counters attribute every eviction to its mode.
-        assert_eq!(s.evictions_fifo, 0);
-        assert!(s.evictions_scheduled > 0);
-        assert_eq!(f.evictions_scheduled, 0);
-        assert!(f.evictions_fifo > 0);
-        assert_eq!(f.reload_longs_avoided, 0, "no schedule, no counterfactual");
-        // Both stores serve identical fragments regardless of policy.
-        for pid in 0..7 {
-            assert_eq!(fifo.get(id_at(pid)).edges, scheduled.get(id_at(pid)).edges);
-        }
-        // Exact-accounting invariants hold in scheduled mode: the peak
-        // resident set never exceeded budget + one fragment.
-        for st in [&f, &s] {
-            assert_eq!(st.spill_errors, 0);
-            assert!(st.peak_resident_longs <= budget + 10, "peak {}", st.peak_resident_longs);
-        }
-        // Every evicted record is in the file once, as its 10 Longs.
-        let s_after = scheduled.stats();
-        assert_eq!(s_after.spill_file_longs, s_after.spilled_fragments * 10, "{s_after:?}");
-        assert_eq!(s_after.spill_file_longs, s_after.spill_write_longs);
-    }
-
-    #[test]
-    fn pinned_fragments_survive_eviction_while_unpinned_exist() {
-        // X and Z are read at the *current* step (0) — pinned. Y is read
-        // far later. FIFO would evict X (oldest); the schedule evicts Y.
-        let store = FragmentStore::spilling(SpillConfig::with_budget(20));
-        let mut s = ReadSchedule::new(100);
-        s.set(0, PartitionId(0), 0); // X
-        s.set(0, PartitionId(1), 5); // Y
-        s.set(0, PartitionId(2), 0); // Z
-        store.set_read_schedule(s);
-        store.begin_read_step(0);
-        store.push(frag_at(0, 0)); // X
-        store.push(frag_at(1, 10)); // Y
-        store.push(frag_at(2, 20)); // Z -> over budget
-        let before = store.stats();
-        assert_eq!(before.evictions_scheduled, 1);
-        store.get(id_at(0));
-        store.get(id_at(2));
-        let after = store.stats();
-        assert_eq!(after.spill_read_longs, 0, "pinned X and Z stayed resident");
-        store.get(id_at(1));
-        assert_eq!(store.stats().spill_read_longs, 10, "Y was the victim");
-    }
-
-    #[test]
-    fn all_pinned_overflow_still_respects_the_budget_invariant() {
-        // Every fragment is scheduled for the current step: the pin must
-        // yield to the budget bound, evicting in FIFO order among pinned.
-        let store = FragmentStore::spilling(SpillConfig::with_budget(20));
-        let mut s = ReadSchedule::new(100);
-        for pid in 0..3 {
-            s.set(0, PartitionId(pid), 0);
-        }
-        store.set_read_schedule(s);
-        store.begin_read_step(0);
-        for pid in 0..3 {
-            store.push(frag_at(pid, 10 * pid as u64));
-        }
-        let stats = store.stats();
-        assert!(stats.resident_longs <= 20, "budget holds: {stats:?}");
-        assert!(stats.peak_resident_longs <= 20 + 10);
-        assert_eq!(stats.evictions_scheduled, 1);
-        // The oldest pinned fragment went (FIFO tie-break).
-        store.get(FragmentId(0));
-        assert_eq!(store.stats().spill_read_longs, 10);
-    }
-
-    #[test]
-    fn schedule_set_mid_run_rekeys_the_existing_resident_set() {
-        // Two fragments resident under FIFO; installing a schedule must
-        // carry them into scheduled mode and evict by the new keys.
-        let store = FragmentStore::spilling(SpillConfig::with_budget(20));
-        store.push(frag_at(0, 0)); // older, but read soon (step 1)
-        store.push(frag_at(1, 10)); // newer, read late (step 9)
-        let mut s = ReadSchedule::new(100);
-        s.set(0, PartitionId(0), 1);
-        s.set(0, PartitionId(1), 9);
-        store.set_read_schedule(s);
-        store.push(frag_at(2, 20)); // read at 100 (default) -> the victim
-        store.begin_read_step(1);
-        store.get(id_at(0));
-        store.get(id_at(1));
-        let stats = store.stats();
-        // FIFO would have paged out fragment 0; the schedule paged out 2.
-        assert_eq!(stats.spill_read_longs, 0);
-        assert_eq!(stats.evictions_scheduled, 1);
-        store.get(id_at(2));
-        assert_eq!(store.stats().spill_read_longs, 10);
-    }
-
-    #[test]
-    fn memory_backing_ignores_schedules() {
-        let store = FragmentStore::new();
-        store.set_read_schedule(ReadSchedule::new(0));
-        store.begin_read_step(7);
-        store.push(frag_at(0, 0));
-        let stats = store.stats();
-        assert_eq!(stats.evictions_fifo + stats.evictions_scheduled, 0);
-        assert_eq!(stats.reload_longs_avoided, 0);
-        assert_eq!(store.get(FragmentId(0)).edges.len(), 2);
     }
 
     #[test]
@@ -2185,6 +1756,47 @@ pub(crate) mod tests {
                     cycles.flat_map(|f| f.visible_vertices().into_iter().map(|v| (v, f.id))).collect();
                 prop_assert_eq!(cycle_vertex_pairs(store), visible);
             }
+        }
+
+        /// The eviction order is read off the ids alone. With equal-size
+        /// records and a budget of `k` of them, however the pushes of the
+        /// `(level, partition)`s interleave, the records left resident are
+        /// the `k` last in the order — each eviction takes the first, so this
+        /// holds push by push — and every other one is read back from the
+        /// spill file, once.
+        #[test]
+        fn equal_records_leave_the_same_spilled_set_under_every_interleaving(
+            pushes in prop::collection::vec((0u32..3, 0u32..4), 1..48),
+            k in 0u64..10,
+        ) {
+            let one = |level, pid, seq: u64| Fragment {
+                id: FragmentId(0),
+                kind: FragmentKind::Path,
+                level,
+                partition: PartitionId(pid),
+                edges: vec![real(seq, seq, seq + 1)],
+            };
+            let record_longs = one(0, 0, 0).disk_longs();
+            let store = FragmentStore::spilling(SpillConfig::with_budget(k * record_longs));
+            let mut pushed = BTreeMap::new();
+            let mut ids = Vec::new();
+            for &(level, pid) in &pushes {
+                let seq = pushed.entry((level, pid)).or_insert(0u64);
+                ids.push(store.push(one(level, pid, *seq)));
+                *seq += 1;
+            }
+            let stats = store.stats();
+            prop_assert!(stats.peak_resident_longs <= (k + 1) * record_longs, "{:?}", stats);
+            ids.sort_by_key(|&id| eviction_key(id));
+            let spilled = ids.len().saturating_sub(k as usize);
+            prop_assert_eq!(stats.spilled_fragments, spilled as u64);
+            for (rank, &id) in ids.iter().enumerate() {
+                let before = store.stats().spill_read_longs;
+                store.get(id);
+                let reloaded = store.stats().spill_read_longs - before;
+                prop_assert_eq!(reloaded, if rank < spilled { record_longs } else { 0 }, "{:?}", id);
+            }
+            prop_assert_eq!(store.stats().spill_read_longs, stats.spill_write_longs);
         }
     }
 }

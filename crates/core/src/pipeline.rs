@@ -43,7 +43,7 @@
 use crate::cancel::CancelToken;
 use crate::config::EulerConfig;
 use crate::error::EulerError;
-use crate::fragment::{FragmentStore, FragmentStoreStats, ReadSchedule, SpillConfig};
+use crate::fragment::{FragmentStore, FragmentStoreStats, SpillConfig};
 use crate::level::{group_inbound, step_slot};
 use crate::level0::{self, FileLevel0};
 use crate::memory_model::{LevelTrace, PartitionLevelState};
@@ -823,40 +823,6 @@ fn fragment_store_for(config: &EulerConfig) -> FragmentStore {
     }
 }
 
-/// Derives the fragment [`ReadSchedule`] from the merge tree, on the clock
-/// announced by [`run_merge_walk`]: steps `0..S` are the supersteps (no
-/// fragment is read back during a merge), step `S` starts the Phase-3
-/// unroll. The unroll expands top-down — the highest-level fragments seed
-/// the walk and level-0 fragments are reached last — with partitions in id
-/// order within a level, so a fragment pushed at `(level, partition)` is
-/// estimated to be read at `S + (S - level) * P + partition-rank`. With
-/// this in hand a spill-backed store pages out its level-0 fragments first
-/// (the coldest ones) and keeps what the unroll needs soonest.
-fn phase3_read_schedule(tree: &MergeTree, num_partitions: u32) -> ReadSchedule {
-    let s = tree.num_supersteps() as u64;
-    let p = num_partitions as u64;
-    // Unmapped keys read after everything scheduled.
-    let mut schedule = ReadSchedule::new(s + (s + 2) * p);
-    for level in 0..=tree.num_supersteps() {
-        // Partition ids alive at fragment level `level`: the leaves for
-        // level 0, else the representatives after merging level-1 pairs.
-        let mut reps: Vec<u32> = if level == 0 {
-            (0..num_partitions).collect()
-        } else {
-            (0..num_partitions)
-                .map(|l| tree.representative_after(PartitionId(l), level - 1).0)
-                .collect()
-        };
-        reps.sort_unstable();
-        reps.dedup();
-        for (rank, &rep) in reps.iter().enumerate() {
-            let step = s + (s - level as u64) * p + rank as u64;
-            schedule.set(level, PartitionId(rep), step);
-        }
-    }
-    schedule
-}
-
 /// The merge-tree walk + Phase-3 unroll from a level-0 seed: the common
 /// tail of the dense paths (states built from a graph or a partition view, or
 /// a level 0 still in its file) and the W-streaming path (states and
@@ -887,15 +853,9 @@ fn run_merge_walk(
         ..Default::default()
     };
 
-    // Hand spill-backed stores the merge-tree read schedule so eviction can
-    // page out the fragments Phase 3 needs last (see phase3_read_schedule);
-    // the in-memory backing ignores both calls.
-    store.set_read_schedule(phase3_read_schedule(&tree, meta.num_vertices() as u32));
-
     let t_run = Instant::now();
     let mut seed = Some(seed);
     for level in 0..tree.num_supersteps() {
-        store.begin_read_step(level as u64);
         if let Some(token) = cancel {
             token.checkpoint()?;
         }
@@ -923,7 +883,6 @@ fn run_merge_walk(
         token.checkpoint()?;
     }
     let t3 = Instant::now();
-    store.begin_read_step(tree.num_supersteps() as u64);
     let result = unroll(&store);
     if let Some(token) = cancel {
         token.note_step_done();

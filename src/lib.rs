@@ -107,12 +107,10 @@
 //! view is sliced from the same sections, and `.memory_budget(longs)`
 //! bounds resident circuit-fragment memory by paging cold fragments to a
 //! temp file — reloaded on demand in Phase 3, bit-identical circuits,
-//! spill traffic reported per run. The pipeline derives a Phase-3 read
-//! schedule from the merge tree and installs it in the spill store, so
-//! eviction is farthest-next-use (Belady-style) rather than FIFO; the
-//! policy split shows up in `fragment_stats` as `evictions_scheduled`,
-//! `evictions_fifo`, and `reload_longs_avoided` (spill reads a FIFO
-//! policy would have paid on the same trace).
+//! spill traffic reported per run in `fragment_stats`. Fragments are paged
+//! out lowest merge level first (Phase 3 reaches those last), in an order
+//! read off their ids alone; since Phase 3 reads every fragment once, the
+//! Longs reloaded equal the Longs spilled.
 //!
 //! ```
 //! use euler_circuit::prelude::*;
@@ -133,8 +131,8 @@
 //! // The zero-Graph path is observable in the stage report.
 //! assert!(run.partition.partitioner.contains("streamed, direct csr slice"));
 //! assert_eq!(run.circuit.result.total_edges(), graph.num_edges());
-//! // Real fragment-memory accounting (peak resident, spill counts,
-//! // eviction-policy counters). Per-level merge reports additionally
+//! // Real fragment-memory accounting (peak resident, spill counts and
+//! // traffic). Per-level merge reports additionally
 //! // carry the Phase-1 splice-index counters (pivot lookups, linked
 //! // splices, materialization longs).
 //! assert!(run.circuit.fragment_stats.peak_resident_longs > 0);

@@ -113,10 +113,7 @@ fn write_run(out: &mut String, name: &str, run: &PipelineRun, sequential: bool) 
             ("spill_write_longs", s.spill_write_longs),
             ("spill_read_longs", s.spill_read_longs),
             ("spill_errors", s.spill_errors),
-            ("spill_file_longs", s.spill_file_longs),
-            ("evictions_fifo", s.evictions_fifo),
             ("evictions_scheduled", s.evictions_scheduled),
-            ("reload_longs_avoided", s.reload_longs_avoided),
         ]);
         let _ = writeln!(out, "      \"fragment_stats\": {stats},");
         if let Some(w) = &run.merge.wstream {
