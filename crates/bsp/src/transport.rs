@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION (7)
+//! version u16  FRAME_VERSION (8)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
 //! check   u64  word-folded FNV-1a over kind, len and payload
@@ -26,13 +26,14 @@
 //! use — over the word `kind`, the word `len`, then the payload as
 //! little-endian `u64` words, a trailing partial word zero-padded. (Frame
 //! version 1 ran byte-serial FNV-1a over the same fields, eight dependent
-//! multiplies per word; versions 2 to 6 framed like version 7 but carried
+//! multiplies per word; versions 2 to 7 framed like version 8 but carried
 //! other messages — an Init with three more words and fragment ids of
 //! another layout, then a Done whose reports lacked the two codec times,
 //! then one whose tail lacked the two by-value hand-off counters, then an
 //! Init whose seed was an untagged state list and a one-word Ready, then a
 //! Done whose fragments were a list of four-words-per-edge records, each
-//! behind its id. All are rejected as `UnsupportedVersion`.)
+//! behind its id, then a service `CHUNK` that carried every step's `from`.
+//! All are rejected as `UnsupportedVersion`.)
 //!
 //! A payload may be sent as a *list of parts*
 //! ([`Connection::send_parts`]): the checksum is chained across the parts
@@ -66,7 +67,7 @@ pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version. Bumped whenever the layout of the frame or
 /// of any message carried in it changes, so peers of different builds refuse
 /// each other at the first frame instead of misreading a payload.
-pub const FRAME_VERSION: u16 = 7;
+pub const FRAME_VERSION: u16 = 8;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -573,14 +574,33 @@ impl Transport for MemTransport {
 /// OS-socket seam (`set_read_timeout`/`set_write_timeout` closures captured
 /// at construction), and both surface expiry as [`FrameError::Timeout`].
 struct StreamConnection<R: Read + Send, W: Write + Send> {
-    /// The read half and the frame it is in the middle of receiving.
-    reader: Mutex<(R, FrameAssembler)>,
-    writer: Mutex<W>,
-    set_timeout: Box<dyn Fn(Option<Duration>) -> std::io::Result<()> + Send + Sync>,
-    set_write_timeout: Box<dyn Fn(Option<Duration>) -> std::io::Result<()> + Send + Sync>,
+    /// The read half, the frame it is in the middle of receiving, and the
+    /// read timeout last armed on the socket.
+    reader: Mutex<(R, FrameAssembler, Option<Duration>)>,
+    /// The write half and the write timeout last armed on the socket.
+    writer: Mutex<(W, Option<Duration>)>,
+    set_timeout: SetTimeout,
+    set_write_timeout: SetTimeout,
     /// The send timeout requested via [`Connection::set_send_timeout`],
     /// armed on the socket at the next `send`.
     send_timeout: Mutex<Option<Duration>>,
+}
+
+type SetTimeout = Box<dyn Fn(Option<Duration>) -> std::io::Result<()> + Send + Sync>;
+
+/// Arms `want` through `set` unless it is the timeout `armed` already holds:
+/// a connection sends and receives frame after frame under one timeout, and
+/// each `setsockopt` is a syscall.
+fn arm_timeout(
+    set: &SetTimeout,
+    armed: &mut Option<Duration>,
+    want: Option<Duration>,
+) -> Result<(), FrameError> {
+    if *armed != want {
+        set(want)?;
+        *armed = want;
+    }
+    Ok(())
 }
 
 impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
@@ -590,9 +610,10 @@ impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
         slices.push(IoSlice::new(&header));
         slices.extend(parts.iter().map(|p| IoSlice::new(p)));
         let timeout = *lock_unpoisoned(&self.send_timeout);
-        let mut w = lock_unpoisoned(&self.writer);
-        (self.set_write_timeout)(timeout)?;
-        write_all_or(&mut *w, &mut slices)?;
+        let mut guard = lock_unpoisoned(&self.writer);
+        let (w, armed) = &mut *guard;
+        arm_timeout(&self.set_write_timeout, armed, timeout)?;
+        write_all_or(w, &mut slices)?;
         match w.flush() {
             Ok(()) => Ok(()),
             Err(e)
@@ -607,8 +628,8 @@ impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
 
     fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
         let mut guard = lock_unpoisoned(&self.reader);
-        (self.set_timeout)(timeout)?;
-        let (r, assembler) = &mut *guard;
+        let (r, assembler, armed) = &mut *guard;
+        arm_timeout(&self.set_timeout, armed, timeout)?;
         assembler.read_frame(r)
     }
 
@@ -668,9 +689,10 @@ fn tcp_connection(stream: TcpStream) -> Result<Box<dyn Connection>, FrameError> 
     let reader = stream.try_clone()?;
     let read_handle = stream.try_clone()?;
     let write_handle = stream.try_clone()?;
+    // A fresh socket has no timeouts armed.
     Ok(Box::new(StreamConnection {
-        reader: Mutex::new((reader, FrameAssembler::default())),
-        writer: Mutex::new(stream),
+        reader: Mutex::new((reader, FrameAssembler::default(), None)),
+        writer: Mutex::new((stream, None)),
         set_timeout: Box::new(move |t| read_handle.set_read_timeout(t)),
         set_write_timeout: Box::new(move |t| write_handle.set_write_timeout(t)),
         send_timeout: Mutex::new(None),
@@ -753,9 +775,10 @@ fn unix_connection(stream: UnixStream) -> Result<Box<dyn Connection>, FrameError
     let reader = stream.try_clone()?;
     let read_handle = stream.try_clone()?;
     let write_handle = stream.try_clone()?;
+    // A fresh socket has no timeouts armed.
     Ok(Box::new(StreamConnection {
-        reader: Mutex::new((reader, FrameAssembler::default())),
-        writer: Mutex::new(stream),
+        reader: Mutex::new((reader, FrameAssembler::default(), None)),
+        writer: Mutex::new((stream, None)),
         set_timeout: Box::new(move |t| read_handle.set_read_timeout(t)),
         set_write_timeout: Box::new(move |t| write_handle.set_write_timeout(t)),
         send_timeout: Mutex::new(None),
@@ -849,7 +872,7 @@ mod tests {
     /// A frame as version 1 of the format wrote it: byte-serial FNV-1a over
     /// kind, length and payload. The checksum changed meaning in version 2,
     /// so the version gate — not a checksum mismatch — must refuse it. A
-    /// version 2, 3 or 4 frame differs from a current one only in its version
+    /// version 2 to 7 frame differs from a current one only in its version
     /// field (what changed is the messages inside), and is refused all the
     /// same.
     #[test]
@@ -878,7 +901,7 @@ mod tests {
 
         let mut earlier = encode_frame(7, payload).unwrap();
         assert!(decode_frame(&earlier).is_ok());
-        for version in [2u16, 3, 4, 5] {
+        for version in [2u16, 3, 4, 5, 6, 7] {
             earlier[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 decode_frame(&earlier),
@@ -965,6 +988,33 @@ mod tests {
             FrameError::Timeout
         );
         assert!(t0.elapsed() >= Duration::from_millis(25));
+    }
+
+    /// The socket's read timeout is set only when the requested one changes,
+    /// so a short timeout must be set again after a blocking receive.
+    #[test]
+    fn read_timeout_is_rearmed_after_a_blocking_receive() {
+        let listener = TcpTransport.listen().unwrap();
+        let dialer = TcpTransport.connect(&listener.endpoint()).unwrap();
+        let conn = listener.accept(Duration::from_secs(5)).unwrap();
+        let short = Some(Duration::from_millis(30));
+        assert_eq!(conn.recv_timeout(short).unwrap_err(), FrameError::Timeout);
+        // The first frame comes later than the short timeout, which a
+        // blocking receive outwaits. The second is sent once the short
+        // timeout has fired again, or after two seconds: a receive still
+        // blocking would return it instead.
+        let (fired_tx, fired_rx) = mpsc::channel::<()>();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            dialer.send(1, b"first").unwrap();
+            let _ = fired_rx.recv_timeout(Duration::from_secs(2));
+            dialer.send(2, b"second").unwrap();
+        });
+        assert_eq!(conn.recv_timeout(None).unwrap().0, 1);
+        assert_eq!(conn.recv_timeout(short).unwrap_err(), FrameError::Timeout);
+        let _ = fired_tx.send(());
+        assert_eq!(conn.recv_timeout(None).unwrap().0, 2);
+        sender.join().unwrap();
     }
 
     /// A read timeout that fires mid-frame must not lose the bytes already

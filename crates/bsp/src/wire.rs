@@ -192,11 +192,6 @@ impl WordWriter {
         self.buf.reserve(8 * words);
     }
 
-    /// Empties the payload, keeping its allocation.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
     /// Appends one word.
     pub fn u(&mut self, w: u64) {
         self.buf.extend_from_slice(&w.to_le_bytes());

@@ -18,10 +18,16 @@
 //!   estimates fits under the cap — the invariant
 //!   `Σ admitted ≤ memory_cap_longs` holds at every instant.
 //! * **Circuit cache** — finished circuits are cached by (graph checksum,
-//!   canonicalized run options); a hit streams back without any pipeline
-//!   work.
-//! * **Streaming + cancellation** — circuits stream back in bounded
-//!   [`CircuitStep`] chunks. A client disconnect or an explicit
+//!   canonicalized run options) in the form they are sent: a computed
+//!   circuit is encoded into its [`frame_kind::CHUNK`] payloads once, when
+//!   the run finishes, and the [`CircuitResult`] is dropped. An entry is 16 B
+//!   a step plus 32 B a chunk. A fresh run and a hit write those stored
+//!   payloads as they are: a hit does no pipeline work and encodes nothing.
+//! * **Streaming + cancellation** — circuits stream back in bounded chunks
+//!   that carry each step as `(edge, to)`: a step starts where the one before
+//!   it ended, and the first step of a chunk at the `from₀` in its header, so
+//!   the client rebuilds every [`CircuitStep`] as it decodes. Chunks arrive
+//!   in stream order, which the client checks. A client disconnect or an explicit
 //!   [`frame_kind::CANCEL`] frame cancels the run cooperatively (via
 //!   [`CancelToken`]) and its admitted budget is released immediately, so
 //!   a queued run can start.
@@ -53,7 +59,7 @@ use crate::merge_strategy::MergeStrategy;
 use crate::phase3::{CircuitResult, CircuitStep};
 use crate::pipeline::{run_from_file, InProcessBackend, RunReport};
 use euler_bsp::transport::Connection;
-use euler_bsp::wire::{WireError, WordReader, WordWriter};
+use euler_bsp::wire::{words_at, WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
 use euler_graph::{CsrFileEdgeStream, EdgeId, GraphRegistry, RegisteredGraph, VertexId};
 use euler_partition::{HashPartitioner, LdgPartitioner, StreamingPartitioner};
@@ -85,7 +91,9 @@ pub mod frame_kind {
     /// ← Run accounting (an encoded [`RunSummary`](super::RunSummary)),
     ///   sent before the chunks of a freshly computed circuit.
     pub const REPORT: u16 = 0x23;
-    /// ← One circuit slice: `[circuit, base, k, k×(edge, from, to)]`.
+    /// ← One circuit slice: `[circuit, base, k, from₀] + k × [edge, to]`.
+    ///   Step *i* of the slice starts at step *i − 1*'s `to`, the first
+    ///   step at `from₀`; `base` is the slice's step offset in its circuit.
     pub const CHUNK: u16 = 0x24;
     /// ← Run complete: `[num_circuits, total_edges]`.
     pub const DONE: u16 = 0x25;
@@ -462,11 +470,79 @@ impl RunSummary {
 
 type CacheKey = (u64, RunOptions);
 
+/// A computed circuit in the form it is sent: its [`frame_kind::CHUNK`]
+/// payloads back to back, encoded once when the run finishes. The cache
+/// holds this, so a fresh run and a cache hit send the same bytes.
+struct EncodedCircuit {
+    /// Per chunk `[circuit, base, k, from₀] + k × [edge, to]`: 16 B a step
+    /// plus 32 B a chunk.
+    chunks: Vec<u8>,
+    /// The [`frame_kind::DONE`] payload: `[num_circuits, total_edges]`.
+    done: [u64; 2],
+}
+
+impl EncodedCircuit {
+    /// Encodes each circuit of `result` in chunks of `chunk_steps` steps.
+    ///
+    /// # Panics
+    /// If a step does not start where the step before it ended: a chunk
+    /// stores only the first step's `from`.
+    fn new(result: &CircuitResult, chunk_steps: usize) -> Self {
+        let chunk_steps = chunk_steps.max(1);
+        let words = result
+            .circuits
+            .iter()
+            .map(|c| 4 * c.len().div_ceil(chunk_steps) + 2 * c.len())
+            .sum();
+        let mut out = WordWriter::with_capacity(words);
+        for (circuit_idx, circuit) in result.circuits.iter().enumerate() {
+            for (chunk_idx, chunk) in circuit.chunks(chunk_steps).enumerate() {
+                // `chunks` yields no empty slice.
+                let mut at = chunk[0].from;
+                out.words(&[
+                    circuit_idx as u64,
+                    (chunk_idx * chunk_steps) as u64,
+                    chunk.len() as u64,
+                    at.0,
+                ]);
+                for step in chunk {
+                    assert_eq!(step.from, at, "a circuit step starts where the one before it ended");
+                    out.words(&[step.edge.0, step.to.0]);
+                    at = step.to;
+                }
+            }
+        }
+        EncodedCircuit {
+            chunks: out.into_bytes(),
+            done: [result.circuits.len() as u64, result.total_edges()],
+        }
+    }
+
+    /// The chunk payloads in stream order, each `4 + 2k` words long.
+    fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        let mut rest = self.chunks.as_slice();
+        std::iter::from_fn(move || {
+            let [_, _, k] = words_at::<3>(rest, 0);
+            let (chunk, tail) = rest.split_at_checked(8 * (4 + 2 * k as usize))?;
+            rest = tail;
+            Some(chunk)
+        })
+    }
+
+    /// Sends the stored chunk payloads as they are, then `DONE`.
+    fn send(&self, conn: &dyn Connection) -> Result<(), FrameError> {
+        for chunk in self.chunks() {
+            conn.send(frame_kind::CHUNK, chunk)?;
+        }
+        conn.send_words(frame_kind::DONE, &self.done)
+    }
+}
+
 struct ServiceInner {
     config: ServiceConfig,
     registry: GraphRegistry,
     admission: Arc<AdmissionController>,
-    cache: Mutex<HashMap<CacheKey, Arc<CircuitResult>>>,
+    cache: Mutex<HashMap<CacheKey, Arc<EncodedCircuit>>>,
     /// EWMA of measured-peak / raw-estimate, clamped to `[0.25, 4.0]`.
     calibration: Mutex<f64>,
     runs_executed: AtomicU64,
@@ -502,11 +578,11 @@ impl ServiceInner {
         }
     }
 
-    fn cached(&self, key: &CacheKey) -> Option<Arc<CircuitResult>> {
+    fn cached(&self, key: &CacheKey) -> Option<Arc<EncodedCircuit>> {
         self.cache.lock().unwrap_or_else(|e| e.into_inner()).get(key).cloned()
     }
 
-    fn cache_put(&self, key: CacheKey, circuit: Arc<CircuitResult>) {
+    fn cache_put(&self, key: CacheKey, circuit: Arc<EncodedCircuit>) {
         self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(key, circuit);
     }
 
@@ -766,7 +842,7 @@ fn handle_register(
     }
 }
 
-type Computed = Result<(Arc<CircuitResult>, RunSummary), EulerError>;
+type Computed = Result<(Arc<EncodedCircuit>, RunSummary), EulerError>;
 
 enum ComputeEvent {
     Admitted { longs: u64 },
@@ -800,7 +876,7 @@ fn handle_run(
     if let Some(circuit) = inner.cached(&key) {
         inner.runs_cached.fetch_add(1, Ordering::Relaxed);
         conn.send_words(frame_kind::ACCEPTED, &[0, 1])?;
-        return stream_result(conn, &circuit, inner.config.chunk_steps);
+        return circuit.send(conn);
     }
 
     let token = CancelToken::new();
@@ -861,7 +937,7 @@ fn handle_run(
     match finished {
         Ok((circuit, summary)) => {
             conn.send_words(frame_kind::REPORT, &summary.encode())?;
-            stream_result(conn, &circuit, inner.config.chunk_steps)
+            circuit.send(conn)
         }
         Err(EulerError::Cancelled) => conn.send(frame_kind::CANCELLED, &[]),
         Err(e) => send_error(conn, error_code::RUN_FAILED, &e.to_string()),
@@ -898,7 +974,8 @@ fn compute_run(
                 estimated_longs: permit.longs(),
                 measured_longs: measured,
             };
-            let circuit = Arc::new(circuit);
+            // Encoded once, here; the `CircuitResult` is dropped with this arm.
+            let circuit = Arc::new(EncodedCircuit::new(&circuit, inner.config.chunk_steps));
             inner.cache_put(key, Arc::clone(&circuit));
             inner.runs_executed.fetch_add(1, Ordering::Relaxed);
             Ok((circuit, summary))
@@ -940,27 +1017,6 @@ fn compute_circuit(
     // and a fresh recomputation of the same (graph, options) key are the
     // same bytes at any thread count.
     run_from_file(&graph.csr, &assignment, scan, &config, &InProcessBackend::new(), Some(token))
-}
-
-fn stream_result(
-    conn: &dyn Connection,
-    result: &CircuitResult,
-    chunk_steps: usize,
-) -> Result<(), FrameError> {
-    let chunk_steps = chunk_steps.max(1);
-    // One payload buffer for every chunk of the stream.
-    let mut words = WordWriter::with_capacity(3 + 3 * chunk_steps);
-    for (circuit_idx, circuit) in result.circuits.iter().enumerate() {
-        for (chunk_idx, chunk) in circuit.chunks(chunk_steps).enumerate() {
-            words.clear();
-            words.words(&[circuit_idx as u64, (chunk_idx * chunk_steps) as u64, chunk.len() as u64]);
-            for step in chunk {
-                words.words(&[step.edge.0, step.from.0, step.to.0]);
-            }
-            conn.send(frame_kind::CHUNK, words.as_bytes())?;
-        }
-    }
-    conn.send_words(frame_kind::DONE, &[result.circuits.len() as u64, result.total_edges()])
 }
 
 // ---------------------------------------------------------------------------
@@ -1083,21 +1139,7 @@ fn decode_event(kind: u16, payload: &[u8]) -> Result<RunEvent, ServiceError> {
             RunEvent::Progress { done: c.u()? as u32, total: c.u()? as u32 }
         }
         frame_kind::REPORT => RunEvent::Report(RunSummary::decode(&mut c)?),
-        frame_kind::CHUNK => {
-            let [circuit, base] = c.array()?;
-            let circuit = circuit as usize;
-            let count = c.count()?;
-            let mut steps = Vec::with_capacity(c.cap(count, 3));
-            for _ in 0..count {
-                let [edge, from, to] = c.array()?;
-                steps.push(CircuitStep {
-                    edge: EdgeId(edge),
-                    from: VertexId(from),
-                    to: VertexId(to),
-                });
-            }
-            RunEvent::Chunk { circuit, base, steps }
-        }
+        frame_kind::CHUNK => decode_chunk(&mut c)?,
         frame_kind::DONE => RunEvent::Done { num_circuits: c.u()?, total_edges: c.u()? },
         frame_kind::CANCELLED => RunEvent::Cancelled,
         frame_kind::ERROR => return Err(decode_remote_error(&mut c)),
@@ -1106,6 +1148,49 @@ fn decode_event(kind: u16, payload: &[u8]) -> Result<RunEvent, ServiceError> {
         }
     };
     Ok(event)
+}
+
+/// Decodes a [`frame_kind::CHUNK`] payload, which must be exactly
+/// `4 + 2k` words, rebuilding each step's `from` as the `to` of the step
+/// before it.
+fn decode_chunk(c: &mut WordReader<'_>) -> Result<RunEvent, WireError> {
+    let [circuit, base, k, from] = c.array()?;
+    let mut from = VertexId(from);
+    let steps = c
+        .arrays::<2>(usize::try_from(k).unwrap_or(usize::MAX))?
+        .map(|[edge, to]| {
+            let step = CircuitStep { edge: EdgeId(edge), from, to: VertexId(to) };
+            from = step.to;
+            step
+        })
+        .collect();
+    c.finish()?;
+    let circuit = usize::try_from(circuit).unwrap_or(usize::MAX);
+    Ok(RunEvent::Chunk { circuit, base, steps })
+}
+
+/// Appends a chunk's steps to the circuits received so far. Chunks arrive in
+/// stream order: the current circuit continued at the step it has reached,
+/// or the next circuit begun at step 0.
+fn append_chunk(
+    circuits: &mut Vec<Vec<CircuitStep>>,
+    circuit: usize,
+    base: u64,
+    steps: Vec<CircuitStep>,
+) -> Result<(), ServiceError> {
+    if circuit == circuits.len() {
+        circuits.push(Vec::new());
+    }
+    let current = circuits.len().checked_sub(1);
+    match circuits.last_mut() {
+        Some(target) if current == Some(circuit) && target.len() as u64 == base => {
+            target.extend(steps);
+            Ok(())
+        }
+        _ => Err(ServiceError::Protocol(format!(
+            "chunk at step {base} of circuit {circuit} is out of stream order"
+        ))),
+    }
 }
 
 fn decode_remote_error(c: &mut WordReader<'_>) -> ServiceError {
@@ -1211,7 +1296,8 @@ impl ServiceClient {
     /// into a [`RunOutcome`].
     ///
     /// # Errors
-    /// Any [`ServiceError`] surfaced while streaming.
+    /// Any [`ServiceError`] surfaced while streaming;
+    /// [`ServiceError::Protocol`] for a chunk out of stream order.
     pub fn run(&self, checksum: u64, opts: RunOptions) -> Result<RunOutcome, ServiceError> {
         self.start_run(checksum, opts)?;
         let mut outcome = RunOutcome::default();
@@ -1223,13 +1309,8 @@ impl ServiceClient {
                 }
                 RunEvent::Progress { .. } => {}
                 RunEvent::Report(summary) => outcome.summary = Some(summary),
-                RunEvent::Chunk { circuit, steps, .. } => {
-                    if outcome.circuits.len() <= circuit {
-                        outcome.circuits.resize_with(circuit + 1, Vec::new);
-                    }
-                    if let Some(target) = outcome.circuits.get_mut(circuit) {
-                        target.extend(steps);
-                    }
+                RunEvent::Chunk { circuit, base, steps } => {
+                    append_chunk(&mut outcome.circuits, circuit, base, steps)?;
                 }
                 RunEvent::Done { .. } => return Ok(outcome),
                 RunEvent::Cancelled => {
@@ -1262,6 +1343,7 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn run_options_roundtrip_through_the_wire_encoding() {
@@ -1320,6 +1402,84 @@ mod tests {
             decode_event(frame_kind::DONE, &[1, 2, 3]),
             Err(ServiceError::Protocol(_))
         ));
+    }
+
+    /// Each circuit a chain over `(edge, to)` pairs from vertex 0; a small
+    /// vertex range makes self-loops common.
+    fn chain_result(circuits: &[Vec<(u64, u64)>]) -> CircuitResult {
+        let circuits = circuits
+            .iter()
+            .map(|pairs| {
+                let mut from = VertexId(0);
+                pairs
+                    .iter()
+                    .map(|&(edge, to)| {
+                        let step = CircuitStep { edge: EdgeId(edge), from, to: VertexId(to) };
+                        from = step.to;
+                        step
+                    })
+                    .collect()
+            })
+            .collect();
+        CircuitResult { circuits }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every chunk payload decodes through the client's decoder, the
+        /// chunks reassemble in stream order into the result encoded, and the
+        /// payloads are exactly `8 · (4c + 2m)` bytes.
+        #[test]
+        fn chunk_codec_roundtrips_random_results(
+            circuits in prop::collection::vec(
+                prop::collection::vec((0u64..1_000_000, 0u64..6), 1..40),
+                1..4,
+            ),
+        ) {
+            let result = chain_result(&circuits);
+            for chunk_steps in [1, 2, 7, 512] {
+                let encoded = EncodedCircuit::new(&result, chunk_steps);
+                let mut back = Vec::new();
+                for chunk in encoded.chunks() {
+                    match decode_event(frame_kind::CHUNK, chunk) {
+                        Ok(RunEvent::Chunk { circuit, base, steps }) => {
+                            append_chunk(&mut back, circuit, base, steps).unwrap();
+                        }
+                        other => panic!("a stored chunk decodes to a chunk, got {other:?}"),
+                    }
+                }
+                prop_assert_eq!(&back, &result.circuits);
+                let c: usize = circuits.iter().map(|s| s.len().div_ceil(chunk_steps)).sum();
+                let m = result.total_edges() as usize;
+                prop_assert_eq!(encoded.chunks.len(), 8 * (4 * c + 2 * m));
+                prop_assert_eq!(encoded.done, [circuits.len() as u64, m as u64]);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_chunk_payloads_get_typed_errors() {
+        let chunk = |words: &[u64]| decode_event(frame_kind::CHUNK, WordWriter::from_words(words).as_bytes());
+        let Ok(RunEvent::Chunk { circuit, base, steps }) = chunk(&[1, 4, 2, 5, 10, 6, 11, 6]) else {
+            panic!("a well-formed chunk decodes");
+        };
+        assert_eq!((circuit, base), (1, 4));
+        let step = |edge, from, to| CircuitStep { edge: EdgeId(edge), from: VertexId(from), to: VertexId(to) };
+        assert_eq!(steps, vec![step(10, 5, 6), step(11, 6, 6)]);
+        for words in [
+            &[1, 4, 2, 5, 10, 6, 11, 6, 0][..], // one word more than 4 + 2k
+            &[1, 4, 2, 5, 10, 6, 11],           // one word less
+            &[1, 4, 3, 5, 10, 6, 11, 6],        // k points past the payload
+            &[1, 4, 1 << 40, 5, 10, 6],
+            &[1, 4, u64::MAX, 5, 10, 6],
+            &[1, 4, 0],                         // no `from₀`
+        ] {
+            assert!(
+                matches!(chunk(words), Err(ServiceError::Protocol(_))),
+                "{words:?} decoded"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   over random request mixes);
 //! * malformed input — unknown frame kinds, truncated payloads, raw
 //!   garbage bytes on the socket — yields typed errors, keeps the
-//!   connection (or at worst the server) alive, and never panics.
+//!   connection (or at worst the server) alive, and never panics;
+//! * a cache hit sends the fresh run's `CHUNK` payloads byte for byte, and a
+//!   client refuses chunks out of stream order.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,12 +23,29 @@ use std::thread;
 use std::time::Duration;
 
 use euler_circuit::algo::service::{error_code, frame_kind};
+use euler_circuit::bsp::transport::Connection;
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
 
 /// A connected Eulerian graph from a seed.
 fn graph_from(seed: u64, n: u64, extra: usize) -> Graph {
     synthetic::random_eulerian_connected(n.max(4), extra, 5, seed)
+}
+
+/// Two connected Eulerian graphs side by side: an input with two circuits.
+fn two_components(seed: u64) -> Graph {
+    let (a, b) = (graph_from(seed, 40, 6), graph_from(seed + 1, 25, 4));
+    let mut g = Graph::empty(a.num_vertices() + b.num_vertices());
+    for (part, offset) in [(&a, 0), (&b, a.num_vertices())] {
+        for (_, u, v) in part.edges() {
+            g.add_edge(VertexId(u.0 + offset), VertexId(v.0 + offset)).unwrap();
+        }
+    }
+    g
+}
+
+fn words_to_bytes(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
 
 /// Writes `g` to a fresh `.ecsr` under the system temp dir (no tempfile
@@ -165,6 +184,125 @@ fn repeated_requests_hit_the_cache_without_recomputing() {
 }
 
 #[test]
+fn small_chunks_and_disconnected_graphs_stream_the_library_circuits() {
+    let graphs = [graph_from(21, 90, 10), two_components(33)];
+    let variants = [
+        RunOptions { partitions: 3, ..RunOptions::default() },
+        RunOptions {
+            partitions: 2,
+            strategy: MergeStrategy::Deferred,
+            partitioner: PartitionerKind::Ldg,
+        },
+    ];
+    for chunk_steps in [1, 7] {
+        let service =
+            EulerService::bind(ServiceConfig { chunk_steps, ..ServiceConfig::default() }).unwrap();
+        let client = ServiceClient::connect(service.endpoint()).unwrap();
+        for (g, circuits) in graphs.iter().zip([1, 2]) {
+            let path = ecsr_path(g, "chunks");
+            let info = client.register(path.to_str().unwrap()).unwrap();
+            for opts in variants {
+                let expect = reference(&path, opts);
+                assert_eq!(expect.circuits.len(), circuits);
+                let fresh = client.run(info.checksum, opts).unwrap();
+                let hit = client.run(info.checksum, opts).unwrap();
+                assert!(!fresh.cached && hit.cached);
+                assert_eq!(fresh.circuits, expect.circuits, "{chunk_steps}-step chunks, {opts:?}");
+                assert_eq!(hit.circuits, expect.circuits, "{chunk_steps}-step chunks, {opts:?}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+        service.shutdown();
+    }
+}
+
+/// Sends a RUN on a raw connection and collects the reply: whether it came
+/// from the cache, and every `CHUNK` payload as received.
+fn raw_run(conn: &dyn Connection, checksum: u64) -> (bool, Vec<Vec<u8>>) {
+    conn.send(frame_kind::RUN, &words_to_bytes(&[checksum, 2, 0, 0])).unwrap();
+    let (mut cached, mut chunks) = (false, Vec::new());
+    loop {
+        let (kind, payload) = conn.recv_timeout(Some(Duration::from_secs(30))).unwrap();
+        match kind {
+            frame_kind::ACCEPTED => cached = payload[8..16] == 1u64.to_le_bytes(),
+            frame_kind::CHUNK => chunks.push(payload),
+            frame_kind::DONE => return (cached, chunks),
+            frame_kind::PROGRESS | frame_kind::REPORT => {}
+            other => panic!("unexpected frame kind {other:#x}"),
+        }
+    }
+}
+
+#[test]
+fn a_cache_hit_sends_the_fresh_runs_chunk_payloads_byte_for_byte() {
+    let g = graph_from(5, 300, 30);
+    let m = g.num_edges() as usize;
+    let path = ecsr_path(&g, "bytes");
+    let service = EulerService::bind(ServiceConfig { chunk_steps: 7, ..ServiceConfig::default() }).unwrap();
+    let endpoint = service.endpoint().to_string();
+    let info = ServiceClient::connect(&endpoint).unwrap().register(path.to_str().unwrap()).unwrap();
+
+    let conn =
+        euler_circuit::bsp::connect_endpoint(&endpoint, 20, Duration::from_millis(10)).unwrap();
+    let (fresh_cached, fresh) = raw_run(conn.as_ref(), info.checksum);
+    let (hit_cached, hit) = raw_run(conn.as_ref(), info.checksum);
+    assert!(!fresh_cached && hit_cached);
+    assert!(hit == fresh, "a cache hit's CHUNK payloads differ from the fresh run's");
+    // One circuit of m steps in c = ⌈m / 7⌉ chunks: 8 · (4c + 2m) bytes.
+    assert_eq!(fresh.len(), m.div_ceil(7));
+    let bytes: usize = fresh.iter().map(Vec::len).sum();
+    assert_eq!(bytes, 8 * (4 * fresh.len() + 2 * m));
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A fake server on `TcpTransport` that answers one RUN with the crafted
+/// `CHUNK` payloads given, then `DONE`; returns what the client made of it.
+fn run_against(chunks: &[&[u64]]) -> Result<RunOutcome, ServiceError> {
+    let listener = TcpTransport.listen().unwrap();
+    let client = ServiceClient::connect(&listener.endpoint()).unwrap();
+    let conn = listener.accept(Duration::from_secs(5)).unwrap();
+    let frames: Vec<Vec<u8>> = chunks.iter().map(|words| words_to_bytes(words)).collect();
+    let server = thread::spawn(move || {
+        let (kind, _) = conn.recv_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(kind, frame_kind::RUN);
+        conn.send(frame_kind::ACCEPTED, &words_to_bytes(&[0, 1])).unwrap();
+        // The client stops reading at the first chunk it refuses.
+        for frame in &frames {
+            let _ = conn.send(frame_kind::CHUNK, frame);
+        }
+        let _ = conn.send(frame_kind::DONE, &words_to_bytes(&[0, 0]));
+    });
+    let outcome = client.run(1, RunOptions::default());
+    server.join().unwrap();
+    outcome
+}
+
+#[test]
+fn a_client_refuses_chunks_out_of_stream_order() {
+    let step = |edge, from, to| CircuitStep { edge: EdgeId(edge), from: VertexId(from), to: VertexId(to) };
+    let ok = run_against(&[&[0, 0, 2, 5, 10, 6, 11, 5], &[0, 2, 1, 5, 12, 5], &[1, 0, 1, 7, 13, 7]])
+        .unwrap();
+    assert_eq!(
+        ok.circuits,
+        vec![vec![step(10, 5, 6), step(11, 6, 5), step(12, 5, 5)], vec![step(13, 7, 7)]]
+    );
+    for (case, chunks) in [
+        ("index 2^40 first", &[&[1u64 << 40, 0, 1, 5, 10, 5][..]][..]),
+        ("index jump", &[&[0, 0, 1, 5, 10, 6], &[2, 0, 1, 5, 11, 5]]),
+        ("base gap", &[&[0, 0, 1, 5, 10, 6], &[0, 2, 1, 6, 11, 5]]),
+        ("repeated chunk", &[&[0, 0, 1, 5, 10, 6], &[0, 0, 1, 5, 10, 6]]),
+        ("next circuit not at step 0", &[&[0, 0, 1, 5, 10, 5], &[1, 3, 1, 5, 11, 5]]),
+        ("back to an earlier circuit", &[&[0, 0, 1, 5, 10, 5], &[1, 0, 1, 7, 11, 7], &[0, 1, 1, 5, 12, 5]]),
+    ] {
+        match run_against(chunks) {
+            Err(ServiceError::Protocol(_)) => {}
+            other => panic!("{case}: expected a protocol error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn cancelling_an_admitted_run_frees_the_budget_for_a_queued_run() {
     // A cap so small every estimate clamps to it: admission is mutually
     // exclusive and the second run can only start once the first lets go.
@@ -236,8 +374,6 @@ fn malformed_frames_yield_typed_errors_and_the_server_survives() {
     let service = bind(1 << 22, 2);
     let endpoint = service.endpoint().to_string();
 
-    let words_to_bytes =
-        |words: &[u64]| words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
     let bytes_to_words = |bytes: &[u8]| {
         bytes.chunks(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect::<Vec<u64>>()
     };
