@@ -19,10 +19,13 @@
 //!   `Σ admitted ≤ memory_cap_longs` holds at every instant.
 //! * **Circuit cache** — finished circuits are cached by (graph checksum,
 //!   canonicalized run options) in the form they are sent: a computed
-//!   circuit is encoded into its [`frame_kind::CHUNK`] payloads once, when
-//!   the run finishes, and the [`CircuitResult`] is dropped. An entry is 16 B
-//!   a step plus 32 B a chunk. A fresh run and a hit write those stored
-//!   payloads as they are: a hit does no pipeline work and encodes nothing.
+//!   circuit is encoded into its [`frame_kind::CHUNK`] frames and the
+//!   [`frame_kind::DONE`] frame once, when the run finishes — payloads
+//!   written in place, headers and checksums filled in — and the
+//!   [`CircuitResult`] is dropped. An entry is 16 B a step plus 32 B a
+//!   chunk, a 20 B header a frame, and the 16 B `DONE` payload. A fresh run
+//!   and a hit write those stored frames as one batch: a hit does no
+//!   pipeline work, encodes nothing and checksums nothing.
 //! * **Streaming + cancellation** — circuits stream back in bounded chunks
 //!   that carry each step as `(edge, to)`: a step starts where the one before
 //!   it ended, and the first step of a chunk at the `from₀` in its header, so
@@ -58,8 +61,8 @@ use crate::memory_model::{model_series, LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::phase3::{CircuitResult, CircuitStep};
 use crate::pipeline::{run_from_file, InProcessBackend, RunReport};
-use euler_bsp::transport::Connection;
-use euler_bsp::wire::{words_at, WireError, WordReader, WordWriter};
+use euler_bsp::transport::{Connection, FrameBatch, Listener, FRAME_HEADER_BYTES};
+use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
 use euler_graph::{CsrFileEdgeStream, EdgeId, GraphRegistry, RegisteredGraph, VertexId};
 use euler_partition::{HashPartitioner, LdgPartitioner, StreamingPartitioner};
@@ -470,33 +473,31 @@ impl RunSummary {
 
 type CacheKey = (u64, RunOptions);
 
-/// A computed circuit in the form it is sent: its [`frame_kind::CHUNK`]
-/// payloads back to back, encoded once when the run finishes. The cache
-/// holds this, so a fresh run and a cache hit send the same bytes.
-struct EncodedCircuit {
-    /// Per chunk `[circuit, base, k, from₀] + k × [edge, to]`: 16 B a step
-    /// plus 32 B a chunk.
-    chunks: Vec<u8>,
-    /// The [`frame_kind::DONE`] payload: `[num_circuits, total_edges]`.
-    done: [u64; 2],
-}
-
-impl EncodedCircuit {
-    /// Encodes each circuit of `result` in chunks of `chunk_steps` steps.
-    ///
-    /// # Panics
-    /// If a step does not start where the step before it ended: a chunk
-    /// stores only the first step's `from`.
-    fn new(result: &CircuitResult, chunk_steps: usize) -> Self {
-        let chunk_steps = chunk_steps.max(1);
-        let words = result
-            .circuits
-            .iter()
-            .map(|c| 4 * c.len().div_ceil(chunk_steps) + 2 * c.len())
-            .sum();
-        let mut out = WordWriter::with_capacity(words);
-        for (circuit_idx, circuit) in result.circuits.iter().enumerate() {
-            for (chunk_idx, chunk) in circuit.chunks(chunk_steps).enumerate() {
+/// Encodes a computed circuit as the frames that send it: each circuit in
+/// [`frame_kind::CHUNK`]s of `chunk_steps` steps, then
+/// [`frame_kind::DONE`]. The cache holds these frames, so a fresh run and a
+/// cache hit send the same bytes, framed and checksummed once.
+///
+/// # Errors
+/// [`FrameError::LengthOverflow`] when a chunk of `chunk_steps` steps does
+/// not fit a frame.
+///
+/// # Panics
+/// If a step does not start where the step before it ended: a chunk stores
+/// only the first step's `from`.
+fn encode_circuit(result: &CircuitResult, chunk_steps: usize) -> Result<FrameBatch, FrameError> {
+    let chunk_steps = chunk_steps.max(1);
+    let (chunks, steps) = result.circuits.iter().fold((0, 0), |(c, m), circuit| {
+        (c + circuit.len().div_ceil(chunk_steps), m + circuit.len())
+    });
+    // Per chunk `[circuit, base, k, from₀] + k × [edge, to]`, then the
+    // two `DONE` words: 16 B a step plus 32 B a chunk, and a header a frame.
+    let mut frames = FrameBatch::with_capacity(
+        8 * (4 * chunks + 2 * steps) + FRAME_HEADER_BYTES * (chunks + 1) + 16,
+    );
+    for (circuit_idx, circuit) in result.circuits.iter().enumerate() {
+        for (chunk_idx, chunk) in circuit.chunks(chunk_steps).enumerate() {
+            frames.push(frame_kind::CHUNK, |out| {
                 // `chunks` yields no empty slice.
                 let mut at = chunk[0].from;
                 out.words(&[
@@ -510,39 +511,20 @@ impl EncodedCircuit {
                     out.words(&[step.edge.0, step.to.0]);
                     at = step.to;
                 }
-            }
-        }
-        EncodedCircuit {
-            chunks: out.into_bytes(),
-            done: [result.circuits.len() as u64, result.total_edges()],
+            })?;
         }
     }
-
-    /// The chunk payloads in stream order, each `4 + 2k` words long.
-    fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        let mut rest = self.chunks.as_slice();
-        std::iter::from_fn(move || {
-            let [_, _, k] = words_at::<3>(rest, 0);
-            let (chunk, tail) = rest.split_at_checked(8 * (4 + 2 * k as usize))?;
-            rest = tail;
-            Some(chunk)
-        })
-    }
-
-    /// Sends the stored chunk payloads as they are, then `DONE`.
-    fn send(&self, conn: &dyn Connection) -> Result<(), FrameError> {
-        for chunk in self.chunks() {
-            conn.send(frame_kind::CHUNK, chunk)?;
-        }
-        conn.send_words(frame_kind::DONE, &self.done)
-    }
+    frames.push(frame_kind::DONE, |out| {
+        out.words(&[result.circuits.len() as u64, result.total_edges()]);
+    })?;
+    Ok(frames)
 }
 
 struct ServiceInner {
     config: ServiceConfig,
     registry: GraphRegistry,
     admission: Arc<AdmissionController>,
-    cache: Mutex<HashMap<CacheKey, Arc<EncodedCircuit>>>,
+    cache: Mutex<HashMap<CacheKey, Arc<FrameBatch>>>,
     /// EWMA of measured-peak / raw-estimate, clamped to `[0.25, 4.0]`.
     calibration: Mutex<f64>,
     runs_executed: AtomicU64,
@@ -578,11 +560,11 @@ impl ServiceInner {
         }
     }
 
-    fn cached(&self, key: &CacheKey) -> Option<Arc<EncodedCircuit>> {
+    fn cached(&self, key: &CacheKey) -> Option<Arc<FrameBatch>> {
         self.cache.lock().unwrap_or_else(|e| e.into_inner()).get(key).cloned()
     }
 
-    fn cache_put(&self, key: CacheKey, circuit: Arc<EncodedCircuit>) {
+    fn cache_put(&self, key: CacheKey, circuit: Arc<FrameBatch>) {
         self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(key, circuit);
     }
 
@@ -642,7 +624,15 @@ impl EulerService {
     /// [`ServiceError::Transport`] when the listener cannot bind, or a
     /// thread-spawn failure as [`ServiceError::Protocol`].
     pub fn bind(config: ServiceConfig) -> Result<EulerService, ServiceError> {
-        let listener = TcpTransport.listen()?;
+        Self::serve(TcpTransport.listen()?, config)
+    }
+
+    /// Starts the accept loop on `listener` plus `config.workers` serving
+    /// threads.
+    fn serve(
+        listener: Box<dyn Listener>,
+        config: ServiceConfig,
+    ) -> Result<EulerService, ServiceError> {
         let endpoint = listener.endpoint();
         let inner = Arc::new(ServiceInner::new(config));
         let (conn_tx, conn_rx) = mpsc::channel::<Box<dyn Connection>>();
@@ -655,19 +645,7 @@ impl EulerService {
             threads.push(
                 std::thread::Builder::new()
                     .name("euler-serve-accept".into())
-                    .spawn(move || {
-                        while !inner.shutdown.load(Ordering::Relaxed) {
-                            match listener.accept(Duration::from_millis(50)) {
-                                Ok(conn) => {
-                                    if conn_tx.send(conn).is_err() {
-                                        return;
-                                    }
-                                }
-                                Err(FrameError::Timeout) => {}
-                                Err(_) => return,
-                            }
-                        }
-                    })
+                    .spawn(move || accept_loop(listener.as_ref(), &inner.shutdown, &conn_tx))
                     .map_err(spawn_err)?,
             );
         }
@@ -734,6 +712,31 @@ impl Drop for EulerService {
 // ---------------------------------------------------------------------------
 // Server-side request handling.
 // ---------------------------------------------------------------------------
+
+/// How long the accept loop waits after a failed accept before the next.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// Hands every connection `listener` accepts to the serving threads, until
+/// shutdown or until nobody takes connections any more. A failed accept —
+/// out of file descriptors, a connection reset while it queued — is not the
+/// end of the listener: the loop pauses and accepts again.
+fn accept_loop(
+    listener: &dyn Listener,
+    shutdown: &AtomicBool,
+    conns: &mpsc::Sender<Box<dyn Connection>>,
+) {
+    while !shutdown.load(Ordering::Relaxed) {
+        match listener.accept(Duration::from_millis(50)) {
+            Ok(conn) => {
+                if conns.send(conn).is_err() {
+                    return;
+                }
+            }
+            Err(FrameError::Timeout) => {}
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
+        }
+    }
+}
 
 fn send_error(conn: &dyn Connection, code: u64, message: &str) -> Result<(), FrameError> {
     let mut words = WordWriter::from_words(&[code]);
@@ -842,7 +845,7 @@ fn handle_register(
     }
 }
 
-type Computed = Result<(Arc<EncodedCircuit>, RunSummary), EulerError>;
+type Computed = Result<(Arc<FrameBatch>, RunSummary), EulerError>;
 
 enum ComputeEvent {
     Admitted { longs: u64 },
@@ -872,11 +875,23 @@ fn handle_run(
             &format!("no registered graph has checksum {checksum:#018x}"),
         );
     };
+    // The level-0 scan allocates `P × P` cut cells: an allocation that
+    // fails aborts the process, which no unwinding catches.
+    if !crate::level0::cut_matrix_fits(&graph.csr, opts.partitions) {
+        return send_error(
+            conn,
+            error_code::BAD_REQUEST,
+            &format!(
+                "{} partitions make a cut matrix larger than the graph's file",
+                opts.partitions
+            ),
+        );
+    }
     let key: CacheKey = (checksum, opts);
     if let Some(circuit) = inner.cached(&key) {
         inner.runs_cached.fetch_add(1, Ordering::Relaxed);
         conn.send_words(frame_kind::ACCEPTED, &[0, 1])?;
-        return circuit.send(conn);
+        return conn.send_batch(&circuit);
     }
 
     let token = CancelToken::new();
@@ -937,7 +952,7 @@ fn handle_run(
     match finished {
         Ok((circuit, summary)) => {
             conn.send_words(frame_kind::REPORT, &summary.encode())?;
-            circuit.send(conn)
+            conn.send_batch(&circuit)
         }
         Err(EulerError::Cancelled) => conn.send(frame_kind::CANCELLED, &[]),
         Err(e) => send_error(conn, error_code::RUN_FAILED, &e.to_string()),
@@ -974,8 +989,11 @@ fn compute_run(
                 estimated_longs: permit.longs(),
                 measured_longs: measured,
             };
-            // Encoded once, here; the `CircuitResult` is dropped with this arm.
-            let circuit = Arc::new(EncodedCircuit::new(&circuit, inner.config.chunk_steps));
+            // Framed once, here; the `CircuitResult` is dropped with this arm.
+            let chunk_steps = inner.config.chunk_steps;
+            let circuit = Arc::new(encode_circuit(&circuit, chunk_steps).map_err(|e| {
+                EulerError::InvalidConfig(format!("{chunk_steps}-step chunks: {e}"))
+            })?);
             inner.cache_put(key, Arc::clone(&circuit));
             inner.runs_executed.fetch_add(1, Ordering::Relaxed);
             Ok((circuit, summary))
@@ -1343,6 +1361,8 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use euler_bsp::transport::decode_frame;
+    use euler_bsp::MemTransport;
     use proptest::prelude::*;
 
     #[test]
@@ -1427,9 +1447,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every chunk payload decodes through the client's decoder, the
-        /// chunks reassemble in stream order into the result encoded, and the
-        /// payloads are exactly `8 · (4c + 2m)` bytes.
+        /// The encoded batch is `CHUNK` frames and then one `DONE`, each of
+        /// which decodes through the client's decoder; the chunks reassemble
+        /// in stream order into the result encoded. The chunk payloads are
+        /// exactly `8 · (4c + 2m)` bytes, and the batch adds a 20 B header a
+        /// frame and the 16 B `DONE` payload.
         #[test]
         fn chunk_codec_roundtrips_random_results(
             circuits in prop::collection::vec(
@@ -1439,21 +1461,30 @@ mod tests {
         ) {
             let result = chain_result(&circuits);
             for chunk_steps in [1, 2, 7, 512] {
-                let encoded = EncodedCircuit::new(&result, chunk_steps);
-                let mut back = Vec::new();
-                for chunk in encoded.chunks() {
-                    match decode_event(frame_kind::CHUNK, chunk) {
+                let batch = encode_circuit(&result, chunk_steps).unwrap();
+                let mut rest = batch.as_bytes();
+                let (mut back, mut chunks, mut chunk_bytes) = (Vec::new(), 0, 0);
+                let done = loop {
+                    let (kind, payload, used) = decode_frame(rest).unwrap();
+                    rest = &rest[used..];
+                    match decode_event(kind, &payload) {
                         Ok(RunEvent::Chunk { circuit, base, steps }) => {
                             append_chunk(&mut back, circuit, base, steps).unwrap();
+                            chunks += 1;
+                            chunk_bytes += payload.len();
                         }
-                        other => panic!("a stored chunk decodes to a chunk, got {other:?}"),
+                        Ok(RunEvent::Done { num_circuits, total_edges }) => break [num_circuits, total_edges],
+                        other => panic!("a stored frame decodes to a chunk or done, got {other:?}"),
                     }
-                }
+                };
+                prop_assert!(rest.is_empty(), "frames after DONE");
                 prop_assert_eq!(&back, &result.circuits);
                 let c: usize = circuits.iter().map(|s| s.len().div_ceil(chunk_steps)).sum();
                 let m = result.total_edges() as usize;
-                prop_assert_eq!(encoded.chunks.len(), 8 * (4 * c + 2 * m));
-                prop_assert_eq!(encoded.done, [circuits.len() as u64, m as u64]);
+                prop_assert_eq!(chunks, c);
+                prop_assert_eq!(chunk_bytes, 8 * (4 * c + 2 * m));
+                prop_assert_eq!(batch.as_bytes().len(), 8 * (4 * c + 2 * m) + 20 * (c + 1) + 16);
+                prop_assert_eq!(done, [circuits.len() as u64, m as u64]);
             }
         }
     }
@@ -1555,6 +1586,42 @@ mod tests {
         let permit = ctl.admit(10_000, &token).unwrap();
         assert_eq!(permit.longs(), 100, "clamped to the whole budget");
         assert_eq!(ctl.admitted_longs(), 100);
+    }
+
+    /// A listener whose first accept fails, as one out of file descriptors
+    /// does; every later accept is the real listener's.
+    struct FailsFirst {
+        inner: Box<dyn Listener>,
+        accepts: AtomicU64,
+    }
+
+    impl Listener for FailsFirst {
+        fn endpoint(&self) -> String {
+            self.inner.endpoint()
+        }
+
+        fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
+            if self.accepts.fetch_add(1, Ordering::Relaxed) == 0 {
+                return Err(FrameError::Io("Too many open files (os error 24)".into()));
+            }
+            self.inner.accept(timeout)
+        }
+    }
+
+    #[test]
+    fn a_failed_accept_does_not_stop_the_service_accepting() {
+        let listener =
+            FailsFirst { inner: MemTransport.listen().unwrap(), accepts: AtomicU64::new(0) };
+        let service = EulerService::serve(Box::new(listener), ServiceConfig::default()).unwrap();
+        let client = ServiceClient::connect(service.endpoint())
+            .unwrap()
+            .with_recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            client.stats().unwrap().runs_executed,
+            0,
+            "the connection after the failure is served"
+        );
+        service.shutdown();
     }
 
     #[test]

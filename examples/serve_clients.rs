@@ -11,7 +11,11 @@
 //!    mid-flight — the run must end with `Cancelled`, not a circuit;
 //! 3. a repeat of a finished request must come from the circuit cache with
 //!    no new pipeline run (the executed-run counter must not move);
-//! 4. throughout, the admission controller's high-water mark must stay at
+//! 4. a client asking for more partitions than the graph can hold (a
+//!    `P × P` cut matrix larger than its file) must get a typed
+//!    `BAD_REQUEST`, not a server that dies allocating it, and must then
+//!    complete a normal run on the same connection;
+//! 5. throughout, the admission controller's high-water mark must stay at
 //!    or under the configured cap, and the admitted budget must drain back
 //!    to zero once the streams end.
 //!
@@ -21,6 +25,7 @@
 use std::process::ExitCode;
 use std::thread;
 
+use euler_circuit::algo::service::error_code;
 use euler_circuit::prelude::*;
 
 const CAP_LONGS: u64 = 1 << 22;
@@ -182,6 +187,30 @@ fn main() -> ExitCode {
     }
     println!("repeat request served from the circuit cache without a pipeline run");
 
+    // --- an impossible partition count is refused, the connection lives on --
+    let greedy = ServiceClient::connect(&endpoint).expect("greedy client connects");
+    let huge = RunOptions { partitions: 200_000, ..RunOptions::default() };
+    match greedy.run(small_info.checksum, huge) {
+        Err(ServiceError::Remote { code: error_code::BAD_REQUEST, message }) => {
+            println!("refused a {}-partition run: {message}", huge.partitions);
+        }
+        other => {
+            eprintln!(
+                "FAIL: a {}-partition run was not refused as BAD_REQUEST: {other:?}",
+                huge.partitions
+            );
+            return ExitCode::FAILURE;
+        }
+    }
+    let normal = RunOptions { partitions: 5, ..RunOptions::default() };
+    let after_refusal =
+        greedy.run(small_info.checksum, normal).expect("run after the refusal streams");
+    if after_refusal.cached || after_refusal.circuits != reference(&small_path, normal).circuits {
+        eprintln!("FAIL: the run after the refusal differs from the library path");
+        return ExitCode::FAILURE;
+    }
+    println!("the same connection then streamed a normal run, bit-identical to the library path");
+
     // --- final accounting ----------------------------------------------------
     let stats = service.stats();
     println!(
@@ -196,7 +225,7 @@ fn main() -> ExitCode {
     let accounting_ok = stats.peak_admitted_longs > 0
         && stats.peak_admitted_longs <= stats.memory_cap_longs
         && stats.admitted_longs == 0
-        && stats.runs_executed == 3
+        && stats.runs_executed == 4
         && stats.runs_cached == 1
         && stats.runs_cancelled == 1
         && stats.graphs_registered == 2;

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use euler_circuit::algo::verify::verify_result;
-use euler_circuit::bsp::transport::{Connection, Listener};
+use euler_circuit::bsp::transport::{Connection, FrameBatch, Listener};
 use euler_circuit::bsp::FrameError;
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
@@ -153,6 +153,10 @@ impl Drop for CountedConnection {
 impl Connection for CountedConnection {
     fn send_parts(&self, kind: u16, parts: &[&[u8]]) -> Result<(), FrameError> {
         self.inner.send_parts(kind, parts)
+    }
+
+    fn send_batch(&self, batch: &FrameBatch) -> Result<(), FrameError> {
+        self.inner.send_batch(batch)
     }
 
     fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {

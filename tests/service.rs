@@ -13,7 +13,8 @@
 //!   over random request mixes);
 //! * malformed input — unknown frame kinds, truncated payloads, raw
 //!   garbage bytes on the socket — yields typed errors, keeps the
-//!   connection (or at worst the server) alive, and never panics;
+//!   connection (or at worst the server) alive, and never panics — as does
+//!   a partition count the graph cannot hold;
 //! * a cache hit sends the fresh run's `CHUNK` payloads byte for byte, and a
 //!   client refuses chunks out of stream order.
 
@@ -434,6 +435,30 @@ fn malformed_frames_yield_typed_errors_and_the_server_survives() {
         other => panic!("expected a typed remote error, got {other:?}"),
     }
 
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A partition count whose `P × P` cut matrix would dwarf the graph is
+/// refused before admission, with a typed error — not an allocation the
+/// process cannot survive — and the connection goes on serving.
+#[test]
+fn a_run_with_more_partitions_than_the_graph_can_hold_is_refused() {
+    let g = graph_from(9, 300, 30);
+    let path = ecsr_path(&g, "partitions");
+    let service = bind(1 << 22, 2);
+    let client = ServiceClient::connect(service.endpoint()).unwrap();
+    let info = client.register(path.to_str().unwrap()).unwrap();
+
+    match client.run(info.checksum, RunOptions { partitions: 200_000, ..RunOptions::default() }) {
+        Err(ServiceError::Remote { code, .. }) => assert_eq!(code, error_code::BAD_REQUEST),
+        other => panic!("expected a typed BAD_REQUEST, got {other:?}"),
+    }
+    let opts = RunOptions { partitions: 4, ..RunOptions::default() };
+    let outcome = client.run(info.checksum, opts).unwrap();
+    assert_eq!(outcome.circuits, reference(&path, opts).circuits);
+    let stats = service.stats();
+    assert_eq!((stats.runs_executed, stats.peak_admitted_longs > 0), (1, true));
     service.shutdown();
     std::fs::remove_file(&path).ok();
 }
