@@ -36,7 +36,8 @@ pub const CHECKPOINT_VERSION: u64 = 3;
 /// Typed reasons a checkpoint file cannot be restored.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The file does not exist.
+    /// The file does not exist or could not be opened (e.g. a directory in
+    /// its path is a regular file): there was nothing to refuse.
     Missing,
     /// The file does not start with [`CHECKPOINT_MAGIC`].
     BadMagic,
@@ -69,11 +70,7 @@ impl std::error::Error for CheckpointError {}
 
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            CheckpointError::Missing
-        } else {
-            CheckpointError::Io(e)
-        }
+        CheckpointError::Io(e)
     }
 }
 
@@ -122,7 +119,8 @@ pub fn write_checkpoint(path: &Path, parts: &[&[u8]]) -> Result<u64, CheckpointE
 pub fn read_checkpoint(path: &Path) -> Result<Vec<u8>, CheckpointError> {
     const HEADER_BYTES: usize = 32;
     let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
+    let mut file = fs::File::open(path).map_err(|_| CheckpointError::Missing)?;
+    file.read_to_end(&mut bytes)?;
     // A torn write from a killed worker must surface as a typed error, so
     // every read is bounds-checked rather than indexed.
     let [magic, version, len, check] = bytes
@@ -205,6 +203,12 @@ mod tests {
             read_checkpoint(&checkpoint_file(&dir, 0, 99)),
             Err(CheckpointError::Missing)
         ));
+        // Beneath a regular file nothing is written, and nothing read back.
+        let blocker = dir.join("blocker");
+        fs::write(&blocker, b"not a directory").unwrap();
+        let path = checkpoint_file(&blocker, 0, 0);
+        assert!(matches!(write_words(&path, &[1]), Err(CheckpointError::Io(_))));
+        assert!(matches!(read_checkpoint(&path), Err(CheckpointError::Missing)));
         fs::remove_dir_all(&dir).ok();
     }
 

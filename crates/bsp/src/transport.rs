@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION (8)
+//! version u16  FRAME_VERSION (9)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
 //! check   u64  word-folded FNV-1a over kind, len and payload
@@ -26,14 +26,16 @@
 //! use — over the word `kind`, the word `len`, then the payload as
 //! little-endian `u64` words, a trailing partial word zero-padded. (Frame
 //! version 1 ran byte-serial FNV-1a over the same fields, eight dependent
-//! multiplies per word; versions 2 to 7 framed like version 8 but carried
+//! multiplies per word; versions 2 to 8 framed like version 9 but carried
 //! other messages — an Init with three more words and fragment ids of
 //! another layout, then a Done whose reports lacked the two codec times,
 //! then one whose tail lacked the two by-value hand-off counters, then an
 //! Init whose seed was an untagged state list and a one-word Ready, then a
 //! Done whose fragments were a list of four-words-per-edge records, each
-//! behind its id, then a service `CHUNK` that carried every step's `from`.
-//! All are rejected as `UnsupportedVersion`.)
+//! behind its id, then a service `CHUNK` that carried every step's `from`,
+//! then a two-word Ready and a Restore message of its own instead of an
+//! Init seeded from a checkpoint. All are rejected as
+//! `UnsupportedVersion`.)
 //!
 //! A payload may be sent as a *list of parts*
 //! ([`Connection::send_parts`]): the checksum is chained across the parts
@@ -77,7 +79,7 @@ pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version. Bumped whenever the layout of the frame or
 /// of any message carried in it changes, so peers of different builds refuse
 /// each other at the first frame instead of misreading a payload.
-pub const FRAME_VERSION: u16 = 8;
+pub const FRAME_VERSION: u16 = 9;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -1022,7 +1024,7 @@ mod tests {
 
         let mut earlier = encode_frame(7, payload).unwrap();
         assert!(decode_frame(&earlier).is_ok());
-        for version in [2u16, 3, 4, 5, 6, 7] {
+        for version in [2u16, 3, 4, 5, 6, 7, 8] {
             earlier[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 decode_frame(&earlier),

@@ -39,10 +39,6 @@ pub struct EulerConfig {
     /// of the edge count. The merge-tree walk and Phase 3 are unchanged, so
     /// the mode composes with every backend and merge strategy.
     pub streaming_phase1: bool,
-    /// Open-chain buffer capacity for the W-streaming pass, in tour edges
-    /// per chain. `0` (default) selects the `Θ(log n)` default
-    /// ([`crate::phase1::wstream::default_chunk_edges`]).
-    pub wstream_chunk_edges: usize,
 }
 
 impl Default for EulerConfig {
@@ -55,7 +51,6 @@ impl Default for EulerConfig {
             fragment_memory_budget: None,
             fragment_spill_directory: None,
             streaming_phase1: false,
-            wstream_chunk_edges: 0,
         }
     }
 }
@@ -108,13 +103,6 @@ impl EulerConfig {
     /// [`EulerConfig::streaming_phase1`]).
     pub fn with_streaming_phase1(mut self, yes: bool) -> Self {
         self.streaming_phase1 = yes;
-        self
-    }
-
-    /// Sets the W-streaming open-chain buffer capacity (see
-    /// [`EulerConfig::wstream_chunk_edges`]; `0` = `Θ(log n)` default).
-    pub fn with_wstream_chunk_edges(mut self, edges: usize) -> Self {
-        self.wstream_chunk_edges = edges;
         self
     }
 }

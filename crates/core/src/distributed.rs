@@ -26,27 +26,26 @@
 //! ```text
 //! worker                         coordinator
 //!   | -- Hello{worker} ------------> |      (handshake, after connect)
-//!   | <-- Init{plan, tree,           |
-//!   |          seeds | file} ------- |
-//!   | -- Ready{ckpt0 longs,          |
-//!   |          seed build ns} -----> |
+//!   | <-- Init{plan, tree, seeds     |      (again after a detected death)
+//!   |     | file | checkpoint s} --- |
+//!   | -- Ready{ckpt longs,           |
+//!   |     build ns, refusal} ------> |
 //!   |                                |      per merge level L:
 //!   | <-- Start{L, child states} --- |
 //!   |  …compute, heartbeats…         |
 //!   | -- Done{L, reports, ships,     |
 //!   |         segments, ckpt} -----> |      (barrier: validate, adopt)
 //!   |                                |
-//!   | <-- Restore{L} --------------- |      (after a detected death)
-//!   | -- RestoreAck / Failed ------> |
 //!   | <-- Shutdown ----------------- |
 //!   | -- Bye ----------------------> |
 //! ```
 //!
-//! An Init ends in the worker's level-0 seed, tagged: `0` its partition
-//! states, encoded — what a run whose level 0 is resident ships — or `1` a
+//! An Init ends in the worker's seed, tagged: `0` its level-0 partition
+//! states, encoded — what a run whose level 0 is resident ships — `1` a
 //! *reference* to the `.ecsr` the coordinator mapped: path, header identity
 //! (checksum, n, m), partition count, a mask of the partitions the worker
-//! owns, and the assignment's labels packed two per word. Given a reference
+//! owns, and the assignment's labels packed two per word — or `2` a
+//! superstep `s`: the worker's own checkpoint entering it. Given a reference
 //! the worker opens the file frame-checked only ([`CsrFile::open_trusted`]),
 //! refuses it unless the three identity words are the ones it was sent — the
 //! coordinator's open validated a file with that checksum — and builds its
@@ -54,7 +53,10 @@
 //! so no count in the payload sizes an allocation, then a fill of the
 //! partitions the mask names. The loader looks every endpoint up checked, so
 //! a file that changed under the same header ends the worker with a typed
-//! error. Ready reports what that took.
+//! error. Ready reports what that took in three words: the Longs of the
+//! checkpoint 0 it wrote from a level-0 seed, or of the checkpoint it
+//! restored; the nanoseconds from Init to states; and a refusal — `0` none,
+//! `1` no checkpoint to restore, `2` one found and ignored.
 //!
 //! ## Determinism & recovery invariant
 //!
@@ -71,12 +73,14 @@
 //! and the states kept for the next level's merges, two lists in the wire
 //! codec — and that superstep's fragments (the same segments of records) to
 //! a versioned checkpoint file: `ckpt-w{W}-s{K}` holds the state *entering*
-//! superstep `K`. When the coordinator detects a death during superstep
-//! `s` it rolls every survivor back to checkpoint `s`, respawns the dead
-//! worker, restores it from the same checkpoint, re-delivers the superstep
-//! `s` inputs it retained, and resumes. Without usable checkpoints it
-//! falls back to a full deterministic replay from the level-0 seed — the
-//! Init tails it retained, states or reference, sent again.
+//! superstep `K`. Every way a worker gets its state is an Init. When the
+//! coordinator detects a death during superstep `s` it respawns each dead
+//! worker once, stops and joins the survivors' receivers under a new epoch,
+//! and re-Inits every worker from checkpoint `s`; it then re-delivers the
+//! superstep `s` inputs it retained and resumes. If checkpointing is off or
+//! any worker refuses, it re-Inits every worker in place from the Init tails
+//! it retained — states or reference — and replays supersteps `0..s`
+//! deterministically.
 
 use crate::error::EulerError;
 use crate::fragment::{FragmentId, FragmentStore, Segment, SegmentHead};
@@ -123,11 +127,8 @@ mod kind {
     pub const START: u16 = 4;
     pub const DONE: u16 = 5;
     pub const HEARTBEAT: u16 = 6;
-    pub const RESTORE: u16 = 7;
-    pub const RESTORE_ACK: u16 = 8;
-    pub const RESTORE_FAILED: u16 = 9;
-    pub const SHUTDOWN: u16 = 10;
-    pub const BYE: u16 = 11;
+    pub const SHUTDOWN: u16 = 7;
+    pub const BYE: u16 = 8;
 }
 
 fn encode_tree(out: &mut WordWriter, tree: &MergeTree) {
@@ -281,11 +282,7 @@ fn encode_init_head(m: &InitHead) -> WordWriter {
     out.words(&[
         m.worker_id as u64,
         m.num_workers as u64,
-        match m.strategy {
-            MergeStrategy::Duplicated => 0,
-            MergeStrategy::Deduplicated => 1,
-            MergeStrategy::Deferred => 2,
-        },
+        m.strategy.wire_code(),
         m.heartbeat_interval.as_nanos() as u64,
     ]);
     match m.kill {
@@ -311,12 +308,7 @@ fn decode_init(payload: &[u8]) -> Result<(InitHead, SeedTail), WireError> {
     let mut r = WordReader::new(payload)?;
     let [worker_id, num_workers, strategy, heartbeat_ns, kill_flag, kill_w, kill_s, kill_mode, has_dir] =
         r.array()?;
-    let strategy = match strategy {
-        0 => MergeStrategy::Duplicated,
-        1 => MergeStrategy::Deduplicated,
-        2 => MergeStrategy::Deferred,
-        t => return Err(WireError::Invalid(format!("unknown merge strategy tag {t}"))),
-    };
+    let strategy = MergeStrategy::from_wire_code(strategy)?;
     let checkpoint_dir = if has_dir != 0 { Some(PathBuf::from(r.str()?)) } else { None };
     let head = InitHead {
         worker_id: worker_id as u32,
@@ -332,17 +324,20 @@ fn decode_init(payload: &[u8]) -> Result<(InitHead, SeedTail), WireError> {
     Ok((head, seed))
 }
 
-/// The tail of an Init: where the worker's level-0 states come from.
+/// The tail of an Init: where the worker's states come from.
 enum SeedTail {
-    /// The states, shipped.
+    /// The level-0 states, shipped.
     States(Vec<WorkingPartition>),
     /// The `.ecsr` they are to be built from.
     File(FileRef),
+    /// The worker's own checkpoint entering this superstep.
+    Checkpoint(u32),
 }
 
 mod seed_tag {
     pub const STATES: u64 = 0;
     pub const FILE: u64 = 1;
+    pub const CHECKPOINT: u64 = 2;
 }
 
 /// A reference to the level 0 the coordinator holds mapped.
@@ -421,7 +416,14 @@ fn decode_seed(r: &mut WordReader<'_>, tree: &MergeTree) -> Result<SeedTail, Wir
                 .map_err(|e| WireError::Invalid(format!("level-0 reference: {e}")))?;
             Ok(SeedTail::File(FileRef { path, identity: [checksum, n, m], owned, assignment }))
         }
-        tag => Err(WireError::Invalid(format!("unknown level-0 seed tag {tag}"))),
+        seed_tag::CHECKPOINT => {
+            let superstep = r.u()?;
+            r.finish()?;
+            u32::try_from(superstep).map(SeedTail::Checkpoint).map_err(|_| {
+                WireError::Invalid(format!("checkpoint seed names superstep {superstep}"))
+            })
+        }
+        tag => Err(WireError::Invalid(format!("unknown seed tag {tag}"))),
     }
 }
 
@@ -747,11 +749,11 @@ fn adopt_fragments(list: &[(SegmentHead, Blob)], store: &FragmentStore) -> Resul
 // Worker side.
 // ---------------------------------------------------------------------------
 
-/// A worker's reason for refusing a Restore.
+/// A worker's reason for refusing a checkpoint seed.
 #[derive(Debug)]
 struct RestoreRefusal {
-    /// True when a checkpoint file was present but detected as unusable and
-    /// ignored (vs simply missing / checkpointing disabled).
+    /// True when a checkpoint file was read but detected as unusable and
+    /// ignored (vs one that could not be opened, or checkpointing disabled).
     ignored: bool,
 }
 
@@ -856,8 +858,8 @@ impl WorkerState {
     /// Writes the checkpoint entering `superstep`: the slot states, the
     /// states kept for that superstep's merges, then the segments found at
     /// `superstep - 1` (none at superstep 0) as the Done's `fragments`
-    /// section lays them out. Returns Longs written (0 when checkpointing is
-    /// off).
+    /// section lays them out. Returns Longs written: 0 when checkpointing is
+    /// off or the write failed, which the coordinator warns of.
     fn write_ckpt(&self, superstep: u32, fragments: &[Segment]) -> u64 {
         let Some(dir) = &self.init.checkpoint_dir else { return 0 };
         let path = checkpoint_file(dir, self.init.worker_id, superstep);
@@ -871,9 +873,10 @@ impl WorkerState {
     }
 
     /// Restores the state entering `superstep` from this worker's
-    /// checkpoint. A refusal says whether a file was present but unusable
-    /// (torn write, foreign version, bad checksum) — i.e. *ignored* — as
-    /// opposed to simply absent.
+    /// checkpoint. A refusal says whether a file was read but unusable
+    /// (torn write, foreign version or magic, bad checksum, a payload that
+    /// does not decode) — i.e. *ignored* — as opposed to one that could not
+    /// be opened, or no checkpointing at all.
     fn restore(&mut self, superstep: u32) -> Result<u64, RestoreRefusal> {
         let Some(dir) = &self.init.checkpoint_dir else {
             return Err(RestoreRefusal { ignored: false });
@@ -953,13 +956,25 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                     let t_seed = Instant::now();
                     let (init, seed) = decode_init(&payload)?;
                     drop(payload);
-                    let seeds = match seed {
-                        SeedTail::States(seeds) => seeds,
-                        SeedTail::File(file) => build_from_file(&file, &init.tree, init.strategy)?,
+                    let (mut st, restore) = match seed {
+                        SeedTail::States(seeds) => (WorkerState::build(init, seeds), None),
+                        SeedTail::File(file) => {
+                            let seeds = build_from_file(&file, &init.tree, init.strategy)?;
+                            (WorkerState::build(init, seeds), None)
+                        }
+                        SeedTail::Checkpoint(s) => (WorkerState::build(init, Vec::new()), Some(s)),
                     };
+                    let restored = restore.map(|s| st.restore(s));
                     let seed_ns = t_seed.elapsed().as_nanos() as u64;
+                    // A level-0 seed writes checkpoint 0; a checkpoint seed
+                    // leaves it as it is.
+                    let [longs, refusal] = match restored {
+                        None => [st.write_ckpt(0, &[]), 0],
+                        Some(Ok(longs)) => [longs, 0],
+                        Some(Err(refusal)) => [0, 1 + u64::from(refusal.ignored)],
+                    };
                     if let Some(stopped) = stopped.take() {
-                        let interval = init.heartbeat_interval;
+                        let interval = st.init.heartbeat_interval;
                         let conn2 = Arc::clone(&conn);
                         let busy2 = Arc::clone(&busy);
                         heartbeat = Some(std::thread::spawn(move || loop {
@@ -974,10 +989,8 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                             }
                         }));
                     }
-                    let st = WorkerState::build(init, seeds);
-                    let ckpt0 = st.write_ckpt(0, &[]);
                     state = Some(st);
-                    conn.send_words(kind::READY, &[ckpt0, seed_ns])
+                    conn.send_words(kind::READY, &[longs, seed_ns, refusal])
                         .map_err(|e| format!("ready failed: {e}"))?;
                 }
                 kind::START => {
@@ -1008,21 +1021,6 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                     let send = done.send(conn.as_ref());
                     busy.store(false, Ordering::Relaxed);
                     send.map_err(|e| format!("done failed: {e}"))?;
-                }
-                kind::RESTORE => {
-                    let st = state.as_mut().ok_or("Restore before Init")?;
-                    let superstep = WordReader::new(&payload)?.u()? as u32;
-                    match st.restore(superstep) {
-                        Ok(longs) => {
-                            conn.send_words(kind::RESTORE_ACK, &[superstep as u64, longs])
-                                .map_err(|e| format!("restore ack failed: {e}"))?
-                        }
-                        Err(refusal) => conn.send_words(
-                            kind::RESTORE_FAILED,
-                            &[superstep as u64, u64::from(refusal.ignored)],
-                        )
-                        .map_err(|e| format!("restore nack failed: {e}"))?,
-                    }
                 }
                 kind::SHUTDOWN => {
                     conn.send(kind::BYE, &[]).ok();
@@ -1106,6 +1104,28 @@ struct WorkerHandle {
     recv_handle: Option<std::thread::JoinHandle<()>>,
 }
 
+impl WorkerHandle {
+    /// Stops the receiver thread, kills and reaps the worker process, joins
+    /// the receiver. A retired handle's connection closes when the handle
+    /// is dropped, which ends a thread worker still waiting on it.
+    fn retire(&mut self) {
+        self.stop_rx.store(true, Ordering::Relaxed);
+        if let Some(mut child) = self.child.take() {
+            child.kill().ok();
+            child.wait().ok();
+        }
+        self.join_receiver();
+    }
+
+    /// Joins the receiver thread, which leaves within one poll once its
+    /// stop flag is set.
+    fn join_receiver(&mut self) {
+        if let Some(recv) = self.recv_handle.take() {
+            recv.join().ok();
+        }
+    }
+}
+
 /// The coordinator's side of a fleet of wire workers: spawns them, drives
 /// one barrier of frames per merge level, detects deaths, and recovers.
 struct Fleet {
@@ -1127,8 +1147,10 @@ struct Fleet {
     warnings: Vec<String>,
     /// Payload bytes of every Init sent.
     init_bytes: u64,
-    /// The longest a worker took from its Init to its level-0 states.
+    /// The longest a worker took from its Init to its states.
     seed_build: Duration,
+    /// A failed checkpoint write has been warned of (once per run).
+    unwritten_warned: bool,
     kill_consumed: bool,
     start_seq: u64,
     shut_down: bool,
@@ -1166,6 +1188,7 @@ impl Fleet {
             warnings: Vec::new(),
             init_bytes: 0,
             seed_build: Duration::ZERO,
+            unwritten_warned: false,
             kill_consumed: false,
             start_seq: 0,
             shut_down: false,
@@ -1179,10 +1202,8 @@ impl Fleet {
                 return Err(e);
             }
         }
-        fleet.bring_up(&all, children)?;
-        for w in all {
-            fleet.start_receiver(w);
-        }
+        fleet.attach(&all, children)?;
+        fleet.init_all(None)?;
         Ok(fleet)
     }
 
@@ -1210,16 +1231,7 @@ impl Fleet {
                 Err(_) => break,
             }
         }
-        for h in &mut self.workers {
-            h.stop_rx.store(true, Ordering::Relaxed);
-            if let Some(mut child) = h.child.take() {
-                child.kill().ok();
-                child.wait().ok();
-            }
-            if let Some(recv) = h.recv_handle.take() {
-                recv.join().ok();
-            }
-        }
+        self.workers.iter_mut().for_each(WorkerHandle::retire);
         if let Some(dir) = &self.cfg.checkpoint_dir {
             std::fs::remove_dir_all(dir).ok();
         }
@@ -1240,17 +1252,10 @@ impl Fleet {
         }
     }
 
-    /// Launches workers `ws` and brings them up.
-    fn respawn(&mut self, ws: &[u32]) -> Result<(), EulerError> {
-        let children = self.launch_all(ws)?;
-        self.bring_up(ws, children)
-    }
-
-    /// Brings the launched workers `ws` up pipelined: accept all, Init all,
-    /// then await every Ready — so the workers decode their seeds and write
-    /// checkpoint 0 side by side, not one after the other. Their receiver
-    /// threads are the caller's to start.
-    fn bring_up(
+    /// Accepts the launched workers `ws` and installs their handles; a
+    /// respawned worker's replaces the old handle, retired, under the next
+    /// epoch.
+    fn attach(
         &mut self,
         ws: &[u32],
         children: Vec<Option<std::process::Child>>,
@@ -1263,7 +1268,7 @@ impl Fleet {
             }
         };
         for (&w, child) in ws.iter().zip(children) {
-            let handle = WorkerHandle {
+            let mut handle = WorkerHandle {
                 conn: conns.remove(&w).expect("accept_hellos returns every expected worker"),
                 child,
                 epoch: 0,
@@ -1273,17 +1278,15 @@ impl Fleet {
                 recv_handle: None,
             };
             if let Some(existing) = self.workers.get_mut(w as usize) {
-                // A respawn: the old receiver thread and connection wind
-                // down via the stop flag.
-                let old = std::mem::replace(existing, handle);
-                existing.epoch = old.epoch + 1;
-                existing.restarts = old.restarts;
+                existing.retire();
+                (handle.epoch, handle.restarts) = (existing.epoch + 1, existing.restarts);
+                *existing = handle;
             } else {
                 debug_assert_eq!(self.workers.len(), w as usize);
                 self.workers.push(handle);
             }
         }
-        self.init_all(ws)
+        Ok(())
     }
 
     /// Starts worker `w` — a thread, or an `euler-worker` process — dialling
@@ -1371,15 +1374,37 @@ impl Fleet {
         Ok(conns)
     }
 
-    /// Sends Init to every worker of `ws`, then waits for every Ready.
-    fn init_all(&mut self, ws: &[u32]) -> Result<(), EulerError> {
-        ws.iter().try_for_each(|&w| self.send_init(w))?;
-        ws.iter().try_for_each(|&w| self.await_ready(w))
+    /// Inits every worker — from its retained level-0 tail, or from its
+    /// checkpoint entering superstep `checkpoint` — under a new epoch: every
+    /// receiver is stopped, then joined (one poll between them), so frames
+    /// of an abandoned barrier stay behind and the Readys are read here. All
+    /// Inits go out before the first Ready is awaited, so the workers build
+    /// their states side by side. Returns true with the fleet up, receivers
+    /// running; false, receivers stopped, if any worker refused its
+    /// checkpoint.
+    fn init_all(&mut self, checkpoint: Option<u32>) -> Result<bool, EulerError> {
+        self.workers.iter().for_each(|h| h.stop_rx.store(true, Ordering::Relaxed));
+        for h in &mut self.workers {
+            h.join_receiver();
+            h.epoch += 1;
+            h.stop_rx = Arc::new(AtomicBool::new(false));
+        }
+        let all = 0..self.num_workers() as u32;
+        all.clone().try_for_each(|w| self.send_init(w, checkpoint))?;
+        let mut up = true;
+        for w in all {
+            up &= self.await_ready(w, checkpoint)?;
+        }
+        if up {
+            self.start_receivers();
+        }
+        Ok(up)
     }
 
-    /// Sends Init: the head, then this worker's retained tail. The injected
-    /// kill plan is delivered only while unconsumed.
-    fn send_init(&mut self, w: u32) -> Result<(), EulerError> {
+    /// Sends Init: the head, then this worker's retained tail or the
+    /// checkpoint seed. The injected kill plan is delivered only while
+    /// unconsumed.
+    fn send_init(&mut self, w: u32, checkpoint: Option<u32>) -> Result<(), EulerError> {
         let kill = self.cfg.plan.kill.filter(|_| !self.kill_consumed);
         let head = encode_init_head(&InitHead {
             worker_id: w,
@@ -1394,11 +1419,16 @@ impl Fleet {
             checkpoint_dir: self.cfg.checkpoint_dir.clone(),
             tree: Arc::clone(&self.tree),
         });
-        let parts = [
-            head.as_bytes(),
-            self.seeds_by_worker[w as usize].as_bytes(),
-            self.seed_labels.as_bytes(),
-        ];
+        let from_checkpoint =
+            checkpoint.map(|s| WordWriter::from_words(&[seed_tag::CHECKPOINT, u64::from(s)]));
+        let parts = match &from_checkpoint {
+            Some(tail) => vec![head.as_bytes(), tail.as_bytes()],
+            None => vec![
+                head.as_bytes(),
+                self.seeds_by_worker[w as usize].as_bytes(),
+                self.seed_labels.as_bytes(),
+            ],
+        };
         self.init_bytes += parts.iter().map(|part| part.len() as u64).sum::<u64>();
         self.workers[w as usize]
             .conn
@@ -1407,53 +1437,85 @@ impl Fleet {
     }
 
     /// Waits for the Ready that answers an Init, read directly off the
-    /// connection (the worker's receiver thread is not running).
-    fn await_ready(&mut self, w: u32) -> Result<(), EulerError> {
-        let (k, payload) = self.workers[w as usize]
-            .conn
-            .recv_timeout(Some(Duration::from_secs(30)))
-            .map_err(|e| EulerError::Distributed(format!("worker {w} not ready: {e}")))?;
-        if k != kind::READY {
-            return Err(EulerError::Distributed(format!(
-                "worker {w} answered Init with frame kind {k}"
-            )));
-        }
-        let [ckpt0, seed_ns] = WordReader::new(&payload).and_then(|mut r| r.array()).unwrap_or([0; 2]);
+    /// connection (the worker's receiver thread is not running), passing
+    /// over the Heartbeats and the Done of a barrier the Init abandoned.
+    /// Accounts the checkpoint the worker wrote or restored, and returns
+    /// whether it took its seed; it always takes a level-0 seed.
+    fn await_ready(&mut self, w: u32, checkpoint: Option<u32>) -> Result<bool, EulerError> {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let payload = loop {
+            let (k, payload) = self.workers[w as usize]
+                .conn
+                .recv_timeout(Some(deadline.saturating_duration_since(Instant::now())))
+                .map_err(|e| EulerError::Distributed(format!("worker {w} not ready: {e}")))?;
+            match k {
+                kind::READY => break payload,
+                kind::HEARTBEAT | kind::DONE => {}
+                other => {
+                    return Err(EulerError::Distributed(format!(
+                        "worker {w} answered Init with frame kind {other}"
+                    )))
+                }
+            }
+        };
+        let [longs, seed_ns, refusal] = WordReader::new(&payload)
+            .and_then(|mut r| r.array())
+            .map_err(|e| EulerError::Distributed(format!("malformed Ready from worker {w}: {e}")))?;
         self.seed_build = self.seed_build.max(Duration::from_nanos(seed_ns));
-        if ckpt0 > 0 {
-            self.recovery.checkpoints_written += 1;
-            self.recovery.checkpoint_longs_written += ckpt0;
+        // Refusal: 0 none, 1 no checkpoint to restore, 2 one found and ignored.
+        match (checkpoint, refusal) {
+            (None, _) => self.count_checkpoint(w, 0, longs),
+            (Some(_), 0) => self.recovery.checkpoint_longs_restored += longs,
+            (Some(_), 2) => self.recovery.checkpoints_ignored += 1,
+            (Some(_), _) => {}
         }
-        Ok(())
+        Ok(refusal == 0)
     }
 
-    fn start_receiver(&mut self, w: u32) {
-        let h = &self.workers[w as usize];
-        let conn = Arc::clone(&h.conn);
-        let stop = Arc::clone(&h.stop_rx);
-        let epoch = h.epoch;
-        let tx = self.events_tx.clone();
-        let handle = std::thread::spawn(move || loop {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match conn.recv_timeout(Some(Duration::from_millis(100))) {
-                Ok((kind, payload)) => {
-                    // A Bye is the last frame a worker sends.
-                    if tx.send(Event::Frame { worker: w, epoch, kind, payload }).is_err()
-                        || kind == kind::BYE
-                    {
+    /// Accounts a checkpoint worker `w` reports writing, the one entering
+    /// `superstep`. With checkpointing on a write is never 0 Longs: 0 is a
+    /// write that failed, warned of once per run.
+    fn count_checkpoint(&mut self, w: u32, superstep: u32, longs: u64) {
+        if longs > 0 {
+            self.recovery.checkpoints_written += 1;
+            self.recovery.checkpoint_longs_written += longs;
+        } else if self.cfg.checkpoint_dir.is_some() && !self.unwritten_warned {
+            self.unwritten_warned = true;
+            self.warnings.push(format!(
+                "worker {w} could not write its checkpoint entering superstep {superstep}; a death will replay the run from the seed"
+            ));
+        }
+    }
+
+    /// Starts every worker's receiver thread under its current epoch.
+    fn start_receivers(&mut self) {
+        for (w, h) in self.workers.iter_mut().enumerate() {
+            let w = w as u32;
+            let conn = Arc::clone(&h.conn);
+            let stop = Arc::clone(&h.stop_rx);
+            let epoch = h.epoch;
+            let tx = self.events_tx.clone();
+            h.recv_handle = Some(std::thread::spawn(move || loop {
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                match conn.recv_timeout(Some(Duration::from_millis(100))) {
+                    Ok((kind, payload)) => {
+                        // A Bye is the last frame a worker sends.
+                        if tx.send(Event::Frame { worker: w, epoch, kind, payload }).is_err()
+                            || kind == kind::BYE
+                        {
+                            return;
+                        }
+                    }
+                    Err(FrameError::Timeout) => continue,
+                    Err(_) => {
+                        tx.send(Event::Dead { worker: w, epoch }).ok();
                         return;
                     }
                 }
-                Err(FrameError::Timeout) => continue,
-                Err(_) => {
-                    tx.send(Event::Dead { worker: w, epoch }).ok();
-                    return;
-                }
-            }
-        });
-        self.workers[w as usize].recv_handle = Some(handle);
+            }));
+        }
     }
 
     /// Coordinator→worker send with bounded retry, plus the scripted
@@ -1528,14 +1590,11 @@ impl Fleet {
                 match self.wait_barrier(level)? {
                     Ok(mut dones) => {
                         dones.sort_by_key(|(w, _)| *w);
-                        for (_, done) in &dones {
+                        for (w, done) in &dones {
                             if let (Some(store), Some(list)) = (record, &done.fragments) {
                                 adopt_fragments(list, store)?;
                             }
-                            if done.checkpoint_longs > 0 {
-                                self.recovery.checkpoints_written += 1;
-                                self.recovery.checkpoint_longs_written += done.checkpoint_longs;
-                            }
+                            self.count_checkpoint(*w, level + 1, done.checkpoint_longs);
                         }
                         return Ok(dones);
                     }
@@ -1571,8 +1630,7 @@ impl Fleet {
                                 dones.push((worker, done));
                             }
                         }
-                        kind::HEARTBEAT | kind::BYE | kind::RESTORE_ACK
-                        | kind::RESTORE_FAILED | kind::READY => {}
+                        kind::HEARTBEAT | kind::BYE => {}
                         other => {
                             return Err(EulerError::Distributed(format!(
                                 "unexpected frame kind {other} from worker {worker}"
@@ -1607,19 +1665,20 @@ impl Fleet {
                     ));
                     // Tear the connection down so a stuck-but-alive worker
                     // (or its receiver thread) cannot haunt the new epoch.
-                    self.workers[w].stop_rx.store(true, Ordering::Relaxed);
-                    if let Some(child) = &mut self.workers[w].child {
-                        child.kill().ok();
-                    }
+                    self.workers[w].retire();
                 }
             }
         }
         Ok(if deaths.is_empty() { Ok(dones) } else { Err(deaths) })
     }
 
-    /// Recovers from worker deaths detected during `level`: rollback +
-    /// respawn + restore when checkpoints exist, full deterministic replay
-    /// otherwise.
+    /// Recovers from worker deaths detected during `level`, in one
+    /// sequence: each dead worker is retired and respawned once; every worker
+    /// is re-Inited from checkpoint `level` and the barrier is retried over
+    /// the retained `inbox`. When checkpointing is off or any worker refuses,
+    /// every worker is re-Inited in place from its level-0 tail instead, and
+    /// supersteps `0..level` replay deterministically, only to rebuild
+    /// `inbox` (the walk already consumed their outcomes).
     fn recover(
         &mut self,
         level: u32,
@@ -1635,153 +1694,30 @@ impl Fleet {
                     self.cfg.policy.max_worker_restarts
                 )));
             }
-            h.stop_rx.store(true, Ordering::Relaxed);
-            if let Some(mut child) = h.child.take() {
-                child.kill().ok();
-                child.wait().ok();
-            }
+            h.retire();
             self.recovery.restarts += 1;
         }
         if self.cfg.plan.kill.is_some_and(|(_, ks)| ks == level) {
             self.kill_consumed = true;
         }
+        let children = self.launch_all(deaths)?;
+        self.attach(deaths, children)?;
         if self.cfg.checkpoint_dir.is_some() {
             self.warnings.push(format!(
-                "worker(s) {deaths:?} died at superstep {level}; rolling back to checkpoint {level} and respawning"
+                "worker(s) {deaths:?} died at superstep {level}; rolling back to checkpoint {level}"
             ));
-            if self.try_rollback_restore(level, deaths)? {
+            if self.init_all(Some(level))? {
                 return Ok(());
             }
             self.warnings
-                .push(format!("checkpoint restore for superstep {level} failed; replaying the run from the seed"));
+                .push(format!("checkpoint {level} was refused; replaying the run from the seed"));
         } else {
             self.warnings.push(format!(
                 "worker(s) {deaths:?} died at superstep {level} with checkpointing disabled; replaying the run from the seed"
             ));
         }
-        self.full_restart(level, deaths, inbox)
-    }
-
-    /// Rollback path: survivors reload checkpoint `level`, the dead are
-    /// respawned and restored from the same checkpoint. Returns false if
-    /// any restore was refused (missing/torn/foreign checkpoint).
-    fn try_rollback_restore(
-        &mut self,
-        level: u32,
-        deaths: &[u32],
-    ) -> Result<bool, EulerError> {
-        let mut ok = true;
-        // Survivors first: they are idle after the broken barrier.
-        for w in 0..self.num_workers() as u32 {
-            if deaths.contains(&w) {
-                continue;
-            }
-            let conn = Arc::clone(&self.workers[w as usize].conn);
-            if conn.send_words(kind::RESTORE, &[level as u64]).is_err() {
-                ok = false;
-                continue;
-            }
-            ok &= self.await_restore_ack(w, level)?;
-        }
-        self.respawn(deaths)?;
-        for &w in deaths {
-            let conn = Arc::clone(&self.workers[w as usize].conn);
-            // The ack is read directly off the fresh connection; the
-            // respawned worker's receiver thread starts only afterwards.
-            ok &= conn.send_words(kind::RESTORE, &[level as u64]).is_ok()
-                && match conn.recv_timeout(Some(self.cfg.policy.heartbeat_timeout)) {
-                    Ok((k, payload)) => self.restore_reply(k, &payload, level) == Some(true),
-                    Err(_) => false,
-                };
-            self.start_receiver(w);
-        }
-        Ok(ok)
-    }
-
-    /// Restore acknowledgement for a worker whose receiver thread is live
-    /// (survivors): consumed through the event channel.
-    fn await_restore_ack(&mut self, w: u32, level: u32) -> Result<bool, EulerError> {
-        let deadline = Instant::now() + self.cfg.policy.heartbeat_timeout;
-        while Instant::now() < deadline {
-            match self.events_rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(Event::Frame { worker, epoch, kind: k, payload })
-                    if worker == w && self.workers[w as usize].epoch == epoch =>
-                {
-                    // Anything else is a stale Done/heartbeat from the
-                    // broken barrier.
-                    if let Some(restored) = self.restore_reply(k, &payload, level) {
-                        return Ok(restored);
-                    }
-                }
-                Ok(Event::Dead { worker, epoch })
-                    if worker == w && self.workers[w as usize].epoch == epoch =>
-                {
-                    return Ok(false)
-                }
-                Ok(_) => {}
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(EulerError::Distributed(
-                        "coordinator event channel closed".into(),
-                    ))
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    /// Accounts a worker's answer to Restore{`level`}: `Some(true)` for the
-    /// matching ack, `Some(false)` for a refusal or a mismatched ack, `None`
-    /// for any other frame.
-    fn restore_reply(&mut self, k: u16, payload: &[u8], level: u32) -> Option<bool> {
-        let mut words = WordReader::new(payload).ok()?;
-        let (first, second) = (words.u().ok(), words.u().unwrap_or(0));
-        match k {
-            kind::RESTORE_ACK if first == Some(level as u64) => {
-                self.recovery.checkpoint_longs_restored += second;
-                Some(true)
-            }
-            kind::RESTORE_ACK => Some(false),
-            kind::RESTORE_FAILED => {
-                self.recovery.checkpoints_ignored += second;
-                Some(false)
-            }
-            _ => None,
-        }
-    }
-
-    /// Full-restart path: the dead are respawned fresh, survivors are
-    /// re-initialised in place, and supersteps `0..level` replay
-    /// deterministically, only to rebuild `inbox` (the walk already consumed
-    /// their outcomes).
-    fn full_restart(
-        &mut self,
-        level: u32,
-        deaths: &[u32],
-        inbox: &mut Vec<Vec<Blob>>,
-    ) -> Result<(), EulerError> {
         self.recovery.full_restarts += 1;
-        self.respawn(deaths)?;
-        let survivors: Vec<u32> =
-            (0..self.num_workers() as u32).filter(|w| !deaths.contains(w)).collect();
-        for &w in &survivors {
-            // Restart the receiver under a new epoch so frames of the
-            // abandoned barrier cannot leak into the replay. The old
-            // receiver is *joined* (it exits within one poll interval)
-            // before re-Init, so it cannot steal the Ready frame off the
-            // still-shared connection.
-            let h = &mut self.workers[w as usize];
-            h.stop_rx.store(true, Ordering::Relaxed);
-            if let Some(recv) = h.recv_handle.take() {
-                recv.join().ok();
-            }
-            h.epoch += 1;
-            h.stop_rx = Arc::new(AtomicBool::new(false));
-        }
-        self.init_all(&survivors)?;
-        for w in 0..self.num_workers() as u32 {
-            self.start_receiver(w);
-        }
+        self.init_all(None)?;
         *inbox = vec![Vec::new(); self.num_workers()];
         for ss in 0..level {
             let dones = self.run_superstep(ss, inbox, None)?;
@@ -2228,11 +2164,19 @@ mod tests {
         out.into_bytes()
     }
 
+    /// An Init whose tail is the checkpoint entering `superstep`.
+    fn checkpoint_init(head: &InitHead, superstep: u32) -> Vec<u8> {
+        let mut out = encode_init_head(head);
+        out.words(&[seed_tag::CHECKPOINT, u64::from(superstep)]);
+        out.into_bytes()
+    }
+
     /// The states an Init shipped.
     fn shipped(seed: SeedTail) -> Vec<WorkingPartition> {
         match seed {
             SeedTail::States(states) => states,
             SeedTail::File(file) => panic!("expected shipped states, got a reference to {:?}", file.path),
+            SeedTail::Checkpoint(s) => panic!("expected shipped states, got checkpoint {s}"),
         }
     }
 
@@ -2573,7 +2517,9 @@ mod tests {
         let mut garbage_seed = encode_init_head(&test_init(None));
         garbage_seed.words(&[seed_tag::STATES, 1, 4, u64::MAX, u64::MAX, u64::MAX, u64::MAX]);
         let mut unknown_tag = encode_init_head(&test_init(None));
-        unknown_tag.words(&[2, 0]);
+        unknown_tag.words(&[3, 0]);
+        let mut far_checkpoint = encode_init_head(&test_init(None));
+        far_checkpoint.words(&[seed_tag::CHECKPOINT, 1 << 40]);
 
         // Hostile references to a level-0 file. Tail words after the head:
         // [1, path len, path…, checksum, n, m, P, mask, labels…].
@@ -2620,7 +2566,8 @@ mod tests {
         let wide_ref = file_init(&triangle, &spread, 0b11);
         let hostile_refs = vec![
             (wide_ref, "cut matrix larger than the file"),
-            (unknown_tag.into_bytes(), "unknown level-0 seed tag 2"),
+            (unknown_tag.into_bytes(), "unknown seed tag 3"),
+            (far_checkpoint.into_bytes(), "checkpoint seed names superstep 1099511627776"),
             (missing.into_bytes(), "no-such.ecsr"),
             (with_word(identity, csr.checksum() ^ 1), "not the one the coordinator mapped"),
             (with_word(identity + 1, 15), "not the one the coordinator mapped"),
@@ -2680,17 +2627,18 @@ mod tests {
         assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
         conn.send(kind::INIT, &good_ref).unwrap();
         let (k, ready) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
-        let [ckpt0, seed_ns] = WordReader::new(&ready).unwrap().array().unwrap();
-        assert_eq!((k, ckpt0), (kind::READY, 0));
+        let [ckpt0, seed_ns, refusal] = WordReader::new(&ready).unwrap().array().unwrap();
+        assert_eq!((k, ckpt0, refusal), (kind::READY, 0, 0));
         assert!(seed_ns > 0, "the worker reports its level-0 build");
         conn.send(kind::SHUTDOWN, &[]).unwrap();
         worker.join().unwrap().unwrap();
 
         // Checkpoints whose fragments are no fragments — empty, unchained,
-        // left open: told to restore from one, the worker answers that it
-        // found and ignored it, and carries on.
+        // left open: Inited from one, the worker answers that it found and
+        // ignored it, and carries on. A checkpoint never written is missing;
+        // a sound one restores. No checkpoint seed rewrites checkpoint 0.
         let checkpointing = test_init(Some(dir.join("ckpt")));
-        let writer = WorkerState::build(test_init(checkpointing.checkpoint_dir.clone()), Vec::new());
+        let writer = WorkerState::build(test_init(checkpointing.checkpoint_dir.clone()), vec![state(0, &[4])]);
         let listener = MemTransport.listen().unwrap();
         let dial = MemTransport.connect(&listener.endpoint()).unwrap();
         let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
@@ -2698,13 +2646,24 @@ mod tests {
         assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
         conn.send(kind::INIT, &init_payload(&checkpointing, &[state(0, &[])])).unwrap();
         assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::READY);
+        let ckpt0 = checkpoint_file(&dir.join("ckpt"), 0, 0);
+        std::fs::remove_file(&ckpt0).unwrap();
+        let ready_from = |superstep: u32| {
+            conn.send(kind::INIT, &checkpoint_init(&checkpointing, superstep)).unwrap();
+            let (k, ready) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(k, kind::READY);
+            let [longs, _, refusal] = WordReader::new(&ready).unwrap().array().unwrap();
+            (longs, refusal)
+        };
         for (superstep, (fragments, _)) in (5..).zip(hostile_segments()) {
             assert!(writer.write_ckpt(superstep, &fragments) > 0);
-            conn.send_words(kind::RESTORE, &[superstep as u64]).unwrap();
-            let (k, refusal) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
-            let refusal = WordReader::new(&refusal).unwrap().rest();
-            assert_eq!((k, refusal), (kind::RESTORE_FAILED, vec![superstep as u64, 1]));
+            assert_eq!(ready_from(superstep), (0, 2));
         }
+        assert_eq!(ready_from(9), (0, 1));
+        // Written counts the container's 4 header words, restored its payload.
+        let sound = writer.write_ckpt(9, &[]);
+        assert_eq!(ready_from(9), (sound - 4, 0));
+        assert!(!ckpt0.exists(), "a checkpoint seed rewrote checkpoint 0");
         conn.send(kind::SHUTDOWN, &[]).unwrap();
         worker.join().unwrap().unwrap();
         std::fs::remove_dir_all(dir).ok();
@@ -2876,6 +2835,13 @@ mod tests {
         let dir = scratch("missing");
         let mut s = WorkerState::build(test_init(Some(dir.clone())), Vec::new());
         assert!(!s.restore(0).unwrap_err().ignored);
+        // A directory beneath a regular file: nothing can be written there
+        // (0 Longs) and nothing opened, so nothing was ignored either.
+        let blocker = dir.join("blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let mut s = WorkerState::build(test_init(Some(blocker.join("ckpt"))), vec![state(0, &[4])]);
+        assert_eq!(s.write_ckpt(0, &[]), 0);
+        assert!(!s.restore(0).unwrap_err().ignored);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -3017,9 +2983,9 @@ mod tests {
         ) {
             let payload = WordWriter::from_words(&words).into_bytes();
             let _ = decode_init(&payload);
-            // Garbage behind a well-formed head and either seed tag; a
+            // Garbage behind a well-formed head and every seed tag; a
             // reference that happens to decode names no file to build from.
-            for tag in [seed_tag::STATES, seed_tag::FILE] {
+            for tag in [seed_tag::STATES, seed_tag::FILE, seed_tag::CHECKPOINT] {
                 let mut init = encode_init_head(&test_init(None));
                 init.u(tag);
                 init.words(&words);

@@ -81,7 +81,7 @@ pub use phase1::wstream::{default_chunk_edges, stream_phase1, WStreamOutcome, WS
 pub use phase1::{ArenaPool, Phase1Arena};
 pub use phase3::{CircuitResult, CircuitStep};
 pub use pipeline::{
-    run_on_partitioned, run_on_partitioned_cancellable, run_with_backend, BspBackend,
+    run_on_partitioned, run_with_backend, BspBackend,
     CircuitStage, EulerPipeline, EulerPipelineBuilder, ExecutionBackend, InProcessBackend,
     LevelOutcome, LevelPartitionReport, LevelWork, MergeStage, PartitionStage, PipelineRun,
     RunReport, Seed,

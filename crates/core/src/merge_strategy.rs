@@ -18,6 +18,7 @@
 //! improvements; the runner and the analytical [`crate::memory_model`] both
 //! honour it.
 
+use euler_bsp::wire::WireError;
 use serde::{Deserialize, Serialize};
 
 /// How remote edges are stored and transferred across merge levels.
@@ -59,6 +60,28 @@ impl MergeStrategy {
             MergeStrategy::Deferred => "proposed",
         }
     }
+
+    /// The strategy's word in a worker Init and a service RUN request.
+    pub(crate) fn wire_code(self) -> u64 {
+        match self {
+            MergeStrategy::Duplicated => 0,
+            MergeStrategy::Deduplicated => 1,
+            MergeStrategy::Deferred => 2,
+        }
+    }
+
+    /// The strategy a [`wire_code`](Self::wire_code) names.
+    ///
+    /// # Errors
+    /// [`WireError::Invalid`] for a code no strategy has.
+    pub(crate) fn from_wire_code(code: u64) -> Result<Self, WireError> {
+        match code {
+            0 => Ok(MergeStrategy::Duplicated),
+            1 => Ok(MergeStrategy::Deduplicated),
+            2 => Ok(MergeStrategy::Deferred),
+            other => Err(WireError::Invalid(format!("unknown merge strategy code {other}"))),
+        }
+    }
 }
 
 impl std::fmt::Display for MergeStrategy {
@@ -86,5 +109,14 @@ mod tests {
         assert_eq!(MergeStrategy::all().len(), 3);
         assert_eq!(MergeStrategy::Duplicated.name(), "current");
         assert_eq!(format!("{}", MergeStrategy::Deferred), "proposed");
+    }
+
+    #[test]
+    fn wire_codes_round_trip_and_an_unknown_code_is_typed() {
+        for s in MergeStrategy::all() {
+            assert_eq!(MergeStrategy::from_wire_code(s.wire_code()).unwrap(), s);
+        }
+        let unknown = MergeStrategy::from_wire_code(3);
+        assert!(matches!(unknown, Err(WireError::Invalid(m)) if m.contains("code 3")));
     }
 }

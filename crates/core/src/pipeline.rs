@@ -755,38 +755,13 @@ pub fn run_on_partitioned(
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    run_on_view(pg, config, backend, None)
-}
-
-/// [`run_on_partitioned`] with cooperative cancellation: the walk checks
-/// `cancel` between supersteps and before the Phase-3 unroll, returning
-/// [`EulerError::Cancelled`] (and dropping all run state) once the token
-/// fires. Progress — supersteps completed out of total — is published on
-/// the token as the walk advances, so an observer thread can report it
-/// without touching the run.
-pub fn run_on_partitioned_cancellable(
-    pg: &PartitionedGraph,
-    config: &EulerConfig,
-    backend: &dyn ExecutionBackend,
-    cancel: &CancelToken,
-) -> Result<(CircuitResult, RunReport), EulerError> {
-    run_on_view(pg, config, backend, Some(cancel))
-}
-
-/// The body of [`run_on_partitioned`].
-fn run_on_view(
-    pg: &PartitionedGraph,
-    config: &EulerConfig,
-    backend: &dyn ExecutionBackend,
-    cancel: Option<&CancelToken>,
-) -> Result<(CircuitResult, RunReport), EulerError> {
     let meta = MetaGraph::from_partitioned(pg);
     let mut states: Vec<_> =
         pg.partitions().iter().map(WorkingPartition::from_partition).collect();
     if config.merge_strategy.deduplicates() {
         apply_remote_edge_dedup(&mut states);
     }
-    run_merge_walk(&meta, states.into(), fragment_store_for(config), config, backend, None, cancel)
+    run_merge_walk(&meta, states.into(), fragment_store_for(config), config, backend, None, None)
 }
 
 /// The dense path over a mapped `.ecsr`: the walk starts from a level 0
@@ -1265,8 +1240,9 @@ impl EulerPipeline {
         })?;
         let store = fragment_store_for(&self.config);
         let t1 = Instant::now();
-        let outcome =
-            stream_phase1(stream.as_mut(), &assignment, &store, self.config.wstream_chunk_edges)?;
+        // 0: open chains hold the `Θ(log n)` default
+        // (`phase1::wstream::default_chunk_edges`).
+        let outcome = stream_phase1(stream.as_mut(), &assignment, &store, 0)?;
         let pass_time = t1.elapsed();
         if self.config.require_eulerian {
             require_even_degrees(outcome.first_odd)?;

@@ -159,23 +159,6 @@ impl Default for RunOptions {
     }
 }
 
-fn strategy_code(s: MergeStrategy) -> u64 {
-    match s {
-        MergeStrategy::Duplicated => 0,
-        MergeStrategy::Deduplicated => 1,
-        MergeStrategy::Deferred => 2,
-    }
-}
-
-fn decode_strategy(code: u64) -> Result<MergeStrategy, WireError> {
-    match code {
-        0 => Ok(MergeStrategy::Duplicated),
-        1 => Ok(MergeStrategy::Deduplicated),
-        2 => Ok(MergeStrategy::Deferred),
-        other => Err(WireError::Invalid(format!("unknown merge strategy code {other}"))),
-    }
-}
-
 fn partitioner_code(p: PartitionerKind) -> u64 {
     match p {
         PartitionerKind::Hash => 0,
@@ -195,7 +178,7 @@ fn encode_run(checksum: u64, opts: &RunOptions) -> [u64; 4] {
     [
         checksum,
         u64::from(opts.partitions),
-        strategy_code(opts.strategy),
+        opts.strategy.wire_code(),
         partitioner_code(opts.partitioner),
     ]
 }
@@ -206,7 +189,7 @@ fn decode_run(payload: &[u8]) -> Result<(u64, RunOptions), WireError> {
         .ok()
         .filter(|&p| p > 0)
         .ok_or_else(|| WireError::Invalid(format!("partition count {partitions} out of range")))?;
-    let strategy = decode_strategy(strategy)?;
+    let strategy = MergeStrategy::from_wire_code(strategy)?;
     let partitioner = decode_partitioner(partitioner)?;
     Ok((checksum, RunOptions { partitions, strategy, partitioner }))
 }

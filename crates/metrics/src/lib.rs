@@ -1,7 +1,7 @@
 //! # euler-metrics
 //!
-//! Instrumentation shared across the workspace: phase timers, memory-state
-//! counters expressed in 8-byte "Longs" (the paper's platform-independent
+//! Instrumentation shared across the workspace: labelled time breakdowns,
+//! memory states expressed in 8-byte "Longs" (the paper's platform-independent
 //! memory metric), and experiment reporting helpers that print the tables and
 //! series of the paper's evaluation section.
 
@@ -13,7 +13,7 @@ pub mod report;
 pub mod series;
 pub mod timer;
 
-pub use longs::{LongsCounter, MemoryState};
+pub use longs::MemoryState;
 pub use report::{Report, Table};
 pub use series::{DataPoint, Series};
-pub use timer::{PhaseTimer, TimeBreakdown};
+pub use timer::TimeBreakdown;

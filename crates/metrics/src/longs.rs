@@ -9,57 +9,6 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// A categorised Long counter: how many 8-byte words a component holds, split
-/// by category (e.g. "boundary_vertices", "remote_edges", "path_map").
-#[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq, Eq)]
-pub struct LongsCounter {
-    buckets: BTreeMap<String, u64>,
-}
-
-impl LongsCounter {
-    /// Creates an empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `longs` to `category`.
-    pub fn add(&mut self, category: &str, longs: u64) {
-        *self.buckets.entry(category.to_string()).or_insert(0) += longs;
-    }
-
-    /// Sets `category` to exactly `longs`.
-    pub fn set(&mut self, category: &str, longs: u64) {
-        self.buckets.insert(category.to_string(), longs);
-    }
-
-    /// Longs recorded for `category` (zero if absent).
-    pub fn get(&self, category: &str) -> u64 {
-        self.buckets.get(category).copied().unwrap_or(0)
-    }
-
-    /// Total Longs across every category.
-    pub fn total(&self) -> u64 {
-        self.buckets.values().sum()
-    }
-
-    /// Total bytes (8 × total Longs).
-    pub fn total_bytes(&self) -> u64 {
-        self.total() * 8
-    }
-
-    /// Iterator over `(category, longs)` in category order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.buckets.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &LongsCounter) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
-
 /// Memory state of a set of partitions at one merge level: the quantities
 /// plotted in Fig. 8 (cumulative and average Longs) and Fig. 9 (per-partition
 /// composition).
@@ -111,38 +60,6 @@ impl MemoryState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_add_get_total() {
-        let mut c = LongsCounter::new();
-        c.add("remote_edges", 100);
-        c.add("remote_edges", 50);
-        c.add("boundary", 10);
-        assert_eq!(c.get("remote_edges"), 150);
-        assert_eq!(c.get("missing"), 0);
-        assert_eq!(c.total(), 160);
-        assert_eq!(c.total_bytes(), 160 * 8);
-    }
-
-    #[test]
-    fn counter_set_overwrites() {
-        let mut c = LongsCounter::new();
-        c.add("x", 5);
-        c.set("x", 2);
-        assert_eq!(c.get("x"), 2);
-    }
-
-    #[test]
-    fn counter_merge_sums() {
-        let mut a = LongsCounter::new();
-        a.add("x", 1);
-        let mut b = LongsCounter::new();
-        b.add("x", 2);
-        b.add("y", 3);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 3);
-    }
 
     #[test]
     fn memory_state_cumulative_and_average() {

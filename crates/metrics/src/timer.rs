@@ -1,67 +1,13 @@
-//! Phase timers and labelled time breakdowns.
+//! Labelled time breakdowns.
 //!
 //! Fig. 6 of the paper splits the user compute time of every partition at
 //! every merge level into labelled components (copy source partition, copy
 //! sink partition, create partition object, Phase-1 tour). [`TimeBreakdown`]
-//! is the container for such a split and [`PhaseTimer`] is the stopwatch used
-//! to fill it.
+//! is the container for such a split.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-/// A simple stopwatch that accumulates elapsed time into labelled buckets.
-#[derive(Debug)]
-pub struct PhaseTimer {
-    started: Option<(String, Instant)>,
-    breakdown: TimeBreakdown,
-}
-
-impl Default for PhaseTimer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PhaseTimer {
-    /// Creates an idle timer with an empty breakdown.
-    pub fn new() -> Self {
-        PhaseTimer { started: None, breakdown: TimeBreakdown::default() }
-    }
-
-    /// Starts (or restarts) timing the named phase. If another phase was
-    /// running, its elapsed time is committed first.
-    pub fn start(&mut self, phase: &str) {
-        self.stop();
-        self.started = Some((phase.to_string(), Instant::now()));
-    }
-
-    /// Stops the current phase, committing its elapsed time to the breakdown.
-    pub fn stop(&mut self) {
-        if let Some((phase, t0)) = self.started.take() {
-            self.breakdown.add(&phase, t0.elapsed());
-        }
-    }
-
-    /// Runs `f` while timing it under `phase`, returning its result.
-    pub fn time<T>(&mut self, phase: &str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.breakdown.add(phase, t0.elapsed());
-        out
-    }
-
-    /// Stops any running phase and returns the accumulated breakdown.
-    pub fn finish(mut self) -> TimeBreakdown {
-        self.stop();
-        self.breakdown
-    }
-
-    /// Read access to the breakdown accumulated so far.
-    pub fn breakdown(&self) -> &TimeBreakdown {
-        &self.breakdown
-    }
-}
+use std::time::Duration;
 
 /// Accumulated durations keyed by phase label.
 #[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]
@@ -123,30 +69,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn time_closure_accumulates() {
-        let mut t = PhaseTimer::new();
-        let x = t.time("compute", || 21 * 2);
-        assert_eq!(x, 42);
-        // The measured duration may legitimately be ~0 on fast machines, so
-        // no lower bound is asserted; the phases() check below covers that
-        // the phase was recorded at all.
-        assert_eq!(t.breakdown().phases(), vec!["compute"]);
-    }
-
-    #[test]
-    fn start_stop_commits_once() {
-        let mut t = PhaseTimer::new();
-        t.start("a");
-        std::thread::sleep(Duration::from_millis(2));
-        t.start("b"); // implicitly stops "a"
-        std::thread::sleep(Duration::from_millis(2));
-        let bd = t.finish();
-        assert!(bd.get("a") >= Duration::from_millis(1));
-        assert!(bd.get("b") >= Duration::from_millis(1));
-        assert_eq!(bd.phases().len(), 2);
-    }
-
-    #[test]
     fn breakdown_merge_and_fraction() {
         let mut a = TimeBreakdown::new();
         a.add("x", Duration::from_millis(30));
@@ -166,12 +88,5 @@ mod tests {
         assert_eq!(bd.total(), Duration::ZERO);
         assert_eq!(bd.fraction("x"), 0.0);
         assert!(bd.phases().is_empty());
-    }
-
-    #[test]
-    fn stop_without_start_is_noop() {
-        let mut t = PhaseTimer::new();
-        t.stop();
-        assert_eq!(t.breakdown().total(), Duration::ZERO);
     }
 }

@@ -379,7 +379,7 @@ pub mod prelude {
         UnixTransport,
     };
     pub use euler_core::{
-        run_on_partitioned, run_on_partitioned_cancellable, run_with_backend, stream_phase1,
+        run_on_partitioned, run_with_backend, stream_phase1,
         verify::verify_circuit, BspBackend, CancelToken, CircuitResult, CircuitStep, EulerConfig,
         EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo,
         InProcessBackend, LevelPartitionReport, MergeStrategy, PartitionerKind,

@@ -257,6 +257,47 @@ fn checkpointing_alone_changes_nothing_and_cleans_up_after_itself() {
     assert!(!ckpt.exists(), "checkpoint dir survived a clean run");
 }
 
+/// A checkpoint directory beneath a regular file takes no checkpoint. The run
+/// says so once, naming the first worker and superstep that failed to write;
+/// a death then finds no checkpoint — missing, not ignored — and replays.
+#[test]
+fn unwritable_checkpoint_directory_is_warned_of_once_and_counted_missing() {
+    let g = graph_from(11, 100, 12);
+    let a = LdgPartitioner::new(4).partition(&g);
+    let config = EulerConfig::default();
+    let reference = reference_run(&g, &a, &config);
+    let blocker = scratch_dir("unwritable").join("blocker");
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    for plan in [FaultPlan::none(), FaultPlan::kill_at(1, 1)] {
+        let run = distributed_run(
+            &g,
+            &a,
+            &config,
+            BspBackend::with_engine(BspConfig::with_workers(2))
+                .with_transport(Arc::new(MemTransport))
+                .checkpoint_dir(blocker.join("ckpt"))
+                .fault_policy(fast_policy())
+                .with_fault_plan(plan),
+        );
+        assert_same_run(&reference, &run);
+        let recovery = run.merge.engine.as_ref().unwrap().recovery;
+        assert_eq!((recovery.checkpoints_written, recovery.checkpoints_ignored), (0, 0));
+        let unwritten: Vec<_> =
+            run.merge.warnings.iter().filter(|w| w.contains("could not write")).collect();
+        assert_eq!(unwritten.len(), 1, "{:?}", run.merge.warnings);
+        assert!(
+            unwritten[0].contains("worker 0") && unwritten[0].contains("superstep 0"),
+            "{}",
+            unwritten[0]
+        );
+        match plan.kill {
+            None => assert_eq!(run.merge.warnings.len(), 1),
+            Some(_) => assert_eq!((recovery.restarts, recovery.full_restarts), (1, 1)),
+        }
+    }
+    std::fs::remove_dir_all(blocker.parent().unwrap()).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Kill-and-resume: thread workers.
 // ---------------------------------------------------------------------------
