@@ -1,10 +1,11 @@
-//! The BSP workers of the merge-tree walk — stepped in place or behind a
-//! wire transport — with superstep checkpointing and kill-and-resume
-//! recovery for the latter.
+//! The workers of the merge-tree walk — stepped in place or behind a wire
+//! transport — with superstep checkpointing and kill-and-resume recovery for
+//! the latter.
 //!
 //! [`crate::pipeline::BspBackend`] deals the partitions to a set of
 //! **workers** — whole merge subtrees together where the balance allows it
-//! (`crate::placement`) — and drives one barrier per merge level. A worker
+//! (`crate::placement`) — and [`crate::pipeline::InProcessBackend`] is one
+//! worker holding them all; either drives one barrier per merge level. A worker
 //! holds its partitions' states between levels (a `SlotSet`) and runs each
 //! through the shared level step (`crate::level`). A state retiring into a
 //! parent the same worker holds is handed over by value; what goes to a
@@ -13,13 +14,15 @@
 //! superstep's statistics, the next level's inboxes and the walk's outcome.
 //!
 //! Where the workers live is all that varies. Without a transport they are
-//! slot sets of this process, stepped **in place**: one scoped thread per
-//! worker per level, fragments pushed straight into the walk's store. With
-//! one, a **coordinator** owns the walk and the workers are OS threads over
-//! the in-memory transport, or genuine OS *processes* spawned via
-//! `std::process::Command` running the `euler-worker` binary over a TCP/Unix
-//! socket transport, exchanging typed messages through the framed,
-//! checksummed codec of [`euler_bsp::transport`] — the rest of this page.
+//! slot sets of this process, stepped **in place** — the first on the calling
+//! thread, one scoped thread per further worker — fragments pushed straight
+//! into the walk's store; a BSP worker steps its slots one at a time, the
+//! in-process one fans them out on rayon. With one, a **coordinator** owns
+//! the walk and the workers are OS threads over the in-memory transport, or
+//! genuine OS *processes* spawned via `std::process::Command` running the
+//! `euler-worker` binary over a TCP/Unix socket transport, exchanging typed
+//! messages through the framed, checksummed codec of
+//! [`euler_bsp::transport`] — the rest of this page.
 //!
 //! ## Protocol
 //!
@@ -84,7 +87,7 @@
 
 use crate::error::EulerError;
 use crate::fragment::{FragmentId, FragmentStore, Segment, SegmentHead};
-use crate::level::{group_inbound, step_slot};
+use crate::level::{group_inbound, step_slot, SlotStep};
 use crate::level0::{self, FileLevel0};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
@@ -101,6 +104,7 @@ use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{BspConfig, EngineStats, PlatformCostModel, SuperstepStats};
 use euler_graph::{CsrFile, PartitionAssignment, PartitionId};
 use euler_metrics::TimeBreakdown;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -773,12 +777,19 @@ struct SlotSet {
     /// be merged at the next: handed over by value, never encoded.
     kept: Vec<WorkingPartition>,
     pool: ArenaPool,
+    /// Step a level's slots on rayon rather than one at a time.
+    fan_out: bool,
 }
 
 impl SlotSet {
-    fn new(tree: Arc<MergeTree>, strategy: MergeStrategy, states: Vec<WorkingPartition>) -> Self {
+    fn new(
+        tree: Arc<MergeTree>,
+        strategy: MergeStrategy,
+        states: Vec<WorkingPartition>,
+        fan_out: bool,
+    ) -> Self {
         let slots = states.into_iter().map(|wp| (wp.id, wp)).collect();
-        SlotSet { tree, strategy, slots, kept: Vec::new(), pool: ArenaPool::new() }
+        SlotSet { tree, strategy, slots, kept: Vec::new(), pool: ArenaPool::new(), fan_out }
     }
 
     /// Decodes the state records arriving at a level and groups them, with
@@ -800,18 +811,27 @@ impl SlotSet {
         group_inbound(&self.tree, level, states, |(wp, _)| wp.id, held)
     }
 
-    /// Steps every slot through the level, ascending, Phase 1 persisting
-    /// into `store`; a state the tree retires leaves its slot — kept, by
-    /// value, if its merge parent is a slot of this set, encoded into the
-    /// share otherwise.
+    /// Steps every slot through the level, Phase 1 persisting into `store` —
+    /// on rayon if the set fans out, else one at a time — and folds the steps
+    /// in ascending slot order: a state the tree retires leaves its slot —
+    /// kept, by value, if its merge parent is a slot of this set, encoded
+    /// into the share otherwise.
     fn step_level(&mut self, level: u32, mut inbound: Inbound, store: &FragmentStore) -> LevelShare {
-        let mut share = LevelShare::new();
         let held: Vec<PartitionId> = self.slots.keys().copied().collect();
-        for (slot, wp) in std::mem::take(&mut self.slots) {
-            let (children, unpack): (Vec<_>, Vec<_>) =
-                inbound.remove(&slot).unwrap_or_default().into_iter().unzip();
-            let step =
-                step_slot(wp, children, &self.tree, level, self.strategy, &self.pool, store);
+        let slots: Vec<_> = std::mem::take(&mut self.slots)
+            .into_values()
+            .map(|wp| {
+                let (children, unpack): (Vec<_>, Vec<Duration>) =
+                    inbound.remove(&wp.id).unwrap_or_default().into_iter().unzip();
+                (wp, children, unpack.into_iter().sum::<Duration>())
+            })
+            .collect();
+        let (tree, strategy, pool) = (&*self.tree, self.strategy, &self.pool);
+        let step = |(wp, children, unpack)| {
+            (step_slot(wp, children, tree, level, strategy, pool, store), unpack)
+        };
+        let mut share = LevelShare::new();
+        let mut fold = |(step, unpack): (SlotStep, Duration)| {
             let t0 = Instant::now();
             let ship = match step.ship {
                 Some((parent, longs)) => {
@@ -827,16 +847,17 @@ impl SlotSet {
                     }
                 }
                 None => {
-                    self.slots.insert(slot, step.state);
+                    self.slots.insert(step.state.id, step.state);
                     Duration::ZERO
                 }
             };
-            share.reports.push(SlotReport {
-                report: step.report,
-                post_memory: step.memory_after,
-                unpack: unpack.into_iter().sum(),
-                ship,
-            });
+            let (report, post_memory) = (step.report, step.memory_after);
+            share.reports.push(SlotReport { report, post_memory, unpack, ship });
+        };
+        if self.fan_out {
+            slots.into_par_iter().map(step).collect::<Vec<_>>().into_iter().for_each(&mut fold);
+        } else {
+            slots.into_iter().map(step).for_each(&mut fold);
         }
         share
     }
@@ -851,7 +872,7 @@ struct WorkerState {
 
 impl WorkerState {
     fn build(init: InitHead, seeds: Vec<WorkingPartition>) -> Self {
-        let set = SlotSet::new(Arc::clone(&init.tree), init.strategy, seeds);
+        let set = SlotSet::new(Arc::clone(&init.tree), init.strategy, seeds, false);
         WorkerState { init, set, kill_consumed: false }
     }
 
@@ -1211,8 +1232,9 @@ impl Fleet {
         self.placement.num_workers()
     }
 
-    /// Shuts the fleet down (Shutdown/Bye), reaps workers, removes the
-    /// checkpoint directory of a cleanly completed run.
+    /// Shuts the fleet down (Shutdown/Bye), reaps workers, and removes the
+    /// checkpoint files the run could have written — then the checkpoint
+    /// directory, if that left it empty. Nothing else in it is touched.
     fn shut_down(&mut self) {
         if self.shut_down {
             return;
@@ -1233,7 +1255,14 @@ impl Fleet {
         }
         self.workers.iter_mut().for_each(WorkerHandle::retire);
         if let Some(dir) = &self.cfg.checkpoint_dir {
-            std::fs::remove_dir_all(dir).ok();
+            for w in 0..self.num_workers() as u32 {
+                for s in 0..=self.tree.num_supersteps() {
+                    let file = checkpoint_file(dir, w, s);
+                    std::fs::remove_file(file.with_extension("tmp")).ok();
+                    std::fs::remove_file(file).ok();
+                }
+            }
+            std::fs::remove_dir(dir).ok();
         }
     }
 
@@ -1333,7 +1362,9 @@ impl Fleet {
     }
 
     /// Accepts connections until every worker of `ws` has said Hello (they
-    /// connect in any order).
+    /// connect in any order). A connection that closes, stays silent or
+    /// sends anything but an expected worker's Hello is dropped, and
+    /// accepting goes on until the deadline.
     fn accept_hellos(
         &self,
         ws: &[u32],
@@ -1341,26 +1372,28 @@ impl Fleet {
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut conns: BTreeMap<u32, Arc<dyn Connection>> = BTreeMap::new();
         while conns.len() < ws.len() {
-            if Instant::now() > deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 let missing: Vec<u32> =
                     ws.iter().copied().filter(|w| !conns.contains_key(w)).collect();
                 return Err(EulerError::Distributed(format!(
                     "worker(s) {missing:?} never connected"
                 )));
             }
-            let conn = self
-                .listener
-                .accept(Duration::from_secs(30))
-                .map_err(|e| EulerError::Distributed(format!("accept failed: {e}")))?;
-            let (k, payload) = conn
-                .recv_timeout(Some(Duration::from_secs(10)))
-                .map_err(|e| EulerError::Distributed(format!("handshake failed: {e}")))?;
-            let hello = WordReader::new(&payload)
-                .and_then(|mut r| r.u())
-                .map_err(|e| EulerError::Distributed(format!("handshake failed: {e}")))?;
+            let conn = match self.listener.accept(left) {
+                Ok(conn) => conn,
+                Err(FrameError::Timeout) => continue,
+                Err(e) => return Err(EulerError::Distributed(format!("accept failed: {e}"))),
+            };
+            // Socket transports refuse a zero read timeout.
+            let left = deadline.saturating_duration_since(Instant::now());
+            let hello = match conn.recv_timeout(Some(left.max(Duration::from_millis(1)))) {
+                Ok((kind::HELLO, payload)) => WordReader::new(&payload).and_then(|mut r| r.u()).ok(),
+                _ => None,
+            };
             let expected =
-                ws.iter().copied().find(|&w| u64::from(w) == hello && !conns.contains_key(&w));
-            if let (kind::HELLO, Some(w)) = (k, expected) {
+                ws.iter().copied().find(|&w| Some(u64::from(w)) == hello && !conns.contains_key(&w));
+            if let Some(w) = expected {
                 // A stalled worker must not block a coordinator send past the
                 // fault deadlines: bound every send by the heartbeat timeout
                 // so a full socket buffer surfaces as FrameError::Timeout and
@@ -1368,8 +1401,9 @@ impl Fleet {
                 conn.set_send_timeout(Some(self.cfg.policy.heartbeat_timeout));
                 conns.insert(w, Arc::from(conn));
             }
-            // A Hello from some other (late, stale) worker: drop it; its
-            // connection closing sends it back through spawn recovery.
+            // Anything else — a stray, or a Hello from a late, stale worker —
+            // is dropped; a worker's connection closing sends it back through
+            // spawn recovery.
         }
         Ok(conns)
     }
@@ -1849,38 +1883,42 @@ fn fold_barrier(
     Ok((stats, next_inbox, outcome))
 }
 
-/// One level on workers stepped in place: one scoped thread per worker with
-/// anything to do, each decoding its inbox, stepping its slots with their
-/// fragments pushed straight into the walk's `store`, and handing back its
-/// share with the states shipped to other workers encoded.
+/// One level on workers stepped in place, each with anything to do decoding
+/// its inbox, stepping its slots with their fragments pushed straight into
+/// the walk's `store`, and handing back its share with the states shipped to
+/// other workers encoded. The first such worker runs on the calling thread,
+/// every further one on a scoped thread of its own.
 fn step_in_place(
     sets: &mut [SlotSet],
     level: u32,
     inbox: &[Vec<Blob>],
     store: &FragmentStore,
 ) -> Result<Dones, EulerError> {
-    let bad = |e: WireError| EulerError::Distributed(format!("shipped partition state: {e}"));
+    let step = |w: usize, set: &mut SlotSet, entries: &[Blob]| -> Result<_, EulerError> {
+        let bad = |e: WireError| EulerError::Distributed(format!("shipped partition state: {e}"));
+        let records = entries
+            .iter()
+            .map(|entry| WordReader::new(entry.bytes())?.record())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(bad)?;
+        let inbound = set.unpack(level, records)?;
+        let share = set.step_level(level, inbound, store);
+        Ok((w as u32, share.into_done(level).map_err(bad)?))
+    };
+    let mut busy = sets
+        .iter_mut()
+        .zip(inbox)
+        .enumerate()
+        .filter(|(_, (set, entries))| !(set.slots.is_empty() && entries.is_empty()));
+    let Some((first, (set, entries))) = busy.next() else { return Ok(Vec::new()) };
     std::thread::scope(|scope| {
-        let workers: Vec<_> = sets
-            .iter_mut()
-            .zip(inbox)
-            .enumerate()
-            .filter(|(_, (set, entries))| !(set.slots.is_empty() && entries.is_empty()))
-            .map(|(w, (set, entries))| {
-                scope.spawn(move || {
-                    let records = entries
-                        .iter()
-                        .map(|entry| WordReader::new(entry.bytes())?.record())
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(bad)?;
-                    let inbound = set.unpack(level, records)?;
-                    let share = set.step_level(level, inbound, store);
-                    Ok((w as u32, share.into_done(level).map_err(bad)?))
-                })
-            })
+        let spawned: Vec<_> = busy
+            .map(|(w, (set, entries))| scope.spawn(move || step(w, set, entries)))
             .collect();
+        let mut dones = vec![step(first, set, entries)];
         let panicked = |_| Err(EulerError::Distributed("a worker stepped in place panicked".into()));
-        workers.into_iter().map(|h| h.join().unwrap_or_else(panicked)).collect()
+        dones.extend(spawned.into_iter().map(|h| h.join().unwrap_or_else(panicked)));
+        dones.into_iter().collect()
     })
 }
 
@@ -1892,8 +1930,8 @@ enum Workers {
     Framed(Box<Fleet>),
 }
 
-/// One BSP run of the merge-tree walk: the workers, the inboxes between
-/// their levels, and the statistics the barriers fold into.
+/// One run of the merge-tree walk, for either backend: the workers, the
+/// inboxes between their levels, and the statistics the barriers fold into.
 pub(crate) struct DistRun {
     placement: Arc<Placement>,
     cost_model: PlatformCostModel,
@@ -1913,13 +1951,15 @@ impl DistRun {
     /// the states' encoded sizes, see [`Placement`]; a level 0 still in its
     /// file is sized from its scan, which counts what the states will hold —
     /// in place, or, given a `fleet` configuration, spawned and initialised
-    /// over its transport.
+    /// over its transport. Workers in place step their slots on rayon under
+    /// `fan_out`; a fleet's step theirs one at a time.
     pub fn new(
         engine: BspConfig,
         fleet: Option<FleetConfig>,
         tree: Arc<MergeTree>,
         strategy: MergeStrategy,
         seed: Seed<'_>,
+        fan_out: bool,
     ) -> Result<Self, EulerError> {
         let t_start = Instant::now();
         let weights: Vec<(PartitionId, u64)> = match &seed.0 {
@@ -1942,7 +1982,7 @@ impl DistRun {
                 seed,
             )?)),
             None => {
-                let set = |mine| SlotSet::new(Arc::clone(&tree), strategy, mine);
+                let set = |mine| SlotSet::new(Arc::clone(&tree), strategy, mine, fan_out);
                 Workers::InPlace(deal(seed.into_states()?, &placement).into_iter().map(set).collect())
             }
         };
@@ -2687,6 +2727,7 @@ mod tests {
                 Arc::new(tiny_tree()),
                 MergeStrategy::Deferred,
                 vec![state(0, &[])].into(),
+                false,
             )
             .unwrap();
             run.inbox[0].push(entry(inbound));
@@ -2712,13 +2753,15 @@ mod tests {
         use crate::level::tests::{leaves, tree};
         // Partitions 0 and 1 both retire into 2 at level 0, 0 before 1.
         let star = Arc::new(tree(vec![vec![(2, 0), (2, 1)]]));
-        let set = |ids: &[usize]| {
+        let set_of = |ids: &[usize], fan_out| {
             let mine = ids.iter().map(|&i| leaves().swap_remove(i)).collect();
-            SlotSet::new(Arc::clone(&star), MergeStrategy::Duplicated, mine)
+            SlotSet::new(Arc::clone(&star), MergeStrategy::Duplicated, mine, fan_out)
         };
-        // One worker holds everything: both children are kept.
+        let set = |ids: &[usize]| set_of(ids, false);
+        // One worker holds everything, its slots fanned out as the
+        // in-process backend's are: both children are kept.
         let oracle_store = FragmentStore::new();
-        let mut oracle = set(&[0, 1, 2]);
+        let mut oracle = set_of(&[0, 1, 2], true);
         let share = oracle.step_level(0, Inbound::new(), &oracle_store);
         assert_eq!((share.local_messages, share.shipped), (2, 0));
         let inbound = oracle.unpack(1, Vec::new()).unwrap();
@@ -2770,13 +2813,13 @@ mod tests {
 
     #[test]
     fn a_carried_over_slot_merges_a_kept_child() {
-        use crate::level::tests::{leaves, tree};
+        use crate::level::tests::{leaves, step, tree};
         // 0 retires into 1 at level 0, 1 into 2 at level 1: slot 2 is carried
         // over twice before its only child arrives — by value, the one
         // worker holding everything.
         let chain = Arc::new(tree(vec![vec![(1, 0)], vec![(2, 1)]]));
         let store = FragmentStore::new();
-        let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, leaves());
+        let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, leaves(), false);
         let mut local = Vec::new();
         for level in 0..3 {
             let inbound = set.unpack(level, Vec::new()).unwrap();
@@ -2788,10 +2831,7 @@ mod tests {
 
         // The same walk, the states handed on by hand.
         let by_hand = FragmentStore::new();
-        let step = |wp, children, level| {
-            let pool = ArenaPool::new();
-            step_slot(wp, children, &chain, level, MergeStrategy::Duplicated, &pool, &by_hand).state
-        };
+        let step = |wp, children, level| step(wp, children, &chain, level, &by_hand).state;
         let [p0, p1, p2]: [WorkingPartition; 3] = leaves().try_into().unwrap();
         let (p0, p1, p2) = (step(p0, vec![], 0), step(p1, vec![], 0), step(p2, vec![], 0));
         let (p1, p2) = (step(p1, vec![p0], 1), step(p2, vec![], 1));

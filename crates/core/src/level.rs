@@ -6,9 +6,10 @@
 //! and ships the partition to its merge parent if the tree retires it at
 //! `L`. [`step_slot`] is that body and [`group_inbound`] puts a level's
 //! inbound states in the order its merges must run in. Neither knows where
-//! states come from or go to: [`crate::InProcessBackend`] hands them over by
-//! value, the BSP workers of [`crate::distributed`] encode and decode them
-//! (in place or over the wire).
+//! states come from or go to; their one caller is the slot set of
+//! [`crate::distributed`], which every backend steps a level through — a
+//! state whose parent is in the same set is handed over by value, one bound
+//! for another worker (in place or over the wire) is encoded and decoded.
 //!
 //! Contract of the step: children merge in the order given — the previous
 //! level's pair order, which is what [`group_inbound`] returns; fragments go
@@ -240,7 +241,7 @@ pub(crate) mod tests {
         MergeTree::from_parts(levels, PartitionId(2), (0..3).map(PartitionId).collect())
     }
 
-    fn step(
+    pub(crate) fn step(
         wp: WorkingPartition,
         children: Vec<WorkingPartition>,
         tree: &MergeTree,

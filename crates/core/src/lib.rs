@@ -31,11 +31,12 @@
 //!
 //! The top-level entry point is the [`pipeline`] module's [`EulerPipeline`]:
 //! a builder over a graph source, a partitioner, a merge strategy and an
-//! [`ExecutionBackend`] — [`InProcessBackend`] (rayon-parallel across the
-//! partitions of a level, shipped states handed over by value) or
-//! [`BspBackend`] (the same level step on a set of workers with per-worker
-//! state, serialised transfers and superstep statistics — stepped in place,
-//! or behind a wire transport, see [`distributed`]). Both backends execute
+//! [`ExecutionBackend`] — [`InProcessBackend`] (one worker holding every
+//! partition, rayon-parallel across the partitions of a level, shipped
+//! states handed over by value) or [`BspBackend`] (the same level step on a
+//! set of workers with per-worker state, serialised transfers and superstep
+//! statistics — stepped in place, or behind a wire transport; both are
+//! [`distributed`] runs). Both backends execute
 //! through one shared merge-tree walk ([`pipeline::run_with_backend`]; its
 //! level-0 partition states are built in two passes over the edge list, from
 //! a memory-mapped `.ecsr` by whoever will run them, and

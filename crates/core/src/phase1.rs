@@ -73,7 +73,6 @@ use crate::state::{EdgeRef, LocalEdge, VertexTypeCounts, WorkingPartition};
 use arena::{HostScratch, KernelState};
 use splice::SpliceIndex;
 use euler_graph::VertexId;
-use std::collections::HashMap;
 
 pub use arena::{ArenaCapacities, ArenaPool, Phase1Arena};
 
@@ -108,36 +107,6 @@ pub struct SpliceStats {
     /// Longs written while materializing linked tours into persisted
     /// fragments (`Σ disk_longs` over this run's fragments).
     pub materialization_longs: u64,
-}
-
-/// A fragment under construction during one Phase-1 run, before it receives
-/// its global id from the store.
-struct PendingFragment {
-    kind: FragmentKind,
-    edges: Vec<TourEdge>,
-}
-
-/// Which pending fragment a visible vertex belongs to (reference
-/// implementation). The exact position is looked up at splice time (earlier
-/// splices shift positions).
-#[derive(Clone, Copy)]
-struct PivotRef {
-    fragment: usize,
-}
-
-/// Registers the vertices of `edges` as visible in `fragment` (reference
-/// implementation's hash-map form).
-fn register_visible_ref(
-    visible: &mut HashMap<VertexId, PivotRef>,
-    fragment: usize,
-    edges: &[TourEdge],
-) {
-    for e in edges {
-        visible.entry(e.from()).or_insert(PivotRef { fragment });
-    }
-    if let Some(last) = edges.last() {
-        visible.entry(last.to()).or_insert(PivotRef { fragment });
-    }
 }
 
 /// Sentinel slot value: "not visible in any pending fragment".

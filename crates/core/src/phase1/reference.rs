@@ -10,12 +10,40 @@
 //! Do not optimise this module; its value is that it stays simple and
 //! obviously faithful to the paper.
 
-use super::{register_visible_ref, Phase1Output, PendingFragment, PivotRef};
+use super::Phase1Output;
 use crate::fragment::{Fragment, FragmentId, FragmentKind, FragmentStore, TourEdge};
 use crate::pathmap::{CycleEntry, PathEntry, PathMap};
 use crate::state::{EdgeRef, LocalEdge, WorkingPartition};
 use euler_graph::VertexId;
 use std::collections::{BTreeSet, HashMap};
+
+/// A fragment under construction during one Phase-1 run, before it receives
+/// its global id from the store.
+struct PendingFragment {
+    kind: FragmentKind,
+    edges: Vec<TourEdge>,
+}
+
+/// Which pending fragment a visible vertex belongs to. The exact position is
+/// looked up at splice time (earlier splices shift positions).
+#[derive(Clone, Copy)]
+struct PivotRef {
+    fragment: usize,
+}
+
+/// Registers the vertices of `edges` as visible in `fragment`.
+fn register_visible_ref(
+    visible: &mut HashMap<VertexId, PivotRef>,
+    fragment: usize,
+    edges: &[TourEdge],
+) {
+    for e in edges {
+        visible.entry(e.from()).or_insert(PivotRef { fragment });
+    }
+    if let Some(last) = edges.last() {
+        visible.entry(last.to()).or_insert(PivotRef { fragment });
+    }
+}
 
 /// Hash-map traversal helper over the local edges of one partition.
 struct Traverser<'a> {

@@ -16,11 +16,13 @@
 //!   time ([`ExecutionBackend::run_level`]), and every backend runs a
 //!   partition's share of a level through the same step (`crate::level`):
 //!   merge the children shipped at the previous level, Phase 1, keep or
-//!   ship. [`InProcessBackend`] fans the level's partitions out on rayon
-//!   threads and hands shipped states over by value; [`BspBackend`] runs the
-//!   level as one superstep of a set of workers that serialise what they
-//!   ship (shuffle accounting, per-partition time splits) — stepped in place,
-//!   or over a wire transport ([`crate::distributed`]). Whatever the backend
+//!   ship — and through the same slot set and barrier fold
+//!   ([`crate::distributed`]). [`InProcessBackend`] is one worker holding
+//!   every partition, stepped in place: its slots fan out on rayon threads
+//!   and every shipped state reaches its parent by value; [`BspBackend`] runs
+//!   the level as one superstep of a set of workers that serialise what they
+//!   ship to each other (shuffle accounting, per-partition time splits) —
+//!   stepped in place, or over a wire transport. Whatever the backend
 //!   runs concurrently, fragments are named and walked by `(level,
 //!   partition, push sequence)` ([`crate::FragmentId`]), so every backend,
 //!   thread count and worker count produces the same bytes.
@@ -42,15 +44,14 @@
 
 use crate::cancel::CancelToken;
 use crate::config::EulerConfig;
+use crate::distributed::DistRun;
 use crate::error::EulerError;
 use crate::fragment::{FragmentStore, FragmentStoreStats, SpillConfig};
-use crate::level::{group_inbound, step_slot};
 use crate::level0::{self, FileLevel0};
 use crate::memory_model::{LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::MergeTree;
 use crate::phase1::wstream::{stream_phase1, WStreamStats};
-use crate::phase1::ArenaPool;
 use crate::phase2::apply_remote_edge_dedup;
 use crate::phase3::{unroll, CircuitResult};
 use crate::state::{VertexTypeCounts, WorkingPartition};
@@ -60,7 +61,6 @@ use euler_graph::{
     PartitionedGraph, VertexId,
 };
 use euler_partition::Partitioner;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -289,9 +289,9 @@ pub struct LevelOutcome {
 /// the levels, seeds the backend once, calls
 /// [`run_level`](ExecutionBackend::run_level) per level and assembles the
 /// unified [`RunReport`]. Implementations decide *where* a level's partitions
-/// step and how shipped states reach their parents: on rayon threads in this
+/// step and how shipped states reach their parents: in one worker of this
 /// process, by value ([`InProcessBackend`]), or on BSP workers, serialised
-/// ([`BspBackend`]). The trait is object-safe; pipelines hold
+/// between them ([`BspBackend`]). The trait is object-safe; pipelines hold
 /// `Box<dyn ExecutionBackend>`.
 pub trait ExecutionBackend {
     /// Short backend name, recorded in [`RunReport::backend`].
@@ -326,30 +326,19 @@ pub trait ExecutionBackend {
 // In-process backend (rayon).
 // ---------------------------------------------------------------------------
 
-/// State the in-process backend keeps between levels.
-#[derive(Default)]
-struct InProcessState {
-    /// Live partition states, ascending by id.
-    states: Vec<WorkingPartition>,
-    /// States shipped at the previous level, merged as the next one starts.
-    inbound: Vec<WorkingPartition>,
-}
-
-/// Executes levels in this process: a level's partitions fan out on rayon
-/// threads, each merging the children shipped to it and running the
-/// sequential Phase-1 kernel on an arena from the backend's pool (reused
-/// across merge levels); shipped states reach their parent by value.
-/// [`EulerConfig::parallel_within_level`] off
-/// ([`EulerPipelineBuilder::sequential`]) runs the partitions one at a time
-/// instead — same bytes, one thread.
+/// Executes levels in this process, as one worker stepped in place that
+/// holds every partition, so every shipped state reaches its parent by value.
+/// A level's partitions fan out on rayon threads, each merging its children
+/// and running the sequential Phase-1 kernel on an arena of the worker's
+/// pool; [`EulerPipelineBuilder::sequential`] steps them one at a time —
+/// same bytes, one thread. It reports no superstep statistics.
 ///
 /// This backend absorbs the pre-redesign `run_partitioned` driver; it
 /// produces the detailed per-level, per-partition quantities the paper's
 /// Figs. 6–9 are built from.
 #[derive(Default)]
 pub struct InProcessBackend {
-    inner: RefCell<InProcessState>,
-    pool: ArenaPool,
+    run: RefCell<Option<DistRun>>,
 }
 
 impl InProcessBackend {
@@ -366,48 +355,33 @@ impl ExecutionBackend for InProcessBackend {
     }
 
     fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(seed) = work.seed {
-            *inner = InProcessState { states: seed.into_states()?, inbound: Vec::new() };
-        }
-        let st = &mut *inner;
-        let level = work.level;
-        let strategy = work.config.merge_strategy;
-        let tree: &MergeTree = work.tree;
-        let (store, pool) = (work.store, &self.pool);
-
-        let held = |p| st.states.binary_search_by_key(&p, |s| s.id).is_ok();
-        let mut children =
-            group_inbound(tree, level, std::mem::take(&mut st.inbound), |wp| wp.id, held)?;
-        let slots: Vec<_> = std::mem::take(&mut st.states)
-            .into_iter()
-            .map(|wp| {
-                let children = children.remove(&wp.id).unwrap_or_default();
-                (wp, children)
-            })
-            .collect();
-        let step = |(wp, children)| step_slot(wp, children, tree, level, strategy, pool, store);
-        let steps: Vec<_> = if work.config.parallel_within_level {
-            slots.into_par_iter().map(step).collect()
-        } else {
-            slots.into_iter().map(step).collect()
-        };
-
-        // Records come out in ascending partition id, and the kept states
-        // stay in it.
-        let mut outcome = LevelOutcome::default();
-        for step in steps {
-            outcome.reports.push(step.report);
-            match step.ship {
-                Some((_, longs)) => {
-                    outcome.transfer_longs += longs;
-                    st.inbound.push(step.state);
-                }
-                None => st.states.push(step.state),
-            }
-        }
-        Ok(outcome)
+        let (tree, config) = (Arc::clone(work.tree), work.config);
+        step_run(&self.run, work, |seed| {
+            let one = euler_bsp::BspConfig::with_workers(1);
+            DistRun::new(one, None, tree, config.merge_strategy, seed, config.parallel_within_level)
+        })
     }
+}
+
+/// Runs `work` on a backend's run, which `start` brings up from the level-0
+/// seed; the root level finishes it.
+fn step_run<'a>(
+    run: &RefCell<Option<DistRun>>,
+    work: LevelWork<'a>,
+    start: impl FnOnce(Seed<'a>) -> Result<DistRun, EulerError>,
+) -> Result<LevelOutcome, EulerError> {
+    let mut slot = run.borrow_mut();
+    if let Some(seed) = work.seed {
+        *slot = Some(start(seed)?);
+    }
+    let run = slot.as_mut().expect("the pipeline seeds the backend at level 0");
+    let outcome = run.step(work.level, work.store)?;
+    if work.level + 1 == work.tree.num_supersteps() {
+        // Root level done. The statistics snapshot the walk takes right
+        // after sees the finished wall time.
+        run.finish();
+    }
+    Ok(outcome)
 }
 
 // ---------------------------------------------------------------------------
@@ -536,7 +510,7 @@ pub struct BspBackend {
     checkpoint_dir: Option<std::path::PathBuf>,
     fault_policy: euler_bsp::FaultPolicy,
     fault_plan: euler_bsp::FaultPlan,
-    run: RefCell<Option<crate::distributed::DistRun>>,
+    run: RefCell<Option<DistRun>>,
 }
 
 impl BspBackend {
@@ -661,25 +635,11 @@ impl ExecutionBackend for BspBackend {
     /// transport); per level → one barrier whose fragments land in the
     /// walk's store; last level → retire the workers.
     fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
-        let mut slot = self.run.borrow_mut();
-        if let Some(seed) = work.seed {
+        let (tree, strategy) = (Arc::clone(work.tree), work.config.merge_strategy);
+        step_run(&self.run, work, |seed| {
             let fleet = self.transport.as_ref().map(|t| self.fleet_config(t)).transpose()?;
-            *slot = Some(crate::distributed::DistRun::new(
-                self.engine,
-                fleet,
-                Arc::clone(work.tree),
-                work.config.merge_strategy,
-                seed,
-            )?);
-        }
-        let run = slot.as_mut().expect("the pipeline seeds the backend at level 0");
-        let outcome = run.step(work.level, work.store)?;
-        if work.level + 1 == work.tree.num_supersteps() {
-            // Root level done. The statistics snapshot the walk takes right
-            // after sees the finished wall time.
-            run.finish();
-        }
-        Ok(outcome)
+            DistRun::new(self.engine, fleet, tree, strategy, seed, false)
+        })
     }
 
     fn engine_stats(&self) -> Option<euler_bsp::EngineStats> {
@@ -1514,30 +1474,36 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_circuits_and_transfers_when_sequential() {
+    fn backends_agree_on_records_fragments_circuits_and_transfers() {
+        // The in-process backend is one worker stepped in place, fanned out
+        // by default: against a one-worker BSP run, which steps its slots one
+        // at a time, the same bytes — and no superstep statistics.
         let g = synthetic::random_eulerian_connected(120, 16, 6, 42);
         let a = LdgPartitioner::new(4).partition(&g);
-        let config = EulerConfig::default().sequential();
-        let in_proc = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(a.clone())
-            .config(config.clone())
-            .backend(InProcessBackend::new())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let bsp = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(a)
-            .config(config.clone())
-            .backend(BspBackend::with_engine(euler_bsp::BspConfig::with_workers(1)))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(in_proc.circuit.result.circuits, bsp.circuit.result.circuits);
-        assert_eq!(in_proc.merge.total_transfer_longs, bsp.merge.total_transfer_longs);
+        for config in [EulerConfig::default(), EulerConfig::default().sequential()] {
+            let walk = |backend: &dyn ExecutionBackend| {
+                let dedup = config.merge_strategy.deduplicates();
+                let (meta, states) = level0::graph_level0(&g, &a, dedup).unwrap();
+                let store = FragmentStore::new();
+                let (result, report) =
+                    run_merge_walk(&meta, states.into(), store.clone(), &config, backend, None, None)
+                        .unwrap();
+                (result, report, store.snapshot())
+            };
+            let (in_proc, in_proc_report, in_proc_fragments) = walk(&InProcessBackend::new());
+            let one_worker = BspBackend::with_engine(euler_bsp::BspConfig::with_workers(1));
+            let (bsp, bsp_report, bsp_fragments) = walk(&one_worker);
+            assert_eq!(in_proc.circuits, bsp.circuits);
+            assert_eq!(in_proc_report.total_transfer_longs, bsp_report.total_transfer_longs);
+            assert_eq!(in_proc_fragments, bsp_fragments);
+            assert_eq!(in_proc_report.per_partition.len(), bsp_report.per_partition.len());
+            for (x, y) in in_proc_report.per_partition.iter().zip(&bsp_report.per_partition) {
+                assert_eq!(record_facts(x), record_facts(y));
+            }
+            assert_eq!(in_proc_report.backend, "in-process");
+            assert!(in_proc_report.engine.is_none() && in_proc_report.warnings.is_empty());
+            assert!(bsp_report.engine.is_some());
+        }
     }
 
     /// The measurement-free projection of a per-level record (timings differ

@@ -184,12 +184,14 @@
 //! ## Parallelism model
 //!
 //! There is one schedule and no knob. The unit of parallelism is the
-//! paper's: the *partition*. A merge level's partitions run concurrently —
-//! on rayon threads in-process, on workers stepped in place under
-//! [`BspBackend`](algo::BspBackend), in worker threads or processes over a
-//! transport — each executing the sequential Phase-1 kernel on an arena
-//! from a reusable pool ([`Phase1Arena`](algo::Phase1Arena)), and the level
-//! ends in a barrier.
+//! paper's: the *partition*. Every backend steps a level through the same
+//! per-worker slot set and barrier fold, and a merge level's partitions run
+//! concurrently — on rayon threads in-process (one worker holding every
+//! partition, its slots fanned out), on workers stepped in place under
+//! [`BspBackend`](algo::BspBackend) (a worker's slots one at a time), in
+//! worker threads or processes over a transport — each executing the
+//! sequential Phase-1 kernel on an arena from a reusable pool
+//! ([`Phase1Arena`](algo::Phase1Arena)), and the level ends in a barrier.
 //!
 //! The result does not depend on how those partitions were interleaved. A
 //! fragment's id ([`FragmentId`](algo::FragmentId)) is a function of

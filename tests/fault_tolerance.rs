@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use euler_circuit::algo::verify::verify_result;
@@ -215,6 +215,85 @@ fn clean_thread_worker_teardown_does_not_wait_out_a_heartbeat() {
     assert_eq!(open.load(Ordering::Relaxed), 0, "worker threads outlived the run");
 }
 
+/// A connection that is not a worker: closed before any frame, or sending
+/// one Hello-kind frame with the given payload.
+struct Stray {
+    hello: Option<Vec<u8>>,
+}
+
+impl Connection for Stray {
+    fn send_parts(&self, _: u16, _: &[&[u8]]) -> Result<(), FrameError> {
+        Ok(())
+    }
+
+    fn send_batch(&self, _: &FrameBatch) -> Result<(), FrameError> {
+        Ok(())
+    }
+
+    fn recv_timeout(&self, _: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
+        // Kind 1 is the worker protocol's Hello.
+        self.hello.clone().map(|payload| (1, payload)).ok_or(FrameError::Closed)
+    }
+}
+
+/// A listener that hands out its strays, last first, before the
+/// connections of the transport it wraps.
+struct StrayListener {
+    inner: Box<dyn Listener>,
+    strays: Mutex<Vec<Stray>>,
+}
+
+impl Listener for StrayListener {
+    fn endpoint(&self) -> String {
+        self.inner.endpoint()
+    }
+
+    fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
+        match self.strays.lock().unwrap().pop() {
+            Some(stray) => Ok(Box::new(stray)),
+            None => self.inner.accept(timeout),
+        }
+    }
+}
+
+/// The in-memory transport whose listeners first accept a connection that
+/// is already closed, then one whose Hello has an empty payload.
+struct StraysFirst;
+
+impl Transport for StraysFirst {
+    fn name(&self) -> &'static str {
+        "mem"
+    }
+
+    fn listen(&self) -> Result<Box<dyn Listener>, FrameError> {
+        let strays = vec![Stray { hello: Some(Vec::new()) }, Stray { hello: None }];
+        Ok(Box::new(StrayListener { inner: MemTransport.listen()?, strays: Mutex::new(strays) }))
+    }
+
+    fn connect(&self, endpoint: &str) -> Result<Box<dyn Connection>, FrameError> {
+        MemTransport.connect(endpoint)
+    }
+}
+
+/// A connection that fails its handshake is dropped and accepting goes on:
+/// the workers behind it still come up, and the run is the in-process one.
+#[test]
+fn stray_connections_at_bring_up_are_dropped_not_fatal() {
+    let g = graph_from(42, 120, 14);
+    let a = LdgPartitioner::new(4).partition(&g);
+    let config = EulerConfig::default();
+    let reference = reference_run(&g, &a, &config);
+    let run = distributed_run(
+        &g,
+        &a,
+        &config,
+        BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(StraysFirst)),
+    );
+    assert!(verify_result(&g, &run.circuit.result).is_ok());
+    assert_same_run(&reference, &run);
+    assert!(run.merge.warnings.is_empty(), "{:?}", run.merge.warnings);
+}
+
 #[test]
 fn tcp_transport_thread_workers_match_in_process_run() {
     let g = graph_from(7, 90, 10);
@@ -255,6 +334,33 @@ fn checkpointing_alone_changes_nothing_and_cleans_up_after_itself() {
     assert_eq!(engine.recovery.checkpoint_longs_restored, 0);
     // Clean completion removes the checkpoint directory.
     assert!(!ckpt.exists(), "checkpoint dir survived a clean run");
+}
+
+/// A clean run removes the checkpoint files it wrote and nothing else: a
+/// checkpoint directory that held a file before the run keeps it.
+#[test]
+fn a_clean_run_removes_only_its_own_checkpoint_files() {
+    let g = graph_from(11, 100, 12);
+    let a = LdgPartitioner::new(4).partition(&g);
+    let config = EulerConfig::default();
+    let reference = reference_run(&g, &a, &config);
+    let ckpt = scratch_dir("shared-ckpt");
+    let keep = ckpt.join("keep.txt");
+    std::fs::write(&keep, b"not the run's").unwrap();
+    let run = distributed_run(
+        &g,
+        &a,
+        &config,
+        BspBackend::with_engine(BspConfig::with_workers(2))
+            .with_transport(Arc::new(MemTransport))
+            .checkpoint_dir(&ckpt),
+    );
+    assert_same_run(&reference, &run);
+    assert!(run.merge.engine.as_ref().unwrap().recovery.checkpoints_written > 0);
+    assert_eq!(std::fs::read(&keep).unwrap(), b"not the run's");
+    let left: Vec<_> = std::fs::read_dir(&ckpt).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left, ["keep.txt"], "checkpoint files survived a clean run");
+    std::fs::remove_dir_all(ckpt).ok();
 }
 
 /// A checkpoint directory beneath a regular file takes no checkpoint. The run
