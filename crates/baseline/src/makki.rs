@@ -206,7 +206,7 @@ impl MakkiRunner {
             });
         }
 
-        result.result = unroll(&store);
+        result.result = unroll(&store)?;
         Ok(result)
     }
 }

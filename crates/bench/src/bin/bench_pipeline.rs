@@ -200,11 +200,12 @@ fn main() {
     println!(
         "out_of_core: streamed-ldg mmap run {unbounded_s:.3}s unbounded vs {bounded_s:.3}s \
          under a {budget}-Long budget | peak resident {} of {} Longs | {} fragments spilled \
-         ({} Longs written, {} reloaded)",
+         ({} Longs written in {} writes, {} reloaded)",
         stats.peak_resident_longs,
         spilled.circuit.fragment_disk_longs,
         stats.spilled_fragments,
         stats.spill_write_longs,
+        stats.spill_writes,
         stats.spill_read_longs,
     );
     let out_of_core = Value::obj(vec![
@@ -221,6 +222,7 @@ fn main() {
         ),
         ("spilled_fragments", Value::Num(stats.spilled_fragments as f64)),
         ("spill_write_longs", Value::Num(stats.spill_write_longs as f64)),
+        ("spill_writes", Value::Num(stats.spill_writes as f64)),
         ("spill_read_longs", Value::Num(stats.spill_read_longs as f64)),
         ("spill_errors", Value::Num(stats.spill_errors as f64)),
         ("evictions_scheduled", Value::Num(stats.evictions_scheduled as f64)),
@@ -281,6 +283,7 @@ fn main() {
             "spilled_fragments",
             Value::Num(wstream_run.circuit.fragment_stats.spilled_fragments as f64),
         ),
+        ("spill_writes", Value::Num(wstream_run.circuit.fragment_stats.spill_writes as f64)),
     ]);
     std::fs::remove_file(&csr_path).ok();
 

@@ -48,11 +48,12 @@
 //! [`FragmentStore::spilling`] bounds resident fragment memory by a
 //! [`SpillConfig::memory_budget_longs`], holds records one by one and pages
 //! them out to a temp file as the bytes they are — lowest level first, in an
-//! order read off the [`FragmentId`] alone — reloading them on demand during
-//! Phase 3: the out-of-core mode. Both keep the modelled
-//! [`disk_longs`](FragmentStore::disk_longs) exact and produce bit-identical
-//! circuits; the spill backing also reports its real traffic in
-//! [`FragmentStoreStats`].
+//! order read off the [`FragmentId`] alone, staged into runs of up to
+//! `RUN_BYTES` that each go to the file in one write — reloading each on
+//! demand during Phase 3 with one positional read: the out-of-core mode. Both
+//! keep the modelled [`disk_longs`](FragmentStore::disk_longs) exact and
+//! produce bit-identical circuits; the spill backing also reports its real
+//! traffic in [`FragmentStoreStats`].
 
 use euler_bsp::wire::{extend_words, words_at, WireError, WordReader};
 use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
@@ -61,8 +62,9 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io;
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -576,9 +578,15 @@ impl Segment {
 
 /// Live statistics of a fragment store's backing — the real (not modelled)
 /// memory and spill traffic, in the paper's Long units.
+///
+/// An evicted record counts as spilled from the moment it is staged for the
+/// file, so `spill_write_longs = disk_longs − resident_longs` holds at every
+/// instant; reading the statistics writes the staged records out first, so a
+/// failed write is counted before it is reported.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FragmentStoreStats {
-    /// Longs of fragment payload currently resident in memory.
+    /// Longs of fragment payload currently resident in memory, not counting
+    /// the at most `RUN_BYTES` of evicted records staged for the file.
     pub resident_longs: u64,
     /// High-water mark of `resident_longs` over the store's lifetime.
     pub peak_resident_longs: u64,
@@ -586,9 +594,13 @@ pub struct FragmentStoreStats {
     pub spilled_fragments: u64,
     /// Longs written to the spill file.
     pub spill_write_longs: u64,
-    /// Longs read back from the spill file (Phase-3 reload traffic).
+    /// Write calls to the spill file: one per staged run, plus one per record
+    /// too large to stage.
+    pub spill_writes: u64,
+    /// Longs read back from the spill file (Phase-3 reload traffic), one
+    /// positional read per record.
     pub spill_read_longs: u64,
-    /// Spill I/O failures absorbed by keeping the fragment resident.
+    /// Spill I/O failures absorbed by keeping the fragments resident.
     pub spill_errors: u64,
     /// Always 0: the spill backing has one eviction order. Kept because the
     /// end-to-end benchmark package reads the field.
@@ -641,9 +653,12 @@ trait FragmentBacking: Send {
     /// partition)` and returns the sequence number of the first.
     fn append(&mut self, segment: Segment) -> u64;
     /// The record of a fragment that was pushed, reloaded if it was paged
-    /// out.
-    fn record(&mut self, id: FragmentId) -> Record;
+    /// out; an error if the reload fails.
+    fn record(&mut self, id: FragmentId) -> io::Result<Record>;
     /// Visits every record in id order, spilled ones reloaded one at a time.
+    ///
+    /// # Panics
+    /// When a spilled record cannot be read back.
     fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>));
     /// Everything stored, one [`Segment`] per `(level, partition)`, in id
     /// order.
@@ -654,7 +669,9 @@ trait FragmentBacking: Send {
     /// the spill backing captures the lists at append time, while the record
     /// is still resident.
     fn cycle_vertices(&self) -> Vec<(FragmentId, Vec<VertexId>)>;
-    fn stats(&self) -> FragmentStoreStats;
+    /// The backing's statistics, once whatever it holds back for the file
+    /// has been written.
+    fn stats(&mut self) -> FragmentStoreStats;
 }
 
 /// The default backing: every segment lives in memory, as one buffer.
@@ -691,10 +708,10 @@ impl FragmentBacking for MemoryBacking {
         next
     }
 
-    fn record(&mut self, id: FragmentId) -> Record {
+    fn record(&mut self, id: FragmentId) -> io::Result<Record> {
         match self.run_at(id.level(), id.partition(), id.seq()) {
             Some((first, run)) if id.seq() - first < run.records() as u64 => {
-                run.record((id.seq() - first) as usize)
+                Ok(run.record((id.seq() - first) as usize))
             }
             _ => panic!("no fragment {id:?} in the store"),
         }
@@ -723,7 +740,7 @@ impl FragmentBacking for MemoryBacking {
         cycles
     }
 
-    fn stats(&self) -> FragmentStoreStats {
+    fn stats(&mut self) -> FragmentStoreStats {
         let longs = self.runs.values().map(|s| s.bytes().len() as u64 / 8).sum();
         FragmentStoreStats { resident_longs: longs, peak_resident_longs: longs, ..Default::default() }
     }
@@ -735,7 +752,8 @@ impl FragmentBacking for MemoryBacking {
 struct SlotMeta {
     id: FragmentId,
     longs: u64,
-    /// Byte offset of the record in the spill file; `None` while resident.
+    /// Byte offset of the record in the spill file, given when it is staged;
+    /// `None` while resident.
     spilled_at: Option<u64>,
 }
 
@@ -760,14 +778,23 @@ static SPILL_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// partition. In a pipeline run nothing reads the store before Phase 3, and
 /// Phase 3 reads each record once and re-admits nothing, so the spill reads
 /// equal the spill writes whichever records the order picks. Records are made
-/// resident and the budget re-balanced one at a time, so the peak stays
-/// within budget + one fragment.
+/// resident and the budget re-balanced one at a time, so the resident peak
+/// stays within budget + one fragment.
 ///
-/// A spill I/O failure is absorbed, not propagated — the fragment stays
-/// resident, the failure is counted in
-/// [`FragmentStoreStats::spill_errors`] and no further spilling is
-/// attempted, so an interrupted spill degrades to the in-memory backing
-/// with identical results.
+/// The file is written in runs, not records: an evicted record is appended
+/// to one staging buffer of at most [`RUN_BYTES`], which goes to the file in
+/// one positional write when the next record would not fit, or before
+/// anything is read. A record larger than a run is written on its own, right
+/// after a flush, so the buffer never grows past [`RUN_BYTES`]. A staged
+/// record already has its file offset and counts as spilled. A reload is one
+/// positional read.
+///
+/// A spill write failure is absorbed, not propagated — every record it was
+/// to write goes back into the resident set with its counters rolled back,
+/// the failure is counted once in [`FragmentStoreStats::spill_errors`] and no
+/// further spilling is attempted, so an interrupted spill degrades to the
+/// in-memory backing with identical results. A failed reload is the
+/// reader's error.
 #[derive(Default)]
 struct SpillBacking {
     budget_longs: u64,
@@ -780,8 +807,14 @@ struct SpillBacking {
     cycle_vis: BTreeMap<FragmentId, Vec<VertexId>>,
     /// Resident records in eviction order: the first is the next victim.
     resident: BTreeMap<EvictionKey, Arc<Vec<u8>>>,
-    /// Created lazily on first eviction; unlinked right after creation.
+    /// Evicted records not yet written, back to back: the bytes that go to
+    /// the file at `file_end` in the next write. Capacity 0 or [`RUN_BYTES`].
+    staged: Vec<u8>,
+    /// The staged records, in the order they lie in `staged`.
+    staged_ids: Vec<FragmentId>,
+    /// Created lazily at the first write; unlinked right after creation.
     file: Option<File>,
+    /// Bytes written to the file so far.
     file_end: u64,
     /// Set after a spill I/O failure: stop spilling, stay resident.
     broken: bool,
@@ -807,7 +840,7 @@ impl SpillBacking {
 
     /// Opens the spill file on first use. The path is unlinked immediately
     /// (the open handle keeps the data), so nothing leaks past the store.
-    fn file(&mut self) -> std::io::Result<&mut File> {
+    fn file(&mut self) -> io::Result<&File> {
         if self.file.is_none() {
             let path = self.directory.join(format!(
                 "euler-fragments-{}-{}.spill",
@@ -818,51 +851,98 @@ impl SpillBacking {
             std::fs::remove_file(&path)?;
             self.file = Some(file);
         }
-        Ok(self.file.as_mut().expect("just created"))
+        Ok(self.file.as_ref().expect("just created"))
     }
 
-    /// Appends `record` to the spill file, returning the offset it lies at.
-    fn write_record(&mut self, record: &[u8]) -> std::io::Result<u64> {
+    /// Appends `bytes` to the spill file in one positional write.
+    fn write_at_end(&mut self, bytes: &[u8]) -> io::Result<()> {
         let offset = self.file_end;
-        let file = self.file()?;
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(record)?;
-        self.file_end += record.len() as u64;
-        Ok(offset)
+        self.file()?.write_all_at(bytes, offset)?;
+        self.file_end += bytes.len() as u64;
+        self.stats.spill_writes += 1;
+        Ok(())
     }
 
-    /// Reads the `longs`-word record at `offset` back.
-    fn read_record(&mut self, offset: u64, longs: u64) -> Vec<u8> {
-        let mut bytes = vec![0; 8 * longs as usize];
-        let file = self.file.as_mut().expect("spilled records imply an open file");
-        file.seek(SeekFrom::Start(offset)).expect("spill file seek");
-        file.read_exact(&mut bytes).expect("spill file read");
-        bytes
+    /// Gives the record `id` its place at `offset` in the file: from here on
+    /// it counts as spilled, not resident.
+    fn mark_spilled(&mut self, id: FragmentId, offset: u64) {
+        let m = self.meta(id);
+        m.spilled_at = Some(offset);
+        let longs = m.longs;
+        self.stats.resident_longs -= longs;
+        self.stats.spilled_fragments += 1;
+        self.stats.spill_write_longs += longs;
+        self.stats.evictions_scheduled += 1;
+    }
+
+    /// Counts a failed write and stops spilling — results are unaffected.
+    fn fail(&mut self) {
+        self.stats.spill_errors += 1;
+        self.broken = true;
+    }
+
+    /// Writes the staged records to the file in one call. If that fails, they
+    /// go back into the resident set with their counters rolled back, and
+    /// spilling stops.
+    fn flush(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
+        let staged = std::mem::take(&mut self.staged);
+        let written = self.write_at_end(&staged);
+        self.staged = staged;
+        if written.is_err() {
+            let base = self.file_end;
+            for id in std::mem::take(&mut self.staged_ids) {
+                let m = self.meta(id);
+                let at = (m.spilled_at.take().expect("a staged record has an offset") - base) as usize;
+                let longs = m.longs;
+                let bytes = self.staged[at..at + 8 * longs as usize].to_vec();
+                self.resident.insert(eviction_key(id), Arc::new(bytes));
+                self.stats.resident_longs += longs;
+                self.stats.spilled_fragments -= 1;
+                self.stats.spill_write_longs -= longs;
+                self.stats.evictions_scheduled -= 1;
+            }
+            self.stats.peak_resident_longs = self.stats.peak_resident_longs.max(self.stats.resident_longs);
+            self.fail();
+        }
+        self.staged.clear();
+        self.staged_ids.clear();
     }
 
     /// Pages records out, first in the eviction order first, until the
-    /// resident set fits the budget.
+    /// resident set fits the budget: each is staged, or — larger than a run
+    /// — written on its own once the staged ones are.
     fn evict(&mut self) {
         while self.stats.resident_longs > self.budget_longs && !self.broken {
             let Some((key, record)) = self.resident.pop_first() else { break };
-            match self.write_record(&record) {
-                Ok(offset) => {
-                    let (level, Reverse(partition), seq) = key;
-                    let m = self.meta(FragmentId::new(level, PartitionId(partition), seq));
-                    m.spilled_at = Some(offset);
-                    let longs = m.longs;
-                    self.stats.resident_longs -= longs;
-                    self.stats.spilled_fragments += 1;
-                    self.stats.spill_write_longs += longs;
-                    self.stats.evictions_scheduled += 1;
+            let (level, Reverse(partition), seq) = key;
+            let id = FragmentId::new(level, PartitionId(partition), seq);
+            if self.staged.len() + record.len() > RUN_BYTES {
+                self.flush();
+            }
+            let offset = self.file_end + self.staged.len() as u64;
+            let spilled = if self.broken {
+                false
+            } else if record.len() > RUN_BYTES {
+                let written = self.write_at_end(&record).is_ok();
+                if !written {
+                    self.fail();
                 }
-                Err(_) => {
-                    // Interrupted spill: keep the record resident, count the
-                    // failure, and stop trying — results are unaffected.
-                    self.resident.insert(key, record);
-                    self.stats.spill_errors += 1;
-                    self.broken = true;
+                written
+            } else {
+                if self.staged.capacity() == 0 {
+                    self.staged.reserve_exact(RUN_BYTES);
                 }
+                self.staged.extend_from_slice(&record);
+                self.staged_ids.push(id);
+                true
+            };
+            if spilled {
+                self.mark_spilled(id, offset);
+            } else {
+                self.resident.insert(key, record);
             }
         }
     }
@@ -896,22 +976,26 @@ impl FragmentBacking for SpillBacking {
         first
     }
 
-    fn record(&mut self, id: FragmentId) -> Record {
+    fn record(&mut self, id: FragmentId) -> io::Result<Record> {
+        self.flush();
         let meta = *self.meta(id);
         let buf = match meta.spilled_at {
             None => Arc::clone(&self.resident[&eviction_key(id)]),
             Some(offset) => {
+                let mut bytes = vec![0; 8 * meta.longs as usize];
+                let file = self.file.as_ref().expect("spilled records imply an open file");
+                file.read_exact_at(&mut bytes, offset)?;
                 self.stats.spill_read_longs += meta.longs;
-                Arc::new(self.read_record(offset, meta.longs))
+                Arc::new(bytes)
             }
         };
-        Record { range: 0..buf.len(), buf }
+        Ok(Record { range: 0..buf.len(), buf })
     }
 
     fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) {
         let ids: Vec<FragmentId> = self.index.values().flatten().map(|m| m.id).collect();
         for id in ids {
-            f(id, self.record(id).view());
+            f(id, reloaded(id, self.record(id)).view());
         }
     }
 
@@ -930,9 +1014,16 @@ impl FragmentBacking for SpillBacking {
         self.cycle_vis.iter().map(|(&id, visible)| (id, visible.clone())).collect()
     }
 
-    fn stats(&self) -> FragmentStoreStats {
+    fn stats(&mut self) -> FragmentStoreStats {
+        self.flush();
         self.stats
     }
+}
+
+/// The record a reload returned, for the readers whose contract is to panic
+/// when it failed.
+fn reloaded(id: FragmentId, record: io::Result<Record>) -> Record {
+    record.unwrap_or_else(|e| panic!("fragment {id:?} could not be reloaded from the spill file: {e}"))
 }
 
 /// The Phase-3 splice index as the store hands it over: every visible vertex
@@ -994,7 +1085,7 @@ impl Default for FragmentStore {
 
 impl std::fmt::Debug for FragmentStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         f.debug_struct("FragmentStore")
             .field("len", &inner.fragments)
             .field("stats", &inner.backing.stats())
@@ -1017,7 +1108,9 @@ impl FragmentStore {
     /// `config.memory_budget_longs`; overflow pages to a temp file and is
     /// reloaded on demand (the out-of-core mode). Records are paged out
     /// lowest level first, then highest partition, then oldest within a
-    /// partition: an order read off their ids alone.
+    /// partition: an order read off their ids alone. They reach the file in
+    /// runs of up to 64 KiB, one write each, so at most that much of evicted
+    /// records is held on top of the budget.
     pub fn spilling(config: SpillConfig) -> Self {
         Self::over(Box::new(SpillBacking::new(config)))
     }
@@ -1081,16 +1174,21 @@ impl FragmentStore {
     /// (reloaded from the spill file if it was paged out).
     ///
     /// # Panics
-    /// When no fragment with that id was pushed.
+    /// When no fragment with that id was pushed, or its record was paged out
+    /// and cannot be read back.
     pub fn get(&self, id: FragmentId) -> Fragment {
         let mut fragment = Fragment::default();
-        self.record(id).view().read_into(id, &mut fragment);
+        reloaded(id, self.record(id)).view().read_into(id, &mut fragment);
         fragment
     }
 
     /// The stored record of the fragment with the given id, shared rather
-    /// than copied (reloaded from the spill file if it was paged out).
-    pub(crate) fn record(&self, id: FragmentId) -> Record {
+    /// than copied (reloaded from the spill file if it was paged out); an
+    /// error when that reload fails.
+    ///
+    /// # Panics
+    /// When no fragment with that id was pushed.
+    pub(crate) fn record(&self, id: FragmentId) -> io::Result<Record> {
         self.inner.lock().backing.record(id)
     }
 
@@ -1113,6 +1211,9 @@ impl FragmentStore {
     /// Snapshot of every fragment, in id order. **Tests and diagnostics
     /// only**: this decodes the whole store (and reloads everything
     /// spilled), so hot paths use [`for_each`](Self::for_each) instead.
+    ///
+    /// # Panics
+    /// When a paged-out record cannot be read back.
     pub fn snapshot(&self) -> Vec<Fragment> {
         let mut all = Vec::with_capacity(self.len());
         self.for_each(|f| all.push(f.clone()));
@@ -1121,6 +1222,9 @@ impl FragmentStore {
 
     /// Visits every fragment in id order under the lock, one at a time,
     /// each decoded into the same scratch — the bounded-memory read path.
+    ///
+    /// # Panics
+    /// When a paged-out record cannot be read back.
     pub fn for_each(&self, mut f: impl FnMut(&Fragment)) {
         let mut scratch = Fragment::default();
         self.inner.lock().backing.for_each_record(&mut |id, record| {
@@ -1165,7 +1269,8 @@ impl FragmentStore {
         self.inner.lock().real_edges
     }
 
-    /// Real memory/spill statistics of the backing.
+    /// Real memory/spill statistics of the backing. Writes any staged
+    /// evictions to the spill file first.
     pub fn stats(&self) -> FragmentStoreStats {
         self.inner.lock().backing.stats()
     }
@@ -1638,6 +1743,109 @@ pub(crate) mod tests {
         assert_eq!(stats.spilled_fragments, 0);
         assert_eq!(stats.resident_longs, broken.disk_longs());
         assert_stores_agree(&mem, &broken);
+    }
+
+    /// A level-0 path over `n` real edges, numbered from `first`.
+    fn path_of(first: u64, n: u64) -> Fragment {
+        Fragment {
+            id: FragmentId(0),
+            kind: FragmentKind::Path,
+            level: 0,
+            partition: PartitionId(0),
+            edges: (first..first + n).map(|e| real(e, e, e + 1)).collect(),
+        }
+    }
+
+    /// Appends `f` straight to a spill backing, as a store's push would, and
+    /// returns it as stored.
+    fn append_to(backing: &mut SpillBacking, f: &Fragment) -> Fragment {
+        let mut run = Segment::with_capacity(f.level, f.partition, 1, f.len());
+        run.push_record(f.kind, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
+        Fragment { id: FragmentId::new(f.level, f.partition, backing.append(run)), ..f.clone() }
+    }
+
+    /// The fragment a spill backing holds under `id`, decoded from its
+    /// record.
+    fn reread(backing: &mut SpillBacking, id: FragmentId) -> Fragment {
+        let mut f = Fragment::default();
+        backing.record(id).unwrap().view().read_into(id, &mut f);
+        f
+    }
+
+    #[test]
+    fn a_zero_budget_store_writes_once_per_filled_run_and_per_oversized_record() {
+        // A 4-edge path is 16 Longs, 128 bytes: a run holds exactly that many
+        // of them. A 3000-edge path does not fit a run at all.
+        let per_run = RUN_BYTES / 128;
+        let sizes = [vec![4; 3 * per_run], vec![3000], vec![4; per_run], vec![3000], vec![4; 100]].concat();
+        let store = FragmentStore::spilling(SpillConfig::with_budget(0));
+        let mut edge = 0;
+        let pushed: Vec<Fragment> = sizes
+            .iter()
+            .map(|&n| {
+                let f = path_of(edge, n);
+                edge += n;
+                Fragment { id: store.push(f.clone()), ..f }
+            })
+            .collect();
+        let stats = store.stats();
+        // Four filled runs, two records written alone, and the partial run
+        // reading the statistics flushed.
+        assert_eq!(stats.spill_writes, 4 + 2 + 1, "{stats:?}");
+        assert_eq!(stats.spilled_fragments, pushed.len() as u64);
+        assert_eq!(stats.spill_write_longs, store.disk_longs());
+        for f in &pushed {
+            assert_eq!(store.get(f.id), *f);
+        }
+        assert_eq!(store.stats().spill_read_longs, store.disk_longs());
+    }
+
+    #[test]
+    fn a_record_over_a_run_is_written_alone_and_the_buffer_never_grows() {
+        let mut backing = SpillBacking::new(SpillConfig::with_budget(0));
+        let small = append_to(&mut backing, &path_of(0, 4));
+        assert_eq!((backing.stats.spill_writes, backing.staged_ids.len()), (0, 1));
+        // A staged record counts as spilled already.
+        assert_eq!((backing.stats.spilled_fragments, backing.stats.resident_longs), (1, 0));
+        let big = append_to(&mut backing, &path_of(100, 3000));
+        assert!(8 * big.disk_longs() as usize > RUN_BYTES);
+        // The staged run went first, then the big record on its own.
+        assert_eq!(backing.stats.spill_writes, 2);
+        assert!(backing.staged.is_empty() && backing.staged.capacity() <= RUN_BYTES);
+        assert_eq!(backing.file_end, 8 * (small.disk_longs() + big.disk_longs()));
+        let after = append_to(&mut backing, &path_of(10_000, 4));
+        assert_eq!(backing.staged_ids, [after.id]);
+        assert!(backing.staged.capacity() <= RUN_BYTES);
+        for f in [&small, &big, &after] {
+            assert_eq!(reread(&mut backing, f.id), *f);
+        }
+        assert_eq!(backing.stats.spill_writes, 3, "the first read flushed the last record");
+        assert_eq!(backing.stats.spill_read_longs, backing.stats.spill_write_longs);
+    }
+
+    #[test]
+    fn a_failed_flush_puts_every_staged_record_back() {
+        let config = SpillConfig::with_budget(0).in_directory("/nonexistent/euler/spill/dir");
+        let mut backing = SpillBacking::new(config);
+        let fragments: Vec<Fragment> =
+            (0..20).map(|i| append_to(&mut backing, &path_of(10 * i, 1 + i % 4))).collect();
+        let disk_longs: u64 = fragments.iter().map(Fragment::disk_longs).sum();
+        assert_eq!(backing.staged_ids.len(), 20, "nothing has been written yet");
+        assert_eq!(backing.stats.spilled_fragments, 20);
+        assert_eq!(backing.stats.spill_write_longs, disk_longs);
+        let stats = backing.stats();
+        assert_eq!(stats.spill_errors, 1, "one failed write is one error: {stats:?}");
+        assert_eq!((stats.spilled_fragments, stats.spill_write_longs, stats.spill_writes), (0, 0, 0));
+        assert_eq!((stats.resident_longs, stats.evictions_scheduled), (disk_longs, 0));
+        assert!(backing.file.is_none() && backing.staged_ids.is_empty());
+        // Spilling has stopped: a later push stays resident, and no error
+        // repeats.
+        let later = append_to(&mut backing, &path_of(1000, 3));
+        for f in fragments.iter().chain([&later]) {
+            assert_eq!(reread(&mut backing, f.id), *f);
+        }
+        assert_eq!(backing.stats().spill_errors, 1);
+        assert_eq!(backing.stats.resident_longs, disk_longs + later.disk_longs());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::error::EulerError;
 use crate::fragment::{CycleIndex, FragmentId, FragmentStore, Record, TourEdge};
-use euler_graph::{bucket_by_slot, EdgeId, LocalIndex, VertexId};
+use euler_graph::{bucket_by_slot, EdgeId, GraphError, LocalIndex, VertexId};
 use serde::{Deserialize, Serialize};
 
 /// One step of the reconstructed circuit: a real graph edge traversed from
@@ -203,7 +203,11 @@ impl Frame {
 /// Returns one circuit per group of fragments reachable from each other;
 /// for a connected Eulerian input this is a single circuit covering all
 /// edges.
-pub fn unroll(store: &FragmentStore) -> CircuitResult {
+///
+/// # Errors
+/// [`EulerError::Graph`] wrapping [`GraphError::Io`] when a fragment paged
+/// out to the spill file cannot be read back.
+pub fn unroll(store: &FragmentStore) -> Result<CircuitResult, EulerError> {
     let mut pending = PendingCycles::new(store);
     let mut result = CircuitResult::default();
     // Every real edge is walked once: the first circuit is sized for all of
@@ -212,12 +216,12 @@ pub fn unroll(store: &FragmentStore) -> CircuitResult {
 
     while let Some(seed) = pending.pop_any() {
         let mut circuit: Vec<CircuitStep> = Vec::with_capacity(unwalked);
-        let seed_record = store.record(seed);
+        let seed_record = reload(store, seed)?;
         // Splice anything already pending at the seed's start vertex.
         let mut splice_here = seed_record.view().start();
         let mut stack: Vec<Frame> = vec![Frame::forward(seed_record)];
         while let Some(extra) = pending.pop_at(splice_here) {
-            stack.push(Frame::rotated(store.record(extra), splice_here));
+            stack.push(Frame::rotated(reload(store, extra)?, splice_here));
         }
 
         while let Some(frame) = stack.last_mut() {
@@ -230,11 +234,11 @@ pub fn unroll(store: &FragmentStore) -> CircuitResult {
                     circuit.push(CircuitStep { edge, from, to });
                     splice_here = to;
                     while let Some(extra) = pending.pop_at(splice_here) {
-                        stack.push(Frame::rotated(store.record(extra), splice_here));
+                        stack.push(Frame::rotated(reload(store, extra)?, splice_here));
                     }
                 }
                 TourEdge::Virtual { fragment, from, to } => {
-                    let record = store.record(fragment);
+                    let record = reload(store, fragment)?;
                     // A path's ends differ, so the vertex it starts at tells
                     // the direction; its far end is left for the walk to
                     // reach.
@@ -258,7 +262,12 @@ pub fn unroll(store: &FragmentStore) -> CircuitResult {
         }
     }
     result.circuits = stitch_circuits(result.circuits);
-    result
+    Ok(result)
+}
+
+/// The record of `id`, a failed spill reload as the run's error.
+fn reload(store: &FragmentStore, id: FragmentId) -> Result<Record, EulerError> {
+    store.record(id).map_err(|e| EulerError::Graph(GraphError::Io(e)))
 }
 
 /// First position of every vertex along a closed walk, as a dense interned
@@ -352,7 +361,7 @@ fn stitch_circuits(circuits: Vec<Vec<CircuitStep>>) -> Vec<Vec<CircuitStep>> {
 /// Convenience: unrolls and checks that a single closed circuit covering
 /// `expected_edges` edges was produced.
 pub fn unroll_single(store: &FragmentStore, expected_edges: u64) -> Result<Vec<CircuitStep>, EulerError> {
-    let result = unroll(store);
+    let result = unroll(store)?;
     if result.num_circuits() != 1 {
         return Err(EulerError::MultipleCircuits { count: result.num_circuits() });
     }
@@ -397,7 +406,7 @@ mod tests {
     fn single_triangle_cycle_unrolls() {
         let store = FragmentStore::new();
         cycle(&store, 0, vec![real(0, 0, 1), real(1, 1, 2), real(2, 2, 0)]);
-        let result = unroll(&store);
+        let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1);
         assert_eq!(result.total_edges(), 3);
         let seq = result.vertex_sequence().unwrap();
@@ -419,7 +428,7 @@ mod tests {
                 real(1, 3, 0),
             ],
         );
-        let result = unroll(&store);
+        let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1);
         let edges: Vec<u64> = result.circuits[0].iter().map(|s| s.edge.0).collect();
         assert_eq!(edges, vec![0, 10, 11, 1]);
@@ -436,7 +445,7 @@ mod tests {
                 real(1, 1, 0),
             ],
         );
-        let result2 = unroll(&store2);
+        let result2 = unroll(&store2).unwrap();
         let steps = &result2.circuits[0];
         assert_eq!(steps.iter().map(|s| s.edge.0).collect::<Vec<_>>(), vec![0, 11, 10, 1]);
         // Reversed direction flips from/to.
@@ -450,7 +459,7 @@ mod tests {
         // Main cycle around 0-1-2-0 and a separate cycle 1-3-4-1 anchored at 1.
         cycle(&store, 0, vec![real(0, 0, 1), real(1, 1, 2), real(2, 2, 0)]);
         cycle(&store, 0, vec![real(3, 1, 3), real(4, 3, 4), real(5, 4, 1)]);
-        let result = unroll(&store);
+        let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1);
         assert_eq!(result.total_edges(), 6);
         // The combined walk is still closed.
@@ -465,7 +474,7 @@ mod tests {
         // 5-2, 2-6, 6-5. Anchor (5) is not on the main cycle, but vertex 2 is.
         cycle(&store, 0, vec![real(0, 0, 1), real(1, 1, 2), real(2, 2, 0)]);
         cycle(&store, 0, vec![real(3, 5, 2), real(4, 2, 6), real(5, 6, 5)]);
-        let result = unroll(&store);
+        let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1, "splicing must use all visible vertices, not only anchors");
         assert_eq!(result.total_edges(), 6);
     }
@@ -475,7 +484,7 @@ mod tests {
         let store = FragmentStore::new();
         cycle(&store, 0, vec![real(0, 0, 1), real(1, 1, 2), real(2, 2, 0)]);
         cycle(&store, 0, vec![real(3, 10, 11), real(4, 11, 12), real(5, 12, 10)]);
-        let result = unroll(&store);
+        let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 2);
         assert_eq!(result.total_edges(), 6);
         assert!(result.circuit().is_none());
@@ -507,7 +516,7 @@ mod tests {
                 real(5, 4, 5),
             ],
         );
-        let result = unroll(&store);
+        let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1);
         let edges: Vec<u64> = result.circuits[0].iter().map(|s| s.edge.0).collect();
         assert_eq!(edges, vec![4, 2, 0, 1, 3, 5]);
@@ -527,7 +536,7 @@ mod tests {
                 TourEdge::Virtual { fragment: p, from: VertexId(1), to: VertexId(3) },
             ],
         );
-        let result = unroll(&store);
+        let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1);
         assert_eq!(result.total_edges(), 5);
         // Every edge appears exactly once, the walk chains and closes.
@@ -547,7 +556,7 @@ mod tests {
 
     /// `(edge, from, to)` of every step of the single circuit.
     fn steps(store: &FragmentStore) -> Vec<(u64, u64, u64)> {
-        let result = unroll(store);
+        let result = unroll(store).unwrap();
         assert_eq!(result.num_circuits(), 1);
         result.circuits[0].iter().map(|s| (s.edge.0, s.from.0, s.to.0)).collect()
     }
@@ -628,7 +637,7 @@ mod tests {
     #[test]
     fn empty_store_yields_no_circuits() {
         let store = FragmentStore::new();
-        let result = unroll(&store);
+        let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 0);
         assert_eq!(result.total_edges(), 0);
     }

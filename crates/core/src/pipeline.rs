@@ -818,7 +818,7 @@ fn run_merge_walk(
         token.checkpoint()?;
     }
     let t3 = Instant::now();
-    let result = unroll(&store);
+    let result = unroll(&store)?;
     if let Some(token) = cancel {
         token.note_step_done();
     }

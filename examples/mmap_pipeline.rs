@@ -60,15 +60,21 @@ fn main() {
     let stats = run.circuit.fragment_stats;
     println!(
         "fragment store: {} of {} Longs peak resident | {} fragments spilled \
-         ({} Longs written, {} reloaded in Phase 3)",
+         ({} Longs written in {} spill_writes, {} reloaded in Phase 3)",
         stats.peak_resident_longs,
         run.circuit.fragment_disk_longs,
         stats.spilled_fragments,
         stats.spill_write_longs,
+        stats.spill_writes,
         stats.spill_read_longs,
     );
     assert!(run.partition.partitioner.contains("streamed"), "zero-Graph path expected");
     assert!(stats.spilled_fragments > 0, "the tiny budget must spill");
+    // Evicted fragments reach the spill file in runs, not one write each.
+    assert!(
+        0 < stats.spill_writes && stats.spill_writes < stats.spilled_fragments,
+        "spilled fragments must be written in runs: {stats:?}"
+    );
     let result = &run.circuit.result;
     println!(
         "circuit stage: {} circuit(s) covering {} edges (graph has {})",

@@ -9,7 +9,7 @@
 use euler_circuit::algo::phase3::unroll;
 use euler_circuit::algo::verify::verify_result;
 use euler_circuit::algo::{
-    Fragment, FragmentId, FragmentKind, FragmentStore, SpillConfig, TourEdge,
+    EulerError, Fragment, FragmentId, FragmentKind, FragmentStore, SpillConfig, TourEdge,
 };
 use euler_circuit::graph::{EdgeStream, GraphError};
 use euler_circuit::partition::StreamingPartitioner;
@@ -286,9 +286,9 @@ fn interrupted_spill_still_unrolls_identical_circuits() {
     for store in [&mem, &spill, &broken] {
         fill(store);
     }
-    let reference = unroll(&mem);
-    let spilled = unroll(&spill);
-    let recovered = unroll(&broken);
+    let reference = unroll(&mem).unwrap();
+    let spilled = unroll(&spill).unwrap();
+    let recovered = unroll(&broken).unwrap();
     assert_eq!(reference.circuits, spilled.circuits);
     assert_eq!(reference.circuits, recovered.circuits);
     assert_eq!(reference.total_edges(), 6);
@@ -347,7 +347,7 @@ fn phase3_reads_each_spilled_fragment_exactly_once() {
             real(1, 3, 0),
         ],
     });
-    let result = unroll(&store);
+    let result = unroll(&store).unwrap();
     assert_eq!(result.total_edges(), 6);
     let stats = store.stats();
     assert!(stats.spilled_fragments > 0, "budget 0 must spill everything");
@@ -356,4 +356,48 @@ fn phase3_reads_each_spilled_fragment_exactly_once() {
         stats.spill_read_longs, stats.spill_write_longs,
         "each spilled fragment must be read back exactly once: {stats:?}"
     );
+}
+
+/// A spill file that loses its contents under the store makes Phase 3 fail
+/// with an I/O error, not a panic. The file is unlinked as soon as it is
+/// created, so it is cut short through the process's own descriptor link.
+#[test]
+fn a_failed_spill_reload_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("euler_reload_failure_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = FragmentStore::spilling(SpillConfig::with_budget(0).in_directory(&dir));
+    let edges = |first: u64| {
+        (first..first + 3)
+            .map(|e| TourEdge::Real {
+                edge: EdgeId(e),
+                from: VertexId(e),
+                to: VertexId(if e == first + 2 { first } else { e + 1 }),
+            })
+            .collect()
+    };
+    let ids: Vec<FragmentId> = [0, 10]
+        .map(|first| {
+            store.push(Fragment {
+                id: FragmentId(0),
+                kind: FragmentKind::Cycle,
+                level: 0,
+                partition: PartitionId(0),
+                edges: edges(first),
+            })
+        })
+        .to_vec();
+    // Reading one record writes the staged ones out: the file now holds all.
+    assert_eq!(store.get(ids[0]).edges, edges(0));
+    assert_eq!(store.stats().spilled_fragments, 2);
+
+    let link = std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|fd| std::fs::read_link(fd).is_ok_and(|target| target.starts_with(&dir)))
+        .expect("the store holds its spill file open");
+    std::fs::OpenOptions::new().write(true).open(&link).unwrap().set_len(0).unwrap();
+
+    let err = unroll(&store).expect_err("a truncated spill file cannot be reloaded");
+    assert!(matches!(err, EulerError::Graph(GraphError::Io(_))), "{err:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }
