@@ -12,12 +12,10 @@ pub struct EulerConfig {
     /// paper's partitions execute concurrently on different machines; turning
     /// this off makes runs easier to profile per partition.
     pub parallel_within_level: bool,
-    /// Verify the reconstructed circuit against the input graph before
-    /// returning (every edge exactly once, chained, closed).
+    /// Verify the reconstructed circuit against the run's input before
+    /// returning (every edge exactly once, each step its edge's endpoints,
+    /// chained, closed).
     pub verify: bool,
-    /// Reject inputs that are not Eulerian instead of producing per-component
-    /// open results. The paper assumes Eulerian inputs; tests exercise both.
-    pub require_eulerian: bool,
     /// Bound on resident fragment memory in Longs. `None` (default) keeps
     /// every circuit fragment in memory; `Some(budget)` backs the fragment
     /// store with the out-of-core spill backing
@@ -47,7 +45,6 @@ impl Default for EulerConfig {
             merge_strategy: MergeStrategy::Duplicated,
             parallel_within_level: true,
             verify: false,
-            require_eulerian: true,
             fragment_memory_budget: None,
             fragment_spill_directory: None,
             streaming_phase1: false,

@@ -35,11 +35,12 @@ pub enum EulerError {
         /// End vertex of the circuit.
         end: VertexId,
     },
-    /// The edges span multiple connected components, so a single circuit does
-    /// not exist; the result carries one circuit per component instead.
-    MultipleCircuits {
-        /// Number of edge-disjoint closed circuits produced.
-        count: usize,
+    /// A circuit step names an edge the input does not have.
+    UnknownEdge {
+        /// The edge id named.
+        edge: euler_graph::EdgeId,
+        /// Edges in the input.
+        num_edges: u64,
     },
     /// The configuration is invalid (e.g. zero partitions).
     InvalidConfig(String),
@@ -64,8 +65,8 @@ impl fmt::Display for EulerError {
             EulerError::NotClosed { start, end } => {
                 write!(f, "circuit starts at {start} but ends at {end}")
             }
-            EulerError::MultipleCircuits { count } => {
-                write!(f, "graph edges are disconnected; produced {count} separate circuits")
+            EulerError::UnknownEdge { edge, num_edges } => {
+                write!(f, "circuit names edge {edge}, past the input's {num_edges} edges")
             }
             EulerError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             EulerError::Distributed(msg) => write!(f, "distributed run failed: {msg}"),
@@ -102,8 +103,8 @@ mod tests {
         assert!(e.to_string().contains('3'));
         let e = EulerError::NotClosed { start: VertexId(1), end: VertexId(2) };
         assert!(e.to_string().contains("v1") && e.to_string().contains("v2"));
-        let e = EulerError::MultipleCircuits { count: 2 };
-        assert!(e.to_string().contains('2'));
+        let e = EulerError::UnknownEdge { edge: EdgeId(9), num_edges: 4 };
+        assert!(e.to_string().contains("e9") && e.to_string().contains('4'));
     }
 
     #[test]

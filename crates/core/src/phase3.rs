@@ -358,20 +358,6 @@ fn stitch_circuits(circuits: Vec<Vec<CircuitStep>>) -> Vec<Vec<CircuitStep>> {
     finals
 }
 
-/// Convenience: unrolls and checks that a single closed circuit covering
-/// `expected_edges` edges was produced.
-pub fn unroll_single(store: &FragmentStore, expected_edges: u64) -> Result<Vec<CircuitStep>, EulerError> {
-    let result = unroll(store)?;
-    if result.num_circuits() != 1 {
-        return Err(EulerError::MultipleCircuits { count: result.num_circuits() });
-    }
-    let circuit = result.circuits.into_iter().next().expect("one circuit");
-    if (circuit.len() as u64) < expected_edges {
-        return Err(EulerError::MissingEdges { missing: expected_edges - circuit.len() as u64 });
-    }
-    Ok(circuit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,7 +474,6 @@ mod tests {
         assert_eq!(result.num_circuits(), 2);
         assert_eq!(result.total_edges(), 6);
         assert!(result.circuit().is_none());
-        assert!(unroll_single(&store, 6).is_err());
     }
 
     #[test]

@@ -55,13 +55,14 @@ use crate::phase1::wstream::{stream_phase1, WStreamStats};
 use crate::phase2::apply_remote_edge_dedup;
 use crate::phase3::{unroll, CircuitResult};
 use crate::state::{VertexTypeCounts, WorkingPartition};
-use crate::verify::verify_result;
+use crate::verify::verify_steps;
 use euler_graph::{
-    properties, CsrFile, Graph, GraphSource, MetaGraph, PartitionAssignment, PartitionId,
-    PartitionedGraph, VertexId,
+    properties, CsrFile, EdgeId, EdgeStream, Graph, GraphSource, MetaGraph, PartitionAssignment,
+    PartitionId, PartitionedGraph, VertexId,
 };
 use euler_partition::Partitioner;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -165,20 +166,6 @@ impl RunReport {
     pub fn cumulative_memory_by_level(&self) -> Vec<u64> {
         (0..self.supersteps)
             .map(|l| self.level(l).iter().map(|r| r.memory_longs).sum())
-            .collect()
-    }
-
-    /// Average active memory per partition per level — the dashed lines of Fig. 8.
-    pub fn average_memory_by_level(&self) -> Vec<f64> {
-        (0..self.supersteps)
-            .map(|l| {
-                let rs = self.level(l);
-                if rs.is_empty() {
-                    0.0
-                } else {
-                    rs.iter().map(|r| r.memory_longs).sum::<u64>() as f64 / rs.len() as f64
-                }
-            })
             .collect()
     }
 
@@ -655,10 +642,10 @@ impl ExecutionBackend for BspBackend {
 // The shared merge-tree walk.
 // ---------------------------------------------------------------------------
 
-/// The one Eulerian degree pre-check, shared by every input path: the graph
-/// path feeds it [`properties::first_odd_vertex`], the direct CSR path feeds
-/// it [`CsrFile::first_odd_vertex`] (read off the mapped offsets section
-/// alone) — one shape, one error.
+/// The Eulerian degree check: every input answers it in this shape — a
+/// graph from [`properties::first_odd_vertex`], a mapped file from
+/// [`CsrFile::first_odd_vertex`] (the offsets section alone), a stream from
+/// the degrees its pass accumulated — one error.
 fn require_even_degrees(first_odd: Option<(VertexId, u64)>) -> Result<(), EulerError> {
     match first_odd {
         Some((vertex, degree)) => {
@@ -668,34 +655,115 @@ fn require_even_degrees(first_odd: Option<(VertexId, u64)>) -> Result<(), EulerE
     }
 }
 
-/// Runs the full three-phase algorithm over an already-partitioned graph on
-/// the given backend — the single merge-tree walk both backends execute
-/// through.
+/// What a run reads: a mapped `.ecsr`, whose level 0 is counted off the file
+/// and filled by the backend; a resident graph; or a source's edge stream,
+/// whose level 0 the W-streaming pass builds.
+pub(crate) enum Input<'a> {
+    File(&'a CsrFile),
+    Graph(&'a Graph),
+    Stream(Box<dyn EdgeStream + 'a>),
+}
+
+/// A finished run and what its input told about itself.
+pub(crate) struct Ran {
+    pub result: CircuitResult,
+    pub report: RunReport,
+    /// Vertices and edges of the input.
+    pub size: (u64, u64),
+    /// Time spent counting level 0 off a mapped file — partitioning time.
+    pub scan_time: Duration,
+}
+
+/// The one run every entry point ends in: the degree check (before level 0
+/// for a file or a graph, after the pass for a stream), level 0, the
+/// merge-tree walk and Phase 3 under `cancel`, and, under
+/// [`EulerConfig::verify`], the one checker over the input's own endpoints —
+/// a file's endpoints section, so verifying loads no [`Graph`].
+pub(crate) fn run_input(
+    mut input: Input<'_>,
+    assignment: &PartitionAssignment,
+    config: &EulerConfig,
+    backend: &dyn ExecutionBackend,
+    cancel: Option<&CancelToken>,
+) -> Result<Ran, EulerError> {
+    let dedup = config.merge_strategy.deduplicates();
+    let store = fragment_store_for(config);
+    let (mut scan_time, mut pass_time, mut wstream) = (Duration::ZERO, Duration::ZERO, None);
+    let (meta, seed, size) = match &mut input {
+        Input::File(csr) => {
+            let csr = *csr;
+            require_even_degrees(csr.first_odd_vertex())?;
+            let t = Instant::now();
+            let scan = level0::scan_file(csr, assignment)?;
+            scan_time = t.elapsed();
+            let meta = scan.meta();
+            let seed = Seed(SeedKind::File(FileLevel0 { csr, assignment, scan, dedup }));
+            (meta, seed, (csr.num_vertices(), csr.num_edges()))
+        }
+        Input::Graph(g) => {
+            require_even_degrees(properties::first_odd_vertex(g))?;
+            let (meta, states) = level0::graph_level0(g, assignment, dedup)?;
+            (meta, states.into(), (g.num_vertices(), g.num_edges()))
+        }
+        Input::Stream(stream) => {
+            let t = Instant::now();
+            // 0: open chains hold the `Θ(log n)` default
+            // (`phase1::wstream::default_chunk_edges`).
+            let outcome = stream_phase1(stream.as_mut(), assignment, &store, 0)?;
+            pass_time = t.elapsed();
+            require_even_degrees(outcome.first_odd)?;
+            let mut states = outcome.states;
+            if dedup {
+                apply_remote_edge_dedup(&mut states);
+            }
+            wstream = Some(outcome.stats);
+            (outcome.meta, states.into(), (outcome.stats.num_vertices, outcome.stats.edges_ingested))
+        }
+    };
+    let (result, mut report) = run_merge_walk(&meta, seed, store, config, backend, wstream, cancel)?;
+    report.phase12_time += pass_time;
+    if config.verify {
+        let circuits = result.circuits.iter().map(Vec::as_slice);
+        match input {
+            Input::File(csr) => {
+                let ends = csr.endpoints_flat();
+                let pair = |e: EdgeId| (VertexId(ends[2 * e.index()]), VertexId(ends[2 * e.index() + 1]));
+                verify_steps(size.1, pair, circuits)
+            }
+            Input::Graph(g) => verify_steps(size.1, |e| g.endpoints(e), circuits),
+            Input::Stream(mut stream) => {
+                // A second pass: the stream's endpoints by edge id.
+                let mut ends = vec![(VertexId(0), VertexId(0)); size.1 as usize];
+                stream.stream_with_ids(&mut |batch| {
+                    for &(e, u, v) in batch {
+                        if let Some(end) = ends.get_mut(e as usize) {
+                            *end = (VertexId(u), VertexId(v));
+                        }
+                    }
+                })?;
+                verify_steps(size.1, |e| ends[e.index()], circuits)
+            }
+        }?;
+    }
+    Ok(Ran { result, report, size, scan_time })
+}
+
+/// Runs the full three-phase algorithm over a resident graph under
+/// `assignment` on the given backend: [`EulerPipeline::run`]'s run over a
+/// graph input, without the source and partitioner stages.
 ///
-/// This is the mid-level entry point: it plans the merge tree, seeds the
-/// backend with the level-0 partition states, drives one
+/// It checks the degrees, builds level 0, walks the merge tree one
 /// [`ExecutionBackend::run_level`] call per level, unrolls Phase 3 and
-/// assembles the unified [`RunReport`]. Most callers want the higher-level
-/// [`EulerPipeline`] builder, which adds the [`GraphSource`] /
-/// [`Partitioner`] stages on top.
+/// assembles the unified [`RunReport`]; under [`EulerConfig::verify`] it
+/// checks the circuit against `g`.
 pub fn run_with_backend(
     g: &Graph,
     assignment: &PartitionAssignment,
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    if config.require_eulerian {
-        require_even_degrees(properties::first_odd_vertex(g))?;
-    }
-    let dedup = config.merge_strategy.deduplicates();
-    let (meta, states) = level0::graph_level0(g, assignment, dedup)?;
-    let store = fragment_store_for(config);
-    let (result, report) =
-        run_merge_walk(&meta, states.into(), store, config, backend, None, None)?;
-    if config.verify {
-        verify_result(g, &result)?;
-    }
-    Ok((result, report))
+    let ran = run_input(Input::Graph(g), assignment, config, backend, None)?;
+    Ok((ran.result, ran.report))
 }
 
 /// Runs the Phase-1/2 merge-tree walk and the Phase-3 unroll over an
@@ -707,8 +775,8 @@ pub fn run_with_backend(
 /// ([`WorkingPartition::from_partition`], [`MetaGraph::from_partitioned`]),
 /// and the two are tested to produce the same bytes. It also serves callers
 /// that hold a [`PartitionedGraph`] and no graph. Because no graph is
-/// available, [`EulerConfig::require_eulerian`] and [`EulerConfig::verify`]
-/// are **not** applied at this level — callers with graph access use
+/// available, the degree check and [`EulerConfig::verify`] are **not**
+/// applied at this level — callers with graph access use
 /// [`run_with_backend`].
 pub fn run_on_partitioned(
     pg: &PartitionedGraph,
@@ -722,23 +790,6 @@ pub fn run_on_partitioned(
         apply_remote_edge_dedup(&mut states);
     }
     run_merge_walk(&meta, states.into(), fragment_store_for(config), config, backend, None, None)
-}
-
-/// The dense path over a mapped `.ecsr`: the walk starts from a level 0
-/// still in its file — `scan` is [`level0::scan_file`] of `csr` under
-/// `assignment` — and the backend fills the partition states where they run.
-pub(crate) fn run_from_file(
-    csr: &CsrFile,
-    assignment: &PartitionAssignment,
-    scan: level0::Scan,
-    config: &EulerConfig,
-    backend: &dyn ExecutionBackend,
-    cancel: Option<&CancelToken>,
-) -> Result<(CircuitResult, RunReport), EulerError> {
-    let meta = scan.meta();
-    let dedup = config.merge_strategy.deduplicates();
-    let seed = Seed(SeedKind::File(FileLevel0 { csr, assignment, scan, dedup }));
-    run_merge_walk(&meta, seed, fragment_store_for(config), config, backend, None, cancel)
 }
 
 /// Builds the run's fragment store from its configuration: an explicit
@@ -901,8 +952,10 @@ impl EulerPipelineBuilder {
         self
     }
 
-    /// Verifies the reconstructed circuit against the input graph before
-    /// returning (every edge exactly once, chained, closed).
+    /// Verifies the reconstructed circuit against the input before returning
+    /// (every edge exactly once, each step its edge's endpoints, chained,
+    /// closed) — a mapped file against its endpoints section, without
+    /// loading a graph.
     pub fn verify(mut self, yes: bool) -> Self {
         self.config.verify = yes;
         self
@@ -1026,242 +1079,123 @@ impl EulerPipeline {
         &self.config
     }
 
-    /// Runs the full pipeline, producing the staged outputs.
+    /// Runs the full pipeline, producing the staged outputs: one assignment
+    /// step, then the one run over the input it leaves.
     ///
-    /// A source that exposes a mapped CSR view ([`GraphSource::csr`],
-    /// e.g. [`euler_graph::MmapCsrSource`]) combined with either a
-    /// precomputed [`assignment`](EulerPipelineBuilder::assignment) *or* a
-    /// [`partitioner`](EulerPipelineBuilder::partitioner) with a streaming
-    /// view ([`euler_partition::StreamingPartitioner`] — hash and LDG) takes
-    /// the direct slicing path: the assignment is computed from chunked edge
-    /// batches off the mapped sections, one more pass over the endpoints
-    /// section counts level 0 under it (local edges, cut cells — the
-    /// meta-graph — and isolated vertices per partition; both passes are
-    /// [`PartitionStage::partition_time`]), and the walk is seeded with the
-    /// level 0 *still in its file* ([`Seed`]): the backend fills the
+    /// The run reads edges — the mapped CSR view of a source that has one
+    /// ([`GraphSource::csr`], e.g. [`euler_graph::MmapCsrSource`]), or under
+    /// [`streaming_phase1`](EulerPipelineBuilder::streaming_phase1) the
+    /// source's edge stream — or else a resident or loaded [`Graph`]. The
+    /// assignment is the [`assignment`](EulerPipelineBuilder::assignment)
+    /// given; or, when the run reads edges and the
+    /// [`partitioner`](EulerPipelineBuilder::partitioner) has a streaming view
+    /// ([`euler_partition::StreamingPartitioner`] — hash and LDG) that
+    /// supports the source's stream order, one pass over chunked edge
+    /// batches; or else the partitioner over the whole graph (BFS placement,
+    /// custom whole-graph partitioners), which a dense run then reads.
+    ///
+    /// Over a mapped file — the direct slicing path — one more pass over the
+    /// endpoints section counts level 0 under the assignment (local edges,
+    /// cut cells — the meta-graph — and isolated vertices per partition; both
+    /// passes are [`PartitionStage::partition_time`]), and the walk is seeded
+    /// with the level 0 *still in its file* ([`Seed`]): the backend fills the
     /// partition states from the mapped section where they will run —
     /// [`InProcessBackend`] and workers stepped in place all of them, once,
     /// inside level 0; wire workers each their own share, from the file, on
     /// their side of the transport. No [`Graph`] and no partition view is
-    /// ever materialised. Configuring
-    /// [`verify`](EulerPipelineBuilder::verify), or a partitioner without a
-    /// suitable streaming view (BFS placement, custom whole-graph
-    /// partitioners), needs the whole graph and falls back to the load path.
+    /// ever materialised, [`verify`](EulerPipelineBuilder::verify) included:
+    /// it checks the circuit against the mapped endpoints section.
     pub fn run(&self) -> Result<PipelineRun, EulerError> {
-        if self.config.streaming_phase1 {
-            return self.run_streaming();
-        }
-        if let Some(csr) = self.source.csr() {
-            if !self.config.verify {
-                match &self.partition {
-                    PartitionSpec::Assignment(a) => {
-                        let a = a.clone();
-                        return self.run_from_csr(
-                            csr,
-                            a,
-                            "pre-assigned (direct csr slice)".to_string(),
-                            Duration::ZERO,
-                        );
-                    }
-                    PartitionSpec::Partitioner(p) => {
-                        if let (Some(sp), Some(mut stream)) =
-                            (p.as_streaming(), self.source.edge_stream())
-                        {
-                            if sp.supports(stream.order()) {
-                                let t = Instant::now();
-                                let a = sp.partition_stream(stream.as_mut())?;
-                                return self.run_from_csr(
-                                    csr,
-                                    a,
-                                    format!("{} (streamed, direct csr slice)", sp.name()),
-                                    t.elapsed(),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let t_load = Instant::now();
-        let loaded;
-        let graph: &Graph = match self.source.resident() {
-            Some(g) => g,
-            None => {
-                loaded = self.source.load()?;
-                &loaded
-            }
-        };
-        let load_time = t_load.elapsed();
-
+        let (source, config) = (self.source.as_ref(), &self.config);
+        let file = source.csr().filter(|_| !config.streaming_phase1);
+        let reads_edges = config.streaming_phase1 || file.is_some();
+        let mut load_time = Duration::ZERO;
+        let mut graph = None;
         let t_part = Instant::now();
-        let (assignment, partitioner) = match &self.partition {
-            PartitionSpec::Assignment(a) => (a.clone(), "pre-assigned".to_string()),
-            PartitionSpec::Partitioner(p) => (p.partition(graph), p.name().to_string()),
+        let (assignment, name, streamed) = match &self.partition {
+            PartitionSpec::Assignment(a) => (a.clone(), "pre-assigned", false),
+            PartitionSpec::Partitioner(p) => match stream_partition(p.as_ref(), source, reads_edges)? {
+                Some((a, name)) => (a, name, true),
+                None => {
+                    let g = graph.insert(load(source, &mut load_time)?);
+                    (p.partition(g), p.name(), false)
+                }
+            },
         };
-        let partition_time = t_part.elapsed();
-
-        let (result, report) = run_with_backend(graph, &assignment, &self.config, self.backend.as_ref())?;
-        let provenance = Provenance {
-            source: self.source.name(),
+        if config.streaming_phase1 {
+            // A whole-graph partitioner's graph goes before the pass.
+            graph = None;
+        }
+        let loaded;
+        let input = match (&graph, file) {
+            _ if config.streaming_phase1 => Input::Stream(source.edge_stream().ok_or_else(|| {
+                EulerError::InvalidConfig("streaming_phase1 needs a source that exposes an edge stream".into())
+            })?),
+            (Some(g), _) => Input::Graph(g),
+            (None, Some(csr)) => Input::File(csr),
+            (None, None) => {
+                loaded = load(source, &mut load_time)?;
+                Input::Graph(&loaded)
+            }
+        };
+        let partition_time = t_part.elapsed().saturating_sub(load_time);
+        let partitioner = match (&input, streamed) {
+            (Input::Graph(_), _) => name.to_string(),
+            (Input::File(_), true) => format!("{name} (streamed, direct csr slice)"),
+            (Input::File(_), false) => format!("{name} (direct csr slice)"),
+            (Input::Stream(_), true) => format!("{name} (streamed, w-streaming)"),
+            (Input::Stream(_), false) => format!("{name} (w-streaming)"),
+        };
+        let ran = run_input(input, &assignment, config, self.backend.as_ref(), None)?;
+        let partition = PartitionStage {
+            source: source.name(),
             load_time,
             partitioner,
-            partition_time,
-            num_vertices: graph.num_vertices(),
-            num_edges: graph.num_edges(),
+            partition_time: partition_time + ran.scan_time,
+            num_vertices: ran.size.0,
+            num_edges: ran.size.1,
+            num_partitions: ran.report.num_partitions,
             assignment,
         };
-        Ok(assemble_run(provenance, result, report))
-    }
-
-    /// The direct CSR slicing path: degree pre-check off the mapped offsets
-    /// section, level 0 counted here and filled by the backend from the
-    /// mapped arrays, no [`Graph`] ever materialised. `partitioner` names how
-    /// the assignment came to be (pre-assigned, or a streaming partitioner
-    /// whose pass took `partition_time` so far); the counting pass is
-    /// partitioning time too.
-    fn run_from_csr(
-        &self,
-        csr: &CsrFile,
-        assignment: PartitionAssignment,
-        partitioner: String,
-        partition_time: Duration,
-    ) -> Result<PipelineRun, EulerError> {
-        if self.config.require_eulerian {
-            require_even_degrees(csr.first_odd_vertex())?;
-        }
-        let t_part = Instant::now();
-        let scan = level0::scan_file(csr, &assignment)?;
-        let partition_time = partition_time + t_part.elapsed();
-        let (result, report) =
-            run_from_file(csr, &assignment, scan, &self.config, self.backend.as_ref(), None)?;
-        let provenance = Provenance {
-            source: self.source.name(),
-            // Nothing is loaded up front; pages fault in as the partition
-            // stream and the level-0 scan touch them, which the partition
-            // stage times.
-            load_time: Duration::ZERO,
-            partitioner,
-            partition_time,
-            num_vertices: csr.num_vertices(),
-            num_edges: csr.num_edges(),
-            assignment,
-        };
-        Ok(assemble_run(provenance, result, report))
-    }
-
-    /// The W-streaming path ([`EulerConfig::streaming_phase1`]): level-0
-    /// tours are built by one pass of [`stream_phase1`] over the source's
-    /// edge stream — no dense incidence arena, no level-0 fill — and
-    /// the residual coarse state rides the ordinary merge-tree walk.
-    ///
-    /// The assignment comes from the builder verbatim, from a streaming
-    /// partitioner's own pass over a fresh stream, or (for whole-graph
-    /// partitioners) from a temporarily loaded graph that is dropped again
-    /// before the tour pass. The Eulerian precondition is checked from the
-    /// degrees the pass accumulates, so a violation surfaces *after* the
-    /// single pass rather than before the run as on the dense paths.
-    fn run_streaming(&self) -> Result<PipelineRun, EulerError> {
-        let t_part = Instant::now();
-        let (assignment, partitioner) = match &self.partition {
-            PartitionSpec::Assignment(a) => (a.clone(), "pre-assigned (w-streaming)".to_string()),
-            PartitionSpec::Partitioner(p) => {
-                let mut streamed = None;
-                if let (Some(sp), Some(mut stream)) = (p.as_streaming(), self.source.edge_stream())
-                {
-                    if sp.supports(stream.order()) {
-                        streamed = Some((
-                            sp.partition_stream(stream.as_mut())?,
-                            format!("{} (streamed, w-streaming)", sp.name()),
-                        ));
-                    }
-                }
-                match streamed {
-                    Some(x) => x,
-                    None => {
-                        let loaded;
-                        let graph: &Graph = match self.source.resident() {
-                            Some(g) => g,
-                            None => {
-                                loaded = self.source.load()?;
-                                &loaded
-                            }
-                        };
-                        (p.partition(graph), format!("{} (w-streaming)", p.name()))
-                    }
-                }
-            }
-        };
-        let partition_time = t_part.elapsed();
-
-        let mut stream = self.source.edge_stream().ok_or_else(|| {
-            EulerError::InvalidConfig(
-                "streaming_phase1 needs a source that exposes an edge stream".into(),
-            )
-        })?;
-        let store = fragment_store_for(&self.config);
-        let t1 = Instant::now();
-        // 0: open chains hold the `Θ(log n)` default
-        // (`phase1::wstream::default_chunk_edges`).
-        let outcome = stream_phase1(stream.as_mut(), &assignment, &store, 0)?;
-        let pass_time = t1.elapsed();
-        if self.config.require_eulerian {
-            require_even_degrees(outcome.first_odd)?;
-        }
-        let mut states = outcome.states;
-        if self.config.merge_strategy.deduplicates() {
-            apply_remote_edge_dedup(&mut states);
-        }
-        let (result, mut report) = run_merge_walk(
-            &outcome.meta,
-            states.into(),
-            store,
-            &self.config,
-            self.backend.as_ref(),
-            Some(outcome.stats),
-            None,
-        )?;
-        report.phase12_time += pass_time;
-        if self.config.verify {
-            let loaded;
-            let graph: &Graph = match self.source.resident() {
-                Some(g) => g,
-                None => {
-                    loaded = self.source.load()?;
-                    &loaded
-                }
-            };
-            verify_result(graph, &result)?;
-        }
-        let provenance = Provenance {
-            source: self.source.name(),
-            load_time: Duration::ZERO,
-            partitioner,
-            partition_time,
-            num_vertices: outcome.stats.num_vertices,
-            num_edges: outcome.stats.edges_ingested,
-            assignment,
-        };
-        Ok(assemble_run(provenance, result, report))
+        Ok(assemble_run(partition, ran.result, ran.report))
     }
 }
 
-/// Input-side provenance of a run — the [`PartitionStage`] fields that differ
-/// between the load path and the CSR direct slicing path.
-struct Provenance {
-    source: String,
-    load_time: Duration,
-    partitioner: String,
-    partition_time: Duration,
-    num_vertices: u64,
-    num_edges: u64,
-    assignment: PartitionAssignment,
+/// A source's graph: its resident copy, or a load, timed into `load_time`.
+fn load<'s>(source: &'s dyn GraphSource, load_time: &mut Duration) -> Result<Cow<'s, Graph>, EulerError> {
+    let t = Instant::now();
+    let graph = match source.resident() {
+        Some(g) => Cow::Borrowed(g),
+        None => Cow::Owned(source.load()?),
+    };
+    *load_time += t.elapsed();
+    Ok(graph)
 }
 
-/// Splits one unified [`RunReport`] across the staged outputs — the single
-/// place a run is assembled, whichever input path produced it.
-fn assemble_run(provenance: Provenance, result: CircuitResult, report: RunReport) -> PipelineRun {
+/// The assignment of a partitioner whose streaming view supports the order
+/// of the source's edge stream — one pass over it — and the partitioner's
+/// name; `None` when the run does not read edges or the partitioner cannot
+/// stream them.
+fn stream_partition(
+    p: &dyn Partitioner,
+    source: &dyn GraphSource,
+    reads_edges: bool,
+) -> Result<Option<(PartitionAssignment, &'static str)>, EulerError> {
+    let Some(sp) = p.as_streaming().filter(|_| reads_edges) else {
+        return Ok(None);
+    };
+    match source.edge_stream() {
+        Some(mut stream) if sp.supports(stream.order()) => {
+            Ok(Some((sp.partition_stream(stream.as_mut())?, sp.name())))
+        }
+        _ => Ok(None),
+    }
+}
+
+/// Splits one unified [`RunReport`] across the stages after `partition`.
+fn assemble_run(partition: PartitionStage, result: CircuitResult, report: RunReport) -> PipelineRun {
     let RunReport {
-        num_partitions,
+        num_partitions: _,
         supersteps,
         strategy,
         per_partition,
@@ -1277,16 +1211,7 @@ fn assemble_run(provenance: Provenance, result: CircuitResult, report: RunReport
         warnings,
     } = report;
     PipelineRun {
-        partition: PartitionStage {
-            source: provenance.source,
-            load_time: provenance.load_time,
-            partitioner: provenance.partitioner,
-            partition_time: provenance.partition_time,
-            num_vertices: provenance.num_vertices,
-            num_edges: provenance.num_edges,
-            num_partitions,
-            assignment: provenance.assignment,
-        },
+        partition,
         merge: MergeStage {
             supersteps,
             strategy,
@@ -1417,6 +1342,7 @@ impl PipelineRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_result;
     use euler_gen::synthetic;
     use euler_partition::{HashPartitioner, LdgPartitioner, Partitioner};
 
@@ -1675,11 +1601,11 @@ mod tests {
     }
 
     #[test]
-    fn csr_source_with_a_partitioner_and_verify_falls_back_to_loading() {
-        // `verify` needs the whole graph, so even a streaming-capable
-        // partitioner goes through the load path here.
+    fn csr_source_with_a_partitioner_and_verify_stays_on_the_direct_path() {
+        // `verify` checks the circuit against the mapped endpoints section,
+        // so a verified run streams its assignment and loads no graph.
         let g = synthetic::torus_grid(8, 8);
-        let path = csr_temp("partitioner_fallback.ecsr");
+        let path = csr_temp("partitioner_verify.ecsr");
         euler_graph::write_csr_file(&g, &path).unwrap();
         let run = EulerPipeline::builder()
             .source(euler_graph::MmapCsrSource::open(&path).unwrap())
@@ -1689,8 +1615,10 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(run.partition.partitioner, "ldg");
+        assert_eq!(run.partition.partitioner, "ldg (streamed, direct csr slice)");
+        assert_eq!(run.partition.load_time, Duration::ZERO);
         assert_eq!(run.circuit.result.total_edges(), g.num_edges());
+        verify_result(&g, &run.circuit.result).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1826,10 +1754,10 @@ mod tests {
     }
 
     #[test]
-    fn csr_source_with_verify_falls_back_to_loading() {
+    fn csr_source_with_an_assignment_and_verify_stays_on_the_direct_path() {
         let g = synthetic::torus_grid(6, 6);
         let a = HashPartitioner::new(2).partition(&g);
-        let path = csr_temp("verify_fallback.ecsr");
+        let path = csr_temp("assignment_verify.ecsr");
         euler_graph::write_csr_file(&g, &path).unwrap();
         let run = EulerPipeline::builder()
             .source(euler_graph::MmapCsrSource::open(&path).unwrap())
@@ -1839,8 +1767,8 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        // Verification needs the graph, so the plain pre-assigned path ran.
-        assert_eq!(run.partition.partitioner, "pre-assigned");
+        assert_eq!(run.partition.partitioner, "pre-assigned (direct csr slice)");
+        assert_eq!(run.partition.load_time, Duration::ZERO);
         assert_eq!(run.circuit.result.total_edges(), g.num_edges());
         std::fs::remove_file(&path).ok();
     }

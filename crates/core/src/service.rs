@@ -60,7 +60,7 @@ use crate::error::EulerError;
 use crate::memory_model::{model_series, LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::phase3::{CircuitResult, CircuitStep};
-use crate::pipeline::{run_from_file, InProcessBackend, RunReport};
+use crate::pipeline::{run_input, InProcessBackend, Input, RunReport};
 use euler_bsp::transport::{Connection, FrameBatch, Listener, FRAME_HEADER_BYTES};
 use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
@@ -990,11 +990,12 @@ fn compute_run(
 }
 
 /// One pipeline run over a registered graph: streaming-partition the mapped
-/// CSR, count level 0 off it, walk the merge tree cancellably. The
-/// streaming partitioners produce the same assignment as their in-memory
-/// counterparts by construction, and the merge-tree walk is deterministic
-/// for every thread count, so the result is bit-identical to the library
-/// path ([`crate::EulerPipeline`]) on the same graph and options.
+/// CSR, then the pipeline's one run over the file, cancellably — the degree
+/// check first, so an odd-degree graph is refused with the library's typed
+/// error. The streaming partitioners produce the same assignment as their
+/// in-memory counterparts by construction, and the merge-tree walk is
+/// deterministic for every thread count, so the result is bit-identical to
+/// the library path ([`crate::EulerPipeline`]) on the same graph and options.
 fn compute_circuit(
     graph: &RegisteredGraph,
     opts: &RunOptions,
@@ -1008,7 +1009,6 @@ fn compute_circuit(
         }
         PartitionerKind::Ldg => LdgPartitioner::new(opts.partitions).partition_stream(&mut stream)?,
     };
-    let scan = crate::level0::scan_file(&graph.csr, &assignment)?;
     let config = EulerConfig {
         merge_strategy: opts.strategy,
         fragment_memory_budget: Some(fragment_budget_longs),
@@ -1017,7 +1017,9 @@ fn compute_circuit(
     // Fragment ids do not depend on the thread schedule, so a cached circuit
     // and a fresh recomputation of the same (graph, options) key are the
     // same bytes at any thread count.
-    run_from_file(&graph.csr, &assignment, scan, &config, &InProcessBackend::new(), Some(token))
+    let input = Input::File(&graph.csr);
+    let ran = run_input(input, &assignment, &config, &InProcessBackend::new(), Some(token))?;
+    Ok((ran.result, ran.report))
 }
 
 // ---------------------------------------------------------------------------

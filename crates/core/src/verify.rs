@@ -7,75 +7,62 @@
 
 use crate::error::EulerError;
 use crate::phase3::{CircuitResult, CircuitStep};
-use euler_graph::Graph;
+use euler_graph::{EdgeId, Graph, VertexId};
 
 /// Verifies that `circuit` is a valid Euler circuit of `g`.
 pub fn verify_circuit(g: &Graph, circuit: &[CircuitStep]) -> Result<(), EulerError> {
-    let mut used = vec![false; g.num_edges() as usize];
-    for (i, step) in circuit.iter().enumerate() {
-        let idx = step.edge.index();
-        if idx >= used.len() {
-            return Err(EulerError::Graph(euler_graph::GraphError::VertexOutOfRange {
-                vertex: step.from,
-                num_vertices: g.num_vertices(),
-            }));
-        }
-        if used[idx] {
-            return Err(EulerError::DuplicateEdge { edge: step.edge });
-        }
-        used[idx] = true;
-        // Endpoints must match the graph edge (in either direction).
-        let (a, b) = g.endpoints(step.edge);
-        if !((a == step.from && b == step.to) || (a == step.to && b == step.from)) {
-            return Err(EulerError::BrokenChain { position: i, expected: a, found: step.from });
-        }
-        // Chaining with the previous step.
-        if i > 0 {
-            let prev = &circuit[i - 1];
-            if prev.to != step.from {
-                return Err(EulerError::BrokenChain { position: i, expected: prev.to, found: step.from });
-            }
-        }
-    }
-    let missing = used.iter().filter(|&&u| !u).count() as u64;
-    if missing > 0 {
-        return Err(EulerError::MissingEdges { missing });
-    }
-    if let (Some(first), Some(last)) = (circuit.first(), circuit.last()) {
-        if first.from != last.to {
-            return Err(EulerError::NotClosed { start: first.from, end: last.to });
-        }
-    }
-    Ok(())
+    verify_steps(g.num_edges(), |e| g.endpoints(e), std::iter::once(circuit))
 }
 
 /// Verifies a [`CircuitResult`]: each circuit must be internally chained and
 /// closed, every graph edge must be used exactly once across all circuits.
 pub fn verify_result(g: &Graph, result: &CircuitResult) -> Result<(), EulerError> {
-    let mut used = vec![false; g.num_edges() as usize];
-    for circuit in &result.circuits {
+    verify_steps(g.num_edges(), |e| g.endpoints(e), result.circuits.iter().map(Vec::as_slice))
+}
+
+/// The one checker, over any input's endpoints: `ends(e)` is the pair of
+/// edge `e < num_edges` — a graph's, a mapped file's endpoints section, a
+/// stream's. Every step must name an edge of the input with its endpoints
+/// (either direction), once across all circuits, and chain on the step
+/// before it; then no edge may be missing and every circuit must close.
+pub(crate) fn verify_steps<'c, I>(
+    num_edges: u64,
+    ends: impl Fn(EdgeId) -> (VertexId, VertexId),
+    circuits: I,
+) -> Result<(), EulerError>
+where
+    I: Iterator<Item = &'c [CircuitStep]> + Clone,
+{
+    let mut used = vec![false; num_edges as usize];
+    for circuit in circuits.clone() {
         for (i, step) in circuit.iter().enumerate() {
-            if used[step.edge.index()] {
+            let Some(seen) = used.get_mut(step.edge.index()) else {
+                return Err(EulerError::UnknownEdge { edge: step.edge, num_edges });
+            };
+            if std::mem::replace(seen, true) {
                 return Err(EulerError::DuplicateEdge { edge: step.edge });
             }
-            used[step.edge.index()] = true;
-            if i > 0 && circuit[i - 1].to != step.from {
-                return Err(EulerError::BrokenChain {
-                    position: i,
-                    expected: circuit[i - 1].to,
-                    found: step.from,
-                });
+            let (a, b) = ends(step.edge);
+            if (a, b) != (step.from, step.to) && (b, a) != (step.from, step.to) {
+                return Err(EulerError::BrokenChain { position: i, expected: a, found: step.from });
             }
-        }
-        if let (Some(first), Some(last)) = (circuit.first(), circuit.last()) {
-            if first.from != last.to {
-                return Err(EulerError::NotClosed { start: first.from, end: last.to });
+            if let Some(prev) = i.checked_sub(1).map(|p| &circuit[p]) {
+                if prev.to != step.from {
+                    return Err(EulerError::BrokenChain { position: i, expected: prev.to, found: step.from });
+                }
             }
         }
     }
     let missing = used.iter().filter(|&&u| !u).count() as u64;
     if missing > 0 {
         return Err(EulerError::MissingEdges { missing });
+    }
+    for circuit in circuits {
+        if let (Some(first), Some(last)) = (circuit.first(), circuit.last()) {
+            if first.from != last.to {
+                return Err(EulerError::NotClosed { start: first.from, end: last.to });
+            }
+        }
     }
     Ok(())
 }
@@ -84,7 +71,6 @@ pub fn verify_result(g: &Graph, result: &CircuitResult) -> Result<(), EulerError
 mod tests {
     use super::*;
     use euler_graph::builder::graph_from_edges;
-    use euler_graph::{EdgeId, VertexId};
 
     fn step(edge: u64, from: u64, to: u64) -> CircuitStep {
         CircuitStep { edge: EdgeId(edge), from: VertexId(from), to: VertexId(to) }
@@ -166,6 +152,32 @@ mod tests {
             ],
         };
         assert!(matches!(verify_result(&g, &result), Err(EulerError::DuplicateEdge { .. })));
+    }
+
+    #[test]
+    fn verify_result_checks_every_steps_endpoints() {
+        // Chained and closed, but edges 0 and 1 swapped: 0 -e1-> 1 is not
+        // edge 1 (1-2).
+        let g = triangle();
+        let result = CircuitResult { circuits: vec![vec![step(1, 0, 1), step(0, 1, 2), step(2, 2, 0)]] };
+        assert!(matches!(
+            verify_result(&g, &result),
+            Err(EulerError::BrokenChain { position: 0, expected: VertexId(1), found: VertexId(0) })
+        ));
+    }
+
+    #[test]
+    fn an_edge_past_the_graph_is_a_typed_error() {
+        let g = triangle();
+        let result = CircuitResult { circuits: vec![vec![step(0, 0, 1), step(7, 1, 2), step(2, 2, 0)]] };
+        assert!(matches!(
+            verify_result(&g, &result),
+            Err(EulerError::UnknownEdge { edge: EdgeId(7), num_edges: 3 })
+        ));
+        assert!(matches!(
+            verify_circuit(&g, &result.circuits[0]),
+            Err(EulerError::UnknownEdge { edge: EdgeId(7), num_edges: 3 })
+        ));
     }
 
     #[test]

@@ -139,10 +139,11 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 //!
-//! Custom whole-graph partitioners, BFS-order LDG
+//! Custom whole-graph partitioners and BFS-order LDG
 //! ([`LdgPartitioner::with_bfs_order`](partition::LdgPartitioner::with_bfs_order))
-//! and `.verify(true)` need the resident graph and fall back to the load
-//! path automatically.
+//! need the resident graph and fall back to the load path automatically;
+//! `.verify(true)` stays on the direct path and checks the circuit against
+//! the mapped endpoints section.
 //!
 //! ## Bounded traversal state: the W-streaming Phase 1
 //!

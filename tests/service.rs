@@ -463,6 +463,52 @@ fn a_run_with_more_partitions_than_the_graph_can_hold_is_refused() {
     std::fs::remove_file(&path).ok();
 }
 
+/// An odd-degree graph is refused with the library's typed reason — not
+/// answered with an empty circuit — and the refusal leaves nothing behind:
+/// no cached circuit, no executed run, no budget held.
+#[test]
+fn an_odd_degree_graph_is_refused_with_the_librarys_reason() {
+    // A triangle plus one pendant edge: v2 has degree 3.
+    let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (2, 3)]);
+    let path = ecsr_path(&g, "odd");
+    let library = EulerPipeline::builder()
+        .source(MmapCsrSource::open(&path).unwrap())
+        .partitioner(LdgPartitioner::new(2))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap_err();
+    let euler_circuit::algo::EulerError::Graph(euler_circuit::graph::GraphError::NotEulerian {
+        vertex,
+        degree: 3,
+    }) = library
+    else {
+        panic!("the library refuses with NotEulerian, got {library:?}");
+    };
+    assert_eq!(vertex, VertexId(2));
+
+    let service = bind(1 << 22, 2);
+    let client = ServiceClient::connect(service.endpoint()).unwrap();
+    let info = client.register(path.to_str().unwrap()).unwrap();
+    let opts = RunOptions { partitions: 2, partitioner: PartitionerKind::Ldg, ..RunOptions::default() };
+    // Twice: the second request is refused again, not served from a cache.
+    for _ in 0..2 {
+        match client.run(info.checksum, opts) {
+            Err(ServiceError::Remote { code, message }) => {
+                assert_eq!(code, error_code::RUN_FAILED);
+                assert_eq!(message, library.to_string());
+                assert!(message.contains(&vertex.to_string()), "{message}");
+            }
+            other => panic!("expected a typed RUN_FAILED, got {other:?}"),
+        }
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.runs_executed, stats.runs_cached), (0, 0), "nothing ran, nothing cached");
+    assert_eq!(stats.admitted_longs, 0, "the refused runs hold no budget");
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
