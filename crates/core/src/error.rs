@@ -47,8 +47,9 @@ pub enum EulerError {
     /// A distributed run failed unrecoverably (transport failure, restart
     /// budget exhausted, protocol violation).
     Distributed(String),
-    /// The run was cancelled via a [`CancelToken`](crate::CancelToken)
-    /// before it finished; no result was produced.
+    /// The run was cancelled at one of its yield points (a service run's
+    /// CANCEL, hang-up or shutdown) before it finished; no result was
+    /// produced.
     Cancelled,
 }
 

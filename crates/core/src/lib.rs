@@ -48,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cancel;
 pub mod config;
 pub mod distributed;
 pub mod error;
@@ -68,7 +67,6 @@ pub mod service;
 pub mod state;
 pub mod verify;
 
-pub use cancel::CancelToken;
 pub use config::EulerConfig;
 pub use distributed::{default_worker_bin, worker_main};
 pub use error::EulerError;

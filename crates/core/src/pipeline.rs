@@ -42,7 +42,6 @@
 //! release and are now removed; their test suites live on in this module's
 //! tests. See the facade crate's migration table.
 
-use crate::cancel::CancelToken;
 use crate::config::EulerConfig;
 use crate::distributed::DistRun;
 use crate::error::EulerError;
@@ -674,9 +673,14 @@ pub(crate) struct Ran {
     pub scan_time: Duration,
 }
 
+/// A run's yield point: called as `(done, steps)` before each merge-tree
+/// superstep and before Phase 3, with `steps` the supersteps plus one. An
+/// `Err` — [`EulerError::Cancelled`] from a service run — ends the run with it.
+pub(crate) type YieldPoint<'a> = &'a mut dyn FnMut(u32, u32) -> Result<(), EulerError>;
+
 /// The one run every entry point ends in: the degree check (before level 0
 /// for a file or a graph, after the pass for a stream), level 0, the
-/// merge-tree walk and Phase 3 under `cancel`, and, under
+/// merge-tree walk and Phase 3 with the caller's yield point, and, under
 /// [`EulerConfig::verify`], the one checker over the input's own endpoints —
 /// a file's endpoints section, so verifying loads no [`Graph`].
 pub(crate) fn run_input(
@@ -684,7 +688,7 @@ pub(crate) fn run_input(
     assignment: &PartitionAssignment,
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
-    cancel: Option<&CancelToken>,
+    yield_point: Option<YieldPoint<'_>>,
 ) -> Result<Ran, EulerError> {
     let dedup = config.merge_strategy.deduplicates();
     let store = fragment_store_for(config);
@@ -720,7 +724,7 @@ pub(crate) fn run_input(
             (outcome.meta, states.into(), (outcome.stats.num_vertices, outcome.stats.edges_ingested))
         }
     };
-    let (result, mut report) = run_merge_walk(&meta, seed, store, config, backend, wstream, cancel)?;
+    let (result, mut report) = run_merge_walk(&meta, seed, store, config, backend, wstream, yield_point)?;
     report.phase12_time += pass_time;
     if config.verify {
         let circuits = result.circuits.iter().map(Vec::as_slice);
@@ -822,13 +826,11 @@ fn run_merge_walk(
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
     wstream: Option<WStreamStats>,
-    cancel: Option<&CancelToken>,
+    mut yield_point: Option<YieldPoint<'_>>,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
     let tree = Arc::new(MergeTree::build(meta));
-    if let Some(token) = cancel {
-        // Supersteps plus the Phase-3 unroll — the checkpoints below.
-        token.set_total(tree.num_supersteps() + 1);
-    }
+    let steps = tree.num_supersteps() + 1;
+    let mut yield_at = |done| yield_point.as_mut().map_or(Ok(()), |at| at(done, steps));
     let mut report = RunReport {
         num_partitions: meta.num_vertices() as u32,
         supersteps: tree.num_supersteps(),
@@ -842,9 +844,7 @@ fn run_merge_walk(
     let t_run = Instant::now();
     let mut seed = Some(seed);
     for level in 0..tree.num_supersteps() {
-        if let Some(token) = cancel {
-            token.checkpoint()?;
-        }
+        yield_at(level)?;
         let outcome = backend.run_level(LevelWork {
             level,
             tree: &tree,
@@ -854,9 +854,6 @@ fn run_merge_walk(
         })?;
         report.per_partition.extend(outcome.reports);
         report.total_transfer_longs += outcome.transfer_longs;
-        if let Some(token) = cancel {
-            token.note_step_done();
-        }
     }
     report.phase12_time = t_run.elapsed();
     // Snapshot the superstep statistics now, before Phase 3, so their wall
@@ -865,14 +862,9 @@ fn run_merge_walk(
     report.warnings = backend.warnings();
 
     // --- Phase 3: unroll the fragments into the circuit. --------------------
-    if let Some(token) = cancel {
-        token.checkpoint()?;
-    }
+    yield_at(tree.num_supersteps())?;
     let t3 = Instant::now();
     let result = unroll(&store)?;
-    if let Some(token) = cancel {
-        token.note_step_done();
-    }
     report.phase3_time = t3.elapsed();
     report.fragment_disk_longs = store.disk_longs();
     report.fragment_stats = store.stats();

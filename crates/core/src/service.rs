@@ -30,10 +30,14 @@
 //!   that carry each step as `(edge, to)`: a step starts where the one before
 //!   it ended, and the first step of a chunk at the `from₀` in its header, so
 //!   the client rebuilds every [`CircuitStep`] as it decodes. Chunks arrive
-//!   in stream order, which the client checks. A client disconnect or an explicit
-//!   [`frame_kind::CANCEL`] frame cancels the run cooperatively (via
-//!   [`CancelToken`]) and its admitted budget is released immediately, so
-//!   a queued run can start.
+//!   in stream order, which the client checks. A run executes inline on its
+//!   connection's handler thread and stops only at its *yield points*,
+//!   before each merge-tree superstep and before Phase 3, which drain the
+//!   queue the connection's reader thread fills: a [`frame_kind::CANCEL`], a
+//!   hang-up or a shutdown cancels the run and releases its budget at once,
+//!   so a queued run can start. Every CANCEL gets one
+//!   [`frame_kind::CANCELLED`]; one that came after the last yield point is
+//!   acknowledged after the run's reply.
 //!
 //! ## Wire protocol
 //!
@@ -54,13 +58,12 @@
 //! Servers are started with [`EulerService::bind`]; the matching client is
 //! [`ServiceClient`].
 
-use crate::cancel::CancelToken;
 use crate::config::EulerConfig;
 use crate::error::EulerError;
 use crate::memory_model::{model_series, LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::phase3::{CircuitResult, CircuitStep};
-use crate::pipeline::{run_input, InProcessBackend, Input, RunReport};
+use crate::pipeline::{run_input, InProcessBackend, Input, RunReport, YieldPoint};
 use euler_bsp::transport::{Connection, FrameBatch, Listener, FRAME_HEADER_BYTES};
 use euler_bsp::wire::{WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
@@ -89,7 +92,9 @@ pub mod frame_kind {
     pub const REGISTERED: u16 = 0x20;
     /// ← Run admitted under the budget: `[admitted_longs, cached]`.
     pub const ACCEPTED: u16 = 0x21;
-    /// ← Coarse progress: `[supersteps_done, supersteps_total]`.
+    /// ← Coarse progress: `[done, total]`, sent at each yield point of a run
+    ///   with `total` = T, the supersteps plus one: `(0, T)` before the first
+    ///   superstep up to `(T − 1, T)` before Phase 3.
     pub const PROGRESS: u16 = 0x22;
     /// ← Run accounting (an encoded [`RunSummary`](super::RunSummary)),
     ///   sent before the chunks of a freshly computed circuit.
@@ -184,7 +189,9 @@ fn encode_run(checksum: u64, opts: &RunOptions) -> [u64; 4] {
 }
 
 fn decode_run(payload: &[u8]) -> Result<(u64, RunOptions), WireError> {
-    let [checksum, partitions, strategy, partitioner] = WordReader::new(payload)?.array()?;
+    let mut words = WordReader::new(payload)?;
+    let [checksum, partitions, strategy, partitioner] = words.array()?;
+    words.finish()?;
     let partitions = u32::try_from(partitions)
         .ok()
         .filter(|&p| p > 0)
@@ -237,18 +244,20 @@ impl AdmissionController {
 
     /// Blocks until `estimate` Longs (capped at the global budget) fit under
     /// the cap alongside everything already admitted, then reserves them.
+    /// `stop` is asked before the first check and on every wake, at least
+    /// every 20 ms.
     ///
     /// # Errors
-    /// [`EulerError::Cancelled`] once `cancel` fires while waiting.
+    /// [`EulerError::Cancelled`] once `stop` returns `true` while waiting.
     pub fn admit(
         self: &Arc<Self>,
         estimate: u64,
-        cancel: &CancelToken,
+        mut stop: impl FnMut() -> bool,
     ) -> Result<AdmissionPermit, EulerError> {
         let ask = estimate.clamp(1, self.cap);
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if cancel.is_cancelled() {
+            if stop() {
                 return Err(EulerError::Cancelled);
             }
             if state.admitted + ask <= self.cap {
@@ -342,7 +351,7 @@ pub struct ServiceConfig {
     /// never exceeds this.
     pub memory_cap_longs: u64,
     /// Connection-serving worker threads (each serves one client connection
-    /// at a time; runs spawn their own compute thread).
+    /// at a time, its runs included).
     pub workers: usize,
     /// Per-run fragment spill budget in Longs — the enforcement lever: every
     /// service run executes under
@@ -445,7 +454,7 @@ impl RunSummary {
         let [supersteps, transfer_longs, peak_resident_longs, estimated_longs, measured_longs] =
             c.array()?;
         Ok(RunSummary {
-            supersteps: supersteps as u32,
+            supersteps: word_u32(supersteps, "supersteps")?,
             transfer_longs,
             peak_resident_longs,
             estimated_longs,
@@ -727,16 +736,14 @@ fn send_error(conn: &dyn Connection, code: u64, message: &str) -> Result<(), Fra
     conn.send(frame_kind::ERROR, words.as_bytes())
 }
 
-/// What a connection's handler thread waits on. Client frames and the
-/// compute thread's events arrive on one queue, so the handler blocks on it
-/// and is woken by whichever comes first: neither side is polled for, and no
-/// timer granularity shows up in a request's latency.
+/// What a connection's reader thread queues for its handler: the handler
+/// blocks on the queue when idle, and a run drains it at each yield point
+/// without waiting.
 enum ConnEvent {
     /// A frame the client sent.
     Frame(u16, Vec<u8>),
     /// The client hung up, or its byte stream is desynchronized.
     ClientGone,
-    Compute(ComputeEvent),
 }
 
 /// Frames the reader may queue ahead of the handler; beyond this the client
@@ -750,10 +757,9 @@ fn serve_connection(inner: &Arc<ServiceInner>, conn: &dyn Connection) {
     let closing = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let (tx, events) = mpsc::sync_channel(EVENT_QUEUE);
-        let reader_tx = tx.clone();
         let closing = &closing;
-        scope.spawn(move || read_frames(conn, &reader_tx, closing));
-        dispatch(inner, conn, &tx, &events);
+        scope.spawn(move || read_frames(conn, &tx, closing));
+        dispatch(inner, conn, &events);
         // Dropping `events` at the end of this closure fails a reader blocked
         // on a full queue; the flag stops one blocked on the socket.
         closing.store(true, Ordering::Relaxed);
@@ -776,29 +782,24 @@ fn read_frames(conn: &dyn Connection, tx: &mpsc::SyncSender<ConnEvent>, closing:
     }
 }
 
-fn dispatch(
-    inner: &Arc<ServiceInner>,
-    conn: &dyn Connection,
-    tx: &mpsc::SyncSender<ConnEvent>,
-    events: &mpsc::Receiver<ConnEvent>,
-) {
+fn dispatch(inner: &Arc<ServiceInner>, conn: &dyn Connection, events: &mpsc::Receiver<ConnEvent>) {
     loop {
         if inner.shutdown.load(Ordering::Relaxed) {
             return;
         }
         let (kind, payload) = match events.recv_timeout(Duration::from_millis(50)) {
             Ok(ConnEvent::Frame(kind, payload)) => (kind, payload),
-            // A run's events end with its `Finished`, which `handle_run` waits for.
-            Ok(ConnEvent::Compute(_)) | Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
             Ok(ConnEvent::ClientGone) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
         };
         let outcome = match kind {
             frame_kind::REGISTER => handle_register(inner, conn, &payload),
-            frame_kind::RUN => handle_run(inner, conn, &payload, tx, events),
+            frame_kind::RUN => handle_run(inner, conn, &payload, events),
             frame_kind::STATS => {
                 conn.send_words(frame_kind::STATS_REPLY, &inner.stats().encode())
             }
-            // CANCEL with no run in flight is an idempotent no-op.
+            // A CANCEL with no run in flight — or one its run finished
+            // before seeing — is acknowledged here, once.
             frame_kind::CANCEL => conn.send(frame_kind::CANCELLED, &[]),
             other => {
                 send_error(conn, error_code::BAD_REQUEST, &format!("unknown frame kind {other:#x}"))
@@ -815,7 +816,11 @@ fn handle_register(
     conn: &dyn Connection,
     payload: &[u8],
 ) -> Result<(), FrameError> {
-    let path = match WordReader::new(payload).and_then(|mut r| r.str()) {
+    let path = WordReader::new(payload).and_then(|mut r| {
+        let path = r.str()?;
+        r.finish().map(|()| path)
+    });
+    let path = match path {
         Ok(path) => path,
         Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e.to_string()),
     };
@@ -828,23 +833,10 @@ fn handle_register(
     }
 }
 
-type Computed = Result<(Arc<FrameBatch>, RunSummary), EulerError>;
-
-enum ComputeEvent {
-    Admitted { longs: u64 },
-    /// Always the compute thread's last event.
-    Finished(Box<Computed>),
-}
-
-/// How often a waiting run handler looks at the shutdown flag and the run's
-/// progress counter. Nothing on a request's path waits for this tick.
-const SUPERVISE_TICK: Duration = Duration::from_millis(5);
-
 fn handle_run(
     inner: &Arc<ServiceInner>,
     conn: &dyn Connection,
     payload: &[u8],
-    tx: &mpsc::SyncSender<ConnEvent>,
     events: &mpsc::Receiver<ConnEvent>,
 ) -> Result<(), FrameError> {
     let (checksum, opts) = match decode_run(payload) {
@@ -877,62 +869,16 @@ fn handle_run(
         return conn.send_batch(&circuit);
     }
 
-    let token = CancelToken::new();
-    {
-        let inner = Arc::clone(inner);
-        let token = token.clone();
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            // A panicking run still reports, so the handler never waits for
-            // a result that cannot come.
-            let run = || compute_run(&inner, &graph, opts, key, &token, &tx);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-                .unwrap_or_else(|_| Err(EulerError::Distributed("the compute thread panicked".into())));
-            let _ = tx.send(ConnEvent::Compute(ComputeEvent::Finished(Box::new(result))));
-        });
-    }
-
-    // Supervise: relay admission/progress to the client, act on CANCEL
-    // frames and disconnects, and cancel on service shutdown. A dead client
-    // cancels the run but the loop still waits for the compute thread so the
-    // permit's release is observed before this handler returns.
-    let mut client_gone = false;
-    let mut last_progress = (0u32, 0u32);
-    let finished = loop {
-        if inner.shutdown.load(Ordering::Relaxed) {
-            token.cancel();
-        }
-        match events.recv_timeout(SUPERVISE_TICK) {
-            Ok(ConnEvent::Compute(ComputeEvent::Admitted { longs })) => {
-                if !client_gone
-                    && conn.send_words(frame_kind::ACCEPTED, &[longs, 0]).is_err()
-                {
-                    client_gone = true;
-                }
-            }
-            Ok(ConnEvent::Compute(ComputeEvent::Finished(result))) => break *result,
-            Ok(ConnEvent::Frame(frame_kind::CANCEL, _)) => token.cancel(),
-            // A connection does nothing else while its run lasts: other
-            // frames are dropped. `tx` is alive, so an error is the tick.
-            Ok(ConnEvent::Frame(..)) | Err(_) => {}
-            Ok(ConnEvent::ClientGone) => client_gone = true,
-        }
-        let progress = token.progress();
-        if !client_gone && progress != last_progress && progress.1 > 0 {
-            last_progress = progress;
-            let words = [u64::from(progress.0), u64::from(progress.1)];
-            if conn.send_words(frame_kind::PROGRESS, &words).is_err() {
-                client_gone = true;
-            }
-        }
-        if client_gone {
-            token.cancel();
-        }
-    };
-    if client_gone {
+    // A panicking run is answered like a failed one; its permit was
+    // released as the panic unwound.
+    let mut gone = false;
+    let run = || compute_run(inner, conn, events, &graph, opts, key, &mut gone);
+    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .unwrap_or_else(|_| Err(EulerError::Distributed("the run panicked".into())));
+    if gone {
         return Err(FrameError::Closed);
     }
-    match finished {
+    match computed {
         Ok((circuit, summary)) => {
             conn.send_words(frame_kind::REPORT, &summary.encode())?;
             conn.send_batch(&circuit)
@@ -942,25 +888,53 @@ fn handle_run(
     }
 }
 
-/// The compute half of a run, on its own thread: admit under the budget,
-/// run the pipeline cancellably, calibrate, cache, release the permit
-/// *before* the handler streams the circuit (streaming needs no budget).
+/// Whether a run must stop, from what its connection queued — drained
+/// without waiting. A CANCEL, a hang-up or a service shutdown stops it; a
+/// connection does nothing else while its run lasts, so any other frame is
+/// dropped. Sets `gone` once the client has hung up.
+fn must_stop(inner: &ServiceInner, events: &mpsc::Receiver<ConnEvent>, gone: &mut bool) -> bool {
+    while !*gone {
+        match events.try_recv() {
+            Ok(ConnEvent::Frame(frame_kind::CANCEL, _)) => return true,
+            Ok(ConnEvent::Frame(..)) => {}
+            Ok(ConnEvent::ClientGone) | Err(mpsc::TryRecvError::Disconnected) => *gone = true,
+            Err(mpsc::TryRecvError::Empty) => return inner.shutdown.load(Ordering::Relaxed),
+        }
+    }
+    true
+}
+
+/// A cache-miss run, on its connection's handler thread: admit under the
+/// budget, run the pipeline with the connection's yield point, calibrate,
+/// cache, and release the permit *before* the handler streams the circuit
+/// (streaming needs no budget). The yield point stops the run as
+/// [`must_stop`] says, and otherwise sends the run's PROGRESS. A failed send
+/// sets `gone`, which the next yield point turns into a cancellation.
 fn compute_run(
-    inner: &Arc<ServiceInner>,
+    inner: &ServiceInner,
+    conn: &dyn Connection,
+    events: &mpsc::Receiver<ConnEvent>,
     graph: &RegisteredGraph,
     opts: RunOptions,
     key: CacheKey,
-    token: &CancelToken,
-    tx: &mpsc::SyncSender<ConnEvent>,
-) -> Computed {
+    gone: &mut bool,
+) -> Result<(Arc<FrameBatch>, RunSummary), EulerError> {
     let raw = estimate_run_longs(graph.num_vertices(), graph.num_edges(), opts.partitions, opts.strategy);
     let estimate = inner.calibrated(raw);
-    let Ok(permit) = inner.admission.admit(estimate, token) else {
+    let Ok(permit) = inner.admission.admit(estimate, || must_stop(inner, events, gone)) else {
         inner.runs_cancelled.fetch_add(1, Ordering::Relaxed);
         return Err(EulerError::Cancelled);
     };
-    let _ = tx.send(ConnEvent::Compute(ComputeEvent::Admitted { longs: permit.longs() }));
-    match compute_circuit(graph, &opts, inner.config.fragment_budget_longs, token) {
+    *gone |= conn.send_words(frame_kind::ACCEPTED, &[permit.longs(), 0]).is_err();
+    let mut yield_point = |done: u32, steps: u32| {
+        if must_stop(inner, events, gone) {
+            return Err(EulerError::Cancelled);
+        }
+        let words = [u64::from(done), u64::from(steps)];
+        *gone |= conn.send_words(frame_kind::PROGRESS, &words).is_err();
+        Ok(())
+    };
+    match compute_circuit(graph, &opts, inner.config.fragment_budget_longs, &mut yield_point) {
         Ok((circuit, report)) => {
             let measured = report.cumulative_memory_by_level().into_iter().max().unwrap_or(0)
                 + report.fragment_stats.peak_resident_longs;
@@ -990,7 +964,7 @@ fn compute_run(
 }
 
 /// One pipeline run over a registered graph: streaming-partition the mapped
-/// CSR, then the pipeline's one run over the file, cancellably — the degree
+/// CSR, then the pipeline's one run over the file with `yield_point` — the degree
 /// check first, so an odd-degree graph is refused with the library's typed
 /// error. The streaming partitioners produce the same assignment as their
 /// in-memory counterparts by construction, and the merge-tree walk is
@@ -1000,7 +974,7 @@ fn compute_circuit(
     graph: &RegisteredGraph,
     opts: &RunOptions,
     fragment_budget_longs: u64,
-    token: &CancelToken,
+    yield_point: YieldPoint<'_>,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
     let mut stream = CsrFileEdgeStream::new(&graph.csr);
     let assignment = match opts.partitioner {
@@ -1018,7 +992,7 @@ fn compute_circuit(
     // and a fresh recomputation of the same (graph, options) key are the
     // same bytes at any thread count.
     let input = Input::File(&graph.csr);
-    let ran = run_input(input, &assignment, &config, &InProcessBackend::new(), Some(token))?;
+    let ran = run_input(input, &assignment, &config, &InProcessBackend::new(), Some(yield_point))?;
     Ok((ran.result, ran.report))
 }
 
@@ -1086,11 +1060,12 @@ pub enum RunEvent {
         /// Whether the circuit comes from the cache without a pipeline run.
         cached: bool,
     },
-    /// Coarse progress: merge-tree supersteps done out of total.
+    /// Coarse progress at a yield point of the run: `(0, T)` before the
+    /// first merge-tree superstep up to `(T − 1, T)` before Phase 3.
     Progress {
         /// Steps completed.
         done: u32,
-        /// Total steps (supersteps + the Phase-3 unroll).
+        /// Total steps T (supersteps + the Phase-3 unroll).
         total: u32,
     },
     /// Run accounting, sent once before the chunks of a fresh computation.
@@ -1132,30 +1107,42 @@ pub struct RunOutcome {
     pub summary: Option<RunSummary>,
 }
 
+/// A wire word that must fit a `u32` field.
+fn word_u32(word: u64, field: &str) -> Result<u32, WireError> {
+    u32::try_from(word).map_err(|_| WireError::Invalid(format!("{field} {word} out of range")))
+}
+
+/// Decodes a run event. Every payload but an ERROR's must be read to its
+/// last word.
 fn decode_event(kind: u16, payload: &[u8]) -> Result<RunEvent, ServiceError> {
     let mut c = WordReader::new(payload)?;
     let event = match kind {
         frame_kind::ACCEPTED => {
-            RunEvent::Accepted { admitted_longs: c.u()?, cached: c.u()? != 0 }
+            let [admitted_longs, cached] = c.array()?;
+            RunEvent::Accepted { admitted_longs, cached: cached != 0 }
         }
         frame_kind::PROGRESS => {
-            RunEvent::Progress { done: c.u()? as u32, total: c.u()? as u32 }
+            let [done, total] = c.array()?;
+            RunEvent::Progress { done: word_u32(done, "done")?, total: word_u32(total, "total")? }
         }
         frame_kind::REPORT => RunEvent::Report(RunSummary::decode(&mut c)?),
         frame_kind::CHUNK => decode_chunk(&mut c)?,
-        frame_kind::DONE => RunEvent::Done { num_circuits: c.u()?, total_edges: c.u()? },
+        frame_kind::DONE => {
+            let [num_circuits, total_edges] = c.array()?;
+            RunEvent::Done { num_circuits, total_edges }
+        }
         frame_kind::CANCELLED => RunEvent::Cancelled,
         frame_kind::ERROR => return Err(decode_remote_error(&mut c)),
         other => {
             return Err(ServiceError::Protocol(format!("unexpected frame kind {other:#x}")))
         }
     };
+    c.finish()?;
     Ok(event)
 }
 
-/// Decodes a [`frame_kind::CHUNK`] payload, which must be exactly
-/// `4 + 2k` words, rebuilding each step's `from` as the `to` of the step
-/// before it.
+/// Decodes a [`frame_kind::CHUNK`] payload, `4 + 2k` words, rebuilding each
+/// step's `from` as the `to` of the step before it.
 fn decode_chunk(c: &mut WordReader<'_>) -> Result<RunEvent, WireError> {
     let [circuit, base, k, from] = c.array()?;
     let mut from = VertexId(from);
@@ -1167,7 +1154,6 @@ fn decode_chunk(c: &mut WordReader<'_>) -> Result<RunEvent, WireError> {
             step
         })
         .collect();
-    c.finish()?;
     let circuit = usize::try_from(circuit).unwrap_or(usize::MAX);
     Ok(RunEvent::Chunk { circuit, base, steps })
 }
@@ -1253,6 +1239,7 @@ impl ServiceClient {
         match kind {
             frame_kind::REGISTERED => {
                 let [checksum, num_vertices, num_edges] = c.array()?;
+                c.finish()?;
                 Ok(GraphInfo { checksum, num_vertices, num_edges })
             }
             frame_kind::ERROR => Err(decode_remote_error(&mut c)),
@@ -1283,10 +1270,12 @@ impl ServiceClient {
         decode_event(kind, &payload)
     }
 
-    /// Asks the server to cancel the in-flight run. The stream then ends
-    /// with [`RunEvent::Cancelled`] (unless the run already finished, in
-    /// which case its chunks and [`RunEvent::Done`] arrive first, followed
-    /// by the cancel acknowledgement for the idle connection).
+    /// Asks the server to cancel the in-flight run, which stops at its next
+    /// yield point. Every cancel is answered by exactly one
+    /// [`RunEvent::Cancelled`]: it ends the stream, or — when the run had
+    /// passed its last yield point, or no run was in flight — it follows the
+    /// run's [`RunEvent::Done`] (or error) as the idle connection's
+    /// acknowledgement.
     ///
     /// # Errors
     /// [`ServiceError::Transport`] when the request cannot be sent.
@@ -1334,7 +1323,11 @@ impl ServiceClient {
         let (kind, payload) = self.recv()?;
         let mut c = WordReader::new(&payload)?;
         match kind {
-            frame_kind::STATS_REPLY => Ok(ServiceStats::decode(&mut c)?),
+            frame_kind::STATS_REPLY => {
+                let stats = ServiceStats::decode(&mut c)?;
+                c.finish()?;
+                Ok(stats)
+            }
             frame_kind::ERROR => Err(decode_remote_error(&mut c)),
             other => Err(ServiceError::Protocol(format!(
                 "expected STATS_REPLY, got frame kind {other:#x}"
@@ -1407,6 +1400,15 @@ mod tests {
             decode_event(frame_kind::DONE, &[1, 2, 3]),
             Err(ServiceError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn progress_decodes_exactly() {
+        let progress = |words: &[u64]| decode_event(frame_kind::PROGRESS, WordWriter::from_words(words).as_bytes());
+        assert_eq!(progress(&[2, 5]).unwrap(), RunEvent::Progress { done: 2, total: 5 });
+        for words in [&[2, 5, 0][..], &[1 << 32, 5]] {
+            assert!(matches!(progress(words), Err(ServiceError::Protocol(_))), "{words:?} decoded");
+        }
     }
 
     /// Each circuit a chain over `(edge, to)` pairs from vertex 0; a small
@@ -1535,14 +1537,12 @@ mod tests {
     #[test]
     fn admission_blocks_until_a_permit_releases_and_peak_respects_the_cap() {
         let ctl = Arc::new(AdmissionController::new(1_000));
-        let token = CancelToken::new();
-        let first = ctl.admit(600, &token).unwrap();
+        let first = ctl.admit(600, || false).unwrap();
         assert_eq!(ctl.admitted_longs(), 600);
         // A second 600 must wait; release the first from another thread.
         let ctl2 = Arc::clone(&ctl);
         let waiter = std::thread::spawn(move || {
-            let token = CancelToken::new();
-            let permit = ctl2.admit(600, &token).unwrap();
+            let permit = ctl2.admit(600, || false).unwrap();
             (ctl2.admitted_longs(), permit.longs())
         });
         std::thread::sleep(Duration::from_millis(50));
@@ -1557,18 +1557,14 @@ mod tests {
     #[test]
     fn admission_cancellation_unblocks_a_waiter() {
         let ctl = Arc::new(AdmissionController::new(100));
-        let hold_token = CancelToken::new();
-        let _hold = ctl.admit(100, &hold_token).unwrap();
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(matches!(ctl.admit(100, &token), Err(EulerError::Cancelled)));
+        let _hold = ctl.admit(100, || false).unwrap();
+        assert!(matches!(ctl.admit(100, || true), Err(EulerError::Cancelled)));
     }
 
     #[test]
     fn oversized_estimates_degrade_to_exclusive_not_impossible() {
         let ctl = Arc::new(AdmissionController::new(100));
-        let token = CancelToken::new();
-        let permit = ctl.admit(10_000, &token).unwrap();
+        let permit = ctl.admit(10_000, || false).unwrap();
         assert_eq!(permit.longs(), 100, "clamped to the whole budget");
         assert_eq!(ctl.admitted_longs(), 100);
     }

@@ -278,8 +278,10 @@
 //! budget — an admission controller keeps the sum of per-run peak
 //! estimates from [`algo::memory_model`] under the cap, calibrated by each
 //! run's measured peak — cache finished circuits by (graph, options), and
-//! stream the steps back in chunks with cooperative cancellation. The
-//! `euler-serve` binary wraps the same service for out-of-process use.
+//! stream the steps back in chunks. A run executes on its connection's
+//! handler thread and can be cancelled at its yield points, the BSP walk's
+//! superstep barriers. The `euler-serve` binary wraps the same service for
+//! out-of-process use.
 //!
 //! ```
 //! use euler_circuit::prelude::*;
@@ -313,9 +315,10 @@
 //! assert!(again.cached);
 //! assert_eq!(again.circuits, run.circuits);
 //!
-//! // Cancellation is cooperative: the run stops at the next merge-tree
-//! // superstep boundary and its admitted budget frees before the stream
-//! // ends (a run that already finished streams its chunks instead).
+//! // A cancel stops the run at its next yield point — before a merge-tree
+//! // superstep or Phase 3 — and its admitted budget frees before the stream
+//! // ends. A run past its last yield point streams its chunks instead, and
+//! // the cancel's one `Cancelled` follows them.
 //! let heavier = RunOptions { partitions: 4, strategy: MergeStrategy::Deferred, ..opts };
 //! client.start_run(info.checksum, heavier).unwrap();
 //! client.cancel().unwrap();
@@ -383,7 +386,7 @@ pub mod prelude {
     };
     pub use euler_core::{
         run_on_partitioned, run_with_backend, stream_phase1,
-        verify::verify_circuit, BspBackend, CancelToken, CircuitResult, CircuitStep, EulerConfig,
+        verify::verify_circuit, BspBackend, CircuitResult, CircuitStep, EulerConfig,
         EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo,
         InProcessBackend, LevelPartitionReport, MergeStrategy, PartitionerKind,
         PipelineRun, RunEvent, RunOptions, RunOutcome, RunReport, ServiceClient, ServiceConfig,

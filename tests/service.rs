@@ -16,15 +16,19 @@
 //!   connection (or at worst the server) alive, and never panics — as does
 //!   a partition count the graph cannot hold;
 //! * a cache hit sends the fresh run's `CHUNK` payloads byte for byte, and a
-//!   client refuses chunks out of stream order.
+//!   client refuses chunks out of stream order;
+//! * every CANCEL gets exactly one CANCELLED, and a client that hangs up —
+//!   mid-run or while queued — or a service shutdown ends the run without
+//!   executing it, holding no budget and hanging no stream.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use euler_circuit::algo::service::{error_code, frame_kind};
 use euler_circuit::bsp::transport::Connection;
+use euler_circuit::bsp::FrameError;
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
 
@@ -428,6 +432,16 @@ fn malformed_frames_yield_typed_errors_and_the_server_survives() {
     let steps: u64 = outcome.circuits.iter().map(|c| c.len() as u64).sum();
     assert_eq!(steps, g.num_edges());
 
+    // A RUN for the registered graph with a fifth word is refused, not run,
+    // and the connection keeps serving.
+    conn.send(frame_kind::RUN, &words_to_bytes(&[info.checksum, 2, 0, 0, 0])).unwrap();
+    let (kind, payload) = conn.recv_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert_eq!(kind, frame_kind::ERROR);
+    assert_eq!(bytes_to_words(&payload)[0], error_code::BAD_REQUEST);
+    conn.send(frame_kind::STATS, &[]).unwrap();
+    let (kind, _) = conn.recv_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert_eq!(kind, frame_kind::STATS_REPLY);
+
     // Registering an unreadable path is a typed remote error too.
     let missing = client.register("/nonexistent/euler/service/missing.ecsr");
     match missing {
@@ -436,6 +450,166 @@ fn malformed_frames_yield_typed_errors_and_the_server_survives() {
     }
 
     service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A run long enough to be stopped between its yield points: 108 k edges
+/// cut into 8 partitions.
+fn long_run_graph(tag: &str) -> (Graph, PathBuf) {
+    let g = graph_from(7, 8_000, 20_000);
+    let path = ecsr_path(&g, tag);
+    (g, path)
+}
+
+const LONG_RUN: RunOptions =
+    RunOptions { partitions: 8, strategy: MergeStrategy::Duplicated, partitioner: PartitionerKind::Hash };
+
+/// Reads a run's events up to its `Accepted`.
+fn await_accepted(client: &ServiceClient) {
+    loop {
+        match client.next_event().unwrap() {
+            RunEvent::Accepted { cached, .. } => {
+                assert!(!cached);
+                return;
+            }
+            RunEvent::Progress { .. } => {}
+            other => panic!("expected Accepted, got {other:?}"),
+        }
+    }
+}
+
+/// Polls the service's accounting until `settled` holds or 10 s pass.
+fn stats_when(admin: &ServiceClient, settled: impl Fn(&ServiceStats) -> bool) -> ServiceStats {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = admin.stats().unwrap();
+        if settled(&stats) || Instant::now() > deadline {
+            return stats;
+        }
+        thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Every CANCEL gets exactly one CANCELLED. One sent after the run's last
+/// yield point — the PROGRESS `(T − 1, T)` before Phase 3 — cannot stop the
+/// run: the circuit streams in full, and the idle connection acknowledges
+/// the cancel after DONE, once, so the next request gets its own reply.
+#[test]
+fn a_cancel_after_the_last_yield_point_is_acknowledged_after_done() {
+    let (g, path) = long_run_graph("late-cancel");
+    let service = bind(1 << 22, 2);
+    let client =
+        ServiceClient::connect(service.endpoint()).unwrap().with_recv_timeout(Duration::from_secs(5));
+    let info = client.register(path.to_str().unwrap()).unwrap();
+    client.start_run(info.checksum, LONG_RUN).unwrap();
+    loop {
+        match client.next_event().unwrap() {
+            RunEvent::Progress { done, total } if done + 1 == total => break,
+            RunEvent::Accepted { .. } | RunEvent::Progress { .. } => {}
+            other => panic!("expected the run's progress, got {other:?}"),
+        }
+    }
+    client.cancel().unwrap();
+    let (mut report, mut steps) = (false, 0u64);
+    loop {
+        match client.next_event().unwrap() {
+            RunEvent::Progress { .. } => {}
+            RunEvent::Report(_) => report = true,
+            RunEvent::Chunk { steps: chunk, .. } => steps += chunk.len() as u64,
+            RunEvent::Done { total_edges, .. } => {
+                assert_eq!(total_edges, g.num_edges());
+                break;
+            }
+            other => panic!("a cancel after the last yield point stopped the run: {other:?}"),
+        }
+    }
+    assert!(report);
+    assert_eq!(steps, g.num_edges());
+    assert_eq!(client.next_event().unwrap(), RunEvent::Cancelled);
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.runs_executed, stats.runs_cancelled), (1, 0));
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A client that hangs up after `Accepted` cancels its run at the next
+/// yield point: nothing is executed or cached, and the budget comes back.
+#[test]
+fn a_client_that_hangs_up_mid_run_cancels_it() {
+    let (_g, path) = long_run_graph("hang-up");
+    let service = bind(1 << 22, 2);
+    let admin = ServiceClient::connect(service.endpoint()).unwrap();
+    let info = admin.register(path.to_str().unwrap()).unwrap();
+    {
+        let client = ServiceClient::connect(service.endpoint()).unwrap();
+        client.start_run(info.checksum, LONG_RUN).unwrap();
+        await_accepted(&client);
+    }
+    let stats = stats_when(&admin, |s| s.runs_cancelled + s.runs_executed > 0 && s.admitted_longs == 0);
+    assert_eq!((stats.runs_cancelled, stats.admitted_longs, stats.runs_executed), (1, 0, 0));
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A client that hangs up while its run waits for admission is counted
+/// cancelled while the run ahead of it still holds the budget — so it was
+/// never admitted — and the run ahead completes.
+#[test]
+fn a_client_that_hangs_up_while_queued_is_never_admitted() {
+    let cap = 1_000;
+    let (g, path) = long_run_graph("queued-hang-up");
+    let service = bind(cap, 4);
+    let admin = ServiceClient::connect(service.endpoint()).unwrap();
+    let info = admin.register(path.to_str().unwrap()).unwrap();
+    let holder = ServiceClient::connect(service.endpoint()).unwrap();
+    holder.start_run(info.checksum, LONG_RUN).unwrap();
+    await_accepted(&holder);
+    {
+        let queued = ServiceClient::connect(service.endpoint()).unwrap();
+        queued.start_run(info.checksum, RunOptions { partitions: 3, ..LONG_RUN }).unwrap();
+    }
+    let stats = stats_when(&admin, |s| s.runs_cancelled > 0);
+    assert_eq!((stats.runs_cancelled, stats.runs_executed), (1, 0), "cancelled behind the held run");
+
+    let outcome = loop {
+        match holder.next_event().unwrap() {
+            RunEvent::Done { total_edges, .. } => break total_edges,
+            RunEvent::Cancelled => panic!("the held run was cancelled"),
+            _ => {}
+        }
+    };
+    assert_eq!(outcome, g.num_edges());
+    let stats = stats_when(&admin, |s| s.admitted_longs == 0);
+    assert_eq!((stats.runs_cancelled, stats.runs_executed, stats.admitted_longs), (1, 1, 0));
+    assert_eq!(stats.peak_admitted_longs, cap);
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Shutting the service down mid-run returns promptly, and the client's
+/// stream ends — with `Cancelled` or a closed connection, never a hang.
+#[test]
+fn shutdown_mid_run_ends_the_stream() {
+    let (_g, path) = long_run_graph("shutdown");
+    let service = bind(1 << 22, 2);
+    let client =
+        ServiceClient::connect(service.endpoint()).unwrap().with_recv_timeout(Duration::from_secs(10));
+    let info = client.register(path.to_str().unwrap()).unwrap();
+    client.start_run(info.checksum, LONG_RUN).unwrap();
+    await_accepted(&client);
+    let t = Instant::now();
+    service.shutdown();
+    assert!(t.elapsed() < Duration::from_secs(10), "shutdown took {:?}", t.elapsed());
+    loop {
+        match client.next_event() {
+            Ok(RunEvent::Cancelled) => break,
+            Ok(RunEvent::Progress { .. }) => {}
+            Ok(other) => panic!("expected Cancelled, got {other:?}"),
+            Err(ServiceError::Transport(FrameError::Timeout)) => panic!("the stream hung"),
+            Err(ServiceError::Transport(_)) => break,
+            Err(e) => panic!("expected Cancelled or a transport error, got {e}"),
+        }
+    }
     std::fs::remove_file(&path).ok();
 }
 
