@@ -200,13 +200,14 @@ fn main() {
     println!(
         "out_of_core: streamed-ldg mmap run {unbounded_s:.3}s unbounded vs {bounded_s:.3}s \
          under a {budget}-Long budget | peak resident {} of {} Longs | {} fragments spilled \
-         ({} Longs written in {} writes, {} reloaded)",
+         ({} Longs written in {} writes, {} read back in {} reads)",
         stats.peak_resident_longs,
         spilled.circuit.fragment_disk_longs,
         stats.spilled_fragments,
         stats.spill_write_longs,
         stats.spill_writes,
         stats.spill_read_longs,
+        stats.spill_reads,
     );
     let out_of_core = Value::obj(vec![
         ("workload", Value::str("torus_354x354_mmap_streamed_ldg_4_parts")),
@@ -224,6 +225,7 @@ fn main() {
         ("spill_write_longs", Value::Num(stats.spill_write_longs as f64)),
         ("spill_writes", Value::Num(stats.spill_writes as f64)),
         ("spill_read_longs", Value::Num(stats.spill_read_longs as f64)),
+        ("spill_reads", Value::Num(stats.spill_reads as f64)),
         ("spill_errors", Value::Num(stats.spill_errors as f64)),
         ("evictions_scheduled", Value::Num(stats.evictions_scheduled as f64)),
     ]);
@@ -284,6 +286,7 @@ fn main() {
             Value::Num(wstream_run.circuit.fragment_stats.spilled_fragments as f64),
         ),
         ("spill_writes", Value::Num(wstream_run.circuit.fragment_stats.spill_writes as f64)),
+        ("spill_reads", Value::Num(wstream_run.circuit.fragment_stats.spill_reads as f64)),
     ]);
     std::fs::remove_file(&csr_path).ok();
 

@@ -49,11 +49,16 @@
 //! [`SpillConfig::memory_budget_longs`], holds records one by one and pages
 //! them out to a temp file as the bytes they are — lowest level first, in an
 //! order read off the [`FragmentId`] alone, staged into runs of up to
-//! `RUN_BYTES` that each go to the file in one write — reloading each on
-//! demand during Phase 3 with one positional read: the out-of-core mode. Both
-//! keep the modelled [`disk_longs`](FragmentStore::disk_longs) exact and
-//! produce bit-identical circuits; the spill backing also reports its real
-//! traffic in [`FragmentStoreStats`].
+//! `RUN_BYTES` that each go to the file in one write — and Phase 3 reads the
+//! file back front to back, one positional read per run: the out-of-core
+//! mode. Both keep the modelled [`disk_longs`](FragmentStore::disk_longs)
+//! exact and produce bit-identical circuits; the spill backing also reports
+//! its real traffic in [`FragmentStoreStats`].
+//!
+//! Beside the records, outside the fragment budget, the store keeps their
+//! *skeleton*, captured as each is written or validated: per record its start
+//! vertex, real-edge count and virtual edges, per cycle the first tour index
+//! leaving each visible vertex. Phase 3 places every record by it.
 
 use euler_bsp::wire::{extend_words, words_at, WireError, WordReader};
 use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
@@ -215,17 +220,18 @@ pub struct Fragment {
     pub edges: Vec<TourEdge>,
 }
 
-/// The distinct vertices of `endpoints`, in first-seen order. De-duplication
-/// runs over an interned slot bitmap rather than a hash set.
-fn first_seen(endpoints: impl Iterator<Item = VertexId> + Clone) -> Vec<VertexId> {
+/// The distinct vertices of `endpoints`, in first-seen order, each with the
+/// position it is first seen at. De-duplication runs over an interned slot
+/// bitmap rather than a hash set.
+fn first_seen(endpoints: impl Iterator<Item = VertexId> + Clone) -> Vec<(VertexId, usize)> {
     let index = LocalIndex::from_vertices(endpoints.clone());
     let mut seen: Vec<bool> = index.zeroed();
     let mut out = Vec::with_capacity(index.len());
-    for v in endpoints {
+    for (at, v) in endpoints.enumerate() {
         let s = index.slot(v).expect("endpoint interned") as usize;
         if !seen[s] {
             seen[s] = true;
-            out.push(v);
+            out.push((v, at));
         }
     }
     out
@@ -257,7 +263,8 @@ impl Fragment {
     /// order. These are the "visible" vertices at this fragment's granularity
     /// (vertices interior to nested virtual edges are not included).
     pub fn visible_vertices(&self) -> Vec<VertexId> {
-        first_seen(self.edges.iter().flat_map(|e| [e.from(), e.to()]))
+        let seen = first_seen(self.edges.iter().flat_map(|e| [e.from(), e.to()]));
+        seen.into_iter().map(|(v, _)| v).collect()
     }
 
     /// Checks the internal chaining invariant: consecutive tour edges share a
@@ -352,19 +359,6 @@ impl<'a> RecordView<'a> {
         (0..self.len()).map(move |i| self.edge(i))
     }
 
-    /// Start vertex: the first tour edge's source.
-    pub(crate) fn start(&self) -> VertexId {
-        self.edge(0).from()
-    }
-
-    /// The vertices the tour passes, in order: every edge's source, then the
-    /// last edge's target. A stored tour chains, so the distinct ones in
-    /// first-seen order are the fragment's [`Fragment::visible_vertices`].
-    fn tour_vertices(self) -> impl Iterator<Item = VertexId> + Clone + 'a {
-        let last = self.len().checked_sub(1).map(|i| self.edge(i).to());
-        self.edges().map(|e| e.from()).chain(last)
-    }
-
     /// Decodes the record into `out`, reusing its edge allocation.
     fn read_into(&self, id: FragmentId, out: &mut Fragment) {
         let [_, level, partition] = words_at(self.bytes, 0);
@@ -389,6 +383,80 @@ impl Record {
     /// The record, read in place.
     pub(crate) fn view(&self) -> RecordView<'_> {
         RecordView { bytes: self.buf.get(self.range.clone()).unwrap_or_default() }
+    }
+}
+
+/// What Phase 3 places the records of one `(level, partition)` by (see the
+/// module docs): per record, in sequence order; its virtual edges, record
+/// after record; and the cycles' visible vertices, cycle after cycle, in
+/// first-seen order — a record is a cycle when it has some.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Skeleton {
+    pub records: Vec<SkeletonRecord>,
+    pub virtuals: Vec<SkeletonVirtual>,
+    pub visible: Vec<SkeletonVisible>,
+}
+
+/// A record's first tour edge's source, its real tour edges and its entries
+/// in [`Skeleton::virtuals`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SkeletonRecord {
+    pub start: VertexId,
+    pub reals: u32,
+    pub virtuals: u32,
+}
+
+/// A virtual edge's index among its record's tour edges, the fragment it
+/// stands for and the vertex the record's tour enters it at.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SkeletonVirtual {
+    pub at: u32,
+    pub child: FragmentId,
+    pub from: VertexId,
+}
+
+/// A visible vertex of the cycle at `record` (its position in the skeleton)
+/// and the index of the cycle's first tour edge leaving it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SkeletonVisible {
+    pub vertex: VertexId,
+    pub record: u32,
+    pub at: u32,
+}
+
+impl Skeleton {
+    /// Notes the next record: a cycle or a path over the tour `edges`.
+    fn push(&mut self, cycle: bool, edges: impl Iterator<Item = TourEdge> + Clone) {
+        let virtuals = self.virtuals.len();
+        let mut record = SkeletonRecord { start: VertexId(0), reals: 0, virtuals: 0 };
+        for (at, e) in edges.clone().enumerate() {
+            if at == 0 {
+                record.start = e.from();
+            }
+            match e {
+                TourEdge::Real { .. } => record.reals += 1,
+                TourEdge::Virtual { fragment, from, .. } => {
+                    self.virtuals.push(SkeletonVirtual { at: at as u32, child: fragment, from });
+                }
+            }
+        }
+        if cycle {
+            // A cycle closes, so its sources are its visible vertices.
+            let position = self.records.len() as u32;
+            let seen = first_seen(edges.map(|e| e.from()));
+            let visible = seen.into_iter().map(|(vertex, at)| SkeletonVisible { vertex, record: position, at: at as u32 });
+            self.visible.extend(visible);
+        }
+        record.virtuals = (self.virtuals.len() - virtuals) as u32;
+        self.records.push(record);
+    }
+
+    /// Appends `other`'s records after these.
+    fn append(&mut self, mut other: Skeleton) {
+        let before = self.records.len() as u32;
+        self.records.append(&mut other.records);
+        self.virtuals.append(&mut other.virtuals);
+        self.visible.extend(other.visible.iter().map(|v| SkeletonVisible { record: v.record + before, ..*v }));
     }
 }
 
@@ -419,10 +487,8 @@ pub(crate) struct Segment {
     buf: Arc<Vec<u8>>,
     /// Byte offset in `buf` of every record, then of the end of the last.
     starts: Vec<usize>,
-    /// Positions in the run of the cycle records, ascending.
-    cycles: Vec<u32>,
-    /// Real (non-virtual) tour edges over the run.
-    reals: u64,
+    /// The run's skeleton, until the store files it in its own table.
+    skeleton: Skeleton,
 }
 
 impl Segment {
@@ -437,7 +503,8 @@ impl Segment {
         let mut starts = Vec::with_capacity(records + 1);
         starts.push(0);
         let buf = Vec::with_capacity(8 * (HEADER_WORDS * records + EDGE_WORDS * edges));
-        Segment { level, partition, buf: Arc::new(buf), starts, cycles: Vec::new(), reals: 0 }
+        let skeleton = Skeleton { records: Vec::with_capacity(records), ..Skeleton::default() };
+        Segment { level, partition, buf: Arc::new(buf), starts, skeleton }
     }
 
     /// Records in the run.
@@ -466,10 +533,7 @@ impl Segment {
     /// record words (see [`edge_words`]). For the run's writer: its buffer is
     /// not shared yet.
     pub(crate) fn push_record(&mut self, kind: FragmentKind, edges: &[[u64; EDGE_WORDS]]) {
-        if kind == FragmentKind::Cycle {
-            self.cycles.push(self.records() as u32);
-        }
-        self.reals += edges.iter().filter(|e| e[0] & VIRTUAL_TAG == 0).count() as u64;
+        self.skeleton.push(kind == FragmentKind::Cycle, edges.iter().map(|&e| tour_edge(e)));
         let header = [kind as u64, self.level as u64, self.partition.0 as u64, edges.len() as u64];
         let buf = Arc::get_mut(&mut self.buf).expect("a run being written is not shared");
         extend_words(buf, &header);
@@ -482,15 +546,14 @@ impl Segment {
     /// together stay within [`RUN_BYTES`] and this run is the only user of a
     /// buffer that ends where it does. Says whether it did.
     fn try_extend(&mut self, other: &Segment) -> bool {
-        let (range, records) = (self.byte_range(), self.records() as u32);
+        let range = self.byte_range();
         if range != (0..self.buf.len()) || range.len() + other.bytes().len() > RUN_BYTES {
             return false;
         }
         let Some(buf) = Arc::get_mut(&mut self.buf) else { return false };
         buf.extend_from_slice(other.bytes());
         self.starts.extend(other.starts[1..].iter().map(|s| s - other.starts[0] + range.end));
-        self.cycles.extend(other.cycles.iter().map(|c| c + records));
-        self.reals += other.reals;
+        self.skeleton.append(other.skeleton.clone());
         true
     }
 
@@ -522,10 +585,10 @@ impl Segment {
         let r = &mut WordReader::new(buf.get(range.clone()).ok_or(truncated)?)?;
         let records = usize::try_from(head.records).unwrap_or(usize::MAX);
         let mut starts = Vec::with_capacity(r.cap(records, HEADER_WORDS + EDGE_WORDS) + 1);
-        let mut cycles = Vec::new();
-        let mut reals = 0u64;
+        let mut skeleton = Skeleton::default();
         for i in 0..head.records {
-            starts.push(range.start + 8 * r.position());
+            let start = range.start + 8 * r.position();
+            starts.push(start);
             let [kind, at_level, at_partition, n] = r.array()?;
             if kind > 1 {
                 return invalid(format!("unknown fragment kind tag {kind}"));
@@ -550,7 +613,6 @@ impl Segment {
                 };
                 ends = Some((first, to));
                 if id & VIRTUAL_TAG == 0 {
-                    reals += 1;
                     continue;
                 }
                 let target = FragmentId(id ^ VIRTUAL_TAG);
@@ -563,16 +625,15 @@ impl Segment {
                     ));
                 }
             }
-            if kind == 1 {
-                if ends.is_some_and(|(first, last)| first != last) {
-                    return invalid(format!("cycle {i} of {} does not close", whose()));
-                }
-                cycles.push(i as u32);
+            if kind == 1 && ends.is_some_and(|(first, last)| first != last) {
+                return invalid(format!("cycle {i} of {} does not close", whose()));
             }
+            let record = RecordView { bytes: buf.get(start..range.start + 8 * r.position()).unwrap_or_default() };
+            skeleton.push(kind == 1, record.edges());
         }
         starts.push(range.start + 8 * r.position());
         r.finish()?;
-        Ok(Segment { level, partition, buf: Arc::clone(buf), starts, cycles, reals })
+        Ok(Segment { level, partition, buf: Arc::clone(buf), starts, skeleton })
     }
 }
 
@@ -597,9 +658,13 @@ pub struct FragmentStoreStats {
     /// Write calls to the spill file: one per staged run, plus one per record
     /// too large to stage.
     pub spill_writes: u64,
-    /// Longs read back from the spill file (Phase-3 reload traffic), one
-    /// positional read per record.
+    /// Longs read back from the spill file: each of Phase 3's two passes
+    /// reads it whole (`2 × spill_write_longs` in a pipeline run), a `get`
+    /// one record.
     pub spill_read_longs: u64,
+    /// Read calls to the spill file: one per written run and Phase-3 pass (at
+    /// most `2 × spill_writes` in a pipeline run), one per `get` reload.
+    pub spill_reads: u64,
     /// Spill I/O failures absorbed by keeping the fragments resident.
     pub spill_errors: u64,
     /// Always 0: the spill backing has one eviction order. Kept because the
@@ -660,15 +725,13 @@ trait FragmentBacking: Send {
     /// # Panics
     /// When a spilled record cannot be read back.
     fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>));
+    /// Visits every record once in the order it is stored in: id order in
+    /// memory, else the resident records, then the spill file front to back
+    /// in the runs it was written in; an error if a read fails.
+    fn for_each_stored(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) -> io::Result<()>;
     /// Everything stored, one [`Segment`] per `(level, partition)`, in id
     /// order.
     fn segments(&mut self) -> Vec<Segment>;
-    /// Every cycle fragment, in id order, with the vertices along its tour.
-    /// A vertex may repeat; the distinct ones in first-seen order are the
-    /// cycle's visible vertices. Answered without touching spilled payloads:
-    /// the spill backing captures the lists at append time, while the record
-    /// is still resident.
-    fn cycle_vertices(&self) -> Vec<(FragmentId, Vec<VertexId>)>;
     /// The backing's statistics, once whatever it holds back for the file
     /// has been written.
     fn stats(&mut self) -> FragmentStoreStats;
@@ -725,19 +788,13 @@ impl FragmentBacking for MemoryBacking {
         }
     }
 
-    fn segments(&mut self) -> Vec<Segment> {
-        self.runs.values().cloned().collect()
+    fn for_each_stored(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) -> io::Result<()> {
+        self.for_each_record(f);
+        Ok(())
     }
 
-    fn cycle_vertices(&self) -> Vec<(FragmentId, Vec<VertexId>)> {
-        let mut cycles = Vec::new();
-        for (&(_, _, first), run) in &self.runs {
-            for &i in &run.cycles {
-                let id = FragmentId::new(run.level, run.partition, first + i as u64);
-                cycles.push((id, run.record_view(i as usize).tour_vertices().collect()));
-            }
-        }
-        cycles
+    fn segments(&mut self) -> Vec<Segment> {
+        self.runs.values().cloned().collect()
     }
 
     fn stats(&mut self) -> FragmentStoreStats {
@@ -773,21 +830,23 @@ static SPILL_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// it reads back it wrote itself, so reloads are not re-validated.
 ///
 /// Eviction follows one order read off the [`FragmentId`] alone
-/// ([`eviction_key`]): lowest level first — Phase 3 unrolls top-down and
-/// reaches level 0 last — then highest partition, then oldest within a
-/// partition. In a pipeline run nothing reads the store before Phase 3, and
-/// Phase 3 reads each record once and re-admits nothing, so the spill reads
-/// equal the spill writes whichever records the order picks. Records are made
-/// resident and the budget re-balanced one at a time, so the resident peak
-/// stays within budget + one fragment.
+/// ([`eviction_key`]): lowest level first, then highest partition, then
+/// oldest within a partition. In a pipeline run nothing reads the store
+/// before Phase 3, and each of Phase 3's two passes reads the resident
+/// records and then the file front to back, re-admitting nothing, so the
+/// spill reads are twice the spill writes whichever records the order picks.
+/// Records are made resident and the budget re-balanced one at a time, so
+/// the resident peak stays within budget + one fragment.
 ///
 /// The file is written in runs, not records: an evicted record is appended
 /// to one staging buffer of at most [`RUN_BYTES`], which goes to the file in
 /// one positional write when the next record would not fit, or before
 /// anything is read. A record larger than a run is written on its own, right
 /// after a flush, so the buffer never grows past [`RUN_BYTES`]. A staged
-/// record already has its file offset and counts as spilled. A reload is one
-/// positional read.
+/// record already has its file offset and counts as spilled. A pass in
+/// storage order reads the file back in the same runs, one positional read
+/// each; a reload of one record ([`FragmentStore::get`]) is one positional
+/// read.
 ///
 /// A spill write failure is absorbed, not propagated — every record it was
 /// to write goes back into the resident set with its counters rolled back,
@@ -801,10 +860,10 @@ struct SpillBacking {
     directory: PathBuf,
     /// Index entries by `(level, partition)`, in sequence order.
     index: BTreeMap<(u32, u32), Vec<SlotMeta>>,
-    /// Visible-vertex lists of the cycle fragments, captured while each was
-    /// resident — the Phase-3 splice index, answered without re-reading
-    /// spilled payloads.
-    cycle_vis: BTreeMap<FragmentId, Vec<VertexId>>,
+    /// The records in the file, and where each write to it ended: the runs
+    /// a pass in storage order reads back.
+    file_ids: Vec<FragmentId>,
+    file_runs: Vec<u64>,
     /// Resident records in eviction order: the first is the next victim.
     resident: BTreeMap<EvictionKey, Arc<Vec<u8>>>,
     /// Evicted records not yet written, back to back: the bytes that go to
@@ -859,6 +918,7 @@ impl SpillBacking {
         let offset = self.file_end;
         self.file()?.write_all_at(bytes, offset)?;
         self.file_end += bytes.len() as u64;
+        self.file_runs.push(self.file_end);
         self.stats.spill_writes += 1;
         Ok(())
     }
@@ -908,7 +968,7 @@ impl SpillBacking {
             self.fail();
         }
         self.staged.clear();
-        self.staged_ids.clear();
+        self.file_ids.append(&mut self.staged_ids);
     }
 
     /// Pages records out, first in the eviction order first, until the
@@ -927,7 +987,9 @@ impl SpillBacking {
                 false
             } else if record.len() > RUN_BYTES {
                 let written = self.write_at_end(&record).is_ok();
-                if !written {
+                if written {
+                    self.file_ids.push(id);
+                } else {
                     self.fail();
                 }
                 written
@@ -955,7 +1017,6 @@ impl FragmentBacking for SpillBacking {
 
     fn append(&mut self, segment: Segment) -> u64 {
         let first = self.pushed(segment.level, segment.partition);
-        let mut cycles = segment.cycles.iter().peekable();
         // One by one, each made resident and the budget re-balanced before
         // the next: the peak stays within budget + one fragment.
         for i in 0..segment.records() {
@@ -964,9 +1025,6 @@ impl FragmentBacking for SpillBacking {
             let longs = view.bytes.len() as u64 / 8;
             let meta = SlotMeta { id, longs, spilled_at: None };
             self.index.entry((segment.level, segment.partition.0)).or_default().push(meta);
-            if cycles.next_if_eq(&&(i as u32)).is_some() {
-                self.cycle_vis.insert(id, first_seen(view.tour_vertices()));
-            }
             self.resident.insert(eviction_key(id), Arc::new(view.bytes.to_vec()));
             self.stats.resident_longs += longs;
             self.stats.peak_resident_longs =
@@ -986,6 +1044,7 @@ impl FragmentBacking for SpillBacking {
                 let file = self.file.as_ref().expect("spilled records imply an open file");
                 file.read_exact_at(&mut bytes, offset)?;
                 self.stats.spill_read_longs += meta.longs;
+                self.stats.spill_reads += 1;
                 Arc::new(bytes)
             }
         };
@@ -999,6 +1058,34 @@ impl FragmentBacking for SpillBacking {
         }
     }
 
+    fn for_each_stored(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) -> io::Result<()> {
+        self.flush();
+        for (&(level, Reverse(partition), seq), bytes) in &self.resident {
+            f(FragmentId::new(level, PartitionId(partition), seq), RecordView { bytes });
+        }
+        let Some(file) = &self.file else { return Ok(()) };
+        let (mut run, mut run_start, mut ids) = (Vec::new(), 0, self.file_ids.iter());
+        for &run_end in &self.file_runs {
+            run.resize((run_end - run_start) as usize, 0);
+            file.read_exact_at(&mut run, run_start)?;
+            self.stats.spill_reads += 1;
+            self.stats.spill_read_longs += (run_end - run_start) / 8;
+            run_start = run_end;
+            // The records lie back to back; each header gives its length.
+            let mut at = 0;
+            while at < run.len() {
+                let [.., n] = words_at::<HEADER_WORDS>(&run, at / 8);
+                let end = (n as usize).checked_mul(8 * EDGE_WORDS).map(|e| at + 8 * HEADER_WORDS + e);
+                let (Some(&id), Some(bytes)) = (ids.next(), end.and_then(|end| run.get(at..end))) else {
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, "spill file out of step with its index"));
+                };
+                f(id, RecordView { bytes });
+                at += bytes.len();
+            }
+        }
+        Ok(())
+    }
+
     fn segments(&mut self) -> Vec<Segment> {
         // Records are held one by one here: each is a run of its own.
         let mut runs = Vec::new();
@@ -1008,10 +1095,6 @@ impl FragmentBacking for SpillBacking {
             runs.push(run);
         });
         runs
-    }
-
-    fn cycle_vertices(&self) -> Vec<(FragmentId, Vec<VertexId>)> {
-        self.cycle_vis.iter().map(|(&id, visible)| (id, visible.clone())).collect()
     }
 
     fn stats(&mut self) -> FragmentStoreStats {
@@ -1026,34 +1109,26 @@ fn reloaded(id: FragmentId, record: io::Result<Record>) -> Record {
     record.unwrap_or_else(|e| panic!("fragment {id:?} could not be reloaded from the spill file: {e}"))
 }
 
-/// The Phase-3 splice index as the store hands it over: every visible vertex
-/// of every cycle fragment interned in one table, and the `(vertex slot,
-/// cycle rank)` pairs — cycles ranked in id order, vertices in first-seen
-/// order within each.
-pub(crate) struct CycleIndex {
-    pub index: LocalIndex,
-    /// The cycle fragments, ascending by id; a cycle's rank is its position.
-    pub cycles: Vec<FragmentId>,
-    pub pairs: Vec<(u32, u32)>,
-}
-
 /// Append-only store of fragments, shared across partitions and workers.
 ///
 /// Plays the role of the paper's per-partition disk persistence: writes are
 /// cheap and do not count toward partition memory; Phase 3 reads everything
-/// back once. Storage is pluggable behind the store: [`FragmentStore::new`]
-/// keeps every fragment in memory, [`FragmentStore::spilling`] bounds
-/// resident fragment memory and pages fragments out to a temp file (see
-/// [`SpillConfig`]). Either way the modelled accounting
-/// ([`disk_longs`](Self::disk_longs), [`total_real_edges`](Self::total_real_edges))
-/// is exact and identical.
+/// back in two passes in storage order, never at random. Storage is
+/// pluggable behind the store: [`FragmentStore::new`] keeps every fragment in
+/// memory, [`FragmentStore::spilling`] bounds resident fragment memory and
+/// pages fragments out to a temp file (see [`SpillConfig`]). Either way the
+/// modelled accounting ([`disk_longs`](Self::disk_longs),
+/// [`total_real_edges`](Self::total_real_edges)) is exact and identical.
+/// The records' skeleton (see the module docs) is kept beside them, outside
+/// the fragment budget.
 ///
 /// Ids come from the fragment's own coordinates (see [`FragmentId`]), so
 /// concurrent pushes from different partitions never influence each other's
-/// ids, and every reader that walks the store ([`for_each`](Self::for_each),
-/// [`snapshot`](Self::snapshot), Phase 3's splice index) sees ascending id
-/// order — the push order of a one-thread run — however the pushes
-/// interleaved.
+/// ids, and every reader that walks the store by id
+/// ([`for_each`](Self::for_each), [`snapshot`](Self::snapshot), the
+/// skeleton) sees ascending id order — the push order of a one-thread run —
+/// however the pushes interleaved. Phase 3's storage-order passes see an
+/// order that can depend on the schedule; what it places does not.
 #[derive(Clone)]
 pub struct FragmentStore {
     inner: Arc<Mutex<Inner>>,
@@ -1066,14 +1141,20 @@ struct Inner {
     /// The modelled "persisted to disk" Longs: the words of the records.
     disk_longs: u64,
     real_edges: u64,
+    /// The records' skeleton by `(level, partition)`, for both backings.
+    skeleton: BTreeMap<(u32, u32), Skeleton>,
 }
 
 impl Inner {
-    fn append(&mut self, segment: Segment) -> u64 {
+    fn append(&mut self, mut segment: Segment) -> u64 {
         self.fragments += segment.records();
         self.disk_longs += segment.bytes().len() as u64 / 8;
-        self.real_edges += segment.reals;
-        self.backing.append(segment)
+        self.real_edges += segment.skeleton.records.iter().map(|r| r.reals as u64).sum::<u64>();
+        let key = (segment.level, segment.partition.0);
+        let skeleton = std::mem::take(&mut segment.skeleton);
+        let first = self.backing.append(segment);
+        self.skeleton.entry(key).or_default().append(skeleton);
+        first
     }
 }
 
@@ -1095,7 +1176,7 @@ impl std::fmt::Debug for FragmentStore {
 
 impl FragmentStore {
     fn over(backing: Box<dyn FragmentBacking>) -> Self {
-        let inner = Inner { backing, fragments: 0, disk_longs: 0, real_edges: 0 };
+        let inner = Inner { backing, fragments: 0, disk_longs: 0, real_edges: 0, skeleton: BTreeMap::new() };
         FragmentStore { inner: Arc::new(Mutex::new(inner)) }
     }
 
@@ -1233,27 +1314,16 @@ impl FragmentStore {
         })
     }
 
-    /// The Phase-3 splice index. Built off the cycle records (or, on the
-    /// spill backing, the vertex lists captured while they were resident —
-    /// **no spill I/O**, which is what lets Phase 3 read each spilled
-    /// fragment exactly once, during the unroll walk) with one interning
-    /// table for all of them.
-    pub(crate) fn cycle_index(&self) -> CycleIndex {
-        let cycles = self.inner.lock().backing.cycle_vertices();
-        let index = LocalIndex::from_vertices(cycles.iter().flat_map(|(_, tour)| tour.iter().copied()));
-        // First-seen within each cycle: one stamp per slot, the rank of the
-        // last cycle that claimed it.
-        let mut claimed = vec![u32::MAX; index.len()];
-        let mut pairs = Vec::new();
-        for (rank, (_, tour)) in cycles.iter().enumerate() {
-            for &v in tour {
-                let slot = index.slot(v).expect("endpoint interned");
-                if std::mem::replace(&mut claimed[slot as usize], rank as u32) != rank as u32 {
-                    pairs.push((slot, rank as u32));
-                }
-            }
-        }
-        CycleIndex { index, cycles: cycles.into_iter().map(|(id, _)| id).collect(), pairs }
+    /// Runs `f` over the records' skeleton, `(level, partition)` ascending.
+    pub(crate) fn with_skeleton<T>(&self, f: impl FnOnce(&BTreeMap<(u32, u32), Skeleton>) -> T) -> T {
+        f(&self.inner.lock().skeleton)
+    }
+
+    /// Visits every record once, under the lock, in the order it is stored
+    /// in (see [`FragmentBacking::for_each_stored`]); an error when a read
+    /// fails.
+    pub(crate) fn for_each_stored(&self, mut f: impl FnMut(FragmentId, RecordView<'_>)) -> io::Result<()> {
+        self.inner.lock().backing.for_each_stored(&mut f)
     }
 
     /// Total Longs written to "disk" — the paper's modelled persistence
@@ -1281,15 +1351,57 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Ids of the cycle fragments, ascending.
-    fn cycle_ids(store: &FragmentStore) -> Vec<FragmentId> {
-        store.cycle_index().cycles
+    /// A record as the skeleton has it: id, start vertex, real edges,
+    /// virtual edges `(tour index, fragment, entry vertex)` and, a cycle,
+    /// visible vertices with their first tour index.
+    type SkeletonRow = (FragmentId, VertexId, u32, Vec<(u32, FragmentId, VertexId)>, Vec<(VertexId, u32)>);
+
+    /// The store's skeleton, record by record, ascending by id.
+    fn skeleton_rows(store: &FragmentStore) -> Vec<SkeletonRow> {
+        store.with_skeleton(|table| {
+            let mut rows = Vec::new();
+            for (&(level, partition), skeleton) in table {
+                let (mut virtuals, mut visible) = (skeleton.virtuals.iter(), skeleton.visible.iter().peekable());
+                for (seq, r) in skeleton.records.iter().enumerate() {
+                    let id = FragmentId::new(level, PartitionId(partition), seq as u64);
+                    let vs = virtuals.by_ref().take(r.virtuals as usize).map(|v| (v.at, v.child, v.from));
+                    let mut seen = Vec::new();
+                    while let Some(v) = visible.next_if(|v| v.record == seq as u32) {
+                        seen.push((v.vertex, v.at));
+                    }
+                    rows.push((id, r.start, r.reals, vs.collect(), seen));
+                }
+                assert!(visible.next().is_none(), "every visible vertex is a record's");
+            }
+            rows
+        })
     }
 
-    /// The splice index read as `(visible vertex, cycle id)` pairs.
+    /// The skeleton row of a typed fragment.
+    fn expected_row(f: &Fragment) -> SkeletonRow {
+        let virtuals = f.edges.iter().enumerate().filter_map(|(at, e)| match *e {
+            TourEdge::Virtual { fragment, from, .. } => Some((at as u32, fragment, from)),
+            TourEdge::Real { .. } => None,
+        });
+        let first_leaving = |v| f.edges.iter().position(|e| e.from() == v).unwrap() as u32;
+        let visible = match f.kind {
+            FragmentKind::Cycle => f.visible_vertices().into_iter().map(|v| (v, first_leaving(v))).collect(),
+            FragmentKind::Path => Vec::new(),
+        };
+        let reals = f.edges.iter().filter(|e| e.is_real()).count() as u32;
+        (f.id, f.start(), reals, virtuals.collect(), visible)
+    }
+
+    /// Ids of the cycle fragments, ascending.
+    fn cycle_ids(store: &FragmentStore) -> Vec<FragmentId> {
+        skeleton_rows(store).into_iter().filter(|row| !row.4.is_empty()).map(|row| row.0).collect()
+    }
+
+    /// The skeleton's visible vertices read as `(visible vertex, cycle id)`
+    /// pairs.
     fn cycle_vertex_pairs(store: &FragmentStore) -> Vec<(VertexId, FragmentId)> {
-        let CycleIndex { index, cycles, pairs } = store.cycle_index();
-        pairs.iter().map(|&(slot, rank)| (index.vertex(slot), cycles[rank as usize])).collect()
+        let rows = skeleton_rows(store);
+        rows.into_iter().flat_map(|(id, .., visible)| visible.into_iter().map(move |(v, _)| (v, id))).collect()
     }
 
     fn real(edge: u64, from: u64, to: u64) -> TourEdge {
@@ -1963,6 +2075,8 @@ pub(crate) mod tests {
                 let visible: Vec<(VertexId, FragmentId)> =
                     cycles.flat_map(|f| f.visible_vertices().into_iter().map(|v| (v, f.id))).collect();
                 prop_assert_eq!(cycle_vertex_pairs(store), visible);
+                // And the whole skeleton is the typed fragments'.
+                prop_assert_eq!(skeleton_rows(store), expected.iter().map(expected_row).collect::<Vec<_>>());
             }
         }
 

@@ -60,13 +60,14 @@ fn main() {
     let stats = run.circuit.fragment_stats;
     println!(
         "fragment store: {} of {} Longs peak resident | {} fragments spilled \
-         ({} Longs written in {} spill_writes, {} reloaded in Phase 3)",
+         ({} Longs written in {} spill_writes, {} read back in {} spill_reads by Phase 3's two passes)",
         stats.peak_resident_longs,
         run.circuit.fragment_disk_longs,
         stats.spilled_fragments,
         stats.spill_write_longs,
         stats.spill_writes,
         stats.spill_read_longs,
+        stats.spill_reads,
     );
     assert!(run.partition.partitioner.contains("streamed"), "zero-Graph path expected");
     assert!(stats.spilled_fragments > 0, "the tiny budget must spill");
@@ -74,6 +75,11 @@ fn main() {
     assert!(
         0 < stats.spill_writes && stats.spill_writes < stats.spilled_fragments,
         "spilled fragments must be written in runs: {stats:?}"
+    );
+    // And read back in the same runs, once per Phase-3 pass.
+    assert!(
+        0 < stats.spill_reads && stats.spill_reads <= 2 * stats.spill_writes,
+        "the spill file must be read back in its runs: {stats:?}"
     );
     let result = &run.circuit.result;
     println!(

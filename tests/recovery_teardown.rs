@@ -24,6 +24,22 @@ fn threads() -> usize {
     line["Threads:".len()..].trim().parse().unwrap()
 }
 
+/// The thread count once it has settled: two reads 50 ms apart agree, or
+/// 2 s have passed. A thread a finished run is still tearing down is not
+/// counted as one that is always there.
+fn settled_threads() -> usize {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    let mut last = threads();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = threads();
+        if now == last || std::time::Instant::now() >= deadline {
+            return now;
+        }
+        last = now;
+    }
+}
+
 #[test]
 fn a_refused_rollback_respawns_once_and_leaves_no_thread_behind() {
     let g = synthetic::random_eulerian_connected(140, 16, 5, 123);
@@ -50,7 +66,7 @@ fn a_refused_rollback_respawns_once_and_leaves_no_thread_behind() {
     let blocker = dir.join("blocker");
     std::fs::write(&blocker, b"not a directory").unwrap();
 
-    let before = threads();
+    let before = settled_threads();
     let killed = run(Some(
         BspBackend::with_engine(BspConfig::with_workers(2))
             .with_transport(Arc::new(MemTransport))

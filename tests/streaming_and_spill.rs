@@ -220,12 +220,13 @@ proptest! {
             prop_assert_eq!(stats.spill_errors, 0);
             // Once the run quiesces the resident set fits the budget; every
             // record not resident was written to the spill file once, and
-            // Phase 3 read each of them back once.
+            // each of Phase 3's two passes read the file back once.
             prop_assert!(stats.resident_longs <= budget,
                 "resident {} over budget {budget}", stats.resident_longs);
             prop_assert_eq!(stats.spill_write_longs,
                 bounded.circuit.fragment_disk_longs - stats.resident_longs);
-            prop_assert_eq!(stats.spill_read_longs, stats.spill_write_longs);
+            prop_assert_eq!(stats.spill_read_longs, 2 * stats.spill_write_longs);
+            prop_assert!(stats.spill_reads <= 2 * stats.spill_writes, "{:?}", stats);
             // The peak stays within budget + one record. A record holds at
             // most the local edges its partition had at its level.
             let most_local = bounded.merge.per_partition.iter().map(|r| r.counts.local_edges).max();
@@ -304,16 +305,15 @@ fn interrupted_spill_still_unrolls_identical_circuits() {
     assert_eq!(broken.stats().resident_longs, broken.disk_longs());
 }
 
-/// Phase 3 reads each spilled fragment exactly once. The cycle-splice index
-/// is captured by the store while fragments are resident, so building the
-/// pending-cycle set costs no spill I/O — historically it reloaded every
-/// spilled fragment a second time, making `spill_read_longs` exactly double
-/// `spill_write_longs` on a push-only store. This pins the fixed 1:1 ratio.
+/// Phase 3 reads the spill file in two passes, each front to back in the
+/// runs it was written in: every spilled Long is read exactly twice, with at
+/// most one read call per write call and pass — never one reload per record,
+/// in walk order, as the depth-first unroll did.
 #[test]
-fn phase3_reads_each_spilled_fragment_exactly_once() {
-    // Push-only workload (no `replace`, so every written Long corresponds to
-    // one live fragment version): partition-local cycles sharing vertices,
-    // plus a path expanded through a virtual reference.
+fn phase3_reads_the_spill_file_twice_in_the_runs_it_was_written_in() {
+    // Push-only workload: partition-local cycles sharing vertices, a path
+    // expanded through a virtual reference, and enough two-edge cycles
+    // along a chain of vertices to fill several runs.
     fn real(edge: u64, from: u64, to: u64) -> TourEdge {
         TourEdge::Real {
             edge: euler_circuit::graph::EdgeId(edge),
@@ -336,6 +336,15 @@ fn phase3_reads_each_spilled_fragment_exactly_once() {
         partition: PartitionId(0),
         edges: vec![real(20, 2, 7), real(21, 7, 2)],
     });
+    for v in 7..3007 {
+        store.push(Fragment {
+            id: FragmentId(0),
+            kind: FragmentKind::Cycle,
+            level: 0,
+            partition: PartitionId(1),
+            edges: vec![real(2 * v + 100, v, v + 1), real(2 * v + 101, v + 1, v)],
+        });
+    }
     store.push(Fragment {
         id: FragmentId(0),
         kind: FragmentKind::Cycle,
@@ -348,14 +357,18 @@ fn phase3_reads_each_spilled_fragment_exactly_once() {
         ],
     });
     let result = unroll(&store).unwrap();
-    assert_eq!(result.total_edges(), 6);
+    assert_eq!(result.num_circuits(), 1);
+    assert_eq!(result.total_edges(), 6 + 2 * 3000);
     let stats = store.stats();
-    assert!(stats.spilled_fragments > 0, "budget 0 must spill everything");
+    assert_eq!(stats.spilled_fragments, 3003, "budget 0 spills everything");
     assert_eq!(stats.spill_errors, 0);
+    assert!(stats.spill_writes > 1, "several runs: {stats:?}");
     assert_eq!(
-        stats.spill_read_longs, stats.spill_write_longs,
-        "each spilled fragment must be read back exactly once: {stats:?}"
+        stats.spill_read_longs,
+        2 * stats.spill_write_longs,
+        "each pass reads every spilled Long once: {stats:?}"
     );
+    assert!(stats.spill_reads <= 2 * stats.spill_writes, "one read per run and pass: {stats:?}");
 }
 
 /// A spill file that loses its contents under the store makes Phase 3 fail
