@@ -56,7 +56,7 @@
 //! its real traffic in [`FragmentStoreStats`].
 //!
 //! Beside the records, outside the fragment budget, the store keeps their
-//! *skeleton*, captured as each is written or validated: per record its start
+//! *skeleton*, read off each record as it is appended: per record its start
 //! vertex, real-edge count and virtual edges, per cycle the first tour index
 //! leaving each visible vertex. Phase 3 places every record by it.
 
@@ -426,7 +426,8 @@ pub(crate) struct SkeletonVisible {
 
 impl Skeleton {
     /// Notes the next record: a cycle or a path over the tour `edges`.
-    fn push(&mut self, cycle: bool, edges: impl Iterator<Item = TourEdge> + Clone) {
+    /// Returns its real edges.
+    fn push(&mut self, cycle: bool, edges: impl Iterator<Item = TourEdge> + Clone) -> u32 {
         let virtuals = self.virtuals.len();
         let mut record = SkeletonRecord { start: VertexId(0), reals: 0, virtuals: 0 };
         for (at, e) in edges.clone().enumerate() {
@@ -449,14 +450,7 @@ impl Skeleton {
         }
         record.virtuals = (self.virtuals.len() - virtuals) as u32;
         self.records.push(record);
-    }
-
-    /// Appends `other`'s records after these.
-    fn append(&mut self, mut other: Skeleton) {
-        let before = self.records.len() as u32;
-        self.records.append(&mut other.records);
-        self.virtuals.append(&mut other.virtuals);
-        self.visible.extend(other.visible.iter().map(|v| SkeletonVisible { record: v.record + before, ..*v }));
+        record.reals
     }
 }
 
@@ -487,8 +481,6 @@ pub(crate) struct Segment {
     buf: Arc<Vec<u8>>,
     /// Byte offset in `buf` of every record, then of the end of the last.
     starts: Vec<usize>,
-    /// The run's skeleton, until the store files it in its own table.
-    skeleton: Skeleton,
 }
 
 impl Segment {
@@ -503,8 +495,7 @@ impl Segment {
         let mut starts = Vec::with_capacity(records + 1);
         starts.push(0);
         let buf = Vec::with_capacity(8 * (HEADER_WORDS * records + EDGE_WORDS * edges));
-        let skeleton = Skeleton { records: Vec::with_capacity(records), ..Skeleton::default() };
-        Segment { level, partition, buf: Arc::new(buf), starts, skeleton }
+        Segment { level, partition, buf: Arc::new(buf), starts }
     }
 
     /// Records in the run.
@@ -533,7 +524,6 @@ impl Segment {
     /// record words (see [`edge_words`]). For the run's writer: its buffer is
     /// not shared yet.
     pub(crate) fn push_record(&mut self, kind: FragmentKind, edges: &[[u64; EDGE_WORDS]]) {
-        self.skeleton.push(kind == FragmentKind::Cycle, edges.iter().map(|&e| tour_edge(e)));
         let header = [kind as u64, self.level as u64, self.partition.0 as u64, edges.len() as u64];
         let buf = Arc::get_mut(&mut self.buf).expect("a run being written is not shared");
         extend_words(buf, &header);
@@ -553,7 +543,6 @@ impl Segment {
         let Some(buf) = Arc::get_mut(&mut self.buf) else { return false };
         buf.extend_from_slice(other.bytes());
         self.starts.extend(other.starts[1..].iter().map(|s| s - other.starts[0] + range.end));
-        self.skeleton.append(other.skeleton.clone());
         true
     }
 
@@ -585,10 +574,8 @@ impl Segment {
         let r = &mut WordReader::new(buf.get(range.clone()).ok_or(truncated)?)?;
         let records = usize::try_from(head.records).unwrap_or(usize::MAX);
         let mut starts = Vec::with_capacity(r.cap(records, HEADER_WORDS + EDGE_WORDS) + 1);
-        let mut skeleton = Skeleton::default();
         for i in 0..head.records {
-            let start = range.start + 8 * r.position();
-            starts.push(start);
+            starts.push(range.start + 8 * r.position());
             let [kind, at_level, at_partition, n] = r.array()?;
             if kind > 1 {
                 return invalid(format!("unknown fragment kind tag {kind}"));
@@ -628,12 +615,10 @@ impl Segment {
             if kind == 1 && ends.is_some_and(|(first, last)| first != last) {
                 return invalid(format!("cycle {i} of {} does not close", whose()));
             }
-            let record = RecordView { bytes: buf.get(start..range.start + 8 * r.position()).unwrap_or_default() };
-            skeleton.push(kind == 1, record.edges());
         }
         starts.push(range.start + 8 * r.position());
         r.finish()?;
-        Ok(Segment { level, partition, buf: Arc::clone(buf), starts, skeleton })
+        Ok(Segment { level, partition, buf: Arc::clone(buf), starts })
     }
 }
 
@@ -1146,15 +1131,14 @@ struct Inner {
 }
 
 impl Inner {
-    fn append(&mut self, mut segment: Segment) -> u64 {
+    fn append(&mut self, segment: Segment) -> u64 {
         self.fragments += segment.records();
         self.disk_longs += segment.bytes().len() as u64 / 8;
-        self.real_edges += segment.skeleton.records.iter().map(|r| r.reals as u64).sum::<u64>();
-        let key = (segment.level, segment.partition.0);
-        let skeleton = std::mem::take(&mut segment.skeleton);
-        let first = self.backing.append(segment);
-        self.skeleton.entry(key).or_default().append(skeleton);
-        first
+        let skeleton = self.skeleton.entry((segment.level, segment.partition.0)).or_default();
+        for record in (0..segment.records()).map(|i| segment.record_view(i)) {
+            self.real_edges += skeleton.push(record.kind() == FragmentKind::Cycle, record.edges()) as u64;
+        }
+        self.backing.append(segment)
     }
 }
 
