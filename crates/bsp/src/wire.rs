@@ -239,6 +239,11 @@ impl WordWriter {
     }
 }
 
+/// A word of the `u32` field `field`: a larger one is invalid, not truncated.
+pub fn word_u32(word: u64, field: &str) -> Result<u32, WireError> {
+    u32::try_from(word).map_err(|_| WireError::Invalid(format!("{field} {word} out of range")))
+}
+
 /// A bounded sequential reader over a word payload.
 #[derive(Clone, Debug)]
 pub struct WordReader<'a> {

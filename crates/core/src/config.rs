@@ -17,11 +17,11 @@ pub struct EulerConfig {
     /// chained, closed).
     pub verify: bool,
     /// Bound on resident fragment memory in Longs. `None` (default) keeps
-    /// every circuit fragment in memory; `Some(budget)` backs the fragment
-    /// store with the out-of-core spill backing
-    /// ([`crate::FragmentStore::spilling`]), which pages fragments out to a
-    /// temp file, lowest level first, once the resident set exceeds the budget —
-    /// circuits are bit-identical either way.
+    /// every circuit fragment in memory; `Some(budget)` gives the fragment
+    /// store that budget ([`crate::FragmentStore::spilling`]): runs of
+    /// fragments are admitted only within it and page out to a temp file,
+    /// lowest level first, to make room — circuits are bit-identical either
+    /// way.
     pub fragment_memory_budget: Option<u64>,
     /// Directory the fragment spill file is created in when a
     /// [`fragment_memory_budget`](Self::fragment_memory_budget) is set.

@@ -100,7 +100,7 @@ use euler_bsp::checkpoint::{
 };
 use euler_bsp::fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
 use euler_bsp::transport::{connect_endpoint, Connection, FrameError, Listener, Transport};
-use euler_bsp::wire::{WireError, WordReader, WordWriter};
+use euler_bsp::wire::{word_u32, WireError, WordReader, WordWriter};
 use euler_bsp::{BspConfig, EngineStats, PlatformCostModel, SuperstepStats};
 use euler_graph::{CsrFile, PartitionAssignment, PartitionId};
 use euler_metrics::TimeBreakdown;
@@ -159,18 +159,18 @@ fn decode_tree(r: &mut WordReader<'_>) -> Result<MergeTree, WireError> {
         for _ in 0..n_pairs {
             let [parent, child, weight] = r.array()?;
             pairs.push(MergePair {
-                parent: PartitionId(parent as u32),
-                child: PartitionId(child as u32),
+                parent: PartitionId(word_u32(parent, "parent")?),
+                child: PartitionId(word_u32(child, "child")?),
                 weight,
             });
         }
         levels.push(pairs);
     }
-    let root = PartitionId(r.u()? as u32);
+    let root = PartitionId(word_u32(r.u()?, "root")?);
     let n_leaves = r.count()?;
     let mut leaves = Vec::with_capacity(r.cap(n_leaves, 1));
     for _ in 0..n_leaves {
-        leaves.push(PartitionId(r.u()? as u32));
+        leaves.push(PartitionId(word_u32(r.u()?, "leaf")?));
     }
     // Every (level, leaf) of the tree must be nameable by a fragment id.
     if levels.len() as u64 >= FragmentId::MAX_LEVELS as u64
@@ -315,11 +315,11 @@ fn decode_init(payload: &[u8]) -> Result<(InitHead, SeedTail), WireError> {
     let strategy = MergeStrategy::from_wire_code(strategy)?;
     let checkpoint_dir = if has_dir != 0 { Some(PathBuf::from(r.str()?)) } else { None };
     let head = InitHead {
-        worker_id: worker_id as u32,
-        num_workers: num_workers as u32,
+        worker_id: word_u32(worker_id, "worker id")?,
+        num_workers: word_u32(num_workers, "worker count")?,
         strategy,
         heartbeat_interval: Duration::from_nanos(heartbeat_ns),
-        kill: (kill_flag != 0).then_some((kill_w as u32, kill_s as u32)),
+        kill: if kill_flag != 0 { Some((word_u32(kill_w, "kill worker")?, word_u32(kill_s, "kill step")?)) } else { None },
         kill_mode: if kill_mode == 0 { KillMode::Exit } else { KillMode::Stall },
         checkpoint_dir,
         tree: Arc::new(decode_tree(&mut r)?),
@@ -472,7 +472,7 @@ fn build_from_file(
 /// records, which the slot set decodes ([`SlotSet::unpack`]).
 fn decode_start(payload: &[u8]) -> Result<(u32, Vec<WordReader<'_>>), WireError> {
     let mut r = WordReader::new(payload)?;
-    Ok((r.u()? as u32, state_records(&mut r)?))
+    Ok((word_u32(r.u()?, "superstep")?, state_records(&mut r)?))
 }
 
 /// One slot's line of a worker's share of a level: its record, the state's
@@ -525,7 +525,7 @@ impl SlotReport {
         Ok(SlotReport {
             report: LevelPartitionReport {
                 level,
-                partition: PartitionId(partition as u32),
+                partition: PartitionId(word_u32(partition, "partition")?),
                 counts: VertexTypeCounts {
                     even_internal,
                     even_boundary,
@@ -703,7 +703,7 @@ fn read_outgoing(
     let n_out = r.count()?;
     let mut outgoing = Vec::with_capacity(r.cap(n_out, 2));
     for _ in 0..n_out {
-        let to = r.u()? as u32;
+        let to = word_u32(r.u()?, "destination")?;
         let entry = r.position();
         r.record()?;
         outgoing.push((to, Blob::words(buf, entry..r.position())));
@@ -713,7 +713,7 @@ fn read_outgoing(
 
 fn decode_done(payload: Arc<Vec<u8>>) -> Result<DoneMsg, WireError> {
     let mut r = WordReader::new(&payload)?;
-    let superstep = r.u()? as u32;
+    let superstep = word_u32(r.u()?, "superstep")?;
     let n_reports = r.count()?;
     let mut reports = Vec::with_capacity(r.cap(n_reports, SlotReport::WORDS));
     for _ in 0..n_reports {
@@ -2410,6 +2410,36 @@ mod tests {
         // More levels than a fragment id can name: refused before indexing.
         let tall = decode(vec![Vec::new(); 256], vec![0]);
         assert!(matches!(&tall, Err(WireError::Invalid(m)) if m.contains("fragment id layout")));
+    }
+
+    #[test]
+    fn u32_fields_past_32_bits_are_refused_not_truncated() {
+        let wide = |k: u64| ((1u64 << 32) + k).to_le_bytes();
+        let refused = |result: Result<(), WireError>, field: &str| {
+            assert!(matches!(&result, Err(WireError::Invalid(m)) if m.contains(field)), "{field}: {result:?}");
+        };
+        let done = done_payload(&sample_done(&[vec![1, 2, 3, 4]]));
+        let patched = |word: usize, k: u64| {
+            let mut bytes = done.clone();
+            bytes[8 * word..8 * word + 8].copy_from_slice(&wide(k));
+            decode_done(Arc::new(bytes)).map(drop)
+        };
+        // The superstep, the first report's partition, the first outgoing
+        // entry's destination.
+        let parsed = decode_done(Arc::new(done.clone())).unwrap();
+        let to = parsed.outgoing[0].1.range.start / 8 - 1;
+        assert_eq!((parsed.superstep, parsed.reports[0].report.partition, parsed.outgoing[0].0), (3, PartitionId(0), 10));
+        refused(patched(0, 3), "superstep");
+        refused(patched(2, 0), "partition");
+        refused(patched(to, 10), "destination");
+        // A merge tree's leaf: `[levels, pairs, parent, child, weight, root,
+        // leaves, leaf…]`.
+        let mut out = WordWriter::new();
+        encode_tree(&mut out, &tiny_tree());
+        let mut tree = out.into_bytes();
+        assert_eq!(euler_bsp::wire::words_at::<1>(&tree, 10), [3]);
+        tree[80..88].copy_from_slice(&wide(3));
+        refused(decode_tree(&mut WordReader::new(&tree).unwrap()).map(drop), "leaf");
     }
 
     #[test]

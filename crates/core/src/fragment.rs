@@ -43,17 +43,14 @@
 //! [`for_each`](FragmentStore::for_each). `docs/ARCHITECTURE.md` says who
 //! validates what, and where.
 //!
-//! Where records physically live is a seam (`FragmentBacking`) behind the
-//! store: the default backing keeps every segment in memory;
-//! [`FragmentStore::spilling`] bounds resident fragment memory by a
-//! [`SpillConfig::memory_budget_longs`], holds records one by one and pages
-//! them out to a temp file as the bytes they are — lowest level first, in an
-//! order read off the [`FragmentId`] alone, staged into runs of up to
-//! `RUN_BYTES` that each go to the file in one write — and Phase 3 reads the
-//! file back front to back, one positional read per run: the out-of-core
-//! mode. Both keep the modelled [`disk_longs`](FragmentStore::disk_longs)
-//! exact and produce bit-identical circuits; the spill backing also reports
-//! its real traffic in [`FragmentStoreStats`].
+//! The store keeps records in the segments they arrive in. Under a
+//! [`SpillConfig::memory_budget_longs`] ([`FragmentStore::spilling`], the
+//! out-of-core mode) it pages segments out to a temp file as the bytes they
+//! are, in an order read off the [`FragmentId`] alone, and Phase 3
+//! reads the file back front to back, one positional read per write. The
+//! modelled [`disk_longs`](FragmentStore::disk_longs) and the circuits are
+//! the same with or without a budget; [`FragmentStoreStats`] reports the
+//! real traffic.
 //!
 //! Beside the records, outside the fragment budget, the store keeps their
 //! *skeleton*, read off each record as it is appended: per record its start
@@ -65,7 +62,7 @@ use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io;
 use std::ops::Range;
@@ -465,15 +462,16 @@ pub(crate) struct SegmentHead {
 
 /// Bytes a run of records is grown to before the next starts. Phase 1 hands
 /// fragments over in runs this size, not a buffer per partition: a spilling
-/// store then holds at most a run beyond its budget, and the allocator
-/// recycles buffers this small where a large one is fresh pages every time.
+/// store then pages out runs this size, and the allocator recycles buffers
+/// this small where a large one is fresh pages every time. The spill file
+/// is written in chunks of the same size.
 pub(crate) const RUN_BYTES: usize = 1 << 16;
 
 /// A run of consecutive records of one `(level, partition)`, back to back in
 /// one shared buffer, with the index of where each starts, built as the run
 /// is written or validated: what Phase 1 hands the store, what a worker
 /// sends, what the coordinator adopts out of a received payload, and what
-/// the in-memory backing keeps.
+/// the store keeps.
 #[derive(Clone, Debug)]
 pub(crate) struct Segment {
     pub level: u32,
@@ -516,10 +514,6 @@ impl Segment {
         RecordView { bytes: &self.buf[self.starts[i]..self.starts[i + 1]] }
     }
 
-    fn record(&self, i: usize) -> Record {
-        Record { buf: Arc::clone(&self.buf), range: self.starts[i]..self.starts[i + 1] }
-    }
-
     /// Appends one record: a `kind` fragment of the tour `edges`, given as
     /// record words (see [`edge_words`]). For the run's writer: its buffer is
     /// not shared yet.
@@ -542,8 +536,43 @@ impl Segment {
         }
         let Some(buf) = Arc::get_mut(&mut self.buf) else { return false };
         buf.extend_from_slice(other.bytes());
-        self.starts.extend(other.starts[1..].iter().map(|s| s - other.starts[0] + range.end));
+        self.extend_starts(other);
         true
+    }
+
+    /// Indexes `other`'s records after this run's, as if their bytes followed.
+    fn extend_starts(&mut self, other: &Segment) {
+        let end = self.starts[self.records()];
+        self.starts.extend(other.starts[1..].iter().map(|s| s - other.starts[0] + end));
+    }
+
+    /// Splits the run after its first `records` records: it keeps those, and
+    /// the rest are returned as a run over the same buffer.
+    fn split_off(&mut self, records: usize) -> Segment {
+        let starts = self.starts.split_off(records);
+        self.starts.push(starts[0]);
+        Segment { level: self.level, partition: self.partition, buf: Arc::clone(&self.buf), starts }
+    }
+
+    /// Moves the run's records into `bytes`, which hold exactly them — in
+    /// place of the buffer it held if it was that buffer's only user.
+    fn rebuffer(&mut self, bytes: Vec<u8>) {
+        let base = self.starts[0];
+        self.starts.iter_mut().for_each(|s| *s -= base);
+        match Arc::get_mut(&mut self.buf) {
+            Some(buf) => *buf = bytes,
+            None => self.buf = Arc::new(bytes),
+        }
+    }
+
+    /// The run over a buffer of exactly its bytes: trimmed to them if it is
+    /// the only user of a buffer that starts with them, else copied out.
+    fn owned(mut self) -> Segment {
+        match Arc::get_mut(&mut self.buf) {
+            Some(buf) if self.starts[0] == 0 && self.starts.last() == Some(&buf.len()) => buf.shrink_to_fit(),
+            _ => self.rebuffer(self.bytes().to_vec()),
+        }
+        self
     }
 
     /// The one record validator: checks that `range` of `buf` holds exactly
@@ -622,10 +651,10 @@ impl Segment {
     }
 }
 
-/// Live statistics of a fragment store's backing — the real (not modelled)
-/// memory and spill traffic, in the paper's Long units.
+/// Live statistics of a fragment store — the real (not modelled) memory and
+/// spill traffic, in the paper's Long units.
 ///
-/// An evicted record counts as spilled from the moment it is staged for the
+/// An evicted run counts as spilled from the moment it is staged for the
 /// file, so `spill_write_longs = disk_longs − resident_longs` holds at every
 /// instant; reading the statistics writes the staged records out first, so a
 /// failed write is counted before it is reported.
@@ -640,19 +669,19 @@ pub struct FragmentStoreStats {
     pub spilled_fragments: u64,
     /// Longs written to the spill file.
     pub spill_write_longs: u64,
-    /// Write calls to the spill file: one per staged run, plus one per record
-    /// too large to stage.
+    /// Write calls to the spill file: one per filled staging buffer, plus one
+    /// per run too large to stage.
     pub spill_writes: u64,
     /// Longs read back from the spill file: each of Phase 3's two passes
     /// reads it whole (`2 × spill_write_longs` in a pipeline run), a `get`
     /// one record.
     pub spill_read_longs: u64,
-    /// Read calls to the spill file: one per written run and Phase-3 pass (at
-    /// most `2 × spill_writes` in a pipeline run), one per `get` reload.
+    /// Read calls to the spill file: one per write and Phase-3 pass (at most
+    /// `2 × spill_writes` in a pipeline run), one per `get` reload.
     pub spill_reads: u64,
     /// Spill I/O failures absorbed by keeping the fragments resident.
     pub spill_errors: u64,
-    /// Always 0: the spill backing has one eviction order. Kept because the
+    /// Always 0: the store has one eviction order. Kept because the
     /// end-to-end benchmark package reads the field.
     pub evictions_fifo: u64,
     /// Records paged out to the spill file — every eviction, so this equals
@@ -663,14 +692,13 @@ pub struct FragmentStoreStats {
     pub reload_longs_avoided: u64,
 }
 
-/// Configuration of the out-of-core spill backing
-/// ([`FragmentStore::spilling`]).
+/// Configuration of the out-of-core store ([`FragmentStore::spilling`]).
 #[derive(Clone, Debug)]
 pub struct SpillConfig {
     /// Resident fragment budget in Longs (a fragment occupies
-    /// [`Fragment::disk_longs`] Longs). When the resident set exceeds the
-    /// budget, fragments are paged out to the spill file — lowest level
-    /// first, see [`FragmentStore::spilling`] — until it fits again.
+    /// [`Fragment::disk_longs`] Longs). A run of records is admitted only
+    /// once it fits, runs earlier in the eviction order paged out to the
+    /// spill file to make room (see [`FragmentStore::spilling`]).
     pub memory_budget_longs: u64,
     /// Directory the spill file is created in (default:
     /// [`std::env::temp_dir`]). The file is unlinked immediately after
@@ -692,115 +720,8 @@ impl SpillConfig {
     }
 }
 
-/// The storage seam behind [`FragmentStore`]: where records physically live.
-/// A record's id is its `(level, partition)` and its position among the
-/// records appended for them; every walk is in ascending id order.
-trait FragmentBacking: Send {
-    /// Records appended for `(level, partition)` so far — the sequence
-    /// number the next one receives.
-    fn pushed(&self, level: u32, partition: PartitionId) -> u64;
-    /// Stores `segment`'s records after those already held for its `(level,
-    /// partition)` and returns the sequence number of the first.
-    fn append(&mut self, segment: Segment) -> u64;
-    /// The record of a fragment that was pushed, reloaded if it was paged
-    /// out; an error if the reload fails.
-    fn record(&mut self, id: FragmentId) -> io::Result<Record>;
-    /// Visits every record in id order, spilled ones reloaded one at a time.
-    ///
-    /// # Panics
-    /// When a spilled record cannot be read back.
-    fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>));
-    /// Visits every record once in the order it is stored in: id order in
-    /// memory, else the resident records, then the spill file front to back
-    /// in the runs it was written in; an error if a read fails.
-    fn for_each_stored(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) -> io::Result<()>;
-    /// Everything stored, one [`Segment`] per `(level, partition)`, in id
-    /// order.
-    fn segments(&mut self) -> Vec<Segment>;
-    /// The backing's statistics, once whatever it holds back for the file
-    /// has been written.
-    fn stats(&mut self) -> FragmentStoreStats;
-}
-
-/// The default backing: every segment lives in memory, as one buffer.
-#[derive(Debug, Default)]
-struct MemoryBacking {
-    /// Runs by `(level, partition, sequence number of the run's first
-    /// record)`: key order is id order.
-    runs: BTreeMap<(u32, u32, u64), Segment>,
-}
-
-impl MemoryBacking {
-    /// The run of `(level, partition)` that starts at or before `seq`, and
-    /// the sequence number it starts at.
-    fn run_at(&self, level: u32, partition: PartitionId, seq: u64) -> Option<(u64, &Segment)> {
-        let (&(l, p, first), run) = self.runs.range(..=(level, partition.0, seq)).next_back()?;
-        ((l, p) == (level, partition.0)).then_some((first, run))
-    }
-}
-
-impl FragmentBacking for MemoryBacking {
-    fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
-        self.run_at(level, partition, u64::MAX).map_or(0, |(first, run)| first + run.records() as u64)
-    }
-
-    fn append(&mut self, segment: Segment) -> u64 {
-        let (level, partition) = (segment.level, segment.partition);
-        let next = self.pushed(level, partition);
-        // A small run joins the one before it (single pushes share a buffer);
-        // anything else is kept as the buffer it came in.
-        let last = self.runs.range_mut(..(level, partition.0, next)).next_back();
-        if !last.is_some_and(|(&(l, p, _), run)| (l, p) == (level, partition.0) && run.try_extend(&segment)) {
-            self.runs.insert((level, partition.0, next), segment);
-        }
-        next
-    }
-
-    fn record(&mut self, id: FragmentId) -> io::Result<Record> {
-        match self.run_at(id.level(), id.partition(), id.seq()) {
-            Some((first, run)) if id.seq() - first < run.records() as u64 => {
-                Ok(run.record((id.seq() - first) as usize))
-            }
-            _ => panic!("no fragment {id:?} in the store"),
-        }
-    }
-
-    fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) {
-        for (&(_, _, first), run) in &self.runs {
-            for i in 0..run.records() {
-                f(FragmentId::new(run.level, run.partition, first + i as u64), run.record_view(i));
-            }
-        }
-    }
-
-    fn for_each_stored(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) -> io::Result<()> {
-        self.for_each_record(f);
-        Ok(())
-    }
-
-    fn segments(&mut self) -> Vec<Segment> {
-        self.runs.values().cloned().collect()
-    }
-
-    fn stats(&mut self) -> FragmentStoreStats {
-        let longs = self.runs.values().map(|s| s.bytes().len() as u64 / 8).sum();
-        FragmentStoreStats { resident_longs: longs, peak_resident_longs: longs, ..Default::default() }
-    }
-}
-
-/// Per-record index entry of the spill backing: enough to answer size
-/// queries without touching the payload.
-#[derive(Clone, Copy, Debug)]
-struct SlotMeta {
-    id: FragmentId,
-    longs: u64,
-    /// Byte offset of the record in the spill file, given when it is staged;
-    /// `None` while resident.
-    spilled_at: Option<u64>,
-}
-
-/// A fragment's place in the eviction order, first victim first: lowest
-/// level, then highest partition, then lowest sequence number.
+/// A run's place in the eviction order, first victim first: its first
+/// record's lowest level, then highest partition, then lowest seq.
 type EvictionKey = (u32, Reverse<u32>, u64);
 
 fn eviction_key(id: FragmentId) -> EvictionKey {
@@ -810,298 +731,288 @@ fn eviction_key(id: FragmentId) -> EvictionKey {
 /// Distinguishes concurrently-live spill files of one process.
 static SPILL_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// The out-of-core backing: a bounded resident set of records, held one by
-/// one, plus a spill file they are paged out to as the bytes they are. What
-/// it reads back it wrote itself, so reloads are not re-validated.
+/// A run of records the store holds: in memory, or — `spilled_at` set, its
+/// buffer dropped, its record starts kept — at that offset of the spill file.
+struct Run {
+    segment: Segment,
+    spilled_at: Option<u64>,
+}
+
+/// Where the store's records live: the runs they arrive in, and under a
+/// budget a spill file those runs are paged out to as the bytes they are.
+/// What it reads back it wrote itself, so reloads are not re-validated.
 ///
-/// Eviction follows one order read off the [`FragmentId`] alone
-/// ([`eviction_key`]): lowest level first, then highest partition, then
-/// oldest within a partition. In a pipeline run nothing reads the store
-/// before Phase 3, and each of Phase 3's two passes reads the resident
-/// records and then the file front to back, re-admitting nothing, so the
-/// spill reads are twice the spill writes whichever records the order picks.
-/// Records are made resident and the budget re-balanced one at a time, so
-/// the resident peak stays within budget + one fragment.
+/// Without a budget every run stays resident as the buffer it came in. Under
+/// one, a run is admitted whole, owning its bytes, once the resident runs
+/// earlier in the eviction order ([`eviction_key`]) are paged out to make
+/// room — the last of them split if its first records free enough — or else
+/// goes to the file itself: resident Longs never exceed the budget. Evicted
+/// runs are staged into one buffer of at most [`RUN_BYTES`], written in one
+/// positional write when the next would not fit or before anything is read;
+/// a larger run is written alone. A staged run counts as spilled, and joins
+/// its group's last run if that was staged right before it. Reading the file
+/// back in storage order takes one read per write, a `get` one read.
 ///
-/// The file is written in runs, not records: an evicted record is appended
-/// to one staging buffer of at most [`RUN_BYTES`], which goes to the file in
-/// one positional write when the next record would not fit, or before
-/// anything is read. A record larger than a run is written on its own, right
-/// after a flush, so the buffer never grows past [`RUN_BYTES`]. A staged
-/// record already has its file offset and counts as spilled. A pass in
-/// storage order reads the file back in the same runs, one positional read
-/// each; a reload of one record ([`FragmentStore::get`]) is one positional
-/// read.
-///
-/// A spill write failure is absorbed, not propagated — every record it was
-/// to write goes back into the resident set with its counters rolled back,
-/// the failure is counted once in [`FragmentStoreStats::spill_errors`] and no
-/// further spilling is attempted, so an interrupted spill degrades to the
-/// in-memory backing with identical results. A failed reload is the
-/// reader's error.
+/// A failed write puts the runs it carried back into the resident set,
+/// rolls their counters back, counts one
+/// [`spill_errors`](FragmentStoreStats::spill_errors) and stops spilling:
+/// results are unchanged. A failed reload is the reader's error.
 #[derive(Default)]
-struct SpillBacking {
-    budget_longs: u64,
+struct Backing {
+    /// Resident fragment budget in Longs; none: every run stays resident.
+    budget: Option<u64>,
     directory: PathBuf,
-    /// Index entries by `(level, partition)`, in sequence order.
-    index: BTreeMap<(u32, u32), Vec<SlotMeta>>,
-    /// The records in the file, and where each write to it ended: the runs
-    /// a pass in storage order reads back.
-    file_ids: Vec<FragmentId>,
-    file_runs: Vec<u64>,
-    /// Resident records in eviction order: the first is the next victim.
-    resident: BTreeMap<EvictionKey, Arc<Vec<u8>>>,
-    /// Evicted records not yet written, back to back: the bytes that go to
-    /// the file at `file_end` in the next write. Capacity 0 or [`RUN_BYTES`].
+    /// Every run, by the id of its first record: key order is id order.
+    runs: BTreeMap<FragmentId, Run>,
+    /// The resident runs in eviction order: the first is the next victim.
+    resident: BTreeSet<EvictionKey>,
+    /// The spilled runs in file order, and where each write to it ended.
+    file_order: Vec<FragmentId>,
+    file_writes: Vec<u64>,
+    /// Staged runs, back to back: what goes to the file at `file_end` next.
+    /// Capacity 0 or [`RUN_BYTES`].
     staged: Vec<u8>,
-    /// The staged records, in the order they lie in `staged`.
-    staged_ids: Vec<FragmentId>,
-    /// Created lazily at the first write; unlinked right after creation.
+    /// Created at the first write and unlinked right away.
     file: Option<File>,
-    /// Bytes written to the file so far.
     file_end: u64,
     /// Set after a spill I/O failure: stop spilling, stay resident.
     broken: bool,
     stats: FragmentStoreStats,
 }
 
-impl SpillBacking {
-    fn new(config: SpillConfig) -> Self {
-        SpillBacking {
-            budget_longs: config.memory_budget_longs,
-            directory: config.directory.unwrap_or_else(std::env::temp_dir),
-            ..Default::default()
+impl Backing {
+    /// Stores `segment`, whose first record is `first`, after the runs
+    /// already held for its `(level, partition)`; under a budget an empty one
+    /// is not kept, so no spilled run shares its key.
+    fn append(&mut self, first: FragmentId, segment: Segment) {
+        let longs = segment.bytes().len() as u64 / 8;
+        if let Some(budget) = self.budget {
+            if segment.records() == 0 {
+                return;
+            }
+            let over = |b: &Self| b.stats.resident_longs + longs > budget;
+            while over(self) && !self.broken {
+                let Some(&victim) = self.resident.first().filter(|&&k| k < eviction_key(first)) else { break };
+                self.evict(victim, self.stats.resident_longs + longs - budget);
+            }
+            if let Some(at) = over(self).then(|| self.stage(segment.bytes())).flatten() {
+                return self.file_run(first, segment, at);
+            }
         }
-    }
-
-    /// The index entry of a fragment that was pushed.
-    fn meta(&mut self, id: FragmentId) -> &mut SlotMeta {
-        self.index
-            .get_mut(&(id.level(), id.partition().0))
-            .and_then(|s| s.get_mut(id.seq() as usize))
-            .unwrap_or_else(|| panic!("no fragment {id:?} in the store"))
-    }
-
-    /// Opens the spill file on first use. The path is unlinked immediately
-    /// (the open handle keeps the data), so nothing leaks past the store.
-    fn file(&mut self) -> io::Result<&File> {
-        if self.file.is_none() {
-            let path = self.directory.join(format!(
-                "euler-fragments-{}-{}.spill",
-                std::process::id(),
-                SPILL_FILE_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            let file = File::options().read(true).write(true).create_new(true).open(&path)?;
-            std::fs::remove_file(&path)?;
-            self.file = Some(file);
+        // A small run joins the one before it (single pushes share a buffer).
+        let last = self.runs.range_mut(..first).next_back();
+        let same = |id: &FragmentId| (id.level(), id.partition()) == (first.level(), first.partition());
+        if !last.is_some_and(|(id, run)| same(id) && run.spilled_at.is_none() && run.segment.try_extend(&segment)) {
+            let segment = if self.budget.is_some() { segment.owned() } else { segment };
+            self.runs.insert(first, Run { segment, spilled_at: None });
+            self.resident.insert(eviction_key(first));
         }
-        Ok(self.file.as_ref().expect("just created"))
+        self.stats.resident_longs += longs;
+        self.stats.peak_resident_longs = self.stats.peak_resident_longs.max(self.stats.resident_longs);
     }
 
-    /// Appends `bytes` to the spill file in one positional write.
+    /// Pages out the resident run `victim`, or just its first records if
+    /// they free `need` Longs.
+    fn evict(&mut self, victim: EvictionKey, need: u64) {
+        let first = FragmentId::new(victim.0, PartitionId(victim.1 .0), victim.2);
+        let segment = &self.runs[&first].segment;
+        let (n, starts) = (segment.records(), &segment.starts);
+        let records = (1..n).find(|&i| (starts[i] - starts[0]) as u64 >= 8 * need).unwrap_or(n);
+        let range = starts[0]..starts[records];
+        // A clone for the call alone, so emptying the run below frees its buffer.
+        let Some(at) = self.stage(&Arc::clone(&segment.buf)[range]) else { return };
+        let mut run = self.runs.remove(&first).expect("a resident run is stored");
+        self.resident.remove(&victim);
+        let rest = run.segment.split_off(records);
+        if rest.records() > 0 {
+            let rest_first = FragmentId::new(first.level(), first.partition(), first.seq() + records as u64);
+            self.runs.insert(rest_first, Run { segment: rest, spilled_at: None });
+            self.resident.insert(eviction_key(rest_first));
+        }
+        self.stats.resident_longs -= run.segment.byte_range().len() as u64 / 8;
+        self.file_run(first, run.segment, at);
+    }
+
+    /// Keeps `segment` as the run `first`, spilled at `at` — as more of its
+    /// group's last run if that one is staged right before it.
+    fn file_run(&mut self, first: FragmentId, mut segment: Segment, at: u64) {
+        let (records, longs) = (segment.records() as u64, segment.byte_range().len() as u64 / 8);
+        self.stats.spilled_fragments += records;
+        self.stats.spill_write_longs += longs;
+        self.stats.evictions_scheduled += records;
+        let staged_before = |(id, run): &(&FragmentId, &mut Run)| {
+            (id.level(), id.partition()) == (first.level(), first.partition())
+                && run.spilled_at.is_some_and(|a| a >= self.file_end && a + run.segment.byte_range().len() as u64 == at)
+        };
+        if let Some((_, run)) = self.runs.range_mut(..first).next_back().filter(staged_before) {
+            return run.segment.extend_starts(&segment);
+        }
+        segment.rebuffer(Vec::new());
+        self.file_order.push(first);
+        self.runs.insert(first, Run { segment, spilled_at: Some(at) });
+    }
+
+    /// Stages `bytes` for the file, or writes them alone if they are larger
+    /// than a run, and returns where they go; `None` once spilling stopped.
+    fn stage(&mut self, bytes: &[u8]) -> Option<u64> {
+        if self.staged.len() + bytes.len() > RUN_BYTES {
+            self.flush();
+        }
+        let at = self.file_end + self.staged.len() as u64;
+        if self.broken || (bytes.len() > RUN_BYTES && self.write_at_end(bytes).is_err()) {
+            return None;
+        }
+        if bytes.len() <= RUN_BYTES {
+            self.staged.reserve_exact(RUN_BYTES - self.staged.len());
+            self.staged.extend_from_slice(bytes);
+        }
+        Some(at)
+    }
+
+    /// Appends `bytes` to the spill file in one positional write, opening
+    /// the file first if need be; a failure stops spilling.
     fn write_at_end(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let offset = self.file_end;
-        self.file()?.write_all_at(bytes, offset)?;
+        let write = |b: &mut Self| -> io::Result<()> {
+            if b.file.is_none() {
+                let seq = SPILL_FILE_SEQ.fetch_add(1, Ordering::Relaxed);
+                let path = b.directory.join(format!("euler-fragments-{}-{seq}.spill", std::process::id()));
+                let file = File::options().read(true).write(true).create_new(true).open(&path)?;
+                std::fs::remove_file(&path)?;
+                b.file = Some(file);
+            }
+            b.file.as_ref().expect("just opened").write_all_at(bytes, b.file_end)
+        };
+        if let Err(e) = write(self) {
+            self.stats.spill_errors += 1;
+            self.broken = true;
+            return Err(e);
+        }
         self.file_end += bytes.len() as u64;
-        self.file_runs.push(self.file_end);
+        self.file_writes.push(self.file_end);
         self.stats.spill_writes += 1;
         Ok(())
     }
 
-    /// Gives the record `id` its place at `offset` in the file: from here on
-    /// it counts as spilled, not resident.
-    fn mark_spilled(&mut self, id: FragmentId, offset: u64) {
-        let m = self.meta(id);
-        m.spilled_at = Some(offset);
-        let longs = m.longs;
-        self.stats.resident_longs -= longs;
-        self.stats.spilled_fragments += 1;
-        self.stats.spill_write_longs += longs;
-        self.stats.evictions_scheduled += 1;
-    }
-
-    /// Counts a failed write and stops spilling — results are unaffected.
-    fn fail(&mut self) {
-        self.stats.spill_errors += 1;
-        self.broken = true;
-    }
-
-    /// Writes the staged records to the file in one call. If that fails, they
-    /// go back into the resident set with their counters rolled back, and
-    /// spilling stops.
+    /// Writes the staged runs to the file in one call. If that fails, they
+    /// go back into the resident set.
     fn flush(&mut self) {
         if self.staged.is_empty() {
             return;
         }
         let staged = std::mem::take(&mut self.staged);
-        let written = self.write_at_end(&staged);
+        let written = self.write_at_end(&staged).is_ok();
         self.staged = staged;
-        if written.is_err() {
-            let base = self.file_end;
-            for id in std::mem::take(&mut self.staged_ids) {
-                let m = self.meta(id);
-                let at = (m.spilled_at.take().expect("a staged record has an offset") - base) as usize;
-                let longs = m.longs;
-                let bytes = self.staged[at..at + 8 * longs as usize].to_vec();
-                self.resident.insert(eviction_key(id), Arc::new(bytes));
-                self.stats.resident_longs += longs;
-                self.stats.spilled_fragments -= 1;
-                self.stats.spill_write_longs -= longs;
-                self.stats.evictions_scheduled -= 1;
-            }
+        // After a failure the staged runs are the last filed, past the end.
+        while let Some(&first) = self.file_order.last().filter(|_| !written) {
+            let run = self.runs.get_mut(&first).expect("a filed run is stored");
+            let Some(at) = run.spilled_at.filter(|&at| at >= self.file_end) else { break };
+            let (range, at) = (run.segment.byte_range(), (at - self.file_end) as usize);
+            run.segment.rebuffer(self.staged[at..at + range.len()].to_vec());
+            run.spilled_at = None;
+            self.file_order.pop();
+            self.resident.insert(eviction_key(first));
+            let (records, longs) = (run.segment.records() as u64, range.len() as u64 / 8);
+            self.stats.resident_longs += longs;
+            self.stats.spilled_fragments -= records;
+            self.stats.spill_write_longs -= longs;
+            self.stats.evictions_scheduled -= records;
             self.stats.peak_resident_longs = self.stats.peak_resident_longs.max(self.stats.resident_longs);
-            self.fail();
         }
         self.staged.clear();
-        self.file_ids.append(&mut self.staged_ids);
     }
 
-    /// Pages records out, first in the eviction order first, until the
-    /// resident set fits the budget: each is staged, or — larger than a run
-    /// — written on its own once the staged ones are.
-    fn evict(&mut self) {
-        while self.stats.resident_longs > self.budget_longs && !self.broken {
-            let Some((key, record)) = self.resident.pop_first() else { break };
-            let (level, Reverse(partition), seq) = key;
-            let id = FragmentId::new(level, PartitionId(partition), seq);
-            if self.staged.len() + record.len() > RUN_BYTES {
-                self.flush();
-            }
-            let offset = self.file_end + self.staged.len() as u64;
-            let spilled = if self.broken {
-                false
-            } else if record.len() > RUN_BYTES {
-                let written = self.write_at_end(&record).is_ok();
-                if written {
-                    self.file_ids.push(id);
-                } else {
-                    self.fail();
-                }
-                written
-            } else {
-                if self.staged.capacity() == 0 {
-                    self.staged.reserve_exact(RUN_BYTES);
-                }
-                self.staged.extend_from_slice(&record);
-                self.staged_ids.push(id);
-                true
-            };
-            if spilled {
-                self.mark_spilled(id, offset);
-            } else {
-                self.resident.insert(key, record);
-            }
-        }
-    }
-}
-
-impl FragmentBacking for SpillBacking {
-    fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
-        self.index.get(&(level, partition.0)).map_or(0, |s| s.len() as u64)
-    }
-
-    fn append(&mut self, segment: Segment) -> u64 {
-        let first = self.pushed(segment.level, segment.partition);
-        // One by one, each made resident and the budget re-balanced before
-        // the next: the peak stays within budget + one fragment.
-        for i in 0..segment.records() {
-            let id = FragmentId::new(segment.level, segment.partition, first + i as u64);
-            let view = segment.record_view(i);
-            let longs = view.bytes.len() as u64 / 8;
-            let meta = SlotMeta { id, longs, spilled_at: None };
-            self.index.entry((segment.level, segment.partition.0)).or_default().push(meta);
-            self.resident.insert(eviction_key(id), Arc::new(view.bytes.to_vec()));
-            self.stats.resident_longs += longs;
-            self.stats.peak_resident_longs =
-                self.stats.peak_resident_longs.max(self.stats.resident_longs);
-            self.evict();
-        }
-        first
-    }
-
+    /// The record of a fragment that was pushed, reloaded in one read if it
+    /// was paged out; an error if the reload fails.
     fn record(&mut self, id: FragmentId) -> io::Result<Record> {
         self.flush();
-        let meta = *self.meta(id);
-        let buf = match meta.spilled_at {
-            None => Arc::clone(&self.resident[&eviction_key(id)]),
-            Some(offset) => {
-                let mut bytes = vec![0; 8 * meta.longs as usize];
-                let file = self.file.as_ref().expect("spilled records imply an open file");
-                file.read_exact_at(&mut bytes, offset)?;
-                self.stats.spill_read_longs += meta.longs;
-                self.stats.spill_reads += 1;
-                Arc::new(bytes)
-            }
-        };
-        Ok(Record { range: 0..buf.len(), buf })
+        let found = self.runs.range(..=id).next_back().filter(|(first, run)| {
+            (first.level(), first.partition()) == (id.level(), id.partition())
+                && id.seq() - first.seq() < run.segment.records() as u64
+        });
+        let (first, run) = found.unwrap_or_else(|| panic!("no fragment {id:?} in the store"));
+        let i = (id.seq() - first.seq()) as usize;
+        let range = run.segment.starts[i]..run.segment.starts[i + 1];
+        let Some(at) = run.spilled_at else { return Ok(Record { buf: Arc::clone(&run.segment.buf), range }) };
+        let mut bytes = vec![0; range.len()];
+        self.file.as_ref().expect("spilled records imply an open file").read_exact_at(&mut bytes, at + range.start as u64)?;
+        self.stats.spill_read_longs += bytes.len() as u64 / 8;
+        self.stats.spill_reads += 1;
+        Ok(Record { range: 0..bytes.len(), buf: Arc::new(bytes) })
     }
 
-    fn for_each_record(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) {
-        let ids: Vec<FragmentId> = self.index.values().flatten().map(|m| m.id).collect();
-        for id in ids {
-            f(id, reloaded(id, self.record(id)).view());
-        }
-    }
-
-    fn for_each_stored(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) -> io::Result<()> {
+    /// Visits every run in id order, a spilled one read back in one call;
+    /// an error if a read fails.
+    fn for_each_run(&mut self, mut f: impl FnMut(FragmentId, Segment)) -> io::Result<()> {
         self.flush();
-        for (&(level, Reverse(partition), seq), bytes) in &self.resident {
-            f(FragmentId::new(level, PartitionId(partition), seq), RecordView { bytes });
-        }
-        let Some(file) = &self.file else { return Ok(()) };
-        let (mut run, mut run_start, mut ids) = (Vec::new(), 0, self.file_ids.iter());
-        for &run_end in &self.file_runs {
-            run.resize((run_end - run_start) as usize, 0);
-            file.read_exact_at(&mut run, run_start)?;
-            self.stats.spill_reads += 1;
-            self.stats.spill_read_longs += (run_end - run_start) / 8;
-            run_start = run_end;
-            // The records lie back to back; each header gives its length.
-            let mut at = 0;
-            while at < run.len() {
-                let [.., n] = words_at::<HEADER_WORDS>(&run, at / 8);
-                let end = (n as usize).checked_mul(8 * EDGE_WORDS).map(|e| at + 8 * HEADER_WORDS + e);
-                let (Some(&id), Some(bytes)) = (ids.next(), end.and_then(|end| run.get(at..end))) else {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "spill file out of step with its index"));
-                };
-                f(id, RecordView { bytes });
-                at += bytes.len();
+        for (&first, run) in &self.runs {
+            let mut segment = run.segment.clone();
+            if let Some(at) = run.spilled_at {
+                let mut bytes = vec![0; segment.byte_range().len()];
+                self.file.as_ref().expect("spilled records imply an open file").read_exact_at(&mut bytes, at)?;
+                self.stats.spill_read_longs += bytes.len() as u64 / 8;
+                self.stats.spill_reads += 1;
+                segment.buf = Arc::new(bytes);
             }
+            f(first, segment);
         }
         Ok(())
     }
 
-    fn segments(&mut self) -> Vec<Segment> {
-        // Records are held one by one here: each is a run of its own.
-        let mut runs = Vec::new();
-        self.for_each_record(&mut |id, view| {
-            let mut run = Segment::with_capacity(id.level(), id.partition(), 1, view.len());
-            run.push_record(view.kind(), &view.edges().map(|e| edge_words(&e)).collect::<Vec<_>>());
-            runs.push(run);
-        });
-        runs
+    /// Visits every record once in the order it is stored in: the resident
+    /// runs in id order, then the spill file front to back in the chunks it
+    /// was written in; an error if a read fails.
+    fn for_each_stored(&mut self, f: &mut dyn FnMut(FragmentId, RecordView<'_>)) -> io::Result<()> {
+        self.flush();
+        for (&first, run) in self.runs.iter().filter(|(_, run)| run.spilled_at.is_none()) {
+            visit(first, &run.segment.starts, &run.segment.buf, f);
+        }
+        let Some(file) = &self.file else { return Ok(()) };
+        let (mut chunk, mut start, mut filed) = (Vec::new(), 0, self.file_order.iter().peekable());
+        for &end in &self.file_writes {
+            chunk.resize((end - start) as usize, 0);
+            file.read_exact_at(&mut chunk, start)?;
+            self.stats.spill_reads += 1;
+            self.stats.spill_read_longs += (end - start) / 8;
+            while let Some(first) = filed.next_if(|first| self.runs[first].spilled_at < Some(end)) {
+                let run = &self.runs[first];
+                let at = (run.spilled_at.expect("a filed run is spilled") - start) as usize;
+                let Some(bytes) = chunk.get(at..at + run.segment.byte_range().len()) else {
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, "spill file out of step with its runs"));
+                };
+                visit(*first, &run.segment.starts, bytes, f);
+            }
+            start = end;
+        }
+        Ok(())
     }
 
+    /// The statistics, once the staged runs have been written.
     fn stats(&mut self) -> FragmentStoreStats {
         self.flush();
         self.stats
     }
 }
 
-/// The record a reload returned, for the readers whose contract is to panic
-/// when it failed.
-fn reloaded(id: FragmentId, record: io::Result<Record>) -> Record {
-    record.unwrap_or_else(|e| panic!("fragment {id:?} could not be reloaded from the spill file: {e}"))
+/// Visits the records of the run from `first`, at `starts` of `bytes`.
+fn visit(first: FragmentId, starts: &[usize], bytes: &[u8], f: &mut dyn FnMut(FragmentId, RecordView<'_>)) {
+    for (seq, at) in (first.seq()..).zip(starts.windows(2)) {
+        f(FragmentId::new(first.level(), first.partition(), seq), RecordView { bytes: &bytes[at[0]..at[1]] });
+    }
+}
+
+/// What a reload returned, for the readers whose contract is to panic.
+fn reloaded<T>(result: io::Result<T>) -> T {
+    result.unwrap_or_else(|e| panic!("a fragment could not be reloaded from the spill file: {e}"))
 }
 
 /// Append-only store of fragments, shared across partitions and workers.
 ///
 /// Plays the role of the paper's per-partition disk persistence: writes are
 /// cheap and do not count toward partition memory; Phase 3 reads everything
-/// back in two passes in storage order, never at random. Storage is
-/// pluggable behind the store: [`FragmentStore::new`] keeps every fragment in
+/// back in two passes in storage order, never at random. Records are kept in
+/// the runs they arrive in: [`FragmentStore::new`] keeps every run in
 /// memory, [`FragmentStore::spilling`] bounds resident fragment memory and
-/// pages fragments out to a temp file (see [`SpillConfig`]). Either way the
+/// pages whole runs out to a temp file (see [`SpillConfig`]). Either way the
 /// modelled accounting ([`disk_longs`](Self::disk_longs),
 /// [`total_real_edges`](Self::total_real_edges)) is exact and identical.
 /// The records' skeleton (see the module docs) is kept beside them, outside
@@ -1114,37 +1025,42 @@ fn reloaded(id: FragmentId, record: io::Result<Record>) -> Record {
 /// skeleton) sees ascending id order — the push order of a one-thread run —
 /// however the pushes interleaved. Phase 3's storage-order passes see an
 /// order that can depend on the schedule; what it places does not.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct FragmentStore {
     inner: Arc<Mutex<Inner>>,
 }
 
 /// What the store's lock guards: the backing and the totals appended to it.
+#[derive(Default)]
 struct Inner {
-    backing: Box<dyn FragmentBacking>,
+    backing: Backing,
     fragments: usize,
     /// The modelled "persisted to disk" Longs: the words of the records.
     disk_longs: u64,
     real_edges: u64,
-    /// The records' skeleton by `(level, partition)`, for both backings.
+    /// The records' skeleton by `(level, partition)`: one entry a record.
     skeleton: BTreeMap<(u32, u32), Skeleton>,
 }
 
 impl Inner {
+    /// Records appended for `(level, partition)` so far — the sequence
+    /// number the next one receives.
+    fn pushed(&self, level: u32, partition: PartitionId) -> u64 {
+        self.skeleton.get(&(level, partition.0)).map_or(0, |s| s.records.len() as u64)
+    }
+
+    /// Stores `segment`'s records after those already held for its `(level,
+    /// partition)` and returns the sequence number of the first.
     fn append(&mut self, segment: Segment) -> u64 {
+        let first = self.pushed(segment.level, segment.partition);
         self.fragments += segment.records();
         self.disk_longs += segment.bytes().len() as u64 / 8;
         let skeleton = self.skeleton.entry((segment.level, segment.partition.0)).or_default();
         for record in (0..segment.records()).map(|i| segment.record_view(i)) {
             self.real_edges += skeleton.push(record.kind() == FragmentKind::Cycle, record.edges()) as u64;
         }
-        self.backing.append(segment)
-    }
-}
-
-impl Default for FragmentStore {
-    fn default() -> Self {
-        Self::over(Box::<MemoryBacking>::default())
+        self.backing.append(FragmentId::new(segment.level, segment.partition, first), segment);
+        first
     }
 }
 
@@ -1159,25 +1075,20 @@ impl std::fmt::Debug for FragmentStore {
 }
 
 impl FragmentStore {
-    fn over(backing: Box<dyn FragmentBacking>) -> Self {
-        let inner = Inner { backing, fragments: 0, disk_longs: 0, real_edges: 0, skeleton: BTreeMap::new() };
-        FragmentStore { inner: Arc::new(Mutex::new(inner)) }
-    }
-
-    /// Creates an empty store with the in-memory backing.
+    /// Creates an empty store that keeps every run in memory.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Creates an empty store whose resident fragment memory is bounded by
-    /// `config.memory_budget_longs`; overflow pages to a temp file and is
-    /// reloaded on demand (the out-of-core mode). Records are paged out
-    /// lowest level first, then highest partition, then oldest within a
-    /// partition: an order read off their ids alone. They reach the file in
-    /// runs of up to 64 KiB, one write each, so at most that much of evicted
-    /// records is held on top of the budget.
+    /// `config.memory_budget_longs`: the out-of-core mode. Runs that do not
+    /// fit page out to a temp file — lowest level first, then highest
+    /// partition, then oldest — in 64 KiB writes, and are read back on
+    /// demand.
     pub fn spilling(config: SpillConfig) -> Self {
-        Self::over(Box::new(SpillBacking::new(config)))
+        let directory = config.directory.unwrap_or_else(std::env::temp_dir);
+        let backing = Backing { budget: Some(config.memory_budget_longs), directory, ..Default::default() };
+        FragmentStore { inner: Arc::new(Mutex::new(Inner { backing, ..Default::default() })) }
     }
 
     /// Appends a fragment — one record after those of its `(level,
@@ -1210,8 +1121,8 @@ impl FragmentStore {
     }
 
     /// Appends the records of `head` found elsewhere (a worker process), read
-    /// in place from `range` of `buf` — which the store keeps sharing, not a
-    /// copy of it — once they pass [`Segment::validated`]: among its checks,
+    /// in place from `range` of `buf` — which a store without a budget keeps
+    /// sharing, not a copy of it — once they pass [`Segment::validated`]: among its checks,
     /// the first record must be the next of its `(level, partition)` and
     /// every virtual edge must reference a fragment already in the store or
     /// earlier in the run.
@@ -1223,13 +1134,13 @@ impl FragmentStore {
     ) -> Result<(), WireError> {
         let mut inner = self.inner.lock();
         let SegmentHead { level, partition, first_seq, .. } = *head;
-        if first_seq != inner.backing.pushed(level, partition) {
+        if first_seq != inner.pushed(level, partition) {
             return Err(WireError::Invalid(format!(
                 "fragment {first_seq} is not the next of level {level} partition {}",
                 partition.0
             )));
         }
-        let stored = |id: FragmentId| id.seq() < inner.backing.pushed(id.level(), id.partition());
+        let stored = |id: FragmentId| id.seq() < inner.pushed(id.level(), id.partition());
         let segment = Segment::validated(head, buf, range, stored)?;
         inner.append(segment);
         Ok(())
@@ -1243,7 +1154,7 @@ impl FragmentStore {
     /// and cannot be read back.
     pub fn get(&self, id: FragmentId) -> Fragment {
         let mut fragment = Fragment::default();
-        reloaded(id, self.record(id)).view().read_into(id, &mut fragment);
+        reloaded(self.record(id)).view().read_into(id, &mut fragment);
         fragment
     }
 
@@ -1257,10 +1168,15 @@ impl FragmentStore {
         self.inner.lock().backing.record(id)
     }
 
-    /// Everything stored, one run of records per `(level, partition)`, in id
-    /// order: what a wire worker sends and checkpoints, as it is.
+    /// Everything stored, as the runs it is held in, in id order: what a
+    /// wire worker sends and checkpoints, as it is.
+    ///
+    /// # Panics
+    /// When a paged-out run cannot be read back.
     pub(crate) fn segments(&self) -> Vec<Segment> {
-        self.inner.lock().backing.segments()
+        let mut runs = Vec::new();
+        reloaded(self.inner.lock().backing.for_each_run(|_, run| runs.push(run)));
+        runs
     }
 
     /// Number of fragments stored.
@@ -1292,10 +1208,11 @@ impl FragmentStore {
     /// When a paged-out record cannot be read back.
     pub fn for_each(&self, mut f: impl FnMut(&Fragment)) {
         let mut scratch = Fragment::default();
-        self.inner.lock().backing.for_each_record(&mut |id, record| {
+        let mut f = |id, record: RecordView<'_>| {
             record.read_into(id, &mut scratch);
             f(&scratch);
-        })
+        };
+        reloaded(self.inner.lock().backing.for_each_run(|first, run| visit(first, &run.starts, &run.buf, &mut f)));
     }
 
     /// Runs `f` over the records' skeleton, `(level, partition)` ascending.
@@ -1304,8 +1221,8 @@ impl FragmentStore {
     }
 
     /// Visits every record once, under the lock, in the order it is stored
-    /// in (see [`FragmentBacking::for_each_stored`]); an error when a read
-    /// fails.
+    /// in: the resident runs in id order, then the spill file front to back;
+    /// an error when a read fails.
     pub(crate) fn for_each_stored(&self, mut f: impl FnMut(FragmentId, RecordView<'_>)) -> io::Result<()> {
         self.inner.lock().backing.for_each_stored(&mut f)
     }
@@ -1323,7 +1240,7 @@ impl FragmentStore {
         self.inner.lock().real_edges
     }
 
-    /// Real memory/spill statistics of the backing. Writes any staged
+    /// Real memory/spill statistics of the store. Writes any staged
     /// evictions to the spill file first.
     pub fn stats(&self) -> FragmentStoreStats {
         self.inner.lock().backing.stats()
@@ -1524,7 +1441,7 @@ pub(crate) mod tests {
         let adopted = FragmentStore::new();
         for s in store.segments() {
             let (level, partition) = (s.level, s.partition);
-            let first_seq = adopted.inner.lock().backing.pushed(level, partition);
+            let first_seq = adopted.inner.lock().pushed(level, partition);
             let head = SegmentHead { level, partition, first_seq, records: s.records() as u64 };
             let bytes = Arc::new(s.bytes().to_vec());
             adopted.adopt(&head, &bytes, 0..bytes.len()).unwrap();
@@ -1852,17 +1769,36 @@ pub(crate) mod tests {
         }
     }
 
-    /// Appends `f` straight to a spill backing, as a store's push would, and
-    /// returns it as stored.
-    fn append_to(backing: &mut SpillBacking, f: &Fragment) -> Fragment {
-        let mut run = Segment::with_capacity(f.level, f.partition, 1, f.len());
-        run.push_record(f.kind, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
-        Fragment { id: FragmentId::new(f.level, f.partition, backing.append(run)), ..f.clone() }
+    /// The backing of a [`FragmentStore::spilling`] store.
+    fn spilling(config: SpillConfig) -> Backing {
+        std::mem::take(&mut FragmentStore::spilling(config).inner.lock().backing)
     }
 
-    /// The fragment a spill backing holds under `id`, decoded from its
-    /// record.
-    fn reread(backing: &mut SpillBacking, id: FragmentId) -> Fragment {
+    /// Appends `f` straight to a backing, as a store's push would, and
+    /// returns it as stored. The backing holds only `f`'s `(level,
+    /// partition)`.
+    fn append_to(backing: &mut Backing, f: &Fragment) -> Fragment {
+        let mut run = Segment::with_capacity(f.level, f.partition, 1, f.len());
+        run.push_record(f.kind, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
+        let seq = backing.runs.values().map(|r| r.segment.records() as u64).sum();
+        let id = FragmentId::new(f.level, f.partition, seq);
+        backing.append(id, run);
+        Fragment { id, ..f.clone() }
+    }
+
+    /// The ids of the records a backing has staged for the file, in the
+    /// order they lie in the staging buffer.
+    fn staged_ids(backing: &Backing) -> Vec<FragmentId> {
+        let staged = backing.file_order.iter().filter(|first| backing.runs[first].spilled_at >= Some(backing.file_end));
+        let ids = staged.flat_map(|&first| {
+            let records = backing.runs[&first].segment.records() as u64;
+            (first.seq()..first.seq() + records).map(move |seq| FragmentId::new(first.level(), first.partition(), seq))
+        });
+        ids.collect()
+    }
+
+    /// The fragment a backing holds under `id`, decoded from its record.
+    fn reread(backing: &mut Backing, id: FragmentId) -> Fragment {
         let mut f = Fragment::default();
         backing.record(id).unwrap().view().read_into(id, &mut f);
         f
@@ -1898,9 +1834,9 @@ pub(crate) mod tests {
 
     #[test]
     fn a_record_over_a_run_is_written_alone_and_the_buffer_never_grows() {
-        let mut backing = SpillBacking::new(SpillConfig::with_budget(0));
+        let mut backing = spilling(SpillConfig::with_budget(0));
         let small = append_to(&mut backing, &path_of(0, 4));
-        assert_eq!((backing.stats.spill_writes, backing.staged_ids.len()), (0, 1));
+        assert_eq!((backing.stats.spill_writes, staged_ids(&backing).len()), (0, 1));
         // A staged record counts as spilled already.
         assert_eq!((backing.stats.spilled_fragments, backing.stats.resident_longs), (1, 0));
         let big = append_to(&mut backing, &path_of(100, 3000));
@@ -1910,7 +1846,7 @@ pub(crate) mod tests {
         assert!(backing.staged.is_empty() && backing.staged.capacity() <= RUN_BYTES);
         assert_eq!(backing.file_end, 8 * (small.disk_longs() + big.disk_longs()));
         let after = append_to(&mut backing, &path_of(10_000, 4));
-        assert_eq!(backing.staged_ids, [after.id]);
+        assert_eq!(staged_ids(&backing), [after.id]);
         assert!(backing.staged.capacity() <= RUN_BYTES);
         for f in [&small, &big, &after] {
             assert_eq!(reread(&mut backing, f.id), *f);
@@ -1922,18 +1858,18 @@ pub(crate) mod tests {
     #[test]
     fn a_failed_flush_puts_every_staged_record_back() {
         let config = SpillConfig::with_budget(0).in_directory("/nonexistent/euler/spill/dir");
-        let mut backing = SpillBacking::new(config);
+        let mut backing = spilling(config);
         let fragments: Vec<Fragment> =
             (0..20).map(|i| append_to(&mut backing, &path_of(10 * i, 1 + i % 4))).collect();
         let disk_longs: u64 = fragments.iter().map(Fragment::disk_longs).sum();
-        assert_eq!(backing.staged_ids.len(), 20, "nothing has been written yet");
+        assert_eq!(staged_ids(&backing).len(), 20, "nothing has been written yet");
         assert_eq!(backing.stats.spilled_fragments, 20);
         assert_eq!(backing.stats.spill_write_longs, disk_longs);
         let stats = backing.stats();
         assert_eq!(stats.spill_errors, 1, "one failed write is one error: {stats:?}");
         assert_eq!((stats.spilled_fragments, stats.spill_write_longs, stats.spill_writes), (0, 0, 0));
         assert_eq!((stats.resident_longs, stats.evictions_scheduled), (disk_longs, 0));
-        assert!(backing.file.is_none() && backing.staged_ids.is_empty());
+        assert!(backing.file.is_none() && staged_ids(&backing).is_empty());
         // Spilling has stopped: a later push stays resident, and no error
         // repeats.
         let later = append_to(&mut backing, &path_of(1000, 3));
@@ -1942,6 +1878,46 @@ pub(crate) mod tests {
         }
         assert_eq!(backing.stats().spill_errors, 1);
         assert_eq!(backing.stats.resident_longs, disk_longs + later.disk_longs());
+    }
+
+    #[test]
+    fn an_adopted_run_shares_its_payload_without_a_budget_and_owns_its_bytes_under_one() {
+        let fragments: Vec<Fragment> = (0..3).map(|i| path_of(10 * i, 2)).collect();
+        let (head, bytes) = wire(0, &fragments);
+        // The run between other words, as a Done carries it.
+        let payload = Arc::new([&[7; 8][..], &bytes[..], &[7; 16][..]].concat());
+        let range = 8..8 + bytes.len();
+        let (unbounded, bounded) = (FragmentStore::new(), FragmentStore::spilling(SpillConfig::with_budget(1000)));
+        for store in [&unbounded, &bounded] {
+            store.adopt(&head, &payload, range.clone()).unwrap();
+        }
+        let buffers = |store: &FragmentStore| -> Vec<Arc<Vec<u8>>> {
+            store.inner.lock().backing.runs.values().map(|r| Arc::clone(&r.segment.buf)).collect()
+        };
+        assert!(buffers(&unbounded).iter().all(|buf| Arc::ptr_eq(buf, &payload)));
+        let owned = buffers(&bounded);
+        assert!(owned.iter().all(|buf| !Arc::ptr_eq(buf, &payload) && buf[..] == bytes[..]), "{owned:?}");
+        assert_eq!(Arc::strong_count(&payload), 2, "the payload and the unbounded store's run");
+        assert_eq!(bounded.stats().resident_longs, bounded.disk_longs());
+        assert_eq!(bounded.snapshot(), unbounded.snapshot());
+    }
+
+    #[test]
+    fn single_pushes_filed_back_to_back_share_a_run() {
+        // Under a zero budget every push goes to the file. Pushes staged one
+        // after another are one run; a write in between starts the next.
+        let mut backing = spilling(SpillConfig::with_budget(0));
+        let mut pushed: Vec<Fragment> = (0..10).map(|i| append_to(&mut backing, &path_of(10 * i, 2))).collect();
+        assert_eq!((backing.runs.len(), backing.file_order.len()), (1, 1));
+        backing.flush();
+        pushed.extend((10..13).map(|i| append_to(&mut backing, &path_of(10 * i, 2))));
+        assert_eq!(backing.runs.len(), 2, "a write in between starts the next run");
+        let mut stored = Vec::new();
+        backing.for_each_stored(&mut |id, view| stored.push(Fragment { id, ..path_of(0, view.len() as u64) })).unwrap();
+        assert_eq!(stored.iter().map(|f| f.id).collect::<Vec<_>>(), pushed.iter().map(|f| f.id).collect::<Vec<_>>());
+        for f in &pushed {
+            assert_eq!(reread(&mut backing, f.id), *f);
+        }
     }
 
     #[test]

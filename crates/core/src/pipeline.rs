@@ -381,7 +381,7 @@ pub(crate) mod wire {
     use super::*;
     use crate::fragment::FragmentId;
     use crate::state::{EdgeRef, LocalEdge, RemoteRef};
-    use euler_bsp::wire::{WireError, WordReader, WordWriter};
+    use euler_bsp::wire::{word_u32, WireError, WordReader, WordWriter};
     use euler_graph::{EdgeId, VertexId};
 
     /// Words in the record [`encode`] writes for `wp`.
@@ -435,7 +435,7 @@ pub(crate) mod wire {
         let (n_local, n_remote, n_leaves) = (r.count()?, r.count()?, r.count()?);
         let mut leaves = Vec::with_capacity(r.cap(n_leaves, 1));
         for _ in 0..n_leaves {
-            leaves.push(PartitionId(r.u()? as u32));
+            leaves.push(PartitionId(word_u32(r.u()?, "leaf")?));
         }
         let mut local_edges = Vec::with_capacity(r.cap(n_local, 4));
         for _ in 0..n_local {
@@ -454,15 +454,15 @@ pub(crate) mod wire {
                 edge: EdgeId(edge),
                 local: VertexId(local),
                 remote: VertexId(remote),
-                local_leaf: PartitionId(local_leaf as u32),
-                remote_leaf: PartitionId(remote_leaf as u32),
+                local_leaf: PartitionId(word_u32(local_leaf, "local leaf")?),
+                remote_leaf: PartitionId(word_u32(remote_leaf, "remote leaf")?),
             });
         }
         r.finish()?;
         Ok(WorkingPartition {
-            id: PartitionId(id as u32),
+            id: PartitionId(word_u32(id, "partition")?),
             leaves,
-            level: level as u32,
+            level: word_u32(level, "level")?,
             local_edges,
             remote_edges,
             isolated_vertices,
@@ -797,9 +797,9 @@ pub fn run_on_partitioned(
 }
 
 /// Builds the run's fragment store from its configuration: an explicit
-/// budget routes fragments through the out-of-core spill backing; otherwise
-/// they stay in the in-memory slab. Either way the circuits and the modelled
-/// disk accounting are identical.
+/// budget bounds the store's resident fragments, paging the rest out to a
+/// spill file; otherwise they all stay in memory. Either way the circuits
+/// and the modelled disk accounting are identical.
 fn fragment_store_for(config: &EulerConfig) -> FragmentStore {
     match config.fragment_memory_budget {
         Some(budget) => {

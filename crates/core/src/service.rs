@@ -65,7 +65,7 @@ use crate::merge_strategy::MergeStrategy;
 use crate::phase3::{CircuitResult, CircuitStep};
 use crate::pipeline::{run_input, InProcessBackend, Input, RunReport, YieldPoint};
 use euler_bsp::transport::{Connection, FrameBatch, Listener, FRAME_HEADER_BYTES};
-use euler_bsp::wire::{WireError, WordReader, WordWriter};
+use euler_bsp::wire::{word_u32, WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
 use euler_graph::{CsrFileEdgeStream, EdgeId, GraphRegistry, RegisteredGraph, VertexId};
 use euler_partition::{HashPartitioner, LdgPartitioner, StreamingPartitioner};
@@ -78,7 +78,7 @@ use std::time::Duration;
 /// frame (the `kind` field of the PR 6 frame header; see
 /// `euler_bsp::transport` for the byte layout). Requests are `0x1x`,
 /// responses `0x2x`, so neither range collides with the distributed-run
-/// protocol kinds (`1..=11`).
+/// protocol kinds (`1..=8`).
 pub mod frame_kind {
     /// → Register the `.ecsr` file at a path: `[path string]`.
     pub const REGISTER: u16 = 0x10;
@@ -1105,11 +1105,6 @@ pub struct RunOutcome {
     pub cancelled: bool,
     /// The run's accounting (absent for cached or cancelled runs).
     pub summary: Option<RunSummary>,
-}
-
-/// A wire word that must fit a `u32` field.
-fn word_u32(word: u64, field: &str) -> Result<u32, WireError> {
-    u32::try_from(word).map_err(|_| WireError::Invalid(format!("{field} {word} out of range")))
 }
 
 /// Decodes a run event. Every payload but an ERROR's must be read to its

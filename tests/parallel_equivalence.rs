@@ -438,6 +438,11 @@ fn fragment_budget_envelope_holds_under_concurrent_fan_out() {
                 "{name}: peak {} over budget {budget} + largest fragment {largest}",
                 stats.peak_resident_longs
             );
+            assert!(
+                stats.peak_resident_longs <= budget,
+                "{name}: peak {} over budget {budget}",
+                stats.peak_resident_longs
+            );
         }
     }
 }

@@ -233,6 +233,10 @@ proptest! {
             let largest_record = 4 + 3 * most_local.unwrap_or(0);
             prop_assert!(stats.peak_resident_longs <= budget + largest_record,
                 "peak {} over budget {budget} + {largest_record}", stats.peak_resident_longs);
+            // Runs are admitted whole within the budget, so the peak is within
+            // the budget itself.
+            prop_assert!(stats.peak_resident_longs <= budget,
+                "peak {} over budget {budget}", stats.peak_resident_longs);
         }
     }
 }
