@@ -28,10 +28,10 @@ use std::path::{Path, PathBuf};
 pub const CHECKPOINT_MAGIC: u64 = 0x4543_4B50_5430_3141;
 /// Current container version. The container itself has not changed since
 /// version 1; the version also pins the one payload layout written into it
-/// (a BSP worker's, which gained its list of kept states at version 2 and
-/// holds its fragments as segments of three-words-per-edge records since
-/// version 3), so a file of another build is refused rather than misread.
-pub const CHECKPOINT_VERSION: u64 = 3;
+/// (a BSP worker's: kept states since version 2, fragments as segments of
+/// records since 3, records in the two-words-a-step chain form since 4), so
+/// a file of another build is refused rather than misread.
+pub const CHECKPOINT_VERSION: u64 = 4;
 
 /// Typed reasons a checkpoint file cannot be restored.
 #[derive(Debug)]

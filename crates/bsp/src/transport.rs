@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION (9)
+//! version u16  FRAME_VERSION (10)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
 //! check   u64  word-folded FNV-1a over kind, len and payload
@@ -79,7 +79,7 @@ pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version. Bumped whenever the layout of the frame or
 /// of any message carried in it changes, so peers of different builds refuse
 /// each other at the first frame instead of misreading a payload.
-pub const FRAME_VERSION: u16 = 9;
+pub const FRAME_VERSION: u16 = 10;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -1024,7 +1024,7 @@ mod tests {
 
         let mut earlier = encode_frame(7, payload).unwrap();
         assert!(decode_frame(&earlier).is_ok());
-        for version in [2u16, 3, 4, 5, 6, 7, 8] {
+        for version in [2u16, 3, 4, 5, 6, 7, 8, 9] {
             earlier[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 decode_frame(&earlier),

@@ -2054,7 +2054,8 @@ impl DistRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::{Fragment, FragmentKind, TourEdge};
+    use crate::fragment::tests::raw_segment;
+    use crate::fragment::{packed_header, Fragment, FragmentKind, TourEdge};
     use crate::state::{EdgeRef, LocalEdge, RemoteRef};
     use euler_bsp::MemTransport;
     use euler_graph::{EdgeId, VertexId};
@@ -2141,18 +2142,18 @@ mod tests {
     }
 
     /// One-record segments of level 3, partition 0 that no well-behaved worker
-    /// writes — an empty fragment, a tour that breaks, a cycle left open —
-    /// and what the validator says to each.
+    /// writes — an empty fragment, a record of other coordinates, a count
+    /// past the payload, a cycle left open — and what the validator says to
+    /// each.
     fn hostile_segments() -> Vec<(Vec<Segment>, &'static str)> {
-        let lone = |kind, edges: &[[u64; 3]]| {
-            let mut segment = Segment::with_capacity(3, PartitionId(0), 1, edges.len());
-            segment.push_record(kind, edges);
-            vec![segment]
-        };
+        let lone = |words: &[u64]| vec![raw_segment(3, PartitionId(0), 1, words)];
+        let path = |level, n| packed_header(FragmentKind::Path, level, PartitionId(0), n);
+        let cycle = packed_header(FragmentKind::Cycle, 3, PartitionId(0), 2);
         vec![
-            (lone(FragmentKind::Path, &[]), "is empty"),
-            (lone(FragmentKind::Path, &[[1, 1, 2], [2, 3, 4]]), "tour breaks"),
-            (lone(FragmentKind::Cycle, &[[1, 1, 2], [2, 2, 3]]), "does not close"),
+            (lone(&[path(3, 0), 1]), "is empty"),
+            (lone(&[path(2, 1), 1, 1, 2]), "is not the next"),
+            (lone(&[path(3, 3), 1, 1, 2, 2, 3]), "truncated"),
+            (lone(&[cycle, 1, 1, 2, 2, 3]), "does not close"),
         ]
     }
 
@@ -2485,7 +2486,7 @@ mod tests {
     #[test]
     fn the_runs_of_one_partition_cross_the_wire_as_one_segment() {
         // Enough two-edge paths for several runs in slot 0, one in slot 1.
-        let many = 3 * crate::fragment::RUN_BYTES as u64 / 80;
+        let many = 3 * crate::fragment::RUN_BYTES as u64 / 48;
         let path = |slot: u32, i: u64| Fragment {
             id: FragmentId::new(3, PartitionId(slot), i),
             edges: vec![
@@ -2553,8 +2554,9 @@ mod tests {
         let segments = fragments_of(&parsed);
         let list = segments[0].1.range.start / 8 - 1 - SEGMENT_FRAMING_WORDS * segments.len();
         // Segment list: [n, (level, partition, first_seq, n_records, len) ×
-        // 2, kind, level, partition, n_edges, …].
-        for (word, expect_at_parse) in (0..15).map(|word| (word, [0, 5, 10].contains(&word))) {
+        // 2, packed header, start, id, …]. (An interior `to` is any vertex:
+        // the chain cannot break.)
+        for (word, expect_at_parse) in (0..14).map(|word| (word, [0, 5, 10].contains(&word))) {
             let bad = overrun(&done, list + word);
             match decode_done(Arc::new(bad)) {
                 Err(_) => assert!(expect_at_parse, "word {word}"),
@@ -2964,11 +2966,13 @@ mod tests {
         bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(s.restore(1).unwrap_err().ignored);
-        // So is the version before this one, whose payload held the
-        // fragments as a list of four-words-per-edge records.
-        bytes[8..16].copy_from_slice(&2u64.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(s.restore(1).unwrap_err().ignored);
+        // So are the versions before this one, whose payloads held the
+        // fragments as four- and three-words-per-edge records.
+        for earlier in [2u64, 3] {
+            bytes[8..16].copy_from_slice(&earlier.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(s.restore(1).unwrap_err().ignored);
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 

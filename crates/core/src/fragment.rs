@@ -19,18 +19,23 @@
 //! # One stored form: the record
 //!
 //! A fragment is stored, spilled, checkpointed and sent as one *record* of
-//! little-endian `u64` words — the [`Fragment::disk_longs`] Longs the paper's
-//! model charges for it:
+//! little-endian `u64` words, its chain — [`Fragment::disk_longs`] Longs,
+//! two a tour edge and two of header:
 //!
 //! ```text
-//! [kind, level, partition, n]        kind 0 = path, 1 = cycle; n ≥ 1
-//! n × [id, from, to]                 bit 63 of `id` clear: a real edge id
+//! [kind | level << 1 | partition << 8 | n << 32, start]
+//!                                    kind 0 = path, 1 = cycle; n ≥ 1
+//! n × [id, to]                       bit 63 of `id` clear: a real edge id
 //!                                    bit 63 of `id` set:   a fragment id
 //! ```
 //!
-//! The real/virtual tag is bit 63 of the id word: a [`FragmentId`] keeps it
-//! clear (7 bits of level), and an [`EdgeId`] that has it set is refused when
-//! the record is written. A record does not hold its own id; its position
+//! A tour edge's `from` is the previous edge's `to`, the first's `start`:
+//! edge `i` is the words `[from, id, to]` from word `1 + 2i` on, and a tour
+//! that breaks cannot be written. The packed word's fields are a
+//! [`FragmentId`]'s and a 32-bit count, so every word decodes. The
+//! real/virtual tag is bit 63 of the id word: a [`FragmentId`] keeps it
+//! clear, and an [`EdgeId`] that has it set is refused when the record is
+//! written. A record does not hold its own id; its position
 //! does. The records of one `(level, partition)` lie back to back in one
 //! buffer — a `Segment` — beside an index of where each starts, built while
 //! the segment is written or validated. Phase 1 hands the store a whole
@@ -48,7 +53,7 @@
 //! out-of-core mode) it pages segments out to a temp file as the bytes they
 //! are, in an order read off the [`FragmentId`] alone, and Phase 3
 //! reads the file back front to back, one positional read per write. The
-//! modelled [`disk_longs`](FragmentStore::disk_longs) and the circuits are
+//! stored [`disk_longs`](FragmentStore::disk_longs) and the circuits are
 //! the same with or without a budget; [`FragmentStoreStats`] reports the
 //! real traffic.
 //!
@@ -182,15 +187,10 @@ impl TourEdge {
             TourEdge::Virtual { fragment, from, to } => TourEdge::Virtual { fragment, from: to, to: from },
         }
     }
-
-    /// True for [`TourEdge::Real`].
-    pub fn is_real(&self) -> bool {
-        matches!(self, TourEdge::Real { .. })
-    }
 }
 
 /// Whether a fragment is an open path (OB-pair) or a closed cycle. The
-/// discriminant is the kind word of a stored record.
+/// discriminant is bit 0 of a stored record's packed header word.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FragmentKind {
     /// Maximal local path between two odd-degree boundary vertices.
@@ -256,34 +256,15 @@ impl Fragment {
         self.edges.is_empty()
     }
 
-    /// All distinct vertices that appear as tour-edge endpoints, in first-seen
-    /// order. These are the "visible" vertices at this fragment's granularity
-    /// (vertices interior to nested virtual edges are not included).
-    pub fn visible_vertices(&self) -> Vec<VertexId> {
-        let seen = first_seen(self.edges.iter().flat_map(|e| [e.from(), e.to()]));
-        seen.into_iter().map(|(v, _)| v).collect()
-    }
-
     /// Checks the internal chaining invariant: consecutive tour edges share a
     /// vertex and (for cycles) the fragment closes.
     pub fn is_well_formed(&self) -> bool {
-        if self.edges.is_empty() {
-            return false;
-        }
-        for w in self.edges.windows(2) {
-            if w[0].to() != w[1].from() {
-                return false;
-            }
-        }
-        match self.kind {
-            FragmentKind::Cycle => self.start() == self.end(),
-            FragmentKind::Path => true,
-        }
+        let chains = self.edges.windows(2).all(|w| w[0].to() == w[1].from());
+        chains && !self.is_empty() && (self.kind == FragmentKind::Path || self.start() == self.end())
     }
 
-    /// Number of Longs the fragment occupies *on disk* (not in partition
-    /// memory): kind/level/partition header plus 3 per tour edge — the words
-    /// of its record.
+    /// Number of Longs the fragment's record is stored in *on disk* (not in
+    /// partition memory): two of header plus two per tour edge.
     pub fn disk_longs(&self) -> u64 {
         (HEADER_WORDS + EDGE_WORDS * self.edges.len()) as u64
     }
@@ -293,35 +274,44 @@ impl Fragment {
 // The record: the one stored form of a fragment.
 // ---------------------------------------------------------------------------
 
-/// Words of a record's `[kind, level, partition, n]` header.
-const HEADER_WORDS: usize = 4;
-/// Words of one tour edge in a record: `[id, from, to]`.
-const EDGE_WORDS: usize = 3;
+/// Words of a record's `[packed, start]` header.
+const HEADER_WORDS: usize = 2;
+/// Words of one tour edge in a record: `[id, to]`.
+const EDGE_WORDS: usize = 2;
 /// Bit 63 of a tour edge's id word: set when the id is a [`FragmentId`].
 const VIRTUAL_TAG: u64 = 1 << 63;
+/// Shifts of a packed header word's fields above its kind bit (bit 0).
+const LEVEL_SHIFT: u32 = 1;
+const PARTITION_SHIFT: u32 = LEVEL_SHIFT + ID_LEVEL_BITS;
+const COUNT_SHIFT: u32 = PARTITION_SHIFT + ID_PARTITION_BITS;
 
-/// The three record words of a tour edge.
+/// The packed header word of a `kind` record of `n` tour edges found at
+/// `(level, partition)`, whose fields the caller has checked.
+pub(crate) fn packed_header(kind: FragmentKind, level: u32, partition: PartitionId, n: u64) -> u64 {
+    kind as u64 | (level as u64) << LEVEL_SHIFT | (partition.0 as u64) << PARTITION_SHIFT | n << COUNT_SHIFT
+}
+
+/// The fields of a record's packed header word: kind, level, partition and
+/// edge count. Every word decodes.
+fn unpacked(word: u64) -> (FragmentKind, u32, u32, u64) {
+    let kind = if word & 1 == 0 { FragmentKind::Path } else { FragmentKind::Cycle };
+    let field = |shift: u32, bits: u32| (word >> shift) as u32 & ((1 << bits) - 1);
+    (kind, field(LEVEL_SHIFT, ID_LEVEL_BITS), field(PARTITION_SHIFT, ID_PARTITION_BITS), word >> COUNT_SHIFT)
+}
+
+/// The two record words of a tour edge, `[id, to]`: its `from` is the
+/// previous edge's `to`.
 ///
 /// # Panics
 /// When the id has bit 63 set — the tag bit: an [`EdgeId`] ≥ 2⁶³, or a
 /// [`FragmentId`] no [`FragmentId::new`] returns.
 pub(crate) fn edge_words(e: &TourEdge) -> [u64; EDGE_WORDS] {
-    let (id, tag, from, to) = match *e {
-        TourEdge::Real { edge, from, to } => (edge.0, 0, from, to),
-        TourEdge::Virtual { fragment, from, to } => (fragment.0, VIRTUAL_TAG, from, to),
+    let (id, tag, to) = match *e {
+        TourEdge::Real { edge, to, .. } => (edge.0, 0, to),
+        TourEdge::Virtual { fragment, to, .. } => (fragment.0, VIRTUAL_TAG, to),
     };
     assert!(id & VIRTUAL_TAG == 0, "id {id:#x} of {e:?} does not leave the record's tag bit clear");
-    [id | tag, from.0, to.0]
-}
-
-/// The tour edge three record words stand for.
-fn tour_edge([id, from, to]: [u64; EDGE_WORDS]) -> TourEdge {
-    let (from, to) = (VertexId(from), VertexId(to));
-    if id & VIRTUAL_TAG == 0 {
-        TourEdge::Real { edge: EdgeId(id), from, to }
-    } else {
-        TourEdge::Virtual { fragment: FragmentId(id ^ VIRTUAL_TAG), from, to }
-    }
+    [id | tag, to.0]
 }
 
 /// One record, read in place: the bytes of its header and tour edges. Reads
@@ -333,12 +323,10 @@ pub(crate) struct RecordView<'a> {
 }
 
 impl<'a> RecordView<'a> {
-    /// Path or cycle.
-    pub(crate) fn kind(&self) -> FragmentKind {
-        match words_at(self.bytes, 0) {
-            [0] => FragmentKind::Path,
-            _ => FragmentKind::Cycle,
-        }
+    /// Path or cycle, and the vertex the tour leaves first.
+    fn head(&self) -> (FragmentKind, VertexId) {
+        let [word, start] = words_at(self.bytes, 0);
+        (unpacked(word).0, VertexId(start))
     }
 
     /// Number of tour edges.
@@ -346,9 +334,16 @@ impl<'a> RecordView<'a> {
         (self.bytes.len() / 8).saturating_sub(HEADER_WORDS) / EDGE_WORDS
     }
 
-    /// The `i`-th tour edge.
+    /// The `i`-th tour edge: `[from, id, to]` are the three words from word
+    /// `1 + 2i` on, `from` being `start` or the previous edge's `to`.
     pub(crate) fn edge(&self, i: usize) -> TourEdge {
-        tour_edge(words_at(self.bytes, HEADER_WORDS + EDGE_WORDS * i))
+        let [from, id, to] = words_at(self.bytes, 1 + EDGE_WORDS * i);
+        let (from, to) = (VertexId(from), VertexId(to));
+        if id & VIRTUAL_TAG == 0 {
+            TourEdge::Real { edge: EdgeId(id), from, to }
+        } else {
+            TourEdge::Virtual { fragment: FragmentId(id ^ VIRTUAL_TAG), from, to }
+        }
     }
 
     /// The tour edges, in order.
@@ -358,11 +353,12 @@ impl<'a> RecordView<'a> {
 
     /// Decodes the record into `out`, reusing its edge allocation.
     fn read_into(&self, id: FragmentId, out: &mut Fragment) {
-        let [_, level, partition] = words_at(self.bytes, 0);
+        let [word] = words_at(self.bytes, 0);
+        let (kind, level, partition, _) = unpacked(word);
         out.id = id;
-        out.kind = self.kind();
-        out.level = level as u32;
-        out.partition = PartitionId(partition as u32);
+        out.kind = kind;
+        out.level = level;
+        out.partition = PartitionId(partition);
         out.edges.clear();
         out.edges.extend(self.edges());
     }
@@ -422,15 +418,11 @@ pub(crate) struct SkeletonVisible {
 }
 
 impl Skeleton {
-    /// Notes the next record: a cycle or a path over the tour `edges`.
-    /// Returns its real edges.
-    fn push(&mut self, cycle: bool, edges: impl Iterator<Item = TourEdge> + Clone) -> u32 {
-        let virtuals = self.virtuals.len();
-        let mut record = SkeletonRecord { start: VertexId(0), reals: 0, virtuals: 0 };
-        for (at, e) in edges.clone().enumerate() {
-            if at == 0 {
-                record.start = e.from();
-            }
+    /// Notes the next record. Returns its real edges.
+    fn push(&mut self, view: RecordView<'_>) -> u32 {
+        let (virtuals, (kind, start)) = (self.virtuals.len(), view.head());
+        let mut record = SkeletonRecord { start, reals: 0, virtuals: 0 };
+        for (at, e) in view.edges().enumerate() {
             match e {
                 TourEdge::Real { .. } => record.reals += 1,
                 TourEdge::Virtual { fragment, from, .. } => {
@@ -438,10 +430,10 @@ impl Skeleton {
                 }
             }
         }
-        if cycle {
+        if kind == FragmentKind::Cycle {
             // A cycle closes, so its sources are its visible vertices.
             let position = self.records.len() as u32;
-            let seen = first_seen(edges.map(|e| e.from()));
+            let seen = first_seen(view.edges().map(|e| e.from()));
             let visible = seen.into_iter().map(|(vertex, at)| SkeletonVisible { vertex, record: position, at: at as u32 });
             self.visible.extend(visible);
         }
@@ -484,12 +476,16 @@ pub(crate) struct Segment {
 impl Segment {
     /// An empty run for `(level, partition)` with room for `records` records
     /// of `edges` tour edges in all.
+    ///
+    /// # Panics
+    /// When a coordinate does not fit a [`FragmentId`], as `FragmentId::new`.
     pub(crate) fn with_capacity(
         level: u32,
         partition: PartitionId,
         records: usize,
         edges: usize,
     ) -> Self {
+        FragmentId::new(level, partition, 0); // refuses coordinates no id can name
         let mut starts = Vec::with_capacity(records + 1);
         starts.push(0);
         let buf = Vec::with_capacity(8 * (HEADER_WORDS * records + EDGE_WORDS * edges));
@@ -514,16 +510,20 @@ impl Segment {
         RecordView { bytes: &self.buf[self.starts[i]..self.starts[i + 1]] }
     }
 
-    /// Appends one record: a `kind` fragment of the tour `edges`, given as
-    /// record words (see [`edge_words`]). For the run's writer: its buffer is
-    /// not shared yet.
-    pub(crate) fn push_record(&mut self, kind: FragmentKind, edges: &[[u64; EDGE_WORDS]]) {
-        let header = [kind as u64, self.level as u64, self.partition.0 as u64, edges.len() as u64];
+    /// Appends one record: a `kind` fragment whose tour leaves `start` over
+    /// `edges`, given as record words (see [`edge_words`]). For the run's
+    /// writer: its buffer is not shared yet.
+    ///
+    /// # Panics
+    /// When there are 2³² edges or more: the count does not fit the header.
+    pub(crate) fn push_record(&mut self, kind: FragmentKind, start: VertexId, edges: &[[u64; EDGE_WORDS]]) {
+        let n = edges.len() as u64;
+        assert!(n < 1 << (u64::BITS - COUNT_SHIFT), "a record of {n} tour edges overflows its header");
+        let header = [packed_header(kind, self.level, self.partition, n), start.0];
         let buf = Arc::get_mut(&mut self.buf).expect("a run being written is not shared");
         extend_words(buf, &header);
         extend_words(buf, edges.as_flattened());
-        let end = buf.len();
-        self.starts.push(end);
+        self.starts.push(buf.len());
     }
 
     /// Appends `other`'s records after this run's, in place — if the two
@@ -577,12 +577,12 @@ impl Segment {
 
     /// The one record validator: checks that `range` of `buf` holds exactly
     /// the `head.records` records of `head`'s `(level, partition)` and
-    /// indexes them where they lie. Every record must carry a known kind tag
-    /// and its segment's coordinates (its id is its position: the next of
-    /// the segment), hold at least one tour edge and no more than the payload
-    /// does, chain from edge to edge and — a cycle — close; every virtual
-    /// edge must name a fragment `stored` knows or an earlier record of the
-    /// run. Nothing is allocated beyond what the payload bounds
+    /// indexes them where they lie. Every record must carry its segment's
+    /// coordinates (its id is its position: the next of the segment), hold
+    /// at least one tour edge and no more than the payload does and — a
+    /// cycle — close, its last `to` its `start`; every virtual edge must name
+    /// a fragment `stored` knows or an earlier record of the run. The chain
+    /// form cannot break. Nothing is allocated beyond what the payload bounds
     /// ([`WordReader::cap`]).
     pub(crate) fn validated(
         head: &SegmentHead,
@@ -605,11 +605,9 @@ impl Segment {
         let mut starts = Vec::with_capacity(r.cap(records, HEADER_WORDS + EDGE_WORDS) + 1);
         for i in 0..head.records {
             starts.push(range.start + 8 * r.position());
-            let [kind, at_level, at_partition, n] = r.array()?;
-            if kind > 1 {
-                return invalid(format!("unknown fragment kind tag {kind}"));
-            }
-            if (at_level, at_partition) != (level as u64, partition.0 as u64) {
+            let [word, start] = r.array()?;
+            let (kind, at_level, at_partition, n) = unpacked(word);
+            if (at_level, at_partition) != (level, partition.0) {
                 return invalid(format!(
                     "record of level {at_level} partition {at_partition} is not the next of {}",
                     whose()
@@ -618,16 +616,9 @@ impl Segment {
             if n == 0 {
                 return invalid(format!("fragment {i} of {} is empty", whose()));
             }
-            let mut ends: Option<(u64, u64)> = None;
-            for [id, from, to] in r.arrays(usize::try_from(n).unwrap_or(usize::MAX))? {
-                let first = match ends {
-                    Some((_, at)) if at != from => {
-                        return invalid(format!("tour breaks between vertices {at} and {from}"));
-                    }
-                    Some((first, _)) => first,
-                    None => from,
-                };
-                ends = Some((first, to));
+            let mut last = start;
+            for [id, to] in r.arrays(usize::try_from(n).unwrap_or(usize::MAX))? {
+                last = to;
                 if id & VIRTUAL_TAG == 0 {
                     continue;
                 }
@@ -641,7 +632,7 @@ impl Segment {
                     ));
                 }
             }
-            if kind == 1 && ends.is_some_and(|(first, last)| first != last) {
+            if kind == FragmentKind::Cycle && last != start {
                 return invalid(format!("cycle {i} of {} does not close", whose()));
             }
         }
@@ -696,7 +687,8 @@ pub struct FragmentStoreStats {
 #[derive(Clone, Debug)]
 pub struct SpillConfig {
     /// Resident fragment budget in Longs (a fragment occupies
-    /// [`Fragment::disk_longs`] Longs). A run of records is admitted only
+    /// [`Fragment::disk_longs`] Longs: two per tour edge, two of header). A
+    /// run of records is admitted only
     /// once it fits, runs earlier in the eviction order paged out to the
     /// spill file to make room (see [`FragmentStore::spilling`]).
     pub memory_budget_longs: u64,
@@ -1013,7 +1005,7 @@ fn reloaded<T>(result: io::Result<T>) -> T {
 /// the runs they arrive in: [`FragmentStore::new`] keeps every run in
 /// memory, [`FragmentStore::spilling`] bounds resident fragment memory and
 /// pages whole runs out to a temp file (see [`SpillConfig`]). Either way the
-/// modelled accounting ([`disk_longs`](Self::disk_longs),
+/// stored accounting ([`disk_longs`](Self::disk_longs),
 /// [`total_real_edges`](Self::total_real_edges)) is exact and identical.
 /// The records' skeleton (see the module docs) is kept beside them, outside
 /// the fragment budget.
@@ -1035,7 +1027,7 @@ pub struct FragmentStore {
 struct Inner {
     backing: Backing,
     fragments: usize,
-    /// The modelled "persisted to disk" Longs: the words of the records.
+    /// The "persisted to disk" Longs: the words of the records.
     disk_longs: u64,
     real_edges: u64,
     /// The records' skeleton by `(level, partition)`: one entry a record.
@@ -1057,7 +1049,7 @@ impl Inner {
         self.disk_longs += segment.bytes().len() as u64 / 8;
         let skeleton = self.skeleton.entry((segment.level, segment.partition.0)).or_default();
         for record in (0..segment.records()).map(|i| segment.record_view(i)) {
-            self.real_edges += skeleton.push(record.kind() == FragmentKind::Cycle, record.edges()) as u64;
+            self.real_edges += skeleton.push(record) as u64;
         }
         self.backing.append(FragmentId::new(segment.level, segment.partition, first), segment);
         first
@@ -1096,13 +1088,17 @@ impl FragmentStore {
     /// number there. The `id` field of the passed fragment is ignored.
     ///
     /// # Panics
-    /// When an edge id or referenced fragment id has bit 63 set (see the
-    /// module docs), or — debug builds — the fragment is empty, does not
-    /// chain or, a cycle, does not close.
+    /// When the fragment is not [well formed](Fragment::is_well_formed) (an
+    /// unchained tour cannot even be written), an id has bit 63 set (see the
+    /// module docs), a coordinate does not fit a [`FragmentId`] or the tour
+    /// has 2³² edges or more.
     pub fn push(&self, fragment: Fragment) -> FragmentId {
+        let refused = "a fragment whose tour is empty, does not chain or does not close";
+        assert!(fragment.is_well_formed(), "{refused}: level {} partition {}", fragment.level, fragment.partition.0);
         let Fragment { kind, level, partition, edges, .. } = fragment;
         let mut segment = Segment::with_capacity(level, partition, 1, edges.len());
-        segment.push_record(kind, &edges.iter().map(edge_words).collect::<Vec<_>>());
+        let start = edges.first().map_or(VertexId(0), TourEdge::from);
+        segment.push_record(kind, start, &edges.iter().map(edge_words).collect::<Vec<_>>());
         FragmentId::new(level, partition, self.push_segment(segment))
     }
 
@@ -1227,9 +1223,8 @@ impl FragmentStore {
         self.inner.lock().backing.for_each_stored(&mut f)
     }
 
-    /// Total Longs written to "disk" — the paper's modelled persistence
-    /// accounting, which is the words of the stored records on every
-    /// backing.
+    /// Total Longs written to "disk": the words of the stored records, two
+    /// per tour edge and two per record, on every backing.
     pub fn disk_longs(&self) -> u64 {
         self.inner.lock().disk_longs
     }
@@ -1256,6 +1251,24 @@ pub(crate) mod tests {
     /// virtual edges `(tour index, fragment, entry vertex)` and, a cycle,
     /// visible vertices with their first tour index.
     type SkeletonRow = (FragmentId, VertexId, u32, Vec<(u32, FragmentId, VertexId)>, Vec<(VertexId, u32)>);
+
+    impl TourEdge {
+        /// True for [`TourEdge::Real`].
+        pub(crate) fn is_real(&self) -> bool {
+            matches!(self, TourEdge::Real { .. })
+        }
+    }
+
+    impl Fragment {
+        /// All distinct vertices that appear as tour-edge endpoints, in
+        /// first-seen order: the "visible" vertices at this fragment's
+        /// granularity (vertices interior to nested virtual edges are not
+        /// included) — the typed oracle of the skeleton's.
+        pub(crate) fn visible_vertices(&self) -> Vec<VertexId> {
+            let seen = first_seen(self.edges.iter().flat_map(|e| [e.from(), e.to()]));
+            seen.into_iter().map(|(v, _)| v).collect()
+        }
+    }
 
     /// The store's skeleton, record by record, ascending by id.
     fn skeleton_rows(store: &FragmentStore) -> Vec<SkeletonRow> {
@@ -1430,10 +1443,26 @@ pub(crate) mod tests {
         let (level, partition) = (fragments[0].level, fragments[0].partition);
         let mut segment = Segment::with_capacity(level, partition, 0, 0);
         for f in fragments {
-            segment.push_record(f.kind, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
+            push_tour(&mut segment, f);
         }
         let head = SegmentHead { level, partition, first_seq, records: fragments.len() as u64 };
         (head, Arc::new(segment.bytes().to_vec()))
+    }
+
+    /// Appends `f`'s record to `run`, as `FragmentStore::push` writes it.
+    fn push_tour(run: &mut Segment, f: &Fragment) {
+        let start = f.edges.first().map_or(VertexId(0), TourEdge::from);
+        run.push_record(f.kind, start, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
+    }
+
+    /// A run of `(level, partition)` said to hold `records` records over the
+    /// raw record `words`, which no writer of this crate need have produced.
+    pub(crate) fn raw_segment(level: u32, partition: PartitionId, records: usize, words: &[u64]) -> Segment {
+        let mut buf = Vec::new();
+        extend_words(&mut buf, words);
+        let mut starts = vec![0; records];
+        starts.push(buf.len());
+        Segment { level, partition, buf: Arc::new(buf), starts }
     }
 
     /// A store fed with `store`'s runs of records as bytes off the wire.
@@ -1461,12 +1490,12 @@ pub(crate) mod tests {
             partition: PartitionId(2),
             edges: vec![real(2 * i, i, i + 1), real(2 * i + 1, i + 1, if i.is_multiple_of(5) { i } else { i + 2 })],
         };
-        let fragments: Vec<Fragment> = (0..3 * RUN_BYTES as u64 / 80).map(path).collect();
+        let fragments: Vec<Fragment> = (0..3 * RUN_BYTES as u64 / 48).map(path).collect();
         let (singles, whole) = (FragmentStore::new(), FragmentStore::new());
         let mut run = Segment::with_capacity(1, PartitionId(2), 0, 0);
         for f in &fragments {
             assert_eq!(singles.push(f.clone()), f.id);
-            run.push_record(f.kind, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
+            push_tour(&mut run, f);
             if run.bytes().len() >= RUN_BYTES {
                 whole.push_segment(std::mem::replace(&mut run, Segment::with_capacity(1, PartitionId(2), 0, 0)));
             }
@@ -1480,7 +1509,7 @@ pub(crate) mod tests {
         for store in [&singles, &whole, &readopted(&singles)] {
             let runs = store.segments();
             assert!(runs.len() >= 5, "{} runs", runs.len());
-            assert!(runs.iter().all(|r| r.bytes().len() < RUN_BYTES + 80));
+            assert!(runs.iter().all(|r| r.bytes().len() < RUN_BYTES + 48));
             assert_eq!(store.len(), fragments.len() + 2);
             assert_eq!(store.snapshot()[1..=fragments.len()], fragments[..]);
             for f in fragments.iter().step_by(97) {
@@ -1534,7 +1563,7 @@ pub(crate) mod tests {
             ..back(1)
         });
         // Nothing of a refused run is kept.
-        assert_eq!(store.disk_longs(), 3 * 7);
+        assert_eq!(store.disk_longs(), 3 * 4);
     }
 
     #[test]
@@ -1547,12 +1576,11 @@ pub(crate) mod tests {
             edges: vec![real(0, 5, 6), real(1, 6, 7)],
         };
         let store = FragmentStore::new();
-        // Empty, unchained, unclosed: what `Fragment::is_well_formed` refuses.
+        // Empty and unclosed: what `Fragment::is_well_formed` refuses and the
+        // chain form can still say.
         invalid(adopt(&store, 0, &[Fragment { edges: Vec::new(), ..path.clone() }]), "is empty");
-        let broken = Fragment { edges: vec![real(0, 5, 6), real(1, 7, 8)], ..path.clone() };
-        invalid(adopt(&store, 0, &[broken]), "tour breaks");
         invalid(adopt(&store, 0, &[Fragment { kind: FragmentKind::Cycle, ..path.clone() }]), "does not close");
-        // Tags: an unknown kind, and a real edge flipped to a virtual one.
+        // Patched words: [packed, start, id, to, id, to].
         let (head, bytes) = wire(0, std::slice::from_ref(&path));
         let patched = |word: usize, value: u64| {
             let mut bytes = bytes.to_vec();
@@ -1560,12 +1588,18 @@ pub(crate) mod tests {
             let bytes = Arc::new(bytes);
             store.adopt(&head, &bytes, 0..bytes.len())
         };
-        invalid(patched(0, 2), "unknown fragment kind");
-        invalid(patched(4, VIRTUAL_TAG), "unknown fragment");
-        // A count beyond the payload, with nothing allocated for it; a run
+        // A record of other coordinates than its segment's, and a cycle whose
+        // last `to` is not its start.
+        let header = |kind, level, partition, n| packed_header(kind, level, PartitionId(partition), n);
+        invalid(patched(0, header(FragmentKind::Path, 3, 1, 2)), "not the next");
+        invalid(patched(0, header(FragmentKind::Path, 2, 0, 2)), "not the next");
+        invalid(patched(0, header(FragmentKind::Cycle, 2, 1, 2)), "does not close");
+        // A real edge flipped to a virtual one.
+        invalid(patched(2, VIRTUAL_TAG), "unknown fragment");
+        // A count past the payload, with nothing allocated for it; a run
         // with fewer records than its head says, or more bytes.
-        assert!(matches!(patched(3, u64::MAX / 2), Err(WireError::Truncated { .. })));
-        assert!(matches!(patched(3, 3), Err(WireError::Truncated { .. })));
+        assert!(matches!(patched(0, header(FragmentKind::Path, 2, 1, u32::MAX as u64)), Err(WireError::Truncated { .. })));
+        assert!(matches!(patched(0, header(FragmentKind::Path, 2, 1, 3)), Err(WireError::Truncated { .. })));
         let two = SegmentHead { records: 2, ..head };
         assert!(matches!(store.adopt(&two, &bytes, 0..bytes.len()), Err(WireError::Truncated { .. })));
         invalid(store.adopt(&SegmentHead { records: 0, ..head }, &bytes, 0..bytes.len()), "unread word");
@@ -1578,8 +1612,25 @@ pub(crate) mod tests {
         }
         assert!(matches!(store.adopt(&head, &bytes, 0..bytes.len() + 8), Err(WireError::Truncated { .. })));
         assert!(store.is_empty(), "nothing of a refused run is kept");
+        // Any `to` chains on: the next edge leaves from it.
+        let mut rerouted = bytes.to_vec();
+        rerouted[24..32].copy_from_slice(&9u64.to_le_bytes());
+        let detour = Fragment { edges: vec![real(0, 5, 9), real(1, 9, 7)], ..path.clone() };
+        assert_eq!(rerouted, *wire(0, &[detour]).1);
         store.adopt(&head, &bytes, 0..bytes.len()).unwrap();
         assert_eq!(store.snapshot(), vec![Fragment { id: FragmentId::new(2, PartitionId(1), 0), ..path }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not chain")]
+    fn a_tour_that_does_not_chain_is_refused_at_push() {
+        FragmentStore::new().push(Fragment {
+            id: FragmentId(0),
+            kind: FragmentKind::Path,
+            level: 0,
+            partition: PartitionId(0),
+            edges: vec![real(0, 5, 6), real(1, 7, 8)],
+        });
     }
 
     #[test]
@@ -1626,7 +1677,7 @@ pub(crate) mod tests {
             partition: PartitionId(0),
             edges: vec![real(0, 0, 1), real(1, 1, 2)],
         });
-        assert_eq!(store.disk_longs(), 4 + 6);
+        assert_eq!(store.disk_longs(), 2 + 4);
     }
 
     // --- The spill backing. -------------------------------------------------
@@ -1779,7 +1830,7 @@ pub(crate) mod tests {
     /// partition)`.
     fn append_to(backing: &mut Backing, f: &Fragment) -> Fragment {
         let mut run = Segment::with_capacity(f.level, f.partition, 1, f.len());
-        run.push_record(f.kind, &f.edges.iter().map(edge_words).collect::<Vec<_>>());
+        push_tour(&mut run, f);
         let seq = backing.runs.values().map(|r| r.segment.records() as u64).sum();
         let id = FragmentId::new(f.level, f.partition, seq);
         backing.append(id, run);
@@ -1806,10 +1857,10 @@ pub(crate) mod tests {
 
     #[test]
     fn a_zero_budget_store_writes_once_per_filled_run_and_per_oversized_record() {
-        // A 4-edge path is 16 Longs, 128 bytes: a run holds exactly that many
-        // of them. A 3000-edge path does not fit a run at all.
-        let per_run = RUN_BYTES / 128;
-        let sizes = [vec![4; 3 * per_run], vec![3000], vec![4; per_run], vec![3000], vec![4; 100]].concat();
+        // A 3-edge path is 8 Longs, 64 bytes: a run holds exactly that many
+        // of them. A 5000-edge path does not fit a run at all.
+        let per_run = RUN_BYTES / 64;
+        let sizes = [vec![3; 3 * per_run], vec![5000], vec![3; per_run], vec![5000], vec![3; 100]].concat();
         let store = FragmentStore::spilling(SpillConfig::with_budget(0));
         let mut edge = 0;
         let pushed: Vec<Fragment> = sizes
@@ -1839,7 +1890,7 @@ pub(crate) mod tests {
         assert_eq!((backing.stats.spill_writes, staged_ids(&backing).len()), (0, 1));
         // A staged record counts as spilled already.
         assert_eq!((backing.stats.spilled_fragments, backing.stats.resident_longs), (1, 0));
-        let big = append_to(&mut backing, &path_of(100, 3000));
+        let big = append_to(&mut backing, &path_of(100, 5000));
         assert!(8 * big.disk_longs() as usize > RUN_BYTES);
         // The staged run went first, then the big record on its own.
         assert_eq!(backing.stats.spill_writes, 2);

@@ -282,7 +282,7 @@ pub fn run_phase1_with_arena(
         let end = tr.walk(s, splice);
         debug_assert!(splice.len() > base, "odd-degree vertex must have an unvisited edge");
         debug_assert_ne!(end, s, "a maximal walk from an odd vertex ends elsewhere (Lemma 1)");
-        splice.create_fragment(FragmentKind::Path, base, end, visible);
+        splice.create_fragment(FragmentKind::Path, tr.k.index.vertex(s), base, end, visible);
     }
 
     // --- Step 2: cycles at boundary vertices. -------------------------------
@@ -294,14 +294,15 @@ pub fn run_phase1_with_arena(
             continue; // trivial singleton: nothing to record
         }
         debug_assert_eq!(end, s, "even-degree traversal closes (Lemma 2)");
-        splice.create_fragment(FragmentKind::Cycle, base, end, visible);
+        splice.create_fragment(FragmentKind::Cycle, b, base, end, visible);
     }
 
     // --- Step 3: cycles at internal vertices, spliced at pivots. ------------
     let mut internal_cycles_merged = 0u64;
     let mut pivot_lookups = 0u64;
     while let Some(e) = tr.any_unvisited() {
-        let start = tr.k.index.slot(local_edges[e as usize].u).expect("endpoint interned");
+        let start_v = local_edges[e as usize].u;
+        let start = tr.k.index.slot(start_v).expect("endpoint interned");
         let base = splice.len();
         let end = tr.walk(start, splice);
         debug_assert_eq!(end, start, "internal traversal closes (Lemma 2)");
@@ -317,7 +318,7 @@ pub fn run_phase1_with_arena(
             }
             None => {
                 // Disconnected local subgraph: keep as a standalone cycle.
-                splice.create_fragment(FragmentKind::Cycle, base, end, visible);
+                splice.create_fragment(FragmentKind::Cycle, start_v, base, end, visible);
             }
         }
     }

@@ -226,7 +226,6 @@ pub fn run_phase1_reference(wp: &mut WorkingPartition, store: &FragmentStore) ->
             partition: wp.id,
             edges: pf.edges,
         };
-        debug_assert!(fragment.is_well_formed(), "phase 1 produced a malformed fragment");
         materialization_longs += fragment.disk_longs();
         let start = fragment.start();
         let end = fragment.end();

@@ -15,9 +15,11 @@
 //!   a fragment *indexes* it: next-links (`nxt`) over its run, plus the
 //!   handles below. A spliced cycle is never copied: its walked run is
 //!   closed into a ring by its links and opened at the pivot, O(|cycle|).
-//!   Nodes are kept as the three words a tour edge has in a stored record,
-//!   so persisting a fragment is one copy of its run into the segment buffer
-//!   the store takes whole, or a single O(total) walk over the links.
+//!   Nodes are kept as the two words a tour edge has in a stored record,
+//!   `[id, to]` — a node's `from` is the `to` before it, the first's the
+//!   fragment's start, and a splice keeps both true — so persisting a
+//!   fragment is one copy of its run into the segment buffer the store takes
+//!   whole, or a single O(total) walk over the links.
 //! * **First-occurrence handles.** For every vertex slot an indexed
 //!   fragment owns (the `visible` array the kernel already keeps), the
 //!   index records `first_pred[slot]`: the arena node *preceding* the
@@ -80,6 +82,8 @@ const TAG_LIMIT: u64 = 1 << 62;
 #[derive(Clone, Copy, Debug)]
 struct Frag {
     kind: FragmentKind,
+    /// Vertex the tour leaves first; splices never move it.
+    start: VertexId,
     /// First / last arena node of the tour.
     head: u32,
     tail: u32,
@@ -98,8 +102,8 @@ struct Frag {
 #[derive(Default)]
 pub(crate) struct SpliceIndex {
     /// Tour-node arena: every walked edge, in walk order, as its record
-    /// words `[id, from, to]`.
-    nodes: Vec<[u64; 3]>,
+    /// words `[id, to]`.
+    nodes: Vec<[u64; 2]>,
     /// Vertex slot each arena node leaves (its `from()`), parallel to `nodes`.
     nslot: Vec<u32>,
     /// Next-links over `nodes` (`NONE` terminates a fragment's tour). Only
@@ -211,13 +215,14 @@ impl SpliceIndex {
         owners.enumerate().find(|&(_, at)| at != NOT_VISIBLE)
     }
 
-    /// Turns the walk appended since `base`, which ended on `end_slot`, into
-    /// a new pending fragment: claims its still-free vertex slots in
-    /// `visible` (first-wins, exactly like the old `register_visible`) and
-    /// nothing else. Returns the fragment's index.
+    /// Turns the walk appended since `base`, which left `start` and ended on
+    /// `end_slot`, into a new pending fragment: claims its still-free vertex
+    /// slots in `visible` (first-wins, exactly like the old
+    /// `register_visible`) and nothing else. Returns the fragment's index.
     pub(crate) fn create_fragment(
         &mut self,
         kind: FragmentKind,
+        start: VertexId,
         base: usize,
         end_slot: u32,
         visible: &mut [u32],
@@ -233,6 +238,7 @@ impl SpliceIndex {
         let (head, tail) = (base as u32, self.nodes.len() as u32 - 1);
         self.frags.push(Frag {
             kind,
+            start,
             head,
             tail,
             len: tail - head + 1,
@@ -522,7 +528,7 @@ impl SpliceIndex {
     /// in it, otherwise gathered by the single O(len) walk over its links —
     /// handing the records over a run ([`RUN_BYTES`]) at a time.
     pub(crate) fn persist(&self, level: u32, partition: PartitionId, mut hand_over: impl FnMut(Segment)) {
-        let fresh = || Segment::with_capacity(level, partition, RUN_BYTES / 256, RUN_BYTES / 24);
+        let fresh = || Segment::with_capacity(level, partition, RUN_BYTES / 256, RUN_BYTES / 16);
         let (mut out, mut linked) = (fresh(), Vec::new());
         for f in &self.frags {
             if f.indexed {
@@ -532,9 +538,9 @@ impl SpliceIndex {
                 });
                 linked.extend(links.map(|cur| self.nodes[cur as usize]));
                 debug_assert_eq!(linked.len(), f.len as usize, "linked tour length drifted");
-                out.push_record(f.kind, &linked);
+                out.push_record(f.kind, f.start, &linked);
             } else {
-                out.push_record(f.kind, &self.nodes[f.head as usize..=f.tail as usize]);
+                out.push_record(f.kind, f.start, &self.nodes[f.head as usize..=f.tail as usize]);
             }
             if out.bytes().len() >= RUN_BYTES {
                 hand_over(std::mem::replace(&mut out, fresh()));
@@ -545,10 +551,7 @@ impl SpliceIndex {
 
     /// Every pending fragment's kind and end vertices, in creation order.
     pub(crate) fn ends(&self) -> impl Iterator<Item = (FragmentKind, VertexId, VertexId)> + '_ {
-        self.frags.iter().map(|f| {
-            let (first, last) = (self.nodes[f.head as usize], self.nodes[f.tail as usize]);
-            (f.kind, VertexId(first[1]), VertexId(last[2]))
-        })
+        self.frags.iter().map(|f| (f.kind, f.start, VertexId(self.nodes[f.tail as usize][1])))
     }
 }
 
@@ -632,7 +635,7 @@ mod tests {
                     return;
                 }
             }
-            self.idx.create_fragment(kind, base, end, &mut self.visible);
+            self.idx.create_fragment(kind, tour[0].from(), base, end, &mut self.visible);
             self.frags.push(tour.to_vec());
         }
 
@@ -855,7 +858,7 @@ mod tests {
             idx.reset();
             let mut visible = vec![NOT_VISIBLE; 16];
             let (base, end) = Model::append(idx, &[e(0, 1, 0), e(1, 2, 1), e(2, 0, 2)]);
-            idx.create_fragment(FragmentKind::Cycle, base, end, &mut visible);
+            idx.create_fragment(FragmentKind::Cycle, VertexId(0), base, end, &mut visible);
             let (base, _) = Model::append(idx, &[e(3, 1, 3), e(1, 3, 4)]);
             assert_eq!(idx.pivot(base, &visible), Some((1, 0)));
             idx.merge_into(0, 1, base, &mut visible);
@@ -875,17 +878,17 @@ mod tests {
         idx.reset();
         let mut visible = vec![NOT_VISIBLE; 16];
         let (base, end) = Model::append(&mut idx, &[e(0, 1, 0), e(1, 0, 1)]);
-        idx.create_fragment(FragmentKind::Cycle, base, end, &mut visible);
+        idx.create_fragment(FragmentKind::Cycle, VertexId(0), base, end, &mut visible);
         let (base, _) = Model::append(&mut idx, &[e(1, 2, 2), e(2, 1, 3)]);
         idx.merge_into(0, 0, base, &mut visible);
         idx.poison();
         idx.reset();
         visible.fill(NOT_VISIBLE);
         let (base, end) = Model::append(&mut idx, &[e(0, 1, 0), e(1, 2, 1)]);
-        idx.create_fragment(FragmentKind::Path, base, end, &mut visible);
+        idx.create_fragment(FragmentKind::Path, VertexId(0), base, end, &mut visible);
         let (base, end) = Model::append(&mut idx, &[e(3, 4, 2), e(4, 3, 3)]);
         assert_eq!(idx.pivot(base, &visible), None);
-        idx.create_fragment(FragmentKind::Cycle, base, end, &mut visible);
+        idx.create_fragment(FragmentKind::Cycle, VertexId(3), base, end, &mut visible);
         let expect = vec![
             (FragmentKind::Path, vec![e(0, 1, 0), e(1, 2, 1)]),
             (FragmentKind::Cycle, vec![e(3, 4, 2), e(4, 3, 3)]),

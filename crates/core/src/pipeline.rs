@@ -799,7 +799,7 @@ pub fn run_on_partitioned(
 /// Builds the run's fragment store from its configuration: an explicit
 /// budget bounds the store's resident fragments, paging the rest out to a
 /// spill file; otherwise they all stay in memory. Either way the circuits
-/// and the modelled disk accounting are identical.
+/// and the stored disk accounting are identical.
 fn fragment_store_for(config: &EulerConfig) -> FragmentStore {
     match config.fragment_memory_budget {
         Some(budget) => {

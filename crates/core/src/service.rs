@@ -356,7 +356,9 @@ pub struct ServiceConfig {
     /// Per-run fragment spill budget in Longs — the enforcement lever: every
     /// service run executes under
     /// [`EulerConfig::fragment_memory_budget`], so fragment memory above
-    /// this pages to disk instead of growing the resident set.
+    /// this pages to disk instead of growing the resident set. A stored
+    /// fragment takes two Longs per tour edge plus two, so the default
+    /// `1 << 16` holds a little under 32 Ki tour edges.
     pub fragment_budget_longs: u64,
     /// Circuit steps per [`frame_kind::CHUNK`] frame.
     pub chunk_steps: usize,

@@ -163,6 +163,19 @@ impl Fnv1a {
         self.0 = h;
     }
 
+    /// Folds `words`, handing each to `check` as it goes: checks that do not
+    /// feed the hash run in the shadow of its dependent multiply chain.
+    #[inline]
+    fn fold(&mut self, words: &[u64], mut check: impl FnMut(u64)) {
+        let mut h = self.0;
+        for &w in words {
+            h ^= w;
+            h = h.wrapping_mul(FNV_PRIME);
+            check(w);
+        }
+        self.0 = h;
+    }
+
     fn finish(self) -> u64 {
         self.0
     }
@@ -289,8 +302,7 @@ impl CsrFile {
     /// for every malformed-file condition.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<CsrFile, GraphError> {
         let this = Self::open_trusted(path)?;
-        this.verify_checksum()?;
-        this.validate_structure()?;
+        this.validate()?;
         Ok(this)
     }
 
@@ -385,8 +397,13 @@ impl CsrFile {
         Ok(CsrFile { path, map, num_vertices, num_edges, offsets, targets, edge_ids, endpoints })
     }
 
-    /// Recomputes the section checksum and compares it to the header's.
-    fn verify_checksum(&self) -> Result<(), GraphError> {
+    /// Recomputes the section checksum and checks the CSR invariants the
+    /// zero-copy consumers rely on, in one pass over each section: the range
+    /// and order checks and the degree count ride along the checksum fold.
+    /// A checksum mismatch is reported before any structural error, and the
+    /// structural errors in a fixed order (offsets, targets, edge ids,
+    /// endpoints, degrees), each naming the first offending word.
+    fn validate(&self) -> Result<(), GraphError> {
         let expected = self
             .map
             .get(64..72)
@@ -397,26 +414,36 @@ impl CsrFile {
                 needed: HEADER_BYTES,
                 actual: self.map.len() as u64,
             })?;
+        let (n, m) = (self.num_vertices, self.num_edges);
         let mut hash = Fnv1a::new();
-        for section in [self.offsets(), self.targets(), self.edge_ids(), self.endpoints_flat()] {
-            hash.update_words(section);
-        }
+        let (mut descending, mut previous) = (false, 0);
+        hash.fold(self.offsets(), |o| {
+            descending |= o < previous;
+            previous = o;
+        });
+        let mut target_out = false;
+        hash.fold(self.targets(), |t| target_out |= t >= n);
+        let mut edge_out = false;
+        hash.fold(self.edge_ids(), |e| edge_out |= e >= m);
+        // The degree of every vertex under the endpoints section (a self-loop
+        // counts twice, matching the duplicated adjacency entry).
+        let (mut degrees, mut endpoint_out) = (vec![0u64; n as usize], false);
+        hash.fold(self.endpoints_flat(), |v| match degrees.get_mut(v as usize) {
+            Some(d) => *d += 1,
+            None => endpoint_out = true,
+        });
         let actual = hash.finish();
         if actual != expected {
             return Err(CsrFileError::ChecksumMismatch { expected, actual }.into());
         }
-        Ok(())
-    }
 
-    /// Checks the CSR invariants the zero-copy consumers rely on.
-    fn validate_structure(&self) -> Result<(), GraphError> {
         let invalid = |message: String| GraphError::from(CsrFileError::Invalid { message });
         let offsets = self.offsets();
-        let half_edges = 2 * self.num_edges;
+        let half_edges = 2 * m;
         if offsets.first() != Some(&0) {
             return Err(invalid("offsets[0] must be 0".into()));
         }
-        if offsets.windows(2).any(|w| matches!(w, &[lo, hi] if lo > hi)) {
+        if descending {
             return Err(invalid("offsets must be monotonically non-decreasing".into()));
         }
         let last = offsets
@@ -424,33 +451,25 @@ impl CsrFile {
             .copied()
             .ok_or_else(|| invalid("offsets section is empty".into()))?;
         if last != half_edges {
-            return Err(invalid(format!(
-                "offsets[{}] = {last} but the graph has {half_edges} half-edges",
-                self.num_vertices,
-            )));
+            return Err(invalid(format!("offsets[{n}] = {last} but the graph has {half_edges} half-edges")));
         }
-        if let Some(&t) = self.targets().iter().find(|&&t| t >= self.num_vertices) {
-            return Err(invalid(format!("target vertex {t} out of range (n = {})", self.num_vertices)));
+        // Rescanned only when the fold saw an offender, to name the first.
+        fn first_out(out: bool, words: &[u64], bound: u64) -> Option<u64> {
+            out.then(|| words.iter().copied().find(|&w| w >= bound)).flatten()
         }
-        if let Some(&e) = self.edge_ids().iter().find(|&&e| e >= self.num_edges) {
-            return Err(invalid(format!("edge id {e} out of range (m = {})", self.num_edges)));
+        if let Some(t) = first_out(target_out, self.targets(), n) {
+            return Err(invalid(format!("target vertex {t} out of range (n = {n})")));
         }
-        if let Some(&v) = self.endpoints_flat().iter().find(|&&v| v >= self.num_vertices) {
-            return Err(invalid(format!("endpoint vertex {v} out of range (n = {})", self.num_vertices)));
+        if let Some(e) = first_out(edge_out, self.edge_ids(), m) {
+            return Err(invalid(format!("edge id {e} out of range (m = {m})")));
         }
-        // Cross-check the two graph descriptions: the degree of every vertex
-        // under the endpoints section (a self-loop counts twice, matching the
-        // duplicated adjacency entry) must equal its offsets range. This is
-        // what lets the pipeline run its Eulerian pre-check off the offsets
-        // while slicing partitions from the endpoints.
-        let mut degrees = vec![0u64; self.num_vertices as usize];
-        for &v in self.endpoints_flat() {
-            // Every endpoint was range-checked above; a miss here would mean
-            // the map changed underneath us, and is simply not counted.
-            if let Some(d) = degrees.get_mut(v as usize) {
-                *d += 1;
-            }
+        if let Some(v) = first_out(endpoint_out, self.endpoints_flat(), n) {
+            return Err(invalid(format!("endpoint vertex {v} out of range (n = {n})")));
         }
+        // Cross-check the two graph descriptions: the endpoints' degrees must
+        // equal the offsets ranges. This is what lets the pipeline run its
+        // Eulerian pre-check off the offsets while slicing partitions from
+        // the endpoints.
         for (v, (&d, w)) in degrees.iter().zip(offsets.windows(2)).enumerate() {
             let &[lo, hi] = w else { continue };
             if d != hi - lo {

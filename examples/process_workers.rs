@@ -79,7 +79,7 @@ fn main() -> ExitCode {
     }
     println!("  circuit edges: {}", clean.circuit.result.total_edges());
     // Fragments cross the wire as the records they are stored as: 8 bytes per
-    // modelled disk Long, plus five framing words for each partition stepped.
+    // stored disk Long, plus five framing words for each partition stepped.
     let fragment_bytes: u64 = engine.supersteps.iter().map(|s| s.fragment_bytes).sum();
     let segments: u64 = engine.supersteps.iter().map(|s| s.active_partitions as u64).sum();
     let disk_longs = clean.circuit.fragment_disk_longs;
