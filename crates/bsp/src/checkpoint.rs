@@ -29,9 +29,9 @@ pub const CHECKPOINT_MAGIC: u64 = 0x4543_4B50_5430_3141;
 /// Current container version. The container itself has not changed since
 /// version 1; the version also pins the one payload layout written into it
 /// (a BSP worker's: kept states since version 2, fragments as segments of
-/// records since 3, records in the two-words-a-step chain form since 4), so
-/// a file of another build is refused rather than misread.
-pub const CHECKPOINT_VERSION: u64 = 4;
+/// records in versions 3 and 4, and since version 5 the slot and kept state
+/// lists alone), so a file of another build is refused rather than misread.
+pub const CHECKPOINT_VERSION: u64 = 5;
 
 /// Typed reasons a checkpoint file cannot be restored.
 #[derive(Debug)]
@@ -80,11 +80,11 @@ pub fn checkpoint_file(dir: &Path, worker: u32, superstep: u32) -> PathBuf {
     dir.join(format!("ckpt-w{worker}-s{superstep}.bin"))
 }
 
-/// Atomically writes the payload `parts` (word payloads, concatenated) to
-/// `path` (temp file in the same directory, then rename). Returns the total
-/// Longs written including the container header.
-pub fn write_checkpoint(path: &Path, parts: &[&[u8]]) -> Result<u64, CheckpointError> {
-    let bytes: usize = parts.iter().map(|p| p.len()).sum();
+/// Atomically writes the word payload `payload` to `path` (temp file in the
+/// same directory, then rename). Returns the total Longs written including
+/// the container header.
+pub fn write_checkpoint(path: &Path, payload: &[u8]) -> Result<u64, CheckpointError> {
+    let bytes = payload.len();
     if !bytes.is_multiple_of(8) {
         return Err(CheckpointError::Io(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -93,9 +93,7 @@ pub fn write_checkpoint(path: &Path, parts: &[&[u8]]) -> Result<u64, CheckpointE
     }
     let len = (bytes / 8) as u64;
     let mut fold = WordFold::new();
-    for part in parts {
-        fold.bytes(part);
-    }
+    fold.bytes(payload);
     let header =
         WordWriter::from_words(&[CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len, fold.finish()]);
     if let Some(dir) = path.parent() {
@@ -105,9 +103,7 @@ pub fn write_checkpoint(path: &Path, parts: &[&[u8]]) -> Result<u64, CheckpointE
     {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(header.as_bytes())?;
-        for part in parts {
-            f.write_all(part)?;
-        }
+        f.write_all(payload)?;
         f.sync_all().ok();
     }
     fs::rename(&tmp, path)?;
@@ -157,12 +153,8 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<u8>, CheckpointError> {
 mod tests {
     use super::*;
 
-    /// Writes `words` as two parts split off a word boundary, so every test
-    /// also exercises the chained checksum.
     fn write_words(path: &Path, words: &[u64]) -> Result<u64, CheckpointError> {
-        let payload = WordWriter::from_words(words);
-        let (a, b) = payload.as_bytes().split_at(payload.as_bytes().len() / 3);
-        write_checkpoint(path, &[a, b])
+        write_checkpoint(path, WordWriter::from_words(words).as_bytes())
     }
 
     fn read_words(path: &Path) -> Result<Vec<u64>, CheckpointError> {
@@ -237,10 +229,16 @@ mod tests {
             Err(CheckpointError::UnsupportedVersion(99))
         ));
         // A version 1 file — the same container around a payload without the
-        // kept-state list — is refused the same way.
-        bytes[8..16].copy_from_slice(&1u64.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_checkpoint(&path), Err(CheckpointError::UnsupportedVersion(1))));
+        // kept-state list — and a version 4 one, whose payload also held
+        // fragment segments, are refused the same way.
+        for earlier in [1u64, 4] {
+            bytes[8..16].copy_from_slice(&earlier.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                read_checkpoint(&path),
+                Err(CheckpointError::UnsupportedVersion(v)) if v == earlier
+            ));
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -76,15 +76,6 @@ impl PlatformCostModel {
         }
         total
     }
-
-    /// Modelled overhead for a single superstep's statistics.
-    pub fn superstep_overhead(&self, s: &crate::stats::SuperstepStats) -> Duration {
-        self.barrier
-            + self.task_schedule * s.active_partitions as u32
-            + mul_duration(self.per_byte_shuffle, s.remote_bytes)
-            + mul_duration(self.per_byte_serde, s.total_bytes())
-            + mul_duration(self.per_long_object, s.memory.cumulative())
-    }
 }
 
 impl Default for PlatformCostModel {
@@ -134,18 +125,6 @@ mod tests {
         let mut two_steps = stats_with(1, 0, 0);
         two_steps.supersteps.push(SuperstepStats::new(1));
         assert!(m.overhead(&two_steps) > one);
-    }
-
-    #[test]
-    fn superstep_overhead_sums_to_run_overhead() {
-        let m = PlatformCostModel::spark_like();
-        let mut stats = stats_with(2, 5_000, 10_000);
-        let mut s1 = SuperstepStats::new(1);
-        s1.active_partitions = 1;
-        s1.remote_bytes = 1_000;
-        stats.supersteps.push(s1);
-        let per_step: Duration = stats.supersteps.iter().map(|s| m.superstep_overhead(s)).sum();
-        assert_eq!(per_step, m.overhead(&stats));
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl EngineStats {
     pub fn modelled_total_time(&self) -> Duration {
         self.total_wall_time + self.modelled_platform_overhead
     }
-
-    /// Memory snapshots per superstep (Fig. 8 input).
-    pub fn memory_by_superstep(&self) -> Vec<&MemoryState> {
-        self.supersteps.iter().map(|s| &s.memory).collect()
-    }
 }
 
 #[cfg(test)]
@@ -159,6 +154,5 @@ mod tests {
         assert_eq!(e.total_remote_bytes(), 1500);
         assert_eq!(e.total_messages(), 2);
         assert_eq!(e.modelled_total_time(), Duration::from_millis(50));
-        assert_eq!(e.memory_by_superstep().len(), 2);
     }
 }

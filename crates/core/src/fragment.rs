@@ -18,7 +18,7 @@
 //!
 //! # One stored form: the record
 //!
-//! A fragment is stored, spilled, checkpointed and sent as one *record* of
+//! A fragment is stored, spilled and sent as one *record* of
 //! little-endian `u64` words, its chain — [`Fragment::disk_longs`] Longs,
 //! two a tour edge and two of header:
 //!

@@ -88,6 +88,6 @@ pub use pipeline::{
 pub use service::{
     estimate_run_longs, AdmissionController, AdmissionPermit, EulerService, GraphInfo,
     PartitionerKind, RunEvent, RunOptions, RunOutcome, RunSummary, ServiceClient, ServiceConfig,
-    ServiceError, ServiceHandle, ServiceStats,
+    ServiceError, ServiceStats,
 };
 pub use state::{VertexTypeCounts, WorkingPartition};

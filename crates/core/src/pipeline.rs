@@ -541,13 +541,16 @@ impl BspBackend {
         self
     }
 
-    /// Persists every worker's partition state to `dir` after each
-    /// superstep, enabling kill-and-resume recovery: a dead worker is
-    /// respawned, everyone rolls back to the last consistent superstep
-    /// checkpoint, and the run resumes — bit-identical to an unkilled run.
-    /// The directory is removed when a run completes cleanly. Without a
-    /// checkpoint directory, recovery falls back to a full deterministic
-    /// replay from the level-0 seed.
+    /// Persists every worker's partition states (its slots and the states
+    /// kept for the next merges, no fragments) to `dir` after each
+    /// superstep, enabling kill-and-resume recovery: a worker that dies at
+    /// superstep `s ≥ 1` is respawned, everyone rolls back to the checkpoint
+    /// entering `s`, and the run resumes — bit-identical to an unkilled run.
+    /// Nothing is written entering superstep 0: a death there re-Inits every
+    /// worker from the level-0 seed the coordinator keeps. The directory is
+    /// removed when a run completes cleanly. Without a checkpoint directory,
+    /// recovery falls back to a full deterministic replay from the level-0
+    /// seed.
     pub fn checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
         self

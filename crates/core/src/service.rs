@@ -581,26 +581,6 @@ impl ServiceInner {
     }
 }
 
-/// A cheap, clonable handle onto a running [`EulerService`]: statistics and
-/// shutdown signalling from any thread.
-#[derive(Clone)]
-pub struct ServiceHandle {
-    inner: Arc<ServiceInner>,
-}
-
-impl ServiceHandle {
-    /// Current service accounting.
-    pub fn stats(&self) -> ServiceStats {
-        self.inner.stats()
-    }
-
-    /// Asks the service to stop: in-flight runs are cancelled, serving
-    /// threads drain. [`EulerService::shutdown`] joins them.
-    pub fn request_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
 /// A running Euler circuit server: a TCP listener plus a bounded worker
 /// pool, serving the [`frame_kind`] protocol until
 /// [`shutdown`](Self::shutdown).
@@ -672,11 +652,6 @@ impl EulerService {
     /// The endpoint clients connect to (`tcp:127.0.0.1:<port>`).
     pub fn endpoint(&self) -> &str {
         &self.endpoint
-    }
-
-    /// A clonable handle for statistics and shutdown signalling.
-    pub fn handle(&self) -> ServiceHandle {
-        ServiceHandle { inner: Arc::clone(&self.inner) }
     }
 
     /// Current service accounting.

@@ -234,8 +234,10 @@
 //! [`UnixTransport`](bsp::UnixTransport) (the socket transports also take
 //! `.process_workers(true)`: one `euler-worker` OS process per worker,
 //! spawned and — after a SIGKILL — respawned by the coordinator). Add
-//! `.checkpoint_dir(..)` and a dead worker rolls the fleet back to the
-//! checkpoint of the failed superstep instead of replaying from the seeds;
+//! `.checkpoint_dir(..)` and a worker that dies after superstep 0 rolls the
+//! fleet back to the checkpoint of the failed superstep instead of replaying
+//! from the seeds (a death at superstep 0 re-Inits from the seeds, which are
+//! the state entering it);
 //! either way the final circuit is bit-identical to an unkilled run, for
 //! any worker count. [`FaultPolicy`](bsp::FaultPolicy) tunes heartbeats and
 //! restart budgets; [`FaultPlan`](bsp::FaultPlan) injects faults for tests.
@@ -253,7 +255,7 @@
 //!         BspBackend::with_engine(BspConfig::with_workers(2))
 //!             .with_transport(Arc::new(MemTransport)) // wire frames, thread workers
 //!             .checkpoint_dir(&ckpt)                  // superstep rollback on death
-//!             .with_fault_plan(FaultPlan::kill_at(1, 0)), // kill worker 1 at superstep 0
+//!             .with_fault_plan(FaultPlan::kill_at(1, 1)), // kill worker 1 at superstep 1
 //!     )
 //!     .build()
 //!     .unwrap()
@@ -264,6 +266,7 @@
 //! // circuit still uses every edge exactly once.
 //! let recovery = run.merge.engine.as_ref().unwrap().recovery;
 //! assert!(recovery.restarts >= 1);
+//! assert!(recovery.checkpoint_longs_restored > 0 && recovery.full_restarts == 0);
 //! assert!(!run.merge.warnings.is_empty()); // the recovery is reported
 //! verify_circuit(&graph, run.circuit.result.circuit().unwrap()).unwrap();
 //! assert!(!ckpt.exists()); // clean completion removes the checkpoint dir
@@ -390,7 +393,7 @@ pub mod prelude {
         EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo,
         InProcessBackend, LevelPartitionReport, MergeStrategy, PartitionerKind,
         PipelineRun, RunEvent, RunOptions, RunOutcome, RunReport, ServiceClient, ServiceConfig,
-        ServiceError, ServiceHandle, ServiceStats, SpillConfig, WStreamStats,
+        ServiceError, ServiceStats, SpillConfig, WStreamStats,
     };
     pub use euler_gen::{
         configs::GraphConfig, eulerize::eulerize, rmat::RmatGenerator, synthetic,

@@ -328,8 +328,9 @@ fn checkpointing_alone_changes_nothing_and_cleans_up_after_itself() {
     );
     assert_same_run(&reference, &run);
     let engine = run.merge.engine.as_ref().unwrap();
-    // Every worker wrote its initial checkpoint plus one per superstep.
-    assert!(engine.recovery.checkpoints_written >= engine.supersteps.len() as u64);
+    // Every worker wrote one checkpoint per superstep, and none entering
+    // superstep 0: its seed is that state.
+    assert_eq!(engine.recovery.checkpoints_written, 2 * engine.supersteps.len() as u64);
     assert!(engine.recovery.checkpoint_longs_written > 0);
     assert_eq!(engine.recovery.checkpoint_longs_restored, 0);
     // Clean completion removes the checkpoint directory.
@@ -364,8 +365,9 @@ fn a_clean_run_removes_only_its_own_checkpoint_files() {
 }
 
 /// A checkpoint directory beneath a regular file takes no checkpoint. The run
-/// says so once, naming the first worker and superstep that failed to write;
-/// a death then finds no checkpoint — missing, not ignored — and replays.
+/// says so once, naming the first worker and superstep that failed to write
+/// (superstep 1: nothing is written entering superstep 0); a death then finds
+/// no checkpoint — missing, not ignored — and replays.
 #[test]
 fn unwritable_checkpoint_directory_is_warned_of_once_and_counted_missing() {
     let g = graph_from(11, 100, 12);
@@ -392,7 +394,7 @@ fn unwritable_checkpoint_directory_is_warned_of_once_and_counted_missing() {
             run.merge.warnings.iter().filter(|w| w.contains("could not write")).collect();
         assert_eq!(unwritten.len(), 1, "{:?}", run.merge.warnings);
         assert!(
-            unwritten[0].contains("worker 0") && unwritten[0].contains("superstep 0"),
+            unwritten[0].contains("worker 0") && unwritten[0].contains("superstep 1"),
             "{}",
             unwritten[0]
         );
@@ -463,8 +465,10 @@ fn killed_thread_worker_without_checkpoints_replays_bit_identically() {
     assert_eq!(engine.recovery.checkpoint_longs_restored, 0);
 }
 
+/// There is no checkpoint entering superstep 0: a kill there re-Inits every
+/// worker from the seed the coordinator kept, with checkpointing on.
 #[test]
-fn kill_at_superstep_zero_recovers_from_the_initial_checkpoint() {
+fn kill_at_superstep_zero_recovers_from_the_seed() {
     let g = graph_from(99, 80, 8);
     let a = LdgPartitioner::new(3).partition(&g);
     let config = EulerConfig::default();
@@ -481,8 +485,61 @@ fn kill_at_superstep_zero_recovers_from_the_initial_checkpoint() {
             .with_fault_plan(FaultPlan::kill_at(2, 0)),
     );
     assert_same_run(&reference, &run);
-    assert!(run.merge.engine.as_ref().unwrap().recovery.restarts >= 1);
+    let recovery = run.merge.engine.as_ref().unwrap().recovery;
+    assert_eq!((recovery.restarts, recovery.full_restarts), (1, 1));
+    assert_eq!((recovery.checkpoint_longs_restored, recovery.checkpoints_ignored), (0, 0));
+    assert!(
+        run.merge.warnings.iter().all(|w| !w.contains("checkpointing disabled")),
+        "{:?}",
+        run.merge.warnings
+    );
     assert!(!ckpt.exists());
+}
+
+/// Every kill worker × every superstep × checkpoints on and off, on one
+/// graph of at least three supersteps over 2 Mem-wire workers: each run
+/// equals the in-process one, leaves no checkpoint directory, and recovers
+/// the one way it can — from the checkpoint entering the superstep when
+/// there is one, else by re-Initing every worker from the seed.
+#[test]
+fn fault_matrix_every_worker_every_superstep_with_and_without_checkpoints() {
+    let g = graph_from(41, 160, 18);
+    let a = LdgPartitioner::new(8).partition(&g);
+    let config = EulerConfig::default();
+    let reference = reference_run(&g, &a, &config);
+    let supersteps = reference.merge.supersteps;
+    assert!(supersteps >= 3, "the matrix needs at least 3 supersteps, got {supersteps}");
+    for kill_worker in 0..2 {
+        for kill_superstep in 0..supersteps {
+            for checkpointed in [true, false] {
+                let tag = format!(
+                    "kill worker {kill_worker} at superstep {kill_superstep}, checkpoints: {checkpointed}"
+                );
+                let ckpt = checkpointed.then(|| scratch_dir("matrix"));
+                let mut backend = BspBackend::with_engine(BspConfig::with_workers(2))
+                    .with_transport(Arc::new(MemTransport))
+                    .fault_policy(fast_policy())
+                    .with_fault_plan(FaultPlan::kill_at(kill_worker, kill_superstep));
+                if let Some(dir) = &ckpt {
+                    backend = backend.checkpoint_dir(dir);
+                }
+                let run = distributed_run(&g, &a, &config, backend);
+                assert_same_run(&reference, &run);
+                let recovery = run.merge.engine.as_ref().unwrap().recovery;
+                assert_eq!(recovery.restarts, 1, "{tag}");
+                if checkpointed && kill_superstep >= 1 {
+                    assert_eq!(recovery.full_restarts, 0, "{tag}");
+                    assert!(recovery.checkpoint_longs_restored > 0, "{tag}");
+                } else {
+                    assert_eq!(recovery.full_restarts, 1, "{tag}");
+                    assert_eq!(recovery.checkpoint_longs_restored, 0, "{tag}");
+                }
+                if let Some(dir) = &ckpt {
+                    assert!(!dir.exists(), "{tag}: the checkpoint directory survived");
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -652,7 +709,8 @@ fn kill_at_a_superstep_fed_only_by_kept_states_recovers_bit_identically() {
 /// same reference and rebuild their own partitions from the file. Killed at
 /// superstep 0 and at the superstep fed by kept states alone, with and
 /// without checkpoints, the run stays bit-identical and no re-Init falls back
-/// to shipping states.
+/// to shipping states. At superstep 0 there is no checkpoint to enter, so
+/// checkpointed or not the fleet is re-Inited from the seed.
 #[test]
 fn process_workers_fed_from_a_file_recover_by_reference_bit_identically() {
     let g = graph_from(77, 130, 14);
@@ -703,19 +761,24 @@ fn process_workers_fed_from_a_file_recover_by_reference_bit_identically() {
         let engine = run.merge.engine.as_ref().unwrap();
         assert_eq!(engine.supersteps[0].remote_messages, 0, "{tag}: superstep 1 is fed by kept states only");
         assert!(engine.recovery.restarts >= 1, "{tag}: the kill was not observed");
-        if checkpointed {
+        if checkpointed && kill_superstep >= 1 {
             assert!(engine.recovery.checkpoint_longs_restored > 0, "{tag}");
             assert_eq!(engine.recovery.full_restarts, 0, "{tag}");
         } else {
+            assert_eq!(engine.recovery.checkpoint_longs_restored, 0, "{tag}");
             assert!(engine.recovery.full_restarts >= 1, "{tag}");
         }
         // The dead worker — after a full restart, every worker — was sent
-        // its Init again: the same reference, never the states.
+        // its Init again: the same reference, never the states. A clean run
+        // with the same checkpoint directory sends the same Init heads.
+        let first = match &ckpt {
+            Some(ckpt) => init_of(&from_file(processes().checkpoint_dir(ckpt))),
+            None => init_of(&clean),
+        };
         assert!(
-            init_of(&clean) < engine.init_bytes && engine.init_bytes <= 2 * init_of(&clean),
-            "{tag}: {} Init bytes against {} of the clean run",
+            first < engine.init_bytes && engine.init_bytes <= 2 * first,
+            "{tag}: {} Init bytes against {first} of the clean run",
             engine.init_bytes,
-            init_of(&clean)
         );
         if let Some(ckpt) = &ckpt {
             assert!(!ckpt.exists(), "{tag}");
