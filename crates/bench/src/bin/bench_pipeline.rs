@@ -26,7 +26,9 @@
 //! to the in-process run.
 //!
 //! Usage: `cargo run --release -p euler-bench --bin bench_pipeline [reps]`
-//! (default 5 repetitions; the minimum over reps is reported).
+//! (default 5 repetitions; the minimum over reps is reported). The count is
+//! written at the top level, for the builder rows, and into every section,
+//! so one section's object can be spliced into an existing ledger as it is.
 
 use euler_core::{
     run_on_partitioned, run_with_backend, EulerConfig, EulerPipeline, InProcessBackend,
@@ -228,6 +230,7 @@ fn main() {
         ("spill_reads", Value::Num(stats.spill_reads as f64)),
         ("spill_errors", Value::Num(stats.spill_errors as f64)),
         ("evictions_scheduled", Value::Num(stats.evictions_scheduled as f64)),
+        ("repetitions", Value::Num(reps as f64)),
     ]);
 
     // --- W-streaming section: same mmap'd .ecsr + streaming-LDG workload,
@@ -287,6 +290,7 @@ fn main() {
         ),
         ("spill_writes", Value::Num(wstream_run.circuit.fragment_stats.spill_writes as f64)),
         ("spill_reads", Value::Num(wstream_run.circuit.fragment_stats.spill_reads as f64)),
+        ("repetitions", Value::Num(reps as f64)),
     ]);
     std::fs::remove_file(&csr_path).ok();
 
@@ -371,6 +375,7 @@ fn main() {
         "kill_checkpoint_longs_restored",
         Value::Num(kill_recovery.checkpoint_longs_restored as f64),
     ));
+    ft_row.push(("repetitions", Value::Num(reps as f64)));
     let fault_tolerance = Value::obj(ft_row);
 
     let doc = Value::obj(vec![

@@ -42,7 +42,10 @@ fn main() {
         }
         report.add_table(table);
 
-        // Also report the *measured* series under the actually-implemented strategies.
+        // Also report the *measured* series under the actually-implemented
+        // strategies, and assert §5's statement on them: the level-0 state
+        // bounds every level's, Deferred's by Deduplicated's level 0.
+        let mut dedup_level0 = None;
         for strategy in MergeStrategy::all() {
             let (_, run) = run_with_backend(
                 &input.graph,
@@ -51,9 +54,21 @@ fn main() {
                 &InProcessBackend::new(),
             )
             .expect("eulerized");
+            let measured = run.cumulative_memory_by_level();
+            let bound = match strategy {
+                MergeStrategy::Deferred => dedup_level0.expect("Deduplicated runs before Deferred"),
+                _ => measured[0],
+            };
+            if strategy == MergeStrategy::Deduplicated {
+                dedup_level0 = Some(measured[0]);
+            }
             let mut s = Series::new(format!("{name} measured cumulative ({strategy})"));
-            for (level, longs) in run.cumulative_memory_by_level().iter().enumerate() {
-                s.push(format!("L{level}"), level as f64, *longs as f64);
+            for (level, &longs) in measured.iter().enumerate() {
+                assert!(
+                    longs <= bound,
+                    "{name} {strategy}: level {level} holds {longs} Longs, over {bound}"
+                );
+                s.push(format!("L{level}"), level as f64, longs as f64);
             }
             report.add_series(s);
         }

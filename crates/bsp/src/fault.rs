@@ -78,10 +78,9 @@ pub enum KillMode {
 /// injects nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Kill worker `.0` when it receives the Start of superstep `.1`.
+    /// Kill worker `.0` when it receives the Start of superstep `.1`, in the
+    /// [`KillMode`] its kind of worker takes.
     pub kill: Option<(u32, u32)>,
-    /// How the kill is delivered (meaningful only with `kill`).
-    pub kill_mode: Option<KillMode>,
     /// Drop the n-th (0-based) coordinator→worker frame instead of sending
     /// it; the silent worker is then recovered via the heartbeat timeout.
     pub drop_nth_send: Option<u64>,

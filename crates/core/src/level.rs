@@ -20,6 +20,7 @@
 
 use crate::error::EulerError;
 use crate::fragment::FragmentStore;
+use crate::memory_model::state_longs;
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::MergeTree;
 use crate::phase1::ArenaPool;
@@ -55,7 +56,7 @@ fn transfer_longs(
     } else {
         wp.remote_edges.len() as u64
     };
-    3 * wp.local_edges.len() as u64 + 4 * remote + 4
+    state_longs(0, wp.local_edges.len() as u64, remote) + 4
 }
 
 /// One partition's Phase 1 at `level`: the pre-run accounting, the timed
@@ -85,7 +86,7 @@ fn phase1_record(
     let resident_remote =
         if strategy.defers_transfer() { needed_by_now } else { counts.remote_edges };
     let memory_after =
-        out.vertices_after + 3 * wp.local_edges.len() as u64 + 4 * wp.remote_edges.len() as u64;
+        state_longs(out.vertices_after, wp.local_edges.len() as u64, wp.remote_edges.len() as u64);
     let report = LevelPartitionReport {
         level,
         partition: wp.id,
@@ -93,7 +94,7 @@ fn phase1_record(
         complexity: out.complexity,
         phase1_time,
         merge_time: Duration::ZERO,
-        memory_longs: counts.total_vertices() + 3 * counts.local_edges + 4 * resident_remote,
+        memory_longs: state_longs(counts.total_vertices(), counts.local_edges, resident_remote),
         remote_needed_now,
         transfer_in_longs: 0,
         paths_found: out.path_map.num_paths() as u64,

@@ -27,6 +27,8 @@
 //! assignment is [`GraphError::VertexOutOfRange`], and nothing is sized by a
 //! count the pass did not make itself.
 
+use crate::memory_model::state_longs;
+use crate::merge_strategy::MergeStrategy;
 use crate::pipeline::wire;
 use crate::state::{EdgeRef, LocalEdge, RemoteRef, WorkingPartition};
 use euler_graph::{
@@ -35,8 +37,10 @@ use euler_graph::{
 };
 
 /// What one pass over the edges knows about level 0, per partition.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Scan {
+    /// Vertices of the graph.
+    vertices: u64,
     /// Local edges.
     local: Vec<u64>,
     /// Vertices no edge touches.
@@ -85,6 +89,30 @@ impl Scan {
             .filter(|&q| q != p && (!dedup || self.keeps(p, q)))
             .map(|q| self.cell(p, q))
             .sum()
+    }
+
+    /// Longs of level-0 partition state under `strategy`:
+    /// `n + 3·(m − c) + 4·k·c` for `n` vertices, `m` edges and `c` cut edges,
+    /// each cut edge held as `k` remote refs (2, or 1 once deduplicated). It
+    /// bounds every later level too:
+    ///
+    /// * a merge turns a cut edge's `4k` Longs of remote refs into the 3 of
+    ///   one local edge;
+    /// * after Phase 1, a partition's paths become at most as many coarse
+    ///   edges, and only its boundary vertices stay;
+    /// * so Duplicated and Deduplicated memory never rises above level 0;
+    /// * Deferred holds the same vertices and local edges as Deduplicated,
+    ///   but counts fewer remote refs.
+    ///
+    /// Exact for Duplicated, where every vertex is in one partition and every
+    /// cut edge in two: on R-MAT 12 × LDG 8 it is 4,096 + 3 · 6,732 +
+    /// 8 · 10,404 = 107,524. Deduplicated level 0 leaves out the vertices
+    /// whose only edges are cut edges the other side keeps (3 Longs on that
+    /// graph), and Deferred counts only the refs each level needs (1.98×).
+    pub fn state_bound_longs(&self, strategy: MergeStrategy) -> u64 {
+        let copies = if strategy.deduplicates() { 1 } else { 2 };
+        let cut: u64 = self.cells.iter().sum();
+        state_longs(self.vertices, self.local.iter().sum(), copies * cut)
     }
 
     /// Words of `p`'s level-0 state record — `wire::record_words` of the
@@ -182,7 +210,7 @@ pub(crate) fn scan(
     for (label, _) in labels.iter().zip(degree_zero).filter(|&(_, zero)| zero) {
         *isolated.get_mut(label.index()).ok_or_else(|| beyond(assignment, label.index()))? += 1;
     }
-    let mut scan = Scan { local, isolated, cells, weights: Vec::new() };
+    let mut scan = Scan { vertices: num_vertices, local, isolated, cells, weights: Vec::new() };
     scan.weights = (0..p).map(|a| scan.remote_refs(a, false)).collect();
     Ok(scan)
 }

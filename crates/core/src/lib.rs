@@ -86,8 +86,7 @@ pub use pipeline::{
     RunReport, Seed,
 };
 pub use service::{
-    estimate_run_longs, AdmissionController, AdmissionPermit, EulerService, GraphInfo,
-    PartitionerKind, RunEvent, RunOptions, RunOutcome, RunSummary, ServiceClient, ServiceConfig,
-    ServiceError, ServiceStats,
+    AdmissionController, AdmissionPermit, EulerService, GraphInfo, PartitionerKind, RunEvent,
+    RunOptions, RunOutcome, RunSummary, ServiceClient, ServiceConfig, ServiceError, ServiceStats,
 };
 pub use state::{VertexTypeCounts, WorkingPartition};

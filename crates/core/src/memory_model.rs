@@ -12,6 +12,13 @@
 use crate::merge_strategy::MergeStrategy;
 use serde::{Deserialize, Serialize};
 
+/// Partition state in Longs under the paper's accounting: one per retained
+/// vertex, three per local edge (edge id + endpoints) and four per remote
+/// ref (edge id, endpoints, owner).
+pub const fn state_longs(vertices: u64, local_edges: u64, remote_refs: u64) -> u64 {
+    vertices + 3 * local_edges + 4 * remote_refs
+}
+
 /// Per-partition composition at one level, in Longs-relevant counts.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct PartitionLevelState {
@@ -27,10 +34,9 @@ pub struct PartitionLevelState {
 }
 
 impl PartitionLevelState {
-    /// Memory Longs under the paper's accounting (1/vertex, 3/local edge,
-    /// 4/remote edge).
+    /// Memory Longs under the paper's accounting ([`state_longs`]).
     pub fn longs(&self) -> u64 {
-        self.vertices + 3 * self.local_edges + 4 * self.remote_edges
+        state_longs(self.vertices, self.local_edges, self.remote_edges)
     }
 }
 
@@ -71,7 +77,7 @@ pub fn model_series(trace: &[LevelTrace], strategy: MergeStrategy) -> MemoryMode
                 MergeStrategy::Deduplicated => p.remote_edges.div_ceil(2),
                 MergeStrategy::Deferred => p.remote_needed_now.min(p.remote_edges).div_ceil(2),
             };
-            total += p.vertices + 3 * p.local_edges + 4 * remote;
+            total += state_longs(p.vertices, p.local_edges, remote);
         }
         let n = level.partitions.len().max(1) as f64;
         out.cumulative.push(total);

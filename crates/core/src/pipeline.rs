@@ -46,7 +46,7 @@ use crate::config::EulerConfig;
 use crate::distributed::DistRun;
 use crate::error::EulerError;
 use crate::fragment::{FragmentStore, FragmentStoreStats, SpillConfig};
-use crate::level0::{self, FileLevel0};
+use crate::level0::{self, FileLevel0, Scan};
 use crate::memory_model::{LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::MergeTree;
@@ -657,11 +657,19 @@ fn require_even_degrees(first_odd: Option<(VertexId, u64)>) -> Result<(), EulerE
     }
 }
 
-/// What a run reads: a mapped `.ecsr`, whose level 0 is counted off the file
-/// and filled by the backend; a resident graph; or a source's edge stream,
-/// whose level 0 the W-streaming pass builds.
+/// A mapped file's degree check and level-0 scan under `assignment`: what
+/// [`Input::File`] carries, made before the run so that the caller can time
+/// it as partitioning and a service can admit the run on what it counts.
+pub(crate) fn checked_scan(csr: &CsrFile, assignment: &PartitionAssignment) -> Result<Scan, EulerError> {
+    require_even_degrees(csr.first_odd_vertex())?;
+    Ok(level0::scan_file(csr, assignment)?)
+}
+
+/// What a run reads: a mapped `.ecsr` and the scan [`checked_scan`] made of
+/// it, whose level 0 the backend fills; a resident graph; or a source's edge
+/// stream, whose level 0 the W-streaming pass builds.
 pub(crate) enum Input<'a> {
-    File(&'a CsrFile),
+    File(&'a CsrFile, Scan),
     Graph(&'a Graph),
     Stream(Box<dyn EdgeStream + 'a>),
 }
@@ -672,8 +680,6 @@ pub(crate) struct Ran {
     pub report: RunReport,
     /// Vertices and edges of the input.
     pub size: (u64, u64),
-    /// Time spent counting level 0 off a mapped file — partitioning time.
-    pub scan_time: Duration,
 }
 
 /// A run's yield point: called as `(done, steps)` before each merge-tree
@@ -682,10 +688,10 @@ pub(crate) struct Ran {
 pub(crate) type YieldPoint<'a> = &'a mut dyn FnMut(u32, u32) -> Result<(), EulerError>;
 
 /// The one run every entry point ends in: the degree check (before level 0
-/// for a file or a graph, after the pass for a stream), level 0, the
-/// merge-tree walk and Phase 3 with the caller's yield point, and, under
-/// [`EulerConfig::verify`], the one checker over the input's own endpoints —
-/// a file's endpoints section, so verifying loads no [`Graph`].
+/// for a graph, after the pass for a stream; a file's came with its scan),
+/// level 0, the merge-tree walk and Phase 3 with the caller's yield point,
+/// and, under [`EulerConfig::verify`], the one checker over the input's own
+/// endpoints — a file's endpoints section, so verifying loads no [`Graph`].
 pub(crate) fn run_input(
     mut input: Input<'_>,
     assignment: &PartitionAssignment,
@@ -695,14 +701,10 @@ pub(crate) fn run_input(
 ) -> Result<Ran, EulerError> {
     let dedup = config.merge_strategy.deduplicates();
     let store = fragment_store_for(config);
-    let (mut scan_time, mut pass_time, mut wstream) = (Duration::ZERO, Duration::ZERO, None);
+    let (mut pass_time, mut wstream) = (Duration::ZERO, None);
     let (meta, seed, size) = match &mut input {
-        Input::File(csr) => {
-            let csr = *csr;
-            require_even_degrees(csr.first_odd_vertex())?;
-            let t = Instant::now();
-            let scan = level0::scan_file(csr, assignment)?;
-            scan_time = t.elapsed();
+        Input::File(csr, scan) => {
+            let (csr, scan) = (*csr, std::mem::take(scan));
             let meta = scan.meta();
             let seed = Seed(SeedKind::File(FileLevel0 { csr, assignment, scan, dedup }));
             (meta, seed, (csr.num_vertices(), csr.num_edges()))
@@ -732,7 +734,7 @@ pub(crate) fn run_input(
     if config.verify {
         let circuits = result.circuits.iter().map(Vec::as_slice);
         match input {
-            Input::File(csr) => {
+            Input::File(csr, _) => {
                 let ends = csr.endpoints_flat();
                 let pair = |e: EdgeId| (VertexId(ends[2 * e.index()]), VertexId(ends[2 * e.index() + 1]));
                 verify_steps(size.1, pair, circuits)
@@ -752,7 +754,7 @@ pub(crate) fn run_input(
             }
         }?;
     }
-    Ok(Ran { result, report, size, scan_time })
+    Ok(Ran { result, report, size })
 }
 
 /// Runs the full three-phase algorithm over a resident graph under
@@ -1127,7 +1129,7 @@ impl EulerPipeline {
                 EulerError::InvalidConfig("streaming_phase1 needs a source that exposes an edge stream".into())
             })?),
             (Some(g), _) => Input::Graph(g),
-            (None, Some(csr)) => Input::File(csr),
+            (None, Some(csr)) => Input::File(csr, checked_scan(csr, &assignment)?),
             (None, None) => {
                 loaded = load(source, &mut load_time)?;
                 Input::Graph(&loaded)
@@ -1136,8 +1138,8 @@ impl EulerPipeline {
         let partition_time = t_part.elapsed().saturating_sub(load_time);
         let partitioner = match (&input, streamed) {
             (Input::Graph(_), _) => name.to_string(),
-            (Input::File(_), true) => format!("{name} (streamed, direct csr slice)"),
-            (Input::File(_), false) => format!("{name} (direct csr slice)"),
+            (Input::File(..), true) => format!("{name} (streamed, direct csr slice)"),
+            (Input::File(..), false) => format!("{name} (direct csr slice)"),
             (Input::Stream(_), true) => format!("{name} (streamed, w-streaming)"),
             (Input::Stream(_), false) => format!("{name} (w-streaming)"),
         };
@@ -1146,7 +1148,7 @@ impl EulerPipeline {
             source: source.name(),
             load_time,
             partitioner,
-            partition_time: partition_time + ran.scan_time,
+            partition_time,
             num_vertices: ran.size.0,
             num_edges: ran.size.1,
             num_partitions: ran.report.num_partitions,

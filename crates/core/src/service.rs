@@ -8,15 +8,15 @@
 //!   the file's FNV-1a content checksum ([`euler_graph::GraphRegistry`]),
 //!   so the same graph at two paths is one mapped file shared by every run.
 //! * **Admission control** — runs execute concurrently under one *global*
-//!   memory budget. Before a run starts, its peak-resident Longs are
-//!   estimated from the §5 analytical model
-//!   ([`crate::memory_model::model_series`]), scaled by a calibration ratio
-//!   learned from previous runs' measured peaks (`RunReport` +
-//!   [`crate::FragmentStoreStats`] actuals), plus the per-run fragment
-//!   spill budget that *enforces* the fragment share of the estimate. The
-//!   [`AdmissionController`] blocks the run until the sum of admitted
-//!   estimates fits under the cap — the invariant
-//!   `Σ admitted ≤ memory_cap_longs` holds at every instant.
+//!   memory budget. A run is partitioned and its level 0 scanned first; it
+//!   then reserves the partition state that scan counts under the §5
+//!   accounting, `n + 3·(m − c) + 4·k·c` Longs for `c` cut edges held `k`
+//!   times each — a bound on every level's state — plus the per-run
+//!   fragment spill budget that *enforces* the fragment share. The
+//!   reservation depends on the graph and the options alone, never on
+//!   which runs came before. The [`AdmissionController`] blocks the run
+//!   until the sum of admitted reservations fits under the cap — the
+//!   invariant `Σ admitted ≤ memory_cap_longs` holds at every instant.
 //! * **Circuit cache** — finished circuits are cached by (graph checksum,
 //!   canonicalized run options) in the form they are sent: a computed
 //!   circuit is encoded into its [`frame_kind::CHUNK`] frames and the
@@ -60,10 +60,9 @@
 
 use crate::config::EulerConfig;
 use crate::error::EulerError;
-use crate::memory_model::{model_series, LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::phase3::{CircuitResult, CircuitStep};
-use crate::pipeline::{run_input, InProcessBackend, Input, RunReport, YieldPoint};
+use crate::pipeline::{checked_scan, run_input, InProcessBackend, Input};
 use euler_bsp::transport::{Connection, FrameBatch, Listener, FRAME_HEADER_BYTES};
 use euler_bsp::wire::{word_u32, WireError, WordReader, WordWriter};
 use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
@@ -207,7 +206,7 @@ fn decode_run(payload: &[u8]) -> Result<(u64, RunOptions), WireError> {
 
 /// Schedules concurrent runs under the service's global memory cap: a run
 /// blocks in [`admit`](Self::admit) until the sum of admitted per-run
-/// estimates (each capped at the budget itself, so a single oversized run
+/// reservations (each capped at the budget itself, so a single oversized run
 /// degrades to *exclusive* rather than *impossible*) fits under
 /// `memory_cap_longs`. Dropping the returned [`AdmissionPermit`] — normal
 /// completion, failure, or cancellation — releases the budget and wakes
@@ -242,7 +241,7 @@ impl AdmissionController {
         }
     }
 
-    /// Blocks until `estimate` Longs (capped at the global budget) fit under
+    /// Blocks until `longs` Longs (capped at the global budget) fit under
     /// the cap alongside everything already admitted, then reserves them.
     /// `stop` is asked before the first check and on every wake, at least
     /// every 20 ms.
@@ -251,10 +250,10 @@ impl AdmissionController {
     /// [`EulerError::Cancelled`] once `stop` returns `true` while waiting.
     pub fn admit(
         self: &Arc<Self>,
-        estimate: u64,
+        longs: u64,
         mut stop: impl FnMut() -> bool,
     ) -> Result<AdmissionPermit, EulerError> {
-        let ask = estimate.clamp(1, self.cap);
+        let ask = longs.clamp(1, self.cap);
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if stop() {
@@ -302,44 +301,6 @@ impl Drop for AdmissionPermit {
     }
 }
 
-/// Estimates a run's peak-resident Longs from the §5 analytical model over
-/// a synthetic per-level trace: a balanced cut leaves half the edges remote
-/// at level 0, and each merge level localises half the surviving cut. The
-/// per-level totals run through [`model_series`] under the requested
-/// strategy; the estimate is the maximum cumulative level.
-pub fn estimate_run_longs(
-    vertices: u64,
-    edges: u64,
-    partitions: u32,
-    strategy: MergeStrategy,
-) -> u64 {
-    let mut remote = if partitions <= 1 { 0 } else { edges / 2 };
-    let mut local = edges - remote;
-    let mut trace = Vec::new();
-    for level in 0..64u32 {
-        trace.push(LevelTrace {
-            level,
-            partitions: vec![PartitionLevelState {
-                vertices,
-                local_edges: local,
-                remote_edges: remote,
-                remote_needed_now: remote.div_ceil(2),
-            }],
-        });
-        if remote == 0 {
-            break;
-        }
-        local += remote.div_ceil(2);
-        remote /= 2;
-    }
-    model_series(&trace, strategy)
-        .cumulative
-        .into_iter()
-        .max()
-        .unwrap_or(vertices + 3 * edges)
-        .max(1)
-}
-
 // ---------------------------------------------------------------------------
 // The service.
 // ---------------------------------------------------------------------------
@@ -347,7 +308,7 @@ pub fn estimate_run_longs(
 /// Configuration of [`EulerService::bind`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Global memory cap in Longs: the sum of admitted per-run estimates
+    /// Global memory cap in Longs: the sum of admitted per-run reservations
     /// never exceeds this.
     pub memory_cap_longs: u64,
     /// Connection-serving worker threads (each serves one client connection
@@ -434,10 +395,13 @@ pub struct RunSummary {
     pub transfer_longs: u64,
     /// Peak resident Longs of the run's fragment store.
     pub peak_resident_longs: u64,
-    /// Longs the admission controller reserved for this run.
+    /// Longs the admission controller reserved for this run: the level-0
+    /// state its scan counted plus the fragment budget, capped at the
+    /// service's memory cap.
     pub estimated_longs: u64,
-    /// Measured peak Longs (partition states + fragment residency) used to
-    /// calibrate later estimates.
+    /// Measured peak Longs: the largest level's partition state plus the
+    /// fragment store's peak residency. Never above `estimated_longs`
+    /// unless the cap clamped that.
     pub measured_longs: u64,
 }
 
@@ -519,8 +483,6 @@ struct ServiceInner {
     registry: GraphRegistry,
     admission: Arc<AdmissionController>,
     cache: Mutex<HashMap<CacheKey, Arc<FrameBatch>>>,
-    /// EWMA of measured-peak / raw-estimate, clamped to `[0.25, 4.0]`.
-    calibration: Mutex<f64>,
     runs_executed: AtomicU64,
     runs_cached: AtomicU64,
     runs_cancelled: AtomicU64,
@@ -534,7 +496,6 @@ impl ServiceInner {
             config,
             registry: GraphRegistry::new(),
             cache: Mutex::new(HashMap::new()),
-            calibration: Mutex::new(1.0),
             runs_executed: AtomicU64::new(0),
             runs_cached: AtomicU64::new(0),
             runs_cancelled: AtomicU64::new(0),
@@ -560,24 +521,6 @@ impl ServiceInner {
 
     fn cache_put(&self, key: CacheKey, circuit: Arc<FrameBatch>) {
         self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(key, circuit);
-    }
-
-    /// Scales a raw model estimate by the learned calibration ratio and
-    /// adds the per-run spill budget (the fragment share is enforced, not
-    /// estimated).
-    fn calibrated(&self, raw: u64) -> u64 {
-        let ratio = *self.calibration.lock().unwrap_or_else(|e| e.into_inner());
-        (raw as f64 * ratio).ceil() as u64 + self.config.fragment_budget_longs
-    }
-
-    /// Feeds a finished run's measured peak back into the calibration EWMA.
-    fn note_measured(&self, raw_estimate: u64, measured: u64) {
-        if raw_estimate == 0 {
-            return;
-        }
-        let observed = (measured as f64 / raw_estimate as f64).clamp(0.25, 4.0);
-        let mut ratio = self.calibration.lock().unwrap_or_else(|e| e.into_inner());
-        *ratio = (0.5 * *ratio + 0.5 * observed).clamp(0.25, 4.0);
     }
 }
 
@@ -881,12 +824,22 @@ fn must_stop(inner: &ServiceInner, events: &mpsc::Receiver<ConnEvent>, gone: &mu
     true
 }
 
-/// A cache-miss run, on its connection's handler thread: admit under the
-/// budget, run the pipeline with the connection's yield point, calibrate,
-/// cache, and release the permit *before* the handler streams the circuit
-/// (streaming needs no budget). The yield point stops the run as
-/// [`must_stop`] says, and otherwise sends the run's PROGRESS. A failed send
-/// sets `gone`, which the next yield point turns into a cancellation.
+/// A cache-miss run, on its connection's handler thread: partition the
+/// mapped CSR with the streaming partitioner, check the degrees and scan
+/// level 0 — so an odd-degree graph is refused with the library's typed
+/// error before it holds any budget — admit what the scan counts
+/// (`Scan::state_bound_longs`) plus the fragment budget, run the pipeline
+/// over the scanned file with the connection's yield point, cache, and
+/// release the permit *before* the handler streams the circuit (streaming
+/// needs no budget). The yield point stops the run as [`must_stop`] says,
+/// and otherwise sends the run's PROGRESS. A failed send sets `gone`, which
+/// the next yield point turns into a cancellation.
+///
+/// The streaming partitioners produce the same assignment as their
+/// in-memory counterparts by construction, and fragment ids do not depend on
+/// the thread schedule, so the circuit is bit-identical to the library path
+/// ([`crate::EulerPipeline`]) on the same graph and options, and a cached
+/// circuit and a fresh recomputation are the same bytes at any thread count.
 fn compute_run(
     inner: &ServiceInner,
     conn: &dyn Connection,
@@ -896,9 +849,17 @@ fn compute_run(
     key: CacheKey,
     gone: &mut bool,
 ) -> Result<(Arc<FrameBatch>, RunSummary), EulerError> {
-    let raw = estimate_run_longs(graph.num_vertices(), graph.num_edges(), opts.partitions, opts.strategy);
-    let estimate = inner.calibrated(raw);
-    let Ok(permit) = inner.admission.admit(estimate, || must_stop(inner, events, gone)) else {
+    let mut stream = CsrFileEdgeStream::new(&graph.csr);
+    let assignment = match opts.partitioner {
+        PartitionerKind::Hash => {
+            HashPartitioner::new(opts.partitions).partition_stream(&mut stream)?
+        }
+        PartitionerKind::Ldg => LdgPartitioner::new(opts.partitions).partition_stream(&mut stream)?,
+    };
+    let scan = checked_scan(&graph.csr, &assignment)?;
+    let fragment_budget = inner.config.fragment_budget_longs;
+    let reserve = scan.state_bound_longs(opts.strategy) + fragment_budget;
+    let Ok(permit) = inner.admission.admit(reserve, || must_stop(inner, events, gone)) else {
         inner.runs_cancelled.fetch_add(1, Ordering::Relaxed);
         return Err(EulerError::Cancelled);
     };
@@ -911,21 +872,27 @@ fn compute_run(
         *gone |= conn.send_words(frame_kind::PROGRESS, &words).is_err();
         Ok(())
     };
-    match compute_circuit(graph, &opts, inner.config.fragment_budget_longs, &mut yield_point) {
-        Ok((circuit, report)) => {
-            let measured = report.cumulative_memory_by_level().into_iter().max().unwrap_or(0)
-                + report.fragment_stats.peak_resident_longs;
-            inner.note_measured(raw, measured);
+    let config = EulerConfig {
+        merge_strategy: opts.strategy,
+        fragment_memory_budget: Some(fragment_budget),
+        ..EulerConfig::default()
+    };
+    let input = Input::File(&graph.csr, scan);
+    match run_input(input, &assignment, &config, &InProcessBackend::new(), Some(&mut yield_point)) {
+        Ok(ran) => {
+            let report = ran.report;
+            let peak_resident_longs = report.fragment_stats.peak_resident_longs;
             let summary = RunSummary {
                 supersteps: report.supersteps,
                 transfer_longs: report.total_transfer_longs,
-                peak_resident_longs: report.fragment_stats.peak_resident_longs,
+                peak_resident_longs,
                 estimated_longs: permit.longs(),
-                measured_longs: measured,
+                measured_longs: report.cumulative_memory_by_level().into_iter().max().unwrap_or(0)
+                    + peak_resident_longs,
             };
             // Framed once, here; the `CircuitResult` is dropped with this arm.
             let chunk_steps = inner.config.chunk_steps;
-            let circuit = Arc::new(encode_circuit(&circuit, chunk_steps).map_err(|e| {
+            let circuit = Arc::new(encode_circuit(&ran.result, chunk_steps).map_err(|e| {
                 EulerError::InvalidConfig(format!("{chunk_steps}-step chunks: {e}"))
             })?);
             inner.cache_put(key, Arc::clone(&circuit));
@@ -938,39 +905,6 @@ fn compute_run(
         }
         Err(e) => Err(e),
     }
-}
-
-/// One pipeline run over a registered graph: streaming-partition the mapped
-/// CSR, then the pipeline's one run over the file with `yield_point` — the degree
-/// check first, so an odd-degree graph is refused with the library's typed
-/// error. The streaming partitioners produce the same assignment as their
-/// in-memory counterparts by construction, and the merge-tree walk is
-/// deterministic for every thread count, so the result is bit-identical to
-/// the library path ([`crate::EulerPipeline`]) on the same graph and options.
-fn compute_circuit(
-    graph: &RegisteredGraph,
-    opts: &RunOptions,
-    fragment_budget_longs: u64,
-    yield_point: YieldPoint<'_>,
-) -> Result<(CircuitResult, RunReport), EulerError> {
-    let mut stream = CsrFileEdgeStream::new(&graph.csr);
-    let assignment = match opts.partitioner {
-        PartitionerKind::Hash => {
-            HashPartitioner::new(opts.partitions).partition_stream(&mut stream)?
-        }
-        PartitionerKind::Ldg => LdgPartitioner::new(opts.partitions).partition_stream(&mut stream)?,
-    };
-    let config = EulerConfig {
-        merge_strategy: opts.strategy,
-        fragment_memory_budget: Some(fragment_budget_longs),
-        ..EulerConfig::default()
-    };
-    // Fragment ids do not depend on the thread schedule, so a cached circuit
-    // and a fresh recomputation of the same (graph, options) key are the
-    // same bytes at any thread count.
-    let input = Input::File(&graph.csr);
-    let ran = run_input(input, &assignment, &config, &InProcessBackend::new(), Some(yield_point))?;
-    Ok((ran.result, ran.report))
 }
 
 // ---------------------------------------------------------------------------
@@ -1491,19 +1425,6 @@ mod tests {
             panic!("an ERROR frame decodes to a remote error");
         };
         assert_eq!(message, "<unreadable error message>");
-    }
-
-    #[test]
-    fn estimate_scales_with_edges_and_drops_with_heuristics() {
-        let base = estimate_run_longs(1_000, 10_000, 8, MergeStrategy::Duplicated);
-        let bigger = estimate_run_longs(1_000, 40_000, 8, MergeStrategy::Duplicated);
-        assert!(bigger > base);
-        let deferred = estimate_run_longs(1_000, 10_000, 8, MergeStrategy::Deferred);
-        assert!(deferred <= base, "§5 heuristics never increase the estimate");
-        // One partition has no remote edges: the estimate is the local state.
-        let single = estimate_run_longs(1_000, 10_000, 1, MergeStrategy::Duplicated);
-        assert_eq!(single, 1_000 + 3 * 10_000);
-        assert!(estimate_run_longs(0, 0, 4, MergeStrategy::Duplicated) >= 1);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! toward partition memory, exactly as in the paper's design.
 
 use crate::fragment::FragmentId;
+use crate::memory_model::state_longs;
 use euler_graph::{EdgeId, LocalIndex, Partition, PartitionId, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -229,19 +230,18 @@ impl WorkingPartition {
         counts
     }
 
-    /// In-memory state size in Longs, using the paper's accounting: one Long
-    /// per retained vertex, three per local edge (edge id + endpoints) and
-    /// four per remote edge (edge id, endpoints, owner).
+    /// In-memory state size in Longs, using the paper's accounting
+    /// ([`state_longs`]).
     pub fn memory_longs(&self) -> u64 {
         let c = self.vertex_type_counts();
-        c.total_vertices() + 3 * c.local_edges + 4 * c.remote_edges
+        state_longs(c.total_vertices(), c.local_edges, c.remote_edges)
     }
 
     /// Number of Longs that would be serialised to ship this partition's
     /// state to another machine (Phase-2 transfer).
     pub fn transfer_longs(&self) -> u64 {
         // Same representation is shipped: vertices are implicit in the edges.
-        3 * self.local_edges.len() as u64 + 4 * self.remote_edges.len() as u64 + 4
+        state_longs(0, self.local_edges.len() as u64, self.remote_edges.len() as u64) + 4
     }
 
     /// True when nothing remains to do for this partition at this level.

@@ -278,9 +278,11 @@
 //! long-lived TCP server speaking the same checksummed frame codec as the
 //! distributed backend: register `.ecsr` graphs by **content checksum**,
 //! run circuits for many clients concurrently under one global memory
-//! budget — an admission controller keeps the sum of per-run peak
-//! estimates from [`algo::memory_model`] under the cap, calibrated by each
-//! run's measured peak — cache finished circuits by (graph, options), and
+//! budget — an admission controller keeps the sum of per-run reservations
+//! under the cap, each the level-0 partition state the run's own scan
+//! counts under [`algo::memory_model`]'s accounting, which bounds every
+//! level, plus its fragment budget — cache finished circuits by (graph,
+//! options), and
 //! stream the steps back in chunks. A run executes on its connection's
 //! handler thread and can be cancelled at its yield points, the BSP walk's
 //! superstep barriers. The `euler-serve` binary wraps the same service for

@@ -11,7 +11,8 @@
 //!   of the walk built from the public kernels.
 //!
 //! Every backend's records (and the BSP workers' post-run memory) must
-//! equal the replay, for all three merge strategies.
+//! equal the replay, for all three merge strategies, and the level-0 state
+//! must bound every level's as §5 says.
 
 use euler_circuit::algo::phase1::run_phase1;
 use euler_circuit::algo::phase2::{
@@ -164,6 +165,7 @@ fn multigraph(seed: u64, n: u64, extra: usize, doubled: &[(u64, u64)], loops: &[
 
 fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
     let pg = PartitionedGraph::from_assignment(g, assignment).unwrap();
+    let mut by_level = Vec::new();
     for strategy in MergeStrategy::all() {
         let expected = replay(&pg, strategy);
         for name in [
@@ -218,7 +220,26 @@ fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
                 }
             } else {
                 assert_eq!(name, "in-process");
+                by_level.push((strategy, report.cumulative_memory_by_level()));
             }
+        }
+    }
+    assert_level0_bounds_every_level(&by_level);
+}
+
+/// §5's statement on measured runs: under Duplicated and Deduplicated no
+/// level holds more state than level 0, and Deferred at any level holds no
+/// more than Deduplicated at level 0.
+fn assert_level0_bounds_every_level(by_level: &[(MergeStrategy, Vec<u64>)]) {
+    let level0 = |of: MergeStrategy| by_level.iter().find(|(s, _)| *s == of).map(|(_, l)| l[0]);
+    let dedup_level0 = level0(MergeStrategy::Deduplicated).expect("a Deduplicated run");
+    for (strategy, levels) in by_level {
+        let bound = match strategy {
+            MergeStrategy::Deferred => dedup_level0,
+            _ => levels[0],
+        };
+        for (level, &longs) in levels.iter().enumerate() {
+            assert!(longs <= bound, "{strategy:?}: level {level} holds {longs} Longs, over {bound}");
         }
     }
 }

@@ -11,6 +11,9 @@
 //! * cancelling an admitted run frees its budget for a queued run, and the
 //!   admission high-water mark never exceeds the cap (also property-tested
 //!   over random request mixes);
+//! * a fresh run reserves the level-0 state its scan counts plus the
+//!   fragment budget: never less than it measures, exactly what it measures
+//!   under Duplicated, and the same whatever the server ran before;
 //! * malformed input — unknown frame kinds, truncated payloads, raw
 //!   garbage bytes on the socket — yields typed errors, keeps the
 //!   connection (or at worst the server) alive, and never panics — as does
@@ -185,6 +188,71 @@ fn repeated_requests_hit_the_cache_without_recomputing() {
     assert!(!other.cached);
     assert_eq!(service.stats().runs_executed, 2);
     service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Every strategy on a power-law graph and a torus: the reservation is at
+/// least the measured peak, and under Duplicated the partition-state share
+/// of both is the same number — level 0's, which bounds every later level.
+#[test]
+fn a_fresh_run_reserves_what_its_level0_scan_counts() {
+    let rmat = eulerize(&RmatGenerator::new(12).with_avg_degree(8.0).with_seed(1).generate()).0;
+    let torus = synthetic::torus_grid(64, 64);
+    let budget = ServiceConfig::default().fragment_budget_longs;
+    let service = bind(1 << 22, 2);
+    let client = ServiceClient::connect(service.endpoint()).unwrap();
+    for (tag, g, partitions) in [("rmat", &rmat, 8), ("torus", &torus, 4)] {
+        let path = ecsr_path(g, tag);
+        let info = client.register(path.to_str().unwrap()).unwrap();
+        for strategy in MergeStrategy::all() {
+            let opts = RunOptions { partitions, strategy, partitioner: PartitionerKind::Ldg };
+            let outcome = client.run(info.checksum, opts).unwrap();
+            let summary = outcome.summary.expect("fresh runs carry a summary");
+            let (reserved, measured) = (summary.estimated_longs, summary.measured_longs);
+            assert!(
+                reserved >= measured,
+                "{tag} {strategy:?}: reserved {reserved} < measured {measured}"
+            );
+            if strategy == MergeStrategy::Duplicated {
+                assert_eq!(
+                    reserved - budget,
+                    measured - summary.peak_resident_longs,
+                    "{tag}: the Duplicated bound is level 0's state, exactly"
+                );
+            }
+            if (tag, strategy) == ("rmat", MergeStrategy::Duplicated) {
+                // 4,096 vertices + 3 · 6,732 local edges + 8 · 10,404 cut edges.
+                assert_eq!(reserved - budget, 107_524);
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    service.shutdown();
+}
+
+/// A reservation is a function of the graph and the options: a server that
+/// served another graph first admits the same run with the same Longs as a
+/// fresh one.
+#[test]
+fn admission_does_not_depend_on_the_runs_before() {
+    let (first, g) = (graph_from(5, 300, 60), graph_from(6, 200, 40));
+    let (first_path, path) = (ecsr_path(&first, "before"), ecsr_path(&g, "after"));
+    let opts = RunOptions { partitions: 4, ..RunOptions::default() };
+    let admitted = |warm_up: bool| {
+        let service = bind(1 << 22, 2);
+        let client = ServiceClient::connect(service.endpoint()).unwrap();
+        if warm_up {
+            let info = client.register(first_path.to_str().unwrap()).unwrap();
+            assert!(!client.run(info.checksum, opts).unwrap().cached);
+        }
+        let info = client.register(path.to_str().unwrap()).unwrap();
+        let outcome = client.run(info.checksum, opts).unwrap();
+        assert!(!outcome.cached);
+        service.shutdown();
+        outcome.admitted_longs
+    };
+    assert_eq!(admitted(true), admitted(false));
+    std::fs::remove_file(&first_path).ok();
     std::fs::remove_file(&path).ok();
 }
 
