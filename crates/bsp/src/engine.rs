@@ -41,8 +41,7 @@ impl Default for BspConfig {
 impl BspConfig {
     /// Configuration with a fixed number of workers.
     ///
-    /// `num_workers == 0` used to panic deep inside the `NonZeroUsize`
-    /// construction; a zero-size cluster is meaningless, so it now falls back
+    /// A zero-size cluster is meaningless, so `num_workers == 0` falls back
     /// to the only sensible adaptive policy,
     /// [`BspConfig::one_worker_per_partition`] (the paper's deployment), and
     /// the worker count resolves against the partition count at run time.
@@ -107,8 +106,7 @@ mod tests {
 
     #[test]
     fn zero_fixed_workers_falls_back_to_one_worker_per_partition() {
-        // `with_workers(0)` used to panic via the NonZeroUsize construction;
-        // it now degrades to the adaptive per-partition policy.
+        // `with_workers(0)` degrades to the adaptive per-partition policy.
         let config = BspConfig::with_workers(0);
         assert_eq!(config.workers, WorkerCount::PerPartition);
         assert_eq!(config.resolved_workers(5), 5);

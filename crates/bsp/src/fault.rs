@@ -1,7 +1,7 @@
 //! Fault-tolerance policy, fault injection, and recovery accounting.
 //!
-//! [`FaultPolicy`] is the coordinator's knob set: heartbeat cadence,
-//! dead-worker timeout, connect/send retry bounds, and the restart budget.
+//! [`FaultPolicy`] is the coordinator's knob set: heartbeat cadence and
+//! dead-worker timeout.
 //! [`FaultPlan`] is the *injection* side used by the fault-tolerance test
 //! harness: kill worker *k* at superstep *s*, drop or delay the *n*-th
 //! coordinator send. [`RecoveryStats`] is what actually happened — surfaced
@@ -18,16 +18,6 @@ pub struct FaultPolicy {
     /// Silence (no frame, no heartbeat) after which a worker awaited at a
     /// barrier is declared dead.
     pub heartbeat_timeout: Duration,
-    /// Total worker restarts (respawn + restore or full restart) the
-    /// coordinator will attempt before giving up on the run.
-    pub max_worker_restarts: u32,
-    /// Connect attempts when dialing (workers → coordinator endpoint).
-    pub connect_attempts: u32,
-    /// Linear backoff between connect attempts.
-    pub connect_backoff: Duration,
-    /// Retries for a failed coordinator send before declaring the worker
-    /// dead.
-    pub send_retries: u32,
 }
 
 impl Default for FaultPolicy {
@@ -35,10 +25,6 @@ impl Default for FaultPolicy {
         FaultPolicy {
             heartbeat_interval: Duration::from_millis(50),
             heartbeat_timeout: Duration::from_secs(5),
-            max_worker_restarts: 3,
-            connect_attempts: 20,
-            connect_backoff: Duration::from_millis(10),
-            send_retries: 2,
         }
     }
 }
@@ -53,12 +39,6 @@ impl FaultPolicy {
     /// Sets the dead-worker silence threshold.
     pub fn with_heartbeat_timeout(mut self, d: Duration) -> Self {
         self.heartbeat_timeout = d;
-        self
-    }
-
-    /// Sets the restart budget.
-    pub fn with_max_worker_restarts(mut self, n: u32) -> Self {
-        self.max_worker_restarts = n;
         self
     }
 }
@@ -153,8 +133,6 @@ mod tests {
     fn default_policy_is_sane() {
         let p = FaultPolicy::default();
         assert!(p.heartbeat_timeout > p.heartbeat_interval);
-        assert!(p.max_worker_restarts > 0);
-        assert!(p.connect_attempts > 0);
     }
 
     #[test]

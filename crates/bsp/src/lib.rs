@@ -46,6 +46,5 @@ pub use program::{VertexContext, VertexProgram};
 pub use stats::{EngineStats, SuperstepStats};
 pub use transport::{
     connect_endpoint, connect_with_retry, FrameError, MemTransport, TcpTransport, Transport,
-    UnixTransport,
 };
 pub use vertex::{run_vertex_program, VertexEngineConfig, VertexEngineStats};

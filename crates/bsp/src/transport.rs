@@ -3,19 +3,19 @@
 //!
 //! Workers stepped in place share a process with their driver; this module
 //! is what puts them in other threads or processes. A [`Transport`] hands
-//! out [`Listener`]s and [`Connection`]s over one of three substrates:
+//! out [`Listener`]s and [`Connection`]s over one of two substrates:
 //!
 //! * [`MemTransport`] — the in-memory channel path (worker threads in this
 //!   process, frames over `std::sync::mpsc`).
 //! * [`TcpTransport`] — loopback TCP sockets (`std::net` only, per the
-//!   offline-shim constraint), the path worker *processes* connect over.
-//! * [`UnixTransport`] — Unix-domain sockets in a private temp directory.
+//!   offline-shim constraint), the path worker *processes* and service
+//!   clients connect over.
 //!
-//! Every frame on a socket transport is length-prefixed and checksummed:
+//! Every frame is length-prefixed and checksummed:
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION (10)
+//! version u16  FRAME_VERSION (11)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
 //! check   u64  word-folded FNV-1a over kind, len and payload
@@ -24,25 +24,15 @@
 //!
 //! The checksum is [`WordFold`] — the fold `.ecsr` files and checkpoints
 //! use — over the word `kind`, the word `len`, then the payload as
-//! little-endian `u64` words, a trailing partial word zero-padded. (Frame
-//! version 1 ran byte-serial FNV-1a over the same fields, eight dependent
-//! multiplies per word; versions 2 to 8 framed like version 9 but carried
-//! other messages — an Init with three more words and fragment ids of
-//! another layout, then a Done whose reports lacked the two codec times,
-//! then one whose tail lacked the two by-value hand-off counters, then an
-//! Init whose seed was an untagged state list and a one-word Ready, then a
-//! Done whose fragments were a list of four-words-per-edge records, each
-//! behind its id, then a service `CHUNK` that carried every step's `from`,
-//! then a two-word Ready and a Restore message of its own instead of an
-//! Init seeded from a checkpoint. All are rejected as
-//! `UnsupportedVersion`.)
+//! little-endian `u64` words, a trailing partial word zero-padded. Any
+//! other version is refused as `UnsupportedVersion`.
 //!
 //! A payload may be sent as a *list of parts*
 //! ([`Connection::send_parts`]): the checksum is chained across the parts
-//! and a socket transport writes them with one vectored write, so a sender
+//! and the TCP transport writes them with one vectored write, so a sender
 //! that assembles a message from buffers it already holds — the coordinator
 //! relaying partition states it received — never concatenates them. A
-//! socket receive folds the checksum over each chunk as it arrives, and
+//! TCP receive folds the checksum over each chunk as it arrives, and
 //! keeps a partially received frame across a [`FrameError::Timeout`], so a
 //! polling receiver can never lose the bytes it already consumed.
 //!
@@ -51,7 +41,7 @@
 //! header checksummed once, when the frame is pushed. The batch's bytes are
 //! exactly the frames [`encode_frame`] would produce one by one, and
 //! [`Connection::send_batch`] puts them on a socket with one write, folding
-//! nothing. The read half of a socket connection reads through a 64 KiB
+//! nothing. The read half of a TCP connection reads through a 64 KiB
 //! buffer, so a stream of small frames costs one `read` per buffer rather
 //! than two per frame; a payload larger than the buffer is read into its
 //! own allocation directly.
@@ -68,7 +58,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Mutex, OnceLock};
@@ -79,13 +68,13 @@ pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version. Bumped whenever the layout of the frame or
 /// of any message carried in it changes, so peers of different builds refuse
 /// each other at the first frame instead of misreading a payload.
-pub const FRAME_VERSION: u16 = 10;
+pub const FRAME_VERSION: u16 = 11;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 /// Size of the fixed frame header in bytes.
 pub const FRAME_HEADER_BYTES: usize = 20;
-/// Capacity of a socket connection's receive buffer: one `read` takes in
+/// Capacity of a TCP connection's receive buffer: one `read` takes in
 /// several of the service's 8 KB `CHUNK` frames.
 const RECV_BUFFER_BYTES: usize = 64 << 10;
 
@@ -440,10 +429,10 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub trait Connection: Send + Sync {
     /// Sends one frame whose payload is the concatenation of `parts`. The
     /// checksum is chained across the parts; nothing is concatenated on the
-    /// socket transports.
+    /// TCP transport.
     fn send_parts(&self, kind: u16, parts: &[&[u8]]) -> Result<(), FrameError>;
     /// Sends every frame of `batch`, in order, as it was framed: no header
-    /// or checksum is computed again. A socket transport writes the batch
+    /// or checksum is computed again. The TCP transport writes the batch
     /// with one write.
     fn send_batch(&self, batch: &FrameBatch) -> Result<(), FrameError>;
     /// Sends one frame.
@@ -471,34 +460,49 @@ pub trait Connection: Send + Sync {
 /// Accepts inbound worker connections on an endpoint.
 pub trait Listener: Send {
     /// The endpoint string workers pass to [`Transport::connect`]
-    /// (e.g. `tcp:127.0.0.1:41234`, `unix:/tmp/…/w.sock`, `mem:3`).
+    /// (e.g. `tcp:127.0.0.1:41234`, `mem:3`).
     fn endpoint(&self) -> String;
     /// Accepts one connection, waiting at most `timeout`.
     fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError>;
 }
 
-/// A connection factory: one of the three substrates above.
+/// A connection factory: one of the two substrates above.
 pub trait Transport: Send + Sync {
-    /// Substrate name (`"mem"`, `"tcp"`, `"unix"`), for reports.
+    /// Substrate name (`"mem"`, `"tcp"`), for reports.
     fn name(&self) -> &'static str;
     /// Opens a listener on a fresh endpoint.
     fn listen(&self) -> Result<Box<dyn Listener>, FrameError>;
     /// Connects to a listener's endpoint.
     fn connect(&self, endpoint: &str) -> Result<Box<dyn Connection>, FrameError>;
-    /// Whether endpoints are reachable from *other processes* (sockets yes,
+    /// Whether endpoints are reachable from *other processes* (TCP yes,
     /// in-memory channels no).
     fn supports_processes(&self) -> bool {
         false
     }
 }
 
-/// Connects with bounded retry and linear backoff — worker processes race
-/// the coordinator's `accept`, and the first attempts may land early.
-///
-/// The backoff sleeps only *between* attempts: once the final attempt has
-/// failed there is nothing left to retry, so the error surfaces immediately
-/// instead of after one more (useless) backoff period.
+/// Connect attempts of every dial, [`connect_with_retry`]'s and
+/// [`connect_endpoint`]'s alike.
+const CONNECT_ATTEMPTS: u32 = 20;
+/// The linear backoff step between connect attempts: the `k`-th retry
+/// waits `k` steps, 1.9 s over all 20 attempts.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Connects with bounded retry and linear backoff. A coordinator binds its
+/// listener before it starts a worker, so a worker's first attempt finds it;
+/// the retries cover a peer that is still coming up, such as a service
+/// client started beside its server.
 pub fn connect_with_retry(
+    transport: &dyn Transport,
+    endpoint: &str,
+) -> Result<Box<dyn Connection>, FrameError> {
+    retry_connect(transport, endpoint, CONNECT_ATTEMPTS, CONNECT_BACKOFF)
+}
+
+/// [`connect_with_retry`] on a schedule of its own. The backoff sleeps only
+/// *between* attempts: once the final attempt has failed there is nothing
+/// left to retry, so the error surfaces immediately.
+fn retry_connect(
     transport: &dyn Transport,
     endpoint: &str,
     attempts: u32,
@@ -525,23 +529,18 @@ fn retry_delay(backoff: Duration, attempt: u32) -> Duration {
     backoff.saturating_mul(attempt.saturating_add(1))
 }
 
-/// Connects to an endpoint by scheme (`tcp:`/`unix:`/`mem:`) — what the
-/// `euler-worker` binary uses, since it only receives the endpoint string.
-pub fn connect_endpoint(
-    endpoint: &str,
-    attempts: u32,
-    backoff: Duration,
-) -> Result<Box<dyn Connection>, FrameError> {
-    let transport: Box<dyn Transport> = if endpoint.starts_with("tcp:") {
-        Box::new(TcpTransport)
-    } else if endpoint.starts_with("unix:") {
-        Box::new(UnixTransport::new())
+/// Connects to an endpoint by scheme (`tcp:`/`mem:`), with
+/// [`connect_with_retry`]'s schedule — what the `euler-worker` binary and
+/// service clients use, since they only receive the endpoint string.
+pub fn connect_endpoint(endpoint: &str) -> Result<Box<dyn Connection>, FrameError> {
+    let transport: &dyn Transport = if endpoint.starts_with("tcp:") {
+        &TcpTransport
     } else if endpoint.starts_with("mem:") {
-        Box::new(MemTransport)
+        &MemTransport
     } else {
         return Err(FrameError::Io(format!("unknown endpoint scheme: {endpoint}")));
     };
-    connect_with_retry(transport.as_ref(), endpoint, attempts, backoff)
+    connect_with_retry(transport, endpoint)
 }
 
 // ---------------------------------------------------------------------------
@@ -670,35 +669,30 @@ impl Transport for MemTransport {
 }
 
 // ---------------------------------------------------------------------------
-// Socket transports (TCP loopback + Unix domain).
+// TCP transport.
 // ---------------------------------------------------------------------------
 
-/// A connection over any paired `Read`/`Write` stream halves with settable
-/// read and write timeouts. Both timeouts are armed through the same
-/// OS-socket seam (`set_read_timeout`/`set_write_timeout` closures captured
-/// at construction), and both surface expiry as [`FrameError::Timeout`].
-struct StreamConnection<R: Read + Send, W: Write + Send> {
+/// A connection over a loopback TCP stream. Each half arms its own timeout
+/// on the stream handle it holds, and both surface expiry as
+/// [`FrameError::Timeout`].
+struct TcpConnection {
     /// The buffered read half, the frame it is in the middle of receiving,
     /// and the read timeout last armed on the socket.
-    reader: Mutex<(BufReader<R>, FrameAssembler, Option<Duration>)>,
+    reader: Mutex<(BufReader<TcpStream>, FrameAssembler, Option<Duration>)>,
     /// The write half and the write timeout last armed on the socket.
-    writer: Mutex<(W, Option<Duration>)>,
-    set_timeout: SetTimeout,
-    set_write_timeout: SetTimeout,
+    writer: Mutex<(TcpStream, Option<Duration>)>,
     /// The send timeout requested via [`Connection::set_send_timeout`],
     /// armed on the socket at the next `send`.
     send_timeout: Mutex<Option<Duration>>,
 }
 
-type SetTimeout = Box<dyn Fn(Option<Duration>) -> std::io::Result<()> + Send + Sync>;
-
 /// Arms `want` through `set` unless it is the timeout `armed` already holds:
 /// a connection sends and receives frame after frame under one timeout, and
 /// each `setsockopt` is a syscall.
 fn arm_timeout(
-    set: &SetTimeout,
     armed: &mut Option<Duration>,
     want: Option<Duration>,
+    set: impl FnOnce(Option<Duration>) -> std::io::Result<()>,
 ) -> Result<(), FrameError> {
     if *armed != want {
         set(want)?;
@@ -707,13 +701,24 @@ fn arm_timeout(
     Ok(())
 }
 
-impl<R: Read + Send, W: Write + Send> StreamConnection<R, W> {
+impl TcpConnection {
+    fn new(stream: TcpStream) -> Result<Self, FrameError> {
+        stream.set_nodelay(true).ok();
+        let reader = BufReader::with_capacity(RECV_BUFFER_BYTES, stream.try_clone()?);
+        // A fresh socket has no timeouts armed.
+        Ok(TcpConnection {
+            reader: Mutex::new((reader, FrameAssembler::default(), None)),
+            writer: Mutex::new((stream, None)),
+            send_timeout: Mutex::new(None),
+        })
+    }
+
     /// Writes `slices` under the writer lock, with the send timeout armed.
     fn write_locked(&self, slices: &mut [IoSlice<'_>]) -> Result<(), FrameError> {
         let timeout = *lock_unpoisoned(&self.send_timeout);
         let mut guard = lock_unpoisoned(&self.writer);
         let (w, armed) = &mut *guard;
-        arm_timeout(&self.set_write_timeout, armed, timeout)?;
+        arm_timeout(armed, timeout, |t| w.set_write_timeout(t))?;
         write_all_or(w, slices)?;
         match w.flush() {
             Ok(()) => Ok(()),
@@ -728,7 +733,7 @@ impl<R: Read + Send, W: Write + Send> StreamConnection<R, W> {
     }
 }
 
-impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
+impl Connection for TcpConnection {
     fn send_parts(&self, kind: u16, parts: &[&[u8]]) -> Result<(), FrameError> {
         let header = frame_header(kind, parts)?;
         let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(1 + parts.len());
@@ -744,7 +749,7 @@ impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
     fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
         let mut guard = lock_unpoisoned(&self.reader);
         let (r, assembler, armed) = &mut *guard;
-        arm_timeout(&self.set_timeout, armed, timeout)?;
+        arm_timeout(armed, timeout, |t| r.get_ref().set_read_timeout(t))?;
         assembler.read_frame(r)
     }
 
@@ -754,9 +759,9 @@ impl<R: Read + Send, W: Write + Send> Connection for StreamConnection<R, W> {
 }
 
 /// Vectored `write_all` with typed errors: `WouldBlock`/`TimedOut` from an
-/// armed send timeout surfaces as [`FrameError::Timeout`] (a stalled peer
-/// can no longer block a coordinator send past every `FaultPolicy`
-/// deadline); a peer that vanished mid-write surfaces as `Closed`/`Io`.
+/// armed send timeout surfaces as [`FrameError::Timeout`], so a stalled
+/// peer cannot block a coordinator send past every `FaultPolicy` deadline;
+/// a peer that vanished mid-write surfaces as `Closed`/`Io`.
 fn write_all_or(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> Result<(), FrameError> {
     // Skip leading empty slices so an all-empty list is not mistaken for a
     // zero-length write.
@@ -778,46 +783,6 @@ fn write_all_or(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> Result<(), 
     Ok(())
 }
 
-/// `accept` with a timeout: `std` sockets have none, so poll the listener
-/// in non-blocking mode (restored before returning).
-fn accept_polling<S, A>(
-    set_nonblocking: impl Fn(bool) -> std::io::Result<()>,
-    accept: impl Fn() -> std::io::Result<(S, A)>,
-    timeout: Duration,
-) -> Result<S, FrameError> {
-    set_nonblocking(true)?;
-    let deadline = Instant::now() + timeout;
-    let accepted = loop {
-        match accept() {
-            Ok((stream, _)) => break Ok(stream),
-            Err(e) if e.kind() != std::io::ErrorKind::WouldBlock => break Err(e.into()),
-            Err(_) if Instant::now() >= deadline => break Err(FrameError::Timeout),
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    };
-    set_nonblocking(false)?;
-    accepted
-}
-
-fn tcp_connection(stream: TcpStream) -> Result<Box<dyn Connection>, FrameError> {
-    stream.set_nodelay(true).ok();
-    let reader = stream.try_clone()?;
-    let read_handle = stream.try_clone()?;
-    let write_handle = stream.try_clone()?;
-    // A fresh socket has no timeouts armed.
-    Ok(Box::new(StreamConnection {
-        reader: Mutex::new((
-            BufReader::with_capacity(RECV_BUFFER_BYTES, reader),
-            FrameAssembler::default(),
-            None,
-        )),
-        writer: Mutex::new((stream, None)),
-        set_timeout: Box::new(move |t| read_handle.set_read_timeout(t)),
-        set_write_timeout: Box::new(move |t| write_handle.set_write_timeout(t)),
-        send_timeout: Mutex::new(None),
-    }))
-}
-
 /// Loopback TCP transport (`127.0.0.1`, ephemeral ports).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TcpTransport;
@@ -834,11 +799,23 @@ impl Listener for TcpListenerWrap {
         }
     }
 
+    /// `std` sockets have no accept timeout, so this polls the listener in
+    /// non-blocking mode (restored before returning).
     fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
-        let l = &self.listener;
-        let stream = accept_polling(|nb| l.set_nonblocking(nb), || l.accept(), timeout)?;
+        self.listener.set_nonblocking(true)?;
+        let deadline = Instant::now() + timeout;
+        let accepted = loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => break Ok(stream),
+                Err(e) if e.kind() != std::io::ErrorKind::WouldBlock => break Err(e.into()),
+                Err(_) if Instant::now() >= deadline => break Err(FrameError::Timeout),
+                Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            }
+        };
+        self.listener.set_nonblocking(false)?;
+        let stream = accepted?;
         stream.set_nonblocking(false)?;
-        tcp_connection(stream)
+        Ok(Box::new(TcpConnection::new(stream)?))
     }
 }
 
@@ -856,96 +833,7 @@ impl Transport for TcpTransport {
         let addr = endpoint
             .strip_prefix("tcp:")
             .ok_or_else(|| FrameError::Io(format!("bad tcp endpoint: {endpoint}")))?;
-        let stream = TcpStream::connect(addr)?;
-        tcp_connection(stream)
-    }
-
-    fn supports_processes(&self) -> bool {
-        true
-    }
-}
-
-/// Unix-domain-socket transport; socket files live in a fresh private temp
-/// directory, removed when the listener drops.
-#[derive(Clone, Debug, Default)]
-pub struct UnixTransport;
-
-impl UnixTransport {
-    /// Creates the transport (no state; sockets are per-listener).
-    pub fn new() -> Self {
-        UnixTransport
-    }
-}
-
-struct UnixListenerWrap {
-    listener: UnixListener,
-    dir: std::path::PathBuf,
-    path: std::path::PathBuf,
-}
-
-impl Drop for UnixListenerWrap {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.path).ok();
-        std::fs::remove_dir(&self.dir).ok();
-    }
-}
-
-fn unix_connection(stream: UnixStream) -> Result<Box<dyn Connection>, FrameError> {
-    let reader = stream.try_clone()?;
-    let read_handle = stream.try_clone()?;
-    let write_handle = stream.try_clone()?;
-    // A fresh socket has no timeouts armed.
-    Ok(Box::new(StreamConnection {
-        reader: Mutex::new((
-            BufReader::with_capacity(RECV_BUFFER_BYTES, reader),
-            FrameAssembler::default(),
-            None,
-        )),
-        writer: Mutex::new((stream, None)),
-        set_timeout: Box::new(move |t| read_handle.set_read_timeout(t)),
-        set_write_timeout: Box::new(move |t| write_handle.set_write_timeout(t)),
-        send_timeout: Mutex::new(None),
-    }))
-}
-
-impl Listener for UnixListenerWrap {
-    fn endpoint(&self) -> String {
-        format!("unix:{}", self.path.display())
-    }
-
-    fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
-        let l = &self.listener;
-        let stream = accept_polling(|nb| l.set_nonblocking(nb), || l.accept(), timeout)?;
-        stream.set_nonblocking(false)?;
-        unix_connection(stream)
-    }
-}
-
-static UNIX_SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl Transport for UnixTransport {
-    fn name(&self) -> &'static str {
-        "unix"
-    }
-
-    fn listen(&self) -> Result<Box<dyn Listener>, FrameError> {
-        let dir = std::env::temp_dir().join(format!(
-            "euler-uds-{}-{}",
-            std::process::id(),
-            UNIX_SOCK_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join("coordinator.sock");
-        let listener = UnixListener::bind(&path)?;
-        Ok(Box::new(UnixListenerWrap { listener, dir, path }))
-    }
-
-    fn connect(&self, endpoint: &str) -> Result<Box<dyn Connection>, FrameError> {
-        let path = endpoint
-            .strip_prefix("unix:")
-            .ok_or_else(|| FrameError::Io(format!("bad unix endpoint: {endpoint}")))?;
-        let stream = UnixStream::connect(path)?;
-        unix_connection(stream)
+        Ok(Box::new(TcpConnection::new(TcpStream::connect(addr)?)?))
     }
 
     fn supports_processes(&self) -> bool {
@@ -995,9 +883,9 @@ mod tests {
     /// A frame as version 1 of the format wrote it: byte-serial FNV-1a over
     /// kind, length and payload. The checksum changed meaning in version 2,
     /// so the version gate — not a checksum mismatch — must refuse it. A
-    /// version 2 to 7 frame differs from a current one only in its version
-    /// field (what changed is the messages inside), and is refused all the
-    /// same.
+    /// frame of any version from 2 to the one before the current differs
+    /// from a current one only in its version field (what changed is the
+    /// messages inside), and is refused all the same.
     #[test]
     fn v1_frame_is_rejected_as_unsupported_version() {
         let payload = b"a version 1 payload";
@@ -1024,7 +912,7 @@ mod tests {
 
         let mut earlier = encode_frame(7, payload).unwrap();
         assert!(decode_frame(&earlier).is_ok());
-        for version in [2u16, 3, 4, 5, 6, 7, 8, 9] {
+        for version in [2u16, 3, 4, 5, 6, 7, 8, 9, 10] {
             earlier[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 decode_frame(&earlier),
@@ -1072,7 +960,7 @@ mod tests {
         let endpoint = listener.endpoint();
         let t2 = endpoint.clone();
         let dialer = std::thread::spawn(move || {
-            let conn = connect_endpoint(&t2, 10, Duration::from_millis(5)).unwrap();
+            let conn = connect_endpoint(&t2).unwrap();
             conn.send(3, b"ping").unwrap();
             let (kind, payload) = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
             assert_eq!((kind, payload.as_slice()), (4, b"pong".as_slice()));
@@ -1092,11 +980,6 @@ mod tests {
     #[test]
     fn tcp_transport_ping_pong() {
         exercise_transport(&TcpTransport);
-    }
-
-    #[test]
-    fn unix_transport_ping_pong() {
-        exercise_transport(&UnixTransport::new());
     }
 
     #[test]
@@ -1182,24 +1065,15 @@ mod tests {
         }
     }
 
-    /// A raw byte stream into a connection `t` accepted: what a peer writes
-    /// arrives at the connection in whatever pieces the writes make.
-    fn raw_into(t: &dyn Transport) -> (Box<dyn Connection>, Box<dyn Write + Send>) {
-        let listener = t.listen().unwrap();
-        let endpoint = listener.endpoint();
-        let raw: Box<dyn Write + Send> = match endpoint.split_once(':').unwrap() {
-            ("tcp", addr) => {
-                let s = TcpStream::connect(addr).unwrap();
-                s.set_nodelay(true).unwrap();
-                Box::new(s)
-            }
-            ("unix", path) => Box::new(UnixStream::connect(path).unwrap()),
-            _ => panic!("not a socket endpoint: {endpoint}"),
-        };
+    /// A raw byte stream into a connection the TCP transport accepted: what
+    /// a peer writes arrives at the connection in whatever pieces the writes
+    /// make.
+    fn raw_into() -> (Box<dyn Connection>, TcpStream) {
+        let listener = TcpTransport.listen().unwrap();
+        let raw = TcpStream::connect(listener.endpoint().strip_prefix("tcp:").unwrap()).unwrap();
+        raw.set_nodelay(true).unwrap();
         (listener.accept(Duration::from_secs(5)).unwrap(), raw)
     }
-
-    const SOCKETS: [&dyn Transport; 2] = [&TcpTransport, &UnixTransport];
 
     fn pattern(len: usize, seed: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 + seed) as u8).collect()
@@ -1209,64 +1083,58 @@ mod tests {
     /// one by one, in order.
     #[test]
     fn back_to_back_frames_in_one_write_arrive_in_order() {
-        for t in SOCKETS {
-            let (conn, mut raw) = raw_into(t);
-            let frames: Vec<Vec<u8>> = (0..100).map(|i| pattern(i * 13, i)).collect();
-            let bytes: Vec<u8> = (0u16..)
-                .zip(&frames)
-                .flat_map(|(kind, payload)| encode_frame(kind, payload).unwrap())
-                .collect();
-            let writer = std::thread::spawn(move || raw.write_all(&bytes).unwrap());
-            for (kind, payload) in (0u16..).zip(&frames) {
-                let got = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
-                assert_eq!((got.0, &got.1), (kind, payload), "{}", t.name());
-            }
-            writer.join().unwrap();
+        let (conn, mut raw) = raw_into();
+        let frames: Vec<Vec<u8>> = (0..100).map(|i| pattern(i * 13, i)).collect();
+        let bytes: Vec<u8> = (0u16..)
+            .zip(&frames)
+            .flat_map(|(kind, payload)| encode_frame(kind, payload).unwrap())
+            .collect();
+        let writer = std::thread::spawn(move || raw.write_all(&bytes).unwrap());
+        for (kind, payload) in (0u16..).zip(&frames) {
+            let got = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!((got.0, &got.1), (kind, payload));
         }
+        writer.join().unwrap();
     }
 
     /// A frame that arrives a byte at a time is assembled from as many
     /// reads, and the frame behind it is read in step.
     #[test]
     fn a_frame_dribbled_a_byte_per_write_arrives_intact() {
-        for t in SOCKETS {
-            let (conn, mut raw) = raw_into(t);
-            let payload = pattern(301, 7);
-            let mut bytes = encode_frame(3, &payload).unwrap();
-            bytes.extend(encode_frame(4, b"next").unwrap());
-            let writer = std::thread::spawn(move || {
-                for b in bytes {
-                    raw.write_all(&[b]).unwrap();
-                    raw.flush().unwrap();
-                }
-            });
-            let got = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
-            assert!(got == (3, payload), "{}: dribbled frame corrupted", t.name());
-            let got = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
-            assert_eq!((got.0, got.1.as_slice()), (4, b"next".as_slice()), "{}", t.name());
-            writer.join().unwrap();
-        }
+        let (conn, mut raw) = raw_into();
+        let payload = pattern(301, 7);
+        let mut bytes = encode_frame(3, &payload).unwrap();
+        bytes.extend(encode_frame(4, b"next").unwrap());
+        let writer = std::thread::spawn(move || {
+            for b in bytes {
+                raw.write_all(&[b]).unwrap();
+                raw.flush().unwrap();
+            }
+        });
+        let got = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert!(got == (3, payload), "dribbled frame corrupted");
+        let got = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!((got.0, got.1.as_slice()), (4, b"next".as_slice()));
+        writer.join().unwrap();
     }
 
     /// A payload larger than the receive buffer arrives whole, with the
     /// frames around it.
     #[test]
     fn a_frame_larger_than_the_receive_buffer_arrives_intact() {
-        for t in SOCKETS {
-            let (conn, mut raw) = raw_into(t);
-            let payload = pattern(3 << 20, 1);
-            assert!(payload.len() > RECV_BUFFER_BYTES);
-            let mut bytes = encode_frame(1, b"before").unwrap();
-            bytes.extend(encode_frame(2, &payload).unwrap());
-            bytes.extend(encode_frame(3, b"after").unwrap());
-            let writer = std::thread::spawn(move || raw.write_all(&bytes).unwrap());
-            let timeout = Some(Duration::from_secs(10));
-            assert_eq!(conn.recv_timeout(timeout).unwrap(), (1, b"before".to_vec()));
-            let got = conn.recv_timeout(timeout).unwrap();
-            assert!(got == (2, payload), "{}: large frame corrupted", t.name());
-            assert_eq!(conn.recv_timeout(timeout).unwrap(), (3, b"after".to_vec()));
-            writer.join().unwrap();
-        }
+        let (conn, mut raw) = raw_into();
+        let payload = pattern(3 << 20, 1);
+        assert!(payload.len() > RECV_BUFFER_BYTES);
+        let mut bytes = encode_frame(1, b"before").unwrap();
+        bytes.extend(encode_frame(2, &payload).unwrap());
+        bytes.extend(encode_frame(3, b"after").unwrap());
+        let writer = std::thread::spawn(move || raw.write_all(&bytes).unwrap());
+        let timeout = Some(Duration::from_secs(10));
+        assert_eq!(conn.recv_timeout(timeout).unwrap(), (1, b"before".to_vec()));
+        let got = conn.recv_timeout(timeout).unwrap();
+        assert!(got == (2, payload), "large frame corrupted");
+        assert_eq!(conn.recv_timeout(timeout).unwrap(), (3, b"after".to_vec()));
+        writer.join().unwrap();
     }
 
     #[test]
@@ -1303,20 +1171,32 @@ mod tests {
 
     #[test]
     fn connect_with_retry_eventually_fails_typed() {
-        match connect_endpoint("tcp:127.0.0.1:1", 2, Duration::from_millis(1)) {
+        match retry_connect(&TcpTransport, "tcp:127.0.0.1:1", 2, Duration::from_millis(1)) {
             Err(FrameError::Io(_)) => {}
             Err(e) => panic!("expected Io error, got {e:?}"),
             Ok(_) => panic!("connect to a closed port unexpectedly succeeded"),
         }
     }
 
+    /// An endpoint of a scheme no transport serves is refused before any
+    /// attempt is made, so it never waits out the retry schedule.
+    #[test]
+    fn an_unknown_endpoint_scheme_is_refused_at_once() {
+        let t0 = Instant::now();
+        match connect_endpoint("unix:/x") {
+            Err(FrameError::Io(e)) => assert!(e.contains("unknown endpoint scheme"), "{e}"),
+            Err(e) => panic!("expected an unknown-scheme error, got {e:?}"),
+            Ok(_) => panic!("an endpoint of an unknown scheme was connected"),
+        }
+        assert!(t0.elapsed() < CONNECT_BACKOFF, "refused after {:?}", t0.elapsed());
+    }
+
     #[test]
     fn retry_skips_backoff_after_final_attempt() {
-        // Two attempts => exactly one inter-attempt sleep (150ms). The old
-        // behaviour slept again after the final failure (150 + 300 = 450ms);
-        // the fix returns right after the second refusal.
+        // Two attempts => exactly one inter-attempt sleep (150 ms), and none
+        // after the second refusal (which would make 450 ms).
         let t0 = Instant::now();
-        let r = connect_with_retry(&TcpTransport, "tcp:127.0.0.1:1", 2, Duration::from_millis(150));
+        let r = retry_connect(&TcpTransport, "tcp:127.0.0.1:1", 2, Duration::from_millis(150));
         assert!(r.is_err());
         let elapsed = t0.elapsed();
         assert!(elapsed >= Duration::from_millis(140), "one backoff expected, got {elapsed:?}");
@@ -1324,7 +1204,7 @@ mod tests {
 
         // A single attempt must never sleep at all, whatever the backoff.
         let t0 = Instant::now();
-        let r = connect_with_retry(&TcpTransport, "tcp:127.0.0.1:1", 1, Duration::from_secs(3600));
+        let r = retry_connect(&TcpTransport, "tcp:127.0.0.1:1", 1, Duration::from_secs(3600));
         assert!(r.is_err());
         assert!(t0.elapsed() < Duration::from_secs(2), "attempts=1 slept on its huge backoff");
     }
@@ -1427,7 +1307,7 @@ mod tests {
                 }
                 parts.push(&payload[from..]);
                 prop_assert_eq!(encode_parts(5, &parts).unwrap(), encode_frame(5, &payload).unwrap());
-                for t in [&MemTransport as &dyn Transport, &TcpTransport, &UnixTransport::new()] {
+                for t in [&MemTransport as &dyn Transport, &TcpTransport] {
                     let listener = t.listen().unwrap();
                     let dialer = t.connect(&listener.endpoint()).unwrap();
                     let conn = listener.accept(Duration::from_secs(5)).unwrap();
@@ -1470,7 +1350,7 @@ mod tests {
                     sent.push((*kind, payload));
                 }
                 prop_assert_eq!(batch.as_bytes(), expect.as_slice());
-                for t in [&MemTransport as &dyn Transport, &TcpTransport, &UnixTransport::new()] {
+                for t in [&MemTransport as &dyn Transport, &TcpTransport] {
                     let listener = t.listen().unwrap();
                     let dialer = t.connect(&listener.endpoint()).unwrap();
                     let conn = listener.accept(Duration::from_secs(5)).unwrap();

@@ -53,11 +53,6 @@ impl Default for EulerConfig {
 }
 
 impl EulerConfig {
-    /// Configuration using the paper's baseline merge strategy.
-    pub fn paper_baseline() -> Self {
-        Self::default()
-    }
-
     /// Configuration using the §5 improvements (remote-edge deduplication and
     /// deferred transfer).
     pub fn improved() -> Self {
@@ -110,7 +105,6 @@ mod tests {
 
     #[test]
     fn default_matches_paper_baseline() {
-        assert_eq!(EulerConfig::default(), EulerConfig::paper_baseline());
         assert_eq!(EulerConfig::default().merge_strategy, MergeStrategy::Duplicated);
     }
 

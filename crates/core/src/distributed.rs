@@ -20,7 +20,7 @@
 //! in-process one fans them out on rayon. With one, a **coordinator** owns
 //! the walk and the workers are OS threads over the in-memory transport, or
 //! genuine OS *processes* spawned via `std::process::Command` running the
-//! `euler-worker` binary over a TCP/Unix socket transport, exchanging typed
+//! `euler-worker` binary over the TCP transport, exchanging typed
 //! messages through the framed, checksummed codec of
 //! [`euler_bsp::transport`] — the rest of this page.
 //!
@@ -99,7 +99,9 @@ use euler_bsp::checkpoint::{
     checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError,
 };
 use euler_bsp::fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
-use euler_bsp::transport::{connect_endpoint, Connection, FrameError, Listener, Transport};
+use euler_bsp::transport::{
+    connect_endpoint, connect_with_retry, Connection, FrameError, Listener, Transport,
+};
 use euler_bsp::wire::{word_u32, WireError, WordReader, WordWriter};
 use euler_bsp::{BspConfig, EngineStats, PlatformCostModel, SuperstepStats};
 use euler_graph::{CsrFile, PartitionAssignment, PartitionId};
@@ -272,31 +274,20 @@ fn read_segments(r: &mut WordReader<'_>) -> Result<Vec<(SegmentHead, Range<usize
 /// of the Init message, which the tagged seed ([`SeedTail`]) follows.
 struct InitHead {
     worker_id: u32,
-    num_workers: u32,
     strategy: MergeStrategy,
     heartbeat_interval: Duration,
     kill: Option<(u32, u32)>,
-    kill_mode: KillMode,
     checkpoint_dir: Option<PathBuf>,
     tree: Arc<MergeTree>,
 }
 
 fn encode_init_head(m: &InitHead) -> WordWriter {
     let mut out = WordWriter::new();
-    out.words(&[
-        m.worker_id as u64,
-        m.num_workers as u64,
-        m.strategy.wire_code(),
-        m.heartbeat_interval.as_nanos() as u64,
-    ]);
+    out.words(&[m.worker_id as u64, m.strategy.wire_code(), m.heartbeat_interval.as_nanos() as u64]);
     match m.kill {
         Some((w, s)) => out.words(&[1, w as u64, s as u64]),
         None => out.words(&[0, 0, 0]),
     }
-    out.u(match m.kill_mode {
-        KillMode::Exit => 0,
-        KillMode::Stall => 1,
-    });
     match &m.checkpoint_dir {
         Some(d) => {
             out.u(1);
@@ -310,17 +301,14 @@ fn encode_init_head(m: &InitHead) -> WordWriter {
 
 fn decode_init(payload: &[u8]) -> Result<(InitHead, SeedTail), WireError> {
     let mut r = WordReader::new(payload)?;
-    let [worker_id, num_workers, strategy, heartbeat_ns, kill_flag, kill_w, kill_s, kill_mode, has_dir] =
-        r.array()?;
+    let [worker_id, strategy, heartbeat_ns, kill_flag, kill_w, kill_s, has_dir] = r.array()?;
     let strategy = MergeStrategy::from_wire_code(strategy)?;
     let checkpoint_dir = if has_dir != 0 { Some(PathBuf::from(r.str()?)) } else { None };
     let head = InitHead {
         worker_id: word_u32(worker_id, "worker id")?,
-        num_workers: word_u32(num_workers, "worker count")?,
         strategy,
         heartbeat_interval: Duration::from_nanos(heartbeat_ns),
         kill: if kill_flag != 0 { Some((word_u32(kill_w, "kill worker")?, word_u32(kill_s, "kill step")?)) } else { None },
-        kill_mode: if kill_mode == 0 { KillMode::Exit } else { KillMode::Stall },
         checkpoint_dir,
         tree: Arc::new(decode_tree(&mut r)?),
     };
@@ -939,8 +927,14 @@ impl WorkerState {
 
 /// Runs the worker protocol loop over an established connection. Returns
 /// when told to shut down, or exits early on an injected kill / protocol
-/// failure (the coordinator sees the connection drop and recovers).
-pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<(), String> {
+/// failure (the coordinator sees the connection drop and recovers). An
+/// injected kill takes the worker down in `kill_mode`, the one its kind of
+/// worker can take.
+pub(crate) fn run_worker(
+    conn: Arc<dyn Connection>,
+    worker_id: u32,
+    kill_mode: KillMode,
+) -> Result<(), String> {
     conn.send_words(kind::HELLO, &[worker_id as u64])
         .map_err(|e| format!("hello failed: {e}"))?;
 
@@ -1017,7 +1011,7 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                     if let Some((kw, ks)) = st.init.kill {
                         if kw == st.init.worker_id && ks == superstep && !st.kill_consumed {
                             st.kill_consumed = true;
-                            match st.init.kill_mode {
+                            match kill_mode {
                                 // Thread workers can't be SIGKILLed individually:
                                 // dying is dropping the connection mid-superstep.
                                 KillMode::Exit => return Ok(false),
@@ -1058,12 +1052,13 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
 }
 
 /// Entry point of the `euler-worker` binary: connect to the coordinator
-/// `endpoint` (scheme-prefixed: `tcp:…`, `unix:…`) and serve as worker
-/// `worker_id` until shut down.
+/// `endpoint` (`tcp:HOST:PORT`) and serve as worker `worker_id` until shut
+/// down. A process worker stalls at an injected kill, so the coordinator's
+/// SIGKILL lands mid-superstep.
 pub fn worker_main(endpoint: &str, worker_id: u32) -> Result<(), String> {
-    let conn = connect_endpoint(endpoint, 50, Duration::from_millis(10))
+    let conn = connect_endpoint(endpoint)
         .map_err(|e| format!("worker {worker_id} could not connect to {endpoint}: {e}"))?;
-    run_worker(Arc::from(conn), worker_id)
+    run_worker(Arc::from(conn), worker_id, KillMode::Stall)
 }
 
 /// Resolves the worker binary to spawn for process workers:
@@ -1090,7 +1085,7 @@ pub fn default_worker_bin() -> Option<PathBuf> {
 pub(crate) enum WorkerSpawn {
     /// Worker threads in this process (any transport).
     Threads,
-    /// Worker *processes* running the given binary (socket transports only).
+    /// Worker *processes* running the given binary (the TCP transport only).
     Processes { worker_bin: PathBuf },
 }
 
@@ -1317,23 +1312,15 @@ impl Fleet {
         let endpoint = self.listener.endpoint();
         match &self.cfg.spawn {
             WorkerSpawn::Threads => {
-                let attempts = self.cfg.policy.connect_attempts;
-                let backoff = self.cfg.policy.connect_backoff;
                 let transport = Arc::clone(&self.cfg.transport);
                 std::thread::spawn(move || {
-                    let conn = match euler_bsp::transport::connect_with_retry(
-                        transport.as_ref(),
-                        &endpoint,
-                        attempts,
-                        backoff,
-                    ) {
-                        Ok(c) => c,
-                        Err(_) => return,
+                    let Ok(conn) = connect_with_retry(transport.as_ref(), &endpoint) else {
+                        return;
                     };
                     // A worker death (injected or real) is just this thread
                     // returning; the coordinator recovers from the dropped
                     // connection, so the error itself needs no channel.
-                    run_worker(Arc::from(conn), w).ok();
+                    run_worker(Arc::from(conn), w, KillMode::Exit).ok();
                 });
                 Ok(None)
             }
@@ -1378,7 +1365,7 @@ impl Fleet {
                 Err(FrameError::Timeout) => continue,
                 Err(e) => return Err(EulerError::Distributed(format!("accept failed: {e}"))),
             };
-            // Socket transports refuse a zero read timeout.
+            // The TCP transport refuses a zero read timeout.
             let left = deadline.saturating_duration_since(Instant::now());
             let hello = match conn.recv_timeout(Some(left.max(Duration::from_millis(1)))) {
                 Ok((kind::HELLO, payload)) => WordReader::new(&payload).and_then(|mut r| r.u()).ok(),
@@ -1435,14 +1422,9 @@ impl Fleet {
         let kill = self.cfg.plan.kill.filter(|_| !self.kill_consumed);
         let head = encode_init_head(&InitHead {
             worker_id: w,
-            num_workers: self.num_workers() as u32,
             strategy: self.strategy,
             heartbeat_interval: self.cfg.policy.heartbeat_interval,
             kill,
-            kill_mode: match self.cfg.spawn {
-                WorkerSpawn::Threads => KillMode::Exit,
-                WorkerSpawn::Processes { .. } => KillMode::Stall,
-            },
             checkpoint_dir: self.cfg.checkpoint_dir.clone(),
             tree: Arc::clone(&self.tree),
         });
@@ -1547,6 +1529,8 @@ impl Fleet {
     /// Coordinator→worker send with bounded retry, plus the scripted
     /// drop/delay injection (counted over Start frames).
     fn send_start(&mut self, w: u32, parts: &[&[u8]]) -> Result<(), FrameError> {
+        // Retries of a failed send before the worker is declared dead.
+        const SEND_RETRIES: u32 = 2;
         let seq = self.start_seq;
         self.start_seq += 1;
         if self.cfg.plan.drop_nth_send == Some(seq) {
@@ -1559,12 +1543,12 @@ impl Fleet {
         }
         let conn = Arc::clone(&self.workers[w as usize].conn);
         let mut last = FrameError::Closed;
-        for attempt in 0..=self.cfg.policy.send_retries {
+        for attempt in 0..=SEND_RETRIES {
             match conn.send_parts(kind::START, parts) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     last = e;
-                    if attempt < self.cfg.policy.send_retries {
+                    if attempt < SEND_RETRIES {
                         self.recovery.send_retries += 1;
                         std::thread::sleep(Duration::from_millis(5 << attempt));
                     }
@@ -1712,13 +1696,15 @@ impl Fleet {
         deaths: &[u32],
         inbox: &mut Vec<Vec<Blob>>,
     ) -> Result<(), EulerError> {
+        // Restarts of one worker (respawn + restore or full restart) before
+        // the run is given up.
+        const MAX_WORKER_RESTARTS: u32 = 3;
         for &w in deaths {
             let h = &mut self.workers[w as usize];
             h.restarts += 1;
-            if h.restarts > self.cfg.policy.max_worker_restarts {
+            if h.restarts > MAX_WORKER_RESTARTS {
                 return Err(EulerError::Distributed(format!(
-                    "worker {w} exceeded the restart budget ({}) at superstep {level}",
-                    self.cfg.policy.max_worker_restarts
+                    "worker {w} exceeded the restart budget ({MAX_WORKER_RESTARTS}) at superstep {level}"
                 )));
             }
             h.retire();
@@ -2062,11 +2048,9 @@ mod tests {
     fn test_init(dir: Option<PathBuf>) -> InitHead {
         InitHead {
             worker_id: 0,
-            num_workers: 1,
             strategy: MergeStrategy::Deferred,
             heartbeat_interval: Duration::from_millis(50),
             kill: None,
-            kill_mode: KillMode::Exit,
             checkpoint_dir: dir,
             tree: Arc::new(tiny_tree()),
         }
@@ -2314,6 +2298,20 @@ mod tests {
         assert_eq!(shipped(got_seeds), seeds);
         assert_eq!(got.tree.leaves, m.tree.leaves);
         assert_eq!(got.tree.levels, m.tree.levels);
+        // The head is seven words ahead of the directory: worker, strategy,
+        // heartbeat, the kill plan's three and the directory flag. One cut
+        // short anywhere is refused.
+        let head = encode_init_head(&test_init(None)).into_bytes();
+        let strategy = MergeStrategy::Deferred.wire_code();
+        let words: Vec<u64> =
+            head.chunks(8).take(7).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
+        assert_eq!(words, [0, strategy, 50_000_000, 0, 0, 0, 0]);
+        for cut in 0..head.len() / 8 {
+            assert!(
+                matches!(decode_init(&head[..8 * cut]), Err(WireError::Truncated { .. })),
+                "a head cut at word {cut} was not refused as truncated"
+            );
+        }
         // A seed for a partition the tree does not have, and a tree whose
         // partitions no fragment id could name, are refused.
         let stray = decode_init(&init_payload(&m, &[state(8, &[1])])).map(drop);
@@ -2562,8 +2560,8 @@ mod tests {
                 }
             }
         }
-        // Records that decode word for word but are no fragment: an empty one
-        // used to be adopted and panic Phase 3 when something referenced it.
+        // Records that decode word for word but are no fragment: an empty one,
+        // adopted, would panic Phase 3 when something referenced it.
         for (fragments, what) in hostile_segments() {
             let hostile = DoneWriter { fragments, ..sample_done(&[]) };
             let parsed = decode_done(Arc::new(done_payload(&hostile))).unwrap();
@@ -2668,7 +2666,7 @@ mod tests {
         for (frames, what) in cases {
             let listener = MemTransport.listen().unwrap();
             let dial = MemTransport.connect(&listener.endpoint()).unwrap();
-            let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
+            let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0, KillMode::Exit));
             let conn = listener.accept(Duration::from_secs(5)).unwrap();
             assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
             for (k, payload) in &frames {
@@ -2687,7 +2685,7 @@ mod tests {
         // checkpoint Longs and the time the level-0 build took.
         let listener = MemTransport.listen().unwrap();
         let dial = MemTransport.connect(&listener.endpoint()).unwrap();
-        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
+        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0, KillMode::Exit));
         let conn = listener.accept(Duration::from_secs(5)).unwrap();
         assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
         conn.send(kind::INIT, &good_ref).unwrap();
@@ -2708,7 +2706,7 @@ mod tests {
         let writer = WorkerState::build(test_init(Some(ckpt.clone())), vec![state(0, &[4])]);
         let listener = MemTransport.listen().unwrap();
         let dial = MemTransport.connect(&listener.endpoint()).unwrap();
-        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
+        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0, KillMode::Exit));
         let conn = listener.accept(Duration::from_secs(5)).unwrap();
         assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
         conn.send(kind::INIT, &init_payload(&checkpointing, &[state(0, &[])])).unwrap();

@@ -36,11 +36,6 @@
 //!   run — a [`Seed`] — so no full [`Graph`] and no partition view is ever
 //!   materialised — the multi-GB loading mode the paper's scale targets
 //!   require.
-//!
-//! The pre-redesign entry points (`find_euler_circuit`, `run_partitioned`,
-//! `DistributedRunner`) were deprecated wrappers over this module for one
-//! release and are now removed; their test suites live on in this module's
-//! tests. See the facade crate's migration table.
 
 use crate::config::EulerConfig;
 use crate::distributed::DistRun;
@@ -109,11 +104,8 @@ pub struct LevelPartitionReport {
     pub splice_materialization_longs: u64,
 }
 
-/// Full report of one pipeline run — the same record for every backend.
-///
-/// The in-process and BSP drivers used to produce disjoint reports (a
-/// `RunReport` vs. bare superstep statistics); the shared merge-tree walk now
-/// assembles this unified report for both, and a BSP run additionally carries
+/// Full report of one pipeline run — the same record for every backend,
+/// assembled by the shared merge-tree walk. A BSP run additionally carries
 /// its superstep statistics in [`RunReport::engine`].
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RunReport {
@@ -317,11 +309,9 @@ pub trait ExecutionBackend {
 /// A level's partitions fan out on rayon threads, each merging its children
 /// and running the sequential Phase-1 kernel on an arena of the worker's
 /// pool; [`EulerPipelineBuilder::sequential`] steps them one at a time —
-/// same bytes, one thread. It reports no superstep statistics.
-///
-/// This backend absorbs the pre-redesign `run_partitioned` driver; it
-/// produces the detailed per-level, per-partition quantities the paper's
-/// Figs. 6–9 are built from.
+/// same bytes, one thread. It reports no superstep statistics, and produces
+/// the detailed per-level, per-partition quantities the paper's Figs. 6–9
+/// are built from.
 #[derive(Default)]
 pub struct InProcessBackend {
     run: RefCell<Option<DistRun>>,
@@ -477,8 +467,7 @@ pub(crate) mod wire {
 /// child retiring into a parent on its own worker is handed over by value;
 /// one whose parent is on another worker ships its *serialised* state there.
 ///
-/// This backend absorbs the pre-redesign `DistributedRunner`. On top of the
-/// unified [`RunReport`] it contributes superstep statistics (shuffle bytes,
+/// On top of the [`RunReport`] every backend fills, this one contributes superstep statistics (shuffle bytes,
 /// per-partition time splits, modelled platform overhead) via
 /// [`RunReport::engine`], which is what the Fig.-5/6 harnesses consume. The
 /// default configuration is one worker per partition — the paper's
@@ -534,8 +523,8 @@ impl BspBackend {
 
     /// Spawns workers as OS processes (the `euler-worker` binary, resolved
     /// via `$EULER_WORKER_BIN` or next to the current executable) instead of
-    /// threads. Requires a socket transport
-    /// ([`euler_bsp::TcpTransport`] / [`euler_bsp::UnixTransport`]).
+    /// threads. Requires [`euler_bsp::TcpTransport`]: in-memory channels do
+    /// not reach other processes.
     pub fn process_workers(mut self, yes: bool) -> Self {
         self.process_workers = yes;
         self
@@ -556,8 +545,7 @@ impl BspBackend {
         self
     }
 
-    /// Tunes dead-worker detection and recovery (heartbeat interval and
-    /// timeout, restart budget, connect/send retries).
+    /// Tunes dead-worker detection (heartbeat interval and timeout).
     pub fn fault_policy(mut self, policy: euler_bsp::FaultPolicy) -> Self {
         self.fault_policy = policy;
         self

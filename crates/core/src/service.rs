@@ -1116,7 +1116,7 @@ impl ServiceClient {
     /// # Errors
     /// [`ServiceError::Transport`] when the endpoint is unreachable.
     pub fn connect(endpoint: &str) -> Result<ServiceClient, ServiceError> {
-        let conn = connect_endpoint(endpoint, 20, Duration::from_millis(10))?;
+        let conn = connect_endpoint(endpoint)?;
         Ok(ServiceClient { conn, recv_timeout: Duration::from_secs(120) })
     }
 

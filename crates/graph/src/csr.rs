@@ -69,12 +69,6 @@ impl Csr {
         (&self.targets[lo..hi], &self.edge_ids[lo..hi])
     }
 
-    /// Iterator over `(neighbour, edge)` pairs of `v`.
-    pub fn neighbor_iter(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
-        let (t, e) = self.neighbors(v);
-        t.iter().copied().zip(e.iter().copied())
-    }
-
     /// Total size of the CSR arrays in 8-byte Longs.
     pub fn memory_longs(&self) -> u64 {
         (self.offsets.len() + self.targets.len() + self.edge_ids.len()) as u64
@@ -127,9 +121,9 @@ mod tests {
     fn neighbor_iter_pairs_up() {
         let g = graph_from_edges(&[(0, 1), (1, 2)]);
         let csr = Csr::from_graph(&g);
-        let pairs: Vec<_> = csr.neighbor_iter(VertexId(1)).collect();
-        assert_eq!(pairs.len(), 2);
-        for (nbr, e) in pairs {
+        let (targets, edges) = csr.neighbors(VertexId(1));
+        assert_eq!((targets.len(), edges.len()), (2, 2));
+        for (&nbr, &e) in targets.iter().zip(edges) {
             assert_eq!(g.other_endpoint(e, VertexId(1)), nbr);
         }
     }

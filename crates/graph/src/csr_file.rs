@@ -624,12 +624,6 @@ impl CsrFile {
     pub fn file_bytes(&self) -> u64 {
         self.map.len() as u64
     }
-
-    /// True when the file is backed by a kernel memory mapping (as opposed to
-    /// the shim's whole-file read fallback).
-    pub fn is_kernel_mapping(&self) -> bool {
-        self.map.is_kernel_mapping()
-    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,13 @@
-//! Plain-text edge-list I/O and partition-assignment files.
+//! Plain-text edge-list I/O.
 //!
-//! The formats mirror the de-facto standard used by graph tools such as
+//! The format mirrors the de-facto standard used by graph tools such as
 //! ParHIP/KaHIP drivers and the RMAT generators referenced in the paper:
 //! an edge list is one `u v` pair per line (`#`-prefixed comment lines are
-//! ignored); a partition file is one partition id per line, in vertex order.
+//! ignored).
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::partitioned::PartitionAssignment;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -194,41 +193,10 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError>
     read_edge_list(f)
 }
 
-/// Writes a partition assignment, one partition id per line in vertex order.
-pub fn write_partition_file<W: Write>(a: &PartitionAssignment, writer: W) -> Result<(), GraphError> {
-    let mut w = BufWriter::new(writer);
-    for v in 0..a.num_vertices() {
-        writeln!(w, "{}", a.partition_of(crate::ids::VertexId(v)).0)?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a partition assignment written by [`write_partition_file`].
-pub fn read_partition_file<R: Read>(reader: R) -> Result<PartitionAssignment, GraphError> {
-    let r = BufReader::new(reader);
-    let mut labels = Vec::new();
-    let mut max_label = 0u32;
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let label: u32 = line
-            .parse()
-            .map_err(|e| GraphError::Parse { line: lineno + 1, message: format!("bad partition id: {e}") })?;
-        max_label = max_label.max(label);
-        labels.push(label);
-    }
-    PartitionAssignment::from_labels(labels, max_label + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-    use crate::ids::{PartitionId, VertexId};
 
     #[test]
     fn edge_list_roundtrip() {
@@ -327,19 +295,6 @@ mod tests {
         assert_eq!(g1.num_vertices(), g2.num_vertices());
         assert_eq!(g1.num_vertices(), 6);
         assert_eq!(g1.num_edges(), g2.num_edges());
-    }
-
-    #[test]
-    fn partition_file_roundtrip() {
-        let a = PartitionAssignment::from_labels(vec![0, 1, 1, 2, 0], 3).unwrap();
-        let mut buf = Vec::new();
-        write_partition_file(&a, &mut buf).unwrap();
-        let a2 = read_partition_file(&buf[..]).unwrap();
-        assert_eq!(a2.num_partitions(), 3);
-        for v in 0..5 {
-            assert_eq!(a2.partition_of(VertexId(v)), a.partition_of(VertexId(v)));
-        }
-        assert_eq!(a2.partition_of(VertexId(3)), PartitionId(2));
     }
 
     #[test]

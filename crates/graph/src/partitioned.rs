@@ -226,16 +226,6 @@ impl PartitionedGraph {
         &self.partitions
     }
 
-    /// Mutable access to the partitions (used by merge strategies).
-    pub fn partitions_mut(&mut self) -> &mut [Partition] {
-        &mut self.partitions
-    }
-
-    /// Consumes the partitioned graph, returning its partitions.
-    pub fn into_partitions(self) -> Vec<Partition> {
-        self.partitions
-    }
-
     /// Number of partitions.
     pub fn num_partitions(&self) -> u32 {
         self.partitions.len() as u32

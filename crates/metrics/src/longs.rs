@@ -50,11 +50,6 @@ impl MemoryState {
     pub fn num_partitions(&self) -> usize {
         self.per_partition.len()
     }
-
-    /// Largest single-partition state (the per-machine memory bound, §3.5).
-    pub fn max_partition(&self) -> u64 {
-        self.per_partition.values().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +65,6 @@ mod tests {
         assert_eq!(m.cumulative(), 400);
         assert!((m.average() - 200.0).abs() < 1e-9);
         assert_eq!(m.num_partitions(), 2);
-        assert_eq!(m.max_partition(), 300);
     }
 
     #[test]
@@ -78,6 +72,5 @@ mod tests {
         let m = MemoryState::new(0);
         assert_eq!(m.cumulative(), 0);
         assert_eq!(m.average(), 0.0);
-        assert_eq!(m.max_partition(), 0);
     }
 }

@@ -39,11 +39,6 @@ impl Table {
         self.push_row(cells.iter().map(|c| c.to_string()).collect());
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
@@ -221,7 +216,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("Table 1"));
         assert!(s.contains("G20/P2"));
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.rows.len(), 2);
         // Header and both rows appear on separate lines.
         assert!(s.lines().count() >= 5);
     }
@@ -266,6 +261,6 @@ mod tests {
         let t = Table::new("empty", &["a", "b"]);
         let s = t.render();
         assert!(s.contains('a'));
-        assert_eq!(t.num_rows(), 0);
+        assert!(t.rows.is_empty());
     }
 }

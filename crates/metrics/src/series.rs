@@ -39,11 +39,6 @@ impl Series {
         self.points.push(DataPoint { label: label.into(), x, y });
     }
 
-    /// Appends a point whose label is its x value.
-    pub fn push_xy(&mut self, x: f64, y: f64) {
-        self.points.push(DataPoint { label: format!("{x}"), x, y });
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -122,17 +117,17 @@ mod tests {
         let mut s = Series::new("total_time");
         assert!(s.is_empty());
         s.push("G20_P2", 2.0, 11.5);
-        s.push_xy(3.0, 15.0);
+        s.push("G50_P8", 3.0, 15.0);
         assert_eq!(s.len(), 2);
         assert_eq!(s.ys(), vec![11.5, 15.0]);
-        assert_eq!(s.points[1].label, "3");
+        assert_eq!(s.points[1].label, "G50_P8");
     }
 
     #[test]
     fn linear_fit_recovers_line() {
         let mut s = Series::new("y=2x+1");
         for x in 0..10 {
-            s.push_xy(x as f64, 2.0 * x as f64 + 1.0);
+            s.push(format!("{x}"), x as f64, 2.0 * x as f64 + 1.0);
         }
         let (a, b) = s.linear_fit().unwrap();
         assert!((a - 2.0).abs() < 1e-9);
@@ -143,9 +138,9 @@ mod tests {
     #[test]
     fn linear_fit_needs_two_points_and_variance() {
         let mut s = Series::new("one");
-        s.push_xy(1.0, 1.0);
+        s.push("a", 1.0, 1.0);
         assert!(s.linear_fit().is_none());
-        s.push_xy(1.0, 2.0); // zero x variance
+        s.push("b", 1.0, 2.0); // zero x variance
         assert!(s.linear_fit().is_none());
         assert!(s.correlation().is_none());
     }
@@ -165,7 +160,7 @@ mod tests {
     fn negative_correlation_detected() {
         let mut s = Series::new("down");
         for x in 0..5 {
-            s.push_xy(x as f64, -(x as f64));
+            s.push(format!("{x}"), x as f64, -(x as f64));
         }
         assert!((s.correlation().unwrap() + 1.0).abs() < 1e-9);
     }

@@ -26,12 +26,13 @@ use euler_graph::{
     EdgeStream, Graph, GraphEdgeStream, GraphError, PartitionAssignment, StreamOrder, VertexId,
 };
 
+/// Capacity slack: per-partition capacity is `ceil(n/k) * (1 + SLACK)`.
+const SLACK: f64 = 0.05;
+
 /// LDG streaming partitioner.
 #[derive(Clone, Copy, Debug)]
 pub struct LdgPartitioner {
     k: u32,
-    /// Capacity slack: per-partition capacity is `ceil(n/k) * (1 + slack)`.
-    slack: f64,
     /// If true, vertices are placed in BFS order from vertex 0 instead of
     /// stream (id) order — a whole-graph-only variant.
     bfs_order: bool,
@@ -55,8 +56,8 @@ struct LdgState {
 const UNPLACED: u32 = u32::MAX;
 
 impl LdgState {
-    fn new(n: u64, k: usize, slack: f64) -> Self {
-        let capacity = ((n as f64 / k as f64).ceil() * (1.0 + slack)).ceil().max(1.0);
+    fn new(n: u64, k: usize) -> Self {
+        let capacity = ((n as f64 / k as f64).ceil() * (1.0 + SLACK)).ceil().max(1.0);
         LdgState {
             k,
             capacity,
@@ -129,13 +130,7 @@ impl LdgPartitioner {
     /// placing vertices in stream (ascending id) order.
     pub fn new(k: u32) -> Self {
         assert!(k >= 1);
-        LdgPartitioner { k, slack: 0.05, bfs_order: false }
-    }
-
-    /// Sets the capacity slack (0.05 = 5 %).
-    pub fn with_slack(mut self, slack: f64) -> Self {
-        self.slack = slack.max(0.0);
-        self
+        LdgPartitioner { k, bfs_order: false }
     }
 
     /// Chooses BFS placement order from vertex 0 (better locality than id
@@ -177,7 +172,7 @@ impl LdgPartitioner {
                 }
             }
         }
-        let mut state = LdgState::new(g.num_vertices(), self.k as usize, self.slack);
+        let mut state = LdgState::new(g.num_vertices(), self.k as usize);
         for v in order {
             for &(nbr, _) in g.neighbors(v) {
                 let l = state.labels[nbr.index()];
@@ -246,7 +241,7 @@ impl StreamingPartitioner for LdgPartitioner {
             consumer: "ldg".into(),
             message: "needs the vertex count before streaming (capacity C = ⌈n/k⌉)".into(),
         })?;
-        let mut state = LdgState::new(n, self.k as usize, self.slack);
+        let mut state = LdgState::new(n, self.k as usize);
         stream.stream(&mut |batch| {
             for &(u, v) in batch {
                 state.feed(u, v);

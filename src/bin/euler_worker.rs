@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: euler-worker --endpoint <tcp:HOST:PORT | unix:PATH> --worker-id <N>");
+    eprintln!("usage: euler-worker --endpoint <tcp:HOST:PORT> --worker-id <N>");
     ExitCode::FAILURE
 }
 

@@ -230,17 +230,16 @@
 //! Give [`BspBackend`](algo::BspBackend) a [`Transport`](bsp::Transport)
 //! and the walk runs as a coordinator/worker protocol over length-prefixed,
 //! checksummed frames — [`MemTransport`](bsp::MemTransport) (in-memory
-//! channels), [`TcpTransport`](bsp::TcpTransport) or
-//! [`UnixTransport`](bsp::UnixTransport) (the socket transports also take
-//! `.process_workers(true)`: one `euler-worker` OS process per worker,
-//! spawned and — after a SIGKILL — respawned by the coordinator). Add
+//! channels, thread workers) or [`TcpTransport`](bsp::TcpTransport) (which
+//! also takes `.process_workers(true)`: one `euler-worker` OS process per
+//! worker, spawned and — after a SIGKILL — respawned by the coordinator). Add
 //! `.checkpoint_dir(..)` and a worker that dies after superstep 0 rolls the
 //! fleet back to the checkpoint of the failed superstep instead of replaying
 //! from the seeds (a death at superstep 0 re-Inits from the seeds, which are
 //! the state entering it);
 //! either way the final circuit is bit-identical to an unkilled run, for
-//! any worker count. [`FaultPolicy`](bsp::FaultPolicy) tunes heartbeats and
-//! restart budgets; [`FaultPlan`](bsp::FaultPlan) injects faults for tests.
+//! any worker count. [`FaultPolicy`](bsp::FaultPolicy) tunes heartbeats;
+//! [`FaultPlan`](bsp::FaultPlan) injects faults for tests.
 //!
 //! ```
 //! use euler_circuit::prelude::*;
@@ -387,7 +386,6 @@ pub mod prelude {
     pub use euler_baseline::{fleury::fleury_circuit, hierholzer::hierholzer_circuit, makki::MakkiRunner};
     pub use euler_bsp::{
         BspConfig, FaultPlan, FaultPolicy, MemTransport, RecoveryStats, TcpTransport, Transport,
-        UnixTransport,
     };
     pub use euler_core::{
         run_on_partitioned, run_with_backend, stream_phase1,

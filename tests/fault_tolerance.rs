@@ -617,24 +617,6 @@ fn process_workers_over_tcp_match_in_process_run() {
 }
 
 #[test]
-fn process_workers_over_unix_socket_match_in_process_run() {
-    let g = graph_from(19, 80, 8);
-    let a = HashPartitioner::new(3).partition(&g);
-    let config = EulerConfig::default();
-    let reference = reference_run(&g, &a, &config);
-    let run = distributed_run(
-        &g,
-        &a,
-        &config,
-        BspBackend::with_engine(BspConfig::with_workers(3))
-            .with_transport(Arc::new(UnixTransport::new()))
-            .process_workers(true),
-    );
-    assert!(verify_result(&g, &run.circuit.result).is_ok());
-    assert_same_run(&reference, &run);
-}
-
-#[test]
 fn sigkilled_process_worker_is_respawned_and_restored_bit_identically() {
     let g = graph_from(55, 120, 14);
     let a = LdgPartitioner::new(4).partition(&g);

@@ -22,7 +22,8 @@
 //!   client refuses chunks out of stream order;
 //! * every CANCEL gets exactly one CANCELLED, and a client that hangs up —
 //!   mid-run or while queued — or a service shutdown ends the run without
-//!   executing it, holding no budget and hanging no stream.
+//!   executing it, holding no budget and hanging no stream; one that hangs
+//!   up mid-stream leaves its serving thread serving.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -315,8 +316,7 @@ fn a_cache_hit_sends_the_fresh_runs_chunk_payloads_byte_for_byte() {
     let endpoint = service.endpoint().to_string();
     let info = ServiceClient::connect(&endpoint).unwrap().register(path.to_str().unwrap()).unwrap();
 
-    let conn =
-        euler_circuit::bsp::connect_endpoint(&endpoint, 20, Duration::from_millis(10)).unwrap();
+    let conn = euler_circuit::bsp::connect_endpoint(&endpoint).unwrap();
     let (fresh_cached, fresh) = raw_run(conn.as_ref(), info.checksum);
     let (hit_cached, hit) = raw_run(conn.as_ref(), info.checksum);
     assert!(!fresh_cached && hit_cached);
@@ -452,8 +452,7 @@ fn malformed_frames_yield_typed_errors_and_the_server_survives() {
     };
 
     // A well-formed frame of an unknown kind: typed ERROR, connection lives.
-    let conn =
-        euler_circuit::bsp::connect_endpoint(&endpoint, 20, Duration::from_millis(10)).unwrap();
+    let conn = euler_circuit::bsp::connect_endpoint(&endpoint).unwrap();
     conn.send(0x0099, &[]).unwrap();
     let (kind, payload) = conn.recv_timeout(Some(Duration::from_secs(10))).unwrap();
     assert_eq!(kind, frame_kind::ERROR);
@@ -616,6 +615,53 @@ fn a_client_that_hangs_up_mid_run_cancels_it() {
     let stats = stats_when(&admin, |s| s.runs_cancelled + s.runs_executed > 0 && s.admitted_longs == 0);
     assert_eq!((stats.runs_cancelled, stats.admitted_longs, stats.runs_executed), (1, 0, 0));
     service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A client that hangs up mid-stream — after `Accepted` and one `Chunk`,
+/// with the rest of the batch still being written — costs the server
+/// nothing, whether the stream was a fresh run's or a cache hit's: the next
+/// client on the same single serving thread gets the library circuit, no
+/// budget stays admitted, and the server shuts down.
+#[test]
+fn a_client_dropped_mid_stream_leaves_its_serving_thread_serving() {
+    let (_g, path) = long_run_graph("dropped-mid-stream");
+    let service = EulerService::bind(ServiceConfig {
+        workers: 1,
+        chunk_steps: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let endpoint = service.endpoint().to_string();
+    let client = || {
+        ServiceClient::connect(&endpoint).unwrap().with_recv_timeout(Duration::from_secs(30))
+    };
+    // Each client below connects once the one before it has hung up: the
+    // one serving thread serves one connection at a time.
+    let info = client().register(path.to_str().unwrap()).unwrap();
+    let expect = reference(&path, LONG_RUN);
+    for cached in [false, true] {
+        {
+            let dropped = client();
+            dropped.start_run(info.checksum, LONG_RUN).unwrap();
+            loop {
+                match dropped.next_event().unwrap() {
+                    RunEvent::Accepted { cached: hit, .. } => assert_eq!(hit, cached),
+                    RunEvent::Progress { .. } | RunEvent::Report(_) => {}
+                    RunEvent::Chunk { .. } => break,
+                    other => panic!("expected the run's stream, got {other:?}"),
+                }
+            }
+        }
+        let next = client().run(info.checksum, LONG_RUN).unwrap();
+        assert!(next.cached);
+        assert!(next.circuits == expect.circuits, "after a drop (cached: {cached})");
+    }
+    let stats = service.stats();
+    assert_eq!((stats.runs_executed, stats.runs_cached, stats.admitted_longs), (1, 3, 0));
+    let t = Instant::now();
+    service.shutdown();
+    assert!(t.elapsed() < Duration::from_secs(10), "shutdown took {:?}", t.elapsed());
     std::fs::remove_file(&path).ok();
 }
 
