@@ -31,7 +31,7 @@ pub const CHECKPOINT_MAGIC: u64 = 0x4543_4B50_5430_3141;
 /// (a BSP worker's: kept states since version 2, fragments as segments of
 /// records in versions 3 and 4, and since version 5 the slot and kept state
 /// lists alone), so a file of another build is refused rather than misread.
-pub const CHECKPOINT_VERSION: u64 = 5;
+pub const CHECKPOINT_VERSION: u64 = 6;
 
 /// Typed reasons a checkpoint file cannot be restored.
 #[derive(Debug)]

@@ -222,8 +222,9 @@ fn state_records<'a>(r: &mut WordReader<'a>) -> Result<Vec<WordReader<'a>>, Wire
     Ok(records)
 }
 
-fn decode_states(r: &mut WordReader<'_>) -> Result<Vec<WorkingPartition>, WireError> {
-    state_records(r)?.into_iter().map(|mut record| wire::decode(&mut record)).collect()
+/// Decodes a state list of a run whose tree has `buckets` levels.
+fn decode_states(r: &mut WordReader<'_>, buckets: usize) -> Result<Vec<WorkingPartition>, WireError> {
+    state_records(r)?.into_iter().map(|mut record| wire::decode(&mut record, buckets)).collect()
 }
 
 /// Words of framing a segment list holds per segment.
@@ -370,7 +371,7 @@ fn encode_labels(assignment: &PartitionAssignment) -> WordWriter {
 fn decode_seed(r: &mut WordReader<'_>, tree: &MergeTree) -> Result<SeedTail, WireError> {
     match r.u()? {
         seed_tag::STATES => {
-            let seeds = decode_states(r)?;
+            let seeds = decode_states(r, tree.height() as usize)?;
             check_slots(tree, &seeds)?;
             Ok(SeedTail::States(seeds))
         }
@@ -447,7 +448,8 @@ fn build_from_file(
         ));
     }
     let scan = level0::scan_file(&csr, assignment).map_err(bad)?;
-    let level0 = FileLevel0 { csr: &csr, assignment, scan, dedup: strategy.deduplicates() };
+    let levels = tree.leaf_levels(assignment.num_partitions());
+    let level0 = FileLevel0 { csr: &csr, assignment, scan, dedup: strategy.deduplicates(), levels };
     let owned = |p: PartitionId| {
         file.owned.get(p.index() / 64).is_some_and(|word| word >> (p.index() % 64) & 1 == 1)
     };
@@ -791,7 +793,7 @@ impl SlotSet {
         states.reserve(records.len());
         for mut record in records {
             let t0 = Instant::now();
-            let wp = wire::decode(&mut record)
+            let wp = wire::decode(&mut record, self.tree.height() as usize)
                 .map_err(|e| EulerError::Distributed(format!("inbound partition state: {e}")))?;
             states.push((wp, t0.elapsed()));
         }
@@ -897,7 +899,8 @@ impl WorkerState {
         };
         let decode = || -> Result<[Vec<WorkingPartition>; 2], WireError> {
             let mut r = WordReader::new(&payload)?;
-            let states = [decode_states(&mut r)?, decode_states(&mut r)?];
+            let buckets = self.init.tree.height() as usize;
+            let states = [decode_states(&mut r, buckets)?, decode_states(&mut r, buckets)?];
             r.finish()?;
             Ok(states)
         };
@@ -1947,7 +1950,7 @@ impl DistRun {
             }
             SeedKind::File(level0) => (0..level0.assignment.num_partitions())
                 .map(PartitionId)
-                .map(|p| (p, level0.scan.record_words(p, level0.dedup)))
+                .map(|p| (p, level0.scan.record_words(p, level0.dedup, level0.levels.buckets())))
                 .collect(),
         };
         let num_workers = engine.resolved_workers(weights.len());
@@ -2056,13 +2059,14 @@ mod tests {
         }
     }
 
-    /// A partition state whose every field derives from `seed`.
+    /// A level-0 partition state of [`tiny_tree`] (one ref bucket) whose
+    /// every other field derives from `seed`.
     fn state(id: u32, seed: &[u64]) -> WorkingPartition {
         let v = |i: usize| VertexId(seed.get(i).copied().unwrap_or(7));
         WorkingPartition {
             id: PartitionId(id),
             leaves: seed.iter().take(3).map(|&l| PartitionId(l as u32)).collect(),
-            level: seed.len() as u32,
+            level: 0,
             local_edges: (0..seed.len())
                 .map(|i| LocalEdge {
                     edge: if i % 2 == 0 {
@@ -2074,15 +2078,9 @@ mod tests {
                     v: v(i + 1),
                 })
                 .collect(),
-            remote_edges: (0..seed.len() / 2)
-                .map(|i| RemoteRef {
-                    edge: EdgeId(seed[i]),
-                    local: v(i),
-                    remote: v(i + 2),
-                    local_leaf: PartitionId(id),
-                    remote_leaf: PartitionId(seed[i] as u32),
-                })
-                .collect(),
+            remote_by_level: vec![(0..seed.len() / 2)
+                .map(|i| RemoteRef { edge: EdgeId(seed[i]), local: v(i), remote: v(i + 2) })
+                .collect()],
             isolated_vertices: seed.iter().sum(),
         }
     }
@@ -2213,10 +2211,17 @@ mod tests {
         (csr, a, states)
     }
 
+    /// The head of an Init for a run over `csr` under `a`: the run's own
+    /// merge tree, which the worker buckets its refs for.
+    fn file_head(csr: &CsrFile, a: &PartitionAssignment) -> WordWriter {
+        let tree = MergeTree::build(&level0::scan_file(csr, a).unwrap().meta());
+        encode_init_head(&InitHead { tree: Arc::new(tree), ..test_init(None) })
+    }
+
     /// An Init whose tail refers worker 0 to `csr`, owning the partitions of
     /// `owned`'s set bits.
     fn file_init(csr: &CsrFile, a: &PartitionAssignment, owned: u64) -> Vec<u8> {
-        let head = encode_init_head(&test_init(None));
+        let head = file_head(csr, a);
         let tail = encode_file_ref(csr, a.num_partitions(), &[owned]);
         [head.as_bytes(), tail.as_bytes(), encode_labels(a).as_bytes()].concat()
     }
@@ -2263,7 +2268,9 @@ mod tests {
     /// A Start decoded all the way: framing, then every state record.
     fn start_states(payload: &[u8]) -> Result<(u32, Vec<WorkingPartition>), WireError> {
         let (superstep, records) = decode_start(payload)?;
-        let states = records.into_iter().map(|mut r| wire::decode(&mut r)).collect::<Result<_, _>>()?;
+        let buckets = tiny_tree().height() as usize;
+        let states =
+            records.into_iter().map(|mut r| wire::decode(&mut r, buckets)).collect::<Result<_, _>>()?;
         Ok((superstep, states))
     }
 
@@ -2589,7 +2596,7 @@ mod tests {
         let dir = scratch("hostile-ref");
         let (csr, a, _) = ring_file(&dir, MergeStrategy::Deferred);
         let good_ref = file_init(&csr, &a, 0b11);
-        let head_words = encode_init_head(&test_init(None)).len();
+        let head_words = file_head(&csr, &a).len();
         let identity = head_words + 2 + euler_bsp::wire::words_for(csr.path().to_string_lossy().len());
         let with_word = |at: usize, word: u64| {
             let mut bad = good_ref.clone();
@@ -2784,7 +2791,7 @@ mod tests {
         // Partitions 0 and 1 both retire into 2 at level 0, 0 before 1.
         let star = Arc::new(tree(vec![vec![(2, 0), (2, 1)]]));
         let set_of = |ids: &[usize], fan_out| {
-            let mine = ids.iter().map(|&i| leaves().swap_remove(i)).collect();
+            let mine = ids.iter().map(|&i| leaves(&star).swap_remove(i)).collect();
             SlotSet::new(Arc::clone(&star), MergeStrategy::Duplicated, mine, fan_out)
         };
         let set = |ids: &[usize]| set_of(ids, false);
@@ -2832,7 +2839,7 @@ mod tests {
             let (mut here, _) = (set(&[with_parent, 2]), ());
             here.step_level(0, Inbound::new(), &store);
             let mut again = LevelShare::new();
-            again.ship(2, &leaves()[with_parent]);
+            again.ship(2, &leaves(&star)[with_parent]);
             let again = again.into_done(0).unwrap();
             assert!(matches!(
                 here.unpack(1, shipped_records(&again)),
@@ -2849,7 +2856,7 @@ mod tests {
         // worker holding everything.
         let chain = Arc::new(tree(vec![vec![(1, 0)], vec![(2, 1)]]));
         let store = FragmentStore::new();
-        let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, leaves(), false);
+        let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, leaves(&chain), false);
         let mut local = Vec::new();
         for level in 0..3 {
             let inbound = set.unpack(level, Vec::new()).unwrap();
@@ -2862,7 +2869,7 @@ mod tests {
         // The same walk, the states handed on by hand.
         let by_hand = FragmentStore::new();
         let step = |wp, children, level| step(wp, children, &chain, level, &by_hand).state;
-        let [p0, p1, p2]: [WorkingPartition; 3] = leaves().try_into().unwrap();
+        let [p0, p1, p2]: [WorkingPartition; 3] = leaves(&chain).try_into().unwrap();
         let (p0, p1, p2) = (step(p0, vec![], 0), step(p1, vec![], 0), step(p2, vec![], 0));
         let (p1, p2) = (step(p1, vec![p0], 1), step(p2, vec![], 1));
         let root = step(p2, vec![p1], 2);
@@ -2875,8 +2882,8 @@ mod tests {
         use crate::level::tests::{leaves, tree};
         let dir = scratch("kept");
         let chain = Arc::new(tree(vec![vec![(1, 0)], vec![(2, 1)]]));
-        let init = InitHead { tree: chain, ..test_init(Some(dir.clone())) };
-        let mut s = WorkerState::build(init, leaves());
+        let init = InitHead { tree: Arc::clone(&chain), ..test_init(Some(dir.clone())) };
+        let mut s = WorkerState::build(init, leaves(&chain));
         // Superstep 0 keeps partition 0 for slot 1 and writes checkpoint 1.
         let done = s.superstep(0, Inbound::new());
         assert!(done.checkpoint_longs > 0);
@@ -2893,6 +2900,74 @@ mod tests {
         assert!(s.restore(1).is_ok());
         assert_eq!((&s.set.slots, &s.set.kept), (&slots, &kept));
         assert_eq!(replay(&mut s), first);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// State records that bucket their refs wrongly: refs in a bucket below
+    /// the state's level (the merge that converts them already ran), a bucket
+    /// count other than the tree's height, and a bucket count that runs past
+    /// the payload. Each is a typed refusal wherever a worker reads states —
+    /// an Init seed, a Start inbox, a checkpoint.
+    #[test]
+    fn hostile_bucketed_state_records_are_typed_errors() {
+        use crate::level::tests::{leaves, tree};
+        let chain = Arc::new(tree(vec![vec![(1, 0)], vec![(2, 1)]]));
+        // Partition 0 touches partition 2 only: its refs convert at level 1.
+        let good = leaves(&chain).swap_remove(0);
+        assert!(good.remote_by_level[0].is_empty() && !good.remote_by_level[1].is_empty());
+        let list = |wp: &WorkingPartition| {
+            let mut out = WordWriter::new();
+            encode_states(&mut out, std::iter::once(wp));
+            out.into_bytes()
+        };
+        let below = WorkingPartition { level: 2, ..good.clone() };
+        let mut three = good.clone();
+        three.remote_by_level.push(Vec::new());
+        // [n, len] + 6 head words + leaves + local edges, then bucket 0's count.
+        let mut overrun = list(&good);
+        let count = 2 + 6 + good.leaves.len() + 4 * good.local_edges.len();
+        overrun[8 * count..8 * count + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let cases = [
+            (list(&below), "state of level 2 holds 2 refs the level-1 merge converts"),
+            (list(&three), "state keeps 3 ref buckets, the tree has 2 levels"),
+            (overrun, "payload truncated"),
+        ];
+        let dir = scratch("hostile-buckets");
+        let head = InitHead { tree: Arc::clone(&chain), ..test_init(Some(dir.clone())) };
+        let init = |states: &[u8]| {
+            let mut out = encode_init_head(&head);
+            out.u(seed_tag::STATES);
+            [out.as_bytes(), states].concat()
+        };
+        let start = |states: &[u8]| [&0u64.to_le_bytes()[..], states].concat();
+        let unpack = |payload: &[u8]| {
+            let (_, records) = decode_start(payload)?;
+            let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, Vec::new(), false);
+            set.unpack(1, records).map(drop).map_err(|e| WireError::Invalid(e.to_string()))
+        };
+        let restore = |states: &[u8]| {
+            let empty = WordWriter::from_words(&[0]);
+            let payload = [states, empty.as_bytes()].concat();
+            write_checkpoint(&checkpoint_file(&dir, 0, 1), &payload).unwrap();
+            let init = InitHead { tree: Arc::clone(&chain), ..test_init(Some(dir.clone())) };
+            WorkerState::build(init, Vec::new()).restore(1)
+        };
+        // The well-formed record passes all three.
+        let (_, SeedTail::States(seeds)) = decode_init(&init(&list(&good))).unwrap() else {
+            panic!("expected states")
+        };
+        assert_eq!(seeds, std::slice::from_ref(&good));
+        assert!(matches!(unpack(&start(&list(&good))), Err(WireError::Invalid(m)) if m.contains("ships no such child")));
+        assert!(restore(&list(&good)).is_ok());
+        for (states, what) in cases {
+            let refused = |r: Result<(), WireError>| match r {
+                Err(e) => assert!(e.to_string().contains(what), "expected `{what}`, got: {e}"),
+                Ok(()) => panic!("`{what}` was accepted"),
+            };
+            refused(decode_init(&init(&states)).map(drop));
+            refused(unpack(&start(&states)));
+            assert!(restore(&states).unwrap_err().ignored, "{what}");
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2951,7 +3026,7 @@ mod tests {
         assert!(s.restore(1).unwrap_err().ignored);
         // So are the versions before this one, whose payloads also held the
         // fragments a superstep found.
-        for earlier in [2u64, 3, 4] {
+        for earlier in [2u64, 3, 4, 5] {
             bytes[8..16].copy_from_slice(&earlier.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             assert!(s.restore(1).unwrap_err().ignored);
@@ -3027,7 +3102,7 @@ mod tests {
             for ((to, entry), wp) in parsed.outgoing.iter().zip(&states) {
                 prop_assert_eq!(*to, wp.id.0);
                 let mut r = WordReader::new(entry.bytes()).unwrap();
-                prop_assert_eq!(&wire::decode(&mut r.record().unwrap()).unwrap(), wp);
+                prop_assert_eq!(&wire::decode(&mut r.record().unwrap(), 1).unwrap(), wp);
             }
             prop_assert_eq!(adopted(fragments_of(&parsed)).unwrap(), expected);
         }
@@ -3054,8 +3129,9 @@ mod tests {
             if let Ok(done) = decode_done(Arc::new(payload.clone())) {
                 let _ = adopted(fragments_of(&done));
             }
-            let mut r = WordReader::new(&payload).unwrap();
-            let _ = wire::decode(&mut r);
+            for buckets in [0, 1, 3] {
+                let _ = wire::decode(&mut WordReader::new(&payload).unwrap(), buckets);
+            }
             let payload = Arc::new(payload);
             for (head, at) in read_segments(&mut WordReader::new(&payload).unwrap()).unwrap_or_default() {
                 let _ = Segment::validated(&head, &payload, 8 * at.start..8 * at.end, |_| true);

@@ -24,37 +24,28 @@ use crate::memory_model::state_longs;
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::MergeTree;
 use crate::phase1::ArenaPool;
-use crate::phase2::{merge_partitions, remote_edge_needed_level};
+use crate::phase2::merge_partitions;
 use crate::pipeline::LevelPartitionReport;
 use crate::state::WorkingPartition;
 use euler_graph::PartitionId;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// One pass over a partition's remote refs at `level`: how many become local
-/// exactly at this level's merge, and how many the merges up to and
-/// including it need — all the Deferred strategy keeps resident or ships.
-fn remote_needed(wp: &WorkingPartition, tree: &MergeTree, level: u32) -> (u64, u64) {
-    let (mut now, mut by_now) = (0u64, 0u64);
-    for r in &wp.remote_edges {
-        let needed = remote_edge_needed_level(tree, r);
-        now += (needed == level) as u64;
-        by_now += (needed <= level) as u64;
-    }
-    (now, by_now)
+/// A partition's remote refs at `level`, read off its buckets: how many
+/// become local exactly at this level's merge, and how many the merges up to
+/// and including it need — all the Deferred strategy keeps resident or ships.
+fn remote_needed(wp: &WorkingPartition, level: u32) -> (u64, u64) {
+    let by_now = wp.remote_by_level.iter().take(level as usize + 1).map(Vec::len);
+    let now = wp.remote_by_level.get(level as usize).map_or(0, Vec::len);
+    (now as u64, by_now.sum::<usize>() as u64)
 }
 
 /// Longs shipped when this partition's state is sent to its merge parent.
-fn transfer_longs(
-    wp: &WorkingPartition,
-    tree: &MergeTree,
-    level: u32,
-    strategy: MergeStrategy,
-) -> u64 {
+fn transfer_longs(wp: &WorkingPartition, level: u32, strategy: MergeStrategy) -> u64 {
     let remote = if strategy.defers_transfer() {
-        remote_needed(wp, tree, level).1
+        remote_needed(wp, level).1
     } else {
-        wp.remote_edges.len() as u64
+        wp.num_remote_edges() as u64
     };
     state_longs(0, wp.local_edges.len() as u64, remote) + 4
 }
@@ -68,7 +59,6 @@ fn transfer_longs(
 /// partition ([`crate::phase1::Phase1Output`]).
 fn phase1_record(
     wp: &mut WorkingPartition,
-    tree: &MergeTree,
     level: u32,
     strategy: MergeStrategy,
     pool: &ArenaPool,
@@ -78,7 +68,7 @@ fn phase1_record(
     // as it was; its fragments are this level's all the same.
     wp.level = level;
     // Phase 1 leaves the remote refs alone: counted here, outside its time.
-    let (remote_needed_now, needed_by_now) = remote_needed(wp, tree, level);
+    let (remote_needed_now, needed_by_now) = remote_needed(wp, level);
     let t0 = Instant::now();
     let out = pool.run_phase1(wp, store);
     let phase1_time = t0.elapsed();
@@ -86,7 +76,7 @@ fn phase1_record(
     let resident_remote =
         if strategy.defers_transfer() { needed_by_now } else { counts.remote_edges };
     let memory_after =
-        state_longs(out.vertices_after, wp.local_edges.len() as u64, wp.remote_edges.len() as u64);
+        state_longs(out.vertices_after, wp.local_edges.len() as u64, wp.num_remote_edges() as u64);
     let report = LevelPartitionReport {
         level,
         partition: wp.id,
@@ -169,8 +159,9 @@ pub(crate) struct SlotStep {
 }
 
 /// Runs `level` for one partition: merges `children` (the states shipped to
-/// it at `level - 1`, in pair order) into `wp`, runs Phase 1 into `store`,
-/// and decides from `tree.pairs_at(level)` whether the state stays or ships.
+/// it at `level - 1`, in pair order) into `wp` in one merge, runs Phase 1
+/// into `store`, and decides from `tree.pairs_at(level)` whether the state
+/// stays or ships.
 pub(crate) fn step_slot(
     mut wp: WorkingPartition,
     children: Vec<WorkingPartition>,
@@ -182,20 +173,19 @@ pub(crate) fn step_slot(
 ) -> SlotStep {
     let shipped_at = level.saturating_sub(1);
     let mut merge_time = Duration::ZERO;
-    let mut transfer_in = 0u64;
-    for child in children {
-        transfer_in += transfer_longs(&child, tree, shipped_at, strategy);
+    let transfer_in = children.iter().map(|c| transfer_longs(c, shipped_at, strategy)).sum();
+    if !children.is_empty() {
         let t0 = Instant::now();
-        wp = merge_partitions(wp, child, tree, shipped_at).0;
-        merge_time += t0.elapsed();
+        wp = merge_partitions(wp, children, shipped_at);
+        merge_time = t0.elapsed();
     }
-    let (mut report, memory_after) = phase1_record(&mut wp, tree, level, strategy, pool, store);
+    let (mut report, memory_after) = phase1_record(&mut wp, level, strategy, pool, store);
     (report.merge_time, report.transfer_in_longs) = (merge_time, transfer_in);
     let ship = tree
         .pairs_at(level)
         .iter()
         .find(|p| p.child == wp.id)
-        .map(|p| (p.parent, transfer_longs(&wp, tree, level, strategy)));
+        .map(|p| (p.parent, transfer_longs(&wp, level, strategy)));
     SlotStep { report, memory_after, state: wp, ship }
 }
 
@@ -208,8 +198,9 @@ pub(crate) mod tests {
 
     /// Two triangles hanging off a doubled edge: vertices 0, 1 are
     /// partition 0, vertices 2, 3 partition 1, vertices 4, 5 partition 2.
-    /// Partitions 0 and 1 touch partition 2 only.
-    pub(crate) fn leaves() -> Vec<WorkingPartition> {
+    /// Partitions 0 and 1 touch partition 2 only. The refs are bucketed for
+    /// `tree`.
+    pub(crate) fn leaves(tree: &MergeTree) -> Vec<WorkingPartition> {
         let g = graph_from_edges(&[
             (0, 1),
             (1, 4),
@@ -222,7 +213,8 @@ pub(crate) mod tests {
         ]);
         let a = PartitionAssignment::from_labels(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
         let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        pg.partitions().iter().map(WorkingPartition::from_partition).collect()
+        let levels = tree.leaf_levels(3);
+        pg.partitions().iter().map(|p| WorkingPartition::from_partition(p, &levels)).collect()
     }
 
     pub(crate) fn tree(levels: Vec<Vec<(u32, u32)>>) -> MergeTree {
@@ -267,7 +259,7 @@ pub(crate) mod tests {
         let run = |arrival: [usize; 2]| {
             let store = FragmentStore::new();
             let mut stepped: Vec<SlotStep> =
-                leaves().into_iter().map(|wp| step(wp, Vec::new(), &star, 0, &store)).collect();
+                leaves(&star).into_iter().map(|wp| step(wp, Vec::new(), &star, 0, &store)).collect();
             let parent = stepped.pop().unwrap();
             assert_eq!(parent.ship, None, "the parent keeps its slot");
             let mut shipped: Vec<Option<WorkingPartition>> = stepped
@@ -288,7 +280,7 @@ pub(crate) mod tests {
         assert_eq!(children.iter().map(|c| c.id.0).collect::<Vec<_>>(), vec![0, 1]);
         let shipped_in: u64 = children
             .iter()
-            .map(|c| transfer_longs(c, &star, 0, MergeStrategy::Duplicated))
+            .map(|c| transfer_longs(c, 0, MergeStrategy::Duplicated))
             .sum();
         let root = step(parent, children, &star, 1, &store);
         assert_eq!(root.report.transfer_in_longs, shipped_in);
@@ -298,7 +290,7 @@ pub(crate) mod tests {
 
         // The same bytes as merging by hand in pair order.
         let (by_hand, parent, inbound) = run([0, 1]);
-        let mut merged = inbound.into_iter().fold(parent, |p, c| merge_partitions(p, c, &star, 0).0);
+        let mut merged = merge_partitions(parent, inbound, 0);
         merged.level = 1;
         crate::phase1::run_phase1(&mut merged, &by_hand);
         assert_eq!(store.snapshot(), by_hand.snapshot());
@@ -311,7 +303,7 @@ pub(crate) mod tests {
         // in no pair of level 0 and nobody's parent entering level 1.
         let chain = tree(vec![vec![(1, 0)], vec![(2, 1)]]);
         let store = FragmentStore::new();
-        let wp = leaves().pop().unwrap();
+        let wp = leaves(&chain).pop().unwrap();
         let at_0 = step(wp, Vec::new(), &chain, 0, &store);
         assert_eq!((at_0.ship, at_0.state.level), (None, 0));
         let before = at_0.state.clone();
@@ -327,7 +319,7 @@ pub(crate) mod tests {
     #[test]
     fn states_the_previous_level_did_not_ship_are_refused() {
         let chain = tree(vec![vec![(1, 0)], vec![(2, 1)]]);
-        let state = |id: usize| leaves().swap_remove(id);
+        let state = |id: usize| leaves(&chain).swap_remove(id);
         let refused = |level, id, what: &str| match group(&chain, level, vec![state(id)]) {
             Err(EulerError::Distributed(m)) => assert!(m.contains(what), "{m}"),
             other => panic!("expected a typed refusal, got {:?}", other.map(|m| m.len())),
@@ -350,7 +342,7 @@ pub(crate) mod tests {
         // Both copies match the one pair that ships partition 0; merging both
         // would double its edges into the parent.
         let star = tree(vec![vec![(2, 0), (2, 1)]]);
-        let state = |id: usize| leaves().swap_remove(id);
+        let state = |id: usize| leaves(&star).swap_remove(id);
         match group(&star, 1, vec![state(0), state(1), state(0)]) {
             Err(EulerError::Distributed(m)) => {
                 assert!(m.contains("partition 0 arrived twice at level 1"), "{m}")
@@ -358,5 +350,53 @@ pub(crate) mod tests {
             other => panic!("expected a typed refusal, got {:?}", other.map(|m| m.len())),
         }
         assert_eq!(group(&star, 1, vec![state(1), state(0)]).unwrap()[&PartitionId(2)].len(), 2);
+    }
+
+    /// A triangle, one vertex per partition, on the star tree: both
+    /// children retire into 2 at level 0, and the edge between them is in
+    /// the converting bucket of each. One merge, one filter: every edge
+    /// becomes local once, under either representation, and the walk's
+    /// circuit is an Euler circuit of the triangle.
+    #[test]
+    fn children_merging_into_one_slot_at_one_level_convert_each_edge_once() {
+        use crate::phase2::apply_remote_edge_dedup;
+        use crate::state::EdgeRef;
+        let star = tree(vec![vec![(2, 0), (2, 1)]]);
+        let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0)]);
+        let a = PartitionAssignment::from_labels(vec![0, 1, 2], 3).unwrap();
+        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
+        let levels = star.leaf_levels(3);
+        for strategy in [MergeStrategy::Duplicated, MergeStrategy::Deduplicated] {
+            let mut states: Vec<WorkingPartition> =
+                pg.partitions().iter().map(|p| WorkingPartition::from_partition(p, &levels)).collect();
+            if strategy.deduplicates() {
+                apply_remote_edge_dedup(&mut states, |v| a.partition_of(v));
+            }
+            let (store, pool) = (FragmentStore::new(), ArenaPool::new());
+            let mut children: Vec<WorkingPartition> = states
+                .into_iter()
+                .map(|wp| step_slot(wp, Vec::new(), &star, 0, strategy, &pool, &store).state)
+                .collect();
+            let parent = children.pop().unwrap();
+            let merged = merge_partitions(parent.clone(), children.clone(), 0);
+            let mut real: Vec<u64> = merged
+                .local_edges
+                .iter()
+                .filter_map(|e| match e.edge {
+                    EdgeRef::Real(id) => Some(id.0),
+                    EdgeRef::Virtual(_) => None,
+                })
+                .collect();
+            real.sort_unstable();
+            assert_eq!(real, [0, 1, 2], "{strategy}: each cut edge converted once");
+            assert_eq!(merged.num_remote_edges(), 0, "{strategy}");
+
+            let root = step_slot(parent, children, &star, 1, strategy, &pool, &store);
+            assert_eq!(root.ship, None);
+            let result = crate::phase3::unroll(&store).unwrap();
+            let circuits = result.circuits.iter().map(Vec::as_slice);
+            crate::verify::verify_steps(3, |e| g.endpoints(e), circuits)
+                .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+        }
     }
 }

@@ -10,17 +10,22 @@
 //!   cut cells — which *is* the meta-graph ([`Scan::meta`]), and whose row
 //!   sums are the weights of the §5 dedup rule — and the degree-0 vertices
 //!   per partition.
-//! * [`fill`] — one pass: the `Vec<LocalEdge>` / `Vec<RemoteRef>` of the
-//!   partitions a `keep` predicate names, at exact capacity, the dedup rule
-//!   (the lighter side keeps a cut edge, ties to the smaller id) applied
-//!   from the scan's weights.
+//! * [`fill`] — one pass: the `Vec<LocalEdge>` and the per-level
+//!   `Vec<RemoteRef>` buckets of the partitions a `keep` predicate names,
+//!   each at exact capacity, the dedup rule (the lighter side keeps a cut
+//!   edge, ties to the smaller id) applied from the scan's weights. A cut
+//!   edge goes straight into the bucket of the merge level that joins its
+//!   two partitions, read off the run's [`LeafLevels`] table; a bucket's
+//!   size is the sum of the cut cells that table files in it.
 //!
 //! Whoever holds a partition fills it: the in-process backend and workers
 //! stepped in place fill everything once, a wire worker pointed at the file
 //! ([`FileLevel0`] on the coordinator, its Init tail on the wire) runs both
 //! passes itself and fills its own share. The result equals
 //! `WorkingPartition::from_partition` over `CsrFile::partitioned` (plus
-//! `apply_remote_edge_dedup`), which stay as the oracle.
+//! `apply_remote_edge_dedup`), which stay as the oracle. Fill needs the
+//! merge tree, which needs the scan's meta-graph: the tree is built between
+//! the two passes.
 //!
 //! Both passes may run over the bytes of a file opened with
 //! [`CsrFile::open_trusted`]: every lookup is checked, an endpoint beyond the
@@ -29,6 +34,7 @@
 
 use crate::memory_model::state_longs;
 use crate::merge_strategy::MergeStrategy;
+use crate::merge_tree::{LeafLevels, MergeTree};
 use crate::pipeline::wire;
 use crate::state::{EdgeRef, LocalEdge, RemoteRef, WorkingPartition};
 use euler_graph::{
@@ -83,12 +89,28 @@ impl Scan {
         (weight(p), p) < (weight(other), other)
     }
 
+    /// The partitions `p` holds remote refs to at level 0, with how many.
+    fn cut_of(&self, p: usize, dedup: bool) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (0..self.num_partitions())
+            .filter(move |&q| q != p && (!dedup || self.keeps(p, q)))
+            .map(move |q| (q, self.cell(p, q)))
+    }
+
     /// Remote refs `p` holds at level 0.
     fn remote_refs(&self, p: usize, dedup: bool) -> u64 {
-        (0..self.num_partitions())
-            .filter(|&q| q != p && (!dedup || self.keeps(p, q)))
-            .map(|q| self.cell(p, q))
-            .sum()
+        self.cut_of(p, dedup).map(|(_, refs)| refs).sum()
+    }
+
+    /// Remote refs `p` holds at level 0, per bucket of `levels`.
+    fn bucket_sizes(&self, p: usize, dedup: bool, levels: &LeafLevels) -> Vec<u64> {
+        let mut sizes = vec![0u64; levels.buckets()];
+        let id = |at: usize| PartitionId(at as u32);
+        for (q, refs) in self.cut_of(p, dedup) {
+            if let Some(size) = sizes.get_mut(levels.of(id(p), id(q))) {
+                *size += refs;
+            }
+        }
+        sizes
     }
 
     /// Longs of level-0 partition state under `strategy`:
@@ -115,11 +137,12 @@ impl Scan {
         state_longs(self.vertices, self.local.iter().sum(), copies * cut)
     }
 
-    /// Words of `p`'s level-0 state record — `wire::record_words` of the
-    /// state [`fill`] builds, without building it.
-    pub fn record_words(&self, p: PartitionId, dedup: bool) -> u64 {
+    /// Words of `p`'s level-0 state record, its refs in `buckets` buckets —
+    /// `wire::record_words` of the state [`fill`] builds, without building
+    /// it.
+    pub fn record_words(&self, p: PartitionId, dedup: bool, buckets: usize) -> u64 {
         let local = self.local.get(p.index()).copied().unwrap_or(0);
-        wire::record_words_of(1, local, self.remote_refs(p.index(), dedup))
+        wire::record_words_of(1, local, buckets as u64, self.remote_refs(p.index(), dedup))
     }
 }
 
@@ -145,16 +168,19 @@ pub(crate) fn scan_file(
     scan(csr.num_vertices(), file_edges(csr), degree_zero, assignment)
 }
 
-/// The level-0 states of a resident graph: both passes, every partition.
+/// The merge tree and level-0 states of a resident graph: both passes,
+/// every partition, the tree built from the first.
 pub(crate) fn graph_level0(
     g: &Graph,
     assignment: &PartitionAssignment,
     dedup: bool,
-) -> Result<(MetaGraph, Vec<WorkingPartition>), GraphError> {
+) -> Result<(MergeTree, Vec<WorkingPartition>), GraphError> {
     let degree_zero = g.vertices().map(|v| g.degree(v) == 0);
     let scan = scan(g.num_vertices(), graph_edges(g), degree_zero, assignment)?;
-    let states = fill(graph_edges(g), assignment, &scan, dedup, |_| true)?;
-    Ok((scan.meta(), states))
+    let tree = MergeTree::build(&scan.meta());
+    let levels = tree.leaf_levels(assignment.num_partitions());
+    let states = fill(graph_edges(g), assignment, &scan, dedup, &levels, |_| true)?;
+    Ok((tree, states))
 }
 
 /// The partition a vertex id read from the edge list belongs to.
@@ -216,16 +242,20 @@ pub(crate) fn scan(
 }
 
 /// Pass two: the level-0 state of every partition `keep` names, ascending by
-/// id, each vector allocated once at the size `scan` counted. `edges` must be
-/// the list `scan` was made from.
+/// id, each vector allocated once at the size `scan` counted — the local
+/// edges, and the remote refs per bucket of `levels`, the run's table of its
+/// merge tree. `edges` must be the list `scan` was made from.
 ///
 /// # Errors
-/// [`GraphError::VertexOutOfRange`] for an endpoint beyond the assignment.
+/// [`GraphError::VertexOutOfRange`] for an endpoint beyond the assignment;
+/// [`GraphError::PartitionOutOfRange`] for a cut edge to a partition
+/// `levels` has no bucket for — a tree of no level over several partitions.
 pub(crate) fn fill(
     edges: impl Iterator<Item = (u64, u64)>,
     assignment: &PartitionAssignment,
     scan: &Scan,
     dedup: bool,
+    levels: &LeafLevels,
     keep: impl Fn(PartitionId) -> bool,
 ) -> Result<Vec<WorkingPartition>, GraphError> {
     let labels = assignment.labels();
@@ -238,7 +268,11 @@ pub(crate) fn fill(
                 leaves: vec![id(at)],
                 level: 0,
                 local_edges: Vec::with_capacity(count(&scan.local) as usize),
-                remote_edges: Vec::with_capacity(scan.remote_refs(at, dedup) as usize),
+                remote_by_level: scan
+                    .bucket_sizes(at, dedup, levels)
+                    .into_iter()
+                    .map(|size| Vec::with_capacity(size as usize))
+                    .collect(),
                 isolated_vertices: count(&scan.isolated),
             })
         })
@@ -258,34 +292,32 @@ pub(crate) fn fill(
                 continue;
             }
             if let Some(Some(state)) = states.get_mut(here) {
-                state.remote_edges.push(RemoteRef {
-                    edge,
-                    local,
-                    remote,
-                    local_leaf: id(here),
-                    remote_leaf: id(there),
-                });
+                let bucket = state.remote_by_level.get_mut(levels.of(id(here), id(there)));
+                bucket.ok_or_else(|| beyond(assignment, there))?.push(RemoteRef { edge, local, remote });
             }
         }
     }
     Ok(states.into_iter().flatten().collect())
 }
 
-/// A level 0 still in its file: the mapped `.ecsr`, the assignment and the
-/// scan — everything a backend needs to place the partitions
-/// ([`Scan::record_words`]) and to fill them where they will run.
+/// A level 0 still in its file: the mapped `.ecsr`, the assignment, the
+/// scan and the run's leaf-pair level table — everything a backend needs to
+/// place the partitions ([`Scan::record_words`]) and to fill them where they
+/// will run.
 pub(crate) struct FileLevel0<'a> {
     pub csr: &'a CsrFile,
     pub assignment: &'a PartitionAssignment,
     pub scan: Scan,
     /// Whether the run's merge strategy drops duplicate remote refs.
     pub dedup: bool,
+    /// [`MergeTree::leaf_levels`] of the run's tree.
+    pub levels: LeafLevels,
 }
 
 impl FileLevel0<'_> {
     /// The states of the partitions `keep` names, ascending by id.
     pub fn fill(&self, keep: impl Fn(PartitionId) -> bool) -> Result<Vec<WorkingPartition>, GraphError> {
-        fill(file_edges(self.csr), self.assignment, &self.scan, self.dedup, keep)
+        fill(file_edges(self.csr), self.assignment, &self.scan, self.dedup, &self.levels, keep)
     }
 }
 
@@ -317,12 +349,14 @@ pub(crate) mod tests {
     /// every run was seeded with before the loader.
     pub(crate) fn oracle(csr: &CsrFile, a: &PartitionAssignment, dedup: bool) -> (MetaGraph, Vec<WorkingPartition>) {
         let pg: PartitionedGraph = csr.partitioned(a).unwrap();
+        let meta = MetaGraph::from_partitioned(&pg);
+        let levels = MergeTree::build(&meta).leaf_levels(a.num_partitions());
         let mut states: Vec<_> =
-            pg.partitions().iter().map(WorkingPartition::from_partition).collect();
+            pg.partitions().iter().map(|p| WorkingPartition::from_partition(p, &levels)).collect();
         if dedup {
-            apply_remote_edge_dedup(&mut states);
+            apply_remote_edge_dedup(&mut states, |v| a.partition_of(v));
         }
-        (MetaGraph::from_partitioned(&pg), states)
+        (meta, states)
     }
 
     /// Self-loops, parallel edges (local and cut), inverted endpoints and
@@ -375,6 +409,8 @@ pub(crate) mod tests {
                 let degree_zero = g.vertices().map(|v| g.degree(v) == 0);
                 let of_graph = super::scan(g.num_vertices(), graph_edges(g), degree_zero, a).unwrap();
                 assert_eq!(scan, of_graph, "{tag}: file and graph scan");
+                let tree = MergeTree::build(&scan.meta());
+                let levels = tree.leaf_levels(a.num_partitions());
                 for strategy in MergeStrategy::all() {
                     let dedup = strategy.deduplicates();
                     let (meta, states) = oracle(&csr, a, dedup);
@@ -388,25 +424,34 @@ pub(crate) mod tests {
                     for (which, keep) in keeps {
                         let tag = format!("{tag}, {strategy}, keep {which}");
                         let expected: Vec<_> = states.iter().filter(|wp| keep(wp.id)).cloned().collect();
-                        let level0 = FileLevel0 { csr: &csr, assignment: a, scan: scan.clone(), dedup };
+                        let level0 = FileLevel0 {
+                            csr: &csr,
+                            assignment: a,
+                            scan: scan.clone(),
+                            dedup,
+                            levels: levels.clone(),
+                        };
                         let built = level0.fill(keep).unwrap();
                         assert_eq!(built, expected, "{tag}: fill over the file");
-                        let of_graph = fill(graph_edges(g), a, &scan, dedup, keep).unwrap();
+                        let of_graph = fill(graph_edges(g), a, &scan, dedup, &levels, keep).unwrap();
                         assert_eq!(of_graph, expected, "{tag}: fill over the graph");
                         for wp in &built {
                             assert_eq!(
-                                scan.record_words(wp.id, dedup),
+                                scan.record_words(wp.id, dedup, levels.buckets()),
                                 wire::record_words(wp) as u64,
                                 "{tag}: record words of partition {}",
                                 wp.id.0
                             );
+                            assert_eq!(wp.remote_by_level.len(), tree.height() as usize, "{tag}");
                             // Exact capacity: nothing grew, nothing is spare.
                             assert_eq!(wp.local_edges.capacity(), wp.local_edges.len(), "{tag}");
-                            assert_eq!(wp.remote_edges.capacity(), wp.remote_edges.len(), "{tag}");
+                            for bucket in &wp.remote_by_level {
+                                assert_eq!(bucket.capacity(), bucket.len(), "{tag}");
+                            }
                         }
                     }
-                    let (meta, all) = graph_level0(g, a, dedup).unwrap();
-                    assert_eq!((meta.edges, all), (scan.meta().edges, states), "{tag}, {strategy}");
+                    let (built_tree, all) = graph_level0(g, a, dedup).unwrap();
+                    assert_eq!((built_tree, all), (tree.clone(), states), "{tag}, {strategy}");
                 }
             }
             std::fs::remove_file(&path).ok();
@@ -448,7 +493,9 @@ pub(crate) mod tests {
                 )
             };
             refused(scan_file(&trusted, &a).map(drop));
-            let level0 = FileLevel0 { csr: &trusted, assignment: &a, scan: scan_of_good.clone(), dedup: true };
+            let levels = MergeTree::build(&scan_of_good.meta()).leaf_levels(3);
+            let level0 =
+                FileLevel0 { csr: &trusted, assignment: &a, scan: scan_of_good.clone(), dedup: true, levels };
             refused(level0.fill(|_| true).map(drop));
             refused(trusted.partitioned(&a).map(drop));
             assert!(matches!(CsrFile::open(&path), Err(GraphError::CsrFormat(_))));

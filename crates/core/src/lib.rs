@@ -74,7 +74,7 @@ pub use fragment::{
     Fragment, FragmentId, FragmentKind, FragmentStore, FragmentStoreStats, SpillConfig, TourEdge,
 };
 pub use merge_strategy::MergeStrategy;
-pub use merge_tree::{MergePair, MergeTree, MergeTreeNode};
+pub use merge_tree::{LeafLevels, MergePair, MergeTree, MergeTreeNode};
 pub use pathmap::PathMap;
 pub use phase1::wstream::{default_chunk_edges, stream_phase1, WStreamOutcome, WStreamStats};
 pub use phase1::{ArenaPool, Phase1Arena};

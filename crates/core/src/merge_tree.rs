@@ -61,6 +61,37 @@ pub struct MergeTree {
     ranked: usize,
 }
 
+/// For every pair of leaves, the merge level that puts the two in one
+/// partition: the bucket of [`WorkingPartition::remote_by_level`] a cut edge
+/// between them is kept in, from level 0 until the merge after that level
+/// makes it local. A pair the tree never joins, and an id beyond the table,
+/// reads as the last level, so that every ref has a bucket.
+///
+/// [`WorkingPartition::remote_by_level`]: crate::WorkingPartition::remote_by_level
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LeafLevels {
+    /// Leaves `0..leaves` the table covers.
+    leaves: usize,
+    /// Buckets a state keeps: the tree's height.
+    buckets: usize,
+    /// `levels[a * leaves + b]`.
+    levels: Vec<u32>,
+}
+
+impl LeafLevels {
+    /// Buckets every state of the run keeps, one per merge level.
+    pub fn buckets(&self) -> usize {
+        self.buckets
+    }
+
+    /// The bucket of a cut edge between leaves `a` and `b`.
+    pub fn of(&self, a: PartitionId, b: PartitionId) -> usize {
+        let (a, b) = (a.index(), b.index());
+        let at = if a < self.leaves && b < self.leaves { self.levels.get(a * self.leaves + b) } else { None };
+        at.map_or(self.buckets.saturating_sub(1), |&l| l as usize)
+    }
+}
+
 /// Position of `id` in `sorted` (ascending, distinct). Partition ids are
 /// `0..P` on every pipeline path, where an id is its own rank; any other
 /// id set falls back to a binary search.
@@ -205,11 +236,25 @@ impl MergeTree {
         if a == b {
             return Some(0);
         }
-        let ids = &self.reps[..self.ranked];
+        let ids = self.reps.get(..self.ranked)?;
         let (ra, rb) = (rank_in(ids, a)?, rank_in(ids, b)?);
         // Two table rows, read until they agree (they agree from then on).
         let mut columns = self.reps.chunks_exact(self.ranked).skip(1);
-        columns.position(|column| column[ra] == column[rb]).map(|l| l as u32)
+        columns
+            .position(|column| matches!((column.get(ra), column.get(rb)), (Some(x), Some(y)) if x == y))
+            .map(|l| l as u32)
+    }
+
+    /// The table of [`LeafLevels`] over leaves `0..num_leaves`: one
+    /// [`merge_level_of`](Self::merge_level_of) per pair of leaves, made once
+    /// per run so that no remote ref asks the tree anything.
+    pub fn leaf_levels(&self, num_leaves: u32) -> LeafLevels {
+        let (leaves, last) = (num_leaves as usize, self.height().saturating_sub(1));
+        let levels = (0..num_leaves)
+            .flat_map(|a| (0..num_leaves).map(move |b| (PartitionId(a), PartitionId(b))))
+            .map(|(a, b)| self.merge_level_of(a, b).map_or(last, |l| l.min(last)))
+            .collect();
+        LeafLevels { leaves, buckets: self.height() as usize, levels }
     }
 
     /// Flattens the tree into displayable nodes, level by level (Fig. 2).
@@ -449,6 +494,36 @@ pub(crate) mod tests {
                 .filter(|s| !tree.leaves.contains(s))
                 .collect();
             assert_table_matches_scan(&tree, &strangers);
+            assert_one_merge_per_partition_per_level(&tree);
+        }
+    }
+
+    /// A built tree names every partition in at most one pair per level, so
+    /// no slot merges two children at one level — the case a single merge
+    /// of all of a slot's children exists for.
+    fn assert_one_merge_per_partition_per_level(tree: &MergeTree) {
+        for (level, pairs) in tree.levels.iter().enumerate() {
+            let mut named: Vec<PartitionId> = pairs.iter().flat_map(|p| [p.parent, p.child]).collect();
+            named.sort_unstable();
+            let before = named.len();
+            named.dedup();
+            assert_eq!(named.len(), before, "level {level} names a partition twice: {pairs:?}");
+        }
+    }
+
+    #[test]
+    fn leaf_levels_are_the_merge_levels_of_every_pair() {
+        for tree in [MergeTree::build(&fig1_meta()), MergeTree::default()] {
+            let leaves = tree.leaves.len() as u32;
+            let levels = tree.leaf_levels(leaves);
+            assert_eq!(levels.buckets(), tree.height() as usize);
+            for a in (0..leaves).map(PartitionId) {
+                for b in (0..leaves).map(PartitionId) {
+                    assert_eq!(Some(levels.of(a, b) as u32), tree.merge_level_of(a, b), "({a}, {b})");
+                }
+                // Beyond the table: the last level.
+                assert_eq!(levels.of(a, PartitionId(leaves)), levels.buckets().saturating_sub(1));
+            }
         }
     }
 

@@ -256,7 +256,7 @@ pub fn run_phase1_with_arena(
     kernel.load(&local_edges);
     let mut tr = Traversal { edges: &local_edges, k: kernel };
     let (counts_before, vertices_after) =
-        counts_from_traverser(&tr, &boundary, wp.remote_edges.len() as u64, wp.isolated_vertices);
+        counts_from_traverser(&tr, &boundary, wp.num_remote_edges() as u64, wp.isolated_vertices);
     let complexity = counts_before.phase1_complexity();
     let n = tr.k.index.len();
 
@@ -369,8 +369,7 @@ mod tests {
 
     fn fig1_working() -> Vec<WorkingPartition> {
         let (g, a) = paper_fig1();
-        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        pg.partitions().iter().map(WorkingPartition::from_partition).collect()
+        crate::state::tests::working(&PartitionedGraph::from_assignment(&g, &a).unwrap())
     }
 
     #[test]
@@ -401,7 +400,7 @@ mod tests {
         assert_eq!(out.path_map.num_cycles(), 1);
         assert_eq!(out.path_map.cycles[0].anchor, euler_graph::VertexId(2)); // v3
         assert!(wps[1].local_edges.is_empty());
-        assert_eq!(wps[1].remote_edges.len(), 2);
+        assert_eq!(wps[1].num_remote_edges(), 2);
         let frag = store.get(out.path_map.cycles[0].fragment);
         assert_eq!(frag.len(), 3);
         assert!(frag.is_well_formed());
@@ -480,22 +479,18 @@ mod tests {
                     v: euler_graph::VertexId(v),
                 })
                 .collect(),
-            remote_edges: vec![
+            remote_by_level: vec![vec![
                 crate::state::RemoteRef {
                     edge: euler_graph::EdgeId(100),
                     local: euler_graph::VertexId(0),
                     remote: euler_graph::VertexId(99),
-                    local_leaf: PartitionId(0),
-                    remote_leaf: PartitionId(1),
                 },
                 crate::state::RemoteRef {
                     edge: euler_graph::EdgeId(101),
                     local: euler_graph::VertexId(0),
                     remote: euler_graph::VertexId(99),
-                    local_leaf: PartitionId(0),
-                    remote_leaf: PartitionId(1),
                 },
-            ],
+            ]],
             isolated_vertices: 0,
         };
         let store = FragmentStore::new();
@@ -528,7 +523,7 @@ mod tests {
                     v: euler_graph::VertexId(v),
                 })
                 .collect(),
-            remote_edges: vec![],
+            remote_by_level: vec![],
             isolated_vertices: 0,
         };
         let store = FragmentStore::new();
@@ -543,7 +538,7 @@ mod tests {
         let g = synthetic::torus_grid(6, 6);
         let a = euler_graph::PartitionAssignment::from_labels(vec![0; 36], 1).unwrap();
         let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        let mut wp = WorkingPartition::from_partition(&pg.partitions()[0]);
+        let mut wp = crate::state::tests::working(&pg).remove(0);
         let store = FragmentStore::new();
         let out = run_phase1(&mut wp, &store);
         assert_eq!(out.path_map.num_paths(), 0);
@@ -583,7 +578,7 @@ mod tests {
         assert_eq!(out_dense.vertices_after, out_ref.vertices_after);
         assert_eq!(out_dense.splice, out_ref.splice);
         assert_eq!(wp_dense.local_edges, wp_ref.local_edges, "residual coarse edges must match");
-        assert_eq!(wp_dense.remote_edges, wp_ref.remote_edges);
+        assert_eq!(wp_dense.remote_by_level, wp_ref.remote_by_level);
         let frags_dense = store_dense.snapshot();
         let frags_ref = store_ref.snapshot();
         assert_eq!(frags_dense.len(), frags_ref.len(), "fragment counts must match");
@@ -610,16 +605,16 @@ mod tests {
         )
         .unwrap();
         let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        for p in pg.partitions() {
-            assert_equivalent(&WorkingPartition::from_partition(p));
+        for wp in crate::state::tests::working(&pg) {
+            assert_equivalent(&wp);
         }
         for seed in 0..10 {
             let g = synthetic::random_eulerian_connected(60, 8, 5, seed);
             let labels: Vec<u32> = (0..60).map(|i| (i % 3) as u32).collect();
             let a = euler_graph::PartitionAssignment::from_labels(labels, 3).unwrap();
             let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-            for p in pg.partitions() {
-                assert_equivalent(&WorkingPartition::from_partition(p));
+            for wp in crate::state::tests::working(&pg) {
+                assert_equivalent(&wp);
             }
         }
     }
@@ -640,7 +635,7 @@ mod tests {
                     v: euler_graph::VertexId(v),
                 })
                 .collect(),
-            remote_edges: vec![],
+            remote_by_level: vec![],
             isolated_vertices: 0,
         };
         assert_equivalent(&wp);
@@ -661,16 +656,14 @@ mod tests {
                     v: VertexId(v),
                 })
                 .collect(),
-            remote_edges: boundary
+            remote_by_level: vec![boundary
                 .iter()
                 .map(|&b| crate::state::RemoteRef {
                     edge: euler_graph::EdgeId(1000 + b),
                     local: VertexId(b),
                     remote: VertexId(9000 + b),
-                    local_leaf: PartitionId(0),
-                    remote_leaf: PartitionId(1),
                 })
-                .collect(),
+                .collect()],
             ..Default::default()
         }
     }
@@ -724,8 +717,7 @@ mod tests {
             let labels: Vec<u32> = (0..50).map(|i| (i % 3) as u32).collect();
             let a = euler_graph::PartitionAssignment::from_labels(labels, 3).unwrap();
             let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-            for p in pg.partitions() {
-                let mut wp_arena = WorkingPartition::from_partition(p);
+            for mut wp_arena in crate::state::tests::working(&pg) {
                 let mut wp_fresh = wp_arena.clone();
                 let store_arena = FragmentStore::new();
                 let store_fresh = FragmentStore::new();

@@ -271,8 +271,7 @@ mod tests {
         let g = synthetic::random_eulerian_connected(n, extra, 5, seed);
         let labels: Vec<u32> = (0..n).map(|i| (i % parts as u64) as u32).collect();
         let a = PartitionAssignment::from_labels(labels, parts).unwrap();
-        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        pg.partitions().iter().map(WorkingPartition::from_partition).collect()
+        crate::state::tests::working(&PartitionedGraph::from_assignment(&g, &a).unwrap())
     }
 
     /// Output + store snapshot of a fresh-arena sequential run (the oracle).

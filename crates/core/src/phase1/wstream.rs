@@ -29,12 +29,15 @@
 //! chains, while a cut edge becomes a [`RemoteRef`] on both sides, exactly as
 //! the dense partitioner would produce. The residue — one coarse local edge
 //! per still-open chain, plus all remote edges — is packaged into level-0
-//! [`WorkingPartition`]s, and the ordinary merge-tree walk (in-process or
-//! BSP) takes over from there. Closed partition-local cycles are emitted as
-//! [`FragmentKind::Cycle`] fragments and spliced by Phase 3 like any other.
+//! [`WorkingPartition`]s, each remote edge filed in the bucket of the merge
+//! level the tree built from the pass's meta-graph converts it at, and the
+//! ordinary merge-tree walk (in-process or BSP) takes over from there.
+//! Closed partition-local cycles are emitted as [`FragmentKind::Cycle`]
+//! fragments and spliced by Phase 3 like any other.
 
 use crate::error::EulerError;
 use crate::fragment::{Fragment, FragmentId, FragmentKind, FragmentStore, TourEdge};
+use crate::merge_tree::MergeTree;
 use crate::state::{EdgeRef, LocalEdge, RemoteRef, WorkingPartition};
 use euler_graph::stream::EdgeStream;
 use euler_graph::{
@@ -90,6 +93,9 @@ pub struct WStreamOutcome {
     /// Partition meta-graph with cut-edge weights, equivalent to
     /// [`MetaGraph::from_partitioned`] on the dense path.
     pub meta: MetaGraph,
+    /// The merge tree of [`meta`](Self::meta), which the states' remote
+    /// refs are bucketed for.
+    pub tree: MergeTree,
     /// Resident-state accounting for the pass.
     pub stats: WStreamStats,
     /// First odd-degree vertex (with its degree), if any — the streaming
@@ -138,8 +144,9 @@ struct Machine<'a> {
     current_source: u64,
     /// Whether entries are half-edges that need endpoint-order dedup.
     dedup_half_edges: bool,
-    /// Residual remote references per partition.
-    remote: Vec<Vec<RemoteRef>>,
+    /// Residual remote references per partition, each with the partition
+    /// at its other end.
+    remote: Vec<Vec<(RemoteRef, PartitionId)>>,
     /// Cut half-edge counts per ordered partition pair (halved at the end).
     cut_weights: HashMap<(PartitionId, PartitionId), u64>,
     /// First error raised inside the sink (sinks cannot return `Result`).
@@ -305,13 +312,7 @@ impl<'a> Machine<'a> {
     }
 
     fn push_remote(&mut self, e: EdgeId, local: VertexId, remote: VertexId, lp: PartitionId, rp: PartitionId) {
-        self.remote[lp.index()].push(RemoteRef {
-            edge: e,
-            local,
-            remote,
-            local_leaf: lp,
-            remote_leaf: rp,
-        });
+        self.remote[lp.index()].push((RemoteRef { edge: e, local, remote }, rp));
         let key = if lp.0 <= rp.0 { (lp, rp) } else { (rp, lp) };
         *self.cut_weights.entry(key).or_insert(0) += 1;
     }
@@ -453,8 +454,9 @@ impl<'a> Machine<'a> {
 
     /// Consumes the machine after the stream ends: residualises every still
     /// open chain into one coarse local edge, packages per-partition working
-    /// states and the weighted meta-graph, and reports the Eulerian check.
-    fn finish(mut self) -> Result<WStreamOutcome, EulerError> {
+    /// states (their remote refs still in the machine's lists) and the
+    /// weighted meta-graph, and reports the Eulerian check.
+    fn finish(mut self) -> Result<Residue, EulerError> {
         if let Some(err) = self.err {
             return Err(err);
         }
@@ -496,22 +498,6 @@ impl<'a> Machine<'a> {
             }
         }
 
-        let mut states = Vec::with_capacity(p);
-        for id in 0..p {
-            let local_edges = std::mem::take(&mut locals[id]);
-            let remote_edges = std::mem::take(&mut self.remote[id]);
-            self.stats.residual_local_edges += local_edges.len() as u64;
-            self.stats.residual_remote_edges += remote_edges.len() as u64;
-            states.push(WorkingPartition {
-                id: PartitionId(id as u32),
-                leaves: vec![PartitionId(id as u32)],
-                level: 0,
-                local_edges,
-                remote_edges,
-                isolated_vertices: isolated[id],
-            });
-        }
-
         // Each cut edge was counted once per side; halve to get the
         // undirected cut weight, like `MetaGraph::from_partitioned`.
         let vertices: Vec<PartitionId> = (0..p as u32).map(PartitionId).collect();
@@ -519,7 +505,52 @@ impl<'a> Machine<'a> {
             self.cut_weights.iter().map(|(&(a, b), &w)| (a, b, w / 2)).collect();
         let meta = MetaGraph::from_weights(vertices, &pairs);
 
-        Ok(WStreamOutcome { states, meta, stats: self.stats, first_odd })
+        let mut states = Vec::with_capacity(p);
+        for id in 0..p {
+            let local_edges = std::mem::take(&mut locals[id]);
+            self.stats.residual_local_edges += local_edges.len() as u64;
+            self.stats.residual_remote_edges += self.remote[id].len() as u64;
+            states.push(WorkingPartition {
+                id: PartitionId(id as u32),
+                leaves: vec![PartitionId(id as u32)],
+                level: 0,
+                local_edges,
+                remote_by_level: Vec::new(),
+                isolated_vertices: isolated[id],
+            });
+        }
+        let remote = std::mem::take(&mut self.remote);
+        Ok(Residue { states, remote, meta, stats: self.stats, first_odd })
+    }
+}
+
+/// What the pass leaves once its machine is gone: the level-0 states
+/// without their remote refs, each partition's refs with the partition at
+/// their other end, and the meta-graph.
+struct Residue {
+    states: Vec<WorkingPartition>,
+    remote: Vec<Vec<(RemoteRef, PartitionId)>>,
+    meta: MetaGraph,
+    stats: WStreamStats,
+    first_odd: Option<(VertexId, u64)>,
+}
+
+impl Residue {
+    /// Files every ref in the bucket of the merge level at which the
+    /// meta-graph's tree converts it. Run after the machine's per-vertex
+    /// arrays are freed, so that the buckets and the tree take their place
+    /// instead of holding the heap above them.
+    fn into_outcome(self) -> WStreamOutcome {
+        let tree = MergeTree::build(&self.meta);
+        let levels = tree.leaf_levels(self.states.len() as u32);
+        let mut states = self.states;
+        for (state, residual) in states.iter_mut().zip(self.remote) {
+            state.remote_by_level = vec![Vec::new(); levels.buckets()];
+            for (r, there) in residual {
+                state.remote_by_level[levels.of(state.id, there)].push(r);
+            }
+        }
+        WStreamOutcome { states, meta: self.meta, tree, stats: self.stats, first_odd: self.first_odd }
     }
 }
 
@@ -561,7 +592,7 @@ pub fn stream_phase1(
             machine.ingest(e, u, v);
         }
     })?;
-    machine.finish()
+    Ok(machine.finish()?.into_outcome())
 }
 
 #[cfg(test)]
@@ -592,7 +623,7 @@ mod tests {
         assert_eq!(out.stats.edges_ingested, 3);
         assert_eq!(store.len(), 1);
         assert!(out.states[0].local_edges.is_empty());
-        assert!(out.states[0].remote_edges.is_empty());
+        assert!(out.states[0].remote_refs().next().is_none());
         assert_eq!(out.first_odd, None);
         let frag = store.get(crate::fragment::FragmentId(0));
         assert_eq!(frag.kind, FragmentKind::Cycle);
@@ -655,15 +686,15 @@ mod tests {
         let mut stream = GraphEdgeStream::new(&g);
         let out = stream_phase1(&mut stream, &assignment, &store, 0).unwrap();
         assert_eq!(out.states.len(), 2);
-        assert_eq!(out.states[0].remote_edges.len(), 2);
-        assert_eq!(out.states[1].remote_edges.len(), 2);
+        // Both in the bucket of the one merge, level 0.
+        assert_eq!(out.tree.height(), 1);
+        assert_eq!(out.states[0].remote_by_level[0].len(), 2);
+        assert_eq!(out.states[1].remote_by_level[0].len(), 2);
         assert_eq!(out.stats.residual_remote_edges, 4);
         assert_eq!(out.meta.total_weight(), 2, "undirected cut weight must be halved");
-        for r in &out.states[0].remote_edges {
+        for r in out.states[0].remote_refs() {
             assert_eq!(r.local, VertexId(0));
             assert_eq!(r.remote, VertexId(1));
-            assert_eq!(r.local_leaf, PartitionId(0));
-            assert_eq!(r.remote_leaf, PartitionId(1));
         }
     }
 

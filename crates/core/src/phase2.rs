@@ -12,31 +12,23 @@
 //! lighter of the two eventual merge partners keeps each remote edge (the
 //! heavier drops its copy), halving the remote-edge memory footprint.
 
-use crate::merge_tree::{rank_in, MergeTree};
-use crate::state::{EdgeRef, LocalEdge, RemoteRef, WorkingPartition};
-use euler_graph::PartitionId;
-use serde::{Deserialize, Serialize};
-
-/// Statistics of one pair merge.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MergeStats {
-    /// Longs shipped from the child to the parent machine.
-    pub transferred_longs: u64,
-    /// Remote edges that became local edges of the merged partition.
-    pub converted_edges: u64,
-    /// Remote edges still pointing at other partitions after the merge.
-    pub surviving_remote_edges: u64,
-}
+use crate::merge_tree::rank_in;
+use crate::state::{EdgeRef, LocalEdge, WorkingPartition};
+use euler_graph::{PartitionId, VertexId};
 
 /// Drops duplicate remote-edge copies according to the §5 heuristic: for each
 /// pair of leaf partitions, the one with more total remote edges (the
 /// "heavier" one) drops its copies of the edges between them; the lighter one
-/// retains them. Returns the number of remote-edge records removed.
-pub fn apply_remote_edge_dedup(states: &mut [WorkingPartition]) -> u64 {
+/// retains them. `leaf_of` names the leaf partition a ref's remote endpoint
+/// belongs to. Returns the number of remote-edge records removed.
+pub fn apply_remote_edge_dedup(
+    states: &mut [WorkingPartition],
+    leaf_of: impl Fn(VertexId) -> PartitionId,
+) -> u64 {
     // Total remote edges per leaf partition (the "weight" used to pick
     // sides), looked up by the leaf's rank among the ids.
     let mut by_id: Vec<(PartitionId, u64)> =
-        states.iter().map(|s| (s.id, s.remote_edges.len() as u64)).collect();
+        states.iter().map(|s| (s.id, s.num_remote_edges() as u64)).collect();
     by_id.sort_unstable();
     let (ids, weights): (Vec<PartitionId>, Vec<u64>) = by_id.into_iter().unzip();
     let weight = |id: PartitionId| rank_in(&ids, id).map_or(0, |rank| weights[rank]);
@@ -44,74 +36,81 @@ pub fn apply_remote_edge_dedup(states: &mut [WorkingPartition]) -> u64 {
     for state in states.iter_mut() {
         let my_id = state.id;
         let my_weight = weight(my_id);
-        let before = state.remote_edges.len();
-        state.remote_edges.retain(|r| {
-            let other_weight = weight(r.remote_leaf);
-            // Keep the copy if this partition is the lighter of the pair
-            // (ties broken toward the smaller partition id).
-            my_weight < other_weight || (my_weight == other_weight && my_id < r.remote_leaf)
-        });
-        dropped += (before - state.remote_edges.len()) as u64;
+        for bucket in &mut state.remote_by_level {
+            let before = bucket.len();
+            bucket.retain(|r| {
+                let other = leaf_of(r.remote);
+                // Keep the copy if this partition is the lighter of the pair
+                // (ties broken toward the smaller partition id).
+                (my_weight, my_id) < (weight(other), other)
+            });
+            dropped += (before - bucket.len()) as u64;
+        }
     }
     dropped
 }
 
-/// Merges `child` into `parent` after the level-`level` matching, returning
-/// the merged partition (whose id is the parent's) and merge statistics.
+/// Merges `children` — every state retiring into `parent` after the
+/// level-`level` matching, in pair order — into `parent`, returning the
+/// merged partition (whose id is the parent's).
 ///
-/// Remote edges whose other endpoint now belongs to the same merged partition
-/// are converted into local edges; with the duplicated representation each
-/// such edge appears once per side, so conversion is de-duplicated by edge id
-/// (the first copy wins, the parent's refs before the child's).
-///
-/// The parent's vectors are kept and grown once to their final size, and
-/// every ref is looked at twice: counted, then moved.
+/// Bucket `level` of every side holds the remote edges between the merging
+/// partitions: they become local edges, once each. With the duplicated
+/// representation both copies of such an edge are in these buckets, and one
+/// filter over all of them keeps the first (the parent's refs before the
+/// children's, children in order) — one filter, so an edge between two
+/// children merging into one slot at one level converts once too. Every
+/// other bucket of a child is appended to the parent's, so a surviving ref
+/// is moved at most once and the tree is not consulted.
 pub fn merge_partitions(
     mut parent: WorkingPartition,
-    child: WorkingPartition,
-    tree: &MergeTree,
+    mut children: Vec<WorkingPartition>,
     level: u32,
-) -> (WorkingPartition, MergeStats) {
-    let transferred_longs = child.transfer_longs();
-    let merged_id = parent.id;
-    let converts = |r: &RemoteRef| tree.representative_after(r.remote_leaf, level) == merged_id;
+) -> WorkingPartition {
+    let at = level as usize;
+    // The converting buckets: the parent's, then each child's.
+    let mut converting = Vec::with_capacity(1 + children.len());
+    converting.extend(parent.remote_by_level.get_mut(at).map(std::mem::take));
+    for child in &mut children {
+        converting.extend(child.remote_by_level.get_mut(at).map(std::mem::take));
+    }
     // How many refs convert, and the span of their edge ids.
-    let span = |refs: &[RemoteRef]| {
-        refs.iter().filter(|r| converts(r)).fold((0, u64::MAX, 0), |(n, lo, hi), r| {
-            (n + 1, lo.min(r.edge.0), hi.max(r.edge.0))
-        })
-    };
-    let ((in_parent, lo, hi), (in_child, child_lo, child_hi)) =
-        (span(&parent.remote_edges), span(&child.remote_edges));
-    let mut first_copy = first_occurrences(in_parent + in_child, lo.min(child_lo), hi.max(child_hi));
+    let (n, lo, hi) = converting
+        .iter()
+        .flatten()
+        .fold((0, u64::MAX, 0), |(n, lo, hi), r| (n + 1, lo.min(r.edge.0), hi.max(r.edge.0)));
+    let mut first_copy = first_occurrences(n, lo, hi);
 
-    parent.leaves.extend(child.leaves);
+    let incoming: usize = children.iter().map(|c| c.local_edges.len()).sum();
+    parent.local_edges.reserve(incoming + n);
+    let mut child_buckets = Vec::with_capacity(children.len());
+    for child in children {
+        parent.leaves.extend(child.leaves);
+        parent.local_edges.extend(child.local_edges);
+        parent.isolated_vertices += child.isolated_vertices;
+        child_buckets.push(child.remote_by_level);
+    }
     parent.leaves.sort_unstable();
     parent.leaves.dedup();
     parent.level = level + 1;
-    parent.isolated_vertices += child.isolated_vertices;
-
-    let WorkingPartition { local_edges: local, remote_edges: remote, .. } = &mut parent;
-    local.reserve(child.local_edges.len() + in_parent + in_child);
-    local.extend(child.local_edges);
-    let unconverted = local.len();
-    let mut survives = |r: &RemoteRef| {
-        let converted = converts(r);
-        if converted && first_copy(r.edge.0) {
-            local.push(LocalEdge { edge: EdgeRef::Real(r.edge), u: r.local, v: r.remote });
+    for r in converting.iter().flatten() {
+        if first_copy(r.edge.0) {
+            parent.local_edges.push(LocalEdge { edge: EdgeRef::Real(r.edge), u: r.local, v: r.remote });
         }
-        !converted
-    };
-    remote.retain(&mut survives);
-    remote.reserve(child.remote_edges.len() - in_child);
-    remote.extend(child.remote_edges.into_iter().filter(&mut survives));
-
-    let stats = MergeStats {
-        transferred_longs,
-        converted_edges: (parent.local_edges.len() - unconverted) as u64,
-        surviving_remote_edges: parent.remote_edges.len() as u64,
-    };
-    (parent, stats)
+    }
+    for buckets in child_buckets {
+        if parent.remote_by_level.len() < buckets.len() {
+            parent.remote_by_level.resize_with(buckets.len(), Vec::new);
+        }
+        for (into, mut from) in parent.remote_by_level.iter_mut().zip(buckets) {
+            if into.is_empty() {
+                *into = from;
+            } else {
+                into.append(&mut from);
+            }
+        }
+    }
+    parent
 }
 
 /// A filter over `n` edge ids within `lo..=hi` that passes each id the
@@ -135,34 +134,30 @@ fn first_occurrences(n: usize, lo: u64, hi: u64) -> Box<dyn FnMut(u64) -> bool> 
     })
 }
 
-/// The merge level at which a remote edge becomes local, given the merge
-/// tree: the level whose matching first puts its two leaf endpoints in the
-/// same merged partition. Used by the §5 deferred-transfer accounting.
-pub fn remote_edge_needed_level(tree: &MergeTree, r: &RemoteRef) -> u32 {
-    tree.merge_level_of(r.local_leaf, r.remote_leaf)
-        .unwrap_or_else(|| tree.height().saturating_sub(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fragment::FragmentStore;
+    use crate::merge_tree::MergeTree;
     use crate::phase1::run_phase1;
+    use crate::state::tests::working;
     use euler_gen::synthetic::paper_fig1;
-    use euler_graph::{MetaGraph, PartitionedGraph, VertexId};
+    use euler_graph::{MetaGraph, PartitionAssignment, PartitionedGraph};
 
-    fn fig1_setup() -> (Vec<WorkingPartition>, MergeTree) {
+    fn fig1_setup() -> (Vec<WorkingPartition>, MergeTree, PartitionAssignment) {
         let (g, a) = paper_fig1();
         let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        let meta = MetaGraph::from_partitioned(&pg);
-        let tree = MergeTree::build(&meta);
-        let states = pg.partitions().iter().map(WorkingPartition::from_partition).collect();
-        (states, tree)
+        let tree = MergeTree::build(&MetaGraph::from_partitioned(&pg));
+        (working(&pg), tree, a)
+    }
+
+    fn converted_edges(merged: &WorkingPartition) -> usize {
+        merged.local_edges.iter().filter(|e| matches!(e.edge, EdgeRef::Real(_))).count()
     }
 
     #[test]
     fn fig1_level0_merge_converts_cut_edges() {
-        let (mut states, tree) = fig1_setup();
+        let (mut states, _tree, _) = fig1_setup();
         let store = FragmentStore::new();
         for s in &mut states {
             run_phase1(s, &store);
@@ -170,15 +165,16 @@ mod tests {
         // Merge P2 (index 2) into P3 (index 3) as the tree prescribes at level 0.
         let child = states[2].clone();
         let parent = states[3].clone();
-        let (merged, stats) = merge_partitions(parent, child, &tree, 0);
+        let merged = merge_partitions(parent, vec![child], 0);
         assert_eq!(merged.id, PartitionId(3));
         assert_eq!(merged.level, 1);
         assert_eq!(merged.leaves, vec![PartitionId(2), PartitionId(3)]);
         // The two cut edges between paper's P3 and P4 (e6,11 and e9,10) become local.
-        assert_eq!(stats.converted_edges, 2);
-        // Remaining remote edges of the merged partition: e3,13 and e12,14.
-        assert_eq!(stats.surviving_remote_edges, 2);
-        assert!(stats.transferred_longs > 0);
+        assert_eq!(converted_edges(&merged), 2);
+        // Remaining remote edges of the merged partition: e3,13 and e12,14,
+        // both in the bucket of the level-1 merge.
+        assert_eq!(merged.num_remote_edges(), 2);
+        assert_eq!(merged.remote_by_level[1].len(), 2);
         // Local edges: P3's OB-pair + P4's OB-pairs + 2 converted edges.
         assert!(merged.local_edges.len() >= 3);
         assert!(merged
@@ -189,35 +185,29 @@ mod tests {
 
     #[test]
     fn duplicated_remote_edges_convert_once() {
-        let (mut states, tree) = fig1_setup();
+        let (mut states, _tree, _) = fig1_setup();
         let store = FragmentStore::new();
         for s in &mut states {
             run_phase1(s, &store);
         }
-        let (merged, stats) = merge_partitions(states[1].clone(), states[0].clone(), &tree, 0);
+        let merged = merge_partitions(states[1].clone(), vec![states[0].clone()], 0);
         // Only one cut edge (e2,3) between paper's P1 and P2.
-        assert_eq!(stats.converted_edges, 1);
-        let real_locals = merged
-            .local_edges
-            .iter()
-            .filter(|e| matches!(e.edge, EdgeRef::Real(_)))
-            .count();
-        assert_eq!(real_locals, 1);
+        assert_eq!(converted_edges(&merged), 1);
     }
 
     #[test]
     fn dedup_halves_remote_edge_records() {
-        let (mut states, _tree) = fig1_setup();
-        let total_before: usize = states.iter().map(|s| s.remote_edges.len()).sum();
-        let dropped = apply_remote_edge_dedup(&mut states);
-        let total_after: usize = states.iter().map(|s| s.remote_edges.len()).sum();
+        let (mut states, _tree, a) = fig1_setup();
+        let total_before: usize = states.iter().map(|s| s.num_remote_edges()).sum();
+        let dropped = apply_remote_edge_dedup(&mut states, |v| a.partition_of(v));
+        let total_after: usize = states.iter().map(|s| s.num_remote_edges()).sum();
         assert_eq!(total_before, 10); // 5 cut edges, duplicated
         assert_eq!(dropped, 5);
         assert_eq!(total_after, 5);
         // Every cut edge is retained by exactly one partition.
         let mut seen = std::collections::HashSet::new();
         for s in &states {
-            for r in &s.remote_edges {
+            for r in s.remote_refs() {
                 assert!(seen.insert(r.edge), "edge {:?} retained twice", r.edge);
             }
         }
@@ -225,42 +215,39 @@ mod tests {
 
     #[test]
     fn dedup_then_merge_still_converts_all_cut_edges() {
-        let (mut states, tree) = fig1_setup();
-        apply_remote_edge_dedup(&mut states);
+        let (mut states, _tree, a) = fig1_setup();
+        apply_remote_edge_dedup(&mut states, |v| a.partition_of(v));
         let store = FragmentStore::new();
         for s in &mut states {
             run_phase1(s, &store);
         }
-        let (_m23, s23) = merge_partitions(states[3].clone(), states[2].clone(), &tree, 0);
-        let (_m01, s01) = merge_partitions(states[1].clone(), states[0].clone(), &tree, 0);
-        assert_eq!(s23.converted_edges, 2);
-        assert_eq!(s01.converted_edges, 1);
+        let m23 = merge_partitions(states[3].clone(), vec![states[2].clone()], 0);
+        let m01 = merge_partitions(states[1].clone(), vec![states[0].clone()], 0);
+        assert_eq!(converted_edges(&m23), 2);
+        assert_eq!(converted_edges(&m01), 1);
     }
 
     #[test]
     fn needed_level_matches_merge_tree() {
-        let (states, tree) = fig1_setup();
-        // Remote edge between P2 and P3 (paper P3/P4) is needed at level 0.
-        let p2 = &states[2];
-        for r in &p2.remote_edges {
-            if r.remote_leaf == PartitionId(3) {
-                assert_eq!(remote_edge_needed_level(&tree, r), 0);
-            }
+        let (states, _tree, a) = fig1_setup();
+        let leaf = |v| a.partition_of(v);
+        // Between P2 and P3 (paper P3/P4) the level-0 merge; between P0 and
+        // P3 the level-1 merge.
+        for r in &states[2].remote_by_level[0] {
+            assert_eq!(leaf(r.remote), PartitionId(3));
         }
-        // Remote edge between P0 and P3 is needed at level 1.
-        let p0 = &states[0];
-        let r = p0.remote_edges.iter().find(|r| r.remote_leaf == PartitionId(3)).unwrap();
-        assert_eq!(remote_edge_needed_level(&tree, r), 1);
+        assert!(states[0].remote_by_level[1].iter().any(|r| leaf(r.remote) == PartitionId(3)));
+        assert!(states[0].remote_by_level[0].iter().all(|r| leaf(r.remote) == PartitionId(1)));
     }
 
     #[test]
     fn merge_carries_boundary_vertices_forward() {
-        let (mut states, tree) = fig1_setup();
+        let (mut states, _tree, _) = fig1_setup();
         let store = FragmentStore::new();
         for s in &mut states {
             run_phase1(s, &store);
         }
-        let (merged, _) = merge_partitions(states[3].clone(), states[2].clone(), &tree, 0);
+        let merged = merge_partitions(states[3].clone(), vec![states[2].clone()], 0);
         // v13 (index 12) still has a remote edge to P1's side (e3,13).
         let rdeg = merged.remote_degrees();
         assert!(rdeg.contains_key(&VertexId(12)));

@@ -51,7 +51,7 @@ use crate::phase3::{unroll, CircuitResult};
 use crate::state::{VertexTypeCounts, WorkingPartition};
 use crate::verify::verify_steps;
 use euler_graph::{
-    properties, CsrFile, EdgeId, EdgeStream, Graph, GraphSource, MetaGraph, PartitionAssignment,
+    properties, CsrFile, EdgeId, EdgeStream, Graph, GraphSource, PartitionAssignment,
     PartitionId, PartitionedGraph, VertexId,
 };
 use euler_partition::Partitioner;
@@ -376,16 +376,19 @@ pub(crate) mod wire {
 
     /// Words in the record [`encode`] writes for `wp`.
     pub fn record_words(wp: &WorkingPartition) -> usize {
-        let (local, remote) = (wp.local_edges.len() as u64, wp.remote_edges.len() as u64);
-        record_words_of(wp.leaves.len() as u64, local, remote) as usize
+        let (local, remote) = (wp.local_edges.len() as u64, wp.num_remote_edges() as u64);
+        record_words_of(wp.leaves.len() as u64, local, wp.remote_by_level.len() as u64, remote) as usize
     }
 
-    /// Words in the record of a state with these many leaves, local edges
-    /// and remote refs.
-    pub fn record_words_of(leaves: u64, local: u64, remote: u64) -> u64 {
-        6 + leaves + 4 * local + 5 * remote
+    /// Words in the record of a state with these many leaves, local edges,
+    /// ref buckets and remote refs.
+    pub fn record_words_of(leaves: u64, local: u64, buckets: u64, remote: u64) -> u64 {
+        6 + leaves + 4 * local + buckets + 3 * remote
     }
 
+    /// `[id, level, isolated, n_local, n_leaves, n_buckets]`, the leaves,
+    /// `n_local × [tag, id, u, v]`, then per bucket `[n] + n × [edge, local,
+    /// remote]`.
     pub fn encode(wp: &WorkingPartition, out: &mut WordWriter) {
         out.reserve(record_words(wp));
         out.words(&[
@@ -393,8 +396,8 @@ pub(crate) mod wire {
             wp.level as u64,
             wp.isolated_vertices,
             wp.local_edges.len() as u64,
-            wp.remote_edges.len() as u64,
             wp.leaves.len() as u64,
+            wp.remote_by_level.len() as u64,
         ]);
         for l in &wp.leaves {
             out.u(l.0 as u64);
@@ -406,23 +409,29 @@ pub(crate) mod wire {
             };
             out.words(&[tag, id, e.u.0, e.v.0]);
         }
-        for r in &wp.remote_edges {
-            out.words(&[
-                r.edge.0,
-                r.local.0,
-                r.remote.0,
-                r.local_leaf.0 as u64,
-                r.remote_leaf.0 as u64,
-            ]);
+        for bucket in &wp.remote_by_level {
+            out.u(bucket.len() as u64);
+            for r in bucket {
+                out.words(&[r.edge.0, r.local.0, r.remote.0]);
+            }
         }
     }
 
-    /// Decodes one [`encode`] record, which must fill `r` exactly. The
-    /// record comes off the wire or out of a checkpoint file: truncated or
-    /// garbage words are a typed error, never a panic or an over-allocation.
-    pub fn decode(r: &mut WordReader<'_>) -> Result<WorkingPartition, WireError> {
+    /// Decodes one [`encode`] record of a run whose tree has `buckets`
+    /// levels, which must fill `r` exactly. The record comes off the wire or
+    /// out of a checkpoint file: truncated or garbage words, another bucket
+    /// count and a ref in a bucket below the state's level (a merge that
+    /// already ran would have converted it) are typed errors, never a panic
+    /// or an over-allocation.
+    pub fn decode(r: &mut WordReader<'_>, buckets: usize) -> Result<WorkingPartition, WireError> {
         let [id, level, isolated_vertices] = r.array()?;
-        let (n_local, n_remote, n_leaves) = (r.count()?, r.count()?, r.count()?);
+        let (n_local, n_leaves, n_buckets) = (r.count()?, r.count()?, r.count()?);
+        let level = word_u32(level, "level")?;
+        if n_buckets != buckets {
+            return Err(WireError::Invalid(format!(
+                "state keeps {n_buckets} ref buckets, the tree has {buckets} levels"
+            )));
+        }
         let mut leaves = Vec::with_capacity(r.cap(n_leaves, 1));
         for _ in 0..n_leaves {
             leaves.push(PartitionId(word_u32(r.u()?, "leaf")?));
@@ -437,24 +446,28 @@ pub(crate) mod wire {
             };
             local_edges.push(LocalEdge { edge, u: VertexId(u), v: VertexId(v) });
         }
-        let mut remote_edges = Vec::with_capacity(r.cap(n_remote, 5));
-        for _ in 0..n_remote {
-            let [edge, local, remote, local_leaf, remote_leaf] = r.array()?;
-            remote_edges.push(RemoteRef {
-                edge: EdgeId(edge),
-                local: VertexId(local),
-                remote: VertexId(remote),
-                local_leaf: PartitionId(word_u32(local_leaf, "local leaf")?),
-                remote_leaf: PartitionId(word_u32(remote_leaf, "remote leaf")?),
-            });
+        let mut remote_by_level = Vec::with_capacity(r.cap(n_buckets, 1));
+        for bucket_level in 0..n_buckets {
+            let n = r.count()?;
+            if n > 0 && (bucket_level as u64) < u64::from(level) {
+                return Err(WireError::Invalid(format!(
+                    "state of level {level} holds {n} refs the level-{bucket_level} merge converts"
+                )));
+            }
+            let mut bucket = Vec::with_capacity(r.cap(n, 3));
+            for _ in 0..n {
+                let [edge, local, remote] = r.array()?;
+                bucket.push(RemoteRef { edge: EdgeId(edge), local: VertexId(local), remote: VertexId(remote) });
+            }
+            remote_by_level.push(bucket);
         }
         r.finish()?;
         Ok(WorkingPartition {
             id: PartitionId(word_u32(id, "partition")?),
             leaves,
-            level: word_u32(level, "level")?,
+            level,
             local_edges,
-            remote_edges,
+            remote_by_level,
             isolated_vertices,
         })
     }
@@ -690,17 +703,18 @@ pub(crate) fn run_input(
     let dedup = config.merge_strategy.deduplicates();
     let store = fragment_store_for(config);
     let (mut pass_time, mut wstream) = (Duration::ZERO, None);
-    let (meta, seed, size) = match &mut input {
+    let (tree, seed, size) = match &mut input {
         Input::File(csr, scan) => {
             let (csr, scan) = (*csr, std::mem::take(scan));
-            let meta = scan.meta();
-            let seed = Seed(SeedKind::File(FileLevel0 { csr, assignment, scan, dedup }));
-            (meta, seed, (csr.num_vertices(), csr.num_edges()))
+            let tree = MergeTree::build(&scan.meta());
+            let levels = tree.leaf_levels(assignment.num_partitions());
+            let seed = Seed(SeedKind::File(FileLevel0 { csr, assignment, scan, dedup, levels }));
+            (tree, seed, (csr.num_vertices(), csr.num_edges()))
         }
         Input::Graph(g) => {
             require_even_degrees(properties::first_odd_vertex(g))?;
-            let (meta, states) = level0::graph_level0(g, assignment, dedup)?;
-            (meta, states.into(), (g.num_vertices(), g.num_edges()))
+            let (tree, states) = level0::graph_level0(g, assignment, dedup)?;
+            (tree, states.into(), (g.num_vertices(), g.num_edges()))
         }
         Input::Stream(stream) => {
             let t = Instant::now();
@@ -711,13 +725,13 @@ pub(crate) fn run_input(
             require_even_degrees(outcome.first_odd)?;
             let mut states = outcome.states;
             if dedup {
-                apply_remote_edge_dedup(&mut states);
+                apply_remote_edge_dedup(&mut states, |v| assignment.partition_of(v));
             }
             wstream = Some(outcome.stats);
-            (outcome.meta, states.into(), (outcome.stats.num_vertices, outcome.stats.edges_ingested))
+            (outcome.tree, states.into(), (outcome.stats.num_vertices, outcome.stats.edges_ingested))
         }
     };
-    let (result, mut report) = run_merge_walk(&meta, seed, store, config, backend, wstream, yield_point)?;
+    let (result, mut report) = run_merge_walk(tree, seed, store, config, backend, wstream, yield_point)?;
     report.phase12_time += pass_time;
     if config.verify {
         let circuits = result.circuits.iter().map(Vec::as_slice);
@@ -769,7 +783,7 @@ pub fn run_with_backend(
 /// This is the differential oracle of the level-0 loader: the pipeline's own
 /// entry points build their level-0 states in two passes over the edge list
 /// (`crate::level0`), this one converts the view partition by partition
-/// ([`WorkingPartition::from_partition`], [`MetaGraph::from_partitioned`]),
+/// ([`WorkingPartition::from_partitioned`]),
 /// and the two are tested to produce the same bytes. It also serves callers
 /// that hold a [`PartitionedGraph`] and no graph. Because no graph is
 /// available, the degree check and [`EulerConfig::verify`] are **not**
@@ -780,13 +794,15 @@ pub fn run_on_partitioned(
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    let meta = MetaGraph::from_partitioned(pg);
-    let mut states: Vec<_> =
-        pg.partitions().iter().map(WorkingPartition::from_partition).collect();
+    let (tree, mut states) = WorkingPartition::from_partitioned(pg);
     if config.merge_strategy.deduplicates() {
-        apply_remote_edge_dedup(&mut states);
+        let mut leaf = vec![PartitionId(0); pg.num_vertices() as usize];
+        for p in pg.partitions() {
+            p.vertices().for_each(|v| leaf[v.index()] = p.id);
+        }
+        apply_remote_edge_dedup(&mut states, |v| leaf[v.index()]);
     }
-    run_merge_walk(&meta, states.into(), fragment_store_for(config), config, backend, None, None)
+    run_merge_walk(tree, states.into(), fragment_store_for(config), config, backend, None, None)
 }
 
 /// Builds the run's fragment store from its configuration: an explicit
@@ -810,10 +826,11 @@ fn fragment_store_for(config: &EulerConfig) -> FragmentStore {
 /// tail of the dense paths (states built from a graph or a partition view, or
 /// a level 0 still in its file) and the W-streaming path (states and
 /// `wstream` accounting from [`stream_phase1`], with partial tours already
-/// in `store`). A strategy that drops duplicate remote refs has dropped them
-/// from the seed.
+/// in `store`). `tree` is the run's merge tree, which the seed's remote refs
+/// are bucketed for; a strategy that drops duplicate remote refs has dropped
+/// them from the seed.
 fn run_merge_walk(
-    meta: &MetaGraph,
+    tree: MergeTree,
     seed: Seed<'_>,
     store: FragmentStore,
     config: &EulerConfig,
@@ -821,11 +838,11 @@ fn run_merge_walk(
     wstream: Option<WStreamStats>,
     mut yield_point: Option<YieldPoint<'_>>,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    let tree = Arc::new(MergeTree::build(meta));
+    let tree = Arc::new(tree);
     let steps = tree.num_supersteps() + 1;
     let mut yield_at = |done| yield_point.as_mut().map_or(Ok(()), |at| at(done, steps));
     let mut report = RunReport {
-        num_partitions: meta.num_vertices() as u32,
+        num_partitions: tree.leaves.len() as u32,
         supersteps: tree.num_supersteps(),
         strategy: config.merge_strategy,
         merge_tree: tree.as_ref().clone(),
@@ -1394,10 +1411,10 @@ mod tests {
         for config in [EulerConfig::default(), EulerConfig::default().sequential()] {
             let walk = |backend: &dyn ExecutionBackend| {
                 let dedup = config.merge_strategy.deduplicates();
-                let (meta, states) = level0::graph_level0(&g, &a, dedup).unwrap();
+                let (tree, states) = level0::graph_level0(&g, &a, dedup).unwrap();
                 let store = FragmentStore::new();
                 let (result, report) =
-                    run_merge_walk(&meta, states.into(), store.clone(), &config, backend, None, None)
+                    run_merge_walk(tree, states.into(), store.clone(), &config, backend, None, None)
                         .unwrap();
                 (result, report, store.snapshot())
             };

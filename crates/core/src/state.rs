@@ -10,7 +10,8 @@
 
 use crate::fragment::FragmentId;
 use crate::memory_model::state_longs;
-use euler_graph::{EdgeId, LocalIndex, Partition, PartitionId, VertexId};
+use crate::merge_tree::{LeafLevels, MergeTree};
+use euler_graph::{EdgeId, LocalIndex, MetaGraph, Partition, PartitionId, PartitionedGraph, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -36,8 +37,8 @@ pub struct LocalEdge {
 }
 
 /// A remote edge of a working partition: one endpoint here, one in another
-/// partition (identified by the *leaf* partition that originally owned it;
-/// the current merged owner is resolved through the merge tree).
+/// partition. Which merge makes it local is where it is kept: its bucket in
+/// [`WorkingPartition::remote_by_level`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RemoteRef {
     /// The underlying graph edge.
@@ -46,11 +47,6 @@ pub struct RemoteRef {
     pub local: VertexId,
     /// The endpoint inside the other partition.
     pub remote: VertexId,
-    /// Leaf partition that originally owned the local endpoint (used to
-    /// decide, via the merge tree, at which level this edge becomes local).
-    pub local_leaf: PartitionId,
-    /// Leaf partition that originally owned the remote endpoint.
-    pub remote_leaf: PartitionId,
 }
 
 /// Per-partition vertex/edge composition at the start of a Phase-1 run —
@@ -92,38 +88,41 @@ pub struct WorkingPartition {
     pub level: u32,
     /// Local edges awaiting consumption by Phase 1 at this level.
     pub local_edges: Vec<LocalEdge>,
-    /// Remote edges to partitions not yet merged in.
-    pub remote_edges: Vec<RemoteRef>,
+    /// Remote edges to partitions not yet merged in, one bucket per merge
+    /// level of the tree: `remote_by_level[l]` holds the refs that become
+    /// local at the merge after level `l` (so the buckets below
+    /// [`level`](Self::level) are empty). Within a bucket, refs are in edge-id
+    /// order per leaf, a merge parent's before its children's.
+    pub remote_by_level: Vec<Vec<RemoteRef>>,
     /// Vertices that carry no edges at all in this partition (isolated within
     /// the partition). Kept only for faithful vertex accounting at level 0.
     pub isolated_vertices: u64,
 }
 
 impl WorkingPartition {
-    /// Builds the level-0 working state from a static graph partition.
-    pub fn from_partition(p: &Partition) -> Self {
+    /// Builds the level-0 working state from a static graph partition, every
+    /// remote edge in the bucket `levels` gives the pair of leaves it joins.
+    ///
+    /// # Panics
+    /// If `p` has remote edges and `levels` no bucket: a table of a tree
+    /// that does not merge `p` with anything.
+    pub fn from_partition(p: &Partition, levels: &LeafLevels) -> Self {
         let local_edges = p
             .local_edges
             .iter()
             .map(|&(e, u, v)| LocalEdge { edge: EdgeRef::Real(e), u, v })
             .collect();
-        let remote_edges = p
-            .remote_edges
-            .iter()
-            .map(|r| RemoteRef {
-                edge: r.edge,
-                local: r.local_vertex,
-                remote: r.remote_vertex,
-                local_leaf: p.id,
-                remote_leaf: r.remote_partition,
-            })
-            .collect();
+        let mut remote_by_level = vec![Vec::new(); levels.buckets()];
+        for r in &p.remote_edges {
+            let bucket = &mut remote_by_level[levels.of(p.id, r.remote_partition)];
+            bucket.push(RemoteRef { edge: r.edge, local: r.local_vertex, remote: r.remote_vertex });
+        }
         let mut wp = WorkingPartition {
             id: p.id,
             leaves: vec![p.id],
             level: 0,
             local_edges,
-            remote_edges,
+            remote_by_level,
             isolated_vertices: 0,
         };
         // Count vertices of the original partition that touch no edge at all.
@@ -131,10 +130,29 @@ impl WorkingPartition {
             wp.local_edges
                 .iter()
                 .flat_map(|e| [e.u, e.v])
-                .chain(wp.remote_edges.iter().map(|r| r.local)),
+                .chain(p.remote_edges.iter().map(|r| r.local_vertex)),
         );
         wp.isolated_vertices = p.vertices().filter(|v| !with_edges.contains(*v)).count() as u64;
         wp
+    }
+
+    /// The merge tree of a partition view's meta-graph and the level-0 state
+    /// of every partition, bucketed for it ([`from_partition`](Self::from_partition)).
+    pub fn from_partitioned(pg: &PartitionedGraph) -> (MergeTree, Vec<Self>) {
+        let tree = MergeTree::build(&MetaGraph::from_partitioned(pg));
+        let levels = tree.leaf_levels(pg.num_partitions());
+        let states = pg.partitions().iter().map(|p| Self::from_partition(p, &levels)).collect();
+        (tree, states)
+    }
+
+    /// Every remote ref, bucket by bucket.
+    pub fn remote_refs(&self) -> impl Iterator<Item = &RemoteRef> + Clone {
+        self.remote_by_level.iter().flatten()
+    }
+
+    /// Remote refs held, over every bucket.
+    pub fn num_remote_edges(&self) -> usize {
+        self.remote_by_level.iter().map(Vec::len).sum()
     }
 
     /// Local degree of every vertex appearing in the local edges. A self-loop
@@ -151,7 +169,7 @@ impl WorkingPartition {
     /// Remote degree of every vertex appearing in the remote edges.
     pub fn remote_degrees(&self) -> HashMap<VertexId, u64> {
         let mut deg: HashMap<VertexId, u64> = HashMap::new();
-        for r in &self.remote_edges {
+        for r in self.remote_refs() {
             *deg.entry(r.local).or_insert(0) += 1;
         }
         deg
@@ -166,13 +184,14 @@ impl WorkingPartition {
     /// under 4 ids per remote edge, or under 1024): one bit per id, scanned
     /// ascending. Sparse id sets fall back to sort + dedup.
     pub fn boundary_vertices_sorted(&self) -> Vec<VertexId> {
-        let locals = || self.remote_edges.iter().map(|r| r.local.0);
-        if self.remote_edges.is_empty() {
+        let locals = || self.remote_refs().map(|r| r.local.0);
+        let refs = self.num_remote_edges();
+        if refs == 0 {
             return Vec::new();
         }
         let (min, max) = locals().fold((u64::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
         let span = max - min; // one less than the id count: cannot overflow
-        if span >= (self.remote_edges.len() as u64).saturating_mul(4).max(1024) {
+        if span >= (refs as u64).saturating_mul(4).max(1024) {
             let mut boundary: Vec<VertexId> = locals().map(VertexId).collect();
             boundary.sort_unstable();
             boundary.dedup();
@@ -203,7 +222,7 @@ impl WorkingPartition {
             self.local_edges
                 .iter()
                 .flat_map(|e| [e.u, e.v])
-                .chain(self.remote_edges.iter().map(|r| r.local)),
+                .chain(self.remote_refs().map(|r| r.local)),
         );
         let mut local_deg: Vec<u32> = index.zeroed();
         for e in &self.local_edges {
@@ -211,11 +230,11 @@ impl WorkingPartition {
             local_deg[index.slot(e.v).expect("interned") as usize] += 1;
         }
         let mut is_boundary: Vec<bool> = index.zeroed();
-        for r in &self.remote_edges {
+        for r in self.remote_refs() {
             is_boundary[index.slot(r.local).expect("interned") as usize] = true;
         }
         let mut counts = VertexTypeCounts {
-            remote_edges: self.remote_edges.len() as u64,
+            remote_edges: self.num_remote_edges() as u64,
             local_edges: self.local_edges.len() as u64,
             even_internal: self.isolated_vertices,
             ..Default::default()
@@ -237,29 +256,25 @@ impl WorkingPartition {
         state_longs(c.total_vertices(), c.local_edges, c.remote_edges)
     }
 
-    /// Number of Longs that would be serialised to ship this partition's
-    /// state to another machine (Phase-2 transfer).
-    pub fn transfer_longs(&self) -> u64 {
-        // Same representation is shipped: vertices are implicit in the edges.
-        state_longs(0, self.local_edges.len() as u64, self.remote_edges.len() as u64) + 4
-    }
-
     /// True when nothing remains to do for this partition at this level.
     pub fn is_exhausted(&self) -> bool {
-        self.local_edges.is_empty() && self.remote_edges.is_empty()
+        self.local_edges.is_empty() && self.remote_refs().next().is_none()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use euler_gen::synthetic::paper_fig1;
-    use euler_graph::PartitionedGraph;
+
+    /// The level-0 states of a partition view under its own merge tree.
+    pub(crate) fn working(pg: &PartitionedGraph) -> Vec<WorkingPartition> {
+        WorkingPartition::from_partitioned(pg).1
+    }
 
     fn fig1_working() -> Vec<WorkingPartition> {
         let (g, a) = paper_fig1();
-        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        pg.partitions().iter().map(WorkingPartition::from_partition).collect()
+        working(&PartitionedGraph::from_assignment(&g, &a).unwrap())
     }
 
     #[test]
@@ -268,7 +283,7 @@ mod tests {
         // Paper's P2 (index 1) = {v3, v4, v5}: 3 local edges, 2 remote edges, 1 EB, 2 internal.
         let p2 = &wps[1];
         assert_eq!(p2.local_edges.len(), 3);
-        assert_eq!(p2.remote_edges.len(), 2);
+        assert_eq!(p2.num_remote_edges(), 2);
         let c = p2.vertex_type_counts();
         assert_eq!(c.even_boundary, 1);
         assert_eq!(c.odd_boundary, 0);
@@ -315,18 +330,14 @@ mod tests {
 
     #[test]
     fn boundary_vertices_sorted_equals_sort_dedup_on_any_id_span() {
-        let with_locals = |ids: &[u64]| WorkingPartition {
-            remote_edges: ids
-                .iter()
-                .map(|&v| RemoteRef {
-                    edge: EdgeId(v ^ 1),
-                    local: VertexId(v),
-                    remote: VertexId(v.wrapping_add(1)),
-                    local_leaf: PartitionId(0),
-                    remote_leaf: PartitionId(1),
-                })
-                .collect(),
-            ..Default::default()
+        // Every third ref in a second bucket: the list is read across them.
+        let with_locals = |ids: &[u64]| {
+            let mut remote_by_level = vec![Vec::new(), Vec::new()];
+            for (i, &v) in ids.iter().enumerate() {
+                let r = RemoteRef { edge: EdgeId(v ^ 1), local: VertexId(v), remote: VertexId(v.wrapping_add(1)) };
+                remote_by_level[usize::from(i % 3 == 2)].push(r);
+            }
+            WorkingPartition { remote_by_level, ..Default::default() }
         };
         let check = |ids: &[u64]| {
             let mut expect: Vec<VertexId> = ids.iter().map(|&v| VertexId(v)).collect();
@@ -381,7 +392,7 @@ mod tests {
             local_edges: vec![],
             remote_edges: vec![],
         };
-        let wp = WorkingPartition::from_partition(&p);
+        let wp = WorkingPartition::from_partition(&p, &LeafLevels::default());
         assert_eq!(wp.isolated_vertices, 2);
         assert!(wp.is_exhausted());
         assert_eq!(wp.vertex_type_counts().even_internal, 2);

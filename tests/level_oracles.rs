@@ -1,57 +1,105 @@
 //! Differential oracles for the per-level passes of the merge-tree walk.
 //!
 //! The walk answers its per-level questions from single passes and tables
-//! (one classification per partition, hash-free merges, O(1) merge-tree
-//! lookups). The *definitions* those passes must reproduce stay here, as
-//! code that shares nothing with them:
+//! (one classification per partition, hash-free merges over refs kept in
+//! one bucket per merge level, one leaf-pair table per run). The
+//! *definitions* those passes must reproduce stay here, as code that shares
+//! nothing with them:
 //!
 //! * [`hashset_merge`] — the original `merge_partitions`, de-duplicating
-//!   converted edges through a `HashSet`;
-//! * the `vertex_type_counts()`-based memory formulas, evaluated on a replay
-//!   of the walk built from the public kernels.
+//!   converted edges through a `HashSet`, and deciding which refs convert
+//!   from the partition labels of their two endpoints and
+//!   `MergeTree::merge_level_of`, not from the bucket a ref is in;
+//! * the `vertex_type_counts()`-based memory formulas and the Longs a
+//!   shipped state moves, evaluated on a replay of the walk built from the
+//!   public kernels.
 //!
 //! Every backend's records (and the BSP workers' post-run memory) must
 //! equal the replay, for all three merge strategies, and the level-0 state
 //! must bound every level's as §5 says.
 
 use euler_circuit::algo::phase1::run_phase1;
-use euler_circuit::algo::phase2::{
-    apply_remote_edge_dedup, merge_partitions, remote_edge_needed_level, MergeStats,
-};
+use euler_circuit::algo::phase2::{apply_remote_edge_dedup, merge_partitions};
 use euler_circuit::algo::state::{EdgeRef, LocalEdge, RemoteRef};
 use euler_circuit::algo::{
     FragmentStore, MergePair, MergeTree, VertexTypeCounts, WorkingPartition,
 };
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
+/// The leaf partition of a vertex.
+type LeafOf<'a> = &'a dyn Fn(VertexId) -> PartitionId;
+
+/// The merge level at which a ref becomes local: the first level whose
+/// matching puts the leaves of its two endpoints in one partition — the last
+/// level for leaves the tree never joins.
+fn converting_level(tree: &MergeTree, leaf_of: LeafOf<'_>, r: &RemoteRef) -> u32 {
+    tree.merge_level_of(leaf_of(r.local), leaf_of(r.remote))
+        .unwrap_or_else(|| tree.height().saturating_sub(1))
+}
+
+/// Longs moved by shipping a state to its merge parent: 3 per local edge,
+/// 4 per remote ref shipped, 4 of header (§5), where Deferred ships only
+/// the refs that the merges up to `level` need.
+fn transfer_longs(
+    wp: &WorkingPartition,
+    tree: &MergeTree,
+    leaf_of: LeafOf<'_>,
+    level: u32,
+    strategy: MergeStrategy,
+) -> u64 {
+    let shipped = wp
+        .remote_refs()
+        .filter(|r| !strategy.defers_transfer() || converting_level(tree, leaf_of, r) <= level)
+        .count();
+    3 * wp.local_edges.len() as u64 + 4 * shipped as u64 + 4
+}
+
+/// What one merge did, by the oracle's count.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct MergeStats {
+    /// Remote edges that became local edges of the merged partition.
+    converted_edges: u64,
+    /// Remote edges still pointing at other partitions after the merge.
+    surviving_remote_edges: u64,
+}
+
 /// `merge_partitions` as first written: fresh vectors, every converted edge
-/// id through a `HashSet`, first occurrence wins.
+/// id through a `HashSet`, first occurrence wins; a ref converts when the
+/// labels of its endpoints say the merge after `level` joins them, and a
+/// survivor is filed in the bucket of the level that will.
 fn hashset_merge(
     parent: WorkingPartition,
-    child: WorkingPartition,
+    children: &[WorkingPartition],
     tree: &MergeTree,
     level: u32,
+    leaf_of: LeafOf<'_>,
 ) -> (WorkingPartition, MergeStats) {
-    let mut stats = MergeStats { transferred_longs: child.transfer_longs(), ..Default::default() };
-    let merged_id = parent.id;
     let mut leaves = parent.leaves.clone();
-    leaves.extend(child.leaves.iter().copied());
+    leaves.extend(children.iter().flat_map(|c| c.leaves.iter().copied()));
     leaves.sort_unstable();
     leaves.dedup();
     let mut merged = WorkingPartition {
-        id: merged_id,
+        id: parent.id,
         leaves,
         level: level + 1,
-        local_edges: parent.local_edges.iter().chain(&child.local_edges).copied().collect(),
-        remote_edges: Vec::new(),
-        isolated_vertices: parent.isolated_vertices + child.isolated_vertices,
+        local_edges: parent
+            .local_edges
+            .iter()
+            .chain(children.iter().flat_map(|c| &c.local_edges))
+            .copied()
+            .collect(),
+        remote_by_level: vec![Vec::new(); tree.height() as usize],
+        isolated_vertices: parent.isolated_vertices
+            + children.iter().map(|c| c.isolated_vertices).sum::<u64>(),
     };
     let mut converted: HashSet<EdgeId> = HashSet::new();
-    for r in parent.remote_edges.into_iter().chain(child.remote_edges) {
-        if tree.representative_after(r.remote_leaf, level) == merged_id {
+    let refs = parent.remote_refs().chain(children.iter().flat_map(|c| c.remote_refs()));
+    for r in refs {
+        let at = converting_level(tree, leaf_of, r);
+        if at == level {
             if converted.insert(r.edge) {
                 merged.local_edges.push(LocalEdge {
                     edge: EdgeRef::Real(r.edge),
@@ -60,24 +108,37 @@ fn hashset_merge(
                 });
             }
         } else {
-            merged.remote_edges.push(r);
+            merged.remote_by_level[at as usize].push(*r);
         }
     }
-    stats.converted_edges = converted.len() as u64;
-    stats.surviving_remote_edges = merged.remote_edges.len() as u64;
+    let stats = MergeStats {
+        converted_edges: converted.len() as u64,
+        surviving_remote_edges: merged.num_remote_edges() as u64,
+    };
     (merged, stats)
 }
 
 fn assert_merge_matches_oracle(
     parent: &WorkingPartition,
-    child: &WorkingPartition,
+    children: &[WorkingPartition],
     tree: &MergeTree,
     level: u32,
+    leaf_of: LeafOf<'_>,
 ) -> WorkingPartition {
-    let (merged, stats) = merge_partitions(parent.clone(), child.clone(), tree, level);
-    let (want, want_stats) = hashset_merge(parent.clone(), child.clone(), tree, level);
-    assert_eq!(merged, want, "merge of {} into {} at level {level}", child.id, parent.id);
-    assert_eq!(stats, want_stats);
+    let merged = merge_partitions(parent.clone(), children.to_vec(), level);
+    let (want, want_stats) = hashset_merge(parent.clone(), children, tree, level, leaf_of);
+    let tag = format!("merge of {:?} into {} at level {level}", children.iter().map(|c| c.id).collect::<Vec<_>>(), parent.id);
+    assert_eq!(merged.remote_by_level.len(), want.remote_by_level.len(), "{tag}");
+    for (at, (got, want)) in merged.remote_by_level.iter().zip(&want.remote_by_level).enumerate() {
+        assert_eq!(got, want, "{tag}: bucket {at}");
+    }
+    assert_eq!(merged, want, "{tag}");
+    let before: usize = parent.local_edges.len() + children.iter().map(|c| c.local_edges.len()).sum::<usize>();
+    let stats = MergeStats {
+        converted_edges: (merged.local_edges.len() - before) as u64,
+        surviving_remote_edges: merged.num_remote_edges() as u64,
+    };
+    assert_eq!(stats, want_stats, "{tag}");
     merged
 }
 
@@ -89,34 +150,45 @@ struct Expected {
     counts: VertexTypeCounts,
     memory_longs: u64,
     remote_needed_now: u64,
+    /// Longs of the states merged into the partition entering the level.
+    transfer_in_longs: u64,
     /// `memory_longs()` of the state Phase 1 left behind.
     memory_after: u64,
     /// Bytes of that state's record — 6 header words, a word per leaf, 4 per
-    /// local edge, 5 per remote ref — if this level retires it into its
-    /// merge parent; 0 if it stays.
+    /// local edge, a count word per merge level and 3 per remote ref — if
+    /// this level retires it into its merge parent; 0 if it stays.
     shipped_bytes: u64,
 }
 
 /// Replays the merge-tree walk from the public kernels, evaluating the
 /// accounting formulas by their definitions (a full `vertex_type_counts()`
-/// classification before and after every Phase-1 run) and checking every
-/// merge against [`hashset_merge`].
-fn replay(pg: &PartitionedGraph, strategy: MergeStrategy) -> Vec<Expected> {
-    let tree = MergeTree::build(&MetaGraph::from_partitioned(pg));
-    let mut states: Vec<WorkingPartition> =
-        pg.partitions().iter().map(WorkingPartition::from_partition).collect();
+/// classification before and after every Phase-1 run, converting levels
+/// from the labels) and checking every merge against [`hashset_merge`].
+/// Under Duplicated every cut edge is held on both sides, so at every merge
+/// the parent's and the child's converting buckets name the same edges.
+fn replay(pg: &PartitionedGraph, labels: &PartitionAssignment, strategy: MergeStrategy) -> Vec<Expected> {
+    let leaf_of = |v: VertexId| labels.partition_of(v);
+    let (tree, mut states) = WorkingPartition::from_partitioned(pg);
+    assert_eq!(tree, MergeTree::build(&MetaGraph::from_partitioned(pg)));
+    // A built tree names a partition in at most one pair per level: every
+    // slot merges at most one child at a time.
+    for pairs in &tree.levels {
+        let named: HashSet<PartitionId> = pairs.iter().flat_map(|p| [p.parent, p.child]).collect();
+        assert_eq!(named.len(), 2 * pairs.len(), "{pairs:?}");
+    }
     if strategy.deduplicates() {
-        apply_remote_edge_dedup(&mut states);
+        apply_remote_edge_dedup(&mut states, leaf_of);
     }
     let store = FragmentStore::new();
     let mut expected = Vec::new();
+    let mut transfer_in: Vec<(PartitionId, u64)> = Vec::new();
     for level in 0..tree.num_supersteps() {
         states.sort_by_key(|s| s.id);
         for wp in &mut states {
             wp.level = level;
             let counts = wp.vertex_type_counts();
             let needed: Vec<u32> =
-                wp.remote_edges.iter().map(|r| remote_edge_needed_level(&tree, r)).collect();
+                wp.remote_refs().map(|r| converting_level(&tree, &leaf_of, r)).collect();
             let resident_remote = if strategy.defers_transfer() {
                 needed.iter().filter(|&&l| l <= level).count() as u64
             } else {
@@ -124,22 +196,34 @@ fn replay(pg: &PartitionedGraph, strategy: MergeStrategy) -> Vec<Expected> {
             };
             run_phase1(wp, &store);
             let retires = tree.pairs_at(level).iter().any(|p| p.child == wp.id);
-            let record_words =
-                6 + wp.leaves.len() + 4 * wp.local_edges.len() + 5 * wp.remote_edges.len();
+            let record_words = 6
+                + wp.leaves.len()
+                + 4 * wp.local_edges.len()
+                + tree.height() as usize
+                + 3 * wp.num_remote_edges();
             expected.push(Expected {
                 level,
                 partition: wp.id,
                 counts,
                 memory_longs: counts.total_vertices() + 3 * counts.local_edges + 4 * resident_remote,
                 remote_needed_now: needed.iter().filter(|&&l| l == level).count() as u64,
+                transfer_in_longs: transfer_in.iter().filter(|(p, _)| *p == wp.id).map(|(_, l)| l).sum(),
                 memory_after: wp.memory_longs(),
                 shipped_bytes: if retires { 8 * record_words as u64 } else { 0 },
             });
         }
+        transfer_in.clear();
         for pair in tree.pairs_at(level) {
             let mut take = |id| states.swap_remove(states.iter().position(|s| s.id == id).unwrap());
             let (child, parent) = (take(pair.child), take(pair.parent));
-            states.push(assert_merge_matches_oracle(&parent, &child, &tree, level));
+            if strategy == MergeStrategy::Duplicated {
+                let edges = |wp: &WorkingPartition| -> BTreeSet<EdgeId> {
+                    wp.remote_by_level[level as usize].iter().map(|r| r.edge).collect()
+                };
+                assert_eq!(edges(&parent), edges(&child), "converting buckets of {pair:?}");
+            }
+            transfer_in.push((pair.parent, transfer_longs(&child, &tree, &leaf_of, level, strategy)));
+            states.push(assert_merge_matches_oracle(&parent, &[child], &tree, level, &leaf_of));
         }
     }
     expected
@@ -167,7 +251,7 @@ fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
     let pg = PartitionedGraph::from_assignment(g, assignment).unwrap();
     let mut by_level = Vec::new();
     for strategy in MergeStrategy::all() {
-        let expected = replay(&pg, strategy);
+        let expected = replay(&pg, assignment, strategy);
         for name in [
             "in-process",
             "1 worker in place",
@@ -196,6 +280,7 @@ fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
                 assert_eq!((got.level, got.partition), (want.level, want.partition), "{tag}");
                 assert_eq!(got.memory_longs, want.memory_longs, "{tag}: memory_longs of {want:?}");
                 assert_eq!(got.remote_needed_now, want.remote_needed_now, "{tag}: {want:?}");
+                assert_eq!(got.transfer_in_longs, want.transfer_in_longs, "{tag}: {want:?}");
                 assert_eq!(got.counts, want.counts, "{tag}");
             }
             if let Some(engine) = &report.engine {
@@ -278,75 +363,95 @@ proptest! {
     }
 }
 
-fn remote(edge: u64, local: u64, remote: u64, local_leaf: u32, remote_leaf: u32) -> RemoteRef {
-    RemoteRef {
-        edge: EdgeId(edge),
-        local: VertexId(local),
-        remote: VertexId(remote),
-        local_leaf: PartitionId(local_leaf),
-        remote_leaf: PartitionId(remote_leaf),
-    }
+/// Vertex `x` of leaf `leaf`: the hand-built states label a vertex by its
+/// hundreds.
+fn vertex(leaf: u32, x: u64) -> VertexId {
+    VertexId(100 * leaf as u64 + x)
 }
 
-fn state(id: u32, local: &[(u64, u64, u64)], remote_edges: Vec<RemoteRef>) -> WorkingPartition {
+fn hundreds(v: VertexId) -> PartitionId {
+    PartitionId((v.0 / 100) as u32)
+}
+
+fn remote(edge: u64, (leaf, x): (u32, u64), (other, y): (u32, u64)) -> RemoteRef {
+    RemoteRef { edge: EdgeId(edge), local: vertex(leaf, x), remote: vertex(other, y) }
+}
+
+/// A leaf's state of `tree`, each ref filed in the bucket of the level its
+/// labels say converts it.
+fn state(tree: &MergeTree, id: u32, local: &[(u64, u64, u64)], refs: Vec<RemoteRef>) -> WorkingPartition {
+    let mut remote_by_level = vec![Vec::new(); tree.height() as usize];
+    for r in refs {
+        remote_by_level[converting_level(tree, &hundreds, &r) as usize].push(r);
+    }
     WorkingPartition {
         id: PartitionId(id),
         leaves: vec![PartitionId(id)],
         level: 0,
         local_edges: local
             .iter()
-            .map(|&(e, u, v)| LocalEdge { edge: EdgeRef::Real(EdgeId(e)), u: VertexId(u), v: VertexId(v) })
+            .map(|&(e, u, v)| LocalEdge {
+                edge: EdgeRef::Real(EdgeId(e)),
+                u: vertex(id, u),
+                v: vertex(id, v),
+            })
             .collect(),
-        remote_edges,
+        remote_by_level,
         isolated_vertices: id as u64,
     }
 }
 
-/// Three leaves; 0 merges into 1 at level 0, 1 into 2 at level 1.
-fn chain_tree() -> MergeTree {
-    let pair = |parent, child| MergePair {
+fn tree_of(levels: Vec<Vec<(u32, u32)>>, root: u32, leaves: u32) -> MergeTree {
+    let pair = |(parent, child)| MergePair {
         parent: PartitionId(parent),
         child: PartitionId(child),
         weight: 1,
     };
     MergeTree::from_parts(
-        vec![vec![pair(1, 0)], vec![pair(2, 1)]],
-        PartitionId(2),
-        (0..3).map(PartitionId).collect(),
+        levels.into_iter().map(|pairs| pairs.into_iter().map(pair).collect()).collect(),
+        PartitionId(root),
+        (0..leaves).map(PartitionId).collect(),
     )
+}
+
+/// Three leaves; 0 merges into 1 at level 0, 1 into 2 at level 1.
+fn chain_tree() -> MergeTree {
+    tree_of(vec![vec![(1, 0)], vec![(2, 1)]], 2, 3)
 }
 
 #[test]
 fn hand_built_merges_match_the_hashset_oracle() {
     let tree = chain_tree();
-    // An edge id repeated within one side (and again on the other), a
-    // self-loop ref, parallel cut edges sharing endpoints, refs that
-    // survive, and a ref to a leaf the tree does not know.
+    // An edge id repeated within one side (and again on the other),
+    // parallel cut edges sharing endpoints, refs that survive, and a ref to
+    // a leaf the tree does not know (filed at the last level).
     let parent = state(
+        &tree,
         1,
         &[(100, 10, 11)],
         vec![
-            remote(7, 10, 1, 1, 0),
-            remote(7, 10, 1, 1, 0),
-            remote(3, 11, 2, 1, 0),
-            remote(50, 11, 20, 1, 2),
-            remote(4, 12, 12, 1, 0),
-            remote(51, 11, 30, 1, 9),
+            remote(7, (1, 10), (0, 1)),
+            remote(7, (1, 10), (0, 1)),
+            remote(3, (1, 11), (0, 2)),
+            remote(50, (1, 11), (2, 20)),
+            remote(4, (1, 12), (0, 12)),
+            remote(51, (1, 11), (9, 30)),
         ],
     );
     let child = state(
+        &tree,
         0,
         &[(101, 1, 2), (102, 2, 1)],
         vec![
-            remote(3, 2, 11, 0, 1),
-            remote(8, 1, 10, 0, 1),
-            remote(9, 1, 10, 0, 1),
-            remote(7, 1, 10, 0, 1),
-            remote(52, 2, 21, 0, 2),
-            remote(8, 1, 10, 0, 1),
+            remote(3, (0, 2), (1, 11)),
+            remote(8, (0, 1), (1, 10)),
+            remote(9, (0, 1), (1, 10)),
+            remote(7, (0, 1), (1, 10)),
+            remote(52, (0, 2), (2, 21)),
+            remote(8, (0, 1), (1, 10)),
         ],
     );
-    let merged = assert_merge_matches_oracle(&parent, &child, &tree, 0);
+    let merged = assert_merge_matches_oracle(&parent, std::slice::from_ref(&child), &tree, 0, &hundreds);
     let converted: Vec<u64> = merged.local_edges[3..]
         .iter()
         .map(|e| match e.edge {
@@ -355,29 +460,66 @@ fn hand_built_merges_match_the_hashset_oracle() {
         })
         .collect();
     assert_eq!(converted, vec![7, 3, 4, 8, 9], "first occurrence wins, in first-occurrence order");
-    assert_eq!(merged.remote_edges.len(), 3);
+    assert_eq!(merged.remote_by_level[0], []);
+    assert_eq!(merged.remote_by_level[1].len(), 3);
 
     // Few edges spread over a huge id range (no dense id span to count in),
     // with the extreme ids repeated.
     let wide = |leaf, other| {
         vec![
-            remote(u64::MAX, 1, 2, leaf, other),
-            remote(0, 1, 2, leaf, other),
-            remote(1 << 40, 1, 2, leaf, other),
-            remote(u64::MAX, 3, 4, leaf, other),
-            remote(0, 5, 6, leaf, other),
+            remote(u64::MAX, (leaf, 1), (other, 2)),
+            remote(0, (leaf, 1), (other, 2)),
+            remote(1 << 40, (leaf, 1), (other, 2)),
+            remote(u64::MAX, (leaf, 3), (other, 4)),
+            remote(0, (leaf, 5), (other, 6)),
         ]
     };
-    assert_merge_matches_oracle(&state(1, &[], wide(1, 0)), &state(0, &[], wide(0, 1)), &tree, 0);
+    let (parent, child) = (state(&tree, 1, &[], wide(1, 0)), state(&tree, 0, &[], wide(0, 1)));
+    assert_merge_matches_oracle(&parent, &[child], &tree, 0, &hundreds);
 
     // Nothing converts; nothing at all.
-    assert_merge_matches_oracle(&state(2, &[], vec![]), &state(1, &[(1, 1, 1)], vec![]), &tree, 1);
-    assert_merge_matches_oracle(
-        &state(2, &[], vec![remote(1, 1, 2, 2, 7)]),
-        &state(1, &[], vec![remote(1, 2, 1, 1, 7)]),
-        &tree,
-        1,
+    let lone = state(&tree, 1, &[(1, 1, 1)], vec![]);
+    assert_merge_matches_oracle(&state(&tree, 2, &[], vec![]), &[lone], &tree, 1, &hundreds);
+    let (parent, child) = (
+        state(&tree, 2, &[], vec![remote(1, (2, 1), (7, 2))]),
+        state(&tree, 1, &[], vec![remote(1, (1, 2), (7, 1))]),
     );
+    assert_merge_matches_oracle(&parent, &[child], &tree, 1, &hundreds);
+}
+
+/// A slot that merges two children at one level — which no built tree
+/// makes, but a tree from parts can — converts the edge between the two
+/// children once, as one merge over all three converting buckets.
+#[test]
+fn two_children_of_one_slot_merge_like_the_oracle() {
+    let star = tree_of(vec![vec![(2, 0), (2, 1)]], 2, 3);
+    let leaf = |id: u32, others: [u32; 2]| {
+        let refs = others
+            .iter()
+            .flat_map(|&o| {
+                let edge = u64::from(id.min(o) * 10 + id.max(o));
+                [remote(edge, (id, 1), (o, 1)), remote(edge + 100, (id, 2), (o, 2))]
+            })
+            .collect();
+        state(&star, id, &[(900 + u64::from(id), 3, 4)], refs)
+    };
+    let children = [leaf(0, [1, 2]), leaf(1, [0, 2])];
+    let merged = assert_merge_matches_oracle(&leaf(2, [0, 1]), &children, &star, 0, &hundreds);
+    let real = merged.local_edges.iter().filter(|e| matches!(e.edge, EdgeRef::Real(_))).count();
+    assert_eq!(real, 3 + 6, "three local edges, and each of the six cut edges once");
+    assert_eq!(merged.num_remote_edges(), 0);
+}
+
+/// The generator families of the level-0 loader's tests, partitioned three
+/// ways.
+fn family(which: u8, seed: u64) -> Graph {
+    match which % 5 {
+        0 => eulerize(&RmatGenerator::new(8).with_avg_degree(6.0).with_seed(seed).generate()).0,
+        1 => synthetic::torus_grid(6 + seed % 5, 7),
+        2 => synthetic::random_eulerian_connected(120, 12, 6, seed),
+        3 => synthetic::paper_fig1().0,
+        _ => multigraph(seed, 50, 6, &[(0, 1), (3, 40), (3, 40)], &[0, 9]),
+    }
 }
 
 proptest! {
@@ -398,12 +540,44 @@ proptest! {
             list.iter()
                 .map(|&(id, other, v)| {
                     let id = if scatter { id.wrapping_mul(0x9E37_79B9_7F4A_7C15) } else { id };
-                    remote(id, v, v + 1, leaf, other)
+                    let other = if other == leaf { (other + 1) % 4 } else { other };
+                    remote(id, (leaf, v), (other, v + 1))
                 })
                 .collect()
         };
-        let parent = state(parent_id, &[(900, 1, 2)], refs(&parent_refs, parent_id));
-        let child = state(child_id, &[(901, 2, 3)], refs(&child_refs, child_id));
-        assert_merge_matches_oracle(&parent, &child, &tree, level);
+        let mut parent = state(&tree, parent_id, &[(900, 1, 2)], refs(&parent_refs, parent_id));
+        let mut child = state(&tree, child_id, &[(901, 2, 3)], refs(&child_refs, child_id));
+        // A state of level 1 holds nothing for the level-0 merge.
+        if level == 1 {
+            parent.remote_by_level[0].clear();
+            child.remote_by_level[0].clear();
+        }
+        assert_merge_matches_oracle(&parent, &[child], &tree, level, &hundreds);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every merge of the walk over the generator families, under every
+    /// strategy, against the oracle — and, under Duplicated, the two sides'
+    /// converting buckets hold the same edge ids ([`replay`] asserts both).
+    #[test]
+    fn every_merge_of_the_generator_families_matches_the_oracle(
+        which in 0u8..5,
+        seed in 0u64..500,
+        parts in 2u32..9,
+        partitioner in 0u8..3,
+    ) {
+        let g = family(which, seed);
+        let a = match partitioner {
+            0 => HashPartitioner::new(parts).partition(&g),
+            1 => LdgPartitioner::new(parts).partition(&g),
+            _ => BfsPartitioner::new(parts).partition(&g),
+        };
+        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
+        for strategy in MergeStrategy::all() {
+            replay(&pg, &a, strategy);
+        }
     }
 }

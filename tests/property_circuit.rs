@@ -226,8 +226,7 @@ proptest! {
             LdgPartitioner::new(parts).partition(&g)
         };
         let pg = PartitionedGraph::from_assignment(&g, &assignment).unwrap();
-        for p in pg.partitions() {
-            let mut wp_dense = WorkingPartition::from_partition(p);
+        for mut wp_dense in WorkingPartition::from_partitioned(&pg).1 {
             let mut wp_ref = wp_dense.clone();
             let store_dense = FragmentStore::new();
             let store_ref = FragmentStore::new();
@@ -241,7 +240,7 @@ proptest! {
             // pivot lookups, linked splices and materialised Longs.
             prop_assert_eq!(out_dense.splice, out_ref.splice);
             prop_assert_eq!(wp_dense.local_edges, wp_ref.local_edges);
-            prop_assert_eq!(wp_dense.remote_edges, wp_ref.remote_edges);
+            prop_assert_eq!(wp_dense.remote_by_level, wp_ref.remote_by_level);
             prop_assert_eq!(store_dense.snapshot(), store_ref.snapshot());
         }
     }
@@ -264,8 +263,7 @@ proptest! {
         prop_assert!(is_eulerian(&g).is_ok());
         let assignment = LdgPartitioner::new(parts).partition(&g);
         let pg = PartitionedGraph::from_assignment(&g, &assignment).unwrap();
-        for p in pg.partitions() {
-            let mut wp_dense = WorkingPartition::from_partition(p);
+        for mut wp_dense in WorkingPartition::from_partitioned(&pg).1 {
             let mut wp_ref = wp_dense.clone();
             let store_dense = FragmentStore::new();
             let store_ref = FragmentStore::new();
