@@ -57,10 +57,10 @@ use crate::wire::{extend_words, WordFold, WordWriter};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufReader, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Frame magic: `"EULR"` as a big-endian u32.
@@ -455,6 +455,9 @@ pub trait Connection: Send + Sync {
     fn set_send_timeout(&self, timeout: Option<Duration>) {
         let _ = timeout;
     }
+    /// Closes both directions: a receive or send blocked on another thread
+    /// fails, as does every later one, here and at the peer.
+    fn close(&self);
 }
 
 /// Accepts inbound worker connections on an endpoint.
@@ -462,8 +465,13 @@ pub trait Listener: Send {
     /// The endpoint string workers pass to [`Transport::connect`]
     /// (e.g. `tcp:127.0.0.1:41234`, `mem:3`).
     fn endpoint(&self) -> String;
+    /// Accepts one connection, waiting at most `timeout` (`None` blocks
+    /// until a peer dials). A quiet timeout returns [`FrameError::Timeout`].
+    fn accept_timeout(&self, timeout: Option<Duration>) -> Result<Box<dyn Connection>, FrameError>;
     /// Accepts one connection, waiting at most `timeout`.
-    fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError>;
+    fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
+        self.accept_timeout(Some(timeout))
+    }
 }
 
 /// A connection factory: one of the two substrates above.
@@ -550,12 +558,14 @@ pub fn connect_endpoint(endpoint: &str) -> Result<Box<dyn Connection>, FrameErro
 /// One direction of an in-memory connection: frames as encoded byte vectors
 /// (the same codec as the socket paths, so corruption tests cover both).
 type MemFrame = Vec<u8>;
-/// A connect request: the dialing side's two channel halves.
-type MemDial = (mpsc::Sender<MemFrame>, mpsc::Receiver<MemFrame>);
+/// The sending end of one direction, owned by the sender and held weakly by
+/// the receiver: closing drops the peer's sender too, and a dialer whose
+/// connection was never accepted still sees the hang-up.
+type MemSender = Mutex<Option<mpsc::Sender<MemFrame>>>;
 
 struct MemRegistry {
-    /// endpoint token → queue of connect requests.
-    pending: Mutex<HashMap<u64, mpsc::Sender<MemDial>>>,
+    /// endpoint token → queue of the listener-side ends of dialed connections.
+    pending: Mutex<HashMap<u64, mpsc::Sender<MemConnection>>>,
     next_token: AtomicU64,
 }
 
@@ -574,7 +584,7 @@ pub struct MemTransport;
 
 struct MemListener {
     token: u64,
-    accept_rx: Mutex<mpsc::Receiver<MemDial>>,
+    accept_rx: Mutex<mpsc::Receiver<MemConnection>>,
 }
 
 impl Drop for MemListener {
@@ -583,12 +593,39 @@ impl Drop for MemListener {
     }
 }
 
+/// Receives from a queue, blocking at most `timeout` (`None`: until a value
+/// or a disconnect).
+fn recv_within<T>(rx: &Mutex<mpsc::Receiver<T>>, timeout: Option<Duration>) -> Result<T, FrameError> {
+    let rx = lock_unpoisoned(rx);
+    match timeout {
+        None => rx.recv().map_err(|_| FrameError::Closed),
+        Some(t) => rx.recv_timeout(t).map_err(|e| match e {
+            mpsc::RecvTimeoutError::Timeout => FrameError::Timeout,
+            mpsc::RecvTimeoutError::Disconnected => FrameError::Closed,
+        }),
+    }
+}
+
 struct MemConnection {
-    tx: Mutex<Option<mpsc::Sender<MemFrame>>>,
+    tx: Arc<MemSender>,
     rx: Mutex<mpsc::Receiver<MemFrame>>,
+    /// The peer's `tx`: the sender of what `rx` receives.
+    incoming: Weak<MemSender>,
 }
 
 impl MemConnection {
+    /// Two ends of one connection.
+    fn pair() -> (MemConnection, MemConnection) {
+        let ((a_tx, b_rx), (b_tx, a_rx)) = (mpsc::channel(), mpsc::channel());
+        let (a_tx, b_tx) = (Arc::new(Mutex::new(Some(a_tx))), Arc::new(Mutex::new(Some(b_tx))));
+        let end = |tx: &Arc<MemSender>, rx, peer| MemConnection {
+            tx: Arc::clone(tx),
+            rx: Mutex::new(rx),
+            incoming: Arc::downgrade(peer),
+        };
+        (end(&a_tx, a_rx, &b_tx), end(&b_tx, b_rx, &a_tx))
+    }
+
     /// Queues encoded frames for the peer, in order.
     fn queue(&self, frames: impl IntoIterator<Item = MemFrame>) -> Result<(), FrameError> {
         let guard = lock_unpoisoned(&self.tx);
@@ -607,16 +644,16 @@ impl Connection for MemConnection {
     }
 
     fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
-        let rx = lock_unpoisoned(&self.rx);
-        let frame = match timeout {
-            None => rx.recv().map_err(|_| FrameError::Closed)?,
-            Some(t) => rx.recv_timeout(t).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => FrameError::Timeout,
-                mpsc::RecvTimeoutError::Disconnected => FrameError::Closed,
-            })?,
-        };
-        let (kind, payload, _) = decode_frame(&frame)?;
+        let (kind, payload, _) = decode_frame(&recv_within(&self.rx, timeout)?)?;
         Ok((kind, payload))
+    }
+
+    /// Drops both senders: each receiver sees its queue disconnect once drained.
+    fn close(&self) {
+        lock_unpoisoned(&self.tx).take();
+        if let Some(incoming) = self.incoming.upgrade() {
+            lock_unpoisoned(&incoming).take();
+        }
     }
 }
 
@@ -625,13 +662,8 @@ impl Listener for MemListener {
         format!("mem:{}", self.token)
     }
 
-    fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
-        let rx = lock_unpoisoned(&self.accept_rx);
-        let (peer_tx, my_rx) = rx.recv_timeout(timeout).map_err(|e| match e {
-            mpsc::RecvTimeoutError::Timeout => FrameError::Timeout,
-            mpsc::RecvTimeoutError::Disconnected => FrameError::Closed,
-        })?;
-        Ok(Box::new(MemConnection { tx: Mutex::new(Some(peer_tx)), rx: Mutex::new(my_rx) }))
+    fn accept_timeout(&self, timeout: Option<Duration>) -> Result<Box<dyn Connection>, FrameError> {
+        Ok(Box::new(recv_within(&self.accept_rx, timeout)?))
     }
 }
 
@@ -657,14 +689,9 @@ impl Transport for MemTransport {
             let reg = lock_unpoisoned(&mem_registry().pending);
             reg.get(&token).cloned().ok_or(FrameError::Closed)?
         };
-        // Two directed queues; the listener side gets (its tx = our rx's tx).
-        let (to_listener_tx, to_listener_rx) = mpsc::channel();
-        let (to_dialer_tx, to_dialer_rx) = mpsc::channel();
-        accept_tx.send((to_dialer_tx, to_listener_rx)).map_err(|_| FrameError::Closed)?;
-        Ok(Box::new(MemConnection {
-            tx: Mutex::new(Some(to_listener_tx)),
-            rx: Mutex::new(to_dialer_rx),
-        }))
+        let (dialer, listener_side) = MemConnection::pair();
+        accept_tx.send(listener_side).map_err(|_| FrameError::Closed)?;
+        Ok(Box::new(dialer))
     }
 }
 
@@ -684,6 +711,8 @@ struct TcpConnection {
     /// The send timeout requested via [`Connection::set_send_timeout`],
     /// armed on the socket at the next `send`.
     send_timeout: Mutex<Option<Duration>>,
+    /// A handle under no lock, for [`Connection::close`] to shut down.
+    control: TcpStream,
 }
 
 /// Arms `want` through `set` unless it is the timeout `armed` already holds:
@@ -708,6 +737,7 @@ impl TcpConnection {
         // A fresh socket has no timeouts armed.
         Ok(TcpConnection {
             reader: Mutex::new((reader, FrameAssembler::default(), None)),
+            control: stream.try_clone()?,
             writer: Mutex::new((stream, None)),
             send_timeout: Mutex::new(None),
         })
@@ -756,6 +786,12 @@ impl Connection for TcpConnection {
     fn set_send_timeout(&self, timeout: Option<Duration>) {
         *lock_unpoisoned(&self.send_timeout) = timeout;
     }
+
+    /// `shutdown(Both)`: a blocked receive reads end of stream, a blocked
+    /// send fails, and the peer reads end of stream.
+    fn close(&self) {
+        let _ = self.control.shutdown(Shutdown::Both);
+    }
 }
 
 /// Vectored `write_all` with typed errors: `WouldBlock`/`TimedOut` from an
@@ -799,9 +835,13 @@ impl Listener for TcpListenerWrap {
         }
     }
 
-    /// `std` sockets have no accept timeout, so this polls the listener in
-    /// non-blocking mode (restored before returning).
-    fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
+    /// `None` is one blocking `accept`. `std` sockets have no accept
+    /// timeout, so a timed accept polls the listener in non-blocking mode
+    /// (restored before returning).
+    fn accept_timeout(&self, timeout: Option<Duration>) -> Result<Box<dyn Connection>, FrameError> {
+        let Some(timeout) = timeout else {
+            return Ok(Box::new(TcpConnection::new(self.listener.accept()?.0)?));
+        };
         self.listener.set_nonblocking(true)?;
         let deadline = Instant::now() + timeout;
         let accepted = loop {
@@ -1243,6 +1283,53 @@ mod tests {
         assert!(saw_timeout, "64 MiB into an unread socket without a send timeout firing");
         // Disarming restores the (non-blocking here) small-send path.
         conn.set_send_timeout(None);
+    }
+
+    /// `close` wakes a receive blocked on the connection, and the peer reads
+    /// the end of the connection, on both transports.
+    #[test]
+    fn close_ends_a_blocked_receive_here_and_at_the_peer() {
+        for t in [&MemTransport as &dyn Transport, &TcpTransport] {
+            let listener = t.listen().unwrap();
+            let dialer = t.connect(&listener.endpoint()).unwrap();
+            let conn: Arc<dyn Connection> = Arc::from(listener.accept_timeout(None).unwrap());
+            let blocked = Arc::clone(&conn);
+            let receiver = std::thread::spawn(move || blocked.recv_timeout(None));
+            std::thread::sleep(Duration::from_millis(50));
+            conn.close();
+            assert!(receiver.join().unwrap().is_err(), "{}: the receive outlived close", t.name());
+            let peer = dialer.recv_timeout(Some(Duration::from_secs(5)));
+            assert_eq!(peer.unwrap_err(), FrameError::Closed, "{}", t.name());
+            assert!(conn.send(1, b"after").is_err(), "{}: a send after close went out", t.name());
+        }
+    }
+
+    /// A TCP send stalled on a peer that stopped reading fails once the
+    /// connection is closed, with no send timeout armed.
+    #[test]
+    fn close_fails_a_send_stalled_on_a_full_socket() {
+        let listener = TcpTransport.listen().unwrap();
+        let conn: Arc<dyn Connection> =
+            Arc::from(TcpTransport.connect(&listener.endpoint()).unwrap());
+        let _unread = listener.accept_timeout(None).unwrap();
+        let stalled = Arc::clone(&conn);
+        let sender = std::thread::spawn(move || {
+            let payload = vec![0xA5u8; 1 << 20];
+            (0..64).try_for_each(|_| stalled.send(9, &payload))
+        });
+        std::thread::sleep(Duration::from_millis(200));
+        conn.close();
+        assert!(sender.join().unwrap().is_err(), "64 MiB went into an unread socket");
+    }
+
+    /// A dialed in-memory connection the listener never accepted reads its
+    /// end once the listener is gone.
+    #[test]
+    fn a_mem_dial_never_accepted_sees_the_hang_up() {
+        let listener = MemTransport.listen().unwrap();
+        let dialer = MemTransport.connect(&listener.endpoint()).unwrap();
+        drop(listener);
+        assert_eq!(dialer.recv_timeout(Some(Duration::from_secs(5))).unwrap_err(), FrameError::Closed);
     }
 
     mod properties {

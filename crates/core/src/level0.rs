@@ -137,6 +137,22 @@ impl Scan {
         state_longs(self.vertices, self.local.iter().sum(), copies * cut)
     }
 
+    /// Longs all the run's fragment records can take: `4 · (m + h · min(c,
+    /// ⌊n / 2⌋))` under a merge tree of height `h = ⌈log2 P⌉`. A record is 2
+    /// Longs plus 2 a step, with at least one step; the steps are the `m`
+    /// edges and one virtual step per path. A path joins two vertices of odd
+    /// local degree, each ending one path at its level and each with a cut
+    /// edge not yet local, so a level below the root finds at most `min(c,
+    /// ⌊n / 2⌋)` paths. A record need not hold a real edge — a path can be
+    /// one virtual step, found again a level up — so the steps, not `m`,
+    /// bound the records.
+    pub fn fragment_bound_longs(&self) -> u64 {
+        let height = usize::BITS - self.num_partitions().saturating_sub(1).leading_zeros();
+        let cut: u64 = self.cells.iter().sum();
+        let edges = self.local.iter().sum::<u64>() + cut;
+        4 * (edges + u64::from(height) * cut.min(self.vertices / 2))
+    }
+
     /// Words of `p`'s level-0 state record, its refs in `buckets` buckets —
     /// `wire::record_words` of the state [`fill`] builds, without building
     /// it.

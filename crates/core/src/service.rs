@@ -7,15 +7,20 @@
 //! * **Graph registry** — clients register `.ecsr` files once; the key is
 //!   the file's FNV-1a content checksum ([`euler_graph::GraphRegistry`]),
 //!   so the same graph at two paths is one mapped file shared by every run.
-//! * **Admission control** — runs execute concurrently under one *global*
-//!   memory budget. A run is partitioned and its level 0 scanned first; it
+//! * **Connections** — each has a handler thread and a reader thread, both
+//!   blocked until woken while it is idle; at most [`MAX_CONNECTIONS`] are
+//!   open, and one more is refused with [`error_code::BUSY`].
+//! * **Admission control** — cache-miss runs execute concurrently, at most
+//!   [`ServiceConfig::workers`] at once, under one *global* memory budget.
+//!   A run takes a compute slot, is partitioned and its level 0 scanned; it
 //!   then reserves the partition state that scan counts under the §5
 //!   accounting, `n + 3·(m − c) + 4·k·c` Longs for `c` cut edges held `k`
-//!   times each — a bound on every level's state — plus the per-run
-//!   fragment spill budget that *enforces* the fragment share. The
-//!   reservation depends on the graph and the options alone, never on
-//!   which runs came before. The [`AdmissionController`] blocks the run
-//!   until the sum of admitted reservations fits under the cap — the
+//!   times each — a bound on every level's state — plus its fragment share:
+//!   what its fragment records can take, or the per-run fragment spill
+//!   budget that *enforces* the share when that is less. The reservation
+//!   depends on the graph and the options alone, never on which runs came
+//!   before. The [`AdmissionController`] blocks the run until a slot is
+//!   free and the sum of admitted reservations fits under the cap — the
 //!   invariant `Σ admitted ≤ memory_cap_longs` holds at every instant.
 //! * **Circuit cache** — finished circuits are cached by (graph checksum,
 //!   canonicalized run options) in the form they are sent: a computed
@@ -31,13 +36,14 @@
 //!   it ended, and the first step of a chunk at the `from₀` in its header, so
 //!   the client rebuilds every [`CircuitStep`] as it decodes. Chunks arrive
 //!   in stream order, which the client checks. A run executes inline on its
-//!   connection's handler thread and stops only at its *yield points*,
-//!   before each merge-tree superstep and before Phase 3, which drain the
-//!   queue the connection's reader thread fills: a [`frame_kind::CANCEL`], a
-//!   hang-up or a shutdown cancels the run and releases its budget at once,
-//!   so a queued run can start. Every CANCEL gets one
-//!   [`frame_kind::CANCELLED`]; one that came after the last yield point is
-//!   acknowledged after the run's reply.
+//!   connection's handler thread and stops only while it waits for
+//!   admission — each frame the reader queues wakes it — and at its *yield
+//!   points*, before each merge-tree superstep and before Phase 3, which
+//!   drain the queue the connection's reader thread fills: a
+//!   [`frame_kind::CANCEL`], a hang-up or a shutdown cancels the run and
+//!   releases its slot and budget at once, so a queued run can start. Every
+//!   CANCEL gets one [`frame_kind::CANCELLED`]; one that came after the last
+//!   yield point is acknowledged after the run's reply.
 //!
 //! ## Wire protocol
 //!
@@ -124,6 +130,9 @@ pub mod error_code {
     pub const REGISTER_FAILED: u64 = 3;
     /// The pipeline run itself failed (non-Eulerian input, …).
     pub const RUN_FAILED: u64 = 4;
+    /// The server holds [`MAX_CONNECTIONS`](super::MAX_CONNECTIONS) open
+    /// connections already; this one is closed after the reply.
+    pub const BUSY: u64 = 5;
 }
 
 // ---------------------------------------------------------------------------
@@ -204,16 +213,17 @@ fn decode_run(payload: &[u8]) -> Result<(u64, RunOptions), WireError> {
 // Admission control.
 // ---------------------------------------------------------------------------
 
-/// Schedules concurrent runs under the service's global memory cap: a run
-/// blocks in [`admit`](Self::admit) until the sum of admitted per-run
-/// reservations (each capped at the budget itself, so a single oversized run
-/// degrades to *exclusive* rather than *impossible*) fits under
-/// `memory_cap_longs`. Dropping the returned [`AdmissionPermit`] — normal
-/// completion, failure, or cancellation — releases the budget and wakes
-/// every waiter.
+/// Schedules concurrent runs under the service's compute slots and global
+/// memory cap: a run takes a slot ([`admit`](Self::admit)), then its Longs
+/// ([`AdmissionPermit::reserve`]) once the sum of admitted reservations
+/// (each capped at the budget itself, so a single oversized run degrades to
+/// *exclusive* rather than *impossible*) fits under `memory_cap_longs`.
+/// Dropping the permit — completion, failure, cancellation — gives both
+/// back and wakes every waiter.
 #[derive(Debug)]
 pub struct AdmissionController {
     cap: u64,
+    slots: usize,
     state: Mutex<AdmissionState>,
     available: Condvar,
 }
@@ -222,9 +232,11 @@ pub struct AdmissionController {
 struct AdmissionState {
     admitted: u64,
     peak: u64,
+    /// Slots taken.
+    running: usize,
 }
 
-/// One admitted run's reservation; releases on drop.
+/// One admitted run's slot and reservation; releases both on drop.
 #[derive(Debug)]
 pub struct AdmissionPermit {
     longs: u64,
@@ -232,56 +244,69 @@ pub struct AdmissionPermit {
 }
 
 impl AdmissionController {
-    /// A controller with `cap` Longs of global budget.
-    pub fn new(cap: u64) -> Self {
+    /// A controller with `cap` Longs of global budget and `slots` runs
+    /// computing at once (at least one of each).
+    pub fn new(cap: u64, slots: usize) -> Self {
         AdmissionController {
             cap: cap.max(1),
+            slots: slots.max(1),
             state: Mutex::new(AdmissionState::default()),
             available: Condvar::new(),
         }
     }
 
-    /// Blocks until `longs` Longs (capped at the global budget) fit under
-    /// the cap alongside everything already admitted, then reserves them.
-    /// `stop` is asked before the first check and on every wake, at least
-    /// every 20 ms.
+    fn lock(&self) -> std::sync::MutexGuard<'_, AdmissionState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn wait_until(
+        &self,
+        mut stop: impl FnMut() -> bool,
+        fits: impl Fn(&AdmissionState) -> bool,
+    ) -> Result<std::sync::MutexGuard<'_, AdmissionState>, EulerError> {
+        let mut state = self.lock();
+        loop {
+            if stop() {
+                return Err(EulerError::Cancelled);
+            }
+            if fits(&state) {
+                return Ok(state);
+            }
+            state = self.available.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Blocks until a compute slot is free and takes it; the permit holds no
+    /// Longs until [`AdmissionPermit::reserve`]. `stop` is asked before the
+    /// first check and on every wake: a permit released, or a
+    /// [`wake`](Self::wake) from whoever can change its answer.
     ///
     /// # Errors
     /// [`EulerError::Cancelled`] once `stop` returns `true` while waiting.
     pub fn admit(
         self: &Arc<Self>,
-        longs: u64,
-        mut stop: impl FnMut() -> bool,
+        stop: impl FnMut() -> bool,
     ) -> Result<AdmissionPermit, EulerError> {
-        let ask = longs.clamp(1, self.cap);
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if stop() {
-                return Err(EulerError::Cancelled);
-            }
-            if state.admitted + ask <= self.cap {
-                break;
-            }
-            let (guard, _) = self
-                .available
-                .wait_timeout(state, Duration::from_millis(20))
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
-        }
-        state.admitted += ask;
-        state.peak = state.peak.max(state.admitted);
-        Ok(AdmissionPermit { longs: ask, controller: Arc::clone(self) })
+        self.wait_until(stop, |state| state.running < self.slots)?.running += 1;
+        Ok(AdmissionPermit { longs: 0, controller: Arc::clone(self) })
+    }
+
+    /// Wakes every waiter to ask its `stop` again; under the lock, so no
+    /// waiter between its `stop` and its wait misses it.
+    pub fn wake(&self) {
+        let _state = self.lock();
+        self.available.notify_all();
     }
 
     /// Longs currently admitted (the instantaneous budget in use).
     pub fn admitted_longs(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).admitted
+        self.lock().admitted
     }
 
     /// High-water mark of [`admitted_longs`](Self::admitted_longs) — by
     /// construction never above the cap.
     pub fn peak_admitted_longs(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).peak
+        self.lock().peak
     }
 }
 
@@ -290,13 +315,29 @@ impl AdmissionPermit {
     pub fn longs(&self) -> u64 {
         self.longs
     }
+
+    /// Blocks until `longs` more Longs (a permit holds at most the cap) fit
+    /// beside everything admitted, then reserves them; `stop` is asked as in
+    /// [`AdmissionController::admit`].
+    ///
+    /// # Errors
+    /// [`EulerError::Cancelled`] once `stop` returns `true` while waiting.
+    pub fn reserve(&mut self, longs: u64, stop: impl FnMut() -> bool) -> Result<(), EulerError> {
+        let controller = &self.controller;
+        let ask = longs.min(controller.cap - self.longs);
+        let mut state = controller.wait_until(stop, |state| state.admitted + ask <= controller.cap)?;
+        state.admitted += ask;
+        state.peak = state.peak.max(state.admitted);
+        self.longs += ask;
+        Ok(())
+    }
 }
 
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
-        let mut state = self.controller.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.controller.lock();
         state.admitted = state.admitted.saturating_sub(self.longs);
-        drop(state);
+        state.running = state.running.saturating_sub(1);
         self.controller.available.notify_all();
     }
 }
@@ -311,15 +352,17 @@ pub struct ServiceConfig {
     /// Global memory cap in Longs: the sum of admitted per-run reservations
     /// never exceeds this.
     pub memory_cap_longs: u64,
-    /// Connection-serving worker threads (each serves one client connection
-    /// at a time, its runs included).
+    /// Cache-miss runs computing at once: each takes a slot from before it
+    /// partitions until its circuit is framed. An idle connection, a cache
+    /// hit, `REGISTER` and `STATS` cost no slot.
     pub workers: usize,
     /// Per-run fragment spill budget in Longs — the enforcement lever: every
     /// service run executes under
     /// [`EulerConfig::fragment_memory_budget`], so fragment memory above
     /// this pages to disk instead of growing the resident set. A stored
     /// fragment takes two Longs per tour edge plus two, so the default
-    /// `1 << 16` holds a little under 32 Ki tour edges.
+    /// `1 << 16` holds a little under 32 Ki tour edges. A run whose records
+    /// cannot reach it reserves what they can take instead.
     pub fragment_budget_longs: u64,
     /// Circuit steps per [`frame_kind::CHUNK`] frame.
     pub chunk_steps: usize,
@@ -396,7 +439,7 @@ pub struct RunSummary {
     /// Peak resident Longs of the run's fragment store.
     pub peak_resident_longs: u64,
     /// Longs the admission controller reserved for this run: the level-0
-    /// state its scan counted plus the fragment budget, capped at the
+    /// state its scan counted plus the fragment share, capped at the
     /// service's memory cap.
     pub estimated_longs: u64,
     /// Measured peak Longs: the largest level's partition state plus the
@@ -492,7 +535,7 @@ struct ServiceInner {
 impl ServiceInner {
     fn new(config: ServiceConfig) -> Self {
         ServiceInner {
-            admission: Arc::new(AdmissionController::new(config.memory_cap_longs)),
+            admission: Arc::new(AdmissionController::new(config.memory_cap_longs, config.workers)),
             config,
             registry: GraphRegistry::new(),
             cache: Mutex::new(HashMap::new()),
@@ -524,18 +567,17 @@ impl ServiceInner {
     }
 }
 
-/// A running Euler circuit server: a TCP listener plus a bounded worker
-/// pool, serving the [`frame_kind`] protocol until
-/// [`shutdown`](Self::shutdown).
+/// A running Euler circuit server: a TCP listener whose accept loop gives
+/// each connection a handler thread, serving the [`frame_kind`] protocol
+/// until [`shutdown`](Self::shutdown).
 pub struct EulerService {
     inner: Arc<ServiceInner>,
     endpoint: String,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    accept: Option<std::thread::JoinHandle<()>>,
 }
 
 impl EulerService {
-    /// Binds a loopback TCP listener and starts the accept loop plus
-    /// `config.workers` serving threads.
+    /// Binds a loopback TCP listener and starts the accept loop.
     ///
     /// # Errors
     /// [`ServiceError::Transport`] when the listener cannot bind, or a
@@ -544,52 +586,21 @@ impl EulerService {
         Self::serve(TcpTransport.listen()?, config)
     }
 
-    /// Starts the accept loop on `listener` plus `config.workers` serving
-    /// threads.
+    /// Starts the accept loop on `listener`.
     fn serve(
         listener: Box<dyn Listener>,
         config: ServiceConfig,
     ) -> Result<EulerService, ServiceError> {
         let endpoint = listener.endpoint();
         let inner = Arc::new(ServiceInner::new(config));
-        let (conn_tx, conn_rx) = mpsc::channel::<Box<dyn Connection>>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let spawn_err = |e: std::io::Error| ServiceError::Protocol(format!("spawn: {e}"));
-
-        let mut threads = Vec::new();
-        {
+        let accept = {
             let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("euler-serve-accept".into())
-                    .spawn(move || accept_loop(listener.as_ref(), &inner.shutdown, &conn_tx))
-                    .map_err(spawn_err)?,
-            );
-        }
-        for w in 0..inner.config.workers.max(1) {
-            let inner = Arc::clone(&inner);
-            let conn_rx = Arc::clone(&conn_rx);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("euler-serve-{w}"))
-                    .spawn(move || loop {
-                        if inner.shutdown.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let next = conn_rx
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .recv_timeout(Duration::from_millis(50));
-                        match next {
-                            Ok(conn) => serve_connection(&inner, conn.as_ref()),
-                            Err(mpsc::RecvTimeoutError::Timeout) => {}
-                            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                        }
-                    })
-                    .map_err(spawn_err)?,
-            );
-        }
-        Ok(EulerService { inner, endpoint, threads })
+            std::thread::Builder::new()
+                .name("euler-serve-accept".into())
+                .spawn(move || accept_loop(&inner, listener.as_ref()))
+                .map_err(|e| ServiceError::Protocol(format!("spawn: {e}")))?
+        };
+        Ok(EulerService { inner, endpoint, accept: Some(accept) })
     }
 
     /// The endpoint clients connect to (`tcp:127.0.0.1:<port>`).
@@ -602,21 +613,22 @@ impl EulerService {
         self.inner.stats()
     }
 
-    /// Stops serving: cancels in-flight runs, drains the worker pool, joins
+    /// Stops serving: cancels in-flight runs, closes every connection, joins
     /// every thread.
-    pub fn shutdown(mut self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for EulerService {
+    /// Wakes the runs waiting for admission, and the accept loop with one
+    /// dial, to see the flag.
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        self.inner.admission.wake();
+        if let Some(accept) = self.accept.take() {
+            let _ = connect_endpoint(&self.endpoint);
+            let _ = accept.join();
         }
     }
 }
@@ -625,28 +637,54 @@ impl Drop for EulerService {
 // Server-side request handling.
 // ---------------------------------------------------------------------------
 
+/// Connections open at once, two threads each; the accept loop refuses one
+/// more with [`error_code::BUSY`].
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// How long the accept loop waits after a failed accept before the next.
 const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
-/// Hands every connection `listener` accepts to the serving threads, until
-/// shutdown or until nobody takes connections any more. A failed accept —
-/// out of file descriptors, a connection reset while it queued — is not the
-/// end of the listener: the loop pauses and accepts again.
-fn accept_loop(
-    listener: &dyn Listener,
-    shutdown: &AtomicBool,
-    conns: &mpsc::Sender<Box<dyn Connection>>,
-) {
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept(Duration::from_millis(50)) {
-            Ok(conn) => {
-                if conns.send(conn).is_err() {
-                    return;
-                }
-            }
-            Err(FrameError::Timeout) => {}
-            Err(_) => std::thread::sleep(ACCEPT_RETRY),
+/// Accepts connections until shutdown, each served on a handler thread of
+/// its own; at shutdown it closes every open one and joins its handler. A
+/// failed accept — out of file descriptors, a connection reset while it
+/// queued — is not the end of the listener: the loop pauses and goes on.
+fn accept_loop(inner: &Arc<ServiceInner>, listener: &dyn Listener) {
+    let mut open: Vec<(Arc<dyn Connection>, std::thread::JoinHandle<()>)> = Vec::new();
+    loop {
+        let accepted = listener.accept_timeout(None);
+        if inner.shutdown.load(Ordering::Relaxed) {
+            break;
         }
+        let Ok(conn) = accepted else {
+            // lint:allow(no-timed-wait): the pause after a failed accept is an error path, not a poll
+            std::thread::sleep(ACCEPT_RETRY);
+            continue;
+        };
+        let conn: Arc<dyn Connection> = Arc::from(conn);
+        open.retain(|(_, handler)| !handler.is_finished());
+        let refused = if open.len() >= MAX_CONNECTIONS {
+            format!("{MAX_CONNECTIONS} connections are open")
+        } else {
+            let (inner, handed) = (Arc::clone(inner), Arc::clone(&conn));
+            let spawned = std::thread::Builder::new()
+                .name("euler-serve-conn".into())
+                .spawn(move || serve_connection(&inner, handed.as_ref()));
+            match spawned {
+                Ok(handler) => {
+                    open.push((conn, handler));
+                    continue;
+                }
+                Err(e) => format!("no thread for the connection: {e}"),
+            }
+        };
+        let _ = send_error(conn.as_ref(), error_code::BUSY, &refused);
+        conn.close();
+    }
+    for (conn, _) in &open {
+        conn.close();
+    }
+    for (_, handler) in open {
+        let _ = handler.join();
     }
 }
 
@@ -670,48 +708,43 @@ enum ConnEvent {
 /// is held back by the socket, as it was when the handler read it directly.
 const EVENT_QUEUE: usize = 8;
 
-/// Serves one client connection to completion. Payload-level failures are
-/// answered with [`frame_kind::ERROR`] and the connection keeps serving;
-/// frame-level failures (the byte stream is desynchronized) close it.
-fn serve_connection(inner: &Arc<ServiceInner>, conn: &dyn Connection) {
-    let closing = AtomicBool::new(false);
+/// Serves one client connection to completion, beside a reader thread that
+/// queues its frames, then closes it, which ends the reader. Payload-level
+/// failures are answered with [`frame_kind::ERROR`] and the connection keeps
+/// serving; frame-level failures (the byte stream is desynchronized) end it.
+fn serve_connection(inner: &ServiceInner, conn: &dyn Connection) {
     std::thread::scope(|scope| {
         let (tx, events) = mpsc::sync_channel(EVENT_QUEUE);
-        let closing = &closing;
-        scope.spawn(move || read_frames(conn, &tx, closing));
+        scope.spawn(move || read_frames(conn, &tx, &inner.admission));
         dispatch(inner, conn, &events);
-        // Dropping `events` at the end of this closure fails a reader blocked
-        // on a full queue; the flag stops one blocked on the socket.
-        closing.store(true, Ordering::Relaxed);
+        conn.close();
     });
 }
 
 /// The connection's reader thread: forwards every client frame to the
-/// handler's queue until the client is gone or the handler is done.
-fn read_frames(conn: &dyn Connection, tx: &mpsc::SyncSender<ConnEvent>, closing: &AtomicBool) {
-    while !closing.load(Ordering::Relaxed) {
-        let event = match conn.recv_timeout(Some(Duration::from_millis(50))) {
+/// handler's queue until the client is gone or the connection is closed,
+/// waking admission — where the handler may be waiting — after each.
+fn read_frames(
+    conn: &dyn Connection,
+    tx: &mpsc::SyncSender<ConnEvent>,
+    admission: &AdmissionController,
+) {
+    loop {
+        let event = match conn.recv_timeout(None) {
             Ok((kind, payload)) => ConnEvent::Frame(kind, payload),
-            Err(FrameError::Timeout) => continue,
             Err(_) => ConnEvent::ClientGone,
         };
         let gone = matches!(event, ConnEvent::ClientGone);
-        if tx.send(event).is_err() || gone {
+        let queued = tx.send(event).is_ok();
+        admission.wake();
+        if gone || !queued {
             return;
         }
     }
 }
 
-fn dispatch(inner: &Arc<ServiceInner>, conn: &dyn Connection, events: &mpsc::Receiver<ConnEvent>) {
-    loop {
-        if inner.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let (kind, payload) = match events.recv_timeout(Duration::from_millis(50)) {
-            Ok(ConnEvent::Frame(kind, payload)) => (kind, payload),
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Ok(ConnEvent::ClientGone) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        };
+fn dispatch(inner: &ServiceInner, conn: &dyn Connection, events: &mpsc::Receiver<ConnEvent>) {
+    while let Ok(ConnEvent::Frame(kind, payload)) = events.recv() {
         let outcome = match kind {
             frame_kind::REGISTER => handle_register(inner, conn, &payload),
             frame_kind::RUN => handle_run(inner, conn, &payload, events),
@@ -732,7 +765,7 @@ fn dispatch(inner: &Arc<ServiceInner>, conn: &dyn Connection, events: &mpsc::Rec
 }
 
 fn handle_register(
-    inner: &Arc<ServiceInner>,
+    inner: &ServiceInner,
     conn: &dyn Connection,
     payload: &[u8],
 ) -> Result<(), FrameError> {
@@ -754,7 +787,7 @@ fn handle_register(
 }
 
 fn handle_run(
-    inner: &Arc<ServiceInner>,
+    inner: &ServiceInner,
     conn: &dyn Connection,
     payload: &[u8],
     events: &mpsc::Receiver<ConnEvent>,
@@ -795,6 +828,9 @@ fn handle_run(
     let run = || compute_run(inner, conn, events, &graph, opts, key, &mut gone);
     let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
         .unwrap_or_else(|_| Err(EulerError::Distributed("the run panicked".into())));
+    if matches!(computed, Err(EulerError::Cancelled)) {
+        inner.runs_cancelled.fetch_add(1, Ordering::Relaxed);
+    }
     if gone {
         return Err(FrameError::Closed);
     }
@@ -824,16 +860,19 @@ fn must_stop(inner: &ServiceInner, events: &mpsc::Receiver<ConnEvent>, gone: &mu
     true
 }
 
-/// A cache-miss run, on its connection's handler thread: partition the
-/// mapped CSR with the streaming partitioner, check the degrees and scan
-/// level 0 — so an odd-degree graph is refused with the library's typed
-/// error before it holds any budget — admit what the scan counts
-/// (`Scan::state_bound_longs`) plus the fragment budget, run the pipeline
-/// over the scanned file with the connection's yield point, cache, and
-/// release the permit *before* the handler streams the circuit (streaming
-/// needs no budget). The yield point stops the run as [`must_stop`] says,
-/// and otherwise sends the run's PROGRESS. A failed send sets `gone`, which
-/// the next yield point turns into a cancellation.
+/// A cache-miss run, on its connection's handler thread: take a compute
+/// slot, partition the mapped CSR with the streaming partitioner, check the
+/// degrees and scan level 0 — so an odd-degree graph is refused with the
+/// library's typed error before it holds any Longs — reserve what the scan
+/// counts (`Scan::state_bound_longs`) plus the fragment share, run the
+/// pipeline over the scanned file with the connection's yield point, cache,
+/// and release the permit *before* the handler streams the circuit
+/// (streaming needs no slot and no budget). The fragment share is the
+/// fragment budget, or what the run's records can take
+/// (`Scan::fragment_bound_longs`) when that is less. Waiting for the slot
+/// or the Longs, and at the yield point, the run stops as [`must_stop`]
+/// says; the yield point otherwise sends the run's PROGRESS. A failed send
+/// sets `gone`, which the next yield point turns into a cancellation.
 ///
 /// The streaming partitioners produce the same assignment as their
 /// in-memory counterparts by construction, and fragment ids do not depend on
@@ -849,6 +888,8 @@ fn compute_run(
     key: CacheKey,
     gone: &mut bool,
 ) -> Result<(Arc<FrameBatch>, RunSummary), EulerError> {
+    let mut stop = || must_stop(inner, events, gone);
+    let mut permit = inner.admission.admit(&mut stop)?;
     let mut stream = CsrFileEdgeStream::new(&graph.csr);
     let assignment = match opts.partitioner {
         PartitionerKind::Hash => {
@@ -858,11 +899,9 @@ fn compute_run(
     };
     let scan = checked_scan(&graph.csr, &assignment)?;
     let fragment_budget = inner.config.fragment_budget_longs;
-    let reserve = scan.state_bound_longs(opts.strategy) + fragment_budget;
-    let Ok(permit) = inner.admission.admit(reserve, || must_stop(inner, events, gone)) else {
-        inner.runs_cancelled.fetch_add(1, Ordering::Relaxed);
-        return Err(EulerError::Cancelled);
-    };
+    let fragment_share = scan.fragment_bound_longs().min(fragment_budget);
+    let reserve = scan.state_bound_longs(opts.strategy) + fragment_share;
+    permit.reserve(reserve, &mut stop)?;
     *gone |= conn.send_words(frame_kind::ACCEPTED, &[permit.longs(), 0]).is_err();
     let mut yield_point = |done: u32, steps: u32| {
         if must_stop(inner, events, gone) {
@@ -878,33 +917,27 @@ fn compute_run(
         ..EulerConfig::default()
     };
     let input = Input::File(&graph.csr, scan);
-    match run_input(input, &assignment, &config, &InProcessBackend::new(), Some(&mut yield_point)) {
-        Ok(ran) => {
-            let report = ran.report;
-            let peak_resident_longs = report.fragment_stats.peak_resident_longs;
-            let summary = RunSummary {
-                supersteps: report.supersteps,
-                transfer_longs: report.total_transfer_longs,
-                peak_resident_longs,
-                estimated_longs: permit.longs(),
-                measured_longs: report.cumulative_memory_by_level().into_iter().max().unwrap_or(0)
-                    + peak_resident_longs,
-            };
-            // Framed once, here; the `CircuitResult` is dropped with this arm.
-            let chunk_steps = inner.config.chunk_steps;
-            let circuit = Arc::new(encode_circuit(&ran.result, chunk_steps).map_err(|e| {
-                EulerError::InvalidConfig(format!("{chunk_steps}-step chunks: {e}"))
-            })?);
-            inner.cache_put(key, Arc::clone(&circuit));
-            inner.runs_executed.fetch_add(1, Ordering::Relaxed);
-            Ok((circuit, summary))
-        }
-        Err(EulerError::Cancelled) => {
-            inner.runs_cancelled.fetch_add(1, Ordering::Relaxed);
-            Err(EulerError::Cancelled)
-        }
-        Err(e) => Err(e),
-    }
+    let backend = InProcessBackend::new();
+    let ran = run_input(input, &assignment, &config, &backend, Some(&mut yield_point))?;
+    let report = ran.report;
+    let peak_resident_longs = report.fragment_stats.peak_resident_longs;
+    let summary = RunSummary {
+        supersteps: report.supersteps,
+        transfer_longs: report.total_transfer_longs,
+        peak_resident_longs,
+        estimated_longs: permit.longs(),
+        measured_longs: report.cumulative_memory_by_level().into_iter().max().unwrap_or(0)
+            + peak_resident_longs,
+    };
+    // Framed once, here; the `CircuitResult` is dropped on return.
+    let chunk_steps = inner.config.chunk_steps;
+    let circuit = Arc::new(
+        encode_circuit(&ran.result, chunk_steps)
+            .map_err(|e| EulerError::InvalidConfig(format!("{chunk_steps}-step chunks: {e}")))?,
+    );
+    inner.cache_put(key, Arc::clone(&circuit));
+    inner.runs_executed.fetch_add(1, Ordering::Relaxed);
+    Ok((circuit, summary))
 }
 
 // ---------------------------------------------------------------------------
@@ -1103,7 +1136,7 @@ impl From<WireError> for ServiceError {
 /// A blocking client of one [`EulerService`] connection.
 ///
 /// One request is in flight at a time per client; open several clients for
-/// concurrency (the server's worker pool serves them in parallel).
+/// concurrency (each connection has its own handler on the server).
 pub struct ServiceClient {
     conn: Box<dyn Connection>,
     recv_timeout: Duration,
@@ -1427,15 +1460,22 @@ mod tests {
         assert_eq!(message, "<unreadable error message>");
     }
 
+    /// A permit holding `longs` of `ctl`.
+    fn permit(ctl: &Arc<AdmissionController>, longs: u64) -> AdmissionPermit {
+        let mut permit = ctl.admit(|| false).unwrap();
+        permit.reserve(longs, || false).unwrap();
+        permit
+    }
+
     #[test]
     fn admission_blocks_until_a_permit_releases_and_peak_respects_the_cap() {
-        let ctl = Arc::new(AdmissionController::new(1_000));
-        let first = ctl.admit(600, || false).unwrap();
+        let ctl = Arc::new(AdmissionController::new(1_000, 2));
+        let first = permit(&ctl, 600);
         assert_eq!(ctl.admitted_longs(), 600);
         // A second 600 must wait; release the first from another thread.
         let ctl2 = Arc::clone(&ctl);
         let waiter = std::thread::spawn(move || {
-            let permit = ctl2.admit(600, || false).unwrap();
+            let permit = permit(&ctl2, 600);
             (ctl2.admitted_longs(), permit.longs())
         });
         std::thread::sleep(Duration::from_millis(50));
@@ -1447,17 +1487,42 @@ mod tests {
         assert_eq!(ctl.admitted_longs(), 0, "all permits released");
     }
 
+    /// A stop that turns true stops a wait for Longs and a wait for a slot;
+    /// a cancelled reservation holds nothing, and its slot comes back with
+    /// the permit.
     #[test]
     fn admission_cancellation_unblocks_a_waiter() {
-        let ctl = Arc::new(AdmissionController::new(100));
-        let _hold = ctl.admit(100, || false).unwrap();
-        assert!(matches!(ctl.admit(100, || true), Err(EulerError::Cancelled)));
+        let ctl = Arc::new(AdmissionController::new(100, 2));
+        let hold = permit(&ctl, 100);
+        let mut waiting = ctl.admit(|| false).unwrap();
+        assert!(matches!(waiting.reserve(100, || true), Err(EulerError::Cancelled)));
+        assert_eq!((waiting.longs(), ctl.admitted_longs()), (0, 100));
+        assert!(matches!(ctl.admit(|| true), Err(EulerError::Cancelled)), "both slots are taken");
+        drop((hold, waiting));
+        assert_eq!(permit(&ctl, 100).longs(), 100);
+    }
+
+    /// `slots` bounds the permits held at once, whatever their Longs.
+    #[test]
+    fn a_run_waits_for_a_compute_slot() {
+        let ctl = Arc::new(AdmissionController::new(1_000, 1));
+        let first = ctl.admit(|| false).unwrap();
+        let ctl2 = Arc::clone(&ctl);
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let second = ctl2.admit(|| false).unwrap();
+            tx.send(()).unwrap();
+            second.longs()
+        });
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "admitted past the one slot");
+        drop(first);
+        assert_eq!(waiter.join().unwrap(), 0);
     }
 
     #[test]
     fn oversized_estimates_degrade_to_exclusive_not_impossible() {
-        let ctl = Arc::new(AdmissionController::new(100));
-        let permit = ctl.admit(10_000, || false).unwrap();
+        let ctl = Arc::new(AdmissionController::new(100, 1));
+        let permit = permit(&ctl, 10_000);
         assert_eq!(permit.longs(), 100, "clamped to the whole budget");
         assert_eq!(ctl.admitted_longs(), 100);
     }
@@ -1474,11 +1539,11 @@ mod tests {
             self.inner.endpoint()
         }
 
-        fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
+        fn accept_timeout(&self, timeout: Option<Duration>) -> Result<Box<dyn Connection>, FrameError> {
             if self.accepts.fetch_add(1, Ordering::Relaxed) == 0 {
                 return Err(FrameError::Io("Too many open files (os error 24)".into()));
             }
-            self.inner.accept(timeout)
+            self.inner.accept_timeout(timeout)
         }
     }
 

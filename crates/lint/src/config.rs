@@ -23,16 +23,20 @@
 //!
 //! [rule.shim-surface-guard]
 //! allow = some_extra_crate
+//!
+//! [rule.no-timed-wait]
+//! file = crates/core/src/service.rs @ accept_loop  # named fns only
 //! ```
 //!
 //! Keys may repeat; unknown sections or keys are parse errors (a typo must
 //! not silently drop policy). Paths are workspace-root-relative with `/`
 //! separators.
 
-/// One `no-panic-in-decode` scope entry: a file, optionally narrowed to a
-/// set of named functions (closures and nested fns inside them included).
+/// One `no-panic-in-decode` or `no-timed-wait` scope entry: a file,
+/// optionally narrowed to a set of named functions (closures and nested fns
+/// inside them included).
 #[derive(Clone, Debug)]
-pub struct DecodeScope {
+pub struct FileScope {
     /// Root-relative path.
     pub file: String,
     /// `None` = the whole file (minus `#[cfg(test)]` items).
@@ -54,13 +58,15 @@ pub struct Config {
     /// Root-relative path prefixes excluded from scanning.
     pub excludes: Vec<String>,
     /// R2 scope: wire-facing decode modules.
-    pub decode: Vec<DecodeScope>,
+    pub decode: Vec<FileScope>,
     /// R3 allowlist: files permitted to name atomic orderings at all.
     pub atomics: Vec<AtomicAllow>,
     /// R4 scope: deterministic kernel modules where wall clocks are banned.
     pub kernel_files: Vec<String>,
     /// R5 extras: crate roots allowed beyond builtins + workspace members.
     pub extra_crates: Vec<String>,
+    /// R6 scope: paths that block until woken, never on a timer.
+    pub untimed: Vec<FileScope>,
 }
 
 const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -83,7 +89,8 @@ impl Config {
                 section = name.trim().to_string();
                 match section.as_str() {
                     "scan" | "rule.no-panic-in-decode" | "rule.atomic-ordering-allowlist"
-                    | "rule.no-wall-clock-in-kernels" | "rule.shim-surface-guard" => {}
+                    | "rule.no-wall-clock-in-kernels" | "rule.shim-surface-guard"
+                    | "rule.no-timed-wait" => {}
                     other => return Err(format!("line {lineno}: unknown section [{other}]")),
                 }
                 continue;
@@ -97,23 +104,8 @@ impl Config {
             }
             match (section.as_str(), key) {
                 ("scan", "exclude") => cfg.excludes.push(normalize_path(value)),
-                ("rule.no-panic-in-decode", "file") => {
-                    let (file, fns) = match value.split_once('@') {
-                        None => (value, None),
-                        Some((file, fns)) => {
-                            let names: Vec<String> = fns
-                                .split(',')
-                                .map(|f| f.trim().to_string())
-                                .filter(|f| !f.is_empty())
-                                .collect();
-                            if names.is_empty() {
-                                return Err(format!("line {lineno}: `@` with no function names"));
-                            }
-                            (file.trim(), Some(names))
-                        }
-                    };
-                    cfg.decode.push(DecodeScope { file: normalize_path(file), fns });
-                }
+                ("rule.no-panic-in-decode", "file") => cfg.decode.push(file_scope(value, lineno)?),
+                ("rule.no-timed-wait", "file") => cfg.untimed.push(file_scope(value, lineno)?),
                 ("rule.atomic-ordering-allowlist", "allow") => {
                     let (file, orderings) = value.split_once(':').ok_or_else(|| {
                         format!("line {lineno}: expected `allow = <path> : <Ordering,…>`")
@@ -149,8 +141,13 @@ impl Config {
     }
 
     /// R2 scope for `file` (root-relative), if any.
-    pub fn decode_scope(&self, file: &str) -> Option<&DecodeScope> {
+    pub fn decode_scope(&self, file: &str) -> Option<&FileScope> {
         self.decode.iter().find(|d| d.file == file)
+    }
+
+    /// R6 scope for `file` (root-relative), if any.
+    pub fn untimed_scope(&self, file: &str) -> Option<&FileScope> {
+        self.untimed.iter().find(|d| d.file == file)
     }
 
     /// R3 permitted orderings for `file`; `None` = not allowlisted at all.
@@ -169,6 +166,19 @@ impl Config {
     }
 }
 
+/// Parses `path` or `path @ fn_a, fn_b`.
+fn file_scope(value: &str, lineno: usize) -> Result<FileScope, String> {
+    let Some((file, fns)) = value.split_once('@') else {
+        return Ok(FileScope { file: normalize_path(value), fns: None });
+    };
+    let names: Vec<String> =
+        fns.split(',').map(|f| f.trim().to_string()).filter(|f| !f.is_empty()).collect();
+    if names.is_empty() {
+        return Err(format!("line {lineno}: `@` with no function names"));
+    }
+    Ok(FileScope { file: normalize_path(file), fns: Some(names) })
+}
+
 fn normalize_path(p: &str) -> String {
     p.trim().trim_start_matches("./").trim_end_matches('/').to_string()
 }
@@ -184,7 +194,8 @@ mod tests {
              file = x.rs\nfile = y.rs @ open, validate\n\n\
              [rule.atomic-ordering-allowlist]\nallow = z.rs : Relaxed, Acquire\n\n\
              [rule.no-wall-clock-in-kernels]\nfile = k.rs # kernel\n\n\
-             [rule.shim-surface-guard]\nallow = libc\n",
+             [rule.shim-surface-guard]\nallow = libc\n\n\
+             [rule.no-timed-wait]\nfile = s.rs @ accept_loop\n",
         )
         .unwrap();
         assert!(cfg.is_excluded("a/b/c.rs"));
@@ -198,11 +209,14 @@ mod tests {
         assert!(cfg.allowed_orderings("w.rs").is_none());
         assert!(cfg.is_kernel("k.rs"));
         assert_eq!(cfg.extra_crates, ["libc"]);
+        assert_eq!(cfg.untimed_scope("s.rs").unwrap().fns.as_deref().unwrap(), ["accept_loop"]);
+        assert!(cfg.untimed_scope("x.rs").is_none());
     }
 
     #[test]
     fn typos_are_errors_not_silently_dropped_policy() {
         assert!(Config::parse("[rule.no-panic-in-dcode]\n").is_err());
+        assert!(Config::parse("[rule.no-timed-wait]\nfile = s.rs @\n").is_err());
         assert!(Config::parse("[scan]\nexlude = x\n").is_err());
         assert!(Config::parse("[rule.atomic-ordering-allowlist]\nallow = f.rs : Relaexd\n")
             .is_err());

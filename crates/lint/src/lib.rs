@@ -12,7 +12,7 @@
 //!
 //! It is deliberately dependency-free — not even the workspace shims — and
 //! ships its own comment/string/raw-string-aware token scanner
-//! ([`scan`]), a tiny policy-file parser ([`config`]), the five rules
+//! ([`scan`]), a tiny policy-file parser ([`config`]), the six rules
 //! ([`rules`]), and a workspace driver ([`engine`]). Run it as:
 //!
 //! ```text

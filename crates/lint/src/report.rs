@@ -16,6 +16,8 @@ pub enum Rule {
     NoWallClockInKernels,
     /// R5: only workspace + shim crates may be imported.
     ShimSurfaceGuard,
+    /// R6: no timed wait in the configured blocking paths.
+    NoTimedWait,
     /// Malformed or reason-less suppression pragmas.
     Pragma,
 }
@@ -29,6 +31,7 @@ impl Rule {
             Rule::AtomicOrderingAllowlist => "atomic-ordering-allowlist",
             Rule::NoWallClockInKernels => "no-wall-clock-in-kernels",
             Rule::ShimSurfaceGuard => "shim-surface-guard",
+            Rule::NoTimedWait => "no-timed-wait",
             Rule::Pragma => "pragma",
         }
     }
@@ -42,6 +45,7 @@ impl Rule {
             "atomic-ordering-allowlist" => Some(Rule::AtomicOrderingAllowlist),
             "no-wall-clock-in-kernels" => Some(Rule::NoWallClockInKernels),
             "shim-surface-guard" => Some(Rule::ShimSurfaceGuard),
+            "no-timed-wait" => Some(Rule::NoTimedWait),
             _ => None,
         }
     }

@@ -1,4 +1,4 @@
-//! The rule engine: five deny-by-default rules over one token stream, plus
+//! The rule engine: six deny-by-default rules over one token stream, plus
 //! per-site suppression pragmas.
 //!
 //! Every rule is grounded in an existing workspace contract (see
@@ -18,13 +18,16 @@
 //! * **R5 `shim-surface-guard`** — `use`/`extern crate` roots must be the
 //!   standard library, a workspace crate, a vendored shim, or a local
 //!   module: the offline-build constraint, mechanically enforced.
+//! * **R6 `no-timed-wait`** — `Duration`, `sleep` and `wait_timeout` are
+//!   banned in the configured blocking paths: a wait there is woken by
+//!   whoever changes what it waits for, never ended by a timer.
 //!
 //! Suppression: `// lint:allow(<rule>): <reason>` on the offending line or
 //! the line above. The reason is mandatory; a reason-less or malformed
 //! pragma is itself a finding (rule `pragma`), and so is naming an unknown
 //! rule — a typo must not become a silent no-op.
 
-use crate::config::Config;
+use crate::config::{Config, FileScope};
 use crate::report::{Finding, Rule};
 use crate::scan::{scan, Token, TokenKind};
 use std::collections::BTreeSet;
@@ -112,6 +115,7 @@ impl<'a> FileAnalysis<'a> {
         self.rule_atomic_ordering(cfg, &mut findings);
         self.rule_no_wall_clock(cfg, &mut findings);
         self.rule_shim_surface(cfg, surface, &mut findings);
+        self.rule_no_timed_wait(cfg, &mut findings);
         findings.retain(|f| !self.suppressed(f));
         findings.sort_by_key(|f| (f.line, f.col, f.rule));
         findings
@@ -138,6 +142,16 @@ impl<'a> FileAnalysis<'a> {
     /// Previous non-comment token index before `i`.
     fn prev_code(&self, i: usize) -> Option<usize> {
         self.toks[..i].iter().enumerate().rev().find(|(_, t)| !t.is_comment()).map(|(j, _)| j)
+    }
+
+    /// Whether token `i` is in `scope`: outside test items, and inside one
+    /// of its named fns when it names any.
+    fn in_scope(&self, scope: &FileScope, i: usize) -> bool {
+        !self.in_test[i]
+            && match &scope.fns {
+                None => true,
+                Some(fns) => self.enclosing_fns(i).any(|n| fns.iter().any(|f| f == n)),
+            }
     }
 
     /// Names of every named fn whose body encloses token `i`.
@@ -216,15 +230,8 @@ impl<'a> FileAnalysis<'a> {
 
     fn rule_no_panic_in_decode(&self, cfg: &Config, findings: &mut Vec<Finding>) {
         let Some(scope) = cfg.decode_scope(self.rel) else { return };
-        let in_scope = |this: &Self, i: usize| {
-            !this.in_test[i]
-                && match &scope.fns {
-                    None => true,
-                    Some(fns) => this.enclosing_fns(i).any(|n| fns.iter().any(|f| f == n)),
-                }
-        };
         for (i, t) in self.toks.iter().enumerate() {
-            if !in_scope(self, i) {
+            if !self.in_scope(scope, i) {
                 continue;
             }
             if t.kind == TokenKind::Ident {
@@ -371,6 +378,28 @@ impl<'a> FileAnalysis<'a> {
                     format!(
                         "`{root}` is not a workspace crate, vendored shim or local module; \
                          the build has no crates.io access — vendor a shim under shims/ first"
+                    ),
+                ));
+            }
+        }
+    }
+
+    // ----- R6 ------------------------------------------------------------
+
+    fn rule_no_timed_wait(&self, cfg: &Config, findings: &mut Vec<Finding>) {
+        let Some(scope) = cfg.untimed_scope(self.rel) else { return };
+        for (i, t) in self.toks.iter().enumerate() {
+            if t.kind != TokenKind::Ident || !self.in_scope(scope, i) {
+                continue;
+            }
+            let name = t.text(self.src);
+            if matches!(&*name, "Duration" | "sleep" | "wait_timeout") {
+                findings.push(self.finding(
+                    Rule::NoTimedWait,
+                    t,
+                    format!(
+                        "`{name}` in a path that blocks until woken: wake the waiter where what \
+                         it waits for changes instead of waiting on a timer"
                     ),
                 ));
             }

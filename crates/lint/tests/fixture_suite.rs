@@ -28,7 +28,10 @@ fn fixture_config() -> Config {
          allow = r3_pass.rs : Relaxed\n\
          [rule.no-wall-clock-in-kernels]\n\
          file = r4_fail.rs\n\
-         file = r4_pass.rs\n",
+         file = r4_pass.rs\n\
+         [rule.no-timed-wait]\n\
+         file = r6_fail.rs @ serve, admit\n\
+         file = r6_pass.rs @ serve, admit\n",
     )
     .expect("fixture config parses")
 }

@@ -4,6 +4,9 @@
 //! euler-serve [--cap-longs N] [--workers N] [--fragment-budget-longs N]
 //! ```
 //!
+//! `--workers` is how many cache-miss runs compute at once; every client
+//! connection has its own handler thread, and an idle one costs no slot.
+//!
 //! Binds a loopback TCP listener, prints the endpoint on stdout (the line a
 //! supervisor or script parses to hand clients), and serves the
 //! `euler_core::service` frame protocol — register `.ecsr` graphs by
@@ -20,7 +23,8 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: euler-serve [--cap-longs <N>] [--workers <N>] [--fragment-budget-longs <N>]"
+        "usage: euler-serve [--cap-longs <N>] [--workers <runs computing at once>] \
+         [--fragment-budget-longs <N>]"
     );
     ExitCode::FAILURE
 }

@@ -162,6 +162,10 @@ impl Connection for CountedConnection {
     fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
         self.inner.recv_timeout(timeout)
     }
+
+    fn close(&self) {
+        self.inner.close();
+    }
 }
 
 impl Transport for CountingMem {
@@ -234,6 +238,8 @@ impl Connection for Stray {
         // Kind 1 is the worker protocol's Hello.
         self.hello.clone().map(|payload| (1, payload)).ok_or(FrameError::Closed)
     }
+
+    fn close(&self) {}
 }
 
 /// A listener that hands out its strays, last first, before the
@@ -248,10 +254,10 @@ impl Listener for StrayListener {
         self.inner.endpoint()
     }
 
-    fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
+    fn accept_timeout(&self, timeout: Option<Duration>) -> Result<Box<dyn Connection>, FrameError> {
         match self.strays.lock().unwrap().pop() {
             Some(stray) => Ok(Box::new(stray)),
-            None => self.inner.accept(timeout),
+            None => self.inner.accept_timeout(timeout),
         }
     }
 }

@@ -12,8 +12,10 @@
 //!   admission high-water mark never exceeds the cap (also property-tested
 //!   over random request mixes);
 //! * a fresh run reserves the level-0 state its scan counts plus the
-//!   fragment budget: never less than it measures, exactly what it measures
-//!   under Duplicated, and the same whatever the server ran before;
+//!   fragment share — the fragment budget, or what the run's records can
+//!   take when that is less: never less than it measures, exactly what it
+//!   measures under Duplicated, at most twice it on small graphs, and the
+//!   same whatever the server ran before;
 //! * malformed input — unknown frame kinds, truncated payloads, raw
 //!   garbage bytes on the socket — yields typed errors, keeps the
 //!   connection (or at worst the server) alive, and never panics — as does
@@ -23,14 +25,19 @@
 //! * every CANCEL gets exactly one CANCELLED, and a client that hangs up —
 //!   mid-run or while queued — or a service shutdown ends the run without
 //!   executing it, holding no budget and hanging no stream; one that hangs
-//!   up mid-stream leaves its serving thread serving.
+//!   up mid-stream leaves its serving thread serving, and one that stops
+//!   reading does not hold up shutdown;
+//! * `workers` counts runs, not connections: idle clients hold no compute
+//!   slot and do not delay shutdown, a run waiting for a slot is cancelled
+//!   at once, and the connection past `MAX_CONNECTIONS` is refused with a
+//!   typed `BUSY`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use euler_circuit::algo::service::{error_code, frame_kind};
+use euler_circuit::algo::service::{error_code, frame_kind, MAX_CONNECTIONS};
 use euler_circuit::bsp::transport::Connection;
 use euler_circuit::bsp::FrameError;
 use euler_circuit::prelude::*;
@@ -79,6 +86,20 @@ fn bind(cap: u64, workers: usize) -> EulerService {
         ..ServiceConfig::default()
     })
     .unwrap()
+}
+
+/// The fragment share a run of `g` under `opts` reserves, stated apart from
+/// the service: what its records can take, `4 · (m + ⌈log2 P⌉ · min(c,
+/// ⌊n / 2⌋))` Longs for `c` cut edges, when that is less than the budget.
+fn fragment_share(g: &Graph, opts: RunOptions) -> u64 {
+    let assignment = match opts.partitioner {
+        PartitionerKind::Hash => HashPartitioner::new(opts.partitions).partition(g),
+        PartitionerKind::Ldg => LdgPartitioner::new(opts.partitions).partition(g),
+    };
+    let cut = PartitionedGraph::from_assignment(g, &assignment).unwrap().cut_edges();
+    let height = u64::from(opts.partitions.next_power_of_two().trailing_zeros());
+    let records = 4 * (g.num_edges() + height * cut.min(g.num_vertices() / 2));
+    records.min(ServiceConfig::default().fragment_budget_longs)
 }
 
 /// The library path the service must match bit for bit.
@@ -195,6 +216,8 @@ fn repeated_requests_hit_the_cache_without_recomputing() {
 /// Every strategy on a power-law graph and a torus: the reservation is at
 /// least the measured peak, and under Duplicated the partition-state share
 /// of both is the same number — level 0's, which bounds every later level.
+/// The R-MAT run's records could outgrow the fragment budget, so it reserves
+/// the budget; the torus's cannot, so it reserves what they can take.
 #[test]
 fn a_fresh_run_reserves_what_its_level0_scan_counts() {
     let rmat = eulerize(&RmatGenerator::new(12).with_avg_degree(8.0).with_seed(1).generate()).0;
@@ -207,6 +230,8 @@ fn a_fresh_run_reserves_what_its_level0_scan_counts() {
         let info = client.register(path.to_str().unwrap()).unwrap();
         for strategy in MergeStrategy::all() {
             let opts = RunOptions { partitions, strategy, partitioner: PartitionerKind::Ldg };
+            let share = fragment_share(g, opts);
+            assert_eq!(share == budget, tag == "rmat", "{tag}: fragment share {share}");
             let outcome = client.run(info.checksum, opts).unwrap();
             let summary = outcome.summary.expect("fresh runs carry a summary");
             let (reserved, measured) = (summary.estimated_longs, summary.measured_longs);
@@ -216,18 +241,50 @@ fn a_fresh_run_reserves_what_its_level0_scan_counts() {
             );
             if strategy == MergeStrategy::Duplicated {
                 assert_eq!(
-                    reserved - budget,
+                    reserved - share,
                     measured - summary.peak_resident_longs,
                     "{tag}: the Duplicated bound is level 0's state, exactly"
                 );
             }
             if (tag, strategy) == ("rmat", MergeStrategy::Duplicated) {
                 // 4,096 vertices + 3 · 6,732 local edges + 8 · 10,404 cut edges.
-                assert_eq!(reserved - budget, 107_524);
+                assert_eq!(reserved - share, 107_524);
             }
         }
         std::fs::remove_file(&path).ok();
     }
+    service.shutdown();
+}
+
+/// On graphs shaped like the `serve_small` benchmark's — 1,000 vertices,
+/// 2,200 edges — the fragment budget (65,536 Longs) would dwarf what the
+/// run holds; the share the records can take keeps every reservation within
+/// twice the measured peak, over the benchmark's partition counts,
+/// strategies and both partitioners.
+#[test]
+fn a_small_runs_reservation_is_within_twice_what_it_measures() {
+    let service = bind(1 << 24, 2);
+    let client = ServiceClient::connect(service.endpoint()).unwrap();
+    let mut worst = 0.0f64;
+    for seed in [1, 2] {
+        let g = synthetic::random_eulerian_connected(1_000, 200, 6, seed);
+        let path = ecsr_path(&g, "small");
+        let info = client.register(path.to_str().unwrap()).unwrap();
+        for partitions in 2..=8 {
+            for strategy in MergeStrategy::all() {
+                for partitioner in [PartitionerKind::Hash, PartitionerKind::Ldg] {
+                    let opts = RunOptions { partitions, strategy, partitioner };
+                    let summary = client.run(info.checksum, opts).unwrap().summary.unwrap();
+                    let (estimated, measured) = (summary.estimated_longs, summary.measured_longs);
+                    assert!(measured <= estimated, "{opts:?}: {measured} over {estimated}");
+                    assert!(estimated <= 2 * measured, "{opts:?}: {estimated} over twice {measured}");
+                    worst = worst.max(estimated as f64 / measured as f64);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    eprintln!("largest estimate over measured: {worst:.3}");
     service.shutdown();
 }
 
@@ -621,8 +678,8 @@ fn a_client_that_hangs_up_mid_run_cancels_it() {
 /// A client that hangs up mid-stream — after `Accepted` and one `Chunk`,
 /// with the rest of the batch still being written — costs the server
 /// nothing, whether the stream was a fresh run's or a cache hit's: the next
-/// client on the same single serving thread gets the library circuit, no
-/// budget stays admitted, and the server shuts down.
+/// client on a one-slot server gets the library circuit, no budget stays
+/// admitted, and the server shuts down.
 #[test]
 fn a_client_dropped_mid_stream_leaves_its_serving_thread_serving() {
     let (_g, path) = long_run_graph("dropped-mid-stream");
@@ -636,10 +693,13 @@ fn a_client_dropped_mid_stream_leaves_its_serving_thread_serving() {
     let client = || {
         ServiceClient::connect(&endpoint).unwrap().with_recv_timeout(Duration::from_secs(30))
     };
-    // Each client below connects once the one before it has hung up: the
-    // one serving thread serves one connection at a time.
-    let info = client().register(path.to_str().unwrap()).unwrap();
+    // Every client but the dropped ones stays connected: a connection has
+    // its own handler, and `workers: 1` bounds the runs computing at once,
+    // not the connections served.
+    let admin = client();
+    let info = admin.register(path.to_str().unwrap()).unwrap();
     let expect = reference(&path, LONG_RUN);
+    let mut served = vec![admin];
     for cached in [false, true] {
         {
             let dropped = client();
@@ -653,9 +713,11 @@ fn a_client_dropped_mid_stream_leaves_its_serving_thread_serving() {
                 }
             }
         }
-        let next = client().run(info.checksum, LONG_RUN).unwrap();
-        assert!(next.cached);
-        assert!(next.circuits == expect.circuits, "after a drop (cached: {cached})");
+        let next = client();
+        let outcome = next.run(info.checksum, LONG_RUN).unwrap();
+        assert!(outcome.cached);
+        assert!(outcome.circuits == expect.circuits, "after a drop (cached: {cached})");
+        served.push(next);
     }
     let stats = service.stats();
     assert_eq!((stats.runs_executed, stats.runs_cached, stats.admitted_longs), (1, 3, 0));
@@ -794,6 +856,142 @@ fn an_odd_degree_graph_is_refused_with_the_librarys_reason() {
     assert_eq!((stats.runs_executed, stats.runs_cached), (0, 0), "nothing ran, nothing cached");
     assert_eq!(stats.admitted_longs, 0, "the refused runs hold no budget");
     service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A one-slot server with eight clients that registered a graph and stay
+/// connected, idle.
+fn idle_clients(tag: &str) -> (EulerService, Vec<ServiceClient>, u64, PathBuf) {
+    let g = graph_from(13, 200, 30);
+    let path = ecsr_path(&g, tag);
+    let service = bind(1 << 22, 1);
+    let idle: Vec<ServiceClient> =
+        (0..8).map(|_| ServiceClient::connect(service.endpoint()).unwrap()).collect();
+    let infos: Vec<_> = idle.iter().map(|c| c.register(path.to_str().unwrap()).unwrap()).collect();
+    (service, idle, infos[0].checksum, path)
+}
+
+/// An idle connection holds no compute slot: with eight registered clients
+/// connected and idle, a ninth client's run on a `workers: 1` server returns
+/// the library circuit.
+#[test]
+fn idle_clients_leave_a_one_slot_server_serving() {
+    let (service, _idle, checksum, path) = idle_clients("idle");
+    let client = ServiceClient::connect(service.endpoint())
+        .unwrap()
+        .with_recv_timeout(Duration::from_secs(30));
+    let opts = RunOptions { partitions: 3, ..RunOptions::default() };
+    let outcome = client.run(checksum, opts).unwrap();
+    assert!(!outcome.cached);
+    assert_eq!(outcome.circuits, reference(&path, opts).circuits);
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Shutdown closes every connection instead of waiting for its client:
+/// with eight idle clients connected it returns within 100 ms.
+#[test]
+fn shutdown_with_idle_clients_connected_returns_at_once() {
+    let (service, idle, _, path) = idle_clients("idle-shutdown");
+    let t = Instant::now();
+    service.shutdown();
+    assert!(t.elapsed() < Duration::from_millis(100), "shutdown took {:?}", t.elapsed());
+    for client in &idle {
+        assert!(client.stats().is_err(), "a connection outlived the service");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// With `MAX_CONNECTIONS` connections open, one more is refused with a
+/// typed `BUSY` — not left waiting — and once one closes, a new client is
+/// served. The server runs two threads a connection, 128 here, never more.
+#[test]
+fn the_connection_past_the_limit_is_refused_busy() {
+    let service = bind(1 << 22, 1);
+    let connect = || ServiceClient::connect(service.endpoint()).unwrap();
+    let mut open: Vec<ServiceClient> = (0..MAX_CONNECTIONS).map(|_| connect()).collect();
+    for client in &open {
+        client.stats().unwrap();
+    }
+    // The refusal is the server's first frame; reading it sends nothing.
+    match connect().next_event() {
+        Err(ServiceError::Remote { code, .. }) => assert_eq!(code, error_code::BUSY),
+        other => panic!("expected a typed BUSY, got {other:?}"),
+    }
+    drop(open.pop());
+    // The server learns of the hang-up from its reader: retry until it has.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let served = loop {
+        match connect().stats() {
+            Ok(stats) => break stats,
+            Err(ServiceError::Remote { code, .. }) if code == error_code::BUSY => {
+                assert!(Instant::now() < deadline, "a closed connection's place was never freed");
+                thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("expected service or BUSY, got {e}"),
+        }
+    };
+    assert_eq!(served.runs_executed, 0);
+    service.shutdown();
+}
+
+/// A run waiting for admission stops at a CANCEL at once: its connection's
+/// reader wakes the wait, which asks the queue again — no poll interval.
+#[test]
+fn a_cancel_while_waiting_for_admission_is_answered_at_once() {
+    let (_g, path) = long_run_graph("admission-cancel");
+    let service = bind(1 << 22, 1);
+    let holder = ServiceClient::connect(service.endpoint()).unwrap();
+    let info = holder.register(path.to_str().unwrap()).unwrap();
+    holder.start_run(info.checksum, LONG_RUN).unwrap();
+    await_accepted(&holder);
+
+    let waiter = ServiceClient::connect(service.endpoint()).unwrap();
+    waiter.start_run(info.checksum, RunOptions { partitions: 3, ..LONG_RUN }).unwrap();
+    let t = Instant::now();
+    waiter.cancel().unwrap();
+    assert_eq!(waiter.next_event().unwrap(), RunEvent::Cancelled);
+    assert!(t.elapsed() < Duration::from_millis(100), "CANCELLED after {:?}", t.elapsed());
+    let stats = waiter.stats().unwrap();
+    let counts = (stats.runs_cancelled, stats.runs_executed);
+    assert_eq!(counts, (1, 0), "cancelled while the slot was held");
+
+    holder.cancel().unwrap();
+    while !matches!(holder.next_event().unwrap(), RunEvent::Cancelled | RunEvent::Done { .. }) {}
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A client that stops reading a stream far larger than the socket buffers
+/// leaves its handler blocked in the write; shutdown closes the connection,
+/// which fails the write, and returns within a second.
+#[test]
+fn a_client_that_stops_reading_does_not_hold_up_shutdown() {
+    // 259 k one-step chunks of 68 B: 17.6 MB of frames.
+    let g = synthetic::torus_grid(360, 360);
+    let path = ecsr_path(&g, "stalled");
+    let config = ServiceConfig { chunk_steps: 1, ..ServiceConfig::default() };
+    let service = EulerService::bind(config).unwrap();
+    let client = ServiceClient::connect(service.endpoint()).unwrap();
+    let info = client.register(path.to_str().unwrap()).unwrap();
+    let opts = RunOptions { partitions: 1, ..RunOptions::default() };
+    assert!(!client.run(info.checksum, opts).unwrap().cached);
+
+    client.start_run(info.checksum, opts).unwrap();
+    loop {
+        match client.next_event().unwrap() {
+            RunEvent::Accepted { cached, .. } => assert!(cached),
+            RunEvent::Chunk { .. } => break,
+            other => panic!("expected the cached stream, got {other:?}"),
+        }
+    }
+    let (done_tx, done) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        service.shutdown();
+        done_tx.send(()).unwrap();
+    });
+    assert!(done.recv_timeout(Duration::from_secs(1)).is_ok(), "shutdown hung on the stalled client");
+    drop(client);
     std::fs::remove_file(&path).ok();
 }
 
