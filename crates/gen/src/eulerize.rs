@@ -15,7 +15,7 @@
 //! Euler circuit requires all edges in one component) by adding *pairs* of
 //! edges between components, which preserves the even-degree invariant.
 
-use euler_graph::{odd_vertices, properties, Graph, VertexId};
+use euler_graph::{odd_vertices, Graph, VertexId};
 use serde::{Deserialize, Serialize};
 
 /// Statistics about one Eulerization run.
@@ -66,8 +66,10 @@ pub fn eulerize(g: &Graph) -> (Graph, EulerizeReport) {
 /// Eulerizes `g`: adds edges pairing odd-degree vertices so that every vertex
 /// has even degree, and (optionally) adds edge pairs between edge-bearing
 /// components so all edges lie in one component.
+///
+/// The output keeps `g`'s edges and ids and appends the parity edges, then
+/// the connectivity pairs, in one [`Graph::with_edges_appended`].
 pub fn eulerize_with(g: &Graph, opts: EulerizeOptions) -> (Graph, EulerizeReport) {
-    let mut out = g.clone();
     let mut report = EulerizeReport {
         original_edges: g.num_edges(),
         ..Default::default()
@@ -78,32 +80,50 @@ pub fn eulerize_with(g: &Graph, opts: EulerizeOptions) -> (Graph, EulerizeReport
     let mut odd: Vec<VertexId> = odd_vertices(g);
     report.odd_vertices = odd.len() as u64;
     odd.sort_by_key(|&v| (g.degree(v), v));
-    for pair in odd.chunks_exact(2) {
-        out.add_edge(pair[0], pair[1]).expect("odd vertices are valid");
-        report.parity_edges_added += 1;
-    }
+    let mut extra: Vec<(VertexId, VertexId)> = odd.chunks_exact(2).map(|pair| (pair[0], pair[1])).collect();
+    report.parity_edges_added = extra.len() as u64;
 
     // 2. Connectivity: link edge-bearing components with *pairs* of edges so
     //    parity is preserved. Components are chained onto the first one.
     if opts.connect_components {
-        let (labels, count) = properties::connected_components(&out);
-        let mut representative: Vec<Option<VertexId>> = vec![None; count];
-        for (_, u, _) in out.edges() {
-            let c = labels[u.index()] as usize;
-            if representative[c].is_none() {
-                representative[c] = Some(u);
-            }
-        }
-        let reps: Vec<VertexId> = representative.into_iter().flatten().collect();
+        let reps = component_representatives(g, &extra);
         for w in reps.windows(2) {
-            out.add_edge(w[0], w[1]).expect("representatives are valid");
-            out.add_edge(w[0], w[1]).expect("representatives are valid");
+            extra.extend([(w[0], w[1]), (w[0], w[1])]);
             report.connectivity_edges_added += 2;
         }
     }
 
+    let out = g.with_edges_appended(&extra).expect("eulerizing edges join vertices of g");
     report.final_edges = out.num_edges();
     (out, report)
+}
+
+/// One vertex of every edge-bearing component of `g` with the `extra` edges
+/// appended: the first endpoint of its lowest-id edge. Components come in
+/// ascending order of their smallest vertex, the order in which
+/// [`euler_graph::properties::connected_components`] numbers them.
+fn component_representatives(g: &Graph, extra: &[(VertexId, VertexId)]) -> Vec<VertexId> {
+    let edges = || g.edges().map(|(_, u, v)| (u, v)).chain(extra.iter().copied());
+    // Union-find whose roots are their components' smallest vertices: a union
+    // hangs the larger root under the smaller one.
+    let mut parent: Vec<usize> = (0..g.num_vertices() as usize).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    for (u, v) in edges() {
+        let (a, b) = (find(&mut parent, u.index()), find(&mut parent, v.index()));
+        parent[a.max(b)] = a.min(b);
+    }
+    let mut rep: Vec<Option<VertexId>> = vec![None; g.num_vertices() as usize];
+    for (u, _) in edges() {
+        let root = find(&mut parent, u.index());
+        rep[root].get_or_insert(u);
+    }
+    rep.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -167,6 +187,32 @@ mod tests {
             assert!(e.degree(v) >= g.degree(v));
             assert!(e.degree(v) <= g.degree(v) + 2, "vertex {v} grew too much");
         }
+    }
+
+    #[test]
+    fn representatives_follow_the_component_numbering() {
+        use euler_graph::{properties, GraphBuilder};
+        // Sparse R-MAT graphs with scattered isolated vertices: dozens of
+        // components, numbered by `connected_components` in ascending order
+        // of their smallest vertex.
+        for seed in 0..6 {
+            let r = crate::rmat::RmatGenerator::new(9).with_seed(seed).with_avg_degree(0.5).generate();
+            let (labels, count) = properties::connected_components(&r);
+            let mut oracle: Vec<Option<VertexId>> = vec![None; count];
+            for (_, u, _) in r.edges() {
+                oracle[labels[u.index()] as usize].get_or_insert(u);
+            }
+            let oracle: Vec<VertexId> = oracle.into_iter().flatten().collect();
+            assert!(oracle.len() > 5, "seed {seed}: only {} components", oracle.len());
+            assert_eq!(component_representatives(&r, &[]), oracle, "seed {seed}");
+        }
+        let mut b = GraphBuilder::with_vertices(6);
+        b.extend_edges([(5, 4), (1, 1), (3, 0)]);
+        let g = b.build().unwrap();
+        assert_eq!(component_representatives(&g, &[]), [VertexId(3), VertexId(1), VertexId(5)]);
+        // An appended edge joins the components of v3 and v1, whose lowest
+        // edge is the loop at v1.
+        assert_eq!(component_representatives(&g, &[(VertexId(1), VertexId(3))]), [VertexId(1), VertexId(5)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! probabilities, generated in parallel with rayon, one chunk per worker, each
 //! chunk seeded deterministically from the generator seed.
 
-use euler_graph::{Graph, GraphBuilder};
+use euler_graph::{Graph, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -83,56 +83,47 @@ impl RmatGenerator {
         1.0 - self.a - self.b - self.c
     }
 
-    /// Generates the graph, in parallel across rayon workers.
+    /// Generates the graph, in parallel across rayon workers: each chunk of
+    /// edge ids is sampled from its own seeded stream, and the endpoints are
+    /// handed to [`Graph::from_endpoints`] in edge-id order.
     pub fn generate(&self) -> Graph {
         let n_edges = self.num_edges() as usize;
         let n_vertices = self.num_vertices();
         let chunk = 1usize << 14;
         let n_chunks = n_edges.div_ceil(chunk.max(1)).max(1);
-        let edges: Vec<(u64, u64)> = (0..n_chunks)
+        let edges: Vec<(VertexId, VertexId)> = (0..n_chunks)
             .into_par_iter()
             .flat_map_iter(|ci| {
                 let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(ci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let lo = ci * chunk;
                 let hi = ((ci + 1) * chunk).min(n_edges);
-                let mut out = Vec::with_capacity(hi - lo);
-                for _ in lo..hi {
-                    out.push(self.sample_edge(&mut rng, n_vertices));
-                }
-                out.into_iter()
+                (lo..hi).map(move |_| {
+                    let (u, v) = self.sample_edge(&mut rng);
+                    (VertexId(u), VertexId(v))
+                })
             })
             .collect();
-        let mut b = GraphBuilder::with_vertices(n_vertices).with_edge_capacity(edges.len());
-        b.extend_edges(edges);
-        b.build().expect("generated vertex ids are always in range")
+        Graph::from_endpoints(n_vertices, edges).expect("generated vertex ids are always in range")
     }
 
-    /// Samples one edge by recursive quadrant descent.
-    fn sample_edge<R: Rng>(&self, rng: &mut R, n: u64) -> (u64, u64) {
-        if n <= 1 {
+    /// Samples one edge by recursive quadrant descent: each of the `scale`
+    /// levels draws a quadrant whose row and column bits are the next bits of
+    /// `u` and `v`, most significant first.
+    fn sample_edge<R: Rng>(&self, rng: &mut R) -> (u64, u64) {
+        if self.scale == 0 {
             return (0, 0);
         }
+        // A draw `r` below a is quadrant (0, 0), then below a + b (0, 1),
+        // below a + b + c (1, 0), and (1, 1) otherwise; the bits come from
+        // comparisons, not a branch per quadrant.
+        let (ab, abc) = (self.a + self.b, self.a + self.b + self.c);
         loop {
-            let mut u = 0u64;
-            let mut v = 0u64;
-            let mut half = n / 2;
-            while half >= 1 {
+            let (mut u, mut v) = (0u64, 0u64);
+            for _ in 0..self.scale {
                 let r: f64 = rng.gen();
-                let (du, dv) = if r < self.a {
-                    (0, 0)
-                } else if r < self.a + self.b {
-                    (0, 1)
-                } else if r < self.a + self.b + self.c {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                u += du * half;
-                v += dv * half;
-                if half == 1 {
-                    break;
-                }
-                half /= 2;
+                let past_a = r >= self.a;
+                u = u << 1 | (past_a & (r >= ab)) as u64;
+                v = v << 1 | (past_a & ((r < ab) | (r >= abc))) as u64;
             }
             if self.skip_self_loops && u == v {
                 continue;

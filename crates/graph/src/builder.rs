@@ -6,13 +6,13 @@ use crate::ids::VertexId;
 
 /// Builder for [`Graph`] that grows the vertex set on demand.
 ///
-/// Unlike [`Graph::add_edge`], which requires both endpoints to already exist,
-/// the builder accepts arbitrary `u64` vertex identifiers and grows the vertex
-/// count to cover the largest one seen. Duplicate edges are kept (the result is
-/// a multigraph) unless [`GraphBuilder::dedup`] is enabled.
+/// The builder accepts arbitrary `u64` vertex identifiers and grows the
+/// vertex count to cover the largest one seen. Edges keep the order they were
+/// added in, which becomes their [`crate::EdgeId`]s. Duplicate edges are kept
+/// (the result is a multigraph) unless [`GraphBuilder::dedup`] is enabled.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
-    edges: Vec<(u64, u64)>,
+    edges: Vec<(VertexId, VertexId)>,
     num_vertices: u64,
     dedup: bool,
 }
@@ -51,7 +51,7 @@ impl GraphBuilder {
     /// Adds an undirected edge between raw vertex identifiers `u` and `v`.
     pub fn add_edge(&mut self, u: u64, v: u64) -> &mut Self {
         self.num_vertices = self.num_vertices.max(u + 1).max(v + 1);
-        self.edges.push((u, v));
+        self.edges.push((VertexId(u), VertexId(v)));
         self
     }
 
@@ -73,7 +73,8 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Builds the [`Graph`].
+    /// Builds the [`Graph`] with [`Graph::from_endpoints`]: the queued
+    /// edges become its endpoint array as they are.
     ///
     /// # Errors
     /// Propagates [`GraphError::VertexOutOfRange`] (cannot occur with edges
@@ -83,12 +84,7 @@ impl GraphBuilder {
             let mut seen = std::collections::HashSet::with_capacity(self.edges.len());
             self.edges.retain(|&(u, v)| seen.insert((u.min(v), u.max(v))));
         }
-        let mut g = Graph::empty(self.num_vertices);
-        g.endpoints.reserve(self.edges.len());
-        for &(u, v) in &self.edges {
-            g.add_edge(VertexId(u), VertexId(v))?;
-        }
-        Ok(g)
+        Graph::from_endpoints(self.num_vertices, self.edges)
     }
 }
 
@@ -102,7 +98,6 @@ pub fn graph_from_edges(edges: &[(u64, u64)]) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::VertexId;
 
     #[test]
     fn builder_grows_vertex_set() {

@@ -34,7 +34,7 @@ use crate::partitioned::{PartitionAssignment, PartitionedGraph};
 use memmap2::Mmap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -181,20 +181,38 @@ impl Fnv1a {
     }
 }
 
-/// A writer that tees every word into the checksum.
-struct ChecksummedWriter<W: Write> {
+/// Bytes staged before each write: sections go out 64 KiB at a time.
+const STAGE_BYTES: usize = 1 << 16;
+
+/// A writer that folds every section word into the checksum and stages its
+/// little-endian bytes, writing the stage whenever it fills.
+struct SectionWriter<W: Write> {
     inner: W,
     hash: Fnv1a,
+    stage: Vec<u8>,
 }
 
-impl<W: Write> ChecksummedWriter<W> {
+impl<W: Write> SectionWriter<W> {
     fn new(inner: W) -> Self {
-        ChecksummedWriter { inner, hash: Fnv1a::new() }
+        SectionWriter { inner, hash: Fnv1a::new(), stage: Vec::with_capacity(STAGE_BYTES) }
     }
 
-    fn put_u64(&mut self, word: u64) -> std::io::Result<()> {
-        self.hash.update_words(&[word]);
-        self.inner.write_all(&word.to_le_bytes())
+    fn section(&mut self, words: impl IntoIterator<Item = u64>) -> std::io::Result<()> {
+        for w in words {
+            self.hash.update_words(&[w]);
+            self.stage.extend_from_slice(&w.to_le_bytes());
+            if self.stage.len() == STAGE_BYTES {
+                self.inner.write_all(&self.stage)?;
+                self.stage.clear();
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes what is staged and returns the checksum of every section.
+    fn finish(mut self) -> std::io::Result<u64> {
+        self.inner.write_all(&self.stage)?;
+        Ok(self.hash.finish())
     }
 }
 
@@ -220,7 +238,7 @@ pub fn write_csr_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphErr
     let endpoints_off = edge_ids_off + 8 * half_edges;
 
     // Header with a zero checksum placeholder; rewritten once sections are
-    // hashed. Streaming keeps peak memory at the BufWriter's buffer.
+    // hashed. Staging keeps peak memory at one 64 KiB buffer.
     let mut header = [0u8; HEADER_BYTES as usize];
     header[0..8].copy_from_slice(&MAGIC);
     header[8..12].copy_from_slice(&VERSION.to_le_bytes());
@@ -233,34 +251,14 @@ pub fn write_csr_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphErr
     header[56..64].copy_from_slice(&endpoints_off.to_le_bytes());
     file.write_all(&header)?;
 
-    let mut w = ChecksummedWriter::new(BufWriter::new(&mut file));
-    // Offsets section: running half-edge count per vertex, then the total.
-    let mut running = 0u64;
-    for v in g.vertices() {
-        w.put_u64(running)?;
-        running += g.degree(v);
-    }
-    w.put_u64(running)?;
-    debug_assert_eq!(running, half_edges);
-    // Targets then edge-ids sections, in adjacency (insertion) order.
-    for v in g.vertices() {
-        for &(nbr, _) in g.neighbors(v) {
-            w.put_u64(nbr.0)?;
-        }
-    }
-    for v in g.vertices() {
-        for &(_, e) in g.neighbors(v) {
-            w.put_u64(e.0)?;
-        }
-    }
-    // Endpoints section: (u, v) per edge in EdgeId (insertion) order.
-    for (_, u, v) in g.edges() {
-        w.put_u64(u.0)?;
-        w.put_u64(v.0)?;
-    }
-    let checksum = w.hash.finish();
-    w.inner.flush()?;
-    drop(w);
+    // The graph's own arrays are the first three sections; the endpoints
+    // follow in edge-id order.
+    let mut w = SectionWriter::new(&mut file);
+    w.section(g.offsets.iter().copied())?;
+    w.section(g.adj.iter().map(|&(t, _)| t.0))?;
+    w.section(g.adj.iter().map(|&(_, e)| e.0))?;
+    w.section(g.endpoints.iter().flat_map(|&(u, v)| [u.0, v.0]))?;
+    let checksum = w.finish()?;
 
     file.seek(SeekFrom::Start(64))?;
     file.write_all(&checksum.to_le_bytes())?;
@@ -271,7 +269,7 @@ pub fn write_csr_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphErr
 /// A validated, memory-mapped `.ecsr` file.
 ///
 /// All accessors read the mapped bytes in place; nothing is copied. The CSR
-/// arrays follow the same conventions as [`crate::Csr`]: vertex `v`'s
+/// arrays are those of the [`Graph`] the file was written from: vertex `v`'s
 /// incident half-edges occupy `targets()[offsets()[v]..offsets()[v+1]]` (and
 /// `edge_ids()` in parallel), with a self-loop appearing twice.
 #[derive(Debug)]
@@ -315,7 +313,7 @@ impl CsrFile {
     /// them. A corrupt section will surface downstream rather than as a typed
     /// error here: as wrong results, as an out-of-range panic in
     /// [`degree`](Self::degree), [`first_odd_vertex`](Self::first_odd_vertex)
-    /// or [`to_graph`](Self::to_graph) — or, from
+    /// or the [`Graph`] that [`to_graph`](Self::to_graph) copies out — or, from
     /// [`partitioned`](Self::partitioned) and the pipeline's level-0 loader,
     /// which look every endpoint up checked, as
     /// [`GraphError::VertexOutOfRange`].
@@ -551,31 +549,21 @@ impl CsrFile {
 
     /// Reconstructs the exact [`Graph`] this file was written from: same
     /// vertex count, same edge ids and endpoint order, same adjacency order.
-    /// One pass over the mapped sections with exact preallocation — no
+    /// The graph's arrays are the file's sections, so this copies them — no
     /// [`crate::GraphBuilder`] involved.
     pub fn to_graph(&self) -> Graph {
-        let n = self.num_vertices as usize;
-        let offsets = self.offsets();
-        let targets = self.targets();
-        let edge_ids = self.edge_ids();
-        let endpoints: Vec<(VertexId, VertexId)> = self
+        let endpoints = self
             .endpoints_flat()
             .chunks_exact(2)
             .map(|p| (VertexId(p[0]), VertexId(p[1])))
             .collect();
-        let mut adjacency: Vec<Vec<(VertexId, EdgeId)>> = Vec::with_capacity(n);
-        for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            adjacency.push(
-                targets[lo..hi]
-                    .iter()
-                    .zip(&edge_ids[lo..hi])
-                    .map(|(&t, &e)| (VertexId(t), EdgeId(e)))
-                    .collect(),
-            );
-        }
-        Graph { num_vertices: self.num_vertices, endpoints, adjacency }
+        let adj = self
+            .targets()
+            .iter()
+            .zip(self.edge_ids())
+            .map(|(&t, &e)| (VertexId(t), EdgeId(e)))
+            .collect();
+        Graph { endpoints, offsets: self.offsets().to_vec(), adj }
     }
 
     /// Builds the partition-centric view (§3.1 of the paper) for
@@ -630,7 +618,6 @@ impl CsrFile {
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-    use crate::csr::Csr;
     use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -668,24 +655,18 @@ mod tests {
 
     #[test]
     fn sections_match_in_memory_csr() {
-        let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]);
+        let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (2, 3), (3, 2), (3, 3)]);
         let path = temp_path("sections.ecsr");
         write_csr_file(&g, &path).unwrap();
         let file = CsrFile::open(&path).unwrap();
-        let mem = Csr::from_graph(&g);
+        // The first three sections are the graph's own arrays, word for word.
+        assert_eq!(file.offsets(), g.offsets.as_slice());
+        let targets: Vec<u64> = g.adj.iter().map(|&(t, _)| t.0).collect();
+        let edge_ids: Vec<u64> = g.adj.iter().map(|&(_, e)| e.0).collect();
+        assert_eq!(file.targets(), targets.as_slice());
+        assert_eq!(file.edge_ids(), edge_ids.as_slice());
         for v in g.vertices() {
-            assert_eq!(file.degree(v), mem.degree(v));
-            let lo = file.offsets()[v.index()] as usize;
-            let hi = file.offsets()[v.index() + 1] as usize;
-            let (targets, edges) = mem.neighbors(v);
-            assert_eq!(
-                &file.targets()[lo..hi],
-                targets.iter().map(|t| t.0).collect::<Vec<_>>().as_slice()
-            );
-            assert_eq!(
-                &file.edge_ids()[lo..hi],
-                edges.iter().map(|e| e.0).collect::<Vec<_>>().as_slice()
-            );
+            assert_eq!(file.degree(v), g.degree(v));
         }
         std::fs::remove_file(&path).ok();
     }

@@ -7,35 +7,71 @@ use serde::{Deserialize, Serialize};
 /// An undirected multigraph with stable edge identifiers.
 ///
 /// Vertices are contiguous `0..num_vertices()`. Each undirected edge is stored
-/// once as an ordered pair of endpoints plus an adjacency index that lists, for
-/// each vertex, its incident `(neighbour, edge)` pairs. Parallel edges and
-/// self-loops are permitted (the Eulerizer in `euler-gen` may create parallel
-/// edges); a self-loop contributes 2 to the degree of its vertex, consistent
-/// with the handshaking lemma.
+/// once as an ordered pair of endpoints, indexed by [`EdgeId`], and twice as a
+/// half-edge in a compressed-sparse-row adjacency: two flat arrays, built in
+/// one counting sort over the edges in id order, that are the offsets,
+/// targets and edge-ids sections of an `.ecsr` file (see
+/// [`crate::format_spec`]). Parallel edges and self-loops are permitted (the
+/// Eulerizer in `euler-gen` may create parallel edges); a self-loop has two
+/// consecutive half-edges and so contributes 2 to the degree of its vertex,
+/// consistent with the handshaking lemma.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Graph {
-    pub(crate) num_vertices: u64,
     /// Endpoints of every edge, indexed by `EdgeId`.
     pub(crate) endpoints: Vec<(VertexId, VertexId)>,
-    /// Adjacency list: for each vertex, the incident `(neighbour, edge)` pairs.
-    /// A self-loop appears twice in its vertex's list.
-    pub(crate) adjacency: Vec<Vec<(VertexId, EdgeId)>>,
+    /// `num_vertices + 1` entries: vertex `v`'s half-edges are
+    /// `adj[offsets[v]..offsets[v + 1]]`.
+    pub(crate) offsets: Vec<u64>,
+    /// The `(neighbour, edge)` half-edges of every vertex, grouped by vertex
+    /// and in ascending edge id within a vertex.
+    pub(crate) adj: Vec<(VertexId, EdgeId)>,
 }
 
 impl Graph {
     /// Creates an empty graph with `num_vertices` vertices and no edges.
     pub fn empty(num_vertices: u64) -> Self {
-        Graph {
-            num_vertices,
-            endpoints: Vec::new(),
-            adjacency: vec![Vec::new(); num_vertices as usize],
+        Graph { endpoints: Vec::new(), offsets: vec![0; num_vertices as usize + 1], adj: Vec::new() }
+    }
+
+    /// Builds the graph whose edge `e` joins `endpoints[e]`: one pass counts
+    /// the degrees into the offsets, a second places every half-edge.
+    ///
+    /// # Errors
+    /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is not below
+    /// `num_vertices`.
+    pub fn from_endpoints(num_vertices: u64, endpoints: Vec<(VertexId, VertexId)>) -> Result<Self, GraphError> {
+        let (offsets, adj) = half_edges(num_vertices, &endpoints, 0)?;
+        Ok(Graph { endpoints, offsets, adj })
+    }
+
+    /// This graph with `extra` appended to its edges, as ids `num_edges()..`:
+    /// the graph [`from_endpoints`](Self::from_endpoints) builds from the
+    /// joined list. Every vertex keeps its half-edges and gains the new ones
+    /// after them, so the old arrays are copied, not re-sorted.
+    ///
+    /// # Errors
+    /// Returns [`GraphError::VertexOutOfRange`] if an endpoint of `extra` is
+    /// not a vertex of this graph.
+    pub fn with_edges_appended(&self, extra: &[(VertexId, VertexId)]) -> Result<Self, GraphError> {
+        let (extra_offsets, extra_adj) = half_edges(self.num_vertices(), extra, self.num_edges())?;
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut adj = Vec::with_capacity(self.adj.len() + extra_adj.len());
+        for v in 0..self.num_vertices() as usize {
+            offsets.push(adj.len() as u64);
+            adj.extend_from_slice(&self.adj[self.offsets[v] as usize..self.offsets[v + 1] as usize]);
+            adj.extend_from_slice(&extra_adj[extra_offsets[v] as usize..extra_offsets[v + 1] as usize]);
         }
+        offsets.push(adj.len() as u64);
+        let mut endpoints = Vec::with_capacity(self.endpoints.len() + extra.len());
+        endpoints.extend_from_slice(&self.endpoints);
+        endpoints.extend_from_slice(extra);
+        Ok(Graph { endpoints, offsets, adj })
     }
 
     /// Number of vertices (including isolated ones).
     #[inline]
     pub fn num_vertices(&self) -> u64 {
-        self.num_vertices
+        self.offsets.len() as u64 - 1
     }
 
     /// Number of undirected edges.
@@ -68,18 +104,18 @@ impl Graph {
     /// Degree of a vertex. A self-loop counts twice.
     #[inline]
     pub fn degree(&self, vertex: VertexId) -> u64 {
-        self.adjacency[vertex.index()].len() as u64
+        self.offsets[vertex.index() + 1] - self.offsets[vertex.index()]
     }
 
     /// Incident `(neighbour, edge)` pairs of a vertex.
     #[inline]
     pub fn neighbors(&self, vertex: VertexId) -> &[(VertexId, EdgeId)] {
-        &self.adjacency[vertex.index()]
+        &self.adj[self.offsets[vertex.index()] as usize..self.offsets[vertex.index() + 1] as usize]
     }
 
     /// Iterator over all vertices.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.num_vertices).map(VertexId)
+        (0..self.num_vertices()).map(VertexId)
     }
 
     /// Iterator over all edges as `(edge, u, v)`.
@@ -90,35 +126,11 @@ impl Graph {
             .map(|(i, &(u, v))| (EdgeId(i as u64), u, v))
     }
 
-    /// Adds an undirected edge between `u` and `v`, returning its identifier.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::VertexOutOfRange`] if either endpoint does not
-    /// exist.
-    pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
-        for w in [u, v] {
-            if w.0 >= self.num_vertices {
-                return Err(GraphError::VertexOutOfRange { vertex: w, num_vertices: self.num_vertices });
-            }
-        }
-        let id = EdgeId(self.endpoints.len() as u64);
-        self.endpoints.push((u, v));
-        self.adjacency[u.index()].push((v, id));
-        if u == v {
-            // Self-loop: the single adjacency entry above plus this one makes
-            // the loop contribute 2 to the degree.
-            self.adjacency[u.index()].push((v, id));
-        } else {
-            self.adjacency[v.index()].push((u, id));
-        }
-        Ok(id)
-    }
-
     /// Total memory state of the graph in 8-byte Longs, using the paper's
     /// accounting: one Long per vertex plus two Longs per directed edge
     /// (an undirected edge is represented as a pair of directed edges).
     pub fn memory_longs(&self) -> u64 {
-        self.num_vertices + 4 * self.num_edges()
+        self.num_vertices() + 4 * self.num_edges()
     }
 
     /// True if the graph has no edges.
@@ -127,16 +139,45 @@ impl Graph {
     }
 }
 
+/// A graph's CSR offsets and half-edges.
+type HalfEdges = (Vec<u64>, Vec<(VertexId, EdgeId)>);
+
+/// The CSR offsets and half-edges of the edges `endpoints`, whose ids start
+/// at `first_id`, by a counting sort in edge-id order: `(v, e)` at `u` and
+/// then `(u, e)` at `v`, so a self-loop's two half-edges sit side by side.
+fn half_edges(num_vertices: u64, endpoints: &[(VertexId, VertexId)], first_id: u64) -> Result<HalfEdges, GraphError> {
+    let mut offsets = vec![0u64; num_vertices as usize + 1];
+    for &(u, v) in endpoints {
+        for w in [u, v] {
+            if w.0 >= num_vertices {
+                return Err(GraphError::VertexOutOfRange { vertex: w, num_vertices });
+            }
+            offsets[w.index() + 1] += 1;
+        }
+    }
+    for v in 1..offsets.len() {
+        offsets[v] += offsets[v - 1];
+    }
+    // Each vertex's next free half-edge slot.
+    let mut next = offsets.clone();
+    let mut adj = vec![(VertexId(0), EdgeId(0)); 2 * endpoints.len()];
+    for (e, &(u, v)) in (first_id..).zip(endpoints) {
+        for (w, other) in [(u, v), (v, u)] {
+            let slot = &mut next[w.index()];
+            adj[*slot as usize] = (other, EdgeId(e));
+            *slot += 1;
+        }
+    }
+    Ok((offsets, adj))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{graph_from_edges, GraphBuilder};
 
     fn triangle() -> Graph {
-        let mut g = Graph::empty(3);
-        g.add_edge(VertexId(0), VertexId(1)).unwrap();
-        g.add_edge(VertexId(1), VertexId(2)).unwrap();
-        g.add_edge(VertexId(2), VertexId(0)).unwrap();
-        g
+        graph_from_edges(&[(0, 1), (1, 2), (2, 0)])
     }
 
     #[test]
@@ -164,28 +205,47 @@ mod tests {
 
     #[test]
     fn parallel_edges_get_distinct_ids() {
-        let mut g = Graph::empty(2);
-        let e1 = g.add_edge(VertexId(0), VertexId(1)).unwrap();
-        let e2 = g.add_edge(VertexId(0), VertexId(1)).unwrap();
-        assert_ne!(e1, e2);
+        let g = graph_from_edges(&[(0, 1), (0, 1)]);
+        let ids: Vec<EdgeId> = g.neighbors(VertexId(0)).iter().map(|&(_, e)| e).collect();
+        assert_eq!(ids, [EdgeId(0), EdgeId(1)]);
         assert_eq!(g.degree(VertexId(0)), 2);
         assert_eq!(g.degree(VertexId(1)), 2);
     }
 
     #[test]
     fn self_loop_counts_twice() {
-        let mut g = Graph::empty(1);
-        g.add_edge(VertexId(0), VertexId(0)).unwrap();
-        assert_eq!(g.degree(VertexId(0)), 2);
-        assert_eq!(g.other_endpoint(EdgeId(0), VertexId(0)), VertexId(0));
+        let mut b = GraphBuilder::with_vertices(2);
+        b.add_edge(0, 1).add_edge(0, 0).add_edge(1, 0);
+        let g = b.build().unwrap();
+        assert_eq!(g.degree(VertexId(0)), 4);
+        // The loop's two half-edges sit next to each other, in edge-id order.
+        let v0: Vec<_> = g.neighbors(VertexId(0)).iter().map(|&(w, e)| (w.0, e.0)).collect();
+        assert_eq!(v0, [(1, 0), (0, 1), (0, 1), (1, 2)]);
+        assert_eq!(g.other_endpoint(EdgeId(1), VertexId(0)), VertexId(0));
     }
 
     #[test]
     fn out_of_range_edge_rejected() {
-        let mut g = Graph::empty(2);
-        let err = g.add_edge(VertexId(0), VertexId(2)).unwrap_err();
-        assert!(matches!(err, GraphError::VertexOutOfRange { .. }));
-        assert_eq!(g.num_edges(), 0);
+        let err = Graph::from_endpoints(2, vec![(VertexId(0), VertexId(1)), (VertexId(0), VertexId(2))])
+            .unwrap_err();
+        assert!(matches!(err, GraphError::VertexOutOfRange { vertex: VertexId(2), num_vertices: 2 }));
+    }
+
+    #[test]
+    fn appended_edges_equal_one_build_of_the_joined_list() {
+        let base = [(0, 1), (2, 2), (1, 2), (3, 0), (1, 0)];
+        let extra = [(2, 1), (4, 4), (0, 3), (0, 3), (4, 1)];
+        let pairs = |edges: &[(u64, u64)]| -> Vec<(VertexId, VertexId)> {
+            edges.iter().map(|&(u, v)| (VertexId(u), VertexId(v))).collect()
+        };
+        let g = Graph::from_endpoints(6, pairs(&base)).unwrap();
+        let appended = g.with_edges_appended(&pairs(&extra)).unwrap();
+        let joined = Graph::from_endpoints(6, pairs(&[base, extra].concat())).unwrap();
+        assert_eq!(appended.endpoints, joined.endpoints);
+        assert_eq!(appended.offsets, joined.offsets);
+        assert_eq!(appended.adj, joined.adj);
+        let err = g.with_edges_appended(&pairs(&[(0, 6)])).unwrap_err();
+        assert!(matches!(err, GraphError::VertexOutOfRange { vertex: VertexId(6), num_vertices: 6 }));
     }
 
     #[test]
@@ -194,6 +254,15 @@ mod tests {
         let collected: Vec<_> = g.edges().collect();
         assert_eq!(collected.len(), 3);
         assert_eq!(collected[1], (EdgeId(1), VertexId(1), VertexId(2)));
+    }
+
+    #[test]
+    fn neighbor_iter_pairs_up() {
+        let g = graph_from_edges(&[(0, 1), (1, 2)]);
+        assert_eq!(g.degree(VertexId(1)), 2);
+        for &(nbr, e) in g.neighbors(VertexId(1)) {
+            assert_eq!(g.other_endpoint(e, VertexId(1)), nbr);
+        }
     }
 
     #[test]
@@ -208,8 +277,6 @@ mod tests {
         let g = triangle();
         let n0 = g.neighbors(VertexId(0));
         assert_eq!(n0.len(), 2);
-        let targets: Vec<_> = n0.iter().map(|(v, _)| *v).collect();
-        assert!(targets.contains(&VertexId(1)));
-        assert!(targets.contains(&VertexId(2)));
+        assert_eq!(n0, [(VertexId(1), EdgeId(0)), (VertexId(2), EdgeId(2))]);
     }
 }

@@ -5,9 +5,9 @@
 //! This crate provides the data structures that every other crate in the
 //! workspace builds on:
 //!
-//! * [`Graph`] — an undirected multigraph with stable [`EdgeId`]s and an
-//!   adjacency index, built through [`GraphBuilder`].
-//! * [`Csr`] — a compressed sparse row view used by compute kernels.
+//! * [`Graph`] — an undirected multigraph with stable [`EdgeId`]s, held as
+//!   flat compressed-sparse-row arrays (the sections of an `.ecsr` file),
+//!   built through [`GraphBuilder`].
 //! * [`PartitionedGraph`] / [`Partition`] — the partition-centric view used by
 //!   the paper: internal vertices, boundary vertices, local edges and remote
 //!   edges per partition (§3.1 of the paper).
@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod csr;
 pub mod csr_file;
 pub mod error;
 pub mod graph;
@@ -51,7 +50,6 @@ pub mod stream;
 pub mod format_spec {}
 
 pub use builder::GraphBuilder;
-pub use csr::Csr;
 pub use csr_file::{write_csr_file, CsrFile, CsrFileError};
 pub use error::GraphError;
 pub use graph::Graph;

@@ -5,8 +5,8 @@
 //! space. Keeping their per-vertex state in `HashMap<VertexId, _>` pays a
 //! hash per edge visit; a [`LocalIndex`] instead assigns every distinct
 //! vertex a dense slot in `0..len`, after which all per-vertex state lives in
-//! flat `Vec`s indexed by slot — the same layout idiom as [`crate::Csr`] for
-//! the global graph.
+//! flat `Vec`s indexed by slot — the same layout idiom as the CSR arrays of
+//! the global [`crate::Graph`].
 //!
 //! Slots are assigned in ascending `VertexId` order, so an ascending slot
 //! scan visits vertices in ascending global order. Deterministic algorithms

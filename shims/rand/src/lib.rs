@@ -106,6 +106,7 @@ pub trait SeedableRng: Sized {
 /// Sequence-related sampling (stand-in for `rand::seq`).
 pub mod seq {
     use super::RngCore;
+    use std::collections::HashMap;
 
     /// Random operations on slices.
     pub trait SliceRandom {
@@ -139,15 +140,18 @@ pub mod seq {
             rng: &mut R,
             amount: usize,
         ) -> std::vec::IntoIter<&'a T> {
-            // Partial Fisher–Yates over an index table.
+            // Partial Fisher–Yates over the index table `0..n`, of which only
+            // the entries a swap has moved are stored: O(amount), not O(n).
+            // Entry `i` is never read after step `i`, so only `j` is written.
             let n = self.len();
             let k = amount.min(n);
-            let mut idx: Vec<usize> = (0..n).collect();
+            let mut moved: HashMap<usize, usize> = HashMap::with_capacity(k);
             let mut picked = Vec::with_capacity(k);
             for i in 0..k {
                 let j = i + (rng.next_u64() % (n - i) as u64) as usize;
-                idx.swap(i, j);
-                picked.push(&self[idx[i]]);
+                let at_i = moved.get(&i).copied().unwrap_or(i);
+                let at_j = moved.insert(j, at_i).unwrap_or(j);
+                picked.push(&self[at_j]);
             }
             picked.into_iter()
         }
@@ -206,5 +210,37 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 10, "choose_multiple must not repeat");
+    }
+
+    /// The index-table partial Fisher–Yates that the sparse swap map
+    /// replaced: the oracle for the sequence `choose_multiple` draws.
+    fn choose_multiple_dense<'a, T>(slice: &'a [T], rng: &mut impl RngCore, amount: usize) -> Vec<&'a T> {
+        let n = slice.len();
+        let k = amount.min(n);
+        let mut idx: Vec<usize> = (0..n).collect();
+        let mut picked = Vec::with_capacity(k);
+        for i in 0..k {
+            let j = i + (rng.next_u64() % (n - i) as u64) as usize;
+            idx.swap(i, j);
+            picked.push(&slice[idx[i]]);
+        }
+        picked
+    }
+
+    #[test]
+    fn choose_multiple_draws_what_the_dense_table_draws() {
+        use seq::SliceRandom;
+        let mut params = Lcg(2024);
+        for case in 0..500u64 {
+            let n = (params.next_u64() % 60) as usize;
+            // Every fifth case asks for at least the whole slice.
+            let k = if case % 5 == 0 { n + (params.next_u64() % 3) as usize } else { (params.next_u64() % 64) as usize };
+            let seed = params.next_u64();
+            let v: Vec<usize> = (0..n).collect();
+            let sparse: Vec<usize> = v.choose_multiple(&mut Lcg(seed), k).copied().collect();
+            let dense: Vec<usize> = choose_multiple_dense(&v, &mut Lcg(seed), k).into_iter().copied().collect();
+            assert_eq!(sparse, dense, "n {n} k {k} seed {seed}");
+            assert_eq!(sparse.len(), k.min(n));
+        }
     }
 }

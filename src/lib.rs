@@ -399,7 +399,7 @@ pub mod prelude {
         configs::GraphConfig, eulerize::eulerize, rmat::RmatGenerator, synthetic,
     };
     pub use euler_graph::{
-        builder::graph_from_edges, is_eulerian, write_csr_file, Csr, CsrFile, EdgeId,
+        builder::graph_from_edges, is_eulerian, write_csr_file, CsrFile, EdgeId,
         EdgeListFileSource, EdgeStream, Graph, GraphBuilder, GraphRegistry, GraphSource,
         InMemorySource, MetaGraph, MmapCsrSource, Partition, PartitionAssignment, PartitionId,
         PartitionedGraph, StreamOrder, VertexId,

@@ -51,13 +51,11 @@ fn graph_from(seed: u64, n: u64, extra: usize) -> Graph {
 /// Two connected Eulerian graphs side by side: an input with two circuits.
 fn two_components(seed: u64) -> Graph {
     let (a, b) = (graph_from(seed, 40, 6), graph_from(seed + 1, 25, 4));
-    let mut g = Graph::empty(a.num_vertices() + b.num_vertices());
+    let mut g = GraphBuilder::with_vertices(a.num_vertices() + b.num_vertices());
     for (part, offset) in [(&a, 0), (&b, a.num_vertices())] {
-        for (_, u, v) in part.edges() {
-            g.add_edge(VertexId(u.0 + offset), VertexId(v.0 + offset)).unwrap();
-        }
+        g.extend_edges(part.edges().map(|(_, u, v)| (u.0 + offset, v.0 + offset)));
     }
-    g
+    g.build().unwrap()
 }
 
 fn words_to_bytes(words: &[u64]) -> Vec<u8> {
