@@ -14,8 +14,8 @@
 //! superstep's statistics, the next level's inboxes and the walk's outcome.
 //!
 //! Where the workers live is all that varies. Without a transport they are
-//! slot sets of this process, stepped **in place** — the first on the calling
-//! thread, one scoped thread per further worker — fragments pushed straight
+//! slot sets of this process, stepped **in place** — fanned out on the rayon
+//! pool, whose parked threads every level reuses — fragments pushed straight
 //! into the walk's store; a BSP worker steps its slots one at a time, the
 //! in-process one fans them out on rayon. With one, a **coordinator** owns
 //! the walk and the workers are OS threads over the in-memory transport, or
@@ -109,6 +109,7 @@ use euler_metrics::TimeBreakdown;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -1868,8 +1869,9 @@ fn fold_barrier(
 /// One level on workers stepped in place, each with anything to do decoding
 /// its inbox, stepping its slots with their fragments pushed straight into
 /// the walk's `store`, and handing back its share with the states shipped to
-/// other workers encoded. The first such worker runs on the calling thread,
-/// every further one on a scoped thread of its own.
+/// other workers encoded. The busy workers fan out on the rayon pool; a
+/// worker that panics, on whichever thread, fails the level with a typed
+/// error.
 fn step_in_place(
     sets: &mut [SlotSet],
     level: u32,
@@ -1887,21 +1889,18 @@ fn step_in_place(
         let share = set.step_level(level, inbound, store);
         Ok((w as u32, share.into_done(level).map_err(bad)?))
     };
-    let mut busy = sets
+    let mut busy: Vec<_> = sets
         .iter_mut()
         .zip(inbox)
         .enumerate()
-        .filter(|(_, (set, entries))| !(set.slots.is_empty() && entries.is_empty()));
-    let Some((first, (set, entries))) = busy.next() else { return Ok(Vec::new()) };
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = busy
-            .map(|(w, (set, entries))| scope.spawn(move || step(w, set, entries)))
-            .collect();
-        let mut dones = vec![step(first, set, entries)];
-        let panicked = |_| Err(EulerError::Distributed("a worker stepped in place panicked".into()));
-        dones.extend(spawned.into_iter().map(|h| h.join().unwrap_or_else(panicked)));
-        dones.into_iter().collect()
-    })
+        .filter(|(_, (set, entries))| !(set.slots.is_empty() && entries.is_empty()))
+        .collect();
+    let panicked = |_| Err(EulerError::Distributed("a worker stepped in place panicked".into()));
+    busy.par_iter_mut()
+        .map(|(w, (set, entries))| {
+            panic::catch_unwind(AssertUnwindSafe(|| step(*w, set, entries))).unwrap_or_else(panicked)
+        })
+        .collect()
 }
 
 /// Where a run's workers live.
@@ -2744,6 +2743,29 @@ mod tests {
         conn.send(kind::SHUTDOWN, &[]).unwrap();
         worker.join().unwrap().unwrap();
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A worker stepped in place that panics fails the level with a typed
+    /// error, the first worker (which may run on the calling thread) as much
+    /// as any other. Past the last level a fragment id can name, every
+    /// worker's first push panics.
+    #[test]
+    fn a_panic_in_any_worker_stepped_in_place_is_a_typed_error() {
+        for workers in [1, 2] {
+            let mut run = DistRun::new(
+                BspConfig::with_workers(workers),
+                None,
+                Arc::new(tiny_tree()),
+                MergeStrategy::Deferred,
+                vec![state(0, &[1, 2, 3]), state(1, &[4, 5, 6])].into(),
+                false,
+            )
+            .unwrap();
+            match run.step(FragmentId::MAX_LEVELS, &FragmentStore::new()) {
+                Err(EulerError::Distributed(m)) => assert!(m.contains("panicked"), "{m}"),
+                other => panic!("expected a typed error, got {:?}", other.map(|o| o.reports.len())),
+            }
+        }
     }
 
     /// Workers stepped in place answer the same inbound states with the
