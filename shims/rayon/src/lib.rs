@@ -179,10 +179,6 @@ impl Pool {
     /// items beside the pool's helpers, and returns once all have finished.
     /// An item's panic stops further claims and is re-raised here.
     fn run(&self, len: usize, body: &(dyn Fn(usize) + Sync)) {
-        if self.helpers == 0 {
-            (0..len).for_each(body);
-            return;
-        }
         // SAFETY: only the lifetime changes, and `body` is never used after
         // this function returns. A thread calls `body` only for an item it
         // claimed from this call's entry, under the pool's lock, and calls it
@@ -223,10 +219,11 @@ impl Pool {
 
 /// The one seam every parallel stage runs through: `body` on each index of
 /// `0..n`, on the process-wide pool, started by the first call with two
-/// items or more (a single item runs on the caller, as it would anyway).
+/// items or more. A single item, or a one-thread pool, runs on the caller
+/// and starts nothing.
 fn for_each_index(n: usize, body: &(dyn Fn(usize) + Sync)) {
     static POOL: OnceLock<&'static Pool> = OnceLock::new();
-    if n <= 1 {
+    if n <= 1 || current_num_threads() == 1 {
         return (0..n).for_each(body);
     }
     POOL.get_or_init(|| Pool::start(current_num_threads())).run(n, body);
