@@ -2,10 +2,11 @@
 //!
 //! [`FaultPolicy`] is the coordinator's knob set: heartbeat cadence and
 //! dead-worker timeout.
-//! [`FaultPlan`] is the *injection* side used by the fault-tolerance test
-//! harness: kill worker *k* at superstep *s*, drop or delay the *n*-th
-//! coordinator send. [`RecoveryStats`] is what actually happened — surfaced
-//! through `EngineStats::recovery` and the pipeline's run report.
+//! [`FaultPlan`] is the *injection* side used by the fault-tolerance tests
+//! and benches: kill worker *k* at superstep *s*. Frame-level faults — a
+//! dropped or delayed message — belong to a test transport, not to the
+//! protocol. [`RecoveryStats`] is what actually happened — surfaced through
+//! `EngineStats::recovery` and the pipeline's run report.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -43,30 +44,14 @@ impl FaultPolicy {
     }
 }
 
-/// How an injected kill takes a worker down.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KillMode {
-    /// The worker exits its loop and drops the connection (thread workers —
-    /// a thread cannot be SIGKILLed individually).
-    Exit,
-    /// The worker stalls at the kill point so the coordinator can SIGKILL
-    /// the whole process mid-superstep (process workers).
-    Stall,
-}
-
 /// A scripted fault, for the fault-injection harness. The default plan
 /// injects nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Kill worker `.0` when it receives the Start of superstep `.1`, in the
-    /// [`KillMode`] its kind of worker takes.
+    /// Kill worker `.0` at superstep `.1`: just before the coordinator would
+    /// send it that superstep's Start, it closes the worker's connection
+    /// (and SIGKILLs and reaps a worker process), once per run.
     pub kill: Option<(u32, u32)>,
-    /// Drop the n-th (0-based) coordinator→worker frame instead of sending
-    /// it; the silent worker is then recovered via the heartbeat timeout.
-    pub drop_nth_send: Option<u64>,
-    /// Delay the n-th (0-based) coordinator→worker frame by the given
-    /// duration before sending it.
-    pub delay_nth_send: Option<(u64, Duration)>,
 }
 
 impl FaultPlan {
@@ -77,22 +62,7 @@ impl FaultPlan {
 
     /// Plan to kill `worker` at `superstep`.
     pub fn kill_at(worker: u32, superstep: u32) -> Self {
-        FaultPlan { kill: Some((worker, superstep)), ..Default::default() }
-    }
-
-    /// Plan to drop the n-th coordinator send.
-    pub fn drop_send(n: u64) -> Self {
-        FaultPlan { drop_nth_send: Some(n), ..Default::default() }
-    }
-
-    /// Plan to delay the n-th coordinator send by `d`.
-    pub fn delay_send(n: u64, d: Duration) -> Self {
-        FaultPlan { delay_nth_send: Some((n, d)), ..Default::default() }
-    }
-
-    /// Whether this plan injects anything at all.
-    pub fn is_none(&self) -> bool {
-        self.kill.is_none() && self.drop_nth_send.is_none() && self.delay_nth_send.is_none()
+        FaultPlan { kill: Some((worker, superstep)) }
     }
 }
 
@@ -106,7 +76,9 @@ pub struct RecoveryStats {
     pub full_restarts: u64,
     /// Heartbeat timeouts that declared a worker dead.
     pub heartbeat_misses: u64,
-    /// Coordinator send attempts retried after a transport error.
+    /// Always 0: a coordinator send that fails is the worker's death and is
+    /// never retried (a timed-out TCP send may have written part of its
+    /// frame). Kept for the reports that read it.
     pub send_retries: u64,
     /// Checkpoint files written by workers.
     pub checkpoints_written: u64,
@@ -133,18 +105,6 @@ mod tests {
     fn default_policy_is_sane() {
         let p = FaultPolicy::default();
         assert!(p.heartbeat_timeout > p.heartbeat_interval);
-    }
-
-    #[test]
-    fn plan_constructors() {
-        assert!(FaultPlan::none().is_none());
-        assert_eq!(FaultPlan::kill_at(2, 1).kill, Some((2, 1)));
-        assert!(!FaultPlan::kill_at(2, 1).is_none());
-        assert_eq!(FaultPlan::drop_send(5).drop_nth_send, Some(5));
-        assert_eq!(
-            FaultPlan::delay_send(3, Duration::from_millis(7)).delay_nth_send,
-            Some((3, Duration::from_millis(7)))
-        );
     }
 
     #[test]

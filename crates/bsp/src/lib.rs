@@ -22,7 +22,7 @@
 //!   **byte-serialised** through it, so transfer volumes are real.
 //! * [`transport`], [`checkpoint`], [`fault`] — framed, checksummed
 //!   connections to workers in other threads or processes, superstep
-//!   checkpoints, and the fault policy / injection plan of such a fleet.
+//!   checkpoints, and the fault policy / kill plan of such a fleet.
 //! * [`vertex`] / [`program`] — the vertex-centric (Pregel) model of the
 //!   paper's related-work discussion, used by the Makki baseline.
 
@@ -41,7 +41,7 @@ pub mod wire;
 pub use checkpoint::{checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError};
 pub use cost_model::PlatformCostModel;
 pub use engine::{BspConfig, WorkerCount};
-pub use fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
+pub use fault::{FaultPlan, FaultPolicy, RecoveryStats};
 pub use program::{VertexContext, VertexProgram};
 pub use stats::{EngineStats, SuperstepStats};
 pub use transport::{

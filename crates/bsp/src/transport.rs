@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION (12)
+//! version u16  FRAME_VERSION (13)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
 //! check   u64  word-folded FNV-1a over kind, len and payload
@@ -68,7 +68,7 @@ pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version. Bumped whenever the layout of the frame or
 /// of any message carried in it changes, so peers of different builds refuse
 /// each other at the first frame instead of misreading a payload.
-pub const FRAME_VERSION: u16 = 12;
+pub const FRAME_VERSION: u16 = 13;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -1283,6 +1283,34 @@ mod tests {
         assert!(saw_timeout, "64 MiB into an unread socket without a send timeout firing");
         // Disarming restores the (non-blocking here) small-send path.
         conn.set_send_timeout(None);
+    }
+
+    /// A send that times out part way through a frame leaves that frame's
+    /// head on the stream, and the peer reads whatever is sent next as the
+    /// rest of it: sent again, the frame reaches the peer as a typed error,
+    /// never as a frame. This is why the coordinator does not retry a
+    /// failed Start but takes it for the worker's death.
+    #[test]
+    fn a_send_timed_out_mid_frame_leaves_the_stream_unusable() {
+        let listener = TcpTransport.listen().unwrap();
+        let conn = TcpTransport.connect(&listener.endpoint()).unwrap();
+        let peer = listener.accept(Duration::from_secs(5)).unwrap();
+        conn.set_send_timeout(Some(Duration::from_millis(200)));
+        // Far more than an unread loopback socket takes in: the first write
+        // puts part of the frame on the stream, and the rest stalls.
+        let payload = pattern(16 << 20, 5);
+        assert_eq!(conn.send(9, &payload).unwrap_err(), FrameError::Timeout);
+        let reader = std::thread::spawn(move || peer.recv_timeout(Some(Duration::from_secs(10))));
+        // The retry: it completes the cut frame's length with its own head
+        // and bytes. Once the peer stops reading its tail may time out too.
+        conn.send(9, &payload).ok();
+        conn.close();
+        let got = reader.join().unwrap();
+        assert!(
+            matches!(got, Err(FrameError::ChecksumMismatch | FrameError::Truncated { .. })),
+            "after a send timed out mid-frame the peer read {:?}",
+            got.map(|(kind, payload)| (kind, payload.len()))
+        );
     }
 
     /// `close` wakes a receive blocked on the connection, and the peer reads

@@ -29,7 +29,7 @@
 //! ```text
 //! worker                         coordinator
 //!   | -- Hello{worker} ------------> |      (handshake, after connect)
-//!   | <-- Init{plan, tree, seeds     |      (again after a detected death)
+//!   | <-- Init{head, tree, seeds     |      (again after a detected death)
 //!   |     | file | checkpoint s} --- |
 //!   | -- Ready{ckpt longs,           |
 //!   |     build ns, refusal} ------> |
@@ -76,14 +76,18 @@
 //! slots and the states kept for the next level's merges, two lists in the
 //! wire codec — to a versioned checkpoint file: `ckpt-w{W}-s{K}` holds the
 //! state *entering* superstep `K ≥ 1` (entering 0, the retained Init tails
-//! are that state). Every way a worker gets its state is an Init. When the
-//! coordinator detects a death during superstep `s ≥ 1` it respawns each
-//! dead worker once, stops and joins the survivors' receivers under a new
-//! epoch, and re-Inits every worker from checkpoint `s`; it then re-delivers
-//! the superstep `s` inputs it retained and resumes. At `s = 0`, with
-//! checkpointing off, or on any refusal, it re-Inits every worker in place
-//! from the Init tails it retained — states or reference — and replays
-//! supersteps `0..s` deterministically.
+//! are that state). Every way a worker gets its state is an Init. A worker
+//! is dead when its connection closes, when the Start of a superstep cannot
+//! be sent to it, or when it stays silent past the heartbeat timeout. When
+//! the coordinator detects a death during superstep `s ≥ 1` it respawns each
+//! dead worker once, under a new epoch, and re-Inits every worker from
+//! checkpoint `s`; it then re-delivers the superstep `s` inputs it retained
+//! and resumes. At `s = 0`, with checkpointing off, or on any refusal, it
+//! re-Inits every worker in place from the Init tails it retained — states
+//! or reference — and replays supersteps `0..s` deterministically. Each
+//! connection has one receiver thread for its whole life, so the Readys come
+//! in behind whatever a survivor sent for the abandoned barrier, and are
+//! told from it by their kind: frames on one connection arrive in order.
 
 use crate::error::EulerError;
 use crate::fragment::{FragmentId, FragmentStore, Segment, SegmentHead};
@@ -98,7 +102,7 @@ use crate::state::{VertexTypeCounts, WorkingPartition};
 use euler_bsp::checkpoint::{
     checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError,
 };
-use euler_bsp::fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
+use euler_bsp::fault::{FaultPlan, FaultPolicy, RecoveryStats};
 use euler_bsp::transport::{
     connect_endpoint, connect_with_retry, Connection, FrameError, Listener, Transport,
 };
@@ -278,7 +282,6 @@ struct InitHead {
     worker_id: u32,
     strategy: MergeStrategy,
     heartbeat_interval: Duration,
-    kill: Option<(u32, u32)>,
     checkpoint_dir: Option<PathBuf>,
     tree: Arc<MergeTree>,
 }
@@ -286,10 +289,6 @@ struct InitHead {
 fn encode_init_head(m: &InitHead) -> WordWriter {
     let mut out = WordWriter::new();
     out.words(&[m.worker_id as u64, m.strategy.wire_code(), m.heartbeat_interval.as_nanos() as u64]);
-    match m.kill {
-        Some((w, s)) => out.words(&[1, w as u64, s as u64]),
-        None => out.words(&[0, 0, 0]),
-    }
     match &m.checkpoint_dir {
         Some(d) => {
             out.u(1);
@@ -303,14 +302,13 @@ fn encode_init_head(m: &InitHead) -> WordWriter {
 
 fn decode_init(payload: &[u8]) -> Result<(InitHead, SeedTail), WireError> {
     let mut r = WordReader::new(payload)?;
-    let [worker_id, strategy, heartbeat_ns, kill_flag, kill_w, kill_s, has_dir] = r.array()?;
+    let [worker_id, strategy, heartbeat_ns, has_dir] = r.array()?;
     let strategy = MergeStrategy::from_wire_code(strategy)?;
     let checkpoint_dir = if has_dir != 0 { Some(PathBuf::from(r.str()?)) } else { None };
     let head = InitHead {
         worker_id: word_u32(worker_id, "worker id")?,
         strategy,
         heartbeat_interval: Duration::from_nanos(heartbeat_ns),
-        kill: if kill_flag != 0 { Some((word_u32(kill_w, "kill worker")?, word_u32(kill_s, "kill step")?)) } else { None },
         checkpoint_dir,
         tree: Arc::new(decode_tree(&mut r)?),
     };
@@ -858,13 +856,12 @@ impl SlotSet {
 struct WorkerState {
     init: InitHead,
     set: SlotSet,
-    kill_consumed: bool,
 }
 
 impl WorkerState {
     fn build(init: InitHead, seeds: Vec<WorkingPartition>) -> Self {
         let set = SlotSet::new(Arc::clone(&init.tree), init.strategy, seeds, false);
-        WorkerState { init, set, kill_consumed: false }
+        WorkerState { init, set }
     }
 
     /// Writes the checkpoint entering `superstep`: the slot states, then the
@@ -930,15 +927,10 @@ impl WorkerState {
 }
 
 /// Runs the worker protocol loop over an established connection. Returns
-/// when told to shut down, or exits early on an injected kill / protocol
-/// failure (the coordinator sees the connection drop and recovers). An
-/// injected kill takes the worker down in `kill_mode`, the one its kind of
-/// worker can take.
-pub(crate) fn run_worker(
-    conn: Arc<dyn Connection>,
-    worker_id: u32,
-    kill_mode: KillMode,
-) -> Result<(), String> {
+/// when told to shut down or when the connection closes, or early on a
+/// protocol failure (the coordinator sees the connection drop and
+/// recovers).
+pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<(), String> {
     conn.send_words(kind::HELLO, &[worker_id as u64])
         .map_err(|e| format!("hello failed: {e}"))?;
 
@@ -1012,21 +1004,6 @@ pub(crate) fn run_worker(
                         return Err(format!("Start of superstep {superstep} beyond the tree"));
                     }
                     busy.store(true, Ordering::Relaxed);
-                    if let Some((kw, ks)) = st.init.kill {
-                        if kw == st.init.worker_id && ks == superstep && !st.kill_consumed {
-                            st.kill_consumed = true;
-                            match kill_mode {
-                                // Thread workers can't be SIGKILLed individually:
-                                // dying is dropping the connection mid-superstep.
-                                KillMode::Exit => return Ok(false),
-                                // Process workers stall so the coordinator's
-                                // SIGKILL lands mid-superstep, before any Done.
-                                KillMode::Stall => {
-                                    std::thread::sleep(Duration::from_millis(600))
-                                }
-                            }
-                        }
-                    }
                     let inbound = st.set.unpack(superstep, records).map_err(|e| e.to_string())?;
                     drop(payload);
                     let done = st.superstep(superstep, inbound);
@@ -1057,12 +1034,11 @@ pub(crate) fn run_worker(
 
 /// Entry point of the `euler-worker` binary: connect to the coordinator
 /// `endpoint` (`tcp:HOST:PORT`) and serve as worker `worker_id` until shut
-/// down. A process worker stalls at an injected kill, so the coordinator's
-/// SIGKILL lands mid-superstep.
+/// down.
 pub fn worker_main(endpoint: &str, worker_id: u32) -> Result<(), String> {
     let conn = connect_endpoint(endpoint)
         .map_err(|e| format!("worker {worker_id} could not connect to {endpoint}: {e}"))?;
-    run_worker(Arc::from(conn), worker_id, KillMode::Stall)
+    run_worker(Arc::from(conn), worker_id)
 }
 
 /// Resolves the worker binary to spawn for process workers:
@@ -1110,19 +1086,21 @@ enum Event {
 struct WorkerHandle {
     conn: Arc<dyn Connection>,
     child: Option<std::process::Child>,
+    /// Bumped when the worker is respawned: events of an earlier connection
+    /// carry an earlier epoch and are dropped as stale.
     epoch: u64,
     restarts: u32,
     last_heard: Instant,
-    stop_rx: Arc<AtomicBool>,
     recv_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl WorkerHandle {
-    /// Stops the receiver thread, kills and reaps the worker process, joins
-    /// the receiver. A retired handle's connection closes when the handle
-    /// is dropped, which ends a thread worker still waiting on it.
+    /// Closes the connection — which wakes the receiver blocked on it and
+    /// ends a thread worker waiting on the other end — kills and reaps the
+    /// worker process, and joins the receiver. Retiring twice is retiring
+    /// once.
     fn retire(&mut self) {
-        self.stop_rx.store(true, Ordering::Relaxed);
+        self.conn.close();
         if let Some(mut child) = self.child.take() {
             child.kill().ok();
             child.wait().ok();
@@ -1130,8 +1108,8 @@ impl WorkerHandle {
         self.join_receiver();
     }
 
-    /// Joins the receiver thread, which leaves within one poll once its
-    /// stop flag is set.
+    /// Joins the receiver thread, which leaves once its connection closes or
+    /// has carried the worker's Bye.
     fn join_receiver(&mut self) {
         if let Some(recv) = self.recv_handle.take() {
             recv.join().ok();
@@ -1164,8 +1142,6 @@ struct Fleet {
     seed_build: Duration,
     /// A failed checkpoint write has been warned of (once per run).
     unwritten_warned: bool,
-    kill_consumed: bool,
-    start_seq: u64,
     shut_down: bool,
 }
 
@@ -1202,8 +1178,6 @@ impl Fleet {
             init_bytes: 0,
             seed_build: Duration::ZERO,
             unwritten_warned: false,
-            kill_consumed: false,
-            start_seq: 0,
             shut_down: false,
         };
         let all: Vec<u32> = (0..num_workers as u32).collect();
@@ -1235,12 +1209,17 @@ impl Fleet {
         for h in &self.workers {
             h.conn.send(kind::SHUTDOWN, &[]).ok();
         }
-        // Best-effort Bye drain so sockets flush before teardown.
+        // Best-effort drain, so sockets flush before teardown: until every
+        // worker said Bye or its connection closed, or for 500 ms.
         let deadline = Instant::now() + Duration::from_millis(500);
-        let mut byes = 0;
-        while byes < self.workers.len() && Instant::now() < deadline {
-            match self.events_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Event::Frame { kind: kind::BYE, .. }) => byes += 1,
+        let mut gone = 0;
+        while gone < self.workers.len() {
+            match self.events_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(Event::Frame { worker, epoch, kind: kind::BYE, .. } | Event::Dead { worker, epoch })
+                    if self.workers[worker as usize].epoch == epoch =>
+                {
+                    gone += 1
+                }
                 Ok(_) => {}
                 Err(_) => break,
             }
@@ -1273,9 +1252,9 @@ impl Fleet {
         }
     }
 
-    /// Accepts the launched workers `ws` and installs their handles; a
+    /// Accepts the launched workers `ws`, installs their handles — a
     /// respawned worker's replaces the old handle, retired, under the next
-    /// epoch.
+    /// epoch — and starts their receivers.
     fn attach(
         &mut self,
         ws: &[u32],
@@ -1295,7 +1274,6 @@ impl Fleet {
                 epoch: 0,
                 restarts: 0,
                 last_heard: Instant::now(),
-                stop_rx: Arc::new(AtomicBool::new(false)),
                 recv_handle: None,
             };
             if let Some(existing) = self.workers.get_mut(w as usize) {
@@ -1307,6 +1285,7 @@ impl Fleet {
                 self.workers.push(handle);
             }
         }
+        self.start_receivers(ws);
         Ok(())
     }
 
@@ -1321,10 +1300,10 @@ impl Fleet {
                     let Ok(conn) = connect_with_retry(transport.as_ref(), &endpoint) else {
                         return;
                     };
-                    // A worker death (injected or real) is just this thread
-                    // returning; the coordinator recovers from the dropped
-                    // connection, so the error itself needs no channel.
-                    run_worker(Arc::from(conn), w, KillMode::Exit).ok();
+                    // A worker death is just this thread returning; the
+                    // coordinator recovers from the dropped connection, so
+                    // the error itself needs no channel.
+                    run_worker(Arc::from(conn), w).ok();
                 });
                 Ok(None)
             }
@@ -1379,9 +1358,10 @@ impl Fleet {
                 ws.iter().copied().find(|&w| Some(u64::from(w)) == hello && !conns.contains_key(&w));
             if let Some(w) = expected {
                 // A stalled worker must not block a coordinator send past the
-                // fault deadlines: bound every send by the heartbeat timeout
-                // so a full socket buffer surfaces as FrameError::Timeout and
-                // flows into the existing send-retry / dead-worker path.
+                // fault deadlines: bound every send by the heartbeat timeout,
+                // so a full socket buffer surfaces as FrameError::Timeout. A
+                // send that fails is the worker's death, never retried: a
+                // timed-out TCP send may have written part of its frame.
                 conn.set_send_timeout(Some(self.cfg.policy.heartbeat_timeout));
                 conns.insert(w, Arc::from(conn));
             }
@@ -1393,42 +1373,22 @@ impl Fleet {
     }
 
     /// Inits every worker — from its retained level-0 tail, or from its
-    /// checkpoint entering superstep `checkpoint` — under a new epoch: every
-    /// receiver is stopped, then joined (one poll between them), so frames
-    /// of an abandoned barrier stay behind and the Readys are read here. All
-    /// Inits go out before the first Ready is awaited, so the workers build
-    /// their states side by side. Returns true with the fleet up, receivers
-    /// running; false, receivers stopped, if any worker refused its
+    /// checkpoint entering superstep `checkpoint`. All Inits go out before
+    /// the first Ready is awaited, so the workers build their states side by
+    /// side. Returns true with the fleet up; false if any worker refused its
     /// checkpoint.
     fn init_all(&mut self, checkpoint: Option<u32>) -> Result<bool, EulerError> {
-        self.workers.iter().for_each(|h| h.stop_rx.store(true, Ordering::Relaxed));
-        for h in &mut self.workers {
-            h.join_receiver();
-            h.epoch += 1;
-            h.stop_rx = Arc::new(AtomicBool::new(false));
-        }
-        let all = 0..self.num_workers() as u32;
-        all.clone().try_for_each(|w| self.send_init(w, checkpoint))?;
-        let mut up = true;
-        for w in all {
-            up &= self.await_ready(w, checkpoint)?;
-        }
-        if up {
-            self.start_receivers();
-        }
-        Ok(up)
+        (0..self.num_workers() as u32).try_for_each(|w| self.send_init(w, checkpoint))?;
+        self.await_readys(checkpoint)
     }
 
     /// Sends Init: the head, then this worker's retained tail or the
-    /// checkpoint seed. The injected kill plan is delivered only while
-    /// unconsumed.
+    /// checkpoint seed.
     fn send_init(&mut self, w: u32, checkpoint: Option<u32>) -> Result<(), EulerError> {
-        let kill = self.cfg.plan.kill.filter(|_| !self.kill_consumed);
         let head = encode_init_head(&InitHead {
             worker_id: w,
             strategy: self.strategy,
             heartbeat_interval: self.cfg.policy.heartbeat_interval,
-            kill,
             checkpoint_dir: self.cfg.checkpoint_dir.clone(),
             tree: Arc::clone(&self.tree),
         });
@@ -1449,20 +1409,53 @@ impl Fleet {
             .map_err(|e| EulerError::Distributed(format!("init of worker {w} failed: {e}")))
     }
 
-    /// Waits for the Ready that answers an Init, read directly off the
-    /// connection (the worker's receiver thread is not running), passing
-    /// over the Heartbeats and the Done of a barrier the Init abandoned.
-    /// Accounts the checkpoint the worker restored, and returns whether it
-    /// took its seed; it always takes a level-0 seed.
-    fn await_ready(&mut self, w: u32, checkpoint: Option<u32>) -> Result<bool, EulerError> {
+    /// Waits for every worker's Ready to the Inits just sent, off the events
+    /// channel. Frames on one connection arrive in order, so a worker's Done
+    /// and Heartbeats ahead of its Ready belong to a barrier the Init
+    /// abandoned, and are skipped. Accounts the checkpoints the workers
+    /// restored, and returns whether every worker took its seed; a level-0
+    /// seed is always taken.
+    fn await_readys(&mut self, checkpoint: Option<u32>) -> Result<bool, EulerError> {
         let deadline = Instant::now() + Duration::from_secs(30);
-        let payload = loop {
-            let (k, payload) = self.workers[w as usize]
-                .conn
-                .recv_timeout(Some(deadline.saturating_duration_since(Instant::now())))
-                .map_err(|e| EulerError::Distributed(format!("worker {w} not ready: {e}")))?;
+        let mut ready = vec![false; self.num_workers()];
+        let mut up = true;
+        while let Some(waiting) = ready.iter().position(|&r| !r) {
+            let event = self.events_rx.recv_timeout(deadline.saturating_duration_since(Instant::now()));
+            let (w, k, payload) = match event {
+                Ok(Event::Frame { worker, epoch, kind, payload })
+                    if self.workers[worker as usize].epoch == epoch =>
+                {
+                    (worker, kind, payload)
+                }
+                Ok(Event::Dead { worker, epoch })
+                    if self.workers[worker as usize].epoch == epoch && !ready[worker as usize] =>
+                {
+                    return Err(EulerError::Distributed(format!(
+                        "worker {worker} not ready: its connection closed"
+                    )))
+                }
+                Ok(_) => continue,
+                Err(e) => {
+                    return Err(EulerError::Distributed(format!("worker {waiting} not ready: {e}")))
+                }
+            };
             match k {
-                kind::READY => break payload,
+                kind::READY if !ready[w as usize] => {
+                    let [longs, seed_ns, refusal] =
+                        WordReader::new(&payload).and_then(|mut r| r.array()).map_err(|e| {
+                            EulerError::Distributed(format!("malformed Ready from worker {w}: {e}"))
+                        })?;
+                    self.seed_build = self.seed_build.max(Duration::from_nanos(seed_ns));
+                    // Refusal: 0 none, 1 no checkpoint to restore, 2 one found
+                    // and ignored.
+                    match (checkpoint, refusal) {
+                        (Some(_), 0) => self.recovery.checkpoint_longs_restored += longs,
+                        (Some(_), 2) => self.recovery.checkpoints_ignored += 1,
+                        _ => {}
+                    }
+                    ready[w as usize] = true;
+                    up &= refusal == 0;
+                }
                 kind::HEARTBEAT | kind::DONE => {}
                 other => {
                     return Err(EulerError::Distributed(format!(
@@ -1470,18 +1463,8 @@ impl Fleet {
                     )))
                 }
             }
-        };
-        let [longs, seed_ns, refusal] = WordReader::new(&payload)
-            .and_then(|mut r| r.array())
-            .map_err(|e| EulerError::Distributed(format!("malformed Ready from worker {w}: {e}")))?;
-        self.seed_build = self.seed_build.max(Duration::from_nanos(seed_ns));
-        // Refusal: 0 none, 1 no checkpoint to restore, 2 one found and ignored.
-        match (checkpoint, refusal) {
-            (Some(_), 0) => self.recovery.checkpoint_longs_restored += longs,
-            (Some(_), 2) => self.recovery.checkpoints_ignored += 1,
-            _ => {}
         }
-        Ok(refusal == 0)
+        Ok(up)
     }
 
     /// Accounts a checkpoint worker `w` reports writing, the one entering
@@ -1499,19 +1482,19 @@ impl Fleet {
         }
     }
 
-    /// Starts every worker's receiver thread under its current epoch.
-    fn start_receivers(&mut self) {
-        for (w, h) in self.workers.iter_mut().enumerate() {
-            let w = w as u32;
+    /// Starts the receiver threads of workers `ws`, one per connection for
+    /// as long as it lives: each blocks on its connection and forwards every
+    /// frame, tagged with the worker's current epoch, to the events channel,
+    /// and leaves after the worker's Bye or, with a `Dead` event, when the
+    /// connection fails.
+    fn start_receivers(&mut self, ws: &[u32]) {
+        for &w in ws {
+            let h = &mut self.workers[w as usize];
             let conn = Arc::clone(&h.conn);
-            let stop = Arc::clone(&h.stop_rx);
             let epoch = h.epoch;
             let tx = self.events_tx.clone();
             h.recv_handle = Some(std::thread::spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                match conn.recv_timeout(Some(Duration::from_millis(100))) {
+                match conn.recv_timeout(None) {
                     Ok((kind, payload)) => {
                         // A Bye is the last frame a worker sends.
                         if tx.send(Event::Frame { worker: w, epoch, kind, payload }).is_err()
@@ -1520,7 +1503,6 @@ impl Fleet {
                             return;
                         }
                     }
-                    Err(FrameError::Timeout) => continue,
                     Err(_) => {
                         tx.send(Event::Dead { worker: w, epoch }).ok();
                         return;
@@ -1530,36 +1512,17 @@ impl Fleet {
         }
     }
 
-    /// Coordinator→worker send with bounded retry, plus the scripted
-    /// drop/delay injection (counted over Start frames).
-    fn send_start(&mut self, w: u32, parts: &[&[u8]]) -> Result<(), FrameError> {
-        // Retries of a failed send before the worker is declared dead.
-        const SEND_RETRIES: u32 = 2;
-        let seq = self.start_seq;
-        self.start_seq += 1;
-        if self.cfg.plan.drop_nth_send == Some(seq) {
-            return Ok(()); // injected loss: pretend it went out
+    /// Sends worker `w` the Start of superstep `level`; an error is the
+    /// worker's death. A planned kill fires here, once: the worker's
+    /// connection is closed — and a process worker SIGKILLed and reaped —
+    /// just before its Start, so the send fails.
+    fn send_start(&mut self, w: u32, level: u32, parts: &[&[u8]]) -> Result<(), FrameError> {
+        let handle = &mut self.workers[w as usize];
+        if self.cfg.plan.kill == Some((w, level)) {
+            self.cfg.plan.kill = None;
+            handle.retire();
         }
-        if let Some((n, d)) = self.cfg.plan.delay_nth_send {
-            if n == seq {
-                std::thread::sleep(d);
-            }
-        }
-        let conn = Arc::clone(&self.workers[w as usize].conn);
-        let mut last = FrameError::Closed;
-        for attempt in 0..=SEND_RETRIES {
-            match conn.send_parts(kind::START, parts) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    last = e;
-                    if attempt < SEND_RETRIES {
-                        self.recovery.send_retries += 1;
-                        std::thread::sleep(Duration::from_millis(5 << attempt));
-                    }
-                }
-            }
-        }
-        Err(last)
+        handle.conn.send_parts(kind::START, parts)
     }
 
     /// Drives superstep `level` to a completed barrier over `inbox` — each
@@ -1584,20 +1547,8 @@ impl Fleet {
                     .chain(entries.iter().map(Blob::bytes))
                     .collect();
                 self.workers[w].last_heard = Instant::now();
-                if self.send_start(w as u32, &parts).is_err() {
+                if self.send_start(w as u32, level, &parts).is_err() {
                     deaths.push(w as u32);
-                }
-            }
-            // Injected SIGKILL for process workers: the target stalls at
-            // this superstep; kill it for real, mid-superstep.
-            if let (Some((kw, ks)), WorkerSpawn::Processes { .. }, false) =
-                (self.cfg.plan.kill, &self.cfg.spawn, self.kill_consumed)
-            {
-                if ks == level {
-                    std::thread::sleep(Duration::from_millis(150));
-                    if let Some(child) = &mut self.workers[kw as usize].child {
-                        child.kill().ok();
-                    }
                 }
             }
             if deaths.is_empty() {
@@ -1621,12 +1572,20 @@ impl Fleet {
 
     /// Waits until every worker answered Done for `level` or died:
     /// `Ok(Ok(dones))` when all answered, `Ok(Err(dead))` lists the deceased.
+    /// Each wait lasts until the next event or the earliest moment a pending
+    /// worker's silence passes the heartbeat timeout.
     fn wait_barrier(&mut self, level: u32) -> Result<Result<Dones, Vec<u32>>, EulerError> {
+        let timeout = self.cfg.policy.heartbeat_timeout;
         let mut pending: Vec<bool> = vec![true; self.num_workers()];
         let mut deaths: Vec<u32> = Vec::new();
         let mut dones = Vec::with_capacity(self.num_workers());
         while pending.iter().any(|&p| p) {
-            match self.events_rx.recv_timeout(Duration::from_millis(25)) {
+            let wait = (0..pending.len())
+                .filter(|&w| pending[w])
+                .map(|w| timeout.saturating_sub(self.workers[w].last_heard.elapsed()))
+                .min()
+                .unwrap_or_default();
+            match self.events_rx.recv_timeout(wait) {
                 Ok(Event::Frame { worker, epoch, kind: k, payload }) => {
                     if self.workers[worker as usize].epoch != epoch {
                         continue; // stale connection
@@ -1668,9 +1627,8 @@ impl Fleet {
                 }
             }
             // Heartbeat deadline sweep over still-pending workers.
-            let timeout = self.cfg.policy.heartbeat_timeout;
             for (w, still_pending) in pending.iter_mut().enumerate() {
-                if *still_pending && self.workers[w].last_heard.elapsed() > timeout {
+                if *still_pending && self.workers[w].last_heard.elapsed() >= timeout {
                     *still_pending = false;
                     deaths.push(w as u32);
                     self.recovery.heartbeat_misses += 1;
@@ -1714,9 +1672,6 @@ impl Fleet {
             h.retire();
             self.recovery.restarts += 1;
         }
-        if self.cfg.plan.kill.is_some_and(|(_, ks)| ks == level) {
-            self.kill_consumed = true;
-        }
         let children = self.launch_all(deaths)?;
         self.attach(deaths, children)?;
         let died = format!("worker(s) {deaths:?} died at superstep {level}");
@@ -1738,7 +1693,8 @@ impl Fleet {
         *inbox = vec![Vec::new(); self.num_workers()];
         for ss in 0..level {
             let dones = self.run_superstep(ss, inbox, None)?;
-            *inbox = fold_barrier(ss, dones, &self.placement, Duration::ZERO)?.1;
+            // Only the inboxes are rebuilt; the walk has these levels' stats.
+            *inbox = fold_barrier(ss, dones, &self.placement, Default::default())?.1;
         }
         Ok(())
     }
@@ -2052,7 +2008,6 @@ mod tests {
             worker_id: 0,
             strategy: MergeStrategy::Deferred,
             heartbeat_interval: Duration::from_millis(50),
-            kill: None,
             checkpoint_dir: dir,
             tree: Arc::new(tiny_tree()),
         }
@@ -2295,23 +2250,21 @@ mod tests {
     fn init_message_roundtrips() {
         let dir = Some(PathBuf::from("/tmp/ckpts"));
         let mut m = test_init(dir.clone());
-        m.kill = Some((3, 2));
         let seeds = vec![state(0, &[1, 2, 3]), state(1, &[]), state(2, &[u64::MAX])];
         let (got, got_seeds) = decode_init(&init_payload(&m, &seeds)).unwrap();
         assert_eq!(got.worker_id, m.worker_id);
-        assert_eq!(got.kill, m.kill);
         assert_eq!(got.checkpoint_dir, dir);
         assert_eq!(shipped(got_seeds), seeds);
         assert_eq!(got.tree.leaves, m.tree.leaves);
         assert_eq!(got.tree.levels, m.tree.levels);
-        // The head is seven words ahead of the directory: worker, strategy,
-        // heartbeat, the kill plan's three and the directory flag. One cut
-        // short anywhere is refused.
+        // The head is four words ahead of the directory: worker, strategy,
+        // heartbeat and the directory flag. One cut short anywhere is
+        // refused.
         let head = encode_init_head(&test_init(None)).into_bytes();
         let strategy = MergeStrategy::Deferred.wire_code();
         let words: Vec<u64> =
-            head.chunks(8).take(7).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
-        assert_eq!(words, [0, strategy, 50_000_000, 0, 0, 0, 0]);
+            head.chunks(8).take(4).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
+        assert_eq!(words, [0, strategy, 50_000_000, 0]);
         for cut in 0..head.len() / 8 {
             assert!(
                 matches!(decode_init(&head[..8 * cut]), Err(WireError::Truncated { .. })),
@@ -2672,7 +2625,7 @@ mod tests {
         for (frames, what) in cases {
             let listener = MemTransport.listen().unwrap();
             let dial = MemTransport.connect(&listener.endpoint()).unwrap();
-            let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0, KillMode::Exit));
+            let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
             let conn = listener.accept(Duration::from_secs(5)).unwrap();
             assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
             for (k, payload) in &frames {
@@ -2691,7 +2644,7 @@ mod tests {
         // checkpoint Longs and the time the level-0 build took.
         let listener = MemTransport.listen().unwrap();
         let dial = MemTransport.connect(&listener.endpoint()).unwrap();
-        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0, KillMode::Exit));
+        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
         let conn = listener.accept(Duration::from_secs(5)).unwrap();
         assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
         conn.send(kind::INIT, &good_ref).unwrap();
@@ -2712,7 +2665,7 @@ mod tests {
         let writer = WorkerState::build(test_init(Some(ckpt.clone())), vec![state(0, &[4])]);
         let listener = MemTransport.listen().unwrap();
         let dial = MemTransport.connect(&listener.endpoint()).unwrap();
-        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0, KillMode::Exit));
+        let worker = std::thread::spawn(move || run_worker(Arc::from(dial), 0));
         let conn = listener.accept(Duration::from_secs(5)).unwrap();
         assert_eq!(conn.recv_timeout(Some(Duration::from_secs(5))).unwrap().0, kind::HELLO);
         conn.send(kind::INIT, &init_payload(&checkpointing, &[state(0, &[])])).unwrap();

@@ -564,9 +564,9 @@ impl BspBackend {
         self
     }
 
-    /// Injects scripted faults (kill worker *k* at superstep *s*, drop or
-    /// delay the *n*-th superstep message) — the test/bench harness for the
-    /// recovery machinery.
+    /// Injects a scripted fault — kill worker *k* at superstep *s*, just
+    /// before its Start — the test/bench harness for the recovery
+    /// machinery.
     pub fn with_fault_plan(mut self, plan: euler_bsp::FaultPlan) -> Self {
         self.fault_plan = plan;
         self

@@ -6,8 +6,7 @@
 //! The Euler circuit algorithm only needs *some* vertex partition; its
 //! performance depends on two qualities the paper reports in Table 1: the
 //! edge-cut fraction and the vertex imbalance. Three partitioners with
-//! different cut/balance trade-offs are provided, plus an optional
-//! Kernighan–Lin-style boundary refinement pass:
+//! different cut/balance trade-offs are provided:
 //!
 //! * [`HashPartitioner`] — assigns vertices by hashing their id. Perfectly
 //!   balanced, worst-case cut; the baseline a Big Data platform would give
@@ -20,8 +19,6 @@
 //! * [`BfsPartitioner`] — region-growing: grows partitions from seed vertices
 //!   in BFS order, producing connected, low-cut partitions on mesh-like
 //!   graphs.
-//! * [`refine::fm_refine`] — greedy boundary-vertex migration that reduces
-//!   the edge cut while respecting a balance constraint.
 //!
 //! Partitioners whose algorithm can consume chunked edge batches additionally
 //! implement [`StreamingPartitioner`] (hash: any order; LDG: vertex-grouped
@@ -33,13 +30,11 @@
 pub mod bfs;
 pub mod hash;
 pub mod ldg;
-pub mod refine;
 pub mod stats;
 pub mod traits;
 
 pub use bfs::BfsPartitioner;
 pub use hash::HashPartitioner;
 pub use ldg::LdgPartitioner;
-pub use refine::fm_refine;
 pub use stats::PartitionQuality;
 pub use traits::{Partitioner, StreamingPartitioner};

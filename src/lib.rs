@@ -239,7 +239,8 @@
 //! the state entering it);
 //! either way the final circuit is bit-identical to an unkilled run, for
 //! any worker count. [`FaultPolicy`](bsp::FaultPolicy) tunes heartbeats;
-//! [`FaultPlan`](bsp::FaultPlan) injects faults for tests.
+//! [`FaultPlan`](bsp::FaultPlan) kills a worker at a chosen superstep, for
+//! tests.
 //!
 //! ```
 //! use euler_circuit::prelude::*;

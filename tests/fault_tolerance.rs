@@ -7,8 +7,8 @@
 //! [`RunReport::warnings`] and the engine's recovery counters.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use euler_circuit::algo::verify::verify_result;
@@ -94,6 +94,10 @@ fn distributed_run(
         .run()
         .unwrap()
 }
+
+/// Frame kinds of the worker protocol that this file's transports act on.
+const HELLO: u16 = 1;
+const START: u16 = 4;
 
 /// A fault policy with test-friendly timings (the defaults keep a 5 s
 /// heartbeat timeout, far too patient for a test suite).
@@ -235,8 +239,7 @@ impl Connection for Stray {
     }
 
     fn recv_timeout(&self, _: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
-        // Kind 1 is the worker protocol's Hello.
-        self.hello.clone().map(|payload| (1, payload)).ok_or(FrameError::Closed)
+        self.hello.clone().map(|payload| (HELLO, payload)).ok_or(FrameError::Closed)
     }
 
     fn close(&self) {}
@@ -549,8 +552,134 @@ fn fault_matrix_every_worker_every_superstep_with_and_without_checkpoints() {
 }
 
 // ---------------------------------------------------------------------------
-// Message-level faults: dropped and delayed sends.
+// Message-level faults: dropped and delayed sends, a worker that dies on its
+// Start — injected by the transport, not by the protocol.
 // ---------------------------------------------------------------------------
+
+/// The first word of a payload: a Hello's worker id, a Start's superstep.
+fn first_word(payload: &[u8]) -> Option<u64> {
+    payload.get(..8).map(|word| u64::from_le_bytes(word.try_into().unwrap()))
+}
+
+/// One frame fault of a [`FaultyMem`] run.
+#[derive(Default)]
+struct Faults {
+    /// Drop the n-th (0-based) Start the coordinator sends, counted over all
+    /// its connections: the worker never hears of the superstep.
+    drop_start: Option<u64>,
+    /// Delay the n-th Start the coordinator sends by this long.
+    delay_start: Option<(u64, Duration)>,
+    /// Worker `.0` closes its end of the connection when it receives the
+    /// Start of superstep `.1`, once per run.
+    die_at: Option<(u32, u32)>,
+    starts: AtomicU64,
+    died: AtomicBool,
+}
+
+/// The in-memory transport with one frame fault.
+struct FaultyMem(Arc<Faults>);
+
+impl FaultyMem {
+    fn dropping_start(n: u64) -> Self {
+        FaultyMem(Arc::new(Faults { drop_start: Some(n), ..Faults::default() }))
+    }
+
+    fn delaying_start(n: u64, by: Duration) -> Self {
+        FaultyMem(Arc::new(Faults { delay_start: Some((n, by)), ..Faults::default() }))
+    }
+
+    fn dying_at_start(worker: u32, superstep: u32) -> Self {
+        FaultyMem(Arc::new(Faults { die_at: Some((worker, superstep)), ..Faults::default() }))
+    }
+}
+
+/// Which end of a [`FaultyMem`] connection a [`FaultyEnd`] is.
+enum End {
+    /// The coordinator's, as its listener accepted it.
+    Coordinator,
+    /// A worker's, as it dialled; the id is its Hello's.
+    Worker(OnceLock<u64>),
+}
+
+struct FaultyEnd {
+    inner: Box<dyn Connection>,
+    faults: Arc<Faults>,
+    end: End,
+}
+
+impl Connection for FaultyEnd {
+    fn send_parts(&self, kind: u16, parts: &[&[u8]]) -> Result<(), FrameError> {
+        match &self.end {
+            End::Coordinator if kind == START => {
+                let n = self.faults.starts.fetch_add(1, Ordering::Relaxed);
+                if self.faults.drop_start == Some(n) {
+                    return Ok(()); // lost on the way
+                }
+                if let Some((_, by)) = self.faults.delay_start.filter(|&(at, _)| at == n) {
+                    std::thread::sleep(by);
+                }
+            }
+            End::Worker(id) if kind == HELLO => {
+                id.set(first_word(parts[0]).unwrap()).ok();
+            }
+            _ => {}
+        }
+        self.inner.send_parts(kind, parts)
+    }
+
+    fn send_batch(&self, batch: &FrameBatch) -> Result<(), FrameError> {
+        self.inner.send_batch(batch)
+    }
+
+    fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
+        let (kind, payload) = self.inner.recv_timeout(timeout)?;
+        if let (End::Worker(id), START, Some((worker, superstep))) = (&self.end, kind, self.faults.die_at) {
+            let here = (id.get().copied(), first_word(&payload));
+            if here == (Some(u64::from(worker)), Some(u64::from(superstep)))
+                && !self.faults.died.swap(true, Ordering::Relaxed)
+            {
+                self.inner.close();
+                return Err(FrameError::Closed);
+            }
+        }
+        Ok((kind, payload))
+    }
+
+    fn close(&self) {
+        self.inner.close();
+    }
+}
+
+struct FaultyListener {
+    inner: Box<dyn Listener>,
+    faults: Arc<Faults>,
+}
+
+impl Listener for FaultyListener {
+    fn endpoint(&self) -> String {
+        self.inner.endpoint()
+    }
+
+    fn accept_timeout(&self, timeout: Option<Duration>) -> Result<Box<dyn Connection>, FrameError> {
+        let inner = self.inner.accept_timeout(timeout)?;
+        Ok(Box::new(FaultyEnd { inner, faults: Arc::clone(&self.faults), end: End::Coordinator }))
+    }
+}
+
+impl Transport for FaultyMem {
+    fn name(&self) -> &'static str {
+        "mem"
+    }
+
+    fn listen(&self) -> Result<Box<dyn Listener>, FrameError> {
+        Ok(Box::new(FaultyListener { inner: MemTransport.listen()?, faults: Arc::clone(&self.0) }))
+    }
+
+    fn connect(&self, endpoint: &str) -> Result<Box<dyn Connection>, FrameError> {
+        let inner = MemTransport.connect(endpoint)?;
+        Ok(Box::new(FaultyEnd { inner, faults: Arc::clone(&self.0), end: End::Worker(OnceLock::new()) }))
+    }
+}
 
 #[test]
 fn dropped_start_message_is_recovered_via_heartbeat_timeout() {
@@ -564,10 +693,9 @@ fn dropped_start_message_is_recovered_via_heartbeat_timeout() {
         &a,
         &config,
         BspBackend::with_engine(BspConfig::with_workers(2))
-            .with_transport(Arc::new(MemTransport))
+            .with_transport(Arc::new(FaultyMem::dropping_start(1)))
             .checkpoint_dir(&ckpt)
-            .fault_policy(fast_policy())
-            .with_fault_plan(FaultPlan::drop_send(1)),
+            .fault_policy(fast_policy()),
     );
     assert!(verify_result(&g, &run.circuit.result).is_ok());
     assert_same_run(&reference, &run);
@@ -592,12 +720,48 @@ fn delayed_start_message_is_absorbed_without_recovery() {
         &a,
         &config,
         BspBackend::with_engine(BspConfig::with_workers(2))
-            .with_transport(Arc::new(MemTransport))
-            .fault_policy(fast_policy())
-            .with_fault_plan(FaultPlan::delay_send(1, Duration::from_millis(100))),
+            .with_transport(Arc::new(FaultyMem::delaying_start(1, Duration::from_millis(100))))
+            .fault_policy(fast_policy()),
     );
     assert_same_run(&reference, &run);
     assert!(!run.merge.engine.as_ref().unwrap().recovery.any_recovery());
+}
+
+/// A thread worker whose connection closes as its Start arrives is caught by
+/// the barrier's watch on the connections, not by its silence: no heartbeat
+/// is missed. With checkpoints the fleet rolls back to the checkpoint
+/// entering the superstep; without, it replays from the seed. Either way the
+/// run is the in-process one.
+#[test]
+fn a_thread_worker_that_dies_on_its_start_is_recovered_bit_identically() {
+    let g = graph_from(123, 140, 16);
+    let a = LdgPartitioner::new(4).partition(&g);
+    let config = EulerConfig::default();
+    let reference = reference_run(&g, &a, &config);
+    for checkpointed in [true, false] {
+        let tag = format!("checkpoints: {checkpointed}");
+        let ckpt = checkpointed.then(|| scratch_dir("dies-on-start"));
+        let mut backend = BspBackend::with_engine(BspConfig::with_workers(2))
+            .with_transport(Arc::new(FaultyMem::dying_at_start(1, 1)))
+            .fault_policy(fast_policy());
+        if let Some(dir) = &ckpt {
+            backend = backend.checkpoint_dir(dir);
+        }
+        let run = distributed_run(&g, &a, &config, backend);
+        assert!(verify_result(&g, &run.circuit.result).is_ok(), "{tag}");
+        assert_same_run(&reference, &run);
+        let recovery = run.merge.engine.as_ref().unwrap().recovery;
+        assert_eq!((recovery.restarts, recovery.heartbeat_misses), (1, 0), "{tag}: {recovery:?}");
+        if checkpointed {
+            assert_eq!(recovery.full_restarts, 0, "{tag}");
+            assert!(recovery.checkpoint_longs_restored > 0, "{tag}");
+        } else {
+            assert_eq!((recovery.full_restarts, recovery.checkpoint_longs_restored), (1, 0), "{tag}");
+        }
+        if let Some(dir) = &ckpt {
+            assert!(!dir.exists(), "{tag}: the checkpoint directory survived");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -110,18 +110,6 @@ fn all_partitioners_produce_valid_inputs_for_the_pipeline() {
 }
 
 #[test]
-fn refined_partition_reduces_cut_and_still_works() {
-    let g = synthetic::torus_grid(16, 16);
-    let rough = HashPartitioner::new(4).partition(&g);
-    let (refined, _) = euler_circuit::partition::fm_refine(&g, &rough, Default::default());
-    let before = PartitionQuality::evaluate(&g, &rough);
-    let after = PartitionQuality::evaluate(&g, &refined);
-    assert!(after.cut_edges <= before.cut_edges);
-    let run = EulerPipeline::builder().graph(&g).assignment(refined).build().unwrap().run().unwrap();
-    verify_result(&g, &run.circuit.result).unwrap();
-}
-
-#[test]
 fn bsp_backend_agrees_with_in_process_backend() {
     let g = synthetic::random_eulerian_connected(100, 12, 5, 7);
     let assignment = LdgPartitioner::new(4).partition(&g);
