@@ -130,7 +130,7 @@ fn main() {
         .assignment(a4.clone())
         .build()
         .unwrap();
-    let (file_s, file_edges) = time_runs(reps, || {
+    let (file_s, edges_from_file) = time_runs(reps, || {
         file_pipeline.run().unwrap().circuit.result.total_edges()
     });
     let mem_pipeline =
@@ -138,7 +138,7 @@ fn main() {
     let (mem_s, mem_edges) = time_runs(reps, || {
         mem_pipeline.run().unwrap().circuit.result.total_edges()
     });
-    assert_eq!(file_edges, mem_edges);
+    assert_eq!(edges_from_file, mem_edges);
     println!(
         "graph_source: edge-list file {file_s:.3}s vs in-memory {mem_s:.3}s (chunked load included)"
     );

@@ -92,7 +92,7 @@
 use crate::error::EulerError;
 use crate::fragment::{FragmentId, FragmentStore, Segment, SegmentHead};
 use crate::level::{group_inbound, step_slot, SlotStep};
-use crate::level0::{self, FileLevel0};
+use crate::level0;
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
 use crate::phase1::ArenaPool;
@@ -446,13 +446,13 @@ fn build_from_file(
             assignment.num_partitions()
         ));
     }
-    let scan = level0::scan_file(&csr, assignment).map_err(bad)?;
+    let edges = csr.edge_arrays();
+    let scan = level0::scan(edges, assignment).map_err(bad)?;
     let levels = tree.leaf_levels(assignment.num_partitions());
-    let level0 = FileLevel0 { csr: &csr, assignment, scan, dedup: strategy.deduplicates(), levels };
     let owned = |p: PartitionId| {
         file.owned.get(p.index() / 64).is_some_and(|word| word >> (p.index() % 64) & 1 == 1)
     };
-    let states = level0.fill(owned).map_err(bad)?;
+    let states = level0::fill(edges, assignment, &scan, strategy.deduplicates(), &levels, owned).map_err(bad)?;
     check_slots(tree, &states)?;
     Ok(states)
 }
@@ -1717,24 +1717,25 @@ fn deal(states: Vec<WorkingPartition>, placement: &Placement) -> Vec<Vec<Working
 }
 
 /// Every worker's Init tail, and what follows each of them on the wire. A
-/// level 0 still in its file goes out as a reference — the workers build
-/// their own partitions — unless they would refuse its cut matrix
-/// ([`level0::cut_matrix_fits`]); any other seed is filled here and
-/// shipped as states, each worker's dropped as soon as they are encoded.
+/// level 0 whose edge arrays are a mapped file goes out as a reference to
+/// it — the workers build their own partitions — unless they would refuse
+/// its cut matrix ([`level0::cut_matrix_fits`]); any other seed, a resident
+/// graph's included, is filled here and shipped as states, each worker's
+/// dropped as soon as they are encoded.
 fn init_tails(
     seed: Seed<'_>,
     placement: &Placement,
 ) -> Result<(Vec<WordWriter>, WordWriter), EulerError> {
     let workers = 0..placement.num_workers();
-    if let SeedKind::File(level0) = &seed.0 {
+    if let SeedKind::Level0(level0) = &seed.0 {
         let num_partitions = level0.assignment.num_partitions();
-        if level0::cut_matrix_fits(level0.csr, num_partitions) {
+        if let Some(csr) = level0.file.filter(|csr| level0::cut_matrix_fits(csr, num_partitions)) {
             let tail = |w: usize| {
                 let mut owned = vec![0u64; (num_partitions as usize).div_ceil(64)];
                 for p in (0..num_partitions).filter(|&p| placement.owner(PartitionId(p)) == Some(w)) {
                     owned[p as usize / 64] |= 1 << (p % 64);
                 }
-                encode_file_ref(level0.csr, num_partitions, &owned)
+                encode_file_ref(csr, num_partitions, &owned)
             };
             return Ok((workers.map(tail).collect(), encode_labels(level0.assignment)));
         }
@@ -1886,10 +1887,10 @@ pub(crate) struct DistRun {
 impl DistRun {
     /// Places the level-0 seed on `engine`'s workers — by the merge tree and
     /// the states' encoded sizes, see [`Placement`]; a level 0 still in its
-    /// file is sized from its scan, which counts what the states will hold —
-    /// in place, or, given a `fleet` configuration, spawned and initialised
-    /// over its transport. Workers in place step their slots on rayon under
-    /// `fan_out`; a fleet's step theirs one at a time.
+    /// edge arrays is sized from its scan, which counts what the states will
+    /// hold — in place, or, given a `fleet` configuration, spawned and
+    /// initialised over its transport. Workers in place step their slots on
+    /// rayon under `fan_out`; a fleet's step theirs one at a time.
     pub fn new(
         engine: BspConfig,
         fleet: Option<FleetConfig>,
@@ -1903,7 +1904,7 @@ impl DistRun {
             SeedKind::States(states) => {
                 states.iter().map(|wp| (wp.id, wire::record_words(wp) as u64)).collect()
             }
-            SeedKind::File(level0) => (0..level0.assignment.num_partitions())
+            SeedKind::Level0(level0) => (0..level0.assignment.num_partitions())
                 .map(PartitionId)
                 .map(|p| (p, level0.scan.record_words(p, level0.dedup, level0.levels.buckets())))
                 .collect(),
@@ -1993,6 +1994,7 @@ mod tests {
     use super::*;
     use crate::fragment::tests::raw_segment;
     use crate::fragment::{packed_header, Fragment, FragmentKind, TourEdge};
+    use crate::level0::Level0;
     use crate::state::{EdgeRef, LocalEdge, RemoteRef};
     use euler_bsp::MemTransport;
     use euler_graph::{EdgeId, VertexId};
@@ -2168,7 +2170,7 @@ mod tests {
     /// The head of an Init for a run over `csr` under `a`: the run's own
     /// merge tree, which the worker buckets its refs for.
     fn file_head(csr: &CsrFile, a: &PartitionAssignment) -> WordWriter {
-        let tree = MergeTree::build(&level0::scan_file(csr, a).unwrap().meta());
+        let tree = MergeTree::build(&level0::scan(csr.edge_arrays(), a).unwrap().meta());
         encode_init_head(&InitHead { tree: Arc::new(tree), ..test_init(None) })
     }
 
@@ -2307,6 +2309,43 @@ mod tests {
         // An odd label count pads the last word's high half.
         let odd = PartitionAssignment::from_labels(vec![7, 0, 3], 8).unwrap();
         assert_eq!(encode_labels(&odd), WordWriter::from_words(&[7, 3]));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// The branch a resident graph takes: a level 0 without a file is
+    /// filled by the coordinator and shipped as states; with its mapped file
+    /// it goes out as a reference. Either way each worker ends up with the
+    /// same share of the oracle's states.
+    #[test]
+    fn a_level0_without_a_file_ships_states_and_with_one_a_reference() {
+        let dir = scratch("init-tails");
+        let strategy = MergeStrategy::Deduplicated;
+        let (csr, a, oracle) = ring_file(&dir, strategy);
+        let head = file_head(&csr, &a);
+        let scan = level0::scan(csr.edge_arrays(), &a).unwrap();
+        let mut shares = Vec::new();
+        let tree = MergeTree::build(&scan.meta());
+        for (file, tag) in [(None, seed_tag::STATES), (Some(&csr), seed_tag::FILE)] {
+            let (edges, scan, levels) = (csr.edge_arrays(), scan.clone(), tree.leaf_levels(8));
+            let level0 = Level0 { edges, file, assignment: &a, scan, dedup: true, levels };
+            let placement = Placement::new(&tree, (0..8).map(|p| (PartitionId(p), 1)).collect(), 2);
+            let (tails, labels) = init_tails(Seed(SeedKind::Level0(level0)), &placement).unwrap();
+            assert_eq!(tails.len(), 2);
+            let share = |tail: &WordWriter| {
+                assert_eq!(tail.as_bytes()[..8], tag.to_le_bytes(), "seed tag");
+                let init = [head.as_bytes(), tail.as_bytes(), labels.as_bytes()].concat();
+                match decode_init(&init).unwrap() {
+                    (_, SeedTail::States(states)) => states,
+                    (head, SeedTail::File(file)) => build_from_file(&file, &head.tree, strategy).unwrap(),
+                    (_, SeedTail::Checkpoint(s)) => panic!("unexpected checkpoint seed {s}"),
+                }
+            };
+            shares.push(tails.iter().map(share).collect::<Vec<_>>());
+        }
+        assert_eq!(shares[0], shares[1]);
+        let mut all = shares[0].concat();
+        all.sort_by_key(|wp| wp.id);
+        assert_eq!(all, oracle);
         std::fs::remove_dir_all(dir).ok();
     }
 

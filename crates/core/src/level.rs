@@ -395,7 +395,7 @@ pub(crate) mod tests {
             assert_eq!(root.ship, None);
             let result = crate::phase3::unroll(&store).unwrap();
             let circuits = result.circuits.iter().map(Vec::as_slice);
-            crate::verify::verify_steps(3, |e| g.endpoints(e), circuits)
+            crate::verify::verify_steps(g.edge_arrays().endpoints, circuits)
                 .unwrap_or_else(|e| panic!("{strategy}: {e}"));
         }
     }

@@ -2,9 +2,10 @@
 //! list in ascending edge id to the level-0 partition states.
 //!
 //! The paper's machines each hold *their* partition `<I, B, L, R>` from the
-//! first step (§3.1). The input — the endpoints section of a mapped `.ecsr`,
-//! or [`Graph::edges`] — is already in the order every level-0 vector is in,
-//! so level 0 is count-then-fill in the sense of the W-streaming model:
+//! first step (§3.1). The input — one [`EdgeArrays`] view, a resident
+//! graph's or a mapped `.ecsr`'s — is already in the order every level-0
+//! vector is in, so level 0 is count-then-fill in the sense of the
+//! W-streaming model:
 //!
 //! * [`scan`] — one pass: local edges per partition, the `P × P` matrix of
 //!   cut cells — which *is* the meta-graph ([`Scan::meta`]), and whose row
@@ -18,10 +19,10 @@
 //!   two partitions, read off the run's [`LeafLevels`] table; a bucket's
 //!   size is the sum of the cut cells that table files in it.
 //!
-//! Whoever holds a partition fills it: the in-process backend and workers
-//! stepped in place fill everything once, a wire worker pointed at the file
-//! ([`FileLevel0`] on the coordinator, its Init tail on the wire) runs both
-//! passes itself and fills its own share. The result equals
+//! Whoever holds a partition fills it ([`Level0`] on the coordinator): the
+//! in-process backend and workers stepped in place fill everything once, a
+//! wire worker pointed at the input's file (its Init tail on the wire) runs
+//! both passes itself and fills its own share. The result equals
 //! `WorkingPartition::from_partition` over `CsrFile::partitioned` (plus
 //! `apply_remote_edge_dedup`), which stay as the oracle. Fill needs the
 //! merge tree, which needs the scan's meta-graph: the tree is built between
@@ -34,12 +35,12 @@
 
 use crate::memory_model::state_longs;
 use crate::merge_strategy::MergeStrategy;
-use crate::merge_tree::{LeafLevels, MergeTree};
+use crate::merge_tree::LeafLevels;
 use crate::pipeline::wire;
 use crate::state::{EdgeRef, LocalEdge, RemoteRef, WorkingPartition};
 use euler_graph::{
-    CsrFile, EdgeId, Graph, GraphError, MetaEdge, MetaGraph, PartitionAssignment, PartitionId,
-    VertexId,
+    CsrFile, EdgeArrays, EdgeId, GraphError, MetaEdge, MetaGraph, PartitionAssignment,
+    PartitionId, VertexId,
 };
 
 /// What one pass over the edges knows about level 0, per partition.
@@ -162,43 +163,6 @@ impl Scan {
     }
 }
 
-/// The endpoint pairs of a mapped file, in edge-id order.
-fn file_edges(csr: &CsrFile) -> impl Iterator<Item = (u64, u64)> + '_ {
-    csr.endpoints_flat().chunks_exact(2).filter_map(|pair| match pair {
-        &[u, v] => Some((u, v)),
-        _ => None,
-    })
-}
-
-fn graph_edges(g: &Graph) -> impl Iterator<Item = (u64, u64)> + '_ {
-    g.edges().map(|(_, u, v)| (u.0, v.0))
-}
-
-/// [`scan`] over a mapped file: degree 0 is read off the offsets section,
-/// as an empty row (`w[0] == w[1]`, no subtraction).
-pub(crate) fn scan_file(
-    csr: &CsrFile,
-    assignment: &PartitionAssignment,
-) -> Result<Scan, GraphError> {
-    let degree_zero = csr.offsets().windows(2).map(|w| matches!(w, [lo, hi] if lo == hi));
-    scan(csr.num_vertices(), file_edges(csr), degree_zero, assignment)
-}
-
-/// The merge tree and level-0 states of a resident graph: both passes,
-/// every partition, the tree built from the first.
-pub(crate) fn graph_level0(
-    g: &Graph,
-    assignment: &PartitionAssignment,
-    dedup: bool,
-) -> Result<(MergeTree, Vec<WorkingPartition>), GraphError> {
-    let degree_zero = g.vertices().map(|v| g.degree(v) == 0);
-    let scan = scan(g.num_vertices(), graph_edges(g), degree_zero, assignment)?;
-    let tree = MergeTree::build(&scan.meta());
-    let levels = tree.leaf_levels(assignment.num_partitions());
-    let states = fill(graph_edges(g), assignment, &scan, dedup, &levels, |_| true)?;
-    Ok((tree, states))
-}
-
 /// The partition a vertex id read from the edge list belongs to.
 fn part_of(labels: &[PartitionId], v: u64) -> Result<usize, GraphError> {
     let label = usize::try_from(v).ok().and_then(|at| labels.get(at));
@@ -217,18 +181,15 @@ fn beyond(assignment: &PartitionAssignment, p: usize) -> GraphError {
     }
 }
 
-/// Pass one. `edges` are the endpoint pairs in ascending edge id,
-/// `degree_zero` says per vertex, ascending, whether no edge touches it.
+/// Pass one, over the endpoint pairs; the degree-0 vertices are read off
+/// the offsets.
 ///
 /// # Errors
 /// [`GraphError::IncompleteAssignment`] unless the assignment covers exactly
-/// `num_vertices`; [`GraphError::VertexOutOfRange`] for an endpoint beyond it.
-pub(crate) fn scan(
-    num_vertices: u64,
-    edges: impl Iterator<Item = (u64, u64)>,
-    degree_zero: impl Iterator<Item = bool>,
-    assignment: &PartitionAssignment,
-) -> Result<Scan, GraphError> {
+/// the view's vertices; [`GraphError::VertexOutOfRange`] for an endpoint
+/// beyond it.
+pub(crate) fn scan(edges: EdgeArrays<'_>, assignment: &PartitionAssignment) -> Result<Scan, GraphError> {
+    let num_vertices = edges.num_vertices();
     if assignment.num_vertices() != num_vertices {
         return Err(GraphError::IncompleteAssignment {
             expected: num_vertices,
@@ -239,7 +200,7 @@ pub(crate) fn scan(
     let p = assignment.num_partitions() as usize;
     let mut local = vec![0u64; p];
     let mut cells = vec![0u64; p * p];
-    for (u, v) in edges {
+    for (u, v) in edges.pairs() {
         let (pu, pv) = (part_of(labels, u)?, part_of(labels, v)?);
         let count = if pu == pv {
             local.get_mut(pu)
@@ -249,7 +210,7 @@ pub(crate) fn scan(
         *count.ok_or_else(|| beyond(assignment, pu.max(pv)))? += 1;
     }
     let mut isolated = vec![0u64; p];
-    for (label, _) in labels.iter().zip(degree_zero).filter(|&(_, zero)| zero) {
+    for (label, _) in labels.iter().zip(edges.degree_zero()).filter(|&(_, zero)| zero) {
         *isolated.get_mut(label.index()).ok_or_else(|| beyond(assignment, label.index()))? += 1;
     }
     let mut scan = Scan { vertices: num_vertices, local, isolated, cells, weights: Vec::new() };
@@ -260,14 +221,14 @@ pub(crate) fn scan(
 /// Pass two: the level-0 state of every partition `keep` names, ascending by
 /// id, each vector allocated once at the size `scan` counted — the local
 /// edges, and the remote refs per bucket of `levels`, the run's table of its
-/// merge tree. `edges` must be the list `scan` was made from.
+/// merge tree. `edges` must be the view `scan` was made from.
 ///
 /// # Errors
 /// [`GraphError::VertexOutOfRange`] for an endpoint beyond the assignment;
 /// [`GraphError::PartitionOutOfRange`] for a cut edge to a partition
 /// `levels` has no bucket for — a tree of no level over several partitions.
 pub(crate) fn fill(
-    edges: impl Iterator<Item = (u64, u64)>,
+    edges: EdgeArrays<'_>,
     assignment: &PartitionAssignment,
     scan: &Scan,
     dedup: bool,
@@ -293,7 +254,7 @@ pub(crate) fn fill(
             })
         })
         .collect();
-    for (e, (u, v)) in edges.enumerate() {
+    for (e, (u, v)) in edges.pairs().enumerate() {
         let edge = EdgeId(e as u64);
         let (pu, pv) = (part_of(labels, u)?, part_of(labels, v)?);
         let (u, v) = (VertexId(u), VertexId(v));
@@ -316,24 +277,25 @@ pub(crate) fn fill(
     Ok(states.into_iter().flatten().collect())
 }
 
-/// A level 0 still in its file: the mapped `.ecsr`, the assignment, the
-/// scan and the run's leaf-pair level table — everything a backend needs to
-/// place the partitions ([`Scan::record_words`]) and to fill them where they
-/// will run.
-pub(crate) struct FileLevel0<'a> {
-    pub csr: &'a CsrFile,
+/// A level 0 still in its edge arrays: the view, the mapped `.ecsr` it reads
+/// if any (`None` for a resident graph), the assignment, the scan and the
+/// run's leaf-pair level table — everything a backend needs to place the
+/// partitions ([`Scan::record_words`]) and to fill them where they will run.
+pub(crate) struct Level0<'a> {
+    pub edges: EdgeArrays<'a>,
+    pub file: Option<&'a CsrFile>,
     pub assignment: &'a PartitionAssignment,
     pub scan: Scan,
     /// Whether the run's merge strategy drops duplicate remote refs.
     pub dedup: bool,
-    /// [`MergeTree::leaf_levels`] of the run's tree.
+    /// [`crate::merge_tree::MergeTree::leaf_levels`] of the run's tree.
     pub levels: LeafLevels,
 }
 
-impl FileLevel0<'_> {
+impl Level0<'_> {
     /// The states of the partitions `keep` names, ascending by id.
     pub fn fill(&self, keep: impl Fn(PartitionId) -> bool) -> Result<Vec<WorkingPartition>, GraphError> {
-        fill(file_edges(self.csr), self.assignment, &self.scan, self.dedup, &self.levels, keep)
+        fill(self.edges, self.assignment, &self.scan, self.dedup, &self.levels, keep)
     }
 }
 
@@ -349,9 +311,10 @@ pub(crate) fn cut_matrix_fits(csr: &CsrFile, num_partitions: u32) -> bool {
 pub(crate) mod tests {
     use super::*;
     use crate::merge_strategy::MergeStrategy;
+    use crate::merge_tree::MergeTree;
     use crate::phase2::apply_remote_edge_dedup;
     use euler_gen::{eulerize::eulerize, rmat::RmatGenerator, synthetic};
-    use euler_graph::{write_csr_file, GraphBuilder, PartitionedGraph};
+    use euler_graph::{write_csr_file, Graph, GraphBuilder, PartitionedGraph};
     use euler_partition::{BfsPartitioner, HashPartitioner, LdgPartitioner, Partitioner};
     use std::path::PathBuf;
 
@@ -415,16 +378,18 @@ pub(crate) mod tests {
             let path = scratch(&format!("{}.ecsr", family.replace(' ', "-")));
             write_csr_file(g, &path).unwrap();
             let csr = CsrFile::open(&path).unwrap();
+            // A resident graph and its file are the same two arrays.
+            assert_eq!(g.edge_arrays().offsets, csr.edge_arrays().offsets, "{family}");
+            assert_eq!(g.edge_arrays().endpoints, csr.edge_arrays().endpoints, "{family}");
+            let views = [("graph", g.edge_arrays(), None), ("file", csr.edge_arrays(), Some(&csr))];
             let mut cases = assignments(g);
             if *family == "fig1" {
                 cases.push(("the paper's".into(), fig1_assignment.clone()));
             }
             for (how, a) in &cases {
                 let tag = format!("{family}, {how}");
-                let scan = scan_file(&csr, a).unwrap();
-                let degree_zero = g.vertices().map(|v| g.degree(v) == 0);
-                let of_graph = super::scan(g.num_vertices(), graph_edges(g), degree_zero, a).unwrap();
-                assert_eq!(scan, of_graph, "{tag}: file and graph scan");
+                let scan = super::scan(csr.edge_arrays(), a).unwrap();
+                assert_eq!(super::scan(g.edge_arrays(), a).unwrap(), scan, "{tag}: file and graph scan");
                 let tree = MergeTree::build(&scan.meta());
                 let levels = tree.leaf_levels(a.num_partitions());
                 for strategy in MergeStrategy::all() {
@@ -438,36 +403,30 @@ pub(crate) mod tests {
                         ("none", &|_| false),
                     ];
                     for (which, keep) in keeps {
-                        let tag = format!("{tag}, {strategy}, keep {which}");
                         let expected: Vec<_> = states.iter().filter(|wp| keep(wp.id)).cloned().collect();
-                        let level0 = FileLevel0 {
-                            csr: &csr,
-                            assignment: a,
-                            scan: scan.clone(),
-                            dedup,
-                            levels: levels.clone(),
-                        };
-                        let built = level0.fill(keep).unwrap();
-                        assert_eq!(built, expected, "{tag}: fill over the file");
-                        let of_graph = fill(graph_edges(g), a, &scan, dedup, &levels, keep).unwrap();
-                        assert_eq!(of_graph, expected, "{tag}: fill over the graph");
-                        for wp in &built {
-                            assert_eq!(
-                                scan.record_words(wp.id, dedup, levels.buckets()),
-                                wire::record_words(wp) as u64,
-                                "{tag}: record words of partition {}",
-                                wp.id.0
-                            );
-                            assert_eq!(wp.remote_by_level.len(), tree.height() as usize, "{tag}");
-                            // Exact capacity: nothing grew, nothing is spare.
-                            assert_eq!(wp.local_edges.capacity(), wp.local_edges.len(), "{tag}");
-                            for bucket in &wp.remote_by_level {
-                                assert_eq!(bucket.capacity(), bucket.len(), "{tag}");
+                        for (view, edges, file) in views {
+                            let tag = format!("{tag}, {strategy}, keep {which}, fill over the {view}");
+                            let (assignment, scan, levels) = (a, scan.clone(), levels.clone());
+                            let level0 = Level0 { edges, file, assignment, scan, dedup, levels };
+                            let (scan, levels) = (&level0.scan, &level0.levels);
+                            let built = level0.fill(keep).unwrap();
+                            assert_eq!(built, expected, "{tag}");
+                            for wp in &built {
+                                assert_eq!(
+                                    scan.record_words(wp.id, dedup, levels.buckets()),
+                                    wire::record_words(wp) as u64,
+                                    "{tag}: record words of partition {}",
+                                    wp.id.0
+                                );
+                                assert_eq!(wp.remote_by_level.len(), tree.height() as usize, "{tag}");
+                                // Exact capacity: nothing grew, nothing is spare.
+                                assert_eq!(wp.local_edges.capacity(), wp.local_edges.len(), "{tag}");
+                                for bucket in &wp.remote_by_level {
+                                    assert_eq!(bucket.capacity(), bucket.len(), "{tag}");
+                                }
                             }
                         }
                     }
-                    let (built_tree, all) = graph_level0(g, a, dedup).unwrap();
-                    assert_eq!((built_tree, all), (tree.clone(), states), "{tag}, {strategy}");
                 }
             }
             std::fs::remove_file(&path).ok();
@@ -479,7 +438,7 @@ pub(crate) mod tests {
         let g = synthetic::torus_grid(4, 4);
         let short = PartitionAssignment::from_labels(vec![0; 15], 2).unwrap();
         assert!(matches!(
-            graph_level0(&g, &short, false),
+            scan(g.edge_arrays(), &short),
             Err(GraphError::IncompleteAssignment { expected: 16, actual: 15 })
         ));
     }
@@ -494,7 +453,7 @@ pub(crate) mod tests {
         let path = scratch("corrupt-endpoint.ecsr");
         write_csr_file(&g, &path).unwrap();
         let good = CsrFile::open(&path).unwrap();
-        let scan_of_good = scan_file(&good, &a).unwrap();
+        let scan_of_good = scan(good.edge_arrays(), &a).unwrap();
         // Edge 5's second endpoint becomes vertex 16 of 16, then far beyond.
         let mut bytes = std::fs::read(&path).unwrap();
         let word = bytes.len() - 8 * (2 * g.num_edges() as usize) + 8 * (2 * 5 + 1);
@@ -508,10 +467,10 @@ pub(crate) mod tests {
                     "{r:?}"
                 )
             };
-            refused(scan_file(&trusted, &a).map(drop));
+            refused(scan(trusted.edge_arrays(), &a).map(drop));
             let levels = MergeTree::build(&scan_of_good.meta()).leaf_levels(3);
-            let level0 =
-                FileLevel0 { csr: &trusted, assignment: &a, scan: scan_of_good.clone(), dedup: true, levels };
+            let (edges, scan) = (trusted.edge_arrays(), scan_of_good.clone());
+            let level0 = Level0 { edges, file: Some(&trusted), assignment: &a, scan, dedup: true, levels };
             refused(level0.fill(|_| true).map(drop));
             refused(trusted.partitioned(&a).map(drop));
             assert!(matches!(CsrFile::open(&path), Err(GraphError::CsrFormat(_))));

@@ -99,7 +99,7 @@ pub struct WStreamOutcome {
     /// Resident-state accounting for the pass.
     pub stats: WStreamStats,
     /// First odd-degree vertex (with its degree), if any — the streaming
-    /// equivalent of `CsrFile::first_odd_vertex` for the Eulerian precondition.
+    /// equivalent of `EdgeArrays::first_odd_vertex` for the Eulerian precondition.
     pub first_odd: Option<(VertexId, u64)>,
 }
 

@@ -35,13 +35,14 @@
 //!   backend fills the partition states from that section where they will
 //!   run — a [`Seed`] — so no full [`Graph`] and no partition view is ever
 //!   materialised — the multi-GB loading mode the paper's scale targets
-//!   require.
+//!   require. A resident [`Graph`] is the same two arrays and takes the same
+//!   path ([`euler_graph::EdgeArrays`]).
 
 use crate::config::EulerConfig;
 use crate::distributed::DistRun;
 use crate::error::EulerError;
 use crate::fragment::{FragmentStore, FragmentStoreStats, SpillConfig};
-use crate::level0::{self, FileLevel0, Scan};
+use crate::level0::{self, Level0, Scan};
 use crate::memory_model::{LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::MergeTree;
@@ -51,7 +52,7 @@ use crate::phase3::{unroll, CircuitResult};
 use crate::state::{VertexTypeCounts, WorkingPartition};
 use crate::verify::verify_steps;
 use euler_graph::{
-    properties, CsrFile, EdgeId, EdgeStream, Graph, GraphSource, PartitionAssignment,
+    CsrFile, EdgeArrays, EdgeStream, Graph, GraphSource, PartitionAssignment,
     PartitionId, PartitionedGraph, VertexId,
 };
 use euler_partition::Partitioner;
@@ -215,32 +216,32 @@ pub struct LevelWork<'a> {
     pub seed: Option<Seed<'a>>,
 }
 
-/// What a run starts from: the level-0 partition states, built already (a
-/// resident graph, the W-streaming residuals) or still in their file (a
-/// mapped `.ecsr`, the assignment and one counting pass over it), to be
-/// filled by the backend where its partitions live — all of them in this
-/// process ([`into_states`](Self::into_states)), or each wire worker its own
-/// share.
+/// What a run starts from: the level-0 partition states, built already (the
+/// W-streaming residuals, a partition view) or still in their edge arrays (a
+/// resident graph or a mapped `.ecsr`, the assignment and one counting pass
+/// over it), to be filled by the backend where its partitions live — all of
+/// them in this process ([`into_states`](Self::into_states)), or each wire
+/// worker its own share from the file.
 pub struct Seed<'a>(pub(crate) SeedKind<'a>);
 
 pub(crate) enum SeedKind<'a> {
     States(Vec<WorkingPartition>),
-    File(FileLevel0<'a>),
+    Level0(Level0<'a>),
 }
 
 impl Seed<'_> {
     /// The level-0 state of every partition, ascending by id.
     ///
     /// # Errors
-    /// [`EulerError::Graph`] when the seed is still in its file and the file
-    /// names a vertex the assignment does not cover.
+    /// [`EulerError::Graph`] when the seed is still in its edge arrays and
+    /// they name a vertex the assignment does not cover.
     pub fn into_states(self) -> Result<Vec<WorkingPartition>, EulerError> {
         match self.0 {
             SeedKind::States(mut states) => {
                 states.sort_by_key(|s| s.id);
                 Ok(states)
             }
-            SeedKind::File(level0) => Ok(level0.fill(|_| true)?),
+            SeedKind::Level0(level0) => Ok(level0.fill(|_| true)?),
         }
     }
 }
@@ -645,10 +646,9 @@ impl ExecutionBackend for BspBackend {
 // The shared merge-tree walk.
 // ---------------------------------------------------------------------------
 
-/// The Eulerian degree check: every input answers it in this shape — a
-/// graph from [`properties::first_odd_vertex`], a mapped file from
-/// [`CsrFile::first_odd_vertex`] (the offsets section alone), a stream from
-/// the degrees its pass accumulated — one error.
+/// The Eulerian degree check: edge arrays answer it from their offsets
+/// ([`EdgeArrays::first_odd_vertex`]), a stream from the degrees its pass
+/// accumulated — one error.
 fn require_even_degrees(first_odd: Option<(VertexId, u64)>) -> Result<(), EulerError> {
     match first_odd {
         Some((vertex, degree)) => {
@@ -658,20 +658,21 @@ fn require_even_degrees(first_odd: Option<(VertexId, u64)>) -> Result<(), EulerE
     }
 }
 
-/// A mapped file's degree check and level-0 scan under `assignment`: what
-/// [`Input::File`] carries, made before the run so that the caller can time
-/// it as partitioning and a service can admit the run on what it counts.
-pub(crate) fn checked_scan(csr: &CsrFile, assignment: &PartitionAssignment) -> Result<Scan, EulerError> {
-    require_even_degrees(csr.first_odd_vertex())?;
-    Ok(level0::scan_file(csr, assignment)?)
+/// The one degree check of edge arrays, and their level-0 scan under
+/// `assignment`: what [`Input::Edges`] carries, made before the run so that
+/// the caller can time it as partitioning and a service can admit the run
+/// on what it counts.
+pub(crate) fn checked_scan(edges: EdgeArrays<'_>, assignment: &PartitionAssignment) -> Result<Scan, EulerError> {
+    require_even_degrees(edges.first_odd_vertex())?;
+    Ok(level0::scan(edges, assignment)?)
 }
 
-/// What a run reads: a mapped `.ecsr` and the scan [`checked_scan`] made of
-/// it, whose level 0 the backend fills; a resident graph; or a source's edge
-/// stream, whose level 0 the W-streaming pass builds.
+/// What a run reads: edge arrays — a resident graph's, or a mapped `.ecsr`'s
+/// with the file — and the scan [`checked_scan`] made of them, whose level 0
+/// the backend fills; or a source's edge stream, whose level 0 the
+/// W-streaming pass builds.
 pub(crate) enum Input<'a> {
-    File(&'a CsrFile, Scan),
-    Graph(&'a Graph),
+    Edges(EdgeArrays<'a>, Scan, Option<&'a CsrFile>),
     Stream(Box<dyn EdgeStream + 'a>),
 }
 
@@ -688,11 +689,11 @@ pub(crate) struct Ran {
 /// `Err` — [`EulerError::Cancelled`] from a service run — ends the run with it.
 pub(crate) type YieldPoint<'a> = &'a mut dyn FnMut(u32, u32) -> Result<(), EulerError>;
 
-/// The one run every entry point ends in: the degree check (before level 0
-/// for a graph, after the pass for a stream; a file's came with its scan),
-/// level 0, the merge-tree walk and Phase 3 with the caller's yield point,
-/// and, under [`EulerConfig::verify`], the one checker over the input's own
-/// endpoints — a file's endpoints section, so verifying loads no [`Graph`].
+/// The one run every entry point ends in: the degree check (edge arrays'
+/// came with their scan, a stream's follows its pass), level 0, the
+/// merge-tree walk and Phase 3 with the caller's yield point, and, under
+/// [`EulerConfig::verify`], the one checker over the input's own endpoints —
+/// a file's endpoints section, so verifying loads no [`Graph`].
 pub(crate) fn run_input(
     mut input: Input<'_>,
     assignment: &PartitionAssignment,
@@ -704,17 +705,12 @@ pub(crate) fn run_input(
     let store = fragment_store_for(config);
     let (mut pass_time, mut wstream) = (Duration::ZERO, None);
     let (tree, seed, size) = match &mut input {
-        Input::File(csr, scan) => {
-            let (csr, scan) = (*csr, std::mem::take(scan));
+        Input::Edges(edges, scan, file) => {
+            let (edges, file, scan) = (*edges, *file, std::mem::take(scan));
             let tree = MergeTree::build(&scan.meta());
             let levels = tree.leaf_levels(assignment.num_partitions());
-            let seed = Seed(SeedKind::File(FileLevel0 { csr, assignment, scan, dedup, levels }));
-            (tree, seed, (csr.num_vertices(), csr.num_edges()))
-        }
-        Input::Graph(g) => {
-            require_even_degrees(properties::first_odd_vertex(g))?;
-            let (tree, states) = level0::graph_level0(g, assignment, dedup)?;
-            (tree, states.into(), (g.num_vertices(), g.num_edges()))
+            let seed = Seed(SeedKind::Level0(Level0 { edges, file, assignment, scan, dedup, levels }));
+            (tree, seed, (edges.num_vertices(), edges.num_edges()))
         }
         Input::Stream(stream) => {
             let t = Instant::now();
@@ -736,23 +732,18 @@ pub(crate) fn run_input(
     if config.verify {
         let circuits = result.circuits.iter().map(Vec::as_slice);
         match input {
-            Input::File(csr, _) => {
-                let ends = csr.endpoints_flat();
-                let pair = |e: EdgeId| (VertexId(ends[2 * e.index()]), VertexId(ends[2 * e.index() + 1]));
-                verify_steps(size.1, pair, circuits)
-            }
-            Input::Graph(g) => verify_steps(size.1, |e| g.endpoints(e), circuits),
+            Input::Edges(edges, ..) => verify_steps(edges.endpoints, circuits),
             Input::Stream(mut stream) => {
-                // A second pass: the stream's endpoints by edge id.
-                let mut ends = vec![(VertexId(0), VertexId(0)); size.1 as usize];
+                // A second pass: the stream's endpoints by edge id, flat.
+                let mut ends = vec![0u64; 2 * size.1 as usize];
                 stream.stream_with_ids(&mut |batch| {
                     for &(e, u, v) in batch {
-                        if let Some(end) = ends.get_mut(e as usize) {
-                            *end = (VertexId(u), VertexId(v));
+                        if let Some(end) = ends.chunks_exact_mut(2).nth(e as usize) {
+                            end.copy_from_slice(&[u, v]);
                         }
                     }
                 })?;
-                verify_steps(size.1, |e| ends[e.index()], circuits)
+                verify_steps(&ends, circuits)
             }
         }?;
     }
@@ -773,7 +764,9 @@ pub fn run_with_backend(
     config: &EulerConfig,
     backend: &dyn ExecutionBackend,
 ) -> Result<(CircuitResult, RunReport), EulerError> {
-    let ran = run_input(Input::Graph(g), assignment, config, backend, None)?;
+    let edges = g.edge_arrays();
+    let input = Input::Edges(edges, checked_scan(edges, assignment)?, None);
+    let ran = run_input(input, assignment, config, backend, None)?;
     Ok((ran.result, ran.report))
 }
 
@@ -823,8 +816,8 @@ fn fragment_store_for(config: &EulerConfig) -> FragmentStore {
 }
 
 /// The merge-tree walk + Phase-3 unroll from a level-0 seed: the common
-/// tail of the dense paths (states built from a graph or a partition view, or
-/// a level 0 still in its file) and the W-streaming path (states and
+/// tail of the dense paths (a level 0 still in its edge arrays, or states
+/// built from a partition view) and the W-streaming path (states and
 /// `wstream` accounting from [`stream_phase1`], with partial tours already
 /// in `store`). `tree` is the run's merge tree, which the seed's remote refs
 /// are bucketed for; a strategy that drops duplicate remote refs has dropped
@@ -1096,17 +1089,17 @@ impl EulerPipeline {
     /// batches; or else the partitioner over the whole graph (BFS placement,
     /// custom whole-graph partitioners), which a dense run then reads.
     ///
-    /// Over a mapped file — the direct slicing path — one more pass over the
-    /// endpoints section counts level 0 under the assignment (local edges,
-    /// cut cells — the meta-graph — and isolated vertices per partition; both
-    /// passes are [`PartitionStage::partition_time`]), and the walk is seeded
-    /// with the level 0 *still in its file* ([`Seed`]): the backend fills the
-    /// partition states from the mapped section where they will run —
-    /// [`InProcessBackend`] and workers stepped in place all of them, once,
-    /// inside level 0; wire workers each their own share, from the file, on
-    /// their side of the transport. No [`Graph`] and no partition view is
-    /// ever materialised, [`verify`](EulerPipelineBuilder::verify) included:
-    /// it checks the circuit against the mapped endpoints section.
+    /// A dense run reads [`euler_graph::EdgeArrays`], a mapped file's or a
+    /// resident graph's: one more pass over the endpoints counts level 0
+    /// under the assignment (local edges, cut cells — the meta-graph — and
+    /// isolated vertices per partition; both passes are
+    /// [`PartitionStage::partition_time`]), and the backend fills the states
+    /// where they will run ([`Seed`]) — [`InProcessBackend`] and workers
+    /// stepped in place all of them, once, inside level 0; wire workers each
+    /// their own share from the file, if there is one, or else shipped by
+    /// the coordinator. Over a mapped file no [`Graph`] and no partition view
+    /// is ever materialised, [`verify`](EulerPipelineBuilder::verify)
+    /// included: it checks the circuit against the mapped endpoints section.
     pub fn run(&self) -> Result<PipelineRun, EulerError> {
         let (source, config) = (self.source.as_ref(), &self.config);
         let file = source.csr().filter(|_| !config.streaming_phase1);
@@ -1124,27 +1117,26 @@ impl EulerPipeline {
                 }
             },
         };
-        if config.streaming_phase1 {
+        let mut loaded = None;
+        let input = if config.streaming_phase1 {
             // A whole-graph partitioner's graph goes before the pass.
-            graph = None;
-        }
-        let loaded;
-        let input = match (&graph, file) {
-            _ if config.streaming_phase1 => Input::Stream(source.edge_stream().ok_or_else(|| {
+            drop(graph.take());
+            Input::Stream(source.edge_stream().ok_or_else(|| {
                 EulerError::InvalidConfig("streaming_phase1 needs a source that exposes an edge stream".into())
-            })?),
-            (Some(g), _) => Input::Graph(g),
-            (None, Some(csr)) => Input::File(csr, checked_scan(csr, &assignment)?),
-            (None, None) => {
-                loaded = load(source, &mut load_time)?;
-                Input::Graph(&loaded)
-            }
+            })?)
+        } else {
+            let (edges, file) = match (&graph, file) {
+                (Some(g), _) => (g.edge_arrays(), None),
+                (None, Some(csr)) => (csr.edge_arrays(), Some(csr)),
+                (None, None) => (loaded.insert(load(source, &mut load_time)?).edge_arrays(), None),
+            };
+            Input::Edges(edges, checked_scan(edges, &assignment)?, file)
         };
         let partition_time = t_part.elapsed().saturating_sub(load_time);
         let partitioner = match (&input, streamed) {
-            (Input::Graph(_), _) => name.to_string(),
-            (Input::File(..), true) => format!("{name} (streamed, direct csr slice)"),
-            (Input::File(..), false) => format!("{name} (direct csr slice)"),
+            (Input::Edges(.., None), _) => name.to_string(),
+            (Input::Edges(..), true) => format!("{name} (streamed, direct csr slice)"),
+            (Input::Edges(..), false) => format!("{name} (direct csr slice)"),
             (Input::Stream(_), true) => format!("{name} (streamed, w-streaming)"),
             (Input::Stream(_), false) => format!("{name} (w-streaming)"),
         };
@@ -1411,11 +1403,14 @@ mod tests {
         for config in [EulerConfig::default(), EulerConfig::default().sequential()] {
             let walk = |backend: &dyn ExecutionBackend| {
                 let dedup = config.merge_strategy.deduplicates();
-                let (tree, states) = level0::graph_level0(&g, &a, dedup).unwrap();
+                let (edges, assignment) = (g.edge_arrays(), &a);
+                let scan = level0::scan(edges, assignment).unwrap();
+                let tree = MergeTree::build(&scan.meta());
+                let levels = tree.leaf_levels(a.num_partitions());
+                let seed = Seed(SeedKind::Level0(Level0 { edges, file: None, assignment, scan, dedup, levels }));
                 let store = FragmentStore::new();
                 let (result, report) =
-                    run_merge_walk(tree, states.into(), store.clone(), &config, backend, None, None)
-                        .unwrap();
+                    run_merge_walk(tree, seed, store.clone(), &config, backend, None, None).unwrap();
                 (result, report, store.snapshot())
             };
             let (in_proc, in_proc_report, in_proc_fragments) = walk(&InProcessBackend::new());

@@ -897,7 +897,8 @@ fn compute_run(
         }
         PartitionerKind::Ldg => LdgPartitioner::new(opts.partitions).partition_stream(&mut stream)?,
     };
-    let scan = checked_scan(&graph.csr, &assignment)?;
+    let edges = graph.csr.edge_arrays();
+    let scan = checked_scan(edges, &assignment)?;
     let fragment_budget = inner.config.fragment_budget_longs;
     let fragment_share = scan.fragment_bound_longs().min(fragment_budget);
     let reserve = scan.state_bound_longs(opts.strategy) + fragment_share;
@@ -916,7 +917,7 @@ fn compute_run(
         fragment_memory_budget: Some(fragment_budget),
         ..EulerConfig::default()
     };
-    let input = Input::File(&graph.csr, scan);
+    let input = Input::Edges(edges, scan, Some(&graph.csr));
     let backend = InProcessBackend::new();
     let ran = run_input(input, &assignment, &config, &backend, Some(&mut yield_point))?;
     let report = ran.report;

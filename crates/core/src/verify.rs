@@ -7,42 +7,40 @@
 
 use crate::error::EulerError;
 use crate::phase3::{CircuitResult, CircuitStep};
-use euler_graph::{EdgeId, Graph, VertexId};
+use euler_graph::{Graph, VertexId};
 
 /// Verifies that `circuit` is a valid Euler circuit of `g`.
 pub fn verify_circuit(g: &Graph, circuit: &[CircuitStep]) -> Result<(), EulerError> {
-    verify_steps(g.num_edges(), |e| g.endpoints(e), std::iter::once(circuit))
+    verify_steps(g.edge_arrays().endpoints, std::iter::once(circuit))
 }
 
 /// Verifies a [`CircuitResult`]: each circuit must be internally chained and
 /// closed, every graph edge must be used exactly once across all circuits.
 pub fn verify_result(g: &Graph, result: &CircuitResult) -> Result<(), EulerError> {
-    verify_steps(g.num_edges(), |e| g.endpoints(e), result.circuits.iter().map(Vec::as_slice))
+    verify_steps(g.edge_arrays().endpoints, result.circuits.iter().map(Vec::as_slice))
 }
 
-/// The one checker, over any input's endpoints: `ends(e)` is the pair of
-/// edge `e < num_edges` — a graph's, a mapped file's endpoints section, a
-/// stream's. Every step must name an edge of the input with its endpoints
-/// (either direction), once across all circuits, and chain on the step
-/// before it; then no edge may be missing and every circuit must close.
-pub(crate) fn verify_steps<'c, I>(
-    num_edges: u64,
-    ends: impl Fn(EdgeId) -> (VertexId, VertexId),
-    circuits: I,
-) -> Result<(), EulerError>
+/// The one checker, over any input's flat endpoints: edge `e` joins
+/// `endpoints[2e]` and `endpoints[2e + 1]` — a graph's array, a mapped file's
+/// endpoints section, a stream's second pass. Every step must name an edge
+/// of the input with its endpoints (either direction), once across all
+/// circuits, and chain on the step before it; then no edge may be missing
+/// and every circuit must close.
+pub(crate) fn verify_steps<'c, I>(endpoints: &[u64], circuits: I) -> Result<(), EulerError>
 where
     I: Iterator<Item = &'c [CircuitStep]> + Clone,
 {
+    let num_edges = (endpoints.len() / 2) as u64;
     let mut used = vec![false; num_edges as usize];
     for circuit in circuits.clone() {
         for (i, step) in circuit.iter().enumerate() {
-            let Some(seen) = used.get_mut(step.edge.index()) else {
+            let Some(&[a, b]) = endpoints.chunks_exact(2).nth(step.edge.index()) else {
                 return Err(EulerError::UnknownEdge { edge: step.edge, num_edges });
             };
-            if std::mem::replace(seen, true) {
+            if std::mem::replace(&mut used[step.edge.index()], true) {
                 return Err(EulerError::DuplicateEdge { edge: step.edge });
             }
-            let (a, b) = ends(step.edge);
+            let (a, b) = (VertexId(a), VertexId(b));
             if (a, b) != (step.from, step.to) && (b, a) != (step.from, step.to) {
                 return Err(EulerError::BrokenChain { position: i, expected: a, found: step.from });
             }
@@ -71,6 +69,7 @@ where
 mod tests {
     use super::*;
     use euler_graph::builder::graph_from_edges;
+    use euler_graph::EdgeId;
 
     fn step(edge: u64, from: u64, to: u64) -> CircuitStep {
         CircuitStep { edge: EdgeId(edge), from: VertexId(from), to: VertexId(to) }

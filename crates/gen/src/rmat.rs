@@ -7,7 +7,7 @@
 //! probabilities, generated in parallel with rayon, one chunk per worker, each
 //! chunk seeded deterministically from the generator seed.
 
-use euler_graph::{Graph, VertexId};
+use euler_graph::Graph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -91,7 +91,7 @@ impl RmatGenerator {
         let n_vertices = self.num_vertices();
         let chunk = 1usize << 14;
         let n_chunks = n_edges.div_ceil(chunk.max(1)).max(1);
-        let edges: Vec<(VertexId, VertexId)> = (0..n_chunks)
+        let edges: Vec<[u64; 2]> = (0..n_chunks)
             .into_par_iter()
             .flat_map_iter(|ci| {
                 let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(ci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -99,7 +99,7 @@ impl RmatGenerator {
                 let hi = ((ci + 1) * chunk).min(n_edges);
                 (lo..hi).map(move |_| {
                     let (u, v) = self.sample_edge(&mut rng);
-                    (VertexId(u), VertexId(v))
+                    [u, v]
                 })
             })
             .collect();

@@ -2,7 +2,6 @@
 
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::ids::VertexId;
 
 /// Builder for [`Graph`] that grows the vertex set on demand.
 ///
@@ -12,7 +11,7 @@ use crate::ids::VertexId;
 /// (the result is a multigraph) unless [`GraphBuilder::dedup`] is enabled.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
-    edges: Vec<(VertexId, VertexId)>,
+    edges: Vec<[u64; 2]>,
     num_vertices: u64,
     dedup: bool,
 }
@@ -51,7 +50,7 @@ impl GraphBuilder {
     /// Adds an undirected edge between raw vertex identifiers `u` and `v`.
     pub fn add_edge(&mut self, u: u64, v: u64) -> &mut Self {
         self.num_vertices = self.num_vertices.max(u + 1).max(v + 1);
-        self.edges.push((VertexId(u), VertexId(v)));
+        self.edges.push([u, v]);
         self
     }
 
@@ -82,7 +81,7 @@ impl GraphBuilder {
     pub fn build(mut self) -> Result<Graph, GraphError> {
         if self.dedup {
             let mut seen = std::collections::HashSet::with_capacity(self.edges.len());
-            self.edges.retain(|&(u, v)| seen.insert((u.min(v), u.max(v))));
+            self.edges.retain(|&[u, v]| seen.insert((u.min(v), u.max(v))));
         }
         Graph::from_endpoints(self.num_vertices, self.edges)
     }
@@ -98,6 +97,7 @@ pub fn graph_from_edges(edges: &[(u64, u64)]) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::VertexId;
 
     #[test]
     fn builder_grows_vertex_set() {

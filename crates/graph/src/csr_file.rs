@@ -27,6 +27,7 @@
 //! Corrupt or foreign files fail with a typed [`CsrFileError`] wrapped in
 //! [`GraphError::CsrFormat`].
 
+use crate::edge_arrays::EdgeArrays;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, VertexId};
@@ -251,13 +252,13 @@ pub fn write_csr_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphErr
     header[56..64].copy_from_slice(&endpoints_off.to_le_bytes());
     file.write_all(&header)?;
 
-    // The graph's own arrays are the first three sections; the endpoints
-    // follow in edge-id order.
+    // The graph's own arrays are the sections: the offsets and endpoints as
+    // they are, the half-edges split into targets and edge ids.
     let mut w = SectionWriter::new(&mut file);
     w.section(g.offsets.iter().copied())?;
     w.section(g.adj.iter().map(|&(t, _)| t.0))?;
     w.section(g.adj.iter().map(|&(_, e)| e.0))?;
-    w.section(g.endpoints.iter().flat_map(|&(u, v)| [u.0, v.0]))?;
+    w.section(g.endpoints.iter().copied())?;
     let checksum = w.finish()?;
 
     file.seek(SeekFrom::Start(64))?;
@@ -311,12 +312,11 @@ impl CsrFile {
     /// Use this for very large files from a trusted local producer; the
     /// zero-copy accessors then fault pages in lazily as partitions touch
     /// them. A corrupt section will surface downstream rather than as a typed
-    /// error here: as wrong results, as an out-of-range panic in
-    /// [`degree`](Self::degree), [`first_odd_vertex`](Self::first_odd_vertex)
-    /// or the [`Graph`] that [`to_graph`](Self::to_graph) copies out — or, from
+    /// error here: as wrong results, as an out-of-range panic in the
+    /// [`Graph`] that [`to_graph`](Self::to_graph) copies out — or, from
     /// [`partitioned`](Self::partitioned) and the pipeline's level-0 loader,
-    /// which look every endpoint up checked, as
-    /// [`GraphError::VertexOutOfRange`].
+    /// which read through [`edge_arrays`](Self::edge_arrays) and look every
+    /// endpoint up checked, as [`GraphError::VertexOutOfRange`].
     ///
     /// # Errors
     /// Same as [`open`](Self::open) minus the checksum/structure cases.
@@ -531,20 +531,9 @@ impl CsrFile {
         self.words(&self.endpoints)
     }
 
-    /// Degree of `v` (self-loops count twice), straight from the offsets.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> u64 {
-        let offsets = self.offsets();
-        offsets[v.index() + 1] - offsets[v.index()]
-    }
-
-    /// First vertex with odd degree, if any — the Eulerian pre-check, read
-    /// from the offsets section alone (no edge data is touched).
-    pub fn first_odd_vertex(&self) -> Option<(VertexId, u64)> {
-        let offsets = self.offsets();
-        (0..self.num_vertices as usize)
-            .map(|v| (VertexId(v as u64), offsets[v + 1] - offsets[v]))
-            .find(|&(_, d)| d % 2 == 1)
+    /// The offsets and endpoints sections, borrowed as the view a run reads.
+    pub fn edge_arrays(&self) -> EdgeArrays<'_> {
+        EdgeArrays { offsets: self.offsets(), endpoints: self.endpoints_flat() }
     }
 
     /// Reconstructs the exact [`Graph`] this file was written from: same
@@ -552,18 +541,13 @@ impl CsrFile {
     /// The graph's arrays are the file's sections, so this copies them — no
     /// [`crate::GraphBuilder`] involved.
     pub fn to_graph(&self) -> Graph {
-        let endpoints = self
-            .endpoints_flat()
-            .chunks_exact(2)
-            .map(|p| (VertexId(p[0]), VertexId(p[1])))
-            .collect();
         let adj = self
             .targets()
             .iter()
             .zip(self.edge_ids())
             .map(|(&t, &e)| (VertexId(t), EdgeId(e)))
             .collect();
-        Graph { endpoints, offsets: self.offsets().to_vec(), adj }
+        Graph { endpoints: self.endpoints_flat().to_vec(), offsets: self.offsets().to_vec(), adj }
     }
 
     /// Builds the partition-centric view (§3.1 of the paper) for
@@ -659,15 +643,13 @@ mod tests {
         let path = temp_path("sections.ecsr");
         write_csr_file(&g, &path).unwrap();
         let file = CsrFile::open(&path).unwrap();
-        // The first three sections are the graph's own arrays, word for word.
+        // The sections are the graph's own arrays, word for word.
         assert_eq!(file.offsets(), g.offsets.as_slice());
+        assert_eq!(file.endpoints_flat(), g.endpoints.as_slice());
         let targets: Vec<u64> = g.adj.iter().map(|&(t, _)| t.0).collect();
         let edge_ids: Vec<u64> = g.adj.iter().map(|&(_, e)| e.0).collect();
         assert_eq!(file.targets(), targets.as_slice());
         assert_eq!(file.edge_ids(), edge_ids.as_slice());
-        for v in g.vertices() {
-            assert_eq!(file.degree(v), g.degree(v));
-        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -679,18 +661,8 @@ mod tests {
         let csr = CsrFile::open(&path).unwrap();
         assert_eq!(csr.num_vertices(), 4);
         assert_eq!(csr.num_edges(), 0);
-        assert!(csr.first_odd_vertex().is_none());
+        assert!(csr.edge_arrays().first_odd_vertex().is_none());
         assert_graphs_identical(&g, &csr.to_graph());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn first_odd_vertex_reads_offsets_only() {
-        let g = graph_from_edges(&[(0, 1), (1, 2)]); // v0 and v2 odd
-        let path = temp_path("odd.ecsr");
-        write_csr_file(&g, &path).unwrap();
-        let csr = CsrFile::open(&path).unwrap();
-        assert_eq!(csr.first_odd_vertex(), Some((VertexId(0), 1)));
         std::fs::remove_file(&path).ok();
     }
 

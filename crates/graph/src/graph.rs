@@ -1,5 +1,6 @@
 //! The undirected multigraph type.
 
+use crate::edge_arrays::EdgeArrays;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
 use serde::{Deserialize, Serialize};
@@ -8,17 +9,18 @@ use serde::{Deserialize, Serialize};
 ///
 /// Vertices are contiguous `0..num_vertices()`. Each undirected edge is stored
 /// once as an ordered pair of endpoints, indexed by [`EdgeId`], and twice as a
-/// half-edge in a compressed-sparse-row adjacency: two flat arrays, built in
-/// one counting sort over the edges in id order, that are the offsets,
-/// targets and edge-ids sections of an `.ecsr` file (see
-/// [`crate::format_spec`]). Parallel edges and self-loops are permitted (the
+/// half-edge in a compressed-sparse-row adjacency, built in one counting sort
+/// over the edges in id order. The arrays are the sections of an `.ecsr` file
+/// (see [`crate::format_spec`]): the endpoints and offsets word for word —
+/// together the [`EdgeArrays`] view — and the targets and edge ids
+/// interleaved. Parallel edges and self-loops are permitted (the
 /// Eulerizer in `euler-gen` may create parallel edges); a self-loop has two
 /// consecutive half-edges and so contributes 2 to the degree of its vertex,
 /// consistent with the handshaking lemma.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Graph {
-    /// Endpoints of every edge, indexed by `EdgeId`.
-    pub(crate) endpoints: Vec<(VertexId, VertexId)>,
+    /// `2m` words: edge `e` joins `endpoints[2e]` and `endpoints[2e + 1]`.
+    pub(crate) endpoints: Vec<u64>,
     /// `num_vertices + 1` entries: vertex `v`'s half-edges are
     /// `adj[offsets[v]..offsets[v + 1]]`.
     pub(crate) offsets: Vec<u64>,
@@ -33,13 +35,15 @@ impl Graph {
         Graph { endpoints: Vec::new(), offsets: vec![0; num_vertices as usize + 1], adj: Vec::new() }
     }
 
-    /// Builds the graph whose edge `e` joins `endpoints[e]`: one pass counts
-    /// the degrees into the offsets, a second places every half-edge.
+    /// Builds the graph whose edge `e` joins `endpoints[e]`, the pairs
+    /// flattened in place: one pass counts the degrees into the offsets, a
+    /// second places every half-edge.
     ///
     /// # Errors
     /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is not below
     /// `num_vertices`.
-    pub fn from_endpoints(num_vertices: u64, endpoints: Vec<(VertexId, VertexId)>) -> Result<Self, GraphError> {
+    pub fn from_endpoints(num_vertices: u64, endpoints: Vec<[u64; 2]>) -> Result<Self, GraphError> {
+        let endpoints = endpoints.into_flattened();
         let (offsets, adj) = half_edges(num_vertices, &endpoints, 0)?;
         Ok(Graph { endpoints, offsets, adj })
     }
@@ -53,7 +57,10 @@ impl Graph {
     /// Returns [`GraphError::VertexOutOfRange`] if an endpoint of `extra` is
     /// not a vertex of this graph.
     pub fn with_edges_appended(&self, extra: &[(VertexId, VertexId)]) -> Result<Self, GraphError> {
-        let (extra_offsets, extra_adj) = half_edges(self.num_vertices(), extra, self.num_edges())?;
+        let mut endpoints = Vec::with_capacity(self.endpoints.len() + 2 * extra.len());
+        endpoints.extend(self.endpoints.iter().copied().chain(extra.iter().flat_map(|&(u, v)| [u.0, v.0])));
+        let (extra_offsets, extra_adj) =
+            half_edges(self.num_vertices(), &endpoints[self.endpoints.len()..], self.num_edges())?;
         let mut offsets = Vec::with_capacity(self.offsets.len());
         let mut adj = Vec::with_capacity(self.adj.len() + extra_adj.len());
         for v in 0..self.num_vertices() as usize {
@@ -62,9 +69,6 @@ impl Graph {
             adj.extend_from_slice(&extra_adj[extra_offsets[v] as usize..extra_offsets[v + 1] as usize]);
         }
         offsets.push(adj.len() as u64);
-        let mut endpoints = Vec::with_capacity(self.endpoints.len() + extra.len());
-        endpoints.extend_from_slice(&self.endpoints);
-        endpoints.extend_from_slice(extra);
         Ok(Graph { endpoints, offsets, adj })
     }
 
@@ -77,13 +81,19 @@ impl Graph {
     /// Number of undirected edges.
     #[inline]
     pub fn num_edges(&self) -> u64 {
-        self.endpoints.len() as u64
+        self.endpoints.len() as u64 / 2
+    }
+
+    /// The offsets and endpoints, borrowed as the view a run reads.
+    pub fn edge_arrays(&self) -> EdgeArrays<'_> {
+        EdgeArrays { offsets: &self.offsets, endpoints: &self.endpoints }
     }
 
     /// Returns the two endpoints of an edge, in the order they were inserted.
     #[inline]
     pub fn endpoints(&self, edge: EdgeId) -> (VertexId, VertexId) {
-        self.endpoints[edge.index()]
+        let at = 2 * edge.index();
+        (VertexId(self.endpoints[at]), VertexId(self.endpoints[at + 1]))
     }
 
     /// Given an edge and one of its endpoints, returns the opposite endpoint.
@@ -92,7 +102,7 @@ impl Graph {
     /// returned.
     #[inline]
     pub fn other_endpoint(&self, edge: EdgeId, vertex: VertexId) -> VertexId {
-        let (a, b) = self.endpoints[edge.index()];
+        let (a, b) = self.endpoints(edge);
         if a == vertex {
             b
         } else {
@@ -120,10 +130,7 @@ impl Graph {
 
     /// Iterator over all edges as `(edge, u, v)`.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, VertexId, VertexId)> + '_ {
-        self.endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, &(u, v))| (EdgeId(i as u64), u, v))
+        (0..).zip(self.edge_arrays().pairs()).map(|(e, (u, v))| (EdgeId(e), VertexId(u), VertexId(v)))
     }
 
     /// Total memory state of the graph in 8-byte Longs, using the paper's
@@ -142,26 +149,26 @@ impl Graph {
 /// A graph's CSR offsets and half-edges.
 type HalfEdges = (Vec<u64>, Vec<(VertexId, EdgeId)>);
 
-/// The CSR offsets and half-edges of the edges `endpoints`, whose ids start
-/// at `first_id`, by a counting sort in edge-id order: `(v, e)` at `u` and
-/// then `(u, e)` at `v`, so a self-loop's two half-edges sit side by side.
-fn half_edges(num_vertices: u64, endpoints: &[(VertexId, VertexId)], first_id: u64) -> Result<HalfEdges, GraphError> {
+/// The CSR offsets and half-edges of the edges in the flat `endpoints`,
+/// whose ids start at `first_id`, by a counting sort in edge-id order:
+/// `(v, e)` at `u` and then `(u, e)` at `v`, so a self-loop's two half-edges
+/// sit side by side.
+fn half_edges(num_vertices: u64, endpoints: &[u64], first_id: u64) -> Result<HalfEdges, GraphError> {
     let mut offsets = vec![0u64; num_vertices as usize + 1];
-    for &(u, v) in endpoints {
-        for w in [u, v] {
-            if w.0 >= num_vertices {
-                return Err(GraphError::VertexOutOfRange { vertex: w, num_vertices });
-            }
-            offsets[w.index() + 1] += 1;
+    for &w in endpoints {
+        if w >= num_vertices {
+            return Err(GraphError::VertexOutOfRange { vertex: VertexId(w), num_vertices });
         }
+        offsets[w as usize + 1] += 1;
     }
     for v in 1..offsets.len() {
         offsets[v] += offsets[v - 1];
     }
     // Each vertex's next free half-edge slot.
     let mut next = offsets.clone();
-    let mut adj = vec![(VertexId(0), EdgeId(0)); 2 * endpoints.len()];
-    for (e, &(u, v)) in (first_id..).zip(endpoints) {
+    let mut adj = vec![(VertexId(0), EdgeId(0)); endpoints.len()];
+    for (e, pair) in (first_id..).zip(endpoints.chunks_exact(2)) {
+        let (u, v) = (VertexId(pair[0]), VertexId(pair[1]));
         for (w, other) in [(u, v), (v, u)] {
             let slot = &mut next[w.index()];
             adj[*slot as usize] = (other, EdgeId(e));
@@ -226,8 +233,7 @@ mod tests {
 
     #[test]
     fn out_of_range_edge_rejected() {
-        let err = Graph::from_endpoints(2, vec![(VertexId(0), VertexId(1)), (VertexId(0), VertexId(2))])
-            .unwrap_err();
+        let err = Graph::from_endpoints(2, vec![[0, 1], [0, 2]]).unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfRange { vertex: VertexId(2), num_vertices: 2 }));
     }
 
@@ -238,11 +244,15 @@ mod tests {
         let pairs = |edges: &[(u64, u64)]| -> Vec<(VertexId, VertexId)> {
             edges.iter().map(|&(u, v)| (VertexId(u), VertexId(v))).collect()
         };
-        let g = Graph::from_endpoints(6, pairs(&base)).unwrap();
+        let words = |edges: &[(u64, u64)]| -> Vec<[u64; 2]> { edges.iter().map(|&(u, v)| [u, v]).collect() };
+        let g = Graph::from_endpoints(6, words(&base)).unwrap();
         let appended = g.with_edges_appended(&pairs(&extra)).unwrap();
-        let joined = Graph::from_endpoints(6, pairs(&[base, extra].concat())).unwrap();
-        assert_eq!(appended.endpoints, joined.endpoints);
-        assert_eq!(appended.offsets, joined.offsets);
+        let joined = Graph::from_endpoints(6, words(&[base, extra].concat())).unwrap();
+        // The flat arrays, word for word.
+        let flat = [base, extra].concat().iter().flat_map(|&(u, v)| [u, v]).collect::<Vec<_>>();
+        assert_eq!(appended.endpoints, flat);
+        assert_eq!(appended.edge_arrays().endpoints, joined.edge_arrays().endpoints);
+        assert_eq!(appended.edge_arrays().offsets, joined.edge_arrays().offsets);
         assert_eq!(appended.adj, joined.adj);
         let err = g.with_edges_appended(&pairs(&[(0, 6)])).unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfRange { vertex: VertexId(6), num_vertices: 6 }));

@@ -7,7 +7,7 @@
 //!
 //! * [`Graph`] — an undirected multigraph with stable [`EdgeId`]s, held as
 //!   flat compressed-sparse-row arrays (the sections of an `.ecsr` file),
-//!   built through [`GraphBuilder`].
+//!   built through [`GraphBuilder`] and read by a run as [`EdgeArrays`].
 //! * [`PartitionedGraph`] / [`Partition`] — the partition-centric view used by
 //!   the paper: internal vertices, boundary vertices, local edges and remote
 //!   edges per partition (§3.1 of the paper).
@@ -31,6 +31,7 @@
 
 pub mod builder;
 pub mod csr_file;
+pub mod edge_arrays;
 pub mod error;
 pub mod graph;
 pub mod ids;
@@ -51,6 +52,7 @@ pub mod format_spec {}
 
 pub use builder::GraphBuilder;
 pub use csr_file::{write_csr_file, CsrFile, CsrFileError};
+pub use edge_arrays::EdgeArrays;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, PartitionId, VertexId};
@@ -58,7 +60,7 @@ pub use local_index::{bucket_by_slot, LocalIndex, LocalIndexBufs};
 pub use metagraph::{MetaEdge, MetaGraph};
 pub use partitioned::{Partition, PartitionAssignment, PartitionedGraph, RemoteEdge};
 pub use properties::{
-    connected_components, first_odd_vertex, is_connected_on_edges, is_eulerian, odd_vertices,
+    connected_components, is_connected_on_edges, is_eulerian, odd_vertices,
 };
 pub use registry::{GraphRegistry, RegisteredGraph};
 pub use source::{

@@ -11,19 +11,12 @@ pub fn odd_vertices(g: &Graph) -> Vec<VertexId> {
     g.vertices().filter(|&v| g.degree(v) % 2 == 1).collect()
 }
 
-/// First vertex with odd degree, with its degree, if any — the Eulerian
-/// degree pre-check in the shape [`crate::CsrFile::first_odd_vertex`] also
-/// produces, so both input paths share one check.
-pub fn first_odd_vertex(g: &Graph) -> Option<(VertexId, u64)> {
-    g.vertices().map(|v| (v, g.degree(v))).find(|&(_, d)| d % 2 == 1)
-}
-
 /// Checks whether every vertex of the graph has even degree.
 ///
 /// This is the degree half of Euler's theorem; combined with
 /// [`is_connected_on_edges`] it characterises graphs with an Euler circuit.
 pub fn all_degrees_even(g: &Graph) -> bool {
-    g.vertices().all(|v| g.degree(v).is_multiple_of(2))
+    g.edge_arrays().first_odd_vertex().is_none()
 }
 
 /// Labels the connected component of every vertex, ignoring edge multiplicity.
@@ -81,11 +74,8 @@ pub fn non_trivial_components(g: &Graph) -> usize {
 /// Returns [`GraphError::NotEulerian`] naming an offending odd-degree vertex,
 /// or [`GraphError::Disconnected`] with the number of edge-bearing components.
 pub fn is_eulerian(g: &Graph) -> Result<(), GraphError> {
-    for v in g.vertices() {
-        let d = g.degree(v);
-        if d % 2 == 1 {
-            return Err(GraphError::NotEulerian { vertex: v, degree: d });
-        }
+    if let Some((vertex, degree)) = g.edge_arrays().first_odd_vertex() {
+        return Err(GraphError::NotEulerian { vertex, degree });
     }
     let comps = non_trivial_components(g);
     if comps > 1 {
