@@ -8,9 +8,12 @@ use serde::{Deserialize, Serialize};
 pub struct EulerConfig {
     /// Strategy for handling remote edges across merge levels (§5).
     pub merge_strategy: MergeStrategy,
-    /// Run Phase 1 of the partitions at one level in parallel (rayon). The
-    /// paper's partitions execute concurrently on different machines; turning
-    /// this off makes runs easier to profile per partition.
+    /// Allow Phase 1 of the partitions at one level to run in parallel
+    /// (rayon), which a level does once its partition states are large
+    /// enough to pay for waking the pool's threads. The paper's partitions
+    /// execute concurrently on different machines; turning this off steps
+    /// every level one partition at a time, which makes runs easier to
+    /// profile per partition. Same bytes either way.
     pub parallel_within_level: bool,
     /// Verify the reconstructed circuit against the run's input before
     /// returning (every edge exactly once, each step its edge's endpoints,

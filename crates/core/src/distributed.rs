@@ -15,9 +15,11 @@
 //!
 //! Where the workers live is all that varies. Without a transport they are
 //! slot sets of this process, stepped **in place** — fanned out on the rayon
-//! pool, whose parked threads every level reuses — fragments pushed straight
-//! into the walk's store; a BSP worker steps its slots one at a time, the
-//! in-process one fans them out on rayon. With one, a **coordinator** owns
+//! pool, whose parked threads every level reuses, when the level carries
+//! enough work to pay for waking them (`fans_out`) — fragments pushed
+//! straight into the walk's store; a BSP worker steps its slots one at a
+//! time, the in-process one fans them out on rayon under the same gate. With
+//! one, a **coordinator** owns
 //! the walk and the workers are OS threads over the in-memory transport, or
 //! genuine OS *processes* spawned via `std::process::Command` running the
 //! `euler-worker` binary over the TCP transport, exchanging typed
@@ -742,6 +744,27 @@ fn adopt_fragments(list: &[(SegmentHead, Blob)], store: &FragmentStore) -> Resul
 // Worker side.
 // ---------------------------------------------------------------------------
 
+/// The fewest state-record words — the unit [`Placement`] weighs states by —
+/// a level must carry before it goes to the rayon pool: below it, waking the
+/// pool's parked threads costs more than running the steps side by side
+/// saves (measured in docs/ARCHITECTURE.md, *The fan-out gate*).
+const FAN_OUT_MIN_WORDS: u64 = 1 << 15;
+
+/// Whether a level carrying `words` — the record words of every state it
+/// steps and of every child arriving to merge into one, kept or inbound —
+/// goes to the rayon pool, where the run allows a fan-out; else its steps
+/// run on the caller, in order. Both in-process fan-outs ask this and keep no
+/// size rule of their own: a worker's slots ([`SlotSet::step_level`]) and the
+/// workers stepped in place (`step_in_place`).
+pub(crate) fn fans_out(words: u64) -> bool {
+    words >= FAN_OUT_MIN_WORDS
+}
+
+/// The record words of `states`, the unit of [`fans_out`].
+fn state_words<'a>(states: impl IntoIterator<Item = &'a WorkingPartition>) -> u64 {
+    states.into_iter().map(|wp| wire::record_words(wp) as u64).sum()
+}
+
 /// A worker's reason for refusing a checkpoint seed.
 #[derive(Debug)]
 struct RestoreRefusal {
@@ -766,7 +789,8 @@ struct SlotSet {
     /// be merged at the next: handed over by value, never encoded.
     kept: Vec<WorkingPartition>,
     pool: ArenaPool,
-    /// Step a level's slots on rayon rather than one at a time.
+    /// The run allows a level's slots on rayon, where they go when the level
+    /// also passes [`fans_out`].
     fan_out: bool,
 }
 
@@ -801,10 +825,11 @@ impl SlotSet {
     }
 
     /// Steps every slot through the level, Phase 1 persisting into `store` —
-    /// on rayon if the set fans out, else one at a time — and folds the steps
-    /// in ascending slot order: a state the tree retires leaves its slot —
-    /// kept, by value, if its merge parent is a slot of this set, encoded
-    /// into the share otherwise.
+    /// on rayon if the set may fan out and the level passes [`fans_out`],
+    /// else one at a time in slot order — and folds the steps in ascending
+    /// slot order: a state the tree retires leaves its slot — kept, by value,
+    /// if its merge parent is a slot of this set, encoded into the share
+    /// otherwise.
     fn step_level(&mut self, level: u32, mut inbound: Inbound, store: &FragmentStore) -> LevelShare {
         let held: Vec<PartitionId> = self.slots.keys().copied().collect();
         let slots: Vec<_> = std::mem::take(&mut self.slots)
@@ -843,7 +868,10 @@ impl SlotSet {
             let (report, post_memory) = (step.report, step.memory_after);
             share.reports.push(SlotReport { report, post_memory, unpack, ship });
         };
-        if self.fan_out {
+        let words = || {
+            slots.iter().map(|(wp, children, _)| state_words([wp]) + state_words(children)).sum()
+        };
+        if self.fan_out && fans_out(words()) {
             slots.into_par_iter().map(step).collect::<Vec<_>>().into_iter().for_each(&mut fold);
         } else {
             slots.into_iter().map(step).for_each(&mut fold);
@@ -1826,9 +1854,10 @@ fn fold_barrier(
 /// One level on workers stepped in place, each with anything to do decoding
 /// its inbox, stepping its slots with their fragments pushed straight into
 /// the walk's `store`, and handing back its share with the states shipped to
-/// other workers encoded. The busy workers fan out on the rayon pool; a
-/// worker that panics, on whichever thread, fails the level with a typed
-/// error.
+/// other workers encoded. The busy workers fan out on the rayon pool when
+/// their slots, kept states and inbox entries pass [`fans_out`], and are
+/// stepped on the caller in worker order otherwise; a worker that panics, on
+/// whichever thread, fails the level with a typed error.
 fn step_in_place(
     sets: &mut [SlotSet],
     level: u32,
@@ -1852,12 +1881,22 @@ fn step_in_place(
         .enumerate()
         .filter(|(_, (set, entries))| !(set.slots.is_empty() && entries.is_empty()))
         .collect();
+    let words = busy.iter().map(|(_, (set, entries))| {
+        let inbound: usize = entries.iter().map(|entry| entry.bytes().len() / 8).sum();
+        state_words(set.slots.values()) + state_words(&set.kept) + inbound as u64
+    });
     let panicked = |_| Err(EulerError::Distributed("a worker stepped in place panicked".into()));
-    busy.par_iter_mut()
-        .map(|(w, (set, entries))| {
-            panic::catch_unwind(AssertUnwindSafe(|| step(*w, set, entries))).unwrap_or_else(panicked)
-        })
-        .collect()
+    let run = |(w, (set, entries)): &mut (usize, (&mut SlotSet, &Vec<Blob>))| {
+        panic::catch_unwind(AssertUnwindSafe(|| step(*w, set, entries))).unwrap_or_else(panicked)
+    };
+    // Either way every busy worker steps, and the first error in worker
+    // order fails the level.
+    let dones: Vec<_> = if fans_out(words.sum()) {
+        busy.par_iter_mut().map(run).collect()
+    } else {
+        busy.iter_mut().map(run).collect()
+    };
+    dones.into_iter().collect()
 }
 
 /// Where a run's workers live.
@@ -1889,8 +1928,9 @@ impl DistRun {
     /// the states' encoded sizes, see [`Placement`]; a level 0 still in its
     /// edge arrays is sized from its scan, which counts what the states will
     /// hold — in place, or, given a `fleet` configuration, spawned and
-    /// initialised over its transport. Workers in place step their slots on
-    /// rayon under `fan_out`; a fleet's step theirs one at a time.
+    /// initialised over its transport. `fan_out` allows workers in place to
+    /// step a level's slots on rayon, which they do for a level that passes
+    /// [`fans_out`]; a fleet's step theirs one at a time.
     pub fn new(
         engine: BspConfig,
         fleet: Option<FleetConfig>,
@@ -2737,25 +2777,43 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// The gate is one comparison with one constant: a level one word short
+    /// of it is stepped on the caller, a level of exactly that much work
+    /// fans out.
+    #[test]
+    fn a_level_fans_out_from_the_gate_on() {
+        assert!(!fans_out(FAN_OUT_MIN_WORDS - 1));
+        assert!(fans_out(FAN_OUT_MIN_WORDS));
+        assert!(!fans_out(0));
+    }
+
     /// A worker stepped in place that panics fails the level with a typed
     /// error, the first worker (which may run on the calling thread) as much
-    /// as any other. Past the last level a fragment id can name, every
-    /// worker's first push panics.
+    /// as any other — on either side of the gate: a level under it steps
+    /// every slot on the caller's own thread, where the panic is raised; one
+    /// over it fans the slots (one worker that may fan out) or the workers
+    /// (two) out on the pool. Past the last level a fragment id can name,
+    /// every worker's first push panics.
     #[test]
     fn a_panic_in_any_worker_stepped_in_place_is_a_typed_error() {
-        for workers in [1, 2] {
-            let mut run = DistRun::new(
-                BspConfig::with_workers(workers),
-                None,
-                Arc::new(tiny_tree()),
-                MergeStrategy::Deferred,
-                vec![state(0, &[1, 2, 3]), state(1, &[4, 5, 6])].into(),
-                false,
-            )
-            .unwrap();
-            match run.step(FragmentId::MAX_LEVELS, &FragmentStore::new()) {
-                Err(EulerError::Distributed(m)) => assert!(m.contains("panicked"), "{m}"),
-                other => panic!("expected a typed error, got {:?}", other.map(|o| o.reports.len())),
+        let large: Vec<u64> = (1..=FAN_OUT_MIN_WORDS / 4).collect();
+        for (seeds, over) in [([&[1, 2, 3][..], &[4, 5, 6]], false), ([&large[..], &large], true)] {
+            let states = || vec![state(0, seeds[0]), state(1, seeds[1])];
+            assert_eq!(fans_out(state_words(&states())), over);
+            for (workers, fan_out) in [(1, true), (1, false), (2, false)] {
+                let mut run = DistRun::new(
+                    BspConfig::with_workers(workers),
+                    None,
+                    Arc::new(tiny_tree()),
+                    MergeStrategy::Deferred,
+                    states().into(),
+                    fan_out,
+                )
+                .unwrap();
+                match run.step(FragmentId::MAX_LEVELS, &FragmentStore::new()) {
+                    Err(EulerError::Distributed(m)) => assert!(m.contains("panicked"), "{m}"),
+                    other => panic!("expected a typed error, got {:?}", other.map(|o| o.reports.len())),
+                }
             }
         }
     }

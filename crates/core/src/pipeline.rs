@@ -19,7 +19,8 @@
 //!   ship — and through the same slot set and barrier fold
 //!   ([`crate::distributed`]). [`InProcessBackend`] is one worker holding
 //!   every partition, stepped in place: its slots fan out on rayon threads
-//!   and every shipped state reaches its parent by value; [`BspBackend`] runs
+//!   when a level carries enough work to pay for the hand-off, and every
+//!   shipped state reaches its parent by value; [`BspBackend`] runs
 //!   the level as one superstep of a set of workers that serialise what they
 //!   ship to each other (shuffle accounting, per-partition time splits) —
 //!   stepped in place, or over a wire transport. Whatever the backend
@@ -307,9 +308,10 @@ pub trait ExecutionBackend {
 
 /// Executes levels in this process, as one worker stepped in place that
 /// holds every partition, so every shipped state reaches its parent by value.
-/// A level's partitions fan out on rayon threads, each merging its children
-/// and running the sequential Phase-1 kernel on an arena of the worker's
-/// pool; [`EulerPipelineBuilder::sequential`] steps them one at a time —
+/// A level's partitions fan out on rayon threads once its states are large
+/// enough to pay for waking the pool, each merging its children and running
+/// the sequential Phase-1 kernel on an arena of the worker's pool;
+/// [`EulerPipelineBuilder::sequential`] steps every level one at a time —
 /// same bytes, one thread. It reports no superstep statistics, and produces
 /// the detailed per-level, per-partition quantities the paper's Figs. 6–9
 /// are built from.
@@ -958,7 +960,7 @@ impl EulerPipelineBuilder {
 
     /// Disables intra-level parallelism (one partition at a time, in
     /// ascending id order) — easier to profile; the result is the same
-    /// bytes as the default fan-out.
+    /// bytes as the default, which fans out the levels worth it.
     pub fn sequential(mut self) -> Self {
         self.config.parallel_within_level = false;
         self
@@ -1087,7 +1089,9 @@ impl EulerPipeline {
     /// ([`euler_partition::StreamingPartitioner`] — hash and LDG) that
     /// supports the source's stream order, one pass over chunked edge
     /// batches; or else the partitioner over the whole graph (BFS placement,
-    /// custom whole-graph partitioners), which a dense run then reads.
+    /// custom whole-graph partitioners), whose graph is dropped as soon as
+    /// it returns if the run reads edges — a dense run reads the loaded
+    /// graph only when the source has no file.
     ///
     /// A dense run reads [`euler_graph::EdgeArrays`], a mapped file's or a
     /// resident graph's: one more pass over the endpoints counts level 0
@@ -1117,18 +1121,21 @@ impl EulerPipeline {
                 }
             },
         };
-        let mut loaded = None;
+        // A whole-graph partitioner's graph goes before a run that reads the
+        // file or the stream; a dense run without a file reads a graph.
+        let graph = match graph {
+            _ if reads_edges => None,
+            Some(g) => Some(g),
+            None => Some(load(source, &mut load_time)?),
+        };
         let input = if config.streaming_phase1 {
-            // A whole-graph partitioner's graph goes before the pass.
-            drop(graph.take());
             Input::Stream(source.edge_stream().ok_or_else(|| {
                 EulerError::InvalidConfig("streaming_phase1 needs a source that exposes an edge stream".into())
             })?)
         } else {
-            let (edges, file) = match (&graph, file) {
-                (Some(g), _) => (g.edge_arrays(), None),
-                (None, Some(csr)) => (csr.edge_arrays(), Some(csr)),
-                (None, None) => (loaded.insert(load(source, &mut load_time)?).edge_arrays(), None),
+            let edges = match (&graph, file) {
+                (Some(g), _) => g.edge_arrays(),
+                (None, csr) => csr.expect("a dense run without a graph reads a file").edge_arrays(),
             };
             Input::Edges(edges, checked_scan(edges, &assignment)?, file)
         };
@@ -1461,12 +1468,18 @@ mod tests {
         // scheduled — rayon fan-out, several BSP workers stepped in place
         // or behind the in-memory transport — the run equals the fully
         // sequential one: circuits, per-level records, transfers.
-        let g = synthetic::random_eulerian_connected(140, 18, 6, 77);
+        let g = synthetic::random_eulerian_connected(6_000, 600, 8, 77);
         let a = LdgPartitioner::new(4).partition(&g);
         let run = |builder: EulerPipelineBuilder| {
             builder.graph(&g).assignment(a.clone()).build().unwrap().run().unwrap()
         };
         let sequential = run(EulerPipeline::builder().sequential());
+        // Level 0's four partitions carry enough work to fan out, so the runs
+        // below really are scheduled concurrently: a state record holds four
+        // words per local edge and three per remote ref, besides its header.
+        let level0 = sequential.merge.per_partition.iter().filter(|r| r.level == 0);
+        let words = level0.map(|r| 4 * r.counts.local_edges + 3 * r.counts.remote_edges).sum();
+        assert!(crate::distributed::fans_out(words), "level 0 steps {words} words, under the gate");
         assert_same_run(&run(EulerPipeline::builder()), &sequential);
         for workers in [1usize, 2, 4] {
             let engine = euler_bsp::BspConfig::with_workers(workers);
@@ -1620,6 +1633,33 @@ mod tests {
     }
 
     #[test]
+    fn a_whole_graph_partitioner_over_a_file_runs_from_the_file() {
+        // BFS cannot stream, so it partitions a graph loaded from the file;
+        // the run then reads the file again, not that graph, and wire
+        // workers are sent a reference to it instead of their states.
+        let g = synthetic::torus_grid(64, 64);
+        let path = csr_temp("bfs_over_file.ecsr");
+        euler_graph::write_csr_file(&g, &path).unwrap();
+        let mem_wire = || {
+            BspBackend::with_engine(euler_bsp::BspConfig::with_workers(2))
+                .with_transport(Arc::new(euler_bsp::MemTransport))
+        };
+        let run = |builder: EulerPipelineBuilder| builder.backend(mem_wire()).build().unwrap().run().unwrap();
+        let file = || euler_graph::MmapCsrSource::open(&path).unwrap();
+        let bfs = run(EulerPipeline::builder().source(file()).partitioner(euler_partition::BfsPartitioner::new(4)));
+        assert_eq!(bfs.partition.partitioner, "bfs (direct csr slice)");
+        let a = bfs.partition.assignment.clone();
+        let by_reference = run(EulerPipeline::builder().source(file()).assignment(a.clone()));
+        let resident = run(EulerPipeline::builder().graph(&g).assignment(a));
+        let init = |run: &PipelineRun| run.merge.engine.as_ref().expect("bsp runs report engine stats").init_bytes;
+        assert_eq!(init(&bfs), init(&by_reference), "the file-reference Init of the assignment");
+        assert!(init(&bfs) < init(&resident), "{} B vs the states' {} B", init(&bfs), init(&resident));
+        assert_eq!(bfs.circuit.result.circuits, resident.circuit.result.circuits);
+        verify_result(&g, &bfs.circuit.result).unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn csr_source_with_a_streaming_partitioner_takes_the_zero_graph_path() {
         let g = synthetic::random_eulerian_connected(130, 16, 6, 33);
         let config = EulerConfig::default().sequential();
@@ -1690,7 +1730,8 @@ mod tests {
 
     #[test]
     fn csr_source_with_a_bfs_ldg_partitioner_falls_back_to_loading() {
-        // BFS placement needs random access to the graph — no streaming view.
+        // BFS placement needs random access to the graph — no streaming view
+        // — so the partitioner loads one; the run itself reads the file.
         let g = synthetic::torus_grid(6, 6);
         let path = csr_temp("bfs_fallback.ecsr");
         euler_graph::write_csr_file(&g, &path).unwrap();
@@ -1701,7 +1742,8 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(run.partition.partitioner, "ldg");
+        assert_eq!(run.partition.partitioner, "ldg (direct csr slice)");
+        assert!(run.partition.load_time > Duration::ZERO);
         assert_eq!(run.circuit.result.total_edges(), g.num_edges());
         std::fs::remove_file(&path).ok();
     }

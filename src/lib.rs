@@ -193,6 +193,9 @@
 //! worker threads or processes over a transport — each executing the
 //! sequential Phase-1 kernel on an arena from a reusable pool
 //! ([`Phase1Arena`](algo::Phase1Arena)), and the level ends in a barrier.
+//! In this process, a level goes to the rayon pool only once its partition
+//! states are large enough to pay for waking the pool's threads; a smaller
+//! one runs its partitions one at a time on the caller.
 //!
 //! The result does not depend on how those partitions were interleaved. A
 //! fragment's id ([`FragmentId`](algo::FragmentId)) is a function of

@@ -14,13 +14,33 @@
 //! differently from run to run.
 
 use euler_circuit::algo::verify::verify_result;
-use euler_circuit::algo::{EulerError, Fragment, FragmentStore, LevelOutcome, LevelWork};
+use euler_circuit::algo::{
+    EulerError, Fragment, FragmentStore, LevelOutcome, LevelWork, VertexTypeCounts,
+};
 use euler_circuit::bsp::{BspConfig, PlatformCostModel};
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Once};
+
+/// The gate of the in-process fan-outs (`FAN_OUT_MIN_WORDS` in
+/// `euler_core::distributed`, which is private): a level goes to the rayon
+/// pool once the state records it steps reach this many words, and runs on
+/// the caller below it. An input under it compares the sequential schedule
+/// with itself.
+const FAN_OUT_MIN_WORDS: u64 = 1 << 15;
+
+/// Asserts that level 0 — every partition, two or more of them — carried
+/// enough work to fan out, read from the run's own per-partition counts: a
+/// state record holds four words per local edge and three per remote ref,
+/// besides its header, so these bound the level's words from below.
+fn assert_level0_fans_out(records: impl IntoIterator<Item = (u32, VertexTypeCounts)>, what: &str) {
+    let level0: Vec<_> = records.into_iter().filter(|(level, _)| *level == 0).map(|(_, c)| c).collect();
+    let words: u64 = level0.iter().map(|c| 4 * c.local_edges + 3 * c.remote_edges).sum();
+    assert!(level0.len() >= 2, "{what}: {} partition(s) at level 0", level0.len());
+    assert!(words >= FAN_OUT_MIN_WORDS, "{what}: level 0 steps {words} words, under the fan-out gate");
+}
 
 /// Forces the rayon pool to 4 threads, whatever the environment says. The
 /// pool size is read once, at first use, so every test calls this first.
@@ -90,11 +110,18 @@ impl Observed {
     }
 }
 
+impl Observed {
+    /// The level and counts of every per-level record.
+    fn level_counts(&self) -> impl Iterator<Item = (u32, VertexTypeCounts)> + '_ {
+        self.records.iter().map(|r| (r.level, r.counts))
+    }
+}
+
 #[derive(Debug, PartialEq)]
 struct RecordFacts {
     level: u32,
     partition: PartitionId,
-    counts: euler_circuit::algo::VertexTypeCounts,
+    counts: VertexTypeCounts,
     complexity: u64,
     memory_longs: u64,
     remote_needed_now: u64,
@@ -164,12 +191,12 @@ fn observe_source(
 /// walk — rayon fan-out in-process, BSP workers stepped in place (1, 2 and
 /// one per partition), 2 thread workers over the in-memory transport — each
 /// `repeats` times, unbounded and under a fragment budget of an eighth of
-/// the fragment bytes. All must equal the oracle.
+/// the fragment bytes. All must equal the oracle, which is returned.
 fn assert_every_schedule_matches_sequential(
     g: &Graph,
     assignment: &PartitionAssignment,
     repeats: usize,
-) {
+) -> Observed {
     let unbounded = EulerConfig::default();
     let oracle = observe(g, assignment, &unbounded.clone().sequential(), InProcessBackend::new());
     verify_result(g, &CircuitResult { circuits: oracle.circuits.clone() }).unwrap();
@@ -204,16 +231,18 @@ fn assert_every_schedule_matches_sequential(
             observe(g, assignment, config, wire).assert_matches(&oracle, &tag("2 wire workers"));
         }
     }
+    oracle
 }
 
-/// The headline: partitions big enough that their pushes interleave, every
-/// backend, twenty times over.
+/// The headline: partitions big enough that their levels fan out and their
+/// pushes interleave, every backend, twenty times over.
 #[test]
 fn every_backend_is_bit_identical_to_sequential_twenty_times_over() {
     force_four_threads();
     let g = synthetic::random_eulerian_connected(3_000, 600, 8, 2024);
     let assignment = LdgPartitioner::new(8).partition(&g);
-    assert_every_schedule_matches_sequential(&g, &assignment, 20);
+    let oracle = assert_every_schedule_matches_sequential(&g, &assignment, 20);
+    assert_level0_fans_out(oracle.level_counts(), "random Eulerian 3,000");
 }
 
 /// The facts of two BSP runs' supersteps that no clock reads and that do not
@@ -248,7 +277,7 @@ fn assert_same_superstep_facts(
 #[test]
 fn in_place_and_wire_workers_report_the_same_engine_stats() {
     force_four_threads();
-    let g = eulerize(&RmatGenerator::new(10).with_avg_degree(8.0).with_seed(3).generate()).0;
+    let g = eulerize(&RmatGenerator::new(12).with_avg_degree(8.0).with_seed(3).generate()).0;
     let parts = 6;
     let assignment = LdgPartitioner::new(parts).partition(&g);
     // Local + remote bytes per superstep, by worker count: every retiring
@@ -266,6 +295,8 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
                 .unwrap()
                 .run()
                 .unwrap();
+            let counts = run.merge.per_partition.iter().map(|r| (r.level, r.counts));
+            assert_level0_fans_out(counts, &format!("R-MAT 12, {workers} workers"));
             tree = Some(run.merge.merge_tree);
             run.merge.engine.expect("bsp runs report engine stats")
         };
@@ -345,7 +376,7 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
 #[test]
 fn workers_fed_from_a_mapped_file_match_the_graph_run_down_to_the_fragment_ids() {
     force_four_threads();
-    let g = eulerize(&RmatGenerator::new(10).with_avg_degree(8.0).with_seed(7).generate()).0;
+    let g = eulerize(&RmatGenerator::new(12).with_avg_degree(8.0).with_seed(7).generate()).0;
     let parts = 6usize;
     let assignment = LdgPartitioner::new(parts as u32).partition(&g);
     let path = std::env::temp_dir().join(format!("euler-pe-{}.ecsr", std::process::id()));
@@ -366,6 +397,7 @@ fn workers_fed_from_a_mapped_file_match_the_graph_run_down_to_the_fragment_ids()
         let config = EulerConfig::default().with_merge_strategy(strategy);
         let oracle = observe(&g, &assignment, &config.clone().sequential(), InProcessBackend::new());
         let tag = |what: &str| format!("{what} off the file, {strategy}");
+        assert_level0_fans_out(oracle.level_counts(), &tag("R-MAT 12"));
         let in_process =
             observe_source(MmapCsrSource::open(&path).unwrap(), &assignment, &config, InProcessBackend::new());
         in_process.assert_matches(&oracle, &tag("in-process fan-out"));
@@ -409,8 +441,8 @@ fn workers_fed_from_a_mapped_file_match_the_graph_run_down_to_the_fragment_ids()
 
 /// The memory promise under concurrency: with a level's partitions pushing
 /// at once, the resident fragment set still never exceeds the budget by
-/// more than the one fragment being pushed, and nothing falls back to
-/// resident.
+/// more than the one fragment being pushed, nothing falls back to resident,
+/// and the spill traffic keeps its exact identities.
 #[test]
 fn fragment_budget_envelope_holds_under_concurrent_fan_out() {
     force_four_threads();
@@ -420,6 +452,7 @@ fn fragment_budget_envelope_holds_under_concurrent_fan_out() {
         let assignment = LdgPartitioner::new(8).partition(g);
         let config = EulerConfig::default();
         let unbounded = observe(g, &assignment, &config, InProcessBackend::new());
+        assert_level0_fans_out(unbounded.level_counts(), name);
         let budget = unbounded.fragment_disk_longs / 8;
         let largest = unbounded.fragments.iter().map(Fragment::disk_longs).max().unwrap();
         for _ in 0..5 {
@@ -433,6 +466,13 @@ fn fragment_budget_envelope_holds_under_concurrent_fan_out() {
             let stats = bounded.stats;
             assert!(stats.spilled_fragments > 0, "{name}: budget {budget} must spill: {stats:?}");
             assert_eq!(stats.spill_errors, 0, "{name}");
+            // The spill traffic identities hold however the fan-out filled
+            // the store: every record not resident written once, read back
+            // once by each of Phase 3's two passes.
+            let on_disk = bounded.fragment_disk_longs - stats.resident_longs;
+            assert_eq!(stats.spill_write_longs, on_disk, "{name}");
+            assert_eq!(stats.spill_read_longs, 2 * stats.spill_write_longs, "{name}");
+            assert!(stats.spill_reads <= 2 * stats.spill_writes, "{name}: {stats:?}");
             assert!(
                 stats.peak_resident_longs <= budget + largest,
                 "{name}: peak {} over budget {budget} + largest fragment {largest}",
@@ -447,6 +487,9 @@ fn fragment_budget_envelope_holds_under_concurrent_fan_out() {
     }
 }
 
+// The graphs below are far under the fan-out gate: every level runs on the
+// caller, so these check worker placement, the wire and the inline path on
+// awkward shapes, and the fixed inputs above check the concurrent schedule.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -182,9 +182,12 @@ proptest! {
 
     /// A spill-backed run under a tiny budget produces bit-identical
     /// circuits and exact `disk_longs`/transfer accounting vs the in-memory
-    /// backing, with the resident set actually bounded — on one thread and
-    /// under the default fan-out, where which records end up resident
-    /// depends on the thread schedule but the traffic identities do not.
+    /// backing, with the resident set actually bounded — sequential and at
+    /// the default. These graphs are under the fan-out gate, so both step
+    /// their levels on the caller; the identities under a real fan-out, where
+    /// which records end up resident depends on the thread schedule, are
+    /// held by `fragment_budget_envelope_holds_under_concurrent_fan_out` in
+    /// `tests/parallel_equivalence.rs`.
     #[test]
     fn spill_backed_runs_are_bit_identical_with_exact_accounting(
         seed in 0u64..500,
