@@ -2787,6 +2787,17 @@ mod tests {
         assert!(!fans_out(0));
     }
 
+    /// `tests/parallel_equivalence.rs` keeps its own copy of the gate, to
+    /// check that its inputs clear it (the constant is private): changing
+    /// either side alone fails here, before those suites can silently compare
+    /// the sequential schedule with itself.
+    #[test]
+    fn the_gate_matches_its_copy_in_the_equivalence_suite() {
+        assert_eq!(FAN_OUT_MIN_WORDS, 1 << 15, "change FAN_OUT_MIN_WORDS in tests/parallel_equivalence.rs too");
+        let suite = include_str!("../../../tests/parallel_equivalence.rs");
+        assert!(suite.contains("\nconst FAN_OUT_MIN_WORDS: u64 = 1 << 15;\n"), "the suite's copy of the gate moved");
+    }
+
     /// A worker stepped in place that panics fails the level with a typed
     /// error, the first worker (which may run on the calling thread) as much
     /// as any other — on either side of the gate: a level under it steps

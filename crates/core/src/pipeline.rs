@@ -1123,19 +1123,18 @@ impl EulerPipeline {
         };
         // A whole-graph partitioner's graph goes before a run that reads the
         // file or the stream; a dense run without a file reads a graph.
-        let graph = match graph {
-            _ if reads_edges => None,
-            Some(g) => Some(g),
-            None => Some(load(source, &mut load_time)?),
-        };
+        if reads_edges {
+            graph = None;
+        }
         let input = if config.streaming_phase1 {
             Input::Stream(source.edge_stream().ok_or_else(|| {
                 EulerError::InvalidConfig("streaming_phase1 needs a source that exposes an edge stream".into())
             })?)
         } else {
-            let edges = match (&graph, file) {
-                (Some(g), _) => g.edge_arrays(),
-                (None, csr) => csr.expect("a dense run without a graph reads a file").edge_arrays(),
+            let edges = match (file, &graph) {
+                (Some(csr), _) => csr.edge_arrays(),
+                (None, Some(g)) => g.edge_arrays(),
+                (None, None) => graph.insert(load(source, &mut load_time)?).edge_arrays(),
             };
             Input::Edges(edges, checked_scan(edges, &assignment)?, file)
         };
