@@ -9,11 +9,11 @@ pub struct EulerConfig {
     /// Strategy for handling remote edges across merge levels (§5).
     pub merge_strategy: MergeStrategy,
     /// Allow Phase 1 of the partitions at one level to run in parallel
-    /// (rayon), which a level does once its partition states are large
-    /// enough to pay for waking the pool's threads. The paper's partitions
-    /// execute concurrently on different machines; turning this off steps
-    /// every level one partition at a time, which makes runs easier to
-    /// profile per partition. Same bytes either way.
+    /// (rayon) on either backend's workers in place, which a level does once
+    /// its states are large enough to pay for waking the pool. The paper's
+    /// partitions execute concurrently on different machines; turning this
+    /// off steps every level one partition at a time (as wire workers always
+    /// do), easier to profile per partition. Same bytes either way.
     pub parallel_within_level: bool,
     /// Verify the reconstructed circuit against the run's input before
     /// returning (every edge exactly once, each step its edge's endpoints,
@@ -74,7 +74,7 @@ impl EulerConfig {
         self
     }
 
-    /// Disables intra-level parallelism.
+    /// Disables intra-level parallelism on every backend's workers in place.
     pub fn sequential(mut self) -> Self {
         self.parallel_within_level = false;
         self

@@ -14,12 +14,11 @@
 //! superstep's statistics, the next level's inboxes and the walk's outcome.
 //!
 //! Where the workers live is all that varies. Without a transport they are
-//! slot sets of this process, stepped **in place** — fanned out on the rayon
-//! pool, whose parked threads every level reuses, when the level carries
-//! enough work to pay for waking them (`fans_out`) — fragments pushed
-//! straight into the walk's store; a BSP worker steps its slots one at a
-//! time, the in-process one fans them out on rayon under the same gate. With
-//! one, a **coordinator** owns
+//! slot sets of this process, stepped **in place** — every worker's slots
+//! from one call on the rayon pool, whose parked threads every level reuses,
+//! when the run allows it and the level carries enough work to pay for
+//! waking them (`fans_out`) — fragments pushed straight into the walk's
+//! store. With one, a **coordinator** owns
 //! the walk and the workers are OS threads over the in-memory transport, or
 //! genuine OS *processes* spawned via `std::process::Command` running the
 //! `euler-worker` binary over the TCP transport, exchanging typed
@@ -91,6 +90,7 @@
 //! in behind whatever a survivor sent for the abandoned barrier, and are
 //! told from it by their kind: frames on one connection arrive in order.
 
+use crate::config::EulerConfig;
 use crate::error::EulerError;
 use crate::fragment::{FragmentId, FragmentStore, Segment, SegmentHead};
 use crate::level::{group_inbound, step_slot, SlotStep};
@@ -744,19 +744,16 @@ fn adopt_fragments(list: &[(SegmentHead, Blob)], store: &FragmentStore) -> Resul
 // Worker side.
 // ---------------------------------------------------------------------------
 
-/// The fewest state-record words — the unit [`Placement`] weighs states by —
-/// a level must carry before it goes to the rayon pool: below it, waking the
-/// pool's parked threads costs more than running the steps side by side
-/// saves (measured in docs/ARCHITECTURE.md, *The fan-out gate*).
-const FAN_OUT_MIN_WORDS: u64 = 1 << 15;
+/// The fewest decoded state-record words a level of workers stepped in place
+/// must carry before its slots go to the rayon pool: below it, waking the
+/// pool's parked threads costs more than stepping side by side saves
+/// (docs/ARCHITECTURE.md, *The fan-out gate*). A constant, not an option.
+pub const FAN_OUT_MIN_WORDS: u64 = 1 << 15;
 
-/// Whether a level carrying `words` — the record words of every state it
-/// steps and of every child arriving to merge into one, kept or inbound —
-/// goes to the rayon pool, where the run allows a fan-out; else its steps
-/// run on the caller, in order. Both in-process fan-outs ask this and keep no
-/// size rule of their own: a worker's slots ([`SlotSet::step_level`]) and the
-/// workers stepped in place (`step_in_place`).
-pub(crate) fn fans_out(words: u64) -> bool {
+/// Whether a level carrying `words` — the record words of every slot state
+/// it steps and of every child merging into one — goes to the rayon pool,
+/// where the run allows it. Asked once per level, by `step_in_place`.
+fn fans_out(words: u64) -> bool {
     words >= FAN_OUT_MIN_WORDS
 }
 
@@ -778,9 +775,8 @@ struct RestoreRefusal {
 type Inbound = BTreeMap<PartitionId, Vec<(WorkingPartition, Duration)>>;
 
 /// The partition states one worker holds between levels, keyed by slot
-/// (= partition id), with the tree they walk and the Phase-1 arenas reused
-/// across them. The same object whether the worker is stepped in place or
-/// serves a connection.
+/// (= partition id), with the tree they walk. The same object whether the
+/// worker is stepped in place or serves a connection.
 struct SlotSet {
     tree: Arc<MergeTree>,
     strategy: MergeStrategy,
@@ -788,21 +784,16 @@ struct SlotSet {
     /// The states the last level retired into slots of this set, waiting to
     /// be merged at the next: handed over by value, never encoded.
     kept: Vec<WorkingPartition>,
-    pool: ArenaPool,
-    /// The run allows a level's slots on rayon, where they go when the level
-    /// also passes [`fans_out`].
-    fan_out: bool,
 }
 
+/// A slot taken out for a level: its state, the children merging into it in
+/// pair order, and the time their decode took.
+type SlotWork = (WorkingPartition, Vec<WorkingPartition>, Duration);
+
 impl SlotSet {
-    fn new(
-        tree: Arc<MergeTree>,
-        strategy: MergeStrategy,
-        states: Vec<WorkingPartition>,
-        fan_out: bool,
-    ) -> Self {
+    fn new(tree: Arc<MergeTree>, strategy: MergeStrategy, states: Vec<WorkingPartition>) -> Self {
         let slots = states.into_iter().map(|wp| (wp.id, wp)).collect();
-        SlotSet { tree, strategy, slots, kept: Vec::new(), pool: ArenaPool::new(), fan_out }
+        SlotSet { tree, strategy, slots, kept: Vec::new() }
     }
 
     /// Decodes the state records arriving at a level and groups them, with
@@ -824,28 +815,31 @@ impl SlotSet {
         group_inbound(&self.tree, level, states, |(wp, _)| wp.id, held)
     }
 
-    /// Steps every slot through the level, Phase 1 persisting into `store` —
-    /// on rayon if the set may fan out and the level passes [`fans_out`],
-    /// else one at a time in slot order — and folds the steps in ascending
-    /// slot order: a state the tree retires leaves its slot — kept, by value,
-    /// if its merge parent is a slot of this set, encoded into the share
-    /// otherwise.
-    fn step_level(&mut self, level: u32, mut inbound: Inbound, store: &FragmentStore) -> LevelShare {
-        let held: Vec<PartitionId> = self.slots.keys().copied().collect();
-        let slots: Vec<_> = std::mem::take(&mut self.slots)
-            .into_values()
-            .map(|wp| {
-                let (children, unpack): (Vec<_>, Vec<Duration>) =
-                    inbound.remove(&wp.id).unwrap_or_default().into_iter().unzip();
-                (wp, children, unpack.into_iter().sum::<Duration>())
-            })
-            .collect();
-        let (tree, strategy, pool) = (&*self.tree, self.strategy, &self.pool);
-        let step = |(wp, children, unpack)| {
-            (step_slot(wp, children, tree, level, strategy, pool, store), unpack)
+    /// Takes every slot out for a level, in slot order, each with the
+    /// children `inbound` merges into it.
+    fn take(&mut self, mut inbound: Inbound) -> Vec<SlotWork> {
+        let with_children = |wp: WorkingPartition| {
+            let (children, unpack): (Vec<_>, Vec<Duration>) =
+                inbound.remove(&wp.id).unwrap_or_default().into_iter().unzip();
+            (wp, children, unpack.into_iter().sum())
         };
+        std::mem::take(&mut self.slots).into_values().map(with_children).collect()
+    }
+
+    /// Steps a taken slot through `level` on an arena of `pool`, into `store`.
+    fn step(&self, level: u32, slot: SlotWork, pool: &ArenaPool, store: &FragmentStore) -> (SlotStep, Duration) {
+        let (wp, children, unpack) = slot;
+        (step_slot(wp, children, &self.tree, level, self.strategy, pool, store), unpack)
+    }
+
+    /// Folds a level's steps, in ascending slot order, into the worker's
+    /// share: a state the tree retires leaves its slot — kept, by value, if
+    /// its merge parent is a slot of this set, encoded into the share
+    /// otherwise.
+    fn fold(&mut self, steps: Vec<(SlotStep, Duration)>) -> LevelShare {
+        let held: Vec<PartitionId> = steps.iter().map(|(step, _)| step.state.id).collect();
         let mut share = LevelShare::new();
-        let mut fold = |(step, unpack): (SlotStep, Duration)| {
+        for (step, unpack) in steps {
             let t0 = Instant::now();
             let ship = match step.ship {
                 Some((parent, longs)) => {
@@ -867,14 +861,6 @@ impl SlotSet {
             };
             let (report, post_memory) = (step.report, step.memory_after);
             share.reports.push(SlotReport { report, post_memory, unpack, ship });
-        };
-        let words = || {
-            slots.iter().map(|(wp, children, _)| state_words([wp]) + state_words(children)).sum()
-        };
-        if self.fan_out && fans_out(words()) {
-            slots.into_par_iter().map(step).collect::<Vec<_>>().into_iter().for_each(&mut fold);
-        } else {
-            slots.into_iter().map(step).for_each(&mut fold);
         }
         share
     }
@@ -884,12 +870,14 @@ impl SlotSet {
 struct WorkerState {
     init: InitHead,
     set: SlotSet,
+    /// The Phase-1 arenas its levels reuse.
+    pool: ArenaPool,
 }
 
 impl WorkerState {
     fn build(init: InitHead, seeds: Vec<WorkingPartition>) -> Self {
-        let set = SlotSet::new(Arc::clone(&init.tree), init.strategy, seeds, false);
-        WorkerState { init, set }
+        let set = SlotSet::new(Arc::clone(&init.tree), init.strategy, seeds);
+        WorkerState { init, set, pool: ArenaPool::new() }
     }
 
     /// Writes the checkpoint entering `superstep`: the slot states, then the
@@ -940,14 +928,16 @@ impl WorkerState {
         }
     }
 
-    /// Runs one superstep: steps the slots, their fragments going through a
-    /// store of the superstep's own — which hands out the same `(level,
-    /// slot, seq)` ids a shared store would, so nothing is renumbered on the
-    /// way out — whose segments go into the Done as they are; then
-    /// checkpoints.
+    /// Runs one superstep: steps the slots in slot order on this thread,
+    /// their fragments going through a store of the superstep's own — which
+    /// hands out the same `(level, slot, seq)` ids a shared store would, so
+    /// nothing is renumbered on the way out — whose segments go into the
+    /// Done as they are; then checkpoints.
     fn superstep(&mut self, superstep: u32, inbound: Inbound) -> DoneWriter {
-        let store = FragmentStore::new();
-        let share = self.set.step_level(superstep, inbound, &store);
+        let (store, set) = (FragmentStore::new(), &mut self.set);
+        let work = set.take(inbound);
+        let steps = work.into_iter().map(|slot| set.step(superstep, slot, &self.pool, &store));
+        let share = set.fold(steps.collect());
         let fragments = store.segments();
         let checkpoint_longs = self.write_ckpt(superstep + 1);
         DoneWriter { superstep, share, fragments, checkpoint_longs }
@@ -1851,58 +1841,62 @@ fn fold_barrier(
     Ok((stats, next_inbox, outcome))
 }
 
-/// One level on workers stepped in place, each with anything to do decoding
-/// its inbox, stepping its slots with their fragments pushed straight into
-/// the walk's `store`, and handing back its share with the states shipped to
-/// other workers encoded. The busy workers fan out on the rayon pool when
-/// their slots, kept states and inbox entries pass [`fans_out`], and are
-/// stepped on the caller in worker order otherwise; a worker that panics, on
-/// whichever thread, fails the level with a typed error.
+/// One level on workers stepped in place. Each decodes its inbox and takes
+/// its slots out with their children — a hostile inbox is refused before
+/// any slot steps. Every worker's slots then step on the run's one arena
+/// `pool`, fragments into `store`: from one call on the rayon pool if
+/// `fan_out` and [`fans_out`] allow, else on the caller in worker and slot
+/// order. Each worker folds its steps, in slot order, into its share; the
+/// first slot to panic, in that order, is a typed error.
 fn step_in_place(
     sets: &mut [SlotSet],
     level: u32,
     inbox: &[Vec<Blob>],
+    (pool, fan_out): (&ArenaPool, bool),
     store: &FragmentStore,
 ) -> Result<Dones, EulerError> {
-    let step = |w: usize, set: &mut SlotSet, entries: &[Blob]| -> Result<_, EulerError> {
-        let bad = |e: WireError| EulerError::Distributed(format!("shipped partition state: {e}"));
+    let bad = |e: WireError| EulerError::Distributed(format!("shipped partition state: {e}"));
+    let mut taken = Vec::with_capacity(sets.len());
+    for (set, entries) in sets.iter_mut().zip(inbox) {
         let records = entries
             .iter()
             .map(|entry| WordReader::new(entry.bytes())?.record())
             .collect::<Result<Vec<_>, _>>()
             .map_err(bad)?;
         let inbound = set.unpack(level, records)?;
-        let share = set.step_level(level, inbound, store);
-        Ok((w as u32, share.into_done(level).map_err(bad)?))
+        taken.push(set.take(inbound));
+    }
+    let slots = sets.iter().zip(taken).enumerate();
+    let work: Vec<_> =
+        slots.flat_map(|(w, (set, slots))| slots.into_iter().map(move |slot| (w, set, slot))).collect();
+    let words = || work.iter().map(|(.., (wp, kids, _))| state_words([wp]) + state_words(kids)).sum();
+    let run = |(w, set, slot): (usize, &SlotSet, SlotWork)| {
+        let p = slot.0.id.0;
+        panic::catch_unwind(AssertUnwindSafe(|| (w, set.step(level, slot, pool, store)))).map_err(|_| {
+            EulerError::Distributed(format!("worker {w} panicked stepping partition {p} in place"))
+        })
     };
-    let mut busy: Vec<_> = sets
-        .iter_mut()
-        .zip(inbox)
-        .enumerate()
-        .filter(|(_, (set, entries))| !(set.slots.is_empty() && entries.is_empty()))
-        .collect();
-    let words = busy.iter().map(|(_, (set, entries))| {
-        let inbound: usize = entries.iter().map(|entry| entry.bytes().len() / 8).sum();
-        state_words(set.slots.values()) + state_words(&set.kept) + inbound as u64
-    });
-    let panicked = |_| Err(EulerError::Distributed("a worker stepped in place panicked".into()));
-    let run = |(w, (set, entries)): &mut (usize, (&mut SlotSet, &Vec<Blob>))| {
-        panic::catch_unwind(AssertUnwindSafe(|| step(*w, set, entries))).unwrap_or_else(panicked)
-    };
-    // Either way every busy worker steps, and the first error in worker
-    // order fails the level.
-    let dones: Vec<_> = if fans_out(words.sum()) {
-        busy.par_iter_mut().map(run).collect()
+    let steps: Vec<_> = if fan_out && fans_out(words()) {
+        work.into_par_iter().map(run).collect()
     } else {
-        busy.iter_mut().map(run).collect()
+        work.into_iter().map(run).collect()
     };
-    dones.into_iter().collect()
+    let mut steps = steps.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().peekable();
+    let mut dones = Vec::new();
+    for (w, set) in sets.iter_mut().enumerate() {
+        let mine: Vec<_> = std::iter::from_fn(|| steps.next_if(|s| s.0 == w).map(|s| s.1)).collect();
+        if !mine.is_empty() {
+            dones.push((w as u32, set.fold(mine).into_done(level).map_err(bad)?));
+        }
+    }
+    Ok(dones)
 }
 
 /// Where a run's workers live.
 enum Workers {
-    /// Slot sets of this process, stepped in place.
-    InPlace(Vec<SlotSet>),
+    /// Slot sets of this process, stepped in place on arenas of one pool;
+    /// `fan_out` lets a level's slots go to the rayon pool.
+    InPlace { sets: Vec<SlotSet>, pool: ArenaPool, fan_out: bool },
     /// Threads or processes behind a transport.
     Framed(Box<Fleet>),
 }
@@ -1928,17 +1922,18 @@ impl DistRun {
     /// the states' encoded sizes, see [`Placement`]; a level 0 still in its
     /// edge arrays is sized from its scan, which counts what the states will
     /// hold — in place, or, given a `fleet` configuration, spawned and
-    /// initialised over its transport. `fan_out` allows workers in place to
-    /// step a level's slots on rayon, which they do for a level that passes
-    /// [`fans_out`]; a fleet's step theirs one at a time.
+    /// initialised over its transport. Workers in place step a level's slots
+    /// from one call on the rayon pool where `config` allows it
+    /// ([`EulerConfig::parallel_within_level`], either backend) and the level
+    /// passes [`fans_out`]; a fleet's workers step theirs in slot order.
     pub fn new(
         engine: BspConfig,
         fleet: Option<FleetConfig>,
         tree: Arc<MergeTree>,
-        strategy: MergeStrategy,
         seed: Seed<'_>,
-        fan_out: bool,
+        config: &EulerConfig,
     ) -> Result<Self, EulerError> {
+        let strategy = config.merge_strategy;
         let t_start = Instant::now();
         let weights: Vec<(PartitionId, u64)> = match &seed.0 {
             SeedKind::States(states) => {
@@ -1960,8 +1955,9 @@ impl DistRun {
                 seed,
             )?)),
             None => {
-                let set = |mine| SlotSet::new(Arc::clone(&tree), strategy, mine, fan_out);
-                Workers::InPlace(deal(seed.into_states()?, &placement).into_iter().map(set).collect())
+                let set = |mine| SlotSet::new(Arc::clone(&tree), strategy, mine);
+                let sets = deal(seed.into_states()?, &placement).into_iter().map(set).collect();
+                Workers::InPlace { sets, pool: ArenaPool::new(), fan_out: config.parallel_within_level }
             }
         };
         Ok(DistRun {
@@ -1980,7 +1976,9 @@ impl DistRun {
     pub fn step(&mut self, level: u32, store: &FragmentStore) -> Result<LevelOutcome, EulerError> {
         let t_level = Instant::now();
         let dones = match &mut self.workers {
-            Workers::InPlace(sets) => step_in_place(sets, level, &self.inbox, store)?,
+            Workers::InPlace { sets, pool, fan_out } => {
+                step_in_place(sets, level, &self.inbox, (pool, *fan_out), store)?
+            }
             Workers::Framed(fleet) => fleet.run_superstep(level, &mut self.inbox, Some(store))?,
         };
         let (stats, inbox, outcome) =
@@ -2003,7 +2001,7 @@ impl DistRun {
     /// Statistics of the run so far, under the configured cost model.
     pub fn stats(&self) -> EngineStats {
         let (init_bytes, seed_build_time, recovery) = match &self.workers {
-            Workers::InPlace(_) => (0, Duration::ZERO, RecoveryStats::default()),
+            Workers::InPlace { .. } => (0, Duration::ZERO, RecoveryStats::default()),
             Workers::Framed(fleet) => (fleet.init_bytes, fleet.seed_build, fleet.recovery),
         };
         let mut stats = EngineStats {
@@ -2023,7 +2021,7 @@ impl DistRun {
     /// Human-readable recovery notes for `RunReport::warnings`.
     pub fn warnings(&self) -> Vec<String> {
         match &self.workers {
-            Workers::InPlace(_) => Vec::new(),
+            Workers::InPlace { .. } => Vec::new(),
             Workers::Framed(fleet) => fleet.warnings.clone(),
         }
     }
@@ -2787,50 +2785,61 @@ mod tests {
         assert!(!fans_out(0));
     }
 
-    /// `tests/parallel_equivalence.rs` keeps its own copy of the gate, to
-    /// check that its inputs clear it (the constant is private): changing
-    /// either side alone fails here, before those suites can silently compare
-    /// the sequential schedule with itself.
-    #[test]
-    fn the_gate_matches_its_copy_in_the_equivalence_suite() {
-        assert_eq!(FAN_OUT_MIN_WORDS, 1 << 15, "change FAN_OUT_MIN_WORDS in tests/parallel_equivalence.rs too");
-        let suite = include_str!("../../../tests/parallel_equivalence.rs");
-        assert!(suite.contains("\nconst FAN_OUT_MIN_WORDS: u64 = 1 << 15;\n"), "the suite's copy of the gate moved");
-    }
-
-    /// A worker stepped in place that panics fails the level with a typed
-    /// error, the first worker (which may run on the calling thread) as much
-    /// as any other — on either side of the gate: a level under it steps
-    /// every slot on the caller's own thread, where the panic is raised; one
-    /// over it fans the slots (one worker that may fan out) or the workers
-    /// (two) out on the pool. Past the last level a fragment id can name,
-    /// every worker's first push panics.
+    /// A slot stepped in place that panics fails the level with a typed
+    /// error naming the first slot in worker and slot order, whichever
+    /// thread raised it — on either side of the gate, for one worker, two,
+    /// and one per partition: a level under it, or a run that may not fan
+    /// out, steps every slot on the caller's own thread; one over it steps
+    /// every worker's slots from one call on the pool, two workers' slots
+    /// side by side. Past the last level a fragment id can name, every
+    /// slot's first push panics.
     #[test]
     fn a_panic_in_any_worker_stepped_in_place_is_a_typed_error() {
         let large: Vec<u64> = (1..=FAN_OUT_MIN_WORDS / 4).collect();
-        for (seeds, over) in [([&[1, 2, 3][..], &[4, 5, 6]], false), ([&large[..], &large], true)] {
-            let states = || vec![state(0, seeds[0]), state(1, seeds[1])];
+        let small: [&[u64]; 3] = [&[1, 2, 3], &[4, 5, 6], &[7, 8, 9]];
+        for (seeds, over) in [(small, false), ([&large[..]; 3], true)] {
+            let states = || (0..3).map(|p| state(p, seeds[p as usize])).collect::<Vec<_>>();
             assert_eq!(fans_out(state_words(&states())), over);
-            for (workers, fan_out) in [(1, true), (1, false), (2, false)] {
-                let mut run = DistRun::new(
-                    BspConfig::with_workers(workers),
-                    None,
-                    Arc::new(tiny_tree()),
-                    MergeStrategy::Deferred,
-                    states().into(),
-                    fan_out,
-                )
-                .unwrap();
+            let per_partition = BspConfig::one_worker_per_partition();
+            let engines = [BspConfig::with_workers(1), BspConfig::with_workers(2), per_partition];
+            for (engine, fan_out) in engines.into_iter().flat_map(|e| [(e, true), (e, false)]) {
+                let config = EulerConfig { parallel_within_level: fan_out, ..EulerConfig::improved() };
+                let mut run =
+                    DistRun::new(engine, None, Arc::new(tiny_tree()), states().into(), &config).unwrap();
+                let owners = run.placement.owners();
+                let first = (0..owners.len()).min_by_key(|&p| (owners[p], p)).unwrap();
+                let named = format!("worker {} panicked stepping partition {first} in place", owners[first]);
                 match run.step(FragmentId::MAX_LEVELS, &FragmentStore::new()) {
-                    Err(EulerError::Distributed(m)) => assert!(m.contains("panicked"), "{m}"),
+                    Err(EulerError::Distributed(m)) => assert_eq!(m, named, "{engine:?}, {fan_out}"),
                     other => panic!("expected a typed error, got {:?}", other.map(|o| o.reports.len())),
                 }
             }
         }
     }
 
+    /// Workers stepped in place share the run's one arena pool: after a
+    /// level that steps every slot of one worker per partition (eight), it
+    /// holds one arena under `.sequential()` and, fanned out, no more than
+    /// the pool's threads — not one per worker.
+    #[test]
+    fn workers_in_place_share_one_arena_pool() {
+        let large: Vec<u64> = (1..=FAN_OUT_MIN_WORDS / 4).collect();
+        let states = || (0..8).map(|p| state(p, &large)).collect::<Vec<_>>();
+        for (config, most) in [(EulerConfig::default().sequential(), 1), (EulerConfig::default(), 8)] {
+            let engine = BspConfig::one_worker_per_partition();
+            let mut run = DistRun::new(engine, None, Arc::new(tiny_tree()), states().into(), &config).unwrap();
+            run.step(0, &FragmentStore::new()).unwrap();
+            let Workers::InPlace { sets, pool, .. } = &run.workers else { panic!("no transport, no fleet") };
+            assert_eq!(sets.len(), 8);
+            let arenas = pool.idle();
+            assert!((1..=most.min(rayon::current_num_threads())).contains(&arenas), "{arenas} arenas");
+        }
+    }
+
     /// Workers stepped in place answer the same inbound states with the
-    /// same typed error (where the simulated engine `.expect`ed on decode).
+    /// same typed error (where the simulated engine `.expect`ed on decode),
+    /// before any slot steps: a hostile entry for the last worker leaves
+    /// the first one's slot unstepped, its fragments unpushed.
     #[test]
     fn in_place_workers_refuse_hostile_inbound_states_with_the_same_typed_error() {
         let entry = |words: WordWriter| {
@@ -2845,16 +2854,27 @@ mod tests {
                 BspConfig::with_workers(2),
                 None,
                 Arc::new(tiny_tree()),
-                MergeStrategy::Deferred,
-                vec![state(0, &[])].into(),
-                false,
+                vec![state(0, &[1, 2, 3]), state(2, &[4, 5, 6])].into(),
+                &EulerConfig::improved().sequential(),
             )
             .unwrap();
-            run.inbox[0].push(entry(inbound));
-            match run.step(1, &FragmentStore::new()) {
+            run.inbox[1].push(entry(inbound));
+            let store = FragmentStore::new();
+            match run.step(1, &store) {
                 Err(EulerError::Distributed(m)) => assert!(m.contains(what), "{m}"),
                 other => panic!("expected a typed error, got {:?}", other.map(|o| o.reports.len())),
             }
+            assert!(store.snapshot().is_empty(), "{what}: a slot stepped");
+        }
+    }
+
+    impl SlotSet {
+        /// One level of this set alone, through the pieces every worker
+        /// steps a level with: take, step in slot order, fold.
+        fn step_level(&mut self, level: u32, inbound: Inbound, pool: &ArenaPool, store: &FragmentStore) -> LevelShare {
+            let work = self.take(inbound);
+            let steps = work.into_iter().map(|slot| self.step(level, slot, pool, store)).collect();
+            self.fold(steps)
         }
     }
 
@@ -2873,19 +2893,19 @@ mod tests {
         use crate::level::tests::{leaves, tree};
         // Partitions 0 and 1 both retire into 2 at level 0, 0 before 1.
         let star = Arc::new(tree(vec![vec![(2, 0), (2, 1)]]));
-        let set_of = |ids: &[usize], fan_out| {
+        let set = |ids: &[usize]| {
             let mine = ids.iter().map(|&i| leaves(&star).swap_remove(i)).collect();
-            SlotSet::new(Arc::clone(&star), MergeStrategy::Duplicated, mine, fan_out)
+            SlotSet::new(Arc::clone(&star), MergeStrategy::Duplicated, mine)
         };
-        let set = |ids: &[usize]| set_of(ids, false);
-        // One worker holds everything, its slots fanned out as the
-        // in-process backend's are: both children are kept.
+        let pool = ArenaPool::new();
+        // One worker holds everything, as the in-process backend's does: both
+        // children are kept.
         let oracle_store = FragmentStore::new();
-        let mut oracle = set_of(&[0, 1, 2], true);
-        let share = oracle.step_level(0, Inbound::new(), &oracle_store);
+        let mut oracle = set(&[0, 1, 2]);
+        let share = oracle.step_level(0, Inbound::new(), &pool, &oracle_store);
         assert_eq!((share.local_messages, share.shipped), (2, 0));
         let inbound = oracle.unpack(1, Vec::new()).unwrap();
-        oracle.step_level(1, inbound, &oracle_store);
+        oracle.step_level(1, inbound, &pool, &oracle_store);
 
         // The parent's worker holds one child and is sent the other —
         // either one: the kept state is listed before the decoded one, the
@@ -2893,8 +2913,8 @@ mod tests {
         for (with_parent, elsewhere) in [(0, 1), (1, 0)] {
             let store = FragmentStore::new();
             let (mut here, mut there) = (set(&[with_parent, 2]), set(&[elsewhere]));
-            let kept = here.step_level(0, Inbound::new(), &store);
-            let sent = there.step_level(0, Inbound::new(), &store);
+            let kept = here.step_level(0, Inbound::new(), &pool, &store);
+            let sent = there.step_level(0, Inbound::new(), &pool, &store);
             assert_eq!((kept.local_messages, kept.shipped), (1, 0));
             assert_eq!((sent.local_messages, sent.shipped), (0, 1));
             let child = &here.kept[0];
@@ -2913,14 +2933,14 @@ mod tests {
             let unpack: Vec<bool> =
                 inbound[&PartitionId(2)].iter().map(|(_, t)| *t == Duration::ZERO).collect();
             assert!(unpack[with_parent], "the kept child was not decoded");
-            let root = here.step_level(1, inbound, &store);
+            let root = here.step_level(1, inbound, &pool, &store);
             assert_eq!((root.local_messages, root.shipped), (0, 0));
             assert_eq!(here.slots, oracle.slots);
             assert_eq!(store.snapshot(), oracle_store.snapshot());
 
             // Delivered again, the kept child is refused.
             let (mut here, _) = (set(&[with_parent, 2]), ());
-            here.step_level(0, Inbound::new(), &store);
+            here.step_level(0, Inbound::new(), &pool, &store);
             let mut again = LevelShare::new();
             again.ship(2, &leaves(&star)[with_parent]);
             let again = again.into_done(0).unwrap();
@@ -2939,11 +2959,12 @@ mod tests {
         // worker holding everything.
         let chain = Arc::new(tree(vec![vec![(1, 0)], vec![(2, 1)]]));
         let store = FragmentStore::new();
-        let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, leaves(&chain), false);
+        let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, leaves(&chain));
+        let pool = ArenaPool::new();
         let mut local = Vec::new();
         for level in 0..3 {
             let inbound = set.unpack(level, Vec::new()).unwrap();
-            let share = set.step_level(level, inbound, &store);
+            let share = set.step_level(level, inbound, &pool, &store);
             assert_eq!(share.shipped, 0);
             local.push(share.local_messages);
         }
@@ -3025,7 +3046,7 @@ mod tests {
         let start = |states: &[u8]| [&0u64.to_le_bytes()[..], states].concat();
         let unpack = |payload: &[u8]| {
             let (_, records) = decode_start(payload)?;
-            let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, Vec::new(), false);
+            let mut set = SlotSet::new(Arc::clone(&chain), MergeStrategy::Duplicated, Vec::new());
             set.unpack(1, records).map(drop).map_err(|e| WireError::Invalid(e.to_string()))
         };
         let restore = |states: &[u8]| {

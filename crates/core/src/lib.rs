@@ -68,7 +68,7 @@ pub mod state;
 pub mod verify;
 
 pub use config::EulerConfig;
-pub use distributed::{default_worker_bin, worker_main};
+pub use distributed::{default_worker_bin, worker_main, FAN_OUT_MIN_WORDS};
 pub use error::EulerError;
 pub use fragment::{
     Fragment, FragmentId, FragmentKind, FragmentStore, FragmentStoreStats, SpillConfig, TourEdge,

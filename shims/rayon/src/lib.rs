@@ -1,8 +1,8 @@
 //! Offline shim for `rayon`.
 //!
 //! Implements the subset of the parallel-iterator surface this workspace
-//! uses (`par_iter_mut().map(..).collect()`, `into_par_iter()` on ranges and
-//! vectors with `map`/`flat_map_iter`) with genuine parallelism on one
+//! uses (`into_par_iter()` on ranges and vectors, `map` on both and
+//! `flat_map_iter` on ranges, then `collect`) with genuine parallelism on one
 //! process-wide pool of `current_num_threads() − 1` helper threads, started
 //! on first use and parked on a condvar between calls, so no call creates an
 //! OS thread. Every stage is one call of the pool's single seam,
@@ -26,7 +26,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Commonly used traits, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefMutIterator};
+    pub use crate::IntoParallelIterator;
 }
 
 /// The resolved global thread count (rayon's `current_num_threads`):
@@ -328,55 +328,6 @@ impl<T: Send> ParVec<T> {
     }
 }
 
-/// Mutable parallel iteration, mirroring
-/// `rayon::iter::IntoParallelRefMutIterator` (`par_iter_mut`).
-pub trait IntoParallelRefMutIterator<'a> {
-    /// The parallel iterator type.
-    type Iter;
-    /// Creates a parallel iterator over mutable references.
-    fn par_iter_mut(&'a mut self) -> Self::Iter;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Iter = ParSliceMut<'a, T>;
-    fn par_iter_mut(&'a mut self) -> ParSliceMut<'a, T> {
-        ParSliceMut { data: self.as_mut_slice() }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Iter = ParSliceMut<'a, T>;
-    fn par_iter_mut(&'a mut self) -> ParSliceMut<'a, T> {
-        ParSliceMut { data: self }
-    }
-}
-
-/// Parallel iterator over `&mut [T]`.
-pub struct ParSliceMut<'a, T: Send> {
-    data: &'a mut [T],
-}
-
-impl<'a, T: Send> ParSliceMut<'a, T> {
-    /// Maps each element through `f` in parallel, preserving order.
-    pub fn map<R, F>(self, f: F) -> ParResults<R>
-    where
-        R: Send,
-        F: Fn(&mut T) -> R + Sync,
-    {
-        let items: Vec<Mutex<&mut T>> = self.data.iter_mut().map(Mutex::new).collect();
-        let items = map_indices(items.len(), |i| f(&mut lock(&items[i])));
-        ParResults { items }
-    }
-
-    /// Runs `f` on each element in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        self.map(f).items.into_iter().for_each(drop);
-    }
-}
-
 /// Already-computed results of a parallel stage, exposing `collect`.
 pub struct ParResults<R> {
     items: Vec<R>,
@@ -410,17 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_mut_maps_and_mutates() {
-        let mut v: Vec<u64> = (0..37).collect();
-        let doubled: Vec<u64> = v.par_iter_mut().map(|x| {
-            *x += 1;
-            *x * 2
-        }).collect();
-        assert_eq!(v, (1..38).collect::<Vec<u64>>());
-        assert_eq!(doubled, (1..38u64).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn thread_count_resolves_to_a_positive_value() {
         // Whatever the environment says, the resolved pool size is usable.
         assert!(crate::current_num_threads() >= 1);
@@ -433,8 +373,7 @@ mod tests {
         let input: Vec<u64> = (0..200).collect();
         let out: Vec<(u64, u64)> = input.clone().into_par_iter().map(|i| (i, spin(i))).collect();
         assert_eq!(out, input.iter().map(|&i| (i, spin(i))).collect::<Vec<_>>());
-        let mut v = input.clone();
-        let out: Vec<u64> = v.par_iter_mut().map(|x| spin(*x)).collect();
+        let out: Vec<u64> = input.clone().into_par_iter().map(spin).collect();
         assert_eq!(out, input.iter().map(|&i| spin(i)).collect::<Vec<_>>());
     }
 
@@ -529,10 +468,8 @@ mod tests {
         // every time.
         let seen = Mutex::new(HashSet::new());
         for _ in 0..100 {
-            let mut v: Vec<usize> = (0..8).collect();
-            v.par_iter_mut().for_each(|_| {
-                seen.lock().unwrap().insert(std::thread::current().id());
-            });
+            let v: Vec<usize> = (0..8).collect();
+            v.into_par_iter().map(|_| seen.lock().unwrap().insert(std::thread::current().id())).collect::<Vec<_>>();
         }
         let seen = seen.into_inner().unwrap();
         assert!(seen.len() <= crate::current_num_threads(), "{} thread ids", seen.len());
@@ -563,8 +500,7 @@ mod tests {
     fn empty_inputs() {
         let out: Vec<usize> = (0..0).into_par_iter().map(|i| i).collect();
         assert!(out.is_empty());
-        let mut v: Vec<u8> = vec![];
-        let out: Vec<u8> = v.par_iter_mut().map(|x| *x).collect();
+        let out: Vec<u8> = Vec::<u8>::new().into_par_iter().map(|x| x).collect();
         assert!(out.is_empty());
     }
 }

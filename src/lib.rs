@@ -187,15 +187,17 @@
 //! There is one schedule and no knob. The unit of parallelism is the
 //! paper's: the *partition*. Every backend steps a level through the same
 //! per-worker slot set and barrier fold, and a merge level's partitions run
-//! concurrently — on rayon threads in-process (one worker holding every
-//! partition, its slots fanned out), on workers stepped in place under
-//! [`BspBackend`](algo::BspBackend) (a worker's slots one at a time), in
-//! worker threads or processes over a transport — each executing the
-//! sequential Phase-1 kernel on an arena from a reusable pool
-//! ([`Phase1Arena`](algo::Phase1Arena)), and the level ends in a barrier.
-//! In this process, a level goes to the rayon pool only once its partition
-//! states are large enough to pay for waking the pool's threads; a smaller
-//! one runs its partitions one at a time on the caller.
+//! concurrently — on rayon threads for workers stepped in place (the
+//! in-process backend's one worker holding every partition, or
+//! [`BspBackend`](algo::BspBackend)'s without a transport: every worker's
+//! slots from one call), in worker threads or processes over a transport —
+//! each executing the sequential Phase-1 kernel on an arena from a reusable
+//! pool ([`Phase1Arena`](algo::Phase1Arena)), and the level ends in a
+//! barrier. In this process, a level goes to the rayon pool only once its
+//! partition states reach [`FAN_OUT_MIN_WORDS`](algo::FAN_OUT_MIN_WORDS)
+//! record words, enough to pay for waking the pool's threads; a smaller one,
+//! or any level under `.sequential()`, runs its partitions one at a time on
+//! the caller.
 //!
 //! The result does not depend on how those partitions were interleaved. A
 //! fragment's id ([`FragmentId`](algo::FragmentId)) is a function of

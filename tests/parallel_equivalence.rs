@@ -16,6 +16,7 @@
 use euler_circuit::algo::verify::verify_result;
 use euler_circuit::algo::{
     EulerError, Fragment, FragmentStore, LevelOutcome, LevelWork, VertexTypeCounts,
+    FAN_OUT_MIN_WORDS,
 };
 use euler_circuit::bsp::{BspConfig, PlatformCostModel};
 use euler_circuit::prelude::*;
@@ -24,18 +25,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Once};
 
-/// The gate of the in-process fan-outs (`FAN_OUT_MIN_WORDS` in
-/// `euler_core::distributed`, which is private): a level goes to the rayon
-/// pool once the state records it steps reach this many words, and runs on
-/// the caller below it. An input under it compares the sequential schedule
-/// with itself. `distributed::tests` pins the library's constant to this
-/// copy.
-const FAN_OUT_MIN_WORDS: u64 = 1 << 15;
-
 /// Asserts that level 0 — every partition, two or more of them — carried
-/// enough work to fan out, read from the run's own per-partition counts: a
-/// state record holds four words per local edge and three per remote ref,
-/// besides its header, so these bound the level's words from below.
+/// enough work to clear the fan-out gate ([`FAN_OUT_MIN_WORDS`]; an input
+/// under it compares the sequential schedule with itself), read from the
+/// run's own per-partition counts: a state record holds four words per local
+/// edge and three per remote ref, besides its header, so these bound the
+/// level's words from below.
 fn assert_level0_fans_out(records: impl IntoIterator<Item = (u32, VertexTypeCounts)>, what: &str) {
     let level0: Vec<_> = records.into_iter().filter(|(level, _)| *level == 0).map(|(_, c)| c).collect();
     let words: u64 = level0.iter().map(|c| 4 * c.local_edges + 3 * c.remote_edges).sum();
@@ -112,6 +107,11 @@ impl Observed {
 }
 
 impl Observed {
+    /// The worker count of a BSP run.
+    fn engine_workers(&self) -> Option<usize> {
+        self.engine.as_ref().map(|e| e.num_workers)
+    }
+
     /// The level and counts of every per-level record.
     fn level_counts(&self) -> impl Iterator<Item = (u32, VertexTypeCounts)> + '_ {
         self.records.iter().map(|r| (r.level, r.counts))
@@ -192,7 +192,10 @@ fn observe_source(
 /// walk — rayon fan-out in-process, BSP workers stepped in place (1, 2 and
 /// one per partition), 2 thread workers over the in-memory transport — each
 /// `repeats` times, unbounded and under a fragment budget of an eighth of
-/// the fragment bytes. All must equal the oracle, which is returned.
+/// the fragment bytes. BSP workers in place (2, and one per partition) run
+/// under `.sequential()` too, which they honour: one slot at a time, the
+/// same bytes and the same non-timing superstep facts as their default runs.
+/// All must equal the oracle, which is returned.
 fn assert_every_schedule_matches_sequential(
     g: &Graph,
     assignment: &PartitionAssignment,
@@ -208,15 +211,23 @@ fn assert_every_schedule_matches_sequential(
     let budgeted = unbounded.clone().with_fragment_memory_budget(oracle.fragment_disk_longs / 8);
 
     for config in [&unbounded, &budgeted] {
-        if config.fragment_memory_budget.is_some() {
+        let budget = config.fragment_memory_budget;
+        if budget.is_some() {
             // The budget changes where fragments live, not what they are.
             let seq = observe(g, assignment, &config.clone().sequential(), InProcessBackend::new());
             seq.assert_matches(&oracle, "sequential run under a budget");
         }
+        let sequential: Vec<Observed> = [BspConfig::with_workers(2), BspConfig::one_worker_per_partition()]
+            .into_iter()
+            .map(|engine| {
+                let seq = observe(g, assignment, &config.clone().sequential(), BspBackend::with_engine(engine));
+                let what = format!("sequential in-place workers {:?}, budget {budget:?}", engine.workers);
+                seq.assert_matches(&oracle, &what);
+                seq
+            })
+            .collect();
         for rep in 0..repeats {
-            let tag = |name: &str| {
-                format!("{name}, budget {:?}, repeat {rep}", config.fragment_memory_budget)
-            };
+            let tag = |name: &str| format!("{name}, budget {budget:?}, repeat {rep}");
             let fan_out = observe(g, assignment, config, InProcessBackend::new());
             fan_out.assert_matches(&oracle, &tag("in-process fan-out"));
             for engine in [
@@ -225,7 +236,13 @@ fn assert_every_schedule_matches_sequential(
                 BspConfig::one_worker_per_partition(),
             ] {
                 let bsp = observe(g, assignment, config, BspBackend::with_engine(engine));
-                bsp.assert_matches(&oracle, &tag(&format!("in-place workers {:?}", engine.workers)));
+                let what = tag(&format!("in-place workers {:?}", engine.workers));
+                bsp.assert_matches(&oracle, &what);
+                let seq = sequential.iter().find(|seq| seq.engine_workers() == bsp.engine_workers());
+                if let Some(seq) = seq {
+                    let facts = |o: &Observed| o.engine.clone().expect("bsp runs report engine stats");
+                    assert_same_superstep_facts(&facts(&bsp), &facts(seq), &format!("{what} vs .sequential()"));
+                }
             }
             let wire = BspBackend::with_engine(BspConfig::with_workers(2))
                 .with_transport(Arc::new(MemTransport));
@@ -296,12 +313,10 @@ fn in_place_and_wire_workers_report_the_same_engine_stats() {
                 .unwrap()
                 .run()
                 .unwrap();
-            // One BSP worker steps its partitions in slot order; two or more
-            // step side by side once level 0 clears the gate.
-            if workers > 1 {
-                let counts = run.merge.per_partition.iter().map(|r| (r.level, r.counts));
-                assert_level0_fans_out(counts, &format!("R-MAT 12, {workers} workers"));
-            }
+            // However many workers hold them, level 0's slots step side by
+            // side: it clears the gate.
+            let counts = run.merge.per_partition.iter().map(|r| (r.level, r.counts));
+            assert_level0_fans_out(counts, &format!("R-MAT 12, {workers} workers"));
             tree = Some(run.merge.merge_tree);
             run.merge.engine.expect("bsp runs report engine stats")
         };
