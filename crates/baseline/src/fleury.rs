@@ -18,10 +18,7 @@ use euler_graph::{properties, EdgeId, Graph, VertexId};
 /// Returns [`EulerError::Graph`] if some vertex has odd degree.
 pub fn fleury_circuit(g: &Graph) -> Result<CircuitResult, EulerError> {
     if let Some(&v) = properties::odd_vertices(g).first() {
-        return Err(EulerError::Graph(euler_graph::GraphError::NotEulerian {
-            vertex: v,
-            degree: g.degree(v),
-        }));
+        return Err(EulerError::Graph(euler_graph::GraphError::NotEulerian { vertex: v, degree: g.degree(v) }));
     }
     let mut removed = vec![false; g.num_edges() as usize];
     let mut remaining_degree: Vec<u64> = g.vertices().map(|v| g.degree(v)).collect();
@@ -34,12 +31,8 @@ pub fn fleury_circuit(g: &Graph) -> Result<CircuitResult, EulerError> {
         let mut circuit = Vec::new();
         let mut current = start;
         while remaining_degree[current.index()] > 0 {
-            let candidates: Vec<(VertexId, EdgeId)> = g
-                .neighbors(current)
-                .iter()
-                .copied()
-                .filter(|&(_, e)| !removed[e.index()])
-                .collect();
+            let candidates: Vec<(VertexId, EdgeId)> =
+                g.neighbors(current).iter().copied().filter(|&(_, e)| !removed[e.index()]).collect();
             // Prefer a non-bridge edge; take a bridge only when forced.
             let chosen = candidates
                 .iter()
@@ -125,9 +118,14 @@ mod tests {
         // Two triangles joined by a pair of parallel edges (a "dumbbell" that
         // is Eulerian): Fleury must not strand itself.
         let g = graph_from_edges(&[
-            (0, 1), (1, 2), (2, 0), // left triangle
-            (2, 3), (2, 3),         // double bridge
-            (3, 4), (4, 5), (5, 3), // right triangle
+            (0, 1),
+            (1, 2),
+            (2, 0), // left triangle
+            (2, 3),
+            (2, 3), // double bridge
+            (3, 4),
+            (4, 5),
+            (5, 3), // right triangle
         ]);
         let r = fleury_circuit(&g).unwrap();
         assert_eq!(r.num_circuits(), 1);

@@ -18,10 +18,7 @@ use euler_graph::{properties, Graph, VertexId};
 /// Returns [`EulerError::Graph`] if some vertex has odd degree.
 pub fn hierholzer_circuit(g: &Graph) -> Result<CircuitResult, EulerError> {
     if let Some(&v) = properties::odd_vertices(g).first() {
-        return Err(EulerError::Graph(euler_graph::GraphError::NotEulerian {
-            vertex: v,
-            degree: g.degree(v),
-        }));
+        return Err(EulerError::Graph(euler_graph::GraphError::NotEulerian { vertex: v, degree: g.degree(v) }));
     }
     let n = g.num_vertices() as usize;
     let mut cursor = vec![0usize; n];
@@ -65,12 +62,7 @@ pub fn hierholzer_circuit(g: &Graph) -> Result<CircuitResult, EulerError> {
     Ok(result)
 }
 
-fn next_unused(
-    g: &Graph,
-    cursor: &mut [usize],
-    used: &[bool],
-    v: VertexId,
-) -> Option<(euler_graph::EdgeId, VertexId)> {
+fn next_unused(g: &Graph, cursor: &mut [usize], used: &[bool], v: VertexId) -> Option<(euler_graph::EdgeId, VertexId)> {
     let neighbors = g.neighbors(v);
     let c = &mut cursor[v.index()];
     while *c < neighbors.len() {

@@ -17,10 +17,10 @@
 //! edge plus one per relaunch). The result is verified like every other
 //! algorithm in the workspace.
 
+use euler_bsp::{run_vertex_program, VertexContext, VertexEngineConfig, VertexProgram};
 use euler_core::fragment::{Fragment, FragmentId, FragmentKind, FragmentStore, TourEdge};
 use euler_core::phase3::unroll;
 use euler_core::{CircuitResult, EulerError};
-use euler_bsp::{run_vertex_program, VertexContext, VertexEngineConfig, VertexProgram};
 use euler_graph::{properties, EdgeId, Graph, PartitionId, VertexId};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -81,12 +81,7 @@ impl VertexProgram for WalkerProgram {
     type VertexState = WalkVertex;
     type Message = Token;
 
-    fn compute(
-        &self,
-        ctx: &mut VertexContext,
-        state: &mut WalkVertex,
-        messages: &[Token],
-    ) -> Vec<(u64, Token)> {
+    fn compute(&self, ctx: &mut VertexContext, state: &mut WalkVertex, messages: &[Token]) -> Vec<(u64, Token)> {
         ctx.vote_to_halt();
         let holding = if ctx.superstep == 0 {
             ctx.vertex == self.start
@@ -103,9 +98,7 @@ impl VertexProgram for WalkerProgram {
         match state.next_unvisited() {
             Some((i, to, edge)) => {
                 state.visited[i] = true;
-                self.trail
-                    .lock()
-                    .push(TourEdge::Real { edge, from: VertexId(ctx.vertex), to });
+                self.trail.lock().push(TourEdge::Real { edge, from: VertexId(ctx.vertex), to });
                 vec![(to.0, Token { edge })]
             }
             None => vec![], // trail is stuck (back at its start): stop walking
@@ -132,16 +125,10 @@ impl MakkiRunner {
     /// Returns [`EulerError::Graph`] if some vertex has odd degree.
     pub fn run(&self, g: &Graph) -> Result<MakkiResult, EulerError> {
         if let Some(&v) = properties::odd_vertices(g).first() {
-            return Err(EulerError::Graph(euler_graph::GraphError::NotEulerian {
-                vertex: v,
-                degree: g.degree(v),
-            }));
+            return Err(EulerError::Graph(euler_graph::GraphError::NotEulerian { vertex: v, degree: g.degree(v) }));
         }
-        let limit = if self.max_supersteps == 0 {
-            4 * g.num_edges() + 2 * g.num_vertices() + 16
-        } else {
-            self.max_supersteps
-        };
+        let limit =
+            if self.max_supersteps == 0 { 4 * g.num_edges() + 2 * g.num_vertices() + 16 } else { self.max_supersteps };
 
         let mut states: Vec<WalkVertex> = g
             .vertices()
@@ -169,20 +156,13 @@ impl MakkiRunner {
         loop {
             // Pick a start vertex with an unvisited edge, preferring vertices
             // already on an earlier trail so sub-tours connect.
-            let start = states
-                .iter()
-                .enumerate()
-                .find(|(_, s)| s.next_unvisited().is_some())
-                .map(|(v, _)| v as u64);
+            let start = states.iter().enumerate().find(|(_, s)| s.next_unvisited().is_some()).map(|(v, _)| v as u64);
             let Some(start) = start else { break };
 
             let trail: Arc<Mutex<Vec<TourEdge>>> = Arc::new(Mutex::new(Vec::new()));
             let program = WalkerProgram { start, trail: trail.clone() };
-            let (new_states, stats) = run_vertex_program(
-                &program,
-                states,
-                VertexEngineConfig { max_supersteps: limit },
-            );
+            let (new_states, stats) =
+                run_vertex_program(&program, states, VertexEngineConfig { max_supersteps: limit });
             states = new_states;
             result.supersteps += stats.supersteps;
             result.messages += stats.messages;

@@ -28,9 +28,7 @@
 use euler_gen::eulerize::eulerize;
 use euler_gen::rmat::RmatGenerator;
 use euler_gen::synthetic;
-use euler_graph::{
-    write_csr_file, EdgeListFileSource, Graph, GraphSource, MmapCsrSource, PartitionedGraph,
-};
+use euler_graph::{write_csr_file, EdgeListFileSource, Graph, GraphSource, MmapCsrSource, PartitionedGraph};
 use euler_metrics::json::Value;
 use euler_partition::{LdgPartitioner, Partitioner};
 use std::path::Path;
@@ -56,14 +54,11 @@ fn bench_workload(name: &str, g: &Graph, dir: &Path, reps: u32) -> Value {
     let el_bytes = std::fs::metadata(&el).expect("stat .el").len();
     let ecsr_bytes = std::fs::metadata(&ecsr).expect("stat .ecsr").len();
 
-    let (text_s, text_graph) =
-        time_runs(reps, || EdgeListFileSource::new(&el).load().expect("text parse"));
+    let (text_s, text_graph) = time_runs(reps, || EdgeListFileSource::new(&el).load().expect("text parse"));
     let (open_s, opened) = time_runs(reps, || MmapCsrSource::open(&ecsr).expect("open .ecsr"));
-    let (trusted_open_s, _) =
-        time_runs(reps, || MmapCsrSource::open_trusted(&ecsr).expect("open .ecsr"));
-    let (to_graph_s, mmap_graph) = time_runs(reps, || {
-        MmapCsrSource::open(&ecsr).expect("open .ecsr").load().expect("mmap load")
-    });
+    let (trusted_open_s, _) = time_runs(reps, || MmapCsrSource::open_trusted(&ecsr).expect("open .ecsr"));
+    let (to_graph_s, mmap_graph) =
+        time_runs(reps, || MmapCsrSource::open(&ecsr).expect("open .ecsr").load().expect("mmap load"));
     assert_eq!(text_graph.num_edges(), g.num_edges(), "text parse changed the graph");
     assert_eq!(opened.csr_file().num_edges(), g.num_edges(), "mmap open changed the graph");
     assert_eq!(mmap_graph.num_edges(), g.num_edges(), "mmap load changed the graph");
@@ -73,13 +68,11 @@ fn bench_workload(name: &str, g: &Graph, dir: &Path, reps: u32) -> Value {
     // path cuts partitions from the mapped sections without one. Both start
     // from an already-opened input so the timings compare the same work.
     let assignment = LdgPartitioner::new(8).partition(g);
-    let (part_graph_s, pg_mem) = time_runs(reps, || {
-        PartitionedGraph::from_assignment(&mmap_graph, &assignment).expect("partition graph")
-    });
+    let (part_graph_s, pg_mem) =
+        time_runs(reps, || PartitionedGraph::from_assignment(&mmap_graph, &assignment).expect("partition graph"));
     let slicer = MmapCsrSource::open_trusted(&ecsr).expect("open .ecsr");
-    let (part_slice_s, pg_csr) = time_runs(reps, || {
-        slicer.csr_file().partitioned(&assignment).expect("slice partitions")
-    });
+    let (part_slice_s, pg_csr) =
+        time_runs(reps, || slicer.csr_file().partitioned(&assignment).expect("slice partitions"));
     assert_eq!(pg_csr.cut_edges(), pg_mem.cut_edges(), "slicing paths disagree");
     assert_eq!(pg_csr.num_edges(), pg_mem.num_edges());
 
@@ -113,8 +106,7 @@ fn main() {
     let dir = std::env::temp_dir().join("euler_bench_load");
     std::fs::create_dir_all(&dir).expect("temp dir");
 
-    let (rmat, _) =
-        eulerize(&RmatGenerator::new(18).with_avg_degree(8.0).with_seed(11).generate());
+    let (rmat, _) = eulerize(&RmatGenerator::new(18).with_avg_degree(8.0).with_seed(11).generate());
     let torus = synthetic::torus_grid(708, 708);
     assert!(rmat.num_edges() >= 1_000_000, "rmat workload must have >= 1M edges");
     assert!(torus.num_edges() >= 1_000_000, "torus workload must have >= 1M edges");

@@ -68,11 +68,7 @@ fn assert_same_fragments(name: &str, reference: &FragmentStore, dense: &Fragment
 
 fn main() {
     // At least one repetition, or the reported minima would be infinite.
-    let reps: u32 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(5)
-        .max(1);
+    let reps: u32 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(5).max(1);
     let (rmat_1m, _) = eulerize(&RmatGenerator::new(18).with_avg_degree(8.0).with_seed(7).generate());
     let torus_1m = synthetic::torus_grid(708, 708);
     let (rmat_4p, _) = eulerize(&RmatGenerator::new(16).with_avg_degree(8.0).with_seed(11).generate());
@@ -86,18 +82,15 @@ fn main() {
     let mut rows = Vec::new();
     for (name, template) in &workloads {
         let local_edges: u64 = template.iter().map(|wp| wp.local_edges.len() as u64).sum();
-        let (ref_s, ref_store) =
-            time_kernel(template, reps, |wp, store| {
-                run_phase1_reference(wp, store);
-            });
+        let (ref_s, ref_store) = time_kernel(template, reps, |wp, store| {
+            run_phase1_reference(wp, store);
+        });
         let (dense_s, dense_store) = time_kernel(template, reps, |wp, store| {
             run_phase1(wp, store);
         });
         let dense_frags = assert_same_fragments(name, &ref_store, &dense_store);
         let speedup = ref_s / dense_s;
-        println!(
-            "{name}: {local_edges} local edges | reference {ref_s:.3}s | dense {dense_s:.3}s | {speedup:.2}x"
-        );
+        println!("{name}: {local_edges} local edges | reference {ref_s:.3}s | dense {dense_s:.3}s | {speedup:.2}x");
         rows.push(Value::obj(vec![
             ("workload", Value::str(*name)),
             ("partitions", Value::Num(template.len() as f64)),
@@ -125,8 +118,7 @@ fn main() {
         let (dense_s, dense_store) = time_kernel(&template, reps, |wp, store| {
             run_phase1(wp, store);
         });
-        let dense_frags =
-            assert_same_fragments(&format!("star_of_cycles_{k}"), &ref_store, &dense_store);
+        let dense_frags = assert_same_fragments(&format!("star_of_cycles_{k}"), &ref_store, &dense_store);
         // One untimed run for the splice-index counters (identical for both
         // kernels by construction; the dense one is cheaper to rerun).
         let splice = {
@@ -171,10 +163,7 @@ fn main() {
             ),
         ),
         ("repetitions", Value::Num(reps as f64)),
-        (
-            "host_available_parallelism",
-            Value::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
-        ),
+        ("host_available_parallelism", Value::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64)),
         ("results", Value::Arr(rows)),
         (
             "splice_storm",

@@ -30,9 +30,7 @@
 //! written at the top level, for the builder rows, and into every section,
 //! so one section's object can be spliced into an existing ledger as it is.
 
-use euler_core::{
-    run_on_partitioned, run_with_backend, EulerConfig, EulerPipeline, InProcessBackend,
-};
+use euler_core::{run_on_partitioned, run_with_backend, EulerConfig, EulerPipeline, InProcessBackend};
 use euler_gen::eulerize::eulerize;
 use euler_gen::rmat::RmatGenerator;
 use euler_gen::synthetic;
@@ -69,15 +67,9 @@ fn bench_workload(name: &str, g: &Graph, assignment: &PartitionAssignment, reps:
     // The builder pipeline, constructed once (the graph copy into the
     // InMemorySource happens at build time); each run exercises the
     // source/partition staging plus the shared walk.
-    let pipeline = EulerPipeline::builder()
-        .graph(g)
-        .assignment(assignment.clone())
-        .config(config.clone())
-        .build()
-        .unwrap();
-    let (builder_s, builder_edges) = time_runs(reps, || {
-        pipeline.run().unwrap().circuit.result.total_edges()
-    });
+    let pipeline =
+        EulerPipeline::builder().graph(g).assignment(assignment.clone()).config(config.clone()).build().unwrap();
+    let (builder_s, builder_edges) = time_runs(reps, || pipeline.run().unwrap().circuit.result.total_edges());
 
     assert_eq!(direct_edges, mid_edges, "paths must cover the same edges");
     assert_eq!(direct_edges, builder_edges, "paths must cover the same edges");
@@ -130,18 +122,12 @@ fn main() {
         .assignment(a4.clone())
         .build()
         .unwrap();
-    let (file_s, edges_from_file) = time_runs(reps, || {
-        file_pipeline.run().unwrap().circuit.result.total_edges()
-    });
+    let (file_s, edges_from_file) = time_runs(reps, || file_pipeline.run().unwrap().circuit.result.total_edges());
     let mem_pipeline =
         EulerPipeline::builder().source(InMemorySource::new(torus.clone())).assignment(a4).build().unwrap();
-    let (mem_s, mem_edges) = time_runs(reps, || {
-        mem_pipeline.run().unwrap().circuit.result.total_edges()
-    });
+    let (mem_s, mem_edges) = time_runs(reps, || mem_pipeline.run().unwrap().circuit.result.total_edges());
     assert_eq!(edges_from_file, mem_edges);
-    println!(
-        "graph_source: edge-list file {file_s:.3}s vs in-memory {mem_s:.3}s (chunked load included)"
-    );
+    println!("graph_source: edge-list file {file_s:.3}s vs in-memory {mem_s:.3}s (chunked load included)");
     rows.push(Value::obj(vec![
         ("workload", Value::str("torus_354x354_source_comparison")),
         ("edges", Value::Num(torus.num_edges() as f64)),
@@ -219,10 +205,7 @@ fn main() {
         ("bounded_seconds", Value::Num(bounded_s)),
         ("fragment_disk_longs", Value::Num(spilled.circuit.fragment_disk_longs as f64)),
         ("peak_resident_longs", Value::Num(stats.peak_resident_longs as f64)),
-        (
-            "unbounded_peak_resident_longs",
-            Value::Num(reference.circuit.fragment_stats.peak_resident_longs as f64),
-        ),
+        ("unbounded_peak_resident_longs", Value::Num(reference.circuit.fragment_stats.peak_resident_longs as f64)),
         ("spilled_fragments", Value::Num(stats.spilled_fragments as f64)),
         ("spill_write_longs", Value::Num(stats.spill_write_longs as f64)),
         ("spill_writes", Value::Num(stats.spill_writes as f64)),
@@ -284,10 +267,7 @@ fn main() {
         ("open_chain_flushes", Value::Num(wstats.open_chain_flushes as f64)),
         ("residual_local_edges", Value::Num(wstats.residual_local_edges as f64)),
         ("residual_remote_edges", Value::Num(wstats.residual_remote_edges as f64)),
-        (
-            "spilled_fragments",
-            Value::Num(wstream_run.circuit.fragment_stats.spilled_fragments as f64),
-        ),
+        ("spilled_fragments", Value::Num(wstream_run.circuit.fragment_stats.spilled_fragments as f64)),
         ("spill_writes", Value::Num(wstream_run.circuit.fragment_stats.spill_writes as f64)),
         ("spill_reads", Value::Num(wstream_run.circuit.fragment_stats.spill_reads as f64)),
         ("repetitions", Value::Num(reps as f64)),
@@ -302,13 +282,8 @@ fn main() {
     let rmat_assignment = LdgPartitioner::new(8).partition(&rmat);
     // The default in-process run — rayon fan-out — is the reference: the
     // result does not depend on the schedule or the backend.
-    let in_proc_reference = EulerPipeline::builder()
-        .graph(&rmat)
-        .assignment(rmat_assignment.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let in_proc_reference =
+        EulerPipeline::builder().graph(&rmat).assignment(rmat_assignment.clone()).build().unwrap().run().unwrap();
     let ckpt_dir = dir.join("ft-ckpts");
     let distributed = |checkpoint: bool, plan: Option<euler_bsp::FaultPlan>| {
         let mut backend = euler_core::BspBackend::with_engine(euler_bsp::BspConfig::with_workers(2))
@@ -371,10 +346,7 @@ fn main() {
     let (_, kill_recovery) = ft_runs[2];
     ft_row.push(("checkpoint_longs_written", Value::Num(ckpt_recovery.checkpoint_longs_written as f64)));
     ft_row.push(("kill_restarts", Value::Num(kill_recovery.restarts as f64)));
-    ft_row.push((
-        "kill_checkpoint_longs_restored",
-        Value::Num(kill_recovery.checkpoint_longs_restored as f64),
-    ));
+    ft_row.push(("kill_checkpoint_longs_restored", Value::Num(kill_recovery.checkpoint_longs_restored as f64)));
     ft_row.push(("repetitions", Value::Num(reps as f64)));
     let fault_tolerance = Value::obj(ft_row);
 
@@ -401,10 +373,7 @@ fn main() {
             ),
         ),
         ("repetitions", Value::Num(reps as f64)),
-        (
-            "host_available_parallelism",
-            Value::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
-        ),
+        ("host_available_parallelism", Value::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64)),
         ("results", Value::Arr(rows)),
         ("out_of_core", out_of_core),
         ("w_streaming", w_streaming),

@@ -39,12 +39,14 @@ fn main() {
     for (bucket, count) in h_eul.log_buckets() {
         s_eul.push(format!("deg~{bucket}"), bucket as f64, count as f64);
     }
-    let mut table = Table::new(
-        "Degree distribution (log2 buckets): vertices per bucket",
-        &["Degree bucket", "RMAT", "Eulerized"],
-    );
+    let mut table =
+        Table::new("Degree distribution (log2 buckets): vertices per bucket", &["Degree bucket", "RMAT", "Eulerized"]);
     for (bucket, count) in h_raw.log_buckets() {
-        table.row(&[bucket.to_string(), count.to_string(), h_eul.log_buckets().iter().find(|(b, _)| *b == bucket).map(|(_, c)| *c).unwrap_or(0).to_string()]);
+        table.row(&[
+            bucket.to_string(),
+            count.to_string(),
+            h_eul.log_buckets().iter().find(|(b, _)| *b == bucket).map(|(_, c)| *c).unwrap_or(0).to_string(),
+        ]);
     }
     report.add_table(table);
     report.add_series(s_raw);

@@ -22,10 +22,8 @@ use std::time::Duration;
 fn split_table(title: &str, run: &RunReport) -> Table {
     let engine = run.engine.as_ref().expect("BSP backend reports engine stats");
     let tree = &run.merge_tree;
-    let mut table = Table::new(
-        title,
-        &["Level", "Partition", "Copy source", "Create object + copy sink", "Phase 1 tour"],
-    );
+    let mut table =
+        Table::new(title, &["Level", "Partition", "Copy source", "Create object + copy sink", "Phase 1 tour"]);
     for step in &engine.supersteps {
         let level = step.superstep;
         for (partition, split) in &step.per_partition_compute {
@@ -38,8 +36,7 @@ fn split_table(title: &str, run: &RunReport) -> Table {
             let crosses = |p: &&euler_core::MergePair| {
                 engine.placement[p.child.0 as usize] != engine.placement[p.parent.0 as usize]
             };
-            let shipped_away =
-                tree.pairs_at(level).iter().filter(crosses).any(|p| p.child.0 == *partition);
+            let shipped_away = tree.pairs_at(level).iter().filter(crosses).any(|p| p.child.0 == *partition);
             let merges: &[_] = if level > 0 { tree.pairs_at(level - 1) } else { &[] };
             let merged = merges.iter().any(|p| p.parent.0 == *partition);
             let received = merges.iter().filter(crosses).any(|p| p.parent.0 == *partition);
@@ -65,9 +62,7 @@ fn main() {
     let config = GraphConfig::by_name("G50/P8").expect("known config");
     let input = prepared_input(config, shift);
     let run = |backend: BspBackend| {
-        run_with_backend(&input.graph, &input.assignment, &EulerConfig::default(), &backend)
-            .expect("eulerized input")
-            .1
+        run_with_backend(&input.graph, &input.assignment, &EulerConfig::default(), &backend).expect("eulerized input").1
     };
 
     let mut report = Report::new("fig6_time_split");

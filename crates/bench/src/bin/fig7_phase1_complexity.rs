@@ -3,7 +3,7 @@
 //! with a least-squares trend line and the correlation coefficient.
 
 use euler_bench::{parse_scale_shift, prepared_input};
-use euler_core::{run_with_backend, InProcessBackend, EulerConfig};
+use euler_core::{run_with_backend, EulerConfig, InProcessBackend};
 use euler_gen::configs::GraphConfig;
 use euler_metrics::{Report, Series, Table};
 

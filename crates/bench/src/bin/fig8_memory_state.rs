@@ -5,7 +5,7 @@
 
 use euler_bench::{parse_scale_shift, prepared_input};
 use euler_core::memory_model::{ideal_series, model_series};
-use euler_core::{run_with_backend, InProcessBackend, EulerConfig, MergeStrategy};
+use euler_core::{run_with_backend, EulerConfig, InProcessBackend, MergeStrategy};
 use euler_gen::configs::GraphConfig;
 use euler_metrics::{Report, Series, Table};
 
@@ -64,10 +64,7 @@ fn main() {
             }
             let mut s = Series::new(format!("{name} measured cumulative ({strategy})"));
             for (level, &longs) in measured.iter().enumerate() {
-                assert!(
-                    longs <= bound,
-                    "{name} {strategy}: level {level} holds {longs} Longs, over {bound}"
-                );
+                assert!(longs <= bound, "{name} {strategy}: level {level} holds {longs} Longs, over {bound}");
                 s.push(format!("L{level}"), level as f64, longs as f64);
             }
             report.add_series(s);

@@ -3,7 +3,7 @@
 //! remote edges.
 
 use euler_bench::{parse_scale_shift, prepared_input};
-use euler_core::{run_with_backend, InProcessBackend, EulerConfig};
+use euler_core::{run_with_backend, EulerConfig, InProcessBackend};
 use euler_gen::configs::GraphConfig;
 use euler_metrics::{Report, Table};
 
@@ -11,9 +11,8 @@ fn main() {
     let shift = parse_scale_shift();
     let config = GraphConfig::by_name("G50/P8").expect("known config");
     let input = prepared_input(config, shift);
-    let (_, run) =
-        run_with_backend(&input.graph, &input.assignment, &EulerConfig::default(), &InProcessBackend::new())
-            .expect("eulerized");
+    let (_, run) = run_with_backend(&input.graph, &input.assignment, &EulerConfig::default(), &InProcessBackend::new())
+        .expect("eulerized");
 
     let mut report = Report::new("fig9_vertex_types");
     report.note(format!("G50/P8 scaled with scale_shift = {shift}; counts at the start of each level"));
@@ -38,9 +37,6 @@ fn main() {
         .iter()
         .map(|r| format!("{:.1}", r.counts.remote_edges as f64 / r.counts.total_vertices().max(1) as f64))
         .collect();
-    report.note(format!(
-        "remote-edge : vertex ratio per leaf partition (paper observes ~7x): [{}]",
-        ratios.join(", ")
-    ));
+    report.note(format!("remote-edge : vertex ratio per leaf partition (paper observes ~7x): [{}]", ratios.join(", ")));
     println!("{}", report.render());
 }

@@ -5,17 +5,14 @@
 
 use euler_baseline::MakkiRunner;
 use euler_bench::{parse_scale_shift, prepared_input};
-use euler_core::{run_with_backend, InProcessBackend, EulerConfig};
+use euler_core::{run_with_backend, EulerConfig, InProcessBackend};
 use euler_gen::configs::PAPER_CONFIGS;
 use euler_metrics::{Report, Table};
 
 fn main() {
     let shift = parse_scale_shift();
     let mut report = Report::new("supersteps_vs_makki");
-    report.note(format!(
-        "scale_shift = {}; Makki uses one superstep per edge traversal",
-        shift - 2
-    ));
+    report.note(format!("scale_shift = {}; Makki uses one superstep per edge traversal", shift - 2));
     let mut table = Table::new(
         "Coordination cost: partition-centric vs Makki",
         &["Graph", "|E|", "Parts", "Partition-centric supersteps", "Makki supersteps", "Makki messages"],

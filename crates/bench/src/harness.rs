@@ -94,10 +94,7 @@ mod tests {
         // Guards against someone bumping the constant past zero.
         #[allow(clippy::assertions_on_constants)]
         {
-            assert!(
-                DEFAULT_SCALE_SHIFT < 0,
-                "default scale shift must shrink the inputs, got {DEFAULT_SCALE_SHIFT}"
-            );
+            assert!(DEFAULT_SCALE_SHIFT < 0, "default scale shift must shrink the inputs, got {DEFAULT_SCALE_SHIFT}");
         }
     }
 

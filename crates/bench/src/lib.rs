@@ -17,7 +17,7 @@ pub mod harness;
 pub mod pack;
 
 pub use harness::{
-    parse_scale_shift, prepared_input, round_robin_working_partitions, single_working_partition,
-    ExperimentInput, DEFAULT_SCALE_SHIFT,
+    parse_scale_shift, prepared_input, round_robin_working_partitions, single_working_partition, ExperimentInput,
+    DEFAULT_SCALE_SHIFT,
 };
 pub use pack::{pack_edge_list, PackStats};

@@ -94,8 +94,7 @@ pub fn write_checkpoint(path: &Path, payload: &[u8]) -> Result<u64, CheckpointEr
     let len = (bytes / 8) as u64;
     let mut fold = WordFold::new();
     fold.bytes(payload);
-    let header =
-        WordWriter::from_words(&[CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len, fold.finish()]);
+    let header = WordWriter::from_words(&[CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len, fold.finish()]);
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
@@ -191,10 +190,7 @@ mod tests {
     #[test]
     fn missing_file_is_typed() {
         let dir = temp_dir("missing");
-        assert!(matches!(
-            read_checkpoint(&checkpoint_file(&dir, 0, 99)),
-            Err(CheckpointError::Missing)
-        ));
+        assert!(matches!(read_checkpoint(&checkpoint_file(&dir, 0, 99)), Err(CheckpointError::Missing)));
         // Beneath a regular file nothing is written, and nothing read back.
         let blocker = dir.join("blocker");
         fs::write(&blocker, b"not a directory").unwrap();
@@ -224,10 +220,7 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..16].copy_from_slice(&99u64.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::UnsupportedVersion(99))
-        ));
+        assert!(matches!(read_checkpoint(&path), Err(CheckpointError::UnsupportedVersion(99))));
         // A version 1 file — the same container around a payload without the
         // kept-state list — and a version 4 one, whose payload also held
         // fragment segments, are refused the same way.

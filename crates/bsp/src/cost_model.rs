@@ -58,9 +58,9 @@ impl PlatformCostModel {
         PlatformCostModel {
             barrier: Duration::from_millis(500),
             task_schedule: Duration::from_millis(120),
-            per_byte_shuffle: Duration::from_nanos(8),   // ≈125 MB/s effective shuffle
-            per_byte_serde: Duration::from_nanos(4),     // ≈250 MB/s serde
-            per_long_object: Duration::from_nanos(25),   // JVM object & GC amortised cost
+            per_byte_shuffle: Duration::from_nanos(8), // ≈125 MB/s effective shuffle
+            per_byte_serde: Duration::from_nanos(4),   // ≈250 MB/s serde
+            per_long_object: Duration::from_nanos(25), // JVM object & GC amortised cost
         }
     }
 

@@ -23,10 +23,7 @@ pub struct FaultPolicy {
 
 impl Default for FaultPolicy {
     fn default() -> Self {
-        FaultPolicy {
-            heartbeat_interval: Duration::from_millis(50),
-            heartbeat_timeout: Duration::from_secs(5),
-        }
+        FaultPolicy { heartbeat_interval: Duration::from_millis(50), heartbeat_timeout: Duration::from_secs(5) }
     }
 }
 

@@ -44,7 +44,5 @@ pub use engine::{BspConfig, WorkerCount};
 pub use fault::{FaultPlan, FaultPolicy, RecoveryStats};
 pub use program::{VertexContext, VertexProgram};
 pub use stats::{EngineStats, SuperstepStats};
-pub use transport::{
-    connect_endpoint, connect_with_retry, FrameError, MemTransport, TcpTransport, Transport,
-};
+pub use transport::{connect_endpoint, connect_with_retry, FrameError, MemTransport, TcpTransport, Transport};
 pub use vertex::{run_vertex_program, VertexEngineConfig, VertexEngineStats};

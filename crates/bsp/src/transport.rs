@@ -184,8 +184,7 @@ fn frame_header(kind: u16, parts: &[&[u8]]) -> Result<[u8; FRAME_HEADER_BYTES], 
 /// Encodes one frame (header + payload parts) into a byte vector.
 fn encode_parts(kind: u16, parts: &[&[u8]]) -> Result<Vec<u8>, FrameError> {
     let header = frame_header(kind, parts)?;
-    let mut out =
-        Vec::with_capacity(FRAME_HEADER_BYTES + parts.iter().map(|p| p.len()).sum::<usize>());
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + parts.iter().map(|p| p.len()).sum::<usize>());
     out.extend_from_slice(&header);
     for part in parts {
         out.extend_from_slice(part);
@@ -235,11 +234,7 @@ impl FrameBatch {
     /// # Errors
     /// [`FrameError::LengthOverflow`] when the payload exceeds
     /// [`MAX_FRAME_BYTES`]; the batch is then left as it was.
-    pub fn push(
-        &mut self,
-        kind: u16,
-        fill: impl FnOnce(&mut FramePayload<'_>),
-    ) -> Result<(), FrameError> {
+    pub fn push(&mut self, kind: u16, fill: impl FnOnce(&mut FramePayload<'_>)) -> Result<(), FrameError> {
         let start = self.bytes.len();
         self.bytes.resize(start + FRAME_HEADER_BYTES, 0);
         fill(&mut FramePayload(&mut self.bytes));
@@ -320,9 +315,8 @@ fn parse_header(bytes: &[u8]) -> Result<Header, FrameError> {
 pub fn decode_frame(bytes: &[u8]) -> Result<(u16, Vec<u8>, usize), FrameError> {
     let header = parse_header(bytes)?;
     let total = FRAME_HEADER_BYTES + header.len as usize;
-    let payload = bytes
-        .get(FRAME_HEADER_BYTES..total)
-        .ok_or(FrameError::Truncated { expected: total, got: bytes.len() })?;
+    let payload =
+        bytes.get(FRAME_HEADER_BYTES..total).ok_or(FrameError::Truncated { expected: total, got: bytes.len() })?;
     let mut fold = checksum_start(header.kind, header.len);
     fold.bytes(payload);
     if fold.finish() != header.check {
@@ -402,10 +396,7 @@ fn read_some(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameError> {
     loop {
         match r.read(buf) {
             Ok(n) => return Ok(n),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut => {
                 return Err(FrameError::Timeout);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -500,10 +491,7 @@ const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
 /// listener before it starts a worker, so a worker's first attempt finds it;
 /// the retries cover a peer that is still coming up, such as a service
 /// client started beside its server.
-pub fn connect_with_retry(
-    transport: &dyn Transport,
-    endpoint: &str,
-) -> Result<Box<dyn Connection>, FrameError> {
+pub fn connect_with_retry(transport: &dyn Transport, endpoint: &str) -> Result<Box<dyn Connection>, FrameError> {
     retry_connect(transport, endpoint, CONNECT_ATTEMPTS, CONNECT_BACKOFF)
 }
 
@@ -571,10 +559,7 @@ struct MemRegistry {
 
 fn mem_registry() -> &'static MemRegistry {
     static REG: OnceLock<MemRegistry> = OnceLock::new();
-    REG.get_or_init(|| MemRegistry {
-        pending: Mutex::new(HashMap::new()),
-        next_token: AtomicU64::new(1),
-    })
+    REG.get_or_init(|| MemRegistry { pending: Mutex::new(HashMap::new()), next_token: AtomicU64::new(1) })
 }
 
 /// The in-memory channel transport: worker threads in this process,
@@ -752,10 +737,7 @@ impl TcpConnection {
         write_all_or(w, slices)?;
         match w.flush() {
             Ok(()) => Ok(()),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut => {
                 Err(FrameError::Timeout)
             }
             Err(e) => Err(e.into()),
@@ -806,10 +788,7 @@ fn write_all_or(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> Result<(), 
         match w.write_vectored(bufs) {
             Ok(0) => return Err(FrameError::Closed),
             Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut => {
                 return Err(FrameError::Timeout);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -870,9 +849,8 @@ impl Transport for TcpTransport {
     }
 
     fn connect(&self, endpoint: &str) -> Result<Box<dyn Connection>, FrameError> {
-        let addr = endpoint
-            .strip_prefix("tcp:")
-            .ok_or_else(|| FrameError::Io(format!("bad tcp endpoint: {endpoint}")))?;
+        let addr =
+            endpoint.strip_prefix("tcp:").ok_or_else(|| FrameError::Io(format!("bad tcp endpoint: {endpoint}")))?;
         Ok(Box::new(TcpConnection::new(TcpStream::connect(addr)?)?))
     }
 
@@ -914,10 +892,7 @@ mod tests {
         let mut frame = encode_frame(1, b"x").unwrap();
         frame[4] = 0xEE;
         frame[5] = 0xEE;
-        assert!(matches!(
-            decode_frame(&frame),
-            Err(FrameError::UnsupportedVersion { found: 0xEEEE })
-        ));
+        assert!(matches!(decode_frame(&frame), Err(FrameError::UnsupportedVersion { found: 0xEEEE })));
     }
 
     /// A frame as version 1 of the format wrote it: byte-serial FNV-1a over
@@ -930,12 +905,7 @@ mod tests {
     fn v1_frame_is_rejected_as_unsupported_version() {
         let payload = b"a version 1 payload";
         let mut check = 0xcbf2_9ce4_8422_2325u64;
-        for &b in 7u16
-            .to_le_bytes()
-            .iter()
-            .chain(&(payload.len() as u32).to_le_bytes())
-            .chain(payload.iter())
-        {
+        for &b in 7u16.to_le_bytes().iter().chain(&(payload.len() as u32).to_le_bytes()).chain(payload.iter()) {
             check = (check ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
         let mut frame = FRAME_MAGIC.to_le_bytes().to_vec();
@@ -954,10 +924,7 @@ mod tests {
         assert!(decode_frame(&earlier).is_ok());
         for version in [2u16, 3, 4, 5, 6, 7, 8, 9, 10] {
             earlier[4..6].copy_from_slice(&version.to_le_bytes());
-            assert_eq!(
-                decode_frame(&earlier),
-                Err(FrameError::UnsupportedVersion { found: version })
-            );
+            assert_eq!(decode_frame(&earlier), Err(FrameError::UnsupportedVersion { found: version }));
         }
     }
 
@@ -965,10 +932,7 @@ mod tests {
     fn truncated_header_and_payload_are_typed() {
         let frame = encode_frame(1, b"abcdef").unwrap();
         assert!(matches!(decode_frame(&frame[..10]), Err(FrameError::Truncated { .. })));
-        assert!(matches!(
-            decode_frame(&frame[..frame.len() - 2]),
-            Err(FrameError::Truncated { .. })
-        ));
+        assert!(matches!(decode_frame(&frame[..frame.len() - 2]), Err(FrameError::Truncated { .. })));
     }
 
     #[test]
@@ -1029,10 +993,7 @@ mod tests {
         let _dialer = TcpTransport.connect(&endpoint).unwrap();
         let conn = listener.accept(Duration::from_secs(5)).unwrap();
         let t0 = Instant::now();
-        assert_eq!(
-            conn.recv_timeout(Some(Duration::from_millis(30))).unwrap_err(),
-            FrameError::Timeout
-        );
+        assert_eq!(conn.recv_timeout(Some(Duration::from_millis(30))).unwrap_err(), FrameError::Timeout);
         assert!(t0.elapsed() >= Duration::from_millis(25));
     }
 
@@ -1125,10 +1086,8 @@ mod tests {
     fn back_to_back_frames_in_one_write_arrive_in_order() {
         let (conn, mut raw) = raw_into();
         let frames: Vec<Vec<u8>> = (0..100).map(|i| pattern(i * 13, i)).collect();
-        let bytes: Vec<u8> = (0u16..)
-            .zip(&frames)
-            .flat_map(|(kind, payload)| encode_frame(kind, payload).unwrap())
-            .collect();
+        let bytes: Vec<u8> =
+            (0u16..).zip(&frames).flat_map(|(kind, payload)| encode_frame(kind, payload).unwrap()).collect();
         let writer = std::thread::spawn(move || raw.write_all(&bytes).unwrap());
         for (kind, payload) in (0u16..).zip(&frames) {
             let got = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1184,10 +1143,7 @@ mod tests {
         let dialer = TcpTransport.connect(&endpoint).unwrap();
         let conn = listener.accept(Duration::from_secs(5)).unwrap();
         drop(dialer);
-        assert_eq!(
-            conn.recv_timeout(Some(Duration::from_secs(1))).unwrap_err(),
-            FrameError::Closed
-        );
+        assert_eq!(conn.recv_timeout(Some(Duration::from_secs(1))).unwrap_err(), FrameError::Closed);
     }
 
     #[test]
@@ -1202,10 +1158,7 @@ mod tests {
         });
         let conn = listener.accept(Duration::from_secs(5)).unwrap();
         let err = conn.recv_timeout(Some(Duration::from_secs(5))).unwrap_err();
-        assert!(
-            matches!(err, FrameError::BadMagic { .. } | FrameError::Truncated { .. }),
-            "unexpected error: {err:?}"
-        );
+        assert!(matches!(err, FrameError::BadMagic { .. } | FrameError::Truncated { .. }), "unexpected error: {err:?}");
         writer.join().unwrap();
     }
 
@@ -1337,8 +1290,7 @@ mod tests {
     #[test]
     fn close_fails_a_send_stalled_on_a_full_socket() {
         let listener = TcpTransport.listen().unwrap();
-        let conn: Arc<dyn Connection> =
-            Arc::from(TcpTransport.connect(&listener.endpoint()).unwrap());
+        let conn: Arc<dyn Connection> = Arc::from(TcpTransport.connect(&listener.endpoint()).unwrap());
         let _unread = listener.accept_timeout(None).unwrap();
         let stalled = Arc::clone(&conn);
         let sender = std::thread::spawn(move || {

@@ -101,11 +101,7 @@ mod tests {
 
         fn compute(&self, ctx: &mut VertexContext, state: &mut u64, messages: &[u64]) -> Vec<(u64, u64)> {
             let incoming: Option<u64> = messages.first().copied();
-            let holding = if ctx.superstep == 0 && ctx.vertex == 0 {
-                Some(self.hops)
-            } else {
-                incoming
-            };
+            let holding = if ctx.superstep == 0 && ctx.vertex == 0 { Some(self.hops) } else { incoming };
             ctx.vote_to_halt();
             match holding {
                 Some(0) | None => vec![],

@@ -304,10 +304,7 @@ impl<'a> WordReader<'a> {
     /// Reads `count` consecutive `N`-word elements in one bounded take — the
     /// tight loop for the bulk of a record. A count the payload cannot hold
     /// is a truncation error before anything is read.
-    pub fn arrays<const N: usize>(
-        &mut self,
-        count: usize,
-    ) -> Result<impl Iterator<Item = [u64; N]> + 'a, WireError> {
+    pub fn arrays<const N: usize>(&mut self, count: usize) -> Result<impl Iterator<Item = [u64; N]> + 'a, WireError> {
         let (words, _) = self.take(count.saturating_mul(N))?.as_chunks::<8>();
         Ok(words.chunks_exact(N.max(1)).map(|element| {
             let mut out = [0u64; N];
@@ -323,8 +320,7 @@ impl<'a> WordReader<'a> {
         let n = self.count()?;
         let padded = self.take(words_for(n))?;
         let bytes = padded.get(..n).unwrap_or(padded);
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| WireError::Invalid(format!("bad utf8 in string: {e}")))
+        String::from_utf8(bytes.to_vec()).map_err(|e| WireError::Invalid(format!("bad utf8 in string: {e}")))
     }
 
     /// Clamps a wire-declared count of `words_each`-word elements to what
@@ -351,11 +347,7 @@ impl<'a> WordReader<'a> {
         if self.bytes.is_empty() {
             Ok(())
         } else {
-            Err(WireError::Invalid(format!(
-                "{} unread word(s) after word {}",
-                self.remaining(),
-                self.at
-            )))
+            Err(WireError::Invalid(format!("{} unread word(s) after word {}", self.remaining(), self.at)))
         }
     }
 
@@ -411,10 +403,7 @@ mod tests {
             assert!(matches!(err, WireError::Truncated { at: 1, .. }), "{err:?}");
         }
         let w = WordWriter::from_words(&[2, 0xFFFF]);
-        assert!(matches!(
-            WordReader::new(w.as_bytes()).unwrap().str(),
-            Err(WireError::Invalid(_))
-        ));
+        assert!(matches!(WordReader::new(w.as_bytes()).unwrap().str(), Err(WireError::Invalid(_))));
     }
 
     #[test]

@@ -101,13 +101,9 @@ use crate::phase1::ArenaPool;
 use crate::pipeline::{wire, LevelOutcome, LevelPartitionReport, Seed, SeedKind};
 use crate::placement::Placement;
 use crate::state::{VertexTypeCounts, WorkingPartition};
-use euler_bsp::checkpoint::{
-    checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError,
-};
+use euler_bsp::checkpoint::{checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError};
 use euler_bsp::fault::{FaultPlan, FaultPolicy, RecoveryStats};
-use euler_bsp::transport::{
-    connect_endpoint, connect_with_retry, Connection, FrameError, Listener, Transport,
-};
+use euler_bsp::transport::{connect_endpoint, connect_with_retry, Connection, FrameError, Listener, Transport};
 use euler_bsp::wire::{word_u32, WireError, WordReader, WordWriter};
 use euler_bsp::{BspConfig, EngineStats, PlatformCostModel, SuperstepStats};
 use euler_graph::{CsrFile, PartitionAssignment, PartitionId};
@@ -182,8 +178,7 @@ fn decode_tree(r: &mut WordReader<'_>) -> Result<MergeTree, WireError> {
         leaves.push(PartitionId(word_u32(r.u()?, "leaf")?));
     }
     // Every (level, leaf) of the tree must be nameable by a fragment id.
-    if levels.len() as u64 >= FragmentId::MAX_LEVELS as u64
-        || leaves.iter().any(|l| l.0 >= FragmentId::MAX_PARTITIONS)
+    if levels.len() as u64 >= FragmentId::MAX_LEVELS as u64 || leaves.iter().any(|l| l.0 >= FragmentId::MAX_PARTITIONS)
     {
         return Err(WireError::Invalid("merge tree exceeds the fragment id layout".into()));
     }
@@ -202,10 +197,7 @@ fn check_slots(tree: &MergeTree, states: &[WorkingPartition]) -> Result<(), Wire
 
 /// Appends a state list — `[n, n × (len, state record)]` — the body of
 /// Init seeds, Start inboxes and checkpointed slots alike.
-fn encode_states<'a>(
-    out: &mut WordWriter,
-    states: impl ExactSizeIterator<Item = &'a WorkingPartition>,
-) {
+fn encode_states<'a>(out: &mut WordWriter, states: impl ExactSizeIterator<Item = &'a WorkingPartition>) {
     out.u(states.len() as u64);
     for wp in states {
         encode_state(out, wp);
@@ -268,8 +260,7 @@ fn read_segments(r: &mut WordReader<'_>) -> Result<Vec<(SegmentHead, Range<usize
         // Saturating: a coordinate beyond its field is refused by the
         // validator, not wrapped into a valid one.
         let field = |w: u64| u32::try_from(w).unwrap_or(u32::MAX);
-        let head =
-            SegmentHead { level: field(level), partition: PartitionId(field(partition)), first_seq, records };
+        let head = SegmentHead { level: field(level), partition: PartitionId(field(partition)), first_seq, records };
         let end = at.saturating_add(usize::try_from(len).unwrap_or(usize::MAX));
         segments.push((head, at..end));
         at = end;
@@ -379,10 +370,8 @@ fn decode_seed(r: &mut WordReader<'_>, tree: &MergeTree) -> Result<SeedTail, Wir
         seed_tag::FILE => {
             let path = PathBuf::from(r.str()?);
             let [checksum, n, m, parts] = r.array()?;
-            let num_partitions = u32::try_from(parts)
-                .ok()
-                .filter(|&p| p as usize == tree.leaves.len())
-                .ok_or_else(|| {
+            let num_partitions =
+                u32::try_from(parts).ok().filter(|&p| p as usize == tree.leaves.len()).ok_or_else(|| {
                     WireError::Invalid(format!(
                         "level-0 reference names {parts} partitions, the tree has {}",
                         tree.leaves.len()
@@ -394,8 +383,7 @@ fn decode_seed(r: &mut WordReader<'_>, tree: &MergeTree) -> Result<SeedTail, Wir
                 owned.push(r.u()?);
             }
             let num_labels = usize::try_from(n).unwrap_or(usize::MAX);
-            let mut labels =
-                Vec::with_capacity(r.cap(num_labels.div_ceil(2), 1).saturating_mul(2));
+            let mut labels = Vec::with_capacity(r.cap(num_labels.div_ceil(2), 1).saturating_mul(2));
             while labels.len() < num_labels {
                 let word = r.u()?;
                 // The high half of the last word of an odd count is padding.
@@ -413,9 +401,9 @@ fn decode_seed(r: &mut WordReader<'_>, tree: &MergeTree) -> Result<SeedTail, Wir
         seed_tag::CHECKPOINT => {
             let superstep = r.u()?;
             r.finish()?;
-            u32::try_from(superstep).map(SeedTail::Checkpoint).map_err(|_| {
-                WireError::Invalid(format!("checkpoint seed names superstep {superstep}"))
-            })
+            u32::try_from(superstep)
+                .map(SeedTail::Checkpoint)
+                .map_err(|_| WireError::Invalid(format!("checkpoint seed names superstep {superstep}")))
         }
         tag => Err(WireError::Invalid(format!("unknown seed tag {tag}"))),
     }
@@ -425,11 +413,7 @@ fn decode_seed(r: &mut WordReader<'_>, tree: &MergeTree) -> Result<SeedTail, Wir
 /// opened frame-checked, refused unless its header identity is the Init's,
 /// then the loader's two passes — the worker's own scan, and a fill of the
 /// partitions it owns.
-fn build_from_file(
-    file: &FileRef,
-    tree: &MergeTree,
-    strategy: MergeStrategy,
-) -> Result<Vec<WorkingPartition>, String> {
+fn build_from_file(file: &FileRef, tree: &MergeTree, strategy: MergeStrategy) -> Result<Vec<WorkingPartition>, String> {
     let at = file.path.display();
     let bad = |e: euler_graph::GraphError| format!("level-0 file {at}: {e}");
     let csr = CsrFile::open_trusted(&file.path).map_err(bad)?;
@@ -451,9 +435,7 @@ fn build_from_file(
     let edges = csr.edge_arrays();
     let scan = level0::scan(edges, assignment).map_err(bad)?;
     let levels = tree.leaf_levels(assignment.num_partitions());
-    let owned = |p: PartitionId| {
-        file.owned.get(p.index() / 64).is_some_and(|word| word >> (p.index() % 64) & 1 == 1)
-    };
+    let owned = |p: PartitionId| file.owned.get(p.index() / 64).is_some_and(|word| word >> (p.index() % 64) & 1 == 1);
     let states = level0::fill(edges, assignment, &scan, strategy.deduplicates(), &levels, owned).map_err(bad)?;
     check_slots(tree, &states)?;
     Ok(states)
@@ -517,13 +499,7 @@ impl SlotReport {
             report: LevelPartitionReport {
                 level,
                 partition: PartitionId(word_u32(partition, "partition")?),
-                counts: VertexTypeCounts {
-                    even_internal,
-                    even_boundary,
-                    odd_boundary,
-                    remote_edges,
-                    local_edges,
-                },
+                counts: VertexTypeCounts { even_internal, even_boundary, odd_boundary, remote_edges, local_edges },
                 complexity,
                 phase1_time: Duration::from_nanos(phase1_ns),
                 merge_time: Duration::from_nanos(merge_ns),
@@ -633,8 +609,7 @@ impl DoneWriter {
             self.share.local_bytes,
         ]);
         let framing = segment_framing(&self.fragments);
-        let mut parts =
-            vec![reports.as_bytes(), self.share.outgoing.as_bytes(), framing.as_bytes()];
+        let mut parts = vec![reports.as_bytes(), self.share.outgoing.as_bytes(), framing.as_bytes()];
         parts.extend(self.fragments.iter().map(Segment::bytes));
         parts.push(tail.as_bytes());
         conn.send_parts(kind::DONE, &parts)
@@ -687,10 +662,7 @@ type Dones = Vec<(u32, DoneMsg)>;
 
 /// Reads an `outgoing` section into `(destination, entry)` ranges of `buf`,
 /// the buffer `r` reads.
-fn read_outgoing(
-    r: &mut WordReader<'_>,
-    buf: &Arc<Vec<u8>>,
-) -> Result<Vec<(u32, Blob)>, WireError> {
+fn read_outgoing(r: &mut WordReader<'_>, buf: &Arc<Vec<u8>>) -> Result<Vec<(u32, Blob)>, WireError> {
     let n_out = r.count()?;
     let mut outgoing = Vec::with_capacity(r.cap(n_out, 2));
     for _ in 0..n_out {
@@ -712,8 +684,7 @@ fn decode_done(payload: Arc<Vec<u8>>) -> Result<DoneMsg, WireError> {
     }
     let outgoing = read_outgoing(&mut r, &payload)?;
     let segments = read_segments(&mut r)?;
-    let fragments =
-        Some(segments.into_iter().map(|(head, at)| (head, Blob::words(&payload, at))).collect());
+    let fragments = Some(segments.into_iter().map(|(head, at)| (head, Blob::words(&payload, at))).collect());
     let [transfer_longs, checkpoint_longs, local_messages, local_bytes] = r.array()?;
     Ok(DoneMsg {
         superstep,
@@ -906,9 +877,7 @@ impl WorkerState {
         let path = checkpoint_file(dir, self.init.worker_id, superstep);
         let payload = match read_checkpoint(&path) {
             Ok(p) => p,
-            Err(CheckpointError::Missing) => {
-                return Err(RestoreRefusal { ignored: false })
-            }
+            Err(CheckpointError::Missing) => return Err(RestoreRefusal { ignored: false }),
             Err(_) => return Err(RestoreRefusal { ignored: true }),
         };
         let decode = || -> Result<[Vec<WorkingPartition>; 2], WireError> {
@@ -949,8 +918,7 @@ impl WorkerState {
 /// protocol failure (the coordinator sees the connection drop and
 /// recovers).
 pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<(), String> {
-    conn.send_words(kind::HELLO, &[worker_id as u64])
-        .map_err(|e| format!("hello failed: {e}"))?;
+    conn.send_words(kind::HELLO, &[worker_id as u64]).map_err(|e| format!("hello failed: {e}"))?;
 
     let mut state: Option<WorkerState> = None;
     // Heartbeats flow only while a superstep is being computed; an idle
@@ -1004,9 +972,7 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                                 Err(RecvTimeoutError::Timeout) => {}
                                 _ => return,
                             }
-                            if busy2.load(Ordering::Relaxed)
-                                && conn2.send(kind::HEARTBEAT, &[]).is_err()
-                            {
+                            if busy2.load(Ordering::Relaxed) && conn2.send(kind::HEARTBEAT, &[]).is_err() {
                                 return;
                             }
                         }));
@@ -1054,8 +1020,8 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
 /// `endpoint` (`tcp:HOST:PORT`) and serve as worker `worker_id` until shut
 /// down.
 pub fn worker_main(endpoint: &str, worker_id: u32) -> Result<(), String> {
-    let conn = connect_endpoint(endpoint)
-        .map_err(|e| format!("worker {worker_id} could not connect to {endpoint}: {e}"))?;
+    let conn =
+        connect_endpoint(endpoint).map_err(|e| format!("worker {worker_id} could not connect to {endpoint}: {e}"))?;
     run_worker(Arc::from(conn), worker_id)
 }
 
@@ -1069,9 +1035,7 @@ pub fn default_worker_bin() -> Option<PathBuf> {
     }
     let exe = std::env::current_exe().ok()?;
     let dir = exe.parent()?;
-    [dir.join("euler-worker"), dir.parent()?.join("euler-worker")]
-        .into_iter()
-        .find(|cand| cand.is_file())
+    [dir.join("euler-worker"), dir.parent()?.join("euler-worker")].into_iter().find(|cand| cand.is_file())
 }
 
 // ---------------------------------------------------------------------------
@@ -1174,10 +1138,7 @@ impl Fleet {
         strategy: MergeStrategy,
         seed: Seed<'_>,
     ) -> Result<Self, EulerError> {
-        let listener = cfg
-            .transport
-            .listen()
-            .map_err(|e| EulerError::Distributed(format!("listen failed: {e}")))?;
+        let listener = cfg.transport.listen().map_err(|e| EulerError::Distributed(format!("listen failed: {e}")))?;
         let (events_tx, events_rx) = mpsc::channel();
         let num_workers = placement.num_workers();
         let mut fleet = Fleet {
@@ -1273,11 +1234,7 @@ impl Fleet {
     /// Accepts the launched workers `ws`, installs their handles — a
     /// respawned worker's replaces the old handle, retired, under the next
     /// epoch — and starts their receivers.
-    fn attach(
-        &mut self,
-        ws: &[u32],
-        children: Vec<Option<std::process::Child>>,
-    ) -> Result<(), EulerError> {
+    fn attach(&mut self, ws: &[u32], children: Vec<Option<std::process::Child>>) -> Result<(), EulerError> {
         let mut conns = match self.accept_hellos(ws) {
             Ok(conns) => conns,
             Err(e) => {
@@ -1334,10 +1291,7 @@ impl Fleet {
                 .spawn()
                 .map(Some)
                 .map_err(|e| {
-                    EulerError::Distributed(format!(
-                        "spawning worker process {} failed: {e}",
-                        worker_bin.display()
-                    ))
+                    EulerError::Distributed(format!("spawning worker process {} failed: {e}", worker_bin.display()))
                 }),
         }
     }
@@ -1346,20 +1300,14 @@ impl Fleet {
     /// connect in any order). A connection that closes, stays silent or
     /// sends anything but an expected worker's Hello is dropped, and
     /// accepting goes on until the deadline.
-    fn accept_hellos(
-        &self,
-        ws: &[u32],
-    ) -> Result<BTreeMap<u32, Arc<dyn Connection>>, EulerError> {
+    fn accept_hellos(&self, ws: &[u32]) -> Result<BTreeMap<u32, Arc<dyn Connection>>, EulerError> {
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut conns: BTreeMap<u32, Arc<dyn Connection>> = BTreeMap::new();
         while conns.len() < ws.len() {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                let missing: Vec<u32> =
-                    ws.iter().copied().filter(|w| !conns.contains_key(w)).collect();
-                return Err(EulerError::Distributed(format!(
-                    "worker(s) {missing:?} never connected"
-                )));
+                let missing: Vec<u32> = ws.iter().copied().filter(|w| !conns.contains_key(w)).collect();
+                return Err(EulerError::Distributed(format!("worker(s) {missing:?} never connected")));
             }
             let conn = match self.listener.accept(left) {
                 Ok(conn) => conn,
@@ -1372,8 +1320,7 @@ impl Fleet {
                 Ok((kind::HELLO, payload)) => WordReader::new(&payload).and_then(|mut r| r.u()).ok(),
                 _ => None,
             };
-            let expected =
-                ws.iter().copied().find(|&w| Some(u64::from(w)) == hello && !conns.contains_key(&w));
+            let expected = ws.iter().copied().find(|&w| Some(u64::from(w)) == hello && !conns.contains_key(&w));
             if let Some(w) = expected {
                 // A stalled worker must not block a coordinator send past the
                 // fault deadlines: bound every send by the heartbeat timeout,
@@ -1410,15 +1357,10 @@ impl Fleet {
             checkpoint_dir: self.cfg.checkpoint_dir.clone(),
             tree: Arc::clone(&self.tree),
         });
-        let from_checkpoint =
-            checkpoint.map(|s| WordWriter::from_words(&[seed_tag::CHECKPOINT, u64::from(s)]));
+        let from_checkpoint = checkpoint.map(|s| WordWriter::from_words(&[seed_tag::CHECKPOINT, u64::from(s)]));
         let parts = match &from_checkpoint {
             Some(tail) => vec![head.as_bytes(), tail.as_bytes()],
-            None => vec![
-                head.as_bytes(),
-                self.seeds_by_worker[w as usize].as_bytes(),
-                self.seed_labels.as_bytes(),
-            ],
+            None => vec![head.as_bytes(), self.seeds_by_worker[w as usize].as_bytes(), self.seed_labels.as_bytes()],
         };
         self.init_bytes += parts.iter().map(|part| part.len() as u64).sum::<u64>();
         self.workers[w as usize]
@@ -1440,29 +1382,22 @@ impl Fleet {
         while let Some(waiting) = ready.iter().position(|&r| !r) {
             let event = self.events_rx.recv_timeout(deadline.saturating_duration_since(Instant::now()));
             let (w, k, payload) = match event {
-                Ok(Event::Frame { worker, epoch, kind, payload })
-                    if self.workers[worker as usize].epoch == epoch =>
-                {
+                Ok(Event::Frame { worker, epoch, kind, payload }) if self.workers[worker as usize].epoch == epoch => {
                     (worker, kind, payload)
                 }
                 Ok(Event::Dead { worker, epoch })
                     if self.workers[worker as usize].epoch == epoch && !ready[worker as usize] =>
                 {
-                    return Err(EulerError::Distributed(format!(
-                        "worker {worker} not ready: its connection closed"
-                    )))
+                    return Err(EulerError::Distributed(format!("worker {worker} not ready: its connection closed")))
                 }
                 Ok(_) => continue,
-                Err(e) => {
-                    return Err(EulerError::Distributed(format!("worker {waiting} not ready: {e}")))
-                }
+                Err(e) => return Err(EulerError::Distributed(format!("worker {waiting} not ready: {e}"))),
             };
             match k {
                 kind::READY if !ready[w as usize] => {
-                    let [longs, seed_ns, refusal] =
-                        WordReader::new(&payload).and_then(|mut r| r.array()).map_err(|e| {
-                            EulerError::Distributed(format!("malformed Ready from worker {w}: {e}"))
-                        })?;
+                    let [longs, seed_ns, refusal] = WordReader::new(&payload)
+                        .and_then(|mut r| r.array())
+                        .map_err(|e| EulerError::Distributed(format!("malformed Ready from worker {w}: {e}")))?;
                     self.seed_build = self.seed_build.max(Duration::from_nanos(seed_ns));
                     // Refusal: 0 none, 1 no checkpoint to restore, 2 one found
                     // and ignored.
@@ -1476,9 +1411,7 @@ impl Fleet {
                 }
                 kind::HEARTBEAT | kind::DONE => {}
                 other => {
-                    return Err(EulerError::Distributed(format!(
-                        "worker {w} answered Init with frame kind {other}"
-                    )))
+                    return Err(EulerError::Distributed(format!("worker {w} answered Init with frame kind {other}")))
                 }
             }
         }
@@ -1515,9 +1448,7 @@ impl Fleet {
                 match conn.recv_timeout(None) {
                     Ok((kind, payload)) => {
                         // A Bye is the last frame a worker sends.
-                        if tx.send(Event::Frame { worker: w, epoch, kind, payload }).is_err()
-                            || kind == kind::BYE
-                        {
+                        if tx.send(Event::Frame { worker: w, epoch, kind, payload }).is_err() || kind == kind::BYE {
                             return;
                         }
                     }
@@ -1561,9 +1492,8 @@ impl Fleet {
                 // Start = [superstep, n] + the retained state-list entries,
                 // sent from the buffers they arrived in.
                 let head = WordWriter::from_words(&[level as u64, entries.len() as u64]);
-                let parts: Vec<&[u8]> = std::iter::once(head.as_bytes())
-                    .chain(entries.iter().map(Blob::bytes))
-                    .collect();
+                let parts: Vec<&[u8]> =
+                    std::iter::once(head.as_bytes()).chain(entries.iter().map(Blob::bytes)).collect();
                 self.workers[w].last_heard = Instant::now();
                 if self.send_start(w as u32, level, &parts).is_err() {
                     deaths.push(w as u32);
@@ -1612,9 +1542,7 @@ impl Fleet {
                     match k {
                         kind::DONE => {
                             let done = decode_done(Arc::new(payload)).map_err(|e| {
-                                EulerError::Distributed(format!(
-                                    "malformed Done from worker {worker}: {e}"
-                                ))
+                                EulerError::Distributed(format!("malformed Done from worker {worker}: {e}"))
                             })?;
                             if done.superstep == level && pending[worker as usize] {
                                 pending[worker as usize] = false;
@@ -1630,18 +1558,14 @@ impl Fleet {
                     }
                 }
                 Ok(Event::Dead { worker, epoch }) => {
-                    if self.workers[worker as usize].epoch == epoch
-                        && pending[worker as usize]
-                    {
+                    if self.workers[worker as usize].epoch == epoch && pending[worker as usize] {
                         pending[worker as usize] = false;
                         deaths.push(worker);
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(EulerError::Distributed(
-                        "coordinator event channel closed".into(),
-                    ))
+                    return Err(EulerError::Distributed("coordinator event channel closed".into()))
                 }
             }
             // Heartbeat deadline sweep over still-pending workers.
@@ -1670,12 +1594,7 @@ impl Fleet {
     /// every worker is re-Inited in place from its level-0 tail instead, and
     /// supersteps `0..level` replay deterministically, only to rebuild
     /// `inbox` (the walk already consumed their outcomes).
-    fn recover(
-        &mut self,
-        level: u32,
-        deaths: &[u32],
-        inbox: &mut Vec<Vec<Blob>>,
-    ) -> Result<(), EulerError> {
+    fn recover(&mut self, level: u32, deaths: &[u32], inbox: &mut Vec<Vec<Blob>>) -> Result<(), EulerError> {
         // Restarts of one worker (respawn + restore or full restart) before
         // the run is given up.
         const MAX_WORKER_RESTARTS: u32 = 3;
@@ -1694,8 +1613,7 @@ impl Fleet {
         self.attach(deaths, children)?;
         let died = format!("worker(s) {deaths:?} died at superstep {level}");
         if self.cfg.checkpoint_dir.is_none() {
-            self.warnings
-                .push(format!("{died} with checkpointing disabled; replaying the run from the seed"));
+            self.warnings.push(format!("{died} with checkpointing disabled; replaying the run from the seed"));
         } else if level == 0 {
             self.warnings.push(format!("{died}; re-initialising from the seed"));
         } else {
@@ -1703,8 +1621,7 @@ impl Fleet {
             if self.init_all(Some(level))? {
                 return Ok(());
             }
-            self.warnings
-                .push(format!("checkpoint {level} was refused; replaying the run from the seed"));
+            self.warnings.push(format!("checkpoint {level} was refused; replaying the run from the seed"));
         }
         self.recovery.full_restarts += 1;
         self.init_all(None)?;
@@ -1740,10 +1657,7 @@ fn deal(states: Vec<WorkingPartition>, placement: &Placement) -> Vec<Vec<Working
 /// its cut matrix ([`level0::cut_matrix_fits`]); any other seed, a resident
 /// graph's included, is filled here and shipped as states, each worker's
 /// dropped as soon as they are encoded.
-fn init_tails(
-    seed: Seed<'_>,
-    placement: &Placement,
-) -> Result<(Vec<WordWriter>, WordWriter), EulerError> {
+fn init_tails(seed: Seed<'_>, placement: &Placement) -> Result<(Vec<WordWriter>, WordWriter), EulerError> {
     let workers = 0..placement.num_workers();
     if let SeedKind::Level0(level0) = &seed.0 {
         let num_partitions = level0.assignment.num_partitions();
@@ -1807,9 +1721,7 @@ fn fold_barrier(
     for (w, done) in dones {
         for (to, entry) in done.outgoing {
             let dst = placement.owner(PartitionId(to)).ok_or_else(|| {
-                EulerError::Distributed(format!(
-                    "worker {w} shipped a state to partition {to}, which no worker holds"
-                ))
+                EulerError::Distributed(format!("worker {w} shipped a state to partition {to}, which no worker holds"))
             })?;
             stats.remote_messages += 1;
             // The state record alone, without its length word.
@@ -1867,14 +1779,12 @@ fn step_in_place(
         taken.push(set.take(inbound));
     }
     let slots = sets.iter().zip(taken).enumerate();
-    let work: Vec<_> =
-        slots.flat_map(|(w, (set, slots))| slots.into_iter().map(move |slot| (w, set, slot))).collect();
+    let work: Vec<_> = slots.flat_map(|(w, (set, slots))| slots.into_iter().map(move |slot| (w, set, slot))).collect();
     let words = || work.iter().map(|(.., (wp, kids, _))| state_words([wp]) + state_words(kids)).sum();
     let run = |(w, set, slot): (usize, &SlotSet, SlotWork)| {
         let p = slot.0.id.0;
-        panic::catch_unwind(AssertUnwindSafe(|| (w, set.step(level, slot, pool, store)))).map_err(|_| {
-            EulerError::Distributed(format!("worker {w} panicked stepping partition {p} in place"))
-        })
+        panic::catch_unwind(AssertUnwindSafe(|| (w, set.step(level, slot, pool, store))))
+            .map_err(|_| EulerError::Distributed(format!("worker {w} panicked stepping partition {p} in place")))
     };
     let steps: Vec<_> = if fan_out && fans_out(words()) {
         work.into_par_iter().map(run).collect()
@@ -1936,9 +1846,7 @@ impl DistRun {
         let strategy = config.merge_strategy;
         let t_start = Instant::now();
         let weights: Vec<(PartitionId, u64)> = match &seed.0 {
-            SeedKind::States(states) => {
-                states.iter().map(|wp| (wp.id, wire::record_words(wp) as u64)).collect()
-            }
+            SeedKind::States(states) => states.iter().map(|wp| (wp.id, wire::record_words(wp) as u64)).collect(),
             SeedKind::Level0(level0) => (0..level0.assignment.num_partitions())
                 .map(PartitionId)
                 .map(|p| (p, level0.scan.record_words(p, level0.dedup, level0.levels.buckets())))
@@ -1947,13 +1855,7 @@ impl DistRun {
         let num_workers = engine.resolved_workers(weights.len());
         let placement = Arc::new(Placement::new(&tree, weights, num_workers));
         let workers = match fleet {
-            Some(cfg) => Workers::Framed(Box::new(Fleet::new(
-                cfg,
-                Arc::clone(&placement),
-                tree,
-                strategy,
-                seed,
-            )?)),
+            Some(cfg) => Workers::Framed(Box::new(Fleet::new(cfg, Arc::clone(&placement), tree, strategy, seed)?)),
             None => {
                 let set = |mine| SlotSet::new(Arc::clone(&tree), strategy, mine);
                 let sets = deal(seed.into_states()?, &placement).into_iter().map(set).collect();
@@ -1981,8 +1883,7 @@ impl DistRun {
             }
             Workers::Framed(fleet) => fleet.run_superstep(level, &mut self.inbox, Some(store))?,
         };
-        let (stats, inbox, outcome) =
-            fold_barrier(level, dones, &self.placement, t_level.elapsed())?;
+        let (stats, inbox, outcome) = fold_barrier(level, dones, &self.placement, t_level.elapsed())?;
         self.superstep_stats.push(stats);
         self.inbox = inbox;
         Ok(outcome)
@@ -2194,7 +2095,10 @@ mod tests {
     /// every partition holds one local edge and two cut edges), packed to a
     /// scratch `.ecsr`: the file, and the level-0 states the oracle slices
     /// from the graph under `strategy`.
-    fn ring_file(dir: &std::path::Path, strategy: MergeStrategy) -> (CsrFile, PartitionAssignment, Vec<WorkingPartition>) {
+    fn ring_file(
+        dir: &std::path::Path,
+        strategy: MergeStrategy,
+    ) -> (CsrFile, PartitionAssignment, Vec<WorkingPartition>) {
         let edges: Vec<(u64, u64)> = (0..16).map(|v| (v, (v + 1) % 16)).collect();
         let g = euler_graph::builder::graph_from_edges(&edges);
         let a = PartitionAssignment::from_labels((0..16).map(|v| v / 2).collect(), 8).unwrap();
@@ -2239,12 +2143,8 @@ mod tests {
     }
 
     fn sample_done(seeds: &[Vec<u64>]) -> DoneWriter {
-        let mut done = DoneWriter {
-            superstep: 3,
-            share: LevelShare::new(),
-            fragments: Vec::new(),
-            checkpoint_longs: 88,
-        };
+        let mut done =
+            DoneWriter { superstep: 3, share: LevelShare::new(), fragments: Vec::new(), checkpoint_longs: 88 };
         done.share.transfer_longs = 77;
         (done.share.local_messages, done.share.local_bytes) = (5, 66);
         let mut found = Vec::new();
@@ -2263,8 +2163,7 @@ mod tests {
     fn start_states(payload: &[u8]) -> Result<(u32, Vec<WorkingPartition>), WireError> {
         let (superstep, records) = decode_start(payload)?;
         let buckets = tiny_tree().height() as usize;
-        let states =
-            records.into_iter().map(|mut r| wire::decode(&mut r, buckets)).collect::<Result<_, _>>()?;
+        let states = records.into_iter().map(|mut r| wire::decode(&mut r, buckets)).collect::<Result<_, _>>()?;
         Ok((superstep, states))
     }
 
@@ -2280,8 +2179,7 @@ mod tests {
     }
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("euler-dist-hygiene-{}-{}", tag, std::process::id()));
+        let dir = std::env::temp_dir().join(format!("euler-dist-hygiene-{}-{}", tag, std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -2302,8 +2200,7 @@ mod tests {
         // refused.
         let head = encode_init_head(&test_init(None)).into_bytes();
         let strategy = MergeStrategy::Deferred.wire_code();
-        let words: Vec<u64> =
-            head.chunks(8).take(4).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
+        let words: Vec<u64> = head.chunks(8).take(4).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
         assert_eq!(words, [0, strategy, 50_000_000, 0]);
         for cut in 0..head.len() / 8 {
             assert!(
@@ -2335,8 +2232,7 @@ mod tests {
             assert_eq!(file.owned, [owned]);
             assert_eq!(file.assignment.labels(), a.labels());
             let built = build_from_file(&file, &head.tree, strategy).unwrap();
-            let expected: Vec<_> =
-                oracle.iter().filter(|wp| owned >> wp.id.0 & 1 == 1).cloned().collect();
+            let expected: Vec<_> = oracle.iter().filter(|wp| owned >> wp.id.0 & 1 == 1).cloned().collect();
             assert_eq!(built, expected, "{strategy}");
             // Nothing owned, nothing built; everything owned, the oracle.
             let none = FileRef { owned: vec![0], ..file };
@@ -2390,11 +2286,8 @@ mod tests {
     #[test]
     fn hostile_trees_decode_to_the_scan_answers_in_a_table_sized_by_the_payload() {
         use crate::merge_tree::tests::{assert_table_matches_scan, table_len};
-        let pair = |parent: u32, child: u32| MergePair {
-            parent: PartitionId(parent),
-            child: PartitionId(child),
-            weight: 1,
-        };
+        let pair =
+            |parent: u32, child: u32| MergePair { parent: PartitionId(parent), child: PartitionId(child), weight: 1 };
         // The decoder sees whatever words arrive; build them from a tree
         // whose public parts were edited after indexing.
         let decode = |levels: Vec<Vec<MergePair>>, leaves: Vec<u32>| {
@@ -2456,7 +2349,10 @@ mod tests {
         // entry's destination.
         let parsed = decode_done(Arc::new(done.clone())).unwrap();
         let to = parsed.outgoing[0].1.range.start / 8 - 1;
-        assert_eq!((parsed.superstep, parsed.reports[0].report.partition, parsed.outgoing[0].0), (3, PartitionId(0), 10));
+        assert_eq!(
+            (parsed.superstep, parsed.reports[0].report.partition, parsed.outgoing[0].0),
+            (3, PartitionId(0), 10)
+        );
         refused(patched(0, 3), "superstep");
         refused(patched(2, 0), "partition");
         refused(patched(to, 10), "destination");
@@ -2487,8 +2383,7 @@ mod tests {
             .chain(done.outgoing.iter().map(|(_, entry)| entry.bytes()))
             .collect::<Vec<_>>()
             .concat();
-        let states: Vec<WorkingPartition> =
-            seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
+        let states: Vec<WorkingPartition> = seeds.iter().enumerate().map(|(i, s)| state(i as u32, s)).collect();
         assert_eq!(relayed, start_payload(4, &states));
         assert_eq!(start_states(&relayed).unwrap(), (4, states));
         // The fragment list is adopted at commit, ids as found. (Virtual
@@ -2589,10 +2484,7 @@ mod tests {
                 Err(_) => assert!(expect_at_parse, "word {word}"),
                 Ok(parsed) => {
                     assert!(!expect_at_parse, "word {word}");
-                    assert!(matches!(
-                        adopted(fragments_of(&parsed)),
-                        Err(EulerError::Distributed(_))
-                    ));
+                    assert!(matches!(adopted(fragments_of(&parsed)), Err(EulerError::Distributed(_))));
                 }
             }
         }
@@ -2712,10 +2604,7 @@ mod tests {
             assert!(err.contains(what), "expected `{what}`, got: {err}");
         }
         // The same corrupt bytes do not get past the validated open.
-        assert!(matches!(
-            CsrFile::open(&corrupt),
-            Err(euler_graph::GraphError::CsrFormat(_))
-        ));
+        assert!(matches!(CsrFile::open(&corrupt), Err(euler_graph::GraphError::CsrFormat(_))));
 
         // The good reference brings the worker up: Ready carries no
         // checkpoint Longs and the time the level-0 build took.
@@ -2804,8 +2693,7 @@ mod tests {
             let engines = [BspConfig::with_workers(1), BspConfig::with_workers(2), per_partition];
             for (engine, fan_out) in engines.into_iter().flat_map(|e| [(e, true), (e, false)]) {
                 let config = EulerConfig { parallel_within_level: fan_out, ..EulerConfig::improved() };
-                let mut run =
-                    DistRun::new(engine, None, Arc::new(tiny_tree()), states().into(), &config).unwrap();
+                let mut run = DistRun::new(engine, None, Arc::new(tiny_tree()), states().into(), &config).unwrap();
                 let owners = run.placement.owners();
                 let first = (0..owners.len()).min_by_key(|&p| (owners[p], p)).unwrap();
                 let named = format!("worker {} panicked stepping partition {first} in place", owners[first]);
@@ -2930,8 +2818,7 @@ mod tests {
             assert!(here.kept.is_empty(), "unpack consumes the kept states");
             let order: Vec<u32> = inbound[&PartitionId(2)].iter().map(|(wp, _)| wp.id.0).collect();
             assert_eq!(order, [0, 1]);
-            let unpack: Vec<bool> =
-                inbound[&PartitionId(2)].iter().map(|(_, t)| *t == Duration::ZERO).collect();
+            let unpack: Vec<bool> = inbound[&PartitionId(2)].iter().map(|(_, t)| *t == Duration::ZERO).collect();
             assert!(unpack[with_parent], "the kept child was not decoded");
             let root = here.step_level(1, inbound, &pool, &store);
             assert_eq!((root.local_messages, root.shipped), (0, 0));
@@ -3057,11 +2944,11 @@ mod tests {
             WorkerState::build(init, Vec::new()).restore(1)
         };
         // The well-formed record passes all three.
-        let (_, SeedTail::States(seeds)) = decode_init(&init(&list(&good))).unwrap() else {
-            panic!("expected states")
-        };
+        let (_, SeedTail::States(seeds)) = decode_init(&init(&list(&good))).unwrap() else { panic!("expected states") };
         assert_eq!(seeds, std::slice::from_ref(&good));
-        assert!(matches!(unpack(&start(&list(&good))), Err(WireError::Invalid(m)) if m.contains("ships no such child")));
+        assert!(
+            matches!(unpack(&start(&list(&good))), Err(WireError::Invalid(m)) if m.contains("ships no such child"))
+        );
         assert!(restore(&list(&good)).is_ok());
         for (states, what) in cases {
             let refused = |r: Result<(), WireError>| match r {

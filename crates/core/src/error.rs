@@ -59,10 +59,9 @@ impl fmt::Display for EulerError {
             EulerError::Graph(e) => write!(f, "input graph error: {e}"),
             EulerError::DuplicateEdge { edge } => write!(f, "edge {edge} appears more than once in the circuit"),
             EulerError::MissingEdges { missing } => write!(f, "{missing} edges are missing from the circuit"),
-            EulerError::BrokenChain { position, expected, found } => write!(
-                f,
-                "circuit breaks at position {position}: expected to continue from {expected}, found {found}"
-            ),
+            EulerError::BrokenChain { position, expected, found } => {
+                write!(f, "circuit breaks at position {position}: expected to continue from {expected}, found {found}")
+            }
             EulerError::NotClosed { start, end } => {
                 write!(f, "circuit starts at {start} but ends at {end}")
             }

@@ -112,11 +112,7 @@ impl FragmentId {
             level < Self::MAX_LEVELS && partition.0 < Self::MAX_PARTITIONS && seq < 1 << ID_SEQ_BITS,
             "fragment coordinates ({level}, {partition:?}, {seq}) overflow the id layout"
         );
-        FragmentId(
-            (level as u64) << (ID_PARTITION_BITS + ID_SEQ_BITS)
-                | (partition.0 as u64) << ID_SEQ_BITS
-                | seq,
-        )
+        FragmentId((level as u64) << (ID_PARTITION_BITS + ID_SEQ_BITS) | (partition.0 as u64) << ID_SEQ_BITS | seq)
     }
 
     /// Merge level the fragment was found at.
@@ -434,7 +430,8 @@ impl Skeleton {
             // A cycle closes, so its sources are its visible vertices.
             let position = self.records.len() as u32;
             let seen = first_seen(view.edges().map(|e| e.from()));
-            let visible = seen.into_iter().map(|(vertex, at)| SkeletonVisible { vertex, record: position, at: at as u32 });
+            let visible =
+                seen.into_iter().map(|(vertex, at)| SkeletonVisible { vertex, record: position, at: at as u32 });
             self.visible.extend(visible);
         }
         record.virtuals = (self.virtuals.len() - virtuals) as u32;
@@ -479,12 +476,7 @@ impl Segment {
     ///
     /// # Panics
     /// When a coordinate does not fit a [`FragmentId`], as `FragmentId::new`.
-    pub(crate) fn with_capacity(
-        level: u32,
-        partition: PartitionId,
-        records: usize,
-        edges: usize,
-    ) -> Self {
+    pub(crate) fn with_capacity(level: u32, partition: PartitionId, records: usize, edges: usize) -> Self {
         FragmentId::new(level, partition, 0); // refuses coordinates no id can name
         let mut starts = Vec::with_capacity(records + 1);
         starts.push(0);
@@ -623,13 +615,10 @@ impl Segment {
                     continue;
                 }
                 let target = FragmentId(id ^ VIRTUAL_TAG);
-                let earlier = (target.level(), target.partition()) == (level, partition)
-                    && target.seq() < head.first_seq + i;
+                let earlier =
+                    (target.level(), target.partition()) == (level, partition) && target.seq() < head.first_seq + i;
                 if !earlier && !stored(target) {
-                    return invalid(format!(
-                        "fragment {i} of {} references unknown fragment {target:?}",
-                        whose()
-                    ));
+                    return invalid(format!("fragment {i} of {} references unknown fragment {target:?}", whose()));
                 }
             }
             if kind == FragmentKind::Cycle && last != start {
@@ -926,7 +915,10 @@ impl Backing {
         let range = run.segment.starts[i]..run.segment.starts[i + 1];
         let Some(at) = run.spilled_at else { return Ok(Record { buf: Arc::clone(&run.segment.buf), range }) };
         let mut bytes = vec![0; range.len()];
-        self.file.as_ref().expect("spilled records imply an open file").read_exact_at(&mut bytes, at + range.start as u64)?;
+        self.file
+            .as_ref()
+            .expect("spilled records imply an open file")
+            .read_exact_at(&mut bytes, at + range.start as u64)?;
         self.stats.spill_read_longs += bytes.len() as u64 / 8;
         self.stats.spill_reads += 1;
         Ok(Record { range: 0..bytes.len(), buf: Arc::new(bytes) })
@@ -1059,10 +1051,7 @@ impl Inner {
 impl std::fmt::Debug for FragmentStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut inner = self.inner.lock();
-        f.debug_struct("FragmentStore")
-            .field("len", &inner.fragments)
-            .field("stats", &inner.backing.stats())
-            .finish()
+        f.debug_struct("FragmentStore").field("len", &inner.fragments).field("stats", &inner.backing.stats()).finish()
     }
 }
 
@@ -1122,12 +1111,7 @@ impl FragmentStore {
     /// the first record must be the next of its `(level, partition)` and
     /// every virtual edge must reference a fragment already in the store or
     /// earlier in the run.
-    pub(crate) fn adopt(
-        &self,
-        head: &SegmentHead,
-        buf: &Arc<Vec<u8>>,
-        range: Range<usize>,
-    ) -> Result<(), WireError> {
+    pub(crate) fn adopt(&self, head: &SegmentHead, buf: &Arc<Vec<u8>>, range: Range<usize>) -> Result<(), WireError> {
         let mut inner = self.inner.lock();
         let SegmentHead { level, partition, first_seq, .. } = *head;
         if first_seq != inner.pushed(level, partition) {
@@ -1357,11 +1341,7 @@ pub(crate) mod tests {
         let open_cycle = Fragment { kind: FragmentKind::Cycle, ..path.clone() };
         assert!(!open_cycle.is_well_formed());
 
-        let cycle = Fragment {
-            kind: FragmentKind::Cycle,
-            edges: vec![real(0, 1, 2), real(1, 2, 1)],
-            ..path
-        };
+        let cycle = Fragment { kind: FragmentKind::Cycle, edges: vec![real(0, 1, 2), real(1, 2, 1)], ..path };
         assert!(cycle.is_well_formed());
         assert_eq!(cycle.start(), cycle.end());
     }
@@ -1558,10 +1538,10 @@ pub(crate) mod tests {
         let back = |seq| found(vec![virt(FragmentId::new(1, PartitionId(3), seq))]);
         adopt(&store, 1, &[back(0), back(1)]).unwrap();
         assert_eq!(store.len(), 3);
-        assert_eq!(store.get(FragmentId::new(1, PartitionId(3), 2)), Fragment {
-            id: FragmentId::new(1, PartitionId(3), 2),
-            ..back(1)
-        });
+        assert_eq!(
+            store.get(FragmentId::new(1, PartitionId(3), 2)),
+            Fragment { id: FragmentId::new(1, PartitionId(3), 2), ..back(1) }
+        );
         // Nothing of a refused run is kept.
         assert_eq!(store.disk_longs(), 3 * 4);
     }
@@ -1598,7 +1578,10 @@ pub(crate) mod tests {
         invalid(patched(2, VIRTUAL_TAG), "unknown fragment");
         // A count past the payload, with nothing allocated for it; a run
         // with fewer records than its head says, or more bytes.
-        assert!(matches!(patched(0, header(FragmentKind::Path, 2, 1, u32::MAX as u64)), Err(WireError::Truncated { .. })));
+        assert!(matches!(
+            patched(0, header(FragmentKind::Path, 2, 1, u32::MAX as u64)),
+            Err(WireError::Truncated { .. })
+        ));
         assert!(matches!(patched(0, header(FragmentKind::Path, 2, 1, 3)), Err(WireError::Truncated { .. })));
         let two = SegmentHead { records: 2, ..head };
         assert!(matches!(store.adopt(&two, &bytes, 0..bytes.len()), Err(WireError::Truncated { .. })));
@@ -1700,11 +1683,8 @@ pub(crate) mod tests {
                         if j % 2 == 0 || i % 4 == 0 {
                             real(10 * i + j, j, to)
                         } else {
-                            let below = FragmentId::new(
-                                ((i - 1) % 4) as u32,
-                                PartitionId(((i - 1) % 5) as u32),
-                                (i - 1) / 20,
-                            );
+                            let below =
+                                FragmentId::new(((i - 1) % 4) as u32, PartitionId(((i - 1) % 5) as u32), (i - 1) / 20);
                             TourEdge::Virtual { fragment: below, from: VertexId(j), to: VertexId(to) }
                         }
                     })
@@ -1795,9 +1775,7 @@ pub(crate) mod tests {
         // store records it, stops spilling and keeps everything resident —
         // with every query still exact.
         let mem = FragmentStore::new();
-        let broken = FragmentStore::spilling(
-            SpillConfig::with_budget(8).in_directory("/nonexistent/euler/spill/dir"),
-        );
+        let broken = FragmentStore::spilling(SpillConfig::with_budget(8).in_directory("/nonexistent/euler/spill/dir"));
         for f in workload(20) {
             mem.push(f.clone());
             broken.push(f);
@@ -1910,8 +1888,7 @@ pub(crate) mod tests {
     fn a_failed_flush_puts_every_staged_record_back() {
         let config = SpillConfig::with_budget(0).in_directory("/nonexistent/euler/spill/dir");
         let mut backing = spilling(config);
-        let fragments: Vec<Fragment> =
-            (0..20).map(|i| append_to(&mut backing, &path_of(10 * i, 1 + i % 4))).collect();
+        let fragments: Vec<Fragment> = (0..20).map(|i| append_to(&mut backing, &path_of(10 * i, 1 + i % 4))).collect();
         let disk_longs: u64 = fragments.iter().map(Fragment::disk_longs).sum();
         assert_eq!(staged_ids(&backing).len(), 20, "nothing has been written yet");
         assert_eq!(backing.stats.spilled_fragments, 20);
@@ -1981,11 +1958,7 @@ pub(crate) mod tests {
         }
         let reads_before = spill.stats().spill_read_longs;
         assert_eq!(cycle_vertex_pairs(&mem), cycle_vertex_pairs(&spill));
-        assert_eq!(
-            spill.stats().spill_read_longs,
-            reads_before,
-            "the splice index must not touch spilled payloads"
-        );
+        assert_eq!(spill.stats().spill_read_longs, reads_before, "the splice index must not touch spilled payloads");
         assert!(!cycle_vertex_pairs(&mem).is_empty());
     }
 

@@ -42,11 +42,7 @@ fn remote_needed(wp: &WorkingPartition, level: u32) -> (u64, u64) {
 
 /// Longs shipped when this partition's state is sent to its merge parent.
 fn transfer_longs(wp: &WorkingPartition, level: u32, strategy: MergeStrategy) -> u64 {
-    let remote = if strategy.defers_transfer() {
-        remote_needed(wp, level).1
-    } else {
-        wp.num_remote_edges() as u64
-    };
+    let remote = if strategy.defers_transfer() { remote_needed(wp, level).1 } else { wp.num_remote_edges() as u64 };
     state_longs(0, wp.local_edges.len() as u64, remote) + 4
 }
 
@@ -73,10 +69,8 @@ fn phase1_record(
     let out = pool.run_phase1(wp, store);
     let phase1_time = t0.elapsed();
     let counts = out.counts_before;
-    let resident_remote =
-        if strategy.defers_transfer() { needed_by_now } else { counts.remote_edges };
-    let memory_after =
-        state_longs(out.vertices_after, wp.local_edges.len() as u64, wp.num_remote_edges() as u64);
+    let resident_remote = if strategy.defers_transfer() { needed_by_now } else { counts.remote_edges };
+    let memory_after = state_longs(out.vertices_after, wp.local_edges.len() as u64, wp.num_remote_edges() as u64);
     let report = LevelPartitionReport {
         level,
         partition: wp.id,
@@ -201,16 +195,7 @@ pub(crate) mod tests {
     /// Partitions 0 and 1 touch partition 2 only. The refs are bucketed for
     /// `tree`.
     pub(crate) fn leaves(tree: &MergeTree) -> Vec<WorkingPartition> {
-        let g = graph_from_edges(&[
-            (0, 1),
-            (1, 4),
-            (4, 0),
-            (2, 3),
-            (3, 5),
-            (5, 2),
-            (4, 5),
-            (4, 5),
-        ]);
+        let g = graph_from_edges(&[(0, 1), (1, 4), (4, 0), (2, 3), (3, 5), (5, 2), (4, 5), (4, 5)]);
         let a = PartitionAssignment::from_labels(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
         let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
         let levels = tree.leaf_levels(3);
@@ -278,10 +263,7 @@ pub(crate) mod tests {
         assert_eq!(children.keys().copied().collect::<Vec<_>>(), vec![PartitionId(2)]);
         let children = children.remove(&PartitionId(2)).unwrap();
         assert_eq!(children.iter().map(|c| c.id.0).collect::<Vec<_>>(), vec![0, 1]);
-        let shipped_in: u64 = children
-            .iter()
-            .map(|c| transfer_longs(c, 0, MergeStrategy::Duplicated))
-            .sum();
+        let shipped_in: u64 = children.iter().map(|c| transfer_longs(c, 0, MergeStrategy::Duplicated)).sum();
         let root = step(parent, children, &star, 1, &store);
         assert_eq!(root.report.transfer_in_longs, shipped_in);
         assert_eq!(root.state.leaves, (0..3).map(PartitionId).collect::<Vec<_>>());

@@ -39,8 +39,7 @@ use crate::merge_tree::LeafLevels;
 use crate::pipeline::wire;
 use crate::state::{EdgeRef, LocalEdge, RemoteRef, WorkingPartition};
 use euler_graph::{
-    CsrFile, EdgeArrays, EdgeId, GraphError, MetaEdge, MetaGraph, PartitionAssignment,
-    PartitionId, VertexId,
+    CsrFile, EdgeArrays, EdgeId, GraphError, MetaEdge, MetaGraph, PartitionAssignment, PartitionId, VertexId,
 };
 
 /// What one pass over the edges knows about level 0, per partition.
@@ -166,19 +165,15 @@ impl Scan {
 /// The partition a vertex id read from the edge list belongs to.
 fn part_of(labels: &[PartitionId], v: u64) -> Result<usize, GraphError> {
     let label = usize::try_from(v).ok().and_then(|at| labels.get(at));
-    label.map(|p| p.index()).ok_or(GraphError::VertexOutOfRange {
-        vertex: VertexId(v),
-        num_vertices: labels.len() as u64,
-    })
+    label
+        .map(|p| p.index())
+        .ok_or(GraphError::VertexOutOfRange { vertex: VertexId(v), num_vertices: labels.len() as u64 })
 }
 
 /// A label the assignment's own partition count does not cover — ruled out
 /// by [`PartitionAssignment`]'s constructor, typed all the same.
 fn beyond(assignment: &PartitionAssignment, p: usize) -> GraphError {
-    GraphError::PartitionOutOfRange {
-        partition: PartitionId(p as u32),
-        num_partitions: assignment.num_partitions(),
-    }
+    GraphError::PartitionOutOfRange { partition: PartitionId(p as u32), num_partitions: assignment.num_partitions() }
 }
 
 /// Pass one, over the endpoint pairs; the degree-0 vertices are read off
@@ -191,10 +186,7 @@ fn beyond(assignment: &PartitionAssignment, p: usize) -> GraphError {
 pub(crate) fn scan(edges: EdgeArrays<'_>, assignment: &PartitionAssignment) -> Result<Scan, GraphError> {
     let num_vertices = edges.num_vertices();
     if assignment.num_vertices() != num_vertices {
-        return Err(GraphError::IncompleteAssignment {
-            expected: num_vertices,
-            actual: assignment.num_vertices(),
-        });
+        return Err(GraphError::IncompleteAssignment { expected: num_vertices, actual: assignment.num_vertices() });
     }
     let labels = assignment.labels();
     let p = assignment.num_partitions() as usize;
@@ -202,11 +194,7 @@ pub(crate) fn scan(edges: EdgeArrays<'_>, assignment: &PartitionAssignment) -> R
     let mut cells = vec![0u64; p * p];
     for (u, v) in edges.pairs() {
         let (pu, pv) = (part_of(labels, u)?, part_of(labels, v)?);
-        let count = if pu == pv {
-            local.get_mut(pu)
-        } else {
-            cells.get_mut(pu.min(pv) * p + pu.max(pv))
-        };
+        let count = if pu == pv { local.get_mut(pu) } else { cells.get_mut(pu.min(pv) * p + pu.max(pv)) };
         *count.ok_or_else(|| beyond(assignment, pu.max(pv)))? += 1;
     }
     let mut isolated = vec![0u64; p];
@@ -330,8 +318,7 @@ pub(crate) mod tests {
         let pg: PartitionedGraph = csr.partitioned(a).unwrap();
         let meta = MetaGraph::from_partitioned(&pg);
         let levels = MergeTree::build(&meta).leaf_levels(a.num_partitions());
-        let mut states: Vec<_> =
-            pg.partitions().iter().map(|p| WorkingPartition::from_partition(p, &levels)).collect();
+        let mut states: Vec<_> = pg.partitions().iter().map(|p| WorkingPartition::from_partition(p, &levels)).collect();
         if dedup {
             apply_remote_edge_dedup(&mut states, |v| a.partition_of(v));
         }
@@ -343,8 +330,21 @@ pub(crate) mod tests {
     fn multigraph() -> Graph {
         let mut b = GraphBuilder::with_vertices(12);
         b.extend_edges([
-            (0, 1), (1, 0), (2, 2), (2, 2), (3, 7), (7, 3), (7, 3), (3, 7),
-            (5, 4), (4, 8), (8, 5), (9, 9), (1, 8), (8, 1), (0, 0),
+            (0, 1),
+            (1, 0),
+            (2, 2),
+            (2, 2),
+            (3, 7),
+            (7, 3),
+            (7, 3),
+            (3, 7),
+            (5, 4),
+            (4, 8),
+            (8, 5),
+            (9, 9),
+            (1, 8),
+            (8, 1),
+            (0, 0),
         ]);
         b.build().unwrap()
     }
@@ -397,11 +397,8 @@ pub(crate) mod tests {
                     let (meta, states) = oracle(&csr, a, dedup);
                     assert_eq!(scan.meta().vertices, meta.vertices, "{tag}");
                     assert_eq!(scan.meta().edges, meta.edges, "{tag}: the cut cells are the meta-graph");
-                    let keeps: [(&str, &dyn Fn(PartitionId) -> bool); 3] = [
-                        ("all", &|_| true),
-                        ("one worker's share", &|p| p.0 % 2 == 1),
-                        ("none", &|_| false),
-                    ];
+                    let keeps: [(&str, &dyn Fn(PartitionId) -> bool); 3] =
+                        [("all", &|_| true), ("one worker's share", &|p| p.0 % 2 == 1), ("none", &|_| false)];
                     for (which, keep) in keeps {
                         let expected: Vec<_> = states.iter().filter(|wp| keep(wp.id)).cloned().collect();
                         for (view, edges, file) in views {

@@ -70,9 +70,7 @@ pub mod verify;
 pub use config::EulerConfig;
 pub use distributed::{default_worker_bin, worker_main, FAN_OUT_MIN_WORDS};
 pub use error::EulerError;
-pub use fragment::{
-    Fragment, FragmentId, FragmentKind, FragmentStore, FragmentStoreStats, SpillConfig, TourEdge,
-};
+pub use fragment::{Fragment, FragmentId, FragmentKind, FragmentStore, FragmentStoreStats, SpillConfig, TourEdge};
 pub use merge_strategy::MergeStrategy;
 pub use merge_tree::{LeafLevels, MergePair, MergeTree, MergeTreeNode};
 pub use pathmap::PathMap;
@@ -80,13 +78,12 @@ pub use phase1::wstream::{default_chunk_edges, stream_phase1, WStreamOutcome, WS
 pub use phase1::{ArenaPool, Phase1Arena};
 pub use phase3::{CircuitResult, CircuitStep};
 pub use pipeline::{
-    run_on_partitioned, run_with_backend, BspBackend,
-    CircuitStage, EulerPipeline, EulerPipelineBuilder, ExecutionBackend, InProcessBackend,
-    LevelOutcome, LevelPartitionReport, LevelWork, MergeStage, PartitionStage, PipelineRun,
-    RunReport, Seed,
+    run_on_partitioned, run_with_backend, BspBackend, CircuitStage, EulerPipeline, EulerPipelineBuilder,
+    ExecutionBackend, InProcessBackend, LevelOutcome, LevelPartitionReport, LevelWork, MergeStage, PartitionStage,
+    PipelineRun, RunReport, Seed,
 };
 pub use service::{
-    AdmissionController, AdmissionPermit, EulerService, GraphInfo, PartitionerKind, RunEvent,
-    RunOptions, RunOutcome, RunSummary, ServiceClient, ServiceConfig, ServiceError, ServiceStats,
+    AdmissionController, AdmissionPermit, EulerService, GraphInfo, PartitionerKind, RunEvent, RunOptions, RunOutcome,
+    RunSummary, ServiceClient, ServiceConfig, ServiceError, ServiceStats,
 };
 pub use state::{VertexTypeCounts, WorkingPartition};

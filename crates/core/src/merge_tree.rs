@@ -141,12 +141,8 @@ impl MergeTree {
                 pairs.push(MergePair { parent, child, weight: e.weight });
             }
             // Pair up leftovers (weight 0) so the tree height stays logarithmic.
-            let mut leftovers: Vec<PartitionId> = current
-                .vertices
-                .iter()
-                .copied()
-                .filter(|v| !matched.contains(v))
-                .collect();
+            let mut leftovers: Vec<PartitionId> =
+                current.vertices.iter().copied().filter(|v| !matched.contains(v)).collect();
             leftovers.sort_unstable();
             while leftovers.len() >= 2 {
                 let child = leftovers.remove(0);
@@ -171,11 +167,7 @@ impl MergeTree {
     /// The table has one row per distinct id among the leaves and pairs and
     /// one column per level plus one, so its size is bounded by the
     /// caller's input; that is what lets a wire decoder call this.
-    pub fn from_parts(
-        levels: Vec<Vec<MergePair>>,
-        root: PartitionId,
-        leaves: Vec<PartitionId>,
-    ) -> MergeTree {
+    pub fn from_parts(levels: Vec<Vec<MergePair>>, root: PartitionId, leaves: Vec<PartitionId>) -> MergeTree {
         let named = levels.iter().flatten().flat_map(|p| [p.child, p.parent]);
         let mut reps: Vec<PartitionId> = leaves.iter().copied().chain(named).collect();
         reps.sort_unstable();
@@ -259,11 +251,8 @@ impl MergeTree {
 
     /// Flattens the tree into displayable nodes, level by level (Fig. 2).
     pub fn nodes(&self) -> Vec<MergeTreeNode> {
-        let mut out: Vec<MergeTreeNode> = self
-            .leaves
-            .iter()
-            .map(|&p| MergeTreeNode { partition: p, level: 0, children: vec![] })
-            .collect();
+        let mut out: Vec<MergeTreeNode> =
+            self.leaves.iter().map(|&p| MergeTreeNode { partition: p, level: 0, children: vec![] }).collect();
         let mut alive: Vec<PartitionId> = self.leaves.clone();
         for (l, pairs) in self.levels.iter().enumerate() {
             let mut next_alive = Vec::new();
@@ -291,10 +280,7 @@ impl MergeTree {
     pub fn render(&self) -> String {
         let mut s = String::new();
         let mut alive = self.leaves.clone();
-        s.push_str(&format!(
-            "L0: {}\n",
-            alive.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(" ")
-        ));
+        s.push_str(&format!("L0: {}\n", alive.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(" ")));
         for (l, pairs) in self.levels.iter().enumerate() {
             let mut next = Vec::new();
             for &p in &alive {
@@ -436,8 +422,7 @@ pub(crate) mod tests {
         if a == b {
             return Some(0);
         }
-        (0..tree.height())
-            .find(|&l| scan_representative(tree, a, l) == scan_representative(tree, b, l))
+        (0..tree.height()).find(|&l| scan_representative(tree, a, l) == scan_representative(tree, b, l))
     }
 
     /// Entries of the representative table.
@@ -529,11 +514,8 @@ pub(crate) mod tests {
 
     #[test]
     fn from_parts_indexes_any_tree_like_the_scan() {
-        let pair = |parent: u32, child: u32| MergePair {
-            parent: PartitionId(parent),
-            child: PartitionId(child),
-            weight: 1,
-        };
+        let pair =
+            |parent: u32, child: u32| MergePair { parent: PartitionId(parent), child: PartitionId(child), weight: 1 };
         let leaves = |ids: &[u32]| ids.iter().copied().map(PartitionId).collect::<Vec<_>>();
         // A forest (two roots), a carried-over leaf, duplicate and unsorted
         // leaves, an empty level, a retired id reused as a parent later.
@@ -560,11 +542,7 @@ pub(crate) mod tests {
             vec![pair(1, 1), pair(2, 1)],
             vec![pair(2, 8), pair(8, 3), pair(9, 8)],
         ] {
-            let tree = MergeTree::from_parts(
-                vec![odd.clone(), vec![pair(3, 2)]],
-                PartitionId(3),
-                leaves(&[1, 2, 3]),
-            );
+            let tree = MergeTree::from_parts(vec![odd.clone(), vec![pair(3, 2)]], PartitionId(3), leaves(&[1, 2, 3]));
             assert_table_matches_scan(&tree, &leaves(&[0, 8, 9, 10]));
         }
     }

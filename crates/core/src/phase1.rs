@@ -71,8 +71,8 @@ use crate::fragment::{FragmentId, FragmentKind, FragmentStore, TourEdge};
 use crate::pathmap::{CycleEntry, PathEntry, PathMap};
 use crate::state::{EdgeRef, LocalEdge, VertexTypeCounts, WorkingPartition};
 use arena::{HostScratch, KernelState};
-use splice::SpliceIndex;
 use euler_graph::VertexId;
+use splice::SpliceIndex;
 
 pub use arena::{ArenaCapacities, ArenaPool, Phase1Arena};
 
@@ -152,9 +152,7 @@ impl Traversal<'_> {
             let next_v = self.k.index.vertex(next);
             let edge = match self.edges[e as usize].edge {
                 EdgeRef::Real(edge) => TourEdge::Real { edge, from: current_v, to: next_v },
-                EdgeRef::Virtual(fragment) => {
-                    TourEdge::Virtual { fragment, from: current_v, to: next_v }
-                }
+                EdgeRef::Virtual(fragment) => TourEdge::Virtual { fragment, from: current_v, to: next_v },
             };
             out.push(edge, current);
             current = next;
@@ -351,11 +349,7 @@ pub fn run_phase1_with_arena(
 
     wp.local_edges = new_local;
     wp.isolated_vertices = 0; // internal vertices are dropped from memory
-    let splice_stats = SpliceStats {
-        pivot_lookups,
-        linked_splices: internal_cycles_merged,
-        materialization_longs,
-    };
+    let splice_stats = SpliceStats { pivot_lookups, linked_splices: internal_cycles_merged, materialization_longs };
     Phase1Output { path_map, counts_before, complexity, vertices_after, splice: splice_stats }
 }
 
@@ -384,7 +378,7 @@ mod tests {
         let p = out.path_map.paths[0];
         let endpoints = [p.from.0, p.to.0];
         assert!(endpoints.contains(&5) && endpoints.contains(&8)); // v6 and v9
-        // The partition's memory now holds one coarse edge and 2 remote edges.
+                                                                   // The partition's memory now holds one coarse edge and 2 remote edges.
         assert_eq!(wps[2].local_edges.len(), 1);
         assert!(matches!(wps[2].local_edges[0].edge, EdgeRef::Virtual(_)));
         assert_eq!(out.path_map.local_edges_consumed, 3);
@@ -460,12 +454,7 @@ mod tests {
         // Build: boundary vertex 0 with 1 remote edge, triangle 0-1-2-0,
         // triangle 2-3-4-2 (internal), so the traversal from 0 may leave the
         // second triangle for step 3.
-        let local = [(0u64, 1u64),
-            (1, 2),
-            (2, 0),
-            (2, 3),
-            (3, 4),
-            (4, 2)];
+        let local = [(0u64, 1u64), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)];
         let mut wp = WorkingPartition {
             id: PartitionId(0),
             leaves: vec![PartitionId(0)],
@@ -599,11 +588,7 @@ mod tests {
     #[test]
     fn dense_matches_reference_on_torus_and_random_graphs() {
         let g = synthetic::torus_grid(8, 8);
-        let a = euler_graph::PartitionAssignment::from_labels(
-            (0..64).map(|i| (i % 4) as u32).collect(),
-            4,
-        )
-        .unwrap();
+        let a = euler_graph::PartitionAssignment::from_labels((0..64).map(|i| (i % 4) as u32).collect(), 4).unwrap();
         let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
         for wp in crate::state::tests::working(&pg) {
             assert_equivalent(&wp);

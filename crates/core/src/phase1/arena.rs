@@ -59,16 +59,10 @@ impl KernelState {
     pub fn load(&mut self, edges: &[LocalEdge]) {
         let retired = std::mem::take(&mut self.index);
         retired.into_bufs(&mut self.index_bufs);
-        self.index = LocalIndex::from_vertices_reusing(
-            edges.iter().flat_map(|e| [e.u, e.v]),
-            &mut self.index_bufs,
-        );
+        self.index = LocalIndex::from_vertices_reusing(edges.iter().flat_map(|e| [e.u, e.v]), &mut self.index_bufs);
         let n = self.index.len();
         let incidences = edges.len() * 2;
-        assert!(
-            incidences < u32::MAX as usize,
-            "CSR arena overflow: {incidences} incidences do not fit u32 indices"
-        );
+        assert!(incidences < u32::MAX as usize, "CSR arena overflow: {incidences} incidences do not fit u32 indices");
 
         // Counting-sort CSR build (the `bucket_by_slot` idiom, inlined so the
         // arenas are reused instead of reallocated). One pass over the

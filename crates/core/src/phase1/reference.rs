@@ -32,11 +32,7 @@ struct PivotRef {
 }
 
 /// Registers the vertices of `edges` as visible in `fragment`.
-fn register_visible_ref(
-    visible: &mut HashMap<VertexId, PivotRef>,
-    fragment: usize,
-    edges: &[TourEdge],
-) {
+fn register_visible_ref(visible: &mut HashMap<VertexId, PivotRef>, fragment: usize, edges: &[TourEdge]) {
     for e in edges {
         visible.entry(e.from()).or_insert(PivotRef { fragment });
     }
@@ -67,13 +63,7 @@ impl<'a> Traverser<'a> {
             *remaining.entry(e.u).or_insert(0) += 1;
             *remaining.entry(e.v).or_insert(0) += 1;
         }
-        Traverser {
-            edges,
-            adjacency,
-            cursor: HashMap::new(),
-            visited: vec![false; edges.len()],
-            remaining,
-        }
+        Traverser { edges, adjacency, cursor: HashMap::new(), visited: vec![false; edges.len()], remaining }
     }
 
     fn remaining_degree(&self, v: VertexId) -> u64 {
@@ -135,12 +125,8 @@ pub fn run_phase1_reference(wp: &mut WorkingPartition, store: &FragmentStore) ->
     let mut visible: HashMap<VertexId, PivotRef> = HashMap::new();
 
     // --- Step 1: OB paths. -------------------------------------------------
-    let mut odd: BTreeSet<VertexId> = traverser
-        .remaining
-        .iter()
-        .filter(|(_, &d)| d % 2 == 1)
-        .map(|(&v, _)| v)
-        .collect();
+    let mut odd: BTreeSet<VertexId> =
+        traverser.remaining.iter().filter(|(_, &d)| d % 2 == 1).map(|(&v, _)| v).collect();
     while let Some(&start) = odd.iter().next() {
         odd.remove(&start);
         let tour = traverser.walk(start);
@@ -176,27 +162,17 @@ pub fn run_phase1_reference(wp: &mut WorkingPartition, store: &FragmentStore) ->
         debug_assert_eq!(tour.last().map(|e| e.to()), Some(start), "internal traversal closes (Lemma 2)");
         // mergeInto: find a pivot vertex shared with an existing fragment.
         pivot_lookups += 1;
-        let pivot = tour
-            .iter()
-            .map(|e| e.from())
-            .find(|v| visible.contains_key(v))
-            .map(|v| (v, visible[&v]));
+        let pivot = tour.iter().map(|e| e.from()).find(|v| visible.contains_key(v)).map(|v| (v, visible[&v]));
         match pivot {
             Some((pivot_vertex, at)) => {
                 // Rotate the cycle to start at the pivot, then splice it into
                 // the containing fragment at the pivot's current position.
-                let rot = tour
-                    .iter()
-                    .position(|e| e.from() == pivot_vertex)
-                    .expect("pivot is a tour endpoint");
+                let rot = tour.iter().position(|e| e.from() == pivot_vertex).expect("pivot is a tour endpoint");
                 let mut rotated = Vec::with_capacity(tour.len());
                 rotated.extend_from_slice(&tour[rot..]);
                 rotated.extend_from_slice(&tour[..rot]);
                 let target = &mut pending[at.fragment].edges;
-                let insert_at = target
-                    .iter()
-                    .position(|e| e.from() == pivot_vertex)
-                    .unwrap_or(target.len());
+                let insert_at = target.iter().position(|e| e.from() == pivot_vertex).unwrap_or(target.len());
                 for e in &rotated {
                     visible.entry(e.from()).or_insert(PivotRef { fragment: at.fragment });
                 }
@@ -219,13 +195,8 @@ pub fn run_phase1_reference(wp: &mut WorkingPartition, store: &FragmentStore) ->
     let mut new_local = Vec::new();
     let mut materialization_longs = 0u64;
     for pf in pending {
-        let fragment = Fragment {
-            id: FragmentId(0),
-            kind: pf.kind,
-            level: wp.level,
-            partition: wp.id,
-            edges: pf.edges,
-        };
+        let fragment =
+            Fragment { id: FragmentId(0), kind: pf.kind, level: wp.level, partition: wp.id, edges: pf.edges };
         materialization_longs += fragment.disk_longs();
         let start = fragment.start();
         let end = fragment.end();
@@ -244,14 +215,10 @@ pub fn run_phase1_reference(wp: &mut WorkingPartition, store: &FragmentStore) ->
 
     wp.local_edges = new_local;
     wp.isolated_vertices = 0; // internal vertices are dropped from memory
-    // The stats mirror the dense kernel's splice-order index semantically
-    // (same decisions, same persisted bytes), so the differential suites can
-    // assert them bit-for-bit.
-    let splice = super::SpliceStats {
-        pivot_lookups,
-        linked_splices: internal_cycles_merged,
-        materialization_longs,
-    };
+                              // The stats mirror the dense kernel's splice-order index semantically
+                              // (same decisions, same persisted bytes), so the differential suites can
+                              // assert them bit-for-bit.
+    let splice = super::SpliceStats { pivot_lookups, linked_splices: internal_cycles_merged, materialization_longs };
     // By definition: classify the state the run left behind.
     let vertices_after = wp.vertex_type_counts().total_vertices();
     Phase1Output { path_map, counts_before, complexity, vertices_after, splice }

@@ -399,11 +399,7 @@ impl SpliceIndex {
 
         // Insertion anchor: the pivot's own handle entry — which, for an END
         // pivot, is itself new and goes to the current end of the list.
-        let (anchor, lead) = if was_end {
-            (self.frags[at as usize].h_tail, Some(v as u32))
-        } else {
-            (v as u32, None)
-        };
+        let (anchor, lead) = if was_end { (self.frags[at as usize].h_tail, Some(v as u32)) } else { (v as u32, None) };
         let need = block.len() + lead.is_some() as usize;
         if need > 0 {
             let (lo, stride) = self.make_room(at, anchor, need);
@@ -439,11 +435,7 @@ impl SpliceIndex {
     /// head) in fragment `at`'s handle list.
     fn link_handle_after(&mut self, at: u32, prev: u32, s: u32, tag: u64) {
         let su = s as usize;
-        let nx = if prev == NONE {
-            self.frags[at as usize].h_head
-        } else {
-            self.h_next[prev as usize]
-        };
+        let nx = if prev == NONE { self.frags[at as usize].h_head } else { self.h_next[prev as usize] };
         self.h_tag[su] = tag;
         self.h_prev[su] = prev;
         self.h_next[su] = nx;
@@ -471,11 +463,7 @@ impl SpliceIndex {
     /// accepts, so the loop terminates.
     fn make_room(&mut self, at: u32, anchor: u32, need: usize) -> (u64, u64) {
         let lo = if anchor == NONE { 0 } else { self.h_tag[anchor as usize] };
-        let succ = if anchor == NONE {
-            self.frags[at as usize].h_head
-        } else {
-            self.h_next[anchor as usize]
-        };
+        let succ = if anchor == NONE { self.frags[at as usize].h_head } else { self.h_next[anchor as usize] };
         let hi = if succ == NONE { TAG_LIMIT } else { self.h_tag[succ as usize] };
         let gap = hi - lo;
         let stride = gap / (need as u64 + 1);
@@ -511,17 +499,12 @@ impl SpliceIndex {
                     let pos = if i < anchor_pos { i } else { i + need };
                     self.h_tag[s as usize] = base + (pos as u64 + 1) * stride;
                 }
-                let new_lo = if anchor == NONE {
-                    base
-                } else {
-                    self.h_tag[anchor as usize]
-                };
+                let new_lo = if anchor == NONE { base } else { self.h_tag[anchor as usize] };
                 return (new_lo, stride);
             }
         }
         unreachable!("tag space exhausted: more than 2^31 handles in one fragment")
     }
-
 
     /// Writes every pending fragment of `(level, partition)`, in creation
     /// order, as a record — its arena run as it is when no splice ever landed
@@ -569,10 +552,8 @@ mod tests {
             store.push_segment(run);
         });
         let tours: Vec<_> = store.snapshot().into_iter().map(|f| (f.kind, f.edges)).collect();
-        let ends: Vec<_> = tours
-            .iter()
-            .map(|(kind, tour)| (*kind, tour[0].from(), tour[tour.len() - 1].to()))
-            .collect();
+        let ends: Vec<_> =
+            tours.iter().map(|(kind, tour)| (*kind, tour[0].from(), tour[tour.len() - 1].to())).collect();
         assert_eq!(idx.ends().collect::<Vec<_>>(), ends);
         tours
     }
@@ -792,18 +773,14 @@ mod tests {
         // earlier core vertices — exercising moved handles repeatedly.
         let k = 48u64;
         let mut m = Model::new(4096);
-        let core: Vec<TourEdge> =
-            (0..k).map(|i| e(i, (i + 1) % k, i)).collect();
+        let core: Vec<TourEdge> = (0..k).map(|i| e(i, (i + 1) % k, i)).collect();
         m.walk(FragmentKind::Cycle, &core);
         let mut id = k;
         for i in 0..k {
             let p = k + 2 * i;
             let q = k + 2 * i + 1;
             let j = (i * 7 + 3) % k;
-            m.walk(
-                FragmentKind::Cycle,
-                &[e(i, p, id), e(p, j, id + 1), e(j, q, id + 2), e(q, i, id + 3)],
-            );
+            m.walk(FragmentKind::Cycle, &[e(i, p, id), e(p, j, id + 1), e(j, q, id + 2), e(q, i, id + 3)]);
             id += 4;
             m.check();
         }

@@ -40,9 +40,7 @@ use crate::fragment::{Fragment, FragmentId, FragmentKind, FragmentStore, TourEdg
 use crate::merge_tree::MergeTree;
 use crate::state::{EdgeRef, LocalEdge, RemoteRef, WorkingPartition};
 use euler_graph::stream::EdgeStream;
-use euler_graph::{
-    EdgeId, GraphError, MetaGraph, PartitionAssignment, PartitionId, StreamOrder, VertexId,
-};
+use euler_graph::{EdgeId, GraphError, MetaGraph, PartitionAssignment, PartitionId, StreamOrder, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -164,10 +162,7 @@ fn checked_entry(u: u64, v: u64, n: u64) -> Result<(), EulerError> {
         Ok(())
     } else {
         let largest = if u < v { v } else { u };
-        Err(EulerError::Graph(GraphError::IncompleteAssignment {
-            expected: largest.saturating_add(1),
-            actual: n,
-        }))
+        Err(EulerError::Graph(GraphError::IncompleteAssignment { expected: largest.saturating_add(1), actual: n }))
     }
 }
 
@@ -213,8 +208,7 @@ impl<'a> Machine<'a> {
     /// Recomputes the resident counter and tracks the peak. Called after
     /// every state mutation that can grow the footprint.
     fn touch(&mut self) {
-        self.stats.resident_longs =
-            self.array_longs + self.chain_longs + self.loop_pending.len() as u64;
+        self.stats.resident_longs = self.array_longs + self.chain_longs + self.loop_pending.len() as u64;
         if self.stats.resident_longs > self.stats.peak_resident_longs {
             self.stats.peak_resident_longs = self.stats.resident_longs;
         }
@@ -578,10 +572,7 @@ pub fn stream_phase1(
     let n = assignment.num_vertices();
     if let Some(sn) = stream.num_vertices() {
         if sn != n {
-            return Err(EulerError::Graph(GraphError::IncompleteAssignment {
-                expected: sn,
-                actual: n,
-            }));
+            return Err(EulerError::Graph(GraphError::IncompleteAssignment { expected: sn, actual: n }));
         }
     }
     let chunk = if chunk_edges == 0 { default_chunk_edges(n) } else { chunk_edges };
@@ -645,8 +636,7 @@ mod tests {
         assert_eq!(out.stats.cycles_emitted, 2);
         assert_eq!(out.stats.edges_ingested, 3);
         assert_eq!(out.first_odd, None);
-        let kinds: Vec<usize> =
-            store.snapshot().iter().map(|f| f.edges.len()).collect();
+        let kinds: Vec<usize> = store.snapshot().iter().map(|f| f.edges.len()).collect();
         assert!(kinds.contains(&1), "one-edge self-loop cycle expected: {kinds:?}");
     }
 
@@ -712,8 +702,7 @@ mod tests {
         let assignment = one_part(4);
 
         let store_vg = store();
-        let out_vg =
-            stream_phase1(&mut GraphEdgeStream::new(&g), &assignment, &store_vg, 0).unwrap();
+        let out_vg = stream_phase1(&mut GraphEdgeStream::new(&g), &assignment, &store_vg, 0).unwrap();
 
         // The same edge set through an edge-id-ordered producer (each edge
         // delivered exactly once, like an edge-list file).
@@ -730,14 +719,10 @@ mod tests {
                 sink: &mut euler_graph::stream::EdgeBatchSink<'_>,
             ) -> Result<euler_graph::StreamSummary, GraphError> {
                 sink(&self.0);
-                Ok(euler_graph::StreamSummary {
-                    num_vertices: 4,
-                    entries: self.0.len() as u64,
-                })
+                Ok(euler_graph::StreamSummary { num_vertices: 4, entries: self.0.len() as u64 })
             }
         }
-        let mut id_stream =
-            Listed(vec![(0, 1), (1, 2), (2, 0), (1, 3), (3, 1), (2, 2)]);
+        let mut id_stream = Listed(vec![(0, 1), (1, 2), (2, 0), (1, 3), (3, 1), (2, 2)]);
         let store_id = store();
         let out_id = stream_phase1(&mut id_stream, &assignment, &store_id, 0).unwrap();
 
@@ -747,12 +732,9 @@ mod tests {
         assert_eq!(out_id.stats.entries_streamed, 6);
         // Every real edge ends up exactly once in fragments + residuals.
         let covered = |store: &FragmentStore, out: &WStreamOutcome| {
-            let residual_real = out
-                .states
-                .iter()
-                .flat_map(|s| &s.local_edges)
-                .filter(|l| matches!(l.edge, EdgeRef::Real(_)))
-                .count() as u64;
+            let residual_real =
+                out.states.iter().flat_map(|s| &s.local_edges).filter(|l| matches!(l.edge, EdgeRef::Real(_))).count()
+                    as u64;
             store.total_real_edges() + residual_real
         };
         assert_eq!(covered(&store_vg, &out_vg), 6);
@@ -796,12 +778,6 @@ mod tests {
         }
         let store = store();
         let err = stream_phase1(&mut Bogus, &one_part(2), &store, 0).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                EulerError::Graph(GraphError::IncompleteAssignment { expected: 8, actual: 2 })
-            ),
-            "{err}"
-        );
+        assert!(matches!(err, EulerError::Graph(GraphError::IncompleteAssignment { expected: 8, actual: 2 })), "{err}");
     }
 }

@@ -21,14 +21,10 @@ use euler_graph::{PartitionId, VertexId};
 /// "heavier" one) drops its copies of the edges between them; the lighter one
 /// retains them. `leaf_of` names the leaf partition a ref's remote endpoint
 /// belongs to. Returns the number of remote-edge records removed.
-pub fn apply_remote_edge_dedup(
-    states: &mut [WorkingPartition],
-    leaf_of: impl Fn(VertexId) -> PartitionId,
-) -> u64 {
+pub fn apply_remote_edge_dedup(states: &mut [WorkingPartition], leaf_of: impl Fn(VertexId) -> PartitionId) -> u64 {
     // Total remote edges per leaf partition (the "weight" used to pick
     // sides), looked up by the leaf's rank among the ids.
-    let mut by_id: Vec<(PartitionId, u64)> =
-        states.iter().map(|s| (s.id, s.num_remote_edges() as u64)).collect();
+    let mut by_id: Vec<(PartitionId, u64)> = states.iter().map(|s| (s.id, s.num_remote_edges() as u64)).collect();
     by_id.sort_unstable();
     let (ids, weights): (Vec<PartitionId>, Vec<u64>) = by_id.into_iter().unzip();
     let weight = |id: PartitionId| rank_in(&ids, id).map_or(0, |rank| weights[rank]);
@@ -177,10 +173,7 @@ mod tests {
         assert_eq!(merged.remote_by_level[1].len(), 2);
         // Local edges: P3's OB-pair + P4's OB-pairs + 2 converted edges.
         assert!(merged.local_edges.len() >= 3);
-        assert!(merged
-            .local_edges
-            .iter()
-            .any(|e| matches!(e.edge, EdgeRef::Virtual(_))));
+        assert!(merged.local_edges.iter().any(|e| matches!(e.edge, EdgeRef::Virtual(_))));
     }
 
     #[test]

@@ -258,7 +258,8 @@ impl Splices {
         hint != NONE
             && hint != base
             && self.index.slot(v).is_some_and(|s| {
-                let cycles = &self.visible[self.bucket_lo[s as usize] as usize..self.bucket_lo[s as usize + 1] as usize];
+                let cycles =
+                    &self.visible[self.bucket_lo[s as usize] as usize..self.bucket_lo[s as usize + 1] as usize];
                 cycles.len() > 1 || cycles[0].0 != base
             })
     }
@@ -440,9 +441,7 @@ impl WalkPositions {
     fn new(walk: &[CircuitStep]) -> Self {
         // The walk chains (step i's `to` is step i+1's `from`), so the
         // distinct vertices are the `from`s plus the final `to`.
-        let index = LocalIndex::from_vertices(
-            walk.iter().map(|s| s.from).chain(walk.last().map(|s| s.to)),
-        );
+        let index = LocalIndex::from_vertices(walk.iter().map(|s| s.from).chain(walk.last().map(|s| s.to)));
         let mut first_pos = vec![POS_UNSET; index.len()];
         for (i, step) in walk.iter().enumerate() {
             let s = index.slot(step.from).expect("interned") as usize;
@@ -486,10 +485,8 @@ fn stitch_circuits(circuits: Vec<Vec<CircuitStep>>) -> Vec<Vec<CircuitStep>> {
             let mut placed = false;
             for host in finals.iter_mut() {
                 let host_pos = WalkPositions::new(host);
-                if let Some((rot, at)) = candidate
-                    .iter()
-                    .enumerate()
-                    .find_map(|(j, s)| host_pos.position_of(s.from).map(|i| (j, i)))
+                if let Some((rot, at)) =
+                    candidate.iter().enumerate().find_map(|(j, s)| host_pos.position_of(s.from).map(|i| (j, i)))
                 {
                     let mut rotated = Vec::with_capacity(candidate.len());
                     rotated.extend_from_slice(&candidate[rot..]);
@@ -694,12 +691,8 @@ pub(crate) mod oracle {
                         // the direction; its far end is left for the walk to
                         // reach.
                         let start = record.view().edge(0).from();
-                        debug_assert!(
-                            start == from || start == to,
-                            "virtual edge endpoints must match the fragment"
-                        );
-                        let frame =
-                            if start == from { Frame::forward(record) } else { Frame::reversed(record) };
+                        debug_assert!(start == from || start == to, "virtual edge endpoints must match the fragment");
+                        let frame = if start == from { Frame::forward(record) } else { Frame::reversed(record) };
                         stack.push(frame);
                     }
                 }
@@ -734,23 +727,11 @@ mod tests {
     }
 
     fn cycle(store: &FragmentStore, level: u32, edges: Vec<TourEdge>) -> FragmentId {
-        store.push(Fragment {
-            id: FragmentId(0),
-            kind: FragmentKind::Cycle,
-            level,
-            partition: PartitionId(0),
-            edges,
-        })
+        store.push(Fragment { id: FragmentId(0), kind: FragmentKind::Cycle, level, partition: PartitionId(0), edges })
     }
 
     fn path(store: &FragmentStore, level: u32, edges: Vec<TourEdge>) -> FragmentId {
-        store.push(Fragment {
-            id: FragmentId(0),
-            kind: FragmentKind::Path,
-            level,
-            partition: PartitionId(0),
-            edges,
-        })
+        store.push(Fragment { id: FragmentId(0), kind: FragmentKind::Path, level, partition: PartitionId(0), edges })
     }
 
     #[test]
@@ -773,11 +754,7 @@ mod tests {
         cycle(
             &store,
             1,
-            vec![
-                real(0, 0, 1),
-                TourEdge::Virtual { fragment: p, from: VertexId(1), to: VertexId(3) },
-                real(1, 3, 0),
-            ],
+            vec![real(0, 0, 1), TourEdge::Virtual { fragment: p, from: VertexId(1), to: VertexId(3) }, real(1, 3, 0)],
         );
         let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1);
@@ -790,11 +767,7 @@ mod tests {
         cycle(
             &store2,
             1,
-            vec![
-                real(0, 0, 3),
-                TourEdge::Virtual { fragment: p2, from: VertexId(3), to: VertexId(1) },
-                real(1, 1, 0),
-            ],
+            vec![real(0, 0, 3), TourEdge::Virtual { fragment: p2, from: VertexId(3), to: VertexId(1) }, real(1, 1, 0)],
         );
         let result2 = unroll(&store2).unwrap();
         let steps = &result2.circuits[0];
@@ -850,21 +823,13 @@ mod tests {
         let b = path(
             &store,
             1,
-            vec![
-                real(2, 0, 1),
-                TourEdge::Virtual { fragment: a, from: VertexId(1), to: VertexId(3) },
-                real(3, 3, 4),
-            ],
+            vec![real(2, 0, 1), TourEdge::Virtual { fragment: a, from: VertexId(1), to: VertexId(3) }, real(3, 3, 4)],
         );
         // Level-2 root cycle: 5 -> 0 ~B~> 4 -> 5.
         cycle(
             &store,
             2,
-            vec![
-                real(4, 5, 0),
-                TourEdge::Virtual { fragment: b, from: VertexId(0), to: VertexId(4) },
-                real(5, 4, 5),
-            ],
+            vec![real(4, 5, 0), TourEdge::Virtual { fragment: b, from: VertexId(0), to: VertexId(4) }, real(5, 4, 5)],
         );
         let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1);
@@ -878,14 +843,7 @@ mod tests {
         // Path through hidden vertex 2: 1 -> 2 -> 3; pending cycle at 2.
         let p = path(&store, 0, vec![real(0, 1, 2), real(1, 2, 3)]);
         cycle(&store, 0, vec![real(10, 2, 7), real(11, 7, 2)]);
-        cycle(
-            &store,
-            1,
-            vec![
-                real(2, 3, 1),
-                TourEdge::Virtual { fragment: p, from: VertexId(1), to: VertexId(3) },
-            ],
-        );
+        cycle(&store, 1, vec![real(2, 3, 1), TourEdge::Virtual { fragment: p, from: VertexId(1), to: VertexId(3) }]);
         let result = unroll(&store).unwrap();
         assert_eq!(result.num_circuits(), 1);
         assert_eq!(result.total_edges(), 5);
@@ -919,10 +877,7 @@ mod tests {
         let a = path(&store, 0, vec![real(0, 1, 2), real(1, 2, 3)]);
         let b = path(&store, 1, vec![real(2, 0, 1), virt(a, 1, 3), real(3, 3, 4)]);
         cycle(&store, 2, vec![real(4, 5, 4), virt(b, 4, 0), real(5, 0, 5)]);
-        assert_eq!(
-            steps(&store),
-            vec![(4, 5, 4), (3, 4, 3), (1, 3, 2), (0, 2, 1), (2, 1, 0), (5, 0, 5)]
-        );
+        assert_eq!(steps(&store), vec![(4, 5, 4), (3, 4, 3), (1, 3, 2), (0, 2, 1), (2, 1, 0), (5, 0, 5)]);
     }
 
     #[test]
@@ -932,10 +887,7 @@ mod tests {
         // the walk enters it at its edge leaving 2 and wraps around.
         cycle(&store, 0, vec![real(0, 0, 1), real(1, 1, 2), real(2, 2, 0)]);
         cycle(&store, 0, vec![real(3, 5, 2), real(4, 2, 6), real(5, 6, 5)]);
-        assert_eq!(
-            steps(&store),
-            vec![(0, 0, 1), (1, 1, 2), (4, 2, 6), (5, 6, 5), (3, 5, 2), (2, 2, 0)]
-        );
+        assert_eq!(steps(&store), vec![(0, 0, 1), (1, 1, 2), (4, 2, 6), (5, 6, 5), (3, 5, 2), (2, 2, 0)]);
     }
 
     #[test]

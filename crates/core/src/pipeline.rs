@@ -54,8 +54,7 @@ use crate::phase3::{unroll, CircuitResult};
 use crate::state::{VertexTypeCounts, WorkingPartition};
 use crate::verify::verify_steps;
 use euler_graph::{
-    CsrFile, EdgeArrays, EdgeStream, Graph, GraphSource, PartitionAssignment,
-    PartitionId, PartitionedGraph, VertexId,
+    CsrFile, EdgeArrays, EdgeStream, Graph, GraphSource, PartitionAssignment, PartitionId, PartitionedGraph, VertexId,
 };
 use euler_partition::Partitioner;
 use serde::{Deserialize, Serialize};
@@ -158,9 +157,7 @@ impl RunReport {
 
     /// Cumulative active memory (Longs) per level — the solid lines of Fig. 8.
     pub fn cumulative_memory_by_level(&self) -> Vec<u64> {
-        (0..self.supersteps)
-            .map(|l| self.level(l).iter().map(|r| r.memory_longs).sum())
-            .collect()
+        (0..self.supersteps).map(|l| self.level(l).iter().map(|r| r.memory_longs).sum()).collect()
     }
 
     /// Converts the report into the per-level trace consumed by the
@@ -336,9 +333,7 @@ impl ExecutionBackend for InProcessBackend {
 
     fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
         let (tree, config) = (Arc::clone(work.tree), work.config);
-        step_run(&self.run, work, |seed| {
-            DistRun::new(euler_bsp::BspConfig::with_workers(1), None, tree, seed, config)
-        })
+        step_run(&self.run, work, |seed| DistRun::new(euler_bsp::BspConfig::with_workers(1), None, tree, seed, config))
     }
 }
 
@@ -654,9 +649,7 @@ impl ExecutionBackend for BspBackend {
 /// accumulated — one error.
 fn require_even_degrees(first_odd: Option<(VertexId, u64)>) -> Result<(), EulerError> {
     match first_odd {
-        Some((vertex, degree)) => {
-            Err(EulerError::Graph(euler_graph::GraphError::NotEulerian { vertex, degree }))
-        }
+        Some((vertex, degree)) => Err(EulerError::Graph(euler_graph::GraphError::NotEulerian { vertex, degree })),
         None => Ok(()),
     }
 }
@@ -851,13 +844,7 @@ fn run_merge_walk(
     let mut seed = Some(seed);
     for level in 0..tree.num_supersteps() {
         yield_at(level)?;
-        let outcome = backend.run_level(LevelWork {
-            level,
-            tree: &tree,
-            store: &store,
-            config,
-            seed: seed.take(),
-        })?;
+        let outcome = backend.run_level(LevelWork { level, tree: &tree, store: &store, config, seed: seed.take() })?;
         report.per_partition.extend(outcome.reports);
         report.total_transfer_longs += outcome.transfer_longs;
     }
@@ -1186,9 +1173,7 @@ fn stream_partition(
         return Ok(None);
     };
     match source.edge_stream() {
-        Some(mut stream) if sp.supports(stream.order()) => {
-            Ok(Some((sp.partition_stream(stream.as_mut())?, sp.name())))
-        }
+        Some(mut stream) if sp.supports(stream.order()) => Ok(Some((sp.partition_stream(stream.as_mut())?, sp.name()))),
         _ => Ok(None),
     }
 }
@@ -1416,8 +1401,7 @@ mod tests {
                 let levels = tree.leaf_levels(a.num_partitions());
                 let seed = Seed(SeedKind::Level0(Level0 { edges, file: None, assignment, scan, dedup, levels }));
                 let store = FragmentStore::new();
-                let (result, report) =
-                    run_merge_walk(tree, seed, store.clone(), &config, backend, None, None).unwrap();
+                let (result, report) = run_merge_walk(tree, seed, store.clone(), &config, backend, None, None).unwrap();
                 (result, report, store.snapshot())
             };
             let (in_proc, in_proc_report, in_proc_fragments) = walk(&InProcessBackend::new());
@@ -1470,9 +1454,8 @@ mod tests {
         // sequential one: circuits, per-level records, transfers.
         let g = synthetic::random_eulerian_connected(6_000, 600, 8, 77);
         let a = LdgPartitioner::new(4).partition(&g);
-        let run = |builder: EulerPipelineBuilder| {
-            builder.graph(&g).assignment(a.clone()).build().unwrap().run().unwrap()
-        };
+        let run =
+            |builder: EulerPipelineBuilder| builder.graph(&g).assignment(a.clone()).build().unwrap().run().unwrap();
         let sequential = run(EulerPipeline::builder().sequential());
         // Level 0's four partitions carry enough work to fan out, so the runs
         // below really are scheduled concurrently: a state record holds four
@@ -1485,8 +1468,7 @@ mod tests {
             let engine = euler_bsp::BspConfig::with_workers(workers);
             let bsp = run(EulerPipeline::builder().backend(BspBackend::with_engine(engine)));
             assert_same_run(&bsp, &sequential);
-            let wire = BspBackend::with_engine(engine)
-                .with_transport(Arc::new(euler_bsp::MemTransport));
+            let wire = BspBackend::with_engine(engine).with_transport(Arc::new(euler_bsp::MemTransport));
             assert_same_run(&run(EulerPipeline::builder().backend(wire)), &sequential);
         }
     }
@@ -1588,14 +1570,8 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let from_mem = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(a)
-            .config(config.clone())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
+        let from_mem =
+            EulerPipeline::builder().graph(&g).assignment(a).config(config.clone()).build().unwrap().run().unwrap();
 
         // The fast path is observable in the stage report, skips any load...
         assert_eq!(from_csr.partition.partitioner, "pre-assigned (direct csr slice)");
@@ -1719,10 +1695,7 @@ mod tests {
             }
             // ...and the identical deterministic run.
             assert_eq!(streamed.circuit.result.circuits, in_memory.circuit.result.circuits);
-            assert_eq!(
-                streamed.merge.total_transfer_longs,
-                in_memory.merge.total_transfer_longs
-            );
+            assert_eq!(streamed.merge.total_transfer_longs, in_memory.merge.total_transfer_longs);
             verify_result(&g, &streamed.circuit.result).unwrap();
         }
         std::fs::remove_file(&path).ok();
@@ -1773,10 +1746,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(bounded.circuit.result.circuits, unbounded.circuit.result.circuits);
-        assert_eq!(
-            bounded.circuit.fragment_disk_longs,
-            unbounded.circuit.fragment_disk_longs
-        );
+        assert_eq!(bounded.circuit.fragment_disk_longs, unbounded.circuit.fragment_disk_longs);
         assert_eq!(bounded.merge.total_transfer_longs, unbounded.merge.total_transfer_longs);
         let stats = bounded.circuit.fragment_stats;
         assert!(stats.spilled_fragments > 0, "budget {budget} must spill: {stats:?}");
@@ -1835,10 +1805,8 @@ mod tests {
         let a = LdgPartitioner::new(4).partition(&g);
         let config = EulerConfig::default().sequential();
         let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        let (direct, direct_report) =
-            run_on_partitioned(&pg, &config, &InProcessBackend::new()).unwrap();
-        let (wrapped, wrapped_report) =
-            run_with_backend(&g, &a, &config, &InProcessBackend::new()).unwrap();
+        let (direct, direct_report) = run_on_partitioned(&pg, &config, &InProcessBackend::new()).unwrap();
+        let (wrapped, wrapped_report) = run_with_backend(&g, &a, &config, &InProcessBackend::new()).unwrap();
         assert_eq!(direct.circuits, wrapped.circuits);
         assert_eq!(direct_report.total_transfer_longs, wrapped_report.total_transfer_longs);
         assert_eq!(direct_report.supersteps, wrapped_report.supersteps);
@@ -1849,8 +1817,7 @@ mod tests {
     // behavioural guarantees, stated against the pipeline API. -------------
 
     fn verify_ok(g: &Graph, assignment: &PartitionAssignment, config: &EulerConfig) {
-        let (result, report) =
-            run_with_backend(g, assignment, config, &InProcessBackend::new()).unwrap();
+        let (result, report) = run_with_backend(g, assignment, config, &InProcessBackend::new()).unwrap();
         verify_result(g, &result).unwrap();
         assert_eq!(result.total_edges(), g.num_edges());
         assert_eq!(report.num_partitions, assignment.num_partitions());
@@ -1860,8 +1827,7 @@ mod tests {
     fn fig1_graph_end_to_end() {
         let (g, a) = synthetic::paper_fig1();
         let config = EulerConfig::default().with_verify(true);
-        let (result, report) =
-            run_with_backend(&g, &a, &config, &InProcessBackend::new()).unwrap();
+        let (result, report) = run_with_backend(&g, &a, &config, &InProcessBackend::new()).unwrap();
         assert_eq!(result.num_circuits(), 1);
         assert_eq!(result.total_edges(), 16);
         // 4 partitions -> 3 supersteps (Fig. 2).
@@ -1902,17 +1868,9 @@ mod tests {
 
     #[test]
     fn disconnected_eulerian_graph_yields_one_circuit_per_component() {
-        let g = euler_graph::builder::graph_from_edges(&[
-            (0, 1),
-            (1, 2),
-            (2, 0),
-            (5, 6),
-            (6, 7),
-            (7, 5),
-        ]);
+        let g = euler_graph::builder::graph_from_edges(&[(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 5)]);
         let a = HashPartitioner::new(2).partition(&g);
-        let (result, _) =
-            run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
+        let (result, _) = run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
         assert_eq!(result.num_circuits(), 2);
         assert_eq!(result.total_edges(), 6);
         verify_result(&g, &result).unwrap();
@@ -1922,8 +1880,7 @@ mod tests {
     fn report_has_one_record_per_partition_per_level() {
         let g = synthetic::torus_grid(10, 10);
         let a = LdgPartitioner::new(8).partition(&g);
-        let (_, report) =
-            run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
+        let (_, report) = run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
         assert_eq!(report.supersteps, 4); // 8 partitions -> 4 Phase-1 rounds
         assert_eq!(report.level(0).len(), 8);
         assert_eq!(report.level(1).len(), 4);
@@ -1962,8 +1919,7 @@ mod tests {
         let a = LdgPartitioner::new(4).partition(&g);
         let config = EulerConfig::default().sequential();
         let (r1, _) = run_with_backend(&g, &a, &config, &InProcessBackend::new()).unwrap();
-        let (r2, _) =
-            run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
+        let (r2, _) = run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
         verify_result(&g, &r1).unwrap();
         assert_eq!(r1.circuits, r2.circuits);
     }
@@ -1973,8 +1929,7 @@ mod tests {
         let g = synthetic::circulant(50, &[1, 2]);
         let a = HashPartitioner::new(1).partition(&g);
         let config = EulerConfig::default().with_verify(true);
-        let (result, report) =
-            run_with_backend(&g, &a, &config, &InProcessBackend::new()).unwrap();
+        let (result, report) = run_with_backend(&g, &a, &config, &InProcessBackend::new()).unwrap();
         assert_eq!(report.supersteps, 1);
         assert_eq!(result.num_circuits(), 1);
     }
@@ -2003,8 +1958,7 @@ mod tests {
     fn larger_rmat_eulerized_graph_end_to_end() {
         let (g, _) = euler_gen::configs::GraphConfig::by_name("G20/P2").unwrap().generate(-7);
         let a = LdgPartitioner::new(2).partition(&g);
-        let (result, _) =
-            run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
+        let (result, _) = run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
         verify_result(&g, &result).unwrap();
         assert_eq!(result.total_edges(), g.num_edges());
     }

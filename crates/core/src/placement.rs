@@ -52,8 +52,7 @@ impl Placement {
         leaves.sort_by_key(|&(id, _)| id);
         leaves.dedup_by_key(|&mut (id, _)| id);
         let ids: Vec<PartitionId> = leaves.iter().map(|&(id, _)| id).collect();
-        let cuts: Vec<Groups> =
-            (0..=tree.height()).map(|level| groups_entering(tree, &leaves, level)).collect();
+        let cuts: Vec<Groups> = (0..=tree.height()).map(|level| groups_entering(tree, &leaves, level)).collect();
         // `heaviest[c]`: the most words a worker of the round-robin deal
         // holds entering a level up to `c` — a group sits with the partition
         // it has merged into (or, for one not placed, with its first member).
@@ -116,12 +115,7 @@ struct Caps {
 
 /// Deals `groups` of `num_leaves` partitions, or `None` if some group fits no
 /// worker under the caps.
-fn deal_groups(
-    groups: &Groups,
-    num_leaves: usize,
-    num_workers: usize,
-    caps: &Caps,
-) -> Option<Vec<usize>> {
+fn deal_groups(groups: &Groups, num_leaves: usize, num_workers: usize, caps: &Caps) -> Option<Vec<usize>> {
     // Heaviest first; equal weights in ascending id of the merged partition
     // (the sort is stable), equal loads to the lowest worker (`min_by_key`
     // takes the first).
@@ -130,9 +124,7 @@ fn deal_groups(
     let mut load = vec![(0u64, 0usize); num_workers];
     let mut owners = vec![0; num_leaves];
     for (words, members) in groups {
-        let fits = |&w: &usize| {
-            load[w].0 + words <= caps.words && load[w].1 + members.len() <= caps.leaves
-        };
+        let fits = |&w: &usize| load[w].0 + words <= caps.words && load[w].1 + members.len() <= caps.leaves;
         let to = (0..num_workers).filter(fits).min_by_key(|&w| load[w].0)?;
         load[to].0 += words;
         load[to].1 += members.len();
@@ -243,12 +235,7 @@ mod tests {
     /// The words cap of `cut` by its definition: replay the round-robin deal
     /// level by level and take the most one worker holds entering any level
     /// up to the cut.
-    fn round_robin_peak(
-        tree: &MergeTree,
-        leaves: &[(PartitionId, u64)],
-        workers: usize,
-        cut: u32,
-    ) -> u64 {
+    fn round_robin_peak(tree: &MergeTree, leaves: &[(PartitionId, u64)], workers: usize, cut: u32) -> u64 {
         (0..=cut)
             .map(|level| {
                 let mut held = vec![0u64; workers];

@@ -164,11 +164,7 @@ pub struct RunOptions {
 
 impl Default for RunOptions {
     fn default() -> Self {
-        RunOptions {
-            partitions: 4,
-            strategy: MergeStrategy::Duplicated,
-            partitioner: PartitionerKind::Hash,
-        }
+        RunOptions { partitions: 4, strategy: MergeStrategy::Duplicated, partitioner: PartitionerKind::Hash }
     }
 }
 
@@ -188,12 +184,7 @@ fn decode_partitioner(code: u64) -> Result<PartitionerKind, WireError> {
 }
 
 fn encode_run(checksum: u64, opts: &RunOptions) -> [u64; 4] {
-    [
-        checksum,
-        u64::from(opts.partitions),
-        opts.strategy.wire_code(),
-        partitioner_code(opts.partitioner),
-    ]
+    [checksum, u64::from(opts.partitions), opts.strategy.wire_code(), partitioner_code(opts.partitioner)]
 }
 
 fn decode_run(payload: &[u8]) -> Result<(u64, RunOptions), WireError> {
@@ -283,10 +274,7 @@ impl AdmissionController {
     ///
     /// # Errors
     /// [`EulerError::Cancelled`] once `stop` returns `true` while waiting.
-    pub fn admit(
-        self: &Arc<Self>,
-        stop: impl FnMut() -> bool,
-    ) -> Result<AdmissionPermit, EulerError> {
+    pub fn admit(self: &Arc<Self>, stop: impl FnMut() -> bool) -> Result<AdmissionPermit, EulerError> {
         self.wait_until(stop, |state| state.running < self.slots)?.running += 1;
         Ok(AdmissionPermit { longs: 0, controller: Arc::clone(self) })
     }
@@ -370,12 +358,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            memory_cap_longs: 64 << 20,
-            workers: 4,
-            fragment_budget_longs: 1 << 16,
-            chunk_steps: 512,
-        }
+        ServiceConfig { memory_cap_longs: 64 << 20, workers: 4, fragment_budget_longs: 1 << 16, chunk_steps: 512 }
     }
 }
 
@@ -460,8 +443,7 @@ impl RunSummary {
     }
 
     fn decode(c: &mut WordReader<'_>) -> Result<Self, WireError> {
-        let [supersteps, transfer_longs, peak_resident_longs, estimated_longs, measured_longs] =
-            c.array()?;
+        let [supersteps, transfer_longs, peak_resident_longs, estimated_longs, measured_longs] = c.array()?;
         Ok(RunSummary {
             supersteps: word_u32(supersteps, "supersteps")?,
             transfer_longs,
@@ -488,25 +470,19 @@ type CacheKey = (u64, RunOptions);
 /// only the first step's `from`.
 fn encode_circuit(result: &CircuitResult, chunk_steps: usize) -> Result<FrameBatch, FrameError> {
     let chunk_steps = chunk_steps.max(1);
-    let (chunks, steps) = result.circuits.iter().fold((0, 0), |(c, m), circuit| {
-        (c + circuit.len().div_ceil(chunk_steps), m + circuit.len())
-    });
+    let (chunks, steps) = result
+        .circuits
+        .iter()
+        .fold((0, 0), |(c, m), circuit| (c + circuit.len().div_ceil(chunk_steps), m + circuit.len()));
     // Per chunk `[circuit, base, k, from₀] + k × [edge, to]`, then the
     // two `DONE` words: 16 B a step plus 32 B a chunk, and a header a frame.
-    let mut frames = FrameBatch::with_capacity(
-        8 * (4 * chunks + 2 * steps) + FRAME_HEADER_BYTES * (chunks + 1) + 16,
-    );
+    let mut frames = FrameBatch::with_capacity(8 * (4 * chunks + 2 * steps) + FRAME_HEADER_BYTES * (chunks + 1) + 16);
     for (circuit_idx, circuit) in result.circuits.iter().enumerate() {
         for (chunk_idx, chunk) in circuit.chunks(chunk_steps).enumerate() {
             frames.push(frame_kind::CHUNK, |out| {
                 // `chunks` yields no empty slice.
                 let mut at = chunk[0].from;
-                out.words(&[
-                    circuit_idx as u64,
-                    (chunk_idx * chunk_steps) as u64,
-                    chunk.len() as u64,
-                    at.0,
-                ]);
+                out.words(&[circuit_idx as u64, (chunk_idx * chunk_steps) as u64, chunk.len() as u64, at.0]);
                 for step in chunk {
                     assert_eq!(step.from, at, "a circuit step starts where the one before it ended");
                     out.words(&[step.edge.0, step.to.0]);
@@ -587,10 +563,7 @@ impl EulerService {
     }
 
     /// Starts the accept loop on `listener`.
-    fn serve(
-        listener: Box<dyn Listener>,
-        config: ServiceConfig,
-    ) -> Result<EulerService, ServiceError> {
+    fn serve(listener: Box<dyn Listener>, config: ServiceConfig) -> Result<EulerService, ServiceError> {
         let endpoint = listener.endpoint();
         let inner = Arc::new(ServiceInner::new(config));
         let accept = {
@@ -724,11 +697,7 @@ fn serve_connection(inner: &ServiceInner, conn: &dyn Connection) {
 /// The connection's reader thread: forwards every client frame to the
 /// handler's queue until the client is gone or the connection is closed,
 /// waking admission — where the handler may be waiting — after each.
-fn read_frames(
-    conn: &dyn Connection,
-    tx: &mpsc::SyncSender<ConnEvent>,
-    admission: &AdmissionController,
-) {
+fn read_frames(conn: &dyn Connection, tx: &mpsc::SyncSender<ConnEvent>, admission: &AdmissionController) {
     loop {
         let event = match conn.recv_timeout(None) {
             Ok((kind, payload)) => ConnEvent::Frame(kind, payload),
@@ -748,15 +717,11 @@ fn dispatch(inner: &ServiceInner, conn: &dyn Connection, events: &mpsc::Receiver
         let outcome = match kind {
             frame_kind::REGISTER => handle_register(inner, conn, &payload),
             frame_kind::RUN => handle_run(inner, conn, &payload, events),
-            frame_kind::STATS => {
-                conn.send_words(frame_kind::STATS_REPLY, &inner.stats().encode())
-            }
+            frame_kind::STATS => conn.send_words(frame_kind::STATS_REPLY, &inner.stats().encode()),
             // A CANCEL with no run in flight — or one its run finished
             // before seeing — is acknowledged here, once.
             frame_kind::CANCEL => conn.send(frame_kind::CANCELLED, &[]),
-            other => {
-                send_error(conn, error_code::BAD_REQUEST, &format!("unknown frame kind {other:#x}"))
-            }
+            other => send_error(conn, error_code::BAD_REQUEST, &format!("unknown frame kind {other:#x}")),
         };
         if outcome.is_err() {
             return;
@@ -764,11 +729,7 @@ fn dispatch(inner: &ServiceInner, conn: &dyn Connection, events: &mpsc::Receiver
     }
 }
 
-fn handle_register(
-    inner: &ServiceInner,
-    conn: &dyn Connection,
-    payload: &[u8],
-) -> Result<(), FrameError> {
+fn handle_register(inner: &ServiceInner, conn: &dyn Connection, payload: &[u8]) -> Result<(), FrameError> {
     let path = WordReader::new(payload).and_then(|mut r| {
         let path = r.str()?;
         r.finish().map(|()| path)
@@ -778,10 +739,9 @@ fn handle_register(
         Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e.to_string()),
     };
     match inner.registry.register(&path) {
-        Ok(graph) => conn.send_words(
-            frame_kind::REGISTERED,
-            &[graph.checksum, graph.num_vertices(), graph.num_edges()],
-        ),
+        Ok(graph) => {
+            conn.send_words(frame_kind::REGISTERED, &[graph.checksum, graph.num_vertices(), graph.num_edges()])
+        }
         Err(e) => send_error(conn, error_code::REGISTER_FAILED, &e.to_string()),
     }
 }
@@ -809,10 +769,7 @@ fn handle_run(
         return send_error(
             conn,
             error_code::BAD_REQUEST,
-            &format!(
-                "{} partitions make a cut matrix larger than the graph's file",
-                opts.partitions
-            ),
+            &format!("{} partitions make a cut matrix larger than the graph's file", opts.partitions),
         );
     }
     let key: CacheKey = (checksum, opts);
@@ -892,9 +849,7 @@ fn compute_run(
     let mut permit = inner.admission.admit(&mut stop)?;
     let mut stream = CsrFileEdgeStream::new(&graph.csr);
     let assignment = match opts.partitioner {
-        PartitionerKind::Hash => {
-            HashPartitioner::new(opts.partitions).partition_stream(&mut stream)?
-        }
+        PartitionerKind::Hash => HashPartitioner::new(opts.partitions).partition_stream(&mut stream)?,
         PartitionerKind::Ldg => LdgPartitioner::new(opts.partitions).partition_stream(&mut stream)?,
     };
     let edges = graph.csr.edge_arrays();
@@ -927,8 +882,7 @@ fn compute_run(
         transfer_longs: report.total_transfer_longs,
         peak_resident_longs,
         estimated_longs: permit.longs(),
-        measured_longs: report.cumulative_memory_by_level().into_iter().max().unwrap_or(0)
-            + peak_resident_longs,
+        measured_longs: report.cumulative_memory_by_level().into_iter().max().unwrap_or(0) + peak_resident_longs,
     };
     // Framed once, here; the `CircuitResult` is dropped on return.
     let chunk_steps = inner.config.chunk_steps;
@@ -1073,9 +1027,7 @@ fn decode_event(kind: u16, payload: &[u8]) -> Result<RunEvent, ServiceError> {
         }
         frame_kind::CANCELLED => RunEvent::Cancelled,
         frame_kind::ERROR => return Err(decode_remote_error(&mut c)),
-        other => {
-            return Err(ServiceError::Protocol(format!("unexpected frame kind {other:#x}")))
-        }
+        other => return Err(ServiceError::Protocol(format!("unexpected frame kind {other:#x}"))),
     };
     c.finish()?;
     Ok(event)
@@ -1116,9 +1068,7 @@ fn append_chunk(
             target.extend(steps);
             Ok(())
         }
-        _ => Err(ServiceError::Protocol(format!(
-            "chunk at step {base} of circuit {circuit} is out of stream order"
-        ))),
+        _ => Err(ServiceError::Protocol(format!("chunk at step {base} of circuit {circuit} is out of stream order"))),
     }
 }
 
@@ -1183,9 +1133,7 @@ impl ServiceClient {
                 Ok(GraphInfo { checksum, num_vertices, num_edges })
             }
             frame_kind::ERROR => Err(decode_remote_error(&mut c)),
-            other => Err(ServiceError::Protocol(format!(
-                "expected REGISTERED, got frame kind {other:#x}"
-            ))),
+            other => Err(ServiceError::Protocol(format!("expected REGISTERED, got frame kind {other:#x}"))),
         }
     }
 
@@ -1269,9 +1217,7 @@ impl ServiceClient {
                 Ok(stats)
             }
             frame_kind::ERROR => Err(decode_remote_error(&mut c)),
-            other => Err(ServiceError::Protocol(format!(
-                "expected STATS_REPLY, got frame kind {other:#x}"
-            ))),
+            other => Err(ServiceError::Protocol(format!("expected STATS_REPLY, got frame kind {other:#x}"))),
         }
     }
 }
@@ -1336,10 +1282,7 @@ mod tests {
             }
         }
         // Odd byte payloads fail word alignment with a typed error.
-        assert!(matches!(
-            decode_event(frame_kind::DONE, &[1, 2, 3]),
-            Err(ServiceError::Protocol(_))
-        ));
+        assert!(matches!(decode_event(frame_kind::DONE, &[1, 2, 3]), Err(ServiceError::Protocol(_))));
     }
 
     #[test]
@@ -1431,12 +1374,9 @@ mod tests {
             &[1, 4, 3, 5, 10, 6, 11, 6],        // k points past the payload
             &[1, 4, 1 << 40, 5, 10, 6],
             &[1, 4, u64::MAX, 5, 10, 6],
-            &[1, 4, 0],                         // no `from₀`
+            &[1, 4, 0], // no `from₀`
         ] {
-            assert!(
-                matches!(chunk(words), Err(ServiceError::Protocol(_))),
-                "{words:?} decoded"
-            );
+            assert!(matches!(chunk(words), Err(ServiceError::Protocol(_))), "{words:?} decoded");
         }
     }
 
@@ -1445,17 +1385,13 @@ mod tests {
         // The protocol's strings are ERROR messages and REGISTER paths.
         let mut words = WordWriter::from_words(&[error_code::RUN_FAILED]);
         words.str("graphs/torus.ecsr is not Eulerian");
-        let Err(ServiceError::Remote { code, message }) =
-            decode_event(frame_kind::ERROR, words.as_bytes())
-        else {
+        let Err(ServiceError::Remote { code, message }) = decode_event(frame_kind::ERROR, words.as_bytes()) else {
             panic!("an ERROR frame decodes to a remote error");
         };
         assert_eq!((code, message.as_str()), (error_code::RUN_FAILED, "graphs/torus.ecsr is not Eulerian"));
         // Declared length beyond the payload degrades to a placeholder.
         let truncated = WordWriter::from_words(&[error_code::RUN_FAILED, 100, 0x6162_6364]);
-        let Err(ServiceError::Remote { message, .. }) =
-            decode_event(frame_kind::ERROR, truncated.as_bytes())
-        else {
+        let Err(ServiceError::Remote { message, .. }) = decode_event(frame_kind::ERROR, truncated.as_bytes()) else {
             panic!("an ERROR frame decodes to a remote error");
         };
         assert_eq!(message, "<unreadable error message>");
@@ -1550,17 +1486,10 @@ mod tests {
 
     #[test]
     fn a_failed_accept_does_not_stop_the_service_accepting() {
-        let listener =
-            FailsFirst { inner: MemTransport.listen().unwrap(), accepts: AtomicU64::new(0) };
+        let listener = FailsFirst { inner: MemTransport.listen().unwrap(), accepts: AtomicU64::new(0) };
         let service = EulerService::serve(Box::new(listener), ServiceConfig::default()).unwrap();
-        let client = ServiceClient::connect(service.endpoint())
-            .unwrap()
-            .with_recv_timeout(Duration::from_secs(10));
-        assert_eq!(
-            client.stats().unwrap().runs_executed,
-            0,
-            "the connection after the failure is served"
-        );
+        let client = ServiceClient::connect(service.endpoint()).unwrap().with_recv_timeout(Duration::from_secs(10));
+        assert_eq!(client.stats().unwrap().runs_executed, 0, "the connection after the failure is served");
         service.shutdown();
     }
 

@@ -107,11 +107,7 @@ impl WorkingPartition {
     /// If `p` has remote edges and `levels` no bucket: a table of a tree
     /// that does not merge `p` with anything.
     pub fn from_partition(p: &Partition, levels: &LeafLevels) -> Self {
-        let local_edges = p
-            .local_edges
-            .iter()
-            .map(|&(e, u, v)| LocalEdge { edge: EdgeRef::Real(e), u, v })
-            .collect();
+        let local_edges = p.local_edges.iter().map(|&(e, u, v)| LocalEdge { edge: EdgeRef::Real(e), u, v }).collect();
         let mut remote_by_level = vec![Vec::new(); levels.buckets()];
         for r in &p.remote_edges {
             let bucket = &mut remote_by_level[levels.of(p.id, r.remote_partition)];
@@ -127,10 +123,7 @@ impl WorkingPartition {
         };
         // Count vertices of the original partition that touch no edge at all.
         let with_edges = LocalIndex::from_vertices(
-            wp.local_edges
-                .iter()
-                .flat_map(|e| [e.u, e.v])
-                .chain(p.remote_edges.iter().map(|r| r.local_vertex)),
+            wp.local_edges.iter().flat_map(|e| [e.u, e.v]).chain(p.remote_edges.iter().map(|r| r.local_vertex)),
         );
         wp.isolated_vertices = p.vertices().filter(|v| !with_edges.contains(*v)).count() as u64;
         wp
@@ -219,10 +212,7 @@ impl WorkingPartition {
     /// tested against.
     pub fn vertex_type_counts(&self) -> VertexTypeCounts {
         let index = LocalIndex::from_vertices(
-            self.local_edges
-                .iter()
-                .flat_map(|e| [e.u, e.v])
-                .chain(self.remote_refs().map(|r| r.local)),
+            self.local_edges.iter().flat_map(|e| [e.u, e.v]).chain(self.remote_refs().map(|r| r.local)),
         );
         let mut local_deg: Vec<u32> = index.zeroed();
         for e in &self.local_edges {
@@ -305,10 +295,7 @@ pub(crate) mod tests {
     fn memory_longs_positive_and_consistent() {
         for wp in fig1_working() {
             let c = wp.vertex_type_counts();
-            assert_eq!(
-                wp.memory_longs(),
-                c.total_vertices() + 3 * c.local_edges + 4 * c.remote_edges
-            );
+            assert_eq!(wp.memory_longs(), c.total_vertices() + 3 * c.local_edges + 4 * c.remote_edges);
             assert!(wp.memory_longs() > 0);
         }
     }
@@ -369,8 +356,7 @@ pub(crate) mod tests {
             let len = (rnd() % 400) as usize + 1;
             let base = [0, 1 << 40, u64::MAX - 5000, rnd()][round as usize % 4];
             // Compact: a window about as wide as the list is long.
-            let compact: Vec<u64> =
-                (0..len).map(|_| base.saturating_add(rnd() % (2 * len as u64 + 1))).collect();
+            let compact: Vec<u64> = (0..len).map(|_| base.saturating_add(rnd() % (2 * len as u64 + 1))).collect();
             check(&compact);
             // Sparse: ids all over the id space.
             let sparse: Vec<u64> = (0..len).map(|_| rnd()).collect();

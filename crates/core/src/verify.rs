@@ -169,10 +169,7 @@ mod tests {
     fn an_edge_past_the_graph_is_a_typed_error() {
         let g = triangle();
         let result = CircuitResult { circuits: vec![vec![step(0, 0, 1), step(7, 1, 2), step(2, 2, 0)]] };
-        assert!(matches!(
-            verify_result(&g, &result),
-            Err(EulerError::UnknownEdge { edge: EdgeId(7), num_edges: 3 })
-        ));
+        assert!(matches!(verify_result(&g, &result), Err(EulerError::UnknownEdge { edge: EdgeId(7), num_edges: 3 })));
         assert!(matches!(
             verify_circuit(&g, &result.circuits[0]),
             Err(EulerError::UnknownEdge { edge: EdgeId(7), num_edges: 3 })

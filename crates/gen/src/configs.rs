@@ -31,11 +31,46 @@ pub struct GraphConfig {
 
 /// The five configurations of Table 1.
 pub const PAPER_CONFIGS: [GraphConfig; 5] = [
-    GraphConfig { name: "G20/P2", paper_vertices_m: 20.0, paper_edges_m: 212.0, partitions: 2, base_scale: 16, seed: 20 },
-    GraphConfig { name: "G30/P3", paper_vertices_m: 30.0, paper_edges_m: 318.0, partitions: 3, base_scale: 17, seed: 30 },
-    GraphConfig { name: "G40/P4", paper_vertices_m: 40.0, paper_edges_m: 423.0, partitions: 4, base_scale: 17, seed: 40 },
-    GraphConfig { name: "G40/P8", paper_vertices_m: 40.0, paper_edges_m: 423.0, partitions: 8, base_scale: 17, seed: 40 },
-    GraphConfig { name: "G50/P8", paper_vertices_m: 49.0, paper_edges_m: 529.0, partitions: 8, base_scale: 18, seed: 50 },
+    GraphConfig {
+        name: "G20/P2",
+        paper_vertices_m: 20.0,
+        paper_edges_m: 212.0,
+        partitions: 2,
+        base_scale: 16,
+        seed: 20,
+    },
+    GraphConfig {
+        name: "G30/P3",
+        paper_vertices_m: 30.0,
+        paper_edges_m: 318.0,
+        partitions: 3,
+        base_scale: 17,
+        seed: 30,
+    },
+    GraphConfig {
+        name: "G40/P4",
+        paper_vertices_m: 40.0,
+        paper_edges_m: 423.0,
+        partitions: 4,
+        base_scale: 17,
+        seed: 40,
+    },
+    GraphConfig {
+        name: "G40/P8",
+        paper_vertices_m: 40.0,
+        paper_edges_m: 423.0,
+        partitions: 8,
+        base_scale: 17,
+        seed: 40,
+    },
+    GraphConfig {
+        name: "G50/P8",
+        paper_vertices_m: 49.0,
+        paper_edges_m: 529.0,
+        partitions: 8,
+        base_scale: 18,
+        seed: 50,
+    },
 ];
 
 impl GraphConfig {
@@ -58,9 +93,7 @@ impl GraphConfig {
     /// Returns the graph together with the Eulerizer report (extra-edge
     /// fraction, as in Fig. 4 / §4.2).
     pub fn generate(&self, scale_shift: i32) -> (Graph, EulerizeReport) {
-        let rmat = RmatGenerator::new(self.rmat_scale(scale_shift))
-            .with_avg_degree(5.0)
-            .with_seed(self.seed);
+        let rmat = RmatGenerator::new(self.rmat_scale(scale_shift)).with_avg_degree(5.0).with_seed(self.seed);
         let raw = rmat.generate();
         eulerize(&raw)
     }
@@ -68,10 +101,7 @@ impl GraphConfig {
     /// Generates the raw (pre-Eulerization) R-MAT graph, needed by the Fig.-4
     /// harness to overlay both distributions.
     pub fn generate_raw(&self, scale_shift: i32) -> Graph {
-        RmatGenerator::new(self.rmat_scale(scale_shift))
-            .with_avg_degree(5.0)
-            .with_seed(self.seed)
-            .generate()
+        RmatGenerator::new(self.rmat_scale(scale_shift)).with_avg_degree(5.0).with_seed(self.seed).generate()
     }
 
     /// Vertices per partition in the paper (the weak-scaling ratio: ≈10 M per

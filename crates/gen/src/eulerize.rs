@@ -70,10 +70,7 @@ pub fn eulerize(g: &Graph) -> (Graph, EulerizeReport) {
 /// The output keeps `g`'s edges and ids and appends the parity edges, then
 /// the connectivity pairs, in one [`Graph::with_edges_appended`].
 pub fn eulerize_with(g: &Graph, opts: EulerizeOptions) -> (Graph, EulerizeReport) {
-    let mut report = EulerizeReport {
-        original_edges: g.num_edges(),
-        ..Default::default()
-    };
+    let mut report = EulerizeReport { original_edges: g.num_edges(), ..Default::default() };
 
     // 1. Parity: pair odd-degree vertices, preferring similar degrees so the
     //    degree distribution shifts by at most one per vertex.

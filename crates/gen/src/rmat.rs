@@ -37,15 +37,7 @@ pub struct RmatGenerator {
 
 impl Default for RmatGenerator {
     fn default() -> Self {
-        RmatGenerator {
-            scale: 14,
-            avg_degree: 5.0,
-            a: 0.57,
-            b: 0.19,
-            c: 0.19,
-            seed: 42,
-            skip_self_loops: true,
-        }
+        RmatGenerator { scale: 14, avg_degree: 5.0, a: 0.57, b: 0.19, c: 0.19, seed: 42, skip_self_loops: true }
     }
 }
 
@@ -94,7 +86,8 @@ impl RmatGenerator {
         let edges: Vec<[u64; 2]> = (0..n_chunks)
             .into_par_iter()
             .flat_map_iter(|ci| {
-                let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(ci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut rng =
+                    ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(ci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let lo = ci * chunk;
                 let hi = ((ci + 1) * chunk).min(n_edges);
                 (lo..hi).map(move |_| {

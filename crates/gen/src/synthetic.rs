@@ -73,10 +73,7 @@ pub fn random_cycle_union(n: u64, num_cycles: usize, cycle_len: usize, seed: u64
     let mut b = GraphBuilder::with_vertices(n);
     let all: Vec<u64> = (0..n).collect();
     for _ in 0..num_cycles {
-        let verts: Vec<u64> = all
-            .choose_multiple(&mut rng, cycle_len.min(n as usize))
-            .copied()
-            .collect();
+        let verts: Vec<u64> = all.choose_multiple(&mut rng, cycle_len.min(n as usize)).copied().collect();
         for i in 0..verts.len() {
             b.add_edge(verts[i], verts[(i + 1) % verts.len()]);
         }
@@ -98,10 +95,7 @@ pub fn random_eulerian_connected(n: u64, extra_cycles: usize, cycle_len: usize, 
     }
     let all: Vec<u64> = (0..n).collect();
     for _ in 0..extra_cycles {
-        let verts: Vec<u64> = all
-            .choose_multiple(&mut rng, cycle_len.min(n as usize).max(3))
-            .copied()
-            .collect();
+        let verts: Vec<u64> = all.choose_multiple(&mut rng, cycle_len.min(n as usize).max(3)).copied().collect();
         for i in 0..verts.len() {
             b.add_edge(verts[i], verts[(i + 1) % verts.len()]);
         }
@@ -159,12 +153,36 @@ pub fn octahedron() -> Graph {
 pub fn icosahedron() -> Graph {
     // Standard icosahedron adjacency (vertex ids 0..11).
     let edges: [(u64, u64); 30] = [
-        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-        (1, 2), (2, 3), (3, 4), (4, 5), (5, 1),
-        (1, 6), (1, 7), (2, 7), (2, 8), (3, 8),
-        (3, 9), (4, 9), (4, 10), (5, 10), (5, 6),
-        (6, 7), (7, 8), (8, 9), (9, 10), (10, 6),
-        (6, 11), (7, 11), (8, 11), (9, 11), (10, 11),
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (0, 4),
+        (0, 5),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (5, 1),
+        (1, 6),
+        (1, 7),
+        (2, 7),
+        (2, 8),
+        (3, 8),
+        (3, 9),
+        (4, 9),
+        (4, 10),
+        (5, 10),
+        (5, 6),
+        (6, 7),
+        (7, 8),
+        (8, 9),
+        (9, 10),
+        (10, 6),
+        (6, 11),
+        (7, 11),
+        (8, 11),
+        (9, 11),
+        (10, 11),
     ];
     let mut b = GraphBuilder::with_vertices(12);
     b.extend_edges(edges.iter().copied());
@@ -176,8 +194,22 @@ pub fn icosahedron() -> Graph {
 /// graph and the partition assignment `P1..P4 -> 0..3`.
 pub fn paper_fig1() -> (Graph, PartitionAssignment) {
     let edges = [
-        (1u64, 2u64), (2, 3), (3, 4), (4, 5), (3, 5), (3, 13), (12, 13), (11, 12),
-        (6, 11), (6, 7), (7, 8), (8, 9), (9, 10), (10, 12), (12, 14), (1, 14),
+        (1u64, 2u64),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (3, 5),
+        (3, 13),
+        (12, 13),
+        (11, 12),
+        (6, 11),
+        (6, 7),
+        (7, 8),
+        (8, 9),
+        (9, 10),
+        (10, 12),
+        (12, 14),
+        (1, 14),
     ];
     let mut b = GraphBuilder::with_vertices(14);
     b.extend_edges(edges.iter().map(|&(u, v)| (u - 1, v - 1)));

@@ -50,8 +50,21 @@ fn rmat_many_components() -> (Graph, EulerizeReport) {
 fn multigraph() -> Graph {
     let mut b = GraphBuilder::with_vertices(12);
     b.extend_edges([
-        (1, 2), (2, 1), (1, 2), (3, 3), (2, 3), (3, 2), (5, 5), (5, 5),
-        (7, 8), (8, 9), (9, 7), (7, 7), (8, 1), (1, 8), (10, 10),
+        (1, 2),
+        (2, 1),
+        (1, 2),
+        (3, 3),
+        (2, 3),
+        (3, 2),
+        (5, 5),
+        (5, 5),
+        (7, 8),
+        (8, 9),
+        (9, 7),
+        (7, 7),
+        (8, 1),
+        (1, 8),
+        (10, 10),
     ]);
     b.build().unwrap()
 }

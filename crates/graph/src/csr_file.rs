@@ -336,24 +336,21 @@ impl CsrFile {
             return Err(CsrFileError::BadMagic { found }.into());
         }
         if len < HEADER_BYTES {
-            return Err(CsrFileError::Truncated {
+            return Err(CsrFileError::Truncated { what: "header", needed: HEADER_BYTES, actual: len }.into());
+        }
+        let le_u32 = |at: usize| {
+            map.get(at..at + 4).and_then(|s| s.try_into().ok()).map(u32::from_le_bytes).ok_or(CsrFileError::Truncated {
                 what: "header",
                 needed: HEADER_BYTES,
                 actual: len,
-            }
-            .into());
-        }
-        let le_u32 = |at: usize| {
-            map.get(at..at + 4)
-                .and_then(|s| s.try_into().ok())
-                .map(u32::from_le_bytes)
-                .ok_or(CsrFileError::Truncated { what: "header", needed: HEADER_BYTES, actual: len })
+            })
         };
         let le_u64 = |at: usize| {
-            map.get(at..at + 8)
-                .and_then(|s| s.try_into().ok())
-                .map(u64::from_le_bytes)
-                .ok_or(CsrFileError::Truncated { what: "header", needed: HEADER_BYTES, actual: len })
+            map.get(at..at + 8).and_then(|s| s.try_into().ok()).map(u64::from_le_bytes).ok_or(CsrFileError::Truncated {
+                what: "header",
+                needed: HEADER_BYTES,
+                actual: len,
+            })
         };
         let tag = le_u32(12)?;
         if tag != ENDIAN_TAG || cfg!(target_endian = "big") {
@@ -367,12 +364,10 @@ impl CsrFile {
         }
         let num_vertices = le_u64(16)?;
         let num_edges = le_u64(24)?;
-        let offsets_words = num_vertices
-            .checked_add(1)
-            .ok_or(CsrFileError::Invalid { message: "vertex count overflows".into() })?;
-        let half_edges = num_edges
-            .checked_mul(2)
-            .ok_or(CsrFileError::Invalid { message: "edge count overflows".into() })?;
+        let offsets_words =
+            num_vertices.checked_add(1).ok_or(CsrFileError::Invalid { message: "vertex count overflows".into() })?;
+        let half_edges =
+            num_edges.checked_mul(2).ok_or(CsrFileError::Invalid { message: "edge count overflows".into() })?;
 
         let section = |what: &'static str, off: u64, words: u64| -> Result<Range<usize>, GraphError> {
             if !off.is_multiple_of(8) {
@@ -402,16 +397,10 @@ impl CsrFile {
     /// structural errors in a fixed order (offsets, targets, edge ids,
     /// endpoints, degrees), each naming the first offending word.
     fn validate(&self) -> Result<(), GraphError> {
-        let expected = self
-            .map
-            .get(64..72)
-            .and_then(|s| s.try_into().ok())
-            .map(u64::from_le_bytes)
-            .ok_or(CsrFileError::Truncated {
-                what: "checksum",
-                needed: HEADER_BYTES,
-                actual: self.map.len() as u64,
-            })?;
+        let expected =
+            self.map.get(64..72).and_then(|s| s.try_into().ok()).map(u64::from_le_bytes).ok_or(
+                CsrFileError::Truncated { what: "checksum", needed: HEADER_BYTES, actual: self.map.len() as u64 },
+            )?;
         let (n, m) = (self.num_vertices, self.num_edges);
         let mut hash = Fnv1a::new();
         let (mut descending, mut previous) = (false, 0);
@@ -444,10 +433,7 @@ impl CsrFile {
         if descending {
             return Err(invalid("offsets must be monotonically non-decreasing".into()));
         }
-        let last = offsets
-            .last()
-            .copied()
-            .ok_or_else(|| invalid("offsets section is empty".into()))?;
+        let last = offsets.last().copied().ok_or_else(|| invalid("offsets section is empty".into()))?;
         if last != half_edges {
             return Err(invalid(format!("offsets[{n}] = {last} but the graph has {half_edges} half-edges")));
         }
@@ -541,12 +527,7 @@ impl CsrFile {
     /// The graph's arrays are the file's sections, so this copies them — no
     /// [`crate::GraphBuilder`] involved.
     pub fn to_graph(&self) -> Graph {
-        let adj = self
-            .targets()
-            .iter()
-            .zip(self.edge_ids())
-            .map(|(&t, &e)| (VertexId(t), EdgeId(e)))
-            .collect();
+        let adj = self.targets().iter().zip(self.edge_ids()).map(|(&t, &e)| (VertexId(t), EdgeId(e))).collect();
         Graph { endpoints: self.endpoints_flat().to_vec(), offsets: self.offsets().to_vec(), adj }
     }
 
@@ -585,11 +566,7 @@ impl CsrFile {
     /// verified it against the sections; this accessor just reads it back,
     /// so it can serve as a registry/cache key.
     pub fn checksum(&self) -> u64 {
-        self.map
-            .get(64..72)
-            .and_then(|s| s.try_into().ok())
-            .map(u64::from_le_bytes)
-            .unwrap_or(0)
+        self.map.get(64..72).and_then(|s| s.try_into().ok()).map(u64::from_le_bytes).unwrap_or(0)
     }
 
     /// Total size of the mapped file in bytes.
@@ -730,39 +707,27 @@ mod tests {
     #[test]
     fn text_file_is_bad_magic_not_a_panic() {
         let path = temp_path("textfile.ecsr");
-        assert!(matches!(
-            open_err(&path, b"0 1\n1 2\n2 0\n"),
-            CsrFileError::BadMagic { .. }
-        ));
+        assert!(matches!(open_err(&path, b"0 1\n1 2\n2 0\n"), CsrFileError::BadMagic { .. }));
     }
 
     #[test]
     fn wrong_version_is_typed() {
         let (path, mut bytes) = written("bad_version.ecsr");
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            open_err(&path, &bytes),
-            CsrFileError::UnsupportedVersion { found: 99, supported: VERSION }
-        );
+        assert_eq!(open_err(&path, &bytes), CsrFileError::UnsupportedVersion { found: 99, supported: VERSION });
     }
 
     #[test]
     fn foreign_endianness_is_typed() {
         let (path, mut bytes) = written("bad_endian.ecsr");
         bytes[12..16].copy_from_slice(&ENDIAN_TAG.to_be_bytes());
-        assert_eq!(
-            open_err(&path, &bytes),
-            CsrFileError::ForeignEndianness { tag: 0x0403_0201 }
-        );
+        assert_eq!(open_err(&path, &bytes), CsrFileError::ForeignEndianness { tag: 0x0403_0201 });
     }
 
     #[test]
     fn truncated_header_is_typed() {
         let (path, bytes) = written("trunc_header.ecsr");
-        assert!(matches!(
-            open_err(&path, &bytes[..40]),
-            CsrFileError::Truncated { what: "header", .. }
-        ));
+        assert!(matches!(open_err(&path, &bytes[..40]), CsrFileError::Truncated { what: "header", .. }));
     }
 
     #[test]
@@ -787,10 +752,7 @@ mod tests {
     fn misaligned_section_is_typed() {
         let (path, mut bytes) = written("misaligned.ecsr");
         bytes[32..40].copy_from_slice(&81u64.to_le_bytes());
-        assert_eq!(
-            open_err(&path, &bytes),
-            CsrFileError::Misaligned { what: "offsets", offset: 81 }
-        );
+        assert_eq!(open_err(&path, &bytes), CsrFileError::Misaligned { what: "offsets", offset: 81 });
     }
 
     #[test]
@@ -800,10 +762,8 @@ mod tests {
         // and re-stamp the checksum so the structural check is what fires.
         bytes[80..88].copy_from_slice(&7u64.to_le_bytes());
         let mut hash = Fnv1a::new();
-        let words: Vec<u64> = bytes[HEADER_BYTES as usize..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let words: Vec<u64> =
+            bytes[HEADER_BYTES as usize..].chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
         hash.update_words(&words);
         let checksum = hash.finish();
         bytes[64..72].copy_from_slice(&checksum.to_le_bytes());
@@ -818,10 +778,8 @@ mod tests {
         // endpoints section no longer matches its offsets range.
         bytes[0xd0..0xd8].copy_from_slice(&1u64.to_le_bytes());
         let mut hash = Fnv1a::new();
-        let words: Vec<u64> = bytes[HEADER_BYTES as usize..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let words: Vec<u64> =
+            bytes[HEADER_BYTES as usize..].chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
         hash.update_words(&words);
         bytes[64..72].copy_from_slice(&hash.finish().to_le_bytes());
         match open_err(&path, &bytes) {
@@ -841,19 +799,13 @@ mod tests {
         // Frame checks still run; payload damage goes unnoticed by design.
         let csr = CsrFile::open_trusted(&path).unwrap();
         assert_eq!(csr.num_edges(), 3);
-        assert!(matches!(
-            CsrFile::open(&path),
-            Err(GraphError::CsrFormat(CsrFileError::ChecksumMismatch { .. }))
-        ));
+        assert!(matches!(CsrFile::open(&path), Err(GraphError::CsrFormat(CsrFileError::ChecksumMismatch { .. }))));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_file_is_io() {
-        assert!(matches!(
-            CsrFile::open("/nonexistent/euler/graph.ecsr"),
-            Err(GraphError::Io(_))
-        ));
+        assert!(matches!(CsrFile::open("/nonexistent/euler/graph.ecsr"), Err(GraphError::Io(_))));
     }
 
     #[test]

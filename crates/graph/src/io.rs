@@ -116,12 +116,8 @@ impl EdgeLineScanner {
 
     fn parse_field(&self, tok: Option<&str>) -> Result<u64, GraphError> {
         let line = self.line;
-        let tok =
-            tok.ok_or(GraphError::Parse { line, message: "expected two vertex ids".into() })?;
-        tok.parse::<u64>().map_err(|e| GraphError::Parse {
-            line,
-            message: format!("bad vertex id {tok:?}: {e}"),
-        })
+        let tok = tok.ok_or(GraphError::Parse { line, message: "expected two vertex ids".into() })?;
+        tok.parse::<u64>().map_err(|e| GraphError::Parse { line, message: format!("bad vertex id {tok:?}: {e}") })
     }
 }
 

@@ -59,13 +59,7 @@ pub use ids::{EdgeId, PartitionId, VertexId};
 pub use local_index::{bucket_by_slot, LocalIndex, LocalIndexBufs};
 pub use metagraph::{MetaEdge, MetaGraph};
 pub use partitioned::{Partition, PartitionAssignment, PartitionedGraph, RemoteEdge};
-pub use properties::{
-    connected_components, is_connected_on_edges, is_eulerian, odd_vertices,
-};
+pub use properties::{connected_components, is_connected_on_edges, is_eulerian, odd_vertices};
 pub use registry::{GraphRegistry, RegisteredGraph};
-pub use source::{
-    EdgeListEdgeStream, EdgeListFileSource, GraphSource, InMemorySource, MmapCsrSource,
-};
-pub use stream::{
-    CsrFileEdgeStream, EdgeStream, GraphEdgeStream, IdEdgeBatchSink, StreamOrder, StreamSummary,
-};
+pub use source::{EdgeListEdgeStream, EdgeListFileSource, GraphSource, InMemorySource, MmapCsrSource};
+pub use stream::{CsrFileEdgeStream, EdgeStream, GraphEdgeStream, IdEdgeBatchSink, StreamOrder, StreamSummary};

@@ -82,10 +82,7 @@ impl LocalIndex {
     /// recycled allocations held by `bufs` (see
     /// [`into_bufs`](Self::into_bufs)); `bufs` keeps the collection buffer
     /// for the next build. Capacities only ever grow.
-    pub fn from_vertices_reusing(
-        iter: impl IntoIterator<Item = VertexId>,
-        bufs: &mut LocalIndexBufs,
-    ) -> Self {
+    pub fn from_vertices_reusing(iter: impl IntoIterator<Item = VertexId>, bufs: &mut LocalIndexBufs) -> Self {
         let raw = &mut bufs.raw;
         let mut verts = std::mem::take(&mut bufs.verts);
         let mut table = std::mem::take(&mut bufs.table);

@@ -83,11 +83,7 @@ impl MetaGraph {
     /// Weight between two partitions, or 0 if no meta-edge exists.
     pub fn weight(&self, a: PartitionId, b: PartitionId) -> u64 {
         let (a, b) = order(a, b);
-        self.edges
-            .iter()
-            .find(|e| e.a == a && e.b == b)
-            .map(|e| e.weight)
-            .unwrap_or(0)
+        self.edges.iter().find(|e| e.a == a && e.b == b).map(|e| e.weight).unwrap_or(0)
     }
 
     /// Total weight (number of cut edges represented).
@@ -100,11 +96,7 @@ impl MetaGraph {
     /// Alg. 2). `parent_of` maps each current meta-vertex to its meta-vertex
     /// at the next level (itself if unmerged).
     pub fn contract(&self, parent_of: &HashMap<PartitionId, PartitionId>) -> MetaGraph {
-        let mut vertices: Vec<PartitionId> = self
-            .vertices
-            .iter()
-            .map(|v| *parent_of.get(v).unwrap_or(v))
-            .collect();
+        let mut vertices: Vec<PartitionId> = self.vertices.iter().map(|v| *parent_of.get(v).unwrap_or(v)).collect();
         vertices.sort_unstable();
         vertices.dedup();
         let mut weights: HashMap<(PartitionId, PartitionId), u64> = HashMap::new();
@@ -117,10 +109,7 @@ impl MetaGraph {
             let (a, b) = order(pa, pb);
             *weights.entry((a, b)).or_insert(0) += e.weight;
         }
-        let mut edges: Vec<MetaEdge> = weights
-            .into_iter()
-            .map(|((a, b), weight)| MetaEdge { a, b, weight })
-            .collect();
+        let mut edges: Vec<MetaEdge> = weights.into_iter().map(|((a, b), weight)| MetaEdge { a, b, weight }).collect();
         edges.sort_by_key(|e| (e.a, e.b));
         MetaGraph { vertices, edges }
     }
@@ -142,8 +131,22 @@ mod tests {
 
     fn fig1() -> PartitionedGraph {
         let edges: Vec<(u64, u64)> = [
-            (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (3, 13), (12, 13), (11, 12),
-            (6, 11), (6, 7), (7, 8), (8, 9), (9, 10), (10, 12), (12, 14), (1, 14),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (3, 5),
+            (3, 13),
+            (12, 13),
+            (11, 12),
+            (6, 11),
+            (6, 7),
+            (7, 8),
+            (8, 9),
+            (9, 10),
+            (10, 12),
+            (12, 14),
+            (1, 14),
         ]
         .iter()
         .map(|&(u, v)| (u - 1, v - 1))
@@ -172,10 +175,7 @@ mod tests {
     #[test]
     fn weight_is_symmetric() {
         let mg = MetaGraph::from_partitioned(&fig1());
-        assert_eq!(
-            mg.weight(PartitionId(3), PartitionId(2)),
-            mg.weight(PartitionId(2), PartitionId(3))
-        );
+        assert_eq!(mg.weight(PartitionId(3), PartitionId(2)), mg.weight(PartitionId(2), PartitionId(3)));
     }
 
     #[test]
@@ -206,10 +206,7 @@ mod tests {
 
     #[test]
     fn from_weights_orders_endpoints() {
-        let mg = MetaGraph::from_weights(
-            vec![PartitionId(0), PartitionId(1)],
-            &[(PartitionId(1), PartitionId(0), 7)],
-        );
+        let mg = MetaGraph::from_weights(vec![PartitionId(0), PartitionId(1)], &[(PartitionId(1), PartitionId(0), 7)]);
         assert_eq!(mg.edges[0].a, PartitionId(0));
         assert_eq!(mg.edges[0].b, PartitionId(1));
         assert_eq!(mg.weight(PartitionId(0), PartitionId(1)), 7);

@@ -86,10 +86,7 @@ impl PartitionAssignment {
             return 0.0;
         }
         let n = self.num_partitions as f64;
-        self.partition_sizes()
-            .iter()
-            .map(|&s| ((total - n * s as f64) / total).abs())
-            .fold(0.0, f64::max)
+        self.partition_sizes().iter().map(|&s| ((total - n * s as f64) / total).abs()).fold(0.0, f64::max)
     }
 }
 
@@ -288,10 +285,7 @@ pub(crate) fn build_partition_view(
     edges: impl Iterator<Item = (EdgeId, VertexId, VertexId)>,
 ) -> Result<PartitionedGraph, GraphError> {
     if assignment.num_vertices() != num_vertices {
-        return Err(GraphError::IncompleteAssignment {
-            expected: num_vertices,
-            actual: assignment.num_vertices(),
-        });
+        return Err(GraphError::IncompleteAssignment { expected: num_vertices, actual: assignment.num_vertices() });
     }
     let n = assignment.num_partitions() as usize;
     let mut partitions: Vec<Partition> = (0..n).map(|i| Partition::new(PartitionId(i as u32))).collect();
@@ -438,10 +432,7 @@ mod tests {
     fn assignment_size_mismatch_rejected() {
         let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0)]);
         let a = PartitionAssignment::from_labels(vec![0, 1], 2).unwrap();
-        assert!(matches!(
-            PartitionedGraph::from_assignment(&g, &a),
-            Err(GraphError::IncompleteAssignment { .. })
-        ));
+        assert!(matches!(PartitionedGraph::from_assignment(&g, &a), Err(GraphError::IncompleteAssignment { .. })));
     }
 
     #[test]

@@ -67,9 +67,9 @@ impl GraphRegistry {
         let csr = CsrFile::open(path)?;
         let checksum = csr.checksum();
         let mut graphs = self.graphs.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = graphs.entry(checksum).or_insert_with(|| {
-            Arc::new(RegisteredGraph { csr, checksum, path: path.to_path_buf() })
-        });
+        let entry = graphs
+            .entry(checksum)
+            .or_insert_with(|| Arc::new(RegisteredGraph { csr, checksum, path: path.to_path_buf() }));
         Ok(Arc::clone(entry))
     }
 

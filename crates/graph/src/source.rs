@@ -16,8 +16,7 @@ use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::io::{EdgeLineScanner, EdgeListParser};
 use crate::stream::{
-    CsrFileEdgeStream, EdgeBatchSink, EdgeStream, GraphEdgeStream, StreamOrder, StreamSummary,
-    DEFAULT_BATCH_ENTRIES,
+    CsrFileEdgeStream, EdgeBatchSink, EdgeStream, GraphEdgeStream, StreamOrder, StreamSummary, DEFAULT_BATCH_ENTRIES,
 };
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -98,11 +97,7 @@ impl From<Graph> for InMemorySource {
 
 impl GraphSource for InMemorySource {
     fn name(&self) -> String {
-        format!(
-            "in-memory ({} vertices, {} edges)",
-            self.graph.num_vertices(),
-            self.graph.num_edges()
-        )
+        format!("in-memory ({} vertices, {} edges)", self.graph.num_vertices(), self.graph.num_edges())
     }
 
     fn load(&self) -> Result<Graph, GraphError> {
@@ -225,8 +220,7 @@ fn for_each_chunked_line<R: Read>(
 
 /// Decodes one line's bytes as UTF-8, attributing failures to `line`.
 fn bytes_as_line(bytes: &[u8], line: usize) -> Result<&str, GraphError> {
-    std::str::from_utf8(bytes)
-        .map_err(|e| GraphError::Parse { line, message: format!("invalid UTF-8: {e}") })
+    std::str::from_utf8(bytes).map_err(|e| GraphError::Parse { line, message: format!("invalid UTF-8: {e}") })
 }
 
 /// Chunked [`EdgeStream`] over a plain-text edge-list file, in file (edge-id)
@@ -506,10 +500,8 @@ mod tests {
     #[test]
     fn sources_are_usable_as_trait_objects() {
         let g = graph_from_edges(&[(0, 1), (1, 0)]);
-        let sources: Vec<Box<dyn GraphSource>> = vec![
-            Box::new(InMemorySource::from(g)),
-            Box::new(EdgeListFileSource::new("unused.el")),
-        ];
+        let sources: Vec<Box<dyn GraphSource>> =
+            vec![Box::new(InMemorySource::from(g)), Box::new(EdgeListFileSource::new("unused.el"))];
         assert!(sources[0].resident().is_some());
         assert!(sources[0].csr().is_none());
         assert!(sources[1].resident().is_none());

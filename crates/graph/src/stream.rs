@@ -111,10 +111,7 @@ pub trait EdgeStream {
     /// # Errors
     /// Producer-side failures, plus [`GraphError::UnsupportedStream`] for
     /// vertex-grouped producers without an override.
-    fn stream_with_ids(
-        &mut self,
-        sink: &mut IdEdgeBatchSink<'_>,
-    ) -> Result<StreamSummary, GraphError> {
+    fn stream_with_ids(&mut self, sink: &mut IdEdgeBatchSink<'_>) -> Result<StreamSummary, GraphError> {
         match self.order() {
             StreamOrder::EdgeIdOrder => {
                 let mut next_id = 0u64;
@@ -194,10 +191,7 @@ impl EdgeStream for GraphEdgeStream<'_> {
         Ok(StreamSummary { num_vertices: self.g.num_vertices(), entries })
     }
 
-    fn stream_with_ids(
-        &mut self,
-        sink: &mut IdEdgeBatchSink<'_>,
-    ) -> Result<StreamSummary, GraphError> {
+    fn stream_with_ids(&mut self, sink: &mut IdEdgeBatchSink<'_>) -> Result<StreamSummary, GraphError> {
         let mut batch = Vec::with_capacity(self.batch_entries);
         let mut entries = 0u64;
         for v in self.g.vertices() {
@@ -267,16 +261,10 @@ impl EdgeStream for CsrFileEdgeStream<'_> {
         if !batch.is_empty() {
             sink(&batch);
         }
-        Ok(StreamSummary {
-            num_vertices: self.csr.num_vertices(),
-            entries: 2 * self.csr.num_edges(),
-        })
+        Ok(StreamSummary { num_vertices: self.csr.num_vertices(), entries: 2 * self.csr.num_edges() })
     }
 
-    fn stream_with_ids(
-        &mut self,
-        sink: &mut IdEdgeBatchSink<'_>,
-    ) -> Result<StreamSummary, GraphError> {
+    fn stream_with_ids(&mut self, sink: &mut IdEdgeBatchSink<'_>) -> Result<StreamSummary, GraphError> {
         let offsets = self.csr.offsets();
         let targets = self.csr.targets();
         let edge_ids = self.csr.edge_ids();
@@ -294,10 +282,7 @@ impl EdgeStream for CsrFileEdgeStream<'_> {
         if !batch.is_empty() {
             sink(&batch);
         }
-        Ok(StreamSummary {
-            num_vertices: self.csr.num_vertices(),
-            entries: 2 * self.csr.num_edges(),
-        })
+        Ok(StreamSummary { num_vertices: self.csr.num_vertices(), entries: 2 * self.csr.num_edges() })
     }
 }
 
@@ -318,10 +303,8 @@ mod tests {
         let mut b = GraphBuilder::with_vertices(6);
         b.extend_edges([(0, 1), (1, 0), (4, 2), (2, 2)]); // parallel + self-loop + isolated
         let g = b.build().unwrap();
-        let expected: Vec<(u64, u64)> = g
-            .vertices()
-            .flat_map(|v| g.neighbors(v).iter().map(move |&(n, _)| (v.0, n.0)))
-            .collect();
+        let expected: Vec<(u64, u64)> =
+            g.vertices().flat_map(|v| g.neighbors(v).iter().map(move |&(n, _)| (v.0, n.0))).collect();
         for batch in [1usize, 2, 3, 1024] {
             let mut s = GraphEdgeStream::new(&g).with_batch_entries(batch);
             assert_eq!(s.order(), StreamOrder::VertexGrouped);
@@ -405,8 +388,7 @@ mod tests {
         write_csr_file(&g, &path).unwrap();
         let csr = CsrFile::open(&path).unwrap();
         let (from_graph, gs) = collect_ids(&mut GraphEdgeStream::new(&g));
-        let (from_csr, cs) =
-            collect_ids(&mut CsrFileEdgeStream::new(&csr).with_batch_entries(3));
+        let (from_csr, cs) = collect_ids(&mut CsrFileEdgeStream::new(&csr).with_batch_entries(3));
         assert_eq!(from_graph, from_csr);
         assert_eq!(gs, cs);
         std::fs::remove_file(&path).ok();
@@ -423,10 +405,7 @@ mod tests {
             fn num_vertices(&self) -> Option<u64> {
                 None
             }
-            fn stream(
-                &mut self,
-                sink: &mut EdgeBatchSink<'_>,
-            ) -> Result<StreamSummary, GraphError> {
+            fn stream(&mut self, sink: &mut EdgeBatchSink<'_>) -> Result<StreamSummary, GraphError> {
                 for chunk in self.0.chunks(2) {
                     sink(chunk);
                 }
@@ -449,10 +428,7 @@ mod tests {
             fn num_vertices(&self) -> Option<u64> {
                 Some(0)
             }
-            fn stream(
-                &mut self,
-                _sink: &mut EdgeBatchSink<'_>,
-            ) -> Result<StreamSummary, GraphError> {
+            fn stream(&mut self, _sink: &mut EdgeBatchSink<'_>) -> Result<StreamSummary, GraphError> {
                 Ok(StreamSummary { num_vertices: 0, entries: 0 })
             }
         }

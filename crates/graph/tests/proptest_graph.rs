@@ -1,8 +1,8 @@
 //! Property-based tests for the graph substrate.
 
 use euler_graph::{
-    connected_components, io, odd_vertices, properties, EdgeId, GraphBuilder, PartitionAssignment,
-    PartitionedGraph, VertexId,
+    connected_components, io, odd_vertices, properties, EdgeId, GraphBuilder, PartitionAssignment, PartitionedGraph,
+    VertexId,
 };
 use proptest::prelude::*;
 

@@ -88,8 +88,11 @@ impl Config {
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "scan" | "rule.no-panic-in-decode" | "rule.atomic-ordering-allowlist"
-                    | "rule.no-wall-clock-in-kernels" | "rule.shim-surface-guard"
+                    "scan"
+                    | "rule.no-panic-in-decode"
+                    | "rule.atomic-ordering-allowlist"
+                    | "rule.no-wall-clock-in-kernels"
+                    | "rule.shim-surface-guard"
                     | "rule.no-timed-wait" => {}
                     other => return Err(format!("line {lineno}: unknown section [{other}]")),
                 }
@@ -107,14 +110,11 @@ impl Config {
                 ("rule.no-panic-in-decode", "file") => cfg.decode.push(file_scope(value, lineno)?),
                 ("rule.no-timed-wait", "file") => cfg.untimed.push(file_scope(value, lineno)?),
                 ("rule.atomic-ordering-allowlist", "allow") => {
-                    let (file, orderings) = value.split_once(':').ok_or_else(|| {
-                        format!("line {lineno}: expected `allow = <path> : <Ordering,…>`")
-                    })?;
-                    let names: Vec<String> = orderings
-                        .split(',')
-                        .map(|o| o.trim().to_string())
-                        .filter(|o| !o.is_empty())
-                        .collect();
+                    let (file, orderings) = value
+                        .split_once(':')
+                        .ok_or_else(|| format!("line {lineno}: expected `allow = <path> : <Ordering,…>`"))?;
+                    let names: Vec<String> =
+                        orderings.split(',').map(|o| o.trim().to_string()).filter(|o| !o.is_empty()).collect();
                     for n in &names {
                         if !ATOMIC_ORDERINGS.contains(&n.as_str()) {
                             return Err(format!("line {lineno}: `{n}` is not an atomic Ordering"));
@@ -123,8 +123,7 @@ impl Config {
                     if names.is_empty() {
                         return Err(format!("line {lineno}: allowlist entry with no orderings"));
                     }
-                    cfg.atomics
-                        .push(AtomicAllow { file: normalize_path(file.trim()), orderings: names });
+                    cfg.atomics.push(AtomicAllow { file: normalize_path(file.trim()), orderings: names });
                 }
                 ("rule.no-wall-clock-in-kernels", "file") => {
                     cfg.kernel_files.push(normalize_path(value));
@@ -132,9 +131,7 @@ impl Config {
                 ("rule.shim-surface-guard", "allow") => {
                     cfg.extra_crates.push(value.to_string());
                 }
-                (sec, key) => {
-                    return Err(format!("line {lineno}: unknown key `{key}` in section [{sec}]"))
-                }
+                (sec, key) => return Err(format!("line {lineno}: unknown key `{key}` in section [{sec}]")),
             }
         }
         Ok(cfg)
@@ -171,8 +168,7 @@ fn file_scope(value: &str, lineno: usize) -> Result<FileScope, String> {
     let Some((file, fns)) = value.split_once('@') else {
         return Ok(FileScope { file: normalize_path(value), fns: None });
     };
-    let names: Vec<String> =
-        fns.split(',').map(|f| f.trim().to_string()).filter(|f| !f.is_empty()).collect();
+    let names: Vec<String> = fns.split(',').map(|f| f.trim().to_string()).filter(|f| !f.is_empty()).collect();
     if names.is_empty() {
         return Err(format!("line {lineno}: `@` with no function names"));
     }
@@ -218,8 +214,7 @@ mod tests {
         assert!(Config::parse("[rule.no-panic-in-dcode]\n").is_err());
         assert!(Config::parse("[rule.no-timed-wait]\nfile = s.rs @\n").is_err());
         assert!(Config::parse("[scan]\nexlude = x\n").is_err());
-        assert!(Config::parse("[rule.atomic-ordering-allowlist]\nallow = f.rs : Relaexd\n")
-            .is_err());
+        assert!(Config::parse("[rule.atomic-ordering-allowlist]\nallow = f.rs : Relaexd\n").is_err());
         assert!(Config::parse("[scan]\nexclude =\n").is_err());
     }
 }

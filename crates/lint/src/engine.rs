@@ -18,8 +18,7 @@ const SKIP_DIRS: [&str; 2] = ["target", ".git"];
 /// Loads the policy from `<root>/euler-lint.toml` and lints the workspace.
 pub fn run(root: &Path) -> Result<Report, String> {
     let cfg_path = root.join(CONFIG_FILE);
-    let text = fs::read_to_string(&cfg_path)
-        .map_err(|e| format!("cannot read {}: {e}", cfg_path.display()))?;
+    let text = fs::read_to_string(&cfg_path).map_err(|e| format!("cannot read {}: {e}", cfg_path.display()))?;
     let cfg = Config::parse(&text).map_err(|e| format!("{}: {e}", cfg_path.display()))?;
     run_with_config(root, &cfg)
 }
@@ -33,15 +32,11 @@ pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, String> {
     // member's local `mod` names can feed R5 before any rule runs.
     let mut sources: Vec<(String, Vec<u8>)> = Vec::with_capacity(files.len());
     for (rel, abs) in &files {
-        let bytes =
-            fs::read(abs).map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
+        let bytes = fs::read(abs).map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
         sources.push((rel.clone(), bytes));
     }
     let mut mods_by_member: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let analyses: Vec<FileAnalysis<'_>> = sources
-        .iter()
-        .map(|(rel, bytes)| FileAnalysis::new(rel, bytes))
-        .collect();
+    let analyses: Vec<FileAnalysis<'_>> = sources.iter().map(|(rel, bytes)| FileAnalysis::new(rel, bytes)).collect();
     for (a, (rel, _)) in analyses.iter().zip(&sources) {
         mods_by_member.entry(member_of(rel)).or_default().extend(a.mod_names());
     }
@@ -54,9 +49,7 @@ pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, String> {
         };
         report.findings.extend(a.lint(cfg, &surface));
     }
-    report.findings.sort_by(|a, b| {
-        (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
-    });
+    report.findings.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(report)
 }
 
@@ -76,8 +69,7 @@ fn collect_rust_files(root: &Path, cfg: &Config) -> Result<Vec<(String, PathBuf)
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
-        let entries =
-            fs::read_dir(&dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
+        let entries = fs::read_dir(&dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
         for entry in entries {
             let entry = entry.map_err(|e| format!("while listing {}: {e}", dir.display()))?;
             let path = entry.path();
@@ -118,8 +110,7 @@ fn collect_workspace_crates(root: &Path) -> Result<BTreeSet<String>, String> {
         }
     }
     for m in manifests {
-        let text =
-            fs::read_to_string(&m).map_err(|e| format!("cannot read {}: {e}", m.display()))?;
+        let text = fs::read_to_string(&m).map_err(|e| format!("cannot read {}: {e}", m.display()))?;
         if let Some(name) = package_name(&text) {
             names.insert(name.replace('-', "_"));
         }

@@ -91,10 +91,7 @@ impl Report {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
-            out.push_str(&format!(
-                "error[{}]: {}\n  --> {}:{}:{}\n",
-                f.rule, f.message, f.file, f.line, f.col
-            ));
+            out.push_str(&format!("error[{}]: {}\n  --> {}:{}:{}\n", f.rule, f.message, f.file, f.line, f.col));
         }
         out.push_str(&format!(
             "euler-lint: {} finding(s) in {} file(s) scanned\n",

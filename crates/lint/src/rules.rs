@@ -42,9 +42,9 @@ const BUILTIN_ROOTS: [&str; 7] = ["std", "core", "alloc", "crate", "self", "supe
 /// Keywords that may legitimately precede a `[` without it being an index
 /// expression (`let [a, b] = …`, `&mut [0u8; 4]`, `for w in [..]`, …).
 const NON_INDEX_KEYWORDS: [&str; 30] = [
-    "as", "async", "await", "box", "break", "const", "continue", "dyn", "else", "enum", "extern",
-    "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
-    "ref", "return", "static", "struct", "trait", "true",
+    "as", "async", "await", "box", "break", "const", "continue", "dyn", "else", "enum", "extern", "false", "fn", "for",
+    "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref", "return", "static", "struct",
+    "trait", "true",
 ];
 
 /// Cross-file context for R5: the import surface a file may draw from.
@@ -125,8 +125,7 @@ impl<'a> FileAnalysis<'a> {
         // `pragma` findings are never suppressible.
         f.rule != Rule::Pragma
             && self.pragmas.iter().any(|p| {
-                p.rules.contains(&f.rule)
-                    && ((p.from_line <= f.line && f.line <= p.to_line) || f.line == p.target_line)
+                p.rules.contains(&f.rule) && ((p.from_line <= f.line && f.line <= p.to_line) || f.line == p.target_line)
             })
     }
 
@@ -175,8 +174,7 @@ impl<'a> FileAnalysis<'a> {
             findings.push(self.finding(
                 Rule::UnsafeNeedsSafety,
                 t,
-                "`unsafe` without an immediately preceding `// SAFETY:` comment justifying it"
-                    .into(),
+                "`unsafe` without an immediately preceding `// SAFETY:` comment justifying it".into(),
             ));
         }
     }
@@ -210,10 +208,7 @@ impl<'a> FileAnalysis<'a> {
                 if t.text(self.src).contains("SAFETY:") {
                     return true;
                 }
-            } else if t.is_punct(self.src, b';')
-                || t.is_punct(self.src, b'{')
-                || t.is_punct(self.src, b'}')
-            {
+            } else if t.is_punct(self.src, b';') || t.is_punct(self.src, b'{') || t.is_punct(self.src, b'}') {
                 // The comment block directly above the statement's first
                 // line also counts (it may sit above a `let` that follows
                 // the boundary token on an earlier line).
@@ -236,10 +231,8 @@ impl<'a> FileAnalysis<'a> {
             }
             if t.kind == TokenKind::Ident {
                 let name = t.text(self.src);
-                let prev_is_dot =
-                    self.prev_code(i).is_some_and(|j| self.toks[j].is_punct(self.src, b'.'));
-                let next_is_bang =
-                    self.next_code(i).is_some_and(|j| self.toks[j].is_punct(self.src, b'!'));
+                let prev_is_dot = self.prev_code(i).is_some_and(|j| self.toks[j].is_punct(self.src, b'.'));
+                let next_is_bang = self.next_code(i).is_some_and(|j| self.toks[j].is_punct(self.src, b'!'));
                 if (name == "unwrap" || name == "expect") && prev_is_dot {
                     findings.push(self.finding(
                         Rule::NoPanicInDecode,
@@ -249,9 +242,7 @@ impl<'a> FileAnalysis<'a> {
                              typed error, not a panic"
                         ),
                     ));
-                } else if matches!(&*name, "panic" | "unreachable" | "todo" | "unimplemented")
-                    && next_is_bang
-                {
+                } else if matches!(&*name, "panic" | "unreachable" | "todo" | "unimplemented") && next_is_bang {
                     findings.push(self.finding(
                         Rule::NoPanicInDecode,
                         t,
@@ -259,13 +250,15 @@ impl<'a> FileAnalysis<'a> {
                     ));
                 }
             } else if t.is_punct(self.src, b'[') && self.is_index_bracket(i) {
-                findings.push(self.finding(
-                    Rule::NoPanicInDecode,
-                    t,
-                    "direct slice indexing in a decode module can panic on garbage input; \
+                findings.push(
+                    self.finding(
+                        Rule::NoPanicInDecode,
+                        t,
+                        "direct slice indexing in a decode module can panic on garbage input; \
                      use `.get(…)` and surface a typed error"
-                        .into(),
-                ));
+                            .into(),
+                    ),
+                );
             }
         }
     }
@@ -281,9 +274,7 @@ impl<'a> FileAnalysis<'a> {
                 let name = p.text(self.src);
                 !NON_INDEX_KEYWORDS.contains(&&*name)
             }
-            TokenKind::Punct => {
-                p.is_punct(self.src, b')') || p.is_punct(self.src, b']') || p.is_punct(self.src, b'?')
-            }
+            TokenKind::Punct => p.is_punct(self.src, b')') || p.is_punct(self.src, b']') || p.is_punct(self.src, b'?'),
             _ => false,
         }
     }
@@ -566,13 +557,7 @@ fn collect_pragmas(rel: &str, src: &[u8], toks: &[Token]) -> (Vec<Pragma>, Vec<F
         }
         let Some(pos) = text.find("lint:allow") else { continue };
         let mut fail = |message: String| {
-            findings.push(Finding {
-                rule: Rule::Pragma,
-                file: rel.to_string(),
-                line: t.line,
-                col: t.col,
-                message,
-            });
+            findings.push(Finding { rule: Rule::Pragma, file: rel.to_string(), line: t.line, col: t.col, message });
         };
         let rest = &text[pos + "lint:allow".len()..];
         let Some(body) = rest.strip_prefix('(') else {
@@ -684,8 +669,7 @@ mod tests {
         let cfg = decode_cfg("d.rs");
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
         assert!(lint_src("d.rs", src, &cfg).is_empty());
-        let scoped =
-            Config::parse("[rule.no-panic-in-decode]\nfile = d.rs @ decode_header\n").unwrap();
+        let scoped = Config::parse("[rule.no-panic-in-decode]\nfile = d.rs @ decode_header\n").unwrap();
         let src = "fn decode_header(b: &[u8]) -> u8 { b[0] }\nfn trusted(b: &[u8]) -> u8 { b[1] }\n";
         let f = lint_src("d.rs", src, &scoped);
         assert_eq!(f.len(), 1);
@@ -701,12 +685,8 @@ mod tests {
 
     #[test]
     fn r3_requires_an_allowlist_entry_and_matches_bare_names() {
-        let cfg = Config::parse(
-            "[rule.atomic-ordering-allowlist]\nallow = ok.rs : Relaxed\n",
-        )
-        .unwrap();
-        assert!(lint_src("ok.rs", "x.load(Relaxed); y.store(1, Ordering::Relaxed);", &cfg)
-            .is_empty());
+        let cfg = Config::parse("[rule.atomic-ordering-allowlist]\nallow = ok.rs : Relaxed\n").unwrap();
+        assert!(lint_src("ok.rs", "x.load(Relaxed); y.store(1, Ordering::Relaxed);", &cfg).is_empty());
         let f = lint_src("ok.rs", "x.load(Ordering::SeqCst);", &cfg);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("SeqCst"));

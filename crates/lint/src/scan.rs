@@ -211,8 +211,7 @@ impl<'a> Scanner<'a> {
     /// range expression.
     fn number(&mut self) {
         while let Some(b) = self.peek(0) {
-            let continues = is_ident_continue(b)
-                || (b == b'.' && self.peek(1).is_some_and(|n| n.is_ascii_digit()));
+            let continues = is_ident_continue(b) || (b == b'.' && self.peek(1).is_some_and(|n| n.is_ascii_digit()));
             if !continues {
                 break;
             }
@@ -311,10 +310,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokenKind, String)> {
-        scan(src.as_bytes())
-            .into_iter()
-            .map(|t| (t.kind, t.text(src.as_bytes()).into_owned()))
-            .collect()
+        scan(src.as_bytes()).into_iter().map(|t| (t.kind, t.text(src.as_bytes()).into_owned())).collect()
     }
 
     #[test]

@@ -67,17 +67,10 @@ fn fixtures_match_their_markers() {
             workspace_crates: BTreeSet::from(["euler_graph".to_string()]),
             local_mods: analysis.mod_names().into_iter().collect(),
         };
-        let mut actual: Vec<(u32, String)> = analysis
-            .lint(&cfg, &surface)
-            .into_iter()
-            .map(|f| (f.line, f.rule.name().to_string()))
-            .collect();
+        let mut actual: Vec<(u32, String)> =
+            analysis.lint(&cfg, &surface).into_iter().map(|f| (f.line, f.rule.name().to_string())).collect();
         actual.sort();
-        assert_eq!(
-            actual,
-            expected_markers(&text),
-            "fixture {name}: findings diverge from its //~ markers"
-        );
+        assert_eq!(actual, expected_markers(&text), "fixture {name}: findings diverge from its //~ markers");
         checked += 1;
     }
     assert!(checked >= 14, "expected the full fixture corpus, linted only {checked} files");

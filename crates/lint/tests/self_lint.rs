@@ -11,11 +11,7 @@ fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = euler_lint::run(&root).expect("lint run succeeds");
     assert!(report.is_clean(), "workspace has lint findings:\n{}", report.render_text());
-    assert!(
-        report.files_scanned > 100,
-        "workspace scan looks truncated: only {} files",
-        report.files_scanned
-    );
+    assert!(report.files_scanned > 100, "workspace scan looks truncated: only {} files", report.files_scanned);
 }
 
 fn write(root: &Path, rel: &str, text: &str) {
@@ -95,11 +91,7 @@ fn clean_workspace_exits_zero() {
     write(&dir, "Cargo.toml", "[package]\nname = \"seed\"\n");
     write(&dir, "euler-lint.toml", "# empty policy\n");
     write(&dir, "src/lib.rs", "pub fn ok() -> u64 {\n    42\n}\n");
-    let out = Command::new(env!("CARGO_BIN_EXE_euler-lint"))
-        .arg("--root")
-        .arg(&dir)
-        .output()
-        .expect("binary runs");
+    let out = Command::new(env!("CARGO_BIN_EXE_euler-lint")).arg("--root").arg(&dir).output().expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "clean workspace must exit 0; stdout:\n{stdout}");
     assert!(stdout.contains("0 finding(s)"), "{stdout}");

@@ -299,8 +299,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                                 return None;
                             }
                             *pos += 6;
-                            let scalar =
-                                0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                             out.push(char::from_u32(scalar)?);
                         } else {
                             // Lone low surrogates are rejected by from_u32.
@@ -420,10 +419,7 @@ mod tests {
         let text = v.to_pretty();
         assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
         let back = parse(&text).expect("output must stay valid JSON");
-        assert_eq!(
-            back,
-            Value::Arr(vec![Value::Null, Value::Null, Value::Null, Value::Num(1.5)])
-        );
+        assert_eq!(back, Value::Arr(vec![Value::Null, Value::Null, Value::Null, Value::Num(1.5)]));
     }
 
     #[test]

@@ -21,11 +21,7 @@ pub struct Table {
 impl Table {
     /// Creates a table with the given title and columns.
     pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
-        Table {
-            title: title.into(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
+        Table { title: title.into(), columns: columns.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
     }
 
     /// Appends a row. Panics in debug builds if the arity does not match.

@@ -35,9 +35,7 @@ impl BfsPartitioner {
     fn seeds(&self, g: &Graph) -> Vec<VertexId> {
         let n = g.num_vertices();
         let k = self.k as u64;
-        (0..k)
-            .map(|i| VertexId(((i * n) / k + self.seed) % n.max(1)))
-            .collect()
+        (0..k).map(|i| VertexId(((i * n) / k + self.seed) % n.max(1))).collect()
     }
 }
 

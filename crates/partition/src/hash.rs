@@ -1,9 +1,7 @@
 //! Hash partitioner: perfectly balanced, oblivious to structure.
 
 use crate::traits::{Partitioner, StreamingPartitioner};
-use euler_graph::{
-    EdgeStream, Graph, GraphEdgeStream, GraphError, PartitionAssignment, StreamOrder,
-};
+use euler_graph::{EdgeStream, Graph, GraphEdgeStream, GraphError, PartitionAssignment, StreamOrder};
 
 /// Assigns vertex `v` to partition `hash(v) % k`.
 ///
@@ -43,8 +41,7 @@ impl HashPartitioner {
     /// whole-graph and streaming paths end here, so they are identical by
     /// construction.
     fn assign(&self, num_vertices: u64) -> PartitionAssignment {
-        let labels: Vec<u32> =
-            (0..num_vertices).map(|v| (self.hash(v) % self.k as u64) as u32).collect();
+        let labels: Vec<u32> = (0..num_vertices).map(|v| (self.hash(v) % self.k as u64) as u32).collect();
         PartitionAssignment::from_labels(labels, self.k).expect("labels are always < k")
     }
 }
@@ -55,8 +52,7 @@ impl Partitioner for HashPartitioner {
     }
 
     fn partition(&self, g: &Graph) -> PartitionAssignment {
-        self.partition_stream(&mut GraphEdgeStream::new(g))
-            .expect("in-memory streams cannot fail")
+        self.partition_stream(&mut GraphEdgeStream::new(g)).expect("in-memory streams cannot fail")
     }
 
     fn name(&self) -> &'static str {
@@ -78,10 +74,7 @@ impl StreamingPartitioner for HashPartitioner {
         true
     }
 
-    fn partition_stream(
-        &self,
-        stream: &mut dyn EdgeStream,
-    ) -> Result<PartitionAssignment, GraphError> {
+    fn partition_stream(&self, stream: &mut dyn EdgeStream) -> Result<PartitionAssignment, GraphError> {
         // A known count needs no pass at all; text parses discover it.
         let n = match stream.num_vertices() {
             Some(n) => n,

@@ -22,9 +22,7 @@
 //! therefore has no streaming view.
 
 use crate::traits::{Partitioner, StreamingPartitioner};
-use euler_graph::{
-    EdgeStream, Graph, GraphEdgeStream, GraphError, PartitionAssignment, StreamOrder, VertexId,
-};
+use euler_graph::{EdgeStream, Graph, GraphEdgeStream, GraphError, PartitionAssignment, StreamOrder, VertexId};
 
 /// Capacity slack: per-partition capacity is `ceil(n/k) * (1 + SLACK)`.
 const SLACK: f64 = 0.05;
@@ -195,8 +193,7 @@ impl Partitioner for LdgPartitioner {
         if self.bfs_order {
             return self.partition_bfs(g);
         }
-        self.partition_stream(&mut GraphEdgeStream::new(g))
-            .expect("in-memory streams cannot fail")
+        self.partition_stream(&mut GraphEdgeStream::new(g)).expect("in-memory streams cannot fail")
     }
 
     fn name(&self) -> &'static str {
@@ -223,18 +220,11 @@ impl StreamingPartitioner for LdgPartitioner {
         order == StreamOrder::VertexGrouped
     }
 
-    fn partition_stream(
-        &self,
-        stream: &mut dyn EdgeStream,
-    ) -> Result<PartitionAssignment, GraphError> {
+    fn partition_stream(&self, stream: &mut dyn EdgeStream) -> Result<PartitionAssignment, GraphError> {
         if stream.order() != StreamOrder::VertexGrouped {
             return Err(GraphError::UnsupportedStream {
                 consumer: "ldg".into(),
-                message: format!(
-                    "needs {} (got {})",
-                    StreamOrder::VertexGrouped,
-                    stream.order()
-                ),
+                message: format!("needs {} (got {})", StreamOrder::VertexGrouped, stream.order()),
             });
         }
         let n = stream.num_vertices().ok_or_else(|| GraphError::UnsupportedStream {
@@ -280,12 +270,7 @@ mod tests {
         let hash = HashPartitioner::new(4).partition(&g);
         let q_ldg = PartitionQuality::evaluate(&g, &ldg);
         let q_hash = PartitionQuality::evaluate(&g, &hash);
-        assert!(
-            q_ldg.cut_fraction < q_hash.cut_fraction,
-            "ldg {} vs hash {}",
-            q_ldg.cut_fraction,
-            q_hash.cut_fraction
-        );
+        assert!(q_ldg.cut_fraction < q_hash.cut_fraction, "ldg {} vs hash {}", q_ldg.cut_fraction, q_hash.cut_fraction);
     }
 
     #[test]

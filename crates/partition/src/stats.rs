@@ -27,8 +27,7 @@ pub struct PartitionQuality {
 impl PartitionQuality {
     /// Evaluates the quality of `assignment` over `g`.
     pub fn evaluate(g: &Graph, assignment: &PartitionAssignment) -> Self {
-        let pg = PartitionedGraph::from_assignment(g, assignment)
-            .expect("assignment covers the graph");
+        let pg = PartitionedGraph::from_assignment(g, assignment).expect("assignment covers the graph");
         Self::of_partitioned(&pg, assignment)
     }
 

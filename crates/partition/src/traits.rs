@@ -55,10 +55,7 @@ pub trait StreamingPartitioner {
     /// [`GraphError::UnsupportedStream`] when the stream's order or metadata
     /// cannot satisfy this partitioner; producer-side I/O or parse errors
     /// are passed through.
-    fn partition_stream(
-        &self,
-        stream: &mut dyn EdgeStream,
-    ) -> Result<PartitionAssignment, GraphError>;
+    fn partition_stream(&self, stream: &mut dyn EdgeStream) -> Result<PartitionAssignment, GraphError>;
 
     /// Human-readable name used in reports and benches.
     fn name(&self) -> &'static str {

@@ -18,11 +18,7 @@ fn main() {
     let cols = 40;
     let districts = 8;
     let city = synthetic::torus_grid(rows, cols);
-    println!(
-        "Street network: {} intersections, {} street segments",
-        city.num_vertices(),
-        city.num_edges()
-    );
+    println!("Street network: {} intersections, {} street segments", city.num_vertices(), city.num_edges());
     is_eulerian(&city).expect("a 4-regular street grid is Eulerian");
 
     // Plan the plough route: BFS region growing gives compact, connected
@@ -70,11 +66,8 @@ fn main() {
     }
 
     // Show the first few turns of the route.
-    let preview: Vec<String> = route
-        .iter()
-        .take(12)
-        .map(|s| format!("({},{})", s.from.0 / cols, s.from.0 % cols))
-        .collect();
+    let preview: Vec<String> =
+        route.iter().take(12).map(|s| format!("({},{})", s.from.0 / cols, s.from.0 % cols)).collect();
     println!("Route preview (row,col): {} ...", preview.join(" -> "));
 
     verify_circuit(&city, route).unwrap();

@@ -36,9 +36,7 @@ fn run(source: impl GraphSource + 'static, a: &PartitionAssignment, backend: Bsp
 }
 
 fn process_workers() -> BspBackend {
-    BspBackend::with_engine(BspConfig::with_workers(2))
-        .with_transport(Arc::new(TcpTransport))
-        .process_workers(true)
+    BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(TcpTransport)).process_workers(true)
 }
 
 fn same_circuit(a: &PipelineRun, b: &PipelineRun) -> bool {
@@ -69,12 +67,7 @@ fn main() -> ExitCode {
         println!(
             "  superstep {}: {} partitions, {} msgs / {} bytes kept on their worker, \
              {} msgs / {} bytes shuffled",
-            s.superstep,
-            s.active_partitions,
-            s.local_messages,
-            s.local_bytes,
-            s.remote_messages,
-            s.remote_bytes
+            s.superstep, s.active_partitions, s.local_messages, s.local_bytes, s.remote_messages, s.remote_bytes
         );
     }
     println!("  circuit edges: {}", clean.circuit.result.total_edges());
@@ -83,9 +76,7 @@ fn main() -> ExitCode {
     let fragment_bytes: u64 = engine.supersteps.iter().map(|s| s.fragment_bytes).sum();
     let segments: u64 = engine.supersteps.iter().map(|s| s.active_partitions as u64).sum();
     let disk_longs = clean.circuit.fragment_disk_longs;
-    println!(
-        "  fragments: {fragment_bytes} bytes in the Dones for {disk_longs} disk Longs in {segments} segments"
-    );
+    println!("  fragments: {fragment_bytes} bytes in the Dones for {disk_longs} disk Longs in {segments} segments");
     if fragment_bytes != 8 * (disk_longs + 5 * segments) {
         eprintln!("FAIL: fragment bytes are not 8 x (disk Longs + 5 framing words per segment)");
         return ExitCode::FAILURE;

@@ -72,7 +72,10 @@ fn main() {
     for level in 0..trace.len() {
         println!(
             "{:<6} {:>15} {:>15} {:>15} {:>15.0}",
-            level, current.cumulative[level], proposed.cumulative[level], ideal.cumulative[level],
+            level,
+            current.cumulative[level],
+            proposed.cumulative[level],
+            ideal.cumulative[level],
             current.average[level]
         );
     }

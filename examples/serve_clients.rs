@@ -35,33 +35,25 @@ const FRAGMENT_BUDGET_LONGS: u64 = 1 << 16;
 /// same partitioner, same merge strategy, the default backend (whose result
 /// does not depend on the thread count).
 fn reference(path: &std::path::Path, opts: RunOptions) -> CircuitResult {
-    let builder = EulerPipeline::builder()
-        .source(MmapCsrSource::open(path).expect("reference source opens"))
-        .config(EulerConfig {
+    let builder = EulerPipeline::builder().source(MmapCsrSource::open(path).expect("reference source opens")).config(
+        EulerConfig {
             merge_strategy: opts.strategy,
             fragment_memory_budget: Some(FRAGMENT_BUDGET_LONGS),
             ..EulerConfig::default()
-        });
+        },
+    );
     let builder = match opts.partitioner {
         PartitionerKind::Hash => builder.partitioner(HashPartitioner::new(opts.partitions)),
         PartitionerKind::Ldg => builder.partitioner(LdgPartitioner::new(opts.partitions)),
     };
-    builder
-        .build()
-        .expect("reference pipeline builds")
-        .run()
-        .expect("reference pipeline runs")
-        .circuit
-        .result
+    builder.build().expect("reference pipeline builds").run().expect("reference pipeline runs").circuit.result
 }
 
 fn main() -> ExitCode {
     let small = synthetic::random_eulerian_connected(300, 60, 6, 1907);
     let big = synthetic::random_eulerian_connected(30_000, 6_000, 8, 1908);
-    let small_path =
-        std::env::temp_dir().join(format!("euler-serve-small-{}.ecsr", std::process::id()));
-    let big_path =
-        std::env::temp_dir().join(format!("euler-serve-big-{}.ecsr", std::process::id()));
+    let small_path = std::env::temp_dir().join(format!("euler-serve-small-{}.ecsr", std::process::id()));
+    let big_path = std::env::temp_dir().join(format!("euler-serve-big-{}.ecsr", std::process::id()));
     write_csr_file(&small, &small_path).expect("small graph packs");
     write_csr_file(&big, &big_path).expect("big graph packs");
 
@@ -85,21 +77,9 @@ fn main() -> ExitCode {
 
     // --- three concurrent clients, three configurations --------------------
     let variants = [
-        RunOptions {
-            partitions: 2,
-            strategy: MergeStrategy::Duplicated,
-            partitioner: PartitionerKind::Hash,
-        },
-        RunOptions {
-            partitions: 4,
-            strategy: MergeStrategy::Deduplicated,
-            partitioner: PartitionerKind::Ldg,
-        },
-        RunOptions {
-            partitions: 3,
-            strategy: MergeStrategy::Deferred,
-            partitioner: PartitionerKind::Hash,
-        },
+        RunOptions { partitions: 2, strategy: MergeStrategy::Duplicated, partitioner: PartitionerKind::Hash },
+        RunOptions { partitions: 4, strategy: MergeStrategy::Deduplicated, partitioner: PartitionerKind::Ldg },
+        RunOptions { partitions: 3, strategy: MergeStrategy::Deferred, partitioner: PartitionerKind::Hash },
     ];
     let outcomes: Vec<RunOutcome> = thread::scope(|s| {
         let handles: Vec<_> = variants
@@ -195,16 +175,12 @@ fn main() -> ExitCode {
             println!("refused a {}-partition run: {message}", huge.partitions);
         }
         other => {
-            eprintln!(
-                "FAIL: a {}-partition run was not refused as BAD_REQUEST: {other:?}",
-                huge.partitions
-            );
+            eprintln!("FAIL: a {}-partition run was not refused as BAD_REQUEST: {other:?}", huge.partitions);
             return ExitCode::FAILURE;
         }
     }
     let normal = RunOptions { partitions: 5, ..RunOptions::default() };
-    let after_refusal =
-        greedy.run(small_info.checksum, normal).expect("run after the refusal streams");
+    let after_refusal = greedy.run(small_info.checksum, normal).expect("run after the refusal streams");
     if after_refusal.cached || after_refusal.circuits != reference(&small_path, normal).circuits {
         eprintln!("FAIL: the run after the refusal differs from the library path");
         return ExitCode::FAILURE;

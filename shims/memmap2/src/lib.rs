@@ -28,14 +28,7 @@ mod sys {
     pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
     extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
+        pub fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 }
@@ -53,10 +46,7 @@ pub struct Mmap {
 #[derive(Debug)]
 enum Inner {
     #[cfg(unix)]
-    Mapped {
-        ptr: *mut core::ffi::c_void,
-        len: usize,
-    },
+    Mapped { ptr: *mut core::ffi::c_void, len: usize },
     /// Owned fallback; `u64` storage keeps the base 8-byte aligned.
     Owned { words: Vec<u64>, len: usize },
 }
@@ -77,10 +67,7 @@ impl Mmap {
     pub fn map(file: &File) -> io::Result<Mmap> {
         let len = file.metadata()?.len();
         if len > usize::MAX as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "file too large to map into this address space",
-            ));
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "file too large to map into this address space"));
         }
         let len = len as usize;
         if len == 0 {
@@ -94,16 +81,8 @@ impl Mmap {
             // SAFETY: len > 0; the fd is valid for the duration of the call;
             // a PROT_READ/MAP_PRIVATE mapping of a regular file has no
             // aliasing requirements on our side.
-            let ptr = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ,
-                    sys::MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
+            let ptr =
+                unsafe { sys::mmap(std::ptr::null_mut(), len, sys::PROT_READ, sys::MAP_PRIVATE, file.as_raw_fd(), 0) };
             if ptr != sys::MAP_FAILED {
                 return Ok(Mmap { inner: Inner::Mapped { ptr, len } });
             }
@@ -119,8 +98,7 @@ impl Mmap {
         let mut words = vec![0u64; len.div_ceil(8)];
         // SAFETY: the Vec's allocation covers len bytes (rounded up to a
         // whole number of words) and u64 -> u8 reinterpretation is valid.
-        let bytes =
-            unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
+        let bytes = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
         let mut reader = file;
         reader.read_exact(bytes)?;
         Ok(Mmap { inner: Inner::Owned { words, len } })
@@ -143,9 +121,7 @@ impl std::ops::Deref for Mmap {
         match &self.inner {
             #[cfg(unix)]
             // SAFETY: the mapping at ptr spans len readable bytes until drop.
-            Inner::Mapped { ptr, len } => unsafe {
-                std::slice::from_raw_parts(*ptr as *const u8, *len)
-            },
+            Inner::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr as *const u8, *len) },
             Inner::Owned { words, len } => {
                 // SAFETY: the allocation covers *len bytes (see read_owned).
                 unsafe { std::slice::from_raw_parts(words.as_ptr() as *const u8, *len) }

@@ -198,8 +198,7 @@ impl ProptestConfig {
 /// Everything the tests import, mirroring `proptest::prelude::*`.
 pub mod prelude {
     pub use crate::{
-        any, collection, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Just,
-        ProptestConfig, Strategy,
+        any, collection, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Just, ProptestConfig, Strategy,
     };
 
     /// Mirror of `proptest::prelude::prop` (module-style access to the crate

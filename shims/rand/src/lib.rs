@@ -135,11 +135,7 @@ pub mod seq {
             }
         }
 
-        fn choose_multiple<'a, R: RngCore + ?Sized>(
-            &'a self,
-            rng: &mut R,
-            amount: usize,
-        ) -> std::vec::IntoIter<&'a T> {
+        fn choose_multiple<'a, R: RngCore + ?Sized>(&'a self, rng: &mut R, amount: usize) -> std::vec::IntoIter<&'a T> {
             // Partial Fisher–Yates over the index table `0..n`, of which only
             // the entries a swap has moved are stored: O(amount), not O(n).
             // Entry `i` is never read after step `i`, so only `j` is written.
@@ -234,7 +230,8 @@ mod tests {
         for case in 0..500u64 {
             let n = (params.next_u64() % 60) as usize;
             // Every fifth case asks for at least the whole slice.
-            let k = if case % 5 == 0 { n + (params.next_u64() % 3) as usize } else { (params.next_u64() % 64) as usize };
+            let k =
+                if case % 5 == 0 { n + (params.next_u64() % 3) as usize } else { (params.next_u64() % 64) as usize };
             let seed = params.next_u64();
             let v: Vec<usize> = (0..n).collect();
             let sparse: Vec<usize> = v.choose_multiple(&mut Lcg(seed), k).copied().collect();

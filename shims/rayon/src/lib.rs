@@ -92,11 +92,7 @@ impl Open {
     /// A helper always joining the oldest call instead serves two concurrent
     /// callers unevenly (slower service runs in the closed-loop benchmark).
     fn pick(&self) -> Option<u64> {
-        self.calls
-            .iter()
-            .filter(|c| c.next < c.len)
-            .min_by_key(|c| (c.helpers, c.helped))
-            .map(|c| c.id)
+        self.calls.iter().filter(|c| c.next < c.len).min_by_key(|c| (c.helpers, c.helped)).map(|c| c.id)
     }
 }
 
@@ -132,9 +128,7 @@ impl Pool {
             helpers: threads.saturating_sub(1),
         }));
         for t in 1..threads {
-            let _ = std::thread::Builder::new()
-                .name(format!("rayon-shim-{t}"))
-                .spawn(move || pool.help());
+            let _ = std::thread::Builder::new().name(format!("rayon-shim-{t}")).spawn(move || pool.help());
         }
         pool
     }
@@ -300,9 +294,7 @@ impl ParRange {
     {
         let base = self.range.start;
         let n = self.range.len();
-        let blocks = run_blocks(n, |lo, hi| {
-            (lo..hi).flat_map(|i| f(base + i)).collect::<Vec<I::Item>>()
-        });
+        let blocks = run_blocks(n, |lo, hi| (lo..hi).flat_map(|i| f(base + i)).collect::<Vec<I::Item>>());
         ParResults { items: blocks.into_iter().flatten().collect() }
     }
 }

@@ -66,11 +66,7 @@ fn main() -> ExitCode {
     service.shutdown();
     eprintln!(
         "euler-serve: {} run(s) executed, {} cached, {} cancelled, peak {} of {} Longs admitted",
-        stats.runs_executed,
-        stats.runs_cached,
-        stats.runs_cancelled,
-        stats.peak_admitted_longs,
-        stats.memory_cap_longs
+        stats.runs_executed, stats.runs_cached, stats.runs_cancelled, stats.peak_admitted_longs, stats.memory_cap_longs
     );
     ExitCode::SUCCESS
 }

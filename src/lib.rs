@@ -390,28 +390,20 @@ pub use euler_partition as partition;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use euler_baseline::{fleury::fleury_circuit, hierholzer::hierholzer_circuit, makki::MakkiRunner};
-    pub use euler_bsp::{
-        BspConfig, FaultPlan, FaultPolicy, MemTransport, RecoveryStats, TcpTransport, Transport,
-    };
+    pub use euler_bsp::{BspConfig, FaultPlan, FaultPolicy, MemTransport, RecoveryStats, TcpTransport, Transport};
     pub use euler_core::{
-        run_on_partitioned, run_with_backend, stream_phase1,
-        verify::verify_circuit, BspBackend, CircuitResult, CircuitStep, EulerConfig,
-        EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo,
-        InProcessBackend, LevelPartitionReport, MergeStrategy, PartitionerKind,
-        PipelineRun, RunEvent, RunOptions, RunOutcome, RunReport, ServiceClient, ServiceConfig,
-        ServiceError, ServiceStats, SpillConfig, WStreamStats,
+        run_on_partitioned, run_with_backend, stream_phase1, verify::verify_circuit, BspBackend, CircuitResult,
+        CircuitStep, EulerConfig, EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo,
+        InProcessBackend, LevelPartitionReport, MergeStrategy, PartitionerKind, PipelineRun, RunEvent, RunOptions,
+        RunOutcome, RunReport, ServiceClient, ServiceConfig, ServiceError, ServiceStats, SpillConfig, WStreamStats,
     };
-    pub use euler_gen::{
-        configs::GraphConfig, eulerize::eulerize, rmat::RmatGenerator, synthetic,
-    };
+    pub use euler_gen::{configs::GraphConfig, eulerize::eulerize, rmat::RmatGenerator, synthetic};
     pub use euler_graph::{
-        builder::graph_from_edges, is_eulerian, write_csr_file, CsrFile, EdgeId,
-        EdgeListFileSource, EdgeStream, Graph, GraphBuilder, GraphRegistry, GraphSource,
-        InMemorySource, MetaGraph, MmapCsrSource, Partition, PartitionAssignment, PartitionId,
-        PartitionedGraph, StreamOrder, VertexId,
+        builder::graph_from_edges, is_eulerian, write_csr_file, CsrFile, EdgeId, EdgeListFileSource, EdgeStream, Graph,
+        GraphBuilder, GraphRegistry, GraphSource, InMemorySource, MetaGraph, MmapCsrSource, Partition,
+        PartitionAssignment, PartitionId, PartitionedGraph, StreamOrder, VertexId,
     };
     pub use euler_partition::{
-        BfsPartitioner, HashPartitioner, LdgPartitioner, PartitionQuality, Partitioner,
-        StreamingPartitioner,
+        BfsPartitioner, HashPartitioner, LdgPartitioner, PartitionQuality, Partitioner, StreamingPartitioner,
     };
 }

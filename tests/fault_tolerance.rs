@@ -78,12 +78,7 @@ fn reference_run(g: &Graph, a: &PartitionAssignment, config: &EulerConfig) -> Pi
         .unwrap()
 }
 
-fn distributed_run(
-    g: &Graph,
-    a: &PartitionAssignment,
-    config: &EulerConfig,
-    backend: BspBackend,
-) -> PipelineRun {
+fn distributed_run(g: &Graph, a: &PartitionAssignment, config: &EulerConfig, backend: BspBackend) -> PipelineRun {
     EulerPipeline::builder()
         .graph(g)
         .assignment(a.clone())
@@ -123,8 +118,7 @@ fn mem_transport_thread_workers_match_in_process_run() {
             &g,
             &a,
             &config,
-            BspBackend::with_engine(BspConfig::with_workers(workers))
-                .with_transport(Arc::new(MemTransport)),
+            BspBackend::with_engine(BspConfig::with_workers(workers)).with_transport(Arc::new(MemTransport)),
         );
         assert!(verify_result(&g, &run.circuit.result).is_ok());
         assert_same_run(&reference, &run);
@@ -313,8 +307,7 @@ fn tcp_transport_thread_workers_match_in_process_run() {
         &g,
         &a,
         &config,
-        BspBackend::with_engine(BspConfig::with_workers(2))
-            .with_transport(Arc::new(TcpTransport)),
+        BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(TcpTransport)),
     );
     assert!(verify_result(&g, &run.circuit.result).is_ok());
     assert_same_run(&reference, &run);
@@ -399,14 +392,9 @@ fn unwritable_checkpoint_directory_is_warned_of_once_and_counted_missing() {
         assert_same_run(&reference, &run);
         let recovery = run.merge.engine.as_ref().unwrap().recovery;
         assert_eq!((recovery.checkpoints_written, recovery.checkpoints_ignored), (0, 0));
-        let unwritten: Vec<_> =
-            run.merge.warnings.iter().filter(|w| w.contains("could not write")).collect();
+        let unwritten: Vec<_> = run.merge.warnings.iter().filter(|w| w.contains("could not write")).collect();
         assert_eq!(unwritten.len(), 1, "{:?}", run.merge.warnings);
-        assert!(
-            unwritten[0].contains("worker 0") && unwritten[0].contains("superstep 1"),
-            "{}",
-            unwritten[0]
-        );
+        assert!(unwritten[0].contains("worker 0") && unwritten[0].contains("superstep 1"), "{}", unwritten[0]);
         match plan.kill {
             None => assert_eq!(run.merge.warnings.len(), 1),
             Some(_) => assert_eq!((recovery.restarts, recovery.full_restarts), (1, 1)),
@@ -497,11 +485,7 @@ fn kill_at_superstep_zero_recovers_from_the_seed() {
     let recovery = run.merge.engine.as_ref().unwrap().recovery;
     assert_eq!((recovery.restarts, recovery.full_restarts), (1, 1));
     assert_eq!((recovery.checkpoint_longs_restored, recovery.checkpoints_ignored), (0, 0));
-    assert!(
-        run.merge.warnings.iter().all(|w| !w.contains("checkpointing disabled")),
-        "{:?}",
-        run.merge.warnings
-    );
+    assert!(run.merge.warnings.iter().all(|w| !w.contains("checkpointing disabled")), "{:?}", run.merge.warnings);
     assert!(!ckpt.exists());
 }
 
@@ -521,9 +505,8 @@ fn fault_matrix_every_worker_every_superstep_with_and_without_checkpoints() {
     for kill_worker in 0..2 {
         for kill_superstep in 0..supersteps {
             for checkpointed in [true, false] {
-                let tag = format!(
-                    "kill worker {kill_worker} at superstep {kill_superstep}, checkpoints: {checkpointed}"
-                );
+                let tag =
+                    format!("kill worker {kill_worker} at superstep {kill_superstep}, checkpoints: {checkpointed}");
                 let ckpt = checkpointed.then(|| scratch_dir("matrix"));
                 let mut backend = BspBackend::with_engine(BspConfig::with_workers(2))
                     .with_transport(Arc::new(MemTransport))
@@ -973,25 +956,13 @@ fn broken_spill_directory_degrades_to_resident_with_a_warning() {
     // still succeeds, and the report says so.
     let blocker = scratch_dir("spill").join("blocker");
     std::fs::write(&blocker, b"not a directory").unwrap();
-    let config = EulerConfig::default()
-        .with_fragment_memory_budget(64)
-        .with_fragment_spill_directory(blocker.join("spills"));
-    let run = EulerPipeline::builder()
-        .graph(&g)
-        .assignment(a)
-        .config(config)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let config =
+        EulerConfig::default().with_fragment_memory_budget(64).with_fragment_spill_directory(blocker.join("spills"));
+    let run = EulerPipeline::builder().graph(&g).assignment(a).config(config).build().unwrap().run().unwrap();
     assert!(verify_result(&g, &run.circuit.result).is_ok());
     let report = run.report();
     assert!(report.fragment_stats.spill_errors > 0, "spill never failed");
-    assert!(
-        report.warnings.iter().any(|w| w.contains("spill")),
-        "no spill warning in {:?}",
-        report.warnings
-    );
+    assert!(report.warnings.iter().any(|w| w.contains("spill")), "no spill warning in {:?}", report.warnings);
     std::fs::remove_dir_all(blocker.parent().unwrap()).ok();
 }
 

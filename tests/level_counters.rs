@@ -134,12 +134,8 @@ fn write_run(out: &mut String, name: &str, run: &PipelineRun, sequential: bool) 
         }
     }
     let _ = writeln!(out, "      \"records\": [");
-    let rows: Vec<String> = run
-        .merge
-        .per_partition
-        .iter()
-        .map(|r| format!("        [{}]", join(&record_row(r))))
-        .collect();
+    let rows: Vec<String> =
+        run.merge.per_partition.iter().map(|r| format!("        [{}]", join(&record_row(r)))).collect();
     let _ = writeln!(out, "{}", rows.join(",\n"));
     let _ = writeln!(out, "      ]");
     let _ = write!(out, "    }}");
@@ -151,8 +147,7 @@ fn render() -> String {
 
     // R-MAT scale 12 (power-law hubs, high cut) × LDG 8 × every strategy, on
     // the default concurrent schedule.
-    let rmat =
-        eulerize(&RmatGenerator::new(12).with_avg_degree(8.0).with_seed(1).generate()).0;
+    let rmat = eulerize(&RmatGenerator::new(12).with_avg_degree(8.0).with_seed(1).generate()).0;
     for (tag, strategy) in [
         ("duplicated", MergeStrategy::Duplicated),
         ("deduplicated", MergeStrategy::Deduplicated),
@@ -187,11 +182,7 @@ fn render() -> String {
     let budget = torus_run(sequential.clone()).circuit.fragment_disk_longs / 8;
     let budgeted = sequential.with_fragment_memory_budget(budget);
     runs.push(("torus64_ldg4_spill".into(), torus_run(budgeted.clone()), true));
-    runs.push((
-        "torus64_ldg4_wstream".into(),
-        torus_run(budgeted.with_streaming_phase1(true)),
-        true,
-    ));
+    runs.push(("torus64_ldg4_wstream".into(), torus_run(budgeted.with_streaming_phase1(true)), true));
 
     let mut out = String::from("{\n");
     let fields: Vec<String> = RECORD_FIELDS.iter().map(|f| format!("\"{f}\"")).collect();
@@ -212,10 +203,7 @@ fn golden_path() -> PathBuf {
 #[test]
 fn level_counters_match_the_golden_file() {
     let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/level_counters.json");
-    assert!(
-        euler_circuit::metrics::json::parse(&golden).is_some(),
-        "the golden file must stay valid JSON"
-    );
+    assert!(euler_circuit::metrics::json::parse(&golden).is_some(), "the golden file must stay valid JSON");
     let actual = render();
     for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
         assert_eq!(

@@ -21,9 +21,7 @@
 use euler_circuit::algo::phase1::run_phase1;
 use euler_circuit::algo::phase2::{apply_remote_edge_dedup, merge_partitions};
 use euler_circuit::algo::state::{EdgeRef, LocalEdge, RemoteRef};
-use euler_circuit::algo::{
-    FragmentStore, MergePair, MergeTree, VertexTypeCounts, WorkingPartition,
-};
+use euler_circuit::algo::{FragmentStore, MergePair, MergeTree, VertexTypeCounts, WorkingPartition};
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
@@ -36,8 +34,7 @@ type LeafOf<'a> = &'a dyn Fn(VertexId) -> PartitionId;
 /// matching puts the leaves of its two endpoints in one partition — the last
 /// level for leaves the tree never joins.
 fn converting_level(tree: &MergeTree, leaf_of: LeafOf<'_>, r: &RemoteRef) -> u32 {
-    tree.merge_level_of(leaf_of(r.local), leaf_of(r.remote))
-        .unwrap_or_else(|| tree.height().saturating_sub(1))
+    tree.merge_level_of(leaf_of(r.local), leaf_of(r.remote)).unwrap_or_else(|| tree.height().saturating_sub(1))
 }
 
 /// Longs moved by shipping a state to its merge parent: 3 per local edge,
@@ -50,10 +47,8 @@ fn transfer_longs(
     level: u32,
     strategy: MergeStrategy,
 ) -> u64 {
-    let shipped = wp
-        .remote_refs()
-        .filter(|r| !strategy.defers_transfer() || converting_level(tree, leaf_of, r) <= level)
-        .count();
+    let shipped =
+        wp.remote_refs().filter(|r| !strategy.defers_transfer() || converting_level(tree, leaf_of, r) <= level).count();
     3 * wp.local_edges.len() as u64 + 4 * shipped as u64 + 4
 }
 
@@ -85,15 +80,9 @@ fn hashset_merge(
         id: parent.id,
         leaves,
         level: level + 1,
-        local_edges: parent
-            .local_edges
-            .iter()
-            .chain(children.iter().flat_map(|c| &c.local_edges))
-            .copied()
-            .collect(),
+        local_edges: parent.local_edges.iter().chain(children.iter().flat_map(|c| &c.local_edges)).copied().collect(),
         remote_by_level: vec![Vec::new(); tree.height() as usize],
-        isolated_vertices: parent.isolated_vertices
-            + children.iter().map(|c| c.isolated_vertices).sum::<u64>(),
+        isolated_vertices: parent.isolated_vertices + children.iter().map(|c| c.isolated_vertices).sum::<u64>(),
     };
     let mut converted: HashSet<EdgeId> = HashSet::new();
     let refs = parent.remote_refs().chain(children.iter().flat_map(|c| c.remote_refs()));
@@ -101,11 +90,7 @@ fn hashset_merge(
         let at = converting_level(tree, leaf_of, r);
         if at == level {
             if converted.insert(r.edge) {
-                merged.local_edges.push(LocalEdge {
-                    edge: EdgeRef::Real(r.edge),
-                    u: r.local,
-                    v: r.remote,
-                });
+                merged.local_edges.push(LocalEdge { edge: EdgeRef::Real(r.edge), u: r.local, v: r.remote });
             }
         } else {
             merged.remote_by_level[at as usize].push(*r);
@@ -127,7 +112,8 @@ fn assert_merge_matches_oracle(
 ) -> WorkingPartition {
     let merged = merge_partitions(parent.clone(), children.to_vec(), level);
     let (want, want_stats) = hashset_merge(parent.clone(), children, tree, level, leaf_of);
-    let tag = format!("merge of {:?} into {} at level {level}", children.iter().map(|c| c.id).collect::<Vec<_>>(), parent.id);
+    let tag =
+        format!("merge of {:?} into {} at level {level}", children.iter().map(|c| c.id).collect::<Vec<_>>(), parent.id);
     assert_eq!(merged.remote_by_level.len(), want.remote_by_level.len(), "{tag}");
     for (at, (got, want)) in merged.remote_by_level.iter().zip(&want.remote_by_level).enumerate() {
         assert_eq!(got, want, "{tag}: bucket {at}");
@@ -187,8 +173,7 @@ fn replay(pg: &PartitionedGraph, labels: &PartitionAssignment, strategy: MergeSt
         for wp in &mut states {
             wp.level = level;
             let counts = wp.vertex_type_counts();
-            let needed: Vec<u32> =
-                wp.remote_refs().map(|r| converting_level(&tree, &leaf_of, r)).collect();
+            let needed: Vec<u32> = wp.remote_refs().map(|r| converting_level(&tree, &leaf_of, r)).collect();
             let resident_remote = if strategy.defers_transfer() {
                 needed.iter().filter(|&&l| l <= level).count() as u64
             } else {
@@ -196,11 +181,8 @@ fn replay(pg: &PartitionedGraph, labels: &PartitionAssignment, strategy: MergeSt
             };
             run_phase1(wp, &store);
             let retires = tree.pairs_at(level).iter().any(|p| p.child == wp.id);
-            let record_words = 6
-                + wp.leaves.len()
-                + 4 * wp.local_edges.len()
-                + tree.height() as usize
-                + 3 * wp.num_remote_edges();
+            let record_words =
+                6 + wp.leaves.len() + 4 * wp.local_edges.len() + tree.height() as usize + 3 * wp.num_remote_edges();
             expected.push(Expected {
                 level,
                 partition: wp.id,
@@ -266,14 +248,12 @@ fn assert_backends_match_replay(g: &Graph, assignment: &PartitionAssignment) {
                 "2 workers in place" => Box::new(BspBackend::with_engine(BspConfig::with_workers(2))),
                 "3 workers in place" => Box::new(BspBackend::with_engine(BspConfig::with_workers(3))),
                 "a worker per partition in place" => Box::new(BspBackend::new()),
-                _ => Box::new(
-                    BspBackend::with_engine(BspConfig::with_workers(2))
-                        .with_transport(Arc::new(MemTransport)),
-                ),
+                _ => {
+                    Box::new(BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(MemTransport)))
+                }
             };
             let config = EulerConfig::default().with_merge_strategy(strategy).with_verify(true);
-            let (_, report) =
-                run_with_backend(g, assignment, &config, backend.as_ref()).unwrap();
+            let (_, report) = run_with_backend(g, assignment, &config, backend.as_ref()).unwrap();
             let tag = format!("{name}, {strategy:?}");
             assert_eq!(report.per_partition.len(), expected.len(), "{tag}");
             for (got, want) in report.per_partition.iter().zip(&expected) {
@@ -390,11 +370,7 @@ fn state(tree: &MergeTree, id: u32, local: &[(u64, u64, u64)], refs: Vec<RemoteR
         level: 0,
         local_edges: local
             .iter()
-            .map(|&(e, u, v)| LocalEdge {
-                edge: EdgeRef::Real(EdgeId(e)),
-                u: vertex(id, u),
-                v: vertex(id, v),
-            })
+            .map(|&(e, u, v)| LocalEdge { edge: EdgeRef::Real(EdgeId(e)), u: vertex(id, u), v: vertex(id, v) })
             .collect(),
         remote_by_level,
         isolated_vertices: id as u64,
@@ -402,11 +378,7 @@ fn state(tree: &MergeTree, id: u32, local: &[(u64, u64, u64)], refs: Vec<RemoteR
 }
 
 fn tree_of(levels: Vec<Vec<(u32, u32)>>, root: u32, leaves: u32) -> MergeTree {
-    let pair = |(parent, child)| MergePair {
-        parent: PartitionId(parent),
-        child: PartitionId(child),
-        weight: 1,
-    };
+    let pair = |(parent, child)| MergePair { parent: PartitionId(parent), child: PartitionId(child), weight: 1 };
     MergeTree::from_parts(
         levels.into_iter().map(|pairs| pairs.into_iter().map(pair).collect()).collect(),
         PartitionId(root),
@@ -480,10 +452,8 @@ fn hand_built_merges_match_the_hashset_oracle() {
     // Nothing converts; nothing at all.
     let lone = state(&tree, 1, &[(1, 1, 1)], vec![]);
     assert_merge_matches_oracle(&state(&tree, 2, &[], vec![]), &[lone], &tree, 1, &hundreds);
-    let (parent, child) = (
-        state(&tree, 2, &[], vec![remote(1, (2, 1), (7, 2))]),
-        state(&tree, 1, &[], vec![remote(1, (1, 2), (7, 1))]),
-    );
+    let (parent, child) =
+        (state(&tree, 2, &[], vec![remote(1, (2, 1), (7, 2))]), state(&tree, 1, &[], vec![remote(1, (1, 2), (7, 1))]));
     assert_merge_matches_oracle(&parent, &[child], &tree, 1, &hundreds);
 }
 

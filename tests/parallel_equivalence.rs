@@ -15,8 +15,7 @@
 
 use euler_circuit::algo::verify::verify_result;
 use euler_circuit::algo::{
-    EulerError, Fragment, FragmentStore, LevelOutcome, LevelWork, VertexTypeCounts,
-    FAN_OUT_MIN_WORDS,
+    EulerError, Fragment, FragmentStore, LevelOutcome, LevelWork, VertexTypeCounts, FAN_OUT_MIN_WORDS,
 };
 use euler_circuit::bsp::{BspConfig, PlatformCostModel};
 use euler_circuit::prelude::*;
@@ -175,11 +174,7 @@ fn observe_source(
                 remote_needed_now: r.remote_needed_now,
                 transfer_in_longs: r.transfer_in_longs,
                 found: [r.paths_found, r.cycles_found, r.internal_cycles_merged],
-                splice: [
-                    r.splice_pivot_lookups,
-                    r.splice_linked_splices,
-                    r.splice_materialization_longs,
-                ],
+                splice: [r.splice_pivot_lookups, r.splice_linked_splices, r.splice_materialization_longs],
             })
             .collect(),
         fragments: store.snapshot(),
@@ -196,18 +191,11 @@ fn observe_source(
 /// under `.sequential()` too, which they honour: one slot at a time, the
 /// same bytes and the same non-timing superstep facts as their default runs.
 /// All must equal the oracle, which is returned.
-fn assert_every_schedule_matches_sequential(
-    g: &Graph,
-    assignment: &PartitionAssignment,
-    repeats: usize,
-) -> Observed {
+fn assert_every_schedule_matches_sequential(g: &Graph, assignment: &PartitionAssignment, repeats: usize) -> Observed {
     let unbounded = EulerConfig::default();
     let oracle = observe(g, assignment, &unbounded.clone().sequential(), InProcessBackend::new());
     verify_result(g, &CircuitResult { circuits: oracle.circuits.clone() }).unwrap();
-    assert!(
-        oracle.fragments.windows(2).all(|w| w[0].id < w[1].id),
-        "the store walks in ascending id order"
-    );
+    assert!(oracle.fragments.windows(2).all(|w| w[0].id < w[1].id), "the store walks in ascending id order");
     let budgeted = unbounded.clone().with_fragment_memory_budget(oracle.fragment_disk_longs / 8);
 
     for config in [&unbounded, &budgeted] {
@@ -230,11 +218,9 @@ fn assert_every_schedule_matches_sequential(
             let tag = |name: &str| format!("{name}, budget {budget:?}, repeat {rep}");
             let fan_out = observe(g, assignment, config, InProcessBackend::new());
             fan_out.assert_matches(&oracle, &tag("in-process fan-out"));
-            for engine in [
-                BspConfig::with_workers(1),
-                BspConfig::with_workers(2),
-                BspConfig::one_worker_per_partition(),
-            ] {
+            for engine in
+                [BspConfig::with_workers(1), BspConfig::with_workers(2), BspConfig::one_worker_per_partition()]
+            {
                 let bsp = observe(g, assignment, config, BspBackend::with_engine(engine));
                 let what = tag(&format!("in-place workers {:?}", engine.workers));
                 bsp.assert_matches(&oracle, &what);
@@ -244,8 +230,7 @@ fn assert_every_schedule_matches_sequential(
                     assert_same_superstep_facts(&facts(&bsp), &facts(seq), &format!("{what} vs .sequential()"));
                 }
             }
-            let wire = BspBackend::with_engine(BspConfig::with_workers(2))
-                .with_transport(Arc::new(MemTransport));
+            let wire = BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(MemTransport));
             observe(g, assignment, config, wire).assert_matches(&oracle, &tag("2 wire workers"));
         }
     }
@@ -266,11 +251,7 @@ fn every_backend_is_bit_identical_to_sequential_twenty_times_over() {
 /// The facts of two BSP runs' supersteps that no clock reads and that do not
 /// depend on where the workers live or how they were seeded: which partitions
 /// ran, what was handed over and what was shuffled, the memory after.
-fn assert_same_superstep_facts(
-    a: &euler_circuit::bsp::EngineStats,
-    b: &euler_circuit::bsp::EngineStats,
-    tag: &str,
-) {
+fn assert_same_superstep_facts(a: &euler_circuit::bsp::EngineStats, b: &euler_circuit::bsp::EngineStats, tag: &str) {
     assert_eq!(a.num_workers, b.num_workers, "{tag}");
     assert_eq!(a.placement, b.placement, "{tag}: one placement rule");
     assert_eq!(a.supersteps.len(), b.supersteps.len(), "{tag}");
@@ -404,13 +385,9 @@ fn workers_fed_from_a_mapped_file_match_the_graph_run_down_to_the_fragment_ids()
     let from_file = |config: &EulerConfig, backend: BspBackend| {
         observe_source(MmapCsrSource::open(&path).unwrap(), &assignment, config, backend)
     };
-    let mem_wire = || {
-        BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(MemTransport))
-    };
+    let mem_wire = || BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(MemTransport));
     let processes = || {
-        BspBackend::with_engine(BspConfig::with_workers(2))
-            .with_transport(Arc::new(TcpTransport))
-            .process_workers(true)
+        BspBackend::with_engine(BspConfig::with_workers(2)).with_transport(Arc::new(TcpTransport)).process_workers(true)
     };
 
     for strategy in MergeStrategy::all() {
@@ -438,8 +415,7 @@ fn workers_fed_from_a_mapped_file_match_the_graph_run_down_to_the_fragment_ids()
         // One placement and one set of shuffle and memory statistics; only
         // what seeding the workers moved differs.
         let stats = |o: &Observed| o.engine.clone().expect("bsp runs report engine stats");
-        let (in_place, threads, procs, shipped) =
-            (stats(&in_place), stats(&threads), stats(&procs), stats(&shipped));
+        let (in_place, threads, procs, shipped) = (stats(&in_place), stats(&threads), stats(&procs), stats(&shipped));
         for (other, what) in [(&threads, "threads"), (&procs, "processes"), (&shipped, "shipped")] {
             let tag = tag(what);
             assert_same_superstep_facts(&in_place, other, &tag);
@@ -476,12 +452,8 @@ fn fragment_budget_envelope_holds_under_concurrent_fan_out() {
         let budget = unbounded.fragment_disk_longs / 8;
         let largest = unbounded.fragments.iter().map(Fragment::disk_longs).max().unwrap();
         for _ in 0..5 {
-            let bounded = observe(
-                g,
-                &assignment,
-                &config.clone().with_fragment_memory_budget(budget),
-                InProcessBackend::new(),
-            );
+            let bounded =
+                observe(g, &assignment, &config.clone().with_fragment_memory_budget(budget), InProcessBackend::new());
             bounded.assert_matches(&unbounded, &format!("{name} under a budget"));
             let stats = bounded.stats;
             assert!(stats.spilled_fragments > 0, "{name}: budget {budget} must spill: {stats:?}");

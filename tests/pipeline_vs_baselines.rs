@@ -9,13 +9,7 @@ use std::sync::Arc;
 /// Runs the partition-centric pipeline and checks it covers exactly the same
 /// edge set as the Hierholzer oracle, with valid closed circuits.
 fn check_against_oracle(g: &Graph, parts: u32) {
-    let run = EulerPipeline::builder()
-        .graph(g)
-        .partitioner(LdgPartitioner::new(parts))
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let run = EulerPipeline::builder().graph(g).partitioner(LdgPartitioner::new(parts)).build().unwrap().run().unwrap();
     verify_result(g, &run.circuit.result).unwrap();
 
     let oracle = hierholzer_circuit(g).unwrap();
@@ -70,13 +64,7 @@ fn polyhedra_after_eulerization() {
 #[test]
 fn fleury_and_makki_agree_with_partition_centric() {
     let g = synthetic::random_eulerian_connected(40, 6, 5, 3);
-    let run = EulerPipeline::builder()
-        .graph(&g)
-        .partitioner(HashPartitioner::new(3))
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let run = EulerPipeline::builder().graph(&g).partitioner(HashPartitioner::new(3)).build().unwrap().run().unwrap();
     let pc = &run.circuit.result;
     let fleury = fleury_circuit(&g).unwrap();
     let makki = MakkiRunner::new().run(&g).unwrap();
@@ -89,21 +77,12 @@ fn fleury_and_makki_agree_with_partition_centric() {
 #[test]
 fn all_partitioners_produce_valid_inputs_for_the_pipeline() {
     let g = synthetic::torus_grid(12, 12);
-    let partitioners: Vec<Box<dyn Partitioner>> = vec![
-        Box::new(HashPartitioner::new(4)),
-        Box::new(LdgPartitioner::new(4)),
-        Box::new(BfsPartitioner::new(4)),
-    ];
+    let partitioners: Vec<Box<dyn Partitioner>> =
+        vec![Box::new(HashPartitioner::new(4)), Box::new(LdgPartitioner::new(4)), Box::new(BfsPartitioner::new(4))];
     for p in partitioners {
         let name = p.name();
         let assignment = p.partition(&g);
-        let run = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(assignment)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
+        let run = EulerPipeline::builder().graph(&g).assignment(assignment).build().unwrap().run().unwrap();
         verify_result(&g, &run.circuit.result).unwrap();
         assert_eq!(run.circuit.result.total_edges(), g.num_edges(), "partitioner {name}");
     }
@@ -124,12 +103,7 @@ fn bsp_backend_agrees_with_in_process_backend() {
     // BSP workers stepped in place (1, 2, one per partition) and behind the
     // in-memory transport.
     let in_place = |workers| BspBackend::with_engine(BspConfig::with_workers(workers));
-    for backend in [
-        in_place(1),
-        in_place(2),
-        BspBackend::new(),
-        in_place(2).with_transport(Arc::new(MemTransport)),
-    ] {
+    for backend in [in_place(1), in_place(2), BspBackend::new(), in_place(2).with_transport(Arc::new(MemTransport))] {
         let bsp = EulerPipeline::builder()
             .graph(&g)
             .assignment(assignment.clone())
@@ -164,8 +138,7 @@ fn mid_level_entry_points_match_the_builder() {
         .unwrap()
         .run()
         .unwrap();
-    let (mid_result, mid_report) =
-        run_with_backend(&g, &assignment, &config, &InProcessBackend::new()).unwrap();
+    let (mid_result, mid_report) = run_with_backend(&g, &assignment, &config, &InProcessBackend::new()).unwrap();
     // Sequential runs are fully deterministic: every path produces identical
     // circuits and identical transfer accounting.
     assert_eq!(mid_result.circuits, run.circuit.result.circuits);
@@ -174,8 +147,7 @@ fn mid_level_entry_points_match_the_builder() {
     assert_eq!(mid_report.backend, "in-process");
 
     let pg = PartitionedGraph::from_assignment(&g, &assignment).unwrap();
-    let (core_result, core_report) =
-        run_on_partitioned(&pg, &config, &InProcessBackend::new()).unwrap();
+    let (core_result, core_report) = run_on_partitioned(&pg, &config, &InProcessBackend::new()).unwrap();
     verify_result(&g, &core_result).unwrap();
     assert_eq!(core_result.circuits, mid_result.circuits);
     assert_eq!(core_report.total_transfer_longs, mid_report.total_transfer_longs);

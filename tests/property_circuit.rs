@@ -51,11 +51,7 @@ fn hub_multigraph(k: u64, petals: &[u8], digons: &[u8]) -> Graph {
 }
 
 /// Runs the pipeline on the in-process backend, returning circuit + report.
-fn run_pipeline(
-    g: &Graph,
-    assignment: &PartitionAssignment,
-    config: &EulerConfig,
-) -> (CircuitResult, RunReport) {
+fn run_pipeline(g: &Graph, assignment: &PartitionAssignment, config: &EulerConfig) -> (CircuitResult, RunReport) {
     run_with_backend(g, assignment, config, &InProcessBackend::new()).unwrap()
 }
 

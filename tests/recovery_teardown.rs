@@ -46,10 +46,7 @@ fn a_refused_rollback_respawns_once_and_leaves_no_thread_behind() {
     let a = LdgPartitioner::new(4).partition(&g);
     let config = EulerConfig::default();
     let run = |backend: Option<BspBackend>| {
-        let builder = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(a.clone())
-            .config(config.clone());
+        let builder = EulerPipeline::builder().graph(&g).assignment(a.clone()).config(config.clone());
         match backend {
             Some(backend) => builder.backend(backend),
             None => builder.backend(InProcessBackend::new()),
@@ -79,16 +76,9 @@ fn a_refused_rollback_respawns_once_and_leaves_no_thread_behind() {
             .with_fault_plan(FaultPlan::kill_at(1, 1)),
     ));
     assert!(verify_result(&g, &killed.circuit.result).is_ok());
-    assert_eq!(
-        killed.circuit.result.circuits,
-        reference.circuit.result.circuits
-    );
+    assert_eq!(killed.circuit.result.circuits, reference.circuit.result.circuits);
     let recovery = killed.merge.engine.as_ref().unwrap().recovery;
-    assert_eq!(
-        (recovery.restarts, recovery.full_restarts),
-        (1, 1),
-        "{recovery:?}"
-    );
+    assert_eq!((recovery.restarts, recovery.full_restarts), (1, 1), "{recovery:?}");
     drop(killed);
 
     std::thread::sleep(Duration::from_millis(1500));

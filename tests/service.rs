@@ -78,12 +78,7 @@ fn ecsr_path(g: &Graph, tag: &str) -> PathBuf {
 }
 
 fn bind(cap: u64, workers: usize) -> EulerService {
-    EulerService::bind(ServiceConfig {
-        memory_cap_longs: cap,
-        workers,
-        ..ServiceConfig::default()
-    })
-    .unwrap()
+    EulerService::bind(ServiceConfig { memory_cap_longs: cap, workers, ..ServiceConfig::default() }).unwrap()
 }
 
 /// The fragment share a run of `g` under `opts` reserves, stated apart from
@@ -102,13 +97,11 @@ fn fragment_share(g: &Graph, opts: RunOptions) -> u64 {
 
 /// The library path the service must match bit for bit.
 fn reference(path: &std::path::Path, opts: RunOptions) -> CircuitResult {
-    let builder = EulerPipeline::builder()
-        .source(MmapCsrSource::open(path).unwrap())
-        .config(EulerConfig {
-            merge_strategy: opts.strategy,
-            fragment_memory_budget: Some(ServiceConfig::default().fragment_budget_longs),
-            ..EulerConfig::default()
-        });
+    let builder = EulerPipeline::builder().source(MmapCsrSource::open(path).unwrap()).config(EulerConfig {
+        merge_strategy: opts.strategy,
+        fragment_memory_budget: Some(ServiceConfig::default().fragment_budget_longs),
+        ..EulerConfig::default()
+    });
     let builder = match opts.partitioner {
         PartitionerKind::Hash => builder.partitioner(HashPartitioner::new(opts.partitions)),
         PartitionerKind::Ldg => builder.partitioner(LdgPartitioner::new(opts.partitions)),
@@ -129,21 +122,9 @@ fn concurrent_clients_stream_circuits_bit_identical_to_the_library_path() {
     assert_eq!(info.num_vertices, g.num_vertices());
 
     let variants = [
-        RunOptions {
-            partitions: 2,
-            strategy: MergeStrategy::Duplicated,
-            partitioner: PartitionerKind::Hash,
-        },
-        RunOptions {
-            partitions: 4,
-            strategy: MergeStrategy::Deduplicated,
-            partitioner: PartitionerKind::Ldg,
-        },
-        RunOptions {
-            partitions: 3,
-            strategy: MergeStrategy::Deferred,
-            partitioner: PartitionerKind::Hash,
-        },
+        RunOptions { partitions: 2, strategy: MergeStrategy::Duplicated, partitioner: PartitionerKind::Hash },
+        RunOptions { partitions: 4, strategy: MergeStrategy::Deduplicated, partitioner: PartitionerKind::Ldg },
+        RunOptions { partitions: 3, strategy: MergeStrategy::Deferred, partitioner: PartitionerKind::Hash },
     ];
     let outcomes: Vec<RunOutcome> = thread::scope(|s| {
         let handles: Vec<_> = variants
@@ -202,9 +183,7 @@ fn repeated_requests_hit_the_cache_without_recomputing() {
     assert_eq!(after.runs_cached, before.runs_cached + 1);
 
     // Different options on the same graph are a different cache key.
-    let other = client
-        .run(info.checksum, RunOptions { partitions: 3, ..RunOptions::default() })
-        .unwrap();
+    let other = client.run(info.checksum, RunOptions { partitions: 3, ..RunOptions::default() }).unwrap();
     assert!(!other.cached);
     assert_eq!(service.stats().runs_executed, 2);
     service.shutdown();
@@ -233,10 +212,7 @@ fn a_fresh_run_reserves_what_its_level0_scan_counts() {
             let outcome = client.run(info.checksum, opts).unwrap();
             let summary = outcome.summary.expect("fresh runs carry a summary");
             let (reserved, measured) = (summary.estimated_longs, summary.measured_longs);
-            assert!(
-                reserved >= measured,
-                "{tag} {strategy:?}: reserved {reserved} < measured {measured}"
-            );
+            assert!(reserved >= measured, "{tag} {strategy:?}: reserved {reserved} < measured {measured}");
             if strategy == MergeStrategy::Duplicated {
                 assert_eq!(
                     reserved - share,
@@ -317,15 +293,10 @@ fn small_chunks_and_disconnected_graphs_stream_the_library_circuits() {
     let graphs = [graph_from(21, 90, 10), two_components(33)];
     let variants = [
         RunOptions { partitions: 3, ..RunOptions::default() },
-        RunOptions {
-            partitions: 2,
-            strategy: MergeStrategy::Deferred,
-            partitioner: PartitionerKind::Ldg,
-        },
+        RunOptions { partitions: 2, strategy: MergeStrategy::Deferred, partitioner: PartitionerKind::Ldg },
     ];
     for chunk_steps in [1, 7] {
-        let service =
-            EulerService::bind(ServiceConfig { chunk_steps, ..ServiceConfig::default() }).unwrap();
+        let service = EulerService::bind(ServiceConfig { chunk_steps, ..ServiceConfig::default() }).unwrap();
         let client = ServiceClient::connect(service.endpoint()).unwrap();
         for (g, circuits) in graphs.iter().zip([1, 2]) {
             let path = ecsr_path(g, "chunks");
@@ -409,12 +380,8 @@ fn run_against(chunks: &[&[u64]]) -> Result<RunOutcome, ServiceError> {
 #[test]
 fn a_client_refuses_chunks_out_of_stream_order() {
     let step = |edge, from, to| CircuitStep { edge: EdgeId(edge), from: VertexId(from), to: VertexId(to) };
-    let ok = run_against(&[&[0, 0, 2, 5, 10, 6, 11, 5], &[0, 2, 1, 5, 12, 5], &[1, 0, 1, 7, 13, 7]])
-        .unwrap();
-    assert_eq!(
-        ok.circuits,
-        vec![vec![step(10, 5, 6), step(11, 6, 5), step(12, 5, 5)], vec![step(13, 7, 7)]]
-    );
+    let ok = run_against(&[&[0, 0, 2, 5, 10, 6, 11, 5], &[0, 2, 1, 5, 12, 5], &[1, 0, 1, 7, 13, 7]]).unwrap();
+    assert_eq!(ok.circuits, vec![vec![step(10, 5, 6), step(11, 6, 5), step(12, 5, 5)], vec![step(13, 7, 7)]]);
     for (case, chunks) in [
         ("index 2^40 first", &[&[1u64 << 40, 0, 1, 5, 10, 5][..]][..]),
         ("index jump", &[&[0, 0, 1, 5, 10, 6], &[2, 0, 1, 5, 11, 5]]),
@@ -502,9 +469,8 @@ fn malformed_frames_yield_typed_errors_and_the_server_survives() {
     let service = bind(1 << 22, 2);
     let endpoint = service.endpoint().to_string();
 
-    let bytes_to_words = |bytes: &[u8]| {
-        bytes.chunks(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect::<Vec<u64>>()
-    };
+    let bytes_to_words =
+        |bytes: &[u8]| bytes.chunks(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect::<Vec<u64>>();
 
     // A well-formed frame of an unknown kind: typed ERROR, connection lives.
     let conn = euler_circuit::bsp::connect_endpoint(&endpoint).unwrap();
@@ -549,8 +515,7 @@ fn malformed_frames_yield_typed_errors_and_the_server_survives() {
     // And a real client still gets real service afterwards.
     let client = ServiceClient::connect(&endpoint).unwrap();
     let info = client.register(path.to_str().unwrap()).unwrap();
-    let outcome =
-        client.run(info.checksum, RunOptions { partitions: 2, ..RunOptions::default() }).unwrap();
+    let outcome = client.run(info.checksum, RunOptions { partitions: 2, ..RunOptions::default() }).unwrap();
     let steps: u64 = outcome.circuits.iter().map(|c| c.len() as u64).sum();
     assert_eq!(steps, g.num_edges());
 
@@ -620,8 +585,7 @@ fn stats_when(admin: &ServiceClient, settled: impl Fn(&ServiceStats) -> bool) ->
 fn a_cancel_after_the_last_yield_point_is_acknowledged_after_done() {
     let (g, path) = long_run_graph("late-cancel");
     let service = bind(1 << 22, 2);
-    let client =
-        ServiceClient::connect(service.endpoint()).unwrap().with_recv_timeout(Duration::from_secs(5));
+    let client = ServiceClient::connect(service.endpoint()).unwrap().with_recv_timeout(Duration::from_secs(5));
     let info = client.register(path.to_str().unwrap()).unwrap();
     client.start_run(info.checksum, LONG_RUN).unwrap();
     loop {
@@ -681,16 +645,9 @@ fn a_client_that_hangs_up_mid_run_cancels_it() {
 #[test]
 fn a_client_dropped_mid_stream_leaves_its_serving_thread_serving() {
     let (_g, path) = long_run_graph("dropped-mid-stream");
-    let service = EulerService::bind(ServiceConfig {
-        workers: 1,
-        chunk_steps: 1,
-        ..ServiceConfig::default()
-    })
-    .unwrap();
+    let service = EulerService::bind(ServiceConfig { workers: 1, chunk_steps: 1, ..ServiceConfig::default() }).unwrap();
     let endpoint = service.endpoint().to_string();
-    let client = || {
-        ServiceClient::connect(&endpoint).unwrap().with_recv_timeout(Duration::from_secs(30))
-    };
+    let client = || ServiceClient::connect(&endpoint).unwrap().with_recv_timeout(Duration::from_secs(30));
     // Every client but the dropped ones stays connected: a connection has
     // its own handler, and `workers: 1` bounds the runs computing at once,
     // not the connections served.
@@ -766,8 +723,7 @@ fn a_client_that_hangs_up_while_queued_is_never_admitted() {
 fn shutdown_mid_run_ends_the_stream() {
     let (_g, path) = long_run_graph("shutdown");
     let service = bind(1 << 22, 2);
-    let client =
-        ServiceClient::connect(service.endpoint()).unwrap().with_recv_timeout(Duration::from_secs(10));
+    let client = ServiceClient::connect(service.endpoint()).unwrap().with_recv_timeout(Duration::from_secs(10));
     let info = client.register(path.to_str().unwrap()).unwrap();
     client.start_run(info.checksum, LONG_RUN).unwrap();
     await_accepted(&client);
@@ -826,10 +782,8 @@ fn an_odd_degree_graph_is_refused_with_the_librarys_reason() {
         .unwrap()
         .run()
         .unwrap_err();
-    let euler_circuit::algo::EulerError::Graph(euler_circuit::graph::GraphError::NotEulerian {
-        vertex,
-        degree: 3,
-    }) = library
+    let euler_circuit::algo::EulerError::Graph(euler_circuit::graph::GraphError::NotEulerian { vertex, degree: 3 }) =
+        library
     else {
         panic!("the library refuses with NotEulerian, got {library:?}");
     };
@@ -863,8 +817,7 @@ fn idle_clients(tag: &str) -> (EulerService, Vec<ServiceClient>, u64, PathBuf) {
     let g = graph_from(13, 200, 30);
     let path = ecsr_path(&g, tag);
     let service = bind(1 << 22, 1);
-    let idle: Vec<ServiceClient> =
-        (0..8).map(|_| ServiceClient::connect(service.endpoint()).unwrap()).collect();
+    let idle: Vec<ServiceClient> = (0..8).map(|_| ServiceClient::connect(service.endpoint()).unwrap()).collect();
     let infos: Vec<_> = idle.iter().map(|c| c.register(path.to_str().unwrap()).unwrap()).collect();
     (service, idle, infos[0].checksum, path)
 }
@@ -875,9 +828,7 @@ fn idle_clients(tag: &str) -> (EulerService, Vec<ServiceClient>, u64, PathBuf) {
 #[test]
 fn idle_clients_leave_a_one_slot_server_serving() {
     let (service, _idle, checksum, path) = idle_clients("idle");
-    let client = ServiceClient::connect(service.endpoint())
-        .unwrap()
-        .with_recv_timeout(Duration::from_secs(30));
+    let client = ServiceClient::connect(service.endpoint()).unwrap().with_recv_timeout(Duration::from_secs(30));
     let opts = RunOptions { partitions: 3, ..RunOptions::default() };
     let outcome = client.run(checksum, opts).unwrap();
     assert!(!outcome.cached);

@@ -8,9 +8,7 @@
 
 use euler_circuit::algo::phase3::unroll;
 use euler_circuit::algo::verify::verify_result;
-use euler_circuit::algo::{
-    EulerError, Fragment, FragmentId, FragmentKind, FragmentStore, SpillConfig, TourEdge,
-};
+use euler_circuit::algo::{EulerError, Fragment, FragmentId, FragmentKind, FragmentStore, SpillConfig, TourEdge};
 use euler_circuit::graph::{EdgeStream, GraphError};
 use euler_circuit::partition::StreamingPartitioner;
 use euler_circuit::prelude::*;
@@ -251,11 +249,7 @@ proptest! {
 #[test]
 fn interrupted_spill_still_unrolls_identical_circuits() {
     fn real(edge: u64, from: u64, to: u64) -> TourEdge {
-        TourEdge::Real {
-            edge: euler_circuit::graph::EdgeId(edge),
-            from: VertexId(from),
-            to: VertexId(to),
-        }
+        TourEdge::Real { edge: euler_circuit::graph::EdgeId(edge), from: VertexId(from), to: VertexId(to) }
     }
     // A nested workload: paths referenced as virtual edges, plus cycles that
     // must be spliced at shared vertices — every Phase-3 code path.
@@ -288,9 +282,7 @@ fn interrupted_spill_still_unrolls_identical_circuits() {
     }
     let mem = FragmentStore::new();
     let spill = FragmentStore::spilling(SpillConfig::with_budget(0));
-    let broken = FragmentStore::spilling(
-        SpillConfig::with_budget(0).in_directory("/nonexistent/euler/spill"),
-    );
+    let broken = FragmentStore::spilling(SpillConfig::with_budget(0).in_directory("/nonexistent/euler/spill"));
     for store in [&mem, &spill, &broken] {
         fill(store);
     }
@@ -322,11 +314,7 @@ fn phase3_reads_the_spill_file_twice_in_the_runs_it_was_written_in() {
     // expanded through a virtual reference, and enough two-edge cycles
     // along a chain of vertices to fill several runs.
     fn real(edge: u64, from: u64, to: u64) -> TourEdge {
-        TourEdge::Real {
-            edge: euler_circuit::graph::EdgeId(edge),
-            from: VertexId(from),
-            to: VertexId(to),
-        }
+        TourEdge::Real { edge: euler_circuit::graph::EdgeId(edge), from: VertexId(from), to: VertexId(to) }
     }
     let store = FragmentStore::spilling(SpillConfig::with_budget(0));
     let p = store.push(Fragment {

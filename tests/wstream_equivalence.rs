@@ -26,8 +26,7 @@ fn temp_path(name: &str) -> PathBuf {
 
 /// Sorted edge-id multiset covered by a result's circuits.
 fn edge_multiset(result: &CircuitResult) -> Vec<u64> {
-    let mut ids: Vec<u64> =
-        result.circuits.iter().flatten().map(|step| step.edge.0).collect();
+    let mut ids: Vec<u64> = result.circuits.iter().flatten().map(|step| step.edge.0).collect();
     ids.sort_unstable();
     ids
 }
@@ -56,10 +55,8 @@ fn assert_wstream_matches_dense(g: &Graph, assignment: &PartitionAssignment, tag
 
     for backend_name in ["in-process", "bsp-1-in-place", "bsp-2-in-place", "bsp-per-partition"] {
         for producer_name in ["in-memory", "mmap-csr", "edge-list"] {
-            let builder = EulerPipeline::builder()
-                .assignment(assignment.clone())
-                .config(config.clone())
-                .streaming_phase1(true);
+            let builder =
+                EulerPipeline::builder().assignment(assignment.clone()).config(config.clone()).streaming_phase1(true);
             let builder = match producer_name {
                 "in-memory" => builder.source(InMemorySource::new(g.clone())),
                 "mmap-csr" => builder.source(MmapCsrSource::open(&csr_path).unwrap()),
@@ -75,20 +72,18 @@ fn assert_wstream_matches_dense(g: &Graph, assignment: &PartitionAssignment, tag
                 .build()
                 .unwrap()
                 .run()
-                .unwrap_or_else(|e| {
-                    panic!("{tag}: {producer_name} × {backend_name} failed: {e}")
-                });
-            verify_result(g, &run.circuit.result).unwrap_or_else(|e| {
-                panic!("{tag}: {producer_name} × {backend_name} invalid circuit: {e}")
-            });
+                .unwrap_or_else(|e| panic!("{tag}: {producer_name} × {backend_name} failed: {e}"));
+            verify_result(g, &run.circuit.result)
+                .unwrap_or_else(|e| panic!("{tag}: {producer_name} × {backend_name} invalid circuit: {e}"));
             assert_eq!(
                 edge_multiset(&run.circuit.result),
                 dense_edges,
                 "{tag}: {producer_name} × {backend_name} edge multiset diverges from dense"
             );
-            let stats = run.merge.wstream.unwrap_or_else(|| {
-                panic!("{tag}: {producer_name} × {backend_name} must report wstream stats")
-            });
+            let stats = run
+                .merge
+                .wstream
+                .unwrap_or_else(|| panic!("{tag}: {producer_name} × {backend_name} must report wstream stats"));
             assert_eq!(stats.edges_ingested, g.num_edges());
             assert_eq!(stats.num_vertices, g.num_vertices());
         }
@@ -138,15 +133,7 @@ fn empty_partition_agrees_with_dense() {
 #[test]
 fn self_loops_agree_with_dense() {
     // Self-loops at internal and boundary vertices, including doubled ones.
-    let g = graph_from_edges(&[
-        (0, 0),
-        (0, 1),
-        (1, 1),
-        (1, 2),
-        (2, 2),
-        (2, 2),
-        (2, 0),
-    ]);
+    let g = graph_from_edges(&[(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 2), (2, 0)]);
     let a = PartitionAssignment::from_labels(vec![0, 0, 1], 2).unwrap();
     assert_wstream_matches_dense(&g, &a, "self_loops");
 }
@@ -154,16 +141,7 @@ fn self_loops_agree_with_dense() {
 #[test]
 fn multi_edges_agree_with_dense() {
     // Parallel edges within and across partitions.
-    let g = graph_from_edges(&[
-        (0, 1),
-        (0, 1),
-        (1, 2),
-        (1, 2),
-        (2, 3),
-        (2, 3),
-        (3, 0),
-        (3, 0),
-    ]);
+    let g = graph_from_edges(&[(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (3, 0), (3, 0)]);
     let a = PartitionAssignment::from_labels(vec![0, 0, 1, 1], 2).unwrap();
     assert_wstream_matches_dense(&g, &a, "multi_edges");
 }
@@ -234,10 +212,7 @@ fn peak_resident_state_is_independent_of_edge_count() {
     };
     let peak_4n = peak_for(4);
     let peak_64n = peak_for(64);
-    assert!(
-        peak_64n < 2 * peak_4n,
-        "peak grew with m: {peak_4n} Longs at m=4n vs {peak_64n} Longs at m=64n"
-    );
+    assert!(peak_64n < 2 * peak_4n, "peak grew with m: {peak_4n} Longs at m=4n vs {peak_64n} Longs at m=64n");
 }
 
 /// The acceptance path: a packed `.ecsr` input, a streaming partitioner, the
