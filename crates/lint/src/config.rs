@@ -25,22 +25,27 @@
 //! allow = some_extra_crate
 //!
 //! [rule.no-timed-wait]
-//! file = crates/core/src/service.rs @ accept_loop  # named fns only
+//! file = crates/core/src/service/server.rs @ accept_loop  # named fns only
 //! ```
 //!
 //! Keys may repeat; unknown sections or keys are parse errors (a typo must
-//! not silently drop policy). Paths are workspace-root-relative with `/`
-//! separators.
+//! not silently drop policy), and so is a second entry for a file within one
+//! rule. Paths are workspace-root-relative with `/` separators. Once the
+//! workspace is scanned, [`Config::check_scopes`] refuses an entry whose path
+//! is not a scanned file or whose `@` function its file does not define: a
+//! stale entry would cover nothing, silently.
 
-/// One `no-panic-in-decode` or `no-timed-wait` scope entry: a file,
-/// optionally narrowed to a set of named functions (closures and nested fns
-/// inside them included).
+/// One `no-panic-in-decode`, `no-timed-wait` or `no-wall-clock-in-kernels`
+/// entry: a file, optionally narrowed to a set of named functions (closures
+/// and nested fns inside them included).
 #[derive(Clone, Debug)]
 pub struct FileScope {
     /// Root-relative path.
     pub file: String,
     /// `None` = the whole file (minus `#[cfg(test)]` items).
     pub fns: Option<Vec<String>>,
+    /// 1-based line of the entry in the policy file.
+    pub line: usize,
 }
 
 /// One `atomic-ordering-allowlist` entry: the orderings a file may name.
@@ -50,6 +55,8 @@ pub struct AtomicAllow {
     pub file: String,
     /// Permitted `std::sync::atomic::Ordering` variant names.
     pub orderings: Vec<String>,
+    /// 1-based line of the entry in the policy file.
+    pub line: usize,
 }
 
 /// The full parsed policy.
@@ -61,8 +68,9 @@ pub struct Config {
     pub decode: Vec<FileScope>,
     /// R3 allowlist: files permitted to name atomic orderings at all.
     pub atomics: Vec<AtomicAllow>,
-    /// R4 scope: deterministic kernel modules where wall clocks are banned.
-    pub kernel_files: Vec<String>,
+    /// R4 scope: deterministic kernel modules where wall clocks are banned
+    /// (whole files: `fns` is always `None`).
+    pub kernel_files: Vec<FileScope>,
     /// R5 extras: crate roots allowed beyond builtins + workspace members.
     pub extra_crates: Vec<String>,
     /// R6 scope: paths that block until woken, never on a timer.
@@ -76,6 +84,8 @@ impl Config {
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut cfg = Config::default();
         let mut section = String::new();
+        // (section, file) of every rule entry so far.
+        let mut entries = std::collections::BTreeSet::new();
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = match raw.split_once('#') {
@@ -105,6 +115,12 @@ impl Config {
             if value.is_empty() {
                 return Err(format!("line {lineno}: empty value for `{key}`"));
             }
+            if section.starts_with("rule.") && (key == "file" || section == "rule.atomic-ordering-allowlist") {
+                let file = normalize_path(value.split(['@', ':']).next().unwrap_or(value));
+                if !entries.insert((section.clone(), file.clone())) {
+                    return Err(format!("line {lineno}: `{file}` already has an entry in [{section}]"));
+                }
+            }
             match (section.as_str(), key) {
                 ("scan", "exclude") => cfg.excludes.push(normalize_path(value)),
                 ("rule.no-panic-in-decode", "file") => cfg.decode.push(file_scope(value, lineno)?),
@@ -123,10 +139,10 @@ impl Config {
                     if names.is_empty() {
                         return Err(format!("line {lineno}: allowlist entry with no orderings"));
                     }
-                    cfg.atomics.push(AtomicAllow { file: normalize_path(file.trim()), orderings: names });
+                    cfg.atomics.push(AtomicAllow { file: normalize_path(file), orderings: names, line: lineno });
                 }
                 ("rule.no-wall-clock-in-kernels", "file") => {
-                    cfg.kernel_files.push(normalize_path(value));
+                    cfg.kernel_files.push(FileScope { file: normalize_path(value), fns: None, line: lineno });
                 }
                 ("rule.shim-surface-guard", "allow") => {
                     cfg.extra_crates.push(value.to_string());
@@ -154,7 +170,23 @@ impl Config {
 
     /// R4: whether `file` is a deterministic kernel module.
     pub fn is_kernel(&self, file: &str) -> bool {
-        self.kernel_files.iter().any(|k| k == file)
+        self.kernel_files.iter().any(|k| k.file == file)
+    }
+
+    /// Checks every rule entry against the scanned workspace: its path must
+    /// be a scanned file, and each of its `@` functions one that file
+    /// defines outside test items. `defined(file)` lists those functions,
+    /// `None` for a file that was not scanned. Errors name the entry's line.
+    pub fn check_scopes<'f>(&self, defined: impl Fn(&str) -> Option<Vec<&'f str>>) -> Result<(), String> {
+        let scopes = self.decode.iter().chain(&self.untimed).chain(&self.kernel_files);
+        let atomics = self.atomics.iter().map(|a| (&a.file, None, a.line));
+        for (file, fns, line) in scopes.map(|s| (&s.file, s.fns.as_deref(), s.line)).chain(atomics) {
+            let names = defined(file).ok_or_else(|| format!("line {line}: `{file}` is not a scanned .rs file"))?;
+            if let Some(missing) = fns.unwrap_or_default().iter().find(|f| !names.contains(&f.as_str())) {
+                return Err(format!("line {line}: `{file}` defines no function `{missing}`"));
+            }
+        }
+        Ok(())
     }
 
     /// Whether `rel` (root-relative) is excluded from scanning.
@@ -166,13 +198,13 @@ impl Config {
 /// Parses `path` or `path @ fn_a, fn_b`.
 fn file_scope(value: &str, lineno: usize) -> Result<FileScope, String> {
     let Some((file, fns)) = value.split_once('@') else {
-        return Ok(FileScope { file: normalize_path(value), fns: None });
+        return Ok(FileScope { file: normalize_path(value), fns: None, line: lineno });
     };
     let names: Vec<String> = fns.split(',').map(|f| f.trim().to_string()).filter(|f| !f.is_empty()).collect();
     if names.is_empty() {
         return Err(format!("line {lineno}: `@` with no function names"));
     }
-    Ok(FileScope { file: normalize_path(file), fns: Some(names) })
+    Ok(FileScope { file: normalize_path(file), fns: Some(names), line: lineno })
 }
 
 fn normalize_path(p: &str) -> String {
@@ -216,5 +248,25 @@ mod tests {
         assert!(Config::parse("[scan]\nexlude = x\n").is_err());
         assert!(Config::parse("[rule.atomic-ordering-allowlist]\nallow = f.rs : Relaexd\n").is_err());
         assert!(Config::parse("[scan]\nexclude =\n").is_err());
+    }
+
+    #[test]
+    fn a_second_entry_for_a_file_in_one_rule_is_a_config_error() {
+        let twice = |section: &str, first: &str, second: &str| {
+            Config::parse(&format!("[rule.{section}]\n{first}\n# between\n{second}\n")).unwrap_err()
+        };
+        let e = twice("no-panic-in-decode", "file = a.rs @ f", "file = ./a.rs @ g");
+        assert!(e.starts_with("line 4:") && e.contains("`a.rs` already has an entry"), "{e}");
+        assert!(twice("no-timed-wait", "file = a.rs", "file = a.rs @ f").starts_with("line 4:"));
+        assert!(twice("no-wall-clock-in-kernels", "file = a.rs", "file = a.rs").starts_with("line 4:"));
+        assert!(twice("atomic-ordering-allowlist", "allow = a.rs : Relaxed", "allow = a.rs : SeqCst")
+            .starts_with("line 4:"));
+        // One file in several rules is one entry in each.
+        let cfg = Config::parse(
+            "[rule.no-panic-in-decode]\nfile = a.rs @ f\n[rule.no-timed-wait]\nfile = a.rs @ g\n\
+             [rule.atomic-ordering-allowlist]\nallow = a.rs : Relaxed\n[rule.no-wall-clock-in-kernels]\nfile = a.rs\n",
+        )
+        .unwrap();
+        assert!(cfg.decode_scope("a.rs").is_some() && cfg.untimed_scope("a.rs").is_some() && cfg.is_kernel("a.rs"));
     }
 }

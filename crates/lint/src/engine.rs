@@ -41,6 +41,10 @@ pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, String> {
         mods_by_member.entry(member_of(rel)).or_default().extend(a.mod_names());
     }
 
+    let by_file: BTreeMap<&str, &FileAnalysis<'_>> =
+        sources.iter().map(|(rel, _)| rel.as_str()).zip(&analyses).collect();
+    cfg.check_scopes(|file| by_file.get(file).map(|a| a.fn_names())).map_err(|e| format!("{CONFIG_FILE} {e}"))?;
+
     let mut report = Report { findings: Vec::new(), files_scanned: sources.len() };
     for (a, (rel, _)) in analyses.iter().zip(&sources) {
         let surface = ImportSurface {

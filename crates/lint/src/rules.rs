@@ -107,6 +107,11 @@ impl<'a> FileAnalysis<'a> {
         out
     }
 
+    /// Names of the functions this file defines outside test items.
+    pub fn fn_names(&self) -> Vec<&str> {
+        self.fn_frames.iter().filter(|(_, open, _)| !self.in_test[*open]).map(|(name, _, _)| name.as_str()).collect()
+    }
+
     /// Runs every rule, applies pragma suppression, returns the findings.
     pub fn lint(&self, cfg: &Config, surface: &ImportSurface) -> Vec<Finding> {
         let mut findings = self.pragma_findings.clone();

@@ -97,3 +97,55 @@ fn clean_workspace_exits_zero() {
     assert!(stdout.contains("0 finding(s)"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs the binary under `policy` on a workspace whose one source file,
+/// `src/level.rs`, defines `group_inbound` and, inside its test module,
+/// `only_in_tests`; returns the exit code and stderr.
+fn lint_under_policy(tag: &str, policy: &str) -> (Option<i32>, String) {
+    let dir = temp_workspace(tag);
+    write(&dir, "Cargo.toml", "[package]\nname = \"seed\"\n");
+    write(&dir, "euler-lint.toml", policy);
+    write(
+        &dir,
+        "src/level.rs",
+        "pub fn group_inbound() {}\n\n#[cfg(test)]\nmod tests {\n    fn only_in_tests() {}\n}\n",
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_euler-lint")).arg("--root").arg(&dir).output().expect("binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn a_scope_naming_a_file_that_is_not_scanned_is_a_config_error() {
+    let (code, stderr) = lint_under_policy(
+        "stale-file",
+        "[rule.no-panic-in-decode]\nfile = src/level.rs @ group_inbound\nfile = src/nonexistent.rs @ decode_nothing\n",
+    );
+    assert_eq!(code, Some(2), "a stale path must exit 2; stderr:\n{stderr}");
+    assert!(stderr.contains("line 3: `src/nonexistent.rs` is not a scanned .rs file"), "{stderr}");
+    for (section, entry) in [
+        ("no-wall-clock-in-kernels", "file = src/gone.rs"),
+        ("atomic-ordering-allowlist", "allow = src/gone.rs : Relaxed"),
+        ("no-timed-wait", "file = src/gone.rs @ serve"),
+    ] {
+        let (code, stderr) = lint_under_policy("stale-file-rule", &format!("[rule.{section}]\n{entry}\n"));
+        assert_eq!(code, Some(2), "[{section}]: {stderr}");
+        assert!(stderr.contains("line 2: `src/gone.rs` is not a scanned .rs file"), "[{section}]: {stderr}");
+    }
+}
+
+#[test]
+fn a_scope_naming_a_function_its_file_does_not_define_is_a_config_error() {
+    let (code, stderr) = lint_under_policy(
+        "stale-fn",
+        "[rule.no-panic-in-decode]\nfile = src/level.rs @ group_inbound, no_such_function\n",
+    );
+    assert_eq!(code, Some(2), "a stale function must exit 2; stderr:\n{stderr}");
+    assert!(stderr.contains("line 2: `src/level.rs` defines no function `no_such_function`"), "{stderr}");
+    // A function of a test item is no scope: the rules skip test items.
+    let (code, stderr) = lint_under_policy("test-fn", "[rule.no-timed-wait]\nfile = src/level.rs @ only_in_tests\n");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("defines no function `only_in_tests`"), "{stderr}");
+    let (code, stderr) = lint_under_policy("live-fn", "[rule.no-timed-wait]\nfile = src/level.rs @ group_inbound\n");
+    assert_eq!(code, Some(0), "{stderr}");
+}
