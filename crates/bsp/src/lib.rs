@@ -30,7 +30,6 @@
 
 pub mod checkpoint;
 pub mod cost_model;
-pub mod engine;
 pub mod fault;
 pub mod program;
 pub mod stats;
@@ -39,8 +38,7 @@ pub mod vertex;
 pub mod wire;
 
 pub use checkpoint::{checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError};
-pub use cost_model::PlatformCostModel;
-pub use engine::{BspConfig, WorkerCount};
+pub use cost_model::{BspConfig, PlatformCostModel, WorkerCount};
 pub use fault::{FaultPlan, FaultPolicy, RecoveryStats};
 pub use program::{VertexContext, VertexProgram};
 pub use stats::{EngineStats, SuperstepStats};
