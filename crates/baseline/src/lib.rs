@@ -14,13 +14,20 @@
 //!   its superstep count is `O(|E|)` in the vertex-centric setting and
 //!   `O(edge cut)` in the partition-centric one, versus `O(log n)` levels for
 //!   the paper's algorithm.
+//! * [`vertex`] / [`program`] — the vertex-centric (Pregel) engine and
+//!   programming model Makki runs on, the classic abstraction of the paper's
+//!   related-work discussion.
 
 #![warn(missing_docs)]
 
 pub mod fleury;
 pub mod hierholzer;
 pub mod makki;
+pub mod program;
+pub mod vertex;
 
 pub use fleury::fleury_circuit;
 pub use hierholzer::hierholzer_circuit;
 pub use makki::{MakkiResult, MakkiRunner};
+pub use program::{VertexContext, VertexProgram};
+pub use vertex::{run_vertex_program, VertexEngineConfig, VertexEngineStats};

@@ -8,7 +8,7 @@
 //! busy machine while all others idle.
 //!
 //! This implementation reproduces that execution profile on the
-//! `euler-bsp` vertex-centric engine. The walker performs maximal greedy
+//! vertex-centric engine of [`crate::vertex`]. The walker performs maximal greedy
 //! trails; when a trail closes with edges still unvisited, a new trail is
 //! launched from a visited vertex that still has unvisited edges and the
 //! resulting closed sub-tours are spliced into the final circuit (the same
@@ -17,7 +17,8 @@
 //! edge plus one per relaunch). The result is verified like every other
 //! algorithm in the workspace.
 
-use euler_bsp::{run_vertex_program, VertexContext, VertexEngineConfig, VertexProgram};
+use crate::program::{VertexContext, VertexProgram};
+use crate::vertex::{run_vertex_program, VertexEngineConfig};
 use euler_core::fragment::{Fragment, FragmentId, FragmentKind, FragmentStore, TourEdge};
 use euler_core::phase3::unroll;
 use euler_core::{CircuitResult, EulerError};

@@ -8,7 +8,6 @@
 //! comparison of the `supersteps_vs_makki` harness is apples-to-apples.
 
 use crate::program::{VertexContext, VertexProgram};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Configuration for the vertex-centric runner.
@@ -26,7 +25,7 @@ impl Default for VertexEngineConfig {
 }
 
 /// Statistics of a vertex-centric run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct VertexEngineStats {
     /// Number of supersteps executed (the coordination cost).
     pub supersteps: u64,

@@ -3,7 +3,7 @@
 //! Two experiments share this binary:
 //!
 //! 1. **Dense vs reference** — the retained hash-map reference kernel
-//!    (`euler_core::phase1::reference::run_phase1_reference`, the "before")
+//!    (`euler_oracle::run_phase1_reference`, the "before")
 //!    against the dense CSR-arena kernel (`euler_core::phase1::run_phase1`,
 //!    the "after") over single partitions up to 1M+ local edges.
 //! 2. **Splice storm** — the same two kernels on star-of-cycles workloads,
@@ -20,13 +20,13 @@
 
 use euler_bench::{round_robin_working_partitions, single_working_partition};
 use euler_core::fragment::FragmentStore;
-use euler_core::phase1::reference::run_phase1_reference;
 use euler_core::phase1::run_phase1;
 use euler_core::WorkingPartition;
 use euler_gen::eulerize::eulerize;
 use euler_gen::rmat::RmatGenerator;
 use euler_gen::synthetic;
 use euler_metrics::json::Value;
+use euler_oracle::run_phase1_reference;
 use std::time::Instant;
 
 /// Minimum wall time over `reps` runs of `kernel` across all partitions of

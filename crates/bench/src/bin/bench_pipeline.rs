@@ -2,12 +2,11 @@
 //!
 //! The redesign routed every driver through one shared merge-tree walk
 //! behind the builder API. This harness checks the abstraction costs
-//! nothing: it times the same workloads through (a) the `Graph`-free core
-//! walk `run_on_partitioned` over a pre-built partition view — the leanest
-//! path there is — (b) the mid-level `run_with_backend` call (adds the
-//! Eulerian pre-check and partition-view construction), and (c) the full
-//! `EulerPipeline` builder with its `GraphSource` / staged-output plumbing,
-//! and writes the paired timings to `BENCH_pipeline.json`.
+//! nothing: it times the same workloads through (a) the mid-level
+//! `run_with_backend` call (the Eulerian pre-check, the level-0 scan and
+//! the walk) and (b) the full `EulerPipeline` builder with its
+//! `GraphSource` / staged-output plumbing, and writes the paired timings to
+//! `BENCH_pipeline.json`.
 //!
 //! The `out_of_core` section exercises the zero-`Graph` spine: an mmap'd
 //! `.ecsr` source partitioned by streaming LDG, once unbounded and once
@@ -30,11 +29,11 @@
 //! written at the top level, for the builder rows, and into every section,
 //! so one section's object can be spliced into an existing ledger as it is.
 
-use euler_core::{run_on_partitioned, run_with_backend, EulerConfig, EulerPipeline, InProcessBackend};
+use euler_core::{run_with_backend, EulerConfig, EulerPipeline, InProcessBackend};
 use euler_gen::eulerize::eulerize;
 use euler_gen::rmat::RmatGenerator;
 use euler_gen::synthetic;
-use euler_graph::{Graph, InMemorySource, PartitionAssignment, PartitionedGraph};
+use euler_graph::{Graph, InMemorySource, PartitionAssignment};
 use euler_metrics::json::Value;
 use euler_partition::{LdgPartitioner, Partitioner};
 use std::time::Instant;
@@ -55,11 +54,6 @@ fn time_runs(reps: u32, mut f: impl FnMut() -> u64) -> (f64, u64) {
 fn bench_workload(name: &str, g: &Graph, assignment: &PartitionAssignment, reps: u32) -> Value {
     let config = EulerConfig::default();
 
-    let pg = PartitionedGraph::from_assignment(g, assignment).unwrap();
-    let (direct_s, direct_edges) = time_runs(reps, || {
-        let (result, _) = run_on_partitioned(&pg, &config, &InProcessBackend::new()).unwrap();
-        result.total_edges()
-    });
     let (mid_s, mid_edges) = time_runs(reps, || {
         let (result, _) = run_with_backend(g, assignment, &config, &InProcessBackend::new()).unwrap();
         result.total_edges()
@@ -71,15 +65,13 @@ fn bench_workload(name: &str, g: &Graph, assignment: &PartitionAssignment, reps:
         EulerPipeline::builder().graph(g).assignment(assignment.clone()).config(config.clone()).build().unwrap();
     let (builder_s, builder_edges) = time_runs(reps, || pipeline.run().unwrap().circuit.result.total_edges());
 
-    assert_eq!(direct_edges, mid_edges, "paths must cover the same edges");
-    assert_eq!(direct_edges, builder_edges, "paths must cover the same edges");
+    assert_eq!(mid_edges, builder_edges, "paths must cover the same edges");
     // The builder and run_with_backend do the same work (Eulerian check +
-    // partition-view build + walk); run_on_partitioned is the floor that
-    // skips both graph-side steps.
+    // level-0 scan + walk).
     let overhead = builder_s / mid_s - 1.0;
     println!(
-        "{name}: {} edges, {} parts | run_on_partitioned {direct_s:.3}s | \
-         run_with_backend {mid_s:.3}s | builder {builder_s:.3}s | builder overhead {:+.1}%",
+        "{name}: {} edges, {} parts | run_with_backend {mid_s:.3}s | builder {builder_s:.3}s | \
+         builder overhead {:+.1}%",
         g.num_edges(),
         assignment.num_partitions(),
         overhead * 100.0
@@ -88,7 +80,6 @@ fn bench_workload(name: &str, g: &Graph, assignment: &PartitionAssignment, reps:
         ("workload", Value::str(name)),
         ("edges", Value::Num(g.num_edges() as f64)),
         ("partitions", Value::Num(assignment.num_partitions() as f64)),
-        ("run_on_partitioned_seconds", Value::Num(direct_s)),
         ("run_with_backend_seconds", Value::Num(mid_s)),
         ("pipeline_builder_seconds", Value::Num(builder_s)),
         ("builder_overhead_fraction", Value::Num(overhead)),
@@ -355,9 +346,8 @@ fn main() {
         (
             "description",
             Value::str(
-                "End-to-end wall time of the same runs through the Graph-free core walk \
-                 run_on_partitioned (over a pre-built partition view), the mid-level \
-                 run_with_backend call, and the EulerPipeline builder; minimum over \
+                "End-to-end wall time of the same runs through the mid-level \
+                 run_with_backend call and the EulerPipeline builder; minimum over \
                  repetitions. The builder must add no measurable overhead over \
                  run_with_backend, which does the same graph-side work. The out_of_core \
                  section runs the zero-Graph spine (mmap .ecsr + streaming LDG) with and \

@@ -4,6 +4,7 @@ use euler_core::WorkingPartition;
 use euler_gen::configs::GraphConfig;
 use euler_gen::eulerize::EulerizeReport;
 use euler_graph::{Graph, PartitionAssignment, PartitionedGraph};
+use euler_oracle::partition_view_level0;
 use euler_partition::{LdgPartitioner, Partitioner};
 
 /// Default scale shift applied to the paper configurations when none is given
@@ -62,7 +63,7 @@ pub fn single_working_partition(g: &Graph) -> Vec<WorkingPartition> {
     let a = PartitionAssignment::from_labels(vec![0; g.num_vertices() as usize], 1)
         .expect("single-label assignment is always valid");
     let pg = PartitionedGraph::from_assignment(g, &a).expect("assignment covers the graph");
-    WorkingPartition::from_partitioned(&pg).1
+    partition_view_level0(&pg).1
 }
 
 /// Level-0 working partitions for a `parts`-way round-robin vertex split —
@@ -71,7 +72,7 @@ pub fn round_robin_working_partitions(g: &Graph, parts: u32) -> Vec<WorkingParti
     let labels: Vec<u32> = (0..g.num_vertices()).map(|v| (v % parts as u64) as u32).collect();
     let a = PartitionAssignment::from_labels(labels, parts).expect("labels in range");
     let pg = PartitionedGraph::from_assignment(g, &a).expect("assignment covers the graph");
-    WorkingPartition::from_partitioned(&pg).1
+    partition_view_level0(&pg).1
 }
 
 #[cfg(test)]

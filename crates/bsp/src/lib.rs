@@ -23,24 +23,18 @@
 //! * [`transport`], [`checkpoint`], [`fault`] — framed, checksummed
 //!   connections to workers in other threads or processes, superstep
 //!   checkpoints, and the fault policy / kill plan of such a fleet.
-//! * [`vertex`] / [`program`] — the vertex-centric (Pregel) model of the
-//!   paper's related-work discussion, used by the Makki baseline.
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
 pub mod cost_model;
 pub mod fault;
-pub mod program;
 pub mod stats;
 pub mod transport;
-pub mod vertex;
 pub mod wire;
 
 pub use checkpoint::{checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError};
 pub use cost_model::{BspConfig, PlatformCostModel, WorkerCount};
 pub use fault::{FaultPlan, FaultPolicy, RecoveryStats};
-pub use program::{VertexContext, VertexProgram};
 pub use stats::{EngineStats, SuperstepStats};
 pub use transport::{connect_endpoint, connect_with_retry, FrameError, MemTransport, TcpTransport, Transport};
-pub use vertex::{run_vertex_program, VertexEngineConfig, VertexEngineStats};

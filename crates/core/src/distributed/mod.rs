@@ -301,8 +301,8 @@ mod tests {
 
     /// A 16-ring over the tiny tree's 8 partitions (two vertices each, so
     /// every partition holds one local edge and two cut edges), packed to a
-    /// scratch `.ecsr`: the file, and the level-0 states the oracle slices
-    /// from the graph under `strategy`.
+    /// scratch `.ecsr`: the file, and the level-0 states the loader fills
+    /// from it in-process under `strategy`.
     fn ring_file(
         dir: &std::path::Path,
         strategy: MergeStrategy,
@@ -313,7 +313,7 @@ mod tests {
         let path = dir.join("ring.ecsr");
         euler_graph::write_csr_file(&g, &path).unwrap();
         let csr = CsrFile::open(&path).unwrap();
-        let (_, states) = crate::level0::tests::oracle(&csr, &a, strategy.deduplicates());
+        let states = crate::level0::tests::states(csr.edge_arrays(), &a, strategy.deduplicates());
         (csr, a, states)
     }
 

@@ -186,9 +186,10 @@ pub(crate) fn step_slot(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::level0::tests::states_for;
     use crate::merge_tree::MergePair;
     use euler_graph::builder::graph_from_edges;
-    use euler_graph::{PartitionAssignment, PartitionedGraph};
+    use euler_graph::PartitionAssignment;
 
     /// Two triangles hanging off a doubled edge: vertices 0, 1 are
     /// partition 0, vertices 2, 3 partition 1, vertices 4, 5 partition 2.
@@ -197,9 +198,7 @@ pub(crate) mod tests {
     pub(crate) fn leaves(tree: &MergeTree) -> Vec<WorkingPartition> {
         let g = graph_from_edges(&[(0, 1), (1, 4), (4, 0), (2, 3), (3, 5), (5, 2), (4, 5), (4, 5)]);
         let a = PartitionAssignment::from_labels(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        let levels = tree.leaf_levels(3);
-        pg.partitions().iter().map(|p| WorkingPartition::from_partition(p, &levels)).collect()
+        states_for(g.edge_arrays(), &a, false, tree.leaf_levels(3))
     }
 
     pub(crate) fn tree(levels: Vec<Vec<(u32, u32)>>) -> MergeTree {
@@ -346,11 +345,8 @@ pub(crate) mod tests {
         let star = tree(vec![vec![(2, 0), (2, 1)]]);
         let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0)]);
         let a = PartitionAssignment::from_labels(vec![0, 1, 2], 3).unwrap();
-        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        let levels = star.leaf_levels(3);
         for strategy in [MergeStrategy::Duplicated, MergeStrategy::Deduplicated] {
-            let mut states: Vec<WorkingPartition> =
-                pg.partitions().iter().map(|p| WorkingPartition::from_partition(p, &levels)).collect();
+            let mut states = states_for(g.edge_arrays(), &a, false, star.leaf_levels(3));
             if strategy.deduplicates() {
                 apply_remote_edge_dedup(&mut states, |v| a.partition_of(v));
             }

@@ -22,9 +22,10 @@
 //! Whoever holds a partition fills it ([`Level0`] on the coordinator): the
 //! in-process backend and workers stepped in place fill everything once, a
 //! wire worker pointed at the input's file (its Init tail on the wire) runs
-//! both passes itself and fills its own share. The result equals
-//! `WorkingPartition::from_partition` over `CsrFile::partitioned` (plus
-//! `apply_remote_edge_dedup`), which stay as the oracle. Fill needs the
+//! both passes itself and fills its own share. The result equals the
+//! partition view's level 0 (`euler_oracle::partition_view_level0` over
+//! `CsrFile::partitioned`, plus `apply_remote_edge_dedup`), the oracle
+//! `tests/level_oracles.rs` holds every run's seed to. Fill needs the
 //! merge tree, which needs the scan's meta-graph: the tree is built between
 //! the two passes.
 //!
@@ -300,9 +301,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::merge_strategy::MergeStrategy;
     use crate::merge_tree::MergeTree;
-    use crate::phase2::apply_remote_edge_dedup;
     use euler_gen::{eulerize::eulerize, rmat::RmatGenerator, synthetic};
-    use euler_graph::{write_csr_file, Graph, GraphBuilder, PartitionedGraph};
+    use euler_graph::{write_csr_file, Graph, GraphBuilder};
     use euler_partition::{BfsPartitioner, HashPartitioner, LdgPartitioner, Partitioner};
     use std::path::PathBuf;
 
@@ -312,17 +312,22 @@ pub(crate) mod tests {
         dir.join(name)
     }
 
-    /// `from_partition ∘ partitioned` (+ `apply_remote_edge_dedup`): what
-    /// every run was seeded with before the loader.
-    pub(crate) fn oracle(csr: &CsrFile, a: &PartitionAssignment, dedup: bool) -> (MetaGraph, Vec<WorkingPartition>) {
-        let pg: PartitionedGraph = csr.partitioned(a).unwrap();
-        let meta = MetaGraph::from_partitioned(&pg);
-        let levels = MergeTree::build(&meta).leaf_levels(a.num_partitions());
-        let mut states: Vec<_> = pg.partitions().iter().map(|p| WorkingPartition::from_partition(p, &levels)).collect();
-        if dedup {
-            apply_remote_edge_dedup(&mut states, |v| a.partition_of(v));
-        }
-        (meta, states)
+    /// The level-0 states [`scan`] and [`Level0::fill`] build from `edges`
+    /// under `a`, every partition's, bucketed for the run's own merge tree.
+    pub(crate) fn states(edges: EdgeArrays<'_>, a: &PartitionAssignment, dedup: bool) -> Vec<WorkingPartition> {
+        let levels = MergeTree::build(&scan(edges, a).unwrap().meta()).leaf_levels(a.num_partitions());
+        states_for(edges, a, dedup, levels)
+    }
+
+    /// The same, bucketed for the tree whose table `levels` is.
+    pub(crate) fn states_for(
+        edges: EdgeArrays<'_>,
+        a: &PartitionAssignment,
+        dedup: bool,
+        levels: LeafLevels,
+    ) -> Vec<WorkingPartition> {
+        let scan = scan(edges, a).unwrap();
+        Level0 { edges, file: None, assignment: a, scan, dedup, levels }.fill(|_| true).unwrap()
     }
 
     /// Self-loops, parallel edges (local and cut), inverted endpoints and
@@ -362,8 +367,13 @@ pub(crate) mod tests {
         out
     }
 
+    /// The scan's cut cells are the partition view's meta-graph, over a
+    /// graph and over its file alike, and a share of the partitions is
+    /// filled exactly as the whole is, at exact capacity. That the states
+    /// equal the partition view's is checked on every run's seed, against
+    /// the oracle, in `tests/level_oracles.rs`.
     #[test]
-    fn the_loader_equals_the_partition_view_oracle() {
+    fn the_scan_is_the_meta_graph_and_a_share_fills_as_the_whole() {
         let (fig1, fig1_assignment) = synthetic::paper_fig1();
         let rmat = eulerize(&RmatGenerator::new(9).with_avg_degree(8.0).with_seed(4).generate()).0;
         let families = [
@@ -390,17 +400,18 @@ pub(crate) mod tests {
                 let tag = format!("{family}, {how}");
                 let scan = super::scan(csr.edge_arrays(), a).unwrap();
                 assert_eq!(super::scan(g.edge_arrays(), a).unwrap(), scan, "{tag}: file and graph scan");
+                let meta = MetaGraph::from_partitioned(&csr.partitioned(a).unwrap());
+                assert_eq!(scan.meta().vertices, meta.vertices, "{tag}");
+                assert_eq!(scan.meta().edges, meta.edges, "{tag}: the cut cells are the meta-graph");
                 let tree = MergeTree::build(&scan.meta());
                 let levels = tree.leaf_levels(a.num_partitions());
                 for strategy in MergeStrategy::all() {
                     let dedup = strategy.deduplicates();
-                    let (meta, states) = oracle(&csr, a, dedup);
-                    assert_eq!(scan.meta().vertices, meta.vertices, "{tag}");
-                    assert_eq!(scan.meta().edges, meta.edges, "{tag}: the cut cells are the meta-graph");
+                    let all = states_for(g.edge_arrays(), a, dedup, levels.clone());
                     let keeps: [(&str, &dyn Fn(PartitionId) -> bool); 3] =
                         [("all", &|_| true), ("one worker's share", &|p| p.0 % 2 == 1), ("none", &|_| false)];
                     for (which, keep) in keeps {
-                        let expected: Vec<_> = states.iter().filter(|wp| keep(wp.id)).cloned().collect();
+                        let expected: Vec<_> = all.iter().filter(|wp| keep(wp.id)).cloned().collect();
                         for (view, edges, file) in views {
                             let tag = format!("{tag}, {strategy}, keep {which}, fill over the {view}");
                             let (assignment, scan, levels) = (a, scan.clone(), levels.clone());

@@ -36,15 +36,18 @@
 //! states handed over by value) or [`BspBackend`] (the same level step on a
 //! set of workers with per-worker state, serialised transfers and superstep
 //! statistics — stepped in place, or behind a wire transport; both are
-//! [`distributed`] runs). Both backends execute
-//! through one shared merge-tree walk ([`pipeline::run_with_backend`]; its
-//! level-0 partition states are built in two passes over the edge list, from
-//! a memory-mapped `.ecsr` by whoever will run them, and
-//! [`pipeline::run_on_partitioned`] over a prebuilt partition view is the
-//! oracle for that), run one partition's share of a level through one
-//! function, and produce one unified [`RunReport`]. The pre-pipeline drivers (`find_euler_circuit`,
-//! `run_partitioned`, `DistributedRunner`) went through a deprecation
-//! release and are now removed; see the facade crate's migration table.
+//! [`distributed`] runs). Every entry point — the builder,
+//! [`pipeline::run_with_backend`] over a resident graph, a service run —
+//! checks the degrees and ends in one shared merge-tree walk, whose level-0
+//! partition states are built in two passes over the edge list, from a
+//! memory-mapped `.ecsr` by whoever will run them; both backends run one
+//! partition's share of a level through one function and produce one
+//! unified [`RunReport`]. The oracles these paths are tested against (the
+//! reference Phase-1 kernel, level 0 by the partition view, a standalone
+//! circuit checker) live in the dev-only `euler-oracle` crate. The
+//! pre-pipeline drivers (`find_euler_circuit`, `run_partitioned`,
+//! `DistributedRunner`) and the partition-view entry point
+//! `run_on_partitioned` are removed; see the facade crate's migration table.
 
 #![warn(missing_docs)]
 
@@ -78,9 +81,9 @@ pub use phase1::wstream::{default_chunk_edges, stream_phase1, WStreamOutcome, WS
 pub use phase1::{ArenaPool, Phase1Arena};
 pub use phase3::{CircuitResult, CircuitStep};
 pub use pipeline::{
-    run_on_partitioned, run_with_backend, BspBackend, CircuitStage, EulerPipeline, EulerPipelineBuilder,
-    ExecutionBackend, InProcessBackend, LevelOutcome, LevelPartitionReport, LevelWork, MergeStage, PartitionStage,
-    PipelineRun, RunReport, Seed,
+    run_with_backend, BspBackend, CircuitStage, EulerPipeline, EulerPipelineBuilder, ExecutionBackend,
+    InProcessBackend, LevelOutcome, LevelPartitionReport, LevelWork, MergeStage, PartitionStage, PipelineRun,
+    RunReport, Seed,
 };
 pub use service::{
     AdmissionController, AdmissionPermit, EulerService, GraphInfo, PartitionerKind, RunEvent, RunOptions, RunOutcome,

@@ -47,10 +47,11 @@
 //! convenience wrapper over a throwaway arena.
 //!
 //! The inner traversal loop performs no `HashMap`/`BTreeSet` operations at
-//! all. The original hash-map implementation is preserved unchanged in
-//! [`reference`](mod@reference) and the two are proven bit-identical (same
-//! fragments, same `PathMap`, same residual partition state) by the property
-//! tests in `tests/property_circuit.rs`.
+//! all. The original hash-map implementation is preserved unchanged, outside
+//! the production crates, as `euler_oracle::run_phase1_reference`, and the
+//! two are proven bit-identical (same fragments, same `PathMap`, same
+//! residual partition state) by its unit cases and the property tests in
+//! `tests/property_circuit.rs`.
 //!
 //! # Parallel execution
 //!
@@ -63,7 +64,6 @@
 //! other's output.
 
 pub mod arena;
-pub mod reference;
 mod splice;
 pub mod wstream;
 
@@ -225,7 +225,8 @@ fn counts_from_traverser(
 /// Runs Phase 1 on `wp`, persisting fragments into `store` and replacing the
 /// partition's local edges with the coarse OB-pair edges of the paths found.
 ///
-/// Deterministic and bit-identical to [`reference::run_phase1_reference`]:
+/// Deterministic and bit-identical to the reference kernel
+/// (`euler_oracle::run_phase1_reference`):
 /// ascending-slot scans visit vertices in ascending global order (the
 /// `BTreeSet` order of the reference), the parity bit of the remaining
 /// degree tracks membership in the shrinking odd set (interior visits
@@ -355,15 +356,16 @@ pub fn run_phase1_with_arena(
 
 #[cfg(test)]
 mod tests {
-    use super::reference::run_phase1_reference;
     use super::*;
+    use crate::state::tests::working;
     use crate::state::WorkingPartition;
     use euler_gen::synthetic::{self, paper_fig1};
-    use euler_graph::{PartitionId, PartitionedGraph};
+    use euler_graph::PartitionId;
+    use std::collections::HashMap;
 
     fn fig1_working() -> Vec<WorkingPartition> {
         let (g, a) = paper_fig1();
-        crate::state::tests::working(&PartitionedGraph::from_assignment(&g, &a).unwrap())
+        working(&g, &a)
     }
 
     #[test]
@@ -420,14 +422,18 @@ mod tests {
         let mut wps = fig1_working();
         let store = FragmentStore::new();
         for wp in &mut wps {
-            let remote = wp.remote_degrees();
-            let local = wp.local_degrees();
+            let mut local: HashMap<VertexId, u64> = HashMap::new();
+            for e in &wp.local_edges {
+                *local.entry(e.u).or_insert(0) += 1;
+                *local.entry(e.v).or_insert(0) += 1;
+            }
+            let remote: Vec<VertexId> = wp.remote_refs().map(|r| r.local).collect();
             let out = run_phase1(wp, &store);
             for p in &out.path_map.paths {
                 for v in [p.from, p.to] {
                     let ld = local.get(&v).copied().unwrap_or(0);
                     assert_eq!(ld % 2, 1, "path endpoint {v} must have odd local degree");
-                    assert!(remote.contains_key(&v), "path endpoint {v} must be a boundary vertex");
+                    assert!(remote.contains(&v), "path endpoint {v} must be a boundary vertex");
                 }
             }
         }
@@ -526,8 +532,7 @@ mod tests {
         // A whole torus as a single partition (no remote edges): step 3 only.
         let g = synthetic::torus_grid(6, 6);
         let a = euler_graph::PartitionAssignment::from_labels(vec![0; 36], 1).unwrap();
-        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        let mut wp = crate::state::tests::working(&pg).remove(0);
+        let mut wp = working(&g, &a).remove(0);
         let store = FragmentStore::new();
         let out = run_phase1(&mut wp, &store);
         assert_eq!(out.path_map.num_paths(), 0);
@@ -552,146 +557,6 @@ mod tests {
         assert_eq!(out.counts_before.local_edges, 3);
     }
 
-    /// Asserts the dense and reference implementations produce bit-identical
-    /// outputs on `wp`.
-    fn assert_equivalent(wp: &WorkingPartition) {
-        let store_dense = FragmentStore::new();
-        let store_ref = FragmentStore::new();
-        let mut wp_dense = wp.clone();
-        let mut wp_ref = wp.clone();
-        let out_dense = run_phase1(&mut wp_dense, &store_dense);
-        let out_ref = run_phase1_reference(&mut wp_ref, &store_ref);
-        assert_eq!(out_dense.path_map, out_ref.path_map, "path maps must match");
-        assert_eq!(out_dense.complexity, out_ref.complexity);
-        assert_eq!(out_dense.counts_before, out_ref.counts_before);
-        assert_eq!(out_dense.vertices_after, out_ref.vertices_after);
-        assert_eq!(out_dense.splice, out_ref.splice);
-        assert_eq!(wp_dense.local_edges, wp_ref.local_edges, "residual coarse edges must match");
-        assert_eq!(wp_dense.remote_by_level, wp_ref.remote_by_level);
-        let frags_dense = store_dense.snapshot();
-        let frags_ref = store_ref.snapshot();
-        assert_eq!(frags_dense.len(), frags_ref.len(), "fragment counts must match");
-        for (d, r) in frags_dense.iter().zip(&frags_ref) {
-            assert_eq!(d.id, r.id);
-            assert_eq!(d.kind, r.kind);
-            assert_eq!(d.edges, r.edges, "fragment {:?} edges must match", d.id);
-        }
-    }
-
-    #[test]
-    fn dense_matches_reference_on_fig1() {
-        for wp in fig1_working() {
-            assert_equivalent(&wp);
-        }
-    }
-
-    #[test]
-    fn dense_matches_reference_on_torus_and_random_graphs() {
-        let g = synthetic::torus_grid(8, 8);
-        let a = euler_graph::PartitionAssignment::from_labels((0..64).map(|i| (i % 4) as u32).collect(), 4).unwrap();
-        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        for wp in crate::state::tests::working(&pg) {
-            assert_equivalent(&wp);
-        }
-        for seed in 0..10 {
-            let g = synthetic::random_eulerian_connected(60, 8, 5, seed);
-            let labels: Vec<u32> = (0..60).map(|i| (i % 3) as u32).collect();
-            let a = euler_graph::PartitionAssignment::from_labels(labels, 3).unwrap();
-            let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-            for wp in crate::state::tests::working(&pg) {
-                assert_equivalent(&wp);
-            }
-        }
-    }
-
-    #[test]
-    fn dense_matches_reference_with_self_loops_and_multi_edges() {
-        let local = [(0u64, 0u64), (0, 1), (1, 2), (2, 0), (0, 1), (1, 0)];
-        let wp = WorkingPartition {
-            id: PartitionId(0),
-            leaves: vec![PartitionId(0)],
-            level: 0,
-            local_edges: local
-                .iter()
-                .enumerate()
-                .map(|(i, &(u, v))| LocalEdge {
-                    edge: EdgeRef::Real(euler_graph::EdgeId(i as u64)),
-                    u: euler_graph::VertexId(u),
-                    v: euler_graph::VertexId(v),
-                })
-                .collect(),
-            remote_by_level: vec![],
-            isolated_vertices: 0,
-        };
-        assert_equivalent(&wp);
-    }
-
-    /// A level-0 partition over `local` edges whose boundary vertices (one
-    /// remote edge each) are `boundary`.
-    fn partition_of(local: &[(u64, u64)], boundary: &[u64]) -> WorkingPartition {
-        WorkingPartition {
-            id: PartitionId(0),
-            leaves: vec![PartitionId(0)],
-            local_edges: local
-                .iter()
-                .enumerate()
-                .map(|(i, &(u, v))| LocalEdge {
-                    edge: EdgeRef::Real(euler_graph::EdgeId(i as u64)),
-                    u: VertexId(u),
-                    v: VertexId(v),
-                })
-                .collect(),
-            remote_by_level: vec![boundary
-                .iter()
-                .map(|&b| crate::state::RemoteRef {
-                    edge: euler_graph::EdgeId(1000 + b),
-                    local: VertexId(b),
-                    remote: VertexId(9000 + b),
-                })
-                .collect()],
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn dense_matches_reference_on_parity_set_and_empty_walk_degenerates() {
-        // A self-loop on a boundary vertex, with and without other edges.
-        assert_equivalent(&partition_of(&[(0, 0), (0, 1), (1, 2), (2, 0)], &[0]));
-        assert_equivalent(&partition_of(&[(5, 5)], &[5]));
-        assert_equivalent(&partition_of(&[(5, 5), (5, 6)], &[5, 6]));
-        // Boundary vertices with no local edge: below, between and above the
-        // interned ids, and as the whole partition (step 2 walks nothing).
-        assert_equivalent(&partition_of(&[(3, 4), (4, 6), (6, 3)], &[1, 3, 5, 9]));
-        assert_equivalent(&partition_of(&[], &[2, 4]));
-        // Parallel edges between two odd vertices: one path 0→1→0→1.
-        assert_equivalent(&partition_of(&[(0, 1), (0, 1), (0, 1)], &[0, 1]));
-        assert_equivalent(&partition_of(&[(0, 1), (1, 0), (0, 1), (1, 2), (2, 1), (1, 2)], &[0, 2]));
-        // Odd vertices consumed as an earlier walk's far end: the scan must
-        // skip 2 (ended the walk from 0) and 7 (ended the walk from 3); the
-        // wide case puts start and far end in different words of the set.
-        assert_equivalent(&partition_of(&[(0, 1), (1, 2), (3, 4), (4, 7)], &[0, 2, 3, 7]));
-        let wide: Vec<(u64, u64)> = (0..100).map(|i| (i, i + 100)).collect();
-        let ends: Vec<u64> = (0..200).collect();
-        assert_equivalent(&partition_of(&wide, &ends));
-    }
-
-    #[test]
-    fn dense_matches_reference_on_a_giant_cycle_whose_pivot_is_its_last_vertex() {
-        // Step 2 walks 0→1→0 from the boundary vertex and strands the ring
-        // 2→3→…→k→1→2. Step 3 starts it at vertex 2 (the `u` of its first
-        // edge), so the pivot 1 is the last vertex the walk leaves: the
-        // rotation is `len - 1`.
-        let k = 3000u64;
-        let mut local = vec![(0, 1), (1, 0)];
-        local.extend((2..k).map(|i| (i, i + 1)));
-        local.extend([(k, 1), (1, 2)]);
-        let wp = partition_of(&local, &[0]);
-        assert_equivalent(&wp);
-        let out = run_phase1(&mut wp.clone(), &FragmentStore::new());
-        assert_eq!(out.splice.linked_splices, 1);
-        assert_eq!(out.path_map.num_cycles(), 1);
-    }
-
     #[test]
     fn one_arena_serves_many_runs_bit_identically() {
         // The same arena drives every partition of every level-0 state in
@@ -701,8 +566,7 @@ mod tests {
             let g = synthetic::random_eulerian_connected(50, 6, 5, seed);
             let labels: Vec<u32> = (0..50).map(|i| (i % 3) as u32).collect();
             let a = euler_graph::PartitionAssignment::from_labels(labels, 3).unwrap();
-            let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-            for mut wp_arena in crate::state::tests::working(&pg) {
+            for mut wp_arena in working(&g, &a) {
                 let mut wp_fresh = wp_arena.clone();
                 let store_arena = FragmentStore::new();
                 let store_fresh = FragmentStore::new();

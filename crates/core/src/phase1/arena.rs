@@ -259,13 +259,13 @@ mod tests {
     use super::*;
     use crate::phase1::{run_phase1, run_phase1_with_arena};
     use euler_gen::synthetic;
-    use euler_graph::{PartitionAssignment, PartitionedGraph};
+    use euler_graph::PartitionAssignment;
 
     fn working_partitions(n: u64, extra: usize, seed: u64, parts: u32) -> Vec<WorkingPartition> {
         let g = synthetic::random_eulerian_connected(n, extra, 5, seed);
         let labels: Vec<u32> = (0..n).map(|i| (i % parts as u64) as u32).collect();
         let a = PartitionAssignment::from_labels(labels, parts).unwrap();
-        crate::state::tests::working(&PartitionedGraph::from_assignment(&g, &a).unwrap())
+        crate::state::tests::working(&g, &a)
     }
 
     /// Output + store snapshot of a fresh-arena sequential run (the oracle).

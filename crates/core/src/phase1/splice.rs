@@ -562,7 +562,8 @@ mod tests {
         TourEdge::Real { edge: EdgeId(id), from: VertexId(from), to: VertexId(to) }
     }
 
-    /// Reference splice on plain vectors, mirroring phase1::reference.
+    /// Reference splice on plain vectors, mirroring the reference kernel
+    /// (`euler_oracle::run_phase1_reference`).
     fn vec_merge(target: &mut Vec<TourEdge>, tour: &[TourEdge], rot: usize, pivot: VertexId) {
         let mut rotated = Vec::with_capacity(tour.len());
         rotated.extend_from_slice(&tour[rot..]);

@@ -50,8 +50,8 @@ pub(crate) use backend::SeedKind;
 pub use backend::{BspBackend, ExecutionBackend, InProcessBackend, LevelOutcome, LevelWork, Seed};
 pub use builder::{CircuitStage, EulerPipeline, EulerPipelineBuilder, MergeStage, PartitionStage, PipelineRun};
 pub use report::{LevelPartitionReport, RunReport};
+pub use walk::run_with_backend;
 pub(crate) use walk::{checked_scan, run_input, Input};
-pub use walk::{run_on_partitioned, run_with_backend};
 
 use crate::config::EulerConfig;
 use crate::distributed::DistRun;
@@ -66,9 +66,7 @@ use crate::phase2::apply_remote_edge_dedup;
 use crate::phase3::{unroll, CircuitResult};
 use crate::state::{VertexTypeCounts, WorkingPartition};
 use crate::verify::verify_steps;
-use euler_graph::{
-    CsrFile, EdgeArrays, EdgeStream, Graph, GraphSource, PartitionAssignment, PartitionId, PartitionedGraph, VertexId,
-};
+use euler_graph::{CsrFile, EdgeArrays, EdgeStream, Graph, GraphSource, PartitionAssignment, PartitionId, VertexId};
 use euler_partition::Partitioner;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -549,20 +547,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EulerError::Graph(euler_graph::GraphError::NotEulerian { .. })));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn run_on_partitioned_is_the_core_of_run_with_backend() {
-        let g = synthetic::random_eulerian_connected(80, 10, 5, 17);
-        let a = LdgPartitioner::new(4).partition(&g);
-        let config = EulerConfig::default().sequential();
-        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
-        let (direct, direct_report) = run_on_partitioned(&pg, &config, &InProcessBackend::new()).unwrap();
-        let (wrapped, wrapped_report) = run_with_backend(&g, &a, &config, &InProcessBackend::new()).unwrap();
-        assert_eq!(direct.circuits, wrapped.circuits);
-        assert_eq!(direct_report.total_transfer_longs, wrapped_report.total_transfer_longs);
-        assert_eq!(direct_report.supersteps, wrapped_report.supersteps);
-        verify_result(&g, &direct).unwrap();
     }
 
     // --- Folded from the removed `runner` module's suite: the same

@@ -124,34 +124,6 @@ pub fn run_with_backend(
     Ok((ran.result, ran.report))
 }
 
-/// Runs the Phase-1/2 merge-tree walk and the Phase-3 unroll over an
-/// already-built partition-centric view.
-///
-/// This is the differential oracle of the level-0 loader: the pipeline's own
-/// entry points build their level-0 states in two passes over the edge list
-/// (`crate::level0`), this one converts the view partition by partition
-/// ([`WorkingPartition::from_partitioned`]),
-/// and the two are tested to produce the same bytes. It also serves callers
-/// that hold a [`PartitionedGraph`] and no graph. Because no graph is
-/// available, the degree check and [`EulerConfig::verify`] are **not**
-/// applied at this level — callers with graph access use
-/// [`run_with_backend`].
-pub fn run_on_partitioned(
-    pg: &PartitionedGraph,
-    config: &EulerConfig,
-    backend: &dyn ExecutionBackend,
-) -> Result<(CircuitResult, RunReport), EulerError> {
-    let (tree, mut states) = WorkingPartition::from_partitioned(pg);
-    if config.merge_strategy.deduplicates() {
-        let mut leaf = vec![PartitionId(0); pg.num_vertices() as usize];
-        for p in pg.partitions() {
-            p.vertices().for_each(|v| leaf[v.index()] = p.id);
-        }
-        apply_remote_edge_dedup(&mut states, |v| leaf[v.index()]);
-    }
-    run_merge_walk(tree, states.into(), fragment_store_for(config), config, backend, None, None)
-}
-
 /// Builds the run's fragment store from its configuration: an explicit
 /// budget bounds the store's resident fragments, paging the rest out to a
 /// spill file; otherwise they all stay in memory. Either way the circuits
@@ -170,8 +142,8 @@ fn fragment_store_for(config: &EulerConfig) -> FragmentStore {
 }
 
 /// The merge-tree walk + Phase-3 unroll from a level-0 seed: the common
-/// tail of the dense paths (a level 0 still in its edge arrays, or states
-/// built from a partition view) and the W-streaming path (states and
+/// tail of the dense path (a level 0 still in its edge arrays) and the
+/// W-streaming path (states and
 /// `wstream` accounting from [`stream_phase1`], with partial tours already
 /// in `store`). `tree` is the run's merge tree, which the seed's remote refs
 /// are bucketed for; a strategy that drops duplicate remote refs has dropped

@@ -10,10 +10,8 @@
 
 use crate::fragment::FragmentId;
 use crate::memory_model::state_longs;
-use crate::merge_tree::{LeafLevels, MergeTree};
-use euler_graph::{EdgeId, LocalIndex, MetaGraph, Partition, PartitionId, PartitionedGraph, VertexId};
+use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Reference to a traversable local edge: either a real graph edge or a
 /// coarse OB-pair edge standing for a lower-level path fragment.
@@ -100,44 +98,6 @@ pub struct WorkingPartition {
 }
 
 impl WorkingPartition {
-    /// Builds the level-0 working state from a static graph partition, every
-    /// remote edge in the bucket `levels` gives the pair of leaves it joins.
-    ///
-    /// # Panics
-    /// If `p` has remote edges and `levels` no bucket: a table of a tree
-    /// that does not merge `p` with anything.
-    pub fn from_partition(p: &Partition, levels: &LeafLevels) -> Self {
-        let local_edges = p.local_edges.iter().map(|&(e, u, v)| LocalEdge { edge: EdgeRef::Real(e), u, v }).collect();
-        let mut remote_by_level = vec![Vec::new(); levels.buckets()];
-        for r in &p.remote_edges {
-            let bucket = &mut remote_by_level[levels.of(p.id, r.remote_partition)];
-            bucket.push(RemoteRef { edge: r.edge, local: r.local_vertex, remote: r.remote_vertex });
-        }
-        let mut wp = WorkingPartition {
-            id: p.id,
-            leaves: vec![p.id],
-            level: 0,
-            local_edges,
-            remote_by_level,
-            isolated_vertices: 0,
-        };
-        // Count vertices of the original partition that touch no edge at all.
-        let with_edges = LocalIndex::from_vertices(
-            wp.local_edges.iter().flat_map(|e| [e.u, e.v]).chain(p.remote_edges.iter().map(|r| r.local_vertex)),
-        );
-        wp.isolated_vertices = p.vertices().filter(|v| !with_edges.contains(*v)).count() as u64;
-        wp
-    }
-
-    /// The merge tree of a partition view's meta-graph and the level-0 state
-    /// of every partition, bucketed for it ([`from_partition`](Self::from_partition)).
-    pub fn from_partitioned(pg: &PartitionedGraph) -> (MergeTree, Vec<Self>) {
-        let tree = MergeTree::build(&MetaGraph::from_partitioned(pg));
-        let levels = tree.leaf_levels(pg.num_partitions());
-        let states = pg.partitions().iter().map(|p| Self::from_partition(p, &levels)).collect();
-        (tree, states)
-    }
-
     /// Every remote ref, bucket by bucket.
     pub fn remote_refs(&self) -> impl Iterator<Item = &RemoteRef> + Clone {
         self.remote_by_level.iter().flatten()
@@ -146,26 +106,6 @@ impl WorkingPartition {
     /// Remote refs held, over every bucket.
     pub fn num_remote_edges(&self) -> usize {
         self.remote_by_level.iter().map(Vec::len).sum()
-    }
-
-    /// Local degree of every vertex appearing in the local edges. A self-loop
-    /// contributes 2.
-    pub fn local_degrees(&self) -> HashMap<VertexId, u64> {
-        let mut deg: HashMap<VertexId, u64> = HashMap::new();
-        for e in &self.local_edges {
-            *deg.entry(e.u).or_insert(0) += 1;
-            *deg.entry(e.v).or_insert(0) += 1;
-        }
-        deg
-    }
-
-    /// Remote degree of every vertex appearing in the remote edges.
-    pub fn remote_degrees(&self) -> HashMap<VertexId, u64> {
-        let mut deg: HashMap<VertexId, u64> = HashMap::new();
-        for r in self.remote_refs() {
-            *deg.entry(r.local).or_insert(0) += 1;
-        }
-        deg
     }
 
     /// The partition's boundary vertices (local endpoints of remote edges),
@@ -256,15 +196,18 @@ impl WorkingPartition {
 pub(crate) mod tests {
     use super::*;
     use euler_gen::synthetic::paper_fig1;
+    use euler_graph::{Graph, PartitionAssignment};
+    use std::collections::HashMap;
 
-    /// The level-0 states of a partition view under its own merge tree.
-    pub(crate) fn working(pg: &PartitionedGraph) -> Vec<WorkingPartition> {
-        WorkingPartition::from_partitioned(pg).1
+    /// The level-0 states of `g` under `a`, every remote ref kept and
+    /// bucketed for the run's own merge tree: what the level-0 loader builds.
+    pub(crate) fn working(g: &Graph, a: &PartitionAssignment) -> Vec<WorkingPartition> {
+        crate::level0::tests::states(g.edge_arrays(), a, false)
     }
 
     fn fig1_working() -> Vec<WorkingPartition> {
         let (g, a) = paper_fig1();
-        working(&PartitionedGraph::from_assignment(&g, &a).unwrap())
+        working(&g, &a)
     }
 
     #[test]
@@ -304,8 +247,15 @@ pub(crate) mod tests {
     fn degrees_follow_parity_invariant() {
         // Eulerian input: local degree + remote degree is even for every vertex.
         for wp in fig1_working() {
-            let local = wp.local_degrees();
-            let remote = wp.remote_degrees();
+            let mut local: HashMap<VertexId, u64> = HashMap::new();
+            for e in &wp.local_edges {
+                *local.entry(e.u).or_insert(0) += 1;
+                *local.entry(e.v).or_insert(0) += 1;
+            }
+            let mut remote: HashMap<VertexId, u64> = HashMap::new();
+            for r in wp.remote_refs() {
+                *remote.entry(r.local).or_insert(0) += 1;
+            }
             let mut all: std::collections::HashSet<VertexId> = local.keys().copied().collect();
             all.extend(remote.keys().copied());
             for v in all {
@@ -371,14 +321,8 @@ pub(crate) mod tests {
 
     #[test]
     fn isolated_vertices_counted() {
-        let p = Partition {
-            id: PartitionId(0),
-            internal: vec![VertexId(0), VertexId(1)],
-            boundary: vec![],
-            local_edges: vec![],
-            remote_edges: vec![],
-        };
-        let wp = WorkingPartition::from_partition(&p, &LeafLevels::default());
+        let a = PartitionAssignment::from_labels(vec![0, 0], 1).unwrap();
+        let wp = working(&Graph::empty(2), &a).remove(0);
         assert_eq!(wp.isolated_vertices, 2);
         assert!(wp.is_exhausted());
         assert_eq!(wp.vertex_type_counts().even_internal, 2);

@@ -358,9 +358,9 @@
 //! | `run_partitioned(&g, &a, &cfg)?` → `(result, report)` | `let run = …run()?;` then `run.circuit.result` / `run.report()` |
 //! | `DistributedRunner::new(cfg).with_engine(e).run(&g, &a)?` | `…builder()….backend(BspBackend::with_engine(e))….run()?`; engine stats in `run.merge.engine` |
 //! | mid-level, no builder | `algo::pipeline::run_with_backend(&g, &a, &cfg, &backend)` → `(result, RunReport)` |
-//! | `euler_bsp::{BspEngine, StepRun, PartitionProgram, PartitionContext, Envelope, PartitionPlacement, …}` (the generic simulated engine) | removed: `BspBackend` steps its workers itself — in place, or over `.with_transport(..)` — through one level step; vertex-centric programs keep `bsp::run_vertex_program` |
+//! | `euler_bsp::{BspEngine, StepRun, PartitionProgram, PartitionContext, Envelope, PartitionPlacement, …}` (the generic simulated engine) | removed: `BspBackend` steps its workers itself — in place, or over `.with_transport(..)` — through one level step; vertex-centric programs moved with their one user, Makki, to [`baseline::run_vertex_program`] |
 //! | `BspConfig::with_max_supersteps(n)` | removed: the walk runs exactly `merge_tree.num_supersteps()` levels |
-//! | mid-level, no `Graph` at hand | `algo::pipeline::run_on_partitioned(&pg, &cfg, &backend)` over any [`PartitionedGraph`](graph::PartitionedGraph) (e.g. sliced from a mapped `.ecsr` via [`CsrFile::partitioned`](graph::CsrFile::partitioned)) |
+//! | `run_on_partitioned(&pg, &cfg, &backend)` over a [`PartitionedGraph`](graph::PartitionedGraph), no `Graph` at hand | removed — it checked no degrees and verified nothing. Map the `.ecsr`: `EulerPipeline::builder().source(MmapCsrSource::open(path)?).assignment(a).config(cfg).backend(backend).build()?.run()?` checks degrees, honours `verify` and loads no `Graph` |
 //!
 //! The reports also unified: the BSP path fills the same per-level
 //! [`RunReport`](algo::RunReport) the in-process path always produced, with
@@ -392,10 +392,10 @@ pub mod prelude {
     pub use euler_baseline::{fleury::fleury_circuit, hierholzer::hierholzer_circuit, makki::MakkiRunner};
     pub use euler_bsp::{BspConfig, FaultPlan, FaultPolicy, MemTransport, RecoveryStats, TcpTransport, Transport};
     pub use euler_core::{
-        run_on_partitioned, run_with_backend, stream_phase1, verify::verify_circuit, BspBackend, CircuitResult,
-        CircuitStep, EulerConfig, EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo,
-        InProcessBackend, LevelPartitionReport, MergeStrategy, PartitionerKind, PipelineRun, RunEvent, RunOptions,
-        RunOutcome, RunReport, ServiceClient, ServiceConfig, ServiceError, ServiceStats, SpillConfig, WStreamStats,
+        run_with_backend, stream_phase1, verify::verify_circuit, BspBackend, CircuitResult, CircuitStep, EulerConfig,
+        EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo, InProcessBackend,
+        LevelPartitionReport, MergeStrategy, PartitionerKind, PipelineRun, RunEvent, RunOptions, RunOutcome, RunReport,
+        ServiceClient, ServiceConfig, ServiceError, ServiceStats, SpillConfig, WStreamStats,
     };
     pub use euler_gen::{configs::GraphConfig, eulerize::eulerize, rmat::RmatGenerator, synthetic};
     pub use euler_graph::{

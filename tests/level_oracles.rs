@@ -14,6 +14,9 @@
 //!   shipped state moves, evaluated on a replay of the walk built from the
 //!   public kernels.
 //!
+//! * level 0 by the partition view (`euler_oracle::partition_view_level0`),
+//!   which the two-pass loader's seed of every run must equal.
+//!
 //! Every backend's records (and the BSP workers' post-run memory) must
 //! equal the replay, for all three merge strategies, and the level-0 state
 //! must bound every level's as §5 says.
@@ -21,10 +24,15 @@
 use euler_circuit::algo::phase1::run_phase1;
 use euler_circuit::algo::phase2::{apply_remote_edge_dedup, merge_partitions};
 use euler_circuit::algo::state::{EdgeRef, LocalEdge, RemoteRef};
-use euler_circuit::algo::{FragmentStore, MergePair, MergeTree, VertexTypeCounts, WorkingPartition};
+use euler_circuit::algo::{
+    EulerError, FragmentStore, LevelOutcome, LevelWork, MergePair, MergeTree, Seed, VertexTypeCounts, WorkingPartition,
+};
 use euler_circuit::prelude::*;
+use euler_oracle::partition_view_level0;
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// The leaf partition of a vertex.
@@ -154,7 +162,7 @@ struct Expected {
 /// the parent's and the child's converting buckets name the same edges.
 fn replay(pg: &PartitionedGraph, labels: &PartitionAssignment, strategy: MergeStrategy) -> Vec<Expected> {
     let leaf_of = |v: VertexId| labels.partition_of(v);
-    let (tree, mut states) = WorkingPartition::from_partitioned(pg);
+    let (tree, mut states) = partition_view_level0(pg);
     assert_eq!(tree, MergeTree::build(&MetaGraph::from_partitioned(pg)));
     // A built tree names a partition in at most one pair per level: every
     // slot merges at most one child at a time.
@@ -550,4 +558,120 @@ proptest! {
             replay(&pg, &a, strategy);
         }
     }
+}
+
+/// A level-0 seed as the run saw it: the merge tree and every partition's
+/// state.
+type SeenSeed = (MergeTree, Vec<WorkingPartition>);
+
+/// An in-process backend that records the level-0 states of the run it
+/// executes: it fills the seed, keeps a copy, and hands the states on.
+struct RecordingSeed {
+    inner: InProcessBackend,
+    seen: Rc<RefCell<Option<SeenSeed>>>,
+}
+
+impl ExecutionBackend for RecordingSeed {
+    fn name(&self) -> &'static str {
+        "recording seed"
+    }
+
+    fn run_level(&self, mut work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
+        if let Some(seed) = work.seed.take() {
+            let states = seed.into_states()?;
+            *self.seen.borrow_mut() = Some((work.tree.as_ref().clone(), states.clone()));
+            work.seed = Some(Seed::from(states));
+        }
+        self.inner.run_level(work)
+    }
+}
+
+/// Self-loops, parallel edges (local and cut), inverted endpoints and
+/// vertices no edge touches, over 12 vertices.
+fn loader_multigraph() -> Graph {
+    let mut b = GraphBuilder::with_vertices(12);
+    b.extend_edges([
+        (0, 1),
+        (1, 0),
+        (2, 2),
+        (2, 2),
+        (3, 7),
+        (7, 3),
+        (7, 3),
+        (3, 7),
+        (5, 4),
+        (4, 8),
+        (8, 5),
+        (9, 9),
+        (1, 8),
+        (8, 1),
+        (0, 0),
+    ]);
+    b.build().unwrap()
+}
+
+/// Hash, LDG and BFS at 1, 3 and 8 partitions, and 5 partitions of which
+/// two hold no vertex.
+fn loader_assignments(g: &Graph) -> Vec<(String, PartitionAssignment)> {
+    let mut out = Vec::new();
+    for k in [1u32, 3, 8] {
+        out.push((format!("hash {k}"), HashPartitioner::new(k).partition(g)));
+        out.push((format!("ldg {k}"), LdgPartitioner::new(k).partition(g)));
+        out.push((format!("bfs {k}"), BfsPartitioner::new(k).partition(g)));
+    }
+    let labels = (0..g.num_vertices()).map(|v| [0, 2, 3][v as usize % 3]).collect();
+    out.push(("two empty of 5".into(), PartitionAssignment::from_labels(labels, 5).unwrap()));
+    out
+}
+
+/// The seed of every run — over a resident graph and over its mapped
+/// `.ecsr`, under every merge strategy — is the partition view's level 0
+/// under the partition view's merge tree, deduplicated by
+/// `apply_remote_edge_dedup` where the strategy drops duplicate refs.
+#[test]
+fn the_level0_seed_equals_the_partition_view_oracle() {
+    let (fig1, fig1_assignment) = synthetic::paper_fig1();
+    let rmat = eulerize(&RmatGenerator::new(9).with_avg_degree(8.0).with_seed(4).generate()).0;
+    let families = [
+        ("rmat", rmat),
+        ("torus", synthetic::torus_grid(12, 12)),
+        ("random eulerian", synthetic::random_eulerian_connected(300, 40, 6, 9)),
+        ("fig1", fig1),
+        ("multigraph", loader_multigraph()),
+        ("edgeless", Graph::empty(5)),
+    ];
+    let dir = std::env::temp_dir().join(format!("euler-level-oracles-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (family, g) in &families {
+        let path = dir.join(format!("{}.ecsr", family.replace(' ', "-")));
+        write_csr_file(g, &path).unwrap();
+        let mut cases = loader_assignments(g);
+        if *family == "fig1" {
+            cases.push(("the paper's".into(), fig1_assignment.clone()));
+        }
+        for (how, a) in &cases {
+            let (view_tree, view_states) = partition_view_level0(&PartitionedGraph::from_assignment(g, a).unwrap());
+            for strategy in MergeStrategy::all() {
+                let mut expected = view_states.clone();
+                if strategy.deduplicates() {
+                    apply_remote_edge_dedup(&mut expected, |v| a.partition_of(v));
+                }
+                for input in ["graph", "file"] {
+                    let tag = format!("{family}, {how}, {strategy}, {input}");
+                    let seen = Rc::new(RefCell::new(None));
+                    let backend = RecordingSeed { inner: InProcessBackend::new(), seen: Rc::clone(&seen) };
+                    let builder = match input {
+                        "graph" => EulerPipeline::builder().graph(g),
+                        _ => EulerPipeline::builder().source(MmapCsrSource::open(&path).unwrap()),
+                    };
+                    let run = builder.assignment(a.clone()).strategy(strategy).backend(backend).build().unwrap();
+                    run.run().unwrap();
+                    let (tree, states) = seen.borrow_mut().take().expect("the run was seeded");
+                    assert_eq!(tree, view_tree, "{tag}: the merge tree");
+                    assert_eq!(states, expected, "{tag}");
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

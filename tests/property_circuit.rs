@@ -3,11 +3,20 @@
 //! reconstructed circuit must cover every edge exactly once, chain, and
 //! close — and the two execution backends must agree.
 
-use euler_circuit::algo::verify::verify_result;
+use euler_circuit::algo::phase1::run_phase1;
+use euler_circuit::algo::FragmentStore;
 use euler_circuit::bsp::BspConfig;
 use euler_circuit::prelude::*;
+use euler_oracle::{check_circuits, partition_view_level0, run_phase1_reference};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// Asserts that `result` is an Euler circuit of every component of `g`, by
+/// the standalone checker.
+fn assert_euler(g: &Graph, result: &CircuitResult) {
+    let check = check_circuits(g, result);
+    assert!(check.ok, "{}", check.reason);
+}
 
 /// Builds a connected Eulerian graph from a seed: a shuffled Hamiltonian
 /// backbone plus extra random cycles.
@@ -75,7 +84,7 @@ proptest! {
             LdgPartitioner::new(parts).partition(&g)
         };
         let (result, report) = run_pipeline(&g, &assignment, &EulerConfig::default());
-        prop_assert!(verify_result(&g, &result).is_ok());
+        assert_euler(&g, &result);
         prop_assert_eq!(result.total_edges(), g.num_edges());
         prop_assert_eq!(result.num_circuits(), 1);
         // Coordination cost is logarithmic in the partition count.
@@ -98,7 +107,7 @@ proptest! {
         for strategy in MergeStrategy::all() {
             let config = EulerConfig::default().with_merge_strategy(strategy);
             let (result, report) = run_pipeline(&g, &assignment, &config);
-            prop_assert!(verify_result(&g, &result).is_ok());
+            assert_euler(&g, &result);
             totals.push(result.total_edges());
             let cumulative: u64 = report.cumulative_memory_by_level().iter().sum();
             match strategy {
@@ -196,14 +205,14 @@ proptest! {
                 .run()
                 .unwrap();
             prop_assert_eq!(parallel_bsp.merge.total_transfer_longs, in_proc.merge.total_transfer_longs);
-            prop_assert!(verify_result(&g, &parallel_bsp.circuit.result).is_ok());
+            assert_euler(&g, &parallel_bsp.circuit.result);
         }
     }
 
     /// Determinism regression for the dense Phase-1 rewrite: on every
     /// partition of every generated Eulerian graph, the flat-array kernel
     /// (`run_phase1`) and the retained hash-map reference
-    /// (`run_phase1_reference`) must produce bit-identical fragments, path
+    /// (`euler_oracle::run_phase1_reference`) must produce bit-identical fragments, path
     /// maps and residual partition state.
     #[test]
     fn phase1_dense_matches_reference_semantics(
@@ -213,8 +222,6 @@ proptest! {
         parts in 1u32..7,
         use_hash in any::<bool>(),
     ) {
-        use euler_circuit::algo::phase1::{reference::run_phase1_reference, run_phase1};
-        use euler_circuit::algo::{FragmentStore, WorkingPartition};
         let g = graph_from(seed, n, extra);
         let assignment = if use_hash {
             HashPartitioner::new(parts).partition(&g)
@@ -222,7 +229,7 @@ proptest! {
             LdgPartitioner::new(parts).partition(&g)
         };
         let pg = PartitionedGraph::from_assignment(&g, &assignment).unwrap();
-        for mut wp_dense in WorkingPartition::from_partitioned(&pg).1 {
+        for mut wp_dense in partition_view_level0(&pg).1 {
             let mut wp_ref = wp_dense.clone();
             let store_dense = FragmentStore::new();
             let store_ref = FragmentStore::new();
@@ -253,13 +260,11 @@ proptest! {
         digons in prop::collection::vec(0u8..3, 0..12),
         parts in 1u32..5,
     ) {
-        use euler_circuit::algo::phase1::{reference::run_phase1_reference, run_phase1};
-        use euler_circuit::algo::{FragmentStore, WorkingPartition};
         let g = hub_multigraph(k, &petals, &digons);
         prop_assert!(is_eulerian(&g).is_ok());
         let assignment = LdgPartitioner::new(parts).partition(&g);
         let pg = PartitionedGraph::from_assignment(&g, &assignment).unwrap();
-        for mut wp_dense in WorkingPartition::from_partitioned(&pg).1 {
+        for mut wp_dense in partition_view_level0(&pg).1 {
             let mut wp_ref = wp_dense.clone();
             let store_dense = FragmentStore::new();
             let store_ref = FragmentStore::new();
@@ -272,7 +277,7 @@ proptest! {
         }
         // End to end: the hub storm still unrolls into one valid circuit.
         let (result, _) = run_pipeline(&g, &assignment, &EulerConfig::default());
-        prop_assert!(verify_result(&g, &result).is_ok());
+        assert_euler(&g, &result);
         prop_assert_eq!(result.total_edges(), g.num_edges());
     }
 
@@ -290,7 +295,7 @@ proptest! {
         prop_assert!(is_eulerian(&g).is_ok());
         let assignment = LdgPartitioner::new(parts).partition(&g);
         let (result, _) = run_pipeline(&g, &assignment, &EulerConfig::default());
-        prop_assert!(verify_result(&g, &result).is_ok());
+        assert_euler(&g, &result);
         prop_assert_eq!(result.total_edges(), g.num_edges());
     }
 
@@ -353,7 +358,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&from_csr.circuit.result.circuits, &from_mem.circuit.result.circuits);
         prop_assert_eq!(from_csr.merge.total_transfer_longs, from_mem.merge.total_transfer_longs);
-        prop_assert!(verify_result(&g, &from_csr.circuit.result).is_ok());
+        assert_euler(&g, &from_csr.circuit.result);
         std::fs::remove_file(&path).ok();
     }
 }
