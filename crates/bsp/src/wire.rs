@@ -142,17 +142,22 @@ pub fn words_for(bytes: usize) -> usize {
     bytes.div_ceil(8)
 }
 
+/// The first `N` words of `bytes`, decoded; `None` when there are fewer.
+/// Every element read of the codec goes through here or through
+/// [`WordReader::arrays`], so each is a fixed-width `[[u8; 8]; N]` →
+/// `[u64; N]` conversion at compile time: a width known only at run time
+/// made rustc call `memset` and `memcpy` once each per element.
+fn first_words<const N: usize>(bytes: &[u8]) -> Option<[u64; N]> {
+    let (words, _) = bytes.as_chunks::<8>();
+    words.first_chunk::<N>().map(|element| element.map(u64::from_le_bytes))
+}
+
 /// The `N` words at word offset `at` of `bytes`, read in place; zeros when
 /// they are not all there. For a reader that walks a payload [`WordReader`]
 /// already validated and must not panic on it all the same.
 pub fn words_at<const N: usize>(bytes: &[u8], at: usize) -> [u64; N] {
     let end = at.saturating_add(N).saturating_mul(8);
-    let (words, _) = bytes.get(end - 8 * N..end).unwrap_or_default().as_chunks::<8>();
-    let mut out = [0u64; N];
-    for (o, w) in out.iter_mut().zip(words) {
-        *o = u64::from_le_bytes(*w);
-    }
-    out
+    bytes.get(end - 8 * N..end).and_then(first_words).unwrap_or([0; N])
 }
 
 /// Appends `words` to `buf` as the little-endian bytes they travel as.
@@ -293,26 +298,21 @@ impl<'a> WordReader<'a> {
 
     /// Reads `N` words.
     pub fn array<const N: usize>(&mut self) -> Result<[u64; N], WireError> {
-        let (words, _) = self.take(N)?.as_chunks::<8>();
-        let mut out = [0u64; N];
-        for (o, w) in out.iter_mut().zip(words) {
-            *o = u64::from_le_bytes(*w);
-        }
-        Ok(out)
+        let at = self.at;
+        first_words(self.take(N)?).ok_or(WireError::Truncated { at, need: N })
     }
 
     /// Reads `count` consecutive `N`-word elements in one bounded take — the
-    /// tight loop for the bulk of a record. A count the payload cannot hold
-    /// is a truncation error before anything is read.
+    /// loop over the bulk of a record: the service client's CHUNK decode
+    /// (`[edge, to]` steps) and the validation of a fragment segment
+    /// received from another process (`[id, to]` steps). A count the
+    /// payload cannot hold is a truncation error before anything is read.
+    /// `N` is fixed at compile time, `N = 0` refused there.
     pub fn arrays<const N: usize>(&mut self, count: usize) -> Result<impl Iterator<Item = [u64; N]> + 'a, WireError> {
+        const { assert!(N > 0, "an element has at least one word") };
         let (words, _) = self.take(count.saturating_mul(N))?.as_chunks::<8>();
-        Ok(words.chunks_exact(N.max(1)).map(|element| {
-            let mut out = [0u64; N];
-            for (o, w) in out.iter_mut().zip(element) {
-                *o = u64::from_le_bytes(*w);
-            }
-            out
-        }))
+        let (elements, _) = words.as_chunks::<N>();
+        Ok(elements.iter().map(|element| element.map(u64::from_le_bytes)))
     }
 
     /// Reads a string written by [`WordWriter::str`].
@@ -429,6 +429,76 @@ mod tests {
         assert_eq!(words_at::<2>(w.as_bytes(), 1), [10, 20]);
         assert_eq!(words_at::<2>(w.as_bytes(), 2), [0, 0]);
         assert_eq!(words_at::<1>(w.as_bytes(), usize::MAX), [0]);
+    }
+
+    /// Word `i` of `bytes` by the definition — eight bytes, least
+    /// significant first — or `None` past the end.
+    fn word_at(bytes: &[u8], i: usize) -> Option<u64> {
+        let word = bytes.get(i.checked_mul(8)?..)?.get(..8)?;
+        Some(word.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)))
+    }
+
+    /// `count` elements of `N` words from word `at`, by the definition.
+    fn elements<const N: usize>(bytes: &[u8], at: usize, count: usize) -> Option<Vec<[u64; N]>> {
+        (0..count)
+            .map(|e| {
+                let mut out = [0; N];
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = word_at(bytes, at + e * N + j)?;
+                }
+                Some(out)
+            })
+            .collect()
+    }
+
+    /// Every element read at width `N` from word `at` of `bytes` against
+    /// the per-word definition: `array`, `arrays` of `count`, of one more
+    /// element than the payload holds and of `usize::MAX`, and `words_at`.
+    fn element_reads_match_the_definition<const N: usize>(bytes: &[u8], at: usize, count: usize) {
+        let words = bytes.len() / 8;
+        assert_eq!(words_at::<N>(bytes, at), elements::<N>(bytes, at, 1).map_or([0; N], |e| e[0]), "words_at at {at}");
+        assert_eq!(words_at::<N>(bytes, usize::MAX - at), [0; N], "words_at never reads past the end");
+        let Some(left) = words.checked_sub(at) else { return };
+        let reader = || {
+            let mut r = WordReader::new(bytes).unwrap();
+            r.take(at).unwrap();
+            r
+        };
+        match elements::<N>(bytes, at, 1) {
+            Some(e) => assert_eq!(reader().array::<N>(), Ok(e[0])),
+            None => assert_eq!(reader().array::<N>(), Err(WireError::Truncated { at, need: N })),
+        }
+        let arrays = |count: usize| reader().arrays::<N>(count).map(Iterator::collect::<Vec<_>>);
+        match elements::<N>(bytes, at, count) {
+            Some(e) => assert_eq!(arrays(count), Ok(e), "{count} elements of {N} at {at}"),
+            None => assert_eq!(arrays(count), Err(WireError::Truncated { at, need: count * N })),
+        }
+        let over = left / N + 1;
+        assert_eq!(arrays(over), Err(WireError::Truncated { at, need: over * N }));
+        assert_eq!(arrays(usize::MAX), Err(WireError::Truncated { at, need: usize::MAX }));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `array`, `arrays` and `words_at` at every width the workspace
+        /// reads (1 to 4 words) equal the per-word little-endian definition
+        /// on random payloads, and fail where they did before: a count past
+        /// the payload or of `usize::MAX` is the same typed truncation, and
+        /// `words_at` reads zeros past the end.
+        #[test]
+        fn element_reads_are_the_per_word_definition(
+            bytes in prop::collection::vec(any::<u8>(), 160),
+            words in 0usize..20,
+            at in 0usize..22,
+            count in 0usize..12,
+        ) {
+            let bytes = &bytes[..8 * words];
+            element_reads_match_the_definition::<1>(bytes, at, count);
+            element_reads_match_the_definition::<2>(bytes, at, count);
+            element_reads_match_the_definition::<3>(bytes, at, count);
+            element_reads_match_the_definition::<4>(bytes, at, count);
+        }
     }
 
     proptest! {

@@ -35,6 +35,16 @@ pub enum EulerError {
         /// End vertex of the circuit.
         end: VertexId,
     },
+    /// Two circuits pass through one vertex: a connected component was
+    /// returned as more than one circuit instead of spliced into one.
+    SplitComponent {
+        /// A vertex both circuits visit.
+        vertex: VertexId,
+        /// The circuit that visited it first.
+        first: usize,
+        /// The later circuit that visits it too.
+        second: usize,
+    },
     /// A circuit step names an edge the input does not have.
     UnknownEdge {
         /// The edge id named.
@@ -64,6 +74,9 @@ impl fmt::Display for EulerError {
             }
             EulerError::NotClosed { start, end } => {
                 write!(f, "circuit starts at {start} but ends at {end}")
+            }
+            EulerError::SplitComponent { vertex, first, second } => {
+                write!(f, "circuits {first} and {second} both visit {vertex}: one component split into two circuits")
             }
             EulerError::UnknownEdge { edge, num_edges } => {
                 write!(f, "circuit names edge {edge}, past the input's {num_edges} edges")
@@ -103,6 +116,8 @@ mod tests {
         assert!(e.to_string().contains('3'));
         let e = EulerError::NotClosed { start: VertexId(1), end: VertexId(2) };
         assert!(e.to_string().contains("v1") && e.to_string().contains("v2"));
+        let e = EulerError::SplitComponent { vertex: VertexId(7), first: 0, second: 3 };
+        assert!(e.to_string().contains("v7") && e.to_string().contains("0 and 3"));
         let e = EulerError::UnknownEdge { edge: EdgeId(9), num_edges: 4 };
         assert!(e.to_string().contains("e9") && e.to_string().contains('4'));
     }

@@ -3,7 +3,9 @@
 //! A valid Euler circuit must (1) use every edge of the graph exactly once,
 //! (2) chain: each step starts at the vertex the previous step ended at,
 //! (3) close: the last step returns to the first step's start vertex, and
-//! (4) every step must be a real edge of the graph with matching endpoints.
+//! (4) every step must be a real edge of the graph with matching endpoints,
+//! and (5) a connected component must be one circuit: no two circuits may
+//! pass through one vertex.
 
 use crate::error::EulerError;
 use crate::phase3::{CircuitResult, CircuitStep};
@@ -24,15 +26,28 @@ pub fn verify_result(g: &Graph, result: &CircuitResult) -> Result<(), EulerError
 /// `endpoints[2e]` and `endpoints[2e + 1]` — a graph's array, a mapped file's
 /// endpoints section, a stream's second pass. Every step must name an edge
 /// of the input with its endpoints (either direction), once across all
-/// circuits, and chain on the step before it; then no edge may be missing
-/// and every circuit must close.
+/// circuits, chain on the step before it, and start at a vertex no other
+/// circuit visits; then no edge may be missing and every circuit must
+/// close.
+///
+/// A closed circuit visits exactly the vertices its steps start at, so one
+/// owner per vertex — the first circuit to start a step there — finds every
+/// component split into two or more circuits: the circuits of one connected
+/// component cannot all keep to vertices of their own. Owners are `u32`
+/// circuit indices; the table grows to the largest vertex a step starts at,
+/// which is an endpoint of the input.
 pub(crate) fn verify_steps<'c, I>(endpoints: &[u64], circuits: I) -> Result<(), EulerError>
 where
     I: Iterator<Item = &'c [CircuitStep]> + Clone,
 {
+    const UNOWNED: u32 = u32::MAX;
     let num_edges = (endpoints.len() / 2) as u64;
     let mut used = vec![false; num_edges as usize];
-    for circuit in circuits.clone() {
+    let mut owner: Vec<u32> = Vec::new();
+    for (c, circuit) in circuits.clone().enumerate() {
+        // More circuits than `u32` counts would need more memory than any
+        // input here has; the last ones share one owner.
+        let id = c.min(UNOWNED as usize - 1) as u32;
         for (i, step) in circuit.iter().enumerate() {
             let Some(&[a, b]) = endpoints.chunks_exact(2).nth(step.edge.index()) else {
                 return Err(EulerError::UnknownEdge { edge: step.edge, num_edges });
@@ -48,6 +63,14 @@ where
                 if prev.to != step.from {
                     return Err(EulerError::BrokenChain { position: i, expected: prev.to, found: step.from });
                 }
+            }
+            let v = step.from.0 as usize;
+            if v >= owner.len() {
+                owner.resize(v + 1, UNOWNED);
+            }
+            let first = std::mem::replace(&mut owner[v], id);
+            if first != UNOWNED && first != id {
+                return Err(EulerError::SplitComponent { vertex: step.from, first: first as usize, second: c });
             }
         }
     }
@@ -139,6 +162,30 @@ mod tests {
             ],
         };
         assert!(verify_result(&g, &result).is_ok());
+    }
+
+    #[test]
+    fn one_component_split_into_two_closed_circuits_is_refused() {
+        // Two triangles sharing vertex 0: one component, so one circuit.
+        let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]);
+        let whole = vec![step(0, 0, 1), step(1, 1, 2), step(2, 2, 0), step(3, 0, 3), step(4, 3, 4), step(5, 4, 0)];
+        assert!(verify_circuit(&g, &whole).is_ok());
+        let split = CircuitResult { circuits: vec![whole[..3].to_vec(), whole[3..].to_vec()] };
+        assert!(matches!(
+            verify_result(&g, &split),
+            Err(EulerError::SplitComponent { vertex: VertexId(0), first: 0, second: 1 })
+        ));
+        // The shared vertex need not be where either circuit starts.
+        let rotated = CircuitResult {
+            circuits: vec![
+                vec![step(1, 1, 2), step(2, 2, 0), step(0, 0, 1)],
+                vec![step(4, 3, 4), step(5, 4, 0), step(3, 0, 3)],
+            ],
+        };
+        assert!(matches!(
+            verify_result(&g, &rotated),
+            Err(EulerError::SplitComponent { vertex: VertexId(0), first: 0, second: 1 })
+        ));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! union-find. In order, every degree must be even; every edge must be
 //! used exactly once, with its endpoints; each circuit must chain and
 //! close; and there must be exactly one circuit per component that has an
-//! edge. The last is stricter than the core's check, which accepts one
-//! component split into two closed circuits.
+//! edge. The last the core finds by vertex owners, this checker by
+//! counting circuits per union-find component.
 
 use euler_core::CircuitResult;
 use euler_graph::Graph;
@@ -141,7 +141,7 @@ impl UnionFind {
 mod tests {
     use super::*;
     use euler_core::verify::verify_result;
-    use euler_core::CircuitStep;
+    use euler_core::{CircuitStep, EulerError};
     use euler_graph::builder::graph_from_edges;
     use euler_graph::{EdgeId, VertexId};
 
@@ -229,10 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn one_component_split_into_two_closed_circuits_is_refused_where_the_core_accepts_it() {
+    fn one_component_split_into_two_closed_circuits_is_refused_by_both_checkers() {
         let g = bowtie();
         let split = result(&[&[(0, 0, 1), (1, 1, 2), (2, 2, 0)], &[(3, 0, 3), (4, 3, 4), (5, 4, 0)]]);
-        assert!(verify_result(&g, &split).is_ok(), "the core's check takes two circuits of one component");
+        let core = verify_result(&g, &split);
+        assert!(
+            matches!(core, Err(EulerError::SplitComponent { vertex: VertexId(0), first: 0, second: 1 })),
+            "the core's check must refuse two circuits of one component, got {core:?}"
+        );
         refused(&g, &split, "the component of vertex 0 holds 2 circuits");
     }
 }

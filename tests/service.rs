@@ -397,6 +397,11 @@ fn a_client_refuses_chunks_out_of_stream_order() {
     }
 }
 
+/// Attempts at landing run A's cancel mid-run before the test fails: on
+/// the small graph a run can pass its last yield point before the CANCEL
+/// is queued, so each attempt may take the late outcome instead.
+const MID_RUN_CANCEL_ATTEMPTS: u32 = 50;
+
 #[test]
 fn cancelling_an_admitted_run_frees_the_budget_for_a_queued_run() {
     // A cap so small every estimate clamps to it: admission is mutually
@@ -406,56 +411,65 @@ fn cancelling_an_admitted_run_frees_the_budget_for_a_queued_run() {
     let path = ecsr_path(&g, "cancel");
     let service = bind(cap, 4);
     let endpoint = service.endpoint().to_string();
-
     let a = ServiceClient::connect(&endpoint).unwrap();
-    let info = a.register(path.to_str().unwrap()).unwrap();
-    let opts_a = RunOptions { partitions: 8, ..RunOptions::default() };
-    a.start_run(info.checksum, opts_a).unwrap();
-    let admitted = loop {
-        match a.next_event().unwrap() {
-            RunEvent::Accepted { admitted_longs, cached } => {
-                assert!(!cached);
-                break admitted_longs;
-            }
-            RunEvent::Cancelled => panic!("cancelled before admission"),
-            _ => {}
-        }
-    };
-    assert_eq!(admitted, cap, "oversized estimates clamp to the cap");
-
-    // B queues behind A's exclusive permit...
     let b = ServiceClient::connect(&endpoint).unwrap();
-    let opts_b = RunOptions { partitions: 3, ..RunOptions::default() };
-    b.start_run(info.checksum, opts_b).unwrap();
+    let info = a.register(path.to_str().unwrap()).unwrap();
 
-    // ...until A is cancelled.
-    a.cancel().unwrap();
-    loop {
-        match a.next_event().unwrap() {
-            RunEvent::Cancelled => break,
-            RunEvent::Done { .. } => panic!("run A finished before the cancel landed"),
-            _ => {}
-        }
-    }
+    // Each attempt asks for options no attempt before it ran, so both runs
+    // are cache misses that must be admitted; A uses the hash partitioner
+    // and B LDG, so the two never share a cache key either.
+    let mut late = 0;
+    let cancelled_mid_run = (0..MID_RUN_CANCEL_ATTEMPTS).any(|attempt| {
+        let opts_a = RunOptions { partitions: 8 + attempt, ..RunOptions::default() };
+        a.start_run(info.checksum, opts_a).unwrap();
+        assert_eq!(await_accepted(&a), cap, "oversized estimates clamp to the cap");
 
-    let mut steps = 0u64;
-    let mut done = false;
-    while !done {
-        match b.next_event().unwrap() {
-            RunEvent::Chunk { steps: chunk, .. } => steps += chunk.len() as u64,
-            RunEvent::Done { total_edges, .. } => {
-                assert_eq!(total_edges, g.num_edges());
-                done = true;
+        // B queues behind A's exclusive permit...
+        let opts_b = RunOptions { partitions: 3 + attempt, partitioner: PartitionerKind::Ldg, ..RunOptions::default() };
+        b.start_run(info.checksum, opts_b).unwrap();
+
+        // ...until A is cancelled, or finishes first: a cancel that came
+        // after A's last yield point is acknowledged after A's reply.
+        a.cancel().unwrap();
+        let mid_run = loop {
+            match a.next_event().unwrap() {
+                RunEvent::Cancelled => break true,
+                RunEvent::Done { total_edges, .. } => {
+                    assert_eq!(total_edges, g.num_edges());
+                    assert_eq!(
+                        a.next_event().unwrap(),
+                        RunEvent::Cancelled,
+                        "a late cancel is acknowledged after DONE"
+                    );
+                    late += 1;
+                    break false;
+                }
+                _ => {}
             }
-            RunEvent::Cancelled => panic!("run B was never cancelled"),
-            _ => {}
+        };
+
+        // Either way B is admitted once A lets go, and completes in full.
+        assert_eq!(await_accepted(&b), cap);
+        let mut steps = 0u64;
+        loop {
+            match b.next_event().unwrap() {
+                RunEvent::Chunk { steps: chunk, .. } => steps += chunk.len() as u64,
+                RunEvent::Done { total_edges, .. } => {
+                    assert_eq!(total_edges, g.num_edges());
+                    break;
+                }
+                RunEvent::Cancelled => panic!("run B was never cancelled"),
+                _ => {}
+            }
         }
-    }
-    assert_eq!(steps, g.num_edges(), "the queued run completed in full");
+        assert_eq!(steps, g.num_edges(), "the queued run completed in full");
+        mid_run
+    });
+    assert!(cancelled_mid_run, "run A finished before the cancel landed in all {MID_RUN_CANCEL_ATTEMPTS} attempts");
 
     let stats = service.stats();
-    assert_eq!(stats.runs_cancelled, 1);
-    assert_eq!(stats.runs_executed, 1);
+    assert_eq!(stats.runs_cancelled, 1, "only the mid-run cancel stops a run");
+    assert_eq!(stats.runs_executed, 1 + 2 * late, "each late attempt ran A and B, the last ran B");
     assert_eq!(stats.admitted_longs, 0);
     assert_eq!(stats.peak_admitted_longs, cap, "never above the cap even when clamped");
     service.shutdown();
@@ -551,13 +565,14 @@ fn long_run_graph(tag: &str) -> (Graph, PathBuf) {
 const LONG_RUN: RunOptions =
     RunOptions { partitions: 8, strategy: MergeStrategy::Duplicated, partitioner: PartitionerKind::Hash };
 
-/// Reads a run's events up to its `Accepted`.
-fn await_accepted(client: &ServiceClient) {
+/// Reads a run's events up to its `Accepted` and returns the Longs it
+/// was admitted with.
+fn await_accepted(client: &ServiceClient) -> u64 {
     loop {
         match client.next_event().unwrap() {
-            RunEvent::Accepted { cached, .. } => {
+            RunEvent::Accepted { admitted_longs, cached } => {
                 assert!(!cached);
-                return;
+                return admitted_longs;
             }
             RunEvent::Progress { .. } => {}
             other => panic!("expected Accepted, got {other:?}"),
